@@ -1,7 +1,8 @@
 // Benchmarks: one per paper table/figure (regenerating its workload's hot
-// path under testing.B) plus ablations for the design decisions listed in
-// DESIGN.md §6. Full paper-style row output comes from cmd/experiments;
-// these benches measure the cost of each experiment's core operation.
+// path under testing.B) plus ablations of individual design decisions. Full
+// paper-style row output comes from cmd/experiments; these benches measure
+// the cost of each experiment's core operation. The end-to-end ledger is
+// bench/ (see bench/README.md and BENCHMARK.json).
 package lshensemble_test
 
 import (
@@ -22,7 +23,6 @@ import (
 	"lshensemble/internal/partition"
 	"lshensemble/internal/staticlsh"
 	"lshensemble/internal/stats"
-	"lshensemble/internal/tune"
 	"lshensemble/internal/xrand"
 )
 
@@ -82,16 +82,6 @@ func BenchmarkFig1SizeHistogram(b *testing.B) {
 		c := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 2000, Seed: uint64(i)})
 		_ = stats.LogHistogram(c.Sizes())
 		_ = stats.PowerLawAlphaMLE(c.Sizes(), 10)
-	}
-}
-
-// --- Figure 3 / tuning: the (b, r) grid optimization ---
-
-func BenchmarkFig3TuneOptimize(b *testing.B) {
-	o := tune.NewOptimizer(32, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.OptimizeUncached(1000, 100, 0.5)
 	}
 }
 
@@ -263,7 +253,7 @@ func BenchmarkFig10Analysis(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ---
+// --- Ablations ---
 
 // BenchmarkAblationRMax sweeps the forest depth: deeper trees mean fewer,
 // more selective probes per band.
@@ -309,25 +299,6 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationTuneCache quantifies the memoization win of the tuner.
-func BenchmarkAblationTuneCache(b *testing.B) {
-	b.Run("cached", func(b *testing.B) {
-		o := tune.NewOptimizer(32, 8)
-		o.Optimize(1000, 100, 0.5)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o.Optimize(1000, 100, 0.5)
-		}
-	})
-	b.Run("uncached", func(b *testing.B) {
-		o := tune.NewOptimizer(32, 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o.OptimizeUncached(1000, 100, 0.5)
-		}
-	})
 }
 
 // BenchmarkAblationStaticVsDynamic compares the classic fixed-(b,r)
@@ -525,30 +496,6 @@ func BenchmarkQueryBatchVsSerial(b *testing.B) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N*len(batch))/secs, "queries/s")
 	}
-}
-
-// BenchmarkParallelQueryIDs measures the intra-query mode on a wide
-// ensemble (32 partitions), against QueryIDs on the same shape.
-func BenchmarkParallelQueryIDs(b *testing.B) {
-	f := webTableFixture(b, 10000)
-	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	qi := f.queries[0]
-	idx.QueryIDs(f.records[qi].Sig, f.records[qi].Size, 0.25)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			qi := f.queries[i%len(f.queries)]
-			idx.QueryIDs(f.records[qi].Sig, f.records[qi].Size, 0.25)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			qi := f.queries[i%len(f.queries)]
-			idx.ParallelQueryIDs(f.records[qi].Sig, f.records[qi].Size, 0.25, 0)
-		}
-	})
 }
 
 // --- Live index: serving while the corpus churns ---

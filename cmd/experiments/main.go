@@ -1,7 +1,6 @@
 // Command experiments reproduces every table and figure of the paper's
 // evaluation (Section 6). Each experiment prints its rows in the shape the
-// paper reports; EXPERIMENTS.md records a reference run next to the
-// paper's own numbers.
+// paper reports.
 //
 // Usage:
 //
@@ -11,7 +10,7 @@
 //
 // Experiments: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 tab3 tab4
 // frontier (accuracy-vs-bytes sweep over sketch backends; prints one JSON
-// summary line per backend at t*=0.5, the shape committed as BENCH_10.json)
+// summary line per backend at t*=0.5)
 package main
 
 import (
@@ -159,11 +158,10 @@ func runOne(id string, acc expt.AccuracyConfig, perf expt.PerfConfig) error {
 		for _, r := range rows {
 			fmt.Println(" ", r)
 		}
-		// One machine-readable line per backend at the t*=0.5 default — the
-		// shape tracked as BENCH_10.json in the repo root.
+		// One machine-readable line per backend at the t*=0.5 default.
 		for _, r := range rows {
 			if r.Threshold == 0.5 {
-				fmt.Printf("{\"bench\":\"BENCH_10\",\"system\":%q,\"bytes_per_domain\":%.1f,\"threshold\":%.2f,\"precision\":%.3f,\"recall\":%.3f,\"f1\":%.3f}\n",
+				fmt.Printf("{\"bench\":\"frontier\",\"system\":%q,\"bytes_per_domain\":%.1f,\"threshold\":%.2f,\"precision\":%.3f,\"recall\":%.3f,\"f1\":%.3f}\n",
 					r.System, r.BytesPerDomain, r.Threshold, r.Precision, r.Recall, r.F1)
 			}
 		}

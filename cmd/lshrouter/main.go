@@ -81,7 +81,7 @@ func run() error {
 	replication := flag.Int("replication", 1, "distinct shards owning each key")
 	vnodes := flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
 	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load cap: max keyspace share per shard as a multiple of 1/N (≥ 1)")
-	shardTimeout := flag.Duration("shard-timeout", 2*time.Second, "per-shard deadline on forwarded and scattered requests")
+	shardTimeout := flag.Duration("shard-timeout", 2*time.Second, "per-shard deadline on forwarded writes, scattered queries and health probes")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "how often to probe shard /healthz")
 	healthFail := flag.Int("health-fail", 2, "consecutive probe failures that demote a shard from the ring")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time limit for reading request headers (slowloris guard)")

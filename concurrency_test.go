@@ -263,7 +263,7 @@ func TestQueryBatchConcurrentWithReindex(t *testing.T) {
 			for rep := 0; rep < 30; rep++ {
 				mu.RLock()
 				n := uint32(idx.Len())
-				switch rep % 3 {
+				switch rep % 2 {
 				case 0:
 					if err := idx.QueryBatchInto(&res, batch, 3); err != nil {
 						mu.RUnlock()
@@ -279,7 +279,7 @@ func TestQueryBatchConcurrentWithReindex(t *testing.T) {
 							}
 						}
 					}
-				case 1:
+				default:
 					rows, err := idx.QueryBatch(batch, 2)
 					if err != nil {
 						mu.RUnlock()
@@ -290,23 +290,6 @@ func TestQueryBatchConcurrentWithReindex(t *testing.T) {
 						mu.RUnlock()
 						errs <- fmt.Errorf("worker %d rep %d: %d rows", w, rep, len(rows))
 						return
-					}
-				default:
-					qi := queries[(w+rep)%len(queries)]
-					ids, err := idx.ParallelQueryIDs(recs[qi].Sig, recs[qi].Size, 0.5, 4)
-					if err != nil {
-						mu.RUnlock()
-						errs <- err
-						return
-					}
-					seen := make(map[uint32]bool, len(ids))
-					for _, id := range ids {
-						if id >= n || seen[id] {
-							mu.RUnlock()
-							errs <- fmt.Errorf("worker %d rep %d: bad/duplicate id %d", w, rep, id)
-							return
-						}
-						seen[id] = true
 					}
 				}
 				mu.RUnlock()

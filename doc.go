@@ -71,9 +71,7 @@
 // Construction and batch serving fan out over bounded worker pools sized by
 // GOMAXPROCS; all parallel paths degrade to the serial code at one proc.
 // Construction is bit-deterministic at any worker count, and every
-// QueryBatch row matches the serial QueryIDs answer element for element;
-// only ParallelQueryIDs returns its (deduplicated) result set in an
-// unspecified order.
+// QueryBatch row matches the serial QueryIDs answer element for element.
 //
 //   - Build routes records to partitions serially (one binary search each),
 //     then fills the disjoint partition forests in parallel, with each
@@ -91,20 +89,13 @@
 //     QueryBatchInto with a reused BatchResults performs zero per-query
 //     steady-state allocations (the whole dispatch costs a fixed handful of
 //     goroutine-spawn allocations, independent of batch size).
-//   - Index.ParallelQueryIDs splits the partitions of ONE query across
-//     workers instead. Partitions hold disjoint ids, so per-worker dedup
-//     suffices and the merge is a concatenation. Intra-query splitting wins
-//     only when single-query latency matters and the stream is too thin to
-//     batch — a wide ensemble probed by rare, expensive queries; batched
-//     traffic should always prefer QueryBatch, whose coordination cost is
-//     amortized over the whole batch rather than paid per query.
 //   - Corpus sketching: Hasher.SketchParallel shards one large pre-hashed
 //     value slice across workers (exact — shard minima merge slot-wise);
 //     cmd/lshed sketches whole columns in parallel and serves multi-column
 //     query files through one QueryBatch dispatch (-batch -workers).
 //
 // Concurrency contract: an Index is safe for any number of concurrent
-// readers (Query*, QueryBatch*, ParallelQueryIDs); Add and Reindex require
+// readers (Query*, QueryBatch*); Add and Reindex require
 // exclusive access, as with an RWMutex. Querying an Index that has Adds not
 // yet folded in by Reindex returns core.ErrDirty rather than panicking.
 //
@@ -172,7 +163,7 @@
 // memory-mapped views of those files. The flat layout was chosen so
 // binary-search probes work unchanged on mapped bytes — queries are
 // zero-copy and allocation-free over the mapping, within measurement noise
-// of heap serving (BENCH_7.json). Boot from a manifest reads only each
+// of heap serving (BenchmarkLiveQueryMmapVsHeap). Boot from a manifest reads only each
 // file's header and planner metadata eagerly; signatures page in lazily as
 // queries touch them, so a warm restart of a large corpus answers its
 // first query in milliseconds and resident memory tracks the queried
@@ -297,7 +288,7 @@
 //     for re-ranking or offline accuracy studies (KMVSketch, minhash.KMV).
 //
 // Measured accuracy-vs-bytes frontier (Fig. 4 corpus scale, t* = 0.5,
-// m = 256 hash functions, BENCH_10.json):
+// m = 256 hash functions; reproduce with "experiments -run frontier"):
 //
 //	backend    bytes/domain  precision  recall
 //	minwise64      2048.0      0.658     0.912
@@ -317,9 +308,9 @@
 // /stats as "sketch" and "signature_bytes"; a daemon booted with a
 // mismatched -sketch refuses the snapshot rather than misinterpret it.
 //
-// See ROADMAP.md for representative before/after benchmark numbers.
+// Performance is tracked by one ledger: bench/README.md describes the
+// workloads and BENCHMARK.json names every end-to-end and per-layer metric.
 //
-// See examples/ for runnable programs, DESIGN.md for the system inventory,
-// and EXPERIMENTS.md for the reproduction of every table and figure in the
-// paper's evaluation.
+// See examples/ for runnable programs and cmd/experiments for the
+// reproduction of every table and figure in the paper's evaluation.
 package lshensemble

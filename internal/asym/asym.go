@@ -43,7 +43,7 @@ type Index struct {
 	keys    []string
 	maxSize int // M: the padded size of every indexed domain
 	numHash int
-	opt     *tune.Optimizer
+	opt     *tune.Table
 
 	// scratch pools *dedup.Set values so steady-state queries allocate only
 	// their result: dedup across the forest's trees uses a
@@ -93,7 +93,7 @@ func Build(records []core.Record, numHash, rMax int) (*Index, error) {
 		forest:  lshforest.New(numHash, rMax),
 		maxSize: maxSize,
 		numHash: numHash,
-		opt:     tune.NewOptimizer(numHash/rMax, rMax),
+		opt:     tune.ForGrid(numHash/rMax, rMax),
 	}
 	// Padding simulation is the expensive phase (one inverse-CDF sample per
 	// slot per record), and every record pads independently — fan it out.

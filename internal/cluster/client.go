@@ -16,27 +16,27 @@ import (
 )
 
 // Client speaks the shard wire protocol (internal/serve's JSON types) to
-// one lshensembled instance. Every call takes a context — the router caps
-// each scatter leg with its per-shard deadline, and the transport's dial
-// and response-header timeouts bound the cases a context alone cannot
-// (a SYN blackhole, a shard that accepts but never answers).
+// one lshensembled instance. Every call takes a context, and the context is
+// the only bound on how long an accepted request may take to answer: the
+// router caps query, write and health legs with its per-shard deadline and
+// lets /save and /compact run as long as the operator's request lives. The
+// transport's dial timeout bounds what a context cannot (a SYN blackhole).
 type Client struct {
 	base string
 	hc   *http.Client
 }
 
 // NewClient builds a client for one shard base URL ("http://host:port").
-// timeout bounds connection establishment and time-to-first-header; per
-// request deadlines come from the caller's context.
+// timeout bounds connection establishment; per-request deadlines come from
+// the caller's context.
 func NewClient(base string, timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
 	tr := &http.Transport{
-		DialContext:           (&net.Dialer{Timeout: timeout}).DialContext,
-		ResponseHeaderTimeout: timeout,
-		MaxIdleConnsPerHost:   32,
-		IdleConnTimeout:       90 * time.Second,
+		DialContext:         (&net.Dialer{Timeout: timeout}).DialContext,
+		MaxIdleConnsPerHost: 32,
+		IdleConnTimeout:     90 * time.Second,
 	}
 	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: tr}}
 }

@@ -19,10 +19,11 @@ import (
 type Options struct {
 	// Ring shapes key placement (vnodes, bounded-load factor, replication).
 	Ring RingOptions
-	// ShardTimeout is the per-shard deadline on every forwarded or scattered
-	// request. A shard that misses it contributes nothing to the merge and
-	// flips the response partial — it never stalls the whole answer.
-	// Default 2s.
+	// ShardTimeout is the per-shard deadline on every forwarded write,
+	// scattered query and health probe. A shard that misses it contributes
+	// nothing to the merge and flips the response partial — it never stalls
+	// the whole answer. The admin fan-out (/stats, /save, /compact) is not
+	// under it; see fleetAdmin. Default 2s.
 	ShardTimeout time.Duration
 	// HealthInterval is how often the background checker probes every
 	// shard's /healthz. Default 2s.
@@ -349,18 +350,13 @@ type RouterBatchResponse struct {
 	Failed  []string `json:"failed,omitempty"`
 }
 
-// RouterStatsResponse gathers every live shard's stats.
-type RouterStatsResponse struct {
-	Shards  map[string]serve.StatsResponse `json:"shards"`
-	Partial bool                           `json:"partial"`
-	Failed  []string                       `json:"failed,omitempty"`
-}
-
-// RouterSaveResponse gathers every live shard's snapshot acknowledgement.
-type RouterSaveResponse struct {
-	Shards  map[string]serve.SaveResponse `json:"shards"`
-	Partial bool                          `json:"partial"`
-	Failed  []string                      `json:"failed,omitempty"`
+// RouterFleetResponse gathers every live shard's answer to a fleet admin
+// call, keyed by shard name: serve.StatsResponse for /stats and /compact,
+// serve.SaveResponse for /save.
+type RouterFleetResponse[T any] struct {
+	Shards  map[string]T `json:"shards"`
+	Partial bool         `json:"partial"`
+	Failed  []string     `json:"failed,omitempty"`
 }
 
 // ShardInfo is one row of the /ring topology.
@@ -492,11 +488,20 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 
 // --- read path: scatter to all live shards, gather, merge ---
 
-// scatter runs call against every live shard concurrently, each under its
-// own deadline, and returns the successful responses plus the names of the
-// shards that failed. Scatter never fails as a whole: a dead or slow shard
-// just lands in failed.
+// scatter is fanOut with every leg under its own ShardTimeout deadline — the
+// query fan-out, where a slow shard must cost a partial answer, not latency.
 func scatter[T any](r *Router, ctx context.Context, call func(context.Context, *shard) (T, error)) (oks []T, failed []string) {
+	return fanOut(r, ctx, func(ctx context.Context, s *shard) (T, error) {
+		sctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
+		defer cancel()
+		return call(sctx, s)
+	})
+}
+
+// fanOut runs call against every live shard concurrently and returns the
+// successful responses plus the names of the shards that failed. It never
+// fails as a whole: a dead shard just lands in failed.
+func fanOut[T any](r *Router, ctx context.Context, call func(context.Context, *shard) (T, error)) (oks []T, failed []string) {
 	live := r.liveShards()
 	type result struct {
 		resp T
@@ -509,9 +514,7 @@ func scatter[T any](r *Router, ctx context.Context, call func(context.Context, *
 		wg.Add(1)
 		go func(i int, s *shard) {
 			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
-			defer cancel()
-			resp, err := call(sctx, s)
+			resp, err := call(ctx, s)
 			results[i] = result{resp: resp, err: err, name: s.name}
 		}(i, s)
 	}
@@ -689,61 +692,40 @@ func mergeBatch(responses []serve.BatchResponse, numRows int) []serve.QueryRespo
 
 // --- fleet admin ---
 
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
+// fleetAdmin fans one admin call out to every live shard and answers with
+// the per-shard responses. The legs run under the inbound request's context
+// only: a snapshot or a full compaction legitimately outlasts the query
+// ShardTimeout, and cutting it off there would report a shard that is still
+// working as failed.
+func fleetAdmin[T any](r *Router, w http.ResponseWriter, req *http.Request, call func(*Client, context.Context) (T, error)) {
 	type named struct {
 		name string
-		resp serve.StatsResponse
+		resp T
 	}
-	oks, failed := scatter(r, req.Context(), func(ctx context.Context, s *shard) (named, error) {
-		resp, err := s.client.Stats(ctx)
+	oks, failed := fanOut(r, req.Context(), func(ctx context.Context, s *shard) (named, error) {
+		resp, err := call(s.client, ctx)
 		return named{name: s.name, resp: resp}, err
 	})
 	if !r.gatewayCheck(w, len(oks), len(failed)) {
 		return
 	}
-	out := RouterStatsResponse{Shards: make(map[string]serve.StatsResponse, len(oks)), Failed: failed, Partial: len(failed) > 0}
+	out := RouterFleetResponse[T]{Shards: make(map[string]T, len(oks)), Failed: failed, Partial: len(failed) > 0}
 	for _, n := range oks {
 		out.Shards[n.name] = n.resp
 	}
 	serve.WriteJSON(w, http.StatusOK, out)
+}
+
+func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
+	fleetAdmin(r, w, req, (*Client).Stats)
 }
 
 func (r *Router) handleSave(w http.ResponseWriter, req *http.Request) {
-	type named struct {
-		name string
-		resp serve.SaveResponse
-	}
-	oks, failed := scatter(r, req.Context(), func(ctx context.Context, s *shard) (named, error) {
-		resp, err := s.client.Save(ctx)
-		return named{name: s.name, resp: resp}, err
-	})
-	if !r.gatewayCheck(w, len(oks), len(failed)) {
-		return
-	}
-	out := RouterSaveResponse{Shards: make(map[string]serve.SaveResponse, len(oks)), Failed: failed, Partial: len(failed) > 0}
-	for _, n := range oks {
-		out.Shards[n.name] = n.resp
-	}
-	serve.WriteJSON(w, http.StatusOK, out)
+	fleetAdmin(r, w, req, (*Client).Save)
 }
 
 func (r *Router) handleCompact(w http.ResponseWriter, req *http.Request) {
-	type named struct {
-		name string
-		resp serve.StatsResponse
-	}
-	oks, failed := scatter(r, req.Context(), func(ctx context.Context, s *shard) (named, error) {
-		resp, err := s.client.Compact(ctx)
-		return named{name: s.name, resp: resp}, err
-	})
-	if !r.gatewayCheck(w, len(oks), len(failed)) {
-		return
-	}
-	out := RouterStatsResponse{Shards: make(map[string]serve.StatsResponse, len(oks)), Failed: failed, Partial: len(failed) > 0}
-	for _, n := range oks {
-		out.Shards[n.name] = n.resp
-	}
-	serve.WriteJSON(w, http.StatusOK, out)
+	fleetAdmin(r, w, req, (*Client).Compact)
 }
 
 func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {

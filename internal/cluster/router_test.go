@@ -450,6 +450,46 @@ func TestRouterSlowShardDeadline(t *testing.T) {
 	}
 }
 
+// TestRouterSlowSaveIsNotCutOff: /save runs under the operator's request,
+// not the query deadline — a shard whose snapshot outlasts ShardTimeout is
+// reported under shards with its file, not under failed — while a query leg
+// that slow still degrades the answer to partial.
+func TestRouterSlowSaveIsNotCutOff(t *testing.T) {
+	const shardTimeout = 100 * time.Millisecond
+	// A stub shard that takes delay to answer anything; its answer decodes
+	// as an (empty) query response and as a save acknowledgement alike.
+	stub := func(delay time.Duration) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-time.After(delay):
+			}
+			serve.WriteJSON(w, http.StatusOK, serve.SaveResponse{Path: "stub.snap", Bytes: 42})
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	fast, slow := stub(0), stub(3*shardTimeout)
+	_, rts := startRouter(t, []string{fast, slow}, Options{ShardTimeout: shardTimeout})
+
+	var saved RouterFleetResponse[serve.SaveResponse]
+	if code := postJSON(t, rts.URL+"/save", struct{}{}, &saved); code != http.StatusOK {
+		t.Fatalf("save: HTTP %d", code)
+	}
+	if saved.Shards[slow].Bytes != 42 || len(saved.Shards) != 2 || saved.Partial {
+		t.Fatalf("slow snapshot cut off: shards=%+v failed=%v", saved.Shards, saved.Failed)
+	}
+
+	var got RouterQueryResponse
+	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(0), Threshold: 0.5}, &got); code != http.StatusOK {
+		t.Fatalf("query: HTTP %d", code)
+	}
+	if !got.Partial || !sameStrings(got.Failed, []string{slow}) {
+		t.Fatalf("slow query leg not cut off: partial=%v failed=%v", got.Partial, got.Failed)
+	}
+}
+
 // TestRouterBlackout: with every shard dead the router answers 5xx (the
 // only time it may) and /healthz reflects the outage after demotion.
 func TestRouterBlackout(t *testing.T) {
@@ -483,7 +523,7 @@ func TestRouterStatsAndRing(t *testing.T) {
 	_, rts := startRouter(t, urls, Options{})
 	addVia(t, rts.URL, 30)
 
-	var stats RouterStatsResponse
+	var stats RouterFleetResponse[serve.StatsResponse]
 	if code := getJSON(t, rts.URL+"/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats: HTTP %d", code)
 	}

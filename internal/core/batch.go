@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"lshensemble/internal/minhash"
-	"lshensemble/internal/par"
 )
 
 // This file implements the high-throughput batch query engine. A batch of
@@ -17,11 +16,6 @@ import (
 // caller's BatchResults at the end. Steady-state batch serving through
 // QueryBatchInto performs zero per-query allocations: worker state is
 // recycled through a sync.Pool and the destination arena is reused.
-//
-// For large ensembles at low traffic — when a batch cannot fill the cores —
-// ParallelQueryIDs instead splits the partitions of a single query across
-// workers (intra-query parallelism). Partitions hold disjoint id sets, so
-// per-worker dedup scratch is sufficient and the merge is a concatenation.
 
 // BatchQuery is one containment query of a batch: the query signature, the
 // (exact or estimated) query cardinality |Q|, and the containment threshold
@@ -247,56 +241,6 @@ func (x *Index) QueryBatchContext(ctx context.Context, queries []BatchQuery, wor
 	out := make([][]uint32, len(queries))
 	for i := range out {
 		out[i] = res.Row(i)
-	}
-	return out, nil
-}
-
-// ParallelQueryIDs is QueryIDs with the partition probes of one query split
-// across up to `workers` goroutines (0 means GOMAXPROCS) — intra-query
-// parallelism. Each worker pulls whole partitions from a shared counter and
-// probes them with its own pooled scratch; the per-worker result runs are
-// concatenated (partitions are disjoint, so no cross-worker dedup is
-// needed). The result order is unspecified.
-//
-// This mode wins when a single query dominates the latency budget — a large
-// ensemble (many partitions) with non-trivial candidate sets — and the
-// query stream is too thin for QueryBatch to fill the cores. For batched
-// traffic, QueryBatch parallelizes across queries with far less
-// coordination overhead per probe.
-func (x *Index) ParallelQueryIDs(sig minhash.Signature, querySize int, tStar float64, workers int) ([]uint32, error) {
-	if x.dirty {
-		return nil, ErrDirty
-	}
-	if querySize <= 0 || len(x.keys) == 0 {
-		return nil, nil
-	}
-	workers = par.Clamp(workers, len(x.parts))
-	if workers <= 1 {
-		return x.QueryIDs(sig, querySize, tStar)
-	}
-	tStar = clampThreshold(tStar)
-	scratches := make([]*queryScratch, workers)
-	par.Drain(len(x.parts), workers, func(w, pi int) {
-		s := scratches[w]
-		if s == nil {
-			s = x.acquireScratch()
-			s.ids = s.ids[:0]
-			scratches[w] = s
-		}
-		s.ids = x.queryPartition(s.ids, s, pi, sig, querySize, tStar)
-	})
-	total := 0
-	for _, s := range scratches {
-		if s != nil {
-			total += len(s.ids)
-		}
-	}
-	out := make([]uint32, 0, total)
-	for _, s := range scratches {
-		if s != nil {
-			out = append(out, s.ids...)
-			x.releaseScratch(s)
-		}
 	}
 	return out, nil
 }

@@ -150,33 +150,6 @@ func TestQueryBatchErrDirty(t *testing.T) {
 	}
 }
 
-// TestParallelQueryIDsMatchesSerial checks the intra-query mode against
-// QueryIDs as a set, across worker counts and thresholds.
-func TestParallelQueryIDsMatchesSerial(t *testing.T) {
-	c := makeCorpus(t, 800, 64, 35)
-	idx, err := Build(c.records, Options{NumHash: 64, RMax: 4, NumPartitions: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < len(c.records); qi += 61 {
-		r := c.records[qi]
-		for _, tStar := range []float64{0.2, 0.5, 0.9} {
-			want := sortedIDs(mustQueryIDs(t, idx, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: tStar}))
-			for _, workers := range []int{0, 1, 2, 4, 64} {
-				pids, err := idx.ParallelQueryIDs(r.Sig, r.Size, tStar, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := sortedIDs(pids)
-				if !equalIDs(got, want) {
-					t.Fatalf("query %d t*=%v workers=%d: got %d ids, want %d",
-						qi, tStar, workers, len(got), len(want))
-				}
-			}
-		}
-	}
-}
-
 // TestBuildParallelDeterministic builds the same corpus twice (the build
 // pipeline fans partition fills and tree sorts across workers) and requires
 // identical serialized bytes: parallel construction must be bit-for-bit

@@ -40,7 +40,7 @@ type PartitionerFunc func(sizes []int, n int) []partition.Partition
 
 // Options configures Build. Zero values select the defaults used in the
 // paper's experiments (m = 256 hash functions, trees of depth 8,
-// 16 partitions, equi-depth partitioning, parallel query).
+// 16 partitions, equi-depth partitioning).
 type Options struct {
 	// NumHash is the MinHash signature length m. Default 256.
 	NumHash int
@@ -59,12 +59,6 @@ type Options struct {
 	// b-bit backends trade estimation accuracy for a 8x/4x/2x smaller store.
 	// Must be an indexable backend (KMV is evaluation-only).
 	Sketch SketchBackend
-	// Sequential is retained for configuration compatibility. The query
-	// path now probes partitions sequentially with pooled, allocation-free
-	// scratch in every mode (a goroutine per partition per query cost more
-	// than the probes it parallelized); concurrency across queries is the
-	// caller's, and remains safe.
-	Sequential bool
 }
 
 func (o Options) withDefaults() Options {
@@ -90,6 +84,10 @@ func (o Options) WithDefaults() Options { return o.withDefaults() }
 
 // Validate reports whether the (already defaulted) options are usable.
 func (o Options) Validate() error { return o.validate() }
+
+// table returns the process-wide (b, r) table of the options' banding grid
+// (b ≤ NumHash/RMax trees, r ≤ RMax depth). The options must be valid.
+func (o Options) table() *tune.Table { return tune.ForGrid(o.NumHash/o.RMax, o.RMax) }
 
 func (o Options) validate() error {
 	if o.NumHash < 1 {
@@ -130,7 +128,7 @@ type Index struct {
 	sizes []int
 	locs  []sigLoc // per id: which partition forest and slot stores its signature
 	parts []part
-	opt   *tune.Optimizer
+	opt   *tune.Table // shared by every index over the same (NumHash/RMax, RMax) grid
 	dirty bool
 
 	// scratch pools *queryScratch values so steady-state queries allocate
@@ -145,13 +143,15 @@ type Index struct {
 
 // queryScratch is the per-query working memory recycled through
 // Index.scratch: a generation-stamped visited set for candidate dedup, a
-// reusable result buffer, and the probe callback. The callback is allocated
-// once per scratch (not per probe): it reaches the forests through the
-// width-erased store interface, which defeats escape analysis, so a closure
-// built inside probePartition would heap-allocate on every partition probe.
+// reusable result buffer, the per-partition plan, and the probe callback.
+// The callback is allocated once per scratch (not per probe): it reaches the
+// forests through the width-erased store interface, which defeats escape
+// analysis, so a closure built inside probe would heap-allocate on every
+// partition probe.
 type queryScratch struct {
 	seen dedup.Set
 	ids  []uint32
+	plan []tune.Params     // banding decisions of the query being served
 	dst  []uint32          // collector target while a probe is running
 	emit func(uint32) bool // persistent probe callback appending into dst
 }
@@ -220,7 +220,7 @@ func Build(records []Record, opts Options) (*Index, error) {
 		sizes: make([]int, 0, len(records)),
 		locs:  make([]sigLoc, 0, len(records)),
 		parts: make([]part, len(parts)),
-		opt:   tune.NewOptimizer(opts.NumHash/opts.RMax, opts.RMax),
+		opt:   opts.table(),
 	}
 	for i, p := range parts {
 		idx.parts[i] = part{
@@ -453,93 +453,52 @@ func clampThreshold(tStar float64) float64 {
 	return tStar
 }
 
-// queryInto probes every partition sequentially, deduplicating against the
-// scratch's generation-stamped visited array, and appends candidate ids to
-// dst. Partitions are disjoint by construction, so the dedup only ever
-// collapses the multiple trees of a single forest reporting the same id.
+// queryInto plans the query into the scratch's reused plan slice and probes
+// the planned partitions, appending candidate ids to dst. Every query shape
+// — single, batch worker, top-k rung — goes through it, and PlanPartitions +
+// QueryIDsPlannedAppend are the same two halves exported.
 func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, querySize int, tStar float64) []uint32 {
-	tStar = clampThreshold(tStar)
-	for i := range x.parts {
-		dst = x.queryPartition(dst, s, i, sig, querySize, tStar)
-	}
-	return dst
+	s.plan = x.PlanPartitions(s.plan[:0], querySize, tStar)
+	return x.probe(dst, s, sig, s.plan)
 }
 
-// partitionParams resolves the banding decision for one partition: the
-// tuned (b, r) the probe will use, or ok = false when the partition is
-// skipped (empty, or no domain in it can reach the threshold — containment
-// is at most x/q ≤ u/q). tStar must already be clamped to [0, 1].
-func (x *Index) partitionParams(pi int, querySize int, tStar float64) (tune.Params, bool) {
-	p := &x.parts[pi]
-	if p.forest.Len() == 0 {
-		return tune.Params{}, false
-	}
-	q := float64(querySize)
-	u := float64(p.upper)
-	if tStar > 0 && u/q < tStar {
-		return tune.Params{}, false
-	}
-	return x.opt.Optimize(u, q, tStar), true
-}
-
-// probePartition probes one partition with the given banding parameters and
-// appends candidate ids to dst. Because partitions hold disjoint id sets,
-// distinct partitions of the same query may be probed by different workers
-// (each with its own scratch) without any cross-worker dedup — the visited
-// array only collapses the multiple trees of one forest reporting the same
-// id.
-func (x *Index) probePartition(dst []uint32, s *queryScratch, pi int, sig minhash.Signature, params tune.Params) []uint32 {
-	s.dst = dst
-	x.parts[pi].forest.Query(sig, params.B, params.R, s.emit)
-	dst = s.dst
-	s.dst = nil
-	return dst
-}
-
-// queryPartition probes one partition with the query's tuned (b, r) and
-// appends candidate ids to dst. tStar must already be clamped to [0, 1].
-func (x *Index) queryPartition(dst []uint32, s *queryScratch, pi int, sig minhash.Signature, querySize int, tStar float64) []uint32 {
-	params, ok := x.partitionParams(pi, querySize, tStar)
-	if !ok {
-		return dst
-	}
-	return x.probePartition(dst, s, pi, sig, params)
-}
-
-// PlanPartitions appends one tune.Params per partition to dst: the exact
-// banding decision the direct query path would make for (querySize, tStar),
-// with the zero Params (B == 0) marking partitions the path skips. The
-// tuner is consulted in one batch, so building a plan takes its cache locks
-// once instead of once per partition. A plan depends only on (querySize,
-// tStar) and the immutable partition bounds, which is what lets layered
-// planners (internal/live) cache plans across queries and replay them with
-// QueryIDsPlannedAppend for results byte-identical to QueryIDsAppend.
+// PlanPartitions appends one tune.Params per partition to dst: the banding
+// decision of every query path for (querySize, tStar), with the zero Params
+// (B == 0) marking partitions that are skipped — empty ones, and those where
+// no domain can reach the threshold (containment is at most x/q ≤ u/q). A
+// plan depends only on (querySize, tStar) and the immutable partition
+// bounds, which is what lets layered planners (internal/live) cache plans
+// across queries and replay them with QueryIDsPlannedAppend for results
+// byte-identical to QueryIDsAppend.
 func (x *Index) PlanPartitions(dst []tune.Params, querySize int, tStar float64) []tune.Params {
 	tStar = clampThreshold(tStar)
-	base := len(dst)
 	q := float64(querySize)
-	var us []float64
-	var live []int
 	for pi := range x.parts {
-		dst = append(dst, tune.Params{})
 		p := &x.parts[pi]
-		if p.forest.Len() == 0 {
-			continue
-		}
 		u := float64(p.upper)
-		if tStar > 0 && u/q < tStar {
-			continue
+		var params tune.Params
+		if p.forest.Len() > 0 && !(tStar > 0 && u/q < tStar) {
+			params = x.opt.Optimize(u, q, tStar)
 		}
-		us = append(us, u)
-		live = append(live, base+pi)
+		dst = append(dst, params)
 	}
-	if len(us) > 0 {
-		params := make([]tune.Params, len(us))
-		x.opt.OptimizeBatch(us, q, tStar, params)
-		for i, di := range live {
-			dst[di] = params[i]
+	return dst
+}
+
+// probe probes every partition the plan does not skip with its planned
+// (b, r), appending candidate ids to dst. Partitions hold disjoint id sets,
+// so the scratch's visited array only ever collapses the multiple trees of
+// one forest reporting the same id. The plan must have one entry per
+// partition.
+func (x *Index) probe(dst []uint32, s *queryScratch, sig minhash.Signature, plan []tune.Params) []uint32 {
+	s.dst = dst
+	for pi, p := range plan {
+		if p.B != 0 {
+			x.parts[pi].forest.Query(sig, p.B, p.R, s.emit)
 		}
 	}
+	dst = s.dst
+	s.dst = nil
 	return dst
 }
 
@@ -560,12 +519,7 @@ func (x *Index) QueryIDsPlannedAppend(dst []uint32, sig minhash.Signature, plan 
 		return dst, nil
 	}
 	s := x.acquireScratch()
-	for pi, p := range plan {
-		if p.B == 0 {
-			continue
-		}
-		dst = x.probePartition(dst, s, pi, sig, p)
-	}
+	dst = x.probe(dst, s, sig, plan)
 	x.releaseScratch(s)
 	return dst, nil
 }
@@ -624,10 +578,10 @@ var (
 // ErrCorrupt reports a malformed index encoding.
 var ErrCorrupt = errors.New("core: corrupt index encoding")
 
-// AppendBinary appends the index's binary encoding to buf. The tuning cache
-// is not persisted (it is rebuilt lazily at query time). A Minwise64 index
-// emits the legacy "LSHE" encoding byte-identically; other backends emit
-// "LSE2" with an explicit backend tag.
+// AppendBinary appends the index's binary encoding to buf. The (b, r) table
+// is not part of it (it belongs to the process, not the index). A Minwise64
+// index emits the legacy "LSHE" encoding byte-identically; other backends
+// emit "LSE2" with an explicit backend tag.
 func (x *Index) AppendBinary(buf []byte) []byte {
 	if x.opts.Sketch == Minwise64 {
 		buf = append(buf, indexMagic[:]...)
@@ -688,10 +642,7 @@ func Decode(buf []byte) (*Index, []byte, error) {
 	if err := opts.validate(); err != nil {
 		return nil, buf, ErrCorrupt
 	}
-	x := &Index{
-		opts: opts,
-		opt:  tune.NewOptimizer(opts.NumHash/opts.RMax, opts.RMax),
-	}
+	x := &Index{opts: opts}
 	for i := 0; i < nKeys; i++ {
 		if len(buf) < 4 {
 			return nil, buf, ErrCorrupt
@@ -768,6 +719,8 @@ func Decode(buf []byte) (*Index, []byte, error) {
 				id, s, p.lower, p.upper, ErrCorrupt)
 		}
 	}
+	// Last, so that a rejected encoding never registers its header's grid.
+	x.opt = opts.table()
 	return x, buf, nil
 }
 

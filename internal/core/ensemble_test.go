@@ -202,33 +202,6 @@ func TestMorePartitionsImprovePrecision(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	c := makeCorpus(t, 300, 128, 4)
-	seq, err := Build(c.records, Options{NumHash: 128, RMax: 4, NumPartitions: 8, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Build(c.records, Options{NumHash: 128, RMax: 4, NumPartitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < 30; qi++ {
-		r := c.records[qi*11%len(c.records)]
-		a := mustQuery(t, seq, r.Sig, r.Size, 0.4)
-		b := mustQuery(t, par, r.Sig, r.Size, 0.4)
-		sort.Strings(a)
-		sort.Strings(b)
-		if len(a) != len(b) {
-			t.Fatalf("query %d: %d vs %d results", qi, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("query %d: result %d differs: %s vs %s", qi, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 func TestPartitionSkipping(t *testing.T) {
 	// A partition whose upper bound cannot reach the threshold is skipped:
 	// querying with a huge query size must return nothing from small
@@ -337,9 +310,6 @@ func TestQueryAfterAddReturnsErrDirty(t *testing.T) {
 	}
 	if _, err := x.QueryTopK(sig, size, 3); err != ErrDirty {
 		t.Fatalf("QueryTopK on dirty index: err = %v, want ErrDirty", err)
-	}
-	if _, err := x.ParallelQueryIDs(sig, size, 0.5, 2); err != ErrDirty {
-		t.Fatalf("ParallelQueryIDs on dirty index: err = %v, want ErrDirty", err)
 	}
 	batch := []BatchQuery{{Sig: sig, Size: size, Threshold: 0.5}}
 	if _, err := x.QueryBatch(batch, 2); err != ErrDirty {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lshensemble/internal/lshforest"
-	"lshensemble/internal/tune"
 )
 
 // This file is the out-of-core seam of the ensemble: EachPart exposes the
@@ -61,7 +60,6 @@ func FromParts(opts Options, keys []string, sizes []int, views []PartView) (*Ind
 		keys:  keys,
 		sizes: sizes,
 		parts: make([]part, len(views)),
-		opt:   tune.NewOptimizer(opts.NumHash/opts.RMax, opts.RMax),
 	}
 	total := 0
 	for i, v := range views {
@@ -89,5 +87,6 @@ func FromParts(opts Options, keys []string, sizes []int, views []PartView) (*Ind
 	if err := x.rebuildLocs(); err != nil {
 		return nil, fmt.Errorf("core: partition entry ids exceed the key space, repeat or are missing: %w", err)
 	}
+	x.opt = opts.table() // last, like Decode: rejected input registers no grid
 	return x, nil
 }

@@ -163,3 +163,38 @@ func TestEachTreeLeadingCoversProbes(t *testing.T) {
 		}
 	}
 }
+
+// TestAnswersIndependentOfQueryOrder asks two builds of the same records the
+// same 1 000 queries, one forwards and one backwards. The banding a query
+// gets must not depend on which earlier query happened to touch the tuner's
+// bucket first, so every query returns the identical id slice from both.
+func TestAnswersIndependentOfQueryOrder(t *testing.T) {
+	c := makeCorpus(t, 4000, 256, 77)
+	opts := Options{NumHash: 256, RMax: 8, NumPartitions: 16}
+	fwd, err := Build(c.records, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bwd, err := Build(c.records, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	query := func(x *Index, i int) []uint32 {
+		r := c.records[i*37%len(c.records)]
+		return mustQueryIDs(t, x, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.5})
+	}
+	got := make([][]uint32, n)
+	for i := 0; i < n; i++ {
+		got[i] = query(fwd, i)
+	}
+	differ := 0
+	for i := n - 1; i >= 0; i-- {
+		if !equalIDs(got[i], query(bwd, i)) {
+			differ++
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of %d queries answer differently when asked in reverse order", differ, n)
+	}
+}

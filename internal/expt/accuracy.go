@@ -5,8 +5,7 @@
 // and returns typed rows that cmd/experiments renders and bench_test.go
 // wraps. Scales default far below the paper's (so the suite runs on a
 // laptop in minutes) and are flag-controlled up to paper scale; the
-// comparative shape of the results is what the reproduction targets (see
-// EXPERIMENTS.md).
+// comparative shape of the results is what the reproduction targets.
 package expt
 
 import (

@@ -14,7 +14,8 @@ import (
 // SketchConfig parameterizes the accuracy-vs-bytes frontier experiment: the
 // Fig. 4 workload re-run under every sketch backend, reporting each system's
 // per-domain signature footprint next to its precision and recall. This is
-// the measurement behind the repo's compact-sketch claims (BENCH_10.json).
+// the measurement behind the repo's compact-sketch claims (the frontier
+// table in the root package comment).
 type SketchConfig struct {
 	AccuracyConfig
 	// NumPartitions is the ensemble partition count every backend uses

@@ -199,12 +199,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// newTuner builds the (b, r) optimizer every buffer scan shares; its grid
-// matches the one the sealed segments' forests use.
-func newTuner(opts Options) *tune.Optimizer {
-	return tune.NewOptimizer(opts.NumHash/opts.RMax, opts.RMax)
-}
-
 // newBufBloom sizes a fresh buffer filter for one seal cycle's worth of
 // leading values (SealThreshold entries, one value per tree each), at the
 // same operating point as the sealed segments' leads filter. Nil when
@@ -348,7 +342,7 @@ func (sn *snapshot) alive(key string, seq uint64) bool {
 // with each other and with queries. See the package comment for the model.
 type Index struct {
 	opts  Options
-	tuner *tune.Optimizer // shared with buffer scans; safe for concurrent use
+	bands *tune.Table // the sealed segments' (b, r) table, for the buffer scan
 
 	snap atomic.Pointer[snapshot]
 
@@ -532,7 +526,7 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 	}
 	x := &Index{
 		opts:   opts,
-		tuner:  newTuner(opts),
+		bands:  tune.ForGrid(opts.NumHash/opts.RMax, opts.RMax),
 		keySeq: make(map[string]uint64, len(records)),
 		nudge:  make(chan struct{}, 1),
 		stop:   make(chan struct{}),
@@ -883,18 +877,13 @@ func appendLiveKeys(dst []string, sn *snapshot, seg *segment, ids []uint32) []st
 // appendBufferMatches linearly scans the unsealed buffer, treating it as
 // one more partition whose upper size bound is the largest buffered size:
 // the containment threshold converts to a Jaccard threshold exactly as a
-// sealed partition would convert it (Eq. 7, conservative), the tuner picks
-// one (b, r) for the whole scan, and an entry matches if any of the b bands
-// of r hash values collide — the LSH forest's collision condition, without
-// the forest.
+// sealed partition would convert it (Eq. 7, conservative), the segments'
+// (b, r) table gives one configuration for the whole scan, and an entry
+// matches if any of the b bands of r hash values collide — the LSH forest's
+// collision condition, without the forest. tStar must already be clamped.
 func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
 	if len(sn.buf) == 0 {
 		return dst, nil
-	}
-	if tStar < 0 {
-		tStar = 0
-	} else if tStar > 1 {
-		tStar = 1
 	}
 	q := float64(querySize)
 	u := float64(sn.bufMax)
@@ -929,7 +918,7 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snaps
 	if tr != nil {
 		tr.BufferScanned = true
 	}
-	params := x.tuner.Optimize(u, q, tStar)
+	params := x.bands.Optimize(u, q, tStar)
 	for i := range sn.buf {
 		// The buffer is bounded by SealThreshold in steady state but not
 		// when the compactor is disabled or behind, so a long scan still

@@ -34,12 +34,21 @@ import (
 // planned queries return byte-identical results to the full fan-out (the
 // package equivalence tests assert this under churn).
 //
-// Two caches sit on top, both coherent with the snapshot's generation
-// counters and lock-free on the read path:
+// The (b, r) of a partition comes from the one process-wide tune.Table of the
+// index's banding grid — the same table every sealed segment, the buffer
+// scan and every other index over that grid read — so a segment created by a
+// seal, a merge or a boot plans as warm as the segments it replaces, and a
+// table hit is two atomic loads. Two caches sit on top of it, both coherent
+// with the snapshot's generation counters and lock-free on the read path:
 //
-//   - the plan cache memoizes the per-segment banding decisions per exact
-//     (querySize, tStar) pair, keyed to segGen (bumped only when the
-//     segment set changes — buffered writes don't invalidate plans);
+//   - the plan cache memoizes a whole plan — every partition of every
+//     segment, skip decisions included — per exact (querySize, tStar) pair,
+//     keyed to segGen (bumped only when the segment set changes; buffered
+//     writes don't invalidate plans). What it still saves over the table is
+//     the walk itself: one map read instead of segments × partitions table
+//     reads and a slice per segment (BenchmarkPlanFor, 8 × 16: ~35 ns
+//     against ~3.5 µs), and what it costs is a plan rebuilt and a map copied
+//     for every (querySize, tStar) pair outside its 256-entry working set;
 //   - the result cache memoizes exact query results, keyed to gen (bumped
 //     on every publish — any mutation invalidates all cached results).
 
@@ -203,7 +212,7 @@ const planCacheMax = 256
 func buildSegPlan(sn *snapshot, querySize int, tStar float64) *segPlan {
 	p := &segPlan{params: make([][]tune.Params, len(sn.segs))}
 	for si, seg := range sn.segs {
-		pp := seg.idx.PlanPartitions(nil, querySize, tStar)
+		pp := seg.idx.PlanPartitions(make([]tune.Params, 0, seg.idx.NumPartitions()), querySize, tStar)
 		for _, e := range pp {
 			if e.B != 0 {
 				p.params[si] = pp

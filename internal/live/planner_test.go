@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/datagen"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/xrand"
 )
@@ -584,5 +585,104 @@ func TestResultCacheHitIsExact(t *testing.T) {
 	}
 	if got := x.Query(r.Sig, r.Size, math.Nextafter(0.9, 1)); len(got) > len(b) {
 		t.Fatal("nearby threshold produced impossible result")
+	}
+}
+
+// TestAnswersSurviveSealMergeAndQueryOrder pins the banding of a query to the
+// query alone: the same 1 000 queries return the same keys from an index
+// before a seal + merge rebuilds its segment, after it, and from a fresh
+// Build over the same records — each asked in a different order, so a tuner
+// whose answer depended on which query reached a bucket first would differ.
+func TestAnswersSurviveSealMergeAndQueryOrder(t *testing.T) {
+	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 4000, Seed: 13})
+	recs := datagen.Records(corpus, minhash.NewHasher(256, 13))
+	opts := Options{Options: core.Options{NumHash: 256, RMax: 8, NumPartitions: 16}, ManualCompaction: true}
+	const n = 1000
+	query := func(x *Index, i int) []string {
+		r := recs[i*37%len(recs)]
+		return x.Query(r.Sig, r.Size, 0.5)
+	}
+
+	x, err := Build(recs[1:], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	// A dead buffered entry and its tombstone: invisible to queries, but
+	// enough to make Flush trim the buffer and Compact rebuild the segment.
+	if _, err := x.Add(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	x.Delete(recs[0].Key)
+	before := make([][]string, n)
+	for i := 0; i < n; i++ {
+		before[i] = query(x, i)
+	}
+	x.Flush()
+	x.Compact()
+	if st := x.Stats(); st.Merges != 1 || st.Tombstones != 0 {
+		t.Fatalf("compaction did not rebuild the segment: %+v", st)
+	}
+	for k := 0; k < n; k++ {
+		i := k * 7 % n // a permutation of [0, n): 7 and 1000 are coprime
+		if got := query(x, i); !reflect.DeepEqual(got, before[i]) {
+			t.Fatalf("query %d: %d keys after Flush+Compact, %d before", i, len(got), len(before[i]))
+		}
+	}
+
+	fresh, err := Build(recs[1:], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for i := n - 1; i >= 0; i-- {
+		if got := query(fresh, i); !reflect.DeepEqual(got, before[i]) {
+			t.Fatalf("query %d: %d keys from a fresh Build asked backwards, %d before", i, len(got), len(before[i]))
+		}
+	}
+}
+
+// BenchmarkPlanFor is the evidence for keeping or deleting the plan cache
+// now that the (b, r) table under it is lock-free: planFor over 8 segments ×
+// 16 partitions with the cache on and off, for a working set of query sizes
+// that fits the cache (64) and one that overflows it (4096 > planCacheMax).
+func BenchmarkPlanFor(b *testing.B) {
+	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 8000, Seed: 5})
+	recs := datagen.Records(corpus, minhash.NewHasher(256, 5))
+	for _, disable := range []bool{false, true} {
+		x, err := Build(nil, Options{
+			Options:       core.Options{NumHash: 256, RMax: 8, NumPartitions: 16},
+			SealThreshold: 1000, MaxSegments: 64, ManualCompaction: true,
+			DisablePlanCache: disable, ResultCacheSize: -1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer x.Close()
+		for i, r := range recs {
+			if _, err := x.Add(r); err != nil {
+				b.Fatal(err)
+			}
+			if (i+1)%1000 == 0 {
+				x.Flush()
+			}
+		}
+		sn := x.snap.Load()
+		for _, distinct := range []int{64, 4096} {
+			b.Run(fmt.Sprintf("DisablePlanCache=%v/sizes=%d", disable, distinct), func(b *testing.B) {
+				sizes := make([]int, distinct)
+				for i := range sizes {
+					sizes[i] = recs[i*7%len(recs)].Size + i
+				}
+				for _, q := range sizes { // warm the table and the cache
+					x.planFor(sn, q, 0.5)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					x.planFor(sn, sizes[i%len(sizes)], 0.5)
+				}
+			})
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/tune"
 )
 
 // Binary snapshot format (all integers little-endian):
@@ -247,7 +248,6 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	x.tuner = newTuner(opts)
 	if opts.ResultCacheSize > 0 {
 		x.rc, x.rcMask = newResultCache(opts.ResultCacheSize)
 	}
@@ -458,6 +458,8 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		// leftover from a crashed spill or an unpersisted save: remove it.
 		x.sweepDataDir(referenced)
 	}
+	// Only now, so that a rejected snapshot never registers its header's grid.
+	x.bands = tune.ForGrid(opts.NumHash/opts.RMax, opts.RMax)
 	x.publishInitial(sn)
 	if !opts.ManualCompaction {
 		go x.compactor()

@@ -6,14 +6,23 @@
 // FP + FN subject to b·r ≤ m (Eq. 25–26).
 //
 // The FP/FN integrals have no closed form, so they are evaluated with
-// composite Simpson quadrature. Optimization is an exhaustive scan of the
-// (b ≤ bMax, r ≤ rMax) grid, memoized on a quantized (x/q, t*) key because
-// real query batches revisit the same partition upper bounds and thresholds.
+// composite Simpson quadrature, and optimization is an exhaustive scan of
+// the (b ≤ bMax, r ≤ rMax) grid. The optimum depends on nothing but the
+// ratio x/q, the threshold t* and the grid, so it is served from ONE table
+// per grid for the whole process (ForGrid): every index, segment and buffer
+// scan built over the same (bMax, rMax) shares it, and an index created by a
+// seal, merge or boot starts with whatever its predecessors already filled
+// in. A cell covers one quantized (log2(x/q), t*) bucket and holds the
+// optimum at the bucket's own centre — a pure function of the cell's
+// position, so answers do not depend on which query touched the cell first.
+// Cells fill lazily and are read and written with single atomic operations;
+// no lock is taken on the query path.
 package tune
 
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // ContainmentToJaccard converts a containment score t = |Q∩X|/|Q| to the
@@ -94,16 +103,9 @@ const quadIntervals = 64
 // probability over containment values below the threshold (paper Eq. 23).
 // The upper limit is min(t*, x/q) because containment cannot exceed x/q.
 func FalsePositiveArea(x, q, tStar float64, b, r int) float64 {
-	upper := tStar
-	if ratio := x / q; ratio < upper {
-		upper = ratio
-	}
-	if upper <= 0 {
-		return 0
-	}
 	return simpson(func(t float64) float64 {
 		return CandidateProbability(t, x, q, b, r)
-	}, 0, upper, quadIntervals)
+	}, 0, math.Min(tStar, x/q), quadIntervals)
 }
 
 // fnWidthFloor keeps the false-negative integration interval from
@@ -115,32 +117,29 @@ func FalsePositiveArea(x, q, tStar float64, b, r int) float64 {
 // leaving moderate thresholds untouched.
 const fnWidthFloor = 0.05
 
-// FalseNegativeArea is FN(x, q, t*, b, r): the integral of the miss
-// probability over containment values above the threshold (paper Eq. 24,
-// with a minimum interval width — see fnWidthFloor). Zero when x/q < t*
-// (no domain in that regime can qualify).
-func FalseNegativeArea(x, q, tStar float64, b, r int) float64 {
-	ratio := x / q
+// fnInterval is the integration interval of the false-negative area for
+// ratio = x/q: [t*, min(1, x/q)] (paper Eq. 24), widened downwards to at
+// least fnWidthFloor, and empty (hi ≤ lo) when x/q < t* — no domain in that
+// regime can qualify.
+func fnInterval(ratio, tStar float64) (lo, hi float64) {
 	if ratio < tStar {
-		return 0
+		return 0, 0
 	}
-	upper := 1.0
-	if ratio < 1 {
-		upper = ratio
+	hi = math.Min(1, ratio)
+	lo = tStar
+	if hi-lo < fnWidthFloor {
+		lo = math.Max(0, hi-fnWidthFloor)
 	}
-	lower := tStar
-	if upper-lower < fnWidthFloor {
-		lower = upper - fnWidthFloor
-		if lower < 0 {
-			lower = 0
-		}
-	}
-	if upper <= lower {
-		return 0
-	}
+	return lo, hi
+}
+
+// FalseNegativeArea is FN(x, q, t*, b, r): the integral of the miss
+// probability over the containment values above the threshold (fnInterval).
+func FalseNegativeArea(x, q, tStar float64, b, r int) float64 {
+	lo, hi := fnInterval(x/q, tStar)
 	return simpson(func(t float64) float64 {
 		return 1 - CandidateProbability(t, x, q, b, r)
-	}, lower, upper, quadIntervals)
+	}, lo, hi, quadIntervals)
 }
 
 // Params is a concrete banding configuration chosen by the optimizer.
@@ -149,121 +148,97 @@ type Params struct {
 	R int // hash values per band (prefix depth)
 }
 
-// Optimizer selects (b, r) minimizing FN + FP over the grid
-// b ∈ [1, bMax], r ∈ [1, rMax] (so b·r ≤ bMax·rMax ≤ m, satisfying the
-// paper's constraint). Results are memoized; Optimizer is safe for
-// concurrent use.
-type Optimizer struct {
+// The table's key space. A ratio bucket is ⌊log2(x/q)·ratioStep⌉ clamped to
+// [minRatioBucket, maxRatioBucket] (x/q from 2^-8 to 2^32 — a query 256×
+// larger than the partition bound, or a bound 4·10^9× larger than the
+// query; anything beyond shares the edge bucket). A threshold bucket is
+// ⌊t*·tStep⌉ clamped to [0, tStep]. That is 641 × 201 = 128 841 cells (1 MB)
+// per grid at most, however many distinct queries arrive — which is why the
+// table needs no eviction. Rows (5 KB) are allocated on the first use of
+// their threshold bucket, and serving workloads use a handful of thresholds.
+const (
+	ratioStep      = 16
+	minRatioBucket = -8 * ratioStep
+	maxRatioBucket = 32 * ratioStep
+	ratioBuckets   = maxRatioBucket - minRatioBucket + 1
+	tStep          = 200
+	tBuckets       = tStep + 1
+)
+
+// Table serves the (b, r) minimizing FN + FP over the grid b ∈ [1, bMax],
+// r ∈ [1, rMax] (so b·r ≤ bMax·rMax ≤ m, satisfying the paper's
+// constraint). It is safe for concurrent use.
+type Table struct {
 	bMax, rMax int
-
-	mu    sync.RWMutex
-	cache map[cacheKey]Params
+	rows       [tBuckets]atomic.Pointer[tableRow]
 }
 
-type cacheKey struct {
-	ratioBucket int32 // log2(x/q) quantized to 1/16ths
-	tBucket     int32 // t* quantized to 1/200ths
-}
+// tableRow holds one threshold bucket's cells as B<<32 | R; zero marks a
+// cell not searched yet (a searched cell has B ≥ 1).
+type tableRow [ratioBuckets]atomic.Uint64
 
-// NewOptimizer constructs an optimizer for the given grid bounds.
-func NewOptimizer(bMax, rMax int) *Optimizer {
+var (
+	gridsMu sync.Mutex
+	grids   = map[[2]int]*Table{}
+)
+
+// ForGrid returns the process-wide table of the (bMax, rMax) grid: every
+// call with the same bounds returns the same *Table. Constructors call it
+// once per index; the query path only ever touches the returned table.
+// Tables are never dropped: a process holds one per distinct grid it has
+// built or loaded an index with, which is one for a serving daemon.
+func ForGrid(bMax, rMax int) *Table {
 	if bMax <= 0 || rMax <= 0 {
-		panic("tune: optimizer bounds must be positive")
+		panic("tune: grid bounds must be positive")
 	}
-	return &Optimizer{
-		bMax:  bMax,
-		rMax:  rMax,
-		cache: make(map[cacheKey]Params),
+	gridsMu.Lock()
+	defer gridsMu.Unlock()
+	g := [2]int{bMax, rMax}
+	t := grids[g]
+	if t == nil {
+		t = &Table{bMax: bMax, rMax: rMax}
+		grids[g] = t
 	}
+	return t
 }
 
-// BMax returns the band-count bound of the grid.
-func (o *Optimizer) BMax() int { return o.bMax }
-
-// RMax returns the band-width bound of the grid.
-func (o *Optimizer) RMax() int { return o.rMax }
-
-// CacheLen returns the number of memoized configurations (for tests and the
-// ablation bench).
-func (o *Optimizer) CacheLen() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.cache)
+// clampBucket rounds v and confines it to [lo, hi]. NaN and -Inf (a
+// non-positive size, a NaN threshold) land on lo instead of indexing out of
+// the table.
+func clampBucket(v float64, lo, hi int) int {
+	v = math.Round(v)
+	if !(v >= float64(lo)) {
+		return lo
+	}
+	if v > float64(hi) {
+		return hi
+	}
+	return int(v)
 }
 
-func key(x, q, tStar float64) cacheKey {
-	ratio := x / q
-	if ratio <= 0 {
-		ratio = 1e-9
+// Optimize returns the (b, r) minimizing FN + FP on the grid (paper Eq. 26,
+// with x set to the partition upper bound by the caller) at the centre of
+// the bucket (x/q, t*) falls in: ratio 2^(k/16), threshold j/200. Ties
+// prefer smaller b (fewer probes) then larger r (cheaper scans). x, q
+// should be positive and t* in [0, 1]; anything else is clamped into the
+// nearest edge bucket.
+func (o *Table) Optimize(x, q, tStar float64) Params {
+	k := clampBucket(math.Log2(x/q)*ratioStep, minRatioBucket, maxRatioBucket)
+	j := clampBucket(tStar*tStep, 0, tStep)
+	row := o.rows[j].Load()
+	if row == nil {
+		o.rows[j].CompareAndSwap(nil, new(tableRow))
+		row = o.rows[j].Load()
 	}
-	return cacheKey{
-		ratioBucket: int32(math.Round(math.Log2(ratio) * 16)),
-		tBucket:     int32(math.Round(tStar * 200)),
+	cell := &row[k-minRatioBucket]
+	if v := cell.Load(); v != 0 {
+		return Params{B: int(v >> 32), R: int(uint32(v))}
 	}
-}
-
-// Optimize returns the (b, r) minimizing FN(x,q,t*,b,r) + FP(x,q,t*,b,r)
-// on the grid (paper Eq. 26, with x set to the partition upper bound by the
-// caller). Ties prefer smaller b (fewer probes) then larger r (cheaper
-// scans). x, q must be positive and t* in (0, 1].
-func (o *Optimizer) Optimize(x, q, tStar float64) Params {
-	k := key(x, q, tStar)
-	o.mu.RLock()
-	p, ok := o.cache[k]
-	o.mu.RUnlock()
-	if ok {
-		return p
-	}
-	p = o.search(x, q, tStar)
-	o.mu.Lock()
-	o.cache[k] = p
-	o.mu.Unlock()
+	// Racing first touches of one cell search the same centre and store the
+	// same value, so a plain store needs no arbitration.
+	p := o.search(math.Exp2(float64(k)/ratioStep), 1, float64(j)/tStep)
+	cell.Store(uint64(p.B)<<32 | uint64(p.R))
 	return p
-}
-
-// OptimizeBatch fills dst[i] with Optimize(xs[i], q, tStar) for every upper
-// bound in xs, taking the cache locks once per batch instead of once per
-// element. Query planners resolving every partition of every segment in one
-// sweep (internal/live) use it to keep lock traffic off the plan-build path.
-// dst must be at least as long as xs; the results are bit-identical to
-// element-wise Optimize calls.
-func (o *Optimizer) OptimizeBatch(xs []float64, q, tStar float64, dst []Params) {
-	if len(xs) == 0 {
-		return
-	}
-	miss := 0
-	o.mu.RLock()
-	for i, x := range xs {
-		p, ok := o.cache[key(x, q, tStar)]
-		if ok {
-			dst[i] = p
-		} else {
-			dst[i] = Params{} // B == 0 marks a miss
-			miss++
-		}
-	}
-	o.mu.RUnlock()
-	if miss == 0 {
-		return
-	}
-	// Compute misses outside any lock (distinct xs may share a bucket; the
-	// second search is redundant work, not an error), publish in one pass.
-	for i := range xs {
-		if dst[i].B == 0 {
-			dst[i] = o.search(xs[i], q, tStar)
-		}
-	}
-	o.mu.Lock()
-	for i, x := range xs {
-		o.cache[key(x, q, tStar)] = dst[i]
-	}
-	o.mu.Unlock()
-}
-
-// OptimizeUncached performs the grid search without touching the cache.
-// Exposed for the tuning-cache ablation benchmark.
-func (o *Optimizer) OptimizeUncached(x, q, tStar float64) Params {
-	return o.search(x, q, tStar)
 }
 
 // intervalWidths returns the integration interval widths of the FP and FN
@@ -314,7 +289,7 @@ func Cost(x, q, tStar float64, b, r int) float64 {
 	return cost
 }
 
-func (o *Optimizer) search(x, q, tStar float64) Params {
+func (o *Table) search(x, q, tStar float64) Params {
 	fp, fn := o.gridAreas(x, q, tStar)
 	wFP, wFN := intervalWidths(x, q, tStar)
 	best := Params{B: 1, R: 1}
@@ -344,7 +319,7 @@ func (o *Optimizer) search(x, q, tStar float64) Params {
 // (1−s^r)^b by one multiply per b step — which makes a cold optimization
 // ~50× cheaper. Results match FalsePositiveArea/FalseNegativeArea to
 // quadrature precision (asserted by tests).
-func (o *Optimizer) gridAreas(x, q, tStar float64) (fp, fn [][]float64) {
+func (o *Table) gridAreas(x, q, tStar float64) (fp, fn [][]float64) {
 	fp = make([][]float64, o.rMax)
 	fn = make([][]float64, o.rMax)
 	for r := range fp {
@@ -409,27 +384,8 @@ func (o *Optimizer) gridAreas(x, q, tStar float64) (fp, fn [][]float64) {
 		}
 	}
 
-	// FP: ∫ P over [0, min(t*, ratio)].
-	fpHi := tStar
-	if ratio < fpHi {
-		fpHi = ratio
-	}
-	accumulate(0, fpHi, fp, true)
-
-	// FN: ∫ (1 − P) over the (floored) super-threshold interval.
-	if ratio >= tStar {
-		upper := 1.0
-		if ratio < 1 {
-			upper = ratio
-		}
-		lower := tStar
-		if upper-lower < fnWidthFloor {
-			lower = upper - fnWidthFloor
-			if lower < 0 {
-				lower = 0
-			}
-		}
-		accumulate(lower, upper, fn, false)
-	}
+	accumulate(0, math.Min(tStar, ratio), fp, true) // FP: ∫ P below the threshold
+	fnLo, fnHi := fnInterval(ratio, tStar)
+	accumulate(fnLo, fnHi, fn, false) // FN: ∫ (1 − P) above it
 	return fp, fn
 }

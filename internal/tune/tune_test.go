@@ -2,6 +2,7 @@ package tune
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -183,7 +184,7 @@ func TestExtremeConfigsTradeOff(t *testing.T) {
 }
 
 func TestOptimizerRespectsGrid(t *testing.T) {
-	o := NewOptimizer(32, 8)
+	o := ForGrid(32, 8)
 	rng := xrand.New(4)
 	for i := 0; i < 50; i++ {
 		x := float64(rng.Intn(100000) + 1)
@@ -197,14 +198,14 @@ func TestOptimizerRespectsGrid(t *testing.T) {
 }
 
 func TestOptimizerIsGridMinimum(t *testing.T) {
-	o := NewOptimizer(16, 4)
+	o := ForGrid(16, 4)
 	for _, tc := range []struct{ x, q, tStar float64 }{
 		{100, 10, 0.5},
 		{1000, 10, 0.9},
 		{10, 10, 0.2},
 		{50, 200, 0.1},
 	} {
-		p := o.Optimize(tc.x, tc.q, tc.tStar)
+		p := o.search(tc.x, tc.q, tc.tStar)
 		best := Cost(tc.x, tc.q, tc.tStar, p.B, p.R)
 		for b := 1; b <= 16; b++ {
 			for r := 1; r <= 4; r++ {
@@ -222,7 +223,7 @@ func TestOptimizerHigherThresholdStricter(t *testing.T) {
 	// As t* grows, the optimizer should choose an (effectively) stricter
 	// configuration: the candidate probability at a fixed low containment
 	// should not increase.
-	o := NewOptimizer(32, 8)
+	o := ForGrid(32, 8)
 	x, q := 1000.0, 100.0
 	pLow := o.Optimize(x, q, 0.1)
 	pHigh := o.Optimize(x, q, 0.9)
@@ -238,7 +239,7 @@ func TestOptimizerHigherThresholdStricter(t *testing.T) {
 func TestGridAreasMatchReference(t *testing.T) {
 	// The one-pass incremental grid evaluation must agree with the
 	// reference per-config quadratures everywhere on the grid.
-	o := NewOptimizer(16, 4)
+	o := ForGrid(16, 4)
 	for _, tc := range []struct{ x, q, tStar float64 }{
 		{100, 10, 0.5},
 		{10, 100, 0.5}, // ratio < t*: FN empty
@@ -267,7 +268,7 @@ func TestOptimizerExtremeThresholdKeepsRecall(t *testing.T) {
 	// losing fully-contained domains. The width-normalized Cost must keep
 	// a configuration that retrieves a qualifying domain with decent
 	// probability even when x > q.
-	o := NewOptimizer(32, 8)
+	o := ForGrid(32, 8)
 	for _, tc := range []struct{ x, q float64 }{{10, 3}, {100, 10}, {50, 50}} {
 		p := o.Optimize(tc.x, tc.q, 1.0)
 		prob := CandidateProbability(1.0, tc.x, tc.q, p.B, p.R)
@@ -309,81 +310,105 @@ func TestIntervalWidths(t *testing.T) {
 	}
 }
 
-func TestOptimizerCaching(t *testing.T) {
-	o := NewOptimizer(32, 8)
-	p1 := o.Optimize(1000, 100, 0.5)
-	n := o.CacheLen()
-	p2 := o.Optimize(1000, 100, 0.5)
-	if o.CacheLen() != n {
-		t.Fatal("repeated query should hit cache")
+func TestForGridSharesOneTablePerGrid(t *testing.T) {
+	if ForGrid(32, 8) != ForGrid(32, 8) {
+		t.Fatal("two requests for the same grid returned different tables")
 	}
-	if p1 != p2 {
-		t.Fatal("cache returned different params")
-	}
-	// Same bucket: tiny perturbation of x should also hit.
-	o.Optimize(1001, 100, 0.5)
-	if o.CacheLen() != n {
-		t.Fatal("near-identical ratio should share a bucket")
+	if ForGrid(32, 8) == ForGrid(16, 8) || ForGrid(32, 8) == ForGrid(32, 4) {
+		t.Fatal("distinct grids share a table")
 	}
 }
 
-func TestOptimizerUncachedMatchesCached(t *testing.T) {
-	o := NewOptimizer(16, 4)
-	for _, x := range []float64{10, 100, 1000} {
-		a := o.Optimize(x, 50, 0.4)
-		b := o.OptimizeUncached(x, 50, 0.4)
-		if a != b {
-			t.Fatalf("cached %+v != uncached %+v", a, b)
+func TestOptimizeIsPureFunctionOfBucket(t *testing.T) {
+	// Every point of a bucket gets the optimum of the bucket's centre, no
+	// matter which point asked first.
+	o := ForGrid(16, 4)
+	for _, tc := range []struct{ x, q, tStar float64 }{
+		{1000, 100, 0.5}, {1001, 100, 0.5}, {999, 100, 0.501}, {10, 50, 0.1}, {4096, 3, 0.95},
+	} {
+		k := math.Round(math.Log2(tc.x/tc.q) * ratioStep)
+		j := math.Round(tc.tStar * tStep)
+		want := o.search(math.Exp2(k/ratioStep), 1, j/tStep)
+		if got := o.Optimize(tc.x, tc.q, tc.tStar); got != want {
+			t.Fatalf("%+v: Optimize = %+v, bucket centre optimum = %+v", tc, got, want)
+		}
+	}
+	if a, b := o.Optimize(1000, 100, 0.5), o.Optimize(1001, 100, 0.5); a != b {
+		t.Fatalf("near-identical ratios disagree: %+v vs %+v", a, b)
+	}
+}
+
+func TestOptimizeConcurrentFirstTouch(t *testing.T) {
+	// Its own grid, so the cell is guaranteed cold however tests are ordered.
+	o := ForGrid(31, 7)
+	var wg sync.WaitGroup
+	got := make([]Params, 8)
+	start := make(chan struct{})
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = o.Optimize(777, 13, 0.35)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] || got[g].B < 1 {
+			t.Fatalf("goroutine %d saw %+v, goroutine 0 saw %+v", g, got[g], got[0])
 		}
 	}
 }
 
-func TestNewOptimizerPanics(t *testing.T) {
+func TestOptimizeClampsOutOfRangeKeys(t *testing.T) {
+	o := ForGrid(32, 8)
+	inGrid := func(p Params) bool { return p.B >= 1 && p.B <= 32 && p.R >= 1 && p.R <= 8 }
+	// q = 1<<62 against a one-value partition, t* = 0: far below the
+	// smallest ratio bucket. It must share the edge cell, not mint a new one.
+	low := o.Optimize(1, float64(1<<62), 0)
+	if !inGrid(low) || low != o.Optimize(1, 1<<9, 0) {
+		t.Fatalf("tiny ratio: %+v, edge bucket %+v", low, o.Optimize(1, 1<<9, 0))
+	}
+	high := o.Optimize(float64(1<<62), 1, 1)
+	if !inGrid(high) || high != o.Optimize(1<<33, 1, 1) {
+		t.Fatalf("huge ratio: %+v, edge bucket %+v", high, o.Optimize(1<<33, 1, 1))
+	}
+	for _, tc := range []struct{ x, q, tStar float64 }{
+		{100, 10, -3}, {100, 10, 7}, {100, 10, math.NaN()}, {0, 10, 0.5}, {100, 0, 0.5}, {-1, 10, 0.5},
+	} {
+		if p := o.Optimize(tc.x, tc.q, tc.tStar); !inGrid(p) {
+			t.Fatalf("%+v: params %+v outside grid", tc, p)
+		}
+	}
+	if o.Optimize(100, 10, -3) != o.Optimize(100, 10, 0) || o.Optimize(100, 10, 7) != o.Optimize(100, 10, 1) {
+		t.Fatal("out-of-range thresholds did not clamp to the edge buckets")
+	}
+}
+
+func TestForGridPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewOptimizer(0, 1) did not panic")
+			t.Fatal("ForGrid(0, 1) did not panic")
 		}
 	}()
-	NewOptimizer(0, 1)
+	ForGrid(0, 1)
 }
 
-func BenchmarkOptimizeCached(b *testing.B) {
-	o := NewOptimizer(32, 8)
-	o.Optimize(1000, 100, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// BenchmarkOptimize is the ablation of the table: a hit (two atomic loads
+// behind a log2) against the grid search a cell's first touch pays.
+func BenchmarkOptimize(b *testing.B) {
+	o := ForGrid(32, 8)
+	b.Run("table-hit", func(b *testing.B) {
 		o.Optimize(1000, 100, 0.5)
-	}
-}
-
-func BenchmarkOptimizeUncached(b *testing.B) {
-	o := NewOptimizer(32, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.OptimizeUncached(1000, 100, 0.5)
-	}
-}
-
-func TestOptimizeBatchMatchesElementwise(t *testing.T) {
-	o := NewOptimizer(32, 8)
-	xs := []float64{10, 100, 1000, 10, 250, 97, 4096}
-	dst := make([]Params, len(xs))
-	o.OptimizeBatch(xs, 200, 0.6, dst)
-	fresh := NewOptimizer(32, 8)
-	for i, x := range xs {
-		if want := fresh.Optimize(x, 200, 0.6); dst[i] != want {
-			t.Fatalf("x=%v: batch %+v != elementwise %+v", x, dst[i], want)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.Optimize(1000, 100, 0.5)
 		}
-	}
-	// Second call is a pure cache hit and must agree with itself.
-	again := make([]Params, len(xs))
-	o.OptimizeBatch(xs, 200, 0.6, again)
-	for i := range xs {
-		if again[i] != dst[i] {
-			t.Fatalf("x=%v: cached %+v != first %+v", xs[i], again[i], dst[i])
+	})
+	b.Run("grid-search", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			o.search(1000, 100, 0.5)
 		}
-	}
-	if o.CacheLen() == 0 {
-		t.Fatal("batch optimization did not populate the cache")
-	}
+	})
 }
