@@ -551,6 +551,20 @@ func BenchmarkLiveQueryIdle(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveTopK is BenchmarkLiveQueryIdle's snapshot under ranked
+// queries: per segment a 20-rung threshold ladder, which the per-tree mask
+// and the ladder's unchanged-(b, r) skip both shorten.
+func BenchmarkLiveTopK(b *testing.B) {
+	f := openDataFixture(b, 8000)
+	idx := liveBenchIndex(b, f, 1024)
+	defer idx.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qi := f.queries[i%len(f.queries)]
+		idx.QueryTopK(f.records[qi].Sig, f.records[qi].Size, 10)
+	}
+}
+
 // BenchmarkLiveQueryDuringCompaction measures query latency while a writer
 // goroutine streams adds and deletes fast enough to keep the background
 // compactor continuously sealing and merging — the acceptance target is

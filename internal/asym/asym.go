@@ -156,7 +156,7 @@ func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) []str
 	params := x.opt.Optimize(float64(x.maxSize), float64(querySize), tStar)
 	s := x.acquireScratch()
 	var out []string
-	x.forest.Query(sig, params.B, params.R, func(id uint32) bool {
+	x.forest.Query(sig, params.B, params.R, nil, func(id uint32) bool {
 		if s.TryMark(id) {
 			out = append(out, x.keys[id])
 		}

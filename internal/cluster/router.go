@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"lshensemble/internal/core"
 	"lshensemble/internal/obs"
 	"lshensemble/internal/serve"
 )
@@ -653,11 +655,9 @@ func mergeTopK(responses []serve.TopKResponse, k int) []serve.TopKMatch {
 	for key, est := range best {
 		merged = append(merged, serve.TopKMatch{Key: key, EstContainment: est})
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].EstContainment != merged[j].EstContainment {
-			return merged[i].EstContainment > merged[j].EstContainment
-		}
-		return merged[i].Key < merged[j].Key
+	// TopKMatch is core.TopKResult plus JSON tags, so the conversion is free.
+	slices.SortFunc(merged, func(a, b serve.TopKMatch) int {
+		return core.CompareTopK(core.TopKResult(a), core.TopKResult(b))
 	})
 	if len(merged) > k {
 		merged = merged[:k]

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 )
 
@@ -89,6 +91,7 @@ type batchState struct {
 	x       *Index
 	ctx     context.Context
 	queries []BatchQuery
+	trees   []lshforest.TreeSet // per query, or nil: every tree for every query
 	next    atomic.Int64
 	wg      sync.WaitGroup
 	workers []*batchWorker
@@ -121,9 +124,15 @@ func (st *batchState) serve(w int) {
 		}
 		q := &st.queries[qi]
 		start := len(bw.ids)
-		if q.Size > 0 {
+		// A row no single query would serve (non-positive size, short
+		// signature) stays empty.
+		if q.Size > 0 && len(q.Sig) >= x.opts.NumHash {
+			var trees lshforest.TreeSet
+			if st.trees != nil {
+				trees = st.trees[qi]
+			}
 			s.seen.Reset(len(x.keys)) // fresh dedup generation per query
-			bw.ids = x.queryInto(bw.ids, s, q.Sig, q.Size, q.Threshold)
+			bw.ids = x.queryInto(bw.ids, s, q.Sig, q.Size, q.Threshold, trees)
 		}
 		bw.rows = append(bw.rows, batchRow{query: qi, start: start, end: len(bw.ids)})
 	}
@@ -148,8 +157,20 @@ func (x *Index) QueryBatchInto(res *BatchResults, queries []BatchQuery, workers 
 // after at most one in-flight query per worker instead of burning CPU to
 // completion. When ctx is canceled it returns ctx.Err(); res then holds the
 // rows completed before cancellation (unserved queries get empty rows) and
-// must not be interpreted as a full answer.
+// must not be interpreted as a full answer. A query with a non-positive size
+// or a signature shorter than NumHash gets an empty row.
 func (x *Index) QueryBatchIntoContext(ctx context.Context, res *BatchResults, queries []BatchQuery, workers int) error {
+	return x.QueryBatchMaskedIntoContext(ctx, res, queries, nil, workers)
+}
+
+// QueryBatchMaskedIntoContext is QueryBatchIntoContext with query i probing
+// only the trees in trees[i] (a nil set = all; a nil slice = all for every
+// query) — see QueryIDsMaskedAppend for what a set must hold for the rows to
+// stay identical. trees, when non-nil, has one set per query.
+func (x *Index) QueryBatchMaskedIntoContext(ctx context.Context, res *BatchResults, queries []BatchQuery, trees []lshforest.TreeSet, workers int) error {
+	if trees != nil && len(trees) != len(queries) {
+		return fmt.Errorf("core: %d tree sets for %d queries", len(trees), len(queries))
+	}
 	if x.dirty {
 		return ErrDirty
 	}
@@ -174,6 +195,7 @@ func (x *Index) QueryBatchIntoContext(ctx context.Context, res *BatchResults, qu
 	st.x = x
 	st.ctx = ctx
 	st.queries = queries
+	st.trees = trees
 	st.next.Store(0)
 	for len(st.workers) < workers {
 		st.workers = append(st.workers, &batchWorker{})
@@ -217,6 +239,7 @@ func (x *Index) QueryBatchIntoContext(ctx context.Context, res *BatchResults, qu
 	st.x = nil
 	st.ctx = nil
 	st.queries = nil
+	st.trees = nil
 	x.batch.Put(st)
 	return ctx.Err()
 }

@@ -152,6 +152,7 @@ type queryScratch struct {
 	seen dedup.Set
 	ids  []uint32
 	plan []tune.Params     // banding decisions of the query being served
+	last []tune.Params     // top-k ladder: the (b, r) each partition was last probed with
 	dst  []uint32          // collector target while a probe is running
 	emit func(uint32) bool // persistent probe callback appending into dst
 }
@@ -188,6 +189,22 @@ var ErrEmpty = errors.New("core: no records to index")
 // and keep serving. The deeper invariant — probing an unindexed forest —
 // still panics inside lshforest, as an internal consistency check.
 var ErrDirty = errors.New("core: index has pending adds; call Reindex before querying")
+
+// ErrSignatureLength is returned by every query entry point handed a query
+// signature shorter than Options.NumHash — the probe reads the leading values
+// of all NumHash/RMax trees, so a short signature cannot be served (Add and
+// Build reject short record signatures the same way).
+var ErrSignatureLength = errors.New("core: query signature shorter than NumHash")
+
+// CheckQuerySig reports ErrSignatureLength for a query signature the probe
+// would run off the end of. Layered indexes (internal/live) apply the same
+// check before they fan a query out.
+func (o Options) CheckQuerySig(sig minhash.Signature) error {
+	if len(sig) < o.NumHash {
+		return fmt.Errorf("%w: length %d, NumHash %d", ErrSignatureLength, len(sig), o.NumHash)
+	}
+	return nil
+}
 
 // Build constructs the ensemble over the records. Every record signature
 // must be at least opts.NumHash long and record sizes must be positive.
@@ -422,7 +439,8 @@ func (x *Index) PartitionBounds() []partition.Partition {
 // query under each partition's tuned (b, r). querySize is |Q| (use the
 // exact size when known, or minhash.Signature.Cardinality's estimate —
 // Algorithm 1's approx(|Q|)). tStar is the containment threshold t*.
-// It returns ErrDirty if the index has Adds not yet folded in by Reindex.
+// It returns ErrDirty if the index has Adds not yet folded in by Reindex and
+// ErrSignatureLength if sig is shorter than NumHash.
 func (x *Index) QueryIDs(sig minhash.Signature, querySize int, tStar float64) ([]uint32, error) {
 	return x.QueryIDsAppend(nil, sig, querySize, tStar)
 }
@@ -433,11 +451,14 @@ func (x *Index) QueryIDsAppend(dst []uint32, sig minhash.Signature, querySize in
 	if x.dirty {
 		return dst, ErrDirty
 	}
+	if err := x.opts.CheckQuerySig(sig); err != nil {
+		return dst, err
+	}
 	if querySize <= 0 || len(x.keys) == 0 {
 		return dst, nil
 	}
 	s := x.acquireScratch()
-	dst = x.queryInto(dst, s, sig, querySize, tStar)
+	dst = x.queryInto(dst, s, sig, querySize, tStar, nil)
 	x.releaseScratch(s)
 	return dst, nil
 }
@@ -454,12 +475,13 @@ func clampThreshold(tStar float64) float64 {
 }
 
 // queryInto plans the query into the scratch's reused plan slice and probes
-// the planned partitions, appending candidate ids to dst. Every query shape
-// — single, batch worker, top-k rung — goes through it, and PlanPartitions +
-// QueryIDsPlannedAppend are the same two halves exported.
-func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, querySize int, tStar float64) []uint32 {
+// the planned partitions' trees that are in the set (nil = all), appending
+// candidate ids to dst. Every query shape — single, batch worker, top-k rung
+// — goes through it, and PlanPartitions + QueryIDsMaskedAppend are the same
+// two halves exported.
+func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, querySize int, tStar float64, trees lshforest.TreeSet) []uint32 {
 	s.plan = x.PlanPartitions(s.plan[:0], querySize, tStar)
-	return x.probe(dst, s, sig, s.plan)
+	return x.probe(dst, s, sig, s.plan, trees)
 }
 
 // PlanPartitions appends one tune.Params per partition to dst: the banding
@@ -486,15 +508,16 @@ func (x *Index) PlanPartitions(dst []tune.Params, querySize int, tStar float64) 
 }
 
 // probe probes every partition the plan does not skip with its planned
-// (b, r), appending candidate ids to dst. Partitions hold disjoint id sets,
-// so the scratch's visited array only ever collapses the multiple trees of
-// one forest reporting the same id. The plan must have one entry per
+// (b, r), restricted to the trees in the set (nil = all; one set serves every
+// partition), appending candidate ids to dst. Partitions hold disjoint id
+// sets, so the scratch's visited array only ever collapses the multiple trees
+// of one forest reporting the same id. The plan must have one entry per
 // partition.
-func (x *Index) probe(dst []uint32, s *queryScratch, sig minhash.Signature, plan []tune.Params) []uint32 {
+func (x *Index) probe(dst []uint32, s *queryScratch, sig minhash.Signature, plan []tune.Params, trees lshforest.TreeSet) []uint32 {
 	s.dst = dst
 	for pi, p := range plan {
 		if p.B != 0 {
-			x.parts[pi].forest.Query(sig, p.B, p.R, s.emit)
+			x.parts[pi].forest.Query(sig, p.B, p.R, trees, s.emit)
 		}
 	}
 	dst = s.dst
@@ -509,8 +532,22 @@ func (x *Index) probe(dst []uint32, s *queryScratch, sig minhash.Signature, plan
 // appended ids are byte-identical to QueryIDsAppend(dst, sig, querySize,
 // tStar). The plan must have exactly one entry per partition.
 func (x *Index) QueryIDsPlannedAppend(dst []uint32, sig minhash.Signature, plan []tune.Params) ([]uint32, error) {
+	return x.QueryIDsMaskedAppend(dst, sig, plan, nil)
+}
+
+// QueryIDsMaskedAppend is QueryIDsPlannedAppend probing, in every partition,
+// only the trees in the set (nil = all). The set is the caller's proof of
+// which trees can match: given one that holds every tree t whose leading
+// column, in any partition, contains sig[t·RMax] (under the backend's
+// truncation), the appended ids are byte-identical to the unrestricted
+// probe's — see lshforest.TreeSet. internal/live derives the set from the
+// segment's leading-value Bloom filter, which errs only towards more trees.
+func (x *Index) QueryIDsMaskedAppend(dst []uint32, sig minhash.Signature, plan []tune.Params, trees lshforest.TreeSet) ([]uint32, error) {
 	if x.dirty {
 		return dst, ErrDirty
+	}
+	if err := x.opts.CheckQuerySig(sig); err != nil {
+		return dst, err
 	}
 	if len(plan) != len(x.parts) {
 		return dst, fmt.Errorf("core: plan covers %d partitions, index has %d", len(plan), len(x.parts))
@@ -519,7 +556,7 @@ func (x *Index) QueryIDsPlannedAppend(dst []uint32, sig minhash.Signature, plan 
 		return dst, nil
 	}
 	s := x.acquireScratch()
-	dst = x.probe(dst, s, sig, plan)
+	dst = x.probe(dst, s, sig, plan, trees)
 	x.releaseScratch(s)
 	return dst, nil
 }
@@ -550,11 +587,14 @@ func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) ([]st
 	if x.dirty {
 		return nil, ErrDirty
 	}
+	if err := x.opts.CheckQuerySig(sig); err != nil {
+		return nil, err
+	}
 	if querySize <= 0 || len(x.keys) == 0 {
 		return nil, nil
 	}
 	s := x.acquireScratch()
-	s.ids = x.queryInto(s.ids[:0], s, sig, querySize, tStar)
+	s.ids = x.queryInto(s.ids[:0], s, sig, querySize, tStar, nil)
 	out := make([]string, len(s.ids))
 	for i, id := range s.ids {
 		out[i] = x.keys[id]

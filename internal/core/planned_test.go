@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"testing"
 
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
 	"lshensemble/internal/xrand"
@@ -196,5 +200,147 @@ func TestAnswersIndependentOfQueryOrder(t *testing.T) {
 	}
 	if differ != 0 {
 		t.Fatalf("%d of %d queries answer differently when asked in reverse order", differ, n)
+	}
+}
+
+// TestTopKLadderSkipKeepsSequence pins the ladder's rung skipping: a walk
+// that drops the probes of partitions whose (b, r) did not change since the
+// walk last probed them must collect the very id sequence of the plain walk
+// that re-probes every partition on every rung — and must have had something
+// to skip, or the test shows nothing.
+func TestTopKLadderSkipKeepsSequence(t *testing.T) {
+	x, recs := plannedTestIndex(t, 400)
+	skipped := 0
+	for qi := 0; qi < 60; qi++ {
+		rec := recs[qi*7%len(recs)]
+		for _, k := range []int{1, 10, 50, 1000} {
+			s := x.acquireScratch()
+			var want []uint32
+			var last []tune.Params
+			for _, tStar := range topKThresholds {
+				want = x.queryInto(want, s, rec.Sig, rec.Size, tStar, nil)
+				for pi, p := range s.plan {
+					if p.B != 0 && last != nil && p == last[pi] {
+						skipped++
+					}
+				}
+				last = append(last[:0], s.plan...)
+				if len(want) >= k {
+					break
+				}
+			}
+			x.releaseScratch(s)
+			got, err := x.QueryTopKIDs(nil, rec.Sig, rec.Size, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("query %d k=%d: ladder with skips collected %v, plain ladder %v", qi, k, got, want)
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no rung repeated a partition's (b, r): the fixture exercises no skip")
+	}
+}
+
+// exactTrees returns the set of trees whose leading column, in any partition
+// of x, holds sig's leading value of that tree — what a Bloom filter without
+// false positives would hand the masked entry points.
+func exactTrees(x *Index, sig minhash.Signature) lshforest.TreeSet {
+	bMax := x.opts.NumHash / x.opts.RMax
+	set := make(lshforest.TreeSet, lshforest.TreeSetWords(bMax))
+	x.EachTreeLeading(func(tree int, col []uint64) {
+		if _, ok := slices.BinarySearch(col, sig[tree*x.opts.RMax]); ok {
+			set.Add(tree)
+		}
+	})
+	return set
+}
+
+// TestMaskedEntryPointsMatchUnmasked checks all three masked shapes against
+// their unmasked twins, byte for byte, under the exact tree set.
+func TestMaskedEntryPointsMatchUnmasked(t *testing.T) {
+	x, recs := plannedTestIndex(t, 400)
+	var batch []BatchQuery
+	var sets []lshforest.TreeSet
+	for qi := 0; qi < 60; qi++ {
+		rec := recs[qi*7%len(recs)]
+		// Redraw half the trees so the set is a proper subset.
+		sig := slices.Clone(rec.Sig)
+		for tr := 0; tr < len(sig)/8; tr += 2 {
+			sig[tr*8] = uint64(qi*131+tr) | 1 // odd: never stored (values are multiples of 8)
+		}
+		trees := exactTrees(x, sig)
+		n := 0
+		for tr := 0; tr < len(sig)/8; tr++ {
+			if trees.Has(tr) {
+				n++
+			}
+		}
+		if n == 0 || n > len(sig)/16 {
+			t.Fatalf("query %d: exact set has %d trees, want a proper non-empty subset", qi, n)
+		}
+		for _, tStar := range []float64{0, 0.5, 1} {
+			plan := x.PlanPartitions(nil, rec.Size, tStar)
+			want, _ := x.QueryIDsPlannedAppend(nil, sig, plan)
+			got, err := x.QueryIDsMaskedAppend(nil, sig, plan, trees)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("query %d t*=%.1f: masked %v (%v), unmasked %v", qi, tStar, got, err, want)
+			}
+		}
+		want, _ := x.QueryTopKIDs(nil, sig, rec.Size, 10)
+		got, err := x.QueryTopKIDsMasked(nil, sig, rec.Size, 10, trees)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("query %d top-k: masked %v (%v), unmasked %v", qi, got, err, want)
+		}
+		batch = append(batch, BatchQuery{Sig: sig, Size: rec.Size, Threshold: 0.5})
+		sets = append(sets, trees)
+	}
+	var want, got BatchResults
+	if err := x.QueryBatchInto(&want, batch, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.QueryBatchMaskedIntoContext(context.Background(), &got, batch, sets, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		if !slices.Equal(got.Row(i), want.Row(i)) {
+			t.Fatalf("batch row %d: masked %v, unmasked %v", i, got.Row(i), want.Row(i))
+		}
+	}
+	if err := x.QueryBatchMaskedIntoContext(context.Background(), &got, batch, sets[:1], 2); err == nil {
+		t.Fatal("batch accepted 1 tree set for 60 queries")
+	}
+}
+
+// TestShortQuerySignatureRejected: a query signature shorter than NumHash
+// used to index out of range inside the probe; every entry point now refuses
+// it with ErrSignatureLength (a batch gives the row an empty answer).
+func TestShortQuerySignatureRejected(t *testing.T) {
+	x, recs := plannedTestIndex(t, 100)
+	short := recs[0].Sig[:100]
+	plan := x.PlanPartitions(nil, recs[0].Size, 0.5)
+	checks := map[string]func() error{
+		"Query":                 func() error { _, err := x.Query(short, 10, 0.5); return err },
+		"QueryIDs":              func() error { _, err := x.QueryIDs(short, 10, 0.5); return err },
+		"QueryIDsPlannedAppend": func() error { _, err := x.QueryIDsPlannedAppend(nil, short, plan); return err },
+		"QueryTopK":             func() error { _, err := x.QueryTopK(short, 10, 5); return err },
+		"QueryTopKIDs":          func() error { _, err := x.QueryTopKIDs(nil, short, 10, 5); return err },
+	}
+	for name, call := range checks {
+		if err := call(); !errors.Is(err, ErrSignatureLength) {
+			t.Errorf("%s(short signature) = %v, want ErrSignatureLength", name, err)
+		}
+	}
+	rows, err := x.QueryBatch([]BatchQuery{
+		{Sig: short, Size: recs[0].Size, Threshold: 0},
+		{Sig: recs[0].Sig, Size: recs[0].Size, Threshold: 0},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows[0]) != 0 || len(rows[1]) == 0 {
+		t.Fatalf("batch rows = %v: want the short row empty and the full row answered", rows)
 	}
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/tune"
 )
 
 // TopKResult is one ranked answer of QueryTopK.
@@ -14,6 +18,17 @@ type TopKResult struct {
 	// candidates; callers needing exact scores should verify against the
 	// raw domains.
 	EstContainment float64
+}
+
+// CompareTopK is THE ranking order of top-k answers, for slices.SortFunc:
+// best estimated containment first, ties broken by key ascending. core, the
+// live index's cross-segment merge and the router's cross-shard merge all
+// rank with it, so a key's position never depends on which layer ranked last.
+func CompareTopK(a, b TopKResult) int {
+	if c := cmp.Compare(b.EstContainment, a.EstContainment); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
 // topKThresholds is the descending threshold ladder QueryTopK walks. The
@@ -34,21 +49,23 @@ var topKThresholds = func() []float64 {
 // is exhausted), then ranks them by signature-estimated containment.
 // Results are approximate in the same sense as Query: candidates come from
 // LSH collisions and scores from sketches. It returns ErrDirty if the index
-// has Adds not yet folded in by Reindex.
+// has Adds not yet folded in by Reindex and ErrSignatureLength if sig is
+// shorter than NumHash.
 func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) ([]TopKResult, error) {
 	if x.dirty {
 		return nil, ErrDirty
+	}
+	if err := x.opts.CheckQuerySig(sig); err != nil {
+		return nil, err
 	}
 	if k <= 0 || querySize <= 0 || len(x.keys) == 0 {
 		return nil, nil
 	}
 	// Stored signatures are exactly NumHash long (forest flat store); clamp
 	// the query signature so the slot-wise Jaccard estimate lines up.
-	if len(sig) > x.opts.NumHash {
-		sig = sig[:x.opts.NumHash]
-	}
+	sig = sig[:x.opts.NumHash]
 	s := x.acquireScratch()
-	ids := x.topKIDs(s.ids[:0], s, sig, querySize, k)
+	ids := x.topKIDs(s.ids[:0], s, sig, querySize, k, nil)
 	results := make([]TopKResult, 0, len(ids))
 	for _, id := range ids {
 		est := x.EstContainment(id, sig, querySize)
@@ -56,12 +73,7 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) ([]TopKResult
 	}
 	s.ids = ids
 	x.releaseScratch(s)
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].EstContainment != results[j].EstContainment {
-			return results[i].EstContainment > results[j].EstContainment
-		}
-		return results[i].Key < results[j].Key
-	})
+	slices.SortFunc(results, CompareTopK)
 	if len(results) > k {
 		results = results[:k]
 	}
@@ -70,12 +82,33 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) ([]TopKResult
 
 // topKIDs walks the threshold ladder, appending candidate ids to dst until
 // at least k are collected or the ladder is exhausted. One scratch
-// generation spans the whole walk: queryInto's visited stamps persist
-// across rungs, so each lower threshold appends only ids not already
-// collected by a higher one.
-func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, querySize, k int) []uint32 {
+// generation spans the whole walk: the visited stamps persist across rungs,
+// so each lower threshold appends only ids not already collected by a higher
+// one. That also makes a rung's probe of a partition whose (b, r) is what the
+// walk last probed it with pure waste — same signature, same trees, same
+// depth: every id it reports is already stamped — so such probes are dropped
+// from the rung's plan (about half of all ladder probes on power-law data:
+// the large partitions sit at (bMax, 1) from t* = 1.0 down). Only the trees
+// in the set are probed (nil = all), as in QueryIDsMaskedAppend.
+func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, querySize, k int, trees lshforest.TreeSet) []uint32 {
+	if cap(s.last) < len(x.parts) {
+		s.last = make([]tune.Params, len(x.parts))
+	}
+	s.last = s.last[:len(x.parts)]
+	clear(s.last)
 	for _, tStar := range topKThresholds {
-		dst = x.queryInto(dst, s, sig, querySize, tStar)
+		s.plan = x.PlanPartitions(s.plan[:0], querySize, tStar)
+		for pi, p := range s.plan {
+			if p.B == 0 {
+				continue
+			}
+			if p == s.last[pi] {
+				s.plan[pi] = tune.Params{}
+			} else {
+				s.last[pi] = p
+			}
+		}
+		dst = x.probe(dst, s, sig, s.plan, trees)
 		if len(dst) >= k {
 			break
 		}
@@ -87,19 +120,28 @@ func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, qu
 // ladder-walk collection, unscored and unsorted — to dst. Layered callers
 // (internal/live) use it to gather at least k candidates per segment, then
 // score and merge across segments themselves with Key, Size and Signature.
-// It returns ErrDirty if the index has Adds not yet folded in by Reindex.
+// It returns ErrDirty if the index has Adds not yet folded in by Reindex and
+// ErrSignatureLength if sig is shorter than NumHash.
 func (x *Index) QueryTopKIDs(dst []uint32, sig minhash.Signature, querySize, k int) ([]uint32, error) {
+	return x.QueryTopKIDsMasked(dst, sig, querySize, k, nil)
+}
+
+// QueryTopKIDsMasked is QueryTopKIDs with every rung of the ladder probing
+// only the trees in the set (nil = all) — see QueryIDsMaskedAppend for what
+// the set must hold for the id sequence to stay identical.
+func (x *Index) QueryTopKIDsMasked(dst []uint32, sig minhash.Signature, querySize, k int, trees lshforest.TreeSet) ([]uint32, error) {
 	if x.dirty {
 		return dst, ErrDirty
+	}
+	if err := x.opts.CheckQuerySig(sig); err != nil {
+		return dst, err
 	}
 	if k <= 0 || querySize <= 0 || len(x.keys) == 0 {
 		return dst, nil
 	}
-	if len(sig) > x.opts.NumHash {
-		sig = sig[:x.opts.NumHash]
-	}
+	sig = sig[:x.opts.NumHash]
 	s := x.acquireScratch()
-	dst = x.topKIDs(dst, s, sig, querySize, k)
+	dst = x.topKIDs(dst, s, sig, querySize, k, trees)
 	x.releaseScratch(s)
 	return dst, nil
 }

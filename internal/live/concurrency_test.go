@@ -172,7 +172,7 @@ func TestQuerySnapshotStability(t *testing.T) {
 		for _, seg := range sn.segs {
 			res = x.appendSegmentMatches(res, s, sn, seg, r.Sig, r.Size, 1.0)
 		}
-		res, _ = x.appendBufferMatches(context.Background(), res, sn, r.Sig, r.Size, 1.0, nil)
+		res, _ = x.appendBufferMatches(context.Background(), res, s, sn, r.Sig, r.Size, 1.0, nil)
 		if want := i < 100; contains(res, r.Key) != want {
 			t.Fatalf("snapshot drifted: key %d present=%v, want %v", i, !want, want)
 		}

@@ -48,18 +48,28 @@
 //     (core.PlanPartitions); when every partition of a segment is ruled
 //     out by the containment bound u/|Q| < t*, the segment is skipped
 //     without touching its forest;
-//   - Bloom pruning: a forest probe at depth ≥ 1 can only match when the
-//     query's per-tree leading signature value occurs in that segment, so
-//     a miss in the leading-value Bloom skips the segment with zero false
-//     negatives;
+//   - Bloom pruning, per tree: a probe of forest tree t at any depth ≥ 1
+//     can only match when the query's leading value of that tree occurs in
+//     the segment, so the leading-value Bloom is asked once per tree and
+//     the answers form a tree set (lshforest.TreeSet) handed down through
+//     core to the probe kernel: in all of the segment's partitions only
+//     the trees in the set are probed — the others' columns are never
+//     loaded, which is where the time goes (the kernel is cache-miss
+//     bound) — and an empty set skips the segment altogether. Zero false
+//     negatives either way; a filter false positive costs one tree probed
+//     for nothing;
 //   - top-k ordering: QueryTopK visits segments largest-bound-first and
 //     stops once the worst kept score provably beats any segment still
-//     unvisited (the containment upper bound from its partition bounds).
+//     unvisited (the containment upper bound from its partition bounds);
+//     each visited segment's tree set serves every rung of its threshold
+//     ladder.
 //
-// Pruning is conservative by construction — a segment is skipped only
-// when it provably contributes nothing — so planned results are
+// Pruning is conservative by construction — a segment or a tree is skipped
+// only when it provably contributes nothing — so planned results are
 // byte-identical to a full scan (asserted by the package tests).
-// Options.DisablePruning restores the full scan for A/B measurement.
+// Options.DisablePruning restores the full scan — the full tree set for
+// every segment and the buffer — as the reference those tests compare
+// against.
 //
 // # Caches and generation coherence
 //
@@ -80,10 +90,12 @@
 // segment set (and the plan cache) is unchanged.
 //
 // The unsealed buffer has a planner of its own: an atomic Bloom filter over
-// the leading signature value of every buffered entry's trees. A buffer scan
-// can only match when some query leading value occurs in the buffer, so a
-// filter miss skips the linear scan entirely — the cheap analogue of the
-// sealed segments' Bloom pruning, rebuilt whenever a seal relocates the
+// the leading signature value of every buffered entry's trees, asked the
+// same per-tree question. A band of a buffered entry can only match when the
+// query's leading value of that band occurs in the buffer, so the scan
+// compares only the bands in the set (one or two cache lines of each 2 KB
+// buffered signature instead of up to NumHash/RMax) and an empty set skips
+// the scan entirely. The filter is rebuilt whenever a seal relocates the
 // buffer.
 //
 // # Out-of-core segments
@@ -120,13 +132,14 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/segfile"
 	"lshensemble/internal/tune"
@@ -151,11 +164,13 @@ type Options struct {
 	// Tests and single-shot tools use this to control timing.
 	ManualCompaction bool
 
-	// DisablePruning turns off the segment-level query planner (size-range
-	// and Bloom segment pruning, plus top-k early termination); every query
-	// then probes every sealed segment, as before the planner existed.
-	// Pruned and unpruned queries return identical results — the knob
-	// exists for A/B measurement.
+	// DisablePruning turns off the query planner (size-range segment
+	// pruning, the per-tree Bloom mask of segments and buffer, top-k early
+	// termination); every query then probes every tree of every sealed
+	// segment and compares every band of the buffer, as before the planner
+	// existed. Pruned and unpruned queries return identical results — the
+	// knob is the reference path of the equivalence tests and of A/B
+	// measurement.
 	DisablePruning bool
 
 	// DisablePlanCache turns off the per-(querySize, threshold) plan cache;
@@ -220,7 +235,7 @@ func (x *Index) newBufBloom() *bloom.Atomic {
 }
 
 // addBufLeads inserts a signature's per-tree leading values (the same
-// stride mayCollide probes). Buffered signatures are full-width while the
+// stride leadTrees probes). Buffered signatures are full-width while the
 // sealed stores truncate to the sketch backend's width, so leading values
 // are masked before insertion — the query side masks identically, keeping
 // the filter's zero-false-negative guarantee across the seal boundary.
@@ -395,6 +410,7 @@ type Index struct {
 	resHits        atomic.Uint64
 	resMisses      atomic.Uint64
 	topkEarlyExits atomic.Uint64 // QueryTopK calls that stopped before the last segment
+	treesProbed    atomic.Uint64 // trees in the tree sets of the probed segments
 	bufScans       atomic.Uint64 // linear buffer scans actually performed
 	bufBloomSkips  atomic.Uint64 // buffer scans skipped by the buffer Bloom filter
 
@@ -411,9 +427,12 @@ type Index struct {
 }
 
 // queryScratch is the pooled per-query working memory of the live fan-out:
-// a reusable id buffer for the per-segment candidate lists.
+// a reusable id buffer for the per-segment candidate lists, the tree set of
+// the segment (or buffer) being served, and the buffer scan's band offsets.
 type queryScratch struct {
-	ids []uint32
+	ids   []uint32
+	trees lshforest.TreeSet
+	bands []int
 }
 
 // QueryKind discriminates the query entry points for Observer callbacks.
@@ -486,6 +505,12 @@ type QueryTrace struct {
 	SegmentsProbed      int
 	SegmentsRangePruned int
 	SegmentsBloomPruned int
+	// TreesProbed / TreesSkipped split the trees of the probed segments'
+	// forests (NumHash/RMax per segment) into those the leading-value filter
+	// could not rule out — probed in every partition — and those it did:
+	// how selective the per-tree mask was for this query.
+	TreesProbed  int
+	TreesSkipped int
 	// BufferScanned / BufferBloomSkipped report whether the unsealed
 	// buffer was linearly scanned or skipped by its Bloom filter.
 	BufferScanned      bool
@@ -690,9 +715,26 @@ func cloneTombs(tombs map[string]uint64, key string, seq uint64) map[string]uint
 func (x *Index) acquireScratch() *queryScratch {
 	s, _ := x.scratch.Get().(*queryScratch)
 	if s == nil {
-		s = &queryScratch{}
+		s = &queryScratch{trees: make(lshforest.TreeSet, lshforest.TreeSetWords(x.numTrees()))}
 	}
 	return s
+}
+
+// numTrees is the tree count of every sealed forest (and the buffer's band
+// count): NumHash/RMax.
+func (x *Index) numTrees() int { return x.opts.NumHash / x.opts.RMax }
+
+// noteProbe counts one probed segment whose tree set has n members. The
+// segment is counted before its trees: Stats derives the skipped trees from
+// the two counters and relies on that order.
+func (x *Index) noteProbe(n int, tr *QueryTrace) {
+	x.segProbed.Add(1)
+	x.treesProbed.Add(uint64(n))
+	if tr != nil {
+		tr.SegmentsProbed++
+		tr.TreesProbed += n
+		tr.TreesSkipped += x.numTrees() - n
+	}
 }
 
 func (x *Index) releaseScratch(s *queryScratch) { x.scratch.Put(s) }
@@ -738,12 +780,13 @@ func (x *Index) QueryAppendContext(ctx context.Context, dst []string, sig minhas
 }
 
 func (x *Index) queryAppendContext(ctx context.Context, dst []string, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
+	if err := x.opts.CheckQuerySig(sig); err != nil {
+		return dst, err
+	}
 	if querySize <= 0 {
 		return dst, nil
 	}
-	if len(sig) > x.opts.NumHash {
-		sig = sig[:x.opts.NumHash]
-	}
+	sig = sig[:x.opts.NumHash]
 	tStar = clampThreshold(tStar)
 	// Pin the snapshot: a concurrent seal/merge may retire (and under mmap,
 	// unmap) segments the fan-out is still probing.
@@ -789,20 +832,21 @@ func clampThreshold(t float64) float64 {
 }
 
 // querySnapshot runs the planned fan-out over one snapshot: resolve the
-// plan for (querySize, tStar), probe only the segments the plan and the
-// Bloom pre-test cannot rule out, then scan the buffer. With pruning
+// plan for (querySize, tStar), work out per segment which trees can match
+// (leadTrees), probe only those trees of only the segments neither the plan
+// nor an empty tree set rules out, then scan the buffer. With pruning
 // disabled it degrades to the plain probe-everything loop. sig and tStar
 // must already be clamped. ctx is checked once per segment and periodically
 // inside the buffer scan; on cancellation dst is returned as collected so
 // far alongside ctx.Err(). tr, when non-nil, receives the per-query
 // planner breakdown (mirroring the aggregate counters).
 func (x *Index) querySnapshot(ctx context.Context, dst []string, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
+	s := x.acquireScratch()
+	defer x.releaseScratch(s)
 	if len(sn.segs) > 0 {
-		s := x.acquireScratch()
 		if x.opts.DisablePruning {
 			for _, seg := range sn.segs {
 				if err := ctx.Err(); err != nil {
-					x.releaseScratch(s)
 					return dst, err
 				}
 				if tr != nil {
@@ -814,7 +858,6 @@ func (x *Index) querySnapshot(ctx context.Context, dst []string, sn *snapshot, s
 			plan := x.planFor(sn, querySize, tStar)
 			for si, seg := range sn.segs {
 				if err := ctx.Err(); err != nil {
-					x.releaseScratch(s)
 					return dst, err
 				}
 				pp := plan.params[si]
@@ -825,26 +868,24 @@ func (x *Index) querySnapshot(ctx context.Context, dst []string, sn *snapshot, s
 					}
 					continue
 				}
-				if !seg.meta.mayCollide(sig, x.opts.RMax, x.opts.Sketch.Mask()) {
+				n := seg.meta.trees(s.trees, sig, x.opts.RMax, x.opts.Sketch.Mask())
+				if n == 0 {
 					x.segBloomPruned.Add(1)
 					if tr != nil {
 						tr.SegmentsBloomPruned++
 					}
 					continue
 				}
-				x.segProbed.Add(1)
-				if tr != nil {
-					tr.SegmentsProbed++
-				}
-				// A sealed segment is never dirty and the plan matches its
-				// partition count, so the error path is unreachable.
-				s.ids, _ = seg.idx.QueryIDsPlannedAppend(s.ids[:0], sig, pp)
+				x.noteProbe(n, tr)
+				// A sealed segment is never dirty, the plan matches its
+				// partition count and sig was length-checked, so the error
+				// path is unreachable.
+				s.ids, _ = seg.idx.QueryIDsMaskedAppend(s.ids[:0], sig, pp, s.trees)
 				dst = appendLiveKeys(dst, sn, seg, s.ids)
 			}
 		}
-		x.releaseScratch(s)
 	}
-	return x.appendBufferMatches(ctx, dst, sn, sig, querySize, tStar, tr)
+	return x.appendBufferMatches(ctx, dst, s, sn, sig, querySize, tStar, tr)
 }
 
 // appendSegmentMatches probes one sealed segment the pre-planner way and
@@ -880,8 +921,12 @@ func appendLiveKeys(dst []string, sn *snapshot, seg *segment, ids []uint32) []st
 // sealed partition would convert it (Eq. 7, conservative), the segments'
 // (b, r) table gives one configuration for the whole scan, and an entry
 // matches if any of the b bands of r hash values collide — the LSH forest's
-// collision condition, without the forest. tStar must already be clamped.
-func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
+// collision condition, without the forest. The buffer's leading-value filter
+// names the bands that can collide at all (leadTrees): none skips the scan,
+// and the scan compares only those, reading one or two cache lines of a
+// buffered 2 KB signature where the full compare walks up to b of them.
+// tStar must already be clamped; s lends the tree set and band offsets.
+func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryScratch, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
 	if len(sn.buf) == 0 {
 		return dst, nil
 	}
@@ -893,32 +938,28 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snaps
 	}
 	rMax := x.opts.RMax
 	mask := x.opts.Sketch.Mask()
-	// Buffer Bloom pre-test: a band collision at any depth r ≥ 1 needs an
-	// exact match on the band's leading value, and the filter holds every
-	// buffered entry's leading values — so an all-miss query cannot match
-	// any buffered entry and the linear scan is skipped (no false
-	// negatives, same argument as segMeta.mayCollide).
+	var trees lshforest.TreeSet // nil = every band: the unpruned reference scan
 	if sn.bufBloom != nil {
-		may := false
-		for off := 0; off < len(sig); off += rMax {
-			if sn.bufBloom.MayContainHash(sig[off] & mask) {
-				may = true
-				break
-			}
-		}
-		if !may {
+		if leadTrees(s.trees, sn.bufBloom, sig, rMax, mask) == 0 {
 			x.bufBloomSkips.Add(1)
 			if tr != nil {
 				tr.BufferBloomSkipped = true
 			}
 			return dst, nil
 		}
+		trees = s.trees
 	}
 	x.bufScans.Add(1)
 	if tr != nil {
 		tr.BufferScanned = true
 	}
 	params := x.bands.Optimize(u, q, tStar)
+	s.bands = s.bands[:0]
+	for t := 0; t < params.B; t++ {
+		if trees.Has(t) {
+			s.bands = append(s.bands, t*rMax)
+		}
+	}
 	for i := range sn.buf {
 		// The buffer is bounded by SealThreshold in steady state but not
 		// when the compactor is disabled or behind, so a long scan still
@@ -933,22 +974,21 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snaps
 		if !sn.alive(e.rec.Key, e.seq) {
 			continue
 		}
-		if bandsCollide(sig, e.rec.Sig, params.B, params.R, rMax, mask) {
+		if bandsCollide(sig, e.rec.Sig, s.bands, params.R, mask) {
 			dst = append(dst, e.rec.Key)
 		}
 	}
 	return dst, nil
 }
 
-// bandsCollide reports whether any of the first b bands (each rMax wide,
-// compared at depth r) of the two signatures agree — the LSH forest's
-// collision condition for one entry. Values are compared under the sketch
-// backend's truncation mask, so the buffer scan collides exactly when the
-// sealed forest would have (the buffer holds full-width signatures, the
-// sealed store truncated ones).
-func bandsCollide(a, b minhash.Signature, bands, r, rMax int, mask uint64) bool {
-	for t := 0; t < bands; t++ {
-		off := t * rMax
+// bandsCollide reports whether any of the bands starting at the given
+// signature offsets, compared at depth r, agree between the two signatures —
+// the LSH forest's collision condition for one entry. Values are compared
+// under the sketch backend's truncation mask, so the buffer scan collides
+// exactly when the sealed forest would have (the buffer holds full-width
+// signatures, the sealed store truncated ones).
+func bandsCollide(a, b minhash.Signature, bands []int, r int, mask uint64) bool {
+	for _, off := range bands {
 		match := true
 		for k := off; k < off+r; k++ {
 			if a[k]&mask != b[k]&mask {
@@ -1028,12 +1068,10 @@ func (x *Index) queryBatchContext(ctx context.Context, queries []core.BatchQuery
 	pending := make([]int, 0, len(queries))
 	for i := range queries {
 		q := queries[i]
-		if q.Size <= 0 {
-			continue // invalid size → empty row, matching the core batch contract
+		if q.Size <= 0 || len(q.Sig) < x.opts.NumHash {
+			continue // invalid size or short signature → empty row, matching the core batch contract
 		}
-		if len(q.Sig) > x.opts.NumHash {
-			q.Sig = q.Sig[:x.opts.NumHash]
-		}
+		q.Sig = q.Sig[:x.opts.NumHash]
 		q.Threshold = clampThreshold(q.Threshold)
 		norm[i] = q
 		tBitsOf[i] = math.Float64bits(q.Threshold)
@@ -1065,19 +1103,33 @@ func (x *Index) queryBatchContext(ctx context.Context, queries []core.BatchQuery
 	var res core.BatchResults
 	sub := make([]core.BatchQuery, 0, len(pending))
 	subIdx := make([]int, 0, len(pending))
+	// One tree set per (row, segment), carved from an arena that every
+	// segment's sub-batch reuses; both stay nil on the unpruned path, which
+	// the core batch reads as "every tree for every row".
+	var subTrees []lshforest.TreeSet
+	var treeArena []uint64
+	words := lshforest.TreeSetWords(x.numTrees())
+	if planOf != nil {
+		subTrees = make([]lshforest.TreeSet, 0, len(pending))
+		treeArena = make([]uint64, len(pending)*words)
+	}
 	for si, seg := range sn.segs {
-		sub, subIdx = sub[:0], subIdx[:0]
+		sub, subIdx, subTrees = sub[:0], subIdx[:0], subTrees[:0]
 		for _, qi := range pending {
 			if planOf != nil {
 				if planOf[qi].params[si] == nil {
 					x.segRangePruned.Add(1)
 					continue
 				}
-				if !seg.meta.mayCollide(norm[qi].Sig, x.opts.RMax, x.opts.Sketch.Mask()) {
+				// A pruned row's slot is reused by the next row.
+				set := lshforest.TreeSet(treeArena[len(sub)*words : (len(sub)+1)*words])
+				n := seg.meta.trees(set, norm[qi].Sig, x.opts.RMax, x.opts.Sketch.Mask())
+				if n == 0 {
 					x.segBloomPruned.Add(1)
 					continue
 				}
-				x.segProbed.Add(1)
+				x.noteProbe(n, nil)
+				subTrees = append(subTrees, set)
 			}
 			sub = append(sub, norm[qi])
 			subIdx = append(subIdx, qi)
@@ -1085,7 +1137,7 @@ func (x *Index) queryBatchContext(ctx context.Context, queries []core.BatchQuery
 		if len(sub) == 0 {
 			continue
 		}
-		if err := seg.idx.QueryBatchIntoContext(ctx, &res, sub, workers); err != nil {
+		if err := seg.idx.QueryBatchMaskedIntoContext(ctx, &res, sub, subTrees, workers); err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
@@ -1095,10 +1147,12 @@ func (x *Index) queryBatchContext(ctx context.Context, queries []core.BatchQuery
 			rows[qi] = appendLiveKeys(rows[qi], sn, seg, res.Row(j))
 		}
 	}
+	s := x.acquireScratch()
+	defer x.releaseScratch(s)
 	for _, qi := range pending {
 		if len(sn.buf) > 0 {
 			var err error
-			rows[qi], err = x.appendBufferMatches(ctx, rows[qi], sn, norm[qi].Sig, norm[qi].Size, norm[qi].Threshold, nil)
+			rows[qi], err = x.appendBufferMatches(ctx, rows[qi], s, sn, norm[qi].Sig, norm[qi].Size, norm[qi].Threshold, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -1136,12 +1190,13 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 }
 
 func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
+	if err := x.opts.CheckQuerySig(sig); err != nil {
+		return nil, err
+	}
 	if k <= 0 || querySize <= 0 {
 		return nil, nil
 	}
-	if len(sig) > x.opts.NumHash {
-		sig = sig[:x.opts.NumHash]
-	}
+	sig = sig[:x.opts.NumHash]
 	sn := x.acquireSnap()
 	defer x.releaseSnap(sn)
 	q := float64(querySize)
@@ -1151,12 +1206,7 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 	var results []core.TopKResult
 	kth := func() float64 { return results[k-1].EstContainment }
 	rank := func() {
-		sort.Slice(results, func(i, j int) bool {
-			if results[i].EstContainment != results[j].EstContainment {
-				return results[i].EstContainment > results[j].EstContainment
-			}
-			return results[i].Key < results[j].Key
-		})
+		slices.SortFunc(results, core.CompareTopK)
 		if len(results) > k {
 			results = results[:k]
 		}
@@ -1176,7 +1226,16 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 			terminated = true
 			break
 		}
-		s.ids, _ = seg.idx.QueryTopKIDs(s.ids[:0], sig, querySize, need)
+		// The segment's tree set serves every rung of the ladder; an empty
+		// one means no rung can collect a candidate here.
+		var trees lshforest.TreeSet
+		if !x.opts.DisablePruning {
+			if seg.meta.trees(s.trees, sig, x.opts.RMax, x.opts.Sketch.Mask()) == 0 {
+				continue
+			}
+			trees = s.trees
+		}
+		s.ids, _ = seg.idx.QueryTopKIDsMasked(s.ids[:0], sig, querySize, need, trees)
 		for _, id := range s.ids {
 			key := seg.idx.Key(id)
 			if !sn.alive(key, seg.seqs[id]) {
@@ -1275,11 +1334,17 @@ type SegmentStats struct {
 type PlannerStats struct {
 	// SegmentsProbed / SegmentsRangePruned / SegmentsBloomPruned partition
 	// the planner's per-segment decisions: probed, skipped because every
-	// partition was ruled out by size, or skipped by the collision Bloom
-	// pre-test.
+	// partition was ruled out by size, or skipped because the leading-value
+	// Bloom left no tree that could match (the empty tree set).
 	SegmentsProbed      uint64 `json:"segments_probed"`
 	SegmentsRangePruned uint64 `json:"segments_range_pruned"`
 	SegmentsBloomPruned uint64 `json:"segments_bloom_pruned"`
+	// TreesProbed / TreesSkipped split the trees of every probed segment
+	// (NumHash/RMax each, so the two sum to that × SegmentsProbed) into the
+	// ones the segment's leading-value filter could not rule out for the
+	// query — probed in every partition — and the ones it did.
+	TreesProbed  uint64 `json:"trees_probed"`
+	TreesSkipped uint64 `json:"trees_skipped"`
 	// PlanHits / PlanMisses count plan-cache lookups.
 	PlanHits   uint64 `json:"plan_hits"`
 	PlanMisses uint64 `json:"plan_misses"`
@@ -1301,6 +1366,11 @@ type PlannerStats struct {
 func (x *Index) Stats() Stats {
 	sn := x.acquireSnap()
 	defer x.releaseSnap(sn)
+	// Loaded in this order — trees, then segments — every probe whose trees
+	// are in the first number is in the second (noteProbe), so the skipped
+	// trees derived below cannot come out negative under concurrent queries.
+	treesProbed := x.treesProbed.Load()
+	segProbed := x.segProbed.Load()
 	st := Stats{
 		Domains:     x.Len(),
 		Segments:    make([]int, len(sn.segs)),
@@ -1311,9 +1381,11 @@ func (x *Index) Stats() Stats {
 		Sketch:      x.opts.Sketch.String(),
 		SpillErrors: x.spillErrors.Load(),
 		Planner: PlannerStats{
-			SegmentsProbed:      x.segProbed.Load(),
+			SegmentsProbed:      segProbed,
 			SegmentsRangePruned: x.segRangePruned.Load(),
 			SegmentsBloomPruned: x.segBloomPruned.Load(),
+			TreesProbed:         treesProbed,
+			TreesSkipped:        uint64(x.numTrees())*segProbed - treesProbed,
 			PlanHits:            x.planHits.Load(),
 			PlanMisses:          x.planMisses.Load(),
 			ResultHits:          x.resHits.Load(),

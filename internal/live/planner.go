@@ -7,6 +7,7 @@ import (
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
 )
@@ -21,17 +22,23 @@ import (
 //     segment depends only on (querySize, tStar) and the partition's frozen
 //     size bounds, so it can be made once per (querySize, tStar) — and a
 //     segment all of whose partitions are skipped is never probed at all;
-//   - Bloom pruning: a forest probe of tree t at any depth r ≥ 1 matches an
-//     entry only if the query's leading hash value sig[t·rMax] occurs
-//     exactly in that tree, so a Bloom filter over every tree's leading
-//     column answers "can this segment contain any collision for this
-//     signature?" with no false negatives;
+//   - Bloom pruning, per tree: a forest probe of tree t at any depth r ≥ 1
+//     matches an entry only if the query's leading hash value sig[t·rMax]
+//     occurs exactly in that tree, so a Bloom filter over every tree's
+//     leading column answers, tree by tree and with no false negatives,
+//     "can tree t of this segment hold a collision for this signature?".
+//     The answers are kept as a tree set (leadTrees): the probe touches
+//     only the trees in it, in every partition, and the empty set means no
+//     tree can match — the segment is not probed at all. The unsealed
+//     buffer asks its own filter the same question and compares only the
+//     bands in the set (appendBufferMatches);
 //   - top-k early termination: the containment estimate is capped by the
 //     candidate's size, so once k results beat the cap of every remaining
 //     (size-descending) segment, those segments cannot contribute.
 //
-// Every prune fires only when the segment provably contributes nothing, so
-// planned queries return byte-identical results to the full fan-out (the
+// Every prune fires only when the segment — or the tree — provably
+// contributes nothing, so planned queries return byte-identical results to
+// the full fan-out, which Options.DisablePruning keeps as the reference (the
 // package equivalence tests assert this under churn).
 //
 // The (b, r) of a partition comes from the one process-wide tune.Table of the
@@ -55,7 +62,7 @@ import (
 // Bloom operating points (see bloom.New). Keys use ~1% false positives:
 // a false positive merely costs one unnecessary tombstone sweep. Leading
 // values use ~0.1%: the collision pre-test is probed once per tree per
-// query, and a false positive costs a full segment probe.
+// query, and a false positive costs that tree's probe in every partition.
 const (
 	keysBloomBits = 10
 	keysBloomK    = 7
@@ -130,22 +137,41 @@ func (m *segMeta) bloomBytes() int {
 	return n
 }
 
-// mayCollide reports whether the segment can contain any LSH collision for
-// the query signature. Sound with zero false negatives: every forest probe
-// requires an exact match on the probed tree's leading value, and leads
-// holds all of them. The filter stores the values as the sealed forest
-// stores them — truncated to the sketch backend's width — so the query side
-// masks identically (identity mask under Minwise64).
-func (m *segMeta) mayCollide(sig minhash.Signature, rMax int, mask uint64) bool {
-	if m.leads == nil {
-		return false
-	}
-	for off := 0; off < len(sig); off += rMax {
-		if m.leads.MayContainHash(sig[off] & mask) {
-			return true
+// leadFilter is the one question the planner asks of a leading-value Bloom
+// filter — the sealed segments' *bloom.Filter and the buffer's *bloom.Atomic.
+type leadFilter interface{ MayContainHash(h uint64) bool }
+
+// leadTrees clears set and inserts every tree t whose leading query value
+// sig[t·rMax] the filter may contain, returning how many it inserted. Sound
+// with zero false negatives: a probe of tree t at any depth r ≥ 1 — by a
+// forest or by the buffer's band compare — requires an exact match on that
+// value, and the filter holds every one of them, so a tree left out cannot
+// match and an empty set rules the whole segment (or buffer) out. A filter
+// false positive only adds a tree that then probes to nothing. The filter
+// stores the values as the sealed forest stores them — truncated to the
+// sketch backend's width — so the query side masks identically (identity
+// mask under Minwise64). sig is clamped to NumHash; set has
+// lshforest.TreeSetWords(NumHash/rMax) words.
+func leadTrees(set lshforest.TreeSet, f leadFilter, sig minhash.Signature, rMax int, mask uint64) int {
+	clear(set)
+	n := 0
+	for t, off := 0, 0; off+rMax <= len(sig); t, off = t+1, off+rMax {
+		if f.MayContainHash(sig[off] & mask) {
+			set.Add(t)
+			n++
 		}
 	}
-	return false
+	return n
+}
+
+// trees is leadTrees against the segment's leading-value filter; an empty
+// segment has no filter and no tree that can match.
+func (m *segMeta) trees(set lshforest.TreeSet, sig minhash.Signature, rMax int, mask uint64) int {
+	if m.leads == nil {
+		clear(set)
+		return 0
+	}
+	return leadTrees(set, m.leads, sig, rMax, mask)
 }
 
 // containmentBound is the largest containment estimate any entry of size

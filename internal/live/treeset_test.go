@@ -1,0 +1,195 @@
+package live
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"testing"
+
+	"lshensemble/internal/core"
+	"lshensemble/internal/lshforest"
+	"lshensemble/internal/minhash"
+)
+
+// halfRedrawn returns sig with every other tree's values replaced by ones no
+// record carries: the query still collides through the trees it kept, and
+// the leading-value filters can rule the others out.
+func halfRedrawn(sig minhash.Signature, rMax int, salt uint64) minhash.Signature {
+	out := slices.Clone(sig)
+	for t := 0; t*rMax < len(out); t += 2 {
+		for k := t * rMax; k < (t+1)*rMax; k++ {
+			out[k] = (salt+uint64(k))*0x9E3779B97F4A7C15 | 1<<60
+		}
+	}
+	return out
+}
+
+// TestBufferScanMaskedEqualsUnmasked: the buffer scan restricted to the bands
+// the buffer's leading-value filter lets through must return what the scan
+// over every band returns, key for key and in order, for every sketch
+// backend. Under minwise64 the set is a proper subset for a half-redrawn
+// query; under minwise8 nearly every 8-bit leading value occurs somewhere in
+// the buffer, the set degenerates to (almost) full, and the answers still
+// agree.
+func TestBufferScanMaskedEqualsUnmasked(t *testing.T) {
+	recs := fixture(t, 200, 21)
+	for _, sb := range append([]core.SketchBackend{core.Minwise64}, narrowBackends...) {
+		t.Run(sb.String(), func(t *testing.T) {
+			build := func(o Options) *Index {
+				o.Sketch = sb
+				o.SealThreshold = 1 << 20 // everything stays buffered
+				o.ResultCacheSize = -1
+				x, err := New(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs {
+					if _, err := x.Add(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < len(recs); i += 9 {
+					x.Delete(recs[i].Key)
+				}
+				return x
+			}
+			masked, plain := build(plannerOpts()), build(unprunedOpts())
+			defer masked.Close()
+			defer plain.Close()
+			sn := masked.acquireSnap()
+			defer masked.releaseSnap(sn)
+			if sn.bufBloom == nil || len(sn.segs) != 0 {
+				t.Fatalf("fixture: want a buffer-only snapshot with a filter, got %d segments, filter %v", len(sn.segs), sn.bufBloom != nil)
+			}
+			rMax, numTrees := masked.opts.RMax, masked.numTrees()
+			set := make(lshforest.TreeSet, lshforest.TreeSetWords(numTrees))
+			answers, sumTrees := 0, 0
+			for i, r := range recs[:80] {
+				for _, sig := range []minhash.Signature{r.Sig, halfRedrawn(r.Sig, rMax, uint64(i))} {
+					sumTrees += leadTrees(set, sn.bufBloom, sig[:masked.opts.NumHash], rMax, sb.Mask())
+					for _, tStar := range []float64{0, 0.5, 1} {
+						want := plain.Query(sig, r.Size, tStar)
+						got := masked.Query(sig, r.Size, tStar)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s query %d t*=%.1f: masked scan %v, full scan %v", sb, i, tStar, got, want)
+						}
+						answers += len(want)
+					}
+				}
+			}
+			if answers == 0 {
+				t.Fatal("no query matched anything: the comparison shows nothing")
+			}
+			// 160 sets: whole queries keep every tree, half-redrawn ones at
+			// most half under a full-width store.
+			if max := 80*numTrees + 80*numTrees/2; sb == core.Minwise64 && sumTrees > max {
+				t.Fatalf("minwise64: filter let %d trees through, want at most %d — the mask never narrows", sumTrees, max)
+			}
+			if sb == core.Minwise8 && sumTrees < 160*numTrees*9/10 {
+				t.Fatalf("minwise8: filter let only %d of %d trees through, expected a near-full set", sumTrees, 160*numTrees)
+			}
+			if st := masked.Stats().Planner; st.BufferScans == 0 {
+				t.Fatalf("masked index never scanned its buffer: %+v", st)
+			}
+		})
+	}
+}
+
+// TestShortQuerySignature: a query signature shorter than NumHash used to
+// panic inside the probe (index out of range). The context-taking entry
+// points now return core.ErrSignatureLength, the others an empty answer, and
+// a batch answers the row with an empty row.
+func TestShortQuerySignature(t *testing.T) {
+	recs := fixture(t, 80, 22)
+	x, err := Build(recs[:60], liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for _, r := range recs[60:] { // a non-empty buffer too
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := recs[3]
+	short := q.Sig[:100] // NumHash is 128
+	ctx := context.Background()
+
+	if _, err := x.QueryContext(ctx, short, q.Size, 0.5); !errors.Is(err, core.ErrSignatureLength) {
+		t.Errorf("QueryContext(short) error = %v, want ErrSignatureLength", err)
+	}
+	if got := x.Query(short, q.Size, 0.5); len(got) != 0 {
+		t.Errorf("Query(short) = %v, want empty", got)
+	}
+	if _, err := x.QueryTopKContext(ctx, short, q.Size, 5); !errors.Is(err, core.ErrSignatureLength) {
+		t.Errorf("QueryTopKContext(short) error = %v, want ErrSignatureLength", err)
+	}
+	if got := x.QueryTopK(short, q.Size, 5); len(got) != 0 {
+		t.Errorf("QueryTopK(short) = %v, want empty", got)
+	}
+	rows, err := x.QueryBatchContext(ctx, []core.BatchQuery{
+		{Sig: short, Size: q.Size, Threshold: 0.5},
+		{Sig: q.Sig, Size: q.Size, Threshold: 0.5},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows[0]) != 0 || !contains(rows[1], q.Key) {
+		t.Errorf("batch rows = %v: want the short row empty and the full row answered", rows)
+	}
+}
+
+// TestTreeCountersAccount: every probed segment splits its NumHash/RMax trees
+// between TreesProbed and TreesSkipped — per query in the trace, and summed
+// over single and batch queries in Stats — and a half-redrawn query really is
+// spared trees.
+func TestTreeCountersAccount(t *testing.T) {
+	recs := fixture(t, 160, 23)
+	opts := plannerOpts()
+	opts.ResultCacheSize = -1
+	opts.MaxSegments = 64
+	x, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for i, r := range recs {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+		if i%40 == 39 {
+			x.Flush()
+		}
+	}
+	numTrees := x.numTrees()
+	var batch []core.BatchQuery
+	var segs, probed, skipped uint64
+	for i, r := range recs[:40] {
+		sig := halfRedrawn(r.Sig, x.opts.RMax, uint64(i))
+		var tr QueryTrace
+		if _, err := x.QueryContext(WithQueryTrace(context.Background(), &tr), sig, r.Size, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if tr.TreesProbed+tr.TreesSkipped != numTrees*tr.SegmentsProbed {
+			t.Fatalf("query %d trace: %d probed + %d skipped trees over %d probed segments of %d trees", i, tr.TreesProbed, tr.TreesSkipped, tr.SegmentsProbed, numTrees)
+		}
+		if tr.SegmentsProbed > 0 && tr.TreesSkipped < numTrees/2*tr.SegmentsProbed*9/10 {
+			t.Fatalf("query %d: half the trees are redrawn yet only %d of %d were skipped", i, tr.TreesSkipped, numTrees*tr.SegmentsProbed)
+		}
+		segs += uint64(tr.SegmentsProbed)
+		probed += uint64(tr.TreesProbed)
+		skipped += uint64(tr.TreesSkipped)
+		batch = append(batch, core.BatchQuery{Sig: sig, Size: r.Size, Threshold: 0.5})
+	}
+	if segs == 0 || skipped == 0 {
+		t.Fatalf("nothing probed or nothing skipped: %d segments, %d trees skipped", segs, skipped)
+	}
+	if st := x.Stats().Planner; st.SegmentsProbed != segs || st.TreesProbed != probed || st.TreesSkipped != skipped {
+		t.Fatalf("stats after the singles = %+v, traces sum to %d segments, %d trees probed, %d skipped", st, segs, probed, skipped)
+	}
+	// The same queries as one batch make the same decisions again.
+	x.QueryBatch(batch, 2)
+	if st := x.Stats().Planner; st.SegmentsProbed != 2*segs || st.TreesProbed != 2*probed || st.TreesSkipped != 2*skipped {
+		t.Fatalf("stats after the batch = %+v, want twice %d segments, %d trees probed, %d skipped", st, segs, probed, skipped)
+	}
+}

@@ -298,13 +298,39 @@ func radixSortPairs(keys []uint64, vals []uint32, tmpKeys []uint64, tmpVals []ui
 	}
 }
 
-// Query probes the first b trees at depth r and invokes fn once per
-// *occurrence* of a matching entry (the same id may be reported from
-// multiple trees; use QueryDedup for set semantics). fn returning false
-// stops the scan early. The query signature is full-width; a narrow store
-// truncates each compared query value to its width on the fly. It panics if
-// the forest is not indexed or if (b, r) is out of range.
-func (f *Forest) Query(sig []uint64, b, r int, fn func(id uint32) bool) {
+// TreeSet is a set of tree indices: bit t%64 of word t/64 is set iff tree t
+// is a member. The nil TreeSet is the full set — every tree — so callers
+// with nothing to rule out pass nil. A non-nil set handed to Query must have
+// TreeSetWords(b) words at least.
+//
+// A probe of tree t at any depth r ≥ 1 matches an entry only if the query's
+// (truncated) leading value sig[t·RMax] occurs in the tree's leading column,
+// so a caller that can tell which columns may hold that value — internal/live
+// asks a Bloom filter over them — restricts the probe to those trees and
+// loses no candidate.
+type TreeSet []uint64
+
+// TreeSetWords returns the number of words a TreeSet over trees [0, b) has.
+func TreeSetWords(b int) int { return (b + 63) / 64 }
+
+// Add inserts tree t.
+func (s TreeSet) Add(t int) { s[t>>6] |= 1 << (uint(t) & 63) }
+
+// Has reports whether tree t is a member (always, for the nil set).
+func (s TreeSet) Has(t int) bool { return s == nil || s[t>>6]>>(uint(t)&63)&1 != 0 }
+
+// Query probes, at depth r, those of the first b trees that are in the set
+// (nil = all of them) and invokes fn once per *occurrence* of a matching
+// entry (the same id may be reported from multiple trees; use QueryDedup for
+// set semantics). Trees outside the set are not touched at all. Restricted to
+// a set that holds every tree whose leading column contains the query's
+// leading value, Query reports exactly what the unrestricted probe reports,
+// in the same order (see TreeSet). fn returning false stops the scan early.
+// The query signature is full-width, at least BMax()*RMax() values (callers
+// validate; the kernel indexes it unchecked); a narrow store truncates each
+// compared query value to its width on the fly. It panics if the forest is
+// not indexed, if (b, r) is out of range, or if a non-nil set is too short.
+func (f *Forest) Query(sig []uint64, b, r int, trees TreeSet, fn func(id uint32) bool) {
 	if !f.indexed {
 		panic("lshforest: Query before Index")
 	}
@@ -314,10 +340,13 @@ func (f *Forest) Query(sig []uint64, b, r int, fn func(id uint32) bool) {
 	if r <= 0 || r > f.rMax {
 		panic(fmt.Sprintf("lshforest: r %d out of range [1, %d]", r, f.rMax))
 	}
+	if trees != nil && len(trees) < TreeSetWords(b) {
+		panic(fmt.Sprintf("lshforest: tree set of %d words cannot cover %d trees", len(trees), b))
+	}
 	if len(f.ids) == 0 {
 		return // indexed empty forest has no trees to probe
 	}
-	f.st.query(f.ids, f.trees, sig, b, r, fn)
+	f.st.query(f.ids, f.trees, sig, b, r, trees, fn)
 }
 
 // MatchCount returns the number of signature slots where the entry stored
@@ -402,7 +431,7 @@ func (f *Forest) QueryDedup(sig []uint64, b, r int, seen map[uint32]struct{}, fn
 	if seen == nil {
 		seen = make(map[uint32]struct{})
 	}
-	f.Query(sig, b, r, func(id uint32) bool {
+	f.Query(sig, b, r, nil, func(id uint32) bool {
 		if _, ok := seen[id]; ok {
 			return true
 		}

@@ -3,6 +3,7 @@ package lshforest
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -134,7 +135,7 @@ func TestSelfQueryAlwaysFound(t *testing.T) {
 		for _, b := range []int{1, 2, 4} {
 			for _, r := range []int{1, 4, 8} {
 				found := false
-				f.Query(sigs[i], b, r, func(id uint32) bool {
+				f.Query(sigs[i], b, r, nil, func(id uint32) bool {
 					if id == ids[i] {
 						found = true
 						return false
@@ -157,7 +158,7 @@ func TestQueryEarlyStop(t *testing.T) {
 	}
 	f.Index()
 	calls := 0
-	f.Query(sig, 2, 2, func(id uint32) bool {
+	f.Query(sig, 2, 2, nil, func(id uint32) bool {
 		calls++
 		return calls < 3
 	})
@@ -181,7 +182,7 @@ func TestQueryDedupReportsOnce(t *testing.T) {
 	}
 	// Without dedup the id is found in all 4 trees.
 	count = 0
-	f.Query(sig, 4, 2, func(id uint32) bool {
+	f.Query(sig, 4, 2, nil, func(id uint32) bool {
 		count++
 		return true
 	})
@@ -193,7 +194,7 @@ func TestQueryDedupReportsOnce(t *testing.T) {
 func TestEmptyForest(t *testing.T) {
 	f := New(8, 2)
 	f.Index()
-	f.Query(make([]uint64, 8), 1, 1, func(id uint32) bool {
+	f.Query(make([]uint64, 8), 1, 1, nil, func(id uint32) bool {
 		t.Fatal("empty forest produced a candidate")
 		return false
 	})
@@ -208,17 +209,17 @@ func TestPanics(t *testing.T) {
 		"query unindexed": func() {
 			f := New(8, 2)
 			f.Add(0, make([]uint64, 8))
-			f.Query(make([]uint64, 8), 1, 1, nil)
+			f.Query(make([]uint64, 8), 1, 1, nil, nil)
 		},
 		"b out of range": func() {
 			f := New(8, 2)
 			f.Index()
-			f.Query(make([]uint64, 8), 5, 1, func(uint32) bool { return true })
+			f.Query(make([]uint64, 8), 5, 1, nil, func(uint32) bool { return true })
 		},
 		"r out of range": func() {
 			f := New(8, 2)
 			f.Index()
-			f.Query(make([]uint64, 8), 1, 3, func(uint32) bool { return true })
+			f.Query(make([]uint64, 8), 1, 3, nil, func(uint32) bool { return true })
 		},
 	}
 	for name, fn := range cases {
@@ -343,21 +344,49 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// BenchmarkForestQuery probes a 10 000-entry forest with queries that share
+// a quarter of their trees' leading values with a stored signature: full
+// binary-searches all 32 columns, masked only the trees whose column holds
+// the query's leading value (what internal/live's Bloom-derived set allows).
 func BenchmarkForestQuery(b *testing.B) {
 	rng := xrand.New(1)
-	const m, rMax = 256, 8
+	const m, rMax, bMax = 256, 8, 32
 	f := New(m, rMax)
 	sigs, ids := randSigs(rng, 10000, m, 1<<20)
 	for i := range sigs {
 		f.Add(ids[i], sigs[i])
 	}
 	f.Index()
-	q := sigs[0]
-	seen := make(map[uint32]struct{}, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(seen)
-		f.QueryDedup(q, 32, 4, seen, func(id uint32) bool { return true })
+	// Distinct queries, so the columns are not all cache-resident.
+	queries := make([][]uint64, 256)
+	exact := make([]TreeSet, len(queries))
+	for i := range queries {
+		q := slices.Clone(sigs[rng.Intn(len(sigs))])
+		exact[i] = make(TreeSet, TreeSetWords(bMax))
+		for t := 0; t < bMax; t++ {
+			if t%4 != 0 {
+				q[t*rMax] = 1<<40 + rng.Uint64()%(1<<20) // outside the stored range
+			} else {
+				exact[i].Add(t)
+			}
+		}
+		queries[i] = q
+	}
+	for _, masked := range []bool{false, true} {
+		name := "full"
+		if masked {
+			name = "masked"
+		}
+		b.Run(name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				var trees TreeSet
+				if masked {
+					trees = exact[i%len(queries)]
+				}
+				f.Query(queries[i%len(queries)], bMax, 4, trees, func(uint32) bool { n++; return true })
+			}
+		})
 	}
 }
 

@@ -53,7 +53,7 @@ func TestIndexParallelEmpty(t *testing.T) {
 	if !f.Indexed() {
 		t.Fatal("empty forest not marked indexed")
 	}
-	f.Query(make([]uint64, 8), 1, 1, func(id uint32) bool {
+	f.Query(make([]uint64, 8), 1, 1, nil, func(id uint32) bool {
 		t.Fatalf("empty forest reported id %d", id)
 		return false
 	})
@@ -86,7 +86,7 @@ func TestReserve(t *testing.T) {
 	}
 	f.Index()
 	got := 0
-	f.Query(sig, 1, rMax, func(id uint32) bool { got++; return true })
+	f.Query(sig, 1, rMax, nil, func(id uint32) bool { got++; return true })
 	if got != 100 {
 		t.Fatalf("got %d matches, want 100", got)
 	}

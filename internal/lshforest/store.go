@@ -1,6 +1,7 @@
 package lshforest
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"lshensemble/internal/segfile"
@@ -43,7 +44,7 @@ type sigstore interface {
 	appendZeros(n int)
 	prepareTrees(bMax int)
 	rebuildTree(t int, order []uint32, s *SortScratch)
-	query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, fn func(id uint32) bool)
+	query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, set TreeSet, fn func(id uint32) bool)
 	matchCount(slot int, sig []uint64) int
 	appendWidened(dst []uint64, slot int) []uint64
 	leadingColumn64(t, n int) []uint64
@@ -215,69 +216,97 @@ func (ts *tstore[E]) compareSuffix(base, r int, q []uint64) int {
 	return 0
 }
 
-// query is the probe kernel: for each of the first b trees, binary-search
-// the equal range of the query's (truncated) leading value on the contiguous
-// key column, then refine by the remaining r-1 prefix values.
-func (ts *tstore[E]) query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, fn func(id uint32) bool) {
-	n := len(ids)
-	stride := ts.numHash
-	for t := 0; t < b; t++ {
-		off := t * ts.rMax
-		q0 := E(sig[off])
-		col := ts.treeKeys[t]
-		order := trees[t]
-		// Equal range of the leading value on the contiguous key column.
-		lo, hi := 0, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if col[mid] < q0 {
-				lo = mid + 1
-			} else {
-				hi = mid
+// query is the probe kernel: every tree among the first b that is in set is
+// probed at depth r; a tree outside the set is skipped without a single load
+// from its column (the kernel is bound by cache misses, not compares, so the
+// skipped memory is the saving).
+func (ts *tstore[E]) query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, set TreeSet, fn func(id uint32) bool) {
+	if set == nil {
+		for t := 0; t < b; t++ {
+			if !ts.queryTree(ids, trees[t], sig, t, r, fn) {
+				return
 			}
 		}
-		left := lo
-		hi = n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if col[mid] <= q0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		return
+	}
+	for wi, w := range set {
+		base := wi * 64
+		if base >= b {
+			return
 		}
-		right := lo
-		if left == right {
-			continue
+		if b-base < 64 {
+			w &= 1<<uint(b-base) - 1
 		}
-		if r == 1 {
-			for i := left; i < right; i++ {
-				if !fn(ids[order[i]]) {
-					return
-				}
-			}
-			continue
-		}
-		// Refine by the remaining r-1 prefix values within the equal-q0 run.
-		qs := sig[off+1 : off+r]
-		lo, hi = left, right
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ts.compareSuffix(int(order[mid])*stride+off+1, r-1, qs) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		for i := lo; i < right; i++ {
-			if ts.compareSuffix(int(order[i])*stride+off+1, r-1, qs) != 0 {
-				break
-			}
-			if !fn(ids[order[i]]) {
+		for ; w != 0; w &= w - 1 {
+			t := base + bits.TrailingZeros64(w)
+			if !ts.queryTree(ids, trees[t], sig, t, r, fn) {
 				return
 			}
 		}
 	}
+}
+
+// queryTree probes tree t: binary-search the equal range of the query's
+// (truncated) leading value on the contiguous key column, then refine by the
+// remaining r-1 prefix values. It reports false once fn asked to stop.
+func (ts *tstore[E]) queryTree(ids, order []uint32, sig []uint64, t, r int, fn func(id uint32) bool) bool {
+	stride := ts.numHash
+	off := t * ts.rMax
+	q0 := E(sig[off])
+	col := ts.treeKeys[t]
+	n := len(ids)
+	// Equal range of the leading value on the contiguous key column.
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if col[mid] < q0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	left := lo
+	hi = n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if col[mid] <= q0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	right := lo
+	if left == right {
+		return true
+	}
+	if r == 1 {
+		for i := left; i < right; i++ {
+			if !fn(ids[order[i]]) {
+				return false
+			}
+		}
+		return true
+	}
+	// Refine by the remaining r-1 prefix values within the equal-q0 run.
+	qs := sig[off+1 : off+r]
+	lo, hi = left, right
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ts.compareSuffix(int(order[mid])*stride+off+1, r-1, qs) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for i := lo; i < right; i++ {
+		if ts.compareSuffix(int(order[i])*stride+off+1, r-1, qs) != 0 {
+			break
+		}
+		if !fn(ids[order[i]]) {
+			return false
+		}
+	}
+	return true
 }
 
 // matchCount returns the number of slots where the stored signature in the

@@ -48,7 +48,7 @@ func TestFromViewQueryEquivalence(t *testing.T) {
 
 	collect := func(fr *Forest, sig []uint64, b, r int) map[uint32]bool {
 		got := map[uint32]bool{}
-		fr.Query(sig, b, r, func(id uint32) bool {
+		fr.Query(sig, b, r, nil, func(id uint32) bool {
 			got[id] = true
 			return true
 		})
@@ -80,7 +80,7 @@ func TestFromViewEmpty(t *testing.T) {
 	if v.Len() != 0 || !v.Indexed() {
 		t.Fatalf("empty view Len=%d Indexed=%v", v.Len(), v.Indexed())
 	}
-	v.Query(make([]uint64, 16), 4, 4, func(uint32) bool {
+	v.Query(make([]uint64, 16), 4, 4, nil, func(uint32) bool {
 		t.Fatal("empty view yielded a match")
 		return false
 	})

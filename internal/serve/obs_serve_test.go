@@ -81,6 +81,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lshensembled_live_query_seconds_count{op="batch"} 1`,
 		`lshensembled_live_domains 3`,
 		`lshensembled_planner_segments_total{decision="probed"} `,
+		`lshensembled_planner_trees_total{decision="probed"} `,
+		`lshensembled_planner_trees_total{decision="skipped"} `,
 		`lshensembled_planner_result_cache_total{outcome="miss"} `,
 		"# TYPE lshensembled_live_query_seconds histogram",
 		"# TYPE lshensembled_live_seals_total counter",
@@ -164,7 +166,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("response trace id %q, want the inbound one echoed", got)
 	}
 	out := buf.String()
-	for _, want := range []string{"slow query", "trace_id=slowtest-123", "op=query", "segments_probed="} {
+	for _, want := range []string{"slow query", "trace_id=slowtest-123", "op=query", "segments_probed=", "trees_probed=", "trees_skipped="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("slow-query log missing %q in:\n%s", want, out)
 		}

@@ -166,6 +166,8 @@ func (s *Server) registerIndexMetrics(prefix string) {
 	segProbed := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "probed"))
 	segRange := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "range_pruned"))
 	segBloom := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "bloom_pruned"))
+	treesProbed := s.reg.Counter(prefix+"_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "probed"))
+	treesSkipped := s.reg.Counter(prefix+"_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "skipped"))
 	planHits := s.reg.Counter(prefix+"_planner_plan_cache_total", "Plan-cache lookups by outcome.", obs.L("outcome", "hit"))
 	planMisses := s.reg.Counter(prefix+"_planner_plan_cache_total", "Plan-cache lookups by outcome.", obs.L("outcome", "miss"))
 	resHits := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "hit"))
@@ -192,6 +194,8 @@ func (s *Server) registerIndexMetrics(prefix string) {
 		segProbed.Store(st.Planner.SegmentsProbed)
 		segRange.Store(st.Planner.SegmentsRangePruned)
 		segBloom.Store(st.Planner.SegmentsBloomPruned)
+		treesProbed.Store(st.Planner.TreesProbed)
+		treesSkipped.Store(st.Planner.TreesSkipped)
 		planHits.Store(st.Planner.PlanHits)
 		planMisses.Store(st.Planner.PlanMisses)
 		resHits.Store(st.Planner.ResultHits)
@@ -531,6 +535,8 @@ func (s *Server) noteSlow(r *http.Request, op string, start time.Time, tr *lshen
 			slog.Int("segments_probed", tr.SegmentsProbed),
 			slog.Int("segments_range_pruned", tr.SegmentsRangePruned),
 			slog.Int("segments_bloom_pruned", tr.SegmentsBloomPruned),
+			slog.Int("trees_probed", tr.TreesProbed),
+			slog.Int("trees_skipped", tr.TreesSkipped),
 			slog.Int("buffered", tr.Buffered),
 			slog.Bool("buffer_scanned", tr.BufferScanned),
 			slog.Bool("buffer_bloom_skipped", tr.BufferBloomSkipped),
