@@ -10,12 +10,21 @@
 // -replication ≥ 2 writes every key to that many distinct shards, so one
 // shard death loses nothing.
 //
-// Queries scatter to every live shard under a per-shard deadline and merge:
-// /query unions and dedups by key, /query/topk keeps each key's best
-// estimated containment and re-ranks, /query/batch unions row by row. A
-// shard that is slow or dead contributes nothing and flips "partial": true
-// in the response (with the shard named in "failed") — the router degrades,
-// it does not error. Only a total blackout is a 5xx.
+// Queries scatter to every live shard under one shared deadline and merge:
+// /query merges the shards' sorted match lists and drops duplicates,
+// /query/topk keeps each key's best estimated containment and re-ranks,
+// /query/batch merges row by row. A shard that is slow or dead contributes
+// nothing and flips "partial": true in the response (with the shard named in
+// "failed") — the router degrades, it does not error. Only a total blackout
+// is a 5xx; a request every shard refuses alike is the client's 4xx.
+//
+// A query is sketched once, here: the router reads each shard's hash family
+// (seed, num_hash) off its /stats — on the first health tick, on every
+// promotion, once on demand if a query comes first — and while all live
+// shards agree it sends every leg the same pre-sketched, framed body
+// (internal/serve). While a family is unknown or two shards disagree it
+// forwards the client's raw values instead and each shard sketches for
+// itself; GET /ring reports which ("family": known, mixed or unknown).
 //
 // A background checker probes every shard's /healthz; -health-fail
 // consecutive misses demote a shard from the ring (one success promotes it
@@ -36,8 +45,9 @@
 //	          [-debug-addr localhost:7546]
 //
 // All shards must run the same -seed and -hashes, or their signatures are
-// incomparable; the router's /stats surfaces each shard's values so a
-// mismatched fleet is visible at a glance.
+// incomparable; /ring reports a mismatched fleet as "mixed" with each
+// shard's family beside its name (and logs it at Warn), and the router's
+// /stats surfaces each shard's values.
 //
 // Observability: every request carries a trace ID (an inbound X-Request-Id
 // is honored, otherwise one is minted) that the router stamps on every
@@ -45,8 +55,9 @@
 // log into each shard's. GET /metrics exposes request counters/latency
 // histograms per endpoint plus the fleet view: lshrouter_shards_live,
 // lshrouter_shard_demotions_total / _promotions_total / _errors_total
-// (labelled by shard) and lshrouter_partial_responses_total. Demotions and
-// promotions also log at Warn/Info. -debug-addr starts a separate listener
+// (labelled by shard), lshrouter_partial_responses_total and
+// lshrouter_scatter_total{form="sketched"|"raw"} — which path served the
+// reads. Demotions and promotions also log at Warn/Info. -debug-addr starts a separate listener
 // with net/http/pprof under /debug/pprof/ and a /metrics mirror — keep it
 // off public interfaces.
 package main

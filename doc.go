@@ -196,6 +196,16 @@
 // in-flight query or batch instead of running it to completion
 // (QueryContext / QueryTopKContext / QueryBatchContext on LiveIndex, and
 // QueryBatchIntoContext on Index, expose the same to library callers).
+// The three query endpoints take a request in two forms: JSON with the
+// domain's raw values, which the daemon sketches with its own -seed, or —
+// under Content-Type application/x-lshensemble-sketched — a short JSON
+// document followed by the finished signature as raw little-endian words,
+// from a client that holds the hash family (seed and num_hash, both in
+// /stats) and has sketched already. Both resolve to the same (signature,
+// size, threshold) and the same answer bytes; a frame of another seed or
+// length is a 400 (internal/serve documents the layout). Repeated queries on
+// an unchanged index — ranked ones included — are answered from the
+// generation-keyed result cache.
 //
 // # Distributed serving
 //
@@ -211,10 +221,27 @@
 // more than load-factor/N of the keyspace; ownership is a pure function of
 // membership, so independent routers agree without coordinating).
 // -replication K writes each key to K distinct shards. Queries (/query,
-// /query/topk, /query/batch) scatter to every live shard under a
-// per-shard deadline and merge: unions dedup by key, top-k keeps each
-// key's best estimated containment and re-ranks, batches merge row by
-// row.
+// /query/topk, /query/batch) scatter to every live shard under one shared
+// deadline and merge: the shards' sorted match lists k-way merge with equal
+// neighbours dropped, top-k keeps each key's best estimated containment and
+// re-ranks, batches merge row by row.
+//
+// A routed query is sketched once, at the router (the paper hands one
+// signature to every partition; the fleet hands one to every shard). The
+// router reads each shard's hash family off /stats — on the first health
+// tick, on every promotion, and once on demand if a query comes first —
+// and while all live shards agree it validates the client's request as a
+// shard would, sketches the values with that family, encodes the framed
+// form once and sends every leg the same bytes: a 20 000-value query moves
+// 8·num_hash bytes per shard, and no shard decodes a string or computes a
+// hash. While a live shard's family is unknown or two disagree, the router
+// forwards the client's body as it came and each shard sketches for itself;
+// that is the only fallback, and GET /ring says which state the fleet is in
+// ("family": known with seed and num_hash, mixed, or unknown). A shard that
+// refuses a sketched leg — it restarted under another seed — fails that leg,
+// so the answer is partial rather than wrong. A request every shard refuses
+// alike, or that the router refuses while sketching, is the client's 4xx,
+// not a 502, and counts against no shard.
 //
 // Consistency and partial results: a query observes each shard's
 // point-in-time snapshot — the fleet-wide answer is not a global snapshot,
@@ -259,7 +286,9 @@
 // lshrouter exports the same per-endpoint HTTP families under the
 // lshrouter_ prefix plus fleet health: lshrouter_shards_live,
 // lshrouter_shard_demotions_total / _promotions_total / _errors_total
-// {shard}, and lshrouter_partial_responses_total.
+// {shard}, lshrouter_partial_responses_total, and which path served the
+// reads: lshrouter_scatter_total{form=sketched|raw}, whose shard-side
+// counterpart is lshensembled_sketched_requests_total{op}.
 //
 // Request tracing: every request is stamped with a trace ID — an inbound
 // X-Request-Id is honored (sanitized), otherwise one is generated — echoed
@@ -269,7 +298,9 @@
 // router into each shard's log. Queries slower than lshensembled's
 // -slow-query threshold log at Warn with the planner's per-query
 // breakdown (segments probed vs range/Bloom pruned, trees probed vs
-// skipped inside the probed segments, buffer scanned, result-cache hit). GET /healthz on both binaries is a static
+// skipped inside the probed segments, buffer scanned, result-cache hit; a
+// ranked query's line carries the result-cache hit and the snapshot's shape).
+// GET /healthz on both binaries is a static
 // {"status":"ok"} that never touches the index, safe for tight probe
 // loops. -debug-addr starts a separate listener with net/http/pprof under
 // /debug/pprof/ and a /metrics mirror, kept off the serving port.

@@ -15,8 +15,8 @@ import (
 	"lshensemble/internal/serve"
 )
 
-// Client speaks the shard wire protocol (internal/serve's JSON types) to
-// one lshensembled instance. Every call takes a context, and the context is
+// Client speaks the shard wire protocol (internal/serve's types) to one
+// lshensembled instance. Every call takes a context, and the context is
 // the only bound on how long an accepted request may take to answer: the
 // router caps query, write and health legs with its per-shard deadline and
 // lets /save and /compact run as long as the operator's request lives. The
@@ -44,23 +44,53 @@ func NewClient(base string, timeout time.Duration) *Client {
 // Base returns the shard base URL the client was built with.
 func (c *Client) Base() string { return c.base }
 
-// do sends one JSON request and decodes one JSON response. Non-2xx answers
-// surface the shard's error envelope.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("encoding %s request: %w", path, err)
-		}
-		body = bytes.NewReader(b)
+// StatusError is a shard's non-2xx answer: the status and the message of its
+// error envelope. The router tells a request every shard refused the same way
+// (the request's fault, relayed as is) from shards that failed by it.
+type StatusError struct {
+	Shard, Method, Path string
+	Status              int
+	Message             string // the envelope's error text; empty when there was none
+}
+
+func (e *StatusError) Error() string {
+	if e.Message != "" {
+		return fmt.Sprintf("shard %s: %s %s: %s", e.Shard, e.Method, e.Path, e.Message)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	return fmt.Sprintf("shard %s: %s %s: HTTP %d", e.Shard, e.Method, e.Path, e.Status)
+}
+
+// do sends one JSON request and decodes one JSON response. Non-2xx answers
+// surface the shard's error envelope as a *StatusError.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	if in == nil {
+		return c.send(ctx, method, path, "", nil, out)
+	}
+	b, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("encoding %s request: %w", path, err)
+	}
+	return c.send(ctx, method, path, "application/json", b, out)
+}
+
+// Post sends a body that is already encoded — the router encodes a scattered
+// query once and hands every leg the same bytes, which Post only reads —
+// under the given content type, and decodes the JSON response into out.
+func (c *Client) Post(ctx context.Context, path, contentType string, body []byte, out any) error {
+	return c.send(ctx, http.MethodPost, path, contentType, body, out)
+}
+
+func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	// Propagate the router's trace ID so one request ID follows the call
 	// from router access log to shard access log.
@@ -77,10 +107,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}()
 	if resp.StatusCode/100 != 2 {
 		var e serve.ErrorResponse
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("shard %s: %s %s: %s", c.base, method, path, e.Error)
-		}
-		return fmt.Errorf("shard %s: %s %s: HTTP %d", c.base, method, path, resp.StatusCode)
+		// A body that is not the envelope leaves the message empty.
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e)
+		return &StatusError{Shard: c.base, Method: method, Path: path, Status: resp.StatusCode, Message: e.Error}
 	}
 	if out == nil {
 		return nil
@@ -105,24 +134,13 @@ func (c *Client) Delete(ctx context.Context, req *serve.DeleteRequest) (serve.De
 	return out, err
 }
 
-// Query runs one containment query on the shard.
+// Query runs one containment query on the shard, in the JSON form. The
+// router's own legs go through Post with a body encoded once for all shards;
+// this is the typed call of a client talking to one shard (the benchmark's
+// ladder replays raw-value requests at a shard with it).
 func (c *Client) Query(ctx context.Context, req *serve.QueryRequest) (serve.QueryResponse, error) {
 	var out serve.QueryResponse
 	err := c.do(ctx, http.MethodPost, "/query", req, &out)
-	return out, err
-}
-
-// TopK runs one ranked query on the shard.
-func (c *Client) TopK(ctx context.Context, req *serve.TopKRequest) (serve.TopKResponse, error) {
-	var out serve.TopKResponse
-	err := c.do(ctx, http.MethodPost, "/query/topk", req, &out)
-	return out, err
-}
-
-// Batch runs one query batch on the shard.
-func (c *Client) Batch(ctx context.Context, req *serve.BatchRequest) (serve.BatchResponse, error) {
-	var out serve.BatchResponse
-	err := c.do(ctx, http.MethodPost, "/query/batch", req, &out)
 	return out, err
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"lshensemble"
@@ -98,21 +97,6 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// flakyHealth fronts a shard and fails /healthz (only) while down is set, so
-// a test can demote and re-promote a shard without tearing the server down.
-type flakyHealth struct {
-	down atomic.Bool
-	next http.Handler
-}
-
-func (f *flakyHealth) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if f.down.Load() && r.URL.Path == "/healthz" {
-		http.Error(w, "sick", http.StatusServiceUnavailable)
-		return
-	}
-	f.next.ServeHTTP(w, r)
-}
-
 // TestHealthTransitionObservability drives a demote→promote cycle and checks
 // the transition counters, the shards_live gauge and the Warn/Info logs.
 func TestHealthTransitionObservability(t *testing.T) {
@@ -121,7 +105,7 @@ func TestHealthTransitionObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(idx.Close)
-	flaky := &flakyHealth{next: serve.New(idx, lshensemble.NewHasher(testNumHash, testSeed), testSeed, "")}
+	flaky := &swapHandler{next: serve.New(idx, lshensemble.NewHasher(testNumHash, testSeed), testSeed, "")}
 	fts := httptest.NewServer(flaky)
 	t.Cleanup(fts.Close)
 	urls, _ := startShards(t, 1)

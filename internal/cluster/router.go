@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lshensemble"
 	"lshensemble/internal/core"
 	"lshensemble/internal/obs"
 	"lshensemble/internal/serve"
@@ -21,10 +22,11 @@ import (
 type Options struct {
 	// Ring shapes key placement (vnodes, bounded-load factor, replication).
 	Ring RingOptions
-	// ShardTimeout is the per-shard deadline on every forwarded write,
-	// scattered query and health probe. A shard that misses it contributes
-	// nothing to the merge and flips the response partial — it never stalls
-	// the whole answer. The admin fan-out (/stats, /save, /compact) is not
+	// ShardTimeout is the per-shard deadline on every forwarded write and
+	// health probe, and the one deadline all legs of a scattered query share
+	// (they start together). A shard that misses it contributes nothing to
+	// the merge and flips the response partial — it never stalls the whole
+	// answer. The admin fan-out (/stats, /save, /compact) is not
 	// under it; see fleetAdmin. Default 2s.
 	ShardTimeout time.Duration
 	// HealthInterval is how often the background checker probes every
@@ -66,6 +68,12 @@ type shard struct {
 	alive  atomic.Bool
 	fails  int // consecutive probe failures; touched only by the checker
 
+	// family is the hash family the shard last reported on /stats, nil until
+	// it has (or while it does not accept pre-sketched queries). Cleared when
+	// the shard is promoted back or refuses a sketched leg — either way it
+	// may have restarted as something else — and re-learned by the checker.
+	family atomic.Pointer[HashFamily]
+
 	// Per-shard metric children; nil when metrics are disabled.
 	demotions  *obs.Counter
 	promotions *obs.Counter
@@ -96,17 +104,42 @@ func incr(c *obs.Counter) {
 // of the same fleet agree without coordinating. Query merges deduplicate by
 // key, which also makes a replicated fleet (Replication ≥ 2) answer each
 // key once no matter how many owners hold it.
+//
+// A scattered query is sketched here, once, not on every shard. The router
+// learns each shard's hash family (seed, num_hash) from its /stats — off the
+// request path: on the first health tick, whenever a shard is promoted back,
+// and once on demand if a query beats the first tick. While every live shard
+// reports the same family the router validates a client's query exactly as
+// a shard would, sketches its values with that family, encodes the framed
+// form of the request (internal/serve) once and sends every leg those same
+// bytes. While any live shard's family is unknown or the shards disagree it
+// forwards the client's own body unchanged and each shard sketches for
+// itself — the only fallback, and what a fleet mid-upgrade runs on. A shard
+// that refuses a sketched leg (it restarted under another seed) fails that
+// leg — the answer goes partial, its candidates are never merged — and is
+// asked for its family again. /add and /delete always forward raw values.
 type Router struct {
 	opts   Options
 	shards []*shard // sorted by name, fixed at construction
 	ring   atomic.Pointer[Ring]
 	mux    *http.ServeMux
 
+	// sketch is the fleet's agreed hash family and its hasher, nil while the
+	// live shards' families are unknown or mixed. famMu serializes whatever
+	// recomputes it (and guards famState); learnOnce is the on-demand fetch
+	// of a query that arrives before the first health tick.
+	sketch    atomic.Pointer[sketcher]
+	famMu     sync.Mutex
+	famState  string // fleetFamily's state as of the last agreeFamily
+	learnOnce sync.Once
+
 	logger     *slog.Logger
 	reg        *obs.Registry
 	httpm      *obs.HTTPMetrics
 	shardsLive *obs.Gauge
 	partials   *obs.Counter
+	// scatters counts scattered queries by the form their legs were sent in.
+	scatterSketched, scatterRaw *obs.Counter
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -123,7 +156,7 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	}
 	names := append([]string(nil), shardURLs...)
 	sort.Strings(names)
-	r := &Router{opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
+	r := &Router{opts: opts, famState: "unknown", stop: make(chan struct{}), done: make(chan struct{})}
 	r.logger = opts.Logger
 	if r.logger == nil {
 		r.logger = slog.Default()
@@ -138,6 +171,9 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 		r.reg.Gauge("lshrouter_shards_total", "Shards configured at startup.").Set(int64(len(shardURLs)))
 		r.partials = r.reg.Counter("lshrouter_partial_responses_total",
 			"Merged responses missing at least one shard's contribution.")
+		const scatterHelp = "Scattered queries by leg form: sketched once at the router, or the client's raw values forwarded."
+		r.scatterSketched = r.reg.Counter("lshrouter_scatter_total", scatterHelp, obs.L("form", "sketched"))
+		r.scatterRaw = r.reg.Counter("lshrouter_scatter_total", scatterHelp, obs.L("form", "raw"))
 	}
 	for i, name := range names {
 		if name == "" || (i > 0 && name == names[i-1]) {
@@ -248,6 +284,7 @@ func (r *Router) CheckHealth() {
 			s.fails = 0
 			if !s.alive.Load() {
 				s.alive.Store(true)
+				s.family.Store(nil) // it may have come back as something else
 				changed = true
 				incr(s.promotions)
 				r.logger.LogAttrs(context.Background(), slog.LevelInfo, "shard promoted",
@@ -269,6 +306,123 @@ func (r *Router) CheckHealth() {
 	if changed {
 		r.rebuild()
 	}
+	// The family is an agreement among the live shards: it is re-derived on
+	// every tick, after asking whoever has not said (all of them on the first
+	// tick, a promoted shard, one that refused a sketched leg since).
+	r.learnFamilies()
+}
+
+// HashFamily identifies the MinHash family a shard sketches with. Signatures
+// are comparable only within one family.
+type HashFamily struct {
+	Seed    uint64 `json:"seed"`
+	NumHash int    `json:"num_hash"`
+}
+
+// maxNumHash bounds the signature length the router will build a hasher for
+// on a shard's say-so.
+const maxNumHash = 1 << 16
+
+// sketcher is a hash family every live shard agreed on, ready to sketch.
+type sketcher struct {
+	HashFamily
+	hasher *lshensemble.Hasher
+}
+
+// learnFamilies asks every live shard whose family is not known for its
+// /stats, then re-derives the fleet's. The fetches run on a background
+// context, never a client's: they carry no request's trace ID into the shard
+// logs and a failure is retried on the next health tick, not counted as a
+// shard error.
+func (r *Router) learnFamilies() {
+	r.famMu.Lock()
+	defer r.famMu.Unlock()
+	var wg sync.WaitGroup
+	for _, s := range r.shards {
+		if !s.alive.Load() || s.family.Load() != nil {
+			continue
+		}
+		wg.Add(1)
+		go func(s *shard) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), r.opts.ShardTimeout)
+			defer cancel()
+			st, err := s.client.Stats(ctx)
+			switch {
+			case err != nil:
+				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard hash family not learned",
+					slog.String("shard", s.name), slog.String("error", err.Error()))
+			case !st.Sketched || st.NumHash <= 0 || st.NumHash > maxNumHash:
+				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard takes no pre-sketched queries",
+					slog.String("shard", s.name), slog.Int("num_hash", st.NumHash))
+			default:
+				s.family.Store(&HashFamily{Seed: st.Seed, NumHash: st.NumHash})
+			}
+		}(s)
+	}
+	wg.Wait()
+	r.agreeFamily()
+}
+
+// fleetFamily reports what the live shards' families add up to: "known" and
+// the family when every one reported the same, "mixed" when two disagree,
+// "unknown" while one has not reported (or none is live).
+func (r *Router) fleetFamily() (state string, fam HashFamily) {
+	state = "unknown"
+	for _, s := range r.shards {
+		if !s.alive.Load() {
+			continue
+		}
+		f := s.family.Load()
+		switch {
+		case f == nil:
+			return "unknown", HashFamily{}
+		case state == "known" && *f != fam:
+			state = "mixed"
+		case state == "unknown":
+			state, fam = "known", *f
+		}
+	}
+	if state != "known" {
+		fam = HashFamily{}
+	}
+	return state, fam
+}
+
+// agreeFamily re-derives r.sketch from the live shards' families and logs the
+// change. Callers hold famMu.
+func (r *Router) agreeFamily() {
+	state, fam := r.fleetFamily()
+	cur := r.sketch.Load()
+	if state == r.famState && (cur == nil || cur.HashFamily == fam) {
+		return
+	}
+	r.famState = state
+	if state != "known" {
+		r.sketch.Store(nil)
+		level := slog.LevelInfo // unknown is every router's first state, and brief
+		if state == "mixed" {
+			level = slog.LevelWarn
+		}
+		r.logger.LogAttrs(context.Background(), level, "no common hash family; forwarding raw values",
+			slog.String("family", state))
+		return
+	}
+	r.sketch.Store(&sketcher{HashFamily: fam, hasher: lshensemble.NewHasher(fam.NumHash, fam.Seed)})
+	r.logger.LogAttrs(context.Background(), slog.LevelInfo, "hash family learned; sketching at the router",
+		slog.Uint64("seed", fam.Seed), slog.Int("num_hash", fam.NumHash))
+}
+
+// sketcherForQuery returns the fleet's sketcher, nil when the query must go
+// out raw. The first query to find none does the fetch the first health tick
+// would have done (every shard starts out live, so no promotion is coming to
+// trigger it); queries racing it wait for that one fetch.
+func (r *Router) sketcherForQuery() *sketcher {
+	if sk := r.sketch.Load(); sk != nil {
+		return sk
+	}
+	r.learnOnce.Do(r.learnFamilies)
+	return r.sketch.Load()
 }
 
 // rebuild recomputes the ring from the currently live shards.
@@ -366,6 +520,20 @@ type ShardInfo struct {
 	Name  string  `json:"name"`
 	Alive bool    `json:"alive"`
 	Share float64 `json:"share"` // keyspace fraction; 0 when demoted
+	// Family is the hash family the shard reported, absent until it has.
+	Family *HashFamily `json:"family,omitempty"`
+}
+
+// FamilyInfo is the fleet's hash family as the router knows it, which decides
+// the form scattered queries go out in.
+type FamilyInfo struct {
+	// State is "known" (every live shard reported the same family: queries
+	// are sketched at the router), "mixed" (two disagree) or "unknown" (one
+	// has not reported); in the last two the router forwards raw values.
+	State string `json:"state"`
+	// Seed and NumHash are the agreed family when State is "known".
+	Seed    uint64 `json:"seed,omitempty"`
+	NumHash int    `json:"num_hash,omitempty"`
 }
 
 // RingResponse describes the routing topology.
@@ -374,6 +542,7 @@ type RingResponse struct {
 	Replication int         `json:"replication"`
 	Vnodes      int         `json:"vnodes"`
 	LoadFactor  float64     `json:"load_factor"`
+	Family      FamilyInfo  `json:"family"`
 }
 
 // --- write path: route by ring ---
@@ -490,76 +659,183 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 
 // --- read path: scatter to all live shards, gather, merge ---
 
-// scatter is fanOut with every leg under its own ShardTimeout deadline — the
-// query fan-out, where a slow shard must cost a partial answer, not latency.
-func scatter[T any](r *Router, ctx context.Context, call func(context.Context, *shard) (T, error)) (oks []T, failed []string) {
-	return fanOut(r, ctx, func(ctx context.Context, s *shard) (T, error) {
-		sctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
-		defer cancel()
-		return call(sctx, s)
-	})
+// legBody is what every leg of one scattered query is sent: one encoding,
+// shared by the legs and only ever read.
+type legBody struct {
+	contentType string // serve.SketchedContentType, or JSON for raw legs
+	bytes       []byte
 }
 
-// fanOut runs call against every live shard concurrently and returns the
-// successful responses plus the names of the shards that failed. It never
-// fails as a whole: a dead shard just lands in failed.
-func fanOut[T any](r *Router, ctx context.Context, call func(context.Context, *shard) (T, error)) (oks []T, failed []string) {
-	live := r.liveShards()
-	type result struct {
-		resp T
-		err  error
-		name string
+// queryLegs decides the form a scattered query goes out in. With the fleet's
+// family known it resolves the client's request through sketch — the shard's
+// own validation and the one MinHash pass of the request — and frames the
+// result; a request sketch refuses is answered 400 here, before any leg. With
+// the family unknown or mixed the legs get raw, the client's body as it came.
+func (r *Router) queryLegs(w http.ResponseWriter, raw []byte, rows int, sketch func(*sketcher) (doc any, sigs []lshensemble.Signature, err error)) (legBody, bool) {
+	sk := r.sketcherForQuery()
+	if sk == nil {
+		incr(r.scatterRaw)
+		return legBody{contentType: "application/json", bytes: raw}, true
 	}
-	results := make([]result, len(live))
+	// A signature is a fixed 8·num_hash bytes however few values it stands
+	// for, so a batch of very many small queries is larger framed than raw:
+	// the shard's body limit becomes a limit on rows, checked before any of
+	// them is sketched. 64 bytes bound a row's share of the document.
+	frame := 256 + rows*(sk.NumHash*8+64)
+	if frame > serve.MaxRequestBody {
+		serve.WriteError(w, http.StatusBadRequest,
+			fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, frame, serve.MaxRequestBody))
+		return legBody{}, false
+	}
+	doc, sigs, err := sketch(sk)
+	if err != nil {
+		serve.WriteError(w, http.StatusBadRequest, err)
+		return legBody{}, false
+	}
+	body, err := serve.AppendSketched(make([]byte, 0, frame), doc, sigs...)
+	if err != nil {
+		serve.WriteError(w, http.StatusInternalServerError, err)
+		return legBody{}, false
+	}
+	incr(r.scatterSketched)
+	return legBody{contentType: serve.SketchedContentType, bytes: body}, true
+}
+
+// scatter posts one query to path on every live shard and gathers the
+// answers. The legs start together, so they share one ShardTimeout deadline:
+// a slow shard costs a partial answer, not latency. A shard that answers a
+// sketched leg with a 4xx — the router validated the request, so what the
+// shard refused is the family — is asked for its family again before it is
+// sent another.
+func scatter[T any](r *Router, ctx context.Context, path string, leg legBody) (oks []T, failed []string, refusal *StatusError) {
+	ctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
+	defer cancel()
+	live, resps, errs := fanOut(r, ctx, func(ctx context.Context, s *shard) (T, error) {
+		var out T
+		return out, s.client.Post(ctx, path, leg.contentType, leg.bytes, &out)
+	})
+	if leg.contentType == serve.SketchedContentType {
+		distrusted := false
+		for i, err := range errs {
+			var se *StatusError
+			if errors.As(err, &se) && se.Status/100 == 4 {
+				live[i].family.Store(nil)
+				distrusted = true
+			}
+		}
+		if distrusted {
+			r.famMu.Lock()
+			r.agreeFamily()
+			r.famMu.Unlock()
+		}
+	}
+	return gather(live, resps, errs)
+}
+
+// fanOut runs call against every live shard concurrently and returns, shard
+// by shard, the answer or the error. It never fails as a whole.
+func fanOut[T any](r *Router, ctx context.Context, call func(context.Context, *shard) (T, error)) (live []*shard, resps []T, errs []error) {
+	live = r.liveShards()
+	resps = make([]T, len(live))
+	errs = make([]error, len(live))
 	var wg sync.WaitGroup
 	for i, s := range live {
 		wg.Add(1)
 		go func(i int, s *shard) {
 			defer wg.Done()
-			resp, err := call(ctx, s)
-			results[i] = result{resp: resp, err: err, name: s.name}
+			resps[i], errs[i] = call(ctx, s)
 		}(i, s)
 	}
 	wg.Wait()
-	for i, res := range results {
-		if res.err != nil {
-			failed = append(failed, res.name)
-			incr(live[i].errors)
-		} else {
-			oks = append(oks, res.resp)
-		}
-	}
-	return oks, failed
+	return live, resps, errs
 }
 
-// gatewayCheck writes the only two scatter-wide errors: an empty ring and a
+// gather splits a fan-out into the answers and the names of the shards that
+// failed, counting each failure against its shard — unless the fan-out was
+// refused: not one answer, and every shard returned the same 4xx with the
+// same message. That is the request's fault, not the shards', so nothing is
+// counted and the refusal comes back for the caller to relay.
+func gather[T any](live []*shard, resps []T, errs []error) (oks []T, failed []string, refusal *StatusError) {
+	for i, err := range errs {
+		if err == nil {
+			oks = append(oks, resps[i])
+		} else {
+			failed = append(failed, live[i].name)
+		}
+	}
+	if len(oks) == 0 {
+		if refusal = sameRefusal(errs); refusal != nil {
+			return nil, failed, refusal
+		}
+	}
+	for i, err := range errs {
+		if err != nil {
+			incr(live[i].errors)
+		}
+	}
+	return oks, failed, nil
+}
+
+// sameRefusal returns the one 4xx every leg answered, nil unless all did and
+// alike.
+func sameRefusal(errs []error) *StatusError {
+	var first *StatusError
+	for _, err := range errs {
+		var se *StatusError
+		if !errors.As(err, &se) || se.Status/100 != 4 {
+			return nil
+		}
+		if first == nil {
+			first = se
+		} else if se.Status != first.Status || se.Message != first.Message {
+			return nil
+		}
+	}
+	return first
+}
+
+// gatewayCheck writes the scatter-wide errors: an empty ring, a request every
+// shard refused alike (relayed with the shards' status and message), and a
 // total blackout. One reachable shard among many means a partial answer,
 // never a 5xx.
-func (r *Router) gatewayCheck(w http.ResponseWriter, got, failedCount int) bool {
-	if got > 0 {
+func (r *Router) gatewayCheck(w http.ResponseWriter, got int, failed []string, refusal *StatusError) bool {
+	switch {
+	case got > 0:
 		return true
-	}
-	if failedCount == 0 {
+	case refusal != nil:
+		serve.WriteJSON(w, refusal.Status, serve.ErrorResponse{Error: refusal.Message})
+	case len(failed) == 0:
 		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("no live shards"))
-	} else {
+	default:
 		serve.WriteError(w, http.StatusBadGateway,
-			fmt.Errorf("all %d live shards failed", failedCount))
+			fmt.Errorf("all %d live shards failed", len(failed)))
 	}
 	return false
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	var body serve.QueryRequest
-	if !serve.DecodeJSON(w, req, &body) {
+	raw, ok := serve.ReadJSON(w, req, &body)
+	if !ok {
 		return
 	}
-	oks, failed := scatter(r, req.Context(), func(ctx context.Context, s *shard) (serve.QueryResponse, error) {
-		return s.client.Query(ctx, &body)
+	leg, ok := r.queryLegs(w, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
+		q, err := body.Resolve(sk.hasher, nil)
+		return &serve.SketchedQuery{Seed: sk.Seed, QueryRequest: serve.QueryRequest{Threshold: q.Threshold, Size: q.Size}},
+			[]lshensemble.Signature{q.Sig}, err
 	})
-	if !r.gatewayCheck(w, len(oks), len(failed)) {
+	if !ok {
 		return
 	}
-	merged := mergeMatches(oks)
+	oks, failed, refusal := scatter[serve.QueryResponse](r, req.Context(), "/query", leg)
+	if !r.gatewayCheck(w, len(oks), failed, refusal) {
+		return
+	}
+	lists := make([][]string, len(oks))
+	for i := range oks {
+		lists[i] = oks[i].Matches
+	}
+	merged := mergeSorted(lists)
 	r.notePartial(failed)
 	serve.WriteJSON(w, http.StatusOK, RouterQueryResponse{
 		QueryResponse: serve.QueryResponse{Matches: merged, Count: len(merged)},
@@ -570,17 +846,24 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 	var body serve.TopKRequest
-	if !serve.DecodeJSON(w, req, &body) {
+	raw, ok := serve.ReadJSON(w, req, &body)
+	if !ok {
 		return
 	}
 	k := body.K
 	if k == 0 {
 		k = 10
 	}
-	oks, failed := scatter(r, req.Context(), func(ctx context.Context, s *shard) (serve.TopKResponse, error) {
-		return s.client.TopK(ctx, &body)
+	leg, ok := r.queryLegs(w, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
+		sig, size, _, err := body.Resolve(sk.hasher, nil)
+		return &serve.SketchedTopK{Seed: sk.Seed, TopKRequest: serve.TopKRequest{K: k, Size: size}},
+			[]lshensemble.Signature{sig}, err
 	})
-	if !r.gatewayCheck(w, len(oks), len(failed)) {
+	if !ok {
+		return
+	}
+	oks, failed, refusal := scatter[serve.TopKResponse](r, req.Context(), "/query/topk", leg)
+	if !r.gatewayCheck(w, len(oks), failed, refusal) {
 		return
 	}
 	merged := mergeTopK(oks, k)
@@ -594,17 +877,30 @@ func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	var body serve.BatchRequest
-	if !serve.DecodeJSON(w, req, &body) {
+	raw, ok := serve.ReadJSON(w, req, &body)
+	if !ok {
 		return
 	}
 	if len(body.Queries) == 0 {
 		serve.WriteError(w, http.StatusBadRequest, errors.New("queries must be non-empty"))
 		return
 	}
-	oks, failed := scatter(r, req.Context(), func(ctx context.Context, s *shard) (serve.BatchResponse, error) {
-		return s.client.Batch(ctx, &body)
+	leg, ok := r.queryLegs(w, raw, len(body.Queries), func(sk *sketcher) (any, []lshensemble.Signature, error) {
+		queries, err := body.Resolve(sk.hasher, nil)
+		doc := &serve.SketchedBatch{Seed: sk.Seed, BatchRequest: serve.BatchRequest{
+			Queries: make([]serve.QueryRequest, len(queries)), Workers: body.Workers}}
+		sigs := make([]lshensemble.Signature, len(queries))
+		for i, q := range queries {
+			doc.Queries[i] = serve.QueryRequest{Threshold: q.Threshold, Size: q.Size}
+			sigs[i] = q.Sig
+		}
+		return doc, sigs, err
 	})
-	if !r.gatewayCheck(w, len(oks), len(failed)) {
+	if !ok {
+		return
+	}
+	oks, failed, refusal := scatter[serve.BatchResponse](r, req.Context(), "/query/batch", leg)
+	if !r.gatewayCheck(w, len(oks), failed, refusal) {
 		return
 	}
 	rows := mergeBatch(oks, len(body.Queries))
@@ -618,24 +914,47 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 
 // --- merges ---
 //
-// All merges are deterministic: dedup by key, sort by (score, key) or key,
+// All merges are deterministic: dedup by key, order by (score, key) or key,
 // so the answer depends only on the multiset of shard responses, not on
 // arrival order. Dedup also makes replicated fleets answer each key once.
 
-// mergeMatches unions match lists, dedups by key, and sorts.
-func mergeMatches(responses []serve.QueryResponse) []string {
-	seen := make(map[string]struct{}, 64)
-	merged := make([]string, 0, 64)
-	for _, resp := range responses {
-		for _, key := range resp.Matches {
-			if _, dup := seen[key]; !dup {
-				seen[key] = struct{}{}
-				merged = append(merged, key)
+// mergeSorted unions the shards' match lists into one sorted list with each
+// key once. A shard's list arrives sorted and duplicate-free, so this is a
+// k-way merge that drops equal neighbours: no set, no sort. A list that
+// breaks that contract shows up as a key at or below the last one emitted,
+// and the merge starts over by sorting and deduplicating everything.
+func mergeSorted(lists [][]string) []string {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	merged := make([]string, 0, total)
+	heads := make([]int, len(lists))
+	for {
+		best := -1
+		for i, l := range lists {
+			if heads[i] < len(l) && (best < 0 || l[heads[i]] < lists[best][heads[best]]) {
+				best = i
 			}
 		}
+		if best < 0 {
+			return merged
+		}
+		key := lists[best][heads[best]]
+		heads[best]++
+		if n := len(merged); n > 0 && key <= merged[n-1] {
+			if key == merged[n-1] {
+				continue
+			}
+			merged = merged[:0]
+			for _, l := range lists {
+				merged = append(merged, l...)
+			}
+			slices.Sort(merged)
+			return slices.Compact(merged)
+		}
+		merged = append(merged, key)
 	}
-	sort.Strings(merged)
-	return merged
 }
 
 // mergeTopK dedups ranked matches by key keeping the best score, orders by
@@ -665,26 +984,19 @@ func mergeTopK(responses []serve.TopKResponse, k int) []serve.TopKMatch {
 	return merged
 }
 
-// mergeBatch unions row-by-row: every shard answered the same batch, so
-// row i of the merge is the dedup-union of every shard's row i.
+// mergeBatch merges row by row: every shard answered the same batch, so row
+// i of the merge is mergeSorted over every shard's row i.
 func mergeBatch(responses []serve.BatchResponse, numRows int) []serve.QueryResponse {
 	rows := make([]serve.QueryResponse, numRows)
-	seen := make(map[string]struct{}, 64)
+	lists := make([][]string, 0, len(responses))
 	for i := range rows {
-		clear(seen)
-		merged := []string{}
+		lists = lists[:0]
 		for _, resp := range responses {
-			if i >= len(resp.Rows) {
-				continue
-			}
-			for _, key := range resp.Rows[i].Matches {
-				if _, dup := seen[key]; !dup {
-					seen[key] = struct{}{}
-					merged = append(merged, key)
-				}
+			if i < len(resp.Rows) {
+				lists = append(lists, resp.Rows[i].Matches)
 			}
 		}
-		sort.Strings(merged)
+		merged := mergeSorted(lists)
 		rows[i] = serve.QueryResponse{Matches: merged, Count: len(merged)}
 	}
 	return rows
@@ -702,11 +1014,11 @@ func fleetAdmin[T any](r *Router, w http.ResponseWriter, req *http.Request, call
 		name string
 		resp T
 	}
-	oks, failed := fanOut(r, req.Context(), func(ctx context.Context, s *shard) (named, error) {
+	oks, failed, refusal := gather(fanOut(r, req.Context(), func(ctx context.Context, s *shard) (named, error) {
 		resp, err := call(s.client, ctx)
 		return named{name: s.name, resp: resp}, err
-	})
-	if !r.gatewayCheck(w, len(oks), len(failed)) {
+	}))
+	if !r.gatewayCheck(w, len(oks), failed, refusal) {
 		return
 	}
 	out := RouterFleetResponse[T]{Shards: make(map[string]T, len(oks)), Failed: failed, Partial: len(failed) > 0}
@@ -738,11 +1050,14 @@ func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {
 	}
 	for _, s := range r.shards {
 		out.Shards = append(out.Shards, ShardInfo{
-			Name:  s.name,
-			Alive: s.alive.Load(),
-			Share: shares[s.name],
+			Name:   s.name,
+			Alive:  s.alive.Load(),
+			Share:  shares[s.name],
+			Family: s.family.Load(),
 		})
 	}
+	state, fam := r.fleetFamily()
+	out.Family = FamilyInfo{State: state, Seed: fam.Seed, NumHash: fam.NumHash}
 	serve.WriteJSON(w, http.StatusOK, out)
 }
 

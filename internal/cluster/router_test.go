@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,6 +60,21 @@ type testShard struct {
 
 func startShards(t *testing.T, n int) ([]string, []*testShard) {
 	t.Helper()
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = testSeed
+	}
+	return startShardsAdvertising(t, seeds)
+}
+
+// startShardsAdvertising starts one shard per entry, each advertising that
+// seed on /stats (and checking framed requests against it) while sketching
+// with the testSeed family all the same. Shards that advertise different
+// seeds are a fleet the router must treat as mixed — forwarding raw values —
+// whose answers still compare exactly against one testSeed index.
+func startShardsAdvertising(t *testing.T, seeds []uint64) ([]string, []*testShard) {
+	t.Helper()
+	n := len(seeds)
 	urls := make([]string, n)
 	shards := make([]*testShard, n)
 	for i := 0; i < n; i++ {
@@ -67,7 +83,7 @@ func startShards(t *testing.T, n int) ([]string, []*testShard) {
 			t.Fatal(err)
 		}
 		t.Cleanup(idx.Close)
-		srv := serve.New(idx, lshensemble.NewHasher(testNumHash, testSeed), testSeed, "")
+		srv := serve.New(idx, lshensemble.NewHasher(testNumHash, testSeed), seeds[i], "")
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
@@ -154,12 +170,34 @@ func sameStrings(a, b []string) bool {
 // TestRouterMergeMatchesSingleNode is the determinism acceptance test: a
 // 2-shard fleet behind the router answers /query, /query/topk and
 // /query/batch exactly like one single-node index over the union of the
-// corpus.
+// corpus — in both forms a scattered query can take: sketched once at the
+// router (the shards agree on a family) and forwarded raw (they do not).
 func TestRouterMergeMatchesSingleNode(t *testing.T) {
-	const n = 120
-	urls, shards := startShards(t, 2)
-	router, rts := startRouter(t, urls, Options{})
+	for _, mode := range []struct {
+		form  string
+		seeds []uint64
+	}{
+		{"sketched", []uint64{testSeed, testSeed}},
+		{"raw", []uint64{testSeed, testSeed + 1}},
+	} {
+		t.Run(mode.form, func(t *testing.T) {
+			urls, shards := startShardsAdvertising(t, mode.seeds)
+			router, rts := startRouter(t, urls, Options{})
+			router.CheckHealth() // the first health tick learns the families
+			checkMergeMatchesSingleNode(t, urls, shards, router, rts)
 
+			other := map[string]string{"sketched": "raw", "raw": "sketched"}[mode.form]
+			text := scrapeText(t, rts.URL)
+			if strings.Contains(text, `lshrouter_scatter_total{form="`+mode.form+`"} 0`) ||
+				!strings.Contains(text, `lshrouter_scatter_total{form="`+other+`"} 0`) {
+				t.Fatalf("queries did not all go out %s:\n%s", mode.form, text)
+			}
+		})
+	}
+}
+
+func checkMergeMatchesSingleNode(t *testing.T, urls []string, shards []*testShard, router *Router, rts *httptest.Server) {
+	const n = 120
 	addVia(t, rts.URL, n)
 
 	// Routing correctness: keys land exactly on their ring owner, corpus

@@ -1,0 +1,440 @@
+package cluster
+
+import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"lshensemble"
+	"lshensemble/internal/serve"
+)
+
+// postRaw posts a literal JSON body and returns the status and the answer's
+// bytes — for requests no typed struct can express and for comparing answers
+// byte for byte.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
+func ringFamily(t *testing.T, routerURL string) FamilyInfo {
+	t.Helper()
+	var ring RingResponse
+	if code := getJSON(t, routerURL+"/ring", &ring); code != http.StatusOK {
+		t.Fatalf("ring: HTTP %d", code)
+	}
+	return ring.Family
+}
+
+// TestRouterRefusesMalformedQuery: a query no shard would accept is the
+// client's 400, not "all live shards failed" and not a mark against any
+// shard — whether the router catches it itself while sketching, or forwards
+// raw values and every shard refuses alike. Both paths word it the same.
+func TestRouterRefusesMalformedQuery(t *testing.T) {
+	bad := []struct{ path, body, wantInError string }{
+		{"/query", `{"values":["a","b"],"threshold":2}`, "threshold 2 out of range"},
+		{"/query", `{"threshold":0.5}`, "values must be non-empty"},
+		{"/query/topk", `{"values":["a"],"k":-1}`, "k -1 must be positive"},
+		{"/query/topk", `{"k":3}`, "values must be non-empty"},
+		{"/query/batch", `{"queries":[]}`, "queries must be non-empty"},
+		{"/query/batch", `{"queries":[{"values":["a"]},{"values":["b"],"threshold":-0.1}]}`, "query 1: threshold -0.1 out of range"},
+		{"/query/batch", `{"queries":[{"values":["a"]},{"values":["b"]},{}]}`, "query 2: values must be non-empty"},
+		{"/query", `{"values":["a"],"threshhold":0.5}`, "unknown field"},
+	}
+	answers := map[string][]string{}
+	for _, mode := range []struct {
+		form  string
+		seeds []uint64
+	}{
+		{"sketched", []uint64{testSeed, testSeed}},
+		{"raw", []uint64{testSeed, testSeed + 1}},
+	} {
+		t.Run(mode.form, func(t *testing.T) {
+			urls, _ := startShardsAdvertising(t, mode.seeds)
+			router, rts := startRouter(t, urls, Options{})
+			router.CheckHealth()
+			addVia(t, rts.URL, 10)
+			for _, c := range bad {
+				code, body := postRaw(t, rts.URL+c.path, c.body)
+				if code != http.StatusBadRequest || !strings.Contains(body, c.wantInError) {
+					t.Errorf("%s %s: HTTP %d %s, want 400 naming %q", c.path, c.body, code, body, c.wantInError)
+				}
+				answers[mode.form] = append(answers[mode.form], body)
+			}
+			text := scrapeText(t, rts.URL)
+			for _, u := range urls {
+				if want := `lshrouter_shard_errors_total{shard="` + u + `"} 0`; !strings.Contains(text, want) {
+					t.Errorf("a malformed query was counted against shard %s:\n%s", u, text)
+				}
+			}
+			if !strings.Contains(text, "lshrouter_partial_responses_total 0") {
+				t.Errorf("a refused query was counted as a partial response:\n%s", text)
+			}
+			// A well-formed query still goes through.
+			var ok RouterQueryResponse
+			if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(3)}, &ok); code != http.StatusOK || ok.Partial {
+				t.Fatalf("well-formed query after the refusals: HTTP %d partial=%v", code, ok.Partial)
+			}
+		})
+	}
+	if !reflect.DeepEqual(answers["sketched"], answers["raw"]) {
+		t.Errorf("the two paths word their refusals differently:\nsketched %q\nraw      %q", answers["sketched"], answers["raw"])
+	}
+}
+
+// TestRouterRelaysOnlyUnanimousRefusals: shards that refuse for different
+// reasons, or a refusal next to an outage, are failed shards — 502 and
+// counted — not a client error to relay.
+func TestRouterRelaysOnlyUnanimousRefusals(t *testing.T) {
+	refuse := func(status int, msg string) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			serve.WriteJSON(w, status, serve.ErrorResponse{Error: msg})
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	same := []string{refuse(http.StatusBadRequest, "nope"), refuse(http.StatusBadRequest, "nope")}
+	_, rts := startRouter(t, same, Options{})
+	if code, body := postRaw(t, rts.URL+"/query", `{"values":["a"]}`); code != http.StatusBadRequest || !strings.Contains(body, `"nope"`) {
+		t.Fatalf("unanimous refusal: HTTP %d %s, want the shards' 400 relayed", code, body)
+	}
+
+	differ := []string{refuse(http.StatusBadRequest, "nope"), refuse(http.StatusBadRequest, "never")}
+	_, rts = startRouter(t, differ, Options{})
+	if code, _ := postRaw(t, rts.URL+"/query", `{"values":["a"]}`); code != http.StatusBadGateway {
+		t.Fatalf("shards refusing differently: HTTP %d, want 502", code)
+	}
+	text := scrapeText(t, rts.URL)
+	for _, u := range differ {
+		if want := `lshrouter_shard_errors_total{shard="` + u + `"} 1`; !strings.Contains(text, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	_, rts = startRouter(t, []string{refuse(http.StatusBadRequest, "nope"), dead.URL}, Options{})
+	if code, _ := postRaw(t, rts.URL+"/query", `{"values":["a"]}`); code != http.StatusBadGateway {
+		t.Fatalf("a refusal beside an outage: HTTP %d, want 502", code)
+	}
+}
+
+func TestMergeSorted(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		lists [][]string
+		want  []string
+	}{
+		{"nothing", nil, []string{}},
+		{"one list", [][]string{{"a", "c"}}, []string{"a", "c"}},
+		{"disjoint", [][]string{{"a", "d"}, {"b", "c", "e"}}, []string{"a", "b", "c", "d", "e"}},
+		{"replicated keys", [][]string{{"a", "b", "c"}, {"b", "c", "d"}, {"a", "d"}}, []string{"a", "b", "c", "d"}},
+		{"empty lists among full", [][]string{{}, {"x"}, nil}, []string{"x"}},
+		{"duplicate inside a list", [][]string{{"a", "a", "b"}, {"b"}}, []string{"a", "b"}},
+		{"unsorted list", [][]string{{"c", "a"}, {"b", "d"}}, []string{"a", "b", "c", "d"}},
+		{"unsorted with duplicates", [][]string{{"d", "b", "d"}, {"a", "b"}}, []string{"a", "b", "d"}},
+		{"unsorted tail", [][]string{{"a", "b", "z", "c"}, {"y"}}, []string{"a", "b", "c", "y", "z"}},
+	} {
+		if got := mergeSorted(c.lists); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: mergeSorted(%v) = %v, want %v", c.name, c.lists, got, c.want)
+		}
+	}
+}
+
+// TestRouterMergesUnsortedShard: a shard that breaks the sorted-and-unique
+// contract of its match lists (a stub here) still cannot make the merged
+// answer unsorted or duplicated — the merge falls back to sort and dedup.
+func TestRouterMergesUnsortedShard(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		unsorted := serve.QueryResponse{Matches: []string{"d900", "d001", "d900", "d000"}, Count: 4}
+		switch r.URL.Path {
+		case "/query":
+			serve.WriteJSON(w, http.StatusOK, unsorted)
+		case "/query/batch":
+			serve.WriteJSON(w, http.StatusOK, serve.BatchResponse{Rows: []serve.QueryResponse{unsorted, {Matches: []string{}}}})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(stub.Close)
+	urls, shards := startShards(t, 1)
+	_, rts := startRouter(t, append(urls, stub.URL), Options{})
+	hasher := lshensemble.NewHasher(testNumHash, testSeed)
+	for i := 0; i < 12; i++ {
+		if _, err := shards[0].srv.Index().Add(lshensemble.SketchStrings(hasher, domainKey(i), windowValues(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	check := func(what string, got []string) {
+		t.Helper()
+		if !containsKey(got, "d900") || !containsKey(got, domainKey(2)) {
+			t.Fatalf("%s: merge lost a shard's keys: %v", what, got)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("%s: merged matches unsorted or duplicated at %d: %v", what, i, got)
+			}
+		}
+	}
+	var q RouterQueryResponse
+	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(2), Threshold: 0.3}, &q); code != http.StatusOK {
+		t.Fatalf("query: HTTP %d", code)
+	}
+	check("/query", q.Matches)
+	var b RouterBatchResponse
+	batch := serve.BatchRequest{Queries: []serve.QueryRequest{{Values: windowValues(2), Threshold: 0.3}, {Values: windowValues(5)}}}
+	if code := postJSON(t, rts.URL+"/query/batch", batch, &b); code != http.StatusOK || len(b.Rows) != 2 {
+		t.Fatalf("batch: HTTP %d rows %d", code, len(b.Rows))
+	}
+	check("/query/batch row 0", b.Rows[0].Matches)
+	if b.Rows[0].Count != len(b.Rows[0].Matches) {
+		t.Fatalf("batch row count %d != %d matches", b.Rows[0].Count, len(b.Rows[0].Matches))
+	}
+}
+
+// swapHandler is a shard address whose server can be replaced under the
+// router's feet — a restart — and whose /healthz can be failed to walk the
+// shard through demotion and promotion.
+type swapHandler struct {
+	mu    sync.Mutex
+	next  http.Handler
+	down  atomic.Bool
+	stats atomic.Int64 // GET /stats served
+}
+
+func (h *swapHandler) swap(next http.Handler) {
+	h.mu.Lock()
+	h.next = next
+	h.mu.Unlock()
+}
+
+func (h *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/healthz" && h.down.Load() {
+		http.Error(w, "sick", http.StatusServiceUnavailable)
+		return
+	}
+	if r.URL.Path == "/stats" {
+		h.stats.Add(1)
+	}
+	h.mu.Lock()
+	next := h.next
+	h.mu.Unlock()
+	next.ServeHTTP(w, r)
+}
+
+func newShardServer(t *testing.T, seed uint64) *serve.Server {
+	t.Helper()
+	idx, err := lshensemble.BuildLive(nil, testLiveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(idx.Close)
+	return serve.New(idx, lshensemble.NewHasher(testNumHash, seed), seed, "")
+}
+
+func startSwappable(t *testing.T, n int) ([]string, []*swapHandler, []*serve.Server) {
+	t.Helper()
+	urls := make([]string, n)
+	fronts := make([]*swapHandler, n)
+	servers := make([]*serve.Server, n)
+	for i := range urls {
+		servers[i] = newShardServer(t, testSeed)
+		fronts[i] = &swapHandler{next: servers[i]}
+		ts := httptest.NewServer(fronts[i])
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	return urls, fronts, servers
+}
+
+// TestShardRestartedWithAnotherSeed: a shard that comes back sketching with
+// another seed refuses the router's sketched legs, so its leg fails and the
+// answer goes partial — what it holds is never merged as if comparable. The
+// refusal makes the router ask for the shard's family again: /ring shows the
+// fleet mixed and queries fall back to raw values until the operator fixes
+// the seed, after which the promotion re-learns the family.
+func TestShardRestartedWithAnotherSeed(t *testing.T) {
+	urls, fronts, servers := startSwappable(t, 2)
+	router, rts := startRouter(t, urls, Options{HealthFailures: 1})
+	router.CheckHealth()
+	addVia(t, rts.URL, 40)
+	if fam := ringFamily(t, rts.URL); fam.State != "known" || fam.Seed != testSeed || fam.NumHash != testNumHash {
+		t.Fatalf("family after the first health tick: %+v, want known %d/%d", fam, testSeed, testNumHash)
+	}
+
+	// What shard 0 alone answers: the most a fleet with shard 1 gone can say.
+	values := windowValues(5)
+	rec := lshensemble.SketchStrings(lshensemble.NewHasher(testNumHash, testSeed), "query", values)
+	want := servers[0].Index().Query(rec.Sig, rec.Size, 0.3)
+	sort.Strings(want)
+
+	// Shard 1 restarts under another seed, holding domains sketched with it.
+	other := newShardServer(t, testSeed+1)
+	otherHasher := lshensemble.NewHasher(testNumHash, testSeed+1)
+	for i := 0; i < 40; i++ {
+		if _, err := other.Index().Add(lshensemble.SketchStrings(otherHasher, "alien-"+domainKey(i), windowValues(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fronts[1].swap(other)
+
+	var got RouterQueryResponse
+	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.3}, &got); code != http.StatusOK {
+		t.Fatalf("query with a re-seeded shard: HTTP %d", code)
+	}
+	if !got.Partial || !sameStrings(got.Failed, []string{urls[1]}) {
+		t.Fatalf("re-seeded shard's leg not failed: partial=%v failed=%v matches=%v", got.Partial, got.Failed, got.Matches)
+	}
+	if !sameStrings(got.Matches, want) {
+		t.Fatalf("partial answer %v, want shard 0's own %v (nothing of the re-seeded shard merged)", got.Matches, want)
+	}
+	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_shard_errors_total{shard="`+urls[1]+`"} 1`) {
+		t.Errorf("the refused leg was not counted against the shard:\n%s", text)
+	}
+
+	// The refusal cleared what the router believed of shard 1; the next tick
+	// asks again and finds the fleet mixed. Raw legs then: every shard sketches
+	// for itself, nobody fails.
+	if fam := ringFamily(t, rts.URL); fam.State != "unknown" {
+		t.Fatalf("family right after the refusal: %+v, want unknown", fam)
+	}
+	router.CheckHealth()
+	if fam := ringFamily(t, rts.URL); fam.State != "mixed" || fam.Seed != 0 {
+		t.Fatalf("family with a re-seeded shard: %+v, want mixed", fam)
+	}
+	got = RouterQueryResponse{}
+	postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.3}, &got)
+	if got.Partial || !containsKey(got.Matches, "alien-"+domainKey(5)) {
+		t.Fatalf("mixed fleet on raw legs: partial=%v matches=%v", got.Partial, got.Matches)
+	}
+
+	// The operator takes the shard down and brings it back under the right
+	// seed: demotion leaves a one-shard fleet with a known family, promotion
+	// re-learns shard 1's and sketched legs are back, answering in full.
+	fronts[1].down.Store(true)
+	router.CheckHealth()
+	if fam := ringFamily(t, rts.URL); fam.State != "known" {
+		t.Fatalf("family with the odd shard demoted: %+v, want known", fam)
+	}
+	fronts[1].swap(servers[1])
+	fronts[1].down.Store(false)
+	statsBefore := fronts[1].stats.Load()
+	router.CheckHealth()
+	if fam := ringFamily(t, rts.URL); fam.State != "known" || fam.Seed != testSeed {
+		t.Fatalf("family after the repaired shard's promotion: %+v, want known seed %d", fam, testSeed)
+	}
+	if n := fronts[1].stats.Load() - statsBefore; n != 1 {
+		t.Fatalf("promotion fetched the shard's /stats %d times, want once", n)
+	}
+	got = RouterQueryResponse{}
+	postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.3}, &got)
+	if got.Partial || containsKey(got.Matches, "alien-"+domainKey(5)) || !containsKey(got.Matches, domainKey(5)) {
+		t.Fatalf("repaired fleet: partial=%v matches=%v", got.Partial, got.Matches)
+	}
+}
+
+// TestFamilyLearnedOnceOnDemand: queries that arrive before any health tick
+// trigger exactly one /stats fetch per shard between them, go out sketched,
+// and a shard whose /stats fails is neither counted as erring nor re-asked by
+// every query that follows.
+func TestFamilyLearnedOnceOnDemand(t *testing.T) {
+	urls, fronts, _ := startSwappable(t, 2)
+	_, rts := startRouter(t, urls, Options{}) // never Started, no CheckHealth
+	if fam := ringFamily(t, rts.URL); fam.State != "unknown" {
+		t.Fatalf("family before any query or tick: %+v, want unknown", fam)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if code, body := postRaw(t, rts.URL+"/query", fmt.Sprintf(`{"values":["v%d","w"]}`, i)); code != http.StatusOK {
+				t.Errorf("first-wave query %d: HTTP %d %s", i, code, body)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, f := range fronts {
+		if n := f.stats.Load(); n != 1 {
+			t.Errorf("shard %d served /stats %d times for 8 racing first queries, want 1", i, n)
+		}
+	}
+	text := scrapeText(t, rts.URL)
+	if !strings.Contains(text, `lshrouter_scatter_total{form="sketched"} 8`) || !strings.Contains(text, `lshrouter_scatter_total{form="raw"} 0`) {
+		t.Errorf("first-wave queries did not all go out sketched:\n%s", text)
+	}
+	var ring RingResponse
+	getJSON(t, rts.URL+"/ring", &ring)
+	for _, si := range ring.Shards {
+		if si.Family == nil || si.Family.Seed != testSeed || si.Family.NumHash != testNumHash {
+			t.Errorf("/ring shard %s family %+v, want %d/%d", si.Name, si.Family, testSeed, testNumHash)
+		}
+	}
+
+	// A shard that cannot say its family: raw legs, no shard error, and one
+	// on-demand attempt in all, not one per query.
+	mute := &swapHandler{next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/stats" {
+			http.Error(w, "no", http.StatusInternalServerError)
+			return
+		}
+		serve.WriteJSON(w, http.StatusOK, serve.QueryResponse{Matches: []string{}})
+	})}
+	mts := httptest.NewServer(mute)
+	t.Cleanup(mts.Close)
+	_, rts2 := startRouter(t, []string{urls[0], mts.URL}, Options{})
+	for i := 0; i < 3; i++ {
+		if code, body := postRaw(t, rts2.URL+"/query", `{"values":["a"]}`); code != http.StatusOK || strings.Contains(body, `"partial":true`) {
+			t.Fatalf("query beside a mute shard: HTTP %d %s", code, body)
+		}
+	}
+	if n := mute.stats.Load(); n != 1 {
+		t.Errorf("mute shard asked for /stats %d times by 3 queries, want 1", n)
+	}
+	text = scrapeText(t, rts2.URL)
+	if !strings.Contains(text, `lshrouter_scatter_total{form="raw"} 3`) || !strings.Contains(text, `lshrouter_shard_errors_total{shard="`+mts.URL+`"} 0`) {
+		t.Errorf("mute shard: want 3 raw scatters and no shard error:\n%s", text)
+	}
+	if fam := ringFamily(t, rts2.URL); fam.State != "unknown" {
+		t.Errorf("family beside a mute shard: %+v, want unknown", fam)
+	}
+}
+
+// TestRouterBoundsSketchedBatch: a batch whose framed form would pass the
+// shard's request limit is refused before any row is sketched.
+func TestRouterBoundsSketchedBatch(t *testing.T) {
+	urls, _ := startShards(t, 1)
+	router, rts := startRouter(t, urls, Options{})
+	router.CheckHealth()
+	rows := serve.MaxRequestBody/(testNumHash*8+64) + 1
+	var body strings.Builder
+	body.WriteString(`{"queries":[`)
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		body.WriteString(`{"values":["a"]}`)
+	}
+	body.WriteString(`]}`)
+	code, answer := postRaw(t, rts.URL+"/query/batch", body.String())
+	if code != http.StatusBadRequest || !strings.Contains(answer, "split the batch") {
+		t.Fatalf("oversized batch: HTTP %d %s, want a 400 asking to split it", code, answer)
+	}
+}

@@ -491,8 +491,9 @@ func (x *Index) getObserver() Observer {
 // of the aggregate Stats.Planner counters. The serving layer uses it to
 // dump a planner breakdown into the slow-query log.
 //
-// Only the single-query path (Query/QueryContext/QueryAppend*) fills a
-// trace; batch and top-k queries ignore it.
+// The single-query path (Query/QueryContext/QueryAppend*) fills all of it.
+// A top-k query fills ResultCacheHit, Segments and Buffered — its ladder
+// has no per-segment decision to count — and batches ignore it.
 type QueryTrace struct {
 	// ResultCacheHit reports the query was answered from the result cache
 	// without touching a segment.
@@ -520,8 +521,8 @@ type QueryTrace struct {
 // traceCtxKey carries a *QueryTrace in a context.
 type traceCtxKey struct{}
 
-// WithQueryTrace returns ctx carrying t; the next single query run under
-// the returned context fills it in.
+// WithQueryTrace returns ctx carrying t; the next single or top-k query run
+// under the returned context fills it in.
 func WithQueryTrace(ctx context.Context, t *QueryTrace) context.Context {
 	return context.WithValue(ctx, traceCtxKey{}, t)
 }
@@ -815,7 +816,7 @@ func (x *Index) queryAppendContext(ctx context.Context, dst []string, sig minhas
 	// A canceled fan-out collected only a prefix of the answer; caching it
 	// would serve the truncation to later, uncanceled queries.
 	if err == nil && x.rc != nil {
-		x.storeResult(sn, sig, querySize, tBits, h, dst[base:])
+		x.storeResult(sn, sig, querySize, tBits, h, dst[base:], nil)
 	}
 	x.releaseSnap(sn)
 	return dst, err
@@ -1158,7 +1159,7 @@ func (x *Index) queryBatchContext(ctx context.Context, queries []core.BatchQuery
 			}
 		}
 		if x.rc != nil {
-			x.storeResult(sn, norm[qi].Sig, norm[qi].Size, tBitsOf[qi], hashOf[qi], rows[qi])
+			x.storeResult(sn, norm[qi].Sig, norm[qi].Size, tBitsOf[qi], hashOf[qi], rows[qi], nil)
 		}
 	}
 	return rows, nil
@@ -1170,7 +1171,9 @@ func (x *Index) queryBatchContext(ctx context.Context, queries []core.BatchQuery
 // in descending order of their largest partition bound: once k collected
 // results all score strictly above the containment cap of every remaining
 // segment, those segments are skipped — they provably cannot alter the
-// top k. Like Query it is lock-free against writers and the compactor.
+// top k. Like Query it is lock-free against writers and the compactor, and
+// like Query it answers a repeat of (signature, size, k) on an unchanged
+// index from the result cache: the caller owns the returned slice either way.
 func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKResult {
 	results, _ := x.QueryTopKContext(context.Background(), sig, querySize, k)
 	return results
@@ -1178,7 +1181,8 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKRe
 
 // QueryTopKContext is QueryTopK under a context: ctx is checked before each
 // segment visit, so a canceled request stops ranking instead of walking the
-// remaining segments. On cancellation it returns (nil, ctx.Err()).
+// remaining segments. On cancellation it returns (nil, ctx.Err()), and the
+// partial ranking is never cached.
 func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
 	if o := x.getObserver(); o != nil {
 		start := time.Now()
@@ -1199,6 +1203,24 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 	sig = sig[:x.opts.NumHash]
 	sn := x.acquireSnap()
 	defer x.releaseSnap(sn)
+	tr := queryTraceFrom(ctx)
+	if tr != nil {
+		tr.Segments = len(sn.segs)
+		tr.Buffered = len(sn.buf)
+	}
+	var h uint64
+	kBits := topKBits(k)
+	if x.rc != nil {
+		h = queryHash(sig, querySize, kBits)
+		if e := x.lookupResult(sn, sig, querySize, kBits, h); e != nil {
+			x.resHits.Add(1)
+			if tr != nil {
+				tr.ResultCacheHit = true
+			}
+			return append([]core.TopKResult(nil), e.ranked...), nil
+		}
+		x.resMisses.Add(1)
+	}
 	q := float64(querySize)
 	// Tombstoned candidates are filtered after collection, so ask each
 	// segment for enough ids to survive the worst-case filtering.
@@ -1264,6 +1286,9 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 	}
 	if terminated {
 		x.topkEarlyExits.Add(1)
+	}
+	if x.rc != nil {
+		x.storeResult(sn, sig, querySize, kBits, h, nil, results)
 	}
 	return results, nil
 }

@@ -56,8 +56,9 @@ import (
 //     reads and a slice per segment (BenchmarkPlanFor, 8 × 16: ~35 ns
 //     against ~3.5 µs), and what it costs is a plan rebuilt and a map copied
 //     for every (querySize, tStar) pair outside its 256-entry working set;
-//   - the result cache memoizes exact query results, keyed to gen (bumped
-//     on every publish — any mutation invalidates all cached results).
+//   - the result cache memoizes exact query results — threshold queries'
+//     key lists and top-k rankings alike — keyed to gen (bumped on every
+//     publish — any mutation invalidates all cached results).
 
 // Bloom operating points (see bloom.New). Keys use ~1% false positives:
 // a false positive merely costs one unnecessary tombstone sweep. Leading
@@ -313,15 +314,21 @@ func (x *Index) planFor(sn *snapshot, querySize int, tStar float64) *segPlan {
 // immutable after the entry is published except stamp, the approximate-LRU
 // clock tick of its last use.
 type resultEntry struct {
-	gen   uint64            // snapshot generation the result was computed on
-	hash  uint64            // queryHash of (sig, size, tBits)
-	size  int               // exact query size
-	tBits uint64            // raw bits of the clamped threshold
-	sig   minhash.Signature // private copy of the query signature
-	keys  []string          // the result, in fan-out order
+	gen    uint64            // snapshot generation the result was computed on
+	hash   uint64            // queryHash of (sig, size, tBits)
+	size   int               // exact query size
+	tBits  uint64            // raw bits of the clamped threshold, or topKBits(k)
+	sig    minhash.Signature // private copy of the query signature
+	keys   []string          // a threshold query's result, in fan-out order
+	ranked []core.TopKResult // a top-k query's result, best first
 
 	stamp atomic.Uint64
 }
+
+// topKBits is the third key word of a ranked query, in the place a threshold
+// query keeps its threshold bits. The sign bit keeps the two apart: no
+// clamped threshold is negative.
+func topKBits(k int) uint64 { return 1<<63 | uint64(k) }
 
 // rcWays is the set associativity of the result cache: a query hashes to
 // one set of rcWays slots, probed linearly. Four ways keeps the probe cost
@@ -402,7 +409,7 @@ func (x *Index) lookupResult(sn *snapshot, sig minhash.Signature, querySize int,
 // (in order of preference) an empty slot, a stale-generation entry, or the
 // least recently stamped one. Races between concurrent inserts are benign:
 // slots are single atomic pointers, so a lost insert just misses next time.
-func (x *Index) storeResult(sn *snapshot, sig minhash.Signature, querySize int, tBits, h uint64, keys []string) {
+func (x *Index) storeResult(sn *snapshot, sig minhash.Signature, querySize int, tBits, h uint64, keys []string, ranked []core.TopKResult) {
 	base := int(h&x.rcMask) * rcWays
 	victim := 0
 	var minStamp uint64 = math.MaxUint64
@@ -417,12 +424,13 @@ func (x *Index) storeResult(sn *snapshot, sig minhash.Signature, querySize int, 
 		}
 	}
 	e := &resultEntry{
-		gen:   sn.gen,
-		hash:  h,
-		size:  querySize,
-		tBits: tBits,
-		sig:   append(minhash.Signature(nil), sig...),
-		keys:  append([]string(nil), keys...),
+		gen:    sn.gen,
+		hash:   h,
+		size:   querySize,
+		tBits:  tBits,
+		sig:    append(minhash.Signature(nil), sig...),
+		keys:   append([]string(nil), keys...),
+		ranked: append([]core.TopKResult(nil), ranked...),
 	}
 	e.stamp.Store(x.rcClock.Add(1))
 	x.rc[base+victim].Store(e)

@@ -2,22 +2,30 @@
 // handler set behind both cmd/lshensembled (a single shard) and the shards
 // that cmd/lshrouter scatters to. Extracting it from the daemon binary keeps
 // exactly one implementation of the wire protocol: the router forwards and
-// merges the same JSON types a shard serves, and the router's multi-shard
-// tests spin up real shard handlers in-process via httptest.
+// merges the same types a shard serves, and the router's multi-shard tests
+// spin up real shard handlers in-process via httptest.
 //
 // Queries hit the live index's lock-free snapshot path and therefore never
 // contend with ingest; mutation endpoints go straight to Add/Delete, which
-// never block queries either. Domain values are sketched server-side with
-// the daemon's hash family, so clients speak raw strings and signatures
-// never cross the wire.
+// never block queries either. A query arrives in one of two forms. The JSON
+// form carries the domain's raw string values, and the shard sketches them
+// with its own hash family. The framed form (SketchedContentType, laid out
+// under "wire types" below) carries the finished MinHash signature instead,
+// so whoever holds the family — the router, which reads seed and num_hash
+// off /stats, or any other client that does — sketches a query once, however
+// many shards it is sent to. Both forms resolve through the same code into
+// the same (signature, size, threshold) and so the same answer bytes; /add
+// always takes raw values, so no stored signature ever comes from outside.
 //
 // Every query handler threads the request context into the index
 // (QueryContext / QueryTopKContext / QueryBatchContext), so a client that
-// disconnects — or a router whose per-shard deadline expires — stops the
+// disconnects — or a router whose scatter deadline expires — stops the
 // in-flight work instead of burning CPU on an answer nobody will read.
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -31,6 +39,7 @@ import (
 	"time"
 
 	"lshensemble"
+	"lshensemble/internal/minhash"
 	"lshensemble/internal/obs"
 	"lshensemble/internal/segfile"
 )
@@ -50,6 +59,9 @@ type Server struct {
 	reg       *obs.Registry
 	httpm     *obs.HTTPMetrics
 	slowQuery time.Duration
+	// sketched counts framed requests per query endpoint (indexed by
+	// LiveQueryKind); nil entries when metrics are disabled.
+	sketched [3]*obs.Counter
 }
 
 // Options configures the server's observability. The zero value serves with
@@ -151,6 +163,9 @@ func (s *Server) registerIndexMetrics(prefix string) {
 		qo.hists[k] = s.reg.Histogram(prefix+"_live_query_seconds",
 			"Live index query latency by entry point (batch = whole batch).",
 			nil, obs.L("op", k.String()))
+		s.sketched[k] = s.reg.Counter(prefix+"_sketched_requests_total",
+			"Query requests that arrived pre-sketched (framed form), by entry point.",
+			obs.L("op", k.String()))
 	}
 	s.idx.SetObserver(qo)
 
@@ -226,6 +241,22 @@ func (s *Server) Seed() uint64 { return s.seed }
 // These are the shard protocol: the router speaks exactly these types when
 // forwarding writes and scattering queries, and extends the responses with
 // partial-result fields of its own (internal/cluster).
+//
+// /query, /query/topk and /query/batch accept two request forms, told apart
+// by Content-Type. Anything but SketchedContentType is the JSON form: one
+// QueryRequest, TopKRequest or BatchRequest document with raw values. The
+// framed form is the same request pre-sketched:
+//
+//	uint32 LE   n, the length of the document
+//	n bytes     JSON document: SketchedQuery, SketchedTopK or SketchedBatch —
+//	            the endpoint's request type plus "seed", with no "values" and
+//	            an explicit "size" > 0 in every row
+//	the rest    one signature per row (one row, or one per batch query, in
+//	            order), each exactly num_hash uint64 LE words ≤ 2^61−1
+//
+// Anyone who knows the shard's hash family (seed and num_hash, both in
+// GET /stats) may send it, not only the router; decodeSketched refuses a
+// frame from any other family, of any other length, with a 400.
 
 // AddRequest ingests one domain; values are sketched server-side.
 type AddRequest struct {
@@ -252,7 +283,7 @@ type DeleteResponse struct {
 
 // QueryRequest is one containment query over raw string values.
 type QueryRequest struct {
-	Values []string `json:"values"`
+	Values []string `json:"values,omitempty"`
 	// Threshold is the containment threshold t*; 0 means the 0.5 default.
 	Threshold float64 `json:"threshold"`
 	// Size optionally overrides |Q| (defaults to the distinct value count).
@@ -267,7 +298,7 @@ type QueryResponse struct {
 
 // TopKRequest is one ranked containment query.
 type TopKRequest struct {
-	Values []string `json:"values"`
+	Values []string `json:"values,omitempty"`
 	// K is the number of ranked results to return; 0 means 10.
 	K int `json:"k"`
 	// Size optionally overrides |Q| (defaults to the distinct value count).
@@ -307,6 +338,109 @@ type StatsResponse struct {
 	NumHash int    `json:"num_hash"`
 	RMax    int    `json:"r_max"`
 	Seed    uint64 `json:"seed"`
+	// Sketched reports that the query endpoints accept the framed form; a
+	// shard from before it existed reports false by omission, which is how a
+	// router in a fleet mid-upgrade knows to keep sending raw values.
+	Sketched bool `json:"sketched"`
+}
+
+// SketchedContentType marks a query request in the framed, pre-sketched form.
+const SketchedContentType = "application/x-lshensemble-sketched"
+
+// SketchedQuery is the document of a framed /query.
+type SketchedQuery struct {
+	// Seed is the hash-family seed the signature was sketched with.
+	Seed uint64 `json:"seed"`
+	QueryRequest
+}
+
+// SketchedTopK is the document of a framed /query/topk.
+type SketchedTopK struct {
+	Seed uint64 `json:"seed"`
+	TopKRequest
+}
+
+// SketchedBatch is the document of a framed /query/batch; its trailer holds
+// one signature per query, in order.
+type SketchedBatch struct {
+	Seed uint64 `json:"seed"`
+	BatchRequest
+}
+
+// sketchedDoc is what decodeSketched needs of a document: the sender's seed
+// and how many signatures the trailer must hold.
+type sketchedDoc interface {
+	frame() (seed uint64, rows int)
+}
+
+func (d *SketchedQuery) frame() (uint64, int) { return d.Seed, 1 }
+func (d *SketchedTopK) frame() (uint64, int)  { return d.Seed, 1 }
+func (d *SketchedBatch) frame() (uint64, int) { return d.Seed, len(d.Queries) }
+
+// AppendSketched appends the framed form of one request to dst: doc (a
+// *SketchedQuery, *SketchedTopK or *SketchedBatch) and its signature rows.
+func AppendSketched(dst []byte, doc any, sigs ...lshensemble.Signature) ([]byte, error) {
+	b, err := json.Marshal(doc)
+	if err != nil {
+		return dst, fmt.Errorf("encoding sketched document: %w", err)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
+	dst = append(dst, b...)
+	for _, sig := range sigs {
+		for _, v := range sig {
+			dst = binary.LittleEndian.AppendUint64(dst, v)
+		}
+	}
+	return dst, nil
+}
+
+// decodeSketched parses one framed request body for a shard whose family is
+// (seed, numHash): the document lands in doc and the trailer comes back as
+// one signature per row. It is all or nothing — a frame sketched under
+// another seed, a trailer that is not exactly rows × numHash words, or a word
+// no hash of the family can produce is an error, never a shorter answer.
+// What a row must say beyond that (a size, no values) is Resolve's to check.
+func decodeSketched(body []byte, doc sketchedDoc, seed uint64, numHash int) ([]lshensemble.Signature, error) {
+	if len(body) < 4 {
+		return nil, errors.New("sketched request shorter than its length prefix")
+	}
+	n := binary.LittleEndian.Uint32(body)
+	body = body[4:]
+	if uint64(n) > uint64(len(body)) {
+		return nil, fmt.Errorf("sketched document of %d bytes truncated at %d", n, len(body))
+	}
+	dec := json.NewDecoder(bytes.NewReader(body[:n]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(doc); err != nil {
+		return nil, fmt.Errorf("decoding sketched document: %w", err)
+	}
+	if dec.More() {
+		return nil, errors.New("sketched document holds more than one JSON value")
+	}
+	got, rows := doc.frame()
+	if got != seed {
+		return nil, fmt.Errorf("sketched with hash seed %d, this shard's is %d (signatures would be incomparable)", got, seed)
+	}
+	if rows == 0 {
+		return nil, errors.New("queries must be non-empty")
+	}
+	trailer := body[n:]
+	if len(trailer)%(8*numHash) != 0 || len(trailer)/(8*numHash) != rows {
+		return nil, fmt.Errorf("signature trailer of %d bytes, want %d rows × %d words × 8", len(trailer), rows, numHash)
+	}
+	words := make([]uint64, rows*numHash)
+	for i := range words {
+		v := binary.LittleEndian.Uint64(trailer[8*i:])
+		if v > minhash.MersennePrime {
+			return nil, fmt.Errorf("signature word %d is %d, beyond the hash range", i, v)
+		}
+		words[i] = v
+	}
+	sigs := make([]lshensemble.Signature, rows)
+	for i := range sigs {
+		sigs[i] = words[i*numHash : (i+1)*numHash : (i+1)*numHash]
+	}
+	return sigs, nil
 }
 
 // SaveResponse reports a persisted snapshot.
@@ -329,7 +463,18 @@ const MaxRequestBody = 64 << 20
 // DecodeJSON decodes a bounded JSON request body into dst, writing a 400
 // error response and returning false on malformed input.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
+	return decodeStrict(w, http.MaxBytesReader(w, r.Body, MaxRequestBody), dst)
+}
+
+// ReadJSON is DecodeJSON for a caller that also wants the body's bytes (the
+// router forwards them as they came): it reads the body whole, then decodes.
+func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
+	body, ok := readBody(w, r)
+	return body, ok && decodeStrict(w, bytes.NewReader(body), dst)
+}
+
+func decodeStrict(w http.ResponseWriter, rd io.Reader, dst any) bool {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -384,15 +529,92 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, DeleteResponse{Deleted: s.idx.Delete(req.Key)})
 }
 
-// sketchQuery turns one wire query into (signature, size, threshold).
-func (s *Server) sketchQuery(q *QueryRequest) (lshensemble.BatchQuery, error) {
-	if len(q.Values) == 0 {
-		return lshensemble.BatchQuery{}, errors.New("values must be non-empty")
+// readBody reads a bounded request body whole, writing a 400 error response
+// and returning false when it cannot.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	// Sized from Content-Length so the usual body is read in one allocation;
+	// the header is a hint from outside, so it only ever shrinks the guess.
+	hint := r.ContentLength
+	if hint < 0 || hint > 1<<20 {
+		hint = 1 << 20
 	}
-	rec := lshensemble.SketchStrings(s.hasher, "query", q.Values)
-	size := rec.Size
-	if q.Size > 0 {
-		size = q.Size
+	buf := bytes.NewBuffer(make([]byte, 0, hint+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBody)); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// decodeQuery reads either form of a query request. The JSON form lands in
+// raw and returns no signatures; the framed form lands in doc — which embeds
+// raw, so the handler reads the same fields either way — and returns one
+// signature per row. On a refusal it has written the 400 and returns false.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, kind lshensemble.LiveQueryKind, raw any, doc sketchedDoc) ([]lshensemble.Signature, bool) {
+	if r.Header.Get("Content-Type") != SketchedContentType {
+		return nil, DecodeJSON(w, r, raw)
+	}
+	if c := s.sketched[kind]; c != nil {
+		c.Inc()
+	}
+	body, ok := readBody(w, r)
+	if !ok {
+		return nil, false
+	}
+	sigs, err := decodeSketched(body, doc, s.seed, s.idx.Options().NumHash)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	return sigs, true
+}
+
+// rowSig is row i's pre-sketched signature, nil in the JSON form.
+func rowSig(sigs []lshensemble.Signature, i int) lshensemble.Signature {
+	if sigs == nil {
+		return nil
+	}
+	return sigs[i]
+}
+
+// checkRow refuses a row that has neither values nor a signature, or a
+// pre-sketched row that still carries values or lacks the size only its
+// sender could count.
+func checkRow(values []string, size int, sig lshensemble.Signature) error {
+	switch {
+	case sig == nil && len(values) == 0:
+		return errors.New("values must be non-empty")
+	case sig != nil && len(values) > 0:
+		return errors.New("values and a signature are mutually exclusive")
+	case sig != nil && size <= 0:
+		return fmt.Errorf("size %d must be positive with a signature", size)
+	}
+	return nil
+}
+
+// sketchRow is a checked row's signature and |Q|: the pre-sketched signature
+// under the size it came with, or values sketched with h, whose distinct
+// count a positive size overrides.
+func sketchRow(h *lshensemble.Hasher, values []string, size int, sig lshensemble.Signature) (lshensemble.Signature, int) {
+	if sig != nil {
+		return sig, size
+	}
+	rec := lshensemble.SketchStrings(h, "query", values)
+	if size <= 0 {
+		size = rec.Size
+	}
+	return rec.Sig, size
+}
+
+// Resolve validates one wire query and turns it into what the index is
+// asked. With a nil sig it is the JSON form and Values are sketched with h;
+// a non-nil sig is the row's pre-sketched signature. The router resolves a
+// client's query with the fleet's family and sends the result on framed, the
+// shard resolves that frame again: one function on both sides, so one set of
+// refusals and one (signature, size, threshold) whichever side sketched.
+func (q *QueryRequest) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.BatchQuery, error) {
+	if err := checkRow(q.Values, q.Size, sig); err != nil {
+		return lshensemble.BatchQuery{}, err
 	}
 	t := q.Threshold
 	if t == 0 {
@@ -401,27 +623,56 @@ func (s *Server) sketchQuery(q *QueryRequest) (lshensemble.BatchQuery, error) {
 	if t < 0 || t > 1 {
 		return lshensemble.BatchQuery{}, fmt.Errorf("threshold %v out of range (0, 1]", t)
 	}
-	return lshensemble.BatchQuery{Sig: rec.Sig, Size: size, Threshold: t}, nil
+	sig, size := sketchRow(h, q.Values, q.Size, sig)
+	return lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: t}, nil
+}
+
+// Resolve is QueryRequest.Resolve for a ranked query: the signature, |Q| and
+// the k to rank (0 means 10).
+func (q *TopKRequest) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.Signature, int, int, error) {
+	if err := checkRow(q.Values, q.Size, sig); err != nil {
+		return nil, 0, 0, err
+	}
+	if q.K < 0 {
+		return nil, 0, 0, fmt.Errorf("k %d must be positive", q.K)
+	}
+	k := q.K
+	if k == 0 {
+		k = 10
+	}
+	sig, size := sketchRow(h, q.Values, q.Size, sig)
+	return sig, size, k, nil
+}
+
+// Resolve resolves every row of a batch (see QueryRequest.Resolve); sigs is
+// nil in the JSON form, else one signature per row. An error names its row.
+func (b *BatchRequest) Resolve(h *lshensemble.Hasher, sigs []lshensemble.Signature) ([]lshensemble.BatchQuery, error) {
+	if len(b.Queries) == 0 {
+		return nil, errors.New("queries must be non-empty")
+	}
+	queries := make([]lshensemble.BatchQuery, len(b.Queries))
+	for i := range b.Queries {
+		q, err := b.Queries[i].Resolve(h, rowSig(sigs, i))
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		queries[i] = q
+	}
+	return queries, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !DecodeJSON(w, r, &req) {
+	var req SketchedQuery
+	sigs, ok := s.decodeQuery(w, r, lshensemble.KindLiveQuery, &req.QueryRequest, &req)
+	if !ok {
 		return
 	}
-	q, err := s.sketchQuery(&req)
+	q, err := req.Resolve(s.hasher, rowSig(sigs, 0))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx := r.Context()
-	var tr *lshensemble.LiveQueryTrace
-	var start time.Time
-	if s.slowQuery > 0 {
-		tr = new(lshensemble.LiveQueryTrace)
-		ctx = lshensemble.WithLiveQueryTrace(ctx, tr)
-		start = time.Now()
-	}
+	ctx, tr, start := s.traceSlow(r)
 	matches, err := s.idx.QueryContext(ctx, q.Sig, q.Size, q.Threshold)
 	if err != nil {
 		// The request context is canceled: the client is gone, nobody will
@@ -435,38 +686,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
-	var req TopKRequest
-	if !DecodeJSON(w, r, &req) {
+	var req SketchedTopK
+	sigs, ok := s.decodeQuery(w, r, lshensemble.KindLiveTopK, &req.TopKRequest, &req)
+	if !ok {
 		return
 	}
-	if len(req.Values) == 0 {
-		WriteError(w, http.StatusBadRequest, errors.New("values must be non-empty"))
+	sig, size, k, err := req.Resolve(s.hasher, rowSig(sigs, 0))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.K < 0 {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("k %d must be positive", req.K))
-		return
-	}
-	k := req.K
-	if k == 0 {
-		k = 10
-	}
-	rec := lshensemble.SketchStrings(s.hasher, "query", req.Values)
-	size := rec.Size
-	if req.Size > 0 {
-		size = req.Size
-	}
-	var start time.Time
-	if s.slowQuery > 0 {
-		start = time.Now()
-	}
-	ranked, err := s.idx.QueryTopKContext(r.Context(), rec.Sig, size, k)
+	ctx, tr, start := s.traceSlow(r)
+	ranked, err := s.idx.QueryTopKContext(ctx, sig, size, k)
 	if err != nil {
 		return // canceled: client gone
 	}
-	if s.slowQuery > 0 {
-		s.noteSlow(r, "topk", start, nil)
-	}
+	s.noteSlow(r, "topk", start, tr)
 	resp := TopKResponse{Matches: make([]TopKMatch, len(ranked)), Count: len(ranked)}
 	for i, m := range ranked {
 		resp.Matches[i] = TopKMatch{Key: m.Key, EstContainment: m.EstContainment}
@@ -475,22 +710,15 @@ func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !DecodeJSON(w, r, &req) {
+	var req SketchedBatch
+	sigs, ok := s.decodeQuery(w, r, lshensemble.KindLiveBatch, &req.BatchRequest, &req)
+	if !ok {
 		return
 	}
-	if len(req.Queries) == 0 {
-		WriteError(w, http.StatusBadRequest, errors.New("queries must be non-empty"))
+	queries, err := req.Resolve(s.hasher, sigs)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
-	}
-	queries := make([]lshensemble.BatchQuery, len(req.Queries))
-	for i := range req.Queries {
-		q, err := s.sketchQuery(&req.Queries[i])
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
-		}
-		queries[i] = q
 	}
 	var start time.Time
 	if s.slowQuery > 0 {
@@ -500,9 +728,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return // canceled: client gone, stop burning CPU on the batch
 	}
-	if s.slowQuery > 0 {
-		s.noteSlow(r, "batch", start, nil)
-	}
+	s.noteSlow(r, "batch", start, nil)
 	resp := BatchResponse{Rows: make([]QueryResponse, len(rows))}
 	for i, row := range rows {
 		sort.Strings(row)
@@ -511,10 +737,23 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
+// traceSlow arms the slow-query log for one single or ranked query: with a
+// threshold configured it returns the request context carrying a fresh
+// planner trace and the start time noteSlow measures from, otherwise the
+// request context alone.
+func (s *Server) traceSlow(r *http.Request) (context.Context, *lshensemble.LiveQueryTrace, time.Time) {
+	if s.slowQuery <= 0 {
+		return r.Context(), nil, time.Time{}
+	}
+	tr := new(lshensemble.LiveQueryTrace)
+	return lshensemble.WithLiveQueryTrace(r.Context(), tr), tr, time.Now()
+}
+
 // noteSlow logs one Warn line for a query that crossed the slow-query
-// threshold, keyed by trace_id. Single queries carry the planner's per-query
-// breakdown; topk/batch report latency only (their fan-out paths don't fill
-// a trace).
+// threshold, keyed by trace_id. A trace adds whether the result cache
+// answered and the snapshot's shape; single queries, the only path that
+// fills it, add the planner's per-segment breakdown. Batches report latency
+// only.
 func (s *Server) noteSlow(r *http.Request, op string, start time.Time, tr *lshensemble.LiveQueryTrace) {
 	if s.slowQuery <= 0 || start.IsZero() {
 		return
@@ -532,12 +771,16 @@ func (s *Server) noteSlow(r *http.Request, op string, start time.Time, tr *lshen
 		attrs = append(attrs,
 			slog.Bool("result_cache_hit", tr.ResultCacheHit),
 			slog.Int("segments", tr.Segments),
+			slog.Int("buffered", tr.Buffered),
+		)
+	}
+	if tr != nil && op == "query" {
+		attrs = append(attrs,
 			slog.Int("segments_probed", tr.SegmentsProbed),
 			slog.Int("segments_range_pruned", tr.SegmentsRangePruned),
 			slog.Int("segments_bloom_pruned", tr.SegmentsBloomPruned),
 			slog.Int("trees_probed", tr.TreesProbed),
 			slog.Int("trees_skipped", tr.TreesSkipped),
-			slog.Int("buffered", tr.Buffered),
 			slog.Bool("buffer_scanned", tr.BufferScanned),
 			slog.Bool("buffer_bloom_skipped", tr.BufferBloomSkipped),
 		)
@@ -552,6 +795,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		NumHash:   o.NumHash,
 		RMax:      o.RMax,
 		Seed:      s.seed,
+		Sketched:  true,
 	})
 }
 
