@@ -21,7 +21,6 @@ import (
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/obs"
 	"lshensemble/internal/partition"
-	"lshensemble/internal/staticlsh"
 	"lshensemble/internal/stats"
 	"lshensemble/internal/xrand"
 )
@@ -299,46 +298,6 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationStaticVsDynamic compares the classic fixed-(b,r)
-// MinHash LSH (Section 3.2) against the dynamic forest on query cost. The
-// static index cannot serve per-query thresholds — this measures the price
-// of the flexibility.
-func BenchmarkAblationStaticVsDynamic(b *testing.B) {
-	f := openDataFixture(b, 4000)
-	maxSize := 0
-	for _, r := range f.records {
-		if r.Size > maxSize {
-			maxSize = r.Size
-		}
-	}
-	b.Run("static", func(b *testing.B) {
-		sStar := staticlsh.ConvertThreshold(0.5, float64(maxSize), 100)
-		idx := staticlsh.NewForThreshold(256, sStar)
-		for _, r := range f.records {
-			idx.Add(r.Key, r.Sig)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			qi := f.queries[i%len(f.queries)]
-			idx.Query(f.records[qi].Sig)
-		}
-	})
-	b.Run("dynamic", func(b *testing.B) {
-		idx, err := lshensemble.BuildBaseline(f.records, 256, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, qi := range f.queries {
-			idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			qi := f.queries[i%len(f.queries)]
-			idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
-		}
-	})
 }
 
 // BenchmarkQuerySteadyStateAllocs measures the allocation profile of the

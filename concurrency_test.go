@@ -93,9 +93,10 @@ func TestConcurrentTopK(t *testing.T) {
 // TestConcurrentPooledScratch hammers the pooled query scratch (the
 // generation-stamped visited arrays and reusable result buffers recycled
 // through the index's sync.Pool) from many goroutines at once, mixing the
-// Query, QueryIDs and QueryTopK entry points so scratches are constantly
-// recycled across goroutines. Run with -race: the pool must never hand the
-// same scratch to two in-flight queries, and results must match the
+// Query, QueryIDs, QueryBatchInto and QueryTopK entry points so scratches —
+// and the batch engine's pooled worker state — are constantly recycled
+// across goroutines. Run with -race: a pool must never hand the same state
+// to two in-flight queries, and results must match the
 // single-threaded reference on every repetition.
 func TestConcurrentPooledScratch(t *testing.T) {
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 1500, Seed: 23})
@@ -126,13 +127,14 @@ func TestConcurrentPooledScratch(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var res lshensemble.BatchResults // reused: the batch engine's pooled state is recycled too
 			for rep := 0; rep < 40; rep++ {
 				i := (w*7 + rep) % len(queries)
 				j := (w + rep) % len(thresholds)
 				qi := queries[i]
 				var got int
 				var qerr error
-				switch rep % 3 {
+				switch rep % 4 {
 				case 0:
 					var ids []uint32
 					ids, qerr = idx.QueryIDs(recs[qi].Sig, recs[qi].Size, thresholds[j])
@@ -141,6 +143,12 @@ func TestConcurrentPooledScratch(t *testing.T) {
 					var res []string
 					res, qerr = idx.Query(recs[qi].Sig, recs[qi].Size, thresholds[j])
 					got = len(res)
+				case 2:
+					// The query as the middle row of a batch on two workers.
+					other := lshensemble.BatchQuery{Sig: recs[queries[0]].Sig, Size: recs[queries[0]].Size, Threshold: 0.5}
+					batch := []lshensemble.BatchQuery{other, {Sig: recs[qi].Sig, Size: recs[qi].Size, Threshold: thresholds[j]}, other}
+					qerr = idx.QueryBatchInto(&res, batch, 2)
+					got = len(res.Row(1))
 				default:
 					var ids []uint32
 					ids, qerr = idx.QueryIDsAppend(nil, recs[qi].Sig, recs[qi].Size, thresholds[j])
@@ -200,119 +208,10 @@ func TestPublicTopK(t *testing.T) {
 	}
 }
 
-// TestQueryBatchConcurrentWithReindex hammers the batch query engine from
-// several goroutines while a writer keeps growing the index with
-// Add+Reindex, using the documented external synchronization (queries are
-// concurrent-safe with each other; Add/Reindex need exclusive access, as a
-// serving system would arrange with an RWMutex). Run with -race: it
-// exercises the pooled batch state, the per-worker scratches, and the
-// flattened parallel tree rebuild against each other.
-func TestQueryBatchConcurrentWithReindex(t *testing.T) {
-	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 800, Seed: 24})
-	h := minhash.NewHasher(128, 24)
-	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.Build(recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := datagen.SampleQueries(corpus, 24, 24)
-	batch := make([]lshensemble.BatchQuery, len(queries))
-	for i, qi := range queries {
-		batch[i] = lshensemble.BatchQuery{Sig: recs[qi].Sig, Size: recs[qi].Size, Threshold: 0.5}
-	}
-
-	var mu sync.RWMutex
-	stop := make(chan struct{})
-	var writerErr error
-	var writerWg sync.WaitGroup
-	writerWg.Add(1)
-	go func() {
-		defer writerWg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			src := recs[i%len(recs)]
-			mu.Lock()
-			err := idx.Add(lshensemble.DomainRecord{
-				Key:  fmt.Sprintf("new-%05d", i),
-				Size: src.Size,
-				Sig:  src.Sig,
-			})
-			if err == nil {
-				idx.Reindex()
-			}
-			mu.Unlock()
-			if err != nil {
-				writerErr = err
-				return
-			}
-		}
-	}()
-
-	const readers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, readers)
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var res lshensemble.BatchResults
-			for rep := 0; rep < 30; rep++ {
-				mu.RLock()
-				n := uint32(idx.Len())
-				switch rep % 2 {
-				case 0:
-					if err := idx.QueryBatchInto(&res, batch, 3); err != nil {
-						mu.RUnlock()
-						errs <- err
-						return
-					}
-					for i := 0; i < res.NumRows(); i++ {
-						for _, id := range res.Row(i) {
-							if id >= n {
-								mu.RUnlock()
-								errs <- fmt.Errorf("worker %d rep %d: id %d out of range %d", w, rep, id, n)
-								return
-							}
-						}
-					}
-				default:
-					rows, err := idx.QueryBatch(batch, 2)
-					if err != nil {
-						mu.RUnlock()
-						errs <- err
-						return
-					}
-					if len(rows) != len(batch) {
-						mu.RUnlock()
-						errs <- fmt.Errorf("worker %d rep %d: %d rows", w, rep, len(rows))
-						return
-					}
-				}
-				mu.RUnlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	writerWg.Wait()
-	if writerErr != nil {
-		t.Fatal(writerErr)
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 // TestLiveConcurrentChurn hammers a lshensemble.LiveIndex through the
 // public API with concurrent queriers, adders, deleters AND the background
 // compactor running at aggressive thresholds — the live index needs no
-// external synchronization at all, unlike the RWMutex arrangement of
-// TestQueryBatchConcurrentWithReindex above. Run with -race. Queries assert
+// external synchronization at all. Run with -race. Queries assert
 // snapshot invariants (each key at most once, only keys that were ever
 // added); the final compacted state is checked against a model.
 func TestLiveConcurrentChurn(t *testing.T) {

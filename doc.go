@@ -77,11 +77,10 @@
 //     then fills the disjoint partition forests in parallel, with each
 //     forest's contiguous store pre-sized in a single allocation from the
 //     known member count (lshforest.Forest.Reserve).
-//   - Reindex flattens the rebuild into one job per (partition, tree) pair
-//     and drains the job list through a worker pool, so a few oversized
-//     partitions cannot serialize the tail. Each worker owns one
-//     lshforest.SortScratch for the radix sorts; workers never share
-//     mutable state.
+//   - Build then sorts the trees as one job per (partition, tree) pair
+//     drained through a worker pool, so a few oversized partitions cannot
+//     serialize the tail. Each worker owns one lshforest.SortScratch for
+//     the radix sorts; workers never share mutable state.
 //   - Index.QueryBatch / Index.QueryBatchInto dispatch a slice of queries
 //     across workers pulling from a shared counter. Every worker owns a
 //     pooled generation-stamped dedup scratch and an append-only result
@@ -89,20 +88,26 @@
 //     QueryBatchInto with a reused BatchResults performs zero per-query
 //     steady-state allocations (the whole dispatch costs a fixed handful of
 //     goroutine-spawn allocations, independent of batch size).
+//   - LiveIndex.QueryBatch does not go through that engine: a batch row
+//     there is a single query — same result cache, same plan, same
+//     per-segment step — and the batch only orders the visits
+//     segment-major, the pending rows fanned across the workers for one
+//     segment before any row moves to the next, because a segment's
+//     leading columns stay cache-resident only while rows visit it
+//     together (row-parallel batches cost lib_query 5 % of its sat_qps).
 //   - Corpus sketching: Hasher.SketchParallel shards one large pre-hashed
 //     value slice across workers (exact — shard minima merge slot-wise);
 //     cmd/lshed sketches whole columns in parallel and serves multi-column
 //     query files through one QueryBatch dispatch (-batch -workers).
 //
-// Concurrency contract: an Index is safe for any number of concurrent
-// readers (Query*, QueryBatch*); Add and Reindex require
-// exclusive access, as with an RWMutex. Querying an Index that has Adds not
-// yet folded in by Reindex returns core.ErrDirty rather than panicking.
+// Concurrency contract: an Index is immutable — Build, Load and nothing
+// else produce one — and safe for any number of concurrent readers (Query*,
+// QueryBatch*); LiveIndex is the mutable index.
 //
 // # Live index
 //
-// LiveIndex (BuildLive) removes the exclusive-access requirement entirely:
-// it is the serving-system layer for corpora that churn under load. A
+// LiveIndex (BuildLive) is the serving-system layer for corpora that churn
+// under load: Add and Delete at any time, from any goroutine. A
 // LiveIndex holds an atomically-swapped snapshot of three immutable parts —
 // sealed segments (each a frozen Index over a slice of the corpus), an
 // unsealed buffer of recent Adds (scanned as one extra partition with the
@@ -128,9 +133,9 @@
 //     identically), with every tombstone purged.
 //   - SaveLive/LoadLive persist a point-in-time snapshot for warm restarts;
 //     Save is safe while writers run. The snapshot wire format is
-//     versioned and checksummed: current files (v3) are either
+//     versioned and checksummed: current files (v4) are either
 //     self-contained or — with LiveOptions.DataDir — small manifests
-//     referencing segment files; older v1/v2 files still load (missing
+//     referencing segment files; older v1–v3 files still load (missing
 //     planner metadata is rebuilt).
 //
 // Queries are planned per segment and, inside a segment, per tree: sealed

@@ -1,11 +1,11 @@
-// Dynamic-data demo (paper Section 6.2), now on the live index: the corpus
+// Dynamic-data demo (paper Section 6.2) on the live index: the corpus
 // churns — drifted batches stream in through Add, stale domains leave
 // through Delete — while the index stays queryable the whole time. The
 // background compactor seals the ingest buffer into segments and merges
-// them as they accumulate; no stop-the-world Reindex ever runs. Partition
-// balance still drifts (each sealed segment re-partitions only its own
-// slice), and a full Compact — the live replacement for the old rebuild —
-// restores equi-depth balance over the surviving corpus.
+// them as they accumulate; nothing ever stops the world to rebuild.
+// Partition balance still drifts (each sealed segment re-partitions only its
+// own slice), and a full Compact restores equi-depth balance over the
+// surviving corpus.
 //
 //	go run ./examples/dynamic [-n 2000] [-batches 4]
 package main

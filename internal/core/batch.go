@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 )
 
@@ -91,7 +89,6 @@ type batchState struct {
 	x       *Index
 	ctx     context.Context
 	queries []BatchQuery
-	trees   []lshforest.TreeSet // per query, or nil: every tree for every query
 	next    atomic.Int64
 	wg      sync.WaitGroup
 	workers []*batchWorker
@@ -127,12 +124,8 @@ func (st *batchState) serve(w int) {
 		// A row no single query would serve (non-positive size, short
 		// signature) stays empty.
 		if q.Size > 0 && len(q.Sig) >= x.opts.NumHash {
-			var trees lshforest.TreeSet
-			if st.trees != nil {
-				trees = st.trees[qi]
-			}
 			s.seen.Reset(len(x.keys)) // fresh dedup generation per query
-			bw.ids = x.queryInto(bw.ids, s, q.Sig, q.Size, q.Threshold, trees)
+			bw.ids = x.queryInto(bw.ids, s, q.Sig, q.Size, q.Threshold)
 		}
 		bw.rows = append(bw.rows, batchRow{query: qi, start: start, end: len(bw.ids)})
 	}
@@ -144,9 +137,7 @@ func (st *batchState) serve(w int) {
 // into res — reusing its arena, so a serving loop that recycles one
 // BatchResults performs zero steady-state allocations per query. Queries are
 // pulled from a shared counter, so stragglers (queries with huge candidate
-// sets) do not leave other workers idle. It returns ErrDirty if the index
-// has pending Adds (call Reindex first); it must not run concurrently with
-// Add/Reindex, exactly like every other query entry point.
+// sets) do not leave other workers idle.
 func (x *Index) QueryBatchInto(res *BatchResults, queries []BatchQuery, workers int) error {
 	return x.QueryBatchIntoContext(context.Background(), res, queries, workers)
 }
@@ -160,20 +151,6 @@ func (x *Index) QueryBatchInto(res *BatchResults, queries []BatchQuery, workers 
 // must not be interpreted as a full answer. A query with a non-positive size
 // or a signature shorter than NumHash gets an empty row.
 func (x *Index) QueryBatchIntoContext(ctx context.Context, res *BatchResults, queries []BatchQuery, workers int) error {
-	return x.QueryBatchMaskedIntoContext(ctx, res, queries, nil, workers)
-}
-
-// QueryBatchMaskedIntoContext is QueryBatchIntoContext with query i probing
-// only the trees in trees[i] (a nil set = all; a nil slice = all for every
-// query) — see QueryIDsMaskedAppend for what a set must hold for the rows to
-// stay identical. trees, when non-nil, has one set per query.
-func (x *Index) QueryBatchMaskedIntoContext(ctx context.Context, res *BatchResults, queries []BatchQuery, trees []lshforest.TreeSet, workers int) error {
-	if trees != nil && len(trees) != len(queries) {
-		return fmt.Errorf("core: %d tree sets for %d queries", len(trees), len(queries))
-	}
-	if x.dirty {
-		return ErrDirty
-	}
 	if err := ctx.Err(); err != nil {
 		res.reset(len(queries))
 		return err
@@ -195,7 +172,6 @@ func (x *Index) QueryBatchMaskedIntoContext(ctx context.Context, res *BatchResul
 	st.x = x
 	st.ctx = ctx
 	st.queries = queries
-	st.trees = trees
 	st.next.Store(0)
 	for len(st.workers) < workers {
 		st.workers = append(st.workers, &batchWorker{})
@@ -239,7 +215,6 @@ func (x *Index) QueryBatchMaskedIntoContext(ctx context.Context, res *BatchResul
 	st.x = nil
 	st.ctx = nil
 	st.queries = nil
-	st.trees = nil
 	x.batch.Put(st)
 	return ctx.Err()
 }

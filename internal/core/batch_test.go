@@ -135,21 +135,6 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestQueryBatchErrDirty mirrors the single-query contract.
-func TestQueryBatchErrDirty(t *testing.T) {
-	c := makeCorpus(t, 50, 64, 34)
-	idx, err := Build(c.records, Options{NumHash: 64, RMax: 4, NumPartitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Add(c.records[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.QueryBatch([]BatchQuery{{Sig: c.records[0].Sig, Size: 10, Threshold: 0.5}}, 2); err != ErrDirty {
-		t.Fatalf("QueryBatch on dirty index: err = %v, want ErrDirty", err)
-	}
-}
-
 // TestBuildParallelDeterministic builds the same corpus twice (the build
 // pipeline fans partition fills and tree sorts across workers) and requires
 // identical serialized bytes: parallel construction must be bit-for-bit

@@ -121,7 +121,9 @@ type sigLoc struct {
 	slot uint32
 }
 
-// Index is a built LSH Ensemble. It is safe for concurrent queries.
+// Index is a built LSH Ensemble. It is immutable once Build, Decode or
+// FromParts has returned it, and safe for concurrent queries; internal/live
+// layers the mutable index on top.
 type Index struct {
 	opts  Options
 	keys  []string
@@ -129,7 +131,6 @@ type Index struct {
 	locs  []sigLoc // per id: which partition forest and slot stores its signature
 	parts []part
 	opt   *tune.Table // shared by every index over the same (NumHash/RMax, RMax) grid
-	dirty bool
 
 	// scratch pools *queryScratch values so steady-state queries allocate
 	// nothing: dedup uses a generation-stamped visited array instead of a
@@ -182,18 +183,10 @@ func (x *Index) releaseScratch(s *queryScratch) {
 // ErrEmpty is returned by Build when no records are given.
 var ErrEmpty = errors.New("core: no records to index")
 
-// ErrDirty is returned by every query entry point when the index holds Adds
-// that Reindex has not folded in yet. Serving systems must treat it as a
-// caller bug (query and Add/Reindex need external synchronization), but it
-// is returned rather than panicking so a daemon thread can refuse the query
-// and keep serving. The deeper invariant — probing an unindexed forest —
-// still panics inside lshforest, as an internal consistency check.
-var ErrDirty = errors.New("core: index has pending adds; call Reindex before querying")
-
 // ErrSignatureLength is returned by every query entry point handed a query
 // signature shorter than Options.NumHash — the probe reads the leading values
-// of all NumHash/RMax trees, so a short signature cannot be served (Add and
-// Build reject short record signatures the same way).
+// of all NumHash/RMax trees, so a short signature cannot be served (Build
+// rejects short record signatures the same way).
 var ErrSignatureLength = errors.New("core: query signature shorter than NumHash")
 
 // CheckQuerySig reports ErrSignatureLength for a query signature the probe
@@ -246,9 +239,9 @@ func Build(records []Record, opts Options) (*Index, error) {
 			forest: lshforest.NewWidth(opts.NumHash, opts.RMax, opts.Sketch.WidthBytes()),
 		}
 	}
-	// Route every record first (serial — a binary search per record, and
-	// boundary partitions may stretch), grouping member record indices per
-	// partition. The expensive part, copying every signature into its
+	// Route every record first (serial — a binary search per record; the
+	// validated partitions cover every size), grouping member record indices
+	// per partition. The expensive part, copying every signature into its
 	// partition's contiguous store, then runs in parallel: partitions own
 	// disjoint forests, and Reserve sizes each backing array exactly once
 	// from the known member count.
@@ -257,111 +250,44 @@ func Build(records []Record, opts Options) (*Index, error) {
 		id := uint32(len(idx.keys))
 		idx.keys = append(idx.keys, r.Key)
 		idx.sizes = append(idx.sizes, r.Size)
-		pi := idx.routeIdx(r.Size)
+		pi := sort.Search(len(parts), func(i int) bool { return r.Size <= parts[i].Upper })
 		idx.locs = append(idx.locs, sigLoc{part: uint32(pi), slot: uint32(len(members[pi]))})
 		members[pi] = append(members[pi], int32(id))
 	}
-	idx.dirty = true
 	par.Drain(len(parts), 0, func(_, pi int) {
-		idx.fillPartition(pi, members[pi], records)
+		f := idx.parts[pi].forest
+		f.Reserve(len(members[pi]))
+		for _, id := range members[pi] {
+			f.Add(uint32(id), records[id].Sig)
+		}
 	})
-	idx.Reindex()
+	idx.indexForests()
 	return idx, nil
 }
 
-// fillPartition copies the signatures of the partition's members into its
-// forest, pre-sizing the contiguous store from the known member count.
-func (x *Index) fillPartition(pi int, members []int32, records []Record) {
-	f := x.parts[pi].forest
-	f.Reserve(len(members))
-	for _, id := range members {
-		f.Add(uint32(id), records[id].Sig)
-	}
-}
-
-// add routes a record to its partition without reindexing.
-func (x *Index) add(r Record) {
-	id := uint32(len(x.keys))
-	x.keys = append(x.keys, r.Key)
-	x.sizes = append(x.sizes, r.Size)
-	pi := x.routeIdx(r.Size)
-	x.locs = append(x.locs, sigLoc{part: uint32(pi), slot: uint32(x.parts[pi].forest.Len())})
-	x.parts[pi].forest.Add(id, r.Sig)
-	x.dirty = true
-}
-
-// routeIdx finds the partition responsible for a domain of the given size.
-// Sizes beyond the last upper bound extend the last partition (its upper
-// bound grows, keeping the conversion conservative).
-func (x *Index) routeIdx(size int) int {
-	i := sort.Search(len(x.parts), func(i int) bool { return size <= x.parts[i].upper })
-	if i == len(x.parts) {
-		i = len(x.parts) - 1
-		x.parts[i].upper = size
-		return i
-	}
-	if size < x.parts[i].lower {
-		x.parts[i].lower = size
-	}
-	return i
-}
-
-// Add inserts a new domain into the ensemble after Build — the dynamic-data
-// path of Section 6.2. The record joins the partition covering its size
-// (the boundary intervals stretch if needed; the partitioning is NOT
-// re-optimized — see examples/dynamic for drift monitoring). Call Reindex
-// before the next Query.
-func (x *Index) Add(r Record) error {
-	if r.Size <= 0 {
-		return fmt.Errorf("core: non-positive size %d", r.Size)
-	}
-	if len(r.Sig) < x.opts.NumHash {
-		return fmt.Errorf("core: signature length %d < NumHash %d", len(r.Sig), x.opts.NumHash)
-	}
-	x.add(r)
-	return nil
-}
-
-// Reindex rebuilds the partition forests after Add calls. The rebuild is
-// flattened into one job per (partition, tree) pair and fanned out over a
-// bounded worker pool, so a handful of oversized partitions cannot serialize
-// the tail the way partition-at-a-time parallelism would. It is a no-op
-// when nothing changed.
-func (x *Index) Reindex() {
-	if !x.dirty {
-		return
-	}
+// indexForests sorts the trees of every partition forest — the last step of
+// Build. The work is flattened into one job per (partition, tree) pair and
+// fanned out over a bounded worker pool, so a handful of oversized partitions
+// cannot serialize the tail the way partition-at-a-time parallelism would.
+func (x *Index) indexForests() {
 	type treeJob struct {
 		f *lshforest.Forest
 		t int
 	}
 	var jobs []treeJob
-	var pending []*lshforest.Forest
 	for i := range x.parts {
 		f := x.parts[i].forest
-		if f.Indexed() {
-			continue
-		}
-		n := f.PrepareTrees() // finalizes empty forests itself
-		if n == 0 {
-			continue
-		}
-		pending = append(pending, f)
-		for t := 0; t < n; t++ {
+		for t, n := 0, f.PrepareTrees(); t < n; t++ {
 			jobs = append(jobs, treeJob{f: f, t: t})
 		}
 	}
-	if len(jobs) > 0 {
-		workers := par.Clamp(0, len(jobs))
-		scratches := make([]lshforest.SortScratch, workers)
-		par.Drain(len(jobs), workers, func(w, i int) {
-			jobs[i].f.RebuildTree(jobs[i].t, &scratches[w])
-		})
+	scratches := make([]lshforest.SortScratch, par.Clamp(0, len(jobs)))
+	par.Drain(len(jobs), len(scratches), func(w, i int) {
+		jobs[i].f.RebuildTree(jobs[i].t, &scratches[w])
+	})
+	for i := range x.parts {
+		x.parts[i].forest.FinishTrees()
 	}
-	for _, f := range pending {
-		f.FinishTrees()
-	}
-	x.dirty = false
 }
 
 // Len returns the number of indexed domains.
@@ -439,8 +365,7 @@ func (x *Index) PartitionBounds() []partition.Partition {
 // query under each partition's tuned (b, r). querySize is |Q| (use the
 // exact size when known, or minhash.Signature.Cardinality's estimate —
 // Algorithm 1's approx(|Q|)). tStar is the containment threshold t*.
-// It returns ErrDirty if the index has Adds not yet folded in by Reindex and
-// ErrSignatureLength if sig is shorter than NumHash.
+// It returns ErrSignatureLength if sig is shorter than NumHash.
 func (x *Index) QueryIDs(sig minhash.Signature, querySize int, tStar float64) ([]uint32, error) {
 	return x.QueryIDsAppend(nil, sig, querySize, tStar)
 }
@@ -448,9 +373,6 @@ func (x *Index) QueryIDs(sig minhash.Signature, querySize int, tStar float64) ([
 // QueryIDsAppend is QueryIDs appending into dst (which may be nil). Reusing
 // dst across queries makes the steady-state query path allocation-free.
 func (x *Index) QueryIDsAppend(dst []uint32, sig minhash.Signature, querySize int, tStar float64) ([]uint32, error) {
-	if x.dirty {
-		return dst, ErrDirty
-	}
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
 	}
@@ -458,30 +380,19 @@ func (x *Index) QueryIDsAppend(dst []uint32, sig minhash.Signature, querySize in
 		return dst, nil
 	}
 	s := x.acquireScratch()
-	dst = x.queryInto(dst, s, sig, querySize, tStar, nil)
+	dst = x.queryInto(dst, s, sig, querySize, tStar)
 	x.releaseScratch(s)
 	return dst, nil
 }
 
-// clampThreshold confines t* to [0, 1].
-func clampThreshold(tStar float64) float64 {
-	if tStar < 0 {
-		return 0
-	}
-	if tStar > 1 {
-		return 1
-	}
-	return tStar
-}
-
 // queryInto plans the query into the scratch's reused plan slice and probes
-// the planned partitions' trees that are in the set (nil = all), appending
-// candidate ids to dst. Every query shape — single, batch worker, top-k rung
-// — goes through it, and PlanPartitions + QueryIDsMaskedAppend are the same
-// two halves exported.
-func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, querySize int, tStar float64, trees lshforest.TreeSet) []uint32 {
+// every tree of the planned partitions, appending candidate ids to dst. The
+// single query and the batch worker go through it; PlanPartitions +
+// QueryIDsMaskedAppend are the same two halves exported, and a top-k rung is
+// the same pair with the rung's repeats struck from the plan.
+func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, querySize int, tStar float64) []uint32 {
 	s.plan = x.PlanPartitions(s.plan[:0], querySize, tStar)
-	return x.probe(dst, s, sig, s.plan, trees)
+	return x.probe(dst, s, sig, s.plan, nil)
 }
 
 // PlanPartitions appends one tune.Params per partition to dst: the banding
@@ -493,7 +404,7 @@ func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, 
 // across queries and replay them with QueryIDsPlannedAppend for results
 // byte-identical to QueryIDsAppend.
 func (x *Index) PlanPartitions(dst []tune.Params, querySize int, tStar float64) []tune.Params {
-	tStar = clampThreshold(tStar)
+	tStar = max(0, min(tStar, 1))
 	q := float64(querySize)
 	for pi := range x.parts {
 		p := &x.parts[pi]
@@ -543,9 +454,6 @@ func (x *Index) QueryIDsPlannedAppend(dst []uint32, sig minhash.Signature, plan 
 // probe's — see lshforest.TreeSet. internal/live derives the set from the
 // segment's leading-value Bloom filter, which errs only towards more trees.
 func (x *Index) QueryIDsMaskedAppend(dst []uint32, sig minhash.Signature, plan []tune.Params, trees lshforest.TreeSet) ([]uint32, error) {
-	if x.dirty {
-		return dst, ErrDirty
-	}
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
 	}
@@ -584,9 +492,6 @@ func (x *Index) EachTreeLeading(fn func(tree int, col []uint64)) {
 // Query returns the keys of all candidate domains for the query signature.
 // See QueryIDs for parameter semantics.
 func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
-	if x.dirty {
-		return nil, ErrDirty
-	}
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return nil, err
 	}
@@ -594,7 +499,7 @@ func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) ([]st
 		return nil, nil
 	}
 	s := x.acquireScratch()
-	s.ids = x.queryInto(s.ids[:0], s, sig, querySize, tStar, nil)
+	s.ids = x.queryInto(s.ids[:0], s, sig, querySize, tStar)
 	out := make([]string, len(s.ids))
 	for i, id := range s.ids {
 		out[i] = x.keys[id]

@@ -217,115 +217,6 @@ func TestPartitionSkipping(t *testing.T) {
 	}
 }
 
-func TestAddAndReindex(t *testing.T) {
-	c := makeCorpus(t, 100, 128, 6)
-	x, err := Build(c.records[:50], Options{NumHash: 128, RMax: 4, NumPartitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range c.records[50:] {
-		if err := x.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	x.Reindex()
-	if x.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", x.Len())
-	}
-	// Newly added domains must be retrievable.
-	r := c.records[75]
-	found := false
-	for _, k := range mustQuery(t, x, r.Sig, r.Size, 0.9) {
-		if k == r.Key {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("added record not retrievable after Reindex")
-	}
-}
-
-func TestAddOutOfRangeSizeExtendsBoundary(t *testing.T) {
-	h := minhash.NewHasher(64, 1)
-	mk := func(key string, n int) Record {
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = minhash.HashUint64(uint64(i))
-		}
-		return Record{Key: key, Size: n, Sig: h.Sketch(vals)}
-	}
-	x, err := Build([]Record{mk("a", 10), mk("b", 20), mk("c", 30)}, Options{NumHash: 64, RMax: 4, NumPartitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Larger than any indexed size → last partition stretches.
-	big := mk("huge", 1000)
-	if err := x.Add(big); err != nil {
-		t.Fatal(err)
-	}
-	// Smaller than any indexed size → first partition stretches.
-	small := mk("tiny", 2)
-	if err := x.Add(small); err != nil {
-		t.Fatal(err)
-	}
-	x.Reindex()
-	bounds := x.PartitionBounds()
-	if bounds[len(bounds)-1].Upper < 1000 {
-		t.Fatalf("last partition upper %d, want >= 1000", bounds[len(bounds)-1].Upper)
-	}
-	if bounds[0].Lower > 2 {
-		t.Fatalf("first partition lower %d, want <= 2", bounds[0].Lower)
-	}
-	for _, r := range []Record{big, small} {
-		found := false
-		for _, k := range mustQuery(t, x, r.Sig, r.Size, 1.0) {
-			if k == r.Key {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("%s not retrievable", r.Key)
-		}
-	}
-}
-
-func TestQueryAfterAddReturnsErrDirty(t *testing.T) {
-	c := makeCorpus(t, 10, 64, 7)
-	x, err := Build(c.records[:9], Options{NumHash: 64, RMax: 4, NumPartitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Add(c.records[9]); err != nil {
-		t.Fatal(err)
-	}
-	sig, size := c.records[0].Sig, 10
-	if _, err := x.Query(sig, size, 0.5); err != ErrDirty {
-		t.Fatalf("Query on dirty index: err = %v, want ErrDirty", err)
-	}
-	if _, err := x.QueryIDs(sig, size, 0.5); err != ErrDirty {
-		t.Fatalf("QueryIDs on dirty index: err = %v, want ErrDirty", err)
-	}
-	if _, err := x.QueryIDsAppend(nil, sig, size, 0.5); err != ErrDirty {
-		t.Fatalf("QueryIDsAppend on dirty index: err = %v, want ErrDirty", err)
-	}
-	if _, err := x.QueryTopK(sig, size, 3); err != ErrDirty {
-		t.Fatalf("QueryTopK on dirty index: err = %v, want ErrDirty", err)
-	}
-	batch := []BatchQuery{{Sig: sig, Size: size, Threshold: 0.5}}
-	if _, err := x.QueryBatch(batch, 2); err != ErrDirty {
-		t.Fatalf("QueryBatch on dirty index: err = %v, want ErrDirty", err)
-	}
-	var res BatchResults
-	if err := x.QueryBatchInto(&res, batch, 2); err != ErrDirty {
-		t.Fatalf("QueryBatchInto on dirty index: err = %v, want ErrDirty", err)
-	}
-	// Reindex clears the condition.
-	x.Reindex()
-	if _, err := x.Query(sig, size, 0.5); err != nil {
-		t.Fatalf("Query after Reindex: %v", err)
-	}
-}
-
 func TestQueryEdgeCases(t *testing.T) {
 	c := makeCorpus(t, 50, 64, 8)
 	x, err := Build(c.records, Options{NumHash: 64, RMax: 4, NumPartitions: 4})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -218,7 +217,7 @@ func TestTopKLadderSkipKeepsSequence(t *testing.T) {
 			var want []uint32
 			var last []tune.Params
 			for _, tStar := range topKThresholds {
-				want = x.queryInto(want, s, rec.Sig, rec.Size, tStar, nil)
+				want = x.queryInto(want, s, rec.Sig, rec.Size, tStar)
 				for pi, p := range s.plan {
 					if p.B != 0 && last != nil && p == last[pi] {
 						skipped++
@@ -258,12 +257,12 @@ func exactTrees(x *Index, sig minhash.Signature) lshforest.TreeSet {
 	return set
 }
 
-// TestMaskedEntryPointsMatchUnmasked checks all three masked shapes against
-// their unmasked twins, byte for byte, under the exact tree set.
+// TestMaskedEntryPointsMatchUnmasked checks both masked shapes against their
+// unmasked twins, byte for byte, under the exact tree set. (A batch row under
+// a tree set is internal/live's, which runs it through the single-query entry
+// point: TestQueryShapesAgree there.)
 func TestMaskedEntryPointsMatchUnmasked(t *testing.T) {
 	x, recs := plannedTestIndex(t, 400)
-	var batch []BatchQuery
-	var sets []lshforest.TreeSet
 	for qi := 0; qi < 60; qi++ {
 		rec := recs[qi*7%len(recs)]
 		// Redraw half the trees so the set is a proper subset.
@@ -294,23 +293,6 @@ func TestMaskedEntryPointsMatchUnmasked(t *testing.T) {
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("query %d top-k: masked %v (%v), unmasked %v", qi, got, err, want)
 		}
-		batch = append(batch, BatchQuery{Sig: sig, Size: rec.Size, Threshold: 0.5})
-		sets = append(sets, trees)
-	}
-	var want, got BatchResults
-	if err := x.QueryBatchInto(&want, batch, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.QueryBatchMaskedIntoContext(context.Background(), &got, batch, sets, 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		if !slices.Equal(got.Row(i), want.Row(i)) {
-			t.Fatalf("batch row %d: masked %v, unmasked %v", i, got.Row(i), want.Row(i))
-		}
-	}
-	if err := x.QueryBatchMaskedIntoContext(context.Background(), &got, batch, sets[:1], 2); err == nil {
-		t.Fatal("batch accepted 1 tree set for 60 queries")
 	}
 }
 

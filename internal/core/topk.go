@@ -48,13 +48,9 @@ var topKThresholds = func() []float64 {
 // ladder, collecting candidates until at least k are found (or the ladder
 // is exhausted), then ranks them by signature-estimated containment.
 // Results are approximate in the same sense as Query: candidates come from
-// LSH collisions and scores from sketches. It returns ErrDirty if the index
-// has Adds not yet folded in by Reindex and ErrSignatureLength if sig is
-// shorter than NumHash.
+// LSH collisions and scores from sketches. It returns ErrSignatureLength if
+// sig is shorter than NumHash.
 func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) ([]TopKResult, error) {
-	if x.dirty {
-		return nil, ErrDirty
-	}
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return nil, err
 	}
@@ -120,8 +116,7 @@ func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, qu
 // ladder-walk collection, unscored and unsorted — to dst. Layered callers
 // (internal/live) use it to gather at least k candidates per segment, then
 // score and merge across segments themselves with Key, Size and Signature.
-// It returns ErrDirty if the index has Adds not yet folded in by Reindex and
-// ErrSignatureLength if sig is shorter than NumHash.
+// It returns ErrSignatureLength if sig is shorter than NumHash.
 func (x *Index) QueryTopKIDs(dst []uint32, sig minhash.Signature, querySize, k int) ([]uint32, error) {
 	return x.QueryTopKIDsMasked(dst, sig, querySize, k, nil)
 }
@@ -130,9 +125,6 @@ func (x *Index) QueryTopKIDs(dst []uint32, sig minhash.Signature, querySize, k i
 // only the trees in the set (nil = all) — see QueryIDsMaskedAppend for what
 // the set must hold for the id sequence to stay identical.
 func (x *Index) QueryTopKIDsMasked(dst []uint32, sig minhash.Signature, querySize, k int, trees lshforest.TreeSet) ([]uint32, error) {
-	if x.dirty {
-		return dst, ErrDirty
-	}
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
 	}

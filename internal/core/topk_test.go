@@ -116,21 +116,3 @@ func TestQueryTopKSurvivesSerialization(t *testing.T) {
 		}
 	}
 }
-
-func TestQueryTopKAfterAdd(t *testing.T) {
-	idx, h, _ := topKFixture(t, 128)
-	n := 500
-	v := make([]uint64, n)
-	for j := range v {
-		v[j] = minhash.HashUint64(uint64(j))
-	}
-	rec := Record{Key: "added", Size: n, Sig: h.Sketch(v)}
-	if err := idx.Add(rec); err != nil {
-		t.Fatal(err)
-	}
-	idx.Reindex()
-	top := mustTopK(t, idx, rec.Sig, n, 1)
-	if len(top) != 1 || top[0].Key != "added" {
-		t.Fatalf("added record not top-1 for itself: %+v", top)
-	}
-}

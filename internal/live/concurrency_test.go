@@ -166,13 +166,14 @@ func TestQuerySnapshotStability(t *testing.T) {
 	// The frozen snapshot still answers exactly as before: all 100 original
 	// records, none of the later ones.
 	s := x.acquireScratch()
+	var tl tally
 	for i := 0; i < 200; i += 9 {
 		r := recs[i]
 		var res []string
-		for _, seg := range sn.segs {
-			res = x.appendSegmentMatches(res, s, sn, seg, r.Sig, r.Size, 1.0)
+		for si := range sn.segs {
+			res = x.probeSegment(res, s, &tl, sn, si, r.Sig, r.Size, 1.0, nil)
 		}
-		res, _ = x.appendBufferMatches(context.Background(), res, s, sn, r.Sig, r.Size, 1.0, nil)
+		res, _ = x.appendBufferMatches(context.Background(), res, s, &tl, sn, r.Sig, r.Size, 1.0)
 		if want := i < 100; contains(res, r.Key) != want {
 			t.Fatalf("snapshot drifted: key %d present=%v, want %v", i, !want, want)
 		}

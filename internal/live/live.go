@@ -71,6 +71,17 @@
 // every segment and the buffer — as the reference those tests compare
 // against.
 //
+// There is one read path. A threshold query, single or as a batch row, is a
+// sequence of visits — every sealed segment (probeSegment: range-prune, ask
+// the filter for the tree set, probe, drop tombstoned keys), then the buffer
+// — and the unpruned reference is the same visit with no plan. A batch makes
+// its rows' visits segment-major, all rows at segment i before any at i+1,
+// because a segment's leading columns stay in cache only while the rows visit
+// it together. All three shapes (top-k walks its own ladder per segment) run
+// in one frame (call): pin the snapshot, consult the result cache, compute,
+// store, and add the call's tally of planner decisions to the Stats counters
+// once.
+//
 // # Caches and generation coherence
 //
 // Snapshots carry two monotone generation counters: gen bumps on every
@@ -122,10 +133,11 @@
 // does not reference. Every crash ordering therefore leaves a loadable
 // manifest whose files all exist.
 //
-// Snapshot persistence is versioned: the current format (v3) references
+// Snapshot persistence is versioned: the current format (v4) references
 // spilled segment files from a checksummed manifest (inlining any segment
-// without a file); v2 carried the planner metadata inline and v1 predates
-// the planner — both still load (see save.go).
+// without a file) and names the sketch backend in its header; v3 is the same
+// manifest without the backend tag, v2 carried the planner metadata inline
+// and v1 predates the planner — all three still load (see save.go).
 package live
 
 import (
@@ -141,6 +153,7 @@ import (
 	"lshensemble/internal/core"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/par"
 	"lshensemble/internal/segfile"
 	"lshensemble/internal/tune"
 )
@@ -401,18 +414,9 @@ type Index struct {
 	rcMask  uint64
 	rcClock atomic.Uint64
 
-	// Planner observability, surfaced through Stats.
-	segProbed      atomic.Uint64 // segments actually probed by queries
-	segRangePruned atomic.Uint64 // segments skipped: every partition ruled out by size
-	segBloomPruned atomic.Uint64 // segments skipped: no leading value can collide
-	planHits       atomic.Uint64
-	planMisses     atomic.Uint64
-	resHits        atomic.Uint64
-	resMisses      atomic.Uint64
-	topkEarlyExits atomic.Uint64 // QueryTopK calls that stopped before the last segment
-	treesProbed    atomic.Uint64 // trees in the tree sets of the probed segments
-	bufScans       atomic.Uint64 // linear buffer scans actually performed
-	bufBloomSkips  atomic.Uint64 // buffer scans skipped by the buffer Bloom filter
+	// Planner observability, surfaced through Stats: every query call adds
+	// its tally here once, when it is done.
+	counters [numCounters]atomic.Uint64
 
 	scratch sync.Pool // *queryScratch
 
@@ -426,13 +430,37 @@ type Index struct {
 	closeOnce sync.Once
 }
 
+// Planner counters. A query call counts its decisions in a tally of its own
+// and adds the tally to Index.counters once, in this order: a probed segment
+// is counted before its trees, which Stats relies on.
+const (
+	cSegProbed      = iota // (query, segment) pairs probed
+	cTreesProbed           // trees in the tree sets of the probed segments
+	cSegRangePruned        // pairs skipped: every partition ruled out by size
+	cSegBloomPruned        // pairs skipped: no leading value can collide
+	cPlanHits
+	cPlanMisses
+	cResHits
+	cResMisses
+	cTopKEarlyExits // QueryTopK calls that stopped before the last segment
+	cBufScans       // linear buffer scans performed
+	cBufBloomSkips  // buffer scans skipped by the buffer's Bloom filter
+	numCounters
+)
+
+// tally is one query call's share of the planner counters.
+type tally [numCounters]uint64
+
 // queryScratch is the pooled per-query working memory of the live fan-out:
 // a reusable id buffer for the per-segment candidate lists, the tree set of
-// the segment (or buffer) being served, and the buffer scan's band offsets.
+// the segment (or buffer) being served, the buffer scan's band offsets, the
+// unpruned reference's per-segment plan, and a batch worker's tally.
 type queryScratch struct {
 	ids   []uint32
 	trees lshforest.TreeSet
 	bands []int
+	plan  []tune.Params
+	tally tally
 }
 
 // QueryKind discriminates the query entry points for Observer callbacks.
@@ -491,9 +519,11 @@ func (x *Index) getObserver() Observer {
 // of the aggregate Stats.Planner counters. The serving layer uses it to
 // dump a planner breakdown into the slow-query log.
 //
-// The single-query path (Query/QueryContext/QueryAppend*) fills all of it.
-// A top-k query fills ResultCacheHit, Segments and Buffered — its ladder
-// has no per-segment decision to count — and batches ignore it.
+// Every query shape overwrites all of it when the call returns. A batch
+// reports the decisions of its rows added up (the flags then read "for any
+// row", ResultCacheHit "for every row"). A top-k query fills ResultCacheHit,
+// Segments and Buffered — its ladder's segment visits are not planner
+// decisions and count in neither the trace nor Stats.
 type QueryTrace struct {
 	// ResultCacheHit reports the query was answered from the result cache
 	// without touching a segment.
@@ -521,8 +551,8 @@ type QueryTrace struct {
 // traceCtxKey carries a *QueryTrace in a context.
 type traceCtxKey struct{}
 
-// WithQueryTrace returns ctx carrying t; the next single or top-k query run
-// under the returned context fills it in.
+// WithQueryTrace returns ctx carrying t; a query run under the returned
+// context fills it in.
 func WithQueryTrace(ctx context.Context, t *QueryTrace) context.Context {
 	return context.WithValue(ctx, traceCtxKey{}, t)
 }
@@ -721,24 +751,67 @@ func (x *Index) acquireScratch() *queryScratch {
 	return s
 }
 
+func (x *Index) releaseScratch(s *queryScratch) { x.scratch.Put(s) }
+
 // numTrees is the tree count of every sealed forest (and the buffer's band
 // count): NumHash/RMax.
 func (x *Index) numTrees() int { return x.opts.NumHash / x.opts.RMax }
 
-// noteProbe counts one probed segment whose tree set has n members. The
-// segment is counted before its trees: Stats derives the skipped trees from
-// the two counters and relies on that order.
-func (x *Index) noteProbe(n int, tr *QueryTrace) {
-	x.segProbed.Add(1)
-	x.treesProbed.Add(uint64(n))
-	if tr != nil {
-		tr.SegmentsProbed++
-		tr.TreesProbed += n
-		tr.TreesSkipped += x.numTrees() - n
-	}
+// call is the frame all three query shapes run in: time the call for the
+// observer, pin the snapshot it answers from, count what the planner decides
+// on its behalf. The shapes differ only in what they compute between begin and
+// done. It is a value with two methods, not a function handed the shape's
+// body as a closure, because the query path allocates nothing.
+type call struct {
+	x     *Index
+	kind  QueryKind
+	obs   Observer
+	start time.Time
+	// sn is pinned until done: a concurrent seal/merge may retire (and under
+	// mmap, unmap) segments the call is still probing.
+	sn    *snapshot
+	trace *QueryTrace // the caller's, from the context; nil when not asked for
+	tally tally
 }
 
-func (x *Index) releaseScratch(s *queryScratch) { x.scratch.Put(s) }
+func (x *Index) begin(ctx context.Context, kind QueryKind) call {
+	c := call{x: x, kind: kind, obs: x.getObserver(), trace: queryTraceFrom(ctx)}
+	if c.obs != nil {
+		c.start = time.Now()
+	}
+	c.sn = x.acquireSnap()
+	return c
+}
+
+// done fills the caller's trace from the tally, adds the tally to the index's
+// counters — once per call, in counter order (see the counter constants) —
+// and reports the call's latency.
+func (c *call) done() {
+	x, t := c.x, &c.tally
+	if c.trace != nil {
+		*c.trace = QueryTrace{
+			ResultCacheHit:      t[cResHits] > 0 && t[cResMisses] == 0,
+			Segments:            len(c.sn.segs),
+			Buffered:            len(c.sn.buf),
+			SegmentsProbed:      int(t[cSegProbed]),
+			SegmentsRangePruned: int(t[cSegRangePruned]),
+			SegmentsBloomPruned: int(t[cSegBloomPruned]),
+			TreesProbed:         int(t[cTreesProbed]),
+			TreesSkipped:        x.numTrees()*int(t[cSegProbed]) - int(t[cTreesProbed]),
+			BufferScanned:       t[cBufScans] > 0,
+			BufferBloomSkipped:  t[cBufBloomSkips] > 0,
+		}
+	}
+	x.releaseSnap(c.sn)
+	for i, n := range t {
+		if n != 0 {
+			x.counters[i].Add(n)
+		}
+	}
+	if c.obs != nil {
+		c.obs.ObserveQuery(c.kind, time.Since(c.start))
+	}
+}
 
 // Query returns the keys of all candidate domains for the query signature
 // at containment threshold tStar (see core.Index.QueryIDs for parameter
@@ -771,16 +844,8 @@ func (x *Index) QueryContext(ctx context.Context, sig minhash.Signature, querySi
 // the cancellation semantics. On cancellation dst is returned grown by an
 // unspecified prefix of the answer alongside ctx.Err().
 func (x *Index) QueryAppendContext(ctx context.Context, dst []string, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
-	if o := x.getObserver(); o != nil {
-		start := time.Now()
-		dst, err := x.queryAppendContext(ctx, dst, sig, querySize, tStar)
-		o.ObserveQuery(KindQuery, time.Since(start))
-		return dst, err
-	}
-	return x.queryAppendContext(ctx, dst, sig, querySize, tStar)
-}
-
-func (x *Index) queryAppendContext(ctx context.Context, dst []string, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
+	c := x.begin(ctx, KindQuery)
+	defer c.done()
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
 	}
@@ -788,114 +853,71 @@ func (x *Index) queryAppendContext(ctx context.Context, dst []string, sig minhas
 		return dst, nil
 	}
 	sig = sig[:x.opts.NumHash]
-	tStar = clampThreshold(tStar)
-	// Pin the snapshot: a concurrent seal/merge may retire (and under mmap,
-	// unmap) segments the fan-out is still probing.
-	sn := x.acquireSnap()
-	tr := queryTraceFrom(ctx)
-	if tr != nil {
-		tr.Segments = len(sn.segs)
-		tr.Buffered = len(sn.buf)
-	}
-	var h uint64
+	tStar = max(0, min(tStar, 1))
 	tBits := math.Float64bits(tStar)
-	if x.rc != nil {
-		h = queryHash(sig, querySize, tBits)
-		if e := x.lookupResult(sn, sig, querySize, tBits, h); e != nil {
-			x.resHits.Add(1)
-			if tr != nil {
-				tr.ResultCacheHit = true
-			}
-			x.releaseSnap(sn)
-			return append(dst, e.keys...), nil
-		}
-		x.resMisses.Add(1)
+	e, h := c.cached(sig, querySize, tBits)
+	if e != nil {
+		return append(dst, e.keys...), nil
 	}
 	base := len(dst)
-	dst, err := x.querySnapshot(ctx, dst, sn, sig, querySize, tStar, tr)
-	// A canceled fan-out collected only a prefix of the answer; caching it
-	// would serve the truncation to later, uncanceled queries.
-	if err == nil && x.rc != nil {
-		x.storeResult(sn, sig, querySize, tBits, h, dst[base:], nil)
+	dst, err := x.querySnapshot(ctx, dst, &c, sig, querySize, tStar)
+	if err == nil {
+		c.store(sig, querySize, tBits, h, dst[base:], nil)
 	}
-	x.releaseSnap(sn)
 	return dst, err
 }
 
-func clampThreshold(t float64) float64 {
-	if t < 0 {
-		return 0
-	}
-	if t > 1 {
-		return 1
-	}
-	return t
-}
-
-// querySnapshot runs the planned fan-out over one snapshot: resolve the
-// plan for (querySize, tStar), work out per segment which trees can match
-// (leadTrees), probe only those trees of only the segments neither the plan
-// nor an empty tree set rules out, then scan the buffer. With pruning
-// disabled it degrades to the plain probe-everything loop. sig and tStar
-// must already be clamped. ctx is checked once per segment and periodically
-// inside the buffer scan; on cancellation dst is returned as collected so
-// far alongside ctx.Err(). tr, when non-nil, receives the per-query
-// planner breakdown (mirroring the aggregate counters).
-func (x *Index) querySnapshot(ctx context.Context, dst []string, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
+// querySnapshot answers one query from the call's snapshot: every sealed
+// segment through probeSegment under the plan for (querySize, tStar), then
+// the buffer. sig and tStar must already be clamped. ctx is checked once per
+// segment and periodically inside the buffer scan; on cancellation dst is
+// returned as collected so far alongside ctx.Err().
+func (x *Index) querySnapshot(ctx context.Context, dst []string, c *call, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
 	s := x.acquireScratch()
 	defer x.releaseScratch(s)
-	if len(sn.segs) > 0 {
-		if x.opts.DisablePruning {
-			for _, seg := range sn.segs {
-				if err := ctx.Err(); err != nil {
-					return dst, err
-				}
-				if tr != nil {
-					tr.SegmentsProbed++
-				}
-				dst = x.appendSegmentMatches(dst, s, sn, seg, sig, querySize, tStar)
-			}
-		} else {
-			plan := x.planFor(sn, querySize, tStar)
-			for si, seg := range sn.segs {
-				if err := ctx.Err(); err != nil {
-					return dst, err
-				}
-				pp := plan.params[si]
-				if pp == nil {
-					x.segRangePruned.Add(1)
-					if tr != nil {
-						tr.SegmentsRangePruned++
-					}
-					continue
-				}
-				n := seg.meta.trees(s.trees, sig, x.opts.RMax, x.opts.Sketch.Mask())
-				if n == 0 {
-					x.segBloomPruned.Add(1)
-					if tr != nil {
-						tr.SegmentsBloomPruned++
-					}
-					continue
-				}
-				x.noteProbe(n, tr)
-				// A sealed segment is never dirty, the plan matches its
-				// partition count and sig was length-checked, so the error
-				// path is unreachable.
-				s.ids, _ = seg.idx.QueryIDsMaskedAppend(s.ids[:0], sig, pp, s.trees)
-				dst = appendLiveKeys(dst, sn, seg, s.ids)
-			}
+	plan := x.planFor(c.sn, querySize, tStar, &c.tally)
+	for si := range c.sn.segs {
+		if err := ctx.Err(); err != nil {
+			return dst, err
 		}
+		dst = x.probeSegment(dst, s, &c.tally, c.sn, si, sig, querySize, tStar, plan)
 	}
-	return x.appendBufferMatches(ctx, dst, s, sn, sig, querySize, tStar, tr)
+	return x.appendBufferMatches(ctx, dst, s, &c.tally, c.sn, sig, querySize, tStar)
 }
 
-// appendSegmentMatches probes one sealed segment the pre-planner way and
-// appends the keys of its live candidates (the DisablePruning path).
-func (x *Index) appendSegmentMatches(dst []string, s *queryScratch, sn *snapshot, seg *segment,
-	sig minhash.Signature, querySize int, tStar float64) []string {
-	// A sealed segment can never be dirty, so the error is impossible; the
-	// empty result on that unreachable path is still safe.
-	s.ids, _ = seg.idx.QueryIDsAppend(s.ids[:0], sig, querySize, tStar)
+// probeSegment is the (query, segment) step of every threshold query, single
+// or batch row: skip segment si when the plan rules out all its partitions,
+// ask its leading-value filter which trees can match and skip it when none
+// can, probe those trees with the planned (b, r), and append the keys of the
+// candidates the snapshot's tombstones leave alive. A nil plan is the
+// unpruned reference (Options.DisablePruning): the segment is planned on the
+// spot and every tree is probed. Decisions are counted in t; s lends the tree
+// set, the reference's plan and the id buffer.
+func (x *Index) probeSegment(dst []string, s *queryScratch, t *tally, sn *snapshot, si int,
+	sig minhash.Signature, querySize int, tStar float64, plan *segPlan) []string {
+	seg := sn.segs[si]
+	var pp []tune.Params
+	var trees lshforest.TreeSet // nil = every tree
+	n := x.numTrees()
+	if plan == nil {
+		s.plan = seg.idx.PlanPartitions(s.plan[:0], querySize, tStar)
+		pp = s.plan
+	} else {
+		if pp = plan.params[si]; pp == nil {
+			t[cSegRangePruned]++
+			return dst
+		}
+		if n = seg.meta.trees(s.trees, sig, x.opts.RMax, x.opts.Sketch.Mask()); n == 0 {
+			t[cSegBloomPruned]++
+			return dst
+		}
+		trees = s.trees
+	}
+	t[cSegProbed]++
+	t[cTreesProbed] += uint64(n)
+	// No error can come back: sig was length-checked by the caller and pp was
+	// planned on this segment.
+	s.ids, _ = seg.idx.QueryIDsMaskedAppend(s.ids[:0], sig, pp, trees)
 	return appendLiveKeys(dst, sn, seg, s.ids)
 }
 
@@ -926,8 +948,9 @@ func appendLiveKeys(dst []string, sn *snapshot, seg *segment, ids []uint32) []st
 // names the bands that can collide at all (leadTrees): none skips the scan,
 // and the scan compares only those, reading one or two cache lines of a
 // buffered 2 KB signature where the full compare walks up to b of them.
-// tStar must already be clamped; s lends the tree set and band offsets.
-func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryScratch, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
+// tStar must already be clamped; s lends the tree set and band offsets, and
+// the scan-or-skip decision is counted in t.
+func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryScratch, t *tally, sn *snapshot, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
 	if len(sn.buf) == 0 {
 		return dst, nil
 	}
@@ -942,23 +965,17 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryS
 	var trees lshforest.TreeSet // nil = every band: the unpruned reference scan
 	if sn.bufBloom != nil {
 		if leadTrees(s.trees, sn.bufBloom, sig, rMax, mask) == 0 {
-			x.bufBloomSkips.Add(1)
-			if tr != nil {
-				tr.BufferBloomSkipped = true
-			}
+			t[cBufBloomSkips]++
 			return dst, nil
 		}
 		trees = s.trees
 	}
-	x.bufScans.Add(1)
-	if tr != nil {
-		tr.BufferScanned = true
-	}
+	t[cBufScans]++
 	params := x.bands.Optimize(u, q, tStar)
 	s.bands = s.bands[:0]
-	for t := 0; t < params.B; t++ {
-		if trees.Has(t) {
-			s.bands = append(s.bands, t*rMax)
+	for b := 0; b < params.B; b++ {
+		if trees.Has(b) {
+			s.bands = append(s.bands, b*rMax)
 		}
 	}
 	for i := range sn.buf {
@@ -1022,145 +1039,97 @@ func sketchContainment(sb core.SketchBackend, a, b minhash.Signature, q, x float
 }
 
 // QueryBatch answers every query of the batch (the daemon's high-throughput
-// path), fanning each sealed segment's probes across up to `workers`
-// goroutines through the core batch engine, then scanning the buffer. Rows
-// are in query order; each row holds the keys of the query's live
-// candidates. Like Query it is lock-free against writers and the compactor.
+// path) with up to `workers` goroutines (0 means GOMAXPROCS). Rows are in
+// query order; each row holds the keys of the query's live candidates. Like
+// Query it is lock-free against writers and the compactor.
 //
-// The batch path shares the planner with Query: result-cache hits answer a
-// query outright, and each remaining query is dispatched only to the
-// segments its plan and Bloom pre-test cannot rule out, so a segment's
-// batch shrinks to the queries that can actually collide there. Rows are
-// identical to the unplanned fan-out either way.
+// A row is a Query: the result cache answers it outright when it can, and
+// otherwise the row makes the same visits with the same plan through the same
+// probeSegment, so rows are identical to single queries and move the planner
+// counters by the same amounts. What the batch adds is the order of the
+// visits — segment-major: the rows still pending are fanned across the
+// workers for segment 0, then for segment 1, …, then for the buffer — because
+// a segment's leading columns stay cache-resident only while rows visit it
+// together (row-major cost the ledger 5 % of lib_query's sat_qps).
 func (x *Index) QueryBatch(queries []core.BatchQuery, workers int) [][]string {
 	rows, _ := x.QueryBatchContext(context.Background(), queries, workers)
 	return rows
 }
 
-// QueryBatchContext is QueryBatch under a context: the per-segment batch
-// dispatch inherits ctx (core.QueryBatchIntoContext stops its workers after
-// at most one in-flight query each) and the fan-out checks ctx between
-// segments, so a disconnected client or expired deadline stops the batch
-// instead of burning CPU to completion. On cancellation it returns
-// (nil, ctx.Err()); partial rows are discarded, never cached.
-func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery, workers int) ([][]string, error) {
-	if o := x.getObserver(); o != nil {
-		start := time.Now()
-		rows, err := x.queryBatchContext(ctx, queries, workers)
-		o.ObserveQuery(KindBatch, time.Since(start))
-		return rows, err
-	}
-	return x.queryBatchContext(ctx, queries, workers)
+// batchRow is a batch row the result cache did not answer: the normalized
+// query, where its answer goes, its cache key and its plan.
+type batchRow struct {
+	core.BatchQuery
+	row        int
+	bits, hash uint64
+	plan       *segPlan
 }
 
-func (x *Index) queryBatchContext(ctx context.Context, queries []core.BatchQuery, workers int) ([][]string, error) {
+// QueryBatchContext is QueryBatch under a context: ctx is checked before
+// every row's visit to a segment or the buffer, so a disconnected client or
+// expired deadline stops the batch after at most one visit in flight per
+// worker instead of burning CPU to completion. On cancellation it returns
+// (nil, ctx.Err()); partial rows are discarded, never cached. A trace in ctx
+// receives the decisions of all rows added up.
+func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery, workers int) ([][]string, error) {
+	c := x.begin(ctx, KindBatch)
+	defer c.done()
+	sn := c.sn
 	rows := make([][]string, len(queries))
-	if len(queries) == 0 {
-		return rows, nil
-	}
-	sn := x.acquireSnap()
-	defer x.releaseSnap(sn)
-
-	// Normalize once (clamped signatures and thresholds), resolve cache
-	// hits, and keep the indices still needing the fan-out.
-	norm := make([]core.BatchQuery, len(queries))
-	tBitsOf := make([]uint64, len(queries))
-	hashOf := make([]uint64, len(queries))
-	pending := make([]int, 0, len(queries))
-	for i := range queries {
-		q := queries[i]
+	pending := make([]batchRow, 0, len(queries))
+	for i, q := range queries {
 		if q.Size <= 0 || len(q.Sig) < x.opts.NumHash {
-			continue // invalid size or short signature → empty row, matching the core batch contract
+			continue // a row no single query would serve stays empty
 		}
 		q.Sig = q.Sig[:x.opts.NumHash]
-		q.Threshold = clampThreshold(q.Threshold)
-		norm[i] = q
-		tBitsOf[i] = math.Float64bits(q.Threshold)
-		if x.rc != nil {
-			hashOf[i] = queryHash(q.Sig, q.Size, tBitsOf[i])
-			if e := x.lookupResult(sn, q.Sig, q.Size, tBitsOf[i], hashOf[i]); e != nil {
-				x.resHits.Add(1)
-				rows[i] = append(rows[i], e.keys...)
-				continue
-			}
-			x.resMisses.Add(1)
+		q.Threshold = max(0, min(q.Threshold, 1))
+		bits := math.Float64bits(q.Threshold)
+		e, h := c.cached(q.Sig, q.Size, bits)
+		if e != nil {
+			rows[i] = append(rows[i], e.keys...)
+			continue
 		}
-		pending = append(pending, i)
+		pending = append(pending, batchRow{BatchQuery: q, row: i, bits: bits, hash: h,
+			plan: x.planFor(sn, q.Size, q.Threshold, &c.tally)})
 	}
 	if len(pending) == 0 {
 		return rows, nil
 	}
-
-	// Per-query plans (shared through the plan cache, so a batch of
-	// repeated shapes resolves them once).
-	var planOf []*segPlan
-	if !x.opts.DisablePruning {
-		planOf = make([]*segPlan, len(queries))
-		for _, qi := range pending {
-			planOf[qi] = x.planFor(sn, norm[qi].Size, norm[qi].Threshold)
-		}
+	// One scratch per worker; each worker counts in its scratch's tally, off
+	// the other workers' cache lines.
+	workers = par.Clamp(workers, len(pending))
+	scratch := make([]*queryScratch, workers)
+	for w := range scratch {
+		scratch[w] = x.acquireScratch()
+		scratch[w].tally = tally{}
 	}
-
-	var res core.BatchResults
-	sub := make([]core.BatchQuery, 0, len(pending))
-	subIdx := make([]int, 0, len(pending))
-	// One tree set per (row, segment), carved from an arena that every
-	// segment's sub-batch reuses; both stay nil on the unpruned path, which
-	// the core batch reads as "every tree for every row".
-	var subTrees []lshforest.TreeSet
-	var treeArena []uint64
-	words := lshforest.TreeSetWords(x.numTrees())
-	if planOf != nil {
-		subTrees = make([]lshforest.TreeSet, 0, len(pending))
-		treeArena = make([]uint64, len(pending)*words)
+	// Stop si < len(sn.segs) is sealed segment si, the last stop the buffer.
+	for si := 0; si <= len(sn.segs) && ctx.Err() == nil; si++ {
+		par.Drain(len(pending), workers, func(w, j int) {
+			if ctx.Err() != nil {
+				return
+			}
+			p, s := &pending[j], scratch[w]
+			if si < len(sn.segs) {
+				rows[p.row] = x.probeSegment(rows[p.row], s, &s.tally, sn, si, p.Sig, p.Size, p.Threshold, p.plan)
+			} else {
+				// The scan's only error is ctx's, read below.
+				rows[p.row], _ = x.appendBufferMatches(ctx, rows[p.row], s, &s.tally, sn, p.Sig, p.Size, p.Threshold)
+			}
+		})
 	}
-	for si, seg := range sn.segs {
-		sub, subIdx, subTrees = sub[:0], subIdx[:0], subTrees[:0]
-		for _, qi := range pending {
-			if planOf != nil {
-				if planOf[qi].params[si] == nil {
-					x.segRangePruned.Add(1)
-					continue
-				}
-				// A pruned row's slot is reused by the next row.
-				set := lshforest.TreeSet(treeArena[len(sub)*words : (len(sub)+1)*words])
-				n := seg.meta.trees(set, norm[qi].Sig, x.opts.RMax, x.opts.Sketch.Mask())
-				if n == 0 {
-					x.segBloomPruned.Add(1)
-					continue
-				}
-				x.noteProbe(n, nil)
-				subTrees = append(subTrees, set)
-			}
-			sub = append(sub, norm[qi])
-			subIdx = append(subIdx, qi)
+	for _, s := range scratch {
+		for i, n := range s.tally {
+			c.tally[i] += n
 		}
-		if len(sub) == 0 {
-			continue
-		}
-		if err := seg.idx.QueryBatchMaskedIntoContext(ctx, &res, sub, subTrees, workers); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			continue // unreachable: sealed segments are never dirty
-		}
-		for j, qi := range subIdx {
-			rows[qi] = appendLiveKeys(rows[qi], sn, seg, res.Row(j))
-		}
+		x.releaseScratch(s)
 	}
-	s := x.acquireScratch()
-	defer x.releaseScratch(s)
-	for _, qi := range pending {
-		if len(sn.buf) > 0 {
-			var err error
-			rows[qi], err = x.appendBufferMatches(ctx, rows[qi], s, sn, norm[qi].Sig, norm[qi].Size, norm[qi].Threshold, nil)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if x.rc != nil {
-			x.storeResult(sn, norm[qi].Sig, norm[qi].Size, tBitsOf[qi], hashOf[qi], rows[qi], nil)
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for i := range pending {
+		p := &pending[i]
+		c.store(p.Sig, p.Size, p.bits, p.hash, rows[p.row], nil)
 	}
 	return rows, nil
 }
@@ -1184,16 +1153,8 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKRe
 // remaining segments. On cancellation it returns (nil, ctx.Err()), and the
 // partial ranking is never cached.
 func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
-	if o := x.getObserver(); o != nil {
-		start := time.Now()
-		results, err := x.queryTopKContext(ctx, sig, querySize, k)
-		o.ObserveQuery(KindTopK, time.Since(start))
-		return results, err
-	}
-	return x.queryTopKContext(ctx, sig, querySize, k)
-}
-
-func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
+	c := x.begin(ctx, KindTopK)
+	defer c.done()
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return nil, err
 	}
@@ -1201,25 +1162,20 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 		return nil, nil
 	}
 	sig = sig[:x.opts.NumHash]
-	sn := x.acquireSnap()
-	defer x.releaseSnap(sn)
-	tr := queryTraceFrom(ctx)
-	if tr != nil {
-		tr.Segments = len(sn.segs)
-		tr.Buffered = len(sn.buf)
+	sn := c.sn
+	// More than every physical entry cannot be ranked, and the bound keeps
+	// k + tombstones below from wrapping negative for a k near math.MaxInt.
+	entries := len(sn.buf)
+	for _, seg := range sn.segs {
+		entries += seg.idx.Len()
 	}
-	var h uint64
+	if k > entries {
+		k = entries
+	}
 	kBits := topKBits(k)
-	if x.rc != nil {
-		h = queryHash(sig, querySize, kBits)
-		if e := x.lookupResult(sn, sig, querySize, kBits, h); e != nil {
-			x.resHits.Add(1)
-			if tr != nil {
-				tr.ResultCacheHit = true
-			}
-			return append([]core.TopKResult(nil), e.ranked...), nil
-		}
-		x.resMisses.Add(1)
+	hit, h := c.cached(sig, querySize, kBits)
+	if hit != nil {
+		return append([]core.TopKResult(nil), hit.ranked...), nil
 	}
 	q := float64(querySize)
 	// Tombstoned candidates are filtered after collection, so ask each
@@ -1234,10 +1190,9 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 		}
 	}
 	s := x.acquireScratch()
-	terminated := false
+	defer x.releaseScratch(s)
 	for _, si := range sn.topkOrder {
 		if err := ctx.Err(); err != nil {
-			x.releaseScratch(s)
 			return nil, err
 		}
 		seg := sn.segs[si]
@@ -1245,7 +1200,7 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 		// score could still win its tie-break, so it is only skippable when
 		// even its best possible estimate falls short.
 		if !x.opts.DisablePruning && len(results) >= k && kth() > containmentBound(seg.meta.maxBound, q) {
-			terminated = true
+			c.tally[cTopKEarlyExits] = 1
 			break
 		}
 		// The segment's tree set serves every rung of the ladder; an empty
@@ -1257,6 +1212,7 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 			}
 			trees = s.trees
 		}
+		// No error can come back: sig was length-checked above.
 		s.ids, _ = seg.idx.QueryTopKIDsMasked(s.ids[:0], sig, querySize, need, trees)
 		for _, id := range s.ids {
 			key := seg.idx.Key(id)
@@ -1268,10 +1224,9 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 		}
 		rank()
 	}
-	x.releaseScratch(s)
 	if len(sn.buf) > 0 {
 		if !x.opts.DisablePruning && len(results) >= k && kth() > containmentBound(sn.bufMax, q) {
-			terminated = true
+			c.tally[cTopKEarlyExits] = 1
 		} else {
 			for i := range sn.buf {
 				e := &sn.buf[i]
@@ -1284,12 +1239,7 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 			rank()
 		}
 	}
-	if terminated {
-		x.topkEarlyExits.Add(1)
-	}
-	if x.rc != nil {
-		x.storeResult(sn, sig, querySize, kBits, h, nil, results)
-	}
+	c.store(sig, querySize, kBits, h, nil, results)
 	return results, nil
 }
 
@@ -1392,10 +1342,11 @@ func (x *Index) Stats() Stats {
 	sn := x.acquireSnap()
 	defer x.releaseSnap(sn)
 	// Loaded in this order — trees, then segments — every probe whose trees
-	// are in the first number is in the second (noteProbe), so the skipped
-	// trees derived below cannot come out negative under concurrent queries.
-	treesProbed := x.treesProbed.Load()
-	segProbed := x.segProbed.Load()
+	// are in the first number is in the second (call.done adds segments
+	// first), so the skipped trees derived below cannot come out negative
+	// under concurrent queries.
+	treesProbed := x.counters[cTreesProbed].Load()
+	segProbed := x.counters[cSegProbed].Load()
 	st := Stats{
 		Domains:     x.Len(),
 		Segments:    make([]int, len(sn.segs)),
@@ -1407,17 +1358,17 @@ func (x *Index) Stats() Stats {
 		SpillErrors: x.spillErrors.Load(),
 		Planner: PlannerStats{
 			SegmentsProbed:      segProbed,
-			SegmentsRangePruned: x.segRangePruned.Load(),
-			SegmentsBloomPruned: x.segBloomPruned.Load(),
+			SegmentsRangePruned: x.counters[cSegRangePruned].Load(),
+			SegmentsBloomPruned: x.counters[cSegBloomPruned].Load(),
 			TreesProbed:         treesProbed,
 			TreesSkipped:        uint64(x.numTrees())*segProbed - treesProbed,
-			PlanHits:            x.planHits.Load(),
-			PlanMisses:          x.planMisses.Load(),
-			ResultHits:          x.resHits.Load(),
-			ResultMisses:        x.resMisses.Load(),
-			TopKEarlyExits:      x.topkEarlyExits.Load(),
-			BufferScans:         x.bufScans.Load(),
-			BufferBloomPruned:   x.bufBloomSkips.Load(),
+			PlanHits:            x.counters[cPlanHits].Load(),
+			PlanMisses:          x.counters[cPlanMisses].Load(),
+			ResultHits:          x.counters[cResHits].Load(),
+			ResultMisses:        x.counters[cResMisses].Load(),
+			TopKEarlyExits:      x.counters[cTopKEarlyExits].Load(),
+			BufferScans:         x.counters[cBufScans].Load(),
+			BufferBloomPruned:   x.counters[cBufBloomSkips].Load(),
 		},
 	}
 	if len(sn.segs) > 0 {

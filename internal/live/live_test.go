@@ -3,6 +3,8 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -632,4 +634,43 @@ func TestTombstoneGC(t *testing.T) {
 	if st.Domains != 44 || len(st.Segments) != 1 || st.Segments[0] != 44 {
 		t.Fatalf("unexpected shape after Compact: %+v", st)
 	}
+}
+
+// TestTopKHugeK: a k beyond the corpus ranks everything that collides. With a
+// tombstone pending, k near math.MaxInt used to wrap k + tombstones negative,
+// which the segment ladder read as "collect nothing": the answer came back
+// empty (over HTTP, a 200 with no matches). k is now bounded by the
+// snapshot's physical entry count first, so a huge k answers like a merely
+// large one — before and after a Delete, from segments and from the buffer.
+func TestTopKHugeK(t *testing.T) {
+	recs := fixture(t, 50, 25)
+	opts := liveOpts()
+	opts.ResultCacheSize = -1
+	x, err := Build(recs[:40], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for _, r := range recs[40:] {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := recs[3]
+	check := func(when string) {
+		t.Helper()
+		want := x.QueryTopK(q.Sig, q.Size, 1000)
+		if len(want) == 0 || want[0].Key != q.Key {
+			t.Fatalf("%s: k=1000 ranks %v, want the query's own key first", when, want)
+		}
+		for _, k := range []int{math.MaxInt, math.MaxInt - 1, math.MaxInt / 2} {
+			if got := x.QueryTopK(q.Sig, q.Size, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: k=%d ranks %d results %v, k=1000 ranks %d", when, k, len(got), got, len(want))
+			}
+		}
+	}
+	check("no tombstones")
+	x.Delete(recs[7].Key)  // a sealed entry
+	x.Delete(recs[45].Key) // a buffered one
+	check("two tombstones")
 }

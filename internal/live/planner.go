@@ -2,6 +2,7 @@ package live
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -250,12 +251,16 @@ func buildSegPlan(sn *snapshot, querySize int, tStar float64) *segPlan {
 	return p
 }
 
-// planFor returns the plan for (querySize, tStar) against sn, consulting
-// the cache unless disabled. The hit path is one atomic load and one map
-// read. Misses build the plan outside any lock, then publish a copied map
-// under planMu; a racing publish of the same key wastes one build, nothing
-// more. tStar must already be clamped.
-func (x *Index) planFor(sn *snapshot, querySize int, tStar float64) *segPlan {
+// planFor returns the plan for (querySize, tStar) against sn — nil, the
+// unpruned reference, under Options.DisablePruning — consulting the cache
+// unless disabled and counting the lookup in t. The hit path is one atomic
+// load and one map read. Misses build the plan outside any lock, then publish
+// a copied map under planMu; a racing publish of the same key wastes one
+// build, nothing more. tStar must already be clamped.
+func (x *Index) planFor(sn *snapshot, querySize int, tStar float64, t *tally) *segPlan {
+	if x.opts.DisablePruning {
+		return nil
+	}
 	if x.opts.DisablePlanCache {
 		return buildSegPlan(sn, querySize, tStar)
 	}
@@ -277,16 +282,16 @@ func (x *Index) planFor(sn *snapshot, querySize int, tStar float64) *segPlan {
 		if tb.segGen != sn.segGen {
 			// This reader holds a snapshot older than the table (a seal or
 			// merge published mid-query elsewhere): plan ephemerally.
-			x.planMisses.Add(1)
+			t[cPlanMisses]++
 			return buildSegPlan(sn, querySize, tStar)
 		}
 	}
 	key := planKey{size: querySize, tBits: math.Float64bits(tStar)}
 	if p, ok := tb.m[key]; ok {
-		x.planHits.Add(1)
+		t[cPlanHits]++
 		return p
 	}
-	x.planMisses.Add(1)
+	t[cPlanMisses]++
 	p := buildSegPlan(sn, querySize, tStar)
 	x.planMu.Lock()
 	if cur := x.plans.Load(); cur.segGen == sn.segGen {
@@ -374,42 +379,45 @@ func queryHash(sig minhash.Signature, querySize int, tBits uint64) uint64 {
 	return mixHash(h)
 }
 
-// lookupResult probes the query's set for a fresh exact match. A hit
-// requires the entry's generation to equal the snapshot's — any Add,
-// Delete, seal or merge publishes a new generation, so a stale result can
-// never be served. The full signature compare makes hash collisions
-// harmless.
-func (x *Index) lookupResult(sn *snapshot, sig minhash.Signature, querySize int, tBits, h uint64) *resultEntry {
+// cached probes the query's set of the result cache for a fresh exact match
+// on the call's snapshot and counts the hit or miss; it also returns the
+// query's hash, which store takes. A hit requires the entry's generation to
+// equal the snapshot's — any Add, Delete, seal or merge publishes a new
+// generation, so a stale result can never be served. The full signature
+// compare makes hash collisions harmless. With the cache disabled every
+// lookup is a miss that nothing counts.
+func (c *call) cached(sig minhash.Signature, querySize int, tBits uint64) (*resultEntry, uint64) {
+	x := c.x
+	if x.rc == nil {
+		return nil, 0
+	}
+	h := queryHash(sig, querySize, tBits)
 	base := int(h&x.rcMask) * rcWays
 	for i := 0; i < rcWays; i++ {
 		e := x.rc[base+i].Load()
-		if e == nil || e.gen != sn.gen || e.hash != h || e.size != querySize || e.tBits != tBits {
-			continue
-		}
-		if len(e.sig) != len(sig) {
-			continue
-		}
-		match := true
-		for j := range sig {
-			if e.sig[j] != sig[j] {
-				match = false
-				break
-			}
-		}
-		if !match {
+		if e == nil || e.gen != c.sn.gen || e.hash != h || e.size != querySize || e.tBits != tBits || !slices.Equal(e.sig, sig) {
 			continue
 		}
 		e.stamp.Store(x.rcClock.Add(1))
-		return e
+		c.tally[cResHits]++
+		return e, h
 	}
-	return nil
+	c.tally[cResMisses]++
+	return nil, h
 }
 
-// storeResult publishes a computed result into the query's set, evicting
-// (in order of preference) an empty slot, a stale-generation entry, or the
-// least recently stamped one. Races between concurrent inserts are benign:
-// slots are single atomic pointers, so a lost insert just misses next time.
-func (x *Index) storeResult(sn *snapshot, sig minhash.Signature, querySize int, tBits, h uint64, keys []string, ranked []core.TopKResult) {
+// store publishes a complete answer computed on the call's snapshot into the
+// query's set, evicting (in order of preference) an empty slot, a
+// stale-generation entry, or the least recently stamped one. Races between
+// concurrent inserts are benign: slots are single atomic pointers, so a lost
+// insert just misses next time. A canceled fan-out collected only a prefix of
+// its answer: callers must not store it, or the truncation would be served to
+// later, uncanceled queries.
+func (c *call) store(sig minhash.Signature, querySize int, tBits, h uint64, keys []string, ranked []core.TopKResult) {
+	x, sn := c.x, c.sn
+	if x.rc == nil {
+		return
+	}
 	base := int(h&x.rcMask) * rcWays
 	victim := 0
 	var minStamp uint64 = math.MaxUint64

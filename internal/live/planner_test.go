@@ -668,6 +668,7 @@ func BenchmarkPlanFor(b *testing.B) {
 			}
 		}
 		sn := x.snap.Load()
+		var tl tally
 		for _, distinct := range []int{64, 4096} {
 			b.Run(fmt.Sprintf("DisablePlanCache=%v/sizes=%d", disable, distinct), func(b *testing.B) {
 				sizes := make([]int, distinct)
@@ -675,12 +676,12 @@ func BenchmarkPlanFor(b *testing.B) {
 					sizes[i] = recs[i*7%len(recs)].Size + i
 				}
 				for _, q := range sizes { // warm the table and the cache
-					x.planFor(sn, q, 0.5)
+					x.planFor(sn, q, 0.5, &tl)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					x.planFor(sn, sizes[i%len(sizes)], 0.5)
+					x.planFor(sn, sizes[i%len(sizes)], 0.5, &tl)
 				}
 			})
 		}

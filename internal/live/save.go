@@ -70,7 +70,7 @@ const (
 // ErrCorrupt reports a malformed live-snapshot encoding.
 var ErrCorrupt = errors.New("live: corrupt snapshot encoding")
 
-// AppendBinary appends the index's snapshot encoding (a v3 manifest) to
+// AppendBinary appends the index's snapshot encoding (a v4 manifest) to
 // buf. With DataDir set it first writes a segment file for every segment
 // that lacks one, so the manifest references files instead of embedding
 // megabytes of segment bytes; the files it references are protected from

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -141,8 +142,7 @@ func TestShortQuerySignature(t *testing.T) {
 
 // TestTreeCountersAccount: every probed segment splits its NumHash/RMax trees
 // between TreesProbed and TreesSkipped — per query in the trace, and summed
-// over single and batch queries in Stats — and a half-redrawn query really is
-// spared trees.
+// in Stats — and a half-redrawn query really is spared trees.
 func TestTreeCountersAccount(t *testing.T) {
 	recs := fixture(t, 160, 23)
 	opts := plannerOpts()
@@ -162,7 +162,6 @@ func TestTreeCountersAccount(t *testing.T) {
 		}
 	}
 	numTrees := x.numTrees()
-	var batch []core.BatchQuery
 	var segs, probed, skipped uint64
 	for i, r := range recs[:40] {
 		sig := halfRedrawn(r.Sig, x.opts.RMax, uint64(i))
@@ -179,7 +178,6 @@ func TestTreeCountersAccount(t *testing.T) {
 		segs += uint64(tr.SegmentsProbed)
 		probed += uint64(tr.TreesProbed)
 		skipped += uint64(tr.TreesSkipped)
-		batch = append(batch, core.BatchQuery{Sig: sig, Size: r.Size, Threshold: 0.5})
 	}
 	if segs == 0 || skipped == 0 {
 		t.Fatalf("nothing probed or nothing skipped: %d segments, %d trees skipped", segs, skipped)
@@ -187,9 +185,144 @@ func TestTreeCountersAccount(t *testing.T) {
 	if st := x.Stats().Planner; st.SegmentsProbed != segs || st.TreesProbed != probed || st.TreesSkipped != skipped {
 		t.Fatalf("stats after the singles = %+v, traces sum to %d segments, %d trees probed, %d skipped", st, segs, probed, skipped)
 	}
-	// The same queries as one batch make the same decisions again.
-	x.QueryBatch(batch, 2)
-	if st := x.Stats().Planner; st.SegmentsProbed != 2*segs || st.TreesProbed != 2*probed || st.TreesSkipped != 2*skipped {
-		t.Fatalf("stats after the batch = %+v, want twice %d segments, %d trees probed, %d skipped", st, segs, probed, skipped)
+}
+
+// TestQueryShapesAgree: there is one read path, so the same 64 queries asked
+// one by one, as one batch (at any worker count), and of an index with the
+// planner off return identical rows — same keys, same order — and the first
+// two move every planner counter by the same amount (result cache off, plan
+// cache warm), which a batch's trace reports too. Over heap and mmap
+// segments, with tombstones in segments and buffer, a non-empty buffer, whole
+// and half-redrawn signatures (proper tree subsets), and rows no query would
+// serve.
+func TestQueryShapesAgree(t *testing.T) {
+	recs := fixture(t, 260, 24)
+	for _, mmap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mmap=%v", mmap), func(t *testing.T) {
+			build := func(o Options) *Index {
+				o.MaxSegments = 64
+				o.ResultCacheSize = -1
+				if mmap {
+					o.DataDir, o.Mmap = t.TempDir(), true
+				}
+				x, err := New(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(x.Close)
+				for i, r := range recs {
+					if _, err := x.Add(r); err != nil {
+						t.Fatal(err)
+					}
+					if i%50 == 49 && i < 240 {
+						x.Flush()
+					}
+				}
+				for i := 0; i < len(recs); i += 9 {
+					x.Delete(recs[i].Key)
+				}
+				return x
+			}
+			x, plain := build(plannerOpts()), build(unprunedOpts())
+			st := x.Stats()
+			if len(st.Segments) != 4 || st.Buffered != 60 || st.Tombstones == 0 {
+				t.Fatalf("fixture: %d segments, %d buffered, %d tombstones", len(st.Segments), st.Buffered, st.Tombstones)
+			}
+			if want := map[bool]string{false: "heap", true: "mmap"}[mmap]; st.SegmentDetail[0].Backing != want {
+				t.Fatalf("fixture: segments served from %s, want %s", st.SegmentDetail[0].Backing, want)
+			}
+
+			var batch []core.BatchQuery
+			for i := 0; i < 64; i++ {
+				r := recs[i*4]
+				sig := r.Sig
+				if i%2 == 1 {
+					sig = halfRedrawn(sig, x.opts.RMax, uint64(i))
+				}
+				batch = append(batch, core.BatchQuery{Sig: sig, Size: r.Size, Threshold: []float64{0, 0.5, 1, 1.7}[i%4]})
+			}
+			batch[10].Size = 0                  // no query serves these two:
+			batch[11].Sig = batch[11].Sig[:100] // their rows stay empty
+			singles := func(y *Index) (rows [][]string, sum QueryTrace) {
+				for _, q := range batch {
+					var tr QueryTrace
+					// A short signature is the one error; its row is nil like the batch's.
+					row, _ := y.QueryContext(WithQueryTrace(context.Background(), &tr), q.Sig, q.Size, q.Threshold)
+					rows = append(rows, row)
+					sum.SegmentsProbed += tr.SegmentsProbed
+					sum.SegmentsRangePruned += tr.SegmentsRangePruned
+					sum.SegmentsBloomPruned += tr.SegmentsBloomPruned
+					sum.TreesProbed += tr.TreesProbed
+					sum.TreesSkipped += tr.TreesSkipped
+				}
+				return rows, sum
+			}
+			moved := func(f func()) PlannerStats {
+				b := x.Stats().Planner
+				f()
+				a := x.Stats().Planner
+				return PlannerStats{
+					SegmentsProbed:      a.SegmentsProbed - b.SegmentsProbed,
+					SegmentsRangePruned: a.SegmentsRangePruned - b.SegmentsRangePruned,
+					SegmentsBloomPruned: a.SegmentsBloomPruned - b.SegmentsBloomPruned,
+					TreesProbed:         a.TreesProbed - b.TreesProbed,
+					TreesSkipped:        a.TreesSkipped - b.TreesSkipped,
+					PlanHits:            a.PlanHits - b.PlanHits,
+					PlanMisses:          a.PlanMisses - b.PlanMisses,
+					ResultHits:          a.ResultHits - b.ResultHits,
+					ResultMisses:        a.ResultMisses - b.ResultMisses,
+					TopKEarlyExits:      a.TopKEarlyExits - b.TopKEarlyExits,
+					BufferScans:         a.BufferScans - b.BufferScans,
+					BufferBloomPruned:   a.BufferBloomPruned - b.BufferBloomPruned,
+				}
+			}
+
+			singles(x) // warm the plan cache: from here on every plan lookup is a hit
+			var want [][]string
+			var sum QueryTrace
+			bySingles := moved(func() { want, sum = singles(x) })
+			if bySingles.SegmentsProbed == 0 || bySingles.SegmentsBloomPruned == 0 || bySingles.TreesSkipped == 0 ||
+				bySingles.BufferScans == 0 || bySingles.PlanHits != 62 || bySingles.PlanMisses != 0 {
+				t.Fatalf("fixture decides too little to compare: %+v", bySingles)
+			}
+			answers := 0
+			for _, row := range want {
+				answers += len(row)
+			}
+			if answers == 0 || len(want[10]) != 0 || len(want[11]) != 0 {
+				t.Fatalf("fixture: %d answers, unservable rows %v %v", answers, want[10], want[11])
+			}
+			for _, workers := range []int{1, 2, 5} {
+				var got [][]string
+				var tr QueryTrace
+				byBatch := moved(func() {
+					var err error
+					if got, err = x.QueryBatchContext(WithQueryTrace(context.Background(), &tr), batch, workers); err != nil {
+						t.Fatal(err)
+					}
+				})
+				for i := range batch {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("workers=%d row %d: batch %v, single %v", workers, i, got[i], want[i])
+					}
+				}
+				if byBatch != bySingles {
+					t.Fatalf("workers=%d: the batch moved the planner counters by %+v, the singles by %+v", workers, byBatch, bySingles)
+				}
+				if tr.SegmentsProbed != sum.SegmentsProbed || tr.SegmentsRangePruned != sum.SegmentsRangePruned ||
+					tr.SegmentsBloomPruned != sum.SegmentsBloomPruned || tr.TreesProbed != sum.TreesProbed ||
+					tr.TreesSkipped != sum.TreesSkipped || !tr.BufferScanned || tr.ResultCacheHit ||
+					tr.Segments != 4 || tr.Buffered != 60 {
+					t.Fatalf("workers=%d: batch trace %+v, single traces sum to %+v", workers, tr, sum)
+				}
+			}
+			ref, _ := singles(plain)
+			refBatch := plain.QueryBatch(batch, 2)
+			for i := range batch {
+				if !slices.Equal(ref[i], want[i]) || !slices.Equal(refBatch[i], want[i]) {
+					t.Fatalf("row %d: planned %v, unpruned single %v, unpruned batch %v", i, want[i], ref[i], refBatch[i])
+				}
+			}
+		})
 	}
 }

@@ -234,7 +234,7 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-func TestAddAfterIndexRequiresReindex(t *testing.T) {
+func TestAddAfterIndexInvalidatesTrees(t *testing.T) {
 	f := New(4, 2)
 	f.Add(1, []uint64{1, 1, 1, 1})
 	f.Index()

@@ -34,6 +34,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -322,7 +323,8 @@ type TopKResponse struct {
 // BatchRequest carries many queries answered in one round trip.
 type BatchRequest struct {
 	Queries []QueryRequest `json:"queries"`
-	// Workers bounds the fan-out of the batch dispatch (0 = GOMAXPROCS).
+	// Workers bounds the fan-out of the batch dispatch: 0 (or less) means
+	// GOMAXPROCS, and Resolve caps anything above that.
 	Workers int `json:"workers"`
 }
 
@@ -646,10 +648,14 @@ func (q *TopKRequest) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) 
 
 // Resolve resolves every row of a batch (see QueryRequest.Resolve); sigs is
 // nil in the JSON form, else one signature per row. An error names its row.
+// It also brings Workers, which comes from outside like the rows do, down to
+// this process's GOMAXPROCS: more goroutines than that only cost, and the
+// field would otherwise start as many as the batch has rows.
 func (b *BatchRequest) Resolve(h *lshensemble.Hasher, sigs []lshensemble.Signature) ([]lshensemble.BatchQuery, error) {
 	if len(b.Queries) == 0 {
 		return nil, errors.New("queries must be non-empty")
 	}
+	b.Workers = min(b.Workers, runtime.GOMAXPROCS(0))
 	queries := make([]lshensemble.BatchQuery, len(b.Queries))
 	for i := range b.Queries {
 		q, err := b.Queries[i].Resolve(h, rowSig(sigs, i))

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"lshensemble"
@@ -352,4 +353,24 @@ func containsKey(keys []string, k string) bool {
 		}
 	}
 	return false
+}
+
+// TestBatchWorkersBounded: "workers" arrives from outside with the rows, so
+// resolving a batch caps it at GOMAXPROCS (a request for 100 000 workers used
+// to start that many goroutines per sealed segment, on every shard the router
+// forwarded it to); zero and negative values keep meaning "the default".
+func TestBatchWorkersBounded(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	h := lshensemble.NewHasher(64, 1)
+	for _, c := range []struct{ asked, want int }{
+		{100000, procs}, {procs + 1, procs}, {procs, procs}, {1, 1}, {0, 0}, {-7, -7},
+	} {
+		req := BatchRequest{Queries: []QueryRequest{{Values: []string{"a", "b"}}}, Workers: c.asked}
+		if _, err := req.Resolve(h, nil); err != nil {
+			t.Fatal(err)
+		}
+		if req.Workers != c.want {
+			t.Errorf("workers %d resolved to %d, want %d", c.asked, req.Workers, c.want)
+		}
+	}
 }
