@@ -138,19 +138,19 @@
 //     referencing segment files; older v1–v3 files still load (missing
 //     planner metadata is rebuilt).
 //
-// Queries are planned per segment and, inside a segment, per tree: sealed
-// segments carry seal-time metadata (domain-size range, partition bounds,
-// key and leading-value Bloom filters). The size metadata skips segments
-// none of whose partitions can reach the threshold; the leading-value
-// filter is asked once per forest tree whether the query's leading value
-// of that tree can occur in the segment, and the answers form a tree set
-// that travels down to the probe kernel — every partition's forest probes
-// only the trees in the set, an empty set skips the segment, and the
-// unsealed buffer's own filter restricts its band scan the same way. The
-// probe is bound by cache misses, not compares, so the untouched columns
-// are the saving (lib_query sat_qps ×2.87 over ten pairs; CHANGES.md PR 16).
+// Queries are planned per segment and, inside a segment, per (partition,
+// tree) column: sealed segments carry seal-time metadata (domain-size range,
+// partition bounds, key and leading-value Bloom filters, and in memory a
+// leading-value filter sliced by partition). The size metadata skips segments
+// none of whose partitions can reach the threshold; the Bloom is asked which
+// trees the query's leading values can occur in — none skips the segment —
+// then the sliced filter which partitions, and the answers travel down to
+// the probe kernel as one tree set per partition. The unsealed buffer's own
+// filter restricts its band scan likewise. The probe is bound by cache
+// misses, not compares, so the untouched columns are the saving (lib_query
+// sat_qps ×2.87 per tree, then ×1.63 per partition; CHANGES.md PR 16, 20).
 // QueryTopK visits segments in largest-bound-first order with early
-// termination, and its threshold ladder reuses the segment's tree set on
+// termination, and its threshold ladder reuses the segment's tree sets on
 // every rung and skips a partition whose (b, r) did not change since the
 // ladder last probed it. None of this changes an answer — a probe at any
 // depth needs an exact match on the tree's leading value, so planned
@@ -282,11 +282,11 @@
 // domains, segments, buffered entries, tombstones and segment resident/
 // file bytes, seal/merge/spill counters, and the planner's decision
 // counters (lshensembled_planner_segments_total{decision=probed|
-// range_pruned|bloom_pruned}, lshensembled_planner_trees_total{decision=
-// probed|skipped} — how selective the per-tree mask was over the probed
-// segments — plan/result-cache hit/miss, top-k early exits, buffer scans
-// vs Bloom skips) mirrored from LiveStats at scrape
-// time so the query path pays nothing for them.
+// range_pruned|bloom_pruned}, lshensembled_planner_trees_total and
+// _columns_total{decision=probed|skipped} — how selective the two
+// leading-value filters were over the probed segments — plan/result-cache
+// hit/miss, top-k early exits, buffer scans vs Bloom skips) mirrored from
+// LiveStats at scrape time so the query path pays nothing for them.
 //
 // lshrouter exports the same per-endpoint HTTP families under the
 // lshrouter_ prefix plus fleet health: lshrouter_shards_live,
@@ -302,8 +302,8 @@
 // Debug level; -log-level, -log-json), so one ID follows a query from the
 // router into each shard's log. Queries slower than lshensembled's
 // -slow-query threshold log at Warn with the planner's per-query
-// breakdown (segments probed vs range/Bloom pruned, trees probed vs
-// skipped inside the probed segments, buffer scanned, result-cache hit; a
+// breakdown (segments probed vs range/Bloom pruned, trees and columns probed
+// vs skipped inside the probed segments, buffer scanned, result-cache hit; a
 // ranked query's line carries the result-cache hit and the snapshot's shape).
 // GET /healthz on both binaries is a static
 // {"status":"ok"} that never touches the index, safe for tight probe

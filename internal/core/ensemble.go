@@ -419,17 +419,24 @@ func (x *Index) PlanPartitions(dst []tune.Params, querySize int, tStar float64) 
 }
 
 // probe probes every partition the plan does not skip with its planned
-// (b, r), restricted to the trees in the set (nil = all; one set serves every
-// partition), appending candidate ids to dst. Partitions hold disjoint id
-// sets, so the scratch's visited array only ever collapses the multiple trees
-// of one forest reporting the same id. The plan must have one entry per
-// partition.
-func (x *Index) probe(dst []uint32, s *queryScratch, sig minhash.Signature, plan []tune.Params, trees lshforest.TreeSet) []uint32 {
+// (b, r), partition pi restricted to the trees in trees[pi] (nil = every tree
+// of every partition) and not entered at all when that set is empty, appending
+// candidate ids to dst. Partitions hold disjoint id sets, so the scratch's
+// visited array only ever collapses the multiple trees of one forest reporting
+// the same id. The plan, and a non-nil trees, have one entry per partition.
+func (x *Index) probe(dst []uint32, s *queryScratch, sig minhash.Signature, plan []tune.Params, trees []lshforest.TreeSet) []uint32 {
 	s.dst = dst
 	for pi, p := range plan {
-		if p.B != 0 {
-			x.parts[pi].forest.Query(sig, p.B, p.R, trees, s.emit)
+		if p.B == 0 {
+			continue
 		}
+		var set lshforest.TreeSet
+		if trees != nil {
+			if set = trees[pi]; set.Empty() {
+				continue
+			}
+		}
+		x.parts[pi].forest.Query(sig, p.B, p.R, set, s.emit)
 	}
 	dst = s.dst
 	s.dst = nil
@@ -446,19 +453,20 @@ func (x *Index) QueryIDsPlannedAppend(dst []uint32, sig minhash.Signature, plan 
 	return x.QueryIDsMaskedAppend(dst, sig, plan, nil)
 }
 
-// QueryIDsMaskedAppend is QueryIDsPlannedAppend probing, in every partition,
-// only the trees in the set (nil = all). The set is the caller's proof of
-// which trees can match: given one that holds every tree t whose leading
-// column, in any partition, contains sig[t·RMax] (under the backend's
-// truncation), the appended ids are byte-identical to the unrestricted
-// probe's — see lshforest.TreeSet. internal/live derives the set from the
-// segment's leading-value Bloom filter, which errs only towards more trees.
-func (x *Index) QueryIDsMaskedAppend(dst []uint32, sig minhash.Signature, plan []tune.Params, trees lshforest.TreeSet) ([]uint32, error) {
+// QueryIDsMaskedAppend is QueryIDsPlannedAppend probing, in partition pi, only
+// the trees in trees[pi] (nil = every tree of every partition). The sets are
+// the caller's proof of which (partition, tree) columns can match: given sets
+// where trees[pi] holds every tree t < plan[pi].B whose leading column in
+// partition pi contains sig[t·RMax] (under the backend's truncation), the
+// appended ids are byte-identical to the unrestricted probe's — see
+// lshforest.TreeSet. internal/live fills them from the segment's two
+// leading-value filters, which err only towards more columns.
+func (x *Index) QueryIDsMaskedAppend(dst []uint32, sig minhash.Signature, plan []tune.Params, trees []lshforest.TreeSet) ([]uint32, error) {
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
 	}
-	if len(plan) != len(x.parts) {
-		return dst, fmt.Errorf("core: plan covers %d partitions, index has %d", len(plan), len(x.parts))
+	if len(plan) != len(x.parts) || (trees != nil && len(trees) != len(x.parts)) {
+		return dst, fmt.Errorf("core: plan covers %d partitions and %d tree sets, index has %d", len(plan), len(trees), len(x.parts))
 	}
 	if len(x.keys) == 0 {
 		return dst, nil
@@ -471,20 +479,18 @@ func (x *Index) QueryIDsMaskedAppend(dst []uint32, sig minhash.Signature, plan [
 
 // EachTreeLeading invokes fn once per non-empty (partition, tree) pair with
 // the tree's sorted column of leading hash values — a view that must not be
-// mutated. Any probe of that tree at any depth r ≥ 1 matches an entry only
-// if the query's leading value occurs in the column, so segment-level
-// planners (internal/live) build their collision Bloom filters from exactly
-// these columns.
-func (x *Index) EachTreeLeading(fn func(tree int, col []uint64)) {
+// mutated (a widened copy under the narrow backends). Any probe of that tree
+// at any depth r ≥ 1 matches an entry only if the query's leading value occurs
+// in the column, so segment-level planners (internal/live) build their
+// collision filters from exactly these columns.
+func (x *Index) EachTreeLeading(fn func(part, tree int, col []uint64)) {
 	for i := range x.parts {
 		f := x.parts[i].forest
 		if f.Len() == 0 {
 			continue
 		}
 		for t := 0; t < f.BMax(); t++ {
-			if col := f.TreeLeadingColumn(t); len(col) > 0 {
-				fn(t, col)
-			}
+			fn(i, t, f.TreeLeadingColumn(t))
 		}
 	}
 }

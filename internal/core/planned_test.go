@@ -94,6 +94,13 @@ func TestPlannedAppendRejectsWrongShape(t *testing.T) {
 	if _, err := x.QueryIDsPlannedAppend(nil, recs[0].Sig, make([]tune.Params, len(x.parts)+1)); err == nil {
 		t.Fatal("mismatched plan length accepted")
 	}
+	plan, short := x.PlanPartitions(nil, recs[0].Size, 0.5), make([]lshforest.TreeSet, len(x.parts)-1)
+	if _, err := x.QueryIDsMaskedAppend(nil, recs[0].Sig, plan, short); err == nil {
+		t.Fatal("mismatched tree-set count accepted")
+	}
+	if _, err := x.QueryTopKIDsMasked(nil, recs[0].Sig, recs[0].Size, 5, short); err == nil {
+		t.Fatal("mismatched tree-set count accepted by the ladder")
+	}
 }
 
 func TestQueryTopKIDsMatchesQueryTopK(t *testing.T) {
@@ -133,7 +140,7 @@ func TestEachTreeLeadingCoversProbes(t *testing.T) {
 	// the invariant segment Bloom pruning relies on.
 	seen := make(map[uint64]bool)
 	trees := 0
-	x.EachTreeLeading(func(tree int, col []uint64) {
+	x.EachTreeLeading(func(_, tree int, col []uint64) {
 		trees++
 		for _, v := range col {
 			seen[v] = true
@@ -243,42 +250,53 @@ func TestTopKLadderSkipKeepsSequence(t *testing.T) {
 	}
 }
 
-// exactTrees returns the set of trees whose leading column, in any partition
-// of x, holds sig's leading value of that tree — what a Bloom filter without
-// false positives would hand the masked entry points.
-func exactTrees(x *Index, sig minhash.Signature) lshforest.TreeSet {
-	bMax := x.opts.NumHash / x.opts.RMax
-	set := make(lshforest.TreeSet, lshforest.TreeSetWords(bMax))
-	x.EachTreeLeading(func(tree int, col []uint64) {
+// exactTrees returns, per partition of x, the set of trees whose leading
+// column there holds sig's leading value of that tree — what two filters
+// without false positives would hand the masked entry points.
+func exactTrees(x *Index, sig minhash.Signature) []lshforest.TreeSet {
+	sets := make([]lshforest.TreeSet, len(x.parts))
+	for p := range sets {
+		sets[p] = make(lshforest.TreeSet, lshforest.TreeSetWords(x.opts.NumHash/x.opts.RMax))
+	}
+	x.EachTreeLeading(func(part, tree int, col []uint64) {
 		if _, ok := slices.BinarySearch(col, sig[tree*x.opts.RMax]); ok {
-			set.Add(tree)
+			sets[part].Add(tree)
 		}
 	})
-	return set
+	return sets
 }
 
 // TestMaskedEntryPointsMatchUnmasked checks both masked shapes against their
-// unmasked twins, byte for byte, under the exact tree set. (A batch row under
-// a tree set is internal/live's, which runs it through the single-query entry
-// point: TestQueryShapesAgree there.)
+// unmasked twins, byte for byte and in the same order, under the exact
+// per-partition tree sets — with an empty partition among them, which the
+// probe must not enter. (A batch row under tree sets is internal/live's, which
+// runs it through the single-query entry point: TestQueryShapesAgree there.)
 func TestMaskedEntryPointsMatchUnmasked(t *testing.T) {
 	x, recs := plannedTestIndex(t, 400)
+	emptyParts := 0
 	for qi := 0; qi < 60; qi++ {
 		rec := recs[qi*7%len(recs)]
-		// Redraw half the trees so the set is a proper subset.
+		// Redraw half the trees so the sets are proper subsets.
 		sig := slices.Clone(rec.Sig)
 		for tr := 0; tr < len(sig)/8; tr += 2 {
 			sig[tr*8] = uint64(qi*131+tr) | 1 // odd: never stored (values are multiples of 8)
 		}
 		trees := exactTrees(x, sig)
-		n := 0
-		for tr := 0; tr < len(sig)/8; tr++ {
-			if trees.Has(tr) {
-				n++
+		any := false
+		for _, set := range trees {
+			for tr := 0; tr < len(sig)/8; tr += 2 {
+				if set.Has(tr) {
+					t.Fatalf("query %d: redrawn tree %d is in an exact set", qi, tr)
+				}
+			}
+			if set.Empty() {
+				emptyParts++
+			} else {
+				any = true
 			}
 		}
-		if n == 0 || n > len(sig)/16 {
-			t.Fatalf("query %d: exact set has %d trees, want a proper non-empty subset", qi, n)
+		if !any {
+			t.Fatalf("query %d: every exact set is empty", qi)
 		}
 		for _, tStar := range []float64{0, 0.5, 1} {
 			plan := x.PlanPartitions(nil, rec.Size, tStar)
@@ -293,6 +311,9 @@ func TestMaskedEntryPointsMatchUnmasked(t *testing.T) {
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("query %d top-k: masked %v (%v), unmasked %v", qi, got, err, want)
 		}
+	}
+	if emptyParts == 0 {
+		t.Fatal("no query left a partition's set empty: the skip is not exercised")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"strings"
 
@@ -84,9 +85,9 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) ([]TopKResult
 // walk last probed it with pure waste — same signature, same trees, same
 // depth: every id it reports is already stamped — so such probes are dropped
 // from the rung's plan (about half of all ladder probes on power-law data:
-// the large partitions sit at (bMax, 1) from t* = 1.0 down). Only the trees
-// in the set are probed (nil = all), as in QueryIDsMaskedAppend.
-func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, querySize, k int, trees lshforest.TreeSet) []uint32 {
+// the large partitions sit at (bMax, 1) from t* = 1.0 down). Each partition
+// probes only the trees in its set (nil = all), as in QueryIDsMaskedAppend.
+func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, querySize, k int, trees []lshforest.TreeSet) []uint32 {
 	if cap(s.last) < len(x.parts) {
 		s.last = make([]tune.Params, len(x.parts))
 	}
@@ -121,12 +122,16 @@ func (x *Index) QueryTopKIDs(dst []uint32, sig minhash.Signature, querySize, k i
 	return x.QueryTopKIDsMasked(dst, sig, querySize, k, nil)
 }
 
-// QueryTopKIDsMasked is QueryTopKIDs with every rung of the ladder probing
-// only the trees in the set (nil = all) — see QueryIDsMaskedAppend for what
-// the set must hold for the id sequence to stay identical.
-func (x *Index) QueryTopKIDsMasked(dst []uint32, sig minhash.Signature, querySize, k int, trees lshforest.TreeSet) ([]uint32, error) {
+// QueryTopKIDsMasked is QueryTopKIDs with every rung of the ladder probing, in
+// partition pi, only the trees in trees[pi] (nil = all) — see
+// QueryIDsMaskedAppend for what the sets must hold, for every b a rung may
+// plan, for the id sequence to stay identical.
+func (x *Index) QueryTopKIDsMasked(dst []uint32, sig minhash.Signature, querySize, k int, trees []lshforest.TreeSet) ([]uint32, error) {
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
+	}
+	if trees != nil && len(trees) != len(x.parts) {
+		return dst, fmt.Errorf("core: %d tree sets, index has %d partitions", len(trees), len(x.parts))
 	}
 	if k <= 0 || querySize <= 0 || len(x.keys) == 0 {
 		return dst, nil

@@ -48,32 +48,34 @@
 //     (core.PlanPartitions); when every partition of a segment is ruled
 //     out by the containment bound u/|Q| < t*, the segment is skipped
 //     without touching its forest;
-//   - Bloom pruning, per tree: a probe of forest tree t at any depth ≥ 1
-//     can only match when the query's leading value of that tree occurs in
-//     the segment, so the leading-value Bloom is asked once per tree and
-//     the answers form a tree set (lshforest.TreeSet) handed down through
-//     core to the probe kernel: in all of the segment's partitions only
-//     the trees in the set are probed — the others' columns are never
-//     loaded, which is where the time goes (the kernel is cache-miss
-//     bound) — and an empty set skips the segment altogether. Zero false
-//     negatives either way; a filter false positive costs one tree probed
-//     for nothing;
+//   - leading-value pruning, per column: a probe of forest tree t at any
+//     depth ≥ 1 can only match when the query's leading value of that tree
+//     occurs in the tree's leading column, so a query asks two questions
+//     before a probe: which trees, then which partitions. The leading-value
+//     Bloom answers the first, once per tree, and an empty answer skips the
+//     segment; an in-memory-only filter sliced by partition (partFilter)
+//     answers the second for each tree left. The answers form one tree set
+//     (lshforest.TreeSet) per partition, handed down through core to the
+//     probe kernel: only the (partition, tree) columns in them are loaded —
+//     which is where the time goes, the kernel is cache-miss bound — and a
+//     partition whose set is empty is not entered. Zero false negatives
+//     either way; a false positive costs one column probed for nothing;
 //   - top-k ordering: QueryTopK visits segments largest-bound-first and
 //     stops once the worst kept score provably beats any segment still
 //     unvisited (the containment upper bound from its partition bounds);
-//     each visited segment's tree set serves every rung of its threshold
+//     each visited segment's tree sets serve every rung of its threshold
 //     ladder.
 //
-// Pruning is conservative by construction — a segment or a tree is skipped
+// Pruning is conservative by construction — a segment or a column is skipped
 // only when it provably contributes nothing — so planned results are
 // byte-identical to a full scan (asserted by the package tests).
-// Options.DisablePruning restores the full scan — the full tree set for
-// every segment and the buffer — as the reference those tests compare
-// against.
+// Options.DisablePruning restores the full scan — every column of every
+// segment and every band of the buffer — as the reference those tests
+// compare against.
 //
 // There is one read path. A threshold query, single or as a batch row, is a
-// sequence of visits — every sealed segment (probeSegment: range-prune, ask
-// the filter for the tree set, probe, drop tombstoned keys), then the buffer
+// sequence of visits — every sealed segment (probeSegment: range-prune, ask the
+// two filters for the tree sets, probe, drop tombstoned keys), then the buffer
 // — and the unpruned reference is the same visit with no plan. A batch makes
 // its rows' visits segment-major, all rows at segment i before any at i+1,
 // because a segment's leading columns stay in cache only while the rows visit
@@ -178,8 +180,8 @@ type Options struct {
 	ManualCompaction bool
 
 	// DisablePruning turns off the query planner (size-range segment
-	// pruning, the per-tree Bloom mask of segments and buffer, top-k early
-	// termination); every query then probes every tree of every sealed
+	// pruning, the leading-value filters of segments and buffer, top-k early
+	// termination); every query then probes every column of every sealed
 	// segment and compares every band of the buffer, as before the planner
 	// existed. Pruned and unpruned queries return identical results — the
 	// knob is the reference path of the equivalence tests and of A/B
@@ -436,6 +438,8 @@ type Index struct {
 const (
 	cSegProbed      = iota // (query, segment) pairs probed
 	cTreesProbed           // trees in the tree sets of the probed segments
+	cColsProbed            // (partition, tree) columns of the probed segments entered
+	cColsSkipped           // planned columns the two lead filters ruled out
 	cSegRangePruned        // pairs skipped: every partition ruled out by size
 	cSegBloomPruned        // pairs skipped: no leading value can collide
 	cPlanHits
@@ -453,14 +457,31 @@ type tally [numCounters]uint64
 
 // queryScratch is the pooled per-query working memory of the live fan-out:
 // a reusable id buffer for the per-segment candidate lists, the tree set of
-// the segment (or buffer) being served, the buffer scan's band offsets, the
-// unpruned reference's per-segment plan, and a batch worker's tally.
+// the segment (or buffer) being served and the per-partition sets it scatters
+// into (views of one word array), the buffer scan's band offsets, the unpruned
+// reference's per-segment plan, and a batch worker's tally.
 type queryScratch struct {
-	ids   []uint32
-	trees lshforest.TreeSet
-	bands []int
-	plan  []tune.Params
-	tally tally
+	ids      []uint32
+	trees    lshforest.TreeSet
+	sets     []lshforest.TreeSet
+	setWords []uint64
+	bands    []int
+	plan     []tune.Params
+	tally    tally
+}
+
+// partSets returns n empty tree sets as wide as s.trees.
+func (s *queryScratch) partSets(n int) []lshforest.TreeSet {
+	w := len(s.trees)
+	if len(s.sets) < n {
+		s.setWords = make([]uint64, n*w)
+		s.sets = make([]lshforest.TreeSet, n)
+		for p := range s.sets {
+			s.sets[p] = s.setWords[p*w : (p+1)*w]
+		}
+	}
+	clear(s.setWords[:n*w])
+	return s.sets[:n]
 }
 
 // QueryKind discriminates the query entry points for Observer callbacks.
@@ -537,11 +558,14 @@ type QueryTrace struct {
 	SegmentsRangePruned int
 	SegmentsBloomPruned int
 	// TreesProbed / TreesSkipped split the trees of the probed segments'
-	// forests (NumHash/RMax per segment) into those the leading-value filter
-	// could not rule out — probed in every partition — and those it did:
-	// how selective the per-tree mask was for this query.
-	TreesProbed  int
-	TreesSkipped int
+	// forests (NumHash/RMax per segment) into those the leading-value Bloom
+	// could not rule out and those it did; ColumnsProbed / ColumnsSkipped
+	// split the (partition, tree) columns their plans probe into those entered
+	// and those either filter ruled out: which partitions were probed.
+	TreesProbed    int
+	TreesSkipped   int
+	ColumnsProbed  int
+	ColumnsSkipped int
 	// BufferScanned / BufferBloomSkipped report whether the unsealed
 	// buffer was linearly scanned or skipped by its Bloom filter.
 	BufferScanned      bool
@@ -798,6 +822,8 @@ func (c *call) done() {
 			SegmentsBloomPruned: int(t[cSegBloomPruned]),
 			TreesProbed:         int(t[cTreesProbed]),
 			TreesSkipped:        x.numTrees()*int(t[cSegProbed]) - int(t[cTreesProbed]),
+			ColumnsProbed:       int(t[cColsProbed]),
+			ColumnsSkipped:      int(t[cColsSkipped]),
 			BufferScanned:       t[cBufScans] > 0,
 			BufferBloomSkipped:  t[cBufBloomSkips] > 0,
 		}
@@ -887,34 +913,39 @@ func (x *Index) querySnapshot(ctx context.Context, dst []string, c *call, sig mi
 
 // probeSegment is the (query, segment) step of every threshold query, single
 // or batch row: skip segment si when the plan rules out all its partitions,
-// ask its leading-value filter which trees can match and skip it when none
-// can, probe those trees with the planned (b, r), and append the keys of the
-// candidates the snapshot's tombstones leave alive. A nil plan is the
-// unpruned reference (Options.DisablePruning): the segment is planned on the
-// spot and every tree is probed. Decisions are counted in t; s lends the tree
-// set, the reference's plan and the id buffer.
+// ask its two leading-value filters which columns can match (partTrees) and
+// skip it when none can, probe those columns with the planned (b, r), and
+// append the keys of the candidates the snapshot's tombstones leave alive. A
+// nil plan is the unpruned reference (Options.DisablePruning): the segment is
+// planned on the spot and every column is probed. Decisions are counted in t;
+// s lends the tree sets, the reference's plan and the id buffer.
 func (x *Index) probeSegment(dst []string, s *queryScratch, t *tally, sn *snapshot, si int,
 	sig minhash.Signature, querySize int, tStar float64, plan *segPlan) []string {
 	seg := sn.segs[si]
 	var pp []tune.Params
-	var trees lshforest.TreeSet // nil = every tree
-	n := x.numTrees()
 	if plan == nil {
 		s.plan = seg.idx.PlanPartitions(s.plan[:0], querySize, tStar)
 		pp = s.plan
-	} else {
-		if pp = plan.params[si]; pp == nil {
-			t[cSegRangePruned]++
-			return dst
-		}
-		if n = seg.meta.trees(s.trees, sig, x.opts.RMax, x.opts.Sketch.Mask()); n == 0 {
+	} else if pp = plan.params[si]; pp == nil {
+		t[cSegRangePruned]++
+		return dst
+	}
+	planned := 0 // the columns the plan probes
+	for _, p := range pp {
+		planned += p.B
+	}
+	var trees []lshforest.TreeSet // nil = every column
+	n, cols := x.numTrees(), planned
+	if plan != nil {
+		if trees, n, cols = seg.meta.partTrees(s, seg.idx, sig, x.opts.RMax, x.opts.Sketch.Mask(), pp); n == 0 {
 			t[cSegBloomPruned]++
 			return dst
 		}
-		trees = s.trees
 	}
 	t[cSegProbed]++
 	t[cTreesProbed] += uint64(n)
+	t[cColsProbed] += uint64(cols)
+	t[cColsSkipped] += uint64(planned - cols)
 	// No error can come back: sig was length-checked by the caller and pp was
 	// planned on this segment.
 	s.ids, _ = seg.idx.QueryIDsMaskedAppend(s.ids[:0], sig, pp, trees)
@@ -1203,14 +1234,14 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 			c.tally[cTopKEarlyExits] = 1
 			break
 		}
-		// The segment's tree set serves every rung of the ladder; an empty
-		// one means no rung can collect a candidate here.
-		var trees lshforest.TreeSet
+		// The segment's tree sets serve every rung of the ladder; no tree
+		// means no rung can collect a candidate here.
+		var trees []lshforest.TreeSet
 		if !x.opts.DisablePruning {
-			if seg.meta.trees(s.trees, sig, x.opts.RMax, x.opts.Sketch.Mask()) == 0 {
+			var n int
+			if trees, n, _ = seg.meta.partTrees(s, seg.idx, sig, x.opts.RMax, x.opts.Sketch.Mask(), nil); n == 0 {
 				continue
 			}
-			trees = s.trees
 		}
 		// No error can come back: sig was length-checked above.
 		s.ids, _ = seg.idx.QueryTopKIDsMasked(s.ids[:0], sig, querySize, need, trees)
@@ -1288,7 +1319,8 @@ type SegmentStats struct {
 	// MaxBound is the largest partition upper bound — the size the planner
 	// prunes and orders by.
 	MaxBound int `json:"max_bound"`
-	// BloomBytes is the footprint of the segment's planner Bloom filters.
+	// BloomBytes is the footprint of the segment's planner filters: the two
+	// saved Bloom filters and the in-memory partition-sliced one.
 	BloomBytes int `json:"bloom_bytes"`
 	// SignatureBytes is the byte size of the segment's signature store at
 	// the sketch backend's width (entries × NumHash × width).
@@ -1299,8 +1331,8 @@ type SegmentStats struct {
 	// FileBytes is the segment's on-disk file size; 0 until spilled.
 	FileBytes int64 `json:"file_bytes"`
 	// ResidentBytes estimates the heap-resident footprint. For mapped
-	// segments only the eagerly decoded metadata counts — the signature
-	// store and tree columns page in and out on demand.
+	// segments only the decoded metadata and the planner filters count — the
+	// signature store and tree columns page in and out on demand.
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
@@ -1316,10 +1348,15 @@ type PlannerStats struct {
 	SegmentsBloomPruned uint64 `json:"segments_bloom_pruned"`
 	// TreesProbed / TreesSkipped split the trees of every probed segment
 	// (NumHash/RMax each, so the two sum to that × SegmentsProbed) into the
-	// ones the segment's leading-value filter could not rule out for the
-	// query — probed in every partition — and the ones it did.
+	// ones the segment's leading-value Bloom could not rule out for the
+	// query and the ones it did.
 	TreesProbed  uint64 `json:"trees_probed"`
 	TreesSkipped uint64 `json:"trees_skipped"`
+	// ColumnsProbed / ColumnsSkipped split the (partition, tree) columns the
+	// probed segments' plans probe (the first b trees of a planned partition)
+	// into those entered and those either leading-value filter ruled out.
+	ColumnsProbed  uint64 `json:"columns_probed"`
+	ColumnsSkipped uint64 `json:"columns_skipped"`
 	// PlanHits / PlanMisses count plan-cache lookups.
 	PlanHits   uint64 `json:"plan_hits"`
 	PlanMisses uint64 `json:"plan_misses"`
@@ -1362,6 +1399,8 @@ func (x *Index) Stats() Stats {
 			SegmentsBloomPruned: x.counters[cSegBloomPruned].Load(),
 			TreesProbed:         treesProbed,
 			TreesSkipped:        uint64(x.numTrees())*segProbed - treesProbed,
+			ColumnsProbed:       x.counters[cColsProbed].Load(),
+			ColumnsSkipped:      x.counters[cColsSkipped].Load(),
 			PlanHits:            x.counters[cPlanHits].Load(),
 			PlanMisses:          x.counters[cPlanMisses].Load(),
 			ResultHits:          x.counters[cResHits].Load(),
@@ -1391,7 +1430,7 @@ func (x *Index) Stats() Stats {
 			MinSize:        seg.meta.minSize,
 			MaxSize:        seg.meta.maxSize,
 			MaxBound:       seg.meta.maxBound,
-			BloomBytes:     seg.meta.bloomBytes(),
+			BloomBytes:     seg.meta.bloomBytes(seg.idx),
 			SignatureBytes: sigBytes,
 			Backing:        backing,
 			FileBytes:      fileBytes,

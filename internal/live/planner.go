@@ -2,8 +2,10 @@ package live
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"lshensemble/internal/bloom"
@@ -23,21 +25,24 @@ import (
 //     segment depends only on (querySize, tStar) and the partition's frozen
 //     size bounds, so it can be made once per (querySize, tStar) — and a
 //     segment all of whose partitions are skipped is never probed at all;
-//   - Bloom pruning, per tree: a forest probe of tree t at any depth r ≥ 1
-//     matches an entry only if the query's leading hash value sig[t·rMax]
-//     occurs exactly in that tree, so a Bloom filter over every tree's
-//     leading column answers, tree by tree and with no false negatives,
-//     "can tree t of this segment hold a collision for this signature?".
-//     The answers are kept as a tree set (leadTrees): the probe touches
-//     only the trees in it, in every partition, and the empty set means no
-//     tree can match — the segment is not probed at all. The unsealed
-//     buffer asks its own filter the same question and compares only the
-//     bands in the set (appendBufferMatches);
+//   - leading-value pruning, per column: a forest probe of tree t at any
+//     depth r ≥ 1 matches an entry only if the query's leading hash value
+//     sig[t·rMax] occurs exactly in that tree's leading column, so a query
+//     asks two questions before a probe: which trees, then which partitions.
+//     A Bloom filter over every leading column answers the first, tree by
+//     tree (leadTrees): the empty set rules the segment out, and a negative
+//     costs ~1.3 cache lines. The partition-sliced filter (partFilter) answers
+//     the second for each tree left, and partTrees scatters the answers into
+//     one tree set per partition: the probe enters only those columns — about
+//     a fifth of what the tree set alone lets through — and no partition whose
+//     set is empty. Neither filter has false negatives. The unsealed buffer
+//     asks its own Bloom the first question and compares only the bands in
+//     the set (appendBufferMatches);
 //   - top-k early termination: the containment estimate is capped by the
 //     candidate's size, so once k results beat the cap of every remaining
 //     (size-descending) segment, those segments cannot contribute.
 //
-// Every prune fires only when the segment — or the tree — provably
+// Every prune fires only when the segment — or the column — provably
 // contributes nothing, so planned queries return byte-identical results to
 // the full fan-out, which Options.DisablePruning keeps as the reference (the
 // package equivalence tests assert this under churn).
@@ -64,7 +69,7 @@ import (
 // Bloom operating points (see bloom.New). Keys use ~1% false positives:
 // a false positive merely costs one unnecessary tombstone sweep. Leading
 // values use ~0.1%: the collision pre-test is probed once per tree per
-// query, and a false positive costs that tree's probe in every partition.
+// query, and a false positive costs that tree's surviving columns a probe.
 const (
 	keysBloomBits = 10
 	keysBloomK    = 7
@@ -88,6 +93,62 @@ type segMeta struct {
 
 	keys  *bloom.Filter // every entry key (tombstone GC skip)
 	leads *bloom.Filter // every tree's leading hash column (collision pre-test)
+
+	// parts is in memory only: fillLeads builds it with leads where the columns
+	// are in memory (seal, merge, Build, a heap load) and on the first probe of
+	// a mapped segment, whose boot must not fault the columns in.
+	parts     partFilter
+	partsOnce sync.Once
+}
+
+// partFilter is the partition-sliced lead filter of one segment: one uint16
+// per slot, bit p mod 16 set for every leading value of partition p hashing
+// there, each value hashed to two slots whose AND answers "which partitions
+// may hold this value" with no false negatives (partitions beyond 16 fold onto
+// the same bits, which only adds partitions to an answer). A slot per (entry,
+// tree) pair rounded up to a power of two — 64 B per domain at 32 trees —
+// keeps a wrong partition in an answer 1–2 % of the time. The lead Bloom's
+// 0.1 % would take five slots per value and twice the memory, which is why
+// this filter is asked second, and only for the trees the Bloom lets through.
+type partFilter []uint16
+
+// leadCount is the number of leading values idx holds, one per entry and tree;
+// partSlots rounds it up to the sliced filter's power-of-two slot count.
+func leadCount(idx *core.Index) int { return idx.Len() * (idx.Options().NumHash / idx.Options().RMax) }
+func partSlots(leads int) int       { return 1 << bits.Len(uint(max(leads, 1)-1)) }
+
+func (f partFilter) slots(v uint64) (uint64, uint64) {
+	h, m := mixHash(v), uint64(len(f)-1)
+	return h & m, bits.RotateLeft64(h, 32) & m
+}
+
+func (f partFilter) add(p int, v uint64) {
+	i, j := f.slots(v)
+	f[i] |= 1 << (p & 15)
+	f[j] |= 1 << (p & 15)
+}
+
+// partitions returns which partitions may hold v: partition p is bit p mod 16.
+func (f partFilter) partitions(v uint64) uint16 {
+	i, j := f.slots(v)
+	return f[i] & f[j]
+}
+
+// fillLeads builds the sliced filter — and fills leads, when given — in one
+// walk over the (partition, tree) leading columns of idx, once per segment.
+func (m *segMeta) fillLeads(idx *core.Index, leads *bloom.Filter) {
+	m.partsOnce.Do(func() {
+		f := make(partFilter, partSlots(leadCount(idx)))
+		idx.EachTreeLeading(func(p, _ int, col []uint64) {
+			for _, v := range col {
+				if leads != nil {
+					leads.AddHash(v)
+				}
+				f.add(p, v)
+			}
+		})
+		m.parts = f
+	})
 }
 
 // buildSegMeta derives the planner metadata from a frozen core index. It is
@@ -116,27 +177,18 @@ func buildSegMeta(idx *core.Index) *segMeta {
 			m.maxBound = p.Upper
 		}
 	}
-	total := 0
-	idx.EachTreeLeading(func(_ int, col []uint64) { total += len(col) })
-	m.leads = bloom.New(total, leadsBloomBits, leadsBloomK)
-	idx.EachTreeLeading(func(_ int, col []uint64) {
-		for _, v := range col {
-			m.leads.AddHash(v)
-		}
-	})
+	m.leads = bloom.New(leadCount(idx), leadsBloomBits, leadsBloomK)
+	m.fillLeads(idx, m.leads)
 	return m
 }
 
-// bloomBytes reports the metadata's filter footprint (for Stats).
-func (m *segMeta) bloomBytes() int {
-	n := 0
-	if m.keys != nil {
-		n += m.keys.SizeBytes()
+// bloomBytes reports the filter footprint of idx's metadata (for Stats). The
+// sliced filter is sized, not read: a mapped segment builds it on first probe.
+func (m *segMeta) bloomBytes(idx *core.Index) int {
+	if m.leads == nil {
+		return 0
 	}
-	if m.leads != nil {
-		n += m.leads.SizeBytes()
-	}
-	return n
+	return m.keys.SizeBytes() + m.leads.SizeBytes() + 2*partSlots(leadCount(idx))
 }
 
 // leadFilter is the one question the planner asks of a leading-value Bloom
@@ -166,14 +218,38 @@ func leadTrees(set lshforest.TreeSet, f leadFilter, sig minhash.Signature, rMax 
 	return n
 }
 
-// trees is leadTrees against the segment's leading-value filter; an empty
-// segment has no filter and no tree that can match.
-func (m *segMeta) trees(set lshforest.TreeSet, sig minhash.Signature, rMax int, mask uint64) int {
-	if m.leads == nil {
-		clear(set)
-		return 0
+// partTrees asks the segment's two filters which columns sig can match in.
+// The lead Bloom's answer, s.trees, is scattered into one tree set per
+// partition of idx: tree t enters partition p's set when the sliced filter may
+// hold sig[t·rMax] in p and the plan probes t there (t < pp[p].B; a nil plan
+// is a top-k ladder, whose rungs plan for themselves). Sound like leadTrees: a
+// column left out cannot match. It returns the sets, lent by s, how many trees
+// the Bloom let through — none, as in an empty segment, which has no filters,
+// rules the segment out — and how many columns the sets hold.
+func (m *segMeta) partTrees(s *queryScratch, idx *core.Index, sig minhash.Signature, rMax int, mask uint64, pp []tune.Params) (sets []lshforest.TreeSet, trees, cols int) {
+	if m.leads != nil {
+		trees = leadTrees(s.trees, m.leads, sig, rMax, mask)
 	}
-	return leadTrees(set, m.leads, sig, rMax, mask)
+	if trees == 0 {
+		return nil, 0, 0
+	}
+	m.fillLeads(idx, nil)
+	n := idx.NumPartitions()
+	sets = s.partSets(n)
+	for wi, w := range s.trees {
+		for ; w != 0; w &= w - 1 {
+			t := wi*64 + bits.TrailingZeros64(w)
+			for ps := m.parts.partitions(sig[t*rMax] & mask); ps != 0; ps &= ps - 1 {
+				for p := bits.TrailingZeros16(ps); p < n; p += 16 {
+					if pp == nil || t < pp[p].B {
+						sets[p].Add(t)
+						cols++
+					}
+				}
+			}
+		}
+	}
+	return sets, trees, cols
 }
 
 // containmentBound is the largest containment estimate any entry of size

@@ -77,23 +77,53 @@ func churn(t *testing.T, recs []core.Record, idxs ...*Index) {
 	})
 }
 
+// eachGeometry runs f on a planned and an unpruned index put through the same
+// churn, once per partition count — 1 (the sliced filter has one bit to
+// set), 16 (one bit each) and 40 (partitions fold onto shared bits; the other
+// tests run at 4) — and per sketch backend: under minwise8 both leading-value
+// filters saturate and rule nothing out, and the answers must still agree.
+func eachGeometry(t *testing.T, seed uint64, f func(t *testing.T, recs []core.Record, planned, plain *Index)) {
+	recs := fixture(t, 300, seed)
+	for _, parts := range []int{1, 16, 40} {
+		for _, sb := range append([]core.SketchBackend{core.Minwise64}, narrowBackends...) {
+			t.Run(fmt.Sprintf("parts=%d/%s", parts, sb), func(t *testing.T) {
+				po, uo := plannerOpts(), unprunedOpts()
+				po.NumPartitions, uo.NumPartitions = parts, parts
+				po.Sketch, uo.Sketch = sb, sb
+				planned, err := New(po)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer planned.Close()
+				plain, err := New(uo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer plain.Close()
+				churn(t, recs, planned, plain)
+				most := 0
+				for _, seg := range planned.snap.Load().segs {
+					most = max(most, seg.idx.NumPartitions())
+				}
+				if parts == 40 && most <= 16 {
+					t.Fatalf("fixture: the widest segment has %d partitions, none folds", most)
+				}
+				f(t, recs, planned, plain)
+			})
+		}
+	}
+}
+
 // TestPlannedEquivalentToUnprunedUnderChurn is the tentpole equivalence
 // guarantee: with pruning, the plan cache and the result cache all enabled,
 // every query returns byte-identical results (same keys, same order) to the
 // fully disabled configuration, across a randomized churn schedule, for
 // repeated queries (cache hits) included.
 func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
-	recs := fixture(t, 300, 7)
-	planned, err := New(plannerOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := New(unprunedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(t, recs, planned, plain)
+	eachGeometry(t, 7, plannedEquivalentUnderChurn)
+}
 
+func plannedEquivalentUnderChurn(t *testing.T, recs []core.Record, planned, plain *Index) {
 	thresholds := []float64{0.0, 0.25, 0.5, 0.75, 0.9, 1.0}
 	check := func(round int) {
 		for qi := 0; qi < len(recs); qi += 3 {
@@ -117,6 +147,14 @@ func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
 	if st.Planner.PlanHits == 0 {
 		t.Fatal("repeated query shapes produced no plan-cache hits")
 	}
+	if ref := plain.Stats().Planner; ref.ColumnsProbed == 0 || ref.ColumnsSkipped != 0 {
+		t.Fatalf("the unpruned reference skipped columns: %+v", ref)
+	}
+	// One partition leaves the sliced filter nothing to tell apart, but the
+	// Bloom's skipped trees are skipped columns too.
+	if planned.opts.Sketch == core.Minwise64 && st.Planner.ColumnsSkipped == 0 {
+		t.Fatalf("full-width leading values and no column was ever ruled out: %+v", st.Planner)
+	}
 
 	// More churn invalidates both caches; equivalence must survive it.
 	planned.Compact()
@@ -128,17 +166,10 @@ func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
 // TestBatchPlannedEquivalentToUnpruned runs the same equivalence through
 // the batch engine, including repeated batches (result-cache hits).
 func TestBatchPlannedEquivalentToUnpruned(t *testing.T) {
-	recs := fixture(t, 300, 8)
-	planned, err := New(plannerOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := New(unprunedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(t, recs, planned, plain)
+	eachGeometry(t, 8, batchPlannedEquivalent)
+}
 
+func batchPlannedEquivalent(t *testing.T, recs []core.Record, planned, plain *Index) {
 	queries := make([]core.BatchQuery, 0, 120)
 	for qi := 0; qi < 340; qi += 3 {
 		r := recs[qi%len(recs)]
@@ -196,16 +227,10 @@ func TestPruningActuallyFires(t *testing.T) {
 // TestTopKPlannedEquivalentToUnpruned: top-k with early termination must
 // match the exhaustive visit, across thresholds of k and churn.
 func TestTopKPlannedEquivalentToUnpruned(t *testing.T) {
-	recs := fixture(t, 300, 9)
-	planned, err := New(plannerOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := New(unprunedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(t, recs, planned, plain)
+	eachGeometry(t, 9, topKPlannedEquivalent)
+}
+
+func topKPlannedEquivalent(t *testing.T, recs []core.Record, planned, plain *Index) {
 	for qi := 0; qi < len(recs); qi += 7 {
 		r := recs[qi]
 		for _, k := range []int{1, 3, 10, 50} {

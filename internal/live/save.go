@@ -314,6 +314,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 				if err != nil {
 					return nil, fmt.Errorf("live: segment %d metadata: %w", i, err)
 				}
+				meta.fillLeads(idx, nil)
 			} else {
 				meta = buildSegMeta(idx)
 			}

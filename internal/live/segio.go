@@ -340,11 +340,12 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	for _, k := range keys {
 		metaHeap += int64(len(k))
 	}
-	metaHeap += int64(n)*24 + int64(sm.bloomBytes())
+	metaHeap += int64(n)*24 + int64(sm.bloomBytes(idx))
 	if back.Mapped() {
 		seg.resident = int64(alignPage(off[0]+ln[0])) + metaHeap
 	} else {
 		seg.resident = int64(len(img)) + metaHeap
+		sm.fillLeads(idx, nil) // the columns are in memory; a mapped segment waits for its first probe
 	}
 	return seg, nil
 }
@@ -364,7 +365,7 @@ func heapSegmentResident(idx *core.Index, meta *segMeta) int64 {
 		b += int64(len(idx.Key(uint32(id))))
 	}
 	b += int64(n) * 16 // sizes + seqs
-	b += int64(meta.bloomBytes())
+	b += int64(meta.bloomBytes(idx))
 	return b
 }
 

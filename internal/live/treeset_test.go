@@ -141,8 +141,10 @@ func TestShortQuerySignature(t *testing.T) {
 }
 
 // TestTreeCountersAccount: every probed segment splits its NumHash/RMax trees
-// between TreesProbed and TreesSkipped — per query in the trace, and summed
-// in Stats — and a half-redrawn query really is spared trees.
+// between TreesProbed and TreesSkipped, and the columns its plan probes
+// between ColumnsProbed and ColumnsSkipped — per query in the trace, and
+// summed in Stats — and a half-redrawn query really is spared trees, and a
+// tree let through at most one column per partition.
 func TestTreeCountersAccount(t *testing.T) {
 	recs := fixture(t, 160, 23)
 	opts := plannerOpts()
@@ -162,7 +164,7 @@ func TestTreeCountersAccount(t *testing.T) {
 		}
 	}
 	numTrees := x.numTrees()
-	var segs, probed, skipped uint64
+	var segs, probed, skipped, cols, colsSkipped uint64
 	for i, r := range recs[:40] {
 		sig := halfRedrawn(r.Sig, x.opts.RMax, uint64(i))
 		var tr QueryTrace
@@ -175,15 +177,22 @@ func TestTreeCountersAccount(t *testing.T) {
 		if tr.SegmentsProbed > 0 && tr.TreesSkipped < numTrees/2*tr.SegmentsProbed*9/10 {
 			t.Fatalf("query %d: half the trees are redrawn yet only %d of %d were skipped", i, tr.TreesSkipped, numTrees*tr.SegmentsProbed)
 		}
+		if tr.ColumnsProbed > tr.TreesProbed*x.opts.NumPartitions || (tr.SegmentsProbed > 0 && tr.ColumnsSkipped == 0) {
+			t.Fatalf("query %d: %d columns probed, %d skipped for %d trees probed, %d skipped", i, tr.ColumnsProbed, tr.ColumnsSkipped, tr.TreesProbed, tr.TreesSkipped)
+		}
 		segs += uint64(tr.SegmentsProbed)
 		probed += uint64(tr.TreesProbed)
 		skipped += uint64(tr.TreesSkipped)
+		cols += uint64(tr.ColumnsProbed)
+		colsSkipped += uint64(tr.ColumnsSkipped)
 	}
 	if segs == 0 || skipped == 0 {
 		t.Fatalf("nothing probed or nothing skipped: %d segments, %d trees skipped", segs, skipped)
 	}
-	if st := x.Stats().Planner; st.SegmentsProbed != segs || st.TreesProbed != probed || st.TreesSkipped != skipped {
-		t.Fatalf("stats after the singles = %+v, traces sum to %d segments, %d trees probed, %d skipped", st, segs, probed, skipped)
+	if st := x.Stats().Planner; st.SegmentsProbed != segs || st.TreesProbed != probed || st.TreesSkipped != skipped ||
+		st.ColumnsProbed != cols || st.ColumnsSkipped != colsSkipped {
+		t.Fatalf("stats after the singles = %+v, traces sum to %d segments, %d trees probed, %d skipped, %d columns probed, %d skipped",
+			st, segs, probed, skipped, cols, colsSkipped)
 	}
 }
 
@@ -194,135 +203,162 @@ func TestTreeCountersAccount(t *testing.T) {
 // cache warm), which a batch's trace reports too. Over heap and mmap
 // segments, with tombstones in segments and buffer, a non-empty buffer, whole
 // and half-redrawn signatures (proper tree subsets), and rows no query would
-// serve.
+// serve; at 1, 16 and 40 partitions (the last folds them onto the sliced
+// filter's 16 bits) and on every backend (minwise8 saturates both filters).
 func TestQueryShapesAgree(t *testing.T) {
 	recs := fixture(t, 260, 24)
 	for _, mmap := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mmap=%v", mmap), func(t *testing.T) {
-			build := func(o Options) *Index {
-				o.MaxSegments = 64
-				o.ResultCacheSize = -1
-				if mmap {
-					o.DataDir, o.Mmap = t.TempDir(), true
-				}
-				x, err := New(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(x.Close)
-				for i, r := range recs {
-					if _, err := x.Add(r); err != nil {
-						t.Fatal(err)
-					}
-					if i%50 == 49 && i < 240 {
-						x.Flush()
-					}
-				}
-				for i := 0; i < len(recs); i += 9 {
-					x.Delete(recs[i].Key)
-				}
-				return x
-			}
-			x, plain := build(plannerOpts()), build(unprunedOpts())
-			st := x.Stats()
-			if len(st.Segments) != 4 || st.Buffered != 60 || st.Tombstones == 0 {
-				t.Fatalf("fixture: %d segments, %d buffered, %d tombstones", len(st.Segments), st.Buffered, st.Tombstones)
-			}
-			if want := map[bool]string{false: "heap", true: "mmap"}[mmap]; st.SegmentDetail[0].Backing != want {
-				t.Fatalf("fixture: segments served from %s, want %s", st.SegmentDetail[0].Backing, want)
-			}
-
-			var batch []core.BatchQuery
-			for i := 0; i < 64; i++ {
-				r := recs[i*4]
-				sig := r.Sig
-				if i%2 == 1 {
-					sig = halfRedrawn(sig, x.opts.RMax, uint64(i))
-				}
-				batch = append(batch, core.BatchQuery{Sig: sig, Size: r.Size, Threshold: []float64{0, 0.5, 1, 1.7}[i%4]})
-			}
-			batch[10].Size = 0                  // no query serves these two:
-			batch[11].Sig = batch[11].Sig[:100] // their rows stay empty
-			singles := func(y *Index) (rows [][]string, sum QueryTrace) {
-				for _, q := range batch {
-					var tr QueryTrace
-					// A short signature is the one error; its row is nil like the batch's.
-					row, _ := y.QueryContext(WithQueryTrace(context.Background(), &tr), q.Sig, q.Size, q.Threshold)
-					rows = append(rows, row)
-					sum.SegmentsProbed += tr.SegmentsProbed
-					sum.SegmentsRangePruned += tr.SegmentsRangePruned
-					sum.SegmentsBloomPruned += tr.SegmentsBloomPruned
-					sum.TreesProbed += tr.TreesProbed
-					sum.TreesSkipped += tr.TreesSkipped
-				}
-				return rows, sum
-			}
-			moved := func(f func()) PlannerStats {
-				b := x.Stats().Planner
-				f()
-				a := x.Stats().Planner
-				return PlannerStats{
-					SegmentsProbed:      a.SegmentsProbed - b.SegmentsProbed,
-					SegmentsRangePruned: a.SegmentsRangePruned - b.SegmentsRangePruned,
-					SegmentsBloomPruned: a.SegmentsBloomPruned - b.SegmentsBloomPruned,
-					TreesProbed:         a.TreesProbed - b.TreesProbed,
-					TreesSkipped:        a.TreesSkipped - b.TreesSkipped,
-					PlanHits:            a.PlanHits - b.PlanHits,
-					PlanMisses:          a.PlanMisses - b.PlanMisses,
-					ResultHits:          a.ResultHits - b.ResultHits,
-					ResultMisses:        a.ResultMisses - b.ResultMisses,
-					TopKEarlyExits:      a.TopKEarlyExits - b.TopKEarlyExits,
-					BufferScans:         a.BufferScans - b.BufferScans,
-					BufferBloomPruned:   a.BufferBloomPruned - b.BufferBloomPruned,
-				}
-			}
-
-			singles(x) // warm the plan cache: from here on every plan lookup is a hit
-			var want [][]string
-			var sum QueryTrace
-			bySingles := moved(func() { want, sum = singles(x) })
-			if bySingles.SegmentsProbed == 0 || bySingles.SegmentsBloomPruned == 0 || bySingles.TreesSkipped == 0 ||
-				bySingles.BufferScans == 0 || bySingles.PlanHits != 62 || bySingles.PlanMisses != 0 {
-				t.Fatalf("fixture decides too little to compare: %+v", bySingles)
-			}
-			answers := 0
-			for _, row := range want {
-				answers += len(row)
-			}
-			if answers == 0 || len(want[10]) != 0 || len(want[11]) != 0 {
-				t.Fatalf("fixture: %d answers, unservable rows %v %v", answers, want[10], want[11])
-			}
-			for _, workers := range []int{1, 2, 5} {
-				var got [][]string
-				var tr QueryTrace
-				byBatch := moved(func() {
-					var err error
-					if got, err = x.QueryBatchContext(WithQueryTrace(context.Background(), &tr), batch, workers); err != nil {
-						t.Fatal(err)
-					}
-				})
-				for i := range batch {
-					if !slices.Equal(got[i], want[i]) {
-						t.Fatalf("workers=%d row %d: batch %v, single %v", workers, i, got[i], want[i])
-					}
-				}
-				if byBatch != bySingles {
-					t.Fatalf("workers=%d: the batch moved the planner counters by %+v, the singles by %+v", workers, byBatch, bySingles)
-				}
-				if tr.SegmentsProbed != sum.SegmentsProbed || tr.SegmentsRangePruned != sum.SegmentsRangePruned ||
-					tr.SegmentsBloomPruned != sum.SegmentsBloomPruned || tr.TreesProbed != sum.TreesProbed ||
-					tr.TreesSkipped != sum.TreesSkipped || !tr.BufferScanned || tr.ResultCacheHit ||
-					tr.Segments != 4 || tr.Buffered != 60 {
-					t.Fatalf("workers=%d: batch trace %+v, single traces sum to %+v", workers, tr, sum)
-				}
-			}
-			ref, _ := singles(plain)
-			refBatch := plain.QueryBatch(batch, 2)
-			for i := range batch {
-				if !slices.Equal(ref[i], want[i]) || !slices.Equal(refBatch[i], want[i]) {
-					t.Fatalf("row %d: planned %v, unpruned single %v, unpruned batch %v", i, want[i], ref[i], refBatch[i])
+			for _, parts := range []int{1, 16, 40} {
+				for _, sb := range append([]core.SketchBackend{core.Minwise64}, narrowBackends...) {
+					t.Run(fmt.Sprintf("parts=%d/%s", parts, sb), func(t *testing.T) {
+						queryShapesAgree(t, recs, mmap, parts, sb)
+					})
 				}
 			}
 		})
+	}
+}
+
+func queryShapesAgree(t *testing.T, recs []core.Record, mmap bool, parts int, sb core.SketchBackend) {
+	build := func(o Options) *Index {
+		o.MaxSegments = 64
+		o.ResultCacheSize = -1
+		o.NumPartitions, o.Sketch = parts, sb
+		if mmap {
+			o.DataDir, o.Mmap = t.TempDir(), true
+		}
+		x, err := New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(x.Close)
+		for i, r := range recs {
+			if _, err := x.Add(r); err != nil {
+				t.Fatal(err)
+			}
+			if i%50 == 49 && i < 240 {
+				x.Flush()
+			}
+		}
+		for i := 0; i < len(recs); i += 9 {
+			x.Delete(recs[i].Key)
+		}
+		return x
+	}
+	x, plain := build(plannerOpts()), build(unprunedOpts())
+	st := x.Stats()
+	if len(st.Segments) != 4 || st.Buffered != 60 || st.Tombstones == 0 {
+		t.Fatalf("fixture: %d segments, %d buffered, %d tombstones", len(st.Segments), st.Buffered, st.Tombstones)
+	}
+	if want := map[bool]string{false: "heap", true: "mmap"}[mmap]; st.SegmentDetail[0].Backing != want {
+		t.Fatalf("fixture: segments served from %s, want %s", st.SegmentDetail[0].Backing, want)
+	}
+	if n := x.snap.Load().segs[0].idx.NumPartitions(); parts == 40 && n <= 16 {
+		t.Fatalf("fixture: %d partitions in a segment, none folds onto another's filter bit", n)
+	}
+
+	var batch []core.BatchQuery
+	for i := 0; i < 64; i++ {
+		r := recs[i*4]
+		sig := r.Sig
+		if i%2 == 1 {
+			sig = halfRedrawn(sig, x.opts.RMax, uint64(i))
+		}
+		batch = append(batch, core.BatchQuery{Sig: sig, Size: r.Size, Threshold: []float64{0, 0.5, 1, 1.7}[i%4]})
+	}
+	batch[10].Size = 0                  // no query serves these two:
+	batch[11].Sig = batch[11].Sig[:100] // their rows stay empty
+	singles := func(y *Index) (rows [][]string, sum QueryTrace) {
+		for _, q := range batch {
+			var tr QueryTrace
+			// A short signature is the one error; its row is nil like the batch's.
+			row, _ := y.QueryContext(WithQueryTrace(context.Background(), &tr), q.Sig, q.Size, q.Threshold)
+			rows = append(rows, row)
+			sum.SegmentsProbed += tr.SegmentsProbed
+			sum.SegmentsRangePruned += tr.SegmentsRangePruned
+			sum.SegmentsBloomPruned += tr.SegmentsBloomPruned
+			sum.TreesProbed += tr.TreesProbed
+			sum.TreesSkipped += tr.TreesSkipped
+			sum.ColumnsProbed += tr.ColumnsProbed
+			sum.ColumnsSkipped += tr.ColumnsSkipped
+		}
+		return rows, sum
+	}
+	moved := func(f func()) PlannerStats {
+		b := x.Stats().Planner
+		f()
+		a := x.Stats().Planner
+		return PlannerStats{
+			SegmentsProbed:      a.SegmentsProbed - b.SegmentsProbed,
+			SegmentsRangePruned: a.SegmentsRangePruned - b.SegmentsRangePruned,
+			SegmentsBloomPruned: a.SegmentsBloomPruned - b.SegmentsBloomPruned,
+			TreesProbed:         a.TreesProbed - b.TreesProbed,
+			TreesSkipped:        a.TreesSkipped - b.TreesSkipped,
+			ColumnsProbed:       a.ColumnsProbed - b.ColumnsProbed,
+			ColumnsSkipped:      a.ColumnsSkipped - b.ColumnsSkipped,
+			PlanHits:            a.PlanHits - b.PlanHits,
+			PlanMisses:          a.PlanMisses - b.PlanMisses,
+			ResultHits:          a.ResultHits - b.ResultHits,
+			ResultMisses:        a.ResultMisses - b.ResultMisses,
+			TopKEarlyExits:      a.TopKEarlyExits - b.TopKEarlyExits,
+			BufferScans:         a.BufferScans - b.BufferScans,
+			BufferBloomPruned:   a.BufferBloomPruned - b.BufferBloomPruned,
+		}
+	}
+
+	singles(x) // warm the plan cache: from here on every plan lookup is a hit
+	var want [][]string
+	var sum QueryTrace
+	bySingles := moved(func() { want, sum = singles(x) })
+	if bySingles.SegmentsProbed == 0 || bySingles.ColumnsProbed == 0 || bySingles.BufferScans == 0 ||
+		bySingles.PlanHits != 62 || bySingles.PlanMisses != 0 {
+		t.Fatalf("fixture decides too little to compare: %+v", bySingles)
+	}
+	// Full-width leading values let both filters bite: whole segments and
+	// trees fall to the Bloom and, where there is more than one partition,
+	// more columns than the skipped trees account for fall to the sliced one.
+	if sb == core.Minwise64 && (bySingles.SegmentsBloomPruned == 0 || bySingles.TreesSkipped == 0 ||
+		(parts > 1 && bySingles.ColumnsSkipped*bySingles.TreesProbed <= bySingles.ColumnsProbed*bySingles.TreesSkipped)) {
+		t.Fatalf("the leading-value filters rule out too little: %+v", bySingles)
+	}
+	answers := 0
+	for _, row := range want {
+		answers += len(row)
+	}
+	if answers == 0 || len(want[10]) != 0 || len(want[11]) != 0 {
+		t.Fatalf("fixture: %d answers, unservable rows %v %v", answers, want[10], want[11])
+	}
+	for _, workers := range []int{1, 2, 5} {
+		var got [][]string
+		var tr QueryTrace
+		byBatch := moved(func() {
+			var err error
+			if got, err = x.QueryBatchContext(WithQueryTrace(context.Background(), &tr), batch, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i := range batch {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("workers=%d row %d: batch %v, single %v", workers, i, got[i], want[i])
+			}
+		}
+		if byBatch != bySingles {
+			t.Fatalf("workers=%d: the batch moved the planner counters by %+v, the singles by %+v", workers, byBatch, bySingles)
+		}
+		if tr.SegmentsProbed != sum.SegmentsProbed || tr.SegmentsRangePruned != sum.SegmentsRangePruned ||
+			tr.SegmentsBloomPruned != sum.SegmentsBloomPruned || tr.TreesProbed != sum.TreesProbed ||
+			tr.TreesSkipped != sum.TreesSkipped || tr.ColumnsProbed != sum.ColumnsProbed ||
+			tr.ColumnsSkipped != sum.ColumnsSkipped || !tr.BufferScanned || tr.ResultCacheHit ||
+			tr.Segments != 4 || tr.Buffered != 60 {
+			t.Fatalf("workers=%d: batch trace %+v, single traces sum to %+v", workers, tr, sum)
+		}
+	}
+	ref, _ := singles(plain)
+	refBatch := plain.QueryBatch(batch, 2)
+	for i := range batch {
+		if !slices.Equal(ref[i], want[i]) || !slices.Equal(refBatch[i], want[i]) {
+			t.Fatalf("row %d: planned %v, unpruned single %v, unpruned batch %v", i, want[i], ref[i], refBatch[i])
+		}
 	}
 }

@@ -52,7 +52,7 @@ type Forest struct {
 	st sigstore // width-typed signature store + per-tree leading-value columns
 
 	indexed bool
-	view    bool // FromView forest over external (possibly mapped) storage: mutation panics
+	view    bool // FromViewBytes forest over external (possibly mapped) storage: mutation panics
 }
 
 // New constructs a forest for signatures of numHash values with trees of
@@ -305,9 +305,10 @@ func radixSortPairs(keys []uint64, vals []uint32, tmpKeys []uint64, tmpVals []ui
 //
 // A probe of tree t at any depth r ≥ 1 matches an entry only if the query's
 // (truncated) leading value sig[t·RMax] occurs in the tree's leading column,
-// so a caller that can tell which columns may hold that value — internal/live
-// asks a Bloom filter over them — restricts the probe to those trees and
-// loses no candidate.
+// so a caller that can tell which columns may hold that value restricts the
+// probe to those trees and loses no candidate. A set belongs to one forest:
+// internal/live keeps one per partition of a segment, filled from two filters
+// over the leading columns — which trees, then which partitions.
 type TreeSet []uint64
 
 // TreeSetWords returns the number of words a TreeSet over trees [0, b) has.
@@ -319,11 +320,21 @@ func (s TreeSet) Add(t int) { s[t>>6] |= 1 << (uint(t) & 63) }
 // Has reports whether tree t is a member (always, for the nil set).
 func (s TreeSet) Has(t int) bool { return s == nil || s[t>>6]>>(uint(t)&63)&1 != 0 }
 
+// Empty reports whether the set holds no tree (never, for the nil set).
+func (s TreeSet) Empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return s != nil
+}
+
 // Query probes, at depth r, those of the first b trees that are in the set
 // (nil = all of them) and invokes fn once per *occurrence* of a matching
-// entry (the same id may be reported from multiple trees; use QueryDedup for
-// set semantics). Trees outside the set are not touched at all. Restricted to
-// a set that holds every tree whose leading column contains the query's
+// entry (the same id may be reported from multiple trees; callers wanting set
+// semantics dedup). Trees outside the set are not touched at all. Restricted
+// to a set that holds every tree whose leading column contains the query's
 // leading value, Query reports exactly what the unrestricted probe reports,
 // in the same order (see TreeSet). fn returning false stops the scan early.
 // The query signature is full-width, at least BMax()*RMax() values (callers
@@ -373,7 +384,7 @@ func (f *Forest) AppendSigWidened(dst []uint64, slot int) []uint64 {
 // Any probe of tree t at any depth r ≥ 1 matches an entry only if the
 // query's (truncated) leading value occurs in this column, which is what
 // makes the column the cheap export segment-level planners (internal/live)
-// build their collision Bloom filters and bounds from. For the 8-byte width
+// build their collision filters from. For the 8-byte width
 // the returned slice is a view into the forest's index (callers must not
 // mutate it); narrower widths return a widened copy. It returns nil for an
 // empty forest and panics before Index.
@@ -388,56 +399,6 @@ func (f *Forest) TreeLeadingColumn(t int) []uint64 {
 		return nil
 	}
 	return f.st.leadingColumn64(t, len(f.ids))
-}
-
-// TreeLeadingBounds returns the smallest and largest leading hash value of
-// tree t (the first and last element of the sorted column). ok is false for
-// an empty forest. A query value outside [min, max] cannot collide in the
-// tree; with near-uniform hash values the interval is usually wide, so the
-// bounds serve diagnostics and fast-path checks rather than primary pruning.
-func (f *Forest) TreeLeadingBounds(t int) (min, max uint64, ok bool) {
-	if !f.indexed {
-		panic("lshforest: TreeLeadingBounds before Index")
-	}
-	if t < 0 || t >= f.bMax {
-		panic(fmt.Sprintf("lshforest: tree %d out of range [0, %d)", t, f.bMax))
-	}
-	return f.st.leadingBounds(t, len(f.ids))
-}
-
-// Each invokes fn for every (id, signature) pair stored in the forest, in
-// insertion order, with the signature widened to uint64 values. For the
-// 8-byte width the signature is a view into the forest's backing store;
-// narrower widths reuse one widened scratch buffer across entries. In both
-// cases the slice is only valid during the callback and must not be mutated.
-func (f *Forest) Each(fn func(id uint32, sig []uint64)) {
-	if store, _, ok := f.st.raw64(); ok {
-		for i, id := range f.ids {
-			base := i * f.numHash
-			fn(id, store[base:base+f.numHash:base+f.numHash])
-		}
-		return
-	}
-	scratch := make([]uint64, 0, f.numHash)
-	for i, id := range f.ids {
-		scratch = f.st.appendWidened(scratch[:0], i)
-		fn(id, scratch)
-	}
-}
-
-// QueryDedup probes like Query but reports each matching id exactly once.
-// The seen scratch map may be nil; passing a reused map avoids allocation.
-func (f *Forest) QueryDedup(sig []uint64, b, r int, seen map[uint32]struct{}, fn func(id uint32) bool) {
-	if seen == nil {
-		seen = make(map[uint32]struct{})
-	}
-	f.Query(sig, b, r, nil, func(id uint32) bool {
-		if _, ok := seen[id]; ok {
-			return true
-		}
-		seen[id] = struct{}{}
-		return fn(id)
-	})
 }
 
 // binary serialization formats:

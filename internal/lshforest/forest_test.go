@@ -68,7 +68,7 @@ func TestForestMatchesBruteForce(t *testing.T) {
 			for r := 1; r <= rMax; r++ {
 				want := bruteCandidates(sigs, ids, q, b, r, rMax)
 				got := map[uint32]bool{}
-				f.QueryDedup(q, b, r, nil, func(id uint32) bool {
+				f.Query(q, b, r, nil, func(id uint32) bool {
 					got[id] = true
 					return true
 				})
@@ -102,7 +102,7 @@ func TestForestMatchesBruteForceProperty(t *testing.T) {
 		q := sigs[rng.Intn(n)] // query with an indexed signature
 		want := bruteCandidates(sigs, ids, q, b, r, rMax)
 		got := map[uint32]bool{}
-		fr.QueryDedup(q, b, r, nil, func(id uint32) bool {
+		fr.Query(q, b, r, nil, func(id uint32) bool {
 			got[id] = true
 			return true
 		})
@@ -167,21 +167,13 @@ func TestQueryEarlyStop(t *testing.T) {
 	}
 }
 
-func TestQueryDedupReportsOnce(t *testing.T) {
+func TestQueryReportsEveryOccurrence(t *testing.T) {
 	f := New(8, 2) // 4 trees
 	sig := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	f.Add(99, sig)
 	f.Index()
+	// Query does not dedup: the id is found in all 4 trees.
 	count := 0
-	f.QueryDedup(sig, 4, 2, nil, func(id uint32) bool {
-		count++
-		return true
-	})
-	if count != 1 {
-		t.Fatalf("dedup reported %d times, want 1", count)
-	}
-	// Without dedup the id is found in all 4 trees.
-	count = 0
 	f.Query(sig, 4, 2, nil, func(id uint32) bool {
 		count++
 		return true
@@ -247,7 +239,7 @@ func TestAddAfterIndexInvalidatesTrees(t *testing.T) {
 	}
 	f.Index()
 	got := map[uint32]bool{}
-	f.QueryDedup([]uint64{1, 1, 1, 1}, 2, 2, nil, func(id uint32) bool {
+	f.Query([]uint64{1, 1, 1, 1}, 2, 2, nil, func(id uint32) bool {
 		got[id] = true
 		return true
 	})
@@ -277,12 +269,12 @@ func TestRealSignatures(t *testing.T) {
 
 	q := h.SketchStrings(base)
 	got := map[uint32]bool{}
-	f.QueryDedup(q, 16, 1, nil, func(id uint32) bool { got[id] = true; return true })
+	f.Query(q, 16, 1, nil, func(id uint32) bool { got[id] = true; return true })
 	if !got[0] || !got[1] {
 		t.Fatalf("similar sets not retrieved at permissive setting: %v", got)
 	}
 	got = map[uint32]bool{}
-	f.QueryDedup(q, 1, 4, nil, func(id uint32) bool { got[id] = true; return true })
+	f.Query(q, 1, 4, nil, func(id uint32) bool { got[id] = true; return true })
 	if got[2] {
 		t.Fatal("dissimilar set retrieved at strict setting")
 	}
@@ -312,8 +304,8 @@ func TestForestRoundTrip(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		q := sigs[rng.Intn(len(sigs))]
 		want, got := []uint32{}, []uint32{}
-		f.QueryDedup(q, 4, 2, nil, func(id uint32) bool { want = append(want, id); return true })
-		g.QueryDedup(q, 4, 2, nil, func(id uint32) bool { got = append(got, id); return true })
+		f.Query(q, 4, 2, nil, func(id uint32) bool { want = append(want, id); return true })
+		g.Query(q, 4, 2, nil, func(id uint32) bool { got = append(got, id); return true })
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		if len(want) != len(got) {
@@ -422,7 +414,7 @@ func BenchmarkForestIndexParallel(b *testing.B) {
 	}
 }
 
-func TestTreeLeadingColumnAndBounds(t *testing.T) {
+func TestTreeLeadingColumn(t *testing.T) {
 	f := New(8, 2) // 4 trees of depth 2
 	sigs := [][]uint64{
 		{5, 1, 9, 2, 3, 4, 7, 8},
@@ -456,10 +448,6 @@ func TestTreeLeadingColumnAndBounds(t *testing.T) {
 				t.Fatalf("tree %d column %v missing leading value %d", tr, col, want)
 			}
 		}
-		lo, hi, ok := f.TreeLeadingBounds(tr)
-		if !ok || lo != col[0] || hi != col[len(col)-1] {
-			t.Fatalf("tree %d bounds (%d, %d, %v) disagree with column %v", tr, lo, hi, ok, col)
-		}
 	}
 }
 
@@ -468,8 +456,5 @@ func TestTreeLeadingColumnEmptyForest(t *testing.T) {
 	f.Index()
 	if col := f.TreeLeadingColumn(0); col != nil {
 		t.Fatalf("empty forest returned column %v", col)
-	}
-	if _, _, ok := f.TreeLeadingBounds(0); ok {
-		t.Fatal("empty forest reported bounds")
 	}
 }

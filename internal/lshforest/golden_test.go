@@ -69,18 +69,16 @@ func TestForestGoldenDecode(t *testing.T) {
 	live.Index()
 
 	// Every stored signature survives the round trip bit-for-bit.
-	i := 0
-	f.Each(func(id uint32, sig []uint64) {
+	for i, id := range f.IDs() {
 		if id != ids[i] {
 			t.Fatalf("entry %d: id %d, want %d", i, id, ids[i])
 		}
-		for k := range sig {
-			if sig[k] != sigs[i][k] {
-				t.Fatalf("entry %d slot %d: %d, want %d", i, k, sig[k], sigs[i][k])
+		for k, v := range f.AppendSigWidened(nil, i) {
+			if v != sigs[i][k] {
+				t.Fatalf("entry %d slot %d: %d, want %d", i, k, v, sigs[i][k])
 			}
 		}
-		i++
-	})
+	}
 
 	// Query equivalence between the decoded and the freshly built forest.
 	for qi := range sigs {

@@ -48,13 +48,11 @@ type sigstore interface {
 	matchCount(slot int, sig []uint64) int
 	appendWidened(dst []uint64, slot int) []uint64
 	leadingColumn64(t, n int) []uint64
-	leadingBounds(t, n int) (uint64, uint64, bool)
 	appendEntryLE(buf []byte, slot int) []byte
 	decodeAppendSig(buf []byte) []byte
 	writeStoreLE(dst []byte)
 	writeTreeKeysLE(t int, dst []byte)
-	viewFrom(store []byte, keys [][]byte) error
-	raw64() ([]uint64, [][]uint64, bool)
+	viewFrom(store []byte, keys [][]byte)
 }
 
 // tstore is the width-typed half of a Forest: the contiguous signature store
@@ -355,14 +353,6 @@ func (ts *tstore[E]) leadingColumn64(t, n int) []uint64 {
 	return out
 }
 
-func (ts *tstore[E]) leadingBounds(t, n int) (uint64, uint64, bool) {
-	if n == 0 {
-		return 0, 0, false
-	}
-	col := ts.treeKeys[t]
-	return uint64(col[0]), uint64(col[n-1]), true
-}
-
 // appendEntryLE appends slot's signature values at native width,
 // little-endian, to buf (the serialization path).
 func (ts *tstore[E]) appendEntryLE(buf []byte, slot int) []byte {
@@ -418,25 +408,10 @@ func writeLE[E elem](dst []byte, vals []E) {
 // viewFrom points the store and columns at externally owned little-endian
 // byte regions (zero-copy on little-endian hosts via segfile.View). Length
 // validation happened in FromViewBytes; here the bytes only need casting.
-func (ts *tstore[E]) viewFrom(store []byte, keys [][]byte) error {
+func (ts *tstore[E]) viewFrom(store []byte, keys [][]byte) {
 	ts.store = viewLE[E](store)
-	if keys != nil {
-		ts.treeKeys = make([][]E, len(keys))
-		for t, kb := range keys {
-			ts.treeKeys[t] = viewLE[E](kb)
-		}
+	ts.treeKeys = make([][]E, len(keys))
+	for t, kb := range keys {
+		ts.treeKeys[t] = viewLE[E](kb)
 	}
-	return nil
-}
-
-// raw64 exposes the store and columns as []uint64 views when (and only
-// when) the width is 8 bytes — the legacy zero-copy seam StoreRaw and
-// FromView speak.
-func (ts *tstore[E]) raw64() ([]uint64, [][]uint64, bool) {
-	st, ok := any(ts.store).([]uint64)
-	if !ok {
-		return nil, nil, false
-	}
-	keys, _ := any(ts.treeKeys).([][]uint64)
-	return st, keys, true
 }

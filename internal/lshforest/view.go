@@ -5,7 +5,7 @@ import "fmt"
 // This file is the out-of-core seam of the forest: accessors that expose the
 // flat storage layout (contiguous signature store, per-tree sorted orders and
 // leading-value columns) so internal/live can persist a built forest into a
-// segment file, and FromView/FromViewBytes, which reassemble an indexed
+// segment file, and FromViewBytes, which reassembles an indexed
 // forest directly over such persisted arrays — possibly zero-copy views of a
 // memory-mapped file (internal/segfile). Nothing here reads the store
 // contents, so opening a mapped segment faults no signature pages.
@@ -13,18 +13,6 @@ import "fmt"
 // IDs returns the caller-assigned id of every entry in insertion order as a
 // read-only view (full-slice expression: appends cannot clobber the store).
 func (f *Forest) IDs() []uint32 { return f.ids[:len(f.ids):len(f.ids)] }
-
-// StoreRaw returns the contiguous signature backing store (stride NumHash)
-// as a read-only view. It is the legacy full-width seam and panics for a
-// narrow store, whose elements are not uint64 — width-generic callers use
-// StoreLenBytes/WriteStoreLE instead.
-func (f *Forest) StoreRaw() []uint64 {
-	store, _, ok := f.st.raw64()
-	if !ok {
-		panic(fmt.Sprintf("lshforest: StoreRaw on a %d-byte-wide store", f.width))
-	}
-	return store[:len(store):len(store)]
-}
 
 // StoreLenBytes returns the serialized byte length of the signature store:
 // Len() * NumHash() * Width(). This is the number /stats and the segment
@@ -72,47 +60,17 @@ func (f *Forest) Tree(t int) []uint32 {
 	return o[:len(o):len(o)]
 }
 
-// FromView reassembles an indexed full-width (8-byte) forest over
-// externally owned storage. The slices must satisfy the invariants Index
-// would have established: len(store) == len(ids)*numHash; one order and one
-// leading-value column per tree, each of len(ids), with column
-// c[i] == store[order[i]*numHash + t*rMax] and the column sorted by the
-// tree's full hash vector. Only lengths are validated — verifying contents
-// would fault every lazily mapped page, defeating the point; a checksummed
-// loader (internal/live's segment files) is expected to guard the bytes
-// instead. The returned forest is a read-only view: Add, Reserve and tree
-// rebuilds panic.
-func FromView(numHash, rMax int, ids []uint32, store []uint64, trees [][]uint32, treeKeys [][]uint64) (*Forest, error) {
-	f := New(numHash, rMax)
-	if len(store) != len(ids)*numHash {
-		return nil, fmt.Errorf("lshforest: view store has %d values, want %d ids × %d hashes", len(store), len(ids), numHash)
-	}
-	if len(ids) > 0 {
-		if len(trees) != f.bMax || len(treeKeys) != f.bMax {
-			return nil, fmt.Errorf("lshforest: view has %d orders / %d columns, want %d trees", len(trees), len(treeKeys), f.bMax)
-		}
-		for t := 0; t < f.bMax; t++ {
-			if len(trees[t]) != len(ids) || len(treeKeys[t]) != len(ids) {
-				return nil, fmt.Errorf("lshforest: view tree %d has %d/%d entries, want %d", t, len(trees[t]), len(treeKeys[t]), len(ids))
-			}
-		}
-		f.trees = trees
-		ts := f.st.(*tstore[uint64])
-		ts.store = store
-		ts.treeKeys = treeKeys
-	}
-	f.ids = ids
-	f.view = true
-	f.indexed = true
-	return f, nil
-}
-
-// FromViewBytes is FromView generalized over the store element width: the
-// signature store and per-tree leading-value columns arrive as little-endian
-// byte regions (usually sections of a mapped segment file) and are cast to
-// typed views without copying on little-endian hosts. width is the element
-// width in bytes (1, 2, 4 or 8); the invariants and the read-only contract
-// match FromView.
+// FromViewBytes reassembles an indexed forest over externally owned storage:
+// the signature store and the per-tree leading-value columns arrive as
+// little-endian byte regions at the element width (1, 2, 4 or 8 bytes) —
+// usually sections of a mapped segment file — and are cast to typed views
+// without copying on little-endian hosts. They must satisfy what Index would
+// have established: one order and one column per tree, each of len(ids)
+// entries, column[i] == store[order[i]*numHash + t*rMax], sorted by the tree's
+// full hash vector. Only lengths are validated — verifying contents would
+// fault every lazily mapped page; a checksummed loader (internal/live's
+// segment files) guards the bytes instead. The returned forest is a read-only
+// view: Add, Reserve and tree rebuilds panic.
 func FromViewBytes(numHash, rMax, width int, ids []uint32, store []byte, trees [][]uint32, keys [][]byte) (*Forest, error) {
 	f := NewWidth(numHash, rMax, width)
 	if len(store) != len(ids)*numHash*width {
@@ -130,9 +88,7 @@ func FromViewBytes(numHash, rMax, width int, ids []uint32, store []byte, trees [
 			}
 		}
 		f.trees = trees
-		if err := f.st.viewFrom(store, keys); err != nil {
-			return nil, err
-		}
+		f.st.viewFrom(store, keys)
 	}
 	f.ids = ids
 	f.view = true

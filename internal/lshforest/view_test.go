@@ -25,6 +25,21 @@ func buildRandomForest(t *testing.T, n, numHash, rMax int, seed int64) (*Forest,
 	return f, sigs
 }
 
+// viewOf reassembles f over a serialized copy of its own flat arrays, the way
+// a segment file hands them to FromViewBytes.
+func viewOf(f *Forest) (*Forest, error) {
+	store := make([]byte, f.StoreLenBytes())
+	f.WriteStoreLE(store)
+	trees := make([][]uint32, f.BMax())
+	cols := make([][]byte, f.BMax())
+	for tr := range trees {
+		trees[tr] = f.Tree(tr)
+		cols[tr] = make([]byte, f.Len()*f.Width())
+		f.WriteTreeKeysLE(tr, cols[tr])
+	}
+	return FromViewBytes(f.NumHash(), f.RMax(), f.Width(), f.IDs(), store, trees, cols)
+}
+
 // TestFromViewQueryEquivalence rebuilds a forest from its own exported flat
 // arrays and checks that every query answers identically — the exact
 // contract segment-file loading relies on.
@@ -32,15 +47,9 @@ func TestFromViewQueryEquivalence(t *testing.T) {
 	const n, numHash, rMax = 300, 32, 4
 	f, sigs := buildRandomForest(t, n, numHash, rMax, 7)
 
-	trees := make([][]uint32, f.BMax())
-	cols := make([][]uint64, f.BMax())
-	for tr := 0; tr < f.BMax(); tr++ {
-		trees[tr] = f.Tree(tr)
-		cols[tr] = f.TreeLeadingColumn(tr)
-	}
-	v, err := FromView(numHash, rMax, f.IDs(), f.StoreRaw(), trees, cols)
+	v, err := viewOf(f)
 	if err != nil {
-		t.Fatalf("FromView: %v", err)
+		t.Fatalf("FromViewBytes: %v", err)
 	}
 	if v.Len() != n || !v.Indexed() {
 		t.Fatalf("view Len=%d Indexed=%v", v.Len(), v.Indexed())
@@ -73,9 +82,9 @@ func TestFromViewQueryEquivalence(t *testing.T) {
 }
 
 func TestFromViewEmpty(t *testing.T) {
-	v, err := FromView(16, 4, nil, nil, nil, nil)
+	v, err := FromViewBytes(16, 4, 8, nil, nil, nil, nil)
 	if err != nil {
-		t.Fatalf("FromView empty: %v", err)
+		t.Fatalf("FromViewBytes empty: %v", err)
 	}
 	if v.Len() != 0 || !v.Indexed() {
 		t.Fatalf("empty view Len=%d Indexed=%v", v.Len(), v.Indexed())
@@ -88,23 +97,17 @@ func TestFromViewEmpty(t *testing.T) {
 
 func TestFromViewRejectsShapeMismatch(t *testing.T) {
 	ids := []uint32{0, 1}
-	if _, err := FromView(8, 4, ids, make([]uint64, 15), nil, nil); err == nil {
+	if _, err := FromViewBytes(8, 4, 8, ids, make([]byte, 15*8), nil, nil); err == nil {
 		t.Fatal("store length mismatch accepted")
 	}
-	if _, err := FromView(8, 4, ids, make([]uint64, 16), [][]uint32{{0, 1}}, [][]uint64{{0, 0}}); err == nil {
+	if _, err := FromViewBytes(8, 4, 8, ids, make([]byte, 16*8), [][]uint32{{0, 1}}, [][]byte{make([]byte, 16)}); err == nil {
 		t.Fatal("tree count mismatch accepted")
 	}
 }
 
 func TestViewMutationPanics(t *testing.T) {
 	f, _ := buildRandomForest(t, 10, 16, 4, 3)
-	trees := make([][]uint32, f.BMax())
-	cols := make([][]uint64, f.BMax())
-	for tr := 0; tr < f.BMax(); tr++ {
-		trees[tr] = f.Tree(tr)
-		cols[tr] = f.TreeLeadingColumn(tr)
-	}
-	v, err := FromView(16, 4, f.IDs(), f.StoreRaw(), trees, cols)
+	v, err := viewOf(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,5 @@ package segfile
 // View decodes b, a little-endian array of E, into a fresh []E.
 func View[E Elem](b []byte) []E { return decodeView[E](b) }
 
-// Uint64s decodes b, a little-endian u64 array, into a fresh []uint64.
-func Uint64s(b []byte) []uint64 { return decodeUint64s(b) }
-
 // Uint32s decodes b, a little-endian u32 array, into a fresh []uint32.
 func Uint32s(b []byte) []uint32 { return decodeUint32s(b) }

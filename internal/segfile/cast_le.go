@@ -5,15 +5,15 @@ package segfile
 import "unsafe"
 
 // On little-endian hosts the on-disk little-endian arrays can be viewed in
-// place: a segment file's signature store and tree columns become []uint64 /
-// []uint32 headers over the mapped bytes, so opening a segment touches no
+// place: a segment file's signature store and tree columns become typed
+// slice headers over the mapped bytes, so opening a segment touches no
 // data pages. Misaligned input (possible when a caller embeds an image at an
 // arbitrary offset of a larger buffer) falls back to the decoding copy —
 // semantically identical, just not zero-copy.
 
 // View views b, a little-endian array of E whose length is a multiple of
-// E's size, as []E — the width-generic form of Uint64s/Uint32s serving the
-// pluggable sketch widths. The result aliases b when zero-copy applies;
+// E's size, as []E — the width-generic form of Uint32s serving the pluggable
+// sketch widths. The result aliases b when zero-copy applies;
 // callers must treat it as read-only and must not outlive b's backing.
 func View[E Elem](b []byte) []E {
 	if len(b) == 0 {
@@ -26,21 +26,8 @@ func View[E Elem](b []byte) []E {
 	return unsafe.Slice((*E)(unsafe.Pointer(&b[0])), uintptr(len(b))/w)
 }
 
-// Uint64s views b, a little-endian u64 array whose length is a multiple of
-// 8, as []uint64. The result aliases b when zero-copy applies; callers must
-// treat it as read-only and must not outlive b's backing.
-func Uint64s(b []byte) []uint64 {
-	if len(b) == 0 {
-		return nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
-		return decodeUint64s(b)
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
 // Uint32s views b, a little-endian u32 array whose length is a multiple of
-// 4, as []uint32, under the same aliasing rules as Uint64s.
+// 4, as []uint32, under the same aliasing rules as View.
 func Uint32s(b []byte) []uint32 {
 	if len(b) == 0 {
 		return nil

@@ -98,18 +98,6 @@ func decodeView[E Elem](b []byte) []E {
 	return out
 }
 
-// decodeUint64s is the portable fallback of Uint64s: an explicit
-// little-endian decode into a fresh slice (used on big-endian hosts and for
-// misaligned input).
-func decodeUint64s(b []byte) []uint64 {
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = uint64(b[i*8]) | uint64(b[i*8+1])<<8 | uint64(b[i*8+2])<<16 | uint64(b[i*8+3])<<24 |
-			uint64(b[i*8+4])<<32 | uint64(b[i*8+5])<<40 | uint64(b[i*8+6])<<48 | uint64(b[i*8+7])<<56
-	}
-	return out
-}
-
 // decodeUint32s is the portable fallback of Uint32s.
 func decodeUint32s(b []byte) []uint32 {
 	out := make([]uint32, len(b)/4)

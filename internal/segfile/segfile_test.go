@@ -130,14 +130,14 @@ func TestCastsMatchPortableDecode(t *testing.T) {
 	}
 	for off := 0; off < 8; off++ {
 		b := raw[off : off+8*16]
-		want64 := decodeUint64s(b)
-		got64 := Uint64s(b)
+		want64 := decodeView[uint64](b)
+		got64 := View[uint64](b)
 		if len(got64) != len(want64) {
-			t.Fatalf("off %d: Uint64s len %d, want %d", off, len(got64), len(want64))
+			t.Fatalf("off %d: View[uint64] len %d, want %d", off, len(got64), len(want64))
 		}
 		for i := range want64 {
 			if got64[i] != want64[i] {
-				t.Fatalf("off %d: Uint64s[%d] = %#x, want %#x", off, i, got64[i], want64[i])
+				t.Fatalf("off %d: View[uint64][%d] = %#x, want %#x", off, i, got64[i], want64[i])
 			}
 		}
 		b32 := raw[off : off+4*16]
@@ -149,7 +149,7 @@ func TestCastsMatchPortableDecode(t *testing.T) {
 			}
 		}
 	}
-	if Uint64s(nil) != nil || Uint32s(nil) != nil {
+	if View[uint64](nil) != nil || Uint32s(nil) != nil {
 		t.Fatal("casts of empty input must be nil")
 	}
 }
@@ -162,10 +162,10 @@ func TestCastsSeeWrittenValues(t *testing.T) {
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(b[i*8:], v)
 	}
-	got := Uint64s(b)
+	got := View[uint64](b)
 	for i, v := range vals {
 		if got[i] != v {
-			t.Fatalf("Uint64s[%d] = %#x, want %#x", i, got[i], v)
+			t.Fatalf("View[uint64][%d] = %#x, want %#x", i, got[i], v)
 		}
 	}
 }

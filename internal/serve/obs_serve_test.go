@@ -83,6 +83,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lshensembled_planner_segments_total{decision="probed"} `,
 		`lshensembled_planner_trees_total{decision="probed"} `,
 		`lshensembled_planner_trees_total{decision="skipped"} `,
+		`lshensembled_planner_columns_total{decision="probed"} `,
+		`lshensembled_planner_columns_total{decision="skipped"} `,
 		`lshensembled_planner_result_cache_total{outcome="miss"} `,
 		"# TYPE lshensembled_live_query_seconds histogram",
 		"# TYPE lshensembled_live_seals_total counter",
@@ -166,7 +168,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("response trace id %q, want the inbound one echoed", got)
 	}
 	out := buf.String()
-	for _, want := range []string{"slow query", "trace_id=slowtest-123", "op=query", "segments_probed=", "trees_probed=", "trees_skipped="} {
+	for _, want := range []string{"slow query", "trace_id=slowtest-123", "op=query", "segments_probed=", "trees_probed=", "trees_skipped=", "columns_probed=", "columns_skipped="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("slow-query log missing %q in:\n%s", want, out)
 		}

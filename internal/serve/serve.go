@@ -184,6 +184,8 @@ func (s *Server) registerIndexMetrics(prefix string) {
 	segBloom := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "bloom_pruned"))
 	treesProbed := s.reg.Counter(prefix+"_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "probed"))
 	treesSkipped := s.reg.Counter(prefix+"_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "skipped"))
+	colsProbed := s.reg.Counter(prefix+"_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "probed"))
+	colsSkipped := s.reg.Counter(prefix+"_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "skipped"))
 	planHits := s.reg.Counter(prefix+"_planner_plan_cache_total", "Plan-cache lookups by outcome.", obs.L("outcome", "hit"))
 	planMisses := s.reg.Counter(prefix+"_planner_plan_cache_total", "Plan-cache lookups by outcome.", obs.L("outcome", "miss"))
 	resHits := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "hit"))
@@ -212,6 +214,8 @@ func (s *Server) registerIndexMetrics(prefix string) {
 		segBloom.Store(st.Planner.SegmentsBloomPruned)
 		treesProbed.Store(st.Planner.TreesProbed)
 		treesSkipped.Store(st.Planner.TreesSkipped)
+		colsProbed.Store(st.Planner.ColumnsProbed)
+		colsSkipped.Store(st.Planner.ColumnsSkipped)
 		planHits.Store(st.Planner.PlanHits)
 		planMisses.Store(st.Planner.PlanMisses)
 		resHits.Store(st.Planner.ResultHits)
@@ -787,6 +791,8 @@ func (s *Server) noteSlow(r *http.Request, op string, start time.Time, tr *lshen
 			slog.Int("segments_bloom_pruned", tr.SegmentsBloomPruned),
 			slog.Int("trees_probed", tr.TreesProbed),
 			slog.Int("trees_skipped", tr.TreesSkipped),
+			slog.Int("columns_probed", tr.ColumnsProbed),
+			slog.Int("columns_skipped", tr.ColumnsSkipped),
 			slog.Bool("buffer_scanned", tr.BufferScanned),
 			slog.Bool("buffer_bloom_skipped", tr.BufferBloomSkipped),
 		)
