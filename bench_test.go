@@ -683,15 +683,14 @@ func BenchmarkLiveQueryManySegments(b *testing.B) {
 	run := func(b *testing.B, opts lshensemble.LiveOptions) {
 		idx, hot := manySegmentsIndex(b, opts, pools, hotPools)
 		defer idx.Close()
-		// A fixed 64-query working set spread across the hot pools: a steady
-		// query mix whose distinct (size, threshold) plans all fit the plan
-		// cache, so the timed loop measures the planner's steady state.
+		// A fixed 64-query working set spread across the hot pools, so the
+		// timed loop measures the planner's steady state.
 		queries := make([]lshensemble.DomainRecord, 64)
 		for i := range queries {
 			queries[i] = hot[i*17%len(hot)]
 		}
 		var dst []string
-		for _, r := range queries { // warm scratch + plan cache
+		for _, r := range queries { // warm scratch
 			dst = idx.QueryAppend(dst[:0], r.Sig, r.Size, 0.5)
 		}
 		st := idx.Stats()
@@ -721,7 +720,6 @@ func BenchmarkLiveQueryManySegments(b *testing.B) {
 	b.Run("unpruned", func(b *testing.B) {
 		opts := base
 		opts.DisablePruning = true
-		opts.DisablePlanCache = true
 		run(b, opts)
 	})
 }
@@ -802,7 +800,7 @@ func BenchmarkLiveQueryMmapVsHeap(b *testing.B) {
 		idx := outOfCoreBenchIndex(b, f, dataDir, mmap)
 		defer idx.Close()
 		var dst []string
-		for _, qi := range f.queries { // warm scratch, plan cache, page cache
+		for _, qi := range f.queries { // warm scratch, page cache
 			dst = idx.QueryAppend(dst[:0], f.records[qi].Sig, f.records[qi].Size, 0.5)
 		}
 		b.ReportAllocs()

@@ -53,7 +53,7 @@
 //	             [-sketch minwise64] [-seed 42] [-seal 4096] [-max-segments 8]
 //	             [-snapshot /var/lib/lshensembled/index.snap]
 //	             [-data-dir /var/lib/lshensembled] [-mmap]
-//	             [-no-prune] [-no-plan-cache] [-result-cache 1024]
+//	             [-no-prune] [-result-cache 1024]
 //	             [-read-header-timeout 10s] [-read-timeout 1m]
 //	             [-write-timeout 2m] [-idle-timeout 2m]
 //	             [-log-level info] [-log-json] [-no-metrics]
@@ -61,8 +61,8 @@
 //
 // The planner escape hatches exist for A/B measurement and debugging:
 // -no-prune disables segment Bloom/range pruning and top-k early
-// termination, -no-plan-cache re-tunes (b, r) on every query, and
-// -result-cache sets the result-cache capacity in entries (0 disables it).
+// termination, and -result-cache sets the result-cache capacity in entries
+// (0 disables it).
 //
 // Observability: every request is stamped with a trace ID (an inbound
 // X-Request-Id is honored, so a router-issued ID follows the request here)
@@ -117,7 +117,6 @@ func run() error {
 	dataDir := flag.String("data-dir", "", "directory for out-of-core segment files; snapshots become small manifests referencing them")
 	mmap := flag.Bool("mmap", false, "serve sealed segments from memory-mapped files (requires -data-dir; lazy boot)")
 	noPrune := flag.Bool("no-prune", false, "disable segment Bloom/range pruning and top-k early termination (A/B escape hatch)")
-	noPlanCache := flag.Bool("no-plan-cache", false, "disable the per-snapshot (b, r) plan cache (A/B escape hatch)")
 	resultCache := flag.Int("result-cache", 1024, "result-cache capacity in entries (0 disables)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time limit for reading request headers (slowloris guard)")
 	readTimeout := flag.Duration("read-timeout", time.Minute, "time limit for reading an entire request, body included")
@@ -159,13 +158,12 @@ func run() error {
 			NumPartitions: *partitions,
 			Sketch:        sketchBackend,
 		},
-		SealThreshold:    *seal,
-		MaxSegments:      *maxSegments,
-		DisablePruning:   *noPrune,
-		DisablePlanCache: *noPlanCache,
-		ResultCacheSize:  resultCacheSize,
-		DataDir:          *dataDir,
-		Mmap:             *mmap,
+		SealThreshold:   *seal,
+		MaxSegments:     *maxSegments,
+		DisablePruning:  *noPrune,
+		ResultCacheSize: resultCacheSize,
+		DataDir:         *dataDir,
+		Mmap:            *mmap,
 	}
 
 	var idx *lshensemble.LiveIndex

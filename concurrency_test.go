@@ -328,7 +328,8 @@ func TestLiveConcurrentChurn(t *testing.T) {
 // TestLiveSteadyStateAllocs proves the live fan-out keeps the PR 1/PR 2
 // allocation discipline at the public API: steady-state QueryAppend with a
 // reused destination against a multi-segment snapshot (sealed segments, a
-// live buffer and tombstones all in play) allocates nothing.
+// live buffer and tombstones all in play) allocates nothing — answered from
+// the result cache or, with it off, by the planned fan-out.
 func TestLiveSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates and randomizes sync.Pool reuse")
@@ -336,52 +337,69 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 800, Seed: 27})
 	h := minhash.NewHasher(128, 27)
 	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.BuildLive(recs[:400], lshensemble.LiveOptions{
-		Options:          lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8},
-		ManualCompaction: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	for _, r := range recs[400:600] {
-		if _, err := idx.Add(r); err != nil {
+	for _, resultCache := range []int{0, -1} {
+		idx, err := lshensemble.BuildLive(recs[:400], lshensemble.LiveOptions{
+			Options:          lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8},
+			ManualCompaction: true,
+			ResultCacheSize:  resultCache,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	idx.Flush()
-	for _, r := range recs[600:700] {
-		if _, err := idx.Add(r); err != nil {
-			t.Fatal(err)
+		defer idx.Close()
+		for _, r := range recs[400:600] {
+			if _, err := idx.Add(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	idx.Flush()
-	for _, r := range recs[700:750] {
-		if _, err := idx.Add(r); err != nil {
-			t.Fatal(err)
+		idx.Flush()
+		for _, r := range recs[600:700] {
+			if _, err := idx.Add(r); err != nil {
+				t.Fatal(err)
+			}
 		}
+		idx.Flush()
+		for _, r := range recs[700:750] {
+			if _, err := idx.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 750; i += 31 {
+			idx.Delete(recs[i].Key)
+		}
+		st := idx.Stats()
+		if len(st.Segments) < 3 || st.Buffered == 0 || st.Tombstones == 0 {
+			t.Fatalf("fixture shape wrong: %+v", st)
+		}
+		wantNoQueryAllocs(t, idx, recs, resultCache)
 	}
-	for i := 0; i < 750; i += 31 {
-		idx.Delete(recs[i].Key)
-	}
-	st := idx.Stats()
-	if len(st.Segments) < 3 || st.Buffered == 0 || st.Tombstones == 0 {
-		t.Fatalf("fixture shape wrong: %+v", st)
-	}
+}
 
+// wantNoQueryAllocs fails if steady-state QueryAppend on idx allocates: for
+// one query repeated and, with the result cache off (a miss stores its answer,
+// which allocates), for a pass of 600 queries no two of which share a
+// (|Q|, t*) pair — every one plans its segments afresh, in pooled scratch.
+func wantNoQueryAllocs(t *testing.T, idx *lshensemble.LiveIndex, recs []lshensemble.DomainRecord, resultCache int) {
+	t.Helper()
 	var dst []string
-	warm := func() {
-		for i := 1; i < len(recs); i += 37 {
-			dst = idx.QueryAppend(dst[:0], recs[i].Sig, recs[i].Size, 0.5)
+	pass := func() {
+		for j := 0; j < 600; j++ {
+			r := recs[j*37%len(recs)]
+			dst = idx.QueryAppend(dst[:0], r.Sig, r.Size, 0.2+0.001*float64(j))
 		}
 	}
-	warm()
-	warm()
-	allocs := testing.AllocsPerRun(50, func() {
+	pass()
+	pass()
+	if allocs := testing.AllocsPerRun(50, func() {
 		dst = idx.QueryAppend(dst[:0], recs[101].Sig, recs[101].Size, 0.5)
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state live QueryAppend allocates %.1f per query, want 0", allocs)
+	}); allocs > 0 {
+		t.Errorf("result cache %d: steady-state live QueryAppend allocates %.1f per query, want 0", resultCache, allocs)
+	}
+	if resultCache >= 0 {
+		return
+	}
+	if allocs := testing.AllocsPerRun(5, pass); allocs > 0 {
+		t.Errorf("result cache %d: 600 queries of distinct (|Q|, t*) allocate %.0f times, want 0", resultCache, allocs)
 	}
 }
 

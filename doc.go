@@ -155,13 +155,13 @@
 // ladder last probed it. None of this changes an answer — a probe at any
 // depth needs an exact match on the tree's leading value, so planned
 // results are byte-identical to a full scan (LiveOptions.DisablePruning,
-// the reference path of the equivalence tests). Two
-// caches ride on snapshot generations (a tuned-(b,r) plan cache and a
-// lock-free result cache) and are validated by a single generation
-// compare on read, so repeated queries against an unchanged corpus are
-// allocation-free cache hits. LiveOptions.DisablePruning,
-// DisablePlanCache and ResultCacheSize expose the knobs; LiveStats
-// reports per-segment metadata and prune/hit counters.
+// the reference path of the equivalence tests). A segment that is probed
+// plans its partitions' (b, r) on the spot, from the process-wide tuning
+// table; a lock-free result cache rides on the snapshot generation and is
+// validated by a single generation compare on read, so repeated queries
+// against an unchanged corpus are allocation-free cache hits.
+// LiveOptions.DisablePruning and ResultCacheSize expose the knobs;
+// LiveStats reports per-segment metadata and prune/hit counters.
 //
 // # Out-of-core segments
 //
@@ -335,7 +335,8 @@
 //   - KMV: the k smallest distinct hash values, giving cardinality-aware
 //     containment estimates. Evaluation-only — it has no fixed-slot
 //     structure to band, so it cannot back the LSH forest index; use it
-//     for re-ranking or offline accuracy studies (KMVSketch, minhash.KMV).
+//     for offline accuracy studies (internal/minhash.KMV, scored by
+//     internal/expt).
 //
 // Measured accuracy-vs-bytes frontier (Fig. 4 corpus scale, t* = 0.5,
 // m = 256 hash functions; reproduce with "experiments -run frontier"):

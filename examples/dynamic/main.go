@@ -117,15 +117,15 @@ func main() {
 
 	// What the query planner did across all the measurement runs above:
 	// segments ruled out by size range or the collision Bloom filter were
-	// never probed, and repeated (b, r) tunings came from the plan cache.
+	// never probed, and repeated queries came from the result cache.
 	st := idx.Stats()
 	pl := st.Planner
 	decisions := pl.SegmentsProbed + pl.SegmentsRangePruned + pl.SegmentsBloomPruned
 	fmt.Printf("planner: %d/%d segment visits pruned (%d by size range, %d by Bloom), "+
-		"plan cache %d hits/%d misses, result cache %d hits/%d misses\n",
+		"result cache %d hits/%d misses\n",
 		pl.SegmentsRangePruned+pl.SegmentsBloomPruned, decisions,
 		pl.SegmentsRangePruned, pl.SegmentsBloomPruned,
-		pl.PlanHits, pl.PlanMisses, pl.ResultHits, pl.ResultMisses)
+		pl.ResultHits, pl.ResultMisses)
 	for i, d := range st.SegmentDetail {
 		fmt.Printf("  segment %d: %d entries, sizes [%d, %d], max bound %d, bloom %s\n",
 			i, d.Entries, d.MinSize, d.MaxSize, d.MaxBound, byteCount(d.BloomBytes))

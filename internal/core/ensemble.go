@@ -400,9 +400,10 @@ func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, 
 // (B == 0) marking partitions that are skipped — empty ones, and those where
 // no domain can reach the threshold (containment is at most x/q ≤ u/q). A
 // plan depends only on (querySize, tStar) and the immutable partition
-// bounds, which is what lets layered planners (internal/live) cache plans
-// across queries and replay them with QueryIDsPlannedAppend for results
-// byte-identical to QueryIDsAppend.
+// bounds, and costs two atomic loads a partition (tune.Table), so a layered
+// planner (internal/live) makes one per probe into its own scratch and
+// replays it with QueryIDsMaskedAppend for results byte-identical to
+// QueryIDsAppend.
 func (x *Index) PlanPartitions(dst []tune.Params, querySize int, tStar float64) []tune.Params {
 	tStar = max(0, min(tStar, 1))
 	q := float64(querySize)

@@ -171,7 +171,7 @@ func TestQuerySnapshotStability(t *testing.T) {
 		r := recs[i]
 		var res []string
 		for si := range sn.segs {
-			res = x.probeSegment(res, s, &tl, sn, si, r.Sig, r.Size, 1.0, nil)
+			res = x.probeSegment(res, s, &tl, sn, si, r.Sig, r.Size, 1.0)
 		}
 		res, _ = x.appendBufferMatches(context.Background(), res, s, &tl, sn, r.Sig, r.Size, 1.0)
 		if want := i < 100; contains(res, r.Key) != want {

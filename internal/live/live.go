@@ -44,10 +44,10 @@
 // signature values of every forest tree. A query consults the metadata
 // before probing:
 //
-//   - range pruning: the (b, r) banding test is planned per partition
-//     (core.PlanPartitions); when every partition of a segment is ruled
-//     out by the containment bound u/|Q| < t*, the segment is skipped
-//     without touching its forest;
+//   - range pruning: when the segment's largest partition bound u has
+//     u/|Q| < t*, the containment bound rules out every partition and the
+//     segment is skipped on that one compare; a segment that is probed plans
+//     its partitions' (b, r) on the spot (core.PlanPartitions);
 //   - leading-value pruning, per column: a probe of forest tree t at any
 //     depth ≥ 1 can only match when the query's leading value of that tree
 //     occurs in the tree's leading column, so a query asks two questions
@@ -75,32 +75,26 @@
 //
 // There is one read path. A threshold query, single or as a batch row, is a
 // sequence of visits — every sealed segment (probeSegment: range-prune, ask the
-// two filters for the tree sets, probe, drop tombstoned keys), then the buffer
-// — and the unpruned reference is the same visit with no plan. A batch makes
-// its rows' visits segment-major, all rows at segment i before any at i+1,
-// because a segment's leading columns stay in cache only while the rows visit
-// it together. All three shapes (top-k walks its own ladder per segment) run
-// in one frame (call): pin the snapshot, consult the result cache, compute,
-// store, and add the call's tally of planner decisions to the Stats counters
-// once.
+// lead Bloom for the trees, plan, ask the sliced filter for the tree sets,
+// probe, drop tombstoned keys), then the buffer — and the unpruned reference is
+// the same visit with the filters off. A batch makes its rows' visits
+// segment-major, all rows at segment i before any at i+1, because a segment's
+// leading columns stay in cache only while the rows visit it together. All
+// three shapes (top-k walks its own ladder per segment) run in one frame
+// (call): pin the snapshot, consult the result cache, compute, store, and add
+// the call's tally of planner decisions to the Stats counters once.
 //
-// # Caches and generation coherence
+// # The result cache and generation coherence
 //
-// Snapshots carry two monotone generation counters: gen bumps on every
-// publish, segGen only when the sealed-segment set changes (seal, merge,
-// compact — Add/Delete republish with the same segments). They key two
-// caches:
+// Snapshots carry one monotone generation counter, gen, bumped on every
+// publish — Add, Delete, seal, merge, compact. It keys the one cache: a
+// bounded set-associative result cache memoizes full query answers, and a hit
+// appends the cached keys and allocates nothing.
 //
-//   - a plan cache (segGen-keyed) memoizes the tuned per-segment (b, r)
-//     plans for a (query size, threshold) pair;
-//   - a bounded set-associative result cache (gen-keyed) memoizes full
-//     query answers; a hit appends the cached keys and allocates nothing.
-//
-// Readers validate one generation number against the snapshot they
-// loaded — no locks on the query path, and a cache entry can never
-// outlive the snapshot shape it was computed against. Tombstone-only
-// changes bump gen, so result-cache coherence holds even though the
-// segment set (and the plan cache) is unchanged.
+// Readers validate the generation number against the snapshot they loaded —
+// no locks on the query path, and a cache entry can never outlive the
+// snapshot it was computed against. Tombstone-only changes bump gen, so
+// result-cache coherence holds even though the segment set is unchanged.
 //
 // The unsealed buffer has a planner of its own: an atomic Bloom filter over
 // the leading signature value of every buffered entry's trees, asked the
@@ -187,11 +181,6 @@ type Options struct {
 	// knob is the reference path of the equivalence tests and of A/B
 	// measurement.
 	DisablePruning bool
-
-	// DisablePlanCache turns off the per-(querySize, threshold) plan cache;
-	// the per-segment banding decisions are then recomputed on every query.
-	// A/B measurement knob, like DisablePruning.
-	DisablePlanCache bool
 
 	// ResultCacheSize bounds the exact-result cache in entries: 0 selects
 	// the default (1024), a negative value disables the cache. Cached
@@ -318,15 +307,13 @@ type snapshot struct {
 
 	// gen increments on EVERY publish (Add, Delete, seal, merge): it keys
 	// the result cache, so a cached result is served only against the exact
-	// state it was computed on. segGen increments only when the sealed
-	// segment set changes (seal, merge): it keys the plan cache, whose
-	// entries depend on segment layout but not on buffered writes.
-	gen    uint64
-	segGen uint64
+	// state it was computed on.
+	gen uint64
 
 	// topkOrder holds segment indices sorted by meta.maxBound descending —
 	// the visit order QueryTopK uses for early termination. Recomputed only
-	// when segGen bumps; Add/Delete publishes share the previous slice.
+	// when the segment set changes; Add/Delete publishes share the previous
+	// slice.
 	topkOrder []int
 
 	// bufBloom filters the leading signature values of this snapshot's
@@ -345,18 +332,15 @@ type snapshot struct {
 	dead atomic.Bool
 }
 
-// successor stamps next as the publication following cur: generations
-// advance (segGen only when the segment set changed) and the top-k visit
-// order is recomputed or inherited accordingly. Callers must hold x.mu so
-// generations are strictly monotonic.
+// successor stamps next as the publication following cur: the generation
+// advances and the top-k visit order is recomputed when the segment set
+// changed, inherited otherwise. Callers must hold x.mu so generations are
+// strictly monotonic.
 func successor(next, cur *snapshot, segsChanged bool) *snapshot {
 	next.gen = cur.gen + 1
+	next.topkOrder = cur.topkOrder
 	if segsChanged {
-		next.segGen = cur.segGen + 1
 		next.topkOrder = topkSegOrder(next.segs)
-	} else {
-		next.segGen = cur.segGen
-		next.topkOrder = cur.topkOrder
 	}
 	return next
 }
@@ -405,11 +389,6 @@ type Index struct {
 	nextSegID   atomic.Uint64
 	spillErrors atomic.Uint64
 
-	// Plan cache (planner.go): generation-pinned table of per-segment
-	// banding decisions. planMu serializes publishes; reads are lock-free.
-	plans  atomic.Pointer[planTable]
-	planMu sync.Mutex
-
 	// Result cache (planner.go): set-associative exact-result slots, nil
 	// when disabled. rcMask selects the set; rcClock stamps approximate LRU.
 	rc      []atomic.Pointer[resultEntry]
@@ -442,8 +421,6 @@ const (
 	cColsSkipped           // planned columns the two lead filters ruled out
 	cSegRangePruned        // pairs skipped: every partition ruled out by size
 	cSegBloomPruned        // pairs skipped: no leading value can collide
-	cPlanHits
-	cPlanMisses
 	cResHits
 	cResMisses
 	cTopKEarlyExits // QueryTopK calls that stopped before the last segment
@@ -458,8 +435,8 @@ type tally [numCounters]uint64
 // queryScratch is the pooled per-query working memory of the live fan-out:
 // a reusable id buffer for the per-segment candidate lists, the tree set of
 // the segment (or buffer) being served and the per-partition sets it scatters
-// into (views of one word array), the buffer scan's band offsets, the unpruned
-// reference's per-segment plan, and a batch worker's tally.
+// into (views of one word array), the buffer scan's band offsets, the plan of
+// the segment being probed, and a batch worker's tally.
 type queryScratch struct {
 	ids      []uint32
 	trees    lshforest.TreeSet
@@ -851,7 +828,8 @@ func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) []str
 // QueryAppend is Query appending into dst (which may be nil). A serving
 // loop reusing dst runs allocation-free in steady state, matching the
 // immutable index's QueryIDsAppend path: both the result-cache hit path and
-// the planned fan-out (with a warm plan cache) append without allocating.
+// the planned fan-out append without allocating, whatever mix of query sizes
+// and thresholds arrives (the package's allocation tests assert it).
 func (x *Index) QueryAppend(dst []string, sig minhash.Signature, querySize int, tStar float64) []string {
 	dst, _ = x.QueryAppendContext(context.Background(), dst, sig, querySize, tStar)
 	return dst
@@ -894,61 +872,68 @@ func (x *Index) QueryAppendContext(ctx context.Context, dst []string, sig minhas
 }
 
 // querySnapshot answers one query from the call's snapshot: every sealed
-// segment through probeSegment under the plan for (querySize, tStar), then
-// the buffer. sig and tStar must already be clamped. ctx is checked once per
-// segment and periodically inside the buffer scan; on cancellation dst is
-// returned as collected so far alongside ctx.Err().
+// segment through probeSegment, then the buffer. sig and tStar must already be
+// clamped. ctx is checked once per segment and periodically inside the buffer
+// scan; on cancellation dst is returned as collected so far alongside
+// ctx.Err().
 func (x *Index) querySnapshot(ctx context.Context, dst []string, c *call, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
 	s := x.acquireScratch()
 	defer x.releaseScratch(s)
-	plan := x.planFor(c.sn, querySize, tStar, &c.tally)
 	for si := range c.sn.segs {
 		if err := ctx.Err(); err != nil {
 			return dst, err
 		}
-		dst = x.probeSegment(dst, s, &c.tally, c.sn, si, sig, querySize, tStar, plan)
+		dst = x.probeSegment(dst, s, &c.tally, c.sn, si, sig, querySize, tStar)
 	}
 	return x.appendBufferMatches(ctx, dst, s, &c.tally, c.sn, sig, querySize, tStar)
 }
 
 // probeSegment is the (query, segment) step of every threshold query, single
-// or batch row: skip segment si when the plan rules out all its partitions,
-// ask its two leading-value filters which columns can match (partTrees) and
-// skip it when none can, probe those columns with the planned (b, r), and
-// append the keys of the candidates the snapshot's tombstones leave alive. A
-// nil plan is the unpruned reference (Options.DisablePruning): the segment is
-// planned on the spot and every column is probed. Decisions are counted in t;
-// s lends the tree sets, the reference's plan and the id buffer.
+// or batch row, and the one place a sealed segment is planned. In this order,
+// cheapest first: skip segment si when its largest partition bound rules out
+// every partition (maxBound/q < t*), ask its lead Bloom which trees can match
+// and skip it when none can, and only then plan its partitions' (b, r), ask
+// the sliced filter which columns of those trees can match (partTrees), probe
+// them, and append the keys of the candidates the snapshot's tombstones leave
+// alive. Planning after the Bloom matters: a plan made for a segment the Bloom
+// then rules out is the whole cost of planning on the spot. Under
+// Options.DisablePruning both filters and the range check are off — the
+// unpruned reference: every segment is planned and every planned column
+// probed. Decisions are counted in t; s lends the tree sets, the plan and the
+// id buffer. tStar must already be clamped.
 func (x *Index) probeSegment(dst []string, s *queryScratch, t *tally, sn *snapshot, si int,
-	sig minhash.Signature, querySize int, tStar float64, plan *segPlan) []string {
+	sig minhash.Signature, querySize int, tStar float64) []string {
 	seg := sn.segs[si]
-	var pp []tune.Params
-	if plan == nil {
-		s.plan = seg.idx.PlanPartitions(s.plan[:0], querySize, tStar)
-		pp = s.plan
-	} else if pp = plan.params[si]; pp == nil {
-		t[cSegRangePruned]++
-		return dst
-	}
-	planned := 0 // the columns the plan probes
-	for _, p := range pp {
-		planned += p.B
-	}
-	var trees []lshforest.TreeSet // nil = every column
-	n, cols := x.numTrees(), planned
-	if plan != nil {
-		if trees, n, cols = seg.meta.partTrees(s, seg.idx, sig, x.opts.RMax, x.opts.Sketch.Mask(), pp); n == 0 {
+	pruned := !x.opts.DisablePruning
+	rMax, mask := x.opts.RMax, x.opts.Sketch.Mask()
+	n := x.numTrees()
+	if pruned {
+		if rangePruned(seg.meta.maxBound, querySize, tStar) {
+			t[cSegRangePruned]++
+			return dst
+		}
+		if n = seg.meta.trees(s, sig, rMax, mask); n == 0 {
 			t[cSegBloomPruned]++
 			return dst
 		}
+	}
+	s.plan = seg.idx.PlanPartitions(s.plan[:0], querySize, tStar)
+	planned := 0 // the columns the plan probes
+	for _, p := range s.plan {
+		planned += p.B
+	}
+	var trees []lshforest.TreeSet // nil = every column
+	cols := planned
+	if pruned {
+		trees, cols = seg.meta.partTrees(s, seg.idx, sig, rMax, mask, s.plan)
 	}
 	t[cSegProbed]++
 	t[cTreesProbed] += uint64(n)
 	t[cColsProbed] += uint64(cols)
 	t[cColsSkipped] += uint64(planned - cols)
-	// No error can come back: sig was length-checked by the caller and pp was
-	// planned on this segment.
-	s.ids, _ = seg.idx.QueryIDsMaskedAppend(s.ids[:0], sig, pp, trees)
+	// No error can come back: sig was length-checked by the caller and the
+	// plan was made on this segment.
+	s.ids, _ = seg.idx.QueryIDsMaskedAppend(s.ids[:0], sig, s.plan, trees)
 	return appendLiveKeys(dst, sn, seg, s.ids)
 }
 
@@ -985,10 +970,7 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryS
 	if len(sn.buf) == 0 {
 		return dst, nil
 	}
-	q := float64(querySize)
-	u := float64(sn.bufMax)
-	// Mirrors the partition skip in core: containment ≤ x/q ≤ u/q.
-	if tStar > 0 && u/q < tStar {
+	if rangePruned(sn.bufMax, querySize, tStar) {
 		return dst, nil
 	}
 	rMax := x.opts.RMax
@@ -1002,7 +984,7 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryS
 		trees = s.trees
 	}
 	t[cBufScans]++
-	params := x.bands.Optimize(u, q, tStar)
+	params := x.bands.Optimize(float64(sn.bufMax), float64(querySize), tStar)
 	s.bands = s.bands[:0]
 	for b := 0; b < params.B; b++ {
 		if trees.Has(b) {
@@ -1075,11 +1057,11 @@ func sketchContainment(sb core.SketchBackend, a, b minhash.Signature, q, x float
 // Query it is lock-free against writers and the compactor.
 //
 // A row is a Query: the result cache answers it outright when it can, and
-// otherwise the row makes the same visits with the same plan through the same
-// probeSegment, so rows are identical to single queries and move the planner
-// counters by the same amounts. What the batch adds is the order of the
-// visits — segment-major: the rows still pending are fanned across the
-// workers for segment 0, then for segment 1, …, then for the buffer — because
+// otherwise the row makes the same visits through the same probeSegment, so
+// rows are identical to single queries and move the planner counters by the
+// same amounts. What the batch adds is the order of the visits —
+// segment-major: the rows still pending are fanned across the workers for
+// segment 0, then for segment 1, …, then for the buffer — because
 // a segment's leading columns stay cache-resident only while rows visit it
 // together (row-major cost the ledger 5 % of lib_query's sat_qps).
 func (x *Index) QueryBatch(queries []core.BatchQuery, workers int) [][]string {
@@ -1088,12 +1070,11 @@ func (x *Index) QueryBatch(queries []core.BatchQuery, workers int) [][]string {
 }
 
 // batchRow is a batch row the result cache did not answer: the normalized
-// query, where its answer goes, its cache key and its plan.
+// query, where its answer goes and its cache key.
 type batchRow struct {
 	core.BatchQuery
 	row        int
 	bits, hash uint64
-	plan       *segPlan
 }
 
 // QueryBatchContext is QueryBatch under a context: ctx is checked before
@@ -1120,8 +1101,7 @@ func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery
 			rows[i] = append(rows[i], e.keys...)
 			continue
 		}
-		pending = append(pending, batchRow{BatchQuery: q, row: i, bits: bits, hash: h,
-			plan: x.planFor(sn, q.Size, q.Threshold, &c.tally)})
+		pending = append(pending, batchRow{BatchQuery: q, row: i, bits: bits, hash: h})
 	}
 	if len(pending) == 0 {
 		return rows, nil
@@ -1142,7 +1122,7 @@ func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery
 			}
 			p, s := &pending[j], scratch[w]
 			if si < len(sn.segs) {
-				rows[p.row] = x.probeSegment(rows[p.row], s, &s.tally, sn, si, p.Sig, p.Size, p.Threshold, p.plan)
+				rows[p.row] = x.probeSegment(rows[p.row], s, &s.tally, sn, si, p.Sig, p.Size, p.Threshold)
 			} else {
 				// The scan's only error is ctx's, read below.
 				rows[p.row], _ = x.appendBufferMatches(ctx, rows[p.row], s, &s.tally, sn, p.Sig, p.Size, p.Threshold)
@@ -1238,10 +1218,11 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 		// means no rung can collect a candidate here.
 		var trees []lshforest.TreeSet
 		if !x.opts.DisablePruning {
-			var n int
-			if trees, n, _ = seg.meta.partTrees(s, seg.idx, sig, x.opts.RMax, x.opts.Sketch.Mask(), nil); n == 0 {
+			rMax, mask := x.opts.RMax, x.opts.Sketch.Mask()
+			if seg.meta.trees(s, sig, rMax, mask) == 0 {
 				continue
 			}
+			trees, _ = seg.meta.partTrees(s, seg.idx, sig, rMax, mask, nil)
 		}
 		// No error can come back: sig was length-checked above.
 		s.ids, _ = seg.idx.QueryTopKIDsMasked(s.ids[:0], sig, querySize, need, trees)
@@ -1357,9 +1338,13 @@ type PlannerStats struct {
 	// into those entered and those either leading-value filter ruled out.
 	ColumnsProbed  uint64 `json:"columns_probed"`
 	ColumnsSkipped uint64 `json:"columns_skipped"`
-	// PlanHits / PlanMisses count plan-cache lookups.
-	PlanHits   uint64 `json:"plan_hits"`
-	PlanMisses uint64 `json:"plan_misses"`
+	// PlanHits / PlanMisses counted lookups of a plan cache that no longer
+	// exists: always zero.
+	//
+	// Deprecated: kept only because bench/ compiles against them; the
+	// [benchmark] PR that edits bench/ removes them.
+	PlanHits   uint64 `json:"-"`
+	PlanMisses uint64 `json:"-"`
 	// ResultHits / ResultMisses count result-cache lookups (zero when the
 	// cache is disabled).
 	ResultHits   uint64 `json:"result_hits"`
@@ -1401,8 +1386,6 @@ func (x *Index) Stats() Stats {
 			TreesSkipped:        uint64(x.numTrees())*segProbed - treesProbed,
 			ColumnsProbed:       x.counters[cColsProbed].Load(),
 			ColumnsSkipped:      x.counters[cColsSkipped].Load(),
-			PlanHits:            x.counters[cPlanHits].Load(),
-			PlanMisses:          x.counters[cPlanMisses].Load(),
 			ResultHits:          x.counters[cResHits].Load(),
 			ResultMisses:        x.counters[cResMisses].Load(),
 			TopKEarlyExits:      x.counters[cTopKEarlyExits].Load(),

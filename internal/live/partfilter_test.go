@@ -127,10 +127,11 @@ func TestSegmentFiltersHoldEveryColumn(t *testing.T) {
 					if i%2 == 1 {
 						sig = halfRedrawn(sig, x.opts.RMax, uint64(i))
 					}
-					sets, n, cols := seg.meta.partTrees(s, seg.idx, sig, x.opts.RMax, sb.Mask(), nil)
+					n := seg.meta.trees(s, sig, x.opts.RMax, sb.Mask())
 					if n == 0 {
 						continue
 					}
+					sets, cols := seg.meta.partTrees(s, seg.idx, sig, x.opts.RMax, sb.Mask(), nil)
 					if cols < n*seg.idx.NumPartitions() {
 						narrowed++
 					}

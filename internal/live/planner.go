@@ -21,10 +21,10 @@ import (
 // attaches cheap immutable metadata to each segment at seal/merge time and
 // uses it to rule segments out before their forests are touched:
 //
-//   - size-range pruning: the banding decision of every partition of every
-//     segment depends only on (querySize, tStar) and the partition's frozen
-//     size bounds, so it can be made once per (querySize, tStar) — and a
-//     segment all of whose partitions are skipped is never probed at all;
+//   - size-range pruning: containment is at most x/q, so a segment whose
+//     largest partition bound u has u/q < t* holds no candidate — one compare
+//     against segMeta.maxBound (rangePruned), made before anything else is
+//     read;
 //   - leading-value pruning, per column: a forest probe of tree t at any
 //     depth r ≥ 1 matches an entry only if the query's leading hash value
 //     sig[t·rMax] occurs exactly in that tree's leading column, so a query
@@ -47,24 +47,20 @@ import (
 // the full fan-out, which Options.DisablePruning keeps as the reference (the
 // package equivalence tests assert this under churn).
 //
-// The (b, r) of a partition comes from the one process-wide tune.Table of the
-// index's banding grid — the same table every sealed segment, the buffer
-// scan and every other index over that grid read — so a segment created by a
-// seal, a merge or a boot plans as warm as the segments it replaces, and a
-// table hit is two atomic loads. Two caches sit on top of it, both coherent
-// with the snapshot's generation counters and lock-free on the read path:
+// A segment neither check rules out is planned where it is probed
+// (probeSegment): the (b, r) of a partition comes from the one process-wide
+// tune.Table of the index's banding grid — the same table every sealed
+// segment, the buffer scan and every other index over that grid read, so a
+// segment created by a seal, a merge or a boot plans as warm as the segments it
+// replaces — and a table hit is two atomic loads, ~50 ns a partition, written
+// into pooled scratch. Plans are not memoized: a memo bought ~1 µs of a 36 µs
+// query (ROADMAP ledger), less than the lock and the allocation it puts on the
+// read path for every (querySize, tStar) outside its working set.
 //
-//   - the plan cache memoizes a whole plan — every partition of every
-//     segment, skip decisions included — per exact (querySize, tStar) pair,
-//     keyed to segGen (bumped only when the segment set changes; buffered
-//     writes don't invalidate plans). What it still saves over the table is
-//     the walk itself: one map read instead of segments × partitions table
-//     reads and a slice per segment (BenchmarkPlanFor, 8 × 16: ~35 ns
-//     against ~3.5 µs), and what it costs is a plan rebuilt and a map copied
-//     for every (querySize, tStar) pair outside its 256-entry working set;
-//   - the result cache memoizes exact query results — threshold queries'
-//     key lists and top-k rankings alike — keyed to gen (bumped on every
-//     publish — any mutation invalidates all cached results).
+// One cache remains, lock-free on the read path: the result cache memoizes
+// exact query results — threshold queries' key lists and top-k rankings alike
+// — keyed to the snapshot's gen (bumped on every publish — any mutation
+// invalidates all cached results).
 
 // Bloom operating points (see bloom.New). Keys use ~1% false positives:
 // a false positive merely costs one unnecessary tombstone sweep. Leading
@@ -87,8 +83,8 @@ type segMeta struct {
 
 	// maxBound is the largest upper bound among the segment's non-empty
 	// partitions — the size the threshold conversion (Eq. 7) actually uses.
-	// maxBound/q < t* iff every partition is skipped for (q, t*), and no
-	// candidate's containment estimate can exceed (maxBound/q + 1)/2.
+	// rangePruned compares against it, and no candidate's containment
+	// estimate can exceed (maxBound/q + 1)/2.
 	maxBound int
 
 	keys  *bloom.Filter // every entry key (tombstone GC skip)
@@ -99,6 +95,15 @@ type segMeta struct {
 	// a mapped segment, whose boot must not fault the columns in.
 	parts     partFilter
 	partsOnce sync.Once
+}
+
+// rangePruned reports whether no entry of size ≤ bound can reach containment
+// tStar (clamped) of a query of querySize: containment is at most x/q ≤
+// bound/q. With a segment's maxBound it is true exactly when PlanPartitions
+// skips every partition, which makes the same compare with each partition's
+// own bound; with the buffer's bufMax it skips the scan.
+func rangePruned(bound, querySize int, tStar float64) bool {
+	return tStar > 0 && float64(bound)/float64(querySize) < tStar
 }
 
 // partFilter is the partition-sliced lead filter of one segment: one uint16
@@ -218,21 +223,23 @@ func leadTrees(set lshforest.TreeSet, f leadFilter, sig minhash.Signature, rMax 
 	return n
 }
 
-// partTrees asks the segment's two filters which columns sig can match in.
-// The lead Bloom's answer, s.trees, is scattered into one tree set per
-// partition of idx: tree t enters partition p's set when the sliced filter may
-// hold sig[t·rMax] in p and the plan probes t there (t < pp[p].B; a nil plan
-// is a top-k ladder, whose rungs plan for themselves). Sound like leadTrees: a
-// column left out cannot match. It returns the sets, lent by s, how many trees
-// the Bloom let through — none, as in an empty segment, which has no filters,
-// rules the segment out — and how many columns the sets hold.
-func (m *segMeta) partTrees(s *queryScratch, idx *core.Index, sig minhash.Signature, rMax int, mask uint64, pp []tune.Params) (sets []lshforest.TreeSet, trees, cols int) {
-	if m.leads != nil {
-		trees = leadTrees(s.trees, m.leads, sig, rMax, mask)
+// trees asks the segment's lead Bloom the first question: it leaves in
+// s.trees the trees sig can match in and returns how many there are — none,
+// as in an empty segment, which has no filters, rules the segment out.
+func (m *segMeta) trees(s *queryScratch, sig minhash.Signature, rMax int, mask uint64) int {
+	if m.leads == nil {
+		return 0
 	}
-	if trees == 0 {
-		return nil, 0, 0
-	}
+	return leadTrees(s.trees, m.leads, sig, rMax, mask)
+}
+
+// partTrees asks the sliced filter the second question, for the trees the
+// first left in s.trees: each is scattered into one tree set per partition of
+// idx, tree t entering partition p's set when the filter may hold sig[t·rMax]
+// in p and the plan probes t there (t < pp[p].B; a nil plan is a top-k ladder,
+// whose rungs plan for themselves). Sound like leadTrees: a column left out
+// cannot match. It returns the sets, lent by s, and how many columns they hold.
+func (m *segMeta) partTrees(s *queryScratch, idx *core.Index, sig minhash.Signature, rMax int, mask uint64, pp []tune.Params) (sets []lshforest.TreeSet, cols int) {
 	m.fillLeads(idx, nil)
 	n := idx.NumPartitions()
 	sets = s.partSets(n)
@@ -249,7 +256,7 @@ func (m *segMeta) partTrees(s *queryScratch, idx *core.Index, sig minhash.Signat
 			}
 		}
 	}
-	return sets, trees, cols
+	return sets, cols
 }
 
 // containmentBound is the largest containment estimate any entry of size
@@ -278,115 +285,6 @@ func topkSegOrder(segs []*segment) []int {
 		return segs[order[i]].meta.maxBound > segs[order[j]].meta.maxBound
 	})
 	return order
-}
-
-// planKey identifies one cached plan. The key is EXACT — querySize and the
-// raw bits of the clamped threshold — because the partition skip compares
-// u/q < t* exactly; bucketing either value would let a query reuse a plan
-// whose skip decisions differ from its own, breaking the byte-identical
-// equivalence with the unplanned path.
-type planKey struct {
-	size  int
-	tBits uint64
-}
-
-// segPlan holds one plan: per segment, the banding decision of every
-// partition exactly as core.Index.PlanPartitions makes it. A nil entry
-// marks a segment all of whose partitions are skipped for this
-// (querySize, tStar) — the whole segment is range-pruned.
-type segPlan struct {
-	params [][]tune.Params
-}
-
-// planTable is one published generation of the plan cache. The map is
-// immutable once stored (misses publish a copy), so readers index it with
-// no lock; segGen pins it to the segment set it was planned against.
-type planTable struct {
-	segGen uint64
-	m      map[planKey]*segPlan
-}
-
-// planCacheMax bounds the table. Serving workloads see a handful of
-// distinct (querySize, tStar) pairs; when an adversarial mix overflows the
-// bound the table restarts empty rather than growing without limit.
-const planCacheMax = 256
-
-// buildSegPlan computes the plan for (querySize, tStar) against the
-// snapshot's segment set. tStar must already be clamped.
-func buildSegPlan(sn *snapshot, querySize int, tStar float64) *segPlan {
-	p := &segPlan{params: make([][]tune.Params, len(sn.segs))}
-	for si, seg := range sn.segs {
-		pp := seg.idx.PlanPartitions(make([]tune.Params, 0, seg.idx.NumPartitions()), querySize, tStar)
-		for _, e := range pp {
-			if e.B != 0 {
-				p.params[si] = pp
-				break
-			}
-		}
-	}
-	return p
-}
-
-// planFor returns the plan for (querySize, tStar) against sn — nil, the
-// unpruned reference, under Options.DisablePruning — consulting the cache
-// unless disabled and counting the lookup in t. The hit path is one atomic
-// load and one map read. Misses build the plan outside any lock, then publish
-// a copied map under planMu; a racing publish of the same key wastes one
-// build, nothing more. tStar must already be clamped.
-func (x *Index) planFor(sn *snapshot, querySize int, tStar float64, t *tally) *segPlan {
-	if x.opts.DisablePruning {
-		return nil
-	}
-	if x.opts.DisablePlanCache {
-		return buildSegPlan(sn, querySize, tStar)
-	}
-	tb := x.plans.Load()
-	if tb == nil || tb.segGen != sn.segGen {
-		if tb == nil || tb.segGen < sn.segGen {
-			// The segment set moved on: restart the table at the new
-			// generation (every cached plan is aligned to a dead layout).
-			x.planMu.Lock()
-			cur := x.plans.Load()
-			if cur == nil || cur.segGen < sn.segGen {
-				tb = &planTable{segGen: sn.segGen, m: map[planKey]*segPlan{}}
-				x.plans.Store(tb)
-			} else {
-				tb = cur
-			}
-			x.planMu.Unlock()
-		}
-		if tb.segGen != sn.segGen {
-			// This reader holds a snapshot older than the table (a seal or
-			// merge published mid-query elsewhere): plan ephemerally.
-			t[cPlanMisses]++
-			return buildSegPlan(sn, querySize, tStar)
-		}
-	}
-	key := planKey{size: querySize, tBits: math.Float64bits(tStar)}
-	if p, ok := tb.m[key]; ok {
-		t[cPlanHits]++
-		return p
-	}
-	t[cPlanMisses]++
-	p := buildSegPlan(sn, querySize, tStar)
-	x.planMu.Lock()
-	if cur := x.plans.Load(); cur.segGen == sn.segGen {
-		if _, ok := cur.m[key]; !ok {
-			var m map[planKey]*segPlan
-			if len(cur.m) >= planCacheMax {
-				m = make(map[planKey]*segPlan, 1)
-			} else {
-				m = make(map[planKey]*segPlan, len(cur.m)+1)
-				for k, v := range cur.m {
-					m[k] = v
-				}
-			}
-			m[key] = p
-			x.plans.Store(&planTable{segGen: sn.segGen, m: m})
-		}
-	}
-	x.planMu.Unlock()
-	return p
 }
 
 // ---- result cache ----

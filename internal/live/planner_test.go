@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/tune"
 	"lshensemble/internal/xrand"
 )
 
@@ -29,7 +31,6 @@ func plannerOpts() Options {
 func unprunedOpts() Options {
 	o := liveOpts()
 	o.DisablePruning = true
-	o.DisablePlanCache = true
 	o.ResultCacheSize = -1
 	return o
 }
@@ -115,10 +116,10 @@ func eachGeometry(t *testing.T, seed uint64, f func(t *testing.T, recs []core.Re
 }
 
 // TestPlannedEquivalentToUnprunedUnderChurn is the tentpole equivalence
-// guarantee: with pruning, the plan cache and the result cache all enabled,
-// every query returns byte-identical results (same keys, same order) to the
-// fully disabled configuration, across a randomized churn schedule, for
-// repeated queries (cache hits) included.
+// guarantee: with pruning and the result cache enabled, every query returns
+// byte-identical results (same keys, same order) to the fully disabled
+// configuration, across a randomized churn schedule, for repeated queries
+// (cache hits) included.
 func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
 	eachGeometry(t, 7, plannedEquivalentUnderChurn)
 }
@@ -144,9 +145,14 @@ func plannedEquivalentUnderChurn(t *testing.T, recs []core.Record, planned, plai
 	if st.Planner.ResultHits == 0 {
 		t.Fatal("second query round produced no result-cache hits")
 	}
-	if st.Planner.PlanHits == 0 {
-		t.Fatal("repeated query shapes produced no plan-cache hits")
-	}
+	// The segment decisions of rounds 0 and 1 as recorded when the range
+	// decision was read off a whole memoized plan, before the Bloom was asked:
+	// a compare against maxBound ahead of the Bloom decides each segment the
+	// same way. The geometry does not enter, only the backend's width.
+	wantSegmentDecisions(t, st.Planner, map[core.SketchBackend][3]uint64{
+		core.Minwise64: {1162, 31, 673}, core.Minwise32: {1162, 31, 673},
+		core.Minwise16: {1559, 31, 276}, core.Minwise8: {1835, 31, 0},
+	}[planned.opts.Sketch])
 	if ref := plain.Stats().Planner; ref.ColumnsProbed == 0 || ref.ColumnsSkipped != 0 {
 		t.Fatalf("the unpruned reference skipped columns: %+v", ref)
 	}
@@ -156,11 +162,59 @@ func plannedEquivalentUnderChurn(t *testing.T, recs []core.Record, planned, plai
 		t.Fatalf("full-width leading values and no column was ever ruled out: %+v", st.Planner)
 	}
 
-	// More churn invalidates both caches; equivalence must survive it.
+	// More churn invalidates the result cache; equivalence must survive it.
 	planned.Compact()
 	plain.Compact()
 	check(2)
 	check(3)
+}
+
+// wantSegmentDecisions fails unless p counts {probed, range-pruned,
+// Bloom-pruned} segments as want does.
+func wantSegmentDecisions(t *testing.T, p PlannerStats, want [3]uint64) {
+	t.Helper()
+	if got := [3]uint64{p.SegmentsProbed, p.SegmentsRangePruned, p.SegmentsBloomPruned}; got != want {
+		t.Fatalf("segments {probed, range-pruned, Bloom-pruned} = %v, want %v", got, want)
+	}
+}
+
+// TestRangeCheckIsThePlansSkip is the invariant probeSegment's range check
+// rests on: for every segment of every geometry, every threshold and query
+// sizes from 1 to past the segment's bound and across each threshold's
+// boundary maxBound/t*, the one compare against maxBound says "pruned" exactly
+// when a plan of the segment skips every partition.
+func TestRangeCheckIsThePlansSkip(t *testing.T) {
+	eachGeometry(t, 18, func(t *testing.T, _ []core.Record, planned, _ *Index) {
+		var plan []tune.Params
+		pruned, kept := 0, 0
+		for si, seg := range planned.snap.Load().segs {
+			u := seg.meta.maxBound
+			var sizes []int
+			for q := 1; q <= u+2; q += max(1, u/256) {
+				sizes = append(sizes, q)
+			}
+			for _, q := range []int{u, 2 * u, 20 * u} { // u/t* for the thresholds below
+				sizes = append(sizes, q-1, q, q+1)
+			}
+			for _, tStar := range []float64{0, 0.05, 0.5, 1} {
+				for _, q := range sizes {
+					plan = seg.idx.PlanPartitions(plan[:0], q, tStar)
+					skipsAll := !slices.ContainsFunc(plan, func(p tune.Params) bool { return p.B != 0 })
+					if got := rangePruned(u, q, tStar); got != skipsAll {
+						t.Fatalf("segment %d (maxBound %d) q=%d t*=%v: range check says %v, the plan skips every partition: %v", si, u, q, tStar, got, skipsAll)
+					}
+					if skipsAll {
+						pruned++
+					} else {
+						kept++
+					}
+				}
+			}
+		}
+		if pruned == 0 || kept == 0 {
+			t.Fatalf("fixture is one-sided: %d pruned, %d kept", pruned, kept)
+		}
+	})
 }
 
 // TestBatchPlannedEquivalentToUnpruned runs the same equivalence through
@@ -551,23 +605,6 @@ func TestGenerationFlipHammer(t *testing.T) {
 	writer.Wait()
 }
 
-// TestPlanCacheBound: overflowing the plan table restarts it instead of
-// growing without limit.
-func TestPlanCacheBound(t *testing.T) {
-	recs := fixture(t, 80, 15)
-	x, err := Build(recs, plannerOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := recs[0]
-	for i := 0; i < planCacheMax+50; i++ {
-		x.Query(r.Sig, r.Size+i, 0.5) // distinct plan key per query size
-	}
-	if tb := x.plans.Load(); tb == nil || len(tb.m) > planCacheMax {
-		t.Fatalf("plan table exceeded its bound: %d", len(tb.m))
-	}
-}
-
 // TestStatsSegmentDetail: the /stats surface carries per-segment planner
 // metadata.
 func TestStatsSegmentDetail(t *testing.T) {
@@ -663,52 +700,6 @@ func TestAnswersSurviveSealMergeAndQueryOrder(t *testing.T) {
 	for i := n - 1; i >= 0; i-- {
 		if got := query(fresh, i); !reflect.DeepEqual(got, before[i]) {
 			t.Fatalf("query %d: %d keys from a fresh Build asked backwards, %d before", i, len(got), len(before[i]))
-		}
-	}
-}
-
-// BenchmarkPlanFor is the evidence for keeping or deleting the plan cache
-// now that the (b, r) table under it is lock-free: planFor over 8 segments ×
-// 16 partitions with the cache on and off, for a working set of query sizes
-// that fits the cache (64) and one that overflows it (4096 > planCacheMax).
-func BenchmarkPlanFor(b *testing.B) {
-	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 8000, Seed: 5})
-	recs := datagen.Records(corpus, minhash.NewHasher(256, 5))
-	for _, disable := range []bool{false, true} {
-		x, err := Build(nil, Options{
-			Options:       core.Options{NumHash: 256, RMax: 8, NumPartitions: 16},
-			SealThreshold: 1000, MaxSegments: 64, ManualCompaction: true,
-			DisablePlanCache: disable, ResultCacheSize: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer x.Close()
-		for i, r := range recs {
-			if _, err := x.Add(r); err != nil {
-				b.Fatal(err)
-			}
-			if (i+1)%1000 == 0 {
-				x.Flush()
-			}
-		}
-		sn := x.snap.Load()
-		var tl tally
-		for _, distinct := range []int{64, 4096} {
-			b.Run(fmt.Sprintf("DisablePlanCache=%v/sizes=%d", disable, distinct), func(b *testing.B) {
-				sizes := make([]int, distinct)
-				for i := range sizes {
-					sizes[i] = recs[i*7%len(recs)].Size + i
-				}
-				for _, q := range sizes { // warm the table and the cache
-					x.planFor(sn, q, 0.5, &tl)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					x.planFor(sn, sizes[i%len(sizes)], 0.5, &tl)
-				}
-			})
 		}
 	}
 }

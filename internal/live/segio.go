@@ -626,7 +626,7 @@ func (x *Index) publishLocked(next, cur *snapshot, segsChanged bool) *snapshot {
 
 // publishInitial installs the very first snapshot (Build/Load).
 func (x *Index) publishInitial(sn *snapshot) {
-	sn.gen, sn.segGen = 1, 1
+	sn.gen = 1
 	sn.topkOrder = topkSegOrder(sn.segs)
 	retainSegs(sn.segs)
 	sn.refs.Store(1)

@@ -199,12 +199,12 @@ func TestTreeCountersAccount(t *testing.T) {
 // TestQueryShapesAgree: there is one read path, so the same 64 queries asked
 // one by one, as one batch (at any worker count), and of an index with the
 // planner off return identical rows — same keys, same order — and the first
-// two move every planner counter by the same amount (result cache off, plan
-// cache warm), which a batch's trace reports too. Over heap and mmap
-// segments, with tombstones in segments and buffer, a non-empty buffer, whole
-// and half-redrawn signatures (proper tree subsets), and rows no query would
-// serve; at 1, 16 and 40 partitions (the last folds them onto the sliced
-// filter's 16 bits) and on every backend (minwise8 saturates both filters).
+// two move every planner counter by the same amount (result cache off), which
+// a batch's trace reports too. Over heap and mmap segments, with tombstones in
+// segments and buffer, a non-empty buffer, whole and half-redrawn signatures
+// (proper tree subsets), and rows no query would serve; at 1, 16 and 40
+// partitions (the last folds them onto the sliced filter's 16 bits) and on
+// every backend (minwise8 saturates both filters).
 func TestQueryShapesAgree(t *testing.T) {
 	recs := fixture(t, 260, 24)
 	for _, mmap := range []bool{false, true} {
@@ -297,8 +297,6 @@ func queryShapesAgree(t *testing.T, recs []core.Record, mmap bool, parts int, sb
 			TreesSkipped:        a.TreesSkipped - b.TreesSkipped,
 			ColumnsProbed:       a.ColumnsProbed - b.ColumnsProbed,
 			ColumnsSkipped:      a.ColumnsSkipped - b.ColumnsSkipped,
-			PlanHits:            a.PlanHits - b.PlanHits,
-			PlanMisses:          a.PlanMisses - b.PlanMisses,
 			ResultHits:          a.ResultHits - b.ResultHits,
 			ResultMisses:        a.ResultMisses - b.ResultMisses,
 			TopKEarlyExits:      a.TopKEarlyExits - b.TopKEarlyExits,
@@ -307,14 +305,19 @@ func queryShapesAgree(t *testing.T, recs []core.Record, mmap bool, parts int, sb
 		}
 	}
 
-	singles(x) // warm the plan cache: from here on every plan lookup is a hit
 	var want [][]string
 	var sum QueryTrace
 	bySingles := moved(func() { want, sum = singles(x) })
-	if bySingles.SegmentsProbed == 0 || bySingles.ColumnsProbed == 0 || bySingles.BufferScans == 0 ||
-		bySingles.PlanHits != 62 || bySingles.PlanMisses != 0 {
+	if bySingles.SegmentsProbed == 0 || bySingles.ColumnsProbed == 0 || bySingles.BufferScans == 0 {
 		t.Fatalf("fixture decides too little to compare: %+v", bySingles)
 	}
+	// The 62 × 4 segment decisions, as recorded before the range check and the
+	// Bloom moved ahead of planning (see plannedEquivalentUnderChurn, whose
+	// fixture range-prunes too): the reorder moved none to another counter.
+	wantSegmentDecisions(t, bySingles, map[core.SketchBackend][3]uint64{
+		core.Minwise64: {94, 0, 154}, core.Minwise32: {94, 0, 154},
+		core.Minwise16: {164, 0, 84}, core.Minwise8: {248, 0, 0},
+	}[sb])
 	// Full-width leading values let both filters bite: whole segments and
 	// trees fall to the Bloom and, where there is more than one partition,
 	// more columns than the skipped trees account for fall to the sliced one.

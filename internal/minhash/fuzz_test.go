@@ -33,48 +33,3 @@ func FuzzDecodeSignature(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeKMV: every accepted KMV encoding must satisfy the sketch's
-// invariants (n ≤ k, strictly ascending values under MersennePrime) and
-// round-trip bit-exactly; estimators on it must return finite, sane values.
-func FuzzDecodeKMV(f *testing.F) {
-	s := NewKMV(8)
-	for i := uint64(0); i < 100; i++ {
-		s.PushUint64(i)
-	}
-	f.Add(s.AppendBinary(nil))
-	f.Add(NewKMV(3).AppendBinary(nil)) // empty sketch
-	f.Add([]byte{})
-	f.Add([]byte{8, 0, 0, 0, 1, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, rest, err := DecodeKMV(data)
-		if err != nil {
-			return
-		}
-		if len(rest) > len(data) {
-			t.Fatalf("rest grew")
-		}
-		if d.Len() > d.K() {
-			t.Fatalf("decoded n %d > k %d", d.Len(), d.K())
-		}
-		vals := d.Values()
-		for i, v := range vals {
-			if v >= MersennePrime {
-				t.Fatalf("value %d out of hash range", v)
-			}
-			if i > 0 && vals[i-1] >= v {
-				t.Fatalf("values not strictly ascending at %d", i)
-			}
-		}
-		if c := d.Cardinality(); c < 0 || c != c {
-			t.Fatalf("cardinality %v", c)
-		}
-		if j := d.Jaccard(d); d.Len() > 0 && j != 1 {
-			t.Fatalf("self-Jaccard %v", j)
-		}
-		re := d.AppendBinary(nil)
-		if consumed := data[:len(data)-len(rest)]; !bytes.Equal(re, consumed) {
-			t.Fatalf("re-encode mismatch")
-		}
-	})
-}

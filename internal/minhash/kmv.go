@@ -1,9 +1,6 @@
 package minhash
 
-import (
-	"encoding/binary"
-	"sort"
-)
+import "sort"
 
 // KMV is a k-minimum-values sketch (Beyer et al., SIGMOD 2007): the k
 // smallest distinct base-hash values of a domain. Where a MinHash signature
@@ -37,12 +34,6 @@ func NewKMV(k int) *KMV {
 	return &KMV{k: k, set: make(map[uint64]struct{}, k)}
 }
 
-// K returns the sketch parameter.
-func (s *KMV) K() int { return s.k }
-
-// Len returns the number of values currently kept (≤ K).
-func (s *KMV) Len() int { return len(s.heap) }
-
 // PushHashed folds one base-hashed value (HashBytes/HashString/HashUint64 —
 // the same hash space the MinHash permutations consume) into the sketch.
 func (s *KMV) PushHashed(hv uint64) {
@@ -63,12 +54,6 @@ func (s *KMV) PushHashed(hv uint64) {
 	s.heap[0] = hv
 	s.siftDown(0)
 }
-
-// Push folds a raw byte value into the sketch.
-func (s *KMV) Push(v []byte) { s.PushHashed(HashBytes(v)) }
-
-// PushString folds a string value into the sketch.
-func (s *KMV) PushString(v string) { s.PushHashed(HashString(v)) }
 
 // PushUint64 folds an integer-valued domain element into the sketch.
 func (s *KMV) PushUint64(v uint64) { s.PushHashed(HashUint64(v)) }
@@ -100,30 +85,6 @@ func (s *KMV) siftDown(i int) {
 		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
 		i = m
 	}
-}
-
-// Merge folds every value of o into s, making s the sketch of the union of
-// the underlying domains. The sketches must share the same base-hash space
-// (they always do — the package has one); k may differ, s keeps its own.
-func (s *KMV) Merge(o *KMV) {
-	for _, v := range o.heap {
-		s.PushHashed(v)
-	}
-}
-
-// Clone returns a deep copy.
-func (s *KMV) Clone() *KMV {
-	c := &KMV{k: s.k, heap: append([]uint64(nil), s.heap...), set: make(map[uint64]struct{}, len(s.set))}
-	for v := range s.set {
-		c.set[v] = struct{}{}
-	}
-	return c
-}
-
-// Contains reports whether the sketch kept the given hash value.
-func (s *KMV) Contains(hv uint64) bool {
-	_, ok := s.set[hv]
-	return ok
 }
 
 // Values returns the kept hashes in ascending order (a fresh slice).
@@ -222,29 +183,6 @@ func (s *KMV) Intersection(o *KMV) float64 {
 	return float64(inter) / float64(kk) * unionEst
 }
 
-// Union estimates |A ∪ B| from the merged sketch's k′-th order statistic.
-func (s *KMV) Union(o *KMV) float64 {
-	kk, _, union, kth, exact := s.setOps(o)
-	if exact || union < kk {
-		return float64(union)
-	}
-	u := float64(kth+1) / float64(MersennePrime)
-	return float64(kk-1) / u
-}
-
-// Jaccard estimates |A∩B| / |A∪B|.
-func (s *KMV) Jaccard(o *KMV) float64 {
-	kk, inter, union, _, exact := s.setOps(o)
-	if exact || union < kk {
-		if union == 0 {
-			return 0
-		}
-		return float64(inter) / float64(union)
-	}
-	// Both scale by the same union estimate, which cancels: ρ itself.
-	return float64(inter) / float64(kk)
-}
-
 // Containment estimates t(S, O) = |S ∩ O| / |S|, the containment of the
 // receiver's domain in o's. Unlike the MinHash path, which must convert a
 // symmetric Jaccard estimate through Eq. 6 with externally supplied
@@ -265,50 +203,7 @@ func (s *KMV) Containment(o *KMV) float64 {
 	return t
 }
 
-// SizeBytes reports the sketch's serialized footprint: the byte budget a
-// KMV point on the accuracy-vs-bytes frontier spends per domain.
+// SizeBytes reports the sketch's footprint — k, a count and the kept values
+// as 64-bit words: the byte budget a KMV point on the accuracy-vs-bytes
+// frontier spends per domain.
 func (s *KMV) SizeBytes() int { return 8 + 8*len(s.heap) }
-
-// AppendBinary appends the sketch's binary encoding — k u32 | n u32 |
-// n ascending u64 values, all little-endian — to buf.
-func (s *KMV) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.k))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.heap)))
-	for _, v := range s.Values() {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
-	return buf
-}
-
-// DecodeKMV decodes a sketch produced by AppendBinary from the front of
-// buf, returning the sketch and the remaining bytes. The encoding is
-// untrusted: counts are bounded by the remaining bytes and the values must
-// be strictly ascending and within the base-hash range.
-func DecodeKMV(buf []byte) (*KMV, []byte, error) {
-	if len(buf) < 8 {
-		return nil, buf, ErrCorrupt
-	}
-	k := int(binary.LittleEndian.Uint32(buf))
-	n := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	if k <= 0 || n < 0 || n > k || n > len(buf)/8 {
-		return nil, buf, ErrCorrupt
-	}
-	// Size the set by the payload actually present, not by k: the k word is
-	// attacker-controlled and would otherwise pre-allocate a k-bucket map
-	// from an 8-byte input.
-	s := &KMV{k: k, set: make(map[uint64]struct{}, n), heap: make([]uint64, 0, n)}
-	var prev uint64
-	for i := 0; i < n; i++ {
-		v := binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
-		if v >= MersennePrime || (i > 0 && v <= prev) {
-			return nil, buf, ErrCorrupt
-		}
-		prev = v
-		s.set[v] = struct{}{}
-		s.heap = append(s.heap, v)
-		s.siftUp(len(s.heap) - 1)
-	}
-	return s, buf, nil
-}

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,56 @@ func TestSlowQueryLog(t *testing.T) {
 	post(t, ts2.URL+"/query", QueryRequest{Values: []string{"Ontario"}}, http.StatusOK, &qr)
 	if s := buf.String(); strings.Contains(s, "slow query") {
 		t.Errorf("sub-threshold query logged as slow:\n%s", s)
+	}
+}
+
+// TestSlowBatchLogsPlannerBreakdown: a slow /query/batch logs what the planner
+// did for its rows added up — the same segments and columns the rows log
+// when asked one by one (result cache off, so neither form answers from it).
+func TestSlowBatchLogsPlannerBreakdown(t *testing.T) {
+	var buf bytes.Buffer
+	idx, err := lshensemble.BuildLive(nil, lshensemble.LiveOptions{
+		Options:       lshensemble.Options{NumHash: fixtureNumHash, RMax: 8, NumPartitions: 4},
+		SealThreshold: 8, MaxSegments: 2, ResultCacheSize: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(idx.Close)
+	ts := httptest.NewServer(NewWith(idx, lshensemble.NewHasher(fixtureNumHash, fixtureSeed), fixtureSeed, "", Options{
+		Logger:    slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn})),
+		SlowQuery: time.Nanosecond,
+	}))
+	t.Cleanup(ts.Close)
+	seedWindows(t, ts.URL)
+
+	var batch BatchRequest
+	for i := 0; i < 6; i++ {
+		q := QueryRequest{Values: windowValues(i*30, 20+10*i), Threshold: []float64{0.3, 0.9}[i%2]}
+		batch.Queries = append(batch.Queries, q)
+		post(t, ts.URL+"/query", q, http.StatusOK, nil)
+	}
+	post(t, ts.URL+"/query/batch", batch, http.StatusOK, nil)
+
+	// The sum of a field over the slow-query lines of one op, and their count.
+	sum := func(op, field string) (total, lines int) {
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if _, rest, ok := strings.Cut(line, " "+field+"="); ok && strings.Contains(line, "op="+op+" ") {
+				n, err := strconv.Atoi(strings.Fields(rest)[0])
+				if err != nil {
+					t.Fatalf("%s in %q: %v", field, line, err)
+				}
+				total, lines = total+n, lines+1
+			}
+		}
+		return total, lines
+	}
+	for _, field := range []string{"segments_probed", "columns_probed"} {
+		singles, n := sum("query", field)
+		got, lines := sum("batch", field)
+		if n != 6 || lines != 1 || singles == 0 || got != singles {
+			t.Errorf("%s: the batch's line (%d found) says %d, the %d single lines sum to %d\n%s", field, lines, got, n, singles, buf.String())
+		}
 	}
 }
 

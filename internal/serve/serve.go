@@ -186,8 +186,6 @@ func (s *Server) registerIndexMetrics(prefix string) {
 	treesSkipped := s.reg.Counter(prefix+"_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "skipped"))
 	colsProbed := s.reg.Counter(prefix+"_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "probed"))
 	colsSkipped := s.reg.Counter(prefix+"_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "skipped"))
-	planHits := s.reg.Counter(prefix+"_planner_plan_cache_total", "Plan-cache lookups by outcome.", obs.L("outcome", "hit"))
-	planMisses := s.reg.Counter(prefix+"_planner_plan_cache_total", "Plan-cache lookups by outcome.", obs.L("outcome", "miss"))
 	resHits := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "hit"))
 	resMisses := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "miss"))
 	topkExits := s.reg.Counter(prefix+"_planner_topk_early_exits_total", "Top-k queries that stopped before visiting every segment.")
@@ -216,8 +214,6 @@ func (s *Server) registerIndexMetrics(prefix string) {
 		treesSkipped.Store(st.Planner.TreesSkipped)
 		colsProbed.Store(st.Planner.ColumnsProbed)
 		colsSkipped.Store(st.Planner.ColumnsSkipped)
-		planHits.Store(st.Planner.PlanHits)
-		planMisses.Store(st.Planner.PlanMisses)
 		resHits.Store(st.Planner.ResultHits)
 		resMisses.Store(st.Planner.ResultMisses)
 		topkExits.Store(st.Planner.TopKEarlyExits)
@@ -730,15 +726,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	var start time.Time
-	if s.slowQuery > 0 {
-		start = time.Now()
-	}
-	rows, err := s.idx.QueryBatchContext(r.Context(), queries, req.Workers)
+	ctx, tr, start := s.traceSlow(r)
+	rows, err := s.idx.QueryBatchContext(ctx, queries, req.Workers)
 	if err != nil {
 		return // canceled: client gone, stop burning CPU on the batch
 	}
-	s.noteSlow(r, "batch", start, nil)
+	s.noteSlow(r, "batch", start, tr)
 	resp := BatchResponse{Rows: make([]QueryResponse, len(rows))}
 	for i, row := range rows {
 		sort.Strings(row)
@@ -747,7 +740,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// traceSlow arms the slow-query log for one single or ranked query: with a
+// traceSlow arms the slow-query log for one query of any shape: with a
 // threshold configured it returns the request context carrying a fresh
 // planner trace and the start time noteSlow measures from, otherwise the
 // request context alone.
@@ -760,10 +753,10 @@ func (s *Server) traceSlow(r *http.Request) (context.Context, *lshensemble.LiveQ
 }
 
 // noteSlow logs one Warn line for a query that crossed the slow-query
-// threshold, keyed by trace_id. A trace adds whether the result cache
-// answered and the snapshot's shape; single queries, the only path that
-// fills it, add the planner's per-segment breakdown. Batches report latency
-// only.
+// threshold, keyed by trace_id: whether the result cache answered, the
+// snapshot's shape and, when the trace carries one, the planner's breakdown —
+// a batch's is the sum over its rows; a ranked query's ladder and an answer
+// from the result cache make no planner decisions and print none.
 func (s *Server) noteSlow(r *http.Request, op string, start time.Time, tr *lshensemble.LiveQueryTrace) {
 	if s.slowQuery <= 0 || start.IsZero() {
 		return
@@ -776,15 +769,11 @@ func (s *Server) noteSlow(r *http.Request, op string, start time.Time, tr *lshen
 		slog.String("trace_id", obs.TraceID(r.Context())),
 		slog.String("op", op),
 		slog.Duration("elapsed", elapsed),
+		slog.Bool("result_cache_hit", tr.ResultCacheHit),
+		slog.Int("segments", tr.Segments),
+		slog.Int("buffered", tr.Buffered),
 	}
-	if tr != nil {
-		attrs = append(attrs,
-			slog.Bool("result_cache_hit", tr.ResultCacheHit),
-			slog.Int("segments", tr.Segments),
-			slog.Int("buffered", tr.Buffered),
-		)
-	}
-	if tr != nil && op == "query" {
+	if tr.SegmentsProbed+tr.SegmentsRangePruned+tr.SegmentsBloomPruned > 0 || tr.BufferScanned || tr.BufferBloomSkipped {
 		attrs = append(attrs,
 			slog.Int("segments_probed", tr.SegmentsProbed),
 			slog.Int("segments_range_pruned", tr.SegmentsRangePruned),

@@ -57,15 +57,6 @@ func ParseSketchBackend(name string) (SketchBackend, error) {
 	return core.ParseSketchBackend(name)
 }
 
-// KMVSketch is a k-minimum-values cardinality sketch (Beyer et al.), the
-// cardinality-aware containment estimator on the evaluation path. It cannot
-// back an index; Build rejects Options{Sketch: KMV}.
-type KMVSketch = minhash.KMV
-
-// NewKMVSketch returns an empty KMV sketch keeping the k smallest distinct
-// hashes.
-func NewKMVSketch(k int) *KMVSketch { return minhash.NewKMV(k) }
-
 // Index is a built LSH Ensemble. It is safe for concurrent queries.
 type Index = core.Index
 

@@ -22,7 +22,8 @@ func (o histObserver) ObserveQuery(_ lshensemble.LiveQueryKind, d time.Duration)
 
 // TestInstrumentedQueryZeroAllocs pins the observability acceptance bar:
 // the steady-state query path with the metrics observer installed — the
-// exact configuration a serving daemon runs — still allocates nothing.
+// exact configuration a serving daemon runs — still allocates nothing, with
+// the result cache answering and with it off.
 func TestInstrumentedQueryZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates and randomizes sync.Pool reuse")
@@ -30,44 +31,33 @@ func TestInstrumentedQueryZeroAllocs(t *testing.T) {
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 600, Seed: 29})
 	h := minhash.NewHasher(128, 29)
 	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.BuildLive(recs[:400], lshensemble.LiveOptions{
-		Options:          lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8},
-		ManualCompaction: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	for _, r := range recs[400:500] {
-		if _, err := idx.Add(r); err != nil {
+	for _, resultCache := range []int{0, -1} {
+		idx, err := lshensemble.BuildLive(recs[:400], lshensemble.LiveOptions{
+			Options:          lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8},
+			ManualCompaction: true,
+			ResultCacheSize:  resultCache,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	idx.Flush()
-	for _, r := range recs[500:550] {
-		if _, err := idx.Add(r); err != nil {
-			t.Fatal(err)
+		defer idx.Close()
+		for _, r := range recs[400:500] {
+			if _, err := idx.Add(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-
-	hist := obs.NewHistogram(obs.DefBuckets)
-	idx.SetObserver(histObserver{h: hist})
-
-	var dst []string
-	warm := func() {
-		for i := 1; i < len(recs); i += 37 {
-			dst = idx.QueryAppend(dst[:0], recs[i].Sig, recs[i].Size, 0.5)
+		idx.Flush()
+		for _, r := range recs[500:550] {
+			if _, err := idx.Add(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	warm()
-	warm()
-	allocs := testing.AllocsPerRun(50, func() {
-		dst = idx.QueryAppend(dst[:0], recs[101].Sig, recs[101].Size, 0.5)
-	})
-	if allocs > 0 {
-		t.Errorf("instrumented steady-state QueryAppend allocates %.1f per query, want 0", allocs)
-	}
-	if hist.Count() == 0 {
-		t.Fatal("observer histogram recorded nothing — the hook is not installed")
+
+		hist := obs.NewHistogram(obs.DefBuckets)
+		idx.SetObserver(histObserver{h: hist})
+		wantNoQueryAllocs(t, idx, recs, resultCache)
+		if hist.Count() == 0 {
+			t.Fatal("observer histogram recorded nothing — the hook is not installed")
+		}
 	}
 }
