@@ -19,7 +19,6 @@ import (
 	"lshensemble/internal/exact"
 	"lshensemble/internal/expt"
 	"lshensemble/internal/minhash"
-	"lshensemble/internal/obs"
 	"lshensemble/internal/partition"
 	"lshensemble/internal/stats"
 	"lshensemble/internal/xrand"
@@ -866,45 +865,4 @@ func BenchmarkColdBootLazy(b *testing.B) {
 	}
 	b.Run("eager-inline", func(b *testing.B) { boot(b, inline.Bytes(), heapOpts) })
 	b.Run("lazy-mmap", func(b *testing.B) { boot(b, manifest.Bytes(), mmapOpts) })
-}
-
-// benchObserver is the serving tier's observer shape: one histogram
-// observation per query. Used to price the instrumented query path.
-type benchObserver struct {
-	h *obs.Histogram
-}
-
-func (o benchObserver) ObserveQuery(_ lshensemble.LiveQueryKind, d time.Duration) {
-	o.h.Observe(d.Seconds())
-}
-
-// BenchmarkLiveQueryMetricsOverhead prices the observability hook on the
-// hot path: the same steady-state query stream with no observer installed
-// vs with the daemon's histogram observer recording every query. The
-// acceptance target is the instrumented path staying within 3% of the
-// uninstrumented one and allocating nothing.
-func BenchmarkLiveQueryMetricsOverhead(b *testing.B) {
-	f := openDataFixture(b, 8000)
-	// One shared index for both variants: segment layout varies a little
-	// from build to build (compaction timing), and that variance would
-	// otherwise swamp the ~nanoseconds the observer itself costs.
-	idx := liveBenchIndex(b, f, 1024)
-	defer idx.Close()
-	run := func(b *testing.B, observer lshensemble.LiveObserver) {
-		idx.SetObserver(observer)
-		var dst []string
-		for _, qi := range f.queries {
-			dst = idx.QueryAppend(dst[:0], f.records[qi].Sig, f.records[qi].Size, 0.5)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			qi := f.queries[i%len(f.queries)]
-			dst = idx.QueryAppend(dst[:0], f.records[qi].Sig, f.records[qi].Size, 0.5)
-		}
-	}
-	b.Run("no-metrics", func(b *testing.B) { run(b, nil) })
-	b.Run("instrumented", func(b *testing.B) {
-		run(b, benchObserver{h: obs.NewHistogram(obs.DefBuckets)})
-	})
 }

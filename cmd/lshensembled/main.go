@@ -16,12 +16,12 @@
 //	POST /compact      full compaction, returns the new shape
 //	POST /save         persist a snapshot to the -snapshot path
 //	GET  /healthz      liveness probe (static {"status":"ok"}, never walks the index)
-//	GET  /metrics      Prometheus text exposition (unless -no-metrics)
+//	GET  /metrics      Prometheus text exposition
 //
 // /stats includes per-segment planner metadata ("segment_detail": entry
 // count, size range, max partition bound, Bloom-filter bytes) and the
 // aggregated "planner" counters (segments probed vs range/Bloom pruned,
-// plan- and result-cache hits and misses, top-k early exits) — watch these
+// result-cache hits and misses, top-k early exits) — watch these
 // to see what the query planner is saving on a given workload.
 //
 // With -snapshot the daemon loads the file at boot when it exists (warm
@@ -56,7 +56,7 @@
 //	             [-no-prune] [-result-cache 1024]
 //	             [-read-header-timeout 10s] [-read-timeout 1m]
 //	             [-write-timeout 2m] [-idle-timeout 2m]
-//	             [-log-level info] [-log-json] [-no-metrics]
+//	             [-log-level info] [-log-json]
 //	             [-slow-query 1s] [-debug-addr localhost:7547]
 //
 // The planner escape hatches exist for A/B measurement and debugging:
@@ -124,7 +124,6 @@ func run() error {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection limit")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error (debug includes per-request access logs)")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of logfmt text")
-	noMetrics := flag.Bool("no-metrics", false, "disable metric collection and GET /metrics")
 	slowQuery := flag.Duration("slow-query", time.Second, "log queries slower than this at Warn with the planner breakdown (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "separate debug listener with /debug/pprof/ and a /metrics mirror (empty disables; keep off public interfaces)")
 	flag.Parse()
@@ -139,9 +138,6 @@ func run() error {
 	sketchBackend, err := lshensemble.ParseSketchBackend(*sketch)
 	if err != nil {
 		return err
-	}
-	if !sketchBackend.Indexable() {
-		return fmt.Errorf("-sketch %s is evaluation-only and cannot back the index (pick a minwise backend)", sketchBackend)
 	}
 	if *snapshot == "" && *dataDir != "" {
 		*snapshot = filepath.Join(*dataDir, "MANIFEST")
@@ -191,9 +187,8 @@ func run() error {
 
 	hasher := lshensemble.NewHasher(*hashes, *seed)
 	srv := serve.NewWith(idx, hasher, *seed, *snapshot, serve.Options{
-		Logger:         logger,
-		SlowQuery:      *slowQuery,
-		DisableMetrics: *noMetrics,
+		Logger:    logger,
+		SlowQuery: *slowQuery,
 	})
 	stopDebug, err := obs.StartDebugServer(*debugAddr, srv.Registry(), logger)
 	if err != nil {

@@ -41,7 +41,7 @@
 //	          [-shard-timeout 2s] [-health-interval 2s] [-health-fail 2] \
 //	          [-read-header-timeout 10s] [-read-timeout 1m] \
 //	          [-write-timeout 2m] [-idle-timeout 2m] \
-//	          [-log-level info] [-log-json] [-no-metrics] \
+//	          [-log-level info] [-log-json] \
 //	          [-debug-addr localhost:7546]
 //
 // All shards must run the same -seed and -hashes, or their signatures are
@@ -101,7 +101,6 @@ func run() error {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection limit")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error (debug includes per-request access logs)")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of logfmt text")
-	noMetrics := flag.Bool("no-metrics", false, "disable metric collection and GET /metrics")
 	debugAddr := flag.String("debug-addr", "", "separate debug listener with /debug/pprof/ and a /metrics mirror (empty disables; keep off public interfaces)")
 	flag.Parse()
 
@@ -129,7 +128,6 @@ func run() error {
 		HealthInterval: *healthInterval,
 		HealthFailures: *healthFail,
 		Logger:         logger,
-		DisableMetrics: *noMetrics,
 	})
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package lshensemble_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -371,27 +372,27 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 		if len(st.Segments) < 3 || st.Buffered == 0 || st.Tombstones == 0 {
 			t.Fatalf("fixture shape wrong: %+v", st)
 		}
-		wantNoQueryAllocs(t, idx, recs, resultCache)
+		wantNoQueryAllocs(t, context.Background(), idx, recs, resultCache)
 	}
 }
 
-// wantNoQueryAllocs fails if steady-state QueryAppend on idx allocates: for
-// one query repeated and, with the result cache off (a miss stores its answer,
+// wantNoQueryAllocs fails if steady-state QueryAppendContext on idx allocates:
+// for one query repeated and, with the result cache off (a miss stores its answer,
 // which allocates), for a pass of 600 queries no two of which share a
 // (|Q|, t*) pair — every one plans its segments afresh, in pooled scratch.
-func wantNoQueryAllocs(t *testing.T, idx *lshensemble.LiveIndex, recs []lshensemble.DomainRecord, resultCache int) {
+func wantNoQueryAllocs(t *testing.T, ctx context.Context, idx *lshensemble.LiveIndex, recs []lshensemble.DomainRecord, resultCache int) {
 	t.Helper()
 	var dst []string
 	pass := func() {
 		for j := 0; j < 600; j++ {
 			r := recs[j*37%len(recs)]
-			dst = idx.QueryAppend(dst[:0], r.Sig, r.Size, 0.2+0.001*float64(j))
+			dst, _ = idx.QueryAppendContext(ctx, dst[:0], r.Sig, r.Size, 0.2+0.001*float64(j))
 		}
 	}
 	pass()
 	pass()
 	if allocs := testing.AllocsPerRun(50, func() {
-		dst = idx.QueryAppend(dst[:0], recs[101].Sig, recs[101].Size, 0.5)
+		dst, _ = idx.QueryAppendContext(ctx, dst[:0], recs[101].Sig, recs[101].Size, 0.5)
 	}); allocs > 0 {
 		t.Errorf("result cache %d: steady-state live QueryAppend allocates %.1f per query, want 0", resultCache, allocs)
 	}

@@ -268,23 +268,27 @@
 //
 // Both binaries are instrumented end to end with a dependency-free metrics
 // core (internal/obs): atomic counters and gauges plus fixed-bucket
-// histograms whose record path is lock-free and allocation-free, so the
-// instrumented query path still performs zero steady-state allocations
-// per query (BenchmarkLiveQueryMetricsOverhead). GET /metrics on each
-// binary serves the Prometheus text exposition format; -no-metrics turns
-// collection off entirely.
+// histograms whose record path is lock-free and allocation-free. GET
+// /metrics on each binary serves the Prometheus text exposition format.
+// There is no switch that turns collection off: instrumented against plain
+// measured inside the ledger's own noise (bench/README.md), and the library's
+// query path under a planner trace still performs zero steady-state
+// allocations per query (TestInstrumentedQueryZeroAllocs).
 //
 // lshensembled exports, per endpoint, lshensembled_http_requests_total
 // {endpoint, code} (status classes 2xx/4xx/5xx), latency histograms
 // lshensembled_http_request_seconds{endpoint}, and an in-flight gauge —
 // plus the index itself: lshensembled_live_query_seconds{op=query|topk|
-// batch} recorded by an observer hook inside the live index, gauges for
-// domains, segments, buffered entries, tombstones and segment resident/
-// file bytes, seal/merge/spill counters, and the planner's decision
+// batch}, the one measurement a query handler takes around its index call
+// (the same duration the slow-query log compares and prints; every call that
+// reached the index counts, result-cache hits and canceled calls included;
+// the library itself reads no clock), gauges for domains, segments, buffered
+// entries, tombstones and segment resident/file bytes, seal/merge/spill
+// counters, and the planner's decision
 // counters (lshensembled_planner_segments_total{decision=probed|
 // range_pruned|bloom_pruned}, lshensembled_planner_trees_total and
 // _columns_total{decision=probed|skipped} — how selective the two
-// leading-value filters were over the probed segments — plan/result-cache
+// leading-value filters were over the probed segments — result-cache
 // hit/miss, top-k early exits, buffer scans vs Bloom skips) mirrored from
 // LiveStats at scrape time so the query path pays nothing for them.
 //
@@ -332,20 +336,18 @@
 //     collisions (Li & König). Truncation is a superset property — any
 //     pair the full signature matches, the truncated one matches too — so
 //     recall never drops; precision pays the 2^-b collision floor.
-//   - KMV: the k smallest distinct hash values, giving cardinality-aware
-//     containment estimates. Evaluation-only — it has no fixed-slot
-//     structure to band, so it cannot back the LSH forest index; use it
-//     for offline accuracy studies (internal/minhash.KMV, scored by
-//     internal/expt).
 //
 // Measured accuracy-vs-bytes frontier (Fig. 4 corpus scale, t* = 0.5,
-// m = 256 hash functions; reproduce with "experiments -run frontier"):
+// m = 256 hash functions; reproduce with "experiments -run frontier", which
+// also scores a k-minimum-values sketch, internal/minhash.KMV, by brute
+// force — a comparator of the evaluation, not a backend: it has no
+// fixed-slot structure to band, so no index can be built on it):
 //
 //	backend    bytes/domain  precision  recall
 //	minwise64      2048.0      0.658     0.912
 //	minwise32      1024.0      0.658     0.912
 //	minwise16       512.0      0.596     0.912
-//	kmv (k=128)     286.9      0.937     0.979   (evaluation-only)
+//	kmv (k=128)     286.9      0.937     0.979   (comparator)
 //	minwise8        256.0      0.034     0.912
 //
 // Rules of thumb: minwise32 is a free halving (at m = 256 the top 32 bits
@@ -353,8 +355,7 @@
 // few points of precision and is the sweet spot when memory or segment
 // I/O dominates; minwise8 only makes sense when a downstream verifier
 // re-checks candidates, because the 2^-8 chance-collision floor floods
-// precision at corpus scale; KMV is the sharpest estimate per byte where
-// brute-force evaluation is acceptable. The backend is recorded in every
+// precision at corpus scale. The backend is recorded in every
 // wire format (index, forest, snapshot manifest v4, segment files) and in
 // /stats as "sketch" and "signature_bytes"; a daemon booted with a
 // mismatched -sketch refuses the snapshot rather than misinterpret it.

@@ -14,6 +14,8 @@ import (
 	"sort"
 
 	"lshensemble"
+	"lshensemble/internal/asym"
+	"lshensemble/internal/baseline"
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/eval"
 	"lshensemble/internal/exact"
@@ -34,11 +36,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := lshensemble.BuildBaseline(records, 256, 8)
+	base, err := baseline.Build(records, 256, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	asymIdx, err := lshensemble.BuildAsym(records, 256, 8)
+	asymIdx, err := asym.Build(records, 256, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

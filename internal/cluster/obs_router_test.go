@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -105,7 +108,7 @@ func TestHealthTransitionObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(idx.Close)
-	flaky := &swapHandler{next: serve.New(idx, lshensemble.NewHasher(testNumHash, testSeed), testSeed, "")}
+	flaky := &swapHandler{next: serve.NewWith(idx, lshensemble.NewHasher(testNumHash, testSeed), testSeed, "", serve.Options{})}
 	fts := httptest.NewServer(flaky)
 	t.Cleanup(fts.Close)
 	urls, _ := startShards(t, 1)
@@ -177,5 +180,42 @@ func TestPartialResponseCounter(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q in:\n%s", want, text)
 		}
+	}
+}
+
+// TestMetricsSeriesSet pins the router's /metrics page — names, labels, HELP
+// and TYPE, in order, sample values stripped and the shard URLs (ports differ
+// per run) replaced by their rank — to the set recorded before the injectable
+// registry and the metrics switch were deleted.
+func TestMetricsSeriesSet(t *testing.T) {
+	urls, _ := startShards(t, 2)
+	_, rts := startRouter(t, urls, Options{})
+	addVia(t, rts.URL, 8)
+	for path, body := range map[string]any{
+		"/query":       serve.QueryRequest{Values: windowValues(0)},
+		"/query/topk":  serve.TopKRequest{Values: windowValues(0)},
+		"/query/batch": serve.BatchRequest{Queries: []serve.QueryRequest{{Values: windowValues(0)}}},
+	} {
+		if code := postJSON(t, rts.URL+path, body, nil); code != http.StatusOK {
+			t.Fatalf("%s status %d", path, code)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(scrapeText(t, rts.URL)), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "#") {
+			lines[i] = line[:strings.LastIndexByte(line, ' ')]
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	sort.Strings(urls)
+	for i, u := range urls {
+		got = strings.ReplaceAll(got, u, fmt.Sprintf("shard-%d", i))
+	}
+	want, err := os.ReadFile("testdata/metrics_series.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("the /metrics series set moved; got:\n%s", got)
 	}
 }

@@ -39,13 +39,6 @@ type Options struct {
 	// (Warn/Info) and 5xx logs, all keyed by trace_id. Nil means
 	// slog.Default().
 	Logger *slog.Logger
-	// Registry receives router metrics under the "lshrouter" prefix. Nil
-	// allocates a private registry (exposed via Registry()); ignored when
-	// DisableMetrics.
-	Registry *obs.Registry
-	// DisableMetrics turns off metric collection and the /metrics endpoint;
-	// trace-ID stamping and propagation stay on.
-	DisableMetrics bool
 }
 
 func (o *Options) defaults() {
@@ -74,17 +67,10 @@ type shard struct {
 	// may have restarted as something else — and re-learned by the checker.
 	family atomic.Pointer[HashFamily]
 
-	// Per-shard metric children; nil when metrics are disabled.
+	// Per-shard metric children.
 	demotions  *obs.Counter
 	promotions *obs.Counter
 	errors     *obs.Counter
-}
-
-// incr bumps a counter that may be nil (metrics disabled).
-func incr(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }
 
 // Router is a stateless scatter-gather front for a fleet of lshensembled
@@ -161,34 +147,27 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	if r.logger == nil {
 		r.logger = slog.Default()
 	}
-	if !opts.DisableMetrics {
-		r.reg = opts.Registry
-		if r.reg == nil {
-			r.reg = obs.NewRegistry()
-		}
-		r.httpm = obs.NewHTTPMetrics(r.reg, "lshrouter", r.logger)
-		r.shardsLive = r.reg.Gauge("lshrouter_shards_live", "Shards currently in the ring.")
-		r.reg.Gauge("lshrouter_shards_total", "Shards configured at startup.").Set(int64(len(shardURLs)))
-		r.partials = r.reg.Counter("lshrouter_partial_responses_total",
-			"Merged responses missing at least one shard's contribution.")
-		const scatterHelp = "Scattered queries by leg form: sketched once at the router, or the client's raw values forwarded."
-		r.scatterSketched = r.reg.Counter("lshrouter_scatter_total", scatterHelp, obs.L("form", "sketched"))
-		r.scatterRaw = r.reg.Counter("lshrouter_scatter_total", scatterHelp, obs.L("form", "raw"))
-	}
+	r.reg = obs.NewRegistry()
+	r.httpm = obs.NewHTTPMetrics(r.reg, "lshrouter", r.logger)
+	r.shardsLive = r.reg.Gauge("lshrouter_shards_live", "Shards currently in the ring.")
+	r.reg.Gauge("lshrouter_shards_total", "Shards configured at startup.").Set(int64(len(shardURLs)))
+	r.partials = r.reg.Counter("lshrouter_partial_responses_total",
+		"Merged responses missing at least one shard's contribution.")
+	const scatterHelp = "Scattered queries by leg form: sketched once at the router, or the client's raw values forwarded."
+	r.scatterSketched = r.reg.Counter("lshrouter_scatter_total", scatterHelp, obs.L("form", "sketched"))
+	r.scatterRaw = r.reg.Counter("lshrouter_scatter_total", scatterHelp, obs.L("form", "raw"))
 	for i, name := range names {
 		if name == "" || (i > 0 && name == names[i-1]) {
 			return nil, fmt.Errorf("cluster: empty or duplicate shard URL %q", name)
 		}
 		s := &shard{name: name, client: NewClient(name, opts.ShardTimeout)}
 		s.alive.Store(true)
-		if r.reg != nil {
-			s.demotions = r.reg.Counter("lshrouter_shard_demotions_total",
-				"Health-checker demotions (shard dropped from the ring).", obs.L("shard", name))
-			s.promotions = r.reg.Counter("lshrouter_shard_promotions_total",
-				"Health-checker promotions (demoted shard rejoined the ring).", obs.L("shard", name))
-			s.errors = r.reg.Counter("lshrouter_shard_errors_total",
-				"Failed shard calls (timeouts, refusals, non-2xx).", obs.L("shard", name))
-		}
+		s.demotions = r.reg.Counter("lshrouter_shard_demotions_total",
+			"Health-checker demotions (shard dropped from the ring).", obs.L("shard", name))
+		s.promotions = r.reg.Counter("lshrouter_shard_promotions_total",
+			"Health-checker promotions (demoted shard rejoined the ring).", obs.L("shard", name))
+		s.errors = r.reg.Counter("lshrouter_shard_errors_total",
+			"Failed shard calls (timeouts, refusals, non-2xx).", obs.L("shard", name))
 		r.shards = append(r.shards, s)
 	}
 	r.rebuild()
@@ -204,30 +183,22 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
 	r.handle("POST /compact", "compact", r.handleCompact)
 	r.handle("POST /save", "save", r.handleSave)
-	if r.reg != nil {
-		r.mux.Handle("GET /metrics", r.reg.Handler())
-	}
+	r.mux.Handle("GET /metrics", r.reg.Handler())
 	return r, nil
 }
 
-// handle mounts h wrapped in the metrics middleware, or in plain trace-ID
-// stamping when metrics are disabled — either way every request carries a
-// trace ID into the shard fan-out.
+// handle mounts h wrapped in the metrics middleware, which also stamps the
+// trace ID every request carries into the shard fan-out.
 func (r *Router) handle(pattern, endpoint string, h http.HandlerFunc) {
-	if r.httpm != nil {
-		r.mux.Handle(pattern, r.httpm.Wrap(endpoint, h))
-	} else {
-		r.mux.Handle(pattern, obs.TraceMiddleware(h))
-	}
+	r.mux.Handle(pattern, r.httpm.Wrap(endpoint, h))
 }
 
-// Registry returns the router's metric registry, nil when metrics are
-// disabled.
+// Registry returns the router's metric registry.
 func (r *Router) Registry() *obs.Registry { return r.reg }
 
 // notePartial counts a merged response that is missing shard contributions.
 func (r *Router) notePartial(failed []string) {
-	if len(failed) > 0 && r.partials != nil {
+	if len(failed) > 0 {
 		r.partials.Inc()
 	}
 }
@@ -286,7 +257,7 @@ func (r *Router) CheckHealth() {
 				s.alive.Store(true)
 				s.family.Store(nil) // it may have come back as something else
 				changed = true
-				incr(s.promotions)
+				s.promotions.Inc()
 				r.logger.LogAttrs(context.Background(), slog.LevelInfo, "shard promoted",
 					slog.String("shard", s.name))
 			}
@@ -296,7 +267,7 @@ func (r *Router) CheckHealth() {
 		if s.fails >= r.opts.HealthFailures && s.alive.Load() {
 			s.alive.Store(false)
 			changed = true
-			incr(s.demotions)
+			s.demotions.Inc()
 			r.logger.LogAttrs(context.Background(), slog.LevelWarn, "shard demoted",
 				slog.String("shard", s.name),
 				slog.Int("consecutive_failures", s.fails),
@@ -434,9 +405,7 @@ func (r *Router) rebuild() {
 		}
 	}
 	r.ring.Store(NewRing(live, r.opts.Ring))
-	if r.shardsLive != nil {
-		r.shardsLive.Set(int64(len(live)))
-	}
+	r.shardsLive.Set(int64(len(live)))
 }
 
 // liveShards returns the shards currently in the ring.
@@ -569,7 +538,7 @@ func (r *Router) forEachOwner(ctx context.Context, key string, call func(context
 			mu.Lock()
 			if err != nil {
 				failed = append(failed, s.name)
-				incr(s.errors)
+				s.errors.Inc()
 			} else {
 				acked = append(acked, s.name)
 			}
@@ -674,7 +643,7 @@ type legBody struct {
 func (r *Router) queryLegs(w http.ResponseWriter, raw []byte, rows int, sketch func(*sketcher) (doc any, sigs []lshensemble.Signature, err error)) (legBody, bool) {
 	sk := r.sketcherForQuery()
 	if sk == nil {
-		incr(r.scatterRaw)
+		r.scatterRaw.Inc()
 		return legBody{contentType: "application/json", bytes: raw}, true
 	}
 	// A signature is a fixed 8·num_hash bytes however few values it stands
@@ -697,7 +666,7 @@ func (r *Router) queryLegs(w http.ResponseWriter, raw []byte, rows int, sketch f
 		serve.WriteError(w, http.StatusInternalServerError, err)
 		return legBody{}, false
 	}
-	incr(r.scatterSketched)
+	r.scatterSketched.Inc()
 	return legBody{contentType: serve.SketchedContentType, bytes: body}, true
 }
 
@@ -770,7 +739,7 @@ func gather[T any](live []*shard, resps []T, errs []error) (oks []T, failed []st
 	}
 	for i, err := range errs {
 		if err != nil {
-			incr(live[i].errors)
+			live[i].errors.Inc()
 		}
 	}
 	return oks, failed, nil

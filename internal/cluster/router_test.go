@@ -83,7 +83,7 @@ func startShardsAdvertising(t *testing.T, seeds []uint64) ([]string, []*testShar
 			t.Fatal(err)
 		}
 		t.Cleanup(idx.Close)
-		srv := serve.New(idx, lshensemble.NewHasher(testNumHash, testSeed), seeds[i], "")
+		srv := serve.NewWith(idx, lshensemble.NewHasher(testNumHash, testSeed), seeds[i], "", serve.Options{})
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL

@@ -246,7 +246,7 @@ func newShardServer(t *testing.T, seed uint64) *serve.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(idx.Close)
-	return serve.New(idx, lshensemble.NewHasher(testNumHash, seed), seed, "")
+	return serve.NewWith(idx, lshensemble.NewHasher(testNumHash, seed), seed, "", serve.Options{})
 }
 
 func startSwappable(t *testing.T, n int) ([]string, []*swapHandler, []*serve.Server) {

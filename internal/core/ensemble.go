@@ -57,7 +57,6 @@ type Options struct {
 	// Sketch selects the stored signature representation (see SketchBackend).
 	// The zero value is Minwise64, the paper's full-width configuration; the
 	// b-bit backends trade estimation accuracy for a 8x/4x/2x smaller store.
-	// Must be an indexable backend (KMV is evaluation-only).
 	Sketch SketchBackend
 }
 
@@ -99,8 +98,8 @@ func (o Options) validate() error {
 	if o.NumPartitions < 1 {
 		return fmt.Errorf("core: NumPartitions %d < 1", o.NumPartitions)
 	}
-	if !o.Sketch.Indexable() {
-		return fmt.Errorf("core: sketch backend %s cannot back an index", o.Sketch)
+	if !o.Sketch.Valid() {
+		return fmt.Errorf("core: unknown sketch backend %s", o.Sketch)
 	}
 	return nil
 }
@@ -574,7 +573,7 @@ func Decode(buf []byte) (*Index, []byte, error) {
 			return nil, buf, ErrCorrupt
 		}
 		sb, ok := SketchBackendFromTag(binary.LittleEndian.Uint32(buf[4:]))
-		if !ok || !sb.Indexable() {
+		if !ok {
 			return nil, buf, ErrCorrupt
 		}
 		sketch = sb

@@ -19,11 +19,10 @@ import "fmt"
 //     Ĵ = (p̂ − 2⁻ᵇ) / (1 − 2⁻ᵇ). LSH probing is unchanged (band collision
 //     probability only rises, so partition probes lose no true positives
 //     relative to Minwise64 — they admit more false candidates instead).
-//   - KMV is a k-minimum-values sketch (Beyer et al., SIGMOD 2007): the k
-//     smallest distinct base hashes, giving cardinality-aware containment
-//     estimates. It supports no banding, so it is not indexable — it serves
-//     the exact/asymmetric evaluation path (internal/expt) as a compact
-//     brute-force scorer, never an Index store.
+//
+// Every backend can back an Index store; the k-minimum-values sketch that
+// internal/expt scores by brute force (minhash.KMV) supports no banding and
+// is not one.
 type SketchBackend uint8
 
 const (
@@ -35,22 +34,16 @@ const (
 	Minwise16
 	// Minwise32 stores the low 32 bits of each minhash slot.
 	Minwise32
-	// KMV is the k-minimum-values backend (evaluation path only).
-	KMV
 
 	numSketchBackends
 )
 
 // sketchNames is indexed by SketchBackend; these are the -sketch flag values
 // and the names reported by /stats and the experiment tables.
-var sketchNames = [numSketchBackends]string{"minwise64", "minwise8", "minwise16", "minwise32", "kmv"}
+var sketchNames = [numSketchBackends]string{"minwise64", "minwise8", "minwise16", "minwise32"}
 
 // Valid reports whether sb is a defined backend.
 func (sb SketchBackend) Valid() bool { return sb < numSketchBackends }
-
-// Indexable reports whether the backend can serve as an Index store. KMV
-// sketches have no per-band structure, so only the minwise family qualifies.
-func (sb SketchBackend) Indexable() bool { return sb.Valid() && sb != KMV }
 
 // WidthBytes returns the stored bytes per signature slot: the lshforest
 // store element width the backend builds on.
@@ -62,7 +55,7 @@ func (sb SketchBackend) WidthBytes() int {
 		return 2
 	case Minwise32:
 		return 4
-	default: // Minwise64, KMV (KMV entries are full 64-bit hashes)
+	default:
 		return 8
 	}
 }
@@ -88,14 +81,14 @@ func (sb SketchBackend) String() string {
 }
 
 // ParseSketchBackend resolves a backend name as accepted by the -sketch
-// flag: minwise64, minwise8, minwise16, minwise32 or kmv.
+// flag: minwise64, minwise8, minwise16 or minwise32.
 func ParseSketchBackend(s string) (SketchBackend, error) {
 	for i, n := range sketchNames {
 		if s == n {
 			return SketchBackend(i), nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown sketch backend %q (want one of minwise64, minwise8, minwise16, minwise32, kmv)", s)
+	return 0, fmt.Errorf("core: unknown sketch backend %q (want one of minwise64, minwise8, minwise16, minwise32)", s)
 }
 
 // SketchBackendFromTag maps a wire-format backend tag (snapshot manifest v4,
@@ -122,7 +115,7 @@ func (sb SketchBackend) JaccardFromMatch(eq, m int) float64 {
 		return 0
 	}
 	p := float64(eq) / float64(m)
-	if sb == Minwise64 || sb == KMV {
+	if sb == Minwise64 {
 		return p
 	}
 	r := 1 / float64(uint64(1)<<sb.Bits())

@@ -9,20 +9,20 @@ import (
 )
 
 // TestSketchBackendProperties pins the enum's static surface: widths, masks,
-// names, indexability and the wire-tag round trip.
+// names and the wire-tag round trip; "kmv" and tag 4 — once an enum member
+// no index could be built on — are refused like any unknown name or tag.
 func TestSketchBackendProperties(t *testing.T) {
 	cases := []struct {
 		sb    SketchBackend
 		name  string
 		width int
 		mask  uint64
-		index bool
+		tag   uint32
 	}{
-		{Minwise64, "minwise64", 8, ^uint64(0), true},
-		{Minwise8, "minwise8", 1, 0xff, true},
-		{Minwise16, "minwise16", 2, 0xffff, true},
-		{Minwise32, "minwise32", 4, 0xffffffff, true},
-		{KMV, "kmv", 8, ^uint64(0), false},
+		{Minwise64, "minwise64", 8, ^uint64(0), 0},
+		{Minwise8, "minwise8", 1, 0xff, 1},
+		{Minwise16, "minwise16", 2, 0xffff, 2},
+		{Minwise32, "minwise32", 4, 0xffffffff, 3},
 	}
 	for _, tc := range cases {
 		if tc.sb.String() != tc.name {
@@ -34,8 +34,8 @@ func TestSketchBackendProperties(t *testing.T) {
 		if tc.sb.Mask() != tc.mask {
 			t.Errorf("%s: Mask = %#x, want %#x", tc.name, tc.sb.Mask(), tc.mask)
 		}
-		if tc.sb.Indexable() != tc.index {
-			t.Errorf("%s: Indexable = %v, want %v", tc.name, tc.sb.Indexable(), tc.index)
+		if !tc.sb.Valid() || tc.sb.Tag() != tc.tag {
+			t.Errorf("%s: Valid = %v, Tag = %d, want true, %d", tc.name, tc.sb.Valid(), tc.sb.Tag(), tc.tag)
 		}
 		parsed, err := ParseSketchBackend(tc.name)
 		if err != nil || parsed != tc.sb {
@@ -46,14 +46,18 @@ func TestSketchBackendProperties(t *testing.T) {
 			t.Errorf("%s: tag round trip gave %v, %v", tc.name, rt, ok)
 		}
 	}
-	if _, err := ParseSketchBackend("minwise128"); err == nil {
-		t.Error("unknown backend name accepted")
+	for _, name := range []string{"minwise128", "kmv", ""} {
+		if sb, err := ParseSketchBackend(name); err == nil {
+			t.Errorf("ParseSketchBackend(%q) = %v, want an error", name, sb)
+		}
 	}
-	if _, ok := SketchBackendFromTag(99); ok {
-		t.Error("unknown tag accepted")
-	}
-	if sb := SketchBackend(99); sb.Valid() {
-		t.Error("out-of-range backend valid")
+	for _, tag := range []uint32{4, 5, 99, 256, 1 << 16} {
+		if sb, ok := SketchBackendFromTag(tag); ok {
+			t.Errorf("SketchBackendFromTag(%d) = %v, want it refused", tag, sb)
+		}
+		if tag < 256 && SketchBackend(tag).Valid() {
+			t.Errorf("SketchBackend(%d) is valid", tag)
+		}
 	}
 }
 
@@ -169,13 +173,13 @@ func TestBBitTruncationEstimate(t *testing.T) {
 	}
 }
 
-// TestOptionsRejectNonIndexableSketch: KMV cannot back an Index store.
+// TestOptionsRejectNonIndexableSketch: nothing but the four backends can back
+// an Index store — not the value KMV (4) once had.
 func TestOptionsRejectNonIndexableSketch(t *testing.T) {
 	recs := []Record{{Key: "a", Size: 3, Sig: make(minhash.Signature, 256)}}
-	if _, err := Build(recs, Options{Sketch: KMV}); err == nil {
-		t.Fatal("Build accepted the KMV backend as an index store")
-	}
-	if _, err := Build(recs, Options{Sketch: SketchBackend(42)}); err == nil {
-		t.Fatal("Build accepted an undefined backend")
+	for _, sb := range []SketchBackend{4, 42} {
+		if _, err := Build(recs, Options{Sketch: sb}); err == nil {
+			t.Errorf("Build accepted the undefined backend %d", sb)
+		}
 	}
 }

@@ -111,7 +111,7 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 		queryKMV[qi] = domainKMV[qi]
 	}
 	systems = append(systems, frontierSystem{
-		name:  core.KMV.String(),
+		name:  "kmv",
 		bytes: float64(kmvBytes) / float64(len(corpus.Domains)),
 		query: func(qi int, tStar float64) []string {
 			q := queryKMV[qi]

@@ -143,7 +143,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
@@ -160,8 +159,9 @@ type Options struct {
 	core.Options
 
 	// SealThreshold is the buffer length that triggers a background seal.
-	// Default 4096. Until sealed, buffered entries are answered by a linear
-	// banding scan, so the threshold bounds the scan cost per query.
+	// Default 4096; a negative value is refused. Until sealed, buffered
+	// entries are answered by a linear banding scan, so the threshold bounds
+	// the scan cost per query.
 	SealThreshold int
 
 	// MaxSegments is the sealed-segment count above which the compactor
@@ -401,10 +401,6 @@ type Index struct {
 
 	scratch sync.Pool // *queryScratch
 
-	// observer holds an observerBox with the installed latency Observer
-	// (SetObserver); loaded lock-free once per query.
-	observer atomic.Value
-
 	nudge     chan struct{}
 	stop      chan struct{}
 	done      chan struct{}
@@ -461,61 +457,13 @@ func (s *queryScratch) partSets(n int) []lshforest.TreeSet {
 	return s.sets[:n]
 }
 
-// QueryKind discriminates the query entry points for Observer callbacks.
-type QueryKind uint8
-
-const (
-	// KindQuery is a single containment query (Query and friends).
-	KindQuery QueryKind = iota
-	// KindTopK is a ranked query (QueryTopK and friends).
-	KindTopK
-	// KindBatch is one whole batch dispatch (QueryBatch and friends); the
-	// observed duration covers the entire batch, not one row.
-	KindBatch
-)
-
-// String names the kind for metric labels.
-func (k QueryKind) String() string {
-	switch k {
-	case KindQuery:
-		return "query"
-	case KindTopK:
-		return "topk"
-	default:
-		return "batch"
-	}
-}
-
-// Observer receives one callback per query with its measured wall-clock
-// latency. Implementations must be safe for concurrent use and should be
-// allocation-free (the callback sits on the index's allocation-free query
-// path); internal/obs histograms qualify. Result-cache hits are observed
-// too — fast answers are part of the latency distribution.
-type Observer interface {
-	ObserveQuery(kind QueryKind, d time.Duration)
-}
-
-// SetObserver installs (or with nil, removes) the latency observer. Safe
-// to call at any time, including while queries are in flight.
-func (x *Index) SetObserver(o Observer) {
-	x.observer.Store(observerBox{o})
-}
-
-// observerBox wraps the interface so atomic.Value always stores one
-// concrete type (a nil interface cannot be stored directly).
-type observerBox struct{ o Observer }
-
-func (x *Index) getObserver() Observer {
-	if v := x.observer.Load(); v != nil {
-		return v.(observerBox).o
-	}
-	return nil
-}
-
 // QueryTrace, when attached to a query's context via WithQueryTrace,
 // records what the planner did for that one query — the per-request view
 // of the aggregate Stats.Planner counters. The serving layer uses it to
-// dump a planner breakdown into the slow-query log.
+// dump a planner breakdown into the slow-query log. Together with those
+// counters it is all the instrumentation on the query path: decisions and
+// counts, no durations — the package reads no clock, and a caller that wants
+// a latency times its own call (internal/serve does, once per request).
 //
 // Every query shape overwrites all of it when the call returns. A batch
 // reports the decisions of its rows added up (the flags then read "for any
@@ -569,22 +517,23 @@ func New(opts Options) (*Index, error) {
 	return Build(nil, opts)
 }
 
-// Build constructs a live index whose initial corpus is the given records,
-// sealed into a single segment (records sharing a key collapse to the last
-// occurrence, matching Add-upsert semantics). Unless opts.ManualCompaction
-// is set the background compactor is started; Close releases it.
-func Build(records []core.Record, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	if err := opts.Options.Validate(); err != nil {
-		return nil, err
+// newIndex is the one constructor behind Build and Load: it refuses the
+// runtime options neither could serve with and returns an index with its
+// result cache and data directory set up, and as yet no corpus, no band table
+// (Load registers a grid only once the snapshot is accepted) and no compactor.
+// opts has its defaults applied and its core.Options validated.
+func newIndex(opts Options, keys int) (*Index, error) {
+	if opts.SealThreshold < 0 {
+		// A seal sizes the next buffer by it, and make panics on a negative
+		// capacity — in the compactor goroutine, taking the process with it.
+		return nil, fmt.Errorf("live: Options.SealThreshold %d is negative", opts.SealThreshold)
 	}
 	if opts.Mmap && opts.DataDir == "" {
 		return nil, fmt.Errorf("live: Options.Mmap requires Options.DataDir")
 	}
 	x := &Index{
 		opts:   opts,
-		bands:  tune.ForGrid(opts.NumHash/opts.RMax, opts.RMax),
-		keySeq: make(map[string]uint64, len(records)),
+		keySeq: make(map[string]uint64, keys),
 		nudge:  make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -597,6 +546,23 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 			return nil, err
 		}
 	}
+	return x, nil
+}
+
+// Build constructs a live index whose initial corpus is the given records,
+// sealed into a single segment (records sharing a key collapse to the last
+// occurrence, matching Add-upsert semantics). Unless opts.ManualCompaction
+// is set the background compactor is started; Close releases it.
+func Build(records []core.Record, opts Options) (*Index, error) {
+	opts = opts.withDefaults()
+	if err := opts.Options.Validate(); err != nil {
+		return nil, err
+	}
+	x, err := newIndex(opts, len(records))
+	if err != nil {
+		return nil, err
+	}
+	x.bands = tune.ForGrid(opts.NumHash/opts.RMax, opts.RMax)
 	x.bufBloom = x.newBufBloom()
 	sn := &snapshot{bufBloom: x.bufBloom}
 	if len(records) > 0 {
@@ -758,16 +724,13 @@ func (x *Index) releaseScratch(s *queryScratch) { x.scratch.Put(s) }
 // count): NumHash/RMax.
 func (x *Index) numTrees() int { return x.opts.NumHash / x.opts.RMax }
 
-// call is the frame all three query shapes run in: time the call for the
-// observer, pin the snapshot it answers from, count what the planner decides
-// on its behalf. The shapes differ only in what they compute between begin and
-// done. It is a value with two methods, not a function handed the shape's
-// body as a closure, because the query path allocates nothing.
+// call is the frame all three query shapes run in: pin the snapshot it
+// answers from, count what the planner decides on its behalf. The shapes
+// differ only in what they compute between begin and done. It is a value with
+// two methods, not a function handed the shape's body as a closure, because
+// the query path allocates nothing.
 type call struct {
-	x     *Index
-	kind  QueryKind
-	obs   Observer
-	start time.Time
+	x *Index
 	// sn is pinned until done: a concurrent seal/merge may retire (and under
 	// mmap, unmap) segments the call is still probing.
 	sn    *snapshot
@@ -775,18 +738,13 @@ type call struct {
 	tally tally
 }
 
-func (x *Index) begin(ctx context.Context, kind QueryKind) call {
-	c := call{x: x, kind: kind, obs: x.getObserver(), trace: queryTraceFrom(ctx)}
-	if c.obs != nil {
-		c.start = time.Now()
-	}
-	c.sn = x.acquireSnap()
-	return c
+func (x *Index) begin(ctx context.Context) call {
+	return call{x: x, sn: x.acquireSnap(), trace: queryTraceFrom(ctx)}
 }
 
-// done fills the caller's trace from the tally, adds the tally to the index's
-// counters — once per call, in counter order (see the counter constants) —
-// and reports the call's latency.
+// done fills the caller's trace from the tally and adds the tally to the
+// index's counters — once per call, in counter order (see the counter
+// constants).
 func (c *call) done() {
 	x, t := c.x, &c.tally
 	if c.trace != nil {
@@ -810,9 +768,6 @@ func (c *call) done() {
 		if n != 0 {
 			x.counters[i].Add(n)
 		}
-	}
-	if c.obs != nil {
-		c.obs.ObserveQuery(c.kind, time.Since(c.start))
 	}
 }
 
@@ -848,7 +803,7 @@ func (x *Index) QueryContext(ctx context.Context, sig minhash.Signature, querySi
 // the cancellation semantics. On cancellation dst is returned grown by an
 // unspecified prefix of the answer alongside ctx.Err().
 func (x *Index) QueryAppendContext(ctx context.Context, dst []string, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
-	c := x.begin(ctx, KindQuery)
+	c := x.begin(ctx)
 	defer c.done()
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
@@ -1084,7 +1039,7 @@ type batchRow struct {
 // (nil, ctx.Err()); partial rows are discarded, never cached. A trace in ctx
 // receives the decisions of all rows added up.
 func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery, workers int) ([][]string, error) {
-	c := x.begin(ctx, KindBatch)
+	c := x.begin(ctx)
 	defer c.done()
 	sn := c.sn
 	rows := make([][]string, len(queries))
@@ -1164,7 +1119,7 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKRe
 // remaining segments. On cancellation it returns (nil, ctx.Err()), and the
 // partial ranking is never cached.
 func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
-	c := x.begin(ctx, KindTopK)
+	c := x.begin(ctx)
 	defer c.done()
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return nil, err

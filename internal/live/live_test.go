@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"lshensemble/internal/core"
@@ -673,4 +674,34 @@ func TestTopKHugeK(t *testing.T) {
 	x.Delete(recs[7].Key)  // a sealed entry
 	x.Delete(recs[45].Key) // a buffered one
 	check("two tombstones")
+}
+
+// TestNegativeSealThresholdRefused: a negative SealThreshold is an error from
+// every constructor. It used to be accepted, and the first seal then panicked
+// sizing the next buffer (makeslice: cap out of range) — from the compactor
+// goroutine, so `lshensembled -seal -5` died on its first /add.
+func TestNegativeSealThresholdRefused(t *testing.T) {
+	recs := fixture(t, 8, 41)
+	good, err := Build(recs, liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	snap := good.AppendBinary(nil)
+
+	opts := liveOpts()
+	opts.SealThreshold = -5
+	for name, construct := range map[string]func() (*Index, error){
+		"New":   func() (*Index, error) { return New(opts) },
+		"Build": func() (*Index, error) { return Build(recs, opts) },
+		"Load":  func() (*Index, error) { return Load(bytes.NewReader(snap), opts) },
+	} {
+		x, err := construct()
+		if err == nil {
+			x.Close()
+			t.Errorf("%s accepted SealThreshold -5", name)
+		} else if !strings.Contains(err.Error(), "SealThreshold") {
+			t.Errorf("%s: error %q does not name the option", name, err)
+		}
+	}
 }

@@ -2,110 +2,8 @@ package live
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"lshensemble/internal/core"
 )
-
-// countingObserver tallies ObserveQuery callbacks per kind.
-type countingObserver struct {
-	counts [3]atomic.Uint64
-	total  atomic.Int64 // summed nanoseconds, to check durations are sane
-}
-
-func (o *countingObserver) ObserveQuery(kind QueryKind, d time.Duration) {
-	o.counts[kind].Add(1)
-	o.total.Add(int64(d))
-}
-
-// TestObserverCallbacks checks every query entry point reports exactly one
-// observation of the right kind — including result-cache hits — and that
-// SetObserver(nil) detaches cleanly.
-func TestObserverCallbacks(t *testing.T) {
-	recs := fixture(t, 64, 31)
-	x, err := Build(recs, liveOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	o := &countingObserver{}
-	x.SetObserver(o)
-
-	q := recs[0]
-	x.Query(q.Sig, q.Size, 0.5)
-	x.Query(q.Sig, q.Size, 0.5) // result-cache hit: still observed
-	if got := o.counts[KindQuery].Load(); got != 2 {
-		t.Errorf("query observations = %d, want 2 (cache hits observed too)", got)
-	}
-	x.QueryTopK(q.Sig, q.Size, 5)
-	if got := o.counts[KindTopK].Load(); got != 1 {
-		t.Errorf("topk observations = %d, want 1", got)
-	}
-	batch := []core.BatchQuery{
-		{Sig: recs[1].Sig, Size: recs[1].Size, Threshold: 0.5},
-		{Sig: recs[2].Sig, Size: recs[2].Size, Threshold: 0.5},
-	}
-	x.QueryBatch(batch, 1)
-	if got := o.counts[KindBatch].Load(); got != 1 {
-		t.Errorf("batch observations = %d, want 1 (whole batch = one observation)", got)
-	}
-	if o.total.Load() < 0 {
-		t.Error("negative observed duration")
-	}
-
-	x.SetObserver(nil)
-	x.Query(q.Sig, q.Size, 0.5)
-	if got := o.counts[KindQuery].Load(); got != 2 {
-		t.Errorf("detached observer still called: %d observations", got)
-	}
-}
-
-// TestObserverConcurrent hammers the observer from concurrent queriers and
-// a writer while SetObserver flips between two observers (run under -race).
-func TestObserverConcurrent(t *testing.T) {
-	recs := fixture(t, 128, 32)
-	opts := liveOpts()
-	opts.ManualCompaction = false
-	opts.SealThreshold = 16
-	x, err := Build(recs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	a, b := &countingObserver{}, &countingObserver{}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := recs[(i+w)%len(recs)]
-				x.Query(q.Sig, q.Size, 0.5)
-			}
-		}(w)
-	}
-	for i := 0; i < 200; i++ {
-		if i%2 == 0 {
-			x.SetObserver(a)
-		} else {
-			x.SetObserver(b)
-		}
-		if i%10 == 0 {
-			x.SetObserver(nil)
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
 
 // TestQueryTraceBreakdown checks the per-query trace mirrors the planner's
 // decisions: segment counts partition into probed/range-pruned/bloom-pruned,

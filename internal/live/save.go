@@ -208,8 +208,8 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			return nil, ErrCorrupt
 		}
 		sb, ok := core.SketchBackendFromTag(binary.LittleEndian.Uint32(buf[16:]))
-		if !ok || !sb.Indexable() {
-			return nil, fmt.Errorf("live: snapshot carries unknown or non-indexable sketch backend tag %d: %w",
+		if !ok {
+			return nil, fmt.Errorf("live: snapshot carries unknown sketch backend tag %d: %w",
 				binary.LittleEndian.Uint32(buf[16:]), ErrCorrupt)
 		}
 		sketch = sb
@@ -237,24 +237,9 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	if err := opts.Options.Validate(); err != nil {
 		return nil, err
 	}
-
-	if opts.Mmap && opts.DataDir == "" {
-		return nil, fmt.Errorf("live: Options.Mmap requires Options.DataDir")
-	}
-	x := &Index{
-		opts:   opts,
-		keySeq: make(map[string]uint64),
-		nudge:  make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	if opts.ResultCacheSize > 0 {
-		x.rc, x.rcMask = newResultCache(opts.ResultCacheSize)
-	}
-	if opts.DataDir != "" {
-		if err := x.initDataDir(); err != nil {
-			return nil, err
-		}
+	x, err := newIndex(opts, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	sn := &snapshot{}

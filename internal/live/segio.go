@@ -210,8 +210,8 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	nParts := int(binary.LittleEndian.Uint32(img[16:]))
 	// v1 wrote this word as zero padding — which is exactly the Minwise64 tag.
 	sb, ok := core.SketchBackendFromTag(binary.LittleEndian.Uint32(img[20:]))
-	if !ok || !sb.Indexable() {
-		return nil, errSegFile("unknown or non-indexable sketch backend tag %d", binary.LittleEndian.Uint32(img[20:]))
+	if !ok {
+		return nil, errSegFile("unknown sketch backend tag %d", binary.LittleEndian.Uint32(img[20:]))
 	}
 	if sb != sketch {
 		return nil, errSegFile("sketch backend %s != snapshot %s", sb, sketch)

@@ -32,7 +32,7 @@ func NewLogger(level string, json bool) (*slog.Logger, error) {
 }
 
 // NewDebugMux builds the handler for a binary's debug listener: the pprof
-// suite under /debug/pprof/ plus, when reg is non-nil, a /metrics mirror.
+// suite under /debug/pprof/ plus a /metrics mirror of reg.
 // The debug listener is separate from the serving listener on purpose —
 // profiles and heap dumps should never ride the port exposed to clients.
 func NewDebugMux(reg *Registry) *http.ServeMux {
@@ -42,9 +42,7 @@ func NewDebugMux(reg *Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if reg != nil {
-		mux.Handle("GET /metrics", reg.Handler())
-	}
+	mux.Handle("GET /metrics", reg.Handler())
 	return mux
 }
 

@@ -70,17 +70,6 @@ func EnsureTraceID(r *http.Request) string {
 	return NewTraceID()
 }
 
-// TraceMiddleware stamps a trace ID into the request context and response
-// header without collecting any metrics — the wrapping used when metrics
-// are disabled but trace propagation must keep working.
-func TraceMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := EnsureTraceID(r)
-		w.Header().Set(TraceHeader, id)
-		next.ServeHTTP(w, r.WithContext(WithTraceID(r.Context(), id)))
-	})
-}
-
 // --- HTTP middleware ---
 
 // HTTPMetrics instruments a handler set: per-endpoint request counters
@@ -110,9 +99,6 @@ func NewHTTPMetrics(reg *Registry, prefix string, logger *slog.Logger) *HTTPMetr
 	}
 }
 
-// Logger returns the access-log logger.
-func (m *HTTPMetrics) Logger() *slog.Logger { return m.logger }
-
 // statusClasses maps status/100 → counter index; 1xx/3xx fold into "other".
 var statusClasses = [...]string{"2xx", "4xx", "5xx", "other"}
 
@@ -130,12 +116,8 @@ func classIndex(status int) int {
 }
 
 // Wrap instruments one endpoint. endpoint is the label value (the route
-// path, e.g. "/query"). A nil *HTTPMetrics wraps nothing, so a disabled
-// middleware costs zero.
+// path, e.g. "/query").
 func (m *HTTPMetrics) Wrap(endpoint string, next http.Handler) http.Handler {
-	if m == nil {
-		return next
-	}
 	var byClass [len(statusClasses)]*Counter
 	for i, class := range statusClasses {
 		byClass[i] = m.reg.Counter(m.prefix+"_http_requests_total",

@@ -29,7 +29,7 @@ func FuzzWireJSON(f *testing.F) {
 		f.Fatal(err)
 	}
 	defer idx.Close()
-	s := New(idx, lshensemble.NewHasher(32, 1), 1, "")
+	s := NewWith(idx, lshensemble.NewHasher(32, 1), 1, "", Options{})
 
 	for i := range fuzzEndpoints {
 		f.Add(i, []byte(`{"key":"k1","values":["a","b","c"]}`))

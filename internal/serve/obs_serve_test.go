@@ -2,17 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"lshensemble"
-	"lshensemble/internal/obs"
 )
 
 func testServerWith(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -122,26 +124,6 @@ func TestHealthzStatic(t *testing.T) {
 	}
 }
 
-// TestDisableMetrics checks the opt-out: no registry, no /metrics route,
-// handlers still serve.
-func TestDisableMetrics(t *testing.T) {
-	s, ts := testServerWith(t, Options{DisableMetrics: true})
-	if s.Registry() != nil {
-		t.Error("DisableMetrics left a registry attached")
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /metrics with metrics disabled: status %d, want 404", resp.StatusCode)
-	}
-	var qr QueryResponse
-	seedCorpus(t, ts.URL)
-	post(t, ts.URL+"/query", QueryRequest{Values: []string{"Ontario"}}, http.StatusOK, &qr)
-}
-
 // TestSlowQueryLog checks the threshold gate: with a 1ns threshold every
 // query is "slow" and the Warn line carries the trace id and the planner
 // breakdown.
@@ -236,22 +218,129 @@ func TestSlowBatchLogsPlannerBreakdown(t *testing.T) {
 	}
 }
 
-// TestSharedRegistry checks two servers can export into one registry under
-// distinct prefixes (the router pattern: router + local shard metrics on
-// one /metrics page).
-func TestSharedRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	sA, _ := testServerWith(t, Options{Registry: reg, MetricsPrefix: "shard_a"})
-	sB, _ := testServerWith(t, Options{Registry: reg, MetricsPrefix: "shard_b"})
-	if sA.Registry() != reg || sB.Registry() != reg {
-		t.Fatal("servers did not adopt the shared registry")
+// seriesSet strips the sample values from a Prometheus text page: what is left
+// — every HELP and TYPE line, every series' name and label set — is what a
+// dashboard or alert rule is written against.
+func seriesSet(page string) string {
+	lines := strings.Split(strings.TrimSpace(page), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "#") {
+			lines[i] = line[:strings.LastIndexByte(line, ' ')]
+		}
 	}
-	rec := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	text := rec.Body.String()
-	for _, want := range []string{"shard_a_live_domains", "shard_b_live_domains"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("shared scrape missing %q", want)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// eachShape is one request of each query shape over seedCorpus, with the op
+// its metrics and slow-query line are filed under.
+var eachShape = []struct {
+	path string
+	body any
+	op   op
+}{
+	{"/query", QueryRequest{Values: []string{"Ontario", "Quebec"}}, opQuery},
+	{"/query/topk", TopKRequest{Values: []string{"Ontario", "Quebec"}, K: 2}, opTopK},
+	{"/query/batch", BatchRequest{Queries: []QueryRequest{{Values: []string{"Ontario"}}, {Values: []string{"Toronto"}}}}, opBatch},
+}
+
+// TestMetricsSeriesSet pins the daemon's /metrics page — names, labels, HELP
+// and TYPE, in order — to the set recorded before the observer hook, the
+// injectable registry and the prefix option were deleted.
+func TestMetricsSeriesSet(t *testing.T) {
+	_, ts := testServer(t, "")
+	seedCorpus(t, ts.URL)
+	for _, step := range eachShape {
+		post(t, ts.URL+step.path, step.body, http.StatusOK, nil)
+	}
+	want, err := os.ReadFile("testdata/metrics_series.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seriesSet(scrape(t, ts.URL)); got != string(want) {
+		t.Errorf("the /metrics series set moved; got:\n%s", got)
+	}
+}
+
+// TestQueryLatencyCountsEveryIndexCall: the per-shape latency histogram moves
+// by exactly one per request that reached the index — an answer from the
+// result cache included — and not at all for a request refused before it.
+func TestQueryLatencyCountsEveryIndexCall(t *testing.T) {
+	s, ts := testServer(t, "")
+	seedCorpus(t, ts.URL)
+	counts := func() (c [numOps]uint64) {
+		for o := range c {
+			c[o] = s.queryLat[o].Count()
+		}
+		return c
+	}
+	hits := func() uint64 { return s.idx.Stats().Planner.ResultHits }
+	for _, step := range eachShape {
+		for rep, wantHit := range []bool{false, true} {
+			before, hitsBefore := counts(), hits()
+			post(t, ts.URL+step.path, step.body, http.StatusOK, nil)
+			want := before
+			want[step.op]++
+			if got := counts(); got != want {
+				t.Errorf("%s (repeat %d): latency counts %v → %v, want %v", step.path, rep, before, got, want)
+			}
+			if hit := hits() > hitsBefore; hit != wantHit {
+				t.Errorf("%s (repeat %d): answered from the result cache = %v, want %v", step.path, rep, hit, wantHit)
+			}
+		}
+	}
+	before := counts()
+	post(t, ts.URL+"/query", QueryRequest{Values: []string{"Ontario"}, Threshold: 2}, http.StatusBadRequest, nil)
+	post(t, ts.URL+"/query/topk", TopKRequest{Values: []string{"Ontario"}, K: -1}, http.StatusBadRequest, nil)
+	post(t, ts.URL+"/query/batch", BatchRequest{}, http.StatusBadRequest, nil)
+	if got := counts(); got != before {
+		t.Errorf("refused requests moved the latency counts %v → %v", before, got)
+	}
+}
+
+// slowLines is a slog.Handler that keeps the attributes of the latest
+// "slow query" record and drops everything else.
+type slowLines struct {
+	mu   sync.Mutex
+	last map[string]slog.Value
+}
+
+func (h *slowLines) Enabled(context.Context, slog.Level) bool { return true }
+func (h *slowLines) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *slowLines) WithGroup(string) slog.Handler            { return h }
+
+func (h *slowLines) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "slow query" {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.last = map[string]slog.Value{}
+	r.Attrs(func(a slog.Attr) bool {
+		h.last[a.Key] = a.Value
+		return true
+	})
+	return nil
+}
+
+// TestSlowLineAndHistogramShareOneMeasurement: the elapsed a slow-query line
+// prints is the very duration the shape's histogram observed — equal to the
+// nanosecond, which two readings of the clock would not be.
+func TestSlowLineAndHistogramShareOneMeasurement(t *testing.T) {
+	h := &slowLines{}
+	s, ts := testServerWith(t, Options{Logger: slog.New(h), SlowQuery: time.Nanosecond})
+	seedCorpus(t, ts.URL)
+	for _, step := range eachShape {
+		post(t, ts.URL+step.path, step.body, http.StatusOK, nil)
+		h.mu.Lock()
+		line := h.last
+		h.mu.Unlock()
+		if line["op"].String() != step.op.String() {
+			t.Fatalf("%s: no slow-query line for op %s: %v", step.path, step.op, line)
+		}
+		// One request per shape, so the histogram's sum is its one observation.
+		elapsed := line["elapsed"].Duration()
+		if got := s.queryLat[step.op].Sum(); elapsed <= 0 || got != elapsed.Seconds() {
+			t.Errorf("%s: the slow line says %v (%v s), the histogram observed %v s", step.path, elapsed, elapsed.Seconds(), got)
 		}
 	}
 }

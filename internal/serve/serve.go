@@ -60,39 +60,43 @@ type Server struct {
 	reg       *obs.Registry
 	httpm     *obs.HTTPMetrics
 	slowQuery time.Duration
-	// sketched counts framed requests per query endpoint (indexed by
-	// LiveQueryKind); nil entries when metrics are disabled.
-	sketched [3]*obs.Counter
+	// queryLat holds each query endpoint's latency histogram, indexed by op. A
+	// handler takes one measurement per request — the index call — and that
+	// duration is both observed here and what the slow-query log compares and
+	// prints. Every call that reached the index counts, an answer from the
+	// result cache and a canceled call included.
+	// sketched counts the endpoint's framed requests.
+	queryLat [numOps]*obs.Histogram
+	sketched [numOps]*obs.Counter
 }
 
-// Options configures the server's observability. The zero value serves with
-// metrics on (a fresh registry), slog.Default() logging, and slow-query
-// logging off.
+// op is one of the three query shapes a shard serves. Its String is the shape's
+// name wherever one is printed: the op label of the per-shape metrics and the
+// op field of the slow-query line.
+type op uint8
+
+const (
+	opQuery op = iota // /query
+	opTopK            // /query/topk
+	opBatch           // /query/batch: one observation per batch, not per row
+	numOps
+)
+
+func (o op) String() string { return [numOps]string{"query", "topk", "batch"}[o] }
+
+// Options configures the server's logging. The zero value logs to
+// slog.Default() with slow-query logging off.
 type Options struct {
 	// Logger receives access logs (Debug), 5xx logs (Error) and slow-query
 	// logs (Warn), all keyed by trace_id. Nil means slog.Default().
 	Logger *slog.Logger
-	// Registry receives the server's metrics. Nil allocates a private
-	// registry (exposed via Registry()); ignored when DisableMetrics.
-	Registry *obs.Registry
-	// MetricsPrefix namespaces every metric family; default "lshensembled".
-	MetricsPrefix string
 	// SlowQuery, when positive, logs any query/topk/batch slower than the
 	// threshold at Warn with the planner's per-query trace.
 	SlowQuery time.Duration
-	// DisableMetrics turns off metric collection and the /metrics endpoint
-	// entirely — the handlers run with zero instrumentation overhead.
-	DisableMetrics bool
 }
 
-// New constructs the handler set over one live index with default
-// observability (metrics on, slog.Default()). snapshotPath may be empty to
-// disable /save.
-func New(idx *lshensemble.LiveIndex, hasher *lshensemble.Hasher, seed uint64, snapshotPath string) *Server {
-	return NewWith(idx, hasher, seed, snapshotPath, Options{})
-}
-
-// NewWith is New with explicit observability options.
+// NewWith constructs the handler set over one live index. snapshotPath may be
+// empty to disable /save.
 func NewWith(idx *lshensemble.LiveIndex, hasher *lshensemble.Hasher, seed uint64, snapshotPath string, opts Options) *Server {
 	s := &Server{idx: idx, hasher: hasher, seed: seed, snapshotPath: snapshotPath, mux: http.NewServeMux()}
 	s.logger = opts.Logger
@@ -100,18 +104,9 @@ func NewWith(idx *lshensemble.LiveIndex, hasher *lshensemble.Hasher, seed uint64
 		s.logger = slog.Default()
 	}
 	s.slowQuery = opts.SlowQuery
-	prefix := opts.MetricsPrefix
-	if prefix == "" {
-		prefix = "lshensembled"
-	}
-	if !opts.DisableMetrics {
-		s.reg = opts.Registry
-		if s.reg == nil {
-			s.reg = obs.NewRegistry()
-		}
-		s.httpm = obs.NewHTTPMetrics(s.reg, prefix, s.logger)
-		s.registerIndexMetrics(prefix)
-	}
+	s.reg = obs.NewRegistry()
+	s.httpm = obs.NewHTTPMetrics(s.reg, "lshensembled", s.logger)
+	s.registerIndexMetrics()
 	s.handle("POST /add", "add", s.handleAdd)
 	s.handle("POST /delete", "delete", s.handleDelete)
 	s.handle("POST /query", "query", s.handleQuery)
@@ -123,9 +118,7 @@ func NewWith(idx *lshensemble.LiveIndex, hasher *lshensemble.Hasher, seed uint64
 	// Liveness must stay cheap: a static body, no snapshot walk, no JSON
 	// encoder — health checkers poll this at high frequency.
 	s.mux.HandleFunc("GET /healthz", handleHealthz)
-	if s.reg != nil {
-		s.mux.Handle("GET /metrics", s.reg.Handler())
-	}
+	s.mux.Handle("GET /metrics", s.reg.Handler())
 	return s
 }
 
@@ -136,61 +129,47 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Write(healthBody)
 }
 
-// handle mounts h at pattern, wrapped in the HTTP metrics middleware when
-// metrics are enabled (a nil *HTTPMetrics passes the handler through).
+// handle mounts h at pattern, wrapped in the HTTP metrics middleware.
 func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 	s.mux.Handle(pattern, s.httpm.Wrap(endpoint, h))
 }
 
-// queryObserver adapts per-kind live-index latencies onto obs histograms.
-// Installed via LiveIndex.SetObserver; must stay allocation-free.
-type queryObserver struct {
-	hists [3]*obs.Histogram // indexed by LiveQueryKind
-}
-
-func (o *queryObserver) ObserveQuery(kind lshensemble.LiveQueryKind, d time.Duration) {
-	if int(kind) < len(o.hists) {
-		o.hists[kind].Observe(d.Seconds())
-	}
-}
-
 // registerIndexMetrics exports the live index: query latency histograms fed
-// by the index's observer hook, and shape/planner counters mirrored from
-// Stats() at scrape time (the atomics behind Stats are the source of truth;
-// scraping just snapshots them, so the query path pays nothing extra).
-func (s *Server) registerIndexMetrics(prefix string) {
-	qo := &queryObserver{}
-	for _, k := range []lshensemble.LiveQueryKind{lshensemble.KindLiveQuery, lshensemble.KindLiveTopK, lshensemble.KindLiveBatch} {
-		qo.hists[k] = s.reg.Histogram(prefix+"_live_query_seconds",
+// by the query handlers' one measurement of each index call, and shape/planner
+// counters mirrored from Stats() at scrape time (the atomics behind Stats are
+// the source of truth; scraping just snapshots them, so the query path pays
+// nothing extra).
+func (s *Server) registerIndexMetrics() {
+	for o := op(0); o < numOps; o++ {
+		s.queryLat[o] = s.reg.Histogram("lshensembled_live_query_seconds",
 			"Live index query latency by entry point (batch = whole batch).",
-			nil, obs.L("op", k.String()))
-		s.sketched[k] = s.reg.Counter(prefix+"_sketched_requests_total",
+			nil, obs.L("op", o.String()))
+		s.sketched[o] = s.reg.Counter("lshensembled_sketched_requests_total",
 			"Query requests that arrived pre-sketched (framed form), by entry point.",
-			obs.L("op", k.String()))
+			obs.L("op", o.String()))
 	}
-	s.idx.SetObserver(qo)
 
-	domains := s.reg.Gauge(prefix+"_live_domains", "Live domains indexed (tombstoned entries excluded).")
-	segments := s.reg.Gauge(prefix+"_live_segments", "Sealed segments in the current snapshot.")
-	buffered := s.reg.Gauge(prefix+"_live_buffered_entries", "Entries in the unsealed in-memory buffer.")
-	tombstones := s.reg.Gauge(prefix+"_live_tombstones", "Pending tombstones not yet compacted away.")
-	resident := s.reg.Gauge(prefix+"_live_segment_resident_bytes", "Estimated heap-resident bytes across sealed segments.")
-	fileBytes := s.reg.Gauge(prefix+"_live_segment_file_bytes", "On-disk bytes across spilled segment files.")
-	seals := s.reg.Counter(prefix+"_live_seals_total", "Buffer seals completed by the compactor.")
-	merges := s.reg.Counter(prefix+"_live_merges_total", "Segment merges completed by the compactor.")
-	spillErrs := s.reg.Counter(prefix+"_live_spill_errors_total", "Segment spills that failed (segments kept serving from heap).")
-	segProbed := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "probed"))
-	segRange := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "range_pruned"))
-	segBloom := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "bloom_pruned"))
-	treesProbed := s.reg.Counter(prefix+"_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "probed"))
-	treesSkipped := s.reg.Counter(prefix+"_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "skipped"))
-	colsProbed := s.reg.Counter(prefix+"_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "probed"))
-	colsSkipped := s.reg.Counter(prefix+"_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "skipped"))
-	resHits := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "hit"))
-	resMisses := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "miss"))
-	topkExits := s.reg.Counter(prefix+"_planner_topk_early_exits_total", "Top-k queries that stopped before visiting every segment.")
-	bufScans := s.reg.Counter(prefix+"_planner_buffer_total", "Unsealed-buffer decisions.", obs.L("decision", "scanned"))
-	bufBloom := s.reg.Counter(prefix+"_planner_buffer_total", "Unsealed-buffer decisions.", obs.L("decision", "bloom_pruned"))
+	domains := s.reg.Gauge("lshensembled_live_domains", "Live domains indexed (tombstoned entries excluded).")
+	segments := s.reg.Gauge("lshensembled_live_segments", "Sealed segments in the current snapshot.")
+	buffered := s.reg.Gauge("lshensembled_live_buffered_entries", "Entries in the unsealed in-memory buffer.")
+	tombstones := s.reg.Gauge("lshensembled_live_tombstones", "Pending tombstones not yet compacted away.")
+	resident := s.reg.Gauge("lshensembled_live_segment_resident_bytes", "Estimated heap-resident bytes across sealed segments.")
+	fileBytes := s.reg.Gauge("lshensembled_live_segment_file_bytes", "On-disk bytes across spilled segment files.")
+	seals := s.reg.Counter("lshensembled_live_seals_total", "Buffer seals completed by the compactor.")
+	merges := s.reg.Counter("lshensembled_live_merges_total", "Segment merges completed by the compactor.")
+	spillErrs := s.reg.Counter("lshensembled_live_spill_errors_total", "Segment spills that failed (segments kept serving from heap).")
+	segProbed := s.reg.Counter("lshensembled_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "probed"))
+	segRange := s.reg.Counter("lshensembled_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "range_pruned"))
+	segBloom := s.reg.Counter("lshensembled_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "bloom_pruned"))
+	treesProbed := s.reg.Counter("lshensembled_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "probed"))
+	treesSkipped := s.reg.Counter("lshensembled_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "skipped"))
+	colsProbed := s.reg.Counter("lshensembled_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "probed"))
+	colsSkipped := s.reg.Counter("lshensembled_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "skipped"))
+	resHits := s.reg.Counter("lshensembled_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "hit"))
+	resMisses := s.reg.Counter("lshensembled_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "miss"))
+	topkExits := s.reg.Counter("lshensembled_planner_topk_early_exits_total", "Top-k queries that stopped before visiting every segment.")
+	bufScans := s.reg.Counter("lshensembled_planner_buffer_total", "Unsealed-buffer decisions.", obs.L("decision", "scanned"))
+	bufBloom := s.reg.Counter("lshensembled_planner_buffer_total", "Unsealed-buffer decisions.", obs.L("decision", "bloom_pruned"))
 	s.reg.OnScrape(func() {
 		st := s.idx.Stats()
 		domains.Set(int64(st.Domains))
@@ -222,8 +201,8 @@ func (s *Server) registerIndexMetrics(prefix string) {
 	})
 }
 
-// Registry returns the server's metric registry, nil when metrics are
-// disabled. The daemon mirrors it onto the debug listener.
+// Registry returns the server's metric registry. The daemon mirrors it onto
+// the debug listener.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -552,13 +531,11 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // raw and returns no signatures; the framed form lands in doc — which embeds
 // raw, so the handler reads the same fields either way — and returns one
 // signature per row. On a refusal it has written the 400 and returns false.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, kind lshensemble.LiveQueryKind, raw any, doc sketchedDoc) ([]lshensemble.Signature, bool) {
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, o op, raw any, doc sketchedDoc) ([]lshensemble.Signature, bool) {
 	if r.Header.Get("Content-Type") != SketchedContentType {
 		return nil, DecodeJSON(w, r, raw)
 	}
-	if c := s.sketched[kind]; c != nil {
-		c.Inc()
-	}
+	s.sketched[o].Inc()
 	body, ok := readBody(w, r)
 	if !ok {
 		return nil, false
@@ -669,7 +646,7 @@ func (b *BatchRequest) Resolve(h *lshensemble.Hasher, sigs []lshensemble.Signatu
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req SketchedQuery
-	sigs, ok := s.decodeQuery(w, r, lshensemble.KindLiveQuery, &req.QueryRequest, &req)
+	sigs, ok := s.decodeQuery(w, r, opQuery, &req.QueryRequest, &req)
 	if !ok {
 		return
 	}
@@ -678,22 +655,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, tr, start := s.traceSlow(r)
+	ctx, tr := s.traceSlow(r)
+	start := time.Now()
 	matches, err := s.idx.QueryContext(ctx, q.Sig, q.Size, q.Threshold)
+	elapsed := time.Since(start)
+	s.queryLat[opQuery].Observe(elapsed.Seconds())
 	if err != nil {
 		// The request context is canceled: the client is gone, nobody will
 		// read a body. Returning without writing lets the server tear the
 		// connection down.
 		return
 	}
-	s.noteSlow(r, "query", start, tr)
+	s.noteSlow(r, opQuery, elapsed, tr)
 	sort.Strings(matches)
 	WriteJSON(w, http.StatusOK, QueryResponse{Matches: matches, Count: len(matches)})
 }
 
 func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 	var req SketchedTopK
-	sigs, ok := s.decodeQuery(w, r, lshensemble.KindLiveTopK, &req.TopKRequest, &req)
+	sigs, ok := s.decodeQuery(w, r, opTopK, &req.TopKRequest, &req)
 	if !ok {
 		return
 	}
@@ -702,12 +682,15 @@ func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, tr, start := s.traceSlow(r)
+	ctx, tr := s.traceSlow(r)
+	start := time.Now()
 	ranked, err := s.idx.QueryTopKContext(ctx, sig, size, k)
+	elapsed := time.Since(start)
+	s.queryLat[opTopK].Observe(elapsed.Seconds())
 	if err != nil {
 		return // canceled: client gone
 	}
-	s.noteSlow(r, "topk", start, tr)
+	s.noteSlow(r, opTopK, elapsed, tr)
 	resp := TopKResponse{Matches: make([]TopKMatch, len(ranked)), Count: len(ranked)}
 	for i, m := range ranked {
 		resp.Matches[i] = TopKMatch{Key: m.Key, EstContainment: m.EstContainment}
@@ -717,7 +700,7 @@ func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var req SketchedBatch
-	sigs, ok := s.decodeQuery(w, r, lshensemble.KindLiveBatch, &req.BatchRequest, &req)
+	sigs, ok := s.decodeQuery(w, r, opBatch, &req.BatchRequest, &req)
 	if !ok {
 		return
 	}
@@ -726,12 +709,15 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, tr, start := s.traceSlow(r)
+	ctx, tr := s.traceSlow(r)
+	start := time.Now()
 	rows, err := s.idx.QueryBatchContext(ctx, queries, req.Workers)
+	elapsed := time.Since(start)
+	s.queryLat[opBatch].Observe(elapsed.Seconds())
 	if err != nil {
 		return // canceled: client gone, stop burning CPU on the batch
 	}
-	s.noteSlow(r, "batch", start, tr)
+	s.noteSlow(r, opBatch, elapsed, tr)
 	resp := BatchResponse{Rows: make([]QueryResponse, len(rows))}
 	for i, row := range rows {
 		sort.Strings(row)
@@ -742,14 +728,13 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 // traceSlow arms the slow-query log for one query of any shape: with a
 // threshold configured it returns the request context carrying a fresh
-// planner trace and the start time noteSlow measures from, otherwise the
-// request context alone.
-func (s *Server) traceSlow(r *http.Request) (context.Context, *lshensemble.LiveQueryTrace, time.Time) {
+// planner trace, otherwise the request context alone.
+func (s *Server) traceSlow(r *http.Request) (context.Context, *lshensemble.LiveQueryTrace) {
 	if s.slowQuery <= 0 {
-		return r.Context(), nil, time.Time{}
+		return r.Context(), nil
 	}
 	tr := new(lshensemble.LiveQueryTrace)
-	return lshensemble.WithLiveQueryTrace(r.Context(), tr), tr, time.Now()
+	return lshensemble.WithLiveQueryTrace(r.Context(), tr), tr
 }
 
 // noteSlow logs one Warn line for a query that crossed the slow-query
@@ -757,17 +742,13 @@ func (s *Server) traceSlow(r *http.Request) (context.Context, *lshensemble.LiveQ
 // snapshot's shape and, when the trace carries one, the planner's breakdown —
 // a batch's is the sum over its rows; a ranked query's ladder and an answer
 // from the result cache make no planner decisions and print none.
-func (s *Server) noteSlow(r *http.Request, op string, start time.Time, tr *lshensemble.LiveQueryTrace) {
-	if s.slowQuery <= 0 || start.IsZero() {
-		return
-	}
-	elapsed := time.Since(start)
-	if elapsed < s.slowQuery {
+func (s *Server) noteSlow(r *http.Request, o op, elapsed time.Duration, tr *lshensemble.LiveQueryTrace) {
+	if tr == nil || elapsed < s.slowQuery {
 		return
 	}
 	attrs := []slog.Attr{
 		slog.String("trace_id", obs.TraceID(r.Context())),
-		slog.String("op", op),
+		slog.String("op", o.String()),
 		slog.Duration("elapsed", elapsed),
 		slog.Bool("result_cache_hit", tr.ResultCacheHit),
 		slog.Int("segments", tr.Segments),

@@ -28,7 +28,7 @@ func testServer(t *testing.T, snapshotPath string) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(idx.Close)
-	s := New(idx, lshensemble.NewHasher(256, seed), seed, snapshotPath)
+	s := NewWith(idx, lshensemble.NewHasher(256, seed), seed, snapshotPath, Options{})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -203,7 +203,7 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	if loaded.Len() != 2 {
 		t.Fatalf("reloaded Len = %d, want 2", loaded.Len())
 	}
-	ts2 := httptest.NewServer(New(loaded, s.Hasher(), s.Seed(), ""))
+	ts2 := httptest.NewServer(NewWith(loaded, s.Hasher(), s.Seed(), "", Options{}))
 	defer ts2.Close()
 	var q QueryResponse
 	post(t, ts2.URL+"/query", QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 1.0}, http.StatusOK, &q)

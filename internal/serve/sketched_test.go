@@ -251,7 +251,7 @@ func FuzzWireSketched(f *testing.F) {
 	}
 	defer idx.Close()
 	h := lshensemble.NewHasher(numHash, seed)
-	s := New(idx, h, seed, "")
+	s := NewWith(idx, h, seed, "", Options{})
 	for i := 0; i < 12; i++ {
 		if _, err := idx.Add(lshensemble.SketchStrings(h, fmt.Sprintf("k%d", i), windowValues(i, 6))); err != nil {
 			f.Fatal(err)

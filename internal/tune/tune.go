@@ -32,12 +32,6 @@ func ContainmentToJaccard(t, x, q float64) float64 {
 	return t / (x/q + 1 - t)
 }
 
-// JaccardToContainment converts a Jaccard similarity back to a containment
-// score given the domain sizes (paper Eq. 6, right).
-func JaccardToContainment(s, x, q float64) float64 {
-	return (x/q + 1) * s / (1 + s)
-}
-
 // ConservativeJaccardThreshold is the Jaccard similarity threshold
 // s* = sˆu,q(t*) obtained by substituting the partition's upper size bound u
 // for the (unknown) domain size x (paper Eq. 7). Because sˆx,q(t) decreases

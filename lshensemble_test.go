@@ -138,32 +138,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBaselineAndAsymFacades(t *testing.T) {
-	h := lshensemble.NewHasher(128, 1)
-	tables := tableFixture()
-	var records []lshensemble.DomainRecord
-	for k, vals := range tables {
-		records = append(records, lshensemble.SketchStrings(h, k, vals))
-	}
-	b, err := lshensemble.BuildBaseline(records, 128, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := lshensemble.BuildAsym(records, 128, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := lshensemble.SketchStrings(h, "q", tables["grants:province"])
-	if res := b.Query(q.Sig, q.Size, 0.9); len(res) == 0 {
-		t.Fatal("baseline found nothing")
-	}
-	// Asym is recall-fragile but at this tiny, low-skew scale it should
-	// still find the identical domain.
-	if res := a.Query(q.Sig, q.Size, 0.5); len(res) == 0 {
-		t.Fatal("asym found nothing at permissive threshold")
-	}
-}
-
 func TestPartitionerVariables(t *testing.T) {
 	h := lshensemble.NewHasher(64, 1)
 	var records []lshensemble.DomainRecord

@@ -1,29 +1,19 @@
 package lshensemble_test
 
 import (
+	"context"
 	"testing"
-	"time"
 
 	"lshensemble"
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/minhash"
-	"lshensemble/internal/obs"
 )
 
-// histObserver is the daemon's observer shape: one histogram observation
-// per query through the public hook.
-type histObserver struct {
-	h *obs.Histogram
-}
-
-func (o histObserver) ObserveQuery(_ lshensemble.LiveQueryKind, d time.Duration) {
-	o.h.Observe(d.Seconds())
-}
-
-// TestInstrumentedQueryZeroAllocs pins the observability acceptance bar:
-// the steady-state query path with the metrics observer installed — the
-// exact configuration a serving daemon runs — still allocates nothing, with
-// the result cache answering and with it off.
+// TestInstrumentedQueryZeroAllocs pins the observability acceptance bar: the
+// instrumentation that rides on the library's query path — a planner trace
+// attached to the context, which the daemon does for its slow-query log and
+// the call frame fills on every return — allocates nothing in steady state,
+// with the result cache answering and with it off.
 func TestInstrumentedQueryZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates and randomizes sync.Pool reuse")
@@ -53,11 +43,10 @@ func TestInstrumentedQueryZeroAllocs(t *testing.T) {
 			}
 		}
 
-		hist := obs.NewHistogram(obs.DefBuckets)
-		idx.SetObserver(histObserver{h: hist})
-		wantNoQueryAllocs(t, idx, recs, resultCache)
-		if hist.Count() == 0 {
-			t.Fatal("observer histogram recorded nothing — the hook is not installed")
+		var tr lshensemble.LiveQueryTrace
+		wantNoQueryAllocs(t, lshensemble.WithLiveQueryTrace(context.Background(), &tr), idx, recs, resultCache)
+		if tr.Segments == 0 || tr.Buffered == 0 {
+			t.Fatalf("trace was not filled — the queries ran uninstrumented: %+v", tr)
 		}
 	}
 }
