@@ -94,7 +94,7 @@ func TestConcurrentTopK(t *testing.T) {
 // TestConcurrentPooledScratch hammers the pooled query scratch (the
 // generation-stamped visited arrays and reusable result buffers recycled
 // through the index's sync.Pool) from many goroutines at once, mixing the
-// Query, QueryIDs, QueryBatchInto and QueryTopK entry points so scratches —
+// Query, QueryIDsAppend, QueryBatchInto and QueryTopK entry points so scratches —
 // and the batch engine's pooled worker state — are constantly recycled
 // across goroutines. Run with -race: a pool must never hand the same state
 // to two in-flight queries, and results must match the
@@ -113,7 +113,7 @@ func TestConcurrentPooledScratch(t *testing.T) {
 	want := make(map[[2]int]int) // (query, threshold) → result count
 	for i, qi := range queries {
 		for j, ts := range thresholds {
-			ids, err := idx.QueryIDs(recs[qi].Sig, recs[qi].Size, ts)
+			ids, err := idx.QueryIDsAppend(nil, recs[qi].Sig, recs[qi].Size, ts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestConcurrentPooledScratch(t *testing.T) {
 				switch rep % 4 {
 				case 0:
 					var ids []uint32
-					ids, qerr = idx.QueryIDs(recs[qi].Sig, recs[qi].Size, thresholds[j])
+					ids, qerr = idx.QueryIDsAppend(nil, recs[qi].Sig, recs[qi].Size, thresholds[j])
 					got = len(ids)
 				case 1:
 					var res []string

@@ -63,15 +63,15 @@
 //     and reusable result buffers recycled through a sync.Pool — no maps,
 //     no goroutine spawned per partition. Index stays safe for concurrent
 //     queries; Index.QueryIDsAppend with a reused destination buffer is
-//     fully allocation-free in steady state, and Query/QueryIDs allocate
-//     only their result slice.
+//     fully allocation-free in steady state, and Query allocates only its
+//     result slice.
 //
 // # Parallelism model
 //
 // Construction and batch serving fan out over bounded worker pools sized by
 // GOMAXPROCS; all parallel paths degrade to the serial code at one proc.
 // Construction is bit-deterministic at any worker count, and every
-// QueryBatch row matches the serial QueryIDs answer element for element.
+// QueryBatch row matches the serial QueryIDsAppend answer element for element.
 //
 //   - Build routes records to partitions serially (one binary search each),
 //     then fills the disjoint partition forests in parallel, with each
@@ -199,7 +199,7 @@
 // lifecycle and prints what the planner pruned. Query handlers thread the
 // request context into the index, so a disconnected client stops its
 // in-flight query or batch instead of running it to completion
-// (QueryContext / QueryTopKContext / QueryBatchContext on LiveIndex, and
+// (QueryAppendContext / QueryTopKContext / QueryBatchContext on LiveIndex, and
 // QueryBatchIntoContext on Index, expose the same to library callers).
 // The three query endpoints take a request in two forms: JSON with the
 // domain's raw values, which the daemon sketches with its own -seed, or —
@@ -314,12 +314,8 @@
 // loops. -debug-addr starts a separate listener with net/http/pprof under
 // /debug/pprof/ and a /metrics mirror, kept off the serving port.
 //
-// cmd/lshload is the closed-loop load harness: it drives any endpoint
-// speaking the daemon wire protocol (one shard or a router) with a
-// weighted add/delete/query/topk/batch mix at fixed concurrency and
-// prints a machine-readable JSON report of per-op p50/p95/p99/max/mean
-// latency, throughput, and error/partial rates — see the command doc for
-// flags.
+// The load harness is the bench/ module: its fleet_query workload drives a
+// router and two shards and fails the run on any error or wrong answer.
 //
 // # Sketch backends
 //

@@ -164,9 +164,6 @@ func uniq(sorted []string) []string {
 	return out
 }
 
-// Nodes returns the sorted member names. Callers must not mutate it.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Replication returns the effective copies per key (clamped to membership).
 func (r *Ring) Replication() int { return r.replication }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -457,6 +458,135 @@ func TestRouterReplicationAndDelete(t *testing.T) {
 	postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(7), Threshold: 1.0}, &got)
 	if containsKey(got.Matches, domainKey(7)) {
 		t.Fatal("deleted key still answered by the fleet")
+	}
+}
+
+// TestRouterConcurrentTraffic is the routed twin of serve's
+// TestDaemonConcurrentTraffic: writers (/add, every fifth key /deleted again)
+// and readers (/query, /query/topk, /query/batch) share a router over two
+// shards whose tiny SealThreshold keeps both compactors busy. Run with -race.
+func TestRouterConcurrentTraffic(t *testing.T) {
+	const fixtures, writers, readers, perWorker = 40, 4, 4, 25
+	opts := testLiveOpts()
+	opts.SealThreshold = 8
+	opts.MaxSegments = 2
+	urls := make([]string, 2)
+	for i := range urls {
+		idx, err := lshensemble.BuildLive(nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(idx.Close)
+		ts := httptest.NewServer(serve.NewWith(idx, lshensemble.NewHasher(testNumHash, testSeed), testSeed, "", serve.Options{}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	// A generous deadline: a leg slowed by -race must not turn partial.
+	_, rts := startRouter(t, urls, Options{ShardTimeout: 30 * time.Second})
+	addVia(t, rts.URL, fixtures)
+
+	// send posts body to the router and decodes the reply into out; anything
+	// but a 2xx that is not partial is an error.
+	send := func(path string, body, out any) error {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(rts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode/100 != 2 {
+			return fmt.Errorf("%s: HTTP %d: %s", path, resp.StatusCode, raw)
+		}
+		var meta struct {
+			Partial bool     `json:"partial"`
+			Failed  []string `json:"failed"`
+		}
+		if err := json.Unmarshal(raw, &meta); err != nil {
+			return err
+		}
+		if meta.Partial {
+			return fmt.Errorf("%s: partial answer with healthy shards, failed %v", path, meta.Failed)
+		}
+		if out == nil {
+			return nil
+		}
+		return json.Unmarshal(raw, out)
+	}
+
+	done := make(chan error, writers+readers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			for i := 0; i < perWorker; i++ {
+				// Writer windows start past the fixtures' values, so no
+				// fixture query's answer depends on them.
+				key := fmt.Sprintf("w%d:col%d", w, i)
+				if err := send("/add", serve.AddRequest{Key: key, Values: windowValues(1000 + w*100 + i)}, nil); err != nil {
+					done <- err
+					return
+				}
+				if i%5 == 0 {
+					if err := send("/delete", serve.DeleteRequest{Key: key}, nil); err != nil {
+						done <- err
+						return
+					}
+				}
+			}
+			done <- nil
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			for i := 0; i < perWorker; i++ {
+				f := (r*perWorker + i) % fixtures
+				values := windowValues(f)
+				var err error
+				switch i % 3 {
+				case 0:
+					var q RouterQueryResponse
+					if err = send("/query", serve.QueryRequest{Values: values, Threshold: 1.0}, &q); err == nil && !containsKey(q.Matches, domainKey(f)) {
+						err = fmt.Errorf("/query lost fixture %s mid-traffic: %v", domainKey(f), q.Matches)
+					}
+				case 1:
+					err = send("/query/topk", serve.TopKRequest{Values: values, K: 5}, nil)
+				case 2:
+					err = send("/query/batch", serve.BatchRequest{Queries: []serve.QueryRequest{
+						{Values: values, Threshold: 1.0},
+						{Values: windowValues(1000 + r*100 + i), Threshold: 0.5},
+					}}, nil)
+				}
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(r)
+	}
+	for i := 0; i < writers+readers; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var stats RouterFleetResponse[serve.StatsResponse]
+	if code := getJSON(t, rts.URL+"/stats", &stats); code != http.StatusOK || stats.Partial {
+		t.Fatalf("stats: HTTP %d, partial=%v", code, stats.Partial)
+	}
+	total := 0
+	for _, st := range stats.Shards {
+		total += st.Domains
+	}
+	// The fixtures plus, per writer, perWorker added keys of which every
+	// fifth was deleted again.
+	if want := fixtures + writers*(perWorker-perWorker/5); total != want {
+		t.Fatalf("fleet holds %d domains, want %d", total, want)
 	}
 }
 

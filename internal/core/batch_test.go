@@ -13,10 +13,10 @@ func sortedIDs(ids []uint32) []uint32 {
 	return out
 }
 
-// mustQueryIDs is the test shorthand for QueryIDs on a clean index.
+// mustQueryIDs is the test shorthand for QueryIDsAppend on a clean index.
 func mustQueryIDs(t testing.TB, x *Index, q BatchQuery) []uint32 {
 	t.Helper()
-	ids, err := x.QueryIDs(q.Sig, q.Size, q.Threshold)
+	ids, err := x.QueryIDsAppend(nil, q.Sig, q.Size, q.Threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func equalIDs(a, b []uint32) bool {
 	return true
 }
 
-// TestQueryBatchMatchesSerial runs the same query set through QueryIDs and
+// TestQueryBatchMatchesSerial runs the same query set through QueryIDsAppend and
 // QueryBatch at several worker counts; every row must match the serial
 // answer exactly (batch rows keep the per-query probe order, so equality is
 // order-sensitive per row).

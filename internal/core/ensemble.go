@@ -359,18 +359,14 @@ func (x *Index) PartitionBounds() []partition.Partition {
 	return out
 }
 
-// QueryIDs runs Partitioned-Containment-Search and returns the internal
-// ids of all candidate domains: those whose signature collides with the
-// query under each partition's tuned (b, r). querySize is |Q| (use the
-// exact size when known, or minhash.Signature.Cardinality's estimate —
-// Algorithm 1's approx(|Q|)). tStar is the containment threshold t*.
-// It returns ErrSignatureLength if sig is shorter than NumHash.
-func (x *Index) QueryIDs(sig minhash.Signature, querySize int, tStar float64) ([]uint32, error) {
-	return x.QueryIDsAppend(nil, sig, querySize, tStar)
-}
-
-// QueryIDsAppend is QueryIDs appending into dst (which may be nil). Reusing
-// dst across queries makes the steady-state query path allocation-free.
+// QueryIDsAppend runs Partitioned-Containment-Search and appends to dst
+// (which may be nil) the internal ids of all candidate domains: those whose
+// signature collides with the query under each partition's tuned (b, r).
+// querySize is |Q| (use the exact size when known, or
+// minhash.Signature.Cardinality's estimate — Algorithm 1's approx(|Q|)).
+// tStar is the containment threshold t*. It returns ErrSignatureLength if
+// sig is shorter than NumHash. Reusing dst across queries makes the
+// steady-state query path allocation-free.
 func (x *Index) QueryIDsAppend(dst []uint32, sig minhash.Signature, querySize int, tStar float64) ([]uint32, error) {
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
@@ -496,7 +492,7 @@ func (x *Index) EachTreeLeading(fn func(part, tree int, col []uint64)) {
 }
 
 // Query returns the keys of all candidate domains for the query signature.
-// See QueryIDs for parameter semantics.
+// See QueryIDsAppend for parameter semantics.
 func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return nil, err

@@ -223,7 +223,7 @@ func TestQueryEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := x.QueryIDs(c.records[0].Sig, 0, 0.5); err != nil || got != nil {
+	if got, err := x.QueryIDsAppend(nil, c.records[0].Sig, 0, 0.5); err != nil || got != nil {
 		t.Fatalf("zero query size should return nil, nil (got %v, %v)", got, err)
 	}
 	// Threshold clamping must not panic.

@@ -326,7 +326,7 @@ func TestShortQuerySignatureRejected(t *testing.T) {
 	plan := x.PlanPartitions(nil, recs[0].Size, 0.5)
 	checks := map[string]func() error{
 		"Query":                 func() error { _, err := x.Query(short, 10, 0.5); return err },
-		"QueryIDs":              func() error { _, err := x.QueryIDs(short, 10, 0.5); return err },
+		"QueryIDsAppend":        func() error { _, err := x.QueryIDsAppend(nil, short, 10, 0.5); return err },
 		"QueryIDsPlannedAppend": func() error { _, err := x.QueryIDsPlannedAppend(nil, short, plan); return err },
 		"QueryTopK":             func() error { _, err := x.QueryTopK(short, 10, 5); return err },
 		"QueryTopKIDs":          func() error { _, err := x.QueryTopKIDs(nil, short, 10, 5); return err },

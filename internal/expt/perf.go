@@ -93,7 +93,7 @@ func RunFig9(cfg PerfConfig) ([]PerfRow, error) {
 			totalResults := 0
 			qStart := time.Now()
 			for _, qi := range queries {
-				ids, err := idx.QueryIDs(recs[qi].Sig, recs[qi].Size, tStar)
+				ids, err := idx.QueryIDsAppend(nil, recs[qi].Sig, recs[qi].Size, tStar)
 				if err != nil {
 					return nil, err
 				}

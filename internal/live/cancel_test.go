@@ -43,8 +43,8 @@ func TestQueryContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if got, err := x.QueryContext(ctx, r.Sig, r.Size, 0.5); !errors.Is(err, context.Canceled) || got != nil {
-		t.Fatalf("QueryContext = (%v, %v), want (nil, Canceled)", got, err)
+	if got, err := x.QueryAppendContext(ctx, nil, r.Sig, r.Size, 0.5); !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("QueryAppendContext = (%v, %v), want (nil, Canceled)", got, err)
 	}
 	if got, err := x.QueryTopKContext(ctx, r.Sig, r.Size, 5); !errors.Is(err, context.Canceled) || got != nil {
 		t.Fatalf("QueryTopKContext = (%v, %v), want (nil, Canceled)", got, err)
@@ -71,7 +71,7 @@ func TestQueryContextUncanceledMatchesPlain(t *testing.T) {
 	for i := 0; i < len(recs); i += 17 {
 		r := recs[i]
 		want := x.Query(r.Sig, r.Size, 0.5)
-		got, err := x.QueryContext(ctx, r.Sig, r.Size, 0.5)
+		got, err := x.QueryAppendContext(ctx, nil, r.Sig, r.Size, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -772,7 +772,7 @@ func (c *call) done() {
 }
 
 // Query returns the keys of all candidate domains for the query signature
-// at containment threshold tStar (see core.Index.QueryIDs for parameter
+// at containment threshold tStar (see core.Index.QueryIDsAppend for parameter
 // semantics). It is lock-free against Add, Delete and the compactor, and
 // answers from a consistent point-in-time snapshot. Each live key appears
 // at most once.
@@ -790,18 +790,11 @@ func (x *Index) QueryAppend(dst []string, sig minhash.Signature, querySize int, 
 	return dst
 }
 
-// QueryContext is Query under a context: the fan-out checks ctx between
-// segments (and periodically inside the buffer scan), so a canceled request
-// stops probing instead of running the query to completion. On cancellation
-// it returns (nil, ctx.Err()); the partially collected candidates are
-// discarded, never cached.
-func (x *Index) QueryContext(ctx context.Context, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
-	return x.QueryAppendContext(ctx, nil, sig, querySize, tStar)
-}
-
-// QueryAppendContext is QueryAppend under a context — see QueryContext for
-// the cancellation semantics. On cancellation dst is returned grown by an
-// unspecified prefix of the answer alongside ctx.Err().
+// QueryAppendContext is QueryAppend under a context: the fan-out checks ctx
+// between segments (and periodically inside the buffer scan), so a canceled
+// request stops probing instead of running the query to completion. On
+// cancellation dst is returned grown by an unspecified prefix of the answer
+// alongside ctx.Err(); the partially collected candidates are never cached.
 func (x *Index) QueryAppendContext(ctx context.Context, dst []string, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
 	c := x.begin(ctx)
 	defer c.done()

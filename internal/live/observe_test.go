@@ -33,7 +33,7 @@ func TestQueryTraceBreakdown(t *testing.T) {
 	q := recs[3]
 	var tr QueryTrace
 	ctx := WithQueryTrace(context.Background(), &tr)
-	got, err := x.QueryContext(ctx, q.Sig, q.Size, 0.5)
+	got, err := x.QueryAppendContext(ctx, nil, q.Sig, q.Size, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestQueryTraceBreakdown(t *testing.T) {
 	// Same query again: answered from the result cache, and the trace says
 	// so without claiming any segment work.
 	var tr2 QueryTrace
-	if _, err := x.QueryContext(WithQueryTrace(context.Background(), &tr2), q.Sig, q.Size, 0.5); err != nil {
+	if _, err := x.QueryAppendContext(WithQueryTrace(context.Background(), &tr2), nil, q.Sig, q.Size, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if !tr2.ResultCacheHit {

@@ -116,8 +116,8 @@ func TestShortQuerySignature(t *testing.T) {
 	short := q.Sig[:100] // NumHash is 128
 	ctx := context.Background()
 
-	if _, err := x.QueryContext(ctx, short, q.Size, 0.5); !errors.Is(err, core.ErrSignatureLength) {
-		t.Errorf("QueryContext(short) error = %v, want ErrSignatureLength", err)
+	if _, err := x.QueryAppendContext(ctx, nil, short, q.Size, 0.5); !errors.Is(err, core.ErrSignatureLength) {
+		t.Errorf("QueryAppendContext(short) error = %v, want ErrSignatureLength", err)
 	}
 	if got := x.Query(short, q.Size, 0.5); len(got) != 0 {
 		t.Errorf("Query(short) = %v, want empty", got)
@@ -168,7 +168,7 @@ func TestTreeCountersAccount(t *testing.T) {
 	for i, r := range recs[:40] {
 		sig := halfRedrawn(r.Sig, x.opts.RMax, uint64(i))
 		var tr QueryTrace
-		if _, err := x.QueryContext(WithQueryTrace(context.Background(), &tr), sig, r.Size, 0.5); err != nil {
+		if _, err := x.QueryAppendContext(WithQueryTrace(context.Background(), &tr), nil, sig, r.Size, 0.5); err != nil {
 			t.Fatal(err)
 		}
 		if tr.TreesProbed+tr.TreesSkipped != numTrees*tr.SegmentsProbed {
@@ -273,7 +273,7 @@ func queryShapesAgree(t *testing.T, recs []core.Record, mmap bool, parts int, sb
 		for _, q := range batch {
 			var tr QueryTrace
 			// A short signature is the one error; its row is nil like the batch's.
-			row, _ := y.QueryContext(WithQueryTrace(context.Background(), &tr), q.Sig, q.Size, q.Threshold)
+			row, _ := y.QueryAppendContext(WithQueryTrace(context.Background(), &tr), nil, q.Sig, q.Size, q.Threshold)
 			rows = append(rows, row)
 			sum.SegmentsProbed += tr.SegmentsProbed
 			sum.SegmentsRangePruned += tr.SegmentsRangePruned

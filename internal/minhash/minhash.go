@@ -225,11 +225,6 @@ func (h *Hasher) pushHashedChunk(sig Signature, hvs []uint64) {
 	}
 }
 
-// Push folds a raw byte value into the signature.
-func (h *Hasher) Push(sig Signature, v []byte) {
-	h.PushHashed(sig, HashBytes(v))
-}
-
 // PushString folds a string value into the signature.
 func (h *Hasher) PushString(sig Signature, s string) {
 	h.PushHashed(sig, HashString(s))

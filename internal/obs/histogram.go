@@ -4,7 +4,6 @@ import (
 	"math"
 	"strconv"
 	"sync/atomic"
-	"time"
 )
 
 // DefBuckets are the default latency buckets (seconds): 50µs to 10s in a
@@ -17,28 +16,15 @@ var DefBuckets = []float64{
 }
 
 // Histogram counts observations into fixed, sorted buckets. Observe is
-// lock-free, allocation-free and safe for concurrent use; exact p50/p95/p99
-// extraction (Quantile) and the Prometheus cumulative export read the same
-// atomics. The zero value is unusable — histograms come from
-// Registry.Histogram.
+// lock-free, allocation-free and safe for concurrent use; the Prometheus
+// cumulative export reads the same atomics. The zero value is unusable —
+// histograms come from Registry.Histogram.
 type Histogram struct {
 	bounds []float64 // sorted upper bounds; the +Inf bucket is implicit
 	les    []string  // pre-rendered `le="..."` label fragments, + the +Inf one
 	counts []atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
-	max    atomic.Uint64 // float64 bits, CAS-maximized
-}
-
-// NewHistogram builds a standalone histogram (not attached to a Registry)
-// over the given bucket bounds; nil selects DefBuckets. For callers — like
-// the lshload harness — that want concurrent recording and quantile
-// extraction without a Prometheus exporter.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	return newHistogram(bounds)
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -79,20 +65,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	for {
-		old := h.max.Load()
-		if v <= math.Float64frombits(old) {
-			break
-		}
-		if h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-}
-
-// ObserveSince records the seconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the number of observations.
@@ -100,51 +72,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Max returns the largest observed value (0 before any observation).
-func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
-
-// Quantile returns the q-quantile (0 < q ≤ 1, e.g. 0.5, 0.99) estimated
-// from the bucket counts with linear interpolation inside the winning
-// bucket. Observations in the overflow (+Inf) bucket resolve to the
-// largest finite bound. Returns 0 when nothing was observed. Concurrent
-// observations may land between bucket reads; the estimate is coherent to
-// within those in-flight samples.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q <= 0 || q > 1 {
-		return 0
-	}
-	counts := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			if i == len(h.bounds) {
-				// Overflow bucket: no finite upper edge to interpolate to.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return lo + (h.bounds[i]-lo)*(rank-cum)/float64(c)
-		}
-		cum = next
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // appendText appends the Prometheus cumulative-bucket rendering.
 func (h *Histogram) appendText(b []byte, name, labels string) []byte {

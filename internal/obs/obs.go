@@ -19,17 +19,15 @@
 //	lat := reg.Histogram("query_seconds", "Query latency.", obs.DefBuckets, obs.L("op", "query"))
 //	...
 //	hits.Inc()
-//	lat.ObserveSince(start)
+//	lat.Observe(time.Since(start).Seconds())
 //
 // Registering the same family name again with different labels appends a
 // child series; re-registering an identical (name, labels) pair, or the
 // same name with a different type or help string, panics — both are
 // startup-time programmer errors, not runtime conditions.
 //
-// Histograms use fixed, sorted upper bounds (seconds). Besides the
-// Prometheus cumulative-bucket export they support exact in-process
-// quantile extraction (Quantile, linearly interpolated within a bucket),
-// which is what cmd/lshload builds its p50/p95/p99 report from.
+// Histograms use fixed, sorted upper bounds (seconds) and export as
+// Prometheus cumulative buckets plus _sum and _count.
 package obs
 
 import (

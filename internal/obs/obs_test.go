@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
@@ -65,52 +66,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-sum) > 1e-12 {
 		t.Errorf("sum = %v, want %v", got, sum)
 	}
-	if got := h.Max(); got != 3.0 {
-		t.Errorf("max = %v, want 3", got)
-	}
-}
-
-// TestHistogramQuantiles checks quantile extraction against known
-// distributions: uniform fill inside one bucket interpolates linearly, and
-// a known mixture puts p50/p95/p99 in the provably correct buckets.
-func TestHistogramQuantiles(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("lat", "Latency.", []float64{1, 2, 4, 8, 16})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram p50 = %v, want 0", got)
-	}
-	// 100 observations uniform in (1, 2]: every quantile interpolates
-	// within the (1, 2] bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(1 + float64(i)/100)
-	}
-	if got := h.Quantile(0.5); math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("uniform p50 = %v, want 1.5", got)
-	}
-	if got := h.Quantile(1.0); math.Abs(got-2.0) > 1e-9 {
-		t.Errorf("uniform p100 = %v, want 2.0", got)
-	}
-
-	// Mixture: 90 fast (≤1), 9 medium (≤4), 1 slow (+Inf overflow).
-	reg2 := NewRegistry()
-	h2 := reg2.Histogram("lat", "Latency.", []float64{1, 2, 4, 8, 16})
-	for i := 0; i < 90; i++ {
-		h2.Observe(0.5)
-	}
-	for i := 0; i < 9; i++ {
-		h2.Observe(3)
-	}
-	h2.Observe(100) // beyond the last bound → +Inf bucket
-	if got := h2.Quantile(0.5); got > 1 {
-		t.Errorf("mixture p50 = %v, want ≤ 1", got)
-	}
-	if got := h2.Quantile(0.95); got <= 2 || got > 4 {
-		t.Errorf("mixture p95 = %v, want in (2, 4]", got)
-	}
-	// The overflow observation resolves to the largest finite bound.
-	if got := h2.Quantile(0.999); got != 16 {
-		t.Errorf("mixture p99.9 = %v, want 16 (largest finite bound)", got)
-	}
 }
 
 // TestConcurrentHammer races many writers over one counter, gauge and
@@ -134,7 +89,12 @@ func TestConcurrentHammer(t *testing.T) {
 			}
 		}(w)
 	}
-	// A concurrent scraper exercises the read side against the writers.
+	// A concurrent scraper reads /metrics against the writers.
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
+	}
 	stop := make(chan struct{})
 	var scrapeWg sync.WaitGroup
 	scrapeWg.Add(1)
@@ -145,9 +105,7 @@ func TestConcurrentHammer(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				var buf bytes.Buffer
-				reg.WritePrometheus(&buf)
-				h.Quantile(0.99)
+				scrape()
 			}
 		}
 	}()
@@ -160,8 +118,14 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := g.Value(); got != 0 {
 		t.Errorf("gauge = %d, want 0", got)
 	}
-	if got := h.Count(); got != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
+	text := scrape()
+	for _, want := range []string{
+		fmt.Sprintf("lat_count %d\n", workers*perWorker),
+		fmt.Sprintf(`lat_bucket{le="+Inf"} %d`+"\n", workers*perWorker),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics missing %q in:\n%s", want, text)
+		}
 	}
 }
 
@@ -190,8 +154,8 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 		t.Fatalf("record path allocates %v/op, want 0", n)
 	}
 	start := time.Now()
-	if n := testing.AllocsPerRun(1000, func() { h.ObserveSince(start) }); n != 0 {
-		t.Fatalf("ObserveSince allocates %v/op, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(time.Since(start).Seconds()) }); n != 0 {
+		t.Fatalf("timed Observe allocates %v/op, want 0", n)
 	}
 }
 

@@ -18,7 +18,7 @@
 // always takes raw values, so no stored signature ever comes from outside.
 //
 // Every query handler threads the request context into the index
-// (QueryContext / QueryTopKContext / QueryBatchContext), so a client that
+// (QueryAppendContext / QueryTopKContext / QueryBatchContext), so a client that
 // disconnects — or a router whose scatter deadline expires — stops the
 // in-flight work instead of burning CPU on an answer nobody will read.
 package serve
@@ -657,7 +657,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, tr := s.traceSlow(r)
 	start := time.Now()
-	matches, err := s.idx.QueryContext(ctx, q.Sig, q.Size, q.Threshold)
+	matches, err := s.idx.QueryAppendContext(ctx, nil, q.Sig, q.Size, q.Threshold)
 	elapsed := time.Since(start)
 	s.queryLat[opQuery].Observe(elapsed.Seconds())
 	if err != nil {
