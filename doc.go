@@ -248,6 +248,17 @@
 // alike, or that the router refuses while sketching, is the client's 4xx,
 // not a 502, and counts against no shard.
 //
+// The answers come back framed too: anyone who sends a framed request gets a
+// framed answer, and a JSON request still gets JSON. Each shard sends its
+// sorted keys behind length prefixes (ranked keys with their scores as
+// float64 bits for top-k; the layout is in internal/serve's wire types), and
+// the router merges them without running a JSON scanner over them. What it
+// answers its client is byte for byte what it answered when the shards
+// answered in JSON. The router picks the decoder by the answer's
+// Content-Type, so a shard that still answers a framed request in JSON keeps
+// working. A frame that is malformed, out of order or of another row count
+// than the request fails its leg, and the answer goes partial, never wrong.
+//
 // Consistency and partial results: a query observes each shard's
 // point-in-time snapshot — the fleet-wide answer is not a global snapshot,
 // but per shard it carries the live index's usual guarantees. A shard that

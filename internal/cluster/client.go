@@ -64,23 +64,20 @@ func (e *StatusError) Error() string {
 // surface the shard's error envelope as a *StatusError.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	if in == nil {
-		return c.send(ctx, method, path, "", nil, out)
+		return c.send(ctx, method, path, "", nil, 0, out)
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("encoding %s request: %w", path, err)
 	}
-	return c.send(ctx, method, path, "application/json", b, out)
+	return c.send(ctx, method, path, "application/json", b, 0, out)
 }
 
-// Post sends a body that is already encoded — the router encodes a scattered
-// query once and hands every leg the same bytes, which Post only reads —
-// under the given content type, and decodes the JSON response into out.
-func (c *Client) Post(ctx context.Context, path, contentType string, body []byte, out any) error {
-	return c.send(ctx, http.MethodPost, path, contentType, body, out)
-}
-
-func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+// send sends body, which it only reads, under contentType and decodes the
+// answer into out in the form the Content-Type of the answer names: the
+// answer frame of a query of rows rows (serve.DecodeAnswer), or JSON. A shard
+// that answers a framed request in JSON is decoded like any other JSON answer.
+func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte, rows int, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -114,10 +111,25 @@ func (c *Client) send(ctx context.Context, method, path, contentType string, bod
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, serve.MaxRequestBody)).Decode(out); err != nil {
+	if resp.Header.Get("Content-Type") == serve.SketchedContentType {
+		err = decodeFrame(resp, rows, out)
+	} else {
+		err = json.NewDecoder(io.LimitReader(resp.Body, serve.MaxRequestBody)).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("shard %s: decoding %s response: %w", c.base, path, err)
 	}
 	return nil
+}
+
+// decodeFrame reads an answer frame whole and decodes it. The Content-Length
+// only sizes the first buffer, and never past 1 MiB: it comes from outside.
+func decodeFrame(resp *http.Response, rows int, out any) error {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), 1<<20)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, serve.MaxRequestBody)); err != nil {
+		return err
+	}
+	return serve.DecodeAnswer(buf.Bytes(), rows, out)
 }
 
 // Add forwards one ingest to the shard.
@@ -135,7 +147,7 @@ func (c *Client) Delete(ctx context.Context, req *serve.DeleteRequest) (serve.De
 }
 
 // Query runs one containment query on the shard, in the JSON form. The
-// router's own legs go through Post with a body encoded once for all shards;
+// router's own legs go through send with a body encoded once for all shards;
 // this is the typed call of a client talking to one shard (the benchmark's
 // ladder replays raw-value requests at a shard with it).
 func (c *Client) Query(ctx context.Context, req *serve.QueryRequest) (serve.QueryResponse, error) {

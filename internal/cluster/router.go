@@ -104,6 +104,13 @@ type shard struct {
 // that refuses a sketched leg (it restarted under another seed) fails that
 // leg — the answer goes partial, its candidates are never merged — and is
 // asked for its family again. /add and /delete always forward raw values.
+//
+// A shard answers a sketched leg in the answer frame (internal/serve), which
+// the router decodes without a JSON scanner into the same response types a
+// JSON answer fills, so the merges and the client's answer do not depend on
+// the form a shard answered in. A shard that answers in JSON is decoded as
+// JSON. A frame that is malformed, or has not the request's row count, fails
+// its leg like a timeout does.
 type Router struct {
 	opts   Options
 	shards []*shard // sorted by name, fixed at construction
@@ -629,10 +636,12 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 // --- read path: scatter to all live shards, gather, merge ---
 
 // legBody is what every leg of one scattered query is sent: one encoding,
-// shared by the legs and only ever read.
+// shared by the legs and only ever read, and the query's row count, which a
+// framed answer must match.
 type legBody struct {
 	contentType string // serve.SketchedContentType, or JSON for raw legs
 	bytes       []byte
+	rows        int
 }
 
 // queryLegs decides the form a scattered query goes out in. With the fleet's
@@ -644,7 +653,7 @@ func (r *Router) queryLegs(w http.ResponseWriter, raw []byte, rows int, sketch f
 	sk := r.sketcherForQuery()
 	if sk == nil {
 		r.scatterRaw.Inc()
-		return legBody{contentType: "application/json", bytes: raw}, true
+		return legBody{contentType: "application/json", bytes: raw, rows: rows}, true
 	}
 	// A signature is a fixed 8·num_hash bytes however few values it stands
 	// for, so a batch of very many small queries is larger framed than raw:
@@ -667,7 +676,7 @@ func (r *Router) queryLegs(w http.ResponseWriter, raw []byte, rows int, sketch f
 		return legBody{}, false
 	}
 	r.scatterSketched.Inc()
-	return legBody{contentType: serve.SketchedContentType, bytes: body}, true
+	return legBody{contentType: serve.SketchedContentType, bytes: body, rows: rows}, true
 }
 
 // scatter posts one query to path on every live shard and gathers the
@@ -681,7 +690,7 @@ func scatter[T any](r *Router, ctx context.Context, path string, leg legBody) (o
 	defer cancel()
 	live, resps, errs := fanOut(r, ctx, func(ctx context.Context, s *shard) (T, error) {
 		var out T
-		return out, s.client.Post(ctx, path, leg.contentType, leg.bytes, &out)
+		return out, s.client.send(ctx, http.MethodPost, path, leg.contentType, leg.bytes, leg.rows, &out)
 	})
 	if leg.contentType == serve.SketchedContentType {
 		distrusted := false

@@ -1,8 +1,13 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -56,6 +61,10 @@ func TestRouterRefusesMalformedQuery(t *testing.T) {
 		{"/query/batch", `{"queries":[{"values":["a"]},{"values":["b"],"threshold":-0.1}]}`, "query 1: threshold -0.1 out of range"},
 		{"/query/batch", `{"queries":[{"values":["a"]},{"values":["b"]},{}]}`, "query 2: values must be non-empty"},
 		{"/query", `{"values":["a"],"threshhold":0.5}`, "unknown field"},
+		{"/query", `{"values":["a"]} trailing garbage`, "after the JSON value"},
+		{"/query/topk", `{"values":["a"],"k":3}]`, "after the JSON value"},
+		{"/query/batch", `{"queries":[{"values":["a"]}]}}`, "after the JSON value"},
+		{"/add", `{"key":"k","values":["a"]}nonsense`, "after the JSON value"},
 	}
 	answers := map[string][]string{}
 	for _, mode := range []struct {
@@ -437,4 +446,187 @@ func TestRouterBoundsSketchedBatch(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(answer, "split the batch") {
 		t.Fatalf("oversized batch: HTTP %d %s, want a 400 asking to split it", code, answer)
 	}
+}
+
+// TestEmptyAnswerIsEmptyList: a threshold query that matches nothing answers
+// "matches":[], never null, from a shard and from the router in front of it,
+// and so does every empty row of a batch. (A ranked query over a non-empty
+// index always ranks something, at an estimate of 0 if need be.)
+func TestEmptyAnswerIsEmptyList(t *testing.T) {
+	urls, _ := startShards(t, 2)
+	router, rts := startRouter(t, urls, Options{})
+	router.CheckHealth()
+	addVia(t, rts.URL, 20)
+	nothing := `"values":["nowhere-1","nowhere-2"]`
+	for _, c := range []struct{ path, body, want string }{
+		{"/query", `{` + nothing + `}`, `{"matches":[],"count":0`},
+		{"/query/batch", `{"queries":[{` + nothing + `},{` + nothing + `,"threshold":1}]}`,
+			`{"rows":[{"matches":[],"count":0},{"matches":[],"count":0}]`},
+	} {
+		for _, base := range []string{urls[0], rts.URL} {
+			if code, body := postRaw(t, base+c.path, c.body); code != http.StatusOK || !strings.HasPrefix(body, c.want) {
+				t.Errorf("%s%s: HTTP %d %s, want it to start %s", base, c.path, code, body, c.want)
+			}
+		}
+	}
+}
+
+// frameRewriter fronts a real shard and hands every answer frame the shard
+// gives to edit, which answers in its place: with an old shard's JSON, or
+// with a broken frame.
+type frameRewriter struct {
+	next http.Handler
+	edit func(w http.ResponseWriter, r *http.Request, frame []byte)
+}
+
+func (f frameRewriter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rec := httptest.NewRecorder()
+	f.next.ServeHTTP(rec, r)
+	if rec.Header().Get("Content-Type") == serve.SketchedContentType {
+		f.edit(w, r, rec.Body.Bytes())
+		return
+	}
+	maps.Copy(w.Header(), rec.Header())
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes())
+}
+
+// TestRouterMergesOldShardJSON: a shard from before the answer frame takes
+// the router's framed requests but answers them in JSON. The router decodes
+// that as JSON, and the fleet still answers exactly like one node.
+func TestRouterMergesOldShardJSON(t *testing.T) {
+	urls, shards := startShards(t, 1)
+	old := newShardServer(t, testSeed)
+	var rewritten atomic.Int64
+	ots := httptest.NewServer(frameRewriter{next: old, edit: func(w http.ResponseWriter, r *http.Request, frame []byte) {
+		rewritten.Add(1)
+		var out any = new(serve.BatchResponse)
+		switch r.URL.Path {
+		case "/query":
+			out = new(serve.QueryResponse)
+		case "/query/topk":
+			out = new(serve.TopKResponse)
+		}
+		if err := serve.DecodeAnswer(frame, int(binary.LittleEndian.Uint32(frame)), out); err != nil {
+			t.Error(err)
+		}
+		serve.WriteJSON(w, http.StatusOK, out)
+	}})
+	t.Cleanup(ots.Close)
+	urls = append(urls, ots.URL)
+	shards = append(shards, &testShard{ts: ots, srv: old})
+	router, rts := startRouter(t, urls, Options{})
+	router.CheckHealth()
+	checkMergeMatchesSingleNode(t, urls, shards, router, rts)
+	if rewritten.Load() == 0 {
+		t.Fatal("the old shard was never sent a framed query")
+	}
+	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_scatter_total{form="raw"} 0`) {
+		t.Fatalf("queries did not all go out framed:\n%s", text)
+	}
+}
+
+// TestRouterFailsMalformedFrame: an answer frame that is malformed, or not
+// the shape of the request, fails its leg alone. The router answers partial,
+// names the shard, and merges nothing of it: what it answers is exactly the
+// healthy shard's own answer.
+func TestRouterFailsMalformedFrame(t *testing.T) {
+	le := binary.LittleEndian
+	u32 := func(vs ...uint32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = le.AppendUint32(b, v)
+		}
+		return b
+	}
+	key := func(b []byte, k string) []byte { return append(le.AppendUint32(b, uint32(len(k))), k...) }
+	rows := func(rs ...[]string) []byte {
+		b := u32(uint32(len(rs)))
+		for _, r := range rs {
+			b = le.AppendUint32(b, uint32(len(r)))
+			for _, k := range r {
+				b = key(b, k)
+			}
+		}
+		return b
+	}
+	ranked := func(ms ...serve.TopKMatch) []byte {
+		b := u32(1, uint32(len(ms)))
+		for _, m := range ms {
+			b = le.AppendUint64(key(b, m.Key), math.Float64bits(m.EstContainment))
+		}
+		return b
+	}
+	query := serve.QueryRequest{Values: windowValues(5), Threshold: 0.3}
+	topk := serve.TopKRequest{Values: windowValues(5), K: 5}
+	batch := serve.BatchRequest{Queries: []serve.QueryRequest{query, {Values: windowValues(9)}}}
+	cases := []struct {
+		name, path string
+		req        any
+		frame      []byte
+	}{
+		{"keys out of order", "/query", query, rows([]string{"zz-injected", "aa-injected"})},
+		{"a key twice", "/query", query, rows([]string{"zz-injected", "zz-injected"})},
+		{"two rows to one query", "/query", query, rows([]string{"zz-injected"}, nil)},
+		{"one row to a batch of two", "/query/batch", batch, rows([]string{"zz-injected"})},
+		{"a key count past the bytes", "/query", query, u32(1, 0xffffffff)},
+		{"a truncated key", "/query", query, append(u32(1, 1, 11), "zz-inj"...)},
+		{"a byte left over", "/query/batch", batch, append(rows([]string{"zz-injected"}, nil), 0)},
+		{"scores out of rank order", "/query/topk", topk, ranked(serve.TopKMatch{Key: "aa-injected", EstContainment: 0.1}, serve.TopKMatch{Key: "zz-injected", EstContainment: 0.9})},
+		{"a score that is not a number", "/query/topk", topk, ranked(serve.TopKMatch{Key: "zz-injected", EstContainment: math.NaN()})},
+	}
+
+	urls, shards := startShards(t, 1)
+	hasher := lshensemble.NewHasher(testNumHash, testSeed)
+	for i := 0; i < 40; i++ {
+		if _, err := shards[0].srv.Index().Add(lshensemble.SketchStrings(hasher, domainKey(i), windowValues(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var bad atomic.Pointer[[]byte]
+	bts := httptest.NewServer(frameRewriter{next: newShardServer(t, testSeed), edit: func(w http.ResponseWriter, _ *http.Request, _ []byte) {
+		w.Header().Set("Content-Type", serve.SketchedContentType)
+		w.Write(*bad.Load())
+	}})
+	t.Cleanup(bts.Close)
+	router, rts := startRouter(t, append(urls, bts.URL), Options{})
+	router.CheckHealth()
+
+	type answer struct {
+		Matches, Rows json.RawMessage
+		Partial       bool
+		Failed        []string
+	}
+	ask := func(url string, req any) (answer, string) {
+		t.Helper()
+		code, body := postRaw(t, url, string(mustMarshal(t, req)))
+		var a answer
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &a) != nil {
+			t.Fatalf("%s: HTTP %d %s", url, code, body)
+		}
+		return a, body
+	}
+	for _, c := range cases {
+		bad.Store(&c.frame)
+		got, body := ask(rts.URL+c.path, c.req)
+		want, _ := ask(urls[0]+c.path, c.req)
+		if !got.Partial || !sameStrings(got.Failed, []string{bts.URL}) {
+			t.Errorf("%s: partial=%v failed=%v, want the leg of %s failed", c.name, got.Partial, got.Failed, bts.URL)
+		}
+		if !bytes.Equal(got.Matches, want.Matches) || !bytes.Equal(got.Rows, want.Rows) || strings.Contains(body, "injected") {
+			t.Errorf("%s: router answered %s, want the healthy shard's own matches %s rows %s", c.name, body, want.Matches, want.Rows)
+		}
+		if len(want.Matches)+len(want.Rows) < 10 {
+			t.Fatalf("%s: the healthy shard answers nothing, the comparison proves nothing", c.name)
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

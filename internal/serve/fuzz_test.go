@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"lshensemble"
@@ -56,6 +59,59 @@ func FuzzWireJSON(f *testing.F) {
 		s.ServeHTTP(srr, httptest.NewRequest(http.MethodGet, "/stats", nil))
 		if srr.Code != http.StatusOK {
 			t.Fatalf("/stats broken after %s %q: %d", ep, body, srr.Code)
+		}
+	})
+}
+
+// FuzzDecodeAnswer drives the answer-frame decoder with hostile bytes as each
+// of the three answer shapes. It never panics and never allocates more than a
+// fixed multiple of the body, however large the counts the body claims. What
+// it accepts encodes back to the very bytes it came from, and encoding then
+// decoding the seed answers gives them back unchanged: the frame and its
+// decoding are each other's inverse.
+func FuzzDecodeAnswer(f *testing.F) {
+	for _, resp := range []any{
+		&QueryResponse{Matches: []string{}},
+		&QueryResponse{Matches: []string{"a", "b:c", "w012"}, Count: 3},
+		&TopKResponse{Matches: []TopKMatch{{"x", 1}, {"a", 0.5}, {"b", 0.5}, {"", 0}}, Count: 4},
+		&BatchResponse{Rows: []QueryResponse{{Matches: []string{"k1"}, Count: 1}, {Matches: []string{}}, {Matches: []string{"a", "z"}, Count: 2}}},
+	} {
+		frame := appendAnswer(nil, resp)
+		rows := 1
+		if b, ok := resp.(*BatchResponse); ok {
+			rows = len(b.Rows)
+		}
+		back := reflect.New(reflect.TypeOf(resp).Elem()).Interface()
+		if err := DecodeAnswer(frame, rows, back); err != nil || !reflect.DeepEqual(back, resp) {
+			f.Fatalf("%+v decodes back to %+v (%v)", resp, back, err)
+		}
+		f.Add(frame)
+	}
+	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})                       // a count past the body
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})                       // as many rows
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 'b', 1, 0, 0, 0, 'a'}) // out of order
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// The row count the frame claims, so that batch decoding gets past
+		// the comparison with the request's.
+		rows := 1
+		if len(body) >= 4 {
+			rows = int(binary.LittleEndian.Uint32(body))
+		}
+		for _, resp := range []any{new(QueryResponse), new(TopKResponse), new(BatchResponse)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := DecodeAnswer(body, rows, resp)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(body))+64<<10 {
+				t.Fatalf("decoding %d bytes as %T allocated %d bytes", len(body), resp, grew)
+			}
+			if err != nil {
+				continue
+			}
+			if again := appendAnswer(nil, resp); !bytes.Equal(again, body) {
+				t.Fatalf("%q decoded as %T to %+v, which encodes to %q", body, resp, resp, again)
+			}
 		}
 	})
 }

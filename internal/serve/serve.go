@@ -14,8 +14,14 @@
 // so whoever holds the family — the router, which reads seed and num_hash
 // off /stats, or any other client that does — sketches a query once, however
 // many shards it is sent to. Both forms resolve through the same code into
-// the same (signature, size, threshold) and so the same answer bytes; /add
-// always takes raw values, so no stored signature ever comes from outside.
+// the same (signature, size, threshold) and so the same answer; /add always
+// takes raw values, so no stored signature ever comes from outside.
+//
+// Anyone sending a framed request gets a framed answer: the sorted keys
+// behind length prefixes (the answer frame, also under "wire types"), which
+// the router merges without running a JSON scanner over them. A JSON request
+// keeps its JSON answer, and a refusal is the JSON error envelope in either
+// form. The two answers carry the same rows and scores.
 //
 // Every query handler threads the request context into the index
 // (QueryAppendContext / QueryTopKContext / QueryBatchContext), so a client that
@@ -32,14 +38,17 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"lshensemble"
+	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/obs"
 	"lshensemble/internal/segfile"
@@ -237,6 +246,18 @@ func (s *Server) Seed() uint64 { return s.seed }
 // Anyone who knows the shard's hash family (seed and num_hash, both in
 // GET /stats) may send it, not only the router; decodeSketched refuses a
 // frame from any other family, of any other length, with a 400.
+//
+// Anyone who sends a framed request gets a 2xx answer in the answer frame,
+// under the same Content-Type. Errors stay the JSON envelope:
+//
+//	uint32 LE   rows: 1 for /query and /query/topk, one per batch query
+//	per row     uint32 LE keys, then per key: uint32 LE length, the key's
+//	            bytes and, on /query/topk only, its est_containment as the
+//	            uint64 LE bits of a float64
+//
+// A threshold row's keys ascend strictly. A top-k row is in strict rank
+// order: score descending, then key ascending. DecodeAnswer refuses a frame
+// that breaks any of this.
 
 // AddRequest ingests one domain; values are sketched server-side.
 type AddRequest struct {
@@ -325,7 +346,8 @@ type StatsResponse struct {
 	Sketched bool `json:"sketched"`
 }
 
-// SketchedContentType marks a query request in the framed, pre-sketched form.
+// SketchedContentType marks a query request in the framed, pre-sketched form
+// and the answer frame that a 2xx reply to one carries.
 const SketchedContentType = "application/x-lshensemble-sketched"
 
 // SketchedQuery is the document of a framed /query.
@@ -390,13 +412,8 @@ func decodeSketched(body []byte, doc sketchedDoc, seed uint64, numHash int) ([]l
 	if uint64(n) > uint64(len(body)) {
 		return nil, fmt.Errorf("sketched document of %d bytes truncated at %d", n, len(body))
 	}
-	dec := json.NewDecoder(bytes.NewReader(body[:n]))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(doc); err != nil {
+	if err := decodeOne(bytes.NewReader(body[:n]), doc); err != nil {
 		return nil, fmt.Errorf("decoding sketched document: %w", err)
-	}
-	if dec.More() {
-		return nil, errors.New("sketched document holds more than one JSON value")
 	}
 	got, rows := doc.frame()
 	if got != seed {
@@ -422,6 +439,153 @@ func decodeSketched(body []byte, doc sketchedDoc, seed uint64, numHash int) ([]l
 		sigs[i] = words[i*numHash : (i+1)*numHash : (i+1)*numHash]
 	}
 	return sigs, nil
+}
+
+// appendAnswer appends the answer frame of resp, a *QueryResponse,
+// *TopKResponse or *BatchResponse, to dst.
+func appendAnswer(dst []byte, resp any) []byte {
+	le := binary.LittleEndian
+	switch a := resp.(type) {
+	case *QueryResponse:
+		return appendKeys(le.AppendUint32(dst, 1), a.Matches)
+	case *TopKResponse:
+		dst = le.AppendUint32(le.AppendUint32(dst, 1), uint32(len(a.Matches)))
+		for _, m := range a.Matches {
+			dst = le.AppendUint64(appendKey(dst, m.Key), math.Float64bits(m.EstContainment))
+		}
+		return dst
+	case *BatchResponse:
+		dst = le.AppendUint32(dst, uint32(len(a.Rows)))
+		for _, row := range a.Rows {
+			dst = appendKeys(dst, row.Matches)
+		}
+		return dst
+	}
+	panic(fmt.Sprintf("serve: no answer frame for %T", resp))
+}
+
+func appendKeys(dst []byte, keys []string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
+	for _, k := range keys {
+		dst = appendKey(dst, k)
+	}
+	return dst
+}
+
+func appendKey(dst []byte, key string) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(key))), key...)
+}
+
+// DecodeAnswer parses the answer frame to a request of rows rows (1 for
+// /query and /query/topk) into resp: a *QueryResponse, *TopKResponse or
+// *BatchResponse. It trusts nothing in body. Every count is held against the
+// bytes left before anything is allocated for it, and the keys are substrings
+// of one string copy of body. A frame is an error, never a shorter or
+// reordered answer, when its row count is not rows, when a row is out of
+// order or repeats a key, when a score is not a finite number, or when bytes
+// are left over.
+func DecodeAnswer(body []byte, rows int, resp any) error {
+	d := answerReader{b: body, s: string(body)}
+	n, err := d.count(4)
+	if err != nil {
+		return err
+	}
+	if _, batch := resp.(*BatchResponse); n != rows || !batch && n != 1 {
+		return fmt.Errorf("answer frame of %d rows to a request of %d", n, rows)
+	}
+	switch a := resp.(type) {
+	case *QueryResponse:
+		*a, err = d.row()
+	case *TopKResponse:
+		*a, err = d.rankedRow()
+	case *BatchResponse:
+		a.Rows = make([]QueryResponse, n)
+		for i := 0; i < n && err == nil; i++ {
+			a.Rows[i], err = d.row()
+		}
+	default:
+		return fmt.Errorf("no answer frame for %T", resp)
+	}
+	if err == nil && d.off != len(d.b) {
+		err = fmt.Errorf("%d bytes after the answer frame", len(d.b)-d.off)
+	}
+	return err
+}
+
+// answerReader walks an answer frame: integers are read from b, keys are
+// sliced from s, the one string copy of b.
+type answerReader struct {
+	b   []byte
+	s   string
+	off int
+}
+
+// count reads a uint32 count of items that take at least size bytes each,
+// refusing a count that the bytes left cannot hold.
+func (d *answerReader) count(size int) (int, error) {
+	if len(d.b)-d.off < 4 {
+		return 0, fmt.Errorf("answer frame truncated at byte %d", d.off)
+	}
+	n := binary.LittleEndian.Uint32(d.b[d.off:])
+	d.off += 4
+	if uint64(n)*uint64(size) > uint64(len(d.b)-d.off) {
+		return 0, fmt.Errorf("count %d at byte %d overruns the %d bytes left", n, d.off-4, len(d.b)-d.off)
+	}
+	return int(n), nil
+}
+
+func (d *answerReader) key() (string, error) {
+	n, err := d.count(1)
+	if err != nil {
+		return "", err
+	}
+	d.off += n
+	return d.s[d.off-n : d.off], nil
+}
+
+// row reads one threshold row, whose keys must ascend strictly.
+func (d *answerReader) row() (QueryResponse, error) {
+	n, err := d.count(4)
+	if err != nil {
+		return QueryResponse{}, err
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		if keys[i], err = d.key(); err != nil {
+			return QueryResponse{}, err
+		}
+		if i > 0 && keys[i] <= keys[i-1] {
+			return QueryResponse{}, fmt.Errorf("answer row out of order at key %d", i)
+		}
+	}
+	return QueryResponse{Matches: keys, Count: n}, nil
+}
+
+// rankedRow reads one top-k row, whose matches must be in strict rank order.
+func (d *answerReader) rankedRow() (TopKResponse, error) {
+	n, err := d.count(4 + 8)
+	if err != nil {
+		return TopKResponse{}, err
+	}
+	ms := make([]TopKMatch, n)
+	for i := range ms {
+		if ms[i].Key, err = d.key(); err != nil {
+			return TopKResponse{}, err
+		}
+		if len(d.b)-d.off < 8 {
+			return TopKResponse{}, fmt.Errorf("answer frame truncated at byte %d", d.off)
+		}
+		est := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
+		d.off += 8
+		if math.IsNaN(est) || math.IsInf(est, 0) {
+			return TopKResponse{}, fmt.Errorf("answer score %d is %v", i, est)
+		}
+		ms[i].EstContainment = est
+		if i > 0 && core.CompareTopK(core.TopKResult(ms[i-1]), core.TopKResult(ms[i])) >= 0 {
+			return TopKResponse{}, fmt.Errorf("answer row out of rank order at match %d", i)
+		}
+	}
+	return TopKResponse{Matches: ms, Count: n}, nil
 }
 
 // SaveResponse reports a persisted snapshot.
@@ -455,13 +619,25 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
 }
 
 func decodeStrict(w http.ResponseWriter, rd io.Reader, dst any) bool {
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := decodeOne(rd, dst); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
 	return true
+}
+
+// decodeOne decodes exactly one JSON value from rd into dst, refusing unknown
+// fields and anything but whitespace after the value.
+func decodeOne(rd io.Reader, dst any) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // WriteJSON writes v as a JSON response with the given status.
@@ -474,6 +650,29 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError writes err in the JSON error envelope with the given status.
 func WriteError(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
+}
+
+// writeAnswer writes a query's answer in the form the query came in: the
+// answer frame to a framed request, JSON to a JSON one.
+func writeAnswer(w http.ResponseWriter, framed bool, resp any) {
+	if !framed {
+		WriteJSON(w, http.StatusOK, resp)
+		return
+	}
+	b := appendAnswer(nil, resp)
+	w.Header().Set("Content-Type", SketchedContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
+}
+
+// queryResponse is one threshold answer: its keys sorted, and an empty list,
+// not null, when nothing matched.
+func queryResponse(keys []string) QueryResponse {
+	if keys == nil {
+		keys = []string{}
+	}
+	sort.Strings(keys)
+	return QueryResponse{Matches: keys, Count: len(keys)}
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
@@ -667,8 +866,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.noteSlow(r, opQuery, elapsed, tr)
-	sort.Strings(matches)
-	WriteJSON(w, http.StatusOK, QueryResponse{Matches: matches, Count: len(matches)})
+	resp := queryResponse(matches)
+	writeAnswer(w, sigs != nil, &resp)
 }
 
 func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
@@ -695,7 +894,7 @@ func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 	for i, m := range ranked {
 		resp.Matches[i] = TopKMatch{Key: m.Key, EstContainment: m.EstContainment}
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeAnswer(w, sigs != nil, &resp)
 }
 
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
@@ -720,10 +919,9 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	s.noteSlow(r, opBatch, elapsed, tr)
 	resp := BatchResponse{Rows: make([]QueryResponse, len(rows))}
 	for i, row := range rows {
-		sort.Strings(row)
-		resp.Rows[i] = QueryResponse{Matches: row, Count: len(row)}
+		resp.Rows[i] = queryResponse(row)
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeAnswer(w, sigs != nil, &resp)
 }
 
 // traceSlow arms the slow-query log for one query of any shape: with a

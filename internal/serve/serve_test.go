@@ -355,6 +355,40 @@ func containsKey(keys []string, k string) bool {
 	return false
 }
 
+// TestTrailingDataRefused: a JSON body is one value and then only whitespace.
+// Anything after the value — a word, a stray closing bracket or brace, a
+// second value — is a 400 on every endpoint that decodes a body, and an /add
+// refused for it adds nothing.
+func TestTrailingDataRefused(t *testing.T) {
+	_, ts := testServer(t, "")
+	seedCorpus(t, ts.URL)
+	bodies := map[string]string{
+		"/add":         `{"key":"trailer","values":["Ontario"]}`,
+		"/delete":      `{"key":"absent"}`,
+		"/query":       `{"values":["Ontario"]}`,
+		"/query/topk":  `{"values":["Ontario"],"k":2}`,
+		"/query/batch": `{"queries":[{"values":["Ontario"]}]}`,
+	}
+	for path, body := range bodies {
+		for _, trailer := range []string{" trailing garbage", "nonsense", "]", "}", ` {}`} {
+			code, answer := send(t, ts.URL+path, "application/json", []byte(body+trailer))
+			if code != http.StatusBadRequest || !bytes.Contains(answer, []byte("after the JSON value")) {
+				t.Errorf("%s %q: HTTP %d %s, want a 400 naming the trailing data", path, body+trailer, code, answer)
+			}
+		}
+	}
+	var st StatsResponse
+	get(t, ts.URL+"/stats", &st)
+	if st.Domains != 3 {
+		t.Fatalf("refused /add bodies changed the index: %d domains, want 3", st.Domains)
+	}
+	for path, body := range bodies {
+		if code, answer := send(t, ts.URL+path, "application/json", []byte(body+" \n\t")); code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: HTTP %d %s", path, code, answer)
+		}
+	}
+}
+
 // TestBatchWorkersBounded: "workers" arrives from outside with the rows, so
 // resolving a batch caps it at GOMAXPROCS (a request for 100 000 workers used
 // to start that many goroutines per sealed segment, on every shard the router

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -68,9 +69,10 @@ func frame(t testing.TB, doc any, sigs ...lshensemble.Signature) []byte {
 }
 
 // TestSketchedEqualsRaw: on every query endpoint a request pre-sketched with
-// SketchStrings answers with the very bytes the raw-values request gets —
-// with and without a size override, with the threshold left to its default,
-// and for a batch of mixed sizes.
+// SketchStrings gets an answer frame that decodes to exactly the rows and
+// scores of the JSON answer the raw-values request gets — with and without a
+// size override, with the threshold left to its default, and for a batch of
+// mixed sizes.
 func TestSketchedEqualsRaw(t *testing.T) {
 	_, ts := testServer(t, "")
 	seedWindows(t, ts.URL)
@@ -79,15 +81,39 @@ func TestSketchedEqualsRaw(t *testing.T) {
 	same := func(name, path string, raw any, framed []byte) {
 		t.Helper()
 		rawCode, rawBody := send(t, ts.URL+path, "application/json", mustMarshal(t, raw))
-		code, body := send(t, ts.URL+path, SketchedContentType, framed)
-		if rawCode != http.StatusOK || code != http.StatusOK {
-			t.Fatalf("%s: raw HTTP %d (%s), sketched HTTP %d (%s)", name, rawCode, rawBody, code, body)
+		resp, err := http.Post(ts.URL+path, SketchedContentType, bytes.NewReader(framed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(body, rawBody) {
-			t.Fatalf("%s: sketched answer\n%s\nraw answer\n%s", name, body, rawBody)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Contains(body, []byte(`"w0`)) {
-			t.Fatalf("%s: answer matches nothing, the comparison proves nothing: %s", name, body)
+		if rawCode != http.StatusOK || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: raw HTTP %d (%s), sketched HTTP %d (%s)", name, rawCode, rawBody, resp.StatusCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != SketchedContentType {
+			t.Fatalf("%s: framed request answered as %q: %s", name, ct, body)
+		}
+		if !bytes.Contains(rawBody, []byte(`"w0`)) {
+			t.Fatalf("%s: answer matches nothing, the comparison proves nothing: %s", name, rawBody)
+		}
+		rows, want, got := 1, any(new(QueryResponse)), any(new(QueryResponse))
+		switch r := raw.(type) {
+		case TopKRequest:
+			want, got = new(TopKResponse), new(TopKResponse)
+		case BatchRequest:
+			rows, want, got = len(r.Queries), new(BatchResponse), new(BatchResponse)
+		}
+		if err := json.Unmarshal(rawBody, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeAnswer(body, rows, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: framed answer decodes to\n%+v\nJSON answer\n%+v", name, got, want)
 		}
 	}
 
@@ -206,6 +232,9 @@ func sketchedRefusals(numHash int, seed uint64) []struct {
 		{"batch row with values", 2, framed(qdoc(seed, `,"queries":[{"size":3,"values":["a"]}]`), good)},
 		{"batch seed mismatch", 2, framed(qdoc(seed+7, `,"queries":[{"size":3}]`), good)},
 		{"query document on batch", 2, framed(qdoc(seed, `,"size":3`), good)},
+		{"document then a stray ]", 0, framed(qdoc(seed, `,"size":3`)+`]`, good)},
+		{"document then a stray }", 1, framed(qdoc(seed, `,"size":3`)+" }", good)},
+		{"document then a word", 2, framed(qdoc(seed, `,"queries":[{"size":3}]`)+"nonsense", good)},
 	}
 }
 
