@@ -58,7 +58,8 @@
 //     previous closure-comparator sort.Slice.
 //   - Corpus sketching uses a batched permutation-major path
 //     (Hasher.PushHashedBlock) that streams L1-sized blocks of base hashes
-//     through four permutations at a time.
+//     through eight permutations at a time on AVX-512F CPUs and four
+//     elsewhere (see Corpus sketching below).
 //   - Queries deduplicate candidates with generation-stamped visited arrays
 //     and reusable result buffers recycled through a sync.Pool — no maps,
 //     no goroutine spawned per partition. Index stays safe for concurrent
@@ -98,7 +99,14 @@
 //   - Corpus sketching: Hasher.SketchParallel shards one large pre-hashed
 //     value slice across workers (exact — shard minima merge slot-wise);
 //     cmd/lshed sketches whole columns in parallel and serves multi-column
-//     query files through one QueryBatch dispatch (-batch -workers).
+//     query files through one QueryBatch dispatch (-batch -workers). Within
+//     a worker the permutation kernel is data-parallel: on amd64 CPUs with
+//     AVX-512F (detected once at start-up from CPUID and XGETBV; there is no
+//     switch) an assembly loop computes (a·v + b) mod (2^61 − 1) for eight
+//     permutations per instruction from 32×32-bit partial products, and the
+//     scalar Go loop takes the m mod 8 leftover slots, other CPUs and other
+//     architectures. Both reduce exactly, so they produce the same words and
+//     signatures, snapshots and answers do not depend on the CPU.
 //
 // Concurrency contract: an Index is immutable — Build, Load and nothing
 // else produce one — and safe for any number of concurrent readers (Query*,

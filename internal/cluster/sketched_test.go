@@ -60,6 +60,9 @@ func TestRouterRefusesMalformedQuery(t *testing.T) {
 		{"/query/batch", `{"queries":[]}`, "queries must be non-empty"},
 		{"/query/batch", `{"queries":[{"values":["a"]},{"values":["b"],"threshold":-0.1}]}`, "query 1: threshold -0.1 out of range"},
 		{"/query/batch", `{"queries":[{"values":["a"]},{"values":["b"]},{}]}`, "query 2: values must be non-empty"},
+		{"/query", `{"values":["a"],"size":-5}`, "size -5 must not be negative"},
+		{"/query/topk", `{"values":["a"],"size":-5}`, "size -5 must not be negative"},
+		{"/query/batch", `{"queries":[{"values":["a"]},{"values":["b"],"size":-1}]}`, "query 1: size -1 must not be negative"},
 		{"/query", `{"values":["a"],"threshhold":0.5}`, "unknown field"},
 		{"/query", `{"values":["a"]} trailing garbage`, "after the JSON value"},
 		{"/query/topk", `{"values":["a"],"k":3}]`, "after the JSON value"},

@@ -108,12 +108,12 @@ func TestContainmentFromMatchMinwise64Identity(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		a, b := h.NewSignature(), h.NewSignature()
 		for i := 0; i < 30; i++ {
-			v := rng.Uint64()
+			v := minhash.HashUint64(rng.Uint64())
 			h.PushHashed(a, v)
 			if i%2 == 0 {
 				h.PushHashed(b, v)
 			} else {
-				h.PushHashed(b, rng.Uint64())
+				h.PushHashed(b, minhash.HashUint64(rng.Uint64()))
 			}
 		}
 		eq := 0

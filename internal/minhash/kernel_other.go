@@ -1,0 +1,8 @@
+//go:build !amd64
+
+package minhash
+
+// haveAVX512 is false off amd64: the scalar kernel runs every slot.
+const haveAVX512 = false
+
+func pushVector(sig, a, b, hvs []uint64) int { return 0 }

@@ -8,6 +8,19 @@
 // agreeing slots (Broder's collision probability identity, paper Eq. 4), and
 // a single signature estimates the domain cardinality from the mean of its
 // normalized minima (Cohen & Kaplan, bottom-k style).
+//
+// Sketching is the permutation kernel: min over the values v of
+// (a_i·v + b_i) mod (2^61 − 1) for every slot i. It has two implementations
+// that give the same words, because both compute that residue exactly. On
+// amd64 CPUs with AVX-512F, each full group of eight slots runs in assembly
+// (kernel_amd64.s), eight 64-bit lanes per instruction: a·v is assembled from
+// four 32×32-bit VPMULUDQ partial products, folded with 2^61 ≡ 1 (so 2^64 ≡ 8)
+// to below 2^64 with b added, folded once more to at most p + 7, and reduced
+// with an unsigned minimum against s − p. The scalar Go loop (mulAddMod61)
+// runs the slots left over (m mod 8), every slot on other CPUs and
+// architectures, and is the reference the tests hold the assembly to. The
+// path is chosen once at start-up from CPUID and XGETBV; nothing configures
+// it.
 package minhash
 
 import (
@@ -77,20 +90,15 @@ func (h *Hasher) NewSignature() Signature {
 	return s
 }
 
-// mulAddMod61 computes (a*v + b) mod (2^61 - 1) for a, v, b < 2^61.
+// mulAddMod61 computes (a*v + b) mod (2^61 - 1) for a, v, b < 2^61. The
+// 128-bit x = a*v + b is below 2^122, so with 2^61 ≡ 1 (mod p) one fold,
+// (x >> 61) + (x & p), is below 2p and one conditional subtract finishes.
 func mulAddMod61(a, v, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, v)
-	// a*v = hi*2^64 + lo. Since 2^61 ≡ 1 (mod p), 2^64 ≡ 8 (mod p), so
-	// a*v ≡ hi*8 + lo (mod p). hi < 2^58 so hi*8 cannot overflow.
-	sum, carry := bits.Add64(hi<<3, lo, 0)
-	sum += carry * 8 // 2^64 ≡ 8 (mod p) again; carry is 0 or 1
-	// Fold the (at most) 64-bit sum into [0, 2p).
-	sum = (sum >> 61) + (sum & MersennePrime)
-	if sum >= MersennePrime {
-		sum -= MersennePrime
-	}
-	// Add b, reduce once more.
-	sum += b
+	lo, carry := bits.Add64(lo, b, 0)
+	hi += carry
+	// x >> 61 is hi<<3 | lo>>61; hi < 2^58, so nothing is shifted out.
+	sum := (hi<<3 | lo>>61) + lo&MersennePrime
 	if sum >= MersennePrime {
 		sum -= MersennePrime
 	}
@@ -133,38 +141,10 @@ func HashUint64(v uint64) uint64 {
 	return xrand.Mix(v) % MersennePrime
 }
 
-// PushHashed folds an already base-hashed value into the signature. The
-// inner loop is unrolled four permutations at a time: the four mulAddMod61
-// chains are independent, so the CPU can overlap their multiply latencies.
+// PushHashed folds an already base-hashed value (below 2^61, as HashBytes,
+// HashString and HashUint64 return) into the signature.
 func (h *Hasher) PushHashed(sig Signature, hv uint64) {
-	a, b := h.a, h.b
-	sig = sig[:len(a)]
-	b = b[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		x0 := mulAddMod61(a[i], hv, b[i])
-		x1 := mulAddMod61(a[i+1], hv, b[i+1])
-		x2 := mulAddMod61(a[i+2], hv, b[i+2])
-		x3 := mulAddMod61(a[i+3], hv, b[i+3])
-		if x0 < sig[i] {
-			sig[i] = x0
-		}
-		if x1 < sig[i+1] {
-			sig[i+1] = x1
-		}
-		if x2 < sig[i+2] {
-			sig[i+2] = x2
-		}
-		if x3 < sig[i+3] {
-			sig[i+3] = x3
-		}
-	}
-	for ; i < len(a); i++ {
-		x := mulAddMod61(a[i], hv, b[i])
-		if x < sig[i] {
-			sig[i] = x
-		}
-	}
+	h.PushHashedBlock(sig, []uint64{hv})
 }
 
 // sketchBlockSize bounds the number of base hashes the permutation-major
@@ -172,12 +152,13 @@ func (h *Hasher) PushHashed(sig Signature, hv uint64) {
 // across all permutations.
 const sketchBlockSize = 256
 
-// PushHashedBlock folds a block of already base-hashed values into the
-// signature. It runs permutation-major over L1-sized chunks: for each
-// permutation the (a_i, b_i) pair stays in registers while the chunk streams
-// through the cache once per four permutations, and the slot minimum is
-// written back once per permutation instead of once per value. This is the
-// batched path corpus sketching should use.
+// PushHashedBlock folds a block of already base-hashed values (each below
+// 2^61) into the signature. It runs permutation-major over L1-sized chunks:
+// for each group of permutations the (a_i, b_i) pairs stay in registers while
+// the chunk streams through the cache once per group (eight slots in the
+// vector kernel, four in the scalar one), and the slot minimum is written
+// back once per chunk instead of once per value. This is the batched path
+// corpus sketching should use.
 func (h *Hasher) PushHashedBlock(sig Signature, hvs []uint64) {
 	for len(hvs) > sketchBlockSize {
 		h.pushHashedChunk(sig, hvs[:sketchBlockSize])
@@ -186,8 +167,18 @@ func (h *Hasher) PushHashedBlock(sig Signature, hvs []uint64) {
 	h.pushHashedChunk(sig, hvs)
 }
 
+// pushHashedChunk gives the vector kernel every full group of eight slots it
+// takes and the scalar kernel the rest.
 func (h *Hasher) pushHashedChunk(sig Signature, hvs []uint64) {
-	ha, hb := h.a, h.b
+	sig = sig[:len(h.a)]
+	i := pushVector(sig, h.a, h.b, hvs)
+	pushScalar(sig[i:], h.a[i:], h.b[i:], hvs)
+}
+
+// pushScalar is the portable kernel: it folds hvs into sig[i] with
+// permutation (ha[i], hb[i]), four slots at a time so that the CPU can
+// overlap the four independent multiply chains.
+func pushScalar(sig, ha, hb, hvs []uint64) {
 	sig = sig[:len(ha)]
 	hb = hb[:len(ha)]
 	i := 0

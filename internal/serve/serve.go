@@ -287,7 +287,8 @@ type QueryRequest struct {
 	Values []string `json:"values,omitempty"`
 	// Threshold is the containment threshold t*; 0 means the 0.5 default.
 	Threshold float64 `json:"threshold"`
-	// Size optionally overrides |Q| (defaults to the distinct value count).
+	// Size optionally overrides |Q|; 0 means the distinct value count and a
+	// negative size is refused.
 	Size int `json:"size"`
 }
 
@@ -302,7 +303,8 @@ type TopKRequest struct {
 	Values []string `json:"values,omitempty"`
 	// K is the number of ranked results to return; 0 means 10.
 	K int `json:"k"`
-	// Size optionally overrides |Q| (defaults to the distinct value count).
+	// Size optionally overrides |Q|; 0 means the distinct value count and a
+	// negative size is refused.
 	Size int `json:"size"`
 }
 
@@ -755,17 +757,19 @@ func rowSig(sigs []lshensemble.Signature, i int) lshensemble.Signature {
 	return sigs[i]
 }
 
-// checkRow refuses a row that has neither values nor a signature, or a
-// pre-sketched row that still carries values or lacks the size only its
-// sender could count.
+// checkRow refuses a row that has neither values nor a signature, a negative
+// size in either form, or a pre-sketched row that still carries values or
+// lacks the size only its sender could count.
 func checkRow(values []string, size int, sig lshensemble.Signature) error {
 	switch {
 	case sig == nil && len(values) == 0:
 		return errors.New("values must be non-empty")
 	case sig != nil && len(values) > 0:
 		return errors.New("values and a signature are mutually exclusive")
-	case sig != nil && size <= 0:
-		return fmt.Errorf("size %d must be positive with a signature", size)
+	case size < 0:
+		return fmt.Errorf("size %d must not be negative", size)
+	case sig != nil && size == 0:
+		return errors.New("size must be positive with a signature")
 	}
 	return nil
 }
@@ -778,7 +782,7 @@ func sketchRow(h *lshensemble.Hasher, values []string, size int, sig lshensemble
 		return sig, size
 	}
 	rec := lshensemble.SketchStrings(h, "query", values)
-	if size <= 0 {
+	if size == 0 {
 		size = rec.Size
 	}
 	return rec.Sig, size

@@ -344,6 +344,10 @@ func TestDaemonTopKAndPlannerStats(t *testing.T) {
 	// Input validation.
 	post(t, base+"/query/topk", TopKRequest{Values: nil}, http.StatusBadRequest, nil)
 	post(t, base+"/query/topk", TopKRequest{Values: []string{"x"}, K: -1}, http.StatusBadRequest, nil)
+	// A negative |Q| is refused, not replaced by the distinct count.
+	post(t, base+"/query", QueryRequest{Values: provinces, Size: -5}, http.StatusBadRequest, nil)
+	post(t, base+"/query/topk", TopKRequest{Values: provinces, Size: -5}, http.StatusBadRequest, nil)
+	post(t, base+"/query/batch", BatchRequest{Queries: []QueryRequest{{Values: provinces}, {Values: provinces, Size: -1}}}, http.StatusBadRequest, nil)
 }
 
 func containsKey(keys []string, k string) bool {
