@@ -87,14 +87,14 @@ func BenchmarkFig1SizeHistogram(b *testing.B) {
 
 func BenchmarkFig4QueryAccuracyWorkload(b *testing.B) {
 	f := openDataFixture(b, 4000)
-	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 16})
+	idx, err := core.Build(f.records, lshensemble.Options{NumPartitions: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := f.queries[i%len(f.queries)]
-		idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
+		idx.QueryIDsAppend(nil, f.records[qi].Sig, f.records[qi].Size, 0.5)
 	}
 }
 
@@ -153,7 +153,7 @@ func BenchmarkFig9Indexing(b *testing.B) {
 			f := webTableFixture(b, 10000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: parts}); err != nil {
+				if _, err := core.Build(f.records, lshensemble.Options{NumPartitions: parts}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -173,18 +173,18 @@ func BenchmarkFig9Query(b *testing.B) {
 	for _, parts := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
 			f := webTableFixture(b, 10000)
-			idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: parts})
+			idx, err := core.Build(f.records, lshensemble.Options{NumPartitions: parts})
 			if err != nil {
 				b.Fatal(err)
 			}
 			// Warm the tuning cache as a production deployment would be.
 			for _, qi := range f.queries {
-				idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
+				idx.QueryIDsAppend(nil, f.records[qi].Sig, f.records[qi].Size, 0.5)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				qi := f.queries[i%len(f.queries)]
-				idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
+				idx.QueryIDsAppend(nil, f.records[qi].Sig, f.records[qi].Size, 0.5)
 			}
 		})
 	}
@@ -202,7 +202,7 @@ func BenchmarkTab4IndexingCost(b *testing.B) {
 			f := webTableFixture(b, 10000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: parts}); err != nil {
+				if _, err := core.Build(f.records, lshensemble.Options{NumPartitions: parts}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -218,17 +218,17 @@ func BenchmarkTab4QueryCost(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			f := openDataFixture(b, 8000) // overlapping corpus → non-trivial candidates
-			idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: parts})
+			idx, err := core.Build(f.records, lshensemble.Options{NumPartitions: parts})
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, qi := range f.queries {
-				idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
+				idx.QueryIDsAppend(nil, f.records[qi].Sig, f.records[qi].Size, 0.5)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				qi := f.queries[i%len(f.queries)]
-				idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
+				idx.QueryIDsAppend(nil, f.records[qi].Sig, f.records[qi].Size, 0.5)
 			}
 		})
 	}
@@ -259,19 +259,19 @@ func BenchmarkAblationRMax(b *testing.B) {
 	for _, rMax := range []int{2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("rmax=%d", rMax), func(b *testing.B) {
 			f := openDataFixture(b, 4000)
-			idx, err := lshensemble.Build(f.records, lshensemble.Options{
+			idx, err := core.Build(f.records, lshensemble.Options{
 				NumPartitions: 16, RMax: rMax,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, qi := range f.queries {
-				idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
+				idx.QueryIDsAppend(nil, f.records[qi].Sig, f.records[qi].Size, 0.5)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				qi := f.queries[i%len(f.queries)]
-				idx.Query(f.records[qi].Sig, f.records[qi].Size, 0.5)
+				idx.QueryIDsAppend(nil, f.records[qi].Sig, f.records[qi].Size, 0.5)
 			}
 		})
 	}
@@ -289,7 +289,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 			f := openDataFixture(b, 4000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := lshensemble.Build(f.records, lshensemble.Options{
+				if _, err := core.Build(f.records, lshensemble.Options{
 					NumPartitions: 16, Partitioner: pf,
 				}); err != nil {
 					b.Fatal(err)
@@ -305,7 +305,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 // pool and tuning cache are warm.
 func BenchmarkQuerySteadyStateAllocs(b *testing.B) {
 	f := openDataFixture(b, 4000)
-	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 16})
+	idx, err := core.Build(f.records, lshensemble.Options{NumPartitions: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,24 +347,10 @@ func BenchmarkSketchBatched(b *testing.B) {
 	})
 }
 
-// BenchmarkTopK measures the top-k search path.
-func BenchmarkTopK(b *testing.B) {
-	f := openDataFixture(b, 4000)
-	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qi := f.queries[i%len(f.queries)]
-		idx.QueryTopK(f.records[qi].Sig, f.records[qi].Size, 10)
-	}
-}
-
 // BenchmarkSerialization measures index save/load round trips.
 func BenchmarkSerialization(b *testing.B) {
 	f := openDataFixture(b, 4000)
-	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 16})
+	idx, err := core.Build(f.records, lshensemble.Options{NumPartitions: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -383,43 +369,45 @@ func BenchmarkSerialization(b *testing.B) {
 	})
 }
 
-// --- Parallel construction + batch serving (the multicore engine) ---
+// --- Parallel construction + batch serving ---
 
 // BenchmarkBuildParallel measures full ensemble construction — partition
 // routing, per-partition signature copy into Reserve-sized stores, and the
-// flattened parallel tree rebuild. Run with -cpu 1,4,8 to see the worker
-// pools scale; the -cpu 1 result doubles as the single-thread regression
-// guard against the PR 1 numbers.
+// flattened parallel tree rebuild — the work of every seal. Run with
+// -cpu 1,4,8 to see the worker pools scale.
 func BenchmarkBuildParallel(b *testing.B) {
 	f := webTableFixture(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 16}); err != nil {
+		if _, err := core.Build(f.records, lshensemble.Options{NumPartitions: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkQueryBatchThroughput measures steady-state batch serving through
-// QueryBatchInto with a reused BatchResults — the allocation-free
-// high-throughput path. Reported as queries/s; run with -cpu 1,4,8.
-func BenchmarkQueryBatchThroughput(b *testing.B) {
+// batchBench is a built-once live index over the web-table fixture and a
+// 256-query batch of its sampled queries at t* = 0.5.
+func batchBench(b *testing.B) (*lshensemble.LiveIndex, []lshensemble.BatchQuery) {
 	f := webTableFixture(b, 10000)
-	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
+	idx := builtOnce(b, f.records, lshensemble.Options{NumPartitions: 16})
 	batch := make([]lshensemble.BatchQuery, 256)
 	for i := range batch {
 		qi := f.queries[i%len(f.queries)]
 		batch[i] = lshensemble.BatchQuery{Sig: f.records[qi].Sig, Size: f.records[qi].Size, Threshold: 0.5}
 	}
-	var res lshensemble.BatchResults
-	idx.QueryBatchInto(&res, batch, 0) // warm pools and tuning cache
+	return idx, batch
+}
+
+// BenchmarkQueryBatchThroughput measures batch serving through
+// LiveIndex.QueryBatch, segment-major over the workers (result cache off).
+// Reported as queries/s; run with -cpu 1,4,8.
+func BenchmarkQueryBatchThroughput(b *testing.B) {
+	idx, batch := batchBench(b)
+	idx.QueryBatch(batch, 0) // warm the scratch pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.QueryBatchInto(&res, batch, 0)
+		idx.QueryBatch(batch, 0)
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
@@ -427,27 +415,18 @@ func BenchmarkQueryBatchThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryBatchVsSerial pins the same workload through the serial
-// QueryIDsAppend loop for an apples-to-apples batch-engine comparison.
+// BenchmarkQueryBatchVsSerial pins the same workload through a serial
+// QueryAppend loop for an apples-to-apples comparison with the batch.
 func BenchmarkQueryBatchVsSerial(b *testing.B) {
-	f := webTableFixture(b, 10000)
-	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := make([]lshensemble.BatchQuery, 256)
-	for i := range batch {
-		qi := f.queries[i%len(f.queries)]
-		batch[i] = lshensemble.BatchQuery{Sig: f.records[qi].Sig, Size: f.records[qi].Size, Threshold: 0.5}
-	}
-	var ids []uint32
+	idx, batch := batchBench(b)
+	var dst []string
 	for _, q := range batch {
-		ids, _ = idx.QueryIDsAppend(ids[:0], q.Sig, q.Size, q.Threshold)
+		dst = idx.QueryAppend(dst[:0], q.Sig, q.Size, q.Threshold)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range batch {
-			ids, _ = idx.QueryIDsAppend(ids[:0], q.Sig, q.Size, q.Threshold)
+			dst = idx.QueryAppend(dst[:0], q.Sig, q.Size, q.Threshold)
 		}
 	}
 	b.StopTimer()

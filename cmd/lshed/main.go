@@ -9,19 +9,24 @@
 //	lshed query  -index index.bin -file <table.csv> -batch [-workers N] [-t 0.7]   (every column, one dispatch)
 //	lshed search -data <dir> -file <table.csv> -column <name> [-t 0.7]   (index + query in one shot)
 //	lshed stats  -index index.bin
+//
+// The threshold t* must lie in (0, 1]. The index file is an lshensembled
+// snapshot under lshed's hash seed, which the daemon boots and then keeps up
+// to date: lshensembled -snapshot index.bin -seed 0x15e4e5e3b1e (add the
+// index's -hashes if it is not 256, or -hashes 0 to take the file's).
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
 
 	"lshensemble"
 	"lshensemble/internal/par"
-	"lshensemble/internal/segfile"
+	"lshensemble/internal/serve"
 	"lshensemble/internal/tabular"
 )
 
@@ -36,13 +41,13 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "index":
-		err = cmdIndex(os.Args[2:])
+		err = cmdIndex(os.Args[2:], os.Stdout)
 	case "query":
-		err = cmdQuery(os.Args[2:])
+		err = cmdQuery(os.Args[2:], os.Stdout)
 	case "search":
-		err = cmdSearch(os.Args[2:])
+		err = cmdSearch(os.Args[2:], os.Stdout)
 	case "stats":
-		err = cmdStats(os.Args[2:])
+		err = cmdStats(os.Args[2:], os.Stdout)
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -78,7 +83,12 @@ func sketchColumns(h *lshensemble.Hasher, cols []tabular.Column) []lshensemble.D
 	return recs
 }
 
-func buildRecords(dir string, minSize, numHash int) ([]lshensemble.DomainRecord, *lshensemble.Hasher, error) {
+// buildIndex sketches every column under dir and seals them into a live index
+// of one segment. Nothing compacts it in the background: lshed only reads it.
+func buildIndex(dir string, minSize, numHash, partitions int) (*lshensemble.LiveIndex, *lshensemble.Hasher, error) {
+	if numHash < 1 {
+		return nil, nil, fmt.Errorf("-hashes %d must be at least 1", numHash)
+	}
 	cols, err := tabular.FromDir(dir, tabular.Options{MinSize: minSize})
 	if err != nil {
 		return nil, nil, err
@@ -87,10 +97,32 @@ func buildRecords(dir string, minSize, numHash int) ([]lshensemble.DomainRecord,
 		return nil, nil, fmt.Errorf("no usable columns found in %s", dir)
 	}
 	h := lshensemble.NewHasher(numHash, hashSeed)
-	return sketchColumns(h, cols), h, nil
+	idx, err := lshensemble.BuildLive(sketchColumns(h, cols), lshensemble.LiveOptions{
+		Options:          lshensemble.Options{NumHash: numHash, NumPartitions: partitions},
+		ManualCompaction: true,
+	})
+	return idx, h, err
 }
 
-func cmdIndex(args []string) error {
+// loadIndex reads an index file, refusing any that is not a snapshot under
+// lshed's seed, and returns it with the hash family that queries it.
+func loadIndex(path string) (*lshensemble.LiveIndex, *lshensemble.Hasher, error) {
+	idx, err := serve.LoadSnapshot(path, hashSeed, lshensemble.LiveOptions{ManualCompaction: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	return idx, lshensemble.NewHasher(idx.Options().NumHash, hashSeed), nil
+}
+
+// checkThreshold refuses a t* the daemon refuses and the index would clamp.
+func checkThreshold(t float64) error {
+	if !(t > 0 && t <= 1) {
+		return fmt.Errorf("threshold %v out of range (0, 1]", t)
+	}
+	return nil
+}
+
+func cmdIndex(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	data := fs.String("data", "", "directory of CSV files (required)")
 	out := fs.String("out", "index.bin", "output index file")
@@ -102,27 +134,17 @@ func cmdIndex(args []string) error {
 		return fmt.Errorf("-data is required")
 	}
 	start := time.Now()
-	recs, _, err := buildRecords(*data, *minSize, *hashes)
+	idx, _, err := buildIndex(*data, *minSize, *hashes, *partitions)
 	if err != nil {
 		return err
 	}
-	idx, err := lshensemble.Build(recs, lshensemble.Options{
-		NumHash: *hashes, NumPartitions: *partitions,
-	})
+	defer idx.Close()
+	n, err := serve.WriteSnapshot(*out, hashSeed, idx)
 	if err != nil {
 		return err
 	}
-	// Crash-safe write (temp + fsync + atomic rename): an interrupted run
-	// leaves either the previous index file or the new one, never a torn mix.
-	var buf bytes.Buffer
-	if err := lshensemble.Save(&buf, idx); err != nil {
-		return err
-	}
-	if err := segfile.WriteAtomic(*out, buf.Bytes()); err != nil {
-		return err
-	}
-	fmt.Printf("indexed %d domains into %d partitions in %s → %s\n",
-		idx.Len(), idx.NumPartitions(), time.Since(start).Round(time.Millisecond), *out)
+	fmt.Fprintf(w, "indexed %d domains in %s → %s (%d bytes)\n",
+		idx.Len(), time.Since(start).Round(time.Millisecond), *out, n)
 	return nil
 }
 
@@ -151,30 +173,27 @@ func keyColumn(key string) string {
 	return key
 }
 
-func runQuery(idx *lshensemble.Index, h *lshensemble.Hasher, file, column string, t float64) error {
+func runQuery(w io.Writer, idx *lshensemble.LiveIndex, h *lshensemble.Hasher, file, column string, t float64) error {
 	values, err := loadQueryColumn(file, column)
 	if err != nil {
 		return err
 	}
 	q := lshensemble.SketchStrings(h, "query", values)
 	start := time.Now()
-	matches, err := idx.Query(q.Sig, q.Size, t)
+	matches := idx.QueryAppend(nil, q.Sig, q.Size, t)
 	elapsed := time.Since(start)
-	if err != nil {
-		return err
-	}
 	sort.Strings(matches)
-	fmt.Printf("query %s:%s (%d distinct values), t* = %.2f → %d candidates in %s\n",
+	fmt.Fprintf(w, "query %s:%s (%d distinct values), t* = %.2f → %d candidates in %s\n",
 		file, column, q.Size, t, len(matches), elapsed.Round(time.Microsecond))
 	for _, m := range matches {
-		fmt.Println("  ", m)
+		fmt.Fprintln(w, "  ", m)
 	}
 	return nil
 }
 
 // runBatchQuery sketches every column of the file and answers them in one
 // QueryBatch dispatch — the high-throughput serving path.
-func runBatchQuery(idx *lshensemble.Index, h *lshensemble.Hasher, file string, t float64, workers int) error {
+func runBatchQuery(w io.Writer, idx *lshensemble.LiveIndex, h *lshensemble.Hasher, file string, t float64, workers int) error {
 	cols, err := tabular.FromFile(file, tabular.Options{MinSize: -1})
 	if err != nil {
 		return err
@@ -188,11 +207,8 @@ func runBatchQuery(idx *lshensemble.Index, h *lshensemble.Hasher, file string, t
 		queries[i] = lshensemble.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: t}
 	}
 	start := time.Now()
-	rows, err := idx.QueryBatch(queries, workers)
+	rows := idx.QueryBatch(queries, workers)
 	elapsed := time.Since(start)
-	if err != nil {
-		return err
-	}
 	total := 0
 	for _, row := range rows {
 		total += len(row)
@@ -201,23 +217,19 @@ func runBatchQuery(idx *lshensemble.Index, h *lshensemble.Hasher, file string, t
 	if secs := elapsed.Seconds(); secs > 0 {
 		qps = fmt.Sprintf("%.0f queries/s", float64(len(queries))/secs)
 	}
-	fmt.Printf("batch %s: %d columns, t* = %.2f → %d candidates in %s (%s)\n",
+	fmt.Fprintf(w, "batch %s: %d columns, t* = %.2f → %d candidates in %s (%s)\n",
 		file, len(queries), t, total, elapsed.Round(time.Microsecond), qps)
 	for i, row := range rows {
-		matches := make([]string, len(row))
-		for j, id := range row {
-			matches[j] = idx.Key(id)
-		}
-		sort.Strings(matches)
-		fmt.Printf("  %s (%d distinct values) → %d candidates\n", cols[i].Key, recs[i].Size, len(row))
-		for _, m := range matches {
-			fmt.Println("    ", m)
+		sort.Strings(row)
+		fmt.Fprintf(w, "  %s (%d distinct values) → %d candidates\n", cols[i].Key, recs[i].Size, len(row))
+		for _, m := range row {
+			fmt.Fprintln(w, "    ", m)
 		}
 	}
 	return nil
 }
 
-func cmdQuery(args []string) error {
+func cmdQuery(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	index := fs.String("index", "index.bin", "index file written by lshed index")
 	file := fs.String("file", "", "CSV file holding the query column (required)")
@@ -229,23 +241,21 @@ func cmdQuery(args []string) error {
 	if *file == "" || (*column == "" && !*batch) {
 		return fmt.Errorf("-file and -column are required (or -file with -batch)")
 	}
-	f, err := os.Open(*index)
+	if err := checkThreshold(*t); err != nil {
+		return err
+	}
+	idx, h, err := loadIndex(*index)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	idx, err := lshensemble.Load(f)
-	if err != nil {
-		return err
-	}
-	h := lshensemble.NewHasher(idx.Options().NumHash, hashSeed)
+	defer idx.Close()
 	if *batch {
-		return runBatchQuery(idx, h, *file, *t, *workers)
+		return runBatchQuery(w, idx, h, *file, *t, *workers)
 	}
-	return runQuery(idx, h, *file, *column, *t)
+	return runQuery(w, idx, h, *file, *column, *t)
 }
 
-func cmdSearch(args []string) error {
+func cmdSearch(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	data := fs.String("data", "", "directory of CSV files (required)")
 	file := fs.String("file", "", "CSV file holding the query column (required)")
@@ -260,41 +270,37 @@ func cmdSearch(args []string) error {
 	if *data == "" || *file == "" || (*column == "" && !*batch) {
 		return fmt.Errorf("-data, -file and -column are required (or -file with -batch)")
 	}
-	recs, h, err := buildRecords(*data, *minSize, *hashes)
+	if err := checkThreshold(*t); err != nil {
+		return err
+	}
+	idx, h, err := buildIndex(*data, *minSize, *hashes, *partitions)
 	if err != nil {
 		return err
 	}
-	idx, err := lshensemble.Build(recs, lshensemble.Options{
-		NumHash: *hashes, NumPartitions: *partitions,
-	})
-	if err != nil {
-		return err
-	}
+	defer idx.Close()
 	if *batch {
-		return runBatchQuery(idx, h, *file, *t, *workers)
+		return runBatchQuery(w, idx, h, *file, *t, *workers)
 	}
-	return runQuery(idx, h, *file, *column, *t)
+	return runQuery(w, idx, h, *file, *column, *t)
 }
 
-func cmdStats(args []string) error {
+func cmdStats(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	index := fs.String("index", "index.bin", "index file")
 	fs.Parse(args)
-	f, err := os.Open(*index)
+	idx, _, err := loadIndex(*index)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	idx, err := lshensemble.Load(f)
-	if err != nil {
-		return err
-	}
-	o := idx.Options()
-	fmt.Printf("domains:    %d\n", idx.Len())
-	fmt.Printf("hashes:     %d (rMax %d)\n", o.NumHash, o.RMax)
-	fmt.Printf("partitions: %d\n", idx.NumPartitions())
-	for i, p := range idx.PartitionBounds() {
-		fmt.Printf("  %2d: sizes [%d, %d], %d domains\n", i, p.Lower, p.Upper, p.Count)
+	defer idx.Close()
+	o, st := idx.Options(), idx.Stats()
+	fmt.Fprintf(w, "domains:    %d\n", st.Domains)
+	fmt.Fprintf(w, "hashes:     %d (rMax %d)\n", o.NumHash, o.RMax)
+	fmt.Fprintf(w, "sketch:     %s (%d signature bytes)\n", st.Sketch, st.SignatureBytes)
+	fmt.Fprintf(w, "buffered:   %d, tombstones %d\n", st.Buffered, st.Tombstones)
+	fmt.Fprintf(w, "segments:   %d\n", len(st.SegmentDetail))
+	for i, s := range st.SegmentDetail {
+		fmt.Fprintf(w, "  %2d: sizes [%d, %d], %d domains\n", i, s.MinSize, s.MaxSize, s.Entries)
 	}
 	return nil
 }

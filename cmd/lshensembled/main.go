@@ -26,12 +26,15 @@
 //
 // With -snapshot the daemon loads the file at boot when it exists (warm
 // restart) and saves on SIGINT/SIGTERM, so a rolling restart keeps the
-// corpus without replaying ingest. Snapshots from older daemons (wire v1/v2)
-// still load; the daemon always saves the current format (v3).
+// corpus without replaying ingest. Snapshots of every format an older daemon
+// wrote (v1–v4) still load; the daemon always saves the current one (v4).
+// The index file `lshed index` writes is such a snapshot: boot it with
+// -snapshot index.bin -seed 0x15e4e5e3b1e.
 //
 // With -data-dir the index runs out-of-core: sealed segments spill to
 // page-aligned files under the directory and the snapshot becomes a small
-// manifest referencing them (wire v3), written atomically on every save.
+// manifest referencing them (v4, like any snapshot), written atomically on
+// every save.
 // When -snapshot is not given, the manifest defaults to
 // <data-dir>/MANIFEST. Adding -mmap serves sealed segments directly from
 // memory-mapped files — boot maps only headers and planner metadata, so a
@@ -53,16 +56,14 @@
 //	             [-sketch minwise64] [-seed 42] [-seal 4096] [-max-segments 8]
 //	             [-snapshot /var/lib/lshensembled/index.snap]
 //	             [-data-dir /var/lib/lshensembled] [-mmap]
-//	             [-no-prune] [-result-cache 1024]
+//	             [-result-cache 1024]
 //	             [-read-header-timeout 10s] [-read-timeout 1m]
 //	             [-write-timeout 2m] [-idle-timeout 2m]
 //	             [-log-level info] [-log-json]
 //	             [-slow-query 1s] [-debug-addr localhost:7547]
 //
-// The planner escape hatches exist for A/B measurement and debugging:
-// -no-prune disables segment Bloom/range pruning and top-k early
-// termination, and -result-cache sets the result-cache capacity in entries
-// (0 disables it).
+// The planner escape hatch exists for A/B measurement and debugging:
+// -result-cache sets the result-cache capacity in entries (0 disables it).
 //
 // Observability: every request is stamped with a trace ID (an inbound
 // X-Request-Id is honored, so a router-issued ID follows the request here)
@@ -116,7 +117,6 @@ func run() error {
 	snapshot := flag.String("snapshot", "", "snapshot file: loaded at boot if present, saved on shutdown and POST /save (defaults to <data-dir>/MANIFEST when -data-dir is set)")
 	dataDir := flag.String("data-dir", "", "directory for out-of-core segment files; snapshots become small manifests referencing them")
 	mmap := flag.Bool("mmap", false, "serve sealed segments from memory-mapped files (requires -data-dir; lazy boot)")
-	noPrune := flag.Bool("no-prune", false, "disable segment Bloom/range pruning and top-k early termination (A/B escape hatch)")
 	resultCache := flag.Int("result-cache", 1024, "result-cache capacity in entries (0 disables)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time limit for reading request headers (slowloris guard)")
 	readTimeout := flag.Duration("read-timeout", time.Minute, "time limit for reading an entire request, body included")
@@ -156,7 +156,6 @@ func run() error {
 		},
 		SealThreshold:   *seal,
 		MaxSegments:     *maxSegments,
-		DisablePruning:  *noPrune,
 		ResultCacheSize: resultCacheSize,
 		DataDir:         *dataDir,
 		Mmap:            *mmap,
@@ -185,7 +184,10 @@ func run() error {
 	}
 	defer idx.Close()
 
-	hasher := lshensemble.NewHasher(*hashes, *seed)
+	// The effective signature length: -hashes 0 means the default, and a
+	// loaded snapshot brings its own.
+	o := idx.Options()
+	hasher := lshensemble.NewHasher(o.NumHash, *seed)
 	srv := serve.NewWith(idx, hasher, *seed, *snapshot, serve.Options{
 		Logger:    logger,
 		SlowQuery: *slowQuery,
@@ -211,8 +213,8 @@ func run() error {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("serving", "addr", *addr, "hashes", *hashes, "rmax", *rMax,
-			"partitions", *partitions, "sketch", sketchBackend.String(), "seal", *seal)
+		logger.Info("serving", "addr", *addr, "hashes", o.NumHash, "rmax", o.RMax,
+			"partitions", o.NumPartitions, "sketch", sketchBackend.String(), "seal", *seal)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

@@ -7,9 +7,26 @@ import (
 	"testing"
 
 	"lshensemble"
+	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/minhash"
 )
+
+// builtOnce is the paper's build-once index through the public API: the
+// records sealed into one segment, nothing compacting, and the result cache
+// off, so that every query runs the probe in pooled scratch.
+func builtOnce(t testing.TB, recs []lshensemble.DomainRecord, opts lshensemble.Options) *lshensemble.LiveIndex {
+	t.Helper()
+	idx, err := lshensemble.BuildLive(recs, lshensemble.LiveOptions{
+		Options:          opts,
+		ManualCompaction: true,
+		ResultCacheSize:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
 
 // TestConcurrentQueries hammers one index from many goroutines — the
 // documented concurrency contract (safe for concurrent queries). Run with
@@ -18,20 +35,13 @@ func TestConcurrentQueries(t *testing.T) {
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 1000, Seed: 21})
 	h := minhash.NewHasher(128, 21)
 	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.Build(recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := builtOnce(t, recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
 	queries := datagen.SampleQueries(corpus, 20, 21)
 
 	// Reference results computed single-threaded.
 	want := make([][]string, len(queries))
 	for i, qi := range queries {
-		res, err := idx.Query(recs[qi].Sig, recs[qi].Size, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
+		want[i] = idx.Query(recs[qi].Sig, recs[qi].Size, 0.5)
 	}
 
 	var wg sync.WaitGroup
@@ -43,11 +53,7 @@ func TestConcurrentQueries(t *testing.T) {
 			for rep := 0; rep < 20; rep++ {
 				i := (w + rep) % len(queries)
 				qi := queries[i]
-				got, err := idx.Query(recs[qi].Sig, recs[qi].Size, 0.5)
-				if err != nil {
-					errs <- err
-					return
-				}
+				got := idx.Query(recs[qi].Sig, recs[qi].Size, 0.5)
 				if len(got) != len(want[i]) {
 					errs <- fmt.Errorf("worker %d: query %d returned %d results, want %d",
 						w, i, len(got), len(want[i]))
@@ -69,10 +75,7 @@ func TestConcurrentTopK(t *testing.T) {
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 500, Seed: 22})
 	h := minhash.NewHasher(128, 22)
 	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.Build(recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := builtOnce(t, recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -80,8 +83,7 @@ func TestConcurrentTopK(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 10; rep++ {
 				r := recs[(w*37+rep*11)%len(recs)]
-				top, err := idx.QueryTopK(r.Sig, r.Size, 5)
-				if err != nil || len(top) == 0 {
+				if top := idx.QueryTopK(r.Sig, r.Size, 5); len(top) == 0 {
 					t.Errorf("worker %d: empty top-k for self query", w)
 					return
 				}
@@ -91,33 +93,25 @@ func TestConcurrentTopK(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentPooledScratch hammers the pooled query scratch (the
-// generation-stamped visited arrays and reusable result buffers recycled
-// through the index's sync.Pool) from many goroutines at once, mixing the
-// Query, QueryIDsAppend, QueryBatchInto and QueryTopK entry points so scratches —
-// and the batch engine's pooled worker state — are constantly recycled
-// across goroutines. Run with -race: a pool must never hand the same state
-// to two in-flight queries, and results must match the
-// single-threaded reference on every repetition.
+// TestConcurrentPooledScratch hammers the pooled query scratch (the dedup
+// arrays, plans and tree sets recycled through the index's sync.Pools) from
+// many goroutines at once, mixing the Query, QueryAppend, QueryBatch and
+// QueryTopK entry points so scratches are constantly recycled across
+// goroutines. Run with -race: a pool must never hand the same state to two
+// in-flight queries, and results must match the single-threaded reference
+// on every repetition.
 func TestConcurrentPooledScratch(t *testing.T) {
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 1500, Seed: 23})
 	h := minhash.NewHasher(128, 23)
 	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.Build(recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := builtOnce(t, recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
 	queries := datagen.SampleQueries(corpus, 30, 23)
 	thresholds := []float64{0.25, 0.5, 0.75}
 
 	want := make(map[[2]int]int) // (query, threshold) → result count
 	for i, qi := range queries {
 		for j, ts := range thresholds {
-			ids, err := idx.QueryIDsAppend(nil, recs[qi].Sig, recs[qi].Size, ts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[[2]int{i, j}] = len(ids)
+			want[[2]int{i, j}] = len(idx.Query(recs[qi].Sig, recs[qi].Size, ts))
 		}
 	}
 
@@ -128,36 +122,23 @@ func TestConcurrentPooledScratch(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var res lshensemble.BatchResults // reused: the batch engine's pooled state is recycled too
+			var dst []string // reused, as a serving loop would
 			for rep := 0; rep < 40; rep++ {
 				i := (w*7 + rep) % len(queries)
 				j := (w + rep) % len(thresholds)
 				qi := queries[i]
 				var got int
-				var qerr error
-				switch rep % 4 {
+				switch rep % 3 {
 				case 0:
-					var ids []uint32
-					ids, qerr = idx.QueryIDsAppend(nil, recs[qi].Sig, recs[qi].Size, thresholds[j])
-					got = len(ids)
+					dst = idx.QueryAppend(dst[:0], recs[qi].Sig, recs[qi].Size, thresholds[j])
+					got = len(dst)
 				case 1:
-					var res []string
-					res, qerr = idx.Query(recs[qi].Sig, recs[qi].Size, thresholds[j])
-					got = len(res)
-				case 2:
+					got = len(idx.Query(recs[qi].Sig, recs[qi].Size, thresholds[j]))
+				default:
 					// The query as the middle row of a batch on two workers.
 					other := lshensemble.BatchQuery{Sig: recs[queries[0]].Sig, Size: recs[queries[0]].Size, Threshold: 0.5}
 					batch := []lshensemble.BatchQuery{other, {Sig: recs[qi].Sig, Size: recs[qi].Size, Threshold: thresholds[j]}, other}
-					qerr = idx.QueryBatchInto(&res, batch, 2)
-					got = len(res.Row(1))
-				default:
-					var ids []uint32
-					ids, qerr = idx.QueryIDsAppend(nil, recs[qi].Sig, recs[qi].Size, thresholds[j])
-					got = len(ids)
-				}
-				if qerr != nil {
-					errs <- qerr
-					return
+					got = len(idx.QueryBatch(batch, 2)[1])
 				}
 				if got != want[[2]int{i, j}] {
 					errs <- fmt.Errorf("worker %d rep %d: query %d t*=%v returned %d results, want %d",
@@ -165,7 +146,7 @@ func TestConcurrentPooledScratch(t *testing.T) {
 					return
 				}
 				if rep%5 == 0 {
-					if top, err := idx.QueryTopK(recs[qi].Sig, recs[qi].Size, 5); err != nil || len(top) == 0 {
+					if top := idx.QueryTopK(recs[qi].Sig, recs[qi].Size, 5); len(top) == 0 {
 						errs <- fmt.Errorf("worker %d rep %d: empty top-k for self query", w, rep)
 						return
 					}
@@ -191,16 +172,9 @@ func TestPublicTopK(t *testing.T) {
 		}
 		records = append(records, lshensemble.SketchStrings(h, fmt.Sprintf("p%d", i), vals))
 	}
-	idx, err := lshensemble.Build(records, lshensemble.Options{NumPartitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := builtOnce(t, records, lshensemble.Options{NumPartitions: 4})
 	q := records[2] // p3, values v0..v29, contained in p3..p10
-	var top []lshensemble.TopKResult
-	top, err = idx.QueryTopK(q.Sig, q.Size, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := idx.QueryTopK(q.Sig, q.Size, 3)
 	if len(top) != 3 {
 		t.Fatalf("got %d results", len(top))
 	}
@@ -404,10 +378,11 @@ func wantNoQueryAllocs(t *testing.T, ctx context.Context, idx *lshensemble.LiveI
 	}
 }
 
-// TestQueryBatchSteadyStateAllocs proves the batch serving loop performs
-// zero per-query steady-state allocations: growing the batch 4x must not
-// grow the allocation count, and the fixed per-dispatch overhead (worker
-// spawn) must stay within a few allocations per worker.
+// TestQueryBatchSteadyStateAllocs proves the static index's batch loop
+// (core.Index.QueryBatchInto, the benchmark ladder's static-index rung)
+// performs zero per-query steady-state allocations: growing the batch 4x must
+// not grow the allocation count, and a whole batch allocates at most what
+// refilling the scratch pool after a collection costs.
 func TestQueryBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates and randomizes sync.Pool reuse")
@@ -415,7 +390,7 @@ func TestQueryBatchSteadyStateAllocs(t *testing.T) {
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 1000, Seed: 25})
 	h := minhash.NewHasher(128, 25)
 	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.Build(recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
+	idx, err := core.Build(recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,23 +403,22 @@ func TestQueryBatchSteadyStateAllocs(t *testing.T) {
 		}
 		return batch
 	}
-	const workers = 4
 	small, large := mkBatch(128), mkBatch(512)
-	var res lshensemble.BatchResults
-	// Warm every pool (scratches, batch state, arenas) with the largest
-	// shape before measuring.
+	var res core.BatchResults
+	// Warm the scratch pool and the arena with the largest shape before
+	// measuring.
 	for i := 0; i < 3; i++ {
-		idx.QueryBatchInto(&res, large, workers)
-		idx.QueryBatchInto(&res, small, workers)
+		idx.QueryBatchInto(&res, large, 0)
+		idx.QueryBatchInto(&res, small, 0)
 	}
-	allocsSmall := testing.AllocsPerRun(20, func() { idx.QueryBatchInto(&res, small, workers) })
-	allocsLarge := testing.AllocsPerRun(20, func() { idx.QueryBatchInto(&res, large, workers) })
+	allocsSmall := testing.AllocsPerRun(20, func() { idx.QueryBatchInto(&res, small, 0) })
+	allocsLarge := testing.AllocsPerRun(20, func() { idx.QueryBatchInto(&res, large, 0) })
 	perQuery := (allocsLarge - allocsSmall) / float64(len(large)-len(small))
 	if perQuery > 0.01 {
 		t.Errorf("batch allocations grow with batch size: %.1f (128 queries) vs %.1f (512 queries), %.3f allocs/query",
 			allocsSmall, allocsLarge, perQuery)
 	}
-	if maxFixed := float64(4 * workers); allocsLarge > maxFixed {
-		t.Errorf("per-dispatch overhead %.1f allocs exceeds %v (%d workers)", allocsLarge, maxFixed, workers)
+	if allocsLarge > 4 {
+		t.Errorf("a 512-query batch allocates %.1f times, want at most 4", allocsLarge)
 	}
 }

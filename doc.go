@@ -30,17 +30,20 @@
 //	hasher := lshensemble.NewHasher(256, 42)
 //	var records []lshensemble.DomainRecord
 //	for key, values := range myDomains {
-//	    sig := hasher.NewSignature()
-//	    for _, v := range values {
-//	        hasher.PushString(sig, v)
-//	    }
-//	    records = append(records, lshensemble.DomainRecord{
-//	        Key: key, Size: len(values), Sig: sig,
-//	    })
+//	    records = append(records, lshensemble.SketchStrings(hasher, key, values))
 //	}
-//	index, err := lshensemble.Build(records, lshensemble.Options{NumPartitions: 16})
+//	index, err := lshensemble.BuildLive(records, lshensemble.LiveOptions{
+//	    Options: lshensemble.Options{NumPartitions: 16},
+//	})
 //	if err != nil { ... }
-//	matches := index.Query(querySig, len(queryValues), 0.7)
+//	defer index.Close() // stops the background compactor
+//	query := lshensemble.SketchStrings(hasher, "query", queryValues)
+//	matches := index.Query(query.Sig, query.Size, 0.7) // candidate keys
+//
+// BuildLive seals the records into one segment — the paper's ensemble, built
+// once — and the index answers from the moment it returns, while Add and
+// Delete keep changing it (see Live index below). SaveLive and LoadLive
+// persist it; cmd/lshed builds one from a directory of CSV files.
 //
 // # Performance notes
 //
@@ -61,41 +64,33 @@
 //     through eight permutations at a time on AVX-512F CPUs and four
 //     elsewhere (see Corpus sketching below).
 //   - Queries deduplicate candidates with generation-stamped visited arrays
-//     and reusable result buffers recycled through a sync.Pool — no maps,
-//     no goroutine spawned per partition. Index stays safe for concurrent
-//     queries; Index.QueryIDsAppend with a reused destination buffer is
-//     fully allocation-free in steady state, and Query allocates only its
-//     result slice.
+//     and reusable scratch recycled through a sync.Pool — no maps, no
+//     goroutine spawned per partition. LiveIndex.QueryAppend with a reused
+//     destination is allocation-free in steady state, and Query allocates
+//     only its result slice.
 //
 // # Parallelism model
 //
-// Construction and batch serving fan out over bounded worker pools sized by
-// GOMAXPROCS; all parallel paths degrade to the serial code at one proc.
-// Construction is bit-deterministic at any worker count, and every
-// QueryBatch row matches the serial QueryIDsAppend answer element for element.
+// Segment construction and batch serving fan out over bounded worker pools
+// sized by GOMAXPROCS; all parallel paths degrade to the serial code at one
+// proc. Construction is bit-deterministic at any worker count, and every
+// QueryBatch row equals the answer of the same query asked alone.
 //
-//   - Build routes records to partitions serially (one binary search each),
-//     then fills the disjoint partition forests in parallel, with each
-//     forest's contiguous store pre-sized in a single allocation from the
-//     known member count (lshforest.Forest.Reserve).
-//   - Build then sorts the trees as one job per (partition, tree) pair
-//     drained through a worker pool, so a few oversized partitions cannot
-//     serialize the tail. Each worker owns one lshforest.SortScratch for
-//     the radix sorts; workers never share mutable state.
-//   - Index.QueryBatch / Index.QueryBatchInto dispatch a slice of queries
-//     across workers pulling from a shared counter. Every worker owns a
-//     pooled generation-stamped dedup scratch and an append-only result
-//     arena; the arenas merge into the caller's BatchResults at the end.
-//     QueryBatchInto with a reused BatchResults performs zero per-query
-//     steady-state allocations (the whole dispatch costs a fixed handful of
-//     goroutine-spawn allocations, independent of batch size).
-//   - LiveIndex.QueryBatch does not go through that engine: a batch row
-//     there is a single query — same result cache, same plan, same
-//     per-segment step — and the batch only orders the visits
-//     segment-major, the pending rows fanned across the workers for one
-//     segment before any row moves to the next, because a segment's
-//     leading columns stay cache-resident only while rows visit it
-//     together (row-parallel batches cost lib_query 5 % of its sat_qps).
+//   - A seal — BuildLive's, the compactor's, Compact's — routes records to
+//     partitions serially (one binary search each), then fills the disjoint
+//     partition forests in parallel, with each forest's contiguous store
+//     pre-sized in a single allocation from the known member count
+//     (lshforest.Forest.Reserve).
+//   - It then sorts the trees as one job per (partition, tree) pair drained
+//     through a worker pool, so a few oversized partitions cannot serialize
+//     the tail. Each worker owns one lshforest.SortScratch for the radix
+//     sorts; workers never share mutable state.
+//   - LiveIndex.QueryBatch runs every row as the single query it is — same
+//     result cache, same plan, same per-segment step — and only orders the
+//     visits segment-major: the pending rows are fanned across the workers
+//     for one segment before any row moves to the next, because a segment's
+//     leading columns stay cache-resident only while rows visit it together
+//     (row-parallel batches cost lib_query 5 % of its sat_qps).
 //   - Corpus sketching: Hasher.SketchParallel shards one large pre-hashed
 //     value slice across workers (exact — shard minima merge slot-wise);
 //     cmd/lshed sketches whole columns in parallel and serves multi-column
@@ -108,16 +103,18 @@
 //     architectures. Both reduce exactly, so they produce the same words and
 //     signatures, snapshots and answers do not depend on the CPU.
 //
-// Concurrency contract: an Index is immutable — Build, Load and nothing
-// else produce one — and safe for any number of concurrent readers (Query*,
-// QueryBatch*); LiveIndex is the mutable index.
+// Concurrency contract: a LiveIndex needs no external synchronization. Any
+// number of goroutines may query it (Query*, QueryTopK*, QueryBatch*) while
+// others Add and Delete and the compactor seals and merges: a query reads one
+// immutable snapshot, and writers publish whole new ones. A Hasher may be
+// shared by any number of sketching goroutines.
 //
 // # Live index
 //
 // LiveIndex (BuildLive) is the serving-system layer for corpora that churn
 // under load: Add and Delete at any time, from any goroutine. A
 // LiveIndex holds an atomically-swapped snapshot of three immutable parts —
-// sealed segments (each a frozen Index over a slice of the corpus), an
+// sealed segments (each a frozen ensemble over a slice of the corpus), an
 // unsealed buffer of recent Adds (scanned as one extra partition with the
 // same (b, r) banding test), and a tombstone set recording Deletes and
 // replacements. Its guarantees:
@@ -136,7 +133,7 @@
 //     LiveOptions.MaxSegments, using the parallel construction path; dead
 //     entries are dropped as segments rebuild.
 //   - Compaction is equivalence-preserving: full Compact leaves a single
-//     segment that is bit-identical to a fresh Build over the surviving
+//     segment that is bit-identical to a fresh BuildLive over the surviving
 //     records in mutation order (and therefore answers every query
 //     identically), with every tombstone purged.
 //   - SaveLive/LoadLive persist a point-in-time snapshot for warm restarts;
@@ -199,7 +196,7 @@
 // mmap support the option degrades to a heap read with identical results.
 //
 // cmd/lshensembled serves a LiveIndex over HTTP (/add, /delete, /query,
-// /query/topk, /query/batch backed by the batch engine, /stats, /compact,
+// /query/topk, /query/batch, /stats, /compact,
 // /save) with snapshot load at boot and save on shutdown, and runs
 // out-of-core with -data-dir DIR -mmap (the snapshot then defaults to
 // DIR/MANIFEST; /stats reports each segment's backing, file bytes and
@@ -207,8 +204,8 @@
 // lifecycle and prints what the planner pruned. Query handlers thread the
 // request context into the index, so a disconnected client stops its
 // in-flight query or batch instead of running it to completion
-// (QueryAppendContext / QueryTopKContext / QueryBatchContext on LiveIndex, and
-// QueryBatchIntoContext on Index, expose the same to library callers).
+// (QueryAppendContext / QueryTopKContext / QueryBatchContext on LiveIndex
+// expose the same to library callers).
 // The three query endpoints take a request in two forms: JSON with the
 // domain's raw values, which the daemon sketches with its own -seed, or —
 // under Content-Type application/x-lshensemble-sketched — a short JSON
@@ -339,7 +336,7 @@
 // # Sketch backends
 //
 // The signature representation is pluggable (core.SketchBackend, the
-// daemon's -sketch flag, BuildOptions.Sketch). All backends hash with the
+// daemon's -sketch flag, Options.Sketch). All backends hash with the
 // same 64-bit minwise hasher; the backend decides how many bits of each
 // minimum are stored and how containment is estimated:
 //

@@ -32,10 +32,14 @@ func main() {
 	hasher := minhash.NewHasher(256, 7)
 	records := datagen.Records(corpus, hasher)
 
-	ensemble, err := lshensemble.Build(records, lshensemble.Options{NumPartitions: 16})
+	ensemble, err := lshensemble.BuildLive(records, lshensemble.LiveOptions{
+		Options:          lshensemble.Options{NumPartitions: 16},
+		ManualCompaction: true, // built once, never written to
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ensemble.Close()
 	base, err := baseline.Build(records, 256, 8)
 	if err != nil {
 		log.Fatal(err)
@@ -57,12 +61,7 @@ func main() {
 		}{
 			{"Baseline", base.Query},
 			{"Asym", asymIdx.Query},
-			// The ensemble is built once and never grows here, so the
-			// pending-adds error can be dropped.
-			{"LSH Ensemble (16)", func(sig lshensemble.Signature, size int, t float64) []string {
-				res, _ := ensemble.Query(sig, size, t)
-				return res
-			}},
+			{"LSH Ensemble (16)", ensemble.Query},
 		} {
 			var avg eval.Averager
 			for _, qi := range queries {
@@ -79,10 +78,7 @@ func main() {
 	qi := queries[0]
 	fmt.Printf("\njoinable domains for %s (%d values) at t* = 0.5:\n",
 		corpus.Domains[qi].Key, len(corpus.Domains[qi].Values))
-	matches, err := ensemble.Query(records[qi].Sig, records[qi].Size, 0.5)
-	if err != nil {
-		log.Fatal(err)
-	}
+	matches := ensemble.Query(records[qi].Sig, records[qi].Size, 0.5)
 	scores := engine.Scores(corpus.Domains[qi].Values)
 	byKey := map[string]float64{}
 	for id, s := range scores {

@@ -35,10 +35,13 @@ func main() {
 		records = append(records, lshensemble.SketchStrings(hasher, k, domains[k]))
 	}
 
-	index, err := lshensemble.Build(records, lshensemble.Options{NumPartitions: 2})
+	index, err := lshensemble.BuildLive(records, lshensemble.LiveOptions{
+		Options: lshensemble.Options{NumPartitions: 2},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer index.Close() // stops the background compactor
 
 	// The paper's running example: Q = {Ontario, Toronto}. Jaccard would
 	// rank "provinces" above "locations"; containment correctly prefers
@@ -48,10 +51,7 @@ func main() {
 	q := []string{"Ontario", "Toronto"}
 	query := lshensemble.SketchStrings(hasher, "Q", q)
 	for _, t := range []float64{1.0, 0.5} {
-		matches, err := index.Query(query.Sig, query.Size, t)
-		if err != nil {
-			log.Fatal(err)
-		}
+		matches := index.Query(query.Sig, query.Size, t)
 		sort.Strings(matches)
 		fmt.Printf("t* = %.1f → candidates %v", t, matches)
 		var verified []string

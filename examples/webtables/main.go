@@ -34,14 +34,17 @@ func main() {
 	sketching := time.Since(start)
 
 	start = time.Now()
-	var indexes []*lshensemble.Index
+	var indexes []*lshensemble.LiveIndex
 	chunk := (len(records) + *shards - 1) / *shards
 	for lo := 0; lo < len(records); lo += chunk {
 		hi := lo + chunk
 		if hi > len(records) {
 			hi = len(records)
 		}
-		idx, err := lshensemble.Build(records[lo:hi], lshensemble.Options{NumPartitions: *partitions})
+		idx, err := lshensemble.BuildLive(records[lo:hi], lshensemble.LiveOptions{
+			Options:          lshensemble.Options{NumPartitions: *partitions},
+			ManualCompaction: true, // built once, never written to
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,9 +60,9 @@ func main() {
 		var wg sync.WaitGroup
 		for i, idx := range indexes {
 			wg.Add(1)
-			go func(i int, idx *lshensemble.Index) {
+			go func(i int, idx *lshensemble.LiveIndex) {
 				defer wg.Done()
-				results[i], _ = idx.Query(sig, size, t)
+				results[i] = idx.Query(sig, size, t)
 			}(i, idx)
 		}
 		wg.Wait()

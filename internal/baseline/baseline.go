@@ -30,11 +30,14 @@ func Build(records []core.Record, numHash, rMax int) (*Index, error) {
 }
 
 // Query returns the keys of candidate domains for the query signature at
-// containment threshold tStar. The baseline is built once and never grows,
-// so the wrapped index can never be dirty and the error is always nil.
+// containment threshold tStar (none for a signature shorter than numHash).
 func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) []string {
-	res, _ := x.inner.Query(sig, querySize, tStar)
-	return res
+	ids, _ := x.inner.QueryIDsAppend(nil, sig, querySize, tStar)
+	keys := make([]string, len(ids))
+	for i, id := range ids {
+		keys[i] = x.inner.Key(id)
+	}
+	return keys
 }
 
 // Len returns the number of indexed domains.

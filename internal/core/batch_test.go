@@ -1,17 +1,6 @@
 package core
 
-import (
-	"sort"
-	"testing"
-)
-
-// sortedIDs copies and sorts an id slice so order-insensitive comparisons
-// are cheap to write.
-func sortedIDs(ids []uint32) []uint32 {
-	out := append([]uint32(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+import "testing"
 
 // mustQueryIDs is the test shorthand for QueryIDsAppend on a clean index.
 func mustQueryIDs(t testing.TB, x *Index, q BatchQuery) []uint32 {
@@ -35,10 +24,26 @@ func equalIDs(a, b []uint32) bool {
 	return true
 }
 
-// TestQueryBatchMatchesSerial runs the same query set through QueryIDsAppend and
-// QueryBatch at several worker counts; every row must match the serial
-// answer exactly (batch rows keep the per-query probe order, so equality is
-// order-sensitive per row).
+// batchRows answers queries through one QueryBatchInto and copies the rows
+// out of the arena.
+func batchRows(t testing.TB, x *Index, queries []BatchQuery) [][]uint32 {
+	t.Helper()
+	var res BatchResults
+	if err := x.QueryBatchInto(&res, queries, 0); err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != len(queries) {
+		t.Fatalf("%d rows for %d queries", res.NumRows(), len(queries))
+	}
+	rows := make([][]uint32, len(queries))
+	for i := range rows {
+		rows[i] = append([]uint32(nil), res.Row(i)...)
+	}
+	return rows
+}
+
+// TestQueryBatchMatchesSerial runs the same query set through QueryIDsAppend
+// and QueryBatchInto; every row must equal the serial answer, in order.
 func TestQueryBatchMatchesSerial(t *testing.T) {
 	c := makeCorpus(t, 600, 64, 31)
 	idx, err := Build(c.records, Options{NumHash: 64, RMax: 4, NumPartitions: 8})
@@ -53,22 +58,9 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 			Threshold: []float64{0.25, 0.5, 0.75}[i%3],
 		})
 	}
-	want := make([][]uint32, len(queries))
-	for i, q := range queries {
-		want[i] = mustQueryIDs(t, idx, q)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 16, len(queries) + 5} {
-		rows, err := idx.QueryBatch(queries, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != len(queries) {
-			t.Fatalf("workers=%d: %d rows for %d queries", workers, len(rows), len(queries))
-		}
-		for i := range rows {
-			if !equalIDs(sortedIDs(rows[i]), sortedIDs(want[i])) {
-				t.Fatalf("workers=%d query %d: got %d ids, want %d", workers, i, len(rows[i]), len(want[i]))
-			}
+	for i, row := range batchRows(t, idx, queries) {
+		if want := mustQueryIDs(t, idx, queries[i]); !equalIDs(row, want) {
+			t.Fatalf("query %d: got %d ids, want %d", i, len(row), len(want))
 		}
 	}
 }
@@ -96,8 +88,7 @@ func TestQueryBatchIntoReuse(t *testing.T) {
 			t.Fatalf("n=%d: NumRows %d", n, res.NumRows())
 		}
 		for i, q := range queries {
-			want := mustQueryIDs(t, idx, q)
-			if !equalIDs(sortedIDs(res.Row(i)), sortedIDs(want)) {
+			if want := mustQueryIDs(t, idx, q); !equalIDs(res.Row(i), want) {
 				t.Fatalf("n=%d row %d: got %d ids, want %d", n, i, len(res.Row(i)), len(want))
 			}
 		}
@@ -112,25 +103,22 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, err := idx.QueryBatch(nil, 4); err != nil || len(rows) != 0 {
-		t.Fatalf("empty batch returned %d rows (err %v)", len(rows), err)
+	if rows := batchRows(t, idx, nil); len(rows) != 0 {
+		t.Fatalf("empty batch returned %d rows", len(rows))
 	}
 	r := c.records[0]
-	rows, err := idx.QueryBatch([]BatchQuery{
+	rows := batchRows(t, idx, []BatchQuery{
 		{Sig: r.Sig, Size: 0, Threshold: 0.5},     // invalid size → empty row
 		{Sig: r.Sig, Size: r.Size, Threshold: -3}, // clamped to 0
 		{Sig: r.Sig, Size: r.Size, Threshold: 5},  // clamped to 1
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rows[0]) != 0 {
 		t.Fatalf("zero-size query returned %d ids", len(rows[0]))
 	}
-	if want := mustQueryIDs(t, idx, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0}); !equalIDs(sortedIDs(rows[1]), sortedIDs(want)) {
+	if want := mustQueryIDs(t, idx, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0}); !equalIDs(rows[1], want) {
 		t.Fatalf("t*<0 row mismatch: %d vs %d", len(rows[1]), len(want))
 	}
-	if want := mustQueryIDs(t, idx, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 1}); !equalIDs(sortedIDs(rows[2]), sortedIDs(want)) {
+	if want := mustQueryIDs(t, idx, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 1}); !equalIDs(rows[2], want) {
 		t.Fatalf("t*>1 row mismatch: %d vs %d", len(rows[2]), len(want))
 	}
 }

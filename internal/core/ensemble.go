@@ -133,24 +133,19 @@ type Index struct {
 
 	// scratch pools *queryScratch values so steady-state queries allocate
 	// nothing: dedup uses a generation-stamped visited array instead of a
-	// fresh map, and result ids accumulate in a reused buffer.
+	// fresh map.
 	scratch sync.Pool
-
-	// batch pools *batchState values (worker arenas + coordination state) so
-	// steady-state QueryBatchInto calls allocate nothing either.
-	batch sync.Pool
 }
 
 // queryScratch is the per-query working memory recycled through
-// Index.scratch: a generation-stamped visited set for candidate dedup, a
-// reusable result buffer, the per-partition plan, and the probe callback.
+// Index.scratch: a generation-stamped visited set for candidate dedup, the
+// per-partition plan, and the probe callback.
 // The callback is allocated once per scratch (not per probe): it reaches the
 // forests through the width-erased store interface, which defeats escape
 // analysis, so a closure built inside probe would heap-allocate on every
 // partition probe.
 type queryScratch struct {
 	seen dedup.Set
-	ids  []uint32
 	plan []tune.Params     // banding decisions of the query being served
 	last []tune.Params     // top-k ladder: the (b, r) each partition was last probed with
 	dst  []uint32          // collector target while a probe is running
@@ -382,7 +377,7 @@ func (x *Index) QueryIDsAppend(dst []uint32, sig minhash.Signature, querySize in
 
 // queryInto plans the query into the scratch's reused plan slice and probes
 // every tree of the planned partitions, appending candidate ids to dst. The
-// single query and the batch worker go through it; PlanPartitions +
+// single query and every batch row go through it; PlanPartitions +
 // QueryIDsMaskedAppend are the same two halves exported, and a top-k rung is
 // the same pair with the rung's repeats struck from the plan.
 func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, querySize int, tStar float64) []uint32 {
@@ -489,25 +484,6 @@ func (x *Index) EachTreeLeading(fn func(part, tree int, col []uint64)) {
 			fn(i, t, f.TreeLeadingColumn(t))
 		}
 	}
-}
-
-// Query returns the keys of all candidate domains for the query signature.
-// See QueryIDsAppend for parameter semantics.
-func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
-	if err := x.opts.CheckQuerySig(sig); err != nil {
-		return nil, err
-	}
-	if querySize <= 0 || len(x.keys) == 0 {
-		return nil, nil
-	}
-	s := x.acquireScratch()
-	s.ids = x.queryInto(s.ids[:0], s, sig, querySize, tStar)
-	out := make([]string, len(s.ids))
-	for i, id := range s.ids {
-		out[i] = x.keys[id]
-	}
-	x.releaseScratch(s)
-	return out, nil
 }
 
 // --- serialization ---

@@ -50,15 +50,19 @@ func makeCorpus(t testing.TB, n, numHash int, seed uint64) *testCorpus {
 	return c
 }
 
-// mustQuery is the test shorthand for Query on an index with no pending
-// adds; it fails the test on any error.
+// mustQuery returns the keys of QueryIDsAppend's candidates; it fails the
+// test on any error.
 func mustQuery(t testing.TB, x *Index, sig minhash.Signature, querySize int, tStar float64) []string {
 	t.Helper()
-	res, err := x.Query(sig, querySize, tStar)
+	ids, err := x.QueryIDsAppend(nil, sig, querySize, tStar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	keys := make([]string, len(ids))
+	for i, id := range ids {
+		keys[i] = x.Key(id)
+	}
+	return keys
 }
 
 // trueContainment computes t(Q, X) exactly.

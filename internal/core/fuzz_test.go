@@ -54,9 +54,7 @@ func FuzzDecode(f *testing.F) {
 		// query signature would not be.
 		if nh := idx.Options().NumHash; nh <= 1<<12 {
 			sig := make(minhash.Signature, nh)
-			if _, err := idx.Query(sig, 1, 0.5); err != nil {
-				t.Fatalf("query on decoded index: %v", err)
-			}
+			mustQuery(t, idx, sig, 1, 0.5)
 		}
 		// The decoder accepts the tagged "LSE2" framing even for Minwise64,
 		// which re-encodes under the legacy "LSHE" magic — so identity with

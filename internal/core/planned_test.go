@@ -103,6 +103,9 @@ func TestPlannedAppendRejectsWrongShape(t *testing.T) {
 	}
 }
 
+// TestQueryTopKIDsMatchesQueryTopK: the ladder's collection is what a top-k
+// query ranks, so it must hold every id at most once and the ranking of it
+// must be k keys drawn from it, best first.
 func TestQueryTopKIDsMatchesQueryTopK(t *testing.T) {
 	x, recs := plannedTestIndex(t, 300)
 	for qi := 0; qi < 20; qi++ {
@@ -112,23 +115,24 @@ func TestQueryTopKIDsMatchesQueryTopK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := x.QueryTopK(rec.Sig, rec.Size, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// QueryTopK is the scored, ranked, truncated view of the same
-		// candidate collection: every ranked key must appear among the ids.
 		got := make(map[string]bool, len(ids))
 		for _, id := range ids {
+			if got[x.Key(id)] {
+				t.Fatalf("query %d: id %d collected twice", qi, id)
+			}
 			got[x.Key(id)] = true
 		}
-		for _, r := range full {
-			if !got[r.Key] {
-				t.Fatalf("QueryTopK key %q missing from QueryTopKIDs candidates", r.Key)
-			}
+		full := mustTopK(t, x, rec.Sig, rec.Size, k)
+		if len(full) != min(k, len(ids)) {
+			t.Fatalf("query %d: ranked %d of %d candidates, want %d", qi, len(full), len(ids), min(k, len(ids)))
 		}
-		if len(ids) < len(full) {
-			t.Fatalf("candidate set smaller than ranked result: %d < %d", len(ids), len(full))
+		for i, r := range full {
+			if !got[r.Key] {
+				t.Fatalf("ranked key %q missing from QueryTopKIDs candidates", r.Key)
+			}
+			if i > 0 && CompareTopK(full[i-1], r) > 0 {
+				t.Fatalf("query %d: ranking out of order at %d", qi, i)
+			}
 		}
 	}
 }
@@ -325,10 +329,8 @@ func TestShortQuerySignatureRejected(t *testing.T) {
 	short := recs[0].Sig[:100]
 	plan := x.PlanPartitions(nil, recs[0].Size, 0.5)
 	checks := map[string]func() error{
-		"Query":                 func() error { _, err := x.Query(short, 10, 0.5); return err },
 		"QueryIDsAppend":        func() error { _, err := x.QueryIDsAppend(nil, short, 10, 0.5); return err },
 		"QueryIDsPlannedAppend": func() error { _, err := x.QueryIDsPlannedAppend(nil, short, plan); return err },
-		"QueryTopK":             func() error { _, err := x.QueryTopK(short, 10, 5); return err },
 		"QueryTopKIDs":          func() error { _, err := x.QueryTopKIDs(nil, short, 10, 5); return err },
 	}
 	for name, call := range checks {
@@ -336,13 +338,10 @@ func TestShortQuerySignatureRejected(t *testing.T) {
 			t.Errorf("%s(short signature) = %v, want ErrSignatureLength", name, err)
 		}
 	}
-	rows, err := x.QueryBatch([]BatchQuery{
+	rows := batchRows(t, x, []BatchQuery{
 		{Sig: short, Size: recs[0].Size, Threshold: 0},
 		{Sig: recs[0].Sig, Size: recs[0].Size, Threshold: 0},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rows[0]) != 0 || len(rows[1]) == 0 {
 		t.Fatalf("batch rows = %v: want the short row empty and the full row answered", rows)
 	}

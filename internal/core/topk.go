@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 
 	"lshensemble/internal/lshforest"
@@ -11,7 +10,7 @@ import (
 	"lshensemble/internal/tune"
 )
 
-// TopKResult is one ranked answer of QueryTopK.
+// TopKResult is one ranked answer of a top-k query.
 type TopKResult struct {
 	Key string
 	// EstContainment is the containment score estimated from the MinHash
@@ -32,8 +31,11 @@ func CompareTopK(a, b TopKResult) int {
 	return strings.Compare(a.Key, b.Key)
 }
 
-// topKThresholds is the descending threshold ladder QueryTopK walks. The
-// ladder trades probe count against over-retrieval; 0.05 matches the
+// topKThresholds is the descending threshold ladder a top-k query walks —
+// the top-k formulation the paper's Section 2 describes as complementary to
+// threshold search: collect candidates until at least k are found (or the
+// ladder is exhausted), then rank them by signature-estimated containment.
+// The ladder trades probe count against over-retrieval; 0.05 matches the
 // paper's experimental threshold granularity.
 var topKThresholds = func() []float64 {
 	var ts []float64
@@ -42,40 +44,6 @@ var topKThresholds = func() []float64 {
 	}
 	return ts
 }()
-
-// QueryTopK returns (up to) k domains ranked by estimated containment of
-// the query — the top-k formulation the paper's Section 2 describes as
-// complementary to threshold search. It walks a descending threshold
-// ladder, collecting candidates until at least k are found (or the ladder
-// is exhausted), then ranks them by signature-estimated containment.
-// Results are approximate in the same sense as Query: candidates come from
-// LSH collisions and scores from sketches. It returns ErrSignatureLength if
-// sig is shorter than NumHash.
-func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) ([]TopKResult, error) {
-	if err := x.opts.CheckQuerySig(sig); err != nil {
-		return nil, err
-	}
-	if k <= 0 || querySize <= 0 || len(x.keys) == 0 {
-		return nil, nil
-	}
-	// Stored signatures are exactly NumHash long (forest flat store); clamp
-	// the query signature so the slot-wise Jaccard estimate lines up.
-	sig = sig[:x.opts.NumHash]
-	s := x.acquireScratch()
-	ids := x.topKIDs(s.ids[:0], s, sig, querySize, k, nil)
-	results := make([]TopKResult, 0, len(ids))
-	for _, id := range ids {
-		est := x.EstContainment(id, sig, querySize)
-		results = append(results, TopKResult{Key: x.keys[id], EstContainment: est})
-	}
-	s.ids = ids
-	x.releaseScratch(s)
-	slices.SortFunc(results, CompareTopK)
-	if len(results) > k {
-		results = results[:k]
-	}
-	return results, nil
-}
 
 // topKIDs walks the threshold ladder, appending candidate ids to dst until
 // at least k are collected or the ladder is exhausted. One scratch
@@ -113,10 +81,10 @@ func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, qu
 	return dst
 }
 
-// QueryTopKIDs appends the candidate ids QueryTopK would rank — the
+// QueryTopKIDs appends the candidate ids a top-k query ranks — the
 // ladder-walk collection, unscored and unsorted — to dst. Layered callers
 // (internal/live) use it to gather at least k candidates per segment, then
-// score and merge across segments themselves with Key, Size and Signature.
+// score them with EstContainment and merge across segments with CompareTopK.
 // It returns ErrSignatureLength if sig is shorter than NumHash.
 func (x *Index) QueryTopKIDs(dst []uint32, sig minhash.Signature, querySize, k int) ([]uint32, error) {
 	return x.QueryTopKIDsMasked(dst, sig, querySize, k, nil)

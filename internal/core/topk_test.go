@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"lshensemble/internal/minhash"
@@ -34,14 +35,24 @@ func topKFixture(t testing.TB, numHash int) (*Index, *minhash.Hasher, [][]uint64
 
 func key(i int) string { return string(rune('a' + i)) }
 
-// mustTopK is the test shorthand for QueryTopK on a clean index.
+// mustTopK ranks the ladder's collection the way the live index ranks a
+// segment's: each candidate scored by EstContainment, sorted by CompareTopK,
+// the best k kept.
 func mustTopK(t testing.TB, x *Index, sig minhash.Signature, querySize, k int) []TopKResult {
 	t.Helper()
-	top, err := x.QueryTopK(sig, querySize, k)
+	ids, err := x.QueryTopKIDs(nil, sig, querySize, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return top
+	if len(ids) == 0 {
+		return nil
+	}
+	top := make([]TopKResult, len(ids))
+	for i, id := range ids {
+		top[i] = TopKResult{Key: x.Key(id), EstContainment: x.EstContainment(id, sig, querySize)}
+	}
+	slices.SortFunc(top, CompareTopK)
+	return top[:min(k, len(top))]
 }
 
 func TestQueryTopKRanksBySizeOnNestedPrefixes(t *testing.T) {

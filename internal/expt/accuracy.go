@@ -91,14 +91,17 @@ type querier interface {
 	Query(sig minhash.Signature, querySize int, tStar float64) []string
 }
 
-// ensembleSystem adapts *core.Index to querier. The core query API returns
-// an error only for the pending-adds state, which cannot occur in these
-// build-once experiments, so it is safe to drop here.
+// ensembleSystem adapts *core.Index to querier: the candidate ids, as keys.
+// The only error, a signature shorter than NumHash, cannot occur here.
 type ensembleSystem struct{ *core.Index }
 
 func (e ensembleSystem) Query(sig minhash.Signature, querySize int, tStar float64) []string {
-	res, _ := e.Index.Query(sig, querySize, tStar)
-	return res
+	ids, _ := e.QueryIDsAppend(nil, sig, querySize, tStar)
+	keys := make([]string, len(ids))
+	for i, id := range ids {
+		keys[i] = e.Key(id)
+	}
+	return keys
 }
 
 // system is a named index under test.

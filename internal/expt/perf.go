@@ -140,7 +140,7 @@ func (s *shardedIndex) query(sig minhash.Signature, querySize int, tStar float64
 		wg.Add(1)
 		go func(i int, sh *core.Index) {
 			defer wg.Done()
-			results[i], _ = sh.Query(sig, querySize, tStar)
+			results[i] = ensembleSystem{sh}.Query(sig, querySize, tStar)
 		}(i, sh)
 	}
 	wg.Wait()

@@ -87,8 +87,7 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 			name:  sb.String(),
 			bytes: float64(idx.SignatureBytes()) / float64(len(recs)),
 			query: func(qi int, tStar float64) []string {
-				res, _ := idx.Query(recs[qi].Sig, recs[qi].Size, tStar)
-				return res
+				return ensembleSystem{idx}.Query(recs[qi].Sig, recs[qi].Size, tStar)
 			},
 		})
 	}

@@ -160,8 +160,12 @@ func FuzzSegmentImage(f *testing.F) {
 				t.Fatalf("segment sketch %v, opened as %v", seg.idx.Sketch(), sb)
 			}
 			sig := make(minhash.Signature, 16)
-			if _, err := seg.idx.Query(sig, 1, 0.5); err != nil {
+			ids, err := seg.idx.QueryIDsAppend(nil, sig, 1, 0.5)
+			if err != nil {
 				t.Fatalf("query on accepted segment: %v", err)
+			}
+			for _, id := range ids {
+				_ = seg.idx.Key(id)
 			}
 		}
 	})

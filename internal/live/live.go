@@ -1095,7 +1095,7 @@ func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery
 
 // QueryTopK returns (up to) k live domains ranked by estimated containment
 // of the query, merged across every sealed segment and the buffer (see
-// core.Index.QueryTopK for the estimation semantics). Segments are visited
+// core.Index.QueryTopKIDs for the candidate ladder). Segments are visited
 // in descending order of their largest partition bound: once k collected
 // results all score strictly above the containment cap of every remaining
 // segment, those segments are skipped — they provably cannot alter the

@@ -304,13 +304,17 @@ func TestCompactedEquivalentToFreshBuild(t *testing.T) {
 	for qi := 0; qi < 60; qi += 7 {
 		r := recs[qi]
 		for _, tStar := range []float64{0.3, 0.6, 0.9} {
-			refIDs, err := ref.Query(r.Sig, r.Size, tStar)
+			ids, err := ref.QueryIDsAppend(nil, r.Sig, r.Size, tStar)
 			if err != nil {
 				t.Fatal(err)
 			}
+			refKeys := make([]string, len(ids))
+			for i, id := range ids {
+				refKeys[i] = ref.Key(id)
+			}
 			live := x.Query(r.Sig, r.Size, tStar)
-			if !equalKeySets(refIDs, live) {
-				t.Fatalf("query %d t*=%v: live %v != ref %v", qi, tStar, sortedKeys(live), sortedKeys(refIDs))
+			if !equalKeySets(refKeys, live) {
+				t.Fatalf("query %d t*=%v: live %v != ref %v", qi, tStar, sortedKeys(live), sortedKeys(refKeys))
 			}
 		}
 	}

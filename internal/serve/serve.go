@@ -1009,23 +1009,32 @@ func (s *Server) handleSave(w http.ResponseWriter, _ *http.Request) {
 
 var snapshotMagic = [4]byte{'L', 'S', 'H', 'D'}
 
-// SaveSnapshot writes the current snapshot to the configured path via a
-// same-directory fsynced temp file + atomic rename, so a crash at any point
-// leaves either the previous snapshot or the new one, never a torn file.
-// Once the manifest is durable, segment files retired since the previous
-// save are deleted. It returns the byte count written.
+// SaveSnapshot writes the index to the configured path with WriteSnapshot,
+// then deletes the segment files retired since the previous save.
 func (s *Server) SaveSnapshot() (int, error) {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
-	buf := append([]byte(nil), snapshotMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, s.seed)
-	buf = s.idx.AppendBinary(buf)
-	if err := segfile.WriteAtomic(s.snapshotPath, buf); err != nil {
+	n, err := WriteSnapshot(s.snapshotPath, s.seed, s.idx)
+	if err != nil {
 		return 0, err
 	}
 	// The freshly renamed manifest no longer references retired segment
 	// files, so they are safe to delete now — and only now.
 	s.idx.CollectGarbage()
+	return n, nil
+}
+
+// WriteSnapshot writes idx, sketched under seed, as a daemon snapshot file
+// (magic, seed, live encoding) via a same-directory fsynced temp file +
+// atomic rename, so a crash leaves the previous file or the new one, never a
+// torn one. It returns the bytes written; LoadSnapshot reads the file back.
+func WriteSnapshot(path string, seed uint64, idx *lshensemble.LiveIndex) (int, error) {
+	buf := append([]byte(nil), snapshotMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, seed)
+	buf = idx.AppendBinary(buf)
+	if err := segfile.WriteAtomic(path, buf); err != nil {
+		return 0, err
+	}
 	return len(buf), nil
 }
 

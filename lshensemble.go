@@ -2,7 +2,6 @@ package lshensemble
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"lshensemble/internal/core"
@@ -29,8 +28,9 @@ func NewHasher(numHash int, seed uint64) *Hasher {
 // cardinality of the domain, and its MinHash signature.
 type DomainRecord = core.Record
 
-// Options configures Build; zero values select the paper's defaults
-// (NumHash 256, RMax 8, NumPartitions 16, equi-depth partitioning).
+// Options shapes every sealed segment of a LiveIndex (LiveOptions.Options);
+// zero values select the paper's defaults (NumHash 256, RMax 8,
+// NumPartitions 16, equi-depth partitioning).
 type Options = core.Options
 
 // SketchBackend selects how the flat signature store represents each of the
@@ -54,9 +54,6 @@ func ParseSketchBackend(name string) (SketchBackend, error) {
 	return core.ParseSketchBackend(name)
 }
 
-// Index is a built LSH Ensemble. It is safe for concurrent queries.
-type Index = core.Index
-
 // PartitionerFunc chooses the size intervals of the ensemble.
 type PartitionerFunc = core.PartitionerFunc
 
@@ -72,11 +69,6 @@ var (
 	// bound (Theorem 1), for arbitrary (non-power-law) distributions.
 	Minimax PartitionerFunc = partition.Minimax
 )
-
-// Build constructs an LSH Ensemble over the records.
-func Build(records []DomainRecord, opts Options) (*Index, error) {
-	return core.Build(records, opts)
-}
 
 // SketchStrings is a convenience that builds a record from raw string
 // values (deduplicated by the hasher's value identity). Hashing and dedup
@@ -98,15 +90,17 @@ func SketchStrings(h *Hasher, key string, values []string) DomainRecord {
 	return DomainRecord{Key: key, Size: len(hvs), Sig: h.SketchParallel(hvs, 0)}
 }
 
-// TopKResult is one ranked answer of Index.QueryTopK, the top-k search
+// TopKResult is one ranked answer of LiveIndex.QueryTopK, the top-k search
 // formulation complementary to threshold search (paper Section 2).
 type TopKResult = core.TopKResult
 
-// BatchQuery is one containment query of an Index.QueryBatch batch.
+// BatchQuery is one containment query of a LiveIndex.QueryBatch batch.
 type BatchQuery = core.BatchQuery
 
-// BatchResults is the reusable destination of Index.QueryBatchInto — the
-// allocation-free batch serving path.
+// BatchResults is the destination of the static index's QueryBatchInto.
+//
+// Deprecated: no public index answers into it; it remains only for the
+// benchmark ladder's static-index rung and goes with that rung.
 type BatchResults = core.BatchResults
 
 // LiveIndex is a mutable, always-queryable LSH Ensemble: an
@@ -115,8 +109,9 @@ type BatchResults = core.BatchResults
 // background compactor folding the buffer into segments and merging small
 // segments. Queries are lock-free against Add/Delete/compaction and answer
 // from a consistent point-in-time snapshot; full compaction is
-// equivalence-preserving (bit-identical to a fresh Build over the surviving
-// records). See the internal/live package documentation for the model.
+// equivalence-preserving (bit-identical to a fresh BuildLive over the
+// surviving records). See the internal/live package documentation for the
+// model.
 type LiveIndex = live.Index
 
 // LiveOptions configures BuildLive: the embedded Options shape every sealed
@@ -138,8 +133,9 @@ func WithLiveQueryTrace(ctx context.Context, tr *LiveQueryTrace) context.Context
 }
 
 // BuildLive constructs a live (mutable, always-queryable) index over the
-// records; records may be empty to start from nothing. Unless
-// opts.ManualCompaction is set, a background compactor goroutine is
+// records, sealed into one segment — the paper's build-once ensemble — which
+// Add and Delete then change; records may be empty to start from nothing.
+// Unless opts.ManualCompaction is set, a background compactor goroutine is
 // started — call Close to release it.
 func BuildLive(records []DomainRecord, opts LiveOptions) (*LiveIndex, error) {
 	return live.Build(records, opts)
@@ -155,33 +151,4 @@ func SaveLive(w io.Writer, idx *LiveIndex) error {
 // restart path. Non-zero opts.NumHash/opts.RMax must match the saved shape.
 func LoadLive(r io.Reader, opts LiveOptions) (*LiveIndex, error) {
 	return live.Load(r, opts)
-}
-
-// Save writes the index's binary encoding to w.
-func Save(w io.Writer, idx *Index) error {
-	buf := idx.AppendBinary(nil)
-	n, err := w.Write(buf)
-	if err != nil {
-		return err
-	}
-	if n != len(buf) {
-		return io.ErrShortWrite
-	}
-	return nil
-}
-
-// Load reads an index previously written with Save.
-func Load(r io.Reader) (*Index, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	idx, rest, err := core.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("lshensemble: %d trailing bytes after index", len(rest))
-	}
-	return idx, nil
 }

@@ -30,7 +30,7 @@ func tableFixture() map[string][]string {
 	}
 }
 
-func buildFixture(t testing.TB) (*lshensemble.Index, *lshensemble.Hasher, map[string][]string) {
+func buildFixture(t testing.TB) (*lshensemble.LiveIndex, *lshensemble.Hasher, map[string][]string) {
 	t.Helper()
 	h := lshensemble.NewHasher(256, 1)
 	tables := tableFixture()
@@ -43,21 +43,7 @@ func buildFixture(t testing.TB) (*lshensemble.Index, *lshensemble.Hasher, map[st
 	for _, k := range keys {
 		records = append(records, lshensemble.SketchStrings(h, k, tables[k]))
 	}
-	idx, err := lshensemble.Build(records, lshensemble.Options{NumHash: 256, RMax: 8, NumPartitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idx, h, tables
-}
-
-// queryKeys is the test shorthand for Query on an index with no pending adds.
-func queryKeys(t testing.TB, idx *lshensemble.Index, sig lshensemble.Signature, size int, tStar float64) []string {
-	t.Helper()
-	res, err := idx.Query(sig, size, tStar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return builtOnce(t, records, lshensemble.Options{NumHash: 256, RMax: 8, NumPartitions: 2}), h, tables
 }
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -65,7 +51,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	// provinces ⊂ locations: querying with provinces at t*=1.0 must find
 	// geo:location (and the domain itself).
 	q := lshensemble.SketchStrings(h, "query", tables["grants:province"])
-	res := queryKeys(t, idx, q.Sig, q.Size, 1.0)
+	res := idx.Query(q.Sig, q.Size, 1.0)
 	found := map[string]bool{}
 	for _, k := range res {
 		found[k] = true
@@ -82,7 +68,7 @@ func TestPublicAPIPartialContainment(t *testing.T) {
 	idx, h, tables := buildFixture(t)
 	// vendors = partners[:8] so t(partner-query, vendor) = 8/12 ≈ 0.67.
 	q := lshensemble.SketchStrings(h, "query", tables["grants:partner"])
-	res := queryKeys(t, idx, q.Sig, q.Size, 0.5)
+	res := idx.Query(q.Sig, q.Size, 0.5)
 	found := map[string]bool{}
 	for _, k := range res {
 		found[k] = true
@@ -92,7 +78,7 @@ func TestPublicAPIPartialContainment(t *testing.T) {
 	}
 	// At t*=0.95 the vendor column (0.67) should usually be dropped; the
 	// domain itself must remain.
-	res = queryKeys(t, idx, q.Sig, q.Size, 0.95)
+	res = idx.Query(q.Sig, q.Size, 0.95)
 	selfFound := false
 	for _, k := range res {
 		if k == "grants:partner" {
@@ -115,16 +101,16 @@ func TestSketchStringsDeduplicates(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	idx, h, tables := buildFixture(t)
 	var buf bytes.Buffer
-	if err := lshensemble.Save(&buf, idx); err != nil {
+	if err := lshensemble.SaveLive(&buf, idx); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := lshensemble.Load(&buf)
+	loaded, err := lshensemble.LoadLive(&buf, lshensemble.LiveOptions{ManualCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := lshensemble.SketchStrings(h, "query", tables["grants:province"])
-	a := queryKeys(t, idx, q.Sig, q.Size, 0.9)
-	b := queryKeys(t, loaded, q.Sig, q.Size, 0.9)
+	a := idx.Query(q.Sig, q.Size, 0.9)
+	b := loaded.Query(q.Sig, q.Size, 0.9)
 	sort.Strings(a)
 	sort.Strings(b)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -133,7 +119,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := lshensemble.Load(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := lshensemble.LoadLive(bytes.NewReader([]byte("junk")), lshensemble.LiveOptions{}); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -153,14 +139,9 @@ func TestPartitionerVariables(t *testing.T) {
 		"equiwidth": lshensemble.EquiWidth,
 		"minimax":   lshensemble.Minimax,
 	} {
-		idx, err := lshensemble.Build(records, lshensemble.Options{
-			NumHash: 64, RMax: 4, NumPartitions: 4, Partitioner: pf,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		idx := builtOnce(t, records, lshensemble.Options{NumHash: 64, RMax: 4, NumPartitions: 4, Partitioner: pf})
 		r := records[0]
-		res := queryKeys(t, idx, r.Sig, r.Size, 1.0)
+		res := idx.Query(r.Sig, r.Size, 1.0)
 		ok := false
 		for _, k := range res {
 			if k == r.Key {
@@ -173,7 +154,7 @@ func TestPartitionerVariables(t *testing.T) {
 	}
 }
 
-func ExampleBuild() {
+func ExampleBuildLive() {
 	hasher := lshensemble.NewHasher(256, 42)
 	records := []lshensemble.DomainRecord{
 		lshensemble.SketchStrings(hasher, "colors",
@@ -181,15 +162,15 @@ func ExampleBuild() {
 		lshensemble.SketchStrings(hasher, "primaries",
 			[]string{"red", "green", "blue"}),
 	}
-	index, err := lshensemble.Build(records, lshensemble.Options{NumPartitions: 2})
+	index, err := lshensemble.BuildLive(records, lshensemble.LiveOptions{
+		Options: lshensemble.Options{NumPartitions: 2},
+	})
 	if err != nil {
 		panic(err)
 	}
+	defer index.Close()
 	query := lshensemble.SketchStrings(hasher, "q", []string{"red", "green", "blue"})
-	matches, err := index.Query(query.Sig, query.Size, 1.0)
-	if err != nil {
-		panic(err)
-	}
+	matches := index.Query(query.Sig, query.Size, 1.0)
 	sort.Strings(matches)
 	fmt.Println(matches)
 	// Output: [colors primaries]
