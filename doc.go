@@ -253,6 +253,18 @@
 // alike, or that the router refuses while sketching, is the client's 4xx,
 // not a 502, and counts against no shard.
 //
+// A query body is read in one pass, at the router and at a shard alike (the
+// client's JSON and the framed form's document): each value is hashed as it
+// is read, where it lies in the body, or, if it has an escape (encoding/json
+// writes & and < as \u escapes, Python's json.dumps every non-ASCII rune),
+// once decoded into a reused buffer. The reader takes keys spelled exactly,
+// each once; any string encoding/json accepts; JSON numbers that fit the
+// field's type; nothing but whitespace after the value. Anything else (keys
+// in another case, null, repeated keys, malformed input) goes to
+// encoding/json and its strings are hashed after, so every body is accepted
+// or refused exactly as encoding/json would have it, in the same words.
+// /add, /delete and the admin endpoints stay on encoding/json.
+//
 // The answers come back framed too: anyone who sends a framed request gets a
 // framed answer, and a JSON request still gets JSON. Each shard sends its
 // sorted keys behind length prefixes (ranked keys with their scores as

@@ -657,22 +657,27 @@ func (r *Router) queryLegs(w http.ResponseWriter, raw []byte, rows int, sketch f
 	}
 	// A signature is a fixed 8·num_hash bytes however few values it stands
 	// for, so a batch of very many small queries is larger framed than raw:
-	// the shard's body limit becomes a limit on rows, checked before any of
-	// them is sketched. 64 bytes bound a row's share of the document.
+	// the shard's body limit becomes a limit on rows. The frame is estimated
+	// at 64 bytes of document a row, which refuses most such batches before
+	// any row is sketched, and then measured: a row's threshold and size
+	// can spell longer than that.
 	frame := 256 + rows*(sk.NumHash*8+64)
+	var body []byte
+	if frame <= serve.MaxRequestBody {
+		doc, sigs, err := sketch(sk)
+		if err != nil {
+			serve.WriteError(w, http.StatusBadRequest, err)
+			return legBody{}, false
+		}
+		if body, err = serve.AppendSketched(make([]byte, 0, frame), doc, sigs...); err != nil {
+			serve.WriteError(w, http.StatusInternalServerError, err)
+			return legBody{}, false
+		}
+		frame = len(body)
+	}
 	if frame > serve.MaxRequestBody {
 		serve.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, frame, serve.MaxRequestBody))
-		return legBody{}, false
-	}
-	doc, sigs, err := sketch(sk)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err)
-		return legBody{}, false
-	}
-	body, err := serve.AppendSketched(make([]byte, 0, frame), doc, sigs...)
-	if err != nil {
-		serve.WriteError(w, http.StatusInternalServerError, err)
 		return legBody{}, false
 	}
 	r.scatterSketched.Inc()
@@ -792,13 +797,12 @@ func (r *Router) gatewayCheck(w http.ResponseWriter, got int, failed []string, r
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	var body serve.QueryRequest
-	raw, ok := serve.ReadJSON(w, req, &body)
+	body, raw, ok := serve.ReadQuery(w, req, serve.OpQuery)
 	if !ok {
 		return
 	}
 	leg, ok := r.queryLegs(w, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
-		q, err := body.Resolve(sk.hasher, nil)
+		q, err := body.Rows[0].Resolve(sk.hasher, nil)
 		return &serve.SketchedQuery{Seed: sk.Seed, QueryRequest: serve.QueryRequest{Threshold: q.Threshold, Size: q.Size}},
 			[]lshensemble.Signature{q.Sig}, err
 	})
@@ -823,17 +827,16 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
-	var body serve.TopKRequest
-	raw, ok := serve.ReadJSON(w, req, &body)
+	body, raw, ok := serve.ReadQuery(w, req, serve.OpTopK)
 	if !ok {
 		return
 	}
-	k := body.K
+	k := body.Rows[0].K
 	if k == 0 {
 		k = 10
 	}
 	leg, ok := r.queryLegs(w, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
-		sig, size, _, err := body.Resolve(sk.hasher, nil)
+		sig, size, _, err := body.Rows[0].ResolveTopK(sk.hasher, nil)
 		return &serve.SketchedTopK{Seed: sk.Seed, TopKRequest: serve.TopKRequest{K: k, Size: size}},
 			[]lshensemble.Signature{sig}, err
 	})
@@ -854,17 +857,16 @@ func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	var body serve.BatchRequest
-	raw, ok := serve.ReadJSON(w, req, &body)
+	body, raw, ok := serve.ReadQuery(w, req, serve.OpBatch)
 	if !ok {
 		return
 	}
-	if len(body.Queries) == 0 {
+	if len(body.Rows) == 0 {
 		serve.WriteError(w, http.StatusBadRequest, errors.New("queries must be non-empty"))
 		return
 	}
-	leg, ok := r.queryLegs(w, raw, len(body.Queries), func(sk *sketcher) (any, []lshensemble.Signature, error) {
-		queries, err := body.Resolve(sk.hasher, nil)
+	leg, ok := r.queryLegs(w, raw, len(body.Rows), func(sk *sketcher) (any, []lshensemble.Signature, error) {
+		queries, err := body.ResolveBatch(sk.hasher, nil)
 		doc := &serve.SketchedBatch{Seed: sk.Seed, BatchRequest: serve.BatchRequest{
 			Queries: make([]serve.QueryRequest, len(queries)), Workers: body.Workers}}
 		sigs := make([]lshensemble.Signature, len(queries))
@@ -881,7 +883,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if !r.gatewayCheck(w, len(oks), failed, refusal) {
 		return
 	}
-	rows := mergeBatch(oks, len(body.Queries))
+	rows := mergeBatch(oks, len(body.Rows))
 	r.notePartial(failed)
 	serve.WriteJSON(w, http.StatusOK, RouterBatchResponse{
 		BatchResponse: serve.BatchResponse{Rows: rows},

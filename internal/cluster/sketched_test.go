@@ -451,6 +451,39 @@ func TestRouterBoundsSketchedBatch(t *testing.T) {
 	}
 }
 
+// TestRouterBoundsEncodedFrame: the estimate budgets 64 bytes of document per
+// row, but a row with the longest threshold and size takes 66 with its comma
+// (encoding/json spells 1.0000000000000002e-6 as 0.0000010000000000000002).
+// A batch of as many such rows as the estimate lets through sketches to a
+// frame past the shards' limit; the router refuses it on the frame's real
+// length with the same 400. No leg goes out, so no shard refuses one: the
+// fleet keeps its hash family and no shard is counted as failing.
+func TestRouterBoundsEncodedFrame(t *testing.T) {
+	urls, _ := startShards(t, 2)
+	router, rts := startRouter(t, urls, Options{})
+	router.CheckHealth()
+	rows := serve.MaxRequestBody / (testNumHash*8 + 64)
+	const row = `{"values":["a"],"threshold":1.0000000000000002e-6,"size":9223372036854775807}`
+	body := `{"queries":[` + strings.Repeat(row+",", rows-1) + row + `]}`
+	code, answer := postRaw(t, rts.URL+"/query/batch", body)
+	if code != http.StatusBadRequest || !strings.Contains(answer, "split the batch") {
+		t.Fatalf("batch of %d longest rows: HTTP %d %.200s, want a 400 asking to split it", rows, code, answer)
+	}
+	if fam := ringFamily(t, rts.URL); fam.State != "known" {
+		t.Fatalf("family after the refusal: %+v, want known", fam)
+	}
+	text := scrapeText(t, rts.URL)
+	want := []string{`lshrouter_scatter_total{form="sketched"} 0`, `lshrouter_scatter_total{form="raw"} 0`}
+	for _, u := range urls {
+		want = append(want, `lshrouter_shard_errors_total{shard="`+u+`"} 0`)
+	}
+	for _, w := range want {
+		if !strings.Contains(text, w) {
+			t.Errorf("scrape missing %q", w)
+		}
+	}
+}
+
 // TestEmptyAnswerIsEmptyList: a threshold query that matches nothing answers
 // "matches":[], never null, from a shard and from the router in front of it,
 // and so does every empty row of a batch. (A ranked query over a non-empty

@@ -259,6 +259,22 @@ func (h *Hasher) SketchParallel(hashedValues []uint64, workers int) Signature {
 	return out
 }
 
+// SketchDistinct sketches the distinct values among hvs, base hashes below
+// 2^61, with SketchParallel and says how many there were. It compacts hvs in
+// place, the first of each distinct value kept in order at the front.
+func SketchDistinct(h *Hasher, hvs []uint64) (Signature, int) {
+	seen := make(map[uint64]struct{}, len(hvs))
+	n := 0
+	for _, hv := range hvs {
+		if _, dup := seen[hv]; !dup {
+			seen[hv] = struct{}{}
+			hvs[n] = hv
+			n++
+		}
+	}
+	return h.SketchParallel(hvs[:n], 0), n
+}
+
 // SketchStrings builds a signature over a slice of string values.
 func (h *Hasher) SketchStrings(values []string) Signature {
 	sig := h.NewSignature()

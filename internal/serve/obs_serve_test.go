@@ -236,11 +236,11 @@ func seriesSet(page string) string {
 var eachShape = []struct {
 	path string
 	body any
-	op   op
+	op   Op
 }{
-	{"/query", QueryRequest{Values: []string{"Ontario", "Quebec"}}, opQuery},
-	{"/query/topk", TopKRequest{Values: []string{"Ontario", "Quebec"}, K: 2}, opTopK},
-	{"/query/batch", BatchRequest{Queries: []QueryRequest{{Values: []string{"Ontario"}}, {Values: []string{"Toronto"}}}}, opBatch},
+	{"/query", QueryRequest{Values: []string{"Ontario", "Quebec"}}, OpQuery},
+	{"/query/topk", TopKRequest{Values: []string{"Ontario", "Quebec"}, K: 2}, OpTopK},
+	{"/query/batch", BatchRequest{Queries: []QueryRequest{{Values: []string{"Ontario"}}, {Values: []string{"Toronto"}}}}, OpBatch},
 }
 
 // TestMetricsSeriesSet pins the daemon's /metrics page — names, labels, HELP

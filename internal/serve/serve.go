@@ -17,6 +17,29 @@
 // the same (signature, size, threshold) and so the same answer; /add always
 // takes raw values, so no stored signature ever comes from outside.
 //
+// Query bodies, the JSON form and the framed form's document alike, are read
+// in one pass (ReadQuery), each value hashed as it is read, so neither the
+// router nor a shard builds a query's strings. The reader takes the subset of
+// JSON that encoders write — encoding/json, and those that escape every
+// non-ASCII rune as \u, Python's json.dumps by default, alike:
+//
+//   - keys spelled exactly as the wire types' tags, each at most once;
+//   - any string encoding/json accepts. One with no escape and in valid UTF-8
+//     is hashed where it lies in the body; any other is first decoded as
+//     encoding/json decodes it (escapes undone, invalid UTF-8 made U+FFFD)
+//     into a buffer the reader reuses;
+//   - numbers in JSON's grammar that strconv parses into the field's Go type
+//     (integer literals only for size, k, workers and seed);
+//   - nothing but whitespace after the value.
+//
+// Anything else — a key in another case, null, a repeated key, a malformed
+// body — falls back to encoding/json, whose strings are then hashed. So a
+// body is accepted or refused exactly as encoding/json accepts or refuses it,
+// in its words, and reads to the same rows; a shard still refuses a body it
+// cannot read whole (one past MaxRequestBody) as "decoding request: …", the
+// router as "reading request: …". /add, /delete and the admin endpoints
+// decode with encoding/json.
+//
 // Anyone sending a framed request gets a framed answer: the sorted keys
 // behind length prefixes (the answer frame, also under "wire types"), which
 // the router merges without running a JSON scanner over them. A JSON request
@@ -79,19 +102,20 @@ type Server struct {
 	sketched [numOps]*obs.Counter
 }
 
-// op is one of the three query shapes a shard serves. Its String is the shape's
-// name wherever one is printed: the op label of the per-shape metrics and the
-// op field of the slow-query line.
-type op uint8
+// Op is one of the three query shapes a shard serves: the shape ReadQuery
+// reads a body as. Its String is the shape's name wherever one is printed:
+// the op label of the per-shape metrics and the op field of the slow-query
+// line.
+type Op uint8
 
 const (
-	opQuery op = iota // /query
-	opTopK            // /query/topk
-	opBatch           // /query/batch: one observation per batch, not per row
+	OpQuery Op = iota // /query
+	OpTopK            // /query/topk
+	OpBatch           // /query/batch: one observation per batch, not per row
 	numOps
 )
 
-func (o op) String() string { return [numOps]string{"query", "topk", "batch"}[o] }
+func (o Op) String() string { return [numOps]string{"query", "topk", "batch"}[o] }
 
 // Options configures the server's logging. The zero value logs to
 // slog.Default() with slow-query logging off.
@@ -149,7 +173,7 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 // the source of truth; scraping just snapshots them, so the query path pays
 // nothing extra).
 func (s *Server) registerIndexMetrics() {
-	for o := op(0); o < numOps; o++ {
+	for o := Op(0); o < numOps; o++ {
 		s.queryLat[o] = s.reg.Histogram("lshensembled_live_query_seconds",
 			"Live index query latency by entry point (batch = whole batch).",
 			nil, obs.L("op", o.String()))
@@ -372,16 +396,6 @@ type SketchedBatch struct {
 	BatchRequest
 }
 
-// sketchedDoc is what decodeSketched needs of a document: the sender's seed
-// and how many signatures the trailer must hold.
-type sketchedDoc interface {
-	frame() (seed uint64, rows int)
-}
-
-func (d *SketchedQuery) frame() (uint64, int) { return d.Seed, 1 }
-func (d *SketchedTopK) frame() (uint64, int)  { return d.Seed, 1 }
-func (d *SketchedBatch) frame() (uint64, int) { return d.Seed, len(d.Queries) }
-
 // AppendSketched appends the framed form of one request to dst: doc (a
 // *SketchedQuery, *SketchedTopK or *SketchedBatch) and its signature rows.
 func AppendSketched(dst []byte, doc any, sigs ...lshensemble.Signature) ([]byte, error) {
@@ -399,40 +413,41 @@ func AppendSketched(dst []byte, doc any, sigs ...lshensemble.Signature) ([]byte,
 	return dst, nil
 }
 
-// decodeSketched parses one framed request body for a shard whose family is
-// (seed, numHash): the document lands in doc and the trailer comes back as
-// one signature per row. It is all or nothing — a frame sketched under
+// decodeSketched parses one framed request of shape o for a shard whose
+// family is (seed, numHash): the document, read by readQuery, and the trailer
+// as one signature per row. It is all or nothing — a frame sketched under
 // another seed, a trailer that is not exactly rows × numHash words, or a word
 // no hash of the family can produce is an error, never a shorter answer.
 // What a row must say beyond that (a size, no values) is Resolve's to check.
-func decodeSketched(body []byte, doc sketchedDoc, seed uint64, numHash int) ([]lshensemble.Signature, error) {
+func decodeSketched(body []byte, o Op, seed uint64, numHash int) (Query, []lshensemble.Signature, error) {
 	if len(body) < 4 {
-		return nil, errors.New("sketched request shorter than its length prefix")
+		return Query{}, nil, errors.New("sketched request shorter than its length prefix")
 	}
 	n := binary.LittleEndian.Uint32(body)
 	body = body[4:]
 	if uint64(n) > uint64(len(body)) {
-		return nil, fmt.Errorf("sketched document of %d bytes truncated at %d", n, len(body))
+		return Query{}, nil, fmt.Errorf("sketched document of %d bytes truncated at %d", n, len(body))
 	}
-	if err := decodeOne(bytes.NewReader(body[:n]), doc); err != nil {
-		return nil, fmt.Errorf("decoding sketched document: %w", err)
+	q, err := readQuery(body[:n], o, true)
+	if err != nil {
+		return Query{}, nil, fmt.Errorf("decoding sketched document: %w", err)
 	}
-	got, rows := doc.frame()
-	if got != seed {
-		return nil, fmt.Errorf("sketched with hash seed %d, this shard's is %d (signatures would be incomparable)", got, seed)
+	if q.Seed != seed {
+		return Query{}, nil, fmt.Errorf("sketched with hash seed %d, this shard's is %d (signatures would be incomparable)", q.Seed, seed)
 	}
+	rows := len(q.Rows)
 	if rows == 0 {
-		return nil, errors.New("queries must be non-empty")
+		return Query{}, nil, errors.New("queries must be non-empty")
 	}
 	trailer := body[n:]
 	if len(trailer)%(8*numHash) != 0 || len(trailer)/(8*numHash) != rows {
-		return nil, fmt.Errorf("signature trailer of %d bytes, want %d rows × %d words × 8", len(trailer), rows, numHash)
+		return Query{}, nil, fmt.Errorf("signature trailer of %d bytes, want %d rows × %d words × 8", len(trailer), rows, numHash)
 	}
 	words := make([]uint64, rows*numHash)
 	for i := range words {
 		v := binary.LittleEndian.Uint64(trailer[8*i:])
 		if v > minhash.MersennePrime {
-			return nil, fmt.Errorf("signature word %d is %d, beyond the hash range", i, v)
+			return Query{}, nil, fmt.Errorf("signature word %d is %d, beyond the hash range", i, v)
 		}
 		words[i] = v
 	}
@@ -440,7 +455,7 @@ func decodeSketched(body []byte, doc sketchedDoc, seed uint64, numHash int) ([]l
 	for i := range sigs {
 		sigs[i] = words[i*numHash : (i+1)*numHash : (i+1)*numHash]
 	}
-	return sigs, nil
+	return q, sigs, nil
 }
 
 // appendAnswer appends the answer frame of resp, a *QueryResponse,
@@ -610,18 +625,7 @@ const MaxRequestBody = 64 << 20
 // DecodeJSON decodes a bounded JSON request body into dst, writing a 400
 // error response and returning false on malformed input.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	return decodeStrict(w, http.MaxBytesReader(w, r.Body, MaxRequestBody), dst)
-}
-
-// ReadJSON is DecodeJSON for a caller that also wants the body's bytes (the
-// router forwards them as they came): it reads the body whole, then decodes.
-func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
-	body, ok := readBody(w, r)
-	return body, ok && decodeStrict(w, bytes.NewReader(body), dst)
-}
-
-func decodeStrict(w http.ResponseWriter, rd io.Reader, dst any) bool {
-	if err := decodeOne(rd, dst); err != nil {
+	if err := decodeOne(http.MaxBytesReader(w, r.Body, MaxRequestBody), dst); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
@@ -714,39 +718,52 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // readBody reads a bounded request body whole, writing a 400 error response
 // and returning false when it cannot.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	// Sized from Content-Length so the usual body is read in one allocation;
-	// the header is a hint from outside, so it only ever shrinks the guess.
-	hint := r.ContentLength
-	if hint < 0 || hint > 1<<20 {
-		hint = 1 << 20
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, hint+bytes.MinRead))
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBody)); err != nil {
+	body, err := readAll(w, r)
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return nil, false
 	}
-	return buf.Bytes(), true
+	return body, true
 }
 
-// decodeQuery reads either form of a query request. The JSON form lands in
-// raw and returns no signatures; the framed form lands in doc — which embeds
-// raw, so the handler reads the same fields either way — and returns one
+// readAll reads a bounded request body whole; a failed read returns the
+// bytes that came before it with the error.
+func readAll(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	// Sized from Content-Length so the usual body is read in one allocation;
+	// the header is a hint from outside, so it never sizes the buffer past
+	// 1 MiB. Without one (a chunked body) the buffer starts at a few KiB and
+	// grows with what arrives.
+	hint := r.ContentLength
+	switch {
+	case hint < 0:
+		hint = 4 << 10
+	case hint > 1<<20:
+		hint = 1 << 20
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, hint+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBody))
+	return buf.Bytes(), err
+}
+
+// decodeQuery reads either form of a query request of shape o into the same
+// Query: the JSON form with no signatures, the framed form with one
 // signature per row. On a refusal it has written the 400 and returns false.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, o op, raw any, doc sketchedDoc) ([]lshensemble.Signature, bool) {
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, o Op) (Query, []lshensemble.Signature, bool) {
 	if r.Header.Get("Content-Type") != SketchedContentType {
-		return nil, DecodeJSON(w, r, raw)
+		q, ok := readQueryStream(w, r, o)
+		return q, nil, ok
 	}
 	s.sketched[o].Inc()
 	body, ok := readBody(w, r)
 	if !ok {
-		return nil, false
+		return Query{}, nil, false
 	}
-	sigs, err := decodeSketched(body, doc, s.seed, s.idx.Options().NumHash)
+	q, sigs, err := decodeSketched(body, o, s.seed, s.idx.Options().NumHash)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
-		return nil, false
+		return Query{}, nil, false
 	}
-	return sigs, true
+	return q, sigs, true
 }
 
 // rowSig is row i's pre-sketched signature, nil in the JSON form.
@@ -760,11 +777,11 @@ func rowSig(sigs []lshensemble.Signature, i int) lshensemble.Signature {
 // checkRow refuses a row that has neither values nor a signature, a negative
 // size in either form, or a pre-sketched row that still carries values or
 // lacks the size only its sender could count.
-func checkRow(values []string, size int, sig lshensemble.Signature) error {
+func checkRow(values, size int, sig lshensemble.Signature) error {
 	switch {
-	case sig == nil && len(values) == 0:
+	case sig == nil && values == 0:
 		return errors.New("values must be non-empty")
-	case sig != nil && len(values) > 0:
+	case sig != nil && values > 0:
 		return errors.New("values and a signature are mutually exclusive")
 	case size < 0:
 		return fmt.Errorf("size %d must not be negative", size)
@@ -775,27 +792,28 @@ func checkRow(values []string, size int, sig lshensemble.Signature) error {
 }
 
 // sketchRow is a checked row's signature and |Q|: the pre-sketched signature
-// under the size it came with, or values sketched with h, whose distinct
-// count a positive size overrides.
-func sketchRow(h *lshensemble.Hasher, values []string, size int, sig lshensemble.Signature) (lshensemble.Signature, int) {
+// under the size it came with, or the values' hashes sketched with h — the
+// dedup and sketch of lshensemble.SketchStrings — whose distinct count a
+// positive size overrides. It compacts hashes in place.
+func sketchRow(h *lshensemble.Hasher, hashes []uint64, size int, sig lshensemble.Signature) (lshensemble.Signature, int) {
 	if sig != nil {
 		return sig, size
 	}
-	rec := lshensemble.SketchStrings(h, "query", values)
+	sig, distinct := minhash.SketchDistinct(h, hashes)
 	if size == 0 {
-		size = rec.Size
+		size = distinct
 	}
-	return rec.Sig, size
+	return sig, size
 }
 
-// Resolve validates one wire query and turns it into what the index is
-// asked. With a nil sig it is the JSON form and Values are sketched with h;
-// a non-nil sig is the row's pre-sketched signature. The router resolves a
+// Resolve validates one query row and turns it into what the index is asked.
+// With a nil sig it is the JSON form and the row's hashes are sketched with
+// h; a non-nil sig is the row's pre-sketched signature. The router resolves a
 // client's query with the fleet's family and sends the result on framed, the
 // shard resolves that frame again: one function on both sides, so one set of
 // refusals and one (signature, size, threshold) whichever side sketched.
-func (q *QueryRequest) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.BatchQuery, error) {
-	if err := checkRow(q.Values, q.Size, sig); err != nil {
+func (q *QueryRow) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.BatchQuery, error) {
+	if err := checkRow(len(q.Hashes), q.Size, sig); err != nil {
 		return lshensemble.BatchQuery{}, err
 	}
 	t := q.Threshold
@@ -805,14 +823,14 @@ func (q *QueryRequest) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature)
 	if t < 0 || t > 1 {
 		return lshensemble.BatchQuery{}, fmt.Errorf("threshold %v out of range (0, 1]", t)
 	}
-	sig, size := sketchRow(h, q.Values, q.Size, sig)
+	sig, size := sketchRow(h, q.Hashes, q.Size, sig)
 	return lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: t}, nil
 }
 
-// Resolve is QueryRequest.Resolve for a ranked query: the signature, |Q| and
-// the k to rank (0 means 10).
-func (q *TopKRequest) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.Signature, int, int, error) {
-	if err := checkRow(q.Values, q.Size, sig); err != nil {
+// ResolveTopK is Resolve for a ranked query: the signature, |Q| and the k to
+// rank (0 means 10).
+func (q *QueryRow) ResolveTopK(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.Signature, int, int, error) {
+	if err := checkRow(len(q.Hashes), q.Size, sig); err != nil {
 		return nil, 0, 0, err
 	}
 	if q.K < 0 {
@@ -822,38 +840,37 @@ func (q *TopKRequest) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) 
 	if k == 0 {
 		k = 10
 	}
-	sig, size := sketchRow(h, q.Values, q.Size, sig)
+	sig, size := sketchRow(h, q.Hashes, q.Size, sig)
 	return sig, size, k, nil
 }
 
-// Resolve resolves every row of a batch (see QueryRequest.Resolve); sigs is
+// ResolveBatch resolves every row of a batch (see QueryRow.Resolve); sigs is
 // nil in the JSON form, else one signature per row. An error names its row.
 // It also brings Workers, which comes from outside like the rows do, down to
 // this process's GOMAXPROCS: more goroutines than that only cost, and the
 // field would otherwise start as many as the batch has rows.
-func (b *BatchRequest) Resolve(h *lshensemble.Hasher, sigs []lshensemble.Signature) ([]lshensemble.BatchQuery, error) {
-	if len(b.Queries) == 0 {
+func (q *Query) ResolveBatch(h *lshensemble.Hasher, sigs []lshensemble.Signature) ([]lshensemble.BatchQuery, error) {
+	if len(q.Rows) == 0 {
 		return nil, errors.New("queries must be non-empty")
 	}
-	b.Workers = min(b.Workers, runtime.GOMAXPROCS(0))
-	queries := make([]lshensemble.BatchQuery, len(b.Queries))
-	for i := range b.Queries {
-		q, err := b.Queries[i].Resolve(h, rowSig(sigs, i))
+	q.Workers = min(q.Workers, runtime.GOMAXPROCS(0))
+	queries := make([]lshensemble.BatchQuery, len(q.Rows))
+	for i := range q.Rows {
+		bq, err := q.Rows[i].Resolve(h, rowSig(sigs, i))
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
-		queries[i] = q
+		queries[i] = bq
 	}
 	return queries, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req SketchedQuery
-	sigs, ok := s.decodeQuery(w, r, opQuery, &req.QueryRequest, &req)
+	req, sigs, ok := s.decodeQuery(w, r, OpQuery)
 	if !ok {
 		return
 	}
-	q, err := req.Resolve(s.hasher, rowSig(sigs, 0))
+	q, err := req.Rows[0].Resolve(s.hasher, rowSig(sigs, 0))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -862,25 +879,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	matches, err := s.idx.QueryAppendContext(ctx, nil, q.Sig, q.Size, q.Threshold)
 	elapsed := time.Since(start)
-	s.queryLat[opQuery].Observe(elapsed.Seconds())
+	s.queryLat[OpQuery].Observe(elapsed.Seconds())
 	if err != nil {
 		// The request context is canceled: the client is gone, nobody will
 		// read a body. Returning without writing lets the server tear the
 		// connection down.
 		return
 	}
-	s.noteSlow(r, opQuery, elapsed, tr)
+	s.noteSlow(r, OpQuery, elapsed, tr)
 	resp := queryResponse(matches)
 	writeAnswer(w, sigs != nil, &resp)
 }
 
 func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
-	var req SketchedTopK
-	sigs, ok := s.decodeQuery(w, r, opTopK, &req.TopKRequest, &req)
+	req, sigs, ok := s.decodeQuery(w, r, OpTopK)
 	if !ok {
 		return
 	}
-	sig, size, k, err := req.Resolve(s.hasher, rowSig(sigs, 0))
+	sig, size, k, err := req.Rows[0].ResolveTopK(s.hasher, rowSig(sigs, 0))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -889,11 +905,11 @@ func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ranked, err := s.idx.QueryTopKContext(ctx, sig, size, k)
 	elapsed := time.Since(start)
-	s.queryLat[opTopK].Observe(elapsed.Seconds())
+	s.queryLat[OpTopK].Observe(elapsed.Seconds())
 	if err != nil {
 		return // canceled: client gone
 	}
-	s.noteSlow(r, opTopK, elapsed, tr)
+	s.noteSlow(r, OpTopK, elapsed, tr)
 	resp := TopKResponse{Matches: make([]TopKMatch, len(ranked)), Count: len(ranked)}
 	for i, m := range ranked {
 		resp.Matches[i] = TopKMatch{Key: m.Key, EstContainment: m.EstContainment}
@@ -902,12 +918,11 @@ func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	var req SketchedBatch
-	sigs, ok := s.decodeQuery(w, r, opBatch, &req.BatchRequest, &req)
+	req, sigs, ok := s.decodeQuery(w, r, OpBatch)
 	if !ok {
 		return
 	}
-	queries, err := req.Resolve(s.hasher, sigs)
+	queries, err := req.ResolveBatch(s.hasher, sigs)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -916,11 +931,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rows, err := s.idx.QueryBatchContext(ctx, queries, req.Workers)
 	elapsed := time.Since(start)
-	s.queryLat[opBatch].Observe(elapsed.Seconds())
+	s.queryLat[OpBatch].Observe(elapsed.Seconds())
 	if err != nil {
 		return // canceled: client gone, stop burning CPU on the batch
 	}
-	s.noteSlow(r, opBatch, elapsed, tr)
+	s.noteSlow(r, OpBatch, elapsed, tr)
 	resp := BatchResponse{Rows: make([]QueryResponse, len(rows))}
 	for i, row := range rows {
 		resp.Rows[i] = queryResponse(row)
@@ -944,7 +959,7 @@ func (s *Server) traceSlow(r *http.Request) (context.Context, *lshensemble.LiveQ
 // snapshot's shape and, when the trace carries one, the planner's breakdown —
 // a batch's is the sum over its rows; a ranked query's ladder and an answer
 // from the result cache make no planner decisions and print none.
-func (s *Server) noteSlow(r *http.Request, o op, elapsed time.Duration, tr *lshensemble.LiveQueryTrace) {
+func (s *Server) noteSlow(r *http.Request, o Op, elapsed time.Duration, tr *lshensemble.LiveQueryTrace) {
 	if tr == nil || elapsed < s.slowQuery {
 		return
 	}

@@ -403,8 +403,11 @@ func TestBatchWorkersBounded(t *testing.T) {
 	for _, c := range []struct{ asked, want int }{
 		{100000, procs}, {procs + 1, procs}, {procs, procs}, {1, 1}, {0, 0}, {-7, -7},
 	} {
-		req := BatchRequest{Queries: []QueryRequest{{Values: []string{"a", "b"}}}, Workers: c.asked}
-		if _, err := req.Resolve(h, nil); err != nil {
+		req, err := readQuery(fmt.Appendf(nil, `{"queries":[{"values":["a","b"]}],"workers":%d}`, c.asked), OpBatch, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.ResolveBatch(h, nil); err != nil {
 			t.Fatal(err)
 		}
 		if req.Workers != c.want {

@@ -75,19 +75,15 @@ var (
 // run first so the permutation folding can take the batched
 // permutation-major path; large domains additionally shard across
 // GOMAXPROCS workers (Hasher.SketchParallel — exact, small domains stay on
-// the serial path).
+// the serial path). A query the daemon reads off the wire takes the same
+// dedup and sketch from the hashes of its values.
 func SketchStrings(h *Hasher, key string, values []string) DomainRecord {
-	seen := make(map[uint64]struct{}, len(values))
-	hvs := make([]uint64, 0, len(values))
-	for _, v := range values {
-		hv := minhash.HashString(v)
-		if _, dup := seen[hv]; dup {
-			continue
-		}
-		seen[hv] = struct{}{}
-		hvs = append(hvs, hv)
+	hvs := make([]uint64, len(values))
+	for i, v := range values {
+		hvs[i] = minhash.HashString(v)
 	}
-	return DomainRecord{Key: key, Size: len(hvs), Sig: h.SketchParallel(hvs, 0)}
+	sig, size := minhash.SketchDistinct(h, hvs)
+	return DomainRecord{Key: key, Size: size, Sig: sig}
 }
 
 // TopKResult is one ranked answer of LiveIndex.QueryTopK, the top-k search
