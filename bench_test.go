@@ -372,9 +372,9 @@ func BenchmarkSerialization(b *testing.B) {
 // --- Parallel construction + batch serving ---
 
 // BenchmarkBuildParallel measures full ensemble construction — partition
-// routing, per-partition signature copy into Reserve-sized stores, and the
-// flattened parallel tree rebuild — the work of every seal. Run with
-// -cpu 1,4,8 to see the worker pools scale.
+// routing, then one lshforest.Build per partition (a single-allocation store
+// fill and the per-tree sorts) — the work of every seal. Run with -cpu 1,4,8
+// to see the worker pools scale.
 func BenchmarkBuildParallel(b *testing.B) {
 	f := webTableFixture(b, 10000)
 	b.ResetTimer()

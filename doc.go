@@ -55,10 +55,10 @@
 //     flat per-tree column of leading hash values. Probes binary-search the
 //     contiguous column and only touch the backing store to resolve deeper
 //     prefixes, so a probe no longer chases a pointer per comparison.
-//   - Trees are rebuilt with an LSD radix sort on the leading hash value
-//     (near-uniform in [0, 2^61)), falling back to comparison sorting only
-//     inside runs of equal leading values. Rebuilds are ~3x faster than the
-//     previous closure-comparator sort.Slice.
+//   - Trees are sorted, once per build, with an LSD radix sort on the leading
+//     hash value (near-uniform in [0, 2^61)), falling back to comparison
+//     sorting only inside runs of equal leading values — ~3x faster than a
+//     closure-comparator sort.Slice.
 //   - Corpus sketching uses a batched permutation-major path
 //     (Hasher.PushHashedBlock) that streams L1-sized blocks of base hashes
 //     through eight permutations at a time on AVX-512F CPUs and four
@@ -77,14 +77,13 @@
 // QueryBatch row equals the answer of the same query asked alone.
 //
 //   - A seal — BuildLive's, the compactor's, Compact's — routes records to
-//     partitions serially (one binary search each), then fills the disjoint
-//     partition forests in parallel, with each forest's contiguous store
-//     pre-sized in a single allocation from the known member count
-//     (lshforest.Forest.Reserve).
-//   - It then sorts the trees as one job per (partition, tree) pair drained
-//     through a worker pool, so a few oversized partitions cannot serialize
-//     the tail. Each worker owns one lshforest.SortScratch for the radix
-//     sorts; workers never share mutable state.
+//     partitions serially (one binary search each), then builds each
+//     partition's forest once (lshforest.Build), the partitions drained
+//     through a worker pool. A build sizes its contiguous store in a single
+//     allocation, copies its members' signatures in, and sorts its trees,
+//     one job per tree drained through a second pool whose workers each own
+//     their radix-sort scratch; workers never share mutable state, and a
+//     built forest is never written again.
 //   - LiveIndex.QueryBatch runs every row as the single query it is — same
 //     result cache, same plan, same per-segment step — and only orders the
 //     visits segment-major: the pending rows are fanned across the workers

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"lshensemble/internal/core"
@@ -90,28 +89,25 @@ func Build(records []core.Record, numHash, rMax int) (*Index, error) {
 		}
 	}
 	x := &Index{
-		forest:  lshforest.New(numHash, rMax),
+		keys:    make([]string, len(records)),
 		maxSize: maxSize,
 		numHash: numHash,
 		opt:     tune.ForGrid(numHash/rMax, rMax),
 	}
 	// Padding simulation is the expensive phase (one inverse-CDF sample per
 	// slot per record), and every record pads independently — fan it out.
-	// The forest fill stays serial (appends to one contiguous store) but is
-	// pre-sized, and the tree sorts fan out again per tree.
+	// Build then fills the forest's store serially and fans the tree sorts
+	// out again.
 	padded := make([]minhash.Signature, len(records))
+	ids := make([]uint32, len(records))
 	par.Chunked(len(records), 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := records[i]
 			padded[i] = Pad(r.Sig[:numHash], r.Key, maxSize-r.Size)
+			ids[i], x.keys[i] = uint32(i), r.Key
 		}
 	})
-	x.forest.Reserve(len(records))
-	for i, r := range records {
-		x.forest.Add(uint32(i), padded[i])
-		x.keys = append(x.keys, r.Key)
-	}
-	x.forest.IndexParallel(runtime.GOMAXPROCS(0))
+	x.forest = lshforest.Build(numHash, rMax, 8, ids, func(i int) []uint64 { return padded[i] })
 	return x, nil
 }
 

@@ -2,7 +2,7 @@
 // contribution (Section 5).
 //
 // Build partitions the domain records by cardinality (equi-depth by
-// default, per Theorem 2), builds one dynamic MinHash LSH (lshforest) per
+// default, per Theorem 2), builds one LSH Forest (lshforest) per
 // partition, and answers containment queries by converting the containment
 // threshold t* into a per-partition Jaccard threshold using the partition's
 // upper size bound (Eq. 7 — conservative, so no new false negatives), then
@@ -104,14 +104,15 @@ func (o Options) validate() error {
 	return nil
 }
 
-// part is one cardinality partition with its dynamic LSH index.
+// part is one cardinality partition with its LSH Forest, which answers any
+// (b, r) the tuner picks per query.
 type part struct {
 	lower, upper int
 	forest       *lshforest.Forest
 }
 
-// sigLoc locates an id's stored signature: the partition holding it and the
-// insertion slot inside that partition's forest. Eight bytes per id replace
+// sigLoc locates an id's stored signature: the partition holding it and its
+// slot inside that partition's forest. Eight bytes per id replace
 // the 24-byte slice headers (plus retained caller slices) the pre-backend
 // design kept per id, and work for every store width — a narrow store has no
 // []uint64 to view.
@@ -226,62 +227,29 @@ func Build(records []Record, opts Options) (*Index, error) {
 		parts: make([]part, len(parts)),
 		opt:   opts.table(),
 	}
-	for i, p := range parts {
-		idx.parts[i] = part{
-			lower:  p.Lower,
-			upper:  p.Upper,
-			forest: lshforest.NewWidth(opts.NumHash, opts.RMax, opts.Sketch.WidthBytes()),
-		}
-	}
-	// Route every record first (serial — a binary search per record; the
-	// validated partitions cover every size), grouping member record indices
-	// per partition. The expensive part, copying every signature into its
-	// partition's contiguous store, then runs in parallel: partitions own
-	// disjoint forests, and Reserve sizes each backing array exactly once
-	// from the known member count.
-	members := make([][]int32, len(parts))
-	for _, r := range records {
-		id := uint32(len(idx.keys))
+	// Route every record (serial — a binary search per record; the validated
+	// partitions cover every size), grouping member ids per partition, then
+	// build each partition's forest from its members. Partitions own
+	// disjoint forests, so the builds fan out over them; each Build also fans
+	// its tree sorts out.
+	members := make([][]uint32, len(parts))
+	for id, r := range records {
 		idx.keys = append(idx.keys, r.Key)
 		idx.sizes = append(idx.sizes, r.Size)
 		pi := sort.Search(len(parts), func(i int) bool { return r.Size <= parts[i].Upper })
 		idx.locs = append(idx.locs, sigLoc{part: uint32(pi), slot: uint32(len(members[pi]))})
-		members[pi] = append(members[pi], int32(id))
+		members[pi] = append(members[pi], uint32(id))
 	}
 	par.Drain(len(parts), 0, func(_, pi int) {
-		f := idx.parts[pi].forest
-		f.Reserve(len(members[pi]))
-		for _, id := range members[pi] {
-			f.Add(uint32(id), records[id].Sig)
+		ids := members[pi]
+		idx.parts[pi] = part{
+			lower: parts[pi].Lower,
+			upper: parts[pi].Upper,
+			forest: lshforest.Build(opts.NumHash, opts.RMax, opts.Sketch.WidthBytes(), ids,
+				func(i int) []uint64 { return records[ids[i]].Sig }),
 		}
 	})
-	idx.indexForests()
 	return idx, nil
-}
-
-// indexForests sorts the trees of every partition forest — the last step of
-// Build. The work is flattened into one job per (partition, tree) pair and
-// fanned out over a bounded worker pool, so a handful of oversized partitions
-// cannot serialize the tail the way partition-at-a-time parallelism would.
-func (x *Index) indexForests() {
-	type treeJob struct {
-		f *lshforest.Forest
-		t int
-	}
-	var jobs []treeJob
-	for i := range x.parts {
-		f := x.parts[i].forest
-		for t, n := 0, f.PrepareTrees(); t < n; t++ {
-			jobs = append(jobs, treeJob{f: f, t: t})
-		}
-	}
-	scratches := make([]lshforest.SortScratch, par.Clamp(0, len(jobs)))
-	par.Drain(len(jobs), len(scratches), func(w, i int) {
-		jobs[i].f.RebuildTree(jobs[i].t, &scratches[w])
-	})
-	for i := range x.parts {
-		x.parts[i].forest.FinishTrees()
-	}
 }
 
 // Len returns the number of indexed domains.
@@ -306,8 +274,8 @@ func (x *Index) Sketch() SketchBackend { return x.opts.Sketch }
 // Signature returns the stored signature of the domain with the given id as
 // a freshly allocated full-width slice: the original hash values under
 // Minwise64, the stored truncations (zero-extended) under a b-bit backend —
-// truncation is idempotent, so re-indexing the returned slice under the same
-// backend is lossless. Layered indexes (internal/live) use it to carry
+// truncation is idempotent, so building from the returned slice under the
+// same backend is lossless. Layered indexes (internal/live) use it to carry
 // records into a merged segment without re-sketching.
 func (x *Index) Signature(id uint32) minhash.Signature {
 	l := x.locs[id]
@@ -624,27 +592,35 @@ func Decode(buf []byte) (*Index, []byte, error) {
 	if err := x.rebuildLocs(); err != nil {
 		return nil, buf, err
 	}
-	// Build guarantees ordered, non-overlapping partitions that cover every
-	// record's size (partition.Validate); the query planner and downstream
-	// consumers (the live planner's maxBound metadata) rely on it, so a
-	// decoded index must satisfy the same invariant.
+	if err := x.checkBounds(); err != nil {
+		return nil, buf, err
+	}
+	// Last, so that a rejected encoding never registers its header's grid.
+	x.opt = opts.table()
+	return x, buf, nil
+}
+
+// checkBounds holds partitions read from bytes to what Build guarantees
+// (partition.Validate): bounds ordered and non-overlapping, every record's
+// size inside its partition's. The query planner and downstream consumers
+// (the live planner's maxBound metadata) rely on it, so Decode and FromParts
+// both refuse an index that breaks it. It needs the locs table.
+func (x *Index) checkBounds() error {
 	for i := range x.parts {
 		p := &x.parts[i]
 		if p.lower > p.upper || (i > 0 && x.parts[i-1].upper >= p.lower) {
-			return nil, buf, fmt.Errorf("core: partition %d bounds [%d, %d] out of order: %w",
+			return fmt.Errorf("core: partition %d bounds [%d, %d] out of order: %w",
 				i, p.lower, p.upper, ErrCorrupt)
 		}
 	}
 	for id, loc := range x.locs {
 		p := &x.parts[loc.part]
 		if s := x.sizes[id]; s < p.lower || s > p.upper {
-			return nil, buf, fmt.Errorf("core: record %d size %d outside partition bounds [%d, %d]: %w",
+			return fmt.Errorf("core: record %d size %d outside partition bounds [%d, %d]: %w",
 				id, s, p.lower, p.upper, ErrCorrupt)
 		}
 	}
-	// Last, so that a rejected encoding never registers its header's grid.
-	x.opt = opts.table()
-	return x, buf, nil
+	return nil
 }
 
 // rebuildLocs reconstructs the id → (partition, slot) table from the

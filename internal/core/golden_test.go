@@ -72,9 +72,8 @@ func TestDecodeRejectsMismatchedForest(t *testing.T) {
 	x := goldenEnsemble(t) // header (16, 4)
 	good := x.AppendBinary(nil)
 
-	rogue := lshforest.New(8, 2) // shape disagreeing with the header
-	rogue.Add(0, make([]uint64, 8))
-	rogue.Index()
+	// A shape disagreeing with the header.
+	rogue := lshforest.Build(8, 2, 8, []uint32{0}, func(int) []uint64 { return make([]uint64, 8) })
 
 	// Reuse the valid prefix up to the first partition's forest, then
 	// splice in the rogue forest. Locate the first embedded forest magic.

@@ -30,12 +30,13 @@ func (x *Index) EachPart(fn func(pi int, pv PartView)) {
 
 // FromParts reassembles an Index from previously built partitions. keys and
 // sizes are indexed by record id; every id in [0, len(keys)) must appear in
-// exactly one forest, each forest must already be indexed with the matching
-// signature shape, and sizes must be positive. The forests may be read-only
-// views over mapped segment files: nothing here reads signature store
-// contents (the per-id signature views are built by slicing the stores, and
-// slicing faults no data pages), so a lazily mapped segment stays on disk
-// until the first probe.
+// exactly one forest, each forest must have the matching signature shape,
+// sizes must be positive, and the bounds must hold as Decode requires them
+// (ordered, non-overlapping, every size inside its partition's). The forests
+// may be read-only views over mapped segment files: nothing here reads
+// signature store contents (the per-id signature views are built by slicing
+// the stores, and slicing faults no data pages), so a lazily mapped segment
+// stays on disk until the first probe.
 func FromParts(opts Options, keys []string, sizes []int, views []PartView) (*Index, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -75,9 +76,6 @@ func FromParts(opts Options, keys []string, sizes []int, views []PartView) (*Ind
 			return nil, fmt.Errorf("core: partition %d forest width %d != sketch backend %s width %d",
 				i, f.Width(), opts.Sketch, opts.Sketch.WidthBytes())
 		}
-		if !f.Indexed() {
-			return nil, fmt.Errorf("core: partition %d forest is not indexed", i)
-		}
 		x.parts[i] = part{lower: v.Lower, upper: v.Upper, forest: f}
 		total += f.Len()
 	}
@@ -86,6 +84,9 @@ func FromParts(opts Options, keys []string, sizes []int, views []PartView) (*Ind
 	}
 	if err := x.rebuildLocs(); err != nil {
 		return nil, fmt.Errorf("core: partition entry ids exceed the key space, repeat or are missing: %w", err)
+	}
+	if err := x.checkBounds(); err != nil {
+		return nil, err
 	}
 	x.opt = opts.table() // last, like Decode: rejected input registers no grid
 	return x, nil

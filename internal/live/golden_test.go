@@ -2,9 +2,13 @@ package live
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"lshensemble/internal/core"
 )
 
 // encodeLegacy serializes the index's current snapshot in the historical
@@ -125,6 +129,33 @@ func TestLegacyFormatsLoadAndResaveDeterministically(t *testing.T) {
 	// v2-loaded states must re-encode identically.
 	if !bytes.Equal(resaves[0], resaves[1]) {
 		t.Fatal("v1- and v2-loaded states produced different v3 encodings")
+	}
+}
+
+// TestSegmentImageGolden pins the bytes a sealed segment is built into, per
+// sketch backend: the signature store, the entry ids, and every tree's sorted
+// order and leading column. The forest encoding drops tree orders, so this is
+// the one golden that fails if a change to how forests are built moves them.
+func TestSegmentImageGolden(t *testing.T) {
+	want := map[core.SketchBackend]string{
+		core.Minwise64: "945eb9ba4ef625ed1b0787b7fcc4c0b44e76ebbffed9e4d17b683cfa3386c82a",
+		core.Minwise32: "e5bf87a74534f22e152e7dab6124630064f766b105e5a4ad25756074fc412500",
+		core.Minwise16: "b27fffaec2c305a07242ca9086322f029e49eddb62b7b81251c015f83b6f45fb",
+		core.Minwise8:  "7e9cc26e1dee1540a8e7325385ce4fe0775e5509c0a9ac1fd5ab285c6a0bf081",
+	}
+	recs := fixture(t, 300, 23)
+	for sb, digest := range want {
+		opts := liveOpts()
+		opts.Sketch = sb
+		x, err := Build(recs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(segmentImage(x.snap.Load().segs[0]))
+		x.Close()
+		if got := hex.EncodeToString(sum[:]); got != digest {
+			t.Errorf("%s segment image sha256 %s, want %s", sb, got, digest)
+		}
 	}
 }
 

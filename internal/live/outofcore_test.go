@@ -2,8 +2,10 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
 	"math/rand"
 	"os"
@@ -15,6 +17,7 @@ import (
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/segfile"
 )
 
 // trio builds three indexes over the same initial corpus: pure in-memory,
@@ -271,6 +274,86 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	restore()
 	if err := load(manifest); err != nil {
 		t.Fatalf("restored manifest rejected: %v", err)
+	}
+}
+
+// hostileSegment builds a one-segment index over the 300-domain fixture at
+// NumHash 64, RMax 4 and 4 partitions, and returns it with its segment image
+// and the image offset of the segment's planner metadata block in META.
+func hostileSegment(t *testing.T) (*Index, *segment, []byte, int) {
+	t.Helper()
+	x, err := Build(fixture(t, 300, 11), Options{
+		Options:          core.Options{NumHash: 64, RMax: 4, NumPartitions: 4},
+		ManualCompaction: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := x.snap.Load().segs[0]
+	at := segPage + seg.idx.NumPartitions()*24
+	for id := 0; id < seg.idx.Len(); id++ {
+		at += 20 + len(seg.idx.Key(uint32(id)))
+	}
+	return x, seg, segmentImage(seg), at
+}
+
+// resealSegment recomputes a tampered segment image's META and header
+// checksums, so only the structural checks stand between it and a query.
+func resealSegment(img []byte) {
+	metaOff := binary.LittleEndian.Uint64(img[32:])
+	metaLen := binary.LittleEndian.Uint64(img[40:])
+	binary.LittleEndian.PutUint64(img[112:], crc64.Checksum(img[metaOff:metaOff+metaLen], crcTable))
+	binary.LittleEndian.PutUint64(img[segHeaderCRCAt:], crc64.Checksum(img[:segHeaderCRCAt], crcTable))
+}
+
+// putWords overwrites consecutive little-endian u64 words at off.
+func putWords(b []byte, off int, words ...uint64) {
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(b[off+8*i:], w)
+	}
+}
+
+// TestSegmentFileRefusesDisorderedBounds: a segment file whose partition
+// bounds core.Decode would refuse — here partition 0 set to [10, 9] while it
+// holds records — must not open, checksums notwithstanding.
+func TestSegmentFileRefusesDisorderedBounds(t *testing.T) {
+	x, seg, img, _ := hostileSegment(t)
+	defer x.Close()
+	if seg.idx.PartitionBounds()[0].Count == 0 {
+		t.Fatal("fixture's partition 0 is empty")
+	}
+	putWords(img, segPage, 10, 9)
+	resealSegment(img)
+	if _, err := openSegmentImage(segfile.FromBytes(img), 64, 4, core.Minwise64, true); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("segment with partition 0 bounds [10, 9] opened (err=%v)", err)
+	}
+}
+
+// TestStoredPlannerMetadataMustMatchIndex: the planner's size words are a
+// function of the index, so a stored block that disagrees with it — one
+// claiming minSize = maxSize = maxBound = 1 would range-prune the segment
+// from every query with t*·|Q| > 1 — is refused, in a segment file and in a
+// snapshot's inline block alike.
+func TestStoredPlannerMetadataMustMatchIndex(t *testing.T) {
+	x, seg, img, at := hostileSegment(t)
+	defer x.Close()
+	if m := seg.meta; m.minSize == 1 && m.maxSize == 1 && m.maxBound == 1 {
+		t.Fatal("fixture's metadata already says 1, 1, 1")
+	}
+	putWords(img, at, 1, 1, 1)
+	resealSegment(img)
+	if _, err := openSegmentImage(segfile.FromBytes(img), 64, 4, core.Minwise64, true); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("segment file with metadata 1, 1, 1 opened (err=%v)", err)
+	}
+
+	snap := x.AppendBinary(nil)
+	// v4 header (28 bytes), segment count, kind byte, entry count, seqs, then
+	// the core index and the planner block.
+	at = 28 + 4 + 1 + 4 + 8*seg.idx.Len() + len(seg.idx.AppendBinary(nil))
+	putWords(snap, at, 1, 1, 1)
+	binary.LittleEndian.PutUint64(snap[len(snap)-8:], crc64.Checksum(snap[:len(snap)-8], crcTable))
+	if _, err := Load(bytes.NewReader(snap), Options{ManualCompaction: true}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("snapshot with inline metadata 1, 1, 1 loaded (err=%v)", err)
 	}
 }
 

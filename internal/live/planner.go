@@ -166,25 +166,30 @@ func buildSegMeta(idx *core.Index) *segMeta {
 	if n == 0 {
 		return m
 	}
-	m.minSize = idx.Size(0)
-	m.maxSize = m.minSize
+	m.setSizes(idx)
 	m.keys = bloom.New(n, keysBloomBits, keysBloomK)
 	for id := 0; id < n; id++ {
-		if s := idx.Size(uint32(id)); s < m.minSize {
-			m.minSize = s
-		} else if s > m.maxSize {
-			m.maxSize = s
-		}
 		m.keys.AddString(idx.Key(uint32(id)))
-	}
-	for _, p := range idx.PartitionBounds() {
-		if p.Count > 0 && p.Upper > m.maxBound {
-			m.maxBound = p.Upper
-		}
 	}
 	m.leads = bloom.New(leadCount(idx), leadsBloomBits, leadsBloomK)
 	m.fillLeads(idx, m.leads)
 	return m
+}
+
+// setSizes derives the three size words — minSize, maxSize and maxBound —
+// from a non-empty idx. They are a function of the index, so a load derives
+// them too and refuses a stored block that says otherwise (decodeSegMeta).
+func (m *segMeta) setSizes(idx *core.Index) {
+	m.minSize, m.maxSize, m.maxBound = idx.Size(0), idx.Size(0), 0
+	for id := 1; id < idx.Len(); id++ {
+		s := idx.Size(uint32(id))
+		m.minSize, m.maxSize = min(m.minSize, s), max(m.maxSize, s)
+	}
+	for _, p := range idx.PartitionBounds() {
+		if p.Count > 0 {
+			m.maxBound = max(m.maxBound, p.Upper)
+		}
+	}
 }
 
 // bloomBytes reports the filter footprint of idx's metadata (for Stats). The

@@ -295,7 +295,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			}
 			var meta *segMeta
 			if version >= 2 {
-				meta, buf, err = decodeSegMeta(buf)
+				meta, buf, err = decodeSegMeta(buf, idx)
 				if err != nil {
 					return nil, fmt.Errorf("live: segment %d metadata: %w", i, err)
 				}
@@ -458,21 +458,26 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	return x, nil
 }
 
-// decodeSegMeta reconstructs one segment's planner metadata from the front
-// of buf (the v2 per-segment block).
-func decodeSegMeta(buf []byte) (*segMeta, []byte, error) {
+// decodeSegMeta reads one segment's planner metadata block (the v2+ inline
+// block, or a segment file's) from the front of buf, for the non-empty index
+// idx it describes. The three size words are derived from idx, and a block
+// whose stored words disagree is corrupt: a maxBound below the truth would
+// range-prune the segment from queries it answers. The Bloom filters are
+// taken as stored, under the checksums that cover them: checking leads would
+// read every leading column, faulting in a mapped segment's pages at boot.
+func decodeSegMeta(buf []byte, idx *core.Index) (*segMeta, []byte, error) {
 	if len(buf) < 24 {
 		return nil, buf, ErrCorrupt
 	}
-	m := &segMeta{
-		minSize:  int(binary.LittleEndian.Uint64(buf)),
-		maxSize:  int(binary.LittleEndian.Uint64(buf[8:])),
-		maxBound: int(binary.LittleEndian.Uint64(buf[16:])),
+	m := &segMeta{}
+	m.setSizes(idx)
+	if binary.LittleEndian.Uint64(buf) != uint64(m.minSize) ||
+		binary.LittleEndian.Uint64(buf[8:]) != uint64(m.maxSize) ||
+		binary.LittleEndian.Uint64(buf[16:]) != uint64(m.maxBound) {
+		return nil, buf, fmt.Errorf("stored size words disagree with the segment's (%d, %d, %d): %w",
+			m.minSize, m.maxSize, m.maxBound, ErrCorrupt)
 	}
 	buf = buf[24:]
-	if m.minSize <= 0 || m.minSize > m.maxSize || m.maxBound < m.maxSize {
-		return nil, buf, ErrCorrupt
-	}
 	var err error
 	if m.keys, buf, err = bloom.Decode(buf); err != nil {
 		return nil, buf, err

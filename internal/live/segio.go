@@ -246,7 +246,8 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 
 	// META: partition bounds + counts, then the per-record catalog (decoded
 	// into private heap values — Stats and tombstone sweeps must not depend
-	// on the mapping), then the planner metadata.
+	// on the mapping), then the planner metadata, read once the index is
+	// assembled.
 	if len(meta) < nParts*24 {
 		return nil, errSegFile("META truncated")
 	}
@@ -287,14 +288,6 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 			return nil, errSegFile("seqs not ascending at record %d", id)
 		}
 	}
-	sm, meta, err := decodeSegMeta(meta)
-	if err != nil {
-		return nil, errSegFile("planner metadata: %v", err)
-	}
-	if len(meta) != 0 {
-		return nil, errSegFile("%d trailing META bytes", len(meta))
-	}
-
 	// Lazy sections become per-partition typed views; only slicing happens
 	// here, no element is read. STORE and KEYSCOL stay byte regions until
 	// FromViewBytes casts them at the backend's element width.
@@ -331,6 +324,13 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	idx, err := core.FromParts(opts, keys, sizes, views)
 	if err != nil {
 		return nil, errSegFile("%v", err)
+	}
+	sm, meta, err := decodeSegMeta(meta, idx)
+	if err != nil {
+		return nil, errSegFile("planner metadata: %v", err)
+	}
+	if len(meta) != 0 {
+		return nil, errSegFile("%d trailing META bytes", len(meta))
 	}
 	seg := &segment{idx: idx, seqs: seqs, meta: sm, back: back}
 	// Resident estimate: the decoded META copies plus, for heap backings,

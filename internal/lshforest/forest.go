@@ -1,5 +1,7 @@
-// Package lshforest implements a dynamic MinHash LSH index in the style of
-// LSH Forest (Bawa, Condie, Ganesan, WWW 2005).
+// Package lshforest implements a MinHash LSH index with per-query (b, r) in
+// the style of LSH Forest (Bawa, Condie, Ganesan, WWW 2005). A forest is
+// built once, from all of its signatures (Build), and is immutable after:
+// the index it serves (internal/core) never adds to a built partition.
 //
 // A classic MinHash LSH has a fixed banding configuration (b bands of r hash
 // values each) and therefore a fixed Jaccard threshold. LSH Ensemble needs a
@@ -21,7 +23,7 @@
 // are built with an LSD radix sort on the leading hash value — hash values
 // are near-uniform, so ties needing the deeper comparison sort are rare.
 //
-// The store's element width is configurable (NewWidth): 8 bytes holds the
+// The store's element width is a Build argument: 8 bytes holds the
 // full 61-bit minhash values, narrower widths (1, 2, 4 bytes) hold b-bit
 // truncations — the b-bit minwise backends of internal/core. Query
 // signatures stay full-width []uint64 regardless; every compare site
@@ -32,39 +34,27 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
-
-	"lshensemble/internal/par"
 )
 
-// Forest is a dynamic-(b,r) MinHash LSH index over integer domain ids.
-// Ids are assigned by the caller; signatures must all have the same length,
-// at least BMax()*RMax(). Add entries, call Index once, then Query.
+// Forest is an immutable dynamic-(b,r) MinHash LSH index over integer
+// domain ids. Build, DecodeForest and FromViewBytes return it with every
+// tree sorted; it is safe for concurrent queries.
 type Forest struct {
 	numHash int
 	rMax    int
 	bMax    int
 	width   int // bytes per stored hash value: 1, 2, 4 or 8
 
-	ids   []uint32   // caller-assigned id per inserted entry
+	ids   []uint32   // caller-assigned id per entry, in slot order
 	trees [][]uint32 // per tree: slot indices sorted by that tree's hash vector
 
 	st sigstore // width-typed signature store + per-tree leading-value columns
-
-	indexed bool
-	view    bool // FromViewBytes forest over external (possibly mapped) storage: mutation panics
 }
 
-// New constructs a forest for signatures of numHash values with trees of
-// depth rMax, storing full-width (8-byte) hash values. The number of trees
-// is numHash/rMax (integer division); rMax must be in [1, numHash].
-func New(numHash, rMax int) *Forest { return NewWidth(numHash, rMax, 8) }
-
-// NewWidth is New with an explicit store element width in bytes (1, 2, 4 or
-// 8). Narrow widths store the low 8·width bits of each hash value — the
-// b-bit minwise truncation — and truncate query values to match at probe
-// time.
-func NewWidth(numHash, rMax, width int) *Forest {
+// newForest returns an empty forest of the given shape: numHash values per
+// signature, trees of depth rMax in [1, numHash] (numHash/rMax of them,
+// integer division), width bytes (1, 2, 4 or 8) per stored value.
+func newForest(numHash, rMax, width int) *Forest {
 	if numHash <= 0 {
 		panic("lshforest: numHash must be positive")
 	}
@@ -84,6 +74,27 @@ func NewWidth(numHash, rMax, width int) *Forest {
 	}
 }
 
+// Build returns the forest over len(ids) entries: entry i has id ids[i]
+// (the forest keeps the slice) and signature sig(i), at least
+// (numHash/rMax)·rMax values long. The store is sized once; each signature
+// is copied into it cut to numHash values (zero-padded when shorter), with
+// every value truncated to the low 8·width bits — the b-bit minwise
+// truncation; query values are truncated to match at probe time. sig(i) is
+// copied before sig(i+1) is asked for, so it may reuse one buffer. Every
+// tree is then sorted, the trees fanned out over GOMAXPROCS workers.
+func Build(numHash, rMax, width int, ids []uint32, sig func(i int) []uint64) *Forest {
+	f := newForest(numHash, rMax, width)
+	f.ids = ids
+	if len(ids) > 0 {
+		// An empty forest has nothing to sort; skipping the per-tree
+		// allocations also keeps DecodeForest's cost proportional to its
+		// input for empty encodings with an enormous declared numHash.
+		f.st.fill(len(ids), f.bMax*f.rMax, sig)
+		f.trees = f.st.sortTrees(len(ids), f.bMax)
+	}
+	return f
+}
+
 // NumHash returns the signature length the forest expects.
 func (f *Forest) NumHash() int { return f.numHash }
 
@@ -97,154 +108,8 @@ func (f *Forest) BMax() int { return f.bMax }
 // 1/2/4 for the b-bit truncated backends).
 func (f *Forest) Width() int { return f.width }
 
-// Len returns the number of entries added.
+// Len returns the number of entries.
 func (f *Forest) Len() int { return len(f.ids) }
-
-// Indexed reports whether Index has been called since the last Add.
-func (f *Forest) Indexed() bool { return f.indexed }
-
-// Reserve grows the forest's backing arrays so they can hold at least n
-// total entries without reallocating. Builds of known size should call it
-// once up front: the contiguous signature store is then allocated in a
-// single step instead of grown by repeated append (which copies the whole
-// store every doubling). Reserve never shrinks and is a no-op when capacity
-// already suffices.
-func (f *Forest) Reserve(n int) {
-	if f.view {
-		panic("lshforest: Reserve on a read-only view")
-	}
-	if n <= 0 {
-		return
-	}
-	if cap(f.ids) < n {
-		ids := make([]uint32, len(f.ids), n)
-		copy(ids, f.ids)
-		f.ids = ids
-	}
-	f.st.reserveValues(n * f.numHash)
-}
-
-// Add inserts a (id, signature) pair. The signature is copied into the
-// forest's contiguous backing store, truncated to the store's width; the
-// caller keeps ownership of sig. Add invalidates the index; call Index
-// before querying again.
-func (f *Forest) Add(id uint32, sig []uint64) {
-	if f.view {
-		panic("lshforest: Add on a read-only view")
-	}
-	if len(sig) < f.bMax*f.rMax {
-		panic(fmt.Sprintf("lshforest: signature length %d < required %d", len(sig), f.bMax*f.rMax))
-	}
-	n := f.numHash
-	if len(sig) > n {
-		sig = sig[:n]
-	}
-	f.st.appendSig(sig)
-	// Signatures shorter than numHash (allowed when bMax*rMax < numHash)
-	// are zero-padded so every entry occupies exactly one stride.
-	f.st.appendZeros(n - len(sig))
-	f.ids = append(f.ids, id)
-	f.indexed = false
-}
-
-// SortScratch is the per-worker working memory of a tree rebuild: the radix
-// sort ping-pongs between the order/keys arrays and these temporaries. One
-// scratch serves any number of sequential RebuildTree calls (it grows to the
-// largest forest it has seen); distinct concurrent workers must each own
-// their own.
-type SortScratch struct {
-	tmpOrder []uint32
-	keys     []uint64
-	tmpKeys  []uint64
-}
-
-func (s *SortScratch) grow(n int) {
-	if cap(s.tmpOrder) < n {
-		s.tmpOrder = make([]uint32, n)
-		s.keys = make([]uint64, n)
-		s.tmpKeys = make([]uint64, n)
-	}
-}
-
-// PrepareTrees readies the forest for per-tree rebuilds and returns the
-// number of independent tree jobs to run (one per tree, indices
-// [0, BMax())). An empty forest has nothing to sort: it is finalized
-// immediately and 0 is returned — skipping the per-tree allocations also
-// keeps DecodeForest's cost proportional to its input for empty encodings
-// with an enormous declared numHash.
-//
-// After PrepareTrees, RebuildTree may be called for every job index (from
-// any goroutine, each index exactly once), followed by one FinishTrees.
-// Index and IndexParallel wrap this sequence.
-func (f *Forest) PrepareTrees() int {
-	if f.view {
-		// Rebuilding would write into the externally owned (possibly mapped
-		// read-only) order/column arrays.
-		panic("lshforest: PrepareTrees on a read-only view")
-	}
-	if len(f.ids) == 0 {
-		f.indexed = true
-		return 0
-	}
-	if f.trees == nil {
-		f.trees = make([][]uint32, f.bMax)
-	}
-	f.st.prepareTrees(f.bMax)
-	return f.bMax
-}
-
-// RebuildTree sorts tree t from the current backing store using the given
-// scratch. Distinct trees touch disjoint forest state, so RebuildTree is
-// safe to call concurrently for distinct t (with distinct scratches)
-// between PrepareTrees and FinishTrees.
-func (f *Forest) RebuildTree(t int, s *SortScratch) {
-	n := len(f.ids)
-	s.grow(n)
-	order := f.trees[t]
-	if cap(order) < n {
-		order = make([]uint32, n)
-	}
-	order = order[:n]
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	f.st.rebuildTree(t, order, s)
-	f.trees[t] = order
-}
-
-// FinishTrees marks the forest indexed after every RebuildTree job has
-// completed.
-func (f *Forest) FinishTrees() { f.indexed = true }
-
-// Index (re)builds the sorted trees. It is idempotent and must be called
-// after the last Add and before the first Query.
-func (f *Forest) Index() {
-	jobs := f.PrepareTrees()
-	if jobs == 0 {
-		return
-	}
-	var s SortScratch
-	for t := 0; t < jobs; t++ {
-		f.RebuildTree(t, &s)
-	}
-	f.FinishTrees()
-}
-
-// IndexParallel is Index with the per-tree sorts fanned out over up to
-// `workers` goroutines (each with its own SortScratch). workers ≤ 1 falls
-// back to the serial path. The resulting trees are identical to Index's.
-func (f *Forest) IndexParallel(workers int) {
-	jobs := f.PrepareTrees()
-	if jobs == 0 {
-		return
-	}
-	workers = par.Clamp(workers, jobs)
-	scratches := make([]SortScratch, workers)
-	par.Drain(jobs, workers, func(w, t int) {
-		f.RebuildTree(t, &scratches[w])
-	})
-	f.FinishTrees()
-}
 
 // radixSortPairs sorts (keys, vals) pairs by key with an LSD byte-wise radix
 // sort, skipping passes over bytes that are constant across all keys (hash
@@ -339,12 +204,9 @@ func (s TreeSet) Empty() bool {
 // in the same order (see TreeSet). fn returning false stops the scan early.
 // The query signature is full-width, at least BMax()*RMax() values (callers
 // validate; the kernel indexes it unchecked); a narrow store truncates each
-// compared query value to its width on the fly. It panics if the forest is
-// not indexed, if (b, r) is out of range, or if a non-nil set is too short.
+// compared query value to its width on the fly. It panics if (b, r) is out
+// of range or if a non-nil set is too short.
 func (f *Forest) Query(sig []uint64, b, r int, trees TreeSet, fn func(id uint32) bool) {
-	if !f.indexed {
-		panic("lshforest: Query before Index")
-	}
 	if b <= 0 || b > f.bMax {
 		panic(fmt.Sprintf("lshforest: b %d out of range [1, %d]", b, f.bMax))
 	}
@@ -355,17 +217,17 @@ func (f *Forest) Query(sig []uint64, b, r int, trees TreeSet, fn func(id uint32)
 		panic(fmt.Sprintf("lshforest: tree set of %d words cannot cover %d trees", len(trees), b))
 	}
 	if len(f.ids) == 0 {
-		return // indexed empty forest has no trees to probe
+		return // an empty forest has no trees to probe
 	}
 	f.st.query(f.ids, f.trees, sig, b, r, trees, fn)
 }
 
 // MatchCount returns the number of signature slots where the entry stored
-// in the given slot (insertion position, [0, Len())) agrees with the query
-// signature, truncated to the store's width. It is the allocation-free
-// scoring primitive containment estimation builds on: a narrow store cannot
-// hand out []uint64 views, but agreement counts only need the truncated
-// values on both sides.
+// in the given slot (its position in Build's ids, [0, Len())) agrees with
+// the query signature, truncated to the store's width. It is the
+// allocation-free scoring primitive containment estimation builds on: a
+// narrow store cannot hand out []uint64 views, but agreement counts only
+// need the truncated values on both sides.
 func (f *Forest) MatchCount(slot int, sig []uint64) int {
 	return f.st.matchCount(slot, sig)
 }
@@ -373,8 +235,8 @@ func (f *Forest) MatchCount(slot int, sig []uint64) int {
 // AppendSigWidened appends the stored signature of the given slot, widened
 // to uint64 values, to dst. For a full-width store the values are the
 // original hash values; for a narrow store they are the stored truncations
-// (truncation is idempotent, so re-adding them to an equally narrow store is
-// lossless).
+// (truncation is idempotent, so building an equally narrow store from them
+// is lossless).
 func (f *Forest) AppendSigWidened(dst []uint64, slot int) []uint64 {
 	return f.st.appendWidened(dst, slot)
 }
@@ -387,11 +249,8 @@ func (f *Forest) AppendSigWidened(dst []uint64, slot int) []uint64 {
 // build their collision filters from. For the 8-byte width
 // the returned slice is a view into the forest's index (callers must not
 // mutate it); narrower widths return a widened copy. It returns nil for an
-// empty forest and panics before Index.
+// empty forest.
 func (f *Forest) TreeLeadingColumn(t int) []uint64 {
-	if !f.indexed {
-		panic("lshforest: TreeLeadingColumn before Index")
-	}
 	if t < 0 || t >= f.bMax {
 		panic(fmt.Sprintf("lshforest: tree %d out of range [0, %d)", t, f.bMax))
 	}
@@ -439,7 +298,7 @@ func (f *Forest) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeForest decodes a forest from the front of buf, rebuilds its trees,
+// DecodeForest decodes a forest from the front of buf, builds it (Build),
 // and returns the remaining bytes. Header fields are validated against the
 // actual buffer length in 64-bit arithmetic before any allocation, so a
 // hostile header cannot trigger integer overflow or an over-allocation:
@@ -483,13 +342,30 @@ func DecodeForest(buf []byte) (*Forest, []byte, error) {
 	if uint64(n) > uint64(len(buf))/perEntry {
 		return nil, buf, ErrCorrupt
 	}
-	f := NewWidth(numHash, rMax, width)
-	f.ids = make([]uint32, n)
-	f.st.reserveValues(n * numHash)
-	for i := 0; i < n; i++ {
-		f.ids[i] = binary.LittleEndian.Uint32(buf)
-		buf = f.st.decodeAppendSig(buf[4:])
+	stride := int(perEntry) // n ≥ 1 bounds it by len(buf); n == 0 never uses it
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = binary.LittleEndian.Uint32(buf[i*stride:])
 	}
-	f.IndexParallel(runtime.GOMAXPROCS(0))
-	return f, buf, nil
+	var vals []uint64
+	if n > 0 {
+		vals = make([]uint64, numHash)
+	}
+	f := Build(numHash, rMax, width, ids, func(i int) []uint64 {
+		e := buf[i*stride+4:]
+		for k := range vals {
+			switch width {
+			case 1:
+				vals[k] = uint64(e[k])
+			case 2:
+				vals[k] = uint64(binary.LittleEndian.Uint16(e[2*k:]))
+			case 4:
+				vals[k] = uint64(binary.LittleEndian.Uint32(e[4*k:]))
+			default:
+				vals[k] = binary.LittleEndian.Uint64(e[8*k:])
+			}
+		}
+		return vals
+	})
+	return f, buf[n*stride:], nil
 }

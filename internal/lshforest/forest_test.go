@@ -2,7 +2,6 @@ package lshforest
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -36,6 +35,21 @@ func bruteCandidates(sigs [][]uint64, ids []uint32, q []uint64, b, r, rMax int) 
 	return out
 }
 
+// build is Build over signatures held as slices.
+func build(numHash, rMax, width int, ids []uint32, sigs [][]uint64) *Forest {
+	return Build(numHash, rMax, width, ids, func(i int) []uint64 { return sigs[i] })
+}
+
+// repeated returns n ids 0..n-1 that all carry sig.
+func repeated(n int, sig []uint64) ([]uint32, [][]uint64) {
+	ids := make([]uint32, n)
+	sigs := make([][]uint64, n)
+	for i := range ids {
+		ids[i], sigs[i] = uint32(i), sig
+	}
+	return ids, sigs
+}
+
 func randSigs(rng *xrand.RNG, n, m int, valueRange uint64) ([][]uint64, []uint32) {
 	sigs := make([][]uint64, n)
 	ids := make([]uint32, n)
@@ -54,11 +68,7 @@ func TestForestMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(42)
 	const m, rMax = 16, 4
 	sigs, ids := randSigs(rng, 200, m, 4)
-	f := New(m, rMax)
-	for i := range sigs {
-		f.Add(ids[i], sigs[i])
-	}
-	f.Index()
+	f := build(m, rMax, 8, ids, sigs)
 	for trial := 0; trial < 50; trial++ {
 		q := make([]uint64, m)
 		for k := range q {
@@ -92,11 +102,7 @@ func TestForestMatchesBruteForceProperty(t *testing.T) {
 		const m, rMax = 8, 2
 		n := 20 + rng.Intn(80)
 		sigs, ids := randSigs(rng, n, m, 3)
-		fr := New(m, rMax)
-		for i := range sigs {
-			fr.Add(ids[i], sigs[i])
-		}
-		fr.Index()
+		fr := build(m, rMax, 8, ids, sigs)
 		b := 1 + int(bRaw)%fr.BMax()
 		r := 1 + int(rRaw)%rMax
 		q := sigs[rng.Intn(n)] // query with an indexed signature
@@ -126,11 +132,7 @@ func TestSelfQueryAlwaysFound(t *testing.T) {
 	rng := xrand.New(7)
 	const m, rMax = 32, 8
 	sigs, ids := randSigs(rng, 100, m, 1<<40)
-	f := New(m, rMax)
-	for i := range sigs {
-		f.Add(ids[i], sigs[i])
-	}
-	f.Index()
+	f := build(m, rMax, 8, ids, sigs)
 	for i := range sigs {
 		for _, b := range []int{1, 2, 4} {
 			for _, r := range []int{1, 4, 8} {
@@ -151,12 +153,9 @@ func TestSelfQueryAlwaysFound(t *testing.T) {
 }
 
 func TestQueryEarlyStop(t *testing.T) {
-	f := New(4, 2)
 	sig := []uint64{1, 2, 3, 4}
-	for i := 0; i < 10; i++ {
-		f.Add(uint32(i), sig)
-	}
-	f.Index()
+	ids, sigs := repeated(10, sig)
+	f := build(4, 2, 8, ids, sigs)
 	calls := 0
 	f.Query(sig, 2, 2, nil, func(id uint32) bool {
 		calls++
@@ -168,10 +167,8 @@ func TestQueryEarlyStop(t *testing.T) {
 }
 
 func TestQueryReportsEveryOccurrence(t *testing.T) {
-	f := New(8, 2) // 4 trees
 	sig := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	f.Add(99, sig)
-	f.Index()
+	f := build(8, 2, 8, []uint32{99}, [][]uint64{sig}) // 4 trees
 	// Query does not dedup: the id is found in all 4 trees.
 	count := 0
 	f.Query(sig, 4, 2, nil, func(id uint32) bool {
@@ -184,8 +181,7 @@ func TestQueryReportsEveryOccurrence(t *testing.T) {
 }
 
 func TestEmptyForest(t *testing.T) {
-	f := New(8, 2)
-	f.Index()
+	f := build(8, 2, 8, nil, nil)
 	f.Query(make([]uint64, 8), 1, 1, nil, func(id uint32) bool {
 		t.Fatal("empty forest produced a candidate")
 		return false
@@ -194,24 +190,16 @@ func TestEmptyForest(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	cases := map[string]func(){
-		"zero numHash": func() { New(0, 1) },
-		"rMax zero":    func() { New(8, 0) },
-		"rMax too big": func() { New(8, 9) },
-		"short sig":    func() { New(8, 2).Add(0, make([]uint64, 7)) },
-		"query unindexed": func() {
-			f := New(8, 2)
-			f.Add(0, make([]uint64, 8))
-			f.Query(make([]uint64, 8), 1, 1, nil, nil)
-		},
+		"zero numHash": func() { build(0, 1, 8, nil, nil) },
+		"rMax zero":    func() { build(8, 0, 8, nil, nil) },
+		"rMax too big": func() { build(8, 9, 8, nil, nil) },
+		"bad width":    func() { build(8, 2, 3, nil, nil) },
+		"short sig":    func() { build(8, 2, 8, []uint32{0}, [][]uint64{make([]uint64, 7)}) },
 		"b out of range": func() {
-			f := New(8, 2)
-			f.Index()
-			f.Query(make([]uint64, 8), 5, 1, nil, func(uint32) bool { return true })
+			build(8, 2, 8, nil, nil).Query(make([]uint64, 8), 5, 1, nil, func(uint32) bool { return true })
 		},
 		"r out of range": func() {
-			f := New(8, 2)
-			f.Index()
-			f.Query(make([]uint64, 8), 1, 3, nil, func(uint32) bool { return true })
+			build(8, 2, 8, nil, nil).Query(make([]uint64, 8), 1, 3, nil, func(uint32) bool { return true })
 		},
 	}
 	for name, fn := range cases {
@@ -226,33 +214,10 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-func TestAddAfterIndexInvalidatesTrees(t *testing.T) {
-	f := New(4, 2)
-	f.Add(1, []uint64{1, 1, 1, 1})
-	f.Index()
-	if !f.Indexed() {
-		t.Fatal("should be indexed")
-	}
-	f.Add(2, []uint64{1, 1, 1, 1})
-	if f.Indexed() {
-		t.Fatal("Add should invalidate the index")
-	}
-	f.Index()
-	got := map[uint32]bool{}
-	f.Query([]uint64{1, 1, 1, 1}, 2, 2, nil, func(id uint32) bool {
-		got[id] = true
-		return true
-	})
-	if !got[1] || !got[2] {
-		t.Fatalf("after reindex both entries must be found, got %v", got)
-	}
-}
-
 func TestRealSignatures(t *testing.T) {
 	// End-to-end with real MinHash signatures: similar sets should collide
 	// at permissive (b, r); dissimilar ones should not at strict settings.
 	h := minhash.NewHasher(64, 11)
-	f := New(64, 4) // 16 trees
 	base := make([]string, 50)
 	for i := range base {
 		base[i] = fmt.Sprintf("v%d", i)
@@ -262,10 +227,9 @@ func TestRealSignatures(t *testing.T) {
 	for i := range other {
 		other[i] = fmt.Sprintf("w%d", i)
 	}
-	f.Add(0, h.SketchStrings(base))
-	f.Add(1, h.SketchStrings(similar))
-	f.Add(2, h.SketchStrings(other))
-	f.Index()
+	f := build(64, 4, 8, []uint32{0, 1, 2}, [][]uint64{ // 16 trees
+		h.SketchStrings(base), h.SketchStrings(similar), h.SketchStrings(other),
+	})
 
 	q := h.SketchStrings(base)
 	got := map[uint32]bool{}
@@ -284,11 +248,7 @@ func TestForestRoundTrip(t *testing.T) {
 	rng := xrand.New(3)
 	const m, rMax = 16, 4
 	sigs, ids := randSigs(rng, 50, m, 8)
-	f := New(m, rMax)
-	for i := range sigs {
-		f.Add(ids[i], sigs[i])
-	}
-	f.Index()
+	f := build(m, rMax, 8, ids, sigs)
 	buf := f.AppendBinary(nil)
 	g, rest, err := DecodeForest(buf)
 	if err != nil {
@@ -323,9 +283,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	if _, _, err := DecodeForest([]byte("bogus")); err == nil {
 		t.Fatal("garbage should fail")
 	}
-	f := New(4, 2)
-	f.Add(1, []uint64{1, 2, 3, 4})
-	buf := f.AppendBinary(nil)
+	buf := build(4, 2, 8, []uint32{1}, [][]uint64{{1, 2, 3, 4}}).AppendBinary(nil)
 	if _, _, err := DecodeForest(buf[:len(buf)-4]); err == nil {
 		t.Fatal("truncated buffer should fail")
 	}
@@ -343,12 +301,8 @@ func TestDecodeCorrupt(t *testing.T) {
 func BenchmarkForestQuery(b *testing.B) {
 	rng := xrand.New(1)
 	const m, rMax, bMax = 256, 8, 32
-	f := New(m, rMax)
 	sigs, ids := randSigs(rng, 10000, m, 1<<20)
-	for i := range sigs {
-		f.Add(ids[i], sigs[i])
-	}
-	f.Index()
+	f := build(m, rMax, 8, ids, sigs)
 	// Distinct queries, so the columns are not all cache-resident.
 	queries := make([][]uint64, 256)
 	exact := make([]TreeSet, len(queries))
@@ -382,49 +336,26 @@ func BenchmarkForestQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkForestIndex(b *testing.B) {
+// BenchmarkForestBuild measures Build of a 5 000-entry forest — the store
+// fill and the tree sorts fanned out over GOMAXPROCS, what core.Build runs
+// per partition. Run with -cpu 1,4,8 to see worker scaling.
+func BenchmarkForestBuild(b *testing.B) {
 	rng := xrand.New(1)
 	const m, rMax = 256, 8
 	sigs, ids := randSigs(rng, 5000, m, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := New(m, rMax)
-		for j := range sigs {
-			f.Add(ids[j], sigs[j])
-		}
-		f.Index()
-	}
-}
-
-// BenchmarkForestIndexParallel measures the fanned-out tree rebuild with
-// Reserve pre-sizing — the construction path core.Build drives. Run with
-// -cpu 1,4,8 to see worker scaling.
-func BenchmarkForestIndexParallel(b *testing.B) {
-	rng := xrand.New(1)
-	const m, rMax = 256, 8
-	sigs, ids := randSigs(rng, 5000, m, 1<<20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := New(m, rMax)
-		f.Reserve(len(sigs))
-		for j := range sigs {
-			f.Add(ids[j], sigs[j])
-		}
-		f.IndexParallel(runtime.GOMAXPROCS(0))
+		build(m, rMax, 8, ids, sigs)
 	}
 }
 
 func TestTreeLeadingColumn(t *testing.T) {
-	f := New(8, 2) // 4 trees of depth 2
 	sigs := [][]uint64{
 		{5, 1, 9, 2, 3, 4, 7, 8},
 		{3, 1, 9, 2, 1, 4, 7, 8},
 		{8, 1, 2, 2, 3, 4, 6, 8},
 	}
-	for i, s := range sigs {
-		f.Add(uint32(i), s)
-	}
-	f.Index()
+	f := build(8, 2, 8, []uint32{0, 1, 2}, sigs) // 4 trees of depth 2
 	for tr := 0; tr < f.BMax(); tr++ {
 		col := f.TreeLeadingColumn(tr)
 		if len(col) != len(sigs) {
@@ -452,9 +383,7 @@ func TestTreeLeadingColumn(t *testing.T) {
 }
 
 func TestTreeLeadingColumnEmptyForest(t *testing.T) {
-	f := New(8, 2)
-	f.Index()
-	if col := f.TreeLeadingColumn(0); col != nil {
+	if col := build(8, 2, 8, nil, nil).TreeLeadingColumn(0); col != nil {
 		t.Fatalf("empty forest returned column %v", col)
 	}
 }

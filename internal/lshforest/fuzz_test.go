@@ -15,16 +15,15 @@ func FuzzDecodeForest(f *testing.F) {
 		if width < 8 {
 			mask = (uint64(1) << (8 * width)) - 1
 		}
-		fr := NewWidth(16, 4, width)
-		sig := make([]uint64, 16)
-		for id := uint32(0); id < 10; id++ {
-			for j := range sig {
-				sig[j] = (uint64(id)*0x9e3779b97f4a7c15 + uint64(j)) & mask
+		ids := make([]uint32, 10)
+		sigs := make([][]uint64, 10)
+		for id := range ids {
+			ids[id], sigs[id] = uint32(id), make([]uint64, 16)
+			for j := range sigs[id] {
+				sigs[id][j] = (uint64(id)*0x9e3779b97f4a7c15 + uint64(j)) & mask
 			}
-			fr.Add(id, sig)
 		}
-		fr.Index()
-		f.Add(fr.AppendBinary(nil))
+		f.Add(build(16, 4, width, ids, sigs).AppendBinary(nil))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("LSHF"))

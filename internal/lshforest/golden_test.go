@@ -62,11 +62,7 @@ func TestForestGoldenDecode(t *testing.T) {
 	}
 
 	ids, sigs := goldenForestInputs()
-	live := New(8, 2)
-	for i := range sigs {
-		live.Add(ids[i], sigs[i])
-	}
-	live.Index()
+	live := build(8, 2, 8, ids, sigs)
 
 	// Every stored signature survives the round trip bit-for-bit.
 	for i, id := range f.IDs() {
@@ -154,12 +150,8 @@ func TestDecodeHostileHeader(t *testing.T) {
 func BenchmarkForestQueryAllocs(b *testing.B) {
 	rng := xrand.New(1)
 	const m, rMax = 256, 8
-	f := New(m, rMax)
 	sigs, ids := randSigs(rng, 10000, m, 1<<20)
-	for i := range sigs {
-		f.Add(ids[i], sigs[i])
-	}
-	f.Index()
+	f := build(m, rMax, 8, ids, sigs)
 	q := sigs[0]
 	b.ReportAllocs()
 	b.ResetTimer()

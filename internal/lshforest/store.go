@@ -1,9 +1,11 @@
 package lshforest
 
 import (
+	"fmt"
 	"math/bits"
 	"unsafe"
 
+	"lshensemble/internal/par"
 	"lshensemble/internal/segfile"
 )
 
@@ -37,19 +39,14 @@ type elem interface {
 // through — one virtual call per operation, with the loops inside
 // monomorphized per width.
 type sigstore interface {
-	width() int
 	valueCount() int
-	reserveValues(n int)
-	appendSig(sig []uint64)
-	appendZeros(n int)
-	prepareTrees(bMax int)
-	rebuildTree(t int, order []uint32, s *SortScratch)
+	fill(n, need int, sig func(i int) []uint64)
+	sortTrees(n, bMax int) [][]uint32
 	query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, set TreeSet, fn func(id uint32) bool)
 	matchCount(slot int, sig []uint64) int
 	appendWidened(dst []uint64, slot int) []uint64
 	leadingColumn64(t, n int) []uint64
 	appendEntryLE(buf []byte, slot int) []byte
-	decodeAppendSig(buf []byte) []byte
 	writeStoreLE(dst []byte)
 	writeTreeKeysLE(t int, dst []byte)
 	viewFrom(store []byte, keys [][]byte)
@@ -81,53 +78,61 @@ func newStore(widthBytes, numHash, rMax int) sigstore {
 func (ts *tstore[E]) width() int      { return int(unsafe.Sizeof(E(0))) }
 func (ts *tstore[E]) valueCount() int { return len(ts.store) }
 
-func (ts *tstore[E]) reserveValues(n int) {
-	if cap(ts.store) < n {
-		store := make([]E, len(ts.store), n)
-		copy(store, ts.store)
-		ts.store = store
+// fill sizes the store for n signatures once and copies sig(i) into slot i,
+// cut to numHash values (the zeroed store pads a shorter one) and truncated
+// to the store's width. Each signature must hold at least need values.
+func (ts *tstore[E]) fill(n, need int, sig func(i int) []uint64) {
+	ts.store = make([]E, n*ts.numHash)
+	for i := 0; i < n; i++ {
+		s := sig(i)
+		if len(s) < need {
+			panic(fmt.Sprintf("lshforest: signature length %d < required %d", len(s), need))
+		}
+		dst := ts.store[i*ts.numHash : (i+1)*ts.numHash]
+		for k, v := range s[:min(len(s), len(dst))] {
+			dst[k] = E(v)
+		}
 	}
 }
 
-// appendSig appends sig truncated to the store's width; the caller has
-// already clamped sig to at most numHash values and appends the zero padding
-// separately via appendZeros.
-func (ts *tstore[E]) appendSig(sig []uint64) {
-	for _, v := range sig {
-		ts.store = append(ts.store, E(v))
-	}
+// sortScratch is one worker's working memory for tree sorts: the radix sort
+// ping-pongs between the order/keys arrays and these temporaries.
+type sortScratch struct {
+	tmpOrder []uint32
+	keys     []uint64
+	tmpKeys  []uint64
 }
 
-func (ts *tstore[E]) appendZeros(n int) {
-	for ; n > 0; n-- {
-		ts.store = append(ts.store, 0)
-	}
-}
-
-func (ts *tstore[E]) prepareTrees(bMax int) {
-	if ts.treeKeys == nil {
-		ts.treeKeys = make([][]E, bMax)
-	}
-}
-
-// rebuildTree sorts order (pre-filled with the identity permutation by the
-// caller) by tree t's hash vector and refreshes the tree's contiguous
-// leading-value column.
-func (ts *tstore[E]) rebuildTree(t int, order []uint32, s *SortScratch) {
-	n := len(order)
-	off := t * ts.rMax
-	ts.sortByPrefix(order, s.tmpOrder[:n], s.keys[:n], s.tmpKeys[:n], off, 0)
-	// Rebuild the contiguous leading-value column in sorted order (the
-	// sort scratch may have been clobbered by tie-break recursion).
-	col := ts.treeKeys[t]
-	if cap(col) < n {
-		col = make([]E, n)
-	}
-	col = col[:n]
-	for i, sl := range order {
-		col[i] = ts.store[int(sl)*ts.numHash+off]
-	}
-	ts.treeKeys[t] = col
+// sortTrees sorts each of the bMax trees of the n-entry store, fanned out
+// over up to GOMAXPROCS workers with one sort scratch each, and returns their
+// slot orders; it fills treeKeys with the sorted leading-value columns. The
+// per-tree sorts are deterministic, so the worker count changes nothing.
+func (ts *tstore[E]) sortTrees(n, bMax int) [][]uint32 {
+	trees := make([][]uint32, bMax)
+	ts.treeKeys = make([][]E, bMax)
+	scratch := make([]sortScratch, par.Clamp(0, bMax))
+	par.Drain(bMax, len(scratch), func(w, t int) {
+		s := &scratch[w]
+		if s.keys == nil {
+			s.tmpOrder = make([]uint32, n)
+			s.keys = make([]uint64, n)
+			s.tmpKeys = make([]uint64, n)
+		}
+		order := make([]uint32, n)
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		off := t * ts.rMax
+		ts.sortByPrefix(order, s.tmpOrder, s.keys, s.tmpKeys, off, 0)
+		// The sorted leading-value column (the sort scratch may have been
+		// clobbered by tie-break recursion).
+		col := make([]E, n)
+		for i, sl := range order {
+			col[i] = ts.store[int(sl)*ts.numHash+off]
+		}
+		trees[t], ts.treeKeys[t] = order, col
+	})
+	return trees
 }
 
 // sortByPrefix sorts order by the hash values store[slot*stride+off+depth ..
@@ -365,21 +370,6 @@ func (ts *tstore[E]) appendEntryLE(buf []byte, slot int) []byte {
 		}
 	}
 	return buf
-}
-
-// decodeAppendSig appends one signature (numHash values at native width,
-// little-endian) read from buf to the store and returns the remaining bytes.
-// The caller has verified buf holds at least numHash*width bytes.
-func (ts *tstore[E]) decodeAppendSig(buf []byte) []byte {
-	w := ts.width()
-	for i := 0; i < ts.numHash; i++ {
-		var u uint64
-		for k := w - 1; k >= 0; k-- {
-			u = u<<8 | uint64(buf[i*w+k])
-		}
-		ts.store = append(ts.store, E(u))
-	}
-	return buf[ts.numHash*w:]
 }
 
 // writeStoreLE serializes the whole store, little-endian at native width,

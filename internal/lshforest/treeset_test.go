@@ -36,12 +36,8 @@ func checkTreeSetQuery(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel
 	// wide one leaves most trees without a match.
 	valueRange := [...]uint64{3, 40, 1 << 20}[rng.Intn(3)]
 	n := 1 + rng.Intn(200)
-	f := NewWidth(numHash, rMax, width)
 	sigs, ids := randSigs(rng, n, numHash, valueRange)
-	for i := range sigs {
-		f.Add(ids[i], sigs[i])
-	}
-	f.Index()
+	f := build(numHash, rMax, width, ids, sigs)
 	bMax := f.BMax()
 	b, r := 1+int(bSel)%bMax, 1+int(rSel)%rMax
 
@@ -104,9 +100,7 @@ func FuzzQueryTreeSet(f *testing.F) {
 }
 
 func TestQueryTreeSetTooShortPanics(t *testing.T) {
-	f := New(130, 1)
-	f.Add(0, make([]uint64, 130))
-	f.Index()
+	f := build(130, 1, 8, []uint32{0}, [][]uint64{make([]uint64, 130)})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Query accepted a 1-word set for 130 trees")

@@ -5,24 +5,21 @@ import (
 	"testing"
 )
 
-// buildRandomForest returns an indexed forest over n random signatures and
-// the signatures themselves (by id).
+// buildRandomForest returns a forest over n random signatures and the
+// signatures themselves (by id).
 func buildRandomForest(t *testing.T, n, numHash, rMax int, seed int64) (*Forest, [][]uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	f := New(numHash, rMax)
-	f.Reserve(n)
+	ids := make([]uint32, n)
 	sigs := make([][]uint64, n)
-	for i := 0; i < n; i++ {
+	for i := range sigs {
 		sig := make([]uint64, numHash)
 		for j := range sig {
 			sig[j] = rng.Uint64() >> 16 // narrow range → real collisions
 		}
-		sigs[i] = sig
-		f.Add(uint32(i), sig)
+		ids[i], sigs[i] = uint32(i), sig
 	}
-	f.Index()
-	return f, sigs
+	return build(numHash, rMax, 8, ids, sigs), sigs
 }
 
 // viewOf reassembles f over a serialized copy of its own flat arrays, the way
@@ -51,8 +48,8 @@ func TestFromViewQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromViewBytes: %v", err)
 	}
-	if v.Len() != n || !v.Indexed() {
-		t.Fatalf("view Len=%d Indexed=%v", v.Len(), v.Indexed())
+	if v.Len() != n {
+		t.Fatalf("view Len=%d, want %d", v.Len(), n)
 	}
 
 	collect := func(fr *Forest, sig []uint64, b, r int) map[uint32]bool {
@@ -86,8 +83,8 @@ func TestFromViewEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromViewBytes empty: %v", err)
 	}
-	if v.Len() != 0 || !v.Indexed() {
-		t.Fatalf("empty view Len=%d Indexed=%v", v.Len(), v.Indexed())
+	if v.Len() != 0 {
+		t.Fatalf("empty view Len=%d", v.Len())
 	}
 	v.Query(make([]uint64, 16), 4, 4, nil, func(uint32) bool {
 		t.Fatal("empty view yielded a match")
@@ -103,24 +100,4 @@ func TestFromViewRejectsShapeMismatch(t *testing.T) {
 	if _, err := FromViewBytes(8, 4, 8, ids, make([]byte, 16*8), [][]uint32{{0, 1}}, [][]byte{make([]byte, 16)}); err == nil {
 		t.Fatal("tree count mismatch accepted")
 	}
-}
-
-func TestViewMutationPanics(t *testing.T) {
-	f, _ := buildRandomForest(t, 10, 16, 4, 3)
-	v, err := viewOf(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s on a view did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("Add", func() { v.Add(99, make([]uint64, 16)) })
-	mustPanic("Reserve", func() { v.Reserve(100) })
-	mustPanic("PrepareTrees", func() { v.PrepareTrees() })
 }
