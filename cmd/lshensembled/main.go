@@ -44,7 +44,10 @@
 //
 // Query handlers honor request cancellation: a client that disconnects (or
 // a router whose per-shard deadline expires) stops the in-flight query or
-// batch instead of running it to completion. The listener itself is
+// batch instead of running it to completion. A router sends its pre-sketched
+// queries on record connections instead (GET /records upgrades one; the
+// layout is in internal/serve), each record carrying the deadline its
+// router waits for. The listener itself is
 // hardened against slow clients — header reads, body reads and idle
 // keep-alives all time out (-read-header-timeout, -read-timeout,
 // -write-timeout, -idle-timeout), so a slowloris peer cannot pin
@@ -230,6 +233,9 @@ func run() error {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		logger.Warn("shutdown", "error", err)
 	}
+	// Shutdown does not see the routers' upgraded record connections; their
+	// queries must stop before the snapshot is saved and the index closed.
+	srv.CloseRecords()
 	if *snapshot != "" {
 		n, err := srv.SaveSnapshot()
 		if err != nil {

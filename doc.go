@@ -270,10 +270,28 @@
 // float64 bits for top-k; the layout is in internal/serve's wire types), and
 // the router merges them without running a JSON scanner over them. What it
 // answers its client is byte for byte what it answered when the shards
-// answered in JSON. The router picks the decoder by the answer's
-// Content-Type, so a shard that still answers a framed request in JSON keeps
-// working. A frame that is malformed, out of order or of another row count
-// than the request fails its leg, and the answer goes partial, never wrong.
+// answered in JSON. A frame that is malformed, out of order or of another
+// row count than the request fails its leg, and the answer goes partial,
+// never wrong.
+//
+// Those framed legs do not go through net/http. A shard upgrades an
+// HTTP/1.1 connection on its own listener at GET /records into a record
+// connection, and the router keeps up to 32 idle ones per shard: a leg is
+// one write, a request record (op, trace ID, the leg's remaining deadline,
+// the framed body), and one read, an answer record (status, then the answer
+// frame or the error envelope). The bytes are those of the framed HTTP
+// request, which stays public for any other client, and one function per
+// query shape answers both, with the same refusals, metrics and log lines.
+// The shard runs the query under the record's deadline and closes a
+// connection idle for 90 s; the router returns a connection to its pool
+// only after a complete answer, closes it on any error, and sends a leg
+// once more on a fresh connection when a pooled one fails before its
+// answer's first byte (a restarted shard). lshrouter_shard_dials_total
+// counts the dials per shard. /stats says "records": true next to
+// "sketched"; a live shard that does not — one from before record
+// connections — leaves the family unknown, and the fleet runs on raw legs,
+// complete answers included. Raw legs, writes, health probes and the admin
+// calls stay on HTTP.
 //
 // Consistency and partial results: a query observes each shard's
 // point-in-time snapshot — the fleet-wide answer is not a global snapshot,
@@ -321,14 +339,17 @@
 //
 // lshrouter exports the same per-endpoint HTTP families under the
 // lshrouter_ prefix plus fleet health: lshrouter_shards_live,
-// lshrouter_shard_demotions_total / _promotions_total / _errors_total
-// {shard}, lshrouter_partial_responses_total, and which path served the
+// lshrouter_shard_demotions_total / _promotions_total / _errors_total /
+// _dials_total {shard} (the last counts record connections dialed: pool
+// churn or a flapping shard), lshrouter_partial_responses_total, and which
+// path served the
 // reads: lshrouter_scatter_total{form=sketched|raw}, whose shard-side
 // counterpart is lshensembled_sketched_requests_total{op}.
 //
 // Request tracing: every request is stamped with a trace ID — an inbound
 // X-Request-Id is honored (sanitized), otherwise one is generated — echoed
-// on the response, propagated by the router to every shard fan-out call,
+// on the response, propagated by the router to every shard fan-out call
+// (in the X-Request-Id header, or in the record of a record leg),
 // and attached as trace_id to the structured per-request logs (log/slog,
 // Debug level; -log-level, -log-json), so one ID follows a query from the
 // router into each shard's log. Queries slower than lshensembled's

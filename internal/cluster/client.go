@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
+	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"lshensemble/internal/obs"
@@ -16,15 +21,29 @@ import (
 )
 
 // Client speaks the shard wire protocol (internal/serve's types) to one
-// lshensembled instance. Every call takes a context, and the context is
-// the only bound on how long an accepted request may take to answer: the
-// router caps query, write and health legs with its per-shard deadline and
-// lets /save and /compact run as long as the operator's request lives. The
-// transport's dial timeout bounds what a context cannot (a SYN blackhole).
+// lshensembled instance: pre-sketched queries as records on a pool of record
+// connections, everything else over HTTP. Every call takes a context, and the
+// context is the only bound on how long an accepted request may take to
+// answer: the router caps query, write and health legs with its per-shard
+// deadline and lets /save and /compact run as long as the operator's request
+// lives. The dial timeout bounds what a context cannot (a SYN blackhole), and
+// a record connection's upgrade too.
 type Client struct {
-	base string
-	hc   *http.Client
+	base   string
+	hc     *http.Client
+	host   string // base's host:port, where record connections are dialed
+	dialer *net.Dialer
+	// dials counts the record connections dialed; the router points it at
+	// the shard's series. Nil counts nothing.
+	dials *obs.Counter
+
+	mu     sync.Mutex
+	idle   []*recordConn // the last one returned on top
+	closed bool
 }
+
+// maxIdle is how many idle connections a client keeps per transport.
+const maxIdle = 32
 
 // NewClient builds a client for one shard base URL ("http://host:port").
 // timeout bounds connection establishment; per-request deadlines come from
@@ -33,16 +52,38 @@ func NewClient(base string, timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
+	dialer := &net.Dialer{Timeout: timeout}
 	tr := &http.Transport{
-		DialContext:         (&net.Dialer{Timeout: timeout}).DialContext,
-		MaxIdleConnsPerHost: 32,
+		DialContext:         dialer.DialContext,
+		MaxIdleConnsPerHost: maxIdle,
 		IdleConnTimeout:     90 * time.Second,
 	}
-	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: tr}}
+	c := &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: tr}, dialer: dialer}
+	if u, err := url.Parse(c.base); err == nil {
+		c.host = u.Host
+		if u.Port() == "" {
+			c.host = net.JoinHostPort(u.Hostname(), "80")
+		}
+	}
+	return c
 }
 
 // Base returns the shard base URL the client was built with.
 func (c *Client) Base() string { return c.base }
+
+// Close releases the client's idle connections, record and HTTP alike. A
+// call in flight finishes, and its record connection is closed after it
+// instead of kept.
+func (c *Client) Close() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	for _, rc := range idle {
+		rc.Close()
+	}
+	c.hc.CloseIdleConnections()
+}
 
 // StatusError is a shard's non-2xx answer: the status and the message of its
 // error envelope. The router tells a request every shard refused the same way
@@ -60,24 +101,30 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("shard %s: %s %s: HTTP %d", e.Shard, e.Method, e.Path, e.Status)
 }
 
+// statusError is the *StatusError of a non-2xx answer whose body is body. A
+// body that is not the envelope leaves the message empty.
+func (c *Client) statusError(method, path string, status int, body io.Reader) *StatusError {
+	var e serve.ErrorResponse
+	_ = json.NewDecoder(io.LimitReader(body, 4096)).Decode(&e)
+	return &StatusError{Shard: c.base, Method: method, Path: path, Status: status, Message: e.Error}
+}
+
 // do sends one JSON request and decodes one JSON response. Non-2xx answers
 // surface the shard's error envelope as a *StatusError.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	if in == nil {
-		return c.send(ctx, method, path, "", nil, 0, out)
+		return c.send(ctx, method, path, nil, out)
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("encoding %s request: %w", path, err)
 	}
-	return c.send(ctx, method, path, "application/json", b, 0, out)
+	return c.send(ctx, method, path, b, out)
 }
 
-// send sends body, which it only reads, under contentType and decodes the
-// answer into out in the form the Content-Type of the answer names: the
-// answer frame of a query of rows rows (serve.DecodeAnswer), or JSON. A shard
-// that answers a framed request in JSON is decoded like any other JSON answer.
-func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte, rows int, out any) error {
+// send sends body, a JSON document it only reads, over HTTP and decodes the
+// JSON answer into out.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -86,8 +133,8 @@ func (c *Client) send(ctx context.Context, method, path, contentType string, bod
 	if err != nil {
 		return err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	// Propagate the router's trace ID so one request ID follows the call
 	// from router access log to shard access log.
@@ -103,33 +150,174 @@ func (c *Client) send(ctx context.Context, method, path, contentType string, bod
 		resp.Body.Close()
 	}()
 	if resp.StatusCode/100 != 2 {
-		var e serve.ErrorResponse
-		// A body that is not the envelope leaves the message empty.
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e)
-		return &StatusError{Shard: c.base, Method: method, Path: path, Status: resp.StatusCode, Message: e.Error}
+		return c.statusError(method, path, resp.StatusCode, resp.Body)
 	}
 	if out == nil {
 		return nil
 	}
-	if resp.Header.Get("Content-Type") == serve.SketchedContentType {
-		err = decodeFrame(resp, rows, out)
-	} else {
-		err = json.NewDecoder(io.LimitReader(resp.Body, serve.MaxRequestBody)).Decode(out)
-	}
-	if err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, serve.MaxRequestBody)).Decode(out); err != nil {
 		return fmt.Errorf("shard %s: decoding %s response: %w", c.base, path, err)
 	}
 	return nil
 }
 
-// decodeFrame reads an answer frame whole and decodes it. The Content-Length
-// only sizes the first buffer, and never past 1 MiB: it comes from outside.
-func decodeFrame(resp *http.Response, rows int, out any) error {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), 1<<20)+bytes.MinRead))
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, serve.MaxRequestBody)); err != nil {
+// leg sends one pre-sketched query of shape o — body, AppendSketched's frame
+// of a request of rows rows — as a record and decodes the answer frame into
+// out, as serve.DecodeAnswer does. A non-2xx answer is a *StatusError, as
+// over HTTP. The leg takes an idle record connection or dials a new one, and
+// gives it back only after a complete answer; any error closes it. A reused
+// connection that fails before the answer's first byte (the shard restarted,
+// or closed it idle) is retried once on a fresh one: legs only read.
+func (c *Client) leg(ctx context.Context, o serve.Op, body []byte, rows int, out any) error {
+	rc := c.idleConn()
+	for {
+		reused := rc != nil
+		if !reused {
+			var err error
+			if rc, err = c.dial(ctx); err != nil {
+				return err
+			}
+		}
+		status, answer, err := rc.exchange(ctx, o, body)
+		switch {
+		case err != nil:
+		case status/100 != 2:
+			err = c.statusError(http.MethodPost, o.Path(), status, bytes.NewReader(answer))
+		default:
+			if err = serve.DecodeAnswer(answer, rows, out); err != nil {
+				err = fmt.Errorf("shard %s: decoding %s response: %w", c.base, o.Path(), err)
+			}
+		}
+		if err == nil {
+			// A cancel that came with the answer may still move the
+			// deadline: such a connection is not handed out again.
+			if ctx.Err() == nil {
+				c.put(rc)
+			} else {
+				rc.Close()
+			}
+			return nil
+		}
+		rc.Close()
+		var stale staleConn
+		if !reused || !errors.As(err, &stale) || errors.Is(err, os.ErrDeadlineExceeded) || ctx.Err() != nil {
+			return err
+		}
+		rc = nil
+	}
+}
+
+// idleConn takes the most recently returned idle record connection, nil
+// when there is none.
+func (c *Client) idleConn() *recordConn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.idle)
+	if n == 0 {
+		return nil
+	}
+	rc := c.idle[n-1]
+	c.idle = c.idle[:n-1]
+	return rc
+}
+
+// put returns a connection to the pool, or closes it when the pool is full
+// or the client closed.
+func (c *Client) put(rc *recordConn) {
+	c.mu.Lock()
+	keep := !c.closed && len(c.idle) < maxIdle
+	if keep {
+		c.idle = append(c.idle, rc)
+	}
+	c.mu.Unlock()
+	if !keep {
+		rc.Close()
+	}
+}
+
+// dial opens a record connection: a TCP connection to the shard, upgraded
+// under the dial timeout (or ctx's deadline, if sooner).
+func (c *Client) dial(ctx context.Context) (*recordConn, error) {
+	conn, err := c.dialer.DialContext(ctx, "tcp", c.host)
+	if err != nil {
+		return nil, err
+	}
+	if c.dials != nil {
+		c.dials.Inc()
+	}
+	rc := &recordConn{Conn: conn, br: bufio.NewReader(conn)}
+	deadline := time.Now().Add(c.dialer.Timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	if err := rc.upgrade(ctx, deadline, c.host); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("shard %s: upgrading to %s: %w", c.base, serve.RecordProtocol, err)
+	}
+	return rc, nil
+}
+
+// recordConn is one upgraded connection to a shard and its buffers.
+type recordConn struct {
+	net.Conn
+	br  *bufio.Reader
+	hdr []byte // a request record's header
+	buf []byte // the last answer's body
+}
+
+// staleConn is an error before the first byte of an answer.
+type staleConn struct{ error }
+
+func (e staleConn) Unwrap() error { return e.error }
+
+// guard bounds what follows by deadline (none when zero) and by ctx: a
+// cancel moves the deadline into the past, which unblocks any read or write.
+// The returned stop disarms the cancel.
+func (rc *recordConn) guard(ctx context.Context, deadline time.Time) (stop func() bool) {
+	rc.SetDeadline(deadline)
+	return context.AfterFunc(ctx, func() { rc.SetDeadline(time.Unix(1, 0)) })
+}
+
+// upgrade asks the shard to turn the connection into a record connection.
+func (rc *recordConn) upgrade(ctx context.Context, deadline time.Time, host string) error {
+	defer rc.guard(ctx, deadline)()
+	req := "GET " + serve.RecordPath + " HTTP/1.1\r\nHost: " + host +
+		"\r\nConnection: Upgrade\r\nUpgrade: " + serve.RecordProtocol + "\r\n\r\n"
+	if _, err := io.WriteString(rc.Conn, req); err != nil {
 		return err
 	}
-	return serve.DecodeAnswer(buf.Bytes(), rows, out)
+	resp, err := http.ReadResponse(rc.br, nil)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		return fmt.Errorf("HTTP %d", resp.StatusCode)
+	}
+	return nil
+}
+
+// exchange writes one request record in one write and reads its answer
+// record, under ctx. The answer's body is valid until the next exchange.
+func (rc *recordConn) exchange(ctx context.Context, o serve.Op, body []byte) (int, []byte, error) {
+	deadline, ok := ctx.Deadline()
+	var timeout time.Duration
+	if ok {
+		if timeout = time.Until(deadline); timeout <= 0 {
+			return 0, nil, context.DeadlineExceeded
+		}
+	}
+	defer rc.guard(ctx, deadline)()
+	rc.hdr = serve.AppendRecordHeader(rc.hdr[:0], o, obs.TraceID(ctx), timeout, len(body))
+	bufs := net.Buffers{rc.hdr, body}
+	if _, err := bufs.WriteTo(rc.Conn); err != nil {
+		return 0, nil, staleConn{err}
+	}
+	if _, err := rc.br.Peek(1); err != nil {
+		return 0, nil, staleConn{err}
+	}
+	status, answer, err := serve.ReadAnswerRecord(rc.br, rc.buf)
+	rc.buf = answer
+	return status, answer, err
 }
 
 // Add forwards one ingest to the shard.
@@ -147,9 +335,9 @@ func (c *Client) Delete(ctx context.Context, req *serve.DeleteRequest) (serve.De
 }
 
 // Query runs one containment query on the shard, in the JSON form. The
-// router's own legs go through send with a body encoded once for all shards;
-// this is the typed call of a client talking to one shard (the benchmark's
-// ladder replays raw-value requests at a shard with it).
+// router's own legs go out encoded once for all shards; this is the typed
+// call of a client talking to one shard (the benchmark's ladder replays
+// raw-value requests at a shard with it).
 func (c *Client) Query(ctx context.Context, req *serve.QueryRequest) (serve.QueryResponse, error) {
 	var out serve.QueryResponse
 	err := c.do(ctx, http.MethodPost, "/query", req, &out)

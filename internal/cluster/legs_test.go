@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"lshensemble"
@@ -18,29 +17,6 @@ import (
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/serve"
 )
-
-// legRecorder fronts a shard and keeps the body of every framed request it
-// passes on.
-type legRecorder struct {
-	next http.Handler
-	mu   sync.Mutex
-	legs [][]byte
-}
-
-func (l *legRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == serve.SketchedContentType {
-		b, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		l.mu.Lock()
-		l.legs = append(l.legs, b)
-		l.mu.Unlock()
-		r.Body = io.NopCloser(bytes.NewReader(b))
-	}
-	l.next.ServeHTTP(w, r)
-}
 
 // jsonLeg is the frame a client's body must be sent on as, worked out from
 // strings: encoding/json into the wire type, then each row's values hashed,
@@ -112,8 +88,9 @@ func jsonLeg(t *testing.T, path string, body []byte, h *lshensemble.Hasher, seed
 
 // TestRouterLegsMatchJSONPath: over bodies of all three shapes drawn from a
 // generated lake, and bodies only encoding/json reads (escapes, keys in
-// another case), the framed leg the router sends is byte for byte the one
-// that decoding the body with encoding/json and sketching its strings gives.
+// another case), the framed leg the router sends — read off the record
+// connection — is byte for byte the one that decoding the body with
+// encoding/json and sketching its strings gives.
 func TestRouterLegsMatchJSONPath(t *testing.T) {
 	lake := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 240, MaxSize: 400, Seed: 3})
 	values := func(d int) []string {
@@ -162,21 +139,20 @@ func TestRouterLegsMatchJSONPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(idx.Close)
-	rec := &legRecorder{next: serve.NewWith(idx, lshensemble.NewHasher(testNumHash, testSeed), testSeed, "", serve.Options{})}
-	sts := httptest.NewServer(rec)
-	t.Cleanup(sts.Close)
-	router, rts := startRouter(t, []string{sts.URL}, Options{})
+	front, surl := newRecordFront(t, serve.NewWith(idx, lshensemble.NewHasher(testNumHash, testSeed), testSeed, "", serve.Options{}))
+	router, rts := startRouter(t, []string{surl}, Options{})
 	router.CheckHealth()
 	h := lshensemble.NewHasher(testNumHash, testSeed)
 	for i, b := range bodies {
 		if code, answer := postRaw(t, rts.URL+b.path, string(b.json)); code != http.StatusOK {
 			t.Fatalf("body %d %s %s: HTTP %d %s", i, b.path, b.json, code, answer)
 		}
-		if len(rec.legs) != i+1 {
-			t.Fatalf("body %d: the shard saw %d framed legs, want %d", i, len(rec.legs), i+1)
+		legs := front.recorded()
+		if len(legs) != i+1 {
+			t.Fatalf("body %d: the shard read %d record legs, want %d", i, len(legs), i+1)
 		}
-		if want := jsonLeg(t, b.path, b.json, h, testSeed); !bytes.Equal(rec.legs[i], want) {
-			t.Fatalf("body %d %s %.200s: leg of %d bytes differs from the encoding/json path's %d", i, b.path, b.json, len(rec.legs[i]), len(want))
+		if want := jsonLeg(t, b.path, b.json, h, testSeed); !bytes.Equal(legs[i], want) {
+			t.Fatalf("body %d %s %.200s: leg of %d bytes differs from the encoding/json path's %d", i, b.path, b.json, len(legs[i]), len(want))
 		}
 	}
 	if len(bodies) < 200 {

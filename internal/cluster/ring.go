@@ -7,6 +7,18 @@
 // The package splits into three pieces: Ring (this file) places keys,
 // Client speaks the shard wire protocol from internal/serve, and Router
 // glues them into an http.Handler with health-checked membership.
+//
+// A Client talks to its shard on two transports. A pre-sketched query leg
+// is one record, one write and one read, on a record connection: an
+// HTTP/1.1 connection the shard upgraded at GET /records, kept in a pool of
+// at most 32 idle ones per shard. A leg takes one or dials a new one; the
+// connection's deadline follows the leg's context (a cancel unblocks it),
+// it goes back to the pool only after a complete answer, and any error
+// closes it. A reused connection that fails before its answer's first byte
+// — the shard restarted, or closed it after 90 s idle — is retried once on
+// a fresh one, so a restarted shard costs a dial, not a partial answer.
+// Everything else — raw-value legs, writes, health probes, /stats and the
+// admin calls — is HTTP. Router.Close releases both.
 package cluster
 
 import (

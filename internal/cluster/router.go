@@ -105,12 +105,18 @@ type shard struct {
 // leg — the answer goes partial, its candidates are never merged — and is
 // asked for its family again. /add and /delete always forward raw values.
 //
-// A shard answers a sketched leg in the answer frame (internal/serve), which
-// the router decodes without a JSON scanner into the same response types a
-// JSON answer fills, so the merges and the client's answer do not depend on
-// the form a shard answered in. A shard that answers in JSON is decoded as
-// JSON. A frame that is malformed, or has not the request's row count, fails
-// its leg like a timeout does.
+// Sketched legs do not go through net/http: each is one write and one read
+// on a pooled record connection to the shard (the package comment has their
+// lifecycle; lshrouter_shard_dials_total counts the dials). The family is
+// only "known" while every live shard also advertises record connections on
+// /stats, so a shard from before them keeps the fleet on raw legs, which
+// stay on HTTP, as do writes, health probes and the admin calls.
+//
+// The answer record carries the answer frame, which the router decodes
+// without a JSON scanner into the same response types a JSON answer fills,
+// so the merges and the client's answer do not depend on the form a shard
+// answered in. A frame that is malformed, or has not the request's row
+// count, fails its leg like a timeout does.
 type Router struct {
 	opts   Options
 	shards []*shard // sorted by name, fixed at construction
@@ -135,6 +141,7 @@ type Router struct {
 	scatterSketched, scatterRaw *obs.Counter
 
 	stopOnce sync.Once
+	started  atomic.Bool
 	stop     chan struct{}
 	done     chan struct{}
 }
@@ -175,6 +182,8 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 			"Health-checker promotions (demoted shard rejoined the ring).", obs.L("shard", name))
 		s.errors = r.reg.Counter("lshrouter_shard_errors_total",
 			"Failed shard calls (timeouts, refusals, non-2xx).", obs.L("shard", name))
+		s.client.dials = r.reg.Counter("lshrouter_shard_dials_total",
+			"Record connections dialed to the shard; a climbing count is pool churn or a flapping shard.", obs.L("shard", name))
 		r.shards = append(r.shards, s)
 	}
 	r.rebuild()
@@ -214,6 +223,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.Ser
 
 // Start launches the background health checker.
 func (r *Router) Start() {
+	r.started.Store(true)
 	go func() {
 		defer close(r.done)
 		t := time.NewTicker(r.opts.HealthInterval)
@@ -229,14 +239,17 @@ func (r *Router) Start() {
 	}()
 }
 
-// Close stops the health checker. Idempotent; safe if Start was never
-// called.
+// Close stops the health checker and releases the shard connections: the
+// idle HTTP keep-alives and the record pools. A leg in flight finishes, and
+// its record connection is closed after it. Idempotent; safe if Start was
+// never called.
 func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
-	select {
-	case <-r.done:
-	default:
-		// Start was never called; done never closes.
+	if r.started.Load() {
+		<-r.done
+	}
+	for _, s := range r.shards {
+		s.client.Close()
 	}
 }
 
@@ -330,8 +343,8 @@ func (r *Router) learnFamilies() {
 			case err != nil:
 				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard hash family not learned",
 					slog.String("shard", s.name), slog.String("error", err.Error()))
-			case !st.Sketched || st.NumHash <= 0 || st.NumHash > maxNumHash:
-				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard takes no pre-sketched queries",
+			case !st.Sketched || !st.Records || st.NumHash <= 0 || st.NumHash > maxNumHash:
+				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard takes no record legs",
 					slog.String("shard", s.name), slog.Int("num_hash", st.NumHash))
 			default:
 				s.family.Store(&HashFamily{Seed: st.Seed, NumHash: st.NumHash})
@@ -637,11 +650,13 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 
 // legBody is what every leg of one scattered query is sent: one encoding,
 // shared by the legs and only ever read, and the query's row count, which a
-// framed answer must match.
+// framed answer must match. A sketched leg goes as a record of op o, a raw
+// one as the client's JSON to o's route.
 type legBody struct {
-	contentType string // serve.SketchedContentType, or JSON for raw legs
-	bytes       []byte
-	rows        int
+	sketched bool
+	op       serve.Op
+	bytes    []byte
+	rows     int
 }
 
 // queryLegs decides the form a scattered query goes out in. With the fleet's
@@ -649,11 +664,11 @@ type legBody struct {
 // own validation and the one MinHash pass of the request — and frames the
 // result; a request sketch refuses is answered 400 here, before any leg. With
 // the family unknown or mixed the legs get raw, the client's body as it came.
-func (r *Router) queryLegs(w http.ResponseWriter, raw []byte, rows int, sketch func(*sketcher) (doc any, sigs []lshensemble.Signature, err error)) (legBody, bool) {
+func (r *Router) queryLegs(w http.ResponseWriter, o serve.Op, raw []byte, rows int, sketch func(*sketcher) (doc any, sigs []lshensemble.Signature, err error)) (legBody, bool) {
 	sk := r.sketcherForQuery()
 	if sk == nil {
 		r.scatterRaw.Inc()
-		return legBody{contentType: "application/json", bytes: raw, rows: rows}, true
+		return legBody{op: o, bytes: raw, rows: rows}, true
 	}
 	// A signature is a fixed 8·num_hash bytes however few values it stands
 	// for, so a batch of very many small queries is larger framed than raw:
@@ -681,23 +696,25 @@ func (r *Router) queryLegs(w http.ResponseWriter, raw []byte, rows int, sketch f
 		return legBody{}, false
 	}
 	r.scatterSketched.Inc()
-	return legBody{contentType: serve.SketchedContentType, bytes: body, rows: rows}, true
+	return legBody{sketched: true, op: o, bytes: body, rows: rows}, true
 }
 
-// scatter posts one query to path on every live shard and gathers the
-// answers. The legs start together, so they share one ShardTimeout deadline:
-// a slow shard costs a partial answer, not latency. A shard that answers a
-// sketched leg with a 4xx — the router validated the request, so what the
-// shard refused is the family — is asked for its family again before it is
-// sent another.
-func scatter[T any](r *Router, ctx context.Context, path string, leg legBody) (oks []T, failed []string, refusal *StatusError) {
+// scatter sends one query to every live shard and gathers the answers. The
+// legs start together, so they share one ShardTimeout deadline: a slow shard
+// costs a partial answer, not latency. A shard that answers a sketched leg
+// with a 4xx — the router validated the request, so what the shard refused
+// is the family — is asked for its family again before it is sent another.
+func scatter[T any](r *Router, ctx context.Context, leg legBody) (oks []T, failed []string, refusal *StatusError) {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
 	defer cancel()
 	live, resps, errs := fanOut(r, ctx, func(ctx context.Context, s *shard) (T, error) {
 		var out T
-		return out, s.client.send(ctx, http.MethodPost, path, leg.contentType, leg.bytes, leg.rows, &out)
+		if leg.sketched {
+			return out, s.client.leg(ctx, leg.op, leg.bytes, leg.rows, &out)
+		}
+		return out, s.client.send(ctx, http.MethodPost, leg.op.Path(), leg.bytes, &out)
 	})
-	if leg.contentType == serve.SketchedContentType {
+	if leg.sketched {
 		distrusted := false
 		for i, err := range errs {
 			var se *StatusError
@@ -716,13 +733,18 @@ func scatter[T any](r *Router, ctx context.Context, path string, leg legBody) (o
 }
 
 // fanOut runs call against every live shard concurrently and returns, shard
-// by shard, the answer or the error. It never fails as a whole.
+// by shard, the answer or the error. It never fails as a whole. The last
+// shard's call runs on the calling goroutine, whose stack has already grown.
 func fanOut[T any](r *Router, ctx context.Context, call func(context.Context, *shard) (T, error)) (live []*shard, resps []T, errs []error) {
 	live = r.liveShards()
 	resps = make([]T, len(live))
 	errs = make([]error, len(live))
 	var wg sync.WaitGroup
 	for i, s := range live {
+		if i == len(live)-1 {
+			resps[i], errs[i] = call(ctx, s)
+			break
+		}
 		wg.Add(1)
 		go func(i int, s *shard) {
 			defer wg.Done()
@@ -801,7 +823,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	leg, ok := r.queryLegs(w, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
+	leg, ok := r.queryLegs(w, serve.OpQuery, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
 		q, err := body.Rows[0].Resolve(sk.hasher, nil)
 		return &serve.SketchedQuery{Seed: sk.Seed, QueryRequest: serve.QueryRequest{Threshold: q.Threshold, Size: q.Size}},
 			[]lshensemble.Signature{q.Sig}, err
@@ -809,7 +831,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	oks, failed, refusal := scatter[serve.QueryResponse](r, req.Context(), "/query", leg)
+	oks, failed, refusal := scatter[serve.QueryResponse](r, req.Context(), leg)
 	if !r.gatewayCheck(w, len(oks), failed, refusal) {
 		return
 	}
@@ -835,7 +857,7 @@ func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 	if k == 0 {
 		k = 10
 	}
-	leg, ok := r.queryLegs(w, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
+	leg, ok := r.queryLegs(w, serve.OpTopK, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
 		sig, size, _, err := body.Rows[0].ResolveTopK(sk.hasher, nil)
 		return &serve.SketchedTopK{Seed: sk.Seed, TopKRequest: serve.TopKRequest{K: k, Size: size}},
 			[]lshensemble.Signature{sig}, err
@@ -843,7 +865,7 @@ func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	oks, failed, refusal := scatter[serve.TopKResponse](r, req.Context(), "/query/topk", leg)
+	oks, failed, refusal := scatter[serve.TopKResponse](r, req.Context(), leg)
 	if !r.gatewayCheck(w, len(oks), failed, refusal) {
 		return
 	}
@@ -865,7 +887,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, errors.New("queries must be non-empty"))
 		return
 	}
-	leg, ok := r.queryLegs(w, raw, len(body.Rows), func(sk *sketcher) (any, []lshensemble.Signature, error) {
+	leg, ok := r.queryLegs(w, serve.OpBatch, raw, len(body.Rows), func(sk *sketcher) (any, []lshensemble.Signature, error) {
 		queries, err := body.ResolveBatch(sk.hasher, nil)
 		doc := &serve.SketchedBatch{Seed: sk.Seed, BatchRequest: serve.BatchRequest{
 			Queries: make([]serve.QueryRequest, len(queries)), Workers: body.Workers}}
@@ -879,7 +901,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	oks, failed, refusal := scatter[serve.BatchResponse](r, req.Context(), "/query/batch", leg)
+	oks, failed, refusal := scatter[serve.BatchResponse](r, req.Context(), leg)
 	if !r.gatewayCheck(w, len(oks), failed, refusal) {
 		return
 	}

@@ -1,13 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -222,11 +223,13 @@ func TestRouterMergesUnsortedShard(t *testing.T) {
 }
 
 // swapHandler is a shard address whose server can be replaced under the
-// router's feet — a restart — and whose /healthz can be failed to walk the
-// shard through demotion and promotion.
+// router's feet — a restart, which closes the record connections the old
+// server upgraded — and whose /healthz can be failed to walk the shard
+// through demotion and promotion.
 type swapHandler struct {
 	mu    sync.Mutex
 	next  http.Handler
+	conns []net.Conn // upgraded by the current server
 	down  atomic.Bool
 	stats atomic.Int64 // GET /stats served
 }
@@ -234,7 +237,28 @@ type swapHandler struct {
 func (h *swapHandler) swap(next http.Handler) {
 	h.mu.Lock()
 	h.next = next
+	conns := h.conns
+	h.conns = nil
 	h.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// hijackTracker hands the connections its writer's handler hijacks to h.
+type hijackTracker struct {
+	http.ResponseWriter
+	h *swapHandler
+}
+
+func (w hijackTracker) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	conn, brw, err := http.NewResponseController(w.ResponseWriter).Hijack()
+	if err == nil {
+		w.h.mu.Lock()
+		w.h.conns = append(w.h.conns, conn)
+		w.h.mu.Unlock()
+	}
+	return conn, brw, err
 }
 
 func (h *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -248,6 +272,9 @@ func (h *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	next := h.next
 	h.mu.Unlock()
+	if r.URL.Path == serve.RecordPath {
+		w = hijackTracker{w, h}
+	}
 	next.ServeHTTP(w, r)
 }
 
@@ -507,63 +534,8 @@ func TestEmptyAnswerIsEmptyList(t *testing.T) {
 	}
 }
 
-// frameRewriter fronts a real shard and hands every answer frame the shard
-// gives to edit, which answers in its place: with an old shard's JSON, or
-// with a broken frame.
-type frameRewriter struct {
-	next http.Handler
-	edit func(w http.ResponseWriter, r *http.Request, frame []byte)
-}
-
-func (f frameRewriter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rec := httptest.NewRecorder()
-	f.next.ServeHTTP(rec, r)
-	if rec.Header().Get("Content-Type") == serve.SketchedContentType {
-		f.edit(w, r, rec.Body.Bytes())
-		return
-	}
-	maps.Copy(w.Header(), rec.Header())
-	w.WriteHeader(rec.Code)
-	w.Write(rec.Body.Bytes())
-}
-
-// TestRouterMergesOldShardJSON: a shard from before the answer frame takes
-// the router's framed requests but answers them in JSON. The router decodes
-// that as JSON, and the fleet still answers exactly like one node.
-func TestRouterMergesOldShardJSON(t *testing.T) {
-	urls, shards := startShards(t, 1)
-	old := newShardServer(t, testSeed)
-	var rewritten atomic.Int64
-	ots := httptest.NewServer(frameRewriter{next: old, edit: func(w http.ResponseWriter, r *http.Request, frame []byte) {
-		rewritten.Add(1)
-		var out any = new(serve.BatchResponse)
-		switch r.URL.Path {
-		case "/query":
-			out = new(serve.QueryResponse)
-		case "/query/topk":
-			out = new(serve.TopKResponse)
-		}
-		if err := serve.DecodeAnswer(frame, int(binary.LittleEndian.Uint32(frame)), out); err != nil {
-			t.Error(err)
-		}
-		serve.WriteJSON(w, http.StatusOK, out)
-	}})
-	t.Cleanup(ots.Close)
-	urls = append(urls, ots.URL)
-	shards = append(shards, &testShard{ts: ots, srv: old})
-	router, rts := startRouter(t, urls, Options{})
-	router.CheckHealth()
-	checkMergeMatchesSingleNode(t, urls, shards, router, rts)
-	if rewritten.Load() == 0 {
-		t.Fatal("the old shard was never sent a framed query")
-	}
-	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_scatter_total{form="raw"} 0`) {
-		t.Fatalf("queries did not all go out framed:\n%s", text)
-	}
-}
-
 // TestRouterFailsMalformedFrame: an answer frame that is malformed, or not
-// the shape of the request, fails its leg alone. The router answers partial,
+// the shape of the request, fails its record leg alone. The router answers partial,
 // names the shard, and merges nothing of it: what it answers is exactly the
 // healthy shard's own answer.
 func TestRouterFailsMalformedFrame(t *testing.T) {
@@ -620,12 +592,9 @@ func TestRouterFailsMalformedFrame(t *testing.T) {
 		}
 	}
 	var bad atomic.Pointer[[]byte]
-	bts := httptest.NewServer(frameRewriter{next: newShardServer(t, testSeed), edit: func(w http.ResponseWriter, _ *http.Request, _ []byte) {
-		w.Header().Set("Content-Type", serve.SketchedContentType)
-		w.Write(*bad.Load())
-	}})
-	t.Cleanup(bts.Close)
-	router, rts := startRouter(t, append(urls, bts.URL), Options{})
+	front, burl := newRecordFront(t, newShardServer(t, testSeed))
+	front.edit = func(int, []byte) (int, []byte) { return http.StatusOK, *bad.Load() }
+	router, rts := startRouter(t, append(urls, burl), Options{})
 	router.CheckHealth()
 
 	type answer struct {
@@ -642,18 +611,21 @@ func TestRouterFailsMalformedFrame(t *testing.T) {
 		}
 		return a, body
 	}
-	for _, c := range cases {
+	for i, c := range cases {
 		bad.Store(&c.frame)
 		got, body := ask(rts.URL+c.path, c.req)
 		want, _ := ask(urls[0]+c.path, c.req)
-		if !got.Partial || !sameStrings(got.Failed, []string{bts.URL}) {
-			t.Errorf("%s: partial=%v failed=%v, want the leg of %s failed", c.name, got.Partial, got.Failed, bts.URL)
+		if !got.Partial || !sameStrings(got.Failed, []string{burl}) {
+			t.Errorf("%s: partial=%v failed=%v, want the leg of %s failed", c.name, got.Partial, got.Failed, burl)
 		}
 		if !bytes.Equal(got.Matches, want.Matches) || !bytes.Equal(got.Rows, want.Rows) || strings.Contains(body, "injected") {
 			t.Errorf("%s: router answered %s, want the healthy shard's own matches %s rows %s", c.name, body, want.Matches, want.Rows)
 		}
 		if len(want.Matches)+len(want.Rows) < 10 {
 			t.Fatalf("%s: the healthy shard answers nothing, the comparison proves nothing", c.name)
+		}
+		if n := len(front.recorded()); n != i+1 {
+			t.Fatalf("%s: the shard read %d record legs, want %d", c.name, n, i+1)
 		}
 	}
 }

@@ -64,7 +64,13 @@ func sanitizeTraceID(id string) (string, bool) {
 // acceptable X-Request-Id header is honored (so a router-issued ID follows
 // the request into the shard), anything else gets a fresh ID.
 func EnsureTraceID(r *http.Request) string {
-	if id, ok := sanitizeTraceID(r.Header.Get(TraceHeader)); ok {
+	return ResolveTraceID(r.Header.Get(TraceHeader))
+}
+
+// ResolveTraceID is EnsureTraceID for an ID that arrived by another
+// transport: id itself when it is acceptable, else a fresh ID.
+func ResolveTraceID(id string) string {
+	if id, ok := sanitizeTraceID(id); ok {
 		return id
 	}
 	return NewTraceID()
@@ -118,42 +124,75 @@ func classIndex(status int) int {
 // Wrap instruments one endpoint. endpoint is the label value (the route
 // path, e.g. "/query").
 func (m *HTTPMetrics) Wrap(endpoint string, next http.Handler) http.Handler {
-	var byClass [len(statusClasses)]*Counter
+	return m.Endpoint(endpoint).Wrap(next)
+}
+
+// Endpoint is one endpoint's series: requests by status class and latency.
+// Wrap serves HTTP requests through it; a transport of its own (serve's
+// record connections) reports each request with Begin and End instead, so
+// both feed the same series and write the same access-log line.
+type Endpoint struct {
+	m       *HTTPMetrics
+	name    string
+	byClass [len(statusClasses)]*Counter
+	lat     *Histogram
+}
+
+// Endpoint registers one endpoint's series under the label value name.
+func (m *HTTPMetrics) Endpoint(name string) *Endpoint {
+	e := &Endpoint{m: m, name: name}
 	for i, class := range statusClasses {
-		byClass[i] = m.reg.Counter(m.prefix+"_http_requests_total",
+		e.byClass[i] = m.reg.Counter(m.prefix+"_http_requests_total",
 			"HTTP requests by endpoint and status class.",
-			L("endpoint", endpoint), L("code", class))
+			L("endpoint", name), L("code", class))
 	}
-	lat := m.reg.Histogram(m.prefix+"_http_request_seconds",
-		"HTTP request latency by endpoint.", DefBuckets, L("endpoint", endpoint))
+	e.lat = m.reg.Histogram(m.prefix+"_http_request_seconds",
+		"HTTP request latency by endpoint.", DefBuckets, L("endpoint", name))
+	return e
+}
+
+// Wrap returns next instrumented: trace-ID stamping, the in-flight gauge,
+// the endpoint's series and the access log.
+func (e *Endpoint) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+		start := e.Begin()
 		id := EnsureTraceID(r)
 		w.Header().Set(TraceHeader, id)
 		ctx := WithTraceID(r.Context(), id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		m.inFlight.Inc()
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		m.inFlight.Dec()
-		elapsed := time.Since(start)
-		lat.Observe(elapsed.Seconds())
-		byClass[classIndex(sw.status)].Inc()
-		// Every request logs at Debug keyed by trace ID (the router→shard
-		// tracing contract rides on this line); server-side failures
-		// escalate so they surface at default log levels.
-		level := slog.LevelDebug
-		if sw.status >= 500 {
-			level = slog.LevelError
-		}
-		m.logger.LogAttrs(ctx, level, "http",
-			slog.String("trace_id", id),
-			slog.String("endpoint", endpoint),
-			slog.String("method", r.Method),
-			slog.Int("status", sw.status),
-			slog.Int64("bytes", sw.bytes),
-			slog.Duration("elapsed", elapsed),
-		)
+		e.End(ctx, id, r.Method, sw.status, sw.bytes, start)
 	})
+}
+
+// Begin counts one request in flight and returns its start.
+func (e *Endpoint) Begin() time.Time {
+	e.m.inFlight.Inc()
+	return time.Now()
+}
+
+// End finishes a request Begin started: it leaves the in-flight gauge, is
+// counted by status class and latency, and is logged.
+func (e *Endpoint) End(ctx context.Context, id, method string, status int, bytes int64, start time.Time) {
+	e.m.inFlight.Dec()
+	elapsed := time.Since(start)
+	e.lat.Observe(elapsed.Seconds())
+	e.byClass[classIndex(status)].Inc()
+	// Every request logs at Debug keyed by trace ID (the router→shard
+	// tracing contract rides on this line); server-side failures escalate
+	// so they surface at default log levels.
+	level := slog.LevelDebug
+	if status >= 500 {
+		level = slog.LevelError
+	}
+	e.m.logger.LogAttrs(ctx, level, "http",
+		slog.String("trace_id", id),
+		slog.String("endpoint", e.name),
+		slog.String("method", method),
+		slog.Int("status", status),
+		slog.Int64("bytes", bytes),
+		slog.Duration("elapsed", elapsed),
+	)
 }
 
 // statusWriter captures the status code and body size a handler produced.

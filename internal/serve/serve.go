@@ -46,10 +46,23 @@
 // keeps its JSON answer, and a refusal is the JSON error envelope in either
 // form. The two answers carry the same rows and scores.
 //
-// Every query handler threads the request context into the index
-// (QueryAppendContext / QueryTopKContext / QueryBatchContext), so a client that
-// disconnects — or a router whose scatter deadline expires — stops the
-// in-flight work instead of burning CPU on an answer nobody will read.
+// A framed request also travels as a record on a record connection, which
+// is how the router sends its legs: GET /records upgrades an HTTP/1.1
+// connection (records.go has the layout), and each request record is the
+// framed body behind an op, a trace ID and the asker's deadline; each answer
+// record a status and the answer frame or error envelope. One function per
+// query shape answers both transports, so a record gets the same refusals in
+// the same words, the same series, access-log and slow-query lines (keyed by
+// the record's trace ID) as the framed request over HTTP.
+//
+// Every query threads its context into the index (QueryAppendContext /
+// QueryTopKContext / QueryBatchContext), so a client that disconnects — or a
+// router whose scatter deadline expires — stops the in-flight work instead of
+// burning CPU on an answer nobody will read. Over HTTP the request context
+// ends when the client hangs up. A record runs under the deadline it
+// carries; the shard reads nothing while it runs, so a router that hangs up
+// mid-query is noticed when the answer is written or that deadline passes,
+// whichever comes first, and the connection then closes.
 package serve
 
 import (
@@ -100,6 +113,16 @@ type Server struct {
 	// sketched counts the endpoint's framed requests.
 	queryLat [numOps]*obs.Histogram
 	sketched [numOps]*obs.Counter
+	// endpoints holds each query shape's HTTP series, which its records feed
+	// too.
+	endpoints [numOps]*obs.Endpoint
+
+	// closing ends the record connections (CloseRecords); recMu orders an
+	// upgrade against it and records counts the connections' loops.
+	closing    context.Context
+	endRecords context.CancelFunc
+	recMu      sync.Mutex
+	records    sync.WaitGroup
 }
 
 // Op is one of the three query shapes a shard serves: the shape ReadQuery
@@ -117,6 +140,12 @@ const (
 
 func (o Op) String() string { return [numOps]string{"query", "topk", "batch"}[o] }
 
+// endpoint is the shape's label in the HTTP series.
+func (o Op) endpoint() string { return [numOps]string{"query", "query_topk", "query_batch"}[o] }
+
+// Path is the shape's route.
+func (o Op) Path() string { return [numOps]string{"/query", "/query/topk", "/query/batch"}[o] }
+
 // Options configures the server's logging. The zero value logs to
 // slog.Default() with slow-query logging off.
 type Options struct {
@@ -132,6 +161,7 @@ type Options struct {
 // empty to disable /save.
 func NewWith(idx *lshensemble.LiveIndex, hasher *lshensemble.Hasher, seed uint64, snapshotPath string, opts Options) *Server {
 	s := &Server{idx: idx, hasher: hasher, seed: seed, snapshotPath: snapshotPath, mux: http.NewServeMux()}
+	s.closing, s.endRecords = context.WithCancel(context.Background())
 	s.logger = opts.Logger
 	if s.logger == nil {
 		s.logger = slog.Default()
@@ -142,9 +172,11 @@ func NewWith(idx *lshensemble.LiveIndex, hasher *lshensemble.Hasher, seed uint64
 	s.registerIndexMetrics()
 	s.handle("POST /add", "add", s.handleAdd)
 	s.handle("POST /delete", "delete", s.handleDelete)
-	s.handle("POST /query", "query", s.handleQuery)
-	s.handle("POST /query/topk", "query_topk", s.handleQueryTopK)
-	s.handle("POST /query/batch", "query_batch", s.handleQueryBatch)
+	for o := Op(0); o < numOps; o++ {
+		s.endpoints[o] = s.httpm.Endpoint(o.endpoint())
+		s.mux.Handle("POST "+o.Path(), s.endpoints[o].Wrap(s.handleOp(o)))
+	}
+	s.mux.HandleFunc("GET "+RecordPath, s.handleRecords)
 	s.handle("GET /stats", "stats", s.handleStats)
 	s.handle("POST /compact", "compact", s.handleCompact)
 	s.handle("POST /save", "save", s.handleSave)
@@ -272,7 +304,8 @@ func (s *Server) Seed() uint64 { return s.seed }
 // frame from any other family, of any other length, with a 400.
 //
 // Anyone who sends a framed request gets a 2xx answer in the answer frame,
-// under the same Content-Type. Errors stay the JSON envelope:
+// under the same Content-Type (on a record connection, in the answer record).
+// Errors stay the JSON envelope:
 //
 //	uint32 LE   rows: 1 for /query and /query/topk, one per batch query
 //	per row     uint32 LE keys, then per key: uint32 LE length, the key's
@@ -366,10 +399,12 @@ type StatsResponse struct {
 	NumHash int    `json:"num_hash"`
 	RMax    int    `json:"r_max"`
 	Seed    uint64 `json:"seed"`
-	// Sketched reports that the query endpoints accept the framed form; a
-	// shard from before it existed reports false by omission, which is how a
-	// router in a fleet mid-upgrade knows to keep sending raw values.
+	// Sketched reports that the query endpoints accept the framed form, and
+	// Records that GET /records upgrades to record connections. A shard from
+	// before either existed reports false by omission, which is how a router
+	// in a fleet mid-upgrade knows to keep sending raw values.
 	Sketched bool `json:"sketched"`
+	Records  bool `json:"records"`
 }
 
 // SketchedContentType marks a query request in the framed, pre-sketched form
@@ -865,93 +900,113 @@ func (q *Query) ResolveBatch(h *lshensemble.Hasher, sigs []lshensemble.Signature
 	return queries, nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, sigs, ok := s.decodeQuery(w, r, OpQuery)
-	if !ok {
-		return
+// handleOp serves the HTTP form of query shape o, in either request form.
+func (s *Server) handleOp(o Op) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, sigs, ok := s.decodeQuery(w, r, o)
+		if !ok {
+			return
+		}
+		resp, err := ops[o](s, r.Context(), &req, sigs)
+		switch {
+		case err != nil:
+			WriteError(w, http.StatusBadRequest, err)
+		case resp != nil:
+			writeAnswer(w, sigs != nil, resp)
+		}
+		// Neither: the request context ended the index call, the client is
+		// gone and nobody will read a body. Returning without writing lets
+		// the server tear the connection down.
 	}
-	q, err := req.Rows[0].Resolve(s.hasher, rowSig(sigs, 0))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, tr := s.traceSlow(r)
-	start := time.Now()
-	matches, err := s.idx.QueryAppendContext(ctx, nil, q.Sig, q.Size, q.Threshold)
-	elapsed := time.Since(start)
-	s.queryLat[OpQuery].Observe(elapsed.Seconds())
-	if err != nil {
-		// The request context is canceled: the client is gone, nobody will
-		// read a body. Returning without writing lets the server tear the
-		// connection down.
-		return
-	}
-	s.noteSlow(r, OpQuery, elapsed, tr)
-	resp := queryResponse(matches)
-	writeAnswer(w, sigs != nil, &resp)
 }
 
-func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
-	req, sigs, ok := s.decodeQuery(w, r, OpTopK)
-	if !ok {
-		return
+// ops answers a decoded query of each shape, whichever transport brought it:
+// a *QueryResponse, *TopKResponse or *BatchResponse; or a refusal, answered
+// 400; or neither, when ctx ended the index call.
+var ops = [numOps]func(*Server, context.Context, *Query, []lshensemble.Signature) (any, error){
+	(*Server).query, (*Server).topK, (*Server).batch,
+}
+
+func (s *Server) query(ctx context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
+	q, err := req.Rows[0].Resolve(s.hasher, rowSig(sigs, 0))
+	if err != nil {
+		return nil, err
 	}
+	var matches []string
+	if !s.timed(ctx, OpQuery, func(ctx context.Context) (err error) {
+		matches, err = s.idx.QueryAppendContext(ctx, nil, q.Sig, q.Size, q.Threshold)
+		return err
+	}) {
+		return nil, nil
+	}
+	resp := queryResponse(matches)
+	return &resp, nil
+}
+
+func (s *Server) topK(ctx context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
 	sig, size, k, err := req.Rows[0].ResolveTopK(s.hasher, rowSig(sigs, 0))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	ctx, tr := s.traceSlow(r)
-	start := time.Now()
-	ranked, err := s.idx.QueryTopKContext(ctx, sig, size, k)
-	elapsed := time.Since(start)
-	s.queryLat[OpTopK].Observe(elapsed.Seconds())
-	if err != nil {
-		return // canceled: client gone
+	var ranked []lshensemble.TopKResult
+	if !s.timed(ctx, OpTopK, func(ctx context.Context) (err error) {
+		ranked, err = s.idx.QueryTopKContext(ctx, sig, size, k)
+		return err
+	}) {
+		return nil, nil
 	}
-	s.noteSlow(r, OpTopK, elapsed, tr)
 	resp := TopKResponse{Matches: make([]TopKMatch, len(ranked)), Count: len(ranked)}
 	for i, m := range ranked {
 		resp.Matches[i] = TopKMatch{Key: m.Key, EstContainment: m.EstContainment}
 	}
-	writeAnswer(w, sigs != nil, &resp)
+	return &resp, nil
 }
 
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	req, sigs, ok := s.decodeQuery(w, r, OpBatch)
-	if !ok {
-		return
-	}
+func (s *Server) batch(ctx context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
 	queries, err := req.ResolveBatch(s.hasher, sigs)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	ctx, tr := s.traceSlow(r)
-	start := time.Now()
-	rows, err := s.idx.QueryBatchContext(ctx, queries, req.Workers)
-	elapsed := time.Since(start)
-	s.queryLat[OpBatch].Observe(elapsed.Seconds())
-	if err != nil {
-		return // canceled: client gone, stop burning CPU on the batch
+	var rows [][]string
+	if !s.timed(ctx, OpBatch, func(ctx context.Context) (err error) {
+		rows, err = s.idx.QueryBatchContext(ctx, queries, req.Workers)
+		return err
+	}) {
+		return nil, nil
 	}
-	s.noteSlow(r, OpBatch, elapsed, tr)
 	resp := BatchResponse{Rows: make([]QueryResponse, len(rows))}
 	for i, row := range rows {
 		resp.Rows[i] = queryResponse(row)
 	}
-	writeAnswer(w, sigs != nil, &resp)
+	return &resp, nil
+}
+
+// timed takes a query's one measurement: call, the index call, runs under
+// ctx — with a fresh planner trace in it when the slow-query log is on — and
+// its duration is observed in the op's histogram and, when slow, logged. It
+// reports false when ctx ended the call.
+func (s *Server) timed(ctx context.Context, o Op, call func(context.Context) error) bool {
+	ctx, tr := s.traceSlow(ctx)
+	start := time.Now()
+	err := call(ctx)
+	elapsed := time.Since(start)
+	s.queryLat[o].Observe(elapsed.Seconds())
+	if err != nil {
+		return false
+	}
+	s.noteSlow(ctx, o, elapsed, tr)
+	return true
 }
 
 // traceSlow arms the slow-query log for one query of any shape: with a
-// threshold configured it returns the request context carrying a fresh
-// planner trace, otherwise the request context alone.
-func (s *Server) traceSlow(r *http.Request) (context.Context, *lshensemble.LiveQueryTrace) {
+// threshold configured it returns ctx carrying a fresh planner trace,
+// otherwise ctx alone.
+func (s *Server) traceSlow(ctx context.Context) (context.Context, *lshensemble.LiveQueryTrace) {
 	if s.slowQuery <= 0 {
-		return r.Context(), nil
+		return ctx, nil
 	}
 	tr := new(lshensemble.LiveQueryTrace)
-	return lshensemble.WithLiveQueryTrace(r.Context(), tr), tr
+	return lshensemble.WithLiveQueryTrace(ctx, tr), tr
 }
 
 // noteSlow logs one Warn line for a query that crossed the slow-query
@@ -959,12 +1014,12 @@ func (s *Server) traceSlow(r *http.Request) (context.Context, *lshensemble.LiveQ
 // snapshot's shape and, when the trace carries one, the planner's breakdown —
 // a batch's is the sum over its rows; a ranked query's ladder and an answer
 // from the result cache make no planner decisions and print none.
-func (s *Server) noteSlow(r *http.Request, o Op, elapsed time.Duration, tr *lshensemble.LiveQueryTrace) {
+func (s *Server) noteSlow(ctx context.Context, o Op, elapsed time.Duration, tr *lshensemble.LiveQueryTrace) {
 	if tr == nil || elapsed < s.slowQuery {
 		return
 	}
 	attrs := []slog.Attr{
-		slog.String("trace_id", obs.TraceID(r.Context())),
+		slog.String("trace_id", obs.TraceID(ctx)),
 		slog.String("op", o.String()),
 		slog.Duration("elapsed", elapsed),
 		slog.Bool("result_cache_hit", tr.ResultCacheHit),
@@ -984,7 +1039,7 @@ func (s *Server) noteSlow(r *http.Request, o Op, elapsed time.Duration, tr *lshe
 			slog.Bool("buffer_bloom_skipped", tr.BufferBloomSkipped),
 		)
 	}
-	s.logger.LogAttrs(r.Context(), slog.LevelWarn, "slow query", attrs...)
+	s.logger.LogAttrs(ctx, slog.LevelWarn, "slow query", attrs...)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -995,6 +1050,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		RMax:      o.RMax,
 		Seed:      s.seed,
 		Sketched:  true,
+		Records:   true,
 	})
 }
 
