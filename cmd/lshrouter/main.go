@@ -18,13 +18,14 @@
 // "failed") — the router degrades, it does not error. Only a total blackout
 // is a 5xx; a request every shard refuses alike is the client's 4xx.
 //
-// A query is sketched once, here: the router reads each shard's hash family
-// (seed, num_hash) off its /stats — on the first health tick, on every
-// promotion, once on demand if a query comes first — and while all live
-// shards agree it sends every leg the same pre-sketched, framed body
-// (internal/serve). While a family is unknown or two shards disagree it
-// forwards the client's raw values instead and each shard sketches for
-// itself; GET /ring reports which ("family": known, mixed or unknown).
+// Every query and add is sketched once, here: the router reads each shard's
+// hash family (seed, num_hash) off its /stats — on the first health tick, on
+// every promotion, once on demand if a request comes first — adopts the one
+// most shards report and keeps it for its life, and sends every leg or owner
+// the same pre-sketched bytes (internal/serve) on a pooled record
+// connection. A shard of another family, or one without record connections,
+// is held out of the ring; a request before any family is known is a 503
+// with Retry-After. GET /ring reports the family's seed and num_hash.
 //
 // A background checker probes every shard's /healthz; -health-fail
 // consecutive misses demote a shard from the ring (one success promotes it
@@ -45,9 +46,9 @@
 //	          [-debug-addr localhost:7546]
 //
 // All shards must run the same -seed and -hashes, or their signatures are
-// incomparable; /ring reports a mismatched fleet as "mixed" with each
-// shard's family beside its name (and logs it at Warn), and the router's
-// /stats surfaces each shard's values.
+// incomparable; a shard that does not is held out of the ring, logged at
+// Warn and counted as a demotion, and /ring shows its family beside its
+// name. Re-seeding a fleet means restarting its routers too.
 //
 // Observability: every request carries a trace ID (an inbound X-Request-Id
 // is honored, otherwise one is minted) that the router stamps on every
@@ -56,8 +57,7 @@
 // histograms per endpoint plus the fleet view: lshrouter_shards_live,
 // lshrouter_shard_demotions_total / _promotions_total / _errors_total
 // (labelled by shard), lshrouter_partial_responses_total and
-// lshrouter_scatter_total{form="sketched"|"raw"} — which path served the
-// reads. Demotions and promotions also log at Warn/Info. -debug-addr starts a separate listener
+// lshrouter_scatter_total{form="sketched"}, the scattered queries. Demotions and promotions also log at Warn/Info. -debug-addr starts a separate listener
 // with net/http/pprof under /debug/pprof/ and a /metrics mirror — keep it
 // off public interfaces.
 package main

@@ -212,9 +212,10 @@
 // from a client that holds the hash family (seed and num_hash, both in
 // /stats) and has sketched already. Both resolve to the same (signature,
 // size, threshold) and the same answer bytes; a frame of another seed or
-// length is a 400 (internal/serve documents the layout). Repeated queries on
-// an unchanged index — ranked ones included — are answered from the
-// generation-keyed result cache.
+// length is a 400 (internal/serve documents the layout). /add and /delete
+// take JSON, or the router's write records in the framed form. Repeated
+// queries on an unchanged index — ranked ones included — are answered from
+// the generation-keyed result cache.
 //
 // # Distributed serving
 //
@@ -235,34 +236,40 @@
 // neighbours dropped, top-k keeps each key's best estimated containment and
 // re-ranks, batches merge row by row.
 //
-// A routed query is sketched once, at the router (the paper hands one
+// Every routed request is sketched once, at the router (the paper hands one
 // signature to every partition; the fleet hands one to every shard). The
-// router reads each shard's hash family off /stats — on the first health
-// tick, on every promotion, and once on demand if a query comes first —
-// and while all live shards agree it validates the client's request as a
-// shard would, sketches the values with that family, encodes the framed
-// form once and sends every leg the same bytes: a 20 000-value query moves
-// 8·num_hash bytes per shard, and no shard decodes a string or computes a
-// hash. While a live shard's family is unknown or two disagree, the router
-// forwards the client's body as it came and each shard sketches for itself;
-// that is the only fallback, and GET /ring says which state the fleet is in
-// ("family": known with seed and num_hash, mixed, or unknown). A shard that
-// refuses a sketched leg — it restarted under another seed — fails that leg,
-// so the answer is partial rather than wrong. A request every shard refuses
-// alike, or that the router refuses while sketching, is the client's 4xx,
-// not a 502, and counts against no shard.
+// fleet has one hash family and the ring holds the shards that have it: the
+// router reads each shard's (seed, num_hash) off /stats — on the first health
+// tick, on every promotion, once on demand if a request comes first — adopts
+// the family most shards report (a tie goes to the lowest-named shard's) and
+// keeps it for its life, so re-seeding a fleet means restarting its routers.
+// A shard of another family (logged and counted as a demotion), or without
+// record connections, is held out of the ring; before any family is known a
+// request is a 503 with Retry-After. GET /ring reports the family.
 //
-// A query body is read in one pass, at the router and at a shard alike (the
-// client's JSON and the framed form's document): each value is hashed as it
-// is read, where it lies in the body, or, if it has an escape (encoding/json
-// writes & and < as \u escapes, Python's json.dumps every non-ASCII rune),
-// once decoded into a reused buffer. The reader takes keys spelled exactly,
-// each once; any string encoding/json accepts; JSON numbers that fit the
-// field's type; nothing but whitespace after the value. Anything else (keys
-// in another case, null, repeated keys, malformed input) goes to
-// encoding/json and its strings are hashed after, so every body is accepted
-// or refused exactly as encoding/json would have it, in the same words.
-// /add, /delete and the admin endpoints stay on encoding/json.
+// The router validates a client's query or add as a shard would, sketches
+// the values once and sends every leg the same framed query, every ring
+// owner the same add record (seed, size, key, signature words); a delete
+// record carries the key alone. A 20 000-value query or domain moves
+// 8·num_hash bytes per shard, and a shard decodes no string and computes no
+// hash: it stores exactly the record the JSON /add of the same values would.
+// A shard that refuses a record — it restarted under another seed — fails
+// that leg, so a query answer is partial rather than wrong, and is held out
+// until it reports the fleet's family again. A request the router refuses
+// while reading or sketching, or every shard refuses alike, is the client's
+// 4xx in the shard's words, not a 502, and counts against no shard.
+//
+// A request body is read in one pass, at the router and at a shard alike
+// (the client's JSON query, add or delete, and the framed form's document):
+// each value is hashed as it is read, where it lies in the body, or, if it
+// has an escape (encoding/json writes & and < as \u escapes, Python's
+// json.dumps every non-ASCII rune), once decoded into a reused buffer. The
+// reader takes keys spelled exactly, each once; any string encoding/json
+// accepts; JSON numbers that fit the field's type; nothing but whitespace
+// after the value. Anything else (keys in another case, null, repeated keys,
+// malformed input) goes to encoding/json and its strings are hashed after,
+// so every body is accepted or refused exactly as encoding/json would have
+// it, in the same words.
 //
 // The answers come back framed too: anyone who sends a framed request gets a
 // framed answer, and a JSON request still gets JSON. Each shard sends its
@@ -274,23 +281,23 @@
 // row count than the request fails its leg, and the answer goes partial,
 // never wrong.
 //
-// Those framed legs do not go through net/http. A shard upgrades an
+// Those legs and writes do not go through net/http. A shard upgrades an
 // HTTP/1.1 connection on its own listener at GET /records into a record
 // connection, and the router keeps up to 32 idle ones per shard: a leg is
 // one write, a request record (op, trace ID, the leg's remaining deadline,
-// the framed body), and one read, an answer record (status, then the answer
-// frame or the error envelope). The bytes are those of the framed HTTP
-// request, which stays public for any other client, and one function per
-// query shape answers both, with the same refusals, metrics and log lines.
-// The shard runs the query under the record's deadline and closes a
-// connection idle for 90 s; the router returns a connection to its pool
-// only after a complete answer, closes it on any error, and sends a leg
-// once more on a fresh connection when a pooled one fails before its
-// answer's first byte (a restarted shard). lshrouter_shard_dials_total
-// counts the dials per shard. /stats says "records": true next to
-// "sketched"; a live shard that does not — one from before record
-// connections — leaves the family unknown, and the fleet runs on raw legs,
-// complete answers included. Raw legs, writes, health probes and the admin
+// the framed body or the write record), and one read, an answer record
+// (status, then the answer frame, a write's replaced or deleted flag, or the
+// error envelope). The bytes are those of the framed HTTP request, which
+// stays public for any other client, and one function per shape answers
+// both, with the same refusals, metrics and log lines. The shard runs a
+// query under the record's deadline and closes a connection idle for 90 s;
+// the router closes one idle in its pool for 60 s, returns a connection only
+// after a complete answer, closes it on any error, and sends a record once
+// more on a fresh connection, emptying the pool, when a pooled one fails
+// before its answer's first byte (a restarted shard). Writes too: an add is
+// an upsert of the same bytes, a delete of a key already gone leaves it
+// gone, and the replaced or deleted flag is the answering attempt's.
+// lshrouter_shard_dials_total counts the dials. Health probes and the admin
 // calls stay on HTTP.
 //
 // Consistency and partial results: a query observes each shard's
@@ -341,10 +348,11 @@
 // lshrouter_ prefix plus fleet health: lshrouter_shards_live,
 // lshrouter_shard_demotions_total / _promotions_total / _errors_total /
 // _dials_total {shard} (the last counts record connections dialed: pool
-// churn or a flapping shard), lshrouter_partial_responses_total, and which
-// path served the
-// reads: lshrouter_scatter_total{form=sketched|raw}, whose shard-side
-// counterpart is lshensembled_sketched_requests_total{op}.
+// churn or a flapping shard), lshrouter_partial_responses_total, and the
+// scattered queries, lshrouter_scatter_total{form="sketched"}, whose
+// shard-side counterpart is lshensembled_sketched_requests_total{op}; a
+// routed write moves the shard's lshensembled_http_requests_total{endpoint=
+// "add"|"delete"} as a JSON write does.
 //
 // Request tracing: every request is stamped with a trace ID — an inbound
 // X-Request-Id is honored (sanitized), otherwise one is generated — echoed

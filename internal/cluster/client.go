@@ -21,13 +21,20 @@ import (
 )
 
 // Client speaks the shard wire protocol (internal/serve's types) to one
-// lshensembled instance: pre-sketched queries as records on a pool of record
-// connections, everything else over HTTP. Every call takes a context, and the
-// context is the only bound on how long an accepted request may take to
-// answer: the router caps query, write and health legs with its per-shard
-// deadline and lets /save and /compact run as long as the operator's request
-// lives. The dial timeout bounds what a context cannot (a SYN blackhole), and
-// a record connection's upgrade too.
+// lshensembled instance: the router's pre-sketched queries and writes as
+// records on a pool of record connections, everything else over HTTP. Every
+// call takes a context, and the context is the only bound on how long an
+// accepted request may take to answer: the router caps query, write and
+// health legs with its per-shard deadline and lets /save and /compact run as
+// long as the operator's request lives. The dial timeout bounds what a
+// context cannot (a SYN blackhole), and a record connection's upgrade too.
+//
+// A record that fails on a pooled connection before the first byte of its
+// answer (the shard restarted, or closed the connection idle) is sent once
+// more on a fresh dial, and the pool is emptied: the other idle connections
+// to that shard are as dead. That is safe for writes too: an add is an upsert
+// of the same bytes and a delete of a key already gone leaves it gone, so a
+// write's replaced or deleted flag is that of the attempt that answered.
 type Client struct {
 	base   string
 	hc     *http.Client
@@ -44,6 +51,10 @@ type Client struct {
 
 // maxIdle is how many idle connections a client keeps per transport.
 const maxIdle = 32
+
+// maxIdleAge is how long a record connection may wait in the pool: well
+// inside serve.RecordIdle, after which the shard has closed it.
+const maxIdleAge = serve.RecordIdle * 2 / 3
 
 // NewClient builds a client for one shard base URL ("http://host:port").
 // timeout bounds connection establishment; per-request deadlines come from
@@ -76,12 +87,9 @@ func (c *Client) Base() string { return c.base }
 // instead of kept.
 func (c *Client) Close() {
 	c.mu.Lock()
-	idle := c.idle
-	c.idle, c.closed = nil, true
+	c.closed = true
 	c.mu.Unlock()
-	for _, rc := range idle {
-		rc.Close()
-	}
+	c.dropIdle(time.Time{})
 	c.hc.CloseIdleConnections()
 }
 
@@ -109,31 +117,22 @@ func (c *Client) statusError(method, path string, status int, body io.Reader) *S
 	return &StatusError{Shard: c.base, Method: method, Path: path, Status: status, Message: e.Error}
 }
 
-// do sends one JSON request and decodes one JSON response. Non-2xx answers
-// surface the shard's error envelope as a *StatusError.
+// do sends one JSON request over HTTP and decodes one JSON response.
+// Non-2xx answers surface the shard's error envelope as a *StatusError.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	if in == nil {
-		return c.send(ctx, method, path, nil, out)
-	}
-	b, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("encoding %s request: %w", path, err)
-	}
-	return c.send(ctx, method, path, b, out)
-}
-
-// send sends body, a JSON document it only reads, over HTTP and decodes the
-// JSON answer into out.
-func (c *Client) send(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return fmt.Errorf("encoding %s request: %w", path, err)
+		}
+		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return err
 	}
-	if body != nil {
+	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	// Propagate the router's trace ID so one request ID follows the call
@@ -163,12 +162,28 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, out
 
 // leg sends one pre-sketched query of shape o — body, AppendSketched's frame
 // of a request of rows rows — as a record and decodes the answer frame into
-// out, as serve.DecodeAnswer does. A non-2xx answer is a *StatusError, as
-// over HTTP. The leg takes an idle record connection or dials a new one, and
-// gives it back only after a complete answer; any error closes it. A reused
-// connection that fails before the answer's first byte (the shard restarted,
-// or closed it idle) is retried once on a fresh one: legs only read.
+// out, as serve.DecodeAnswer does.
 func (c *Client) leg(ctx context.Context, o serve.Op, body []byte, rows int, out any) error {
+	return c.record(ctx, o, body, func(answer []byte) error { return serve.DecodeAnswer(answer, rows, out) })
+}
+
+// write sends one write record of op o (serve.OpAdd or serve.OpDelete) and
+// reports whether the shard replaced or deleted the key.
+func (c *Client) write(ctx context.Context, o serve.Op, body []byte) (flag bool, err error) {
+	err = c.record(ctx, o, body, func(answer []byte) (err error) {
+		flag, err = serve.DecodeFlag(answer)
+		return err
+	})
+	return flag, err
+}
+
+// record sends body as a record of op o and hands a 2xx answer to decode; a
+// non-2xx answer is a *StatusError, as over HTTP. It takes an idle record
+// connection or dials a new one, and gives it back only after a complete
+// answer; any error closes it. A reused connection that fails before the
+// answer's first byte is retried once on a fresh one, as the type's comment
+// says, after the pool is emptied.
+func (c *Client) record(ctx context.Context, o serve.Op, body []byte, decode func(answer []byte) error) error {
 	rc := c.idleConn()
 	for {
 		reused := rc != nil
@@ -184,7 +199,7 @@ func (c *Client) leg(ctx context.Context, o serve.Op, body []byte, rows int, out
 		case status/100 != 2:
 			err = c.statusError(http.MethodPost, o.Path(), status, bytes.NewReader(answer))
 		default:
-			if err = serve.DecodeAnswer(answer, rows, out); err != nil {
+			if err = decode(answer); err != nil {
 				err = fmt.Errorf("shard %s: decoding %s response: %w", c.base, o.Path(), err)
 			}
 		}
@@ -203,27 +218,45 @@ func (c *Client) leg(ctx context.Context, o serve.Op, body []byte, rows int, out
 		if !reused || !errors.As(err, &stale) || errors.Is(err, os.ErrDeadlineExceeded) || ctx.Err() != nil {
 			return err
 		}
+		c.dropIdle(time.Time{})
 		rc = nil
 	}
 }
 
 // idleConn takes the most recently returned idle record connection, nil
-// when there is none.
+// when there is none. Connections idle past maxIdleAge are closed first.
 func (c *Client) idleConn() *recordConn {
+	c.dropIdle(time.Now().Add(-maxIdleAge))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.idle)
-	if n == 0 {
-		return nil
+	if n := len(c.idle); n > 0 {
+		rc := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return rc
 	}
-	rc := c.idle[n-1]
-	c.idle = c.idle[:n-1]
-	return rc
+	return nil
+}
+
+// dropIdle closes the idle connections returned before cutoff; a zero cutoff
+// closes them all. The pool is a stack, so they are at its bottom.
+func (c *Client) dropIdle(cutoff time.Time) {
+	c.mu.Lock()
+	n := 0
+	for n < len(c.idle) && (cutoff.IsZero() || c.idle[n].idleSince.Before(cutoff)) {
+		n++
+	}
+	old := c.idle[:n:n]
+	c.idle = c.idle[n:]
+	c.mu.Unlock()
+	for _, rc := range old {
+		rc.Close()
+	}
 }
 
 // put returns a connection to the pool, or closes it when the pool is full
 // or the client closed.
 func (c *Client) put(rc *recordConn) {
+	rc.idleSince = time.Now()
 	c.mu.Lock()
 	keep := !c.closed && len(c.idle) < maxIdle
 	if keep {
@@ -260,9 +293,10 @@ func (c *Client) dial(ctx context.Context) (*recordConn, error) {
 // recordConn is one upgraded connection to a shard and its buffers.
 type recordConn struct {
 	net.Conn
-	br  *bufio.Reader
-	hdr []byte // a request record's header
-	buf []byte // the last answer's body
+	br        *bufio.Reader
+	hdr       []byte    // a request record's header
+	buf       []byte    // the last answer's body
+	idleSince time.Time // when it was last returned to the pool
 }
 
 // staleConn is an error before the first byte of an answer.
@@ -320,17 +354,13 @@ func (rc *recordConn) exchange(ctx context.Context, o serve.Op, body []byte) (in
 	return status, answer, err
 }
 
-// Add forwards one ingest to the shard.
+// Add ingests one domain on the shard, in the JSON form: the shard sketches
+// the values. The router sends its writes as add records instead; this is the
+// typed call of a client talking to one shard (the benchmark's ladder times
+// a shard's /add round trip with it).
 func (c *Client) Add(ctx context.Context, req *serve.AddRequest) (serve.AddResponse, error) {
 	var out serve.AddResponse
 	err := c.do(ctx, http.MethodPost, "/add", req, &out)
-	return out, err
-}
-
-// Delete forwards one delete to the shard.
-func (c *Client) Delete(ctx context.Context, req *serve.DeleteRequest) (serve.DeleteResponse, error) {
-	var out serve.DeleteResponse
-	err := c.do(ctx, http.MethodPost, "/delete", req, &out)
 	return out, err
 }
 

@@ -117,6 +117,7 @@ func TestHealthTransitionObservability(t *testing.T) {
 	var routerLog lockedBuf
 	logger := slog.New(slog.NewTextHandler(&routerLog, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	r, rts := startRouter(t, urls, Options{HealthFailures: 1, Logger: logger})
+	r.CheckHealth() // the first tick learns the family, which admits both
 
 	text := scrapeText(t, rts.URL)
 	if !strings.Contains(text, "lshrouter_shards_live 2") {
@@ -163,7 +164,7 @@ func TestPartialResponseCounter(t *testing.T) {
 	_, rts := startRouter(t, urls, Options{})
 	addVia(t, rts.URL, 8)
 
-	shards[0].ts.Close()
+	shards[0].kill()
 	var out RouterQueryResponse
 	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(0)}, &out); code != http.StatusOK {
 		t.Fatalf("query status %d", code)

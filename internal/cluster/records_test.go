@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net"
@@ -235,12 +236,22 @@ func TestClientHangupClosesLeg(t *testing.T) {
 	<-done
 }
 
-// TestOldShardKeepsFleetOnRawLegs: a live shard whose /stats does not
-// advertise record connections leaves the fleet's family unknown; every
-// query goes out raw over HTTP, no record connection is dialed, and the
-// fleet answers exactly like one node.
-func TestOldShardKeepsFleetOnRawLegs(t *testing.T) {
-	urls, shards := startShards(t, 1)
+// TestOddShardsNeverJoinTheRing: a shard booted with another seed, and one
+// whose /stats does not advertise record connections, never enter the ring.
+// The first is counted as a demotion once; neither is dialed, written to or
+// asked a query, and the fleet answers exactly like one node over the
+// shards that remain.
+func TestOddShardsNeverJoinTheRing(t *testing.T) {
+	urls, shards := startShards(t, 2)
+	alien := newShardServer(t, testSeed+1)
+	alienHasher := lshensemble.NewHasher(testNumHash, testSeed+1)
+	for i := 0; i < 40; i++ {
+		if _, err := alien.Index().Add(lshensemble.SketchStrings(alienHasher, "alien-"+domainKey(i), windowValues(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ats := httptest.NewServer(alien)
+	t.Cleanup(ats.Close)
 	old := newShardServer(t, testSeed)
 	ots := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -260,24 +271,47 @@ func TestOldShardKeepsFleetOnRawLegs(t *testing.T) {
 		}
 	}))
 	t.Cleanup(ots.Close)
-	urls = append(urls, ots.URL)
-	shards = append(shards, &testShard{ts: ots, srv: old})
-	router, rts := startRouter(t, urls, Options{})
+	router, rts := startRouter(t, append([]string{ats.URL, ots.URL}, urls...), Options{})
 	router.CheckHealth()
-	if fam := ringFamily(t, rts.URL); fam.State != "unknown" {
-		t.Fatalf("family beside an old shard: %+v, want unknown", fam)
-	}
+	router.CheckHealth() // a second round hears the same: no second demotion
 	checkMergeMatchesSingleNode(t, urls, shards, router, rts)
+
+	if fam := ringFamily(t, rts.URL); fam == nil || *fam != (HashFamily{Seed: testSeed, NumHash: testNumHash}) {
+		t.Fatalf("the fleet's family: %+v, want the majority's %d/%d", fam, testSeed, testNumHash)
+	}
+	if alien.Index().Len() != 40 || old.Index().Len() != 0 {
+		t.Fatalf("writes reached a shard outside the ring: %d and %d domains", alien.Index().Len(), old.Index().Len())
+	}
 	text := scrapeText(t, rts.URL)
-	for _, want := range []string{`lshrouter_scatter_total{form="sketched"} 0`, `lshrouter_partial_responses_total 0`} {
+	for _, want := range []string{
+		`lshrouter_shard_demotions_total{shard="` + ats.URL + `"} 1`,
+		`lshrouter_shard_demotions_total{shard="` + ots.URL + `"} 0`,
+		`lshrouter_shard_dials_total{shard="` + ats.URL + `"} 0`,
+		`lshrouter_shard_dials_total{shard="` + ots.URL + `"} 0`,
+		"lshrouter_shards_live 2",
+		"lshrouter_partial_responses_total 0",
+	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
-	for _, u := range urls {
-		if want := `lshrouter_shard_dials_total{shard="` + u + `"} 0`; !strings.Contains(text, want) {
-			t.Errorf("scrape missing %q", want)
-		}
+}
+
+// TestFamilyTieGoesToLowestNamedShard: two shards of two families, one each;
+// the fleet takes the family of the shard whose name sorts first, and the
+// other is held out.
+func TestFamilyTieGoesToLowestNamedShard(t *testing.T) {
+	urls, _ := startShardsAdvertising(t, []uint64{testSeed, testSeed + 1})
+	router, rts := startRouter(t, urls, Options{})
+	router.CheckHealth()
+	var ring RingResponse
+	getJSON(t, rts.URL+"/ring", &ring)
+	first := ring.Shards[0] // /ring lists the shards by name
+	if ring.Family == nil || first.Family == nil || *ring.Family != *first.Family {
+		t.Fatalf("fleet family %+v, want that of the lowest-named shard %+v", ring.Family, first.Family)
+	}
+	if first.Share < 0.999 || ring.Shards[1].Share != 0 {
+		t.Fatalf("shares %v and %v, want the whole ring on %s", first.Share, ring.Shards[1].Share, first.Name)
 	}
 }
 
@@ -408,4 +442,142 @@ func containsLine(log, a, b string) bool {
 		}
 	}
 	return false
+}
+
+// TestRoutedAddStoresDirectAdd: adds, replacing adds and deletes sent
+// through a router to one shard, and as JSON straight to another, get the
+// same replaced, deleted and size answers, move the same request series on
+// the shards and leave their indexes byte for byte the same.
+func TestRoutedAddStoresDirectAdd(t *testing.T) {
+	urls, shards := startShards(t, 2)
+	_, rts := startRouter(t, urls[:1], Options{})
+	for i := 0; i < 60; i++ {
+		key := domainKey(i % 35)
+		if i%6 == 5 {
+			var routed RouterDeleteResponse
+			var direct serve.DeleteResponse
+			postJSON(t, rts.URL+"/delete", serve.DeleteRequest{Key: key}, &routed)
+			postJSON(t, urls[1]+"/delete", serve.DeleteRequest{Key: key}, &direct)
+			if routed.DeleteResponse != direct || routed.Partial {
+				t.Fatalf("delete %s: routed %+v, direct %+v", key, routed, direct)
+			}
+			continue
+		}
+		values := append(windowValues(i), windowValues(i+3)...) // repeats, which the size must not count
+		var routed RouterAddResponse
+		var direct serve.AddResponse
+		postJSON(t, rts.URL+"/add", serve.AddRequest{Key: key, Values: values}, &routed)
+		postJSON(t, urls[1]+"/add", serve.AddRequest{Key: key, Values: values}, &direct)
+		if routed.AddResponse != direct || routed.Partial || !sameStrings(routed.Shards, urls[:1]) {
+			t.Fatalf("add %s: routed %+v, direct %+v", key, routed, direct)
+		}
+	}
+	writeSeries := func(base string) string {
+		var keep []string
+		for _, line := range strings.Split(scrapeText(t, base), "\n") {
+			if strings.HasPrefix(line, "lshensembled_http_requests_total") && (strings.Contains(line, `"add"`) || strings.Contains(line, `"delete"`)) {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	if routed, direct := writeSeries(urls[0]), writeSeries(urls[1]); routed != direct || !strings.Contains(routed, `{code="2xx",endpoint="add"} 50`) {
+		t.Fatalf("shard write series: routed\n%s\ndirect\n%s", routed, direct)
+	}
+	if a, b := shards[0].srv.Index().AppendBinary(nil), shards[1].srv.Index().AppendBinary(nil); !bytes.Equal(a, b) {
+		t.Fatalf("the routed shard's index encodes to %d bytes unlike the direct one's %d", len(a), len(b))
+	}
+}
+
+// TestRestartedShardRetriesWrite: a write whose pooled connection a restart
+// closed is sent once more on a fresh dial, and the answer is that attempt's.
+func TestRestartedShardRetriesWrite(t *testing.T) {
+	urls, fronts, servers := startSwappable(t, 1)
+	_, rts := startRouter(t, urls, Options{})
+	add := serve.AddRequest{Key: "k", Values: windowValues(3)}
+	for round, want := range []bool{false, true} {
+		var got RouterAddResponse
+		if code := postJSON(t, rts.URL+"/add", add, &got); code != http.StatusOK || got.Partial || got.Replaced != want {
+			t.Fatalf("add %d after a restart: HTTP %d %+v", round, code, got)
+		}
+		fronts[0].swap(servers[0])
+	}
+	var del RouterDeleteResponse
+	if code := postJSON(t, rts.URL+"/delete", serve.DeleteRequest{Key: "k"}, &del); code != http.StatusOK || del.Partial || !del.Deleted {
+		t.Fatalf("delete after a restart: HTTP %d %+v", code, del)
+	}
+	text := scrapeText(t, rts.URL)
+	for _, want := range []string{
+		`lshrouter_shard_dials_total{shard="` + urls[0] + `"} 3`,
+		`lshrouter_shard_errors_total{shard="` + urls[0] + `"} 0`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+}
+
+// fillPool dials n record connections to the router's only shard and puts
+// them in its pool, as n concurrent legs would leave them.
+func fillPool(t *testing.T, router *Router, n int) *Client {
+	t.Helper()
+	c := router.shards[0].client
+	for i := 0; i < n; i++ {
+		rc, err := c.dial(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.put(rc)
+	}
+	return c
+}
+
+// TestStaleFailureEmptiesPool: after a restart the first leg fails on a
+// pooled connection, and that one failure closes every idle connection to
+// the shard, so no later leg tries another.
+func TestStaleFailureEmptiesPool(t *testing.T) {
+	urls, fronts, servers := startSwappable(t, 1)
+	router, rts := startRouter(t, urls, Options{})
+	router.CheckHealth()
+	c := fillPool(t, router, 4)
+	fronts[0].swap(servers[0])
+	var got RouterQueryResponse
+	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(1)}, &got); code != http.StatusOK || got.Partial {
+		t.Fatalf("query after a restart: HTTP %d partial=%v", code, got.Partial)
+	}
+	c.mu.Lock()
+	idle := len(c.idle)
+	c.mu.Unlock()
+	if idle != 1 {
+		t.Fatalf("%d idle connections after the restart's first leg, want only the fresh one", idle)
+	}
+	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_shard_dials_total{shard="`+urls[0]+`"} 5`) {
+		t.Errorf("want 4 pooled dials and one fresh one:\n%s", text)
+	}
+}
+
+// TestIdlePoolAgesOut: a connection idle past maxIdleAge, which the shard is
+// about to close, is closed instead of handed out, and the leg dials afresh.
+func TestIdlePoolAgesOut(t *testing.T) {
+	urls, _ := startShards(t, 1)
+	router, rts := startRouter(t, urls, Options{})
+	router.CheckHealth()
+	c := fillPool(t, router, 2)
+	c.mu.Lock()
+	old := append([]*recordConn(nil), c.idle...)
+	for _, rc := range c.idle {
+		rc.idleSince = time.Now().Add(-maxIdleAge - time.Second)
+	}
+	c.mu.Unlock()
+	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(1)}, nil); code != http.StatusOK {
+		t.Fatalf("query: HTTP %d", code)
+	}
+	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_shard_dials_total{shard="`+urls[0]+`"} 3`) {
+		t.Errorf("the leg did not dial afresh:\n%s", text)
+	}
+	for i, rc := range old {
+		if _, err := rc.Write([]byte{0}); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("aged connection %d still open: %v", i, err)
+		}
+	}
 }

@@ -8,17 +8,19 @@
 // Client speaks the shard wire protocol from internal/serve, and Router
 // glues them into an http.Handler with health-checked membership.
 //
-// A Client talks to its shard on two transports. A pre-sketched query leg
-// is one record, one write and one read, on a record connection: an
-// HTTP/1.1 connection the shard upgraded at GET /records, kept in a pool of
-// at most 32 idle ones per shard. A leg takes one or dials a new one; the
-// connection's deadline follows the leg's context (a cancel unblocks it),
-// it goes back to the pool only after a complete answer, and any error
-// closes it. A reused connection that fails before its answer's first byte
-// — the shard restarted, or closed it after 90 s idle — is retried once on
-// a fresh one, so a restarted shard costs a dial, not a partial answer.
-// Everything else — raw-value legs, writes, health probes, /stats and the
-// admin calls — is HTTP. Router.Close releases both.
+// A Client talks to its shard on two transports. A pre-sketched query leg,
+// an add and a delete are each one record, one write and one read, on a
+// record connection: an HTTP/1.1 connection the shard upgraded at GET
+// /records, kept in a pool of at most 32 idle ones per shard. A leg takes
+// one or dials a new one; the connection's deadline follows the leg's
+// context (a cancel unblocks it), it goes back to the pool only after a
+// complete answer, and any error closes it. A connection idle in the pool
+// for 60 s is closed before the shard's 90 s idle limit closes it. A reused
+// connection that fails before its answer's first byte — the shard
+// restarted — is retried once on a fresh one and the pool is emptied, so a
+// restarted shard costs one failed exchange and a dial, not a partial
+// answer. Health probes, /stats and the admin calls are HTTP. Router.Close
+// releases both.
 package cluster
 
 import (

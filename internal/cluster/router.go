@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,9 +64,10 @@ type shard struct {
 	fails  int // consecutive probe failures; touched only by the checker
 
 	// family is the hash family the shard last reported on /stats, nil until
-	// it has (or while it does not accept pre-sketched queries). Cleared when
-	// the shard is promoted back or refuses a sketched leg — either way it
-	// may have restarted as something else — and re-learned by the checker.
+	// it has (or while it takes no record connections). Cleared when the
+	// shard is promoted back or refuses a record — either way it may have
+	// restarted as something else — and asked for again by the next learning
+	// round. The shard is in the ring only while this is the fleet's family.
 	family atomic.Pointer[HashFamily]
 
 	// Per-shard metric children.
@@ -77,40 +80,43 @@ type shard struct {
 // shards. It implements http.Handler with the same wire protocol as a
 // single shard, extended with partial-result fields:
 //
-//	POST /add, /delete    forwarded to the key's ring owners
+//	POST /add, /delete    sent to the key's ring owners
 //	POST /query, /query/topk, /query/batch
-//	                      scattered to every live shard, merged
+//	                      scattered to every shard in the ring, merged
 //	GET  /stats           per-shard stats, gathered
-//	GET  /ring            membership, liveness, keyspace shares
-//	GET  /healthz         200 while at least one shard is live
-//	POST /compact, /save  fanned to every live shard
+//	GET  /ring            membership, liveness, keyspace shares, the family
+//	GET  /healthz         200 while at least one shard is in the ring
+//	POST /compact, /save  fanned to every shard in the ring
 //
 // Routers hold no key state: ownership is recomputed from the ring (a pure
-// function of live membership), so any number of router instances in front
-// of the same fleet agree without coordinating. Query merges deduplicate by
+// function of membership), so any number of router instances in front of
+// the same fleet agree without coordinating. Query merges deduplicate by
 // key, which also makes a replicated fleet (Replication ≥ 2) answer each
 // key once no matter how many owners hold it.
 //
-// A scattered query is sketched here, once, not on every shard. The router
-// learns each shard's hash family (seed, num_hash) from its /stats — off the
-// request path: on the first health tick, whenever a shard is promoted back,
-// and once on demand if a query beats the first tick. While every live shard
-// reports the same family the router validates a client's query exactly as
-// a shard would, sketches its values with that family, encodes the framed
-// form of the request (internal/serve) once and sends every leg those same
-// bytes. While any live shard's family is unknown or the shards disagree it
-// forwards the client's own body unchanged and each shard sketches for
-// itself — the only fallback, and what a fleet mid-upgrade runs on. A shard
-// that refuses a sketched leg (it restarted under another seed) fails that
-// leg — the answer goes partial, its candidates are never merged — and is
-// asked for its family again. /add and /delete always forward raw values.
+// The fleet has one hash family (seed, num_hash), and membership in the ring
+// is having it. The router learns each shard's family from its /stats, off
+// the request path: on the first health tick, whenever a shard is promoted
+// back, and once on demand if a request beats the first tick. On the first
+// round that hears from any shard it adopts the family most shards report (a
+// tie goes to the lowest-named shard's) and keeps it for its whole life:
+// re-seeding a fleet means restarting its routers. A shard is in the ring
+// while it passes its health checks and reports that family and record
+// connections; one of another family is logged and counted as a demotion,
+// and every round asks the shards outside again. While no family is known a
+// request is a 503 with Retry-After.
 //
-// Sketched legs do not go through net/http: each is one write and one read
+// Every query and add is sketched here, once: the router validates it as a
+// shard would, sketches the values with the fleet's family and encodes the
+// framed query (internal/serve) or the add record once for every leg or
+// owner. A delete record carries the key alone. A shard that refuses a
+// record (it restarted under another seed) fails that leg — a query answer
+// goes partial, its candidates never merged — and is held out of the ring
+// until it reports the fleet's family again.
+//
+// Legs and writes do not go through net/http: each is one write and one read
 // on a pooled record connection to the shard (the package comment has their
-// lifecycle; lshrouter_shard_dials_total counts the dials). The family is
-// only "known" while every live shard also advertises record connections on
-// /stats, so a shard from before them keeps the fleet on raw legs, which
-// stay on HTTP, as do writes, health probes and the admin calls.
+// lifecycle). Health probes and the admin calls stay on HTTP.
 //
 // The answer record carries the answer frame, which the router decodes
 // without a JSON scanner into the same response types a JSON answer fills,
@@ -123,22 +129,20 @@ type Router struct {
 	ring   atomic.Pointer[Ring]
 	mux    *http.ServeMux
 
-	// sketch is the fleet's agreed hash family and its hasher, nil while the
-	// live shards' families are unknown or mixed. famMu serializes whatever
-	// recomputes it (and guards famState); learnOnce is the on-demand fetch
-	// of a query that arrives before the first health tick.
+	// sketch is the fleet's hash family and its hasher, nil until adopted and
+	// then fixed. memMu serializes whatever changes membership: the health
+	// checker, a learning round and a shard held out for a refusal. learnOnce
+	// is the on-demand round of a request that arrives before the first tick.
 	sketch    atomic.Pointer[sketcher]
-	famMu     sync.Mutex
-	famState  string // fleetFamily's state as of the last agreeFamily
+	memMu     sync.Mutex
 	learnOnce sync.Once
 
-	logger     *slog.Logger
-	reg        *obs.Registry
-	httpm      *obs.HTTPMetrics
-	shardsLive *obs.Gauge
-	partials   *obs.Counter
-	// scatters counts scattered queries by the form their legs were sent in.
-	scatterSketched, scatterRaw *obs.Counter
+	logger          *slog.Logger
+	reg             *obs.Registry
+	httpm           *obs.HTTPMetrics
+	shardsLive      *obs.Gauge
+	partials        *obs.Counter
+	scatterSketched *obs.Counter // scattered queries
 
 	stopOnce sync.Once
 	started  atomic.Bool
@@ -147,8 +151,9 @@ type Router struct {
 }
 
 // NewRouter builds a router over the given shard base URLs. All shards
-// start out live (the checker demotes unreachable ones after
-// HealthFailures probes); call Start to begin probing.
+// start out live, outside the ring until they report the fleet's family
+// (the checker demotes unreachable ones after HealthFailures probes); call
+// Start to begin probing.
 func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	opts.defaults()
 	if len(shardURLs) == 0 {
@@ -156,7 +161,7 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	}
 	names := append([]string(nil), shardURLs...)
 	sort.Strings(names)
-	r := &Router{opts: opts, famState: "unknown", stop: make(chan struct{}), done: make(chan struct{})}
+	r := &Router{opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
 	r.logger = opts.Logger
 	if r.logger == nil {
 		r.logger = slog.Default()
@@ -167,9 +172,8 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	r.reg.Gauge("lshrouter_shards_total", "Shards configured at startup.").Set(int64(len(shardURLs)))
 	r.partials = r.reg.Counter("lshrouter_partial_responses_total",
 		"Merged responses missing at least one shard's contribution.")
-	const scatterHelp = "Scattered queries by leg form: sketched once at the router, or the client's raw values forwarded."
-	r.scatterSketched = r.reg.Counter("lshrouter_scatter_total", scatterHelp, obs.L("form", "sketched"))
-	r.scatterRaw = r.reg.Counter("lshrouter_scatter_total", scatterHelp, obs.L("form", "raw"))
+	r.scatterSketched = r.reg.Counter("lshrouter_scatter_total",
+		"Scattered queries by leg form: sketched once at the router, or the client's raw values forwarded.", obs.L("form", "sketched"))
 	for i, name := range names {
 		if name == "" || (i > 0 && name == names[i-1]) {
 			return nil, fmt.Errorf("cluster: empty or duplicate shard URL %q", name)
@@ -186,7 +190,7 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 			"Record connections dialed to the shard; a climbing count is pool churn or a flapping shard.", obs.L("shard", name))
 		r.shards = append(r.shards, s)
 	}
-	r.rebuild()
+	r.rebuild(nil)
 
 	r.mux = http.NewServeMux()
 	r.handle("POST /add", "add", r.handleAdd)
@@ -253,9 +257,10 @@ func (r *Router) Close() {
 	}
 }
 
-// CheckHealth probes every shard once, concurrently, and rebuilds the ring
-// if liveness changed. The background checker calls this on its interval;
-// tests call it directly for deterministic membership transitions.
+// CheckHealth probes every shard once, concurrently, rebuilds the ring if
+// liveness changed, and runs a learning round. The background checker calls
+// this on its interval; tests call it directly for deterministic membership
+// transitions.
 func (r *Router) CheckHealth() {
 	results := make([]error, len(r.shards))
 	var wg sync.WaitGroup
@@ -269,6 +274,7 @@ func (r *Router) CheckHealth() {
 		}(i, s)
 	}
 	wg.Wait()
+	r.memMu.Lock()
 	changed := false
 	for i, s := range r.shards {
 		if results[i] == nil {
@@ -295,11 +301,9 @@ func (r *Router) CheckHealth() {
 		}
 	}
 	if changed {
-		r.rebuild()
+		r.rebuild(r.sketch.Load())
 	}
-	// The family is an agreement among the live shards: it is re-derived on
-	// every tick, after asking whoever has not said (all of them on the first
-	// tick, a promoted shard, one that refused a sketched leg since).
+	r.memMu.Unlock()
 	r.learnFamilies()
 }
 
@@ -314,27 +318,28 @@ type HashFamily struct {
 // on a shard's say-so.
 const maxNumHash = 1 << 16
 
-// sketcher is a hash family every live shard agreed on, ready to sketch.
+// sketcher is the fleet's hash family, ready to sketch.
 type sketcher struct {
 	HashFamily
 	hasher *lshensemble.Hasher
 }
 
-// learnFamilies asks every live shard whose family is not known for its
-// /stats, then re-derives the fleet's. The fetches run on a background
-// context, never a client's: they carry no request's trace ID into the shard
-// logs and a failure is retried on the next health tick, not counted as a
-// shard error.
+// learnFamilies is a learning round: it asks every live shard outside the
+// ring for its /stats, adopts the fleet's family on the first round that
+// hears one, and rebuilds the ring. The fetches run on a background context,
+// never a client's: they carry no request's trace ID into the shard logs and
+// a failure is retried on the next round, not counted as a shard error.
 func (r *Router) learnFamilies() {
-	r.famMu.Lock()
-	defer r.famMu.Unlock()
+	r.memMu.Lock()
+	defer r.memMu.Unlock()
+	reported := make([]*HashFamily, len(r.shards))
 	var wg sync.WaitGroup
-	for _, s := range r.shards {
-		if !s.alive.Load() || s.family.Load() != nil {
+	for i, s := range r.shards {
+		if !s.alive.Load() || member(s, r.sketch.Load()) {
 			continue
 		}
 		wg.Add(1)
-		go func(s *shard) {
+		go func(i int, s *shard) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), r.opts.ShardTimeout)
 			defer cancel()
@@ -346,81 +351,107 @@ func (r *Router) learnFamilies() {
 			case !st.Sketched || !st.Records || st.NumHash <= 0 || st.NumHash > maxNumHash:
 				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard takes no record legs",
 					slog.String("shard", s.name), slog.Int("num_hash", st.NumHash))
+				s.family.Store(nil)
 			default:
-				s.family.Store(&HashFamily{Seed: st.Seed, NumHash: st.NumHash})
+				reported[i] = &HashFamily{Seed: st.Seed, NumHash: st.NumHash}
 			}
-		}(s)
+		}(i, s)
 	}
 	wg.Wait()
-	r.agreeFamily()
-}
-
-// fleetFamily reports what the live shards' families add up to: "known" and
-// the family when every one reported the same, "mixed" when two disagree,
-// "unknown" while one has not reported (or none is live).
-func (r *Router) fleetFamily() (state string, fam HashFamily) {
-	state = "unknown"
-	for _, s := range r.shards {
-		if !s.alive.Load() {
+	adopted := r.sketch.Load()
+	sk := adopted
+	if sk == nil { // nobody is in the ring: every live shard was asked
+		sk = adoptFamily(reported)
+	}
+	for i, s := range r.shards {
+		f := reported[i]
+		if f == nil {
 			continue
 		}
-		f := s.family.Load()
-		switch {
-		case f == nil:
-			return "unknown", HashFamily{}
-		case state == "known" && *f != fam:
-			state = "mixed"
-		case state == "unknown":
-			state, fam = "known", *f
+		if prev := s.family.Swap(f); sk != nil && *f != sk.HashFamily && (prev == nil || *prev != *f) {
+			s.demotions.Inc()
+			r.logger.LogAttrs(context.Background(), slog.LevelWarn, "shard demoted", slog.String("shard", s.name),
+				slog.String("error", fmt.Sprintf("hash family seed %d num_hash %d, the fleet's is seed %d num_hash %d",
+					f.Seed, f.NumHash, sk.Seed, sk.NumHash)))
 		}
 	}
-	if state != "known" {
-		fam = HashFamily{}
+	r.rebuild(sk)
+	if adopted == nil && sk != nil { // after the ring: who sees the family sees its members
+		r.sketch.Store(sk)
+		r.logger.LogAttrs(context.Background(), slog.LevelInfo, "hash family adopted; sketching at the router",
+			slog.Uint64("seed", sk.Seed), slog.Int("num_hash", sk.NumHash))
 	}
-	return state, fam
 }
 
-// agreeFamily re-derives r.sketch from the live shards' families and logs the
-// change. Callers hold famMu.
-func (r *Router) agreeFamily() {
-	state, fam := r.fleetFamily()
-	cur := r.sketch.Load()
-	if state == r.famState && (cur == nil || cur.HashFamily == fam) {
-		return
-	}
-	r.famState = state
-	if state != "known" {
-		r.sketch.Store(nil)
-		level := slog.LevelInfo // unknown is every router's first state, and brief
-		if state == "mixed" {
-			level = slog.LevelWarn
+// adoptFamily returns the family the most shards reported, nil when none
+// did; a tie goes to the family of the lowest-named shard.
+func adoptFamily(reported []*HashFamily) *sketcher {
+	count := map[HashFamily]int{}
+	for _, f := range reported {
+		if f != nil {
+			count[*f]++
 		}
-		r.logger.LogAttrs(context.Background(), level, "no common hash family; forwarding raw values",
-			slog.String("family", state))
-		return
 	}
-	r.sketch.Store(&sketcher{HashFamily: fam, hasher: lshensemble.NewHasher(fam.NumHash, fam.Seed)})
-	r.logger.LogAttrs(context.Background(), slog.LevelInfo, "hash family learned; sketching at the router",
-		slog.Uint64("seed", fam.Seed), slog.Int("num_hash", fam.NumHash))
+	var best *HashFamily
+	for _, f := range reported { // by shard name, so the first of a tie wins
+		if f != nil && (best == nil || count[*f] > count[*best]) {
+			best = f
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	return &sketcher{HashFamily: *best, hasher: lshensemble.NewHasher(best.NumHash, best.Seed)}
 }
 
-// sketcherForQuery returns the fleet's sketcher, nil when the query must go
-// out raw. The first query to find none does the fetch the first health tick
-// would have done (every shard starts out live, so no promotion is coming to
-// trigger it); queries racing it wait for that one fetch.
-func (r *Router) sketcherForQuery() *sketcher {
+// member reports whether s belongs in the ring of family sk: live, and of
+// that family.
+func member(s *shard, sk *sketcher) bool {
+	f := s.family.Load()
+	return s.alive.Load() && sk != nil && f != nil && *f == sk.HashFamily
+}
+
+// fleet returns the fleet's sketcher. The first request to find none runs the
+// learning round the first health tick would have (every shard starts out
+// live, so no promotion is coming to trigger it); requests racing it wait for
+// that one round. With still no family it answers 503 and returns nil.
+func (r *Router) fleet(w http.ResponseWriter) *sketcher {
 	if sk := r.sketch.Load(); sk != nil {
 		return sk
 	}
 	r.learnOnce.Do(r.learnFamilies)
-	return r.sketch.Load()
+	if sk := r.sketch.Load(); sk != nil {
+		return sk
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(r.opts.HealthInterval.Seconds()))))
+	serve.WriteError(w, http.StatusServiceUnavailable, errors.New("no shard has reported its hash family yet"))
+	return nil
 }
 
-// rebuild recomputes the ring from the currently live shards.
-func (r *Router) rebuild() {
+// holdOut takes out of the ring every shard that answered a record the
+// router had validated with a 4xx: what it refused is the family, so the next
+// learning round asks it again.
+func (r *Router) holdOut(shards []*shard, errs []error) {
+	changed := false
+	for i, err := range errs {
+		var se *StatusError
+		if errors.As(err, &se) && se.Status/100 == 4 && shards[i].family.Swap(nil) != nil {
+			changed = true
+		}
+	}
+	if changed {
+		r.memMu.Lock()
+		r.rebuild(r.sketch.Load())
+		r.memMu.Unlock()
+	}
+}
+
+// rebuild recomputes the ring from the shards of family sk. Callers hold
+// memMu, but at construction.
+func (r *Router) rebuild(sk *sketcher) {
 	live := make([]string, 0, len(r.shards))
 	for _, s := range r.shards {
-		if s.alive.Load() {
+		if member(s, sk) {
 			live = append(live, s.name)
 		}
 	}
@@ -431,8 +462,9 @@ func (r *Router) rebuild() {
 // liveShards returns the shards currently in the ring.
 func (r *Router) liveShards() []*shard {
 	out := make([]*shard, 0, len(r.shards))
+	sk := r.sketch.Load()
 	for _, s := range r.shards {
-		if s.alive.Load() {
+		if member(s, sk) {
 			out = append(out, s)
 		}
 	}
@@ -456,7 +488,7 @@ func (r *Router) shardByName(name string) *shard {
 
 // RouterAddResponse acknowledges a routed ingest. Shards lists the owners
 // that applied it; Partial means some owner did not (the write is durable
-// on the listed shards only).
+// on the listed shards only). Replaced is true if any owner held the key.
 type RouterAddResponse struct {
 	serve.AddResponse
 	Shards  []string `json:"shards"`
@@ -513,235 +545,28 @@ type ShardInfo struct {
 	Family *HashFamily `json:"family,omitempty"`
 }
 
-// FamilyInfo is the fleet's hash family as the router knows it, which decides
-// the form scattered queries go out in.
-type FamilyInfo struct {
-	// State is "known" (every live shard reported the same family: queries
-	// are sketched at the router), "mixed" (two disagree) or "unknown" (one
-	// has not reported); in the last two the router forwards raw values.
-	State string `json:"state"`
-	// Seed and NumHash are the agreed family when State is "known".
-	Seed    uint64 `json:"seed,omitempty"`
-	NumHash int    `json:"num_hash,omitempty"`
-}
-
 // RingResponse describes the routing topology.
 type RingResponse struct {
 	Shards      []ShardInfo `json:"shards"`
 	Replication int         `json:"replication"`
 	Vnodes      int         `json:"vnodes"`
 	LoadFactor  float64     `json:"load_factor"`
-	Family      FamilyInfo  `json:"family"`
+	// Family is the fleet's hash family, null until the router adopts one.
+	Family *HashFamily `json:"family"`
 }
 
-// --- write path: route by ring ---
+// --- legs: records to a set of shards ---
 
-// forEachOwner fans one write to the key's ring owners concurrently and
-// reports which shards acknowledged. The per-call closure runs under the
-// per-shard deadline.
-func (r *Router) forEachOwner(ctx context.Context, key string, call func(context.Context, *shard) error) (acked, failed []string) {
-	ring := r.ring.Load()
-	owners := ring.Owners(key)
-	var mu sync.Mutex
+// fanOut runs call against each of shards concurrently and returns, shard by
+// shard, the answer or the error. It never fails as a whole. The last
+// shard's call runs on the calling goroutine, whose stack has already grown:
+// a write to a single owner runs on the handler's alone.
+func fanOut[T any](ctx context.Context, shards []*shard, call func(context.Context, *shard) (T, error)) ([]*shard, []T, []error) {
+	resps := make([]T, len(shards))
+	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for _, name := range owners {
-		s := r.shardByName(name)
-		if s == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
-			defer cancel()
-			err := call(sctx, s)
-			mu.Lock()
-			if err != nil {
-				failed = append(failed, s.name)
-				s.errors.Inc()
-			} else {
-				acked = append(acked, s.name)
-			}
-			mu.Unlock()
-		}(s)
-	}
-	wg.Wait()
-	sort.Strings(acked)
-	sort.Strings(failed)
-	return acked, failed
-}
-
-func (r *Router) handleAdd(w http.ResponseWriter, req *http.Request) {
-	var body serve.AddRequest
-	if !serve.DecodeJSON(w, req, &body) {
-		return
-	}
-	if body.Key == "" {
-		serve.WriteError(w, http.StatusBadRequest, errors.New("key is required"))
-		return
-	}
-	if len(r.liveShards()) == 0 {
-		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("no live shards"))
-		return
-	}
-	var mu sync.Mutex
-	var first serve.AddResponse
-	got := false
-	acked, failed := r.forEachOwner(req.Context(), body.Key, func(ctx context.Context, s *shard) error {
-		resp, err := s.client.Add(ctx, &body)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if !got {
-			first, got = resp, true
-		}
-		mu.Unlock()
-		return nil
-	})
-	if !got {
-		serve.WriteError(w, http.StatusBadGateway,
-			fmt.Errorf("no owner accepted key %q (failed: %v)", body.Key, failed))
-		return
-	}
-	r.notePartial(failed)
-	serve.WriteJSON(w, http.StatusOK, RouterAddResponse{
-		AddResponse: first, Shards: acked, Failed: failed, Partial: len(failed) > 0,
-	})
-}
-
-func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
-	var body serve.DeleteRequest
-	if !serve.DecodeJSON(w, req, &body) {
-		return
-	}
-	if body.Key == "" {
-		serve.WriteError(w, http.StatusBadRequest, errors.New("key is required"))
-		return
-	}
-	if len(r.liveShards()) == 0 {
-		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("no live shards"))
-		return
-	}
-	var deleted atomic.Bool
-	acked, failed := r.forEachOwner(req.Context(), body.Key, func(ctx context.Context, s *shard) error {
-		resp, err := s.client.Delete(ctx, &body)
-		if err != nil {
-			return err
-		}
-		if resp.Deleted {
-			deleted.Store(true)
-		}
-		return nil
-	})
-	if len(acked) == 0 {
-		serve.WriteError(w, http.StatusBadGateway,
-			fmt.Errorf("no owner acknowledged delete of %q (failed: %v)", body.Key, failed))
-		return
-	}
-	r.notePartial(failed)
-	serve.WriteJSON(w, http.StatusOK, RouterDeleteResponse{
-		DeleteResponse: serve.DeleteResponse{Deleted: deleted.Load()},
-		Shards:         acked, Failed: failed, Partial: len(failed) > 0,
-	})
-}
-
-// --- read path: scatter to all live shards, gather, merge ---
-
-// legBody is what every leg of one scattered query is sent: one encoding,
-// shared by the legs and only ever read, and the query's row count, which a
-// framed answer must match. A sketched leg goes as a record of op o, a raw
-// one as the client's JSON to o's route.
-type legBody struct {
-	sketched bool
-	op       serve.Op
-	bytes    []byte
-	rows     int
-}
-
-// queryLegs decides the form a scattered query goes out in. With the fleet's
-// family known it resolves the client's request through sketch — the shard's
-// own validation and the one MinHash pass of the request — and frames the
-// result; a request sketch refuses is answered 400 here, before any leg. With
-// the family unknown or mixed the legs get raw, the client's body as it came.
-func (r *Router) queryLegs(w http.ResponseWriter, o serve.Op, raw []byte, rows int, sketch func(*sketcher) (doc any, sigs []lshensemble.Signature, err error)) (legBody, bool) {
-	sk := r.sketcherForQuery()
-	if sk == nil {
-		r.scatterRaw.Inc()
-		return legBody{op: o, bytes: raw, rows: rows}, true
-	}
-	// A signature is a fixed 8·num_hash bytes however few values it stands
-	// for, so a batch of very many small queries is larger framed than raw:
-	// the shard's body limit becomes a limit on rows. The frame is estimated
-	// at 64 bytes of document a row, which refuses most such batches before
-	// any row is sketched, and then measured: a row's threshold and size
-	// can spell longer than that.
-	frame := 256 + rows*(sk.NumHash*8+64)
-	var body []byte
-	if frame <= serve.MaxRequestBody {
-		doc, sigs, err := sketch(sk)
-		if err != nil {
-			serve.WriteError(w, http.StatusBadRequest, err)
-			return legBody{}, false
-		}
-		if body, err = serve.AppendSketched(make([]byte, 0, frame), doc, sigs...); err != nil {
-			serve.WriteError(w, http.StatusInternalServerError, err)
-			return legBody{}, false
-		}
-		frame = len(body)
-	}
-	if frame > serve.MaxRequestBody {
-		serve.WriteError(w, http.StatusBadRequest,
-			fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, frame, serve.MaxRequestBody))
-		return legBody{}, false
-	}
-	r.scatterSketched.Inc()
-	return legBody{sketched: true, op: o, bytes: body, rows: rows}, true
-}
-
-// scatter sends one query to every live shard and gathers the answers. The
-// legs start together, so they share one ShardTimeout deadline: a slow shard
-// costs a partial answer, not latency. A shard that answers a sketched leg
-// with a 4xx — the router validated the request, so what the shard refused
-// is the family — is asked for its family again before it is sent another.
-func scatter[T any](r *Router, ctx context.Context, leg legBody) (oks []T, failed []string, refusal *StatusError) {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
-	defer cancel()
-	live, resps, errs := fanOut(r, ctx, func(ctx context.Context, s *shard) (T, error) {
-		var out T
-		if leg.sketched {
-			return out, s.client.leg(ctx, leg.op, leg.bytes, leg.rows, &out)
-		}
-		return out, s.client.send(ctx, http.MethodPost, leg.op.Path(), leg.bytes, &out)
-	})
-	if leg.sketched {
-		distrusted := false
-		for i, err := range errs {
-			var se *StatusError
-			if errors.As(err, &se) && se.Status/100 == 4 {
-				live[i].family.Store(nil)
-				distrusted = true
-			}
-		}
-		if distrusted {
-			r.famMu.Lock()
-			r.agreeFamily()
-			r.famMu.Unlock()
-		}
-	}
-	return gather(live, resps, errs)
-}
-
-// fanOut runs call against every live shard concurrently and returns, shard
-// by shard, the answer or the error. It never fails as a whole. The last
-// shard's call runs on the calling goroutine, whose stack has already grown.
-func fanOut[T any](r *Router, ctx context.Context, call func(context.Context, *shard) (T, error)) (live []*shard, resps []T, errs []error) {
-	live = r.liveShards()
-	resps = make([]T, len(live))
-	errs = make([]error, len(live))
-	var wg sync.WaitGroup
-	for i, s := range live {
-		if i == len(live)-1 {
+	for i, s := range shards {
+		if i == len(shards)-1 {
 			resps[i], errs[i] = call(ctx, s)
 			break
 		}
@@ -752,7 +577,19 @@ func fanOut[T any](r *Router, ctx context.Context, call func(context.Context, *s
 		}(i, s)
 	}
 	wg.Wait()
-	return live, resps, errs
+	return shards, resps, errs
+}
+
+// legs sends one record to each of shards and gathers the answers, each
+// decoded by call. The legs start together, so they share one ShardTimeout
+// deadline: a slow shard costs a partial answer, not latency. A shard that
+// answers with a 4xx is held out of the ring.
+func legs[T any](r *Router, ctx context.Context, shards []*shard, call func(context.Context, *shard) (T, error)) (oks []T, failed []string, refusal *StatusError) {
+	ctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
+	defer cancel()
+	shards, resps, errs := fanOut(ctx, shards, call)
+	r.holdOut(shards, errs)
+	return gather(shards, resps, errs)
 }
 
 // gather splits a fan-out into the answers and the names of the shards that
@@ -799,6 +636,146 @@ func sameRefusal(errs []error) *StatusError {
 	return first
 }
 
+// --- write path: route by ring ---
+
+// write sends one write record of op o to key's ring owners. It returns the
+// owners that acknowledged and those that failed, each sorted, and whether
+// any that acknowledged replaced or deleted the key. With no owner in the
+// ring, or none that acknowledged, it has answered the client and returns
+// false: a refusal every owner gave alike is relayed, anything else is a 502.
+func (r *Router) write(w http.ResponseWriter, ctx context.Context, key string, o serve.Op, body []byte) (acked, failed []string, flag, ok bool) {
+	var owners []*shard
+	for _, name := range r.ring.Load().Owners(key) {
+		if s := r.shardByName(name); s != nil {
+			owners = append(owners, s)
+		}
+	}
+	if len(owners) == 0 {
+		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("no live shards"))
+		return nil, nil, false, false
+	}
+	var flagged atomic.Bool
+	acked, failed, refusal := legs(r, ctx, owners, func(ctx context.Context, s *shard) (string, error) {
+		f, err := s.client.write(ctx, o, body)
+		if f {
+			flagged.Store(true)
+		}
+		return s.name, err
+	})
+	sort.Strings(acked)
+	sort.Strings(failed)
+	switch {
+	case len(acked) > 0:
+		r.notePartial(failed)
+		return acked, failed, flagged.Load(), true
+	case refusal != nil:
+		serve.WriteJSON(w, refusal.Status, serve.ErrorResponse{Error: refusal.Message})
+	default:
+		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("no owner acknowledged %s of %q (failed: %v)", o, key, failed))
+	}
+	return nil, nil, false, false
+}
+
+func (r *Router) handleAdd(w http.ResponseWriter, req *http.Request) {
+	body, ok := serve.ReadQuery(w, req, serve.OpAdd)
+	if !ok {
+		return
+	}
+	sk := r.fleet(w)
+	if sk == nil {
+		return
+	}
+	rec, err := body.ResolveAdd(sk.hasher, nil)
+	if err != nil {
+		serve.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	if acked, failed, replaced, ok := r.write(w, req.Context(), rec.Key, serve.OpAdd, serve.AppendAddRecord(nil, sk.Seed, rec)); ok {
+		serve.WriteJSON(w, http.StatusOK, RouterAddResponse{
+			AddResponse: serve.AddResponse{Replaced: replaced, Size: rec.Size},
+			Shards:      acked, Failed: failed, Partial: len(failed) > 0,
+		})
+	}
+}
+
+func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
+	body, ok := serve.ReadQuery(w, req, serve.OpDelete)
+	if !ok {
+		return
+	}
+	if body.Key == "" {
+		serve.WriteError(w, http.StatusBadRequest, errors.New("key is required"))
+		return
+	}
+	if r.fleet(w) == nil {
+		return
+	}
+	if acked, failed, deleted, ok := r.write(w, req.Context(), body.Key, serve.OpDelete, serve.AppendDeleteRecord(nil, body.Key)); ok {
+		serve.WriteJSON(w, http.StatusOK, RouterDeleteResponse{
+			DeleteResponse: serve.DeleteResponse{Deleted: deleted},
+			Shards:         acked, Failed: failed, Partial: len(failed) > 0,
+		})
+	}
+}
+
+// --- read path: scatter to the ring, gather, merge ---
+
+// legBody is what every leg of one scattered query is sent: one encoding,
+// shared by the legs and only ever read, as a record of op op, and the
+// query's row count, which a framed answer must match.
+type legBody struct {
+	op    serve.Op
+	bytes []byte
+	rows  int
+}
+
+// queryLegs resolves the client's request through sketch — the shard's own
+// validation and the one MinHash pass of the request — with the fleet's
+// family and frames the result; a request sketch refuses is answered 400
+// here, before any leg.
+func (r *Router) queryLegs(w http.ResponseWriter, o serve.Op, rows int, sketch func(*sketcher) (doc any, sigs []lshensemble.Signature, err error)) (legBody, bool) {
+	sk := r.fleet(w)
+	if sk == nil {
+		return legBody{}, false
+	}
+	// A signature is a fixed 8·num_hash bytes however few values it stands
+	// for, so a batch of very many small queries is larger framed than raw:
+	// the shard's body limit becomes a limit on rows. The frame is estimated
+	// at 64 bytes of document a row, which refuses most such batches before
+	// any row is sketched, and then measured: a row's threshold and size
+	// can spell longer than that.
+	frame := 256 + rows*(sk.NumHash*8+64)
+	var body []byte
+	if frame <= serve.MaxRequestBody {
+		doc, sigs, err := sketch(sk)
+		if err != nil {
+			serve.WriteError(w, http.StatusBadRequest, err)
+			return legBody{}, false
+		}
+		if body, err = serve.AppendSketched(make([]byte, 0, frame), doc, sigs...); err != nil {
+			serve.WriteError(w, http.StatusInternalServerError, err)
+			return legBody{}, false
+		}
+		frame = len(body)
+	}
+	if frame > serve.MaxRequestBody {
+		serve.WriteError(w, http.StatusBadRequest,
+			fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, frame, serve.MaxRequestBody))
+		return legBody{}, false
+	}
+	r.scatterSketched.Inc()
+	return legBody{op: o, bytes: body, rows: rows}, true
+}
+
+// scatter sends one query to every shard in the ring and gathers the
+// answers.
+func scatter[T any](r *Router, ctx context.Context, leg legBody) (oks []T, failed []string, refusal *StatusError) {
+	return legs(r, ctx, r.liveShards(), func(ctx context.Context, s *shard) (T, error) {
+		var out T
+		return out, s.client.leg(ctx, leg.op, leg.bytes, leg.rows, &out)
+	})
+}
+
 // gatewayCheck writes the scatter-wide errors: an empty ring, a request every
 // shard refused alike (relayed with the shards' status and message), and a
 // total blackout. One reachable shard among many means a partial answer,
@@ -819,11 +796,11 @@ func (r *Router) gatewayCheck(w http.ResponseWriter, got int, failed []string, r
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	body, raw, ok := serve.ReadQuery(w, req, serve.OpQuery)
+	body, ok := serve.ReadQuery(w, req, serve.OpQuery)
 	if !ok {
 		return
 	}
-	leg, ok := r.queryLegs(w, serve.OpQuery, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
+	leg, ok := r.queryLegs(w, serve.OpQuery, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
 		q, err := body.Rows[0].Resolve(sk.hasher, nil)
 		return &serve.SketchedQuery{Seed: sk.Seed, QueryRequest: serve.QueryRequest{Threshold: q.Threshold, Size: q.Size}},
 			[]lshensemble.Signature{q.Sig}, err
@@ -849,7 +826,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
-	body, raw, ok := serve.ReadQuery(w, req, serve.OpTopK)
+	body, ok := serve.ReadQuery(w, req, serve.OpTopK)
 	if !ok {
 		return
 	}
@@ -857,7 +834,7 @@ func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 	if k == 0 {
 		k = 10
 	}
-	leg, ok := r.queryLegs(w, serve.OpTopK, raw, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
+	leg, ok := r.queryLegs(w, serve.OpTopK, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
 		sig, size, _, err := body.Rows[0].ResolveTopK(sk.hasher, nil)
 		return &serve.SketchedTopK{Seed: sk.Seed, TopKRequest: serve.TopKRequest{K: k, Size: size}},
 			[]lshensemble.Signature{sig}, err
@@ -879,7 +856,7 @@ func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	body, raw, ok := serve.ReadQuery(w, req, serve.OpBatch)
+	body, ok := serve.ReadQuery(w, req, serve.OpBatch)
 	if !ok {
 		return
 	}
@@ -887,7 +864,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, errors.New("queries must be non-empty"))
 		return
 	}
-	leg, ok := r.queryLegs(w, serve.OpBatch, raw, len(body.Rows), func(sk *sketcher) (any, []lshensemble.Signature, error) {
+	leg, ok := r.queryLegs(w, serve.OpBatch, len(body.Rows), func(sk *sketcher) (any, []lshensemble.Signature, error) {
 		queries, err := body.ResolveBatch(sk.hasher, nil)
 		doc := &serve.SketchedBatch{Seed: sk.Seed, BatchRequest: serve.BatchRequest{
 			Queries: make([]serve.QueryRequest, len(queries)), Workers: body.Workers}}
@@ -1006,17 +983,20 @@ func mergeBatch(responses []serve.BatchResponse, numRows int) []serve.QueryRespo
 
 // --- fleet admin ---
 
-// fleetAdmin fans one admin call out to every live shard and answers with
+// fleetAdmin fans one admin call out to every shard in the ring and answers with
 // the per-shard responses. The legs run under the inbound request's context
 // only: a snapshot or a full compaction legitimately outlasts the query
 // ShardTimeout, and cutting it off there would report a shard that is still
 // working as failed.
 func fleetAdmin[T any](r *Router, w http.ResponseWriter, req *http.Request, call func(*Client, context.Context) (T, error)) {
+	if r.fleet(w) == nil {
+		return
+	}
 	type named struct {
 		name string
 		resp T
 	}
-	oks, failed, refusal := gather(fanOut(r, req.Context(), func(ctx context.Context, s *shard) (named, error) {
+	oks, failed, refusal := gather(fanOut(req.Context(), r.liveShards(), func(ctx context.Context, s *shard) (named, error) {
 		resp, err := call(s.client, ctx)
 		return named{name: s.name, resp: resp}, err
 	}))
@@ -1058,8 +1038,9 @@ func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {
 			Family: s.family.Load(),
 		})
 	}
-	state, fam := r.fleetFamily()
-	out.Family = FamilyInfo{State: state, Seed: fam.Seed, NumHash: fam.NumHash}
+	if sk := r.sketch.Load(); sk != nil {
+		out.Family = &sk.HashFamily
+	}
 	serve.WriteJSON(w, http.StatusOK, out)
 }
 

@@ -59,6 +59,13 @@ type testShard struct {
 	srv *serve.Server
 }
 
+// kill stops the shard as a crash would: the listener and every connection,
+// the record connections too, which httptest's Close leaves serving.
+func (s *testShard) kill() {
+	s.ts.Close()
+	s.srv.CloseRecords()
+}
+
 func startShards(t *testing.T, n int) ([]string, []*testShard) {
 	t.Helper()
 	seeds := make([]uint64, n)
@@ -69,10 +76,8 @@ func startShards(t *testing.T, n int) ([]string, []*testShard) {
 }
 
 // startShardsAdvertising starts one shard per entry, each advertising that
-// seed on /stats (and checking framed requests against it) while sketching
-// with the testSeed family all the same. Shards that advertise different
-// seeds are a fleet the router must treat as mixed — forwarding raw values —
-// whose answers still compare exactly against one testSeed index.
+// seed on /stats (and checking records against it) while sketching JSON
+// requests with the testSeed family all the same.
 func startShardsAdvertising(t *testing.T, seeds []uint64) ([]string, []*testShard) {
 	t.Helper()
 	n := len(seeds)
@@ -171,30 +176,17 @@ func sameStrings(a, b []string) bool {
 // TestRouterMergeMatchesSingleNode is the determinism acceptance test: a
 // 2-shard fleet behind the router answers /query, /query/topk and
 // /query/batch exactly like one single-node index over the union of the
-// corpus — in both forms a scattered query can take: sketched once at the
-// router (the shards agree on a family) and forwarded raw (they do not).
+// corpus, every query sketched once at the router.
 func TestRouterMergeMatchesSingleNode(t *testing.T) {
-	for _, mode := range []struct {
-		form  string
-		seeds []uint64
-	}{
-		{"sketched", []uint64{testSeed, testSeed}},
-		{"raw", []uint64{testSeed, testSeed + 1}},
-	} {
-		t.Run(mode.form, func(t *testing.T) {
-			urls, shards := startShardsAdvertising(t, mode.seeds)
-			router, rts := startRouter(t, urls, Options{})
-			router.CheckHealth() // the first health tick learns the families
-			checkMergeMatchesSingleNode(t, urls, shards, router, rts)
-
-			other := map[string]string{"sketched": "raw", "raw": "sketched"}[mode.form]
-			text := scrapeText(t, rts.URL)
-			if strings.Contains(text, `lshrouter_scatter_total{form="`+mode.form+`"} 0`) ||
-				!strings.Contains(text, `lshrouter_scatter_total{form="`+other+`"} 0`) {
-				t.Fatalf("queries did not all go out %s:\n%s", mode.form, text)
-			}
-		})
-	}
+	t.Run("sketched", func(t *testing.T) {
+		urls, shards := startShards(t, 2)
+		router, rts := startRouter(t, urls, Options{})
+		router.CheckHealth() // the first health tick learns the families
+		checkMergeMatchesSingleNode(t, urls, shards, router, rts)
+		if text := scrapeText(t, rts.URL); strings.Contains(text, `lshrouter_scatter_total{form="sketched"} 0`) {
+			t.Fatalf("no query went out sketched:\n%s", text)
+		}
+	})
 }
 
 func checkMergeMatchesSingleNode(t *testing.T, urls []string, shards []*testShard, router *Router, rts *httptest.Server) {
@@ -328,7 +320,7 @@ func TestRouterPartialOnShardDeath(t *testing.T) {
 	addVia(t, rts.URL, n)
 
 	dead := shards[1]
-	dead.ts.Close() // kill mid-traffic; the router has no idea yet
+	dead.kill() // mid-traffic; the router has no idea yet
 
 	// Survivors' union is what the degraded fleet can still answer.
 	values := windowValues(5)
@@ -594,23 +586,16 @@ func TestRouterConcurrentTraffic(t *testing.T) {
 // deadline degrades the answer to partial instead of stalling it.
 func TestRouterSlowShardDeadline(t *testing.T) {
 	urls, _ := startShards(t, 2)
-	release := make(chan struct{})
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select { // answers only when the test is over
-		case <-r.Context().Done():
-		case <-release:
-		}
-	}))
-	t.Cleanup(hang.Close)
-	t.Cleanup(func() { close(release) }) // LIFO: unblock handlers, then Close
+	hang, hangURL := newRecordFront(t, newShardServer(t, testSeed))
+	hang.hold.Store(true) // answers no record
 
-	_, rts := startRouter(t, append(urls, hang.URL), Options{ShardTimeout: 200 * time.Millisecond})
+	_, rts := startRouter(t, append(urls, hangURL), Options{ShardTimeout: 200 * time.Millisecond})
 	start := time.Now()
 	var got RouterQueryResponse
 	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(0), Threshold: 0.5}, &got); code != http.StatusOK {
 		t.Fatalf("query with hung shard: HTTP %d", code)
 	}
-	if !got.Partial || !sameStrings(got.Failed, []string{hang.URL}) {
+	if !got.Partial || !sameStrings(got.Failed, []string{hangURL}) {
 		t.Fatalf("hung shard not reported: partial=%v failed=%v", got.Partial, got.Failed)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -624,10 +609,15 @@ func TestRouterSlowShardDeadline(t *testing.T) {
 // that slow still degrades the answer to partial.
 func TestRouterSlowSaveIsNotCutOff(t *testing.T) {
 	const shardTimeout = 100 * time.Millisecond
-	// A stub shard that takes delay to answer anything; its answer decodes
-	// as an (empty) query response and as a save acknowledgement alike.
-	stub := func(delay time.Duration) string {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// A shard whose /save takes delay to answer with a stub file, and whose
+	// record legs hang when slow.
+	stub := func(delay time.Duration, slow bool) string {
+		srv := newShardServer(t, testSeed)
+		front, url := newRecordFront(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/save" {
+				srv.ServeHTTP(w, r)
+				return
+			}
 			select {
 			case <-r.Context().Done():
 				return
@@ -635,10 +625,10 @@ func TestRouterSlowSaveIsNotCutOff(t *testing.T) {
 			}
 			serve.WriteJSON(w, http.StatusOK, serve.SaveResponse{Path: "stub.snap", Bytes: 42})
 		}))
-		t.Cleanup(ts.Close)
-		return ts.URL
+		front.hold.Store(slow)
+		return url
 	}
-	fast, slow := stub(0), stub(3*shardTimeout)
+	fast, slow := stub(0, false), stub(3*shardTimeout, true)
 	_, rts := startRouter(t, []string{fast, slow}, Options{ShardTimeout: shardTimeout})
 
 	var saved RouterFleetResponse[serve.SaveResponse]
@@ -665,7 +655,7 @@ func TestRouterBlackout(t *testing.T) {
 	router, rts := startRouter(t, urls, Options{HealthFailures: 1})
 	addVia(t, rts.URL, 10)
 	for _, sh := range shards {
-		sh.ts.Close()
+		sh.kill()
 	}
 
 	var errResp serve.ErrorResponse

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lshensemble"
 	"lshensemble/internal/serve"
@@ -39,7 +41,9 @@ func postRaw(t *testing.T, url, body string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-func ringFamily(t *testing.T, routerURL string) FamilyInfo {
+// ringFamily is the fleet's family as /ring reports it, nil before one is
+// adopted.
+func ringFamily(t *testing.T, routerURL string) *HashFamily {
 	t.Helper()
 	var ring RingResponse
 	if code := getJSON(t, routerURL+"/ring", &ring); code != http.StatusOK {
@@ -48,10 +52,10 @@ func ringFamily(t *testing.T, routerURL string) FamilyInfo {
 	return ring.Family
 }
 
-// TestRouterRefusesMalformedQuery: a query no shard would accept is the
-// client's 400, not "all live shards failed" and not a mark against any
-// shard — whether the router catches it itself while sketching, or forwards
-// raw values and every shard refuses alike. Both paths word it the same.
+// TestRouterRefusesMalformedQuery: a query or write no shard would accept is
+// the client's 400 in the shard's words, caught by the router while it reads
+// and sketches — not "all live shards failed", not a 502, and not a mark
+// against any shard.
 func TestRouterRefusesMalformedQuery(t *testing.T) {
 	bad := []struct{ path, body, wantInError string }{
 		{"/query", `{"values":["a","b"],"threshold":2}`, "threshold 2 out of range"},
@@ -69,66 +73,65 @@ func TestRouterRefusesMalformedQuery(t *testing.T) {
 		{"/query/topk", `{"values":["a"],"k":3}]`, "after the JSON value"},
 		{"/query/batch", `{"queries":[{"values":["a"]}]}}`, "after the JSON value"},
 		{"/add", `{"key":"k","values":["a"]}nonsense`, "after the JSON value"},
+		{"/add", `{"key":"k","values":[]}`, "values must be non-empty"},
+		{"/add", `{"key":"k"}`, "values must be non-empty"},
+		{"/add", `{"key":"","values":["a"]}`, "key is required"},
+		{"/add", `{"key":"k","values":["a"],"size":3}`, "unknown field"},
+		{"/delete", `{"key":""}`, "key is required"},
+		{"/delete", `{"key":"k","values":["a"]}`, "unknown field"},
 	}
-	answers := map[string][]string{}
-	for _, mode := range []struct {
-		form  string
-		seeds []uint64
-	}{
-		{"sketched", []uint64{testSeed, testSeed}},
-		{"raw", []uint64{testSeed, testSeed + 1}},
-	} {
-		t.Run(mode.form, func(t *testing.T) {
-			urls, _ := startShardsAdvertising(t, mode.seeds)
-			router, rts := startRouter(t, urls, Options{})
-			router.CheckHealth()
-			addVia(t, rts.URL, 10)
-			for _, c := range bad {
-				code, body := postRaw(t, rts.URL+c.path, c.body)
-				if code != http.StatusBadRequest || !strings.Contains(body, c.wantInError) {
-					t.Errorf("%s %s: HTTP %d %s, want 400 naming %q", c.path, c.body, code, body, c.wantInError)
-				}
-				answers[mode.form] = append(answers[mode.form], body)
+	t.Run("sketched", func(t *testing.T) {
+		urls, shards := startShards(t, 2)
+		router, rts := startRouter(t, urls, Options{})
+		router.CheckHealth()
+		addVia(t, rts.URL, 10)
+		for _, c := range bad {
+			code, body := postRaw(t, rts.URL+c.path, c.body)
+			shardCode, shardBody := postRaw(t, urls[0]+c.path, c.body)
+			if code != http.StatusBadRequest || !strings.Contains(body, c.wantInError) || shardCode != code || shardBody != body {
+				t.Errorf("%s %s: HTTP %d %s, want the shard's 400 %s naming %q", c.path, c.body, code, body, shardBody, c.wantInError)
 			}
-			text := scrapeText(t, rts.URL)
-			for _, u := range urls {
-				if want := `lshrouter_shard_errors_total{shard="` + u + `"} 0`; !strings.Contains(text, want) {
-					t.Errorf("a malformed query was counted against shard %s:\n%s", u, text)
-				}
+		}
+		text := scrapeText(t, rts.URL)
+		for _, u := range urls {
+			if want := `lshrouter_shard_errors_total{shard="` + u + `"} 0`; !strings.Contains(text, want) {
+				t.Errorf("a malformed request was counted against shard %s:\n%s", u, text)
 			}
-			if !strings.Contains(text, "lshrouter_partial_responses_total 0") {
-				t.Errorf("a refused query was counted as a partial response:\n%s", text)
-			}
-			// A well-formed query still goes through.
-			var ok RouterQueryResponse
-			if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(3)}, &ok); code != http.StatusOK || ok.Partial {
-				t.Fatalf("well-formed query after the refusals: HTTP %d partial=%v", code, ok.Partial)
-			}
-		})
-	}
-	if !reflect.DeepEqual(answers["sketched"], answers["raw"]) {
-		t.Errorf("the two paths word their refusals differently:\nsketched %q\nraw      %q", answers["sketched"], answers["raw"])
-	}
+		}
+		if !strings.Contains(text, "lshrouter_partial_responses_total 0") {
+			t.Errorf("a refused query was counted as a partial response:\n%s", text)
+		}
+		if n := shards[0].srv.Index().Len() + shards[1].srv.Index().Len(); n != 10 {
+			t.Errorf("the fleet holds %d domains after the refused writes, want 10", n)
+		}
+		// A well-formed query still goes through.
+		var ok RouterQueryResponse
+		if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(3)}, &ok); code != http.StatusOK || ok.Partial {
+			t.Fatalf("well-formed query after the refusals: HTTP %d partial=%v", code, ok.Partial)
+		}
+	})
+}
+
+// refusingShard is a real shard whose record legs are all answered with
+// status and msg in the error envelope.
+func refusingShard(t *testing.T, status int, msg string) string {
+	front, url := newRecordFront(t, newShardServer(t, testSeed))
+	envelope := append(mustMarshal(t, serve.ErrorResponse{Error: msg}), '\n')
+	front.edit = func(int, []byte) (int, []byte) { return status, envelope }
+	return url
 }
 
 // TestRouterRelaysOnlyUnanimousRefusals: shards that refuse for different
 // reasons, or a refusal next to an outage, are failed shards — 502 and
 // counted — not a client error to relay.
 func TestRouterRelaysOnlyUnanimousRefusals(t *testing.T) {
-	refuse := func(status int, msg string) string {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			serve.WriteJSON(w, status, serve.ErrorResponse{Error: msg})
-		}))
-		t.Cleanup(ts.Close)
-		return ts.URL
-	}
-	same := []string{refuse(http.StatusBadRequest, "nope"), refuse(http.StatusBadRequest, "nope")}
+	same := []string{refusingShard(t, http.StatusBadRequest, "nope"), refusingShard(t, http.StatusBadRequest, "nope")}
 	_, rts := startRouter(t, same, Options{})
 	if code, body := postRaw(t, rts.URL+"/query", `{"values":["a"]}`); code != http.StatusBadRequest || !strings.Contains(body, `"nope"`) {
 		t.Fatalf("unanimous refusal: HTTP %d %s, want the shards' 400 relayed", code, body)
 	}
 
-	differ := []string{refuse(http.StatusBadRequest, "nope"), refuse(http.StatusBadRequest, "never")}
+	differ := []string{refusingShard(t, http.StatusBadRequest, "nope"), refusingShard(t, http.StatusBadRequest, "never")}
 	_, rts = startRouter(t, differ, Options{})
 	if code, _ := postRaw(t, rts.URL+"/query", `{"values":["a"]}`); code != http.StatusBadGateway {
 		t.Fatalf("shards refusing differently: HTTP %d, want 502", code)
@@ -140,9 +143,10 @@ func TestRouterRelaysOnlyUnanimousRefusals(t *testing.T) {
 		}
 	}
 
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	_, rts = startRouter(t, []string{refuse(http.StatusBadRequest, "nope"), dead.URL}, Options{})
+	urls, shards := startShards(t, 1)
+	router, rts := startRouter(t, []string{refusingShard(t, http.StatusBadRequest, "nope"), urls[0]}, Options{})
+	router.CheckHealth()
+	shards[0].kill()
 	if code, _ := postRaw(t, rts.URL+"/query", `{"values":["a"]}`); code != http.StatusBadGateway {
 		t.Fatalf("a refusal beside an outage: HTTP %d, want 502", code)
 	}
@@ -167,58 +171,6 @@ func TestMergeSorted(t *testing.T) {
 		if got := mergeSorted(c.lists); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: mergeSorted(%v) = %v, want %v", c.name, c.lists, got, c.want)
 		}
-	}
-}
-
-// TestRouterMergesUnsortedShard: a shard that breaks the sorted-and-unique
-// contract of its match lists (a stub here) still cannot make the merged
-// answer unsorted or duplicated — the merge falls back to sort and dedup.
-func TestRouterMergesUnsortedShard(t *testing.T) {
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		unsorted := serve.QueryResponse{Matches: []string{"d900", "d001", "d900", "d000"}, Count: 4}
-		switch r.URL.Path {
-		case "/query":
-			serve.WriteJSON(w, http.StatusOK, unsorted)
-		case "/query/batch":
-			serve.WriteJSON(w, http.StatusOK, serve.BatchResponse{Rows: []serve.QueryResponse{unsorted, {Matches: []string{}}}})
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	t.Cleanup(stub.Close)
-	urls, shards := startShards(t, 1)
-	_, rts := startRouter(t, append(urls, stub.URL), Options{})
-	hasher := lshensemble.NewHasher(testNumHash, testSeed)
-	for i := 0; i < 12; i++ {
-		if _, err := shards[0].srv.Index().Add(lshensemble.SketchStrings(hasher, domainKey(i), windowValues(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	check := func(what string, got []string) {
-		t.Helper()
-		if !containsKey(got, "d900") || !containsKey(got, domainKey(2)) {
-			t.Fatalf("%s: merge lost a shard's keys: %v", what, got)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] <= got[i-1] {
-				t.Fatalf("%s: merged matches unsorted or duplicated at %d: %v", what, i, got)
-			}
-		}
-	}
-	var q RouterQueryResponse
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(2), Threshold: 0.3}, &q); code != http.StatusOK {
-		t.Fatalf("query: HTTP %d", code)
-	}
-	check("/query", q.Matches)
-	var b RouterBatchResponse
-	batch := serve.BatchRequest{Queries: []serve.QueryRequest{{Values: windowValues(2), Threshold: 0.3}, {Values: windowValues(5)}}}
-	if code := postJSON(t, rts.URL+"/query/batch", batch, &b); code != http.StatusOK || len(b.Rows) != 2 {
-		t.Fatalf("batch: HTTP %d rows %d", code, len(b.Rows))
-	}
-	check("/query/batch row 0", b.Rows[0].Matches)
-	if b.Rows[0].Count != len(b.Rows[0].Matches) {
-		t.Fatalf("batch row count %d != %d matches", b.Rows[0].Count, len(b.Rows[0].Matches))
 	}
 }
 
@@ -304,18 +256,21 @@ func startSwappable(t *testing.T, n int) ([]string, []*swapHandler, []*serve.Ser
 }
 
 // TestShardRestartedWithAnotherSeed: a shard that comes back sketching with
-// another seed refuses the router's sketched legs, so its leg fails and the
-// answer goes partial — what it holds is never merged as if comparable. The
-// refusal makes the router ask for the shard's family again: /ring shows the
-// fleet mixed and queries fall back to raw values until the operator fixes
-// the seed, after which the promotion re-learns the family.
+// another seed refuses the router's records, so its leg fails and the answer
+// goes partial — what it holds is never merged as if comparable. The refusal
+// holds it out of the ring; the next learning round hears its other family,
+// logs it and counts a demotion, and answers are clean again over the rest
+// of the fleet. When the operator brings it back under the fleet's seed, the
+// promotion learns its family once and it rejoins.
 func TestShardRestartedWithAnotherSeed(t *testing.T) {
 	urls, fronts, servers := startSwappable(t, 2)
-	router, rts := startRouter(t, urls, Options{HealthFailures: 1})
+	var routerLog lockedBuf
+	logger := slog.New(slog.NewTextHandler(&routerLog, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	router, rts := startRouter(t, urls, Options{HealthFailures: 1, Logger: logger})
 	router.CheckHealth()
 	addVia(t, rts.URL, 40)
-	if fam := ringFamily(t, rts.URL); fam.State != "known" || fam.Seed != testSeed || fam.NumHash != testNumHash {
-		t.Fatalf("family after the first health tick: %+v, want known %d/%d", fam, testSeed, testNumHash)
+	if fam := ringFamily(t, rts.URL); fam == nil || *fam != (HashFamily{Seed: testSeed, NumHash: testNumHash}) {
+		t.Fatalf("family after the first health tick: %+v, want %d/%d", fam, testSeed, testNumHash)
 	}
 
 	// What shard 0 alone answers: the most a fleet with shard 1 gone can say.
@@ -344,41 +299,45 @@ func TestShardRestartedWithAnotherSeed(t *testing.T) {
 	if !sameStrings(got.Matches, want) {
 		t.Fatalf("partial answer %v, want shard 0's own %v (nothing of the re-seeded shard merged)", got.Matches, want)
 	}
-	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_shard_errors_total{shard="`+urls[1]+`"} 1`) {
-		t.Errorf("the refused leg was not counted against the shard:\n%s", text)
+	text := scrapeText(t, rts.URL)
+	for _, w := range []string{`lshrouter_shard_errors_total{shard="` + urls[1] + `"} 1`, "lshrouter_shards_live 1"} {
+		if !strings.Contains(text, w) {
+			t.Errorf("after the refused leg, scrape missing %q", w)
+		}
 	}
 
-	// The refusal cleared what the router believed of shard 1; the next tick
-	// asks again and finds the fleet mixed. Raw legs then: every shard sketches
-	// for itself, nobody fails.
-	if fam := ringFamily(t, rts.URL); fam.State != "unknown" {
-		t.Fatalf("family right after the refusal: %+v, want unknown", fam)
+	// Held out of the ring at once: clean answers over shard 0, writes too.
+	// The next rounds hear the other family: one demotion, logged.
+	for round := 0; round < 2; round++ {
+		got = RouterQueryResponse{}
+		postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.3}, &got)
+		if got.Partial || !sameStrings(got.Matches, want) {
+			t.Fatalf("round %d with the re-seeded shard held out: partial=%v matches=%v", round, got.Partial, got.Matches)
+		}
+		router.CheckHealth()
 	}
-	router.CheckHealth()
-	if fam := ringFamily(t, rts.URL); fam.State != "mixed" || fam.Seed != 0 {
-		t.Fatalf("family with a re-seeded shard: %+v, want mixed", fam)
+	var add RouterAddResponse
+	if code := postJSON(t, rts.URL+"/add", serve.AddRequest{Key: "fresh", Values: windowValues(700)}, &add); code != http.StatusOK || add.Partial || !sameStrings(add.Shards, []string{urls[0]}) {
+		t.Fatalf("add with the re-seeded shard held out: HTTP %d %+v", code, add)
 	}
-	got = RouterQueryResponse{}
-	postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.3}, &got)
-	if got.Partial || !containsKey(got.Matches, "alien-"+domainKey(5)) {
-		t.Fatalf("mixed fleet on raw legs: partial=%v matches=%v", got.Partial, got.Matches)
+	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_shard_demotions_total{shard="`+urls[1]+`"} 1`) {
+		t.Errorf("the other family was not counted once as a demotion:\n%s", text)
+	}
+	if !containsLine(routerLog.String(), "shard demoted", "hash family seed 100") {
+		t.Errorf("the other family was not logged:\n%s", routerLog.String())
+	}
+	if fam := ringFamily(t, rts.URL); fam == nil || fam.Seed != testSeed {
+		t.Fatalf("the fleet's family moved: %+v", fam)
 	}
 
 	// The operator takes the shard down and brings it back under the right
-	// seed: demotion leaves a one-shard fleet with a known family, promotion
-	// re-learns shard 1's and sketched legs are back, answering in full.
+	// seed: the promotion learns its family, once, and it is back in the ring.
 	fronts[1].down.Store(true)
 	router.CheckHealth()
-	if fam := ringFamily(t, rts.URL); fam.State != "known" {
-		t.Fatalf("family with the odd shard demoted: %+v, want known", fam)
-	}
 	fronts[1].swap(servers[1])
 	fronts[1].down.Store(false)
 	statsBefore := fronts[1].stats.Load()
 	router.CheckHealth()
-	if fam := ringFamily(t, rts.URL); fam.State != "known" || fam.Seed != testSeed {
-		t.Fatalf("family after the repaired shard's promotion: %+v, want known seed %d", fam, testSeed)
-	}
 	if n := fronts[1].stats.Load() - statsBefore; n != 1 {
 		t.Fatalf("promotion fetched the shard's /stats %d times, want once", n)
 	}
@@ -389,15 +348,16 @@ func TestShardRestartedWithAnotherSeed(t *testing.T) {
 	}
 }
 
-// TestFamilyLearnedOnceOnDemand: queries that arrive before any health tick
-// trigger exactly one /stats fetch per shard between them, go out sketched,
-// and a shard whose /stats fails is neither counted as erring nor re-asked by
-// every query that follows.
+// TestFamilyLearnedOnceOnDemand: requests that arrive before any health tick
+// trigger exactly one /stats fetch per shard between them and go out
+// sketched; a shard whose /stats fails is held out of the ring, neither
+// counted as erring nor re-asked by every request that follows; and a fleet
+// none of whose shards reports is a 503 with Retry-After.
 func TestFamilyLearnedOnceOnDemand(t *testing.T) {
 	urls, fronts, _ := startSwappable(t, 2)
 	_, rts := startRouter(t, urls, Options{}) // never Started, no CheckHealth
-	if fam := ringFamily(t, rts.URL); fam.State != "unknown" {
-		t.Fatalf("family before any query or tick: %+v, want unknown", fam)
+	if fam := ringFamily(t, rts.URL); fam != nil {
+		t.Fatalf("family before any query or tick: %+v, want none", fam)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -415,8 +375,7 @@ func TestFamilyLearnedOnceOnDemand(t *testing.T) {
 			t.Errorf("shard %d served /stats %d times for 8 racing first queries, want 1", i, n)
 		}
 	}
-	text := scrapeText(t, rts.URL)
-	if !strings.Contains(text, `lshrouter_scatter_total{form="sketched"} 8`) || !strings.Contains(text, `lshrouter_scatter_total{form="raw"} 0`) {
+	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_scatter_total{form="sketched"} 8`) {
 		t.Errorf("first-wave queries did not all go out sketched:\n%s", text)
 	}
 	var ring RingResponse
@@ -427,14 +386,10 @@ func TestFamilyLearnedOnceOnDemand(t *testing.T) {
 		}
 	}
 
-	// A shard that cannot say its family: raw legs, no shard error, and one
-	// on-demand attempt in all, not one per query.
+	// A shard that cannot say its family: held out, no shard error, and one
+	// on-demand attempt in all, not one per request.
 	mute := &swapHandler{next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/stats" {
-			http.Error(w, "no", http.StatusInternalServerError)
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, serve.QueryResponse{Matches: []string{}})
+		http.Error(w, "no", http.StatusInternalServerError)
 	})}
 	mts := httptest.NewServer(mute)
 	t.Cleanup(mts.Close)
@@ -447,12 +402,34 @@ func TestFamilyLearnedOnceOnDemand(t *testing.T) {
 	if n := mute.stats.Load(); n != 1 {
 		t.Errorf("mute shard asked for /stats %d times by 3 queries, want 1", n)
 	}
-	text = scrapeText(t, rts2.URL)
-	if !strings.Contains(text, `lshrouter_scatter_total{form="raw"} 3`) || !strings.Contains(text, `lshrouter_shard_errors_total{shard="`+mts.URL+`"} 0`) {
-		t.Errorf("mute shard: want 3 raw scatters and no shard error:\n%s", text)
+	if text := scrapeText(t, rts2.URL); !strings.Contains(text, `lshrouter_shard_errors_total{shard="`+mts.URL+`"} 0`) ||
+		!strings.Contains(text, "lshrouter_shards_live 1") {
+		t.Errorf("mute shard: want it outside the ring and no shard error:\n%s", text)
 	}
-	if fam := ringFamily(t, rts2.URL); fam.State != "unknown" {
-		t.Errorf("family beside a mute shard: %+v, want unknown", fam)
+
+	// No shard says: every request is a 503 that says when to come back, and
+	// still one on-demand attempt in all.
+	mute.stats.Store(0)
+	_, rts3 := startRouter(t, []string{mts.URL}, Options{HealthInterval: 1500 * time.Millisecond})
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/query", `{"values":["a"]}`},
+		{http.MethodPost, "/add", `{"key":"k","values":["a"]}`},
+		{http.MethodPost, "/delete", `{"key":"k"}`},
+		{http.MethodGet, "/stats", ""},
+	} {
+		req, _ := http.NewRequest(c.method, rts3.URL+c.path, strings.NewReader(c.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "2" {
+			t.Errorf("%s with no family known: HTTP %d Retry-After %q %s", c.path, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+	}
+	if n := mute.stats.Load(); n != 1 {
+		t.Errorf("a fleet with no family asked the mute shard %d times, want 1", n)
 	}
 }
 
@@ -496,11 +473,11 @@ func TestRouterBoundsEncodedFrame(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(answer, "split the batch") {
 		t.Fatalf("batch of %d longest rows: HTTP %d %.200s, want a 400 asking to split it", rows, code, answer)
 	}
-	if fam := ringFamily(t, rts.URL); fam.State != "known" {
-		t.Fatalf("family after the refusal: %+v, want known", fam)
+	if fam := ringFamily(t, rts.URL); fam == nil {
+		t.Fatal("no family after the refusal")
 	}
 	text := scrapeText(t, rts.URL)
-	want := []string{`lshrouter_scatter_total{form="sketched"} 0`, `lshrouter_scatter_total{form="raw"} 0`}
+	want := []string{`lshrouter_scatter_total{form="sketched"} 0`, "lshrouter_shards_live 2"}
 	for _, u := range urls {
 		want = append(want, `lshrouter_shard_errors_total{shard="`+u+`"} 0`)
 	}

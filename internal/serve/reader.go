@@ -20,18 +20,20 @@ import (
 // escape or invalid UTF-8 in it, once unquote has decoded it into a scratch
 // buffer the reader keeps.
 
-// Query is a query body of any shape as read: one row for /query and
-// /query/topk, one per query of a batch, plus a batch's workers and a framed
-// document's seed.
+// Query is a body of any shape as read: one row for /query, /query/topk and
+// the writes, one per query of a batch, plus a batch's workers, a framed
+// document's seed and a write's key.
 type Query struct {
 	Rows    []QueryRow
 	Workers int
 	Seed    uint64
+	Key     string
 }
 
-// QueryRow is one query of a body: the base hash of each of its values, in
-// order and with repeats, beside the row's other fields (Threshold on /query
-// and in a batch, K on /query/topk).
+// QueryRow is one query of a body, or the domain of an add: the base hash of
+// each of its values, in order and with repeats, beside the row's other
+// fields (Threshold on /query and in a batch, K on /query/topk, Size in an
+// add record).
 type QueryRow struct {
 	Hashes    []uint64
 	Threshold float64
@@ -39,20 +41,19 @@ type QueryRow struct {
 	Size      int
 }
 
-// ReadQuery reads the JSON form of a query of shape o from r's body, which it
-// also returns: the router forwards the bytes as they came when it does not
-// sketch. On a refusal it has written the 400 and returns false.
-func ReadQuery(w http.ResponseWriter, r *http.Request, o Op) (Query, []byte, bool) {
+// ReadQuery reads the JSON form of a body of shape o from r. On a refusal it
+// has written the 400 and returns false.
+func ReadQuery(w http.ResponseWriter, r *http.Request, o Op) (Query, bool) {
 	body, ok := readBody(w, r)
 	if !ok {
-		return Query{}, nil, false
+		return Query{}, false
 	}
 	q, err := readQuery(body, o, false)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return Query{}, nil, false
+		return Query{}, false
 	}
-	return q, body, true
+	return q, true
 }
 
 // readQueryStream is ReadQuery at a shard, which has always refused a body
@@ -100,6 +101,8 @@ func decodeQueryJSON(body io.Reader, o Op, framed bool) (Query, error) {
 		sq       SketchedQuery
 		st       SketchedTopK
 		sb       SketchedBatch
+		add      AddRequest
+		del      DeleteRequest
 		raw, doc any
 	)
 	switch o {
@@ -107,8 +110,12 @@ func decodeQueryJSON(body io.Reader, o Op, framed bool) (Query, error) {
 		raw, doc = &sq.QueryRequest, &sq
 	case OpTopK:
 		raw, doc = &st.TopKRequest, &st
-	default:
+	case OpBatch:
 		raw, doc = &sb.BatchRequest, &sb
+	case OpAdd:
+		raw = &add
+	default:
+		raw = &del
 	}
 	if !framed {
 		doc = raw
@@ -121,6 +128,10 @@ func decodeQueryJSON(body io.Reader, o Op, framed bool) (Query, error) {
 		return Query{Rows: []QueryRow{sq.row()}, Seed: sq.Seed}, nil
 	case OpTopK:
 		return Query{Rows: []QueryRow{{Hashes: hashStrings(st.Values), K: st.K, Size: st.Size}}, Seed: st.Seed}, nil
+	case OpAdd:
+		return Query{Rows: []QueryRow{{Hashes: hashStrings(add.Values)}}, Key: add.Key}, nil
+	case OpDelete:
+		return Query{Rows: []QueryRow{{}}, Key: del.Key}, nil
 	}
 	q := Query{Rows: make([]QueryRow, len(sb.Queries)), Workers: sb.Workers, Seed: sb.Seed}
 	for i := range sb.Queries {
@@ -150,19 +161,22 @@ const (
 	keyQueries
 	keyWorkers
 	keySeed
+	keyKey
 )
 
 var queryKeys = map[string]uint8{
 	"values": keyValues, "threshold": keyThreshold, "k": keyK, "size": keySize,
-	"queries": keyQueries, "workers": keyWorkers, "seed": keySeed,
+	"queries": keyQueries, "workers": keyWorkers, "seed": keySeed, "key": keyKey,
 }
 
 // shapeKeys are the keys of each shape's JSON form; a framed document adds
 // "seed", and a batch row is a /query's.
-var shapeKeys = [numOps]uint8{
-	OpQuery: keyValues | keyThreshold | keySize,
-	OpTopK:  keyValues | keyK | keySize,
-	OpBatch: keyQueries | keyWorkers,
+var shapeKeys = [numRecordOps]uint8{
+	OpQuery:  keyValues | keyThreshold | keySize,
+	OpTopK:   keyValues | keyK | keySize,
+	OpBatch:  keyQueries | keyWorkers,
+	OpAdd:    keyKey | keyValues,
+	OpDelete: keyKey,
 }
 
 // queryReader reads a body in the subset of JSON the package comment gives.
@@ -206,6 +220,10 @@ func (d *queryReader) member(key uint8, q *Query, row *QueryRow) bool {
 			return ok
 		})
 		row.Hashes = d.hashes[start:len(d.hashes):len(d.hashes)]
+		return ok
+	case keyKey:
+		s, ok := d.str()
+		q.Key = string(s)
 		return ok
 	case keyQueries:
 		return d.list('[', ']', func() bool {

@@ -57,6 +57,14 @@ func jsonQuery(body []byte, o Op, framed bool) (Query, error) {
 		for _, r := range doc.Queries {
 			q.Rows = append(q.Rows, QueryRow{Hashes: hash(r.Values), Threshold: r.Threshold, Size: r.Size})
 		}
+	case OpAdd:
+		var doc AddRequest
+		err = decodeOne(bytes.NewReader(body), &doc)
+		q = Query{Key: doc.Key, Rows: []QueryRow{{Hashes: hash(doc.Values)}}}
+	case OpDelete:
+		var doc DeleteRequest
+		err = decodeOne(bytes.NewReader(body), &doc)
+		q = Query{Key: doc.Key, Rows: []QueryRow{{}}}
 	}
 	if err != nil {
 		return Query{}, err
@@ -67,7 +75,7 @@ func jsonQuery(body []byte, o Op, framed bool) (Query, error) {
 // sameQuery reports whether two reads agree on every field, thresholds to
 // the bit (a -0 stays a -0).
 func sameQuery(a, b Query) bool {
-	if a.Seed != b.Seed || a.Workers != b.Workers || len(a.Rows) != len(b.Rows) {
+	if a.Seed != b.Seed || a.Workers != b.Workers || a.Key != b.Key || len(a.Rows) != len(b.Rows) {
 		return false
 	}
 	for i, ra := range a.Rows {
@@ -119,23 +127,40 @@ var readerSeeds = []string{
 	"\xef\xbb\xbf{\"values\":[\"a\"]}", // a byte order mark
 	`{"\u0076alues":["a"]}`, `{"values":["a\"]}`, `{"values":["a\`, `{"values":["a\x"]}`, `{"values":["\uZZZZ"]}`, `{"values":["\b\f\n\r\t\"\\\/"]}`,
 	"{\"values\":[\"a\\n\x01\"]}", "{\"values\":[\"\\u00e9\xff\",\"\\\"\"]}",
+	// The writes' keys.
+	`{"key":"k","values":["a","b","a"]}`, `{"values":["a"],"key":"caf\u00e9"}`, `{"key":"","values":[]}`,
+	`{"key":"k"}`, `{"key":null,"values":["a"]}`, `{"Key":"k","values":["a"]}`, `{"key":"k","key":"j"}`,
+	`{"key":1}`, `{"key":"k","values":["a"],"size":3}`, "{\"key\":\"\xff\"}", `{"key":"a\"b"} x`,
 }
 
-// FuzzQueryReader: read as any of the six shapes — the three JSON forms and
-// the three framed documents — any bytes read to exactly the rows (hashes,
-// threshold, k, size), workers and seed that decodeOne and HashString give,
-// and a body decodeOne refuses is refused with decodeOne's words. Where the
-// one-pass reader takes a body itself, without the fallback, its reading is
-// held to the same reference.
+// shapes is how many ways FuzzQueryReader reads a body: the three query
+// shapes in JSON and framed, then the two writes in JSON.
+const shapes = 2*int(numOps) + 2
+
+// shape is FuzzQueryReader's reading which of a body.
+func shape(which int) (Op, bool) {
+	which = (which%shapes + shapes) % shapes
+	if which >= 2*int(numOps) {
+		return OpAdd + Op(which-2*int(numOps)), false
+	}
+	return Op(which % int(numOps)), which >= int(numOps)
+}
+
+// FuzzQueryReader: read as any of the eight shapes — the three query shapes'
+// JSON forms and framed documents, and the JSON forms of /add and /delete —
+// any bytes read to exactly the rows (hashes, threshold, k, size), workers,
+// seed and key that decodeOne and HashString give, and a body decodeOne
+// refuses is refused with decodeOne's words. Where the one-pass reader takes
+// a body itself, without the fallback, its reading is held to the same
+// reference.
 func FuzzQueryReader(f *testing.F) {
-	for i := 0; i < 2*int(numOps); i++ {
+	for i := 0; i < shapes; i++ {
 		for _, s := range readerSeeds {
 			f.Add(i, []byte(s))
 		}
 	}
 	f.Fuzz(func(t *testing.T, which int, body []byte) {
-		which = (which%(2*int(numOps)) + 2*int(numOps)) % (2 * int(numOps))
-		o, framed := Op(which%int(numOps)), which >= int(numOps)
+		o, framed := shape(which)
 		want, wantErr := jsonQuery(body, o, framed)
 		got, err := readQuery(body, o, framed)
 		switch {

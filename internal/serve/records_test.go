@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"lshensemble"
+	"lshensemble/internal/minhash"
 )
 
 // dialRecords opens a record connection to the server at base.
@@ -100,7 +102,7 @@ func TestRecordRefusalsCloseTheConnection(t *testing.T) {
 		name, want string
 		header     []byte
 	}{
-		{"unknown op", "unknown record op 3", []byte{3, 0}},
+		{"unknown op", "unknown record op 9", []byte{9, 0}},
 		{"body over the limit", "over the 67108864-byte limit", AppendRecordHeader(nil, OpBatch, "t", time.Second, MaxRequestBody+1)},
 	} {
 		conn, br := dialRecords(t, ts.URL)
@@ -168,42 +170,86 @@ func (c *streamConn) SetDeadline(time.Time) error      { return nil }
 func (c *streamConn) Close() error                     { return nil }
 
 // expectedAnswers walks a record stream as the connection must: the number
-// of answer records it owes, and cut, the records whose own deadline may cut
-// them off instead, which closes the connection without an answer.
-func expectedAnswers(stream []byte) (n int, cut []int) {
+// of answer records it owes, cut, the records whose own deadline may cut
+// them off instead, which closes the connection without an answer, and
+// writes, for every write record by its answer's position, its key if the
+// index may take it and "" if not.
+func expectedAnswers(stream []byte, seed uint64, numHash int) (n int, cut []int, writes map[int]string) {
+	writes = map[int]string{}
 	for {
 		if len(stream) < 2 {
-			return n, cut
+			return n, cut, writes
 		}
-		if Op(stream[0]) >= numOps {
-			return n + 1, cut
+		if Op(stream[0]) >= numRecordOps {
+			return n + 1, cut, writes
 		}
 		head := 2 + int(stream[1]) + 8 + 4
 		if len(stream) < head {
-			return n, cut
+			return n, cut, writes
 		}
 		timeout := int64(binary.LittleEndian.Uint64(stream[head-12:]))
 		size := binary.LittleEndian.Uint32(stream[head-4:])
 		if size > MaxRequestBody {
-			return n + 1, cut
+			return n + 1, cut, writes
 		}
 		if uint64(len(stream)-head) < uint64(size) {
-			return n, cut
+			return n, cut, writes
 		}
-		if timeout > 0 && timeout < int64(time.Minute) {
-			cut = append(cut, n)
+		switch body := stream[head : head+int(size)]; Op(stream[0]) {
+		case OpAdd, OpDelete:
+			writes[n] = wellFormedWrite(Op(stream[0]), body, seed, numHash)
+		default:
+			if timeout > 0 && timeout < int64(time.Minute) {
+				cut = append(cut, n)
+			}
 		}
 		n++
 		stream = stream[head+int(size):]
 	}
 }
 
+// wellFormedWrite is the test's own reading of a write record: the fields of
+// the layout, each behind its length and nothing after them, a key, and for
+// an add this seed, a positive size and numHash words in the hash range. It
+// returns the key of a well-formed record, "" for any other.
+func wellFormedWrite(o Op, body []byte, seed uint64, numHash int) string {
+	var fields [][]byte
+	for len(body) >= 4 {
+		n := binary.LittleEndian.Uint32(body)
+		if uint64(n) > uint64(len(body)-4) {
+			return ""
+		}
+		fields, body = append(fields, body[4:4+n]), body[4+n:]
+	}
+	switch {
+	case len(body) > 0:
+		return ""
+	case o == OpDelete:
+		if len(fields) != 1 {
+			return ""
+		}
+		return string(fields[0])
+	case len(fields) != 4 || len(fields[0]) != 8 || len(fields[1]) != 8 || len(fields[3]) != 8*numHash:
+		return ""
+	case binary.LittleEndian.Uint64(fields[0]) != seed || int64(binary.LittleEndian.Uint64(fields[1])) <= 0:
+		return ""
+	}
+	for w := fields[3]; len(w) > 0; w = w[8:] {
+		if binary.LittleEndian.Uint64(w) > minhash.MersennePrime {
+			return ""
+		}
+	}
+	return string(fields[2])
+}
+
 // FuzzFrameRecord feeds hostile record streams to a record connection:
 // lengths past MaxRequestBody, zero lengths, truncated records, unknown ops,
-// bytes left after a record. It never panics, never allocates from a length
-// it has not checked, and answers exactly the records it owes — each with a
-// whole answer record, a refusal carrying the error envelope — before the
-// connection closes.
+// bytes left after a record, and add and delete records of every malformed
+// kind. It never panics, never allocates from a length it has not checked,
+// and answers exactly the records it owes — each with a whole answer record,
+// a refusal carrying the error envelope — before the connection closes. A
+// write is taken exactly when the test's own reading of it says it may be,
+// and one that is not is refused before the index sees it.
 func FuzzFrameRecord(f *testing.F) {
 	const numHash, seed = 32, 1
 	idx, err := lshensemble.BuildLive(nil, lshensemble.LiveOptions{
@@ -226,6 +272,7 @@ func FuzzFrameRecord(f *testing.F) {
 	record := func(o Op, body []byte) []byte {
 		return append(AppendRecordHeader(nil, o, "fuzz", time.Minute, len(body)), body...)
 	}
+	add := AppendAddRecord(nil, seed, rec)
 	f.Add(record(OpQuery, good))
 	f.Add(append(record(OpQuery, good), record(OpTopK, frame(f, &SketchedTopK{Seed: seed, TopKRequest: TopKRequest{Size: rec.Size, K: 3}}, rec.Sig))...))
 	f.Add(record(OpBatch, nil))                                                  // a zero length
@@ -237,6 +284,21 @@ func FuzzFrameRecord(f *testing.F) {
 	f.Add(append(record(OpQuery, good), 9, 0))                                   // then an unknown op
 	f.Add(append(record(OpQuery, good), 0))                                      // then one stray byte
 	f.Add(append(record(OpQuery, good[:len(good)-8]), record(OpQuery, good)...)) // a refusal, then a good one
+	f.Add(append(record(OpAdd, add), record(OpDelete, AppendDeleteRecord(nil, "q"))...))
+	for _, bad := range []lshensemble.DomainRecord{
+		{Key: "q", Size: rec.Size, Sig: rec.Sig[:numHash-1]},                          // a word short
+		{Key: "q", Size: 0, Sig: rec.Sig},                                             // no size
+		{Key: "q", Size: -3, Sig: rec.Sig},                                            // a negative one
+		{Key: "", Size: rec.Size, Sig: rec.Sig},                                       // no key
+		{Key: "q", Size: rec.Size, Sig: append(rec.Sig[:numHash-1:numHash-1], 1<<63)}, // a word past the range
+	} {
+		f.Add(record(OpAdd, AppendAddRecord(nil, seed, bad)))
+	}
+	f.Add(record(OpAdd, AppendAddRecord(nil, seed+1, rec)))           // another family
+	f.Add(record(OpAdd, append(add, 0)))                              // a byte after the fields
+	f.Add(record(OpAdd, add[:len(add)-3]))                            // the signature cut short
+	f.Add(record(OpDelete, AppendDeleteRecord(nil, "")))              // no key to delete
+	f.Add(record(OpDelete, binary.LittleEndian.AppendUint32(nil, 9))) // a key length past the body
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		conn := &streamConn{in: bytes.NewReader(stream)}
 		var before, after runtime.MemStats
@@ -246,7 +308,7 @@ func FuzzFrameRecord(f *testing.F) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20+64*uint64(len(stream)) {
 			t.Fatalf("a %d-byte stream allocated %d bytes", len(stream), grew)
 		}
-		owed, cut := expectedAnswers(stream)
+		owed, cut, writes := expectedAnswers(stream, seed, numHash)
 		out := bufio.NewReader(&conn.out)
 		got := 0
 		for ; ; got++ {
@@ -264,9 +326,108 @@ func FuzzFrameRecord(f *testing.F) {
 			default:
 				t.Fatalf("answer %d: status %d body %q", got, status, body)
 			}
+			if key, write := writes[got]; write && ((key != "") != (status == http.StatusOK) || strings.HasPrefix(e.Error, "live:")) {
+				t.Fatalf("write %d, key %q: answered %d %q", got, key, status, body)
+			}
 		}
 		if got != owed && !slices.Contains(cut, got) {
 			t.Fatalf("%d answers to a stream that is owed %d (records that may be cut off: %v)", got, owed, cut)
 		}
+		for _, key := range writes { // so the index does not grow with the run
+			idx.Delete(key)
+		}
 	})
+}
+
+// TestWriteRecordsStoreWhatJSONStores: a run of adds, replacing adds and
+// deletes sent as records to one shard, and as JSON to another, gets the
+// same replaced and deleted flags, moves the same request series and leaves
+// the two indexes byte for byte the same. A malformed write record is a 400
+// in the words its JSON counterpart or a framed query would get, the same
+// over a record connection and framed over HTTP.
+func TestWriteRecordsStoreWhatJSONStores(t *testing.T) {
+	start := func() (*Server, string) {
+		idx, err := lshensemble.BuildLive(nil, lshensemble.LiveOptions{
+			Options:       lshensemble.Options{NumHash: fixtureNumHash, RMax: 8, NumPartitions: 4},
+			SealThreshold: 1 << 20, // nothing seals behind the comparison's back
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(idx.Close)
+		s := NewWith(idx, lshensemble.NewHasher(fixtureNumHash, fixtureSeed), fixtureSeed, "", Options{})
+		ts := httptest.NewServer(s)
+		t.Cleanup(ts.Close)
+		t.Cleanup(s.CloseRecords)
+		return s, ts.URL
+	}
+	jsonSrv, jsonURL := start()
+	recSrv, recURL := start()
+	conn, br := dialRecords(t, recURL)
+	h := lshensemble.NewHasher(fixtureNumHash, fixtureSeed)
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("d%02d", i%25)
+		if i%5 == 4 {
+			var want DeleteResponse
+			post(t, jsonURL+"/delete", DeleteRequest{Key: key}, http.StatusOK, &want)
+			code, got := exchange(t, conn, br, OpDelete, "", time.Minute, AppendDeleteRecord(nil, key))
+			if flag, err := DecodeFlag(got); code != http.StatusOK || err != nil || flag != want.Deleted {
+				t.Fatalf("delete %s: record %d %q, JSON deleted=%v", key, code, got, want.Deleted)
+			}
+			continue
+		}
+		values := append(windowValues(i*3, 5+i%7), fmt.Sprintf("v%05d", i*3)) // one value twice
+		var want AddResponse
+		post(t, jsonURL+"/add", AddRequest{Key: key, Values: values}, http.StatusOK, &want)
+		code, got := exchange(t, conn, br, OpAdd, "", time.Minute, AppendAddRecord(nil, fixtureSeed, lshensemble.SketchStrings(h, key, values)))
+		if flag, err := DecodeFlag(got); code != http.StatusOK || err != nil || flag != want.Replaced {
+			t.Fatalf("add %s: record %d %q, JSON replaced=%v", key, code, got, want.Replaced)
+		}
+	}
+	writeSeries := func(base string) string {
+		var keep []string
+		for _, line := range strings.Split(scrape(t, base), "\n") {
+			if strings.HasPrefix(line, "lshensembled_http_requests_total") && (strings.Contains(line, `"add"`) || strings.Contains(line, `"delete"`)) {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	if a, b := writeSeries(jsonURL), writeSeries(recURL); a != b || !strings.Contains(b, `endpoint="add"} 32`) {
+		t.Fatalf("write series: JSON shard\n%s\nrecord shard\n%s", a, b)
+	}
+	if a, b := jsonSrv.Index().AppendBinary(nil), recSrv.Index().AppendBinary(nil); !bytes.Equal(a, b) {
+		t.Fatalf("the record-fed index encodes to %d bytes unlike the JSON-fed one's %d", len(b), len(a))
+	}
+
+	rec := lshensemble.SketchStrings(h, "k", windowValues(0, 9))
+	withSig := func(sig lshensemble.Signature) lshensemble.DomainRecord {
+		return lshensemble.DomainRecord{Key: rec.Key, Size: rec.Size, Sig: sig}
+	}
+	_, keyRequired := send(t, jsonURL+"/add", "application/json", []byte(`{"key":"","values":["a"]}`))
+	for _, c := range []struct {
+		name, want string
+		op         Op
+		body       []byte
+	}{
+		{"no key", string(keyRequired), OpAdd, AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Size: rec.Size, Sig: rec.Sig})},
+		{"no key to delete", string(keyRequired), OpDelete, AppendDeleteRecord(nil, "")},
+		{"another seed", "sketched with hash seed 2, this shard's is 1", OpAdd, AppendAddRecord(nil, fixtureSeed+1, rec)},
+		{"a word short", "signature of 2040 bytes, want 256 words", OpAdd, AppendAddRecord(nil, fixtureSeed, withSig(rec.Sig[:fixtureNumHash-1]))},
+		{"a word past the range", "signature word 255 is 9223372036854775808, beyond the hash range", OpAdd,
+			AppendAddRecord(nil, fixtureSeed, withSig(append(rec.Sig[:fixtureNumHash-1:fixtureNumHash-1], 1<<63)))},
+		{"no size", "size must be positive with a signature", OpAdd, AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Key: "k", Sig: rec.Sig})},
+		{"a negative size", "size -2 must not be negative", OpAdd, AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Key: "k", Size: -2, Sig: rec.Sig})},
+		{"a byte after the fields", "1 bytes after the write record", OpAdd, append(AppendAddRecord(nil, fixtureSeed, rec), 0)},
+		{"a field past the body", "overruns", OpDelete, binary.LittleEndian.AppendUint32(nil, 5)},
+	} {
+		code, got := exchange(t, conn, br, c.op, "", time.Minute, c.body)
+		httpCode, viaHTTP := send(t, recURL+c.op.Path(), SketchedContentType, c.body)
+		if code != http.StatusBadRequest || !strings.Contains(string(got), strings.TrimSpace(c.want)) || httpCode != code || !bytes.Equal(viaHTTP, got) {
+			t.Errorf("%s: record %d %q, framed HTTP %d %q; want a 400 naming %q", c.name, code, got, httpCode, viaHTTP, c.want)
+		}
+	}
+	if recSrv.Index().Len() != jsonSrv.Index().Len() {
+		t.Fatalf("a refused write record reached the index: %d domains, want %d", recSrv.Index().Len(), jsonSrv.Index().Len())
+	}
 }

@@ -14,8 +14,10 @@
 // so whoever holds the family — the router, which reads seed and num_hash
 // off /stats, or any other client that does — sketches a query once, however
 // many shards it is sent to. Both forms resolve through the same code into
-// the same (signature, size, threshold) and so the same answer; /add always
-// takes raw values, so no stored signature ever comes from outside.
+// the same (signature, size, threshold) and so the same answer. /add and
+// /delete take a framed form too, the add or delete record (records.go): an
+// add already sketched, which the shard checks as it checks a framed query
+// and stores exactly as the JSON /add of the same values would.
 //
 // Query bodies, the JSON form and the framed form's document alike, are read
 // in one pass (ReadQuery), each value hashed as it is read, so neither the
@@ -37,8 +39,8 @@
 // body is accepted or refused exactly as encoding/json accepts or refuses it,
 // in its words, and reads to the same rows; a shard still refuses a body it
 // cannot read whole (one past MaxRequestBody) as "decoding request: …", the
-// router as "reading request: …". /add, /delete and the admin endpoints
-// decode with encoding/json.
+// router as "reading request: …". /add and /delete bodies go through the
+// same reader; the admin endpoints take no body.
 //
 // Anyone sending a framed request gets a framed answer: the sorted keys
 // behind length prefixes (the answer frame, also under "wire types"), which
@@ -47,13 +49,13 @@
 // form. The two answers carry the same rows and scores.
 //
 // A framed request also travels as a record on a record connection, which
-// is how the router sends its legs: GET /records upgrades an HTTP/1.1
-// connection (records.go has the layout), and each request record is the
-// framed body behind an op, a trace ID and the asker's deadline; each answer
-// record a status and the answer frame or error envelope. One function per
-// query shape answers both transports, so a record gets the same refusals in
-// the same words, the same series, access-log and slow-query lines (keyed by
-// the record's trace ID) as the framed request over HTTP.
+// is how the router sends its legs and its writes: GET /records upgrades an
+// HTTP/1.1 connection (records.go has the layout), and each request record is
+// the framed body, or an add or delete record, behind an op, a trace ID and
+// the asker's deadline; each answer record a status and the answer frame or
+// error envelope. One function per shape answers both transports, so a record
+// gets the same refusals in the same words, the same series, access-log and
+// slow-query lines (keyed by the record's trace ID) as the request over HTTP.
 //
 // Every query threads its context into the index (QueryAppendContext /
 // QueryTopKContext / QueryBatchContext), so a client that disconnects — or a
@@ -113,9 +115,8 @@ type Server struct {
 	// sketched counts the endpoint's framed requests.
 	queryLat [numOps]*obs.Histogram
 	sketched [numOps]*obs.Counter
-	// endpoints holds each query shape's HTTP series, which its records feed
-	// too.
-	endpoints [numOps]*obs.Endpoint
+	// endpoints holds each shape's HTTP series, which its records feed too.
+	endpoints [numRecordOps]*obs.Endpoint
 
 	// closing ends the record connections (CloseRecords); recMu orders an
 	// upgrade against it and records counts the connections' loops.
@@ -125,26 +126,33 @@ type Server struct {
 	records    sync.WaitGroup
 }
 
-// Op is one of the three query shapes a shard serves: the shape ReadQuery
-// reads a body as. Its String is the shape's name wherever one is printed:
-// the op label of the per-shape metrics and the op field of the slow-query
-// line.
+// Op is one of the shapes of body a shard serves: the three query shapes and
+// the two writes, the shape ReadQuery reads a body as and the op of a record.
+// Its String is the shape's name wherever one is printed: the op label of the
+// per-shape metrics and the op field of the slow-query line.
 type Op uint8
 
 const (
-	OpQuery Op = iota // /query
-	OpTopK            // /query/topk
-	OpBatch           // /query/batch: one observation per batch, not per row
-	numOps
+	OpQuery  Op = iota // /query
+	OpTopK             // /query/topk
+	OpBatch            // /query/batch: one observation per batch, not per row
+	OpAdd              // /add
+	OpDelete           // /delete
+	numRecordOps
+	numOps = OpAdd // the query shapes come first
 )
 
-func (o Op) String() string { return [numOps]string{"query", "topk", "batch"}[o] }
+// opNames are each shape's name, its label in the HTTP series and its route.
+var opNames = [numRecordOps][3]string{
+	{"query", "query", "/query"}, {"topk", "query_topk", "/query/topk"}, {"batch", "query_batch", "/query/batch"},
+	{"add", "add", "/add"}, {"delete", "delete", "/delete"},
+}
 
-// endpoint is the shape's label in the HTTP series.
-func (o Op) endpoint() string { return [numOps]string{"query", "query_topk", "query_batch"}[o] }
+func (o Op) String() string   { return opNames[o][0] }
+func (o Op) endpoint() string { return opNames[o][1] }
 
 // Path is the shape's route.
-func (o Op) Path() string { return [numOps]string{"/query", "/query/topk", "/query/batch"}[o] }
+func (o Op) Path() string { return opNames[o][2] }
 
 // Options configures the server's logging. The zero value logs to
 // slog.Default() with slow-query logging off.
@@ -170,9 +178,7 @@ func NewWith(idx *lshensemble.LiveIndex, hasher *lshensemble.Hasher, seed uint64
 	s.reg = obs.NewRegistry()
 	s.httpm = obs.NewHTTPMetrics(s.reg, "lshensembled", s.logger)
 	s.registerIndexMetrics()
-	s.handle("POST /add", "add", s.handleAdd)
-	s.handle("POST /delete", "delete", s.handleDelete)
-	for o := Op(0); o < numOps; o++ {
+	for _, o := range [...]Op{OpAdd, OpDelete, OpQuery, OpTopK, OpBatch} { // the series' order
 		s.endpoints[o] = s.httpm.Endpoint(o.endpoint())
 		s.mux.Handle("POST "+o.Path(), s.endpoints[o].Wrap(s.handleOp(o)))
 	}
@@ -301,7 +307,9 @@ func (s *Server) Seed() uint64 { return s.seed }
 //
 // Anyone who knows the shard's hash family (seed and num_hash, both in
 // GET /stats) may send it, not only the router; decodeSketched refuses a
-// frame from any other family, of any other length, with a 400.
+// frame from any other family, of any other length, with a 400. The framed
+// form of /add and /delete is the write record records.go lays out, and its
+// answer one byte, the replaced or deleted flag.
 //
 // Anyone who sends a framed request gets a 2xx answer in the answer frame,
 // under the same Content-Type (on a record connection, in the answer record).
@@ -316,7 +324,8 @@ func (s *Server) Seed() uint64 { return s.seed }
 // order: score descending, then key ascending. DecodeAnswer refuses a frame
 // that breaks any of this.
 
-// AddRequest ingests one domain; values are sketched server-side.
+// AddRequest ingests one domain; a shard sketches its values with its own
+// family.
 type AddRequest struct {
 	Key    string   `json:"key"`
 	Values []string `json:"values"`
@@ -401,14 +410,14 @@ type StatsResponse struct {
 	Seed    uint64 `json:"seed"`
 	// Sketched reports that the query endpoints accept the framed form, and
 	// Records that GET /records upgrades to record connections. A shard from
-	// before either existed reports false by omission, which is how a router
-	// in a fleet mid-upgrade knows to keep sending raw values.
+	// before either existed reports false by omission, and a router holds it
+	// out of its ring.
 	Sketched bool `json:"sketched"`
 	Records  bool `json:"records"`
 }
 
-// SketchedContentType marks a query request in the framed, pre-sketched form
-// and the answer frame that a 2xx reply to one carries.
+// SketchedContentType marks a request in the framed, pre-sketched form and
+// the answer frame that a 2xx reply to one carries.
 const SketchedContentType = "application/x-lshensemble-sketched"
 
 // SketchedQuery is the document of a framed /query.
@@ -494,7 +503,7 @@ func decodeSketched(body []byte, o Op, seed uint64, numHash int) (Query, []lshen
 }
 
 // appendAnswer appends the answer frame of resp, a *QueryResponse,
-// *TopKResponse or *BatchResponse, to dst.
+// *TopKResponse or *BatchResponse, or the answer of a write record, to dst.
 func appendAnswer(dst []byte, resp any) []byte {
 	le := binary.LittleEndian
 	switch a := resp.(type) {
@@ -512,8 +521,19 @@ func appendAnswer(dst []byte, resp any) []byte {
 			dst = appendKeys(dst, row.Matches)
 		}
 		return dst
+	case *AddResponse:
+		return append(dst, b2u(a.Replaced))
+	case *DeleteResponse:
+		return append(dst, b2u(a.Deleted))
 	}
 	panic(fmt.Sprintf("serve: no answer frame for %T", resp))
+}
+
+func b2u(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func appendKeys(dst []byte, keys []string) []byte {
@@ -657,16 +677,6 @@ type ErrorResponse struct {
 // this is a client bug.
 const MaxRequestBody = 64 << 20
 
-// DecodeJSON decodes a bounded JSON request body into dst, writing a 400
-// error response and returning false on malformed input.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if err := decodeOne(http.MaxBytesReader(w, r.Body, MaxRequestBody), dst); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
 // decodeOne decodes exactly one JSON value from rd into dst, refusing unknown
 // fields and anything but whitespace after the value.
 func decodeOne(rd io.Reader, dst any) error {
@@ -716,40 +726,6 @@ func queryResponse(keys []string) QueryResponse {
 	return QueryResponse{Matches: keys, Count: len(keys)}
 }
 
-func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	var req AddRequest
-	if !DecodeJSON(w, r, &req) {
-		return
-	}
-	if req.Key == "" {
-		WriteError(w, http.StatusBadRequest, errors.New("key is required"))
-		return
-	}
-	if len(req.Values) == 0 {
-		WriteError(w, http.StatusBadRequest, errors.New("values must be non-empty"))
-		return
-	}
-	rec := lshensemble.SketchStrings(s.hasher, req.Key, req.Values)
-	replaced, err := s.idx.Add(rec)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, AddResponse{Replaced: replaced, Size: rec.Size})
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req DeleteRequest
-	if !DecodeJSON(w, r, &req) {
-		return
-	}
-	if req.Key == "" {
-		WriteError(w, http.StatusBadRequest, errors.New("key is required"))
-		return
-	}
-	WriteJSON(w, http.StatusOK, DeleteResponse{Deleted: s.idx.Delete(req.Key)})
-}
-
 // readBody reads a bounded request body whole, writing a 400 error response
 // and returning false when it cannot.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -780,25 +756,35 @@ func readAll(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// decodeQuery reads either form of a query request of shape o into the same
+// decodeQuery reads either form of a request of shape o into the same
 // Query: the JSON form with no signatures, the framed form with one
-// signature per row. On a refusal it has written the 400 and returns false.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, o Op) (Query, []lshensemble.Signature, bool) {
-	if r.Header.Get("Content-Type") != SketchedContentType {
+// signature per row (none for a delete). On a refusal it has written the 400
+// and returns false.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, o Op, framed bool) (Query, []lshensemble.Signature, bool) {
+	if !framed {
 		q, ok := readQueryStream(w, r, o)
 		return q, nil, ok
 	}
-	s.sketched[o].Inc()
 	body, ok := readBody(w, r)
 	if !ok {
 		return Query{}, nil, false
 	}
-	q, sigs, err := decodeSketched(body, o, s.seed, s.idx.Options().NumHash)
+	q, sigs, err := s.decodeFramed(body, o)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return Query{}, nil, false
 	}
 	return q, sigs, true
+}
+
+// decodeFramed parses the framed form of shape o, a pre-sketched query or a
+// write record, for this shard's family. A query counts as sketched.
+func (s *Server) decodeFramed(body []byte, o Op) (Query, []lshensemble.Signature, error) {
+	if o >= numOps {
+		return decodeWrite(body, o, s.seed, s.idx.Options().NumHash)
+	}
+	s.sketched[o].Inc()
+	return decodeSketched(body, o, s.seed, s.idx.Options().NumHash)
 }
 
 // rowSig is row i's pre-sketched signature, nil in the JSON form.
@@ -900,10 +886,28 @@ func (q *Query) ResolveBatch(h *lshensemble.Hasher, sigs []lshensemble.Signature
 	return queries, nil
 }
 
-// handleOp serves the HTTP form of query shape o, in either request form.
+// ResolveAdd validates an add and turns it into the record the index stores:
+// the JSON form's hashes sketched with h (a nil sig), or an add record's
+// signature and size. The router resolves a client's add with the fleet's
+// family and sends the result, the shard resolves that record again: one set
+// of refusals, one stored record.
+func (q *Query) ResolveAdd(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.DomainRecord, error) {
+	if q.Key == "" {
+		return lshensemble.DomainRecord{}, errors.New("key is required")
+	}
+	row := &q.Rows[0]
+	if err := checkRow(len(row.Hashes), row.Size, sig); err != nil {
+		return lshensemble.DomainRecord{}, err
+	}
+	sig, size := sketchRow(h, row.Hashes, row.Size, sig)
+	return lshensemble.DomainRecord{Key: q.Key, Size: size, Sig: sig}, nil
+}
+
+// handleOp serves the HTTP form of shape o, in either request form.
 func (s *Server) handleOp(o Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req, sigs, ok := s.decodeQuery(w, r, o)
+		framed := r.Header.Get("Content-Type") == SketchedContentType
+		req, sigs, ok := s.decodeQuery(w, r, o, framed)
 		if !ok {
 			return
 		}
@@ -912,7 +916,7 @@ func (s *Server) handleOp(o Op) http.HandlerFunc {
 		case err != nil:
 			WriteError(w, http.StatusBadRequest, err)
 		case resp != nil:
-			writeAnswer(w, sigs != nil, resp)
+			writeAnswer(w, framed, resp)
 		}
 		// Neither: the request context ended the index call, the client is
 		// gone and nobody will read a body. Returning without writing lets
@@ -920,11 +924,31 @@ func (s *Server) handleOp(o Op) http.HandlerFunc {
 	}
 }
 
-// ops answers a decoded query of each shape, whichever transport brought it:
-// a *QueryResponse, *TopKResponse or *BatchResponse; or a refusal, answered
-// 400; or neither, when ctx ended the index call.
-var ops = [numOps]func(*Server, context.Context, *Query, []lshensemble.Signature) (any, error){
-	(*Server).query, (*Server).topK, (*Server).batch,
+// ops answers a decoded body of each shape, whichever transport brought it:
+// a *QueryResponse, *TopKResponse, *BatchResponse, *AddResponse or
+// *DeleteResponse; or a refusal, answered 400; or neither, when ctx ended the
+// index call.
+var ops = [numRecordOps]func(*Server, context.Context, *Query, []lshensemble.Signature) (any, error){
+	(*Server).query, (*Server).topK, (*Server).batch, (*Server).add, (*Server).delete,
+}
+
+func (s *Server) add(_ context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
+	rec, err := req.ResolveAdd(s.hasher, rowSig(sigs, 0))
+	if err != nil {
+		return nil, err
+	}
+	replaced, err := s.idx.Add(rec)
+	if err != nil {
+		return nil, err
+	}
+	return &AddResponse{Replaced: replaced, Size: rec.Size}, nil
+}
+
+func (s *Server) delete(_ context.Context, req *Query, _ []lshensemble.Signature) (any, error) {
+	if req.Key == "" {
+		return nil, errors.New("key is required")
+	}
+	return &DeleteResponse{Deleted: s.idx.Delete(req.Key)}, nil
 }
 
 func (s *Server) query(ctx context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
