@@ -45,9 +45,9 @@
 // Query handlers honor request cancellation: a client that disconnects (or
 // a router whose per-shard deadline expires) stops the in-flight query or
 // batch instead of running it to completion. A router sends its pre-sketched
-// queries on record connections instead (GET /records upgrades one; the
-// layout is in internal/serve), each record carrying the deadline its
-// router waits for. The listener itself is
+// queries and writes as records on record connections instead (GET /records
+// upgrades one; internal/serve lays the records out), each carrying the
+// deadline its router waits for. The listener itself is
 // hardened against slow clients — header reads, body reads and idle
 // keep-alives all time out (-read-header-timeout, -read-timeout,
 // -write-timeout, -idle-timeout), so a slowloris peer cannot pin

@@ -205,17 +205,12 @@
 // in-flight query or batch instead of running it to completion
 // (QueryAppendContext / QueryTopKContext / QueryBatchContext on LiveIndex
 // expose the same to library callers).
-// The three query endpoints take a request in two forms: JSON with the
-// domain's raw values, which the daemon sketches with its own -seed, or —
-// under Content-Type application/x-lshensemble-sketched — a short JSON
-// document followed by the finished signature as raw little-endian words,
-// from a client that holds the hash family (seed and num_hash, both in
-// /stats) and has sketched already. Both resolve to the same (signature,
-// size, threshold) and the same answer bytes; a frame of another seed or
-// length is a 400 (internal/serve documents the layout). /add and /delete
-// take JSON, or the router's write records in the framed form. Repeated
-// queries on an unchanged index — ranked ones included — are answered from
-// the generation-keyed result cache.
+// Every endpoint takes JSON with the domain's raw values, which the daemon
+// sketches with its own -seed. The router's pre-sketched requests come as
+// records on an upgraded connection instead (see Distributed serving); both
+// resolve to the same (signature, size, threshold) and the same answer.
+// Repeated queries on an unchanged index — ranked ones included — are
+// answered from the generation-keyed result cache.
 //
 // # Distributed serving
 //
@@ -248,9 +243,11 @@
 // request is a 503 with Retry-After. GET /ring reports the family.
 //
 // The router validates a client's query or add as a shard would, sketches
-// the values once and sends every leg the same framed query, every ring
-// owner the same add record (seed, size, key, signature words); a delete
-// record carries the key alone. A 20 000-value query or domain moves
+// the values once and sends every leg the same query record, every ring
+// owner the same add record; a delete record carries the key alone. A record
+// is fields behind uint32 lengths: the seed, the shape's words (threshold as
+// float64 bits, k, workers, size) and each row's signature words
+// (internal/serve documents the layout). A 20 000-value query or domain moves
 // 8·num_hash bytes per shard, and a shard decodes no string and computes no
 // hash: it stores exactly the record the JSON /add of the same values would.
 // A shard that refuses a record — it restarted under another seed — fails
@@ -259,8 +256,7 @@
 // while reading or sketching, or every shard refuses alike, is the client's
 // 4xx in the shard's words, not a 502, and counts against no shard.
 //
-// A request body is read in one pass, at the router and at a shard alike
-// (the client's JSON query, add or delete, and the framed form's document):
+// A JSON body is read in one pass, at the router and at a shard alike:
 // each value is hashed as it is read, where it lies in the body, or, if it
 // has an escape (encoding/json writes & and < as \u escapes, Python's
 // json.dumps every non-ASCII rune), once decoded into a reused buffer. The
@@ -271,25 +267,22 @@
 // so every body is accepted or refused exactly as encoding/json would have
 // it, in the same words.
 //
-// The answers come back framed too: anyone who sends a framed request gets a
-// framed answer, and a JSON request still gets JSON. Each shard sends its
-// sorted keys behind length prefixes (ranked keys with their scores as
-// float64 bits for top-k; the layout is in internal/serve's wire types), and
-// the router merges them without running a JSON scanner over them. What it
-// answers its client is byte for byte what it answered when the shards
-// answered in JSON. A frame that is malformed, out of order or of another
-// row count than the request fails its leg, and the answer goes partial,
-// never wrong.
+// A shard answers a query record with an answer frame: its sorted keys
+// behind length prefixes (ranked keys with their scores as float64 bits for
+// top-k; the layout is in internal/serve's wire types), which the router
+// merges without running a JSON scanner over them. What it answers its
+// client is byte for byte what it answered when the shards answered in JSON.
+// A frame that is malformed, out of order or of another row count than the
+// request fails its leg, and the answer goes partial, never wrong.
 //
 // Those legs and writes do not go through net/http. A shard upgrades an
 // HTTP/1.1 connection on its own listener at GET /records into a record
 // connection, and the router keeps up to 32 idle ones per shard: a leg is
 // one write, a request record (op, trace ID, the leg's remaining deadline,
-// the framed body or the write record), and one read, an answer record
-// (status, then the answer frame, a write's replaced or deleted flag, or the
-// error envelope). The bytes are those of the framed HTTP request, which
-// stays public for any other client, and one function per shape answers
-// both, with the same refusals, metrics and log lines. The shard runs a
+// the query or write record), and one read, an answer record (status, then
+// the answer frame, a write's replaced or deleted flag, or the error
+// envelope). One function per shape answers a record and the JSON request,
+// with the same refusals, metrics and log lines. The shard runs a
 // query under the record's deadline and closes a connection idle for 90 s;
 // the router closes one idle in its pool for 60 s, returns a connection only
 // after a complete answer, closes it on any error, and sends a record once

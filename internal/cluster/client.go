@@ -160,9 +160,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return nil
 }
 
-// leg sends one pre-sketched query of shape o — body, AppendSketched's frame
-// of a request of rows rows — as a record and decodes the answer frame into
-// out, as serve.DecodeAnswer does.
+// leg sends one pre-sketched query of shape o — body, its record, of rows
+// rows — and decodes the answer frame into out, as serve.DecodeAnswer does.
 func (c *Client) leg(ctx context.Context, o serve.Op, body []byte, rows int, out any) error {
 	return c.record(ctx, o, body, func(answer []byte) error { return serve.DecodeAnswer(answer, rows, out) })
 }

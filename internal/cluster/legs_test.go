@@ -18,10 +18,10 @@ import (
 	"lshensemble/internal/serve"
 )
 
-// jsonLeg is the frame a client's body must be sent on as, worked out from
+// jsonLeg is the record a client's body must be sent on as, worked out from
 // strings: encoding/json into the wire type, then each row's values hashed,
 // deduplicated in a map and sketched, its defaults filled in, and the result
-// framed by AppendSketched.
+// encoded as the shape's record.
 func jsonLeg(t *testing.T, path string, body []byte, h *lshensemble.Hasher, seed uint64) []byte {
 	t.Helper()
 	decode := func(v any) {
@@ -51,14 +51,12 @@ func jsonLeg(t *testing.T, path string, body []byte, h *lshensemble.Hasher, seed
 		}
 		return t
 	}
-	var doc any
-	var sigs []lshensemble.Signature
 	switch path {
 	case "/query":
 		var q serve.QueryRequest
 		decode(&q)
 		sig, size := sketch(q.Values, q.Size)
-		doc, sigs = &serve.SketchedQuery{Seed: seed, QueryRequest: serve.QueryRequest{Threshold: threshold(q.Threshold), Size: size}}, []lshensemble.Signature{sig}
+		return serve.AppendQueryRecord(nil, seed, lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: threshold(q.Threshold)})
 	case "/query/topk":
 		var q serve.TopKRequest
 		decode(&q)
@@ -67,28 +65,21 @@ func jsonLeg(t *testing.T, path string, body []byte, h *lshensemble.Hasher, seed
 		if k == 0 {
 			k = 10
 		}
-		doc, sigs = &serve.SketchedTopK{Seed: seed, TopKRequest: serve.TopKRequest{K: k, Size: size}}, []lshensemble.Signature{sig}
-	default:
-		var b serve.BatchRequest
-		decode(&b)
-		framed := &serve.SketchedBatch{Seed: seed, BatchRequest: serve.BatchRequest{Workers: min(b.Workers, runtime.GOMAXPROCS(0))}}
-		for _, q := range b.Queries {
-			sig, size := sketch(q.Values, q.Size)
-			framed.Queries = append(framed.Queries, serve.QueryRequest{Threshold: threshold(q.Threshold), Size: size})
-			sigs = append(sigs, sig)
-		}
-		doc = framed
+		return serve.AppendTopKRecord(nil, seed, k, size, sig)
 	}
-	frame, err := serve.AppendSketched(nil, doc, sigs...)
-	if err != nil {
-		t.Fatal(err)
+	var b serve.BatchRequest
+	decode(&b)
+	var queries []lshensemble.BatchQuery
+	for _, q := range b.Queries {
+		sig, size := sketch(q.Values, q.Size)
+		queries = append(queries, lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: threshold(q.Threshold)})
 	}
-	return frame
+	return serve.AppendBatchRecord(nil, seed, min(b.Workers, runtime.GOMAXPROCS(0)), queries)
 }
 
 // TestRouterLegsMatchJSONPath: over bodies of all three shapes drawn from a
 // generated lake, and bodies only encoding/json reads (escapes, keys in
-// another case), the framed leg the router sends — read off the record
+// another case), the record leg the router sends — read off the record
 // connection — is byte for byte the one that decoding the body with
 // encoding/json and sketching its strings gives.
 func TestRouterLegsMatchJSONPath(t *testing.T) {

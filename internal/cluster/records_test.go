@@ -61,12 +61,14 @@ func upgrade(t *testing.T, w http.ResponseWriter) (net.Conn, *bufio.Reader) {
 // recordFront fronts a real shard: it serves /records itself and everything
 // else through the shard. Each request record it reads off a record
 // connection is kept in legs and answered with what the shard answers the
-// same frame posted over HTTP, passed through edit when set. While hold is
-// set it answers nothing: it reads the record, says so on held, and waits
-// for the router to close the connection, which it reports on closed.
+// same record on a record connection of its own, passed through edit when
+// set. While hold is set it answers nothing: it reads the record, says so on
+// held, and waits for the router to close the connection, which it reports
+// on closed.
 type recordFront struct {
 	t        *testing.T
 	shard    http.Handler
+	upstream *Client // to the shard, served on a listener of its own
 	edit     func(status int, answer []byte) (int, []byte)
 	hold     atomic.Bool
 	held     chan struct{}
@@ -78,7 +80,10 @@ type recordFront struct {
 }
 
 func newRecordFront(t *testing.T, shard http.Handler) (*recordFront, string) {
-	f := &recordFront{t: t, shard: shard, held: make(chan struct{}, 8), closed: make(chan struct{}, 8)}
+	sts := httptest.NewServer(shard)
+	t.Cleanup(sts.Close)
+	f := &recordFront{t: t, shard: shard, upstream: NewClient(sts.URL, time.Minute),
+		held: make(chan struct{}, 8), closed: make(chan struct{}, 8)}
 	ts := httptest.NewServer(f)
 	t.Cleanup(ts.Close)
 	return f, ts.URL
@@ -95,6 +100,12 @@ func (f *recordFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer conn.Close()
+	var up *recordConn
+	defer func() {
+		if up != nil {
+			up.Close()
+		}
+	}()
 	for {
 		op, trace, body, err := readLeg(br)
 		if err != nil {
@@ -109,12 +120,18 @@ func (f *recordFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			f.closed <- struct{}{}
 			return
 		}
-		req := httptest.NewRequest(http.MethodPost, op.Path(), bytes.NewReader(body))
-		req.Header.Set("Content-Type", serve.SketchedContentType)
-		req.Header.Set(obs.TraceHeader, trace)
-		rr := httptest.NewRecorder()
-		f.shard.ServeHTTP(rr, req)
-		status, answer := rr.Code, rr.Body.Bytes()
+		ctx := obs.WithTraceID(context.Background(), trace)
+		if up == nil {
+			if up, err = f.upstream.dial(ctx); err != nil {
+				f.t.Error(err)
+				return
+			}
+		}
+		status, answer, err := up.exchange(ctx, op, body)
+		if err != nil {
+			f.t.Error(err)
+			return
+		}
 		if f.edit != nil {
 			status, answer = f.edit(status, answer)
 		}
@@ -352,10 +369,10 @@ func TestRouterCloseReleasesConnections(t *testing.T) {
 	}
 }
 
-// TestRecordLegObservedAsHTTP: a routed query moves the shard's request,
-// latency and framed-request series exactly as the same frame posted over
-// HTTP does, and the shard's access and slow-query lines for it carry the
-// router's trace ID.
+// TestRecordLegObservedAsHTTP: a routed query moves the shard's request and
+// latency series exactly as the same JSON query posted to the shard does,
+// and its sketched-request series by one, and the shard's access and
+// slow-query lines for it carry the router's trace ID.
 func TestRecordLegObservedAsHTTP(t *testing.T) {
 	var shardLog lockedBuf
 	logger := slog.New(slog.NewTextHandler(&shardLog, &slog.HandlerOptions{Level: slog.LevelDebug}))
@@ -372,7 +389,7 @@ func TestRecordLegObservedAsHTTP(t *testing.T) {
 	router.CheckHealth()
 	addVia(t, rts.URL, 20)
 
-	// series reads the shard's request, latency and framed-request counts.
+	// series reads the shard's request, latency and sketched-request counts.
 	series := func() map[string]int {
 		out := map[string]int{}
 		for _, line := range strings.Split(scrapeText(t, sts.URL), "\n") {
@@ -399,11 +416,12 @@ func TestRecordLegObservedAsHTTP(t *testing.T) {
 		}
 		return d
 	}
-	for path, body := range map[string]string{
-		"/query":       `{"values":["w0003","w0004","w0005"],"threshold":0.4}`,
-		"/query/topk":  `{"values":["w0003","w0004","w0005"],"k":4}`,
-		"/query/batch": `{"queries":[{"values":["w0003"]},{"values":["w0010","w0011"]}]}`,
+	for o, body := range map[serve.Op]string{
+		serve.OpQuery: `{"values":["w0003","w0004","w0005"],"threshold":0.4}`,
+		serve.OpTopK:  `{"values":["w0003","w0004","w0005"],"k":4}`,
+		serve.OpBatch: `{"queries":[{"values":["w0003"]},{"values":["w0010","w0011"]}]}`,
 	} {
+		path := o.Path()
 		id := "leg-trace-" + strings.ReplaceAll(path[1:], "/", "-")
 		before := series()
 		req, _ := http.NewRequest(http.MethodPost, rts.URL+path, strings.NewReader(body))
@@ -416,14 +434,13 @@ func TestRecordLegObservedAsHTTP(t *testing.T) {
 		routed := moved(before, series())
 
 		before = series()
-		resp, err = http.Post(sts.URL+path, serve.SketchedContentType, bytes.NewReader(jsonLeg(t, path, []byte(body), h, testSeed)))
-		if err != nil {
-			t.Fatal(err)
+		if code, answer := postRaw(t, sts.URL+path, body); code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d %s", path, code, answer)
 		}
-		resp.Body.Close()
 		direct := moved(before, series())
+		direct[`lshensembled_sketched_requests_total{op="`+o.String()+`"}`] = 1
 		if len(routed) != 4 || !reflect.DeepEqual(routed, direct) {
-			t.Fatalf("%s: a routed leg moved %v, the framed HTTP request %v", path, routed, direct)
+			t.Fatalf("%s: a routed leg moved %v, the JSON request and one record %v", path, routed, direct)
 		}
 		out := shardLog.String()
 		for _, msg := range []string{"msg=http", `msg="slow query"`} {

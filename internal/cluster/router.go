@@ -108,11 +108,11 @@ type shard struct {
 //
 // Every query and add is sketched here, once: the router validates it as a
 // shard would, sketches the values with the fleet's family and encodes the
-// framed query (internal/serve) or the add record once for every leg or
-// owner. A delete record carries the key alone. A shard that refuses a
-// record (it restarted under another seed) fails that leg — a query answer
-// goes partial, its candidates never merged — and is held out of the ring
-// until it reports the fleet's family again.
+// query or add record (internal/serve) once for every leg or owner. A delete
+// record carries the key alone. A shard that refuses a record (it restarted
+// under another seed) fails that leg — a query answer goes partial, its
+// candidates never merged — and is held out of the ring until it reports the
+// fleet's family again.
 //
 // Legs and writes do not go through net/http: each is one write and one read
 // on a pooled record connection to the shard (the package comment has their
@@ -173,7 +173,7 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	r.partials = r.reg.Counter("lshrouter_partial_responses_total",
 		"Merged responses missing at least one shard's contribution.")
 	r.scatterSketched = r.reg.Counter("lshrouter_scatter_total",
-		"Scattered queries by leg form: sketched once at the router, or the client's raw values forwarded.", obs.L("form", "sketched"))
+		"Scattered queries by leg form: every leg is sketched once, at the router.", obs.L("form", "sketched"))
 	for i, name := range names {
 		if name == "" || (i > 0 && name == names[i-1]) {
 			return nil, fmt.Errorf("cluster: empty or duplicate shard URL %q", name)
@@ -348,7 +348,7 @@ func (r *Router) learnFamilies() {
 			case err != nil:
 				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard hash family not learned",
 					slog.String("shard", s.name), slog.String("error", err.Error()))
-			case !st.Sketched || !st.Records || st.NumHash <= 0 || st.NumHash > maxNumHash:
+			case !st.Records || st.NumHash <= 0 || st.NumHash > maxNumHash:
 				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard takes no record legs",
 					slog.String("shard", s.name), slog.Int("num_hash", st.NumHash))
 				s.family.Store(nil)
@@ -720,9 +720,9 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 
 // --- read path: scatter to the ring, gather, merge ---
 
-// legBody is what every leg of one scattered query is sent: one encoding,
-// shared by the legs and only ever read, as a record of op op, and the
-// query's row count, which a framed answer must match.
+// legBody is what every leg of one scattered query is sent: one record of op
+// op, shared by the legs and only ever read, and the query's row count, which
+// the answer frame must match.
 type legBody struct {
 	op    serve.Op
 	bytes []byte
@@ -731,36 +731,26 @@ type legBody struct {
 
 // queryLegs resolves the client's request through sketch — the shard's own
 // validation and the one MinHash pass of the request — with the fleet's
-// family and frames the result; a request sketch refuses is answered 400
-// here, before any leg.
-func (r *Router) queryLegs(w http.ResponseWriter, o serve.Op, rows int, sketch func(*sketcher) (doc any, sigs []lshensemble.Signature, err error)) (legBody, bool) {
+// family and appends its record to dst; a request sketch refuses is answered
+// 400 here, before any leg.
+func (r *Router) queryLegs(w http.ResponseWriter, o serve.Op, rows int, sketch func(sk *sketcher, dst []byte) ([]byte, error)) (legBody, bool) {
 	sk := r.fleet(w)
 	if sk == nil {
 		return legBody{}, false
 	}
 	// A signature is a fixed 8·num_hash bytes however few values it stands
-	// for, so a batch of very many small queries is larger framed than raw:
-	// the shard's body limit becomes a limit on rows. The frame is estimated
-	// at 64 bytes of document a row, which refuses most such batches before
-	// any row is sketched, and then measured: a row's threshold and size
-	// can spell longer than that.
-	frame := 256 + rows*(sk.NumHash*8+64)
-	var body []byte
-	if frame <= serve.MaxRequestBody {
-		doc, sigs, err := sketch(sk)
-		if err != nil {
-			serve.WriteError(w, http.StatusBadRequest, err)
-			return legBody{}, false
-		}
-		if body, err = serve.AppendSketched(make([]byte, 0, frame), doc, sigs...); err != nil {
-			serve.WriteError(w, http.StatusInternalServerError, err)
-			return legBody{}, false
-		}
-		frame = len(body)
-	}
-	if frame > serve.MaxRequestBody {
+	// for, so a batch of very many small queries is larger as a record than
+	// raw: the shard's body limit becomes a limit on rows, checked before any
+	// row is sketched.
+	n := serve.RecordLen(o, rows, sk.NumHash)
+	if n > serve.MaxRequestBody {
 		serve.WriteError(w, http.StatusBadRequest,
-			fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, frame, serve.MaxRequestBody))
+			fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, n, serve.MaxRequestBody))
+		return legBody{}, false
+	}
+	body, err := sketch(sk, make([]byte, 0, n))
+	if err != nil {
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return legBody{}, false
 	}
 	r.scatterSketched.Inc()
@@ -800,10 +790,9 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	leg, ok := r.queryLegs(w, serve.OpQuery, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
+	leg, ok := r.queryLegs(w, serve.OpQuery, 1, func(sk *sketcher, dst []byte) ([]byte, error) {
 		q, err := body.Rows[0].Resolve(sk.hasher, nil)
-		return &serve.SketchedQuery{Seed: sk.Seed, QueryRequest: serve.QueryRequest{Threshold: q.Threshold, Size: q.Size}},
-			[]lshensemble.Signature{q.Sig}, err
+		return serve.AppendQueryRecord(dst, sk.Seed, q), err
 	})
 	if !ok {
 		return
@@ -830,14 +819,11 @@ func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	k := body.Rows[0].K
-	if k == 0 {
-		k = 10
-	}
-	leg, ok := r.queryLegs(w, serve.OpTopK, 1, func(sk *sketcher) (any, []lshensemble.Signature, error) {
-		sig, size, _, err := body.Rows[0].ResolveTopK(sk.hasher, nil)
-		return &serve.SketchedTopK{Seed: sk.Seed, TopKRequest: serve.TopKRequest{K: k, Size: size}},
-			[]lshensemble.Signature{sig}, err
+	var k int // the k the shards rank, which the merge keeps
+	leg, ok := r.queryLegs(w, serve.OpTopK, 1, func(sk *sketcher, dst []byte) ([]byte, error) {
+		sig, size, rank, err := body.Rows[0].ResolveTopK(sk.hasher, nil)
+		k = rank
+		return serve.AppendTopKRecord(dst, sk.Seed, k, size, sig), err
 	})
 	if !ok {
 		return
@@ -864,16 +850,9 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, errors.New("queries must be non-empty"))
 		return
 	}
-	leg, ok := r.queryLegs(w, serve.OpBatch, len(body.Rows), func(sk *sketcher) (any, []lshensemble.Signature, error) {
-		queries, err := body.ResolveBatch(sk.hasher, nil)
-		doc := &serve.SketchedBatch{Seed: sk.Seed, BatchRequest: serve.BatchRequest{
-			Queries: make([]serve.QueryRequest, len(queries)), Workers: body.Workers}}
-		sigs := make([]lshensemble.Signature, len(queries))
-		for i, q := range queries {
-			doc.Queries[i] = serve.QueryRequest{Threshold: q.Threshold, Size: q.Size}
-			sigs[i] = q.Sig
-		}
-		return doc, sigs, err
+	leg, ok := r.queryLegs(w, serve.OpBatch, len(body.Rows), func(sk *sketcher, dst []byte) ([]byte, error) {
+		queries, err := body.ResolveBatch(sk.hasher, nil) // caps body.Workers
+		return serve.AppendBatchRecord(dst, sk.Seed, body.Workers, queries), err
 	})
 	if !ok {
 		return
@@ -898,10 +877,9 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 // arrival order. Dedup also makes replicated fleets answer each key once.
 
 // mergeSorted unions the shards' match lists into one sorted list with each
-// key once. A shard's list arrives sorted and duplicate-free, so this is a
-// k-way merge that drops equal neighbours: no set, no sort. A list that
-// breaks that contract shows up as a key at or below the last one emitted,
-// and the merge starts over by sorting and deduplicating everything.
+// key once. A shard's list arrives sorted and duplicate-free (DecodeAnswer
+// refuses any other), so this is a k-way merge that drops equal neighbours:
+// no set, no sort.
 func mergeSorted(lists [][]string) []string {
 	total := 0
 	for _, l := range lists {
@@ -921,18 +899,9 @@ func mergeSorted(lists [][]string) []string {
 		}
 		key := lists[best][heads[best]]
 		heads[best]++
-		if n := len(merged); n > 0 && key <= merged[n-1] {
-			if key == merged[n-1] {
-				continue
-			}
-			merged = merged[:0]
-			for _, l := range lists {
-				merged = append(merged, l...)
-			}
-			slices.Sort(merged)
-			return slices.Compact(merged)
+		if n := len(merged); n == 0 || key != merged[n-1] {
+			merged = append(merged, key)
 		}
-		merged = append(merged, key)
 	}
 }
 

@@ -164,9 +164,6 @@ func TestMergeSorted(t *testing.T) {
 		{"replicated keys", [][]string{{"a", "b", "c"}, {"b", "c", "d"}, {"a", "d"}}, []string{"a", "b", "c", "d"}},
 		{"empty lists among full", [][]string{{}, {"x"}, nil}, []string{"x"}},
 		{"duplicate inside a list", [][]string{{"a", "a", "b"}, {"b"}}, []string{"a", "b"}},
-		{"unsorted list", [][]string{{"c", "a"}, {"b", "d"}}, []string{"a", "b", "c", "d"}},
-		{"unsorted with duplicates", [][]string{{"d", "b", "d"}, {"a", "b"}}, []string{"a", "b", "d"}},
-		{"unsorted tail", [][]string{{"a", "b", "z", "c"}, {"y"}}, []string{"a", "b", "c", "y", "z"}},
 	} {
 		if got := mergeSorted(c.lists); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: mergeSorted(%v) = %v, want %v", c.name, c.lists, got, c.want)
@@ -433,45 +430,43 @@ func TestFamilyLearnedOnceOnDemand(t *testing.T) {
 	}
 }
 
-// TestRouterBoundsSketchedBatch: a batch whose framed form would pass the
-// shard's request limit is refused before any row is sketched.
-func TestRouterBoundsSketchedBatch(t *testing.T) {
-	urls, _ := startShards(t, 1)
-	router, rts := startRouter(t, urls, Options{})
-	router.CheckHealth()
-	rows := serve.MaxRequestBody/(testNumHash*8+64) + 1
-	var body strings.Builder
-	body.WriteString(`{"queries":[`)
-	for i := 0; i < rows; i++ {
-		if i > 0 {
-			body.WriteByte(',')
-		}
-		body.WriteString(`{"values":["a"]}`)
-	}
-	body.WriteString(`]}`)
-	code, answer := postRaw(t, rts.URL+"/query/batch", body.String())
-	if code != http.StatusBadRequest || !strings.Contains(answer, "split the batch") {
-		t.Fatalf("oversized batch: HTTP %d %s, want a 400 asking to split it", code, answer)
-	}
-}
-
-// TestRouterBoundsEncodedFrame: the estimate budgets 64 bytes of document per
-// row, but a row with the longest threshold and size takes 66 with its comma
-// (encoding/json spells 1.0000000000000002e-6 as 0.0000010000000000000002).
-// A batch of as many such rows as the estimate lets through sketches to a
-// frame past the shards' limit; the router refuses it on the frame's real
-// length with the same 400. No leg goes out, so no shard refuses one: the
-// fleet keeps its hash family and no shard is counted as failing.
+// TestRouterBoundsEncodedFrame: a record's length is known from its shape
+// and row count before any row is sketched — serve.RecordLen equals the
+// length of the record encoded, for one row and for many — and a batch one
+// row past what fits the shards' request limit is refused with a 400 asking
+// to split it. No leg goes out, so no shard refuses one: the fleet keeps its
+// hash family and no shard is counted as failing.
 func TestRouterBoundsEncodedFrame(t *testing.T) {
+	h := lshensemble.NewHasher(testNumHash, testSeed)
+	q := lshensemble.BatchQuery{Sig: lshensemble.SketchStrings(h, "q", []string{"a"}).Sig, Size: math.MaxInt, Threshold: 1.0000000000000002e-6}
+	for _, c := range []struct {
+		o      serve.Op
+		rows   int
+		record []byte
+	}{
+		{serve.OpQuery, 1, serve.AppendQueryRecord(nil, testSeed, q)},
+		{serve.OpTopK, 1, serve.AppendTopKRecord(nil, testSeed, math.MaxInt, q.Size, q.Sig)},
+		{serve.OpBatch, 1, serve.AppendBatchRecord(nil, testSeed, -1, []lshensemble.BatchQuery{q})},
+		{serve.OpBatch, 7, serve.AppendBatchRecord(nil, testSeed, -1, []lshensemble.BatchQuery{q, q, q, q, q, q, q})},
+	} {
+		if got := serve.RecordLen(c.o, c.rows, testNumHash); got != len(c.record) {
+			t.Errorf("%s of %d rows: RecordLen %d, the record is %d bytes", c.o, c.rows, got, len(c.record))
+		}
+	}
+
 	urls, _ := startShards(t, 2)
 	router, rts := startRouter(t, urls, Options{})
 	router.CheckHealth()
-	rows := serve.MaxRequestBody / (testNumHash*8 + 64)
-	const row = `{"values":["a"],"threshold":1.0000000000000002e-6,"size":9223372036854775807}`
+	perRow := serve.RecordLen(serve.OpBatch, 1, testNumHash) - serve.RecordLen(serve.OpBatch, 0, testNumHash)
+	rows := (serve.MaxRequestBody-serve.RecordLen(serve.OpBatch, 0, testNumHash))/perRow + 1
+	if serve.RecordLen(serve.OpBatch, rows-1, testNumHash) > serve.MaxRequestBody || serve.RecordLen(serve.OpBatch, rows, testNumHash) <= serve.MaxRequestBody {
+		t.Fatalf("%d rows are not one past the limit", rows)
+	}
+	const row = `{"values":["a"]}`
 	body := `{"queries":[` + strings.Repeat(row+",", rows-1) + row + `]}`
 	code, answer := postRaw(t, rts.URL+"/query/batch", body)
 	if code != http.StatusBadRequest || !strings.Contains(answer, "split the batch") {
-		t.Fatalf("batch of %d longest rows: HTTP %d %.200s, want a 400 asking to split it", rows, code, answer)
+		t.Fatalf("batch of %d rows: HTTP %d %.200s, want a 400 asking to split it", rows, code, answer)
 	}
 	if fam := ringFamily(t, rts.URL); fam == nil {
 		t.Fatal("no family after the refusal")

@@ -21,12 +21,11 @@ import (
 // buffer the reader keeps.
 
 // Query is a body of any shape as read: one row for /query, /query/topk and
-// the writes, one per query of a batch, plus a batch's workers, a framed
-// document's seed and a write's key.
+// the writes, one per query of a batch, plus a batch's workers and a write's
+// key.
 type Query struct {
 	Rows    []QueryRow
 	Workers int
-	Seed    uint64
 	Key     string
 }
 
@@ -44,11 +43,12 @@ type QueryRow struct {
 // ReadQuery reads the JSON form of a body of shape o from r. On a refusal it
 // has written the 400 and returns false.
 func ReadQuery(w http.ResponseWriter, r *http.Request, o Op) (Query, bool) {
-	body, ok := readBody(w, r)
-	if !ok {
+	body, err := readAll(w, r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return Query{}, false
 	}
-	q, err := readQuery(body, o, false)
+	q, err := readQuery(body, o)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return Query{}, false
@@ -63,9 +63,9 @@ func readQueryStream(w http.ResponseWriter, r *http.Request, o Op) (Query, bool)
 	body, err := readAll(w, r)
 	var q Query
 	if err == nil {
-		q, err = readQuery(body, o, false)
+		q, err = readQuery(body, o)
 	} else {
-		_, err = decodeQueryJSON(io.MultiReader(bytes.NewReader(body), failedRead{err}), o, false)
+		_, err = decodeQueryJSON(io.MultiReader(bytes.NewReader(body), failedRead{err}), o)
 	}
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -79,63 +79,43 @@ type failedRead struct{ err error }
 
 func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
-// readQuery reads body as the JSON form of shape o or, framed, as the
-// document of its framed form, which adds "seed".
-func readQuery(body []byte, o Op, framed bool) (Query, error) {
-	d := queryReader{b: body}
-	if !framed { // a framed document's rows carry no values
-		// A value takes a few bytes of the body at least, so this is one
-		// allocation for values of five bytes or more, a few for shorter ones.
-		d.hashes = make([]uint64, 0, len(body)/8)
-	}
-	if q, ok := d.query(o, framed); ok {
+// readQuery reads body as the JSON form of shape o.
+func readQuery(body []byte, o Op) (Query, error) {
+	// A value takes a few bytes of the body at least, so this is one
+	// allocation for values of five bytes or more, a few for shorter ones.
+	d := queryReader{b: body, hashes: make([]uint64, 0, len(body)/8)}
+	if q, ok := d.query(o); ok {
 		return q, nil
 	}
-	return decodeQueryJSON(bytes.NewReader(body), o, framed)
+	return decodeQueryJSON(bytes.NewReader(body), o)
 }
 
 // decodeQueryJSON is the reader's fallback: decodeOne decodes body into the
 // shape's wire type, and the values are hashed as the reader hashes them.
-func decodeQueryJSON(body io.Reader, o Op, framed bool) (Query, error) {
+func decodeQueryJSON(body io.Reader, o Op) (Query, error) {
 	var (
-		sq       SketchedQuery
-		st       SketchedTopK
-		sb       SketchedBatch
-		add      AddRequest
-		del      DeleteRequest
-		raw, doc any
+		qr  QueryRequest
+		tk  TopKRequest
+		br  BatchRequest
+		add AddRequest
+		del DeleteRequest
 	)
-	switch o {
-	case OpQuery:
-		raw, doc = &sq.QueryRequest, &sq
-	case OpTopK:
-		raw, doc = &st.TopKRequest, &st
-	case OpBatch:
-		raw, doc = &sb.BatchRequest, &sb
-	case OpAdd:
-		raw = &add
-	default:
-		raw = &del
-	}
-	if !framed {
-		doc = raw
-	}
-	if err := decodeOne(body, doc); err != nil {
+	if err := decodeOne(body, [numRecordOps]any{&qr, &tk, &br, &add, &del}[o]); err != nil {
 		return Query{}, err
 	}
 	switch o {
 	case OpQuery:
-		return Query{Rows: []QueryRow{sq.row()}, Seed: sq.Seed}, nil
+		return Query{Rows: []QueryRow{qr.row()}}, nil
 	case OpTopK:
-		return Query{Rows: []QueryRow{{Hashes: hashStrings(st.Values), K: st.K, Size: st.Size}}, Seed: st.Seed}, nil
+		return Query{Rows: []QueryRow{{Hashes: hashStrings(tk.Values), K: tk.K, Size: tk.Size}}}, nil
 	case OpAdd:
 		return Query{Rows: []QueryRow{{Hashes: hashStrings(add.Values)}}, Key: add.Key}, nil
 	case OpDelete:
 		return Query{Rows: []QueryRow{{}}, Key: del.Key}, nil
 	}
-	q := Query{Rows: make([]QueryRow, len(sb.Queries)), Workers: sb.Workers, Seed: sb.Seed}
-	for i := range sb.Queries {
-		q.Rows[i] = sb.Queries[i].row()
+	q := Query{Rows: make([]QueryRow, len(br.Queries)), Workers: br.Workers}
+	for i := range br.Queries {
+		q.Rows[i] = br.Queries[i].row()
 	}
 	return q, nil
 }
@@ -160,17 +140,16 @@ const (
 	keySize
 	keyQueries
 	keyWorkers
-	keySeed
 	keyKey
 )
 
 var queryKeys = map[string]uint8{
 	"values": keyValues, "threshold": keyThreshold, "k": keyK, "size": keySize,
-	"queries": keyQueries, "workers": keyWorkers, "seed": keySeed, "key": keyKey,
+	"queries": keyQueries, "workers": keyWorkers, "key": keyKey,
 }
 
-// shapeKeys are the keys of each shape's JSON form; a framed document adds
-// "seed", and a batch row is a /query's.
+// shapeKeys are the keys of each shape's JSON form; a batch row is a
+// /query's.
 var shapeKeys = [numRecordOps]uint8{
 	OpQuery:  keyValues | keyThreshold | keySize,
 	OpTopK:   keyValues | keyK | keySize,
@@ -189,14 +168,10 @@ type queryReader struct {
 	scratch []byte   // the last string unquote decoded
 }
 
-func (d *queryReader) query(o Op, framed bool) (Query, bool) {
-	keys := shapeKeys[o]
-	if framed {
-		keys |= keySeed
-	}
+func (d *queryReader) query(o Op) (Query, bool) {
 	var q Query
 	var row QueryRow
-	ok := d.object(keys, func(key uint8) bool { return d.member(key, &q, &row) })
+	ok := d.object(shapeKeys[o], func(key uint8) bool { return d.member(key, &q, &row) })
 	d.space()
 	if !ok || d.off != len(d.b) {
 		return Query{}, false
@@ -246,8 +221,6 @@ func (d *queryReader) member(key uint8, q *Query, row *QueryRow) bool {
 		row.Size, err = strconv.Atoi(string(lit))
 	case keyWorkers:
 		q.Workers, err = strconv.Atoi(string(lit))
-	case keySeed:
-		q.Seed, err = strconv.ParseUint(string(lit), 10, 64)
 	}
 	return err == nil
 }

@@ -17,9 +17,9 @@ import (
 )
 
 // jsonQuery reads a body with encoding/json alone: decodeOne into the shape's
-// wire type (the framed document's when framed), then HashString of every
-// value. It is the reference the reader is held to.
-func jsonQuery(body []byte, o Op, framed bool) (Query, error) {
+// wire type, then HashString of every value. It is the reference the reader
+// is held to.
+func jsonQuery(body []byte, o Op) (Query, error) {
 	hash := func(values []string) []uint64 {
 		var hvs []uint64
 		for _, v := range values {
@@ -31,29 +31,17 @@ func jsonQuery(body []byte, o Op, framed bool) (Query, error) {
 	var err error
 	switch o {
 	case OpQuery:
-		var doc SketchedQuery
-		if framed {
-			err = decodeOne(bytes.NewReader(body), &doc)
-		} else {
-			err = decodeOne(bytes.NewReader(body), &doc.QueryRequest)
-		}
-		q = Query{Seed: doc.Seed, Rows: []QueryRow{{Hashes: hash(doc.Values), Threshold: doc.Threshold, Size: doc.Size}}}
+		var doc QueryRequest
+		err = decodeOne(bytes.NewReader(body), &doc)
+		q = Query{Rows: []QueryRow{{Hashes: hash(doc.Values), Threshold: doc.Threshold, Size: doc.Size}}}
 	case OpTopK:
-		var doc SketchedTopK
-		if framed {
-			err = decodeOne(bytes.NewReader(body), &doc)
-		} else {
-			err = decodeOne(bytes.NewReader(body), &doc.TopKRequest)
-		}
-		q = Query{Seed: doc.Seed, Rows: []QueryRow{{Hashes: hash(doc.Values), K: doc.K, Size: doc.Size}}}
+		var doc TopKRequest
+		err = decodeOne(bytes.NewReader(body), &doc)
+		q = Query{Rows: []QueryRow{{Hashes: hash(doc.Values), K: doc.K, Size: doc.Size}}}
 	case OpBatch:
-		var doc SketchedBatch
-		if framed {
-			err = decodeOne(bytes.NewReader(body), &doc)
-		} else {
-			err = decodeOne(bytes.NewReader(body), &doc.BatchRequest)
-		}
-		q = Query{Seed: doc.Seed, Workers: doc.Workers}
+		var doc BatchRequest
+		err = decodeOne(bytes.NewReader(body), &doc)
+		q = Query{Workers: doc.Workers}
 		for _, r := range doc.Queries {
 			q.Rows = append(q.Rows, QueryRow{Hashes: hash(r.Values), Threshold: r.Threshold, Size: r.Size})
 		}
@@ -75,7 +63,7 @@ func jsonQuery(body []byte, o Op, framed bool) (Query, error) {
 // sameQuery reports whether two reads agree on every field, thresholds to
 // the bit (a -0 stays a -0).
 func sameQuery(a, b Query) bool {
-	if a.Seed != b.Seed || a.Workers != b.Workers || a.Key != b.Key || len(a.Rows) != len(b.Rows) {
+	if a.Workers != b.Workers || a.Key != b.Key || len(a.Rows) != len(b.Rows) {
 		return false
 	}
 	for i, ra := range a.Rows {
@@ -131,47 +119,55 @@ var readerSeeds = []string{
 	`{"key":"k","values":["a","b","a"]}`, `{"values":["a"],"key":"caf\u00e9"}`, `{"key":"","values":[]}`,
 	`{"key":"k"}`, `{"key":null,"values":["a"]}`, `{"Key":"k","values":["a"]}`, `{"key":"k","key":"j"}`,
 	`{"key":1}`, `{"key":"k","values":["a"],"size":3}`, "{\"key\":\"\xff\"}", `{"key":"a\"b"} x`,
+	`{"key":"k","values":["a"],"values":["b"]}`, `{"key":"\u0000","values":["a"]}`, `{"key":"k","values":null}`,
+	`{"key":["k"]}`, `{"values":["a"],"key":"k","threshold":0.5}`, `{"KEY":"k"}`, `{"key":"k","key":null}`,
+	// Numbers at the edges of each field's type.
+	`{"values":["a"],"threshold":0}`, `{"values":["a"],"threshold":1}`, `{"values":["a"],"threshold":-1}`,
+	`{"values":["a"],"threshold":1.5e0}`, `{"values":["a"],"threshold":0.5E+0}`, `{"values":["a"],"threshold":5e-1}`,
+	`{"values":["a"],"threshold":00.5}`, `{"values":["a"],"threshold":1e}`, `{"values":["a"],"threshold":1e+}`,
+	`{"values":["a"],"threshold":"0.5"}`, `{"values":["a"],"threshold":true}`, `{"values":["a"],"threshold":[0.5]}`,
+	`{"values":["a"],"threshold":-0.0}`, `{"values":["a"],"threshold":4.9e-324}`, `{"values":["a"],"threshold":1.7976931348623157e308}`,
+	`{"values":["a"],"k":0}`, `{"values":["a"],"k":-1}`, `{"values":["a"],"k":1.5}`, `{"values":["a"],"k":1e0}`,
+	`{"values":["a"],"k":9223372036854775807}`, `{"values":["a"],"k":-9223372036854775808}`, `{"values":["a"],"k":-9223372036854775809}`,
+	`{"queries":[{"values":["a"]}],"workers":-1}`, `{"queries":[{"values":["a"]}],"workers":1.0}`,
+	`{"queries":[{"values":["a"]}],"workers":99999999999999999999}`, `{"values":["a"],"size":-9223372036854775808}`,
+	// Structure.
+	`{"values":[""]}`, `{"values":["",""]}`, `{ }`, `{"values":[ ]}`, `{"queries":[{}]}`, `{"queries":[{"values":[]}]}`,
+	`{"queries":[{"values":["a"]},]}`, `{"queries":{"values":["a"]}}`, `{"queries":[[]]}`,
+	`{"queries":[{"values":["a"],"queries":[]}]}`, `{"queries":[{"values":["a"],"workers":1}]}`,
+	`{"queries":[{"values":["a"],"values":["b"]}]}`, `{"values":["a"]} null`, "{\"values\":[\"a\"]}\xc2\xa0",
+	// Strings: escapes, surrogates and UTF-8 at their edges.
+	`{"values":["\u0000"]}`, `{"values":["\uD83D\uDE00"]}`, `{"values":["\udc00"]}`, `{"values":["\ud800\u0041"]}`,
+	`{"values":["\ud800\ud800"]}`, `{"values":["\u002"]}`, `{"values":["a\u00"]}`, `{"values":["\'"]}`,
+	`{"values":["\u007f","\u2028"]}`, "{\"values\":[\"\x7f\"]}", "{\"values\":[\"\xc0\xaf\"]}",
+	"{\"values\":[\"\xf4\x90\x80\x80\"]}", "{\"values\":[\"\xe6\x9d\"]}", "{\"values\":[\"a\nb\"]}",
 }
 
-// shapes is how many ways FuzzQueryReader reads a body: the three query
-// shapes in JSON and framed, then the two writes in JSON.
-const shapes = 2*int(numOps) + 2
-
-// shape is FuzzQueryReader's reading which of a body.
-func shape(which int) (Op, bool) {
-	which = (which%shapes + shapes) % shapes
-	if which >= 2*int(numOps) {
-		return OpAdd + Op(which-2*int(numOps)), false
-	}
-	return Op(which % int(numOps)), which >= int(numOps)
-}
-
-// FuzzQueryReader: read as any of the eight shapes — the three query shapes'
-// JSON forms and framed documents, and the JSON forms of /add and /delete —
-// any bytes read to exactly the rows (hashes, threshold, k, size), workers,
-// seed and key that decodeOne and HashString give, and a body decodeOne
+// FuzzQueryReader: read as any of the five shapes (which, modulo five, is
+// the Op) any bytes read to exactly the rows (hashes, threshold, k, size),
+// workers and key that decodeOne and HashString give, and a body decodeOne
 // refuses is refused with decodeOne's words. Where the one-pass reader takes
 // a body itself, without the fallback, its reading is held to the same
 // reference.
 func FuzzQueryReader(f *testing.F) {
-	for i := 0; i < shapes; i++ {
+	for o := Op(0); o < numRecordOps; o++ {
 		for _, s := range readerSeeds {
-			f.Add(i, []byte(s))
+			f.Add(int(o), []byte(s))
 		}
 	}
 	f.Fuzz(func(t *testing.T, which int, body []byte) {
-		o, framed := shape(which)
-		want, wantErr := jsonQuery(body, o, framed)
-		got, err := readQuery(body, o, framed)
+		o := Op((which%int(numRecordOps) + int(numRecordOps)) % int(numRecordOps))
+		want, wantErr := jsonQuery(body, o)
+		got, err := readQuery(body, o)
 		switch {
 		case wantErr != nil && (err == nil || err.Error() != wantErr.Error()):
-			t.Fatalf("%s framed=%v %q: refused with %v, want %v", o, framed, body, err, wantErr)
+			t.Fatalf("%s %q: refused with %v, want %v", o, body, err, wantErr)
 		case wantErr == nil && (err != nil || !sameQuery(got, want)):
-			t.Fatalf("%s framed=%v %q: read %+v (%v), want %+v", o, framed, body, got, err, want)
+			t.Fatalf("%s %q: read %+v (%v), want %+v", o, body, got, err, want)
 		}
 		d := queryReader{b: body}
-		if fast, ok := d.query(o, framed); ok && (wantErr != nil || !sameQuery(fast, want)) {
-			t.Fatalf("%s framed=%v %q: the one-pass reader read %+v, encoding/json %+v (%v)", o, framed, body, fast, want, wantErr)
+		if fast, ok := d.query(o); ok && (wantErr != nil || !sameQuery(fast, want)) {
+			t.Fatalf("%s %q: the one-pass reader read %+v, encoding/json %+v (%v)", o, body, fast, want, wantErr)
 		}
 	})
 }
@@ -184,30 +180,27 @@ func FuzzQueryReader(f *testing.F) {
 func TestReaderTakesCanonicalBodies(t *testing.T) {
 	escaped := []string{"AT&T", "<td>", "a\u2028b\u2029", "\xffx", `q"uo\te`, "tab\tnl\n", "\b\f\r"}
 	for _, c := range []struct {
-		o      Op
-		framed bool
-		body   []byte
+		o    Op
+		body []byte
 	}{
-		{OpQuery, false, mustMarshal(t, QueryRequest{Values: []string{"a", "Montréal", "x y"}, Threshold: 0.3, Size: 7})},
-		{OpQuery, false, mustMarshal(t, QueryRequest{Values: escaped})},
-		{OpTopK, false, mustMarshal(t, TopKRequest{Values: []string{"a"}, K: 4})},
-		{OpTopK, false, mustMarshal(t, TopKRequest{Values: escaped, K: 4})},
-		{OpBatch, false, mustMarshal(t, BatchRequest{Queries: []QueryRequest{{Values: []string{"a"}}, {Values: []string{"b"}, Threshold: 1e-9}}, Workers: -3})},
-		{OpBatch, false, mustMarshal(t, BatchRequest{Queries: []QueryRequest{{Values: escaped[:3]}, {Values: escaped[3:]}}})},
-		{OpQuery, true, mustMarshal(t, SketchedQuery{Seed: math.MaxUint64, QueryRequest: QueryRequest{Threshold: 0.5, Size: 3}})},
-		{OpTopK, true, mustMarshal(t, SketchedTopK{Seed: 1, TopKRequest: TopKRequest{K: 10, Size: 3}})},
-		{OpBatch, true, mustMarshal(t, SketchedBatch{Seed: 7, BatchRequest: BatchRequest{Queries: []QueryRequest{{Size: 1}, {Size: math.MaxInt, Threshold: 2.2250738585072014e-308}}}})},
+		{OpQuery, mustMarshal(t, QueryRequest{Values: []string{"a", "Montréal", "x y"}, Threshold: 0.3, Size: 7})},
+		{OpQuery, mustMarshal(t, QueryRequest{Values: escaped})},
+		{OpTopK, mustMarshal(t, TopKRequest{Values: []string{"a"}, K: 4})},
+		{OpTopK, mustMarshal(t, TopKRequest{Values: escaped, K: 4})},
+		{OpBatch, mustMarshal(t, BatchRequest{Queries: []QueryRequest{{Values: []string{"a"}}, {Values: []string{"b"}, Threshold: 1e-9}}, Workers: -3})},
+		{OpBatch, mustMarshal(t, BatchRequest{Queries: []QueryRequest{{Values: escaped[:3]}, {Values: escaped[3:]}}})},
+		{OpBatch, mustMarshal(t, BatchRequest{Queries: []QueryRequest{{Values: []string{"a"}, Size: 1}, {Values: []string{"b"}, Size: math.MaxInt, Threshold: 2.2250738585072014e-308}}})},
 		// json.dumps({"values": ["Montréal", "東京", "😀", "AT&T"], "threshold": 0.5})
-		{OpQuery, false, []byte(`{"values": ["Montr\u00e9al", "\u6771\u4eac", "\ud83d\ude00", "AT&T"], "threshold": 0.5}`)},
+		{OpQuery, []byte(`{"values": ["Montr\u00e9al", "\u6771\u4eac", "\ud83d\ude00", "AT&T"], "threshold": 0.5}`)},
 	} {
 		d := queryReader{b: c.body}
-		got, ok := d.query(c.o, c.framed)
+		got, ok := d.query(c.o)
 		if !ok {
-			t.Errorf("%s framed=%v: %s left to encoding/json", c.o, c.framed, c.body)
+			t.Errorf("%s: %s left to encoding/json", c.o, c.body)
 			continue
 		}
-		if want, err := jsonQuery(c.body, c.o, c.framed); err != nil || !sameQuery(got, want) {
-			t.Errorf("%s framed=%v: %s read as %+v, encoding/json reads %+v (%v)", c.o, c.framed, c.body, got, want, err)
+		if want, err := jsonQuery(c.body, c.o); err != nil || !sameQuery(got, want) {
+			t.Errorf("%s: %s read as %+v, encoding/json reads %+v (%v)", c.o, c.body, got, want, err)
 		}
 	}
 }
@@ -250,7 +243,7 @@ func TestReadQueryAllocsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		body := mustMarshal(t, QueryRequest{Values: windowValues(0, n), Threshold: 0.5})
 		return testing.AllocsPerRun(50, func() {
-			q, err := readQuery(body, OpQuery, false)
+			q, err := readQuery(body, OpQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,12 +276,12 @@ func BenchmarkReadQuery(b *testing.B) {
 		body := mustMarshal(b, QueryRequest{Values: c.values, Threshold: 0.5})
 		for _, r := range []struct {
 			name string
-			read func([]byte, Op, bool) (Query, error)
+			read func([]byte, Op) (Query, error)
 		}{{"reader", readQuery}, {"encoding-json", jsonQuery}} {
 			b.Run(c.name+"/"+r.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := r.read(body, OpQuery, false); err != nil {
+					if _, err := r.read(body, OpQuery); err != nil {
 						b.Fatal(err)
 					}
 				}

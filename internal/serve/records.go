@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"slices"
@@ -31,27 +32,30 @@ import (
 //	         uint8   n, then n bytes: the trace ID (X-Request-Id's rules)
 //	         int64   the nanoseconds the asker waits for the answer; ≤ 0
 //	                 waits as long as the connection lives
-//	         uint32  length, then the body: AppendSketched's frame for a
-//	                 query, an add record or a delete record
+//	         uint32  length, then the body, laid out below
 //	answer   uint16  status: 200, or the 4xx an HTTP request would get
 //	         uint32  length, then the body: on 200 the answer frame to a
-//	                 query, one byte to a write (1: the key was replaced or
-//	                 deleted, 0: it was not indexed); the JSON error envelope
-//	                 otherwise
+//	                 query (serve.go's wire types), one byte to a write (1:
+//	                 the key was replaced or deleted, 0: it was not indexed);
+//	                 the JSON error envelope otherwise
 //
-// The body and the answer are the bytes the framed form carries over HTTP.
-// The framed form of a write, its record, is a domain the asker has sketched
-// already, or the key to delete, each field behind a uint32 length:
+// A body is a request its asker has sketched already: fields, each behind a
+// uint32 length. The seed (uint64), a threshold (float64 bits), a size, k
+// and workers (int64) are 8 bytes each; a signature is num_hash uint64
+// words, each ≤ 2^61−1:
 //
-//	add      8 bytes      the hash-family seed, uint64
-//	         8 bytes      the domain's size (distinct values), int64 > 0
-//	         n bytes      the key, n > 0
-//	         8·num_hash   the signature, uint64 words ≤ 2^61−1
-//	delete   n bytes      the key, n > 0
+//	query    seed, threshold, size, signature
+//	topk     seed, k, size, signature
+//	batch    seed, workers, then per row: threshold, size, signature
+//	add      seed, size, the key (n > 0 bytes), signature
+//	delete   the key
 //
-// An add record is checked as a framed query is (the seed, the word count,
-// every word) and then as the JSON /add is, in its words; the index stores
-// exactly the record the JSON /add of the same values would have sketched.
+// The seed is the hash family's, sizes are distinct values (> 0), k and
+// workers are as in the JSON form, and a batch has at least one row. A body
+// is checked as a whole (decodeRecord) and then as the JSON form of its
+// shape is, in its words: the index answers a query, or stores an add,
+// exactly as it does the JSON request of the same values.
+//
 // A length past MaxRequestBody or an unknown op is answered with an error
 // record, and the connection closes. A query whose index call its deadline
 // cut off, or a record that arrives truncated, closes it without an answer;
@@ -225,9 +229,8 @@ func (s *Server) serveRecords(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// serveRecord answers one request record as the framed HTTP request with its
-// body is answered, observed under the same series, and appends the answer
-// record to out. It returns nil when the
+// serveRecord answers one request record, observed under its shape's HTTP
+// series, and appends the answer record to out. It returns nil when the
 // deadline or CloseRecords cut a query's index call off.
 func (s *Server) serveRecord(rec *record, deadline time.Time, out []byte) []byte {
 	ep := s.endpoints[rec.op]
@@ -239,8 +242,11 @@ func (s *Server) serveRecord(rec *record, deadline time.Time, out []byte) []byte
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
+	if rec.op < numOps {
+		s.sketched[rec.op].Inc()
+	}
 	var resp any
-	q, sigs, err := s.decodeFramed(rec.body, rec.op)
+	q, sigs, err := decodeRecord(rec.body, rec.op, s.seed, s.idx.Options().NumHash)
 	if err == nil {
 		resp, err = ops[rec.op](s, ctx, &q, sigs)
 	}
@@ -275,16 +281,33 @@ func sealAnswer(out []byte, status int) {
 	binary.LittleEndian.PutUint32(out[2:], uint32(len(out)-answerHeader))
 }
 
-// AppendAddRecord appends the add record of rec, sketched under seed, to dst.
-func AppendAddRecord(dst []byte, seed uint64, rec lshensemble.DomainRecord) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint64(le.AppendUint32(dst, 8), seed)
-	dst = le.AppendUint64(le.AppendUint32(dst, 8), uint64(rec.Size))
-	dst = le.AppendUint32(AppendDeleteRecord(dst, rec.Key), uint32(8*len(rec.Sig)))
-	for _, v := range rec.Sig {
-		dst = le.AppendUint64(dst, v)
+// AppendQueryRecord appends the /query record of q, sketched under seed, to
+// dst.
+func AppendQueryRecord(dst []byte, seed uint64, q lshensemble.BatchQuery) []byte {
+	dst = appendWord(appendWord(dst, seed), math.Float64bits(q.Threshold))
+	return appendSig(appendWord(dst, uint64(q.Size)), q.Sig)
+}
+
+// AppendTopKRecord appends the /query/topk record of a ranked query,
+// sketched under seed, to dst.
+func AppendTopKRecord(dst []byte, seed uint64, k, size int, sig lshensemble.Signature) []byte {
+	return appendSig(appendWord(appendWord(appendWord(dst, seed), uint64(k)), uint64(size)), sig)
+}
+
+// AppendBatchRecord appends the /query/batch record of queries, sketched
+// under seed, to dst.
+func AppendBatchRecord(dst []byte, seed uint64, workers int, queries []lshensemble.BatchQuery) []byte {
+	dst = appendWord(appendWord(dst, seed), uint64(workers))
+	for _, q := range queries {
+		dst = appendSig(appendWord(appendWord(dst, math.Float64bits(q.Threshold)), uint64(q.Size)), q.Sig)
 	}
 	return dst
+}
+
+// AppendAddRecord appends the add record of rec, sketched under seed, to dst.
+func AppendAddRecord(dst []byte, seed uint64, rec lshensemble.DomainRecord) []byte {
+	dst = appendWord(appendWord(dst, seed), uint64(rec.Size))
+	return appendSig(AppendDeleteRecord(dst, rec.Key), rec.Sig)
 }
 
 // AppendDeleteRecord appends the delete record of key to dst.
@@ -292,47 +315,155 @@ func AppendDeleteRecord(dst []byte, key string) []byte {
 	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(key))), key...)
 }
 
-// decodeWrite parses the write record of op o for a shard whose family is
-// (seed, numHash) into what the JSON form reads to: the key and, for an add,
-// one row of the record's size and its signature. A field that overruns the
-// body, bytes after the last one, another seed, a signature of another
-// length or a word no hash of the family can produce is an error; what the
-// key and size must be is for the JSON handlers' checks.
-func decodeWrite(body []byte, o Op, seed uint64, numHash int) (Query, []lshensemble.Signature, error) {
-	f := make([][]byte, 4) // seed, size, key, signature; a delete's key alone
+func appendWord(dst []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(dst, 8), v)
+}
+
+func appendSig(dst []byte, sig lshensemble.Signature) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(8*len(sig)))
+	for _, v := range sig {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
+}
+
+// RecordLen is the length of the record of query shape o with rows rows of
+// numHash words each. Every field has a fixed width, so it is known before
+// any row is sketched.
+func RecordLen(o Op, rows, numHash int) int {
+	const word = 4 + 8
+	row := word + 4 + 8*numHash // size and signature
+	if o == OpBatch {
+		return 2*word + rows*(word+row)
+	}
+	return 2*word + row
+}
+
+// decodeRecord parses the body of a request record of op o for a shard
+// whose family is (seed, numHash) into what the JSON form reads to, and one
+// signature per row (none for a delete). It is all or nothing: a field that
+// overruns the body, bytes after the last one, another seed, a signature of
+// another length, a word no hash of the family can produce or a batch of no
+// rows is an error, never a shorter request. What the key, sizes, k and
+// thresholds must be is for the checks the JSON form goes through.
+func decodeRecord(body []byte, o Op, seed uint64, numHash int) (Query, []lshensemble.Signature, error) {
+	f := fields{b: body, kind: "query"}
+	if o >= numOps {
+		f.kind = "write"
+	}
+	q := Query{Rows: make([]QueryRow, 1)}
 	if o == OpDelete {
-		f = f[:1]
+		q.Key = string(f.next())
+		return q, nil, f.end()
 	}
-	for i := range f {
-		if len(body) < 4 || uint64(binary.LittleEndian.Uint32(body)) > uint64(len(body)-4) {
-			return Query{}, nil, fmt.Errorf("write record field %d overruns the %d bytes left", i, len(body))
+	if s := f.word(); f.err == nil && s != seed {
+		return Query{}, nil, fmt.Errorf("sketched with hash seed %d, this shard's is %d (signatures would be incomparable)", s, seed)
+	}
+	switch o {
+	case OpQuery:
+		q.Rows[0].Threshold = f.float()
+	case OpTopK:
+		q.Rows[0].K = f.int()
+	case OpBatch:
+		q.Rows, q.Workers = q.Rows[:0], f.int()
+	case OpAdd:
+		q.Rows[0].Size, q.Key = f.int(), string(f.next())
+	}
+	var sigs []lshensemble.Signature
+	row := func(r *QueryRow) {
+		if o != OpAdd {
+			r.Size = f.int()
 		}
-		n := 4 + binary.LittleEndian.Uint32(body)
-		f[i], body = body[4:n], body[n:]
+		sigs = append(sigs, f.sig(numHash))
 	}
-	switch {
-	case len(body) > 0:
-		return Query{}, nil, fmt.Errorf("%d bytes after the write record", len(body))
-	case o == OpDelete:
-		return Query{Rows: []QueryRow{{}}, Key: string(f[0])}, nil, nil
-	case len(f[0]) != 8 || len(f[1]) != 8:
-		return Query{}, nil, fmt.Errorf("add record seed of %d bytes and size of %d, want 8 each", len(f[0]), len(f[1]))
-	case binary.LittleEndian.Uint64(f[0]) != seed:
-		return Query{}, nil, fmt.Errorf("sketched with hash seed %d, this shard's is %d (signatures would be incomparable)", binary.LittleEndian.Uint64(f[0]), seed)
-	case len(f[3]) != 8*numHash:
-		return Query{}, nil, fmt.Errorf("signature of %d bytes, want %d words × 8", len(f[3]), numHash)
+	if o != OpBatch {
+		row(&q.Rows[0])
 	}
-	size := int64(binary.LittleEndian.Uint64(f[1]))
-	if int64(int(size)) != size {
-		return Query{}, nil, fmt.Errorf("size %d out of range", size)
+	for o == OpBatch && f.err == nil && len(f.b) > 0 {
+		q.Rows = append(q.Rows, QueryRow{Threshold: f.float()})
+		row(&q.Rows[len(q.Rows)-1])
+	}
+	if err := f.end(); err != nil {
+		return Query{}, nil, err
+	}
+	if len(q.Rows) == 0 {
+		return Query{}, nil, errors.New("queries must be non-empty")
+	}
+	return q, sigs, nil
+}
+
+// fields reads a record body's fields, each behind its uint32 length. The
+// first error sticks, and every read after it returns a zero value.
+type fields struct {
+	b    []byte
+	kind string // "query" or "write", for the error's words
+	n    int    // the fields read
+	err  error
+}
+
+// next reads a field of any length.
+func (f *fields) next() []byte {
+	if f.err != nil {
+		return nil
+	}
+	if len(f.b) < 4 || uint64(binary.LittleEndian.Uint32(f.b)) > uint64(len(f.b)-4) {
+		f.err = fmt.Errorf("%s record field %d overruns the %d bytes left", f.kind, f.n, len(f.b))
+		return nil
+	}
+	n := 4 + binary.LittleEndian.Uint32(f.b)
+	v := f.b[4:n]
+	f.b, f.n = f.b[n:], f.n+1
+	return v
+}
+
+// word reads a field of 8 bytes.
+func (f *fields) word() uint64 {
+	v := f.next()
+	if f.err == nil && len(v) != 8 {
+		f.err = fmt.Errorf("%s record field %d of %d bytes, want 8", f.kind, f.n-1, len(v))
+	}
+	if f.err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(v)
+}
+
+func (f *fields) float() float64 { return math.Float64frombits(f.word()) }
+
+// int reads a word as an int64, which must fit an int.
+func (f *fields) int() int {
+	v := int64(f.word())
+	if f.err == nil && int64(int(v)) != v {
+		f.err = fmt.Errorf("%s record field %d: %d out of range", f.kind, f.n-1, v)
+	}
+	return int(v)
+}
+
+// sig reads a signature of numHash words, each in the hash range.
+func (f *fields) sig(numHash int) lshensemble.Signature {
+	v := f.next()
+	if f.err == nil && len(v) != 8*numHash {
+		f.err = fmt.Errorf("signature of %d bytes, want %d words × 8", len(v), numHash)
+	}
+	if f.err != nil {
+		return nil
 	}
 	sig := make(lshensemble.Signature, numHash)
 	for i := range sig {
-		if sig[i] = binary.LittleEndian.Uint64(f[3][8*i:]); sig[i] > minhash.MersennePrime {
-			return Query{}, nil, fmt.Errorf("signature word %d is %d, beyond the hash range", i, sig[i])
+		if sig[i] = binary.LittleEndian.Uint64(v[8*i:]); sig[i] > minhash.MersennePrime {
+			f.err = fmt.Errorf("signature word %d is %d, beyond the hash range", i, sig[i])
+			return nil
 		}
 	}
-	return Query{Rows: []QueryRow{{Size: int(size)}}, Key: string(f[2])}, []lshensemble.Signature{sig}, nil
+	return sig
+}
+
+// end refuses bytes after the last field.
+func (f *fields) end() error {
+	if f.err == nil && len(f.b) > 0 {
+		f.err = fmt.Errorf("%d bytes after the %s record", len(f.b), f.kind)
+	}
+	return f.err
 }
 
 // DecodeFlag parses the answer to a write record: one byte, 1 when the key

@@ -50,48 +50,6 @@ func exchange(t *testing.T, conn net.Conn, br *bufio.Reader, o Op, trace string,
 	return status, answer
 }
 
-// TestRecordsAnswerAsFramedHTTP: on one record connection, every framed body
-// — well-formed ones of each shape and every malformed one the 400 test
-// walks — gets the status and the bytes the same body gets posted framed
-// over HTTP: the same answer frames, the same refusals in the same words.
-func TestRecordsAnswerAsFramedHTTP(t *testing.T) {
-	s, ts := testServer(t, "")
-	t.Cleanup(s.CloseRecords)
-	seedWindows(t, ts.URL)
-	h := lshensemble.NewHasher(fixtureNumHash, fixtureSeed)
-	type body struct {
-		op   Op
-		data []byte
-	}
-	var bodies []body
-	for i := 0; i < 6; i++ {
-		rec := lshensemble.SketchStrings(h, "q", windowValues(i*7, 20+i*5))
-		bodies = append(bodies,
-			body{OpQuery, frame(t, &SketchedQuery{Seed: fixtureSeed, QueryRequest: QueryRequest{Threshold: 0.3 + 0.1*float64(i), Size: rec.Size}}, rec.Sig)},
-			body{OpTopK, frame(t, &SketchedTopK{Seed: fixtureSeed, TopKRequest: TopKRequest{K: i + 1, Size: rec.Size}}, rec.Sig)},
-			body{OpBatch, frame(t, &SketchedBatch{Seed: fixtureSeed, BatchRequest: BatchRequest{
-				Queries: []QueryRequest{{Size: rec.Size}, {Size: rec.Size, Threshold: 0.8}}}}, rec.Sig, rec.Sig)})
-	}
-	for _, c := range sketchedRefusals(fixtureNumHash, fixtureSeed) {
-		bodies = append(bodies, body{Op(c.ep), c.body})
-	}
-	conn, br := dialRecords(t, ts.URL)
-	answered := 0
-	for i, b := range bodies {
-		wantCode, want := send(t, ts.URL+b.op.Path(), SketchedContentType, b.data)
-		code, got := exchange(t, conn, br, b.op, "", time.Minute, b.data)
-		if code != wantCode || !bytes.Equal(got, want) {
-			t.Fatalf("body %d on %s: record %d %q, HTTP %d %q", i, b.op.Path(), code, got, wantCode, want)
-		}
-		if code == http.StatusOK {
-			answered++
-		}
-	}
-	if answered != 18 {
-		t.Fatalf("%d well-formed bodies answered, want 18", answered)
-	}
-}
-
 // TestRecordRefusalsCloseTheConnection: an unknown op and a length past
 // MaxRequestBody get an error record, then the connection closes. The route
 // without the upgrade headers is a 426.
@@ -268,13 +226,13 @@ func FuzzFrameRecord(f *testing.F) {
 		}
 	}
 	rec := lshensemble.SketchStrings(h, "q", windowValues(2, 6))
-	good := frame(f, &SketchedQuery{Seed: seed, QueryRequest: QueryRequest{Size: rec.Size, Threshold: 0.5}}, rec.Sig)
+	good := AppendQueryRecord(nil, seed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size, Threshold: 0.5})
 	record := func(o Op, body []byte) []byte {
 		return append(AppendRecordHeader(nil, o, "fuzz", time.Minute, len(body)), body...)
 	}
 	add := AppendAddRecord(nil, seed, rec)
 	f.Add(record(OpQuery, good))
-	f.Add(append(record(OpQuery, good), record(OpTopK, frame(f, &SketchedTopK{Seed: seed, TopKRequest: TopKRequest{Size: rec.Size, K: 3}}, rec.Sig))...))
+	f.Add(append(record(OpQuery, good), record(OpTopK, AppendTopKRecord(nil, seed, 3, rec.Size, rec.Sig))...))
 	f.Add(record(OpBatch, nil))                                                  // a zero length
 	f.Add(AppendRecordHeader(nil, OpQuery, "", 0, MaxRequestBody+1))             // past the limit
 	f.Add(AppendRecordHeader(nil, OpQuery, "", 0, 1<<32-1))                      // far past it
@@ -343,8 +301,7 @@ func FuzzFrameRecord(f *testing.F) {
 // deletes sent as records to one shard, and as JSON to another, gets the
 // same replaced and deleted flags, moves the same request series and leaves
 // the two indexes byte for byte the same. A malformed write record is a 400
-// in the words its JSON counterpart or a framed query would get, the same
-// over a record connection and framed over HTTP.
+// in the words its JSON counterpart or a query record would get.
 func TestWriteRecordsStoreWhatJSONStores(t *testing.T) {
 	start := func() (*Server, string) {
 		idx, err := lshensemble.BuildLive(nil, lshensemble.LiveOptions{
@@ -422,9 +379,8 @@ func TestWriteRecordsStoreWhatJSONStores(t *testing.T) {
 		{"a field past the body", "overruns", OpDelete, binary.LittleEndian.AppendUint32(nil, 5)},
 	} {
 		code, got := exchange(t, conn, br, c.op, "", time.Minute, c.body)
-		httpCode, viaHTTP := send(t, recURL+c.op.Path(), SketchedContentType, c.body)
-		if code != http.StatusBadRequest || !strings.Contains(string(got), strings.TrimSpace(c.want)) || httpCode != code || !bytes.Equal(viaHTTP, got) {
-			t.Errorf("%s: record %d %q, framed HTTP %d %q; want a 400 naming %q", c.name, code, got, httpCode, viaHTTP, c.want)
+		if code != http.StatusBadRequest || !strings.Contains(string(got), strings.TrimSpace(c.want)) {
+			t.Errorf("%s: record %d %q; want a 400 naming %q", c.name, code, got, c.want)
 		}
 	}
 	if recSrv.Index().Len() != jsonSrv.Index().Len() {

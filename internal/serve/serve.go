@@ -7,23 +7,22 @@
 //
 // Queries hit the live index's lock-free snapshot path and therefore never
 // contend with ingest; mutation endpoints go straight to Add/Delete, which
-// never block queries either. A query arrives in one of two forms. The JSON
-// form carries the domain's raw string values, and the shard sketches them
-// with its own hash family. The framed form (SketchedContentType, laid out
-// under "wire types" below) carries the finished MinHash signature instead,
-// so whoever holds the family — the router, which reads seed and num_hash
-// off /stats, or any other client that does — sketches a query once, however
-// many shards it is sent to. Both forms resolve through the same code into
-// the same (signature, size, threshold) and so the same answer. /add and
-// /delete take a framed form too, the add or delete record (records.go): an
-// add already sketched, which the shard checks as it checks a framed query
-// and stores exactly as the JSON /add of the same values would.
+// never block queries either. A request arrives in one of two forms. Over
+// HTTP it is JSON carrying the domain's raw string values, and the shard
+// sketches them with its own hash family. On a record connection (GET
+// /records upgrades one; records.go has the layout) it is a record carrying
+// the finished MinHash signature instead, so whoever holds the family — the
+// router, which reads seed and num_hash off /stats — sketches a query or an
+// add once, however many shards it is sent to. Both forms resolve through the
+// same code into the same (signature, size, threshold) and so the same
+// answer, and an add record is stored exactly as the JSON /add of the same
+// values would be.
 //
-// Query bodies, the JSON form and the framed form's document alike, are read
-// in one pass (ReadQuery), each value hashed as it is read, so neither the
-// router nor a shard builds a query's strings. The reader takes the subset of
-// JSON that encoders write — encoding/json, and those that escape every
-// non-ASCII rune as \u, Python's json.dumps by default, alike:
+// JSON bodies are read in one pass (ReadQuery), each value hashed as it is
+// read, so neither the router nor a shard builds a query's strings. The
+// reader takes the subset of JSON that encoders write — encoding/json, and
+// those that escape every non-ASCII rune as \u, Python's json.dumps by
+// default, alike:
 //
 //   - keys spelled exactly as the wire types' tags, each at most once;
 //   - any string encoding/json accepts. One with no escape and in valid UTF-8
@@ -31,7 +30,7 @@
 //     encoding/json decodes it (escapes undone, invalid UTF-8 made U+FFFD)
 //     into a buffer the reader reuses;
 //   - numbers in JSON's grammar that strconv parses into the field's Go type
-//     (integer literals only for size, k, workers and seed);
+//     (integer literals only for size, k and workers);
 //   - nothing but whitespace after the value.
 //
 // Anything else — a key in another case, null, a repeated key, a malformed
@@ -39,23 +38,16 @@
 // body is accepted or refused exactly as encoding/json accepts or refuses it,
 // in its words, and reads to the same rows; a shard still refuses a body it
 // cannot read whole (one past MaxRequestBody) as "decoding request: …", the
-// router as "reading request: …". /add and /delete bodies go through the
-// same reader; the admin endpoints take no body.
+// router as "reading request: …". The admin endpoints take no body.
 //
-// Anyone sending a framed request gets a framed answer: the sorted keys
-// behind length prefixes (the answer frame, also under "wire types"), which
-// the router merges without running a JSON scanner over them. A JSON request
-// keeps its JSON answer, and a refusal is the JSON error envelope in either
-// form. The two answers carry the same rows and scores.
-//
-// A framed request also travels as a record on a record connection, which
-// is how the router sends its legs and its writes: GET /records upgrades an
-// HTTP/1.1 connection (records.go has the layout), and each request record is
-// the framed body, or an add or delete record, behind an op, a trace ID and
-// the asker's deadline; each answer record a status and the answer frame or
-// error envelope. One function per shape answers both transports, so a record
-// gets the same refusals in the same words, the same series, access-log and
-// slow-query lines (keyed by the record's trace ID) as the request over HTTP.
+// A JSON request gets a JSON answer. A query record gets the answer frame:
+// the sorted keys behind length prefixes (under "wire types"), which the
+// router merges without running a JSON scanner over them; a write record
+// gets one flag byte. A refusal is the JSON error envelope on either
+// transport. One function per shape answers both, so a record meets the JSON
+// form's checks in the same words, moves the same series and writes the same
+// access-log and slow-query lines (keyed by the record's trace ID) as the
+// JSON request over HTTP, and gets the same rows and scores.
 //
 // Every query threads its context into the index (QueryAppendContext /
 // QueryTopKContext / QueryBatchContext), so a client that disconnects — or a
@@ -81,7 +73,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -112,7 +103,7 @@ type Server struct {
 	// duration is both observed here and what the slow-query log compares and
 	// prints. Every call that reached the index counts, an answer from the
 	// result cache and a canceled call included.
-	// sketched counts the endpoint's framed requests.
+	// sketched counts the endpoint's query records.
 	queryLat [numOps]*obs.Histogram
 	sketched [numOps]*obs.Counter
 	// endpoints holds each shape's HTTP series, which its records feed too.
@@ -293,27 +284,9 @@ func (s *Server) Seed() uint64 { return s.seed }
 // forwarding writes and scattering queries, and extends the responses with
 // partial-result fields of its own (internal/cluster).
 //
-// /query, /query/topk and /query/batch accept two request forms, told apart
-// by Content-Type. Anything but SketchedContentType is the JSON form: one
-// QueryRequest, TopKRequest or BatchRequest document with raw values. The
-// framed form is the same request pre-sketched:
-//
-//	uint32 LE   n, the length of the document
-//	n bytes     JSON document: SketchedQuery, SketchedTopK or SketchedBatch —
-//	            the endpoint's request type plus "seed", with no "values" and
-//	            an explicit "size" > 0 in every row
-//	the rest    one signature per row (one row, or one per batch query, in
-//	            order), each exactly num_hash uint64 LE words ≤ 2^61−1
-//
-// Anyone who knows the shard's hash family (seed and num_hash, both in
-// GET /stats) may send it, not only the router; decodeSketched refuses a
-// frame from any other family, of any other length, with a 400. The framed
-// form of /add and /delete is the write record records.go lays out, and its
-// answer one byte, the replaced or deleted flag.
-//
-// Anyone who sends a framed request gets a 2xx answer in the answer frame,
-// under the same Content-Type (on a record connection, in the answer record).
-// Errors stay the JSON envelope:
+// Each endpoint takes one JSON request type over HTTP; its pre-sketched form
+// is a record (records.go). A 2xx answer to a record carries the answer
+// frame, and errors stay the JSON envelope:
 //
 //	uint32 LE   rows: 1 for /query and /query/topk, one per batch query
 //	per row     uint32 LE keys, then per key: uint32 LE length, the key's
@@ -408,98 +381,10 @@ type StatsResponse struct {
 	NumHash int    `json:"num_hash"`
 	RMax    int    `json:"r_max"`
 	Seed    uint64 `json:"seed"`
-	// Sketched reports that the query endpoints accept the framed form, and
-	// Records that GET /records upgrades to record connections. A shard from
-	// before either existed reports false by omission, and a router holds it
-	// out of its ring.
-	Sketched bool `json:"sketched"`
-	Records  bool `json:"records"`
-}
-
-// SketchedContentType marks a request in the framed, pre-sketched form and
-// the answer frame that a 2xx reply to one carries.
-const SketchedContentType = "application/x-lshensemble-sketched"
-
-// SketchedQuery is the document of a framed /query.
-type SketchedQuery struct {
-	// Seed is the hash-family seed the signature was sketched with.
-	Seed uint64 `json:"seed"`
-	QueryRequest
-}
-
-// SketchedTopK is the document of a framed /query/topk.
-type SketchedTopK struct {
-	Seed uint64 `json:"seed"`
-	TopKRequest
-}
-
-// SketchedBatch is the document of a framed /query/batch; its trailer holds
-// one signature per query, in order.
-type SketchedBatch struct {
-	Seed uint64 `json:"seed"`
-	BatchRequest
-}
-
-// AppendSketched appends the framed form of one request to dst: doc (a
-// *SketchedQuery, *SketchedTopK or *SketchedBatch) and its signature rows.
-func AppendSketched(dst []byte, doc any, sigs ...lshensemble.Signature) ([]byte, error) {
-	b, err := json.Marshal(doc)
-	if err != nil {
-		return dst, fmt.Errorf("encoding sketched document: %w", err)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
-	dst = append(dst, b...)
-	for _, sig := range sigs {
-		for _, v := range sig {
-			dst = binary.LittleEndian.AppendUint64(dst, v)
-		}
-	}
-	return dst, nil
-}
-
-// decodeSketched parses one framed request of shape o for a shard whose
-// family is (seed, numHash): the document, read by readQuery, and the trailer
-// as one signature per row. It is all or nothing — a frame sketched under
-// another seed, a trailer that is not exactly rows × numHash words, or a word
-// no hash of the family can produce is an error, never a shorter answer.
-// What a row must say beyond that (a size, no values) is Resolve's to check.
-func decodeSketched(body []byte, o Op, seed uint64, numHash int) (Query, []lshensemble.Signature, error) {
-	if len(body) < 4 {
-		return Query{}, nil, errors.New("sketched request shorter than its length prefix")
-	}
-	n := binary.LittleEndian.Uint32(body)
-	body = body[4:]
-	if uint64(n) > uint64(len(body)) {
-		return Query{}, nil, fmt.Errorf("sketched document of %d bytes truncated at %d", n, len(body))
-	}
-	q, err := readQuery(body[:n], o, true)
-	if err != nil {
-		return Query{}, nil, fmt.Errorf("decoding sketched document: %w", err)
-	}
-	if q.Seed != seed {
-		return Query{}, nil, fmt.Errorf("sketched with hash seed %d, this shard's is %d (signatures would be incomparable)", q.Seed, seed)
-	}
-	rows := len(q.Rows)
-	if rows == 0 {
-		return Query{}, nil, errors.New("queries must be non-empty")
-	}
-	trailer := body[n:]
-	if len(trailer)%(8*numHash) != 0 || len(trailer)/(8*numHash) != rows {
-		return Query{}, nil, fmt.Errorf("signature trailer of %d bytes, want %d rows × %d words × 8", len(trailer), rows, numHash)
-	}
-	words := make([]uint64, rows*numHash)
-	for i := range words {
-		v := binary.LittleEndian.Uint64(trailer[8*i:])
-		if v > minhash.MersennePrime {
-			return Query{}, nil, fmt.Errorf("signature word %d is %d, beyond the hash range", i, v)
-		}
-		words[i] = v
-	}
-	sigs := make([]lshensemble.Signature, rows)
-	for i := range sigs {
-		sigs[i] = words[i*numHash : (i+1)*numHash : (i+1)*numHash]
-	}
-	return q, sigs, nil
+	// Records reports that GET /records upgrades to record connections. A
+	// shard from before they existed reports false by omission, and a router
+	// holds it out of its ring.
+	Records bool `json:"records"`
 }
 
 // appendAnswer appends the answer frame of resp, a *QueryResponse,
@@ -703,19 +588,6 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// writeAnswer writes a query's answer in the form the query came in: the
-// answer frame to a framed request, JSON to a JSON one.
-func writeAnswer(w http.ResponseWriter, framed bool, resp any) {
-	if !framed {
-		WriteJSON(w, http.StatusOK, resp)
-		return
-	}
-	b := appendAnswer(nil, resp)
-	w.Header().Set("Content-Type", SketchedContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.Write(b)
-}
-
 // queryResponse is one threshold answer: its keys sorted, and an empty list,
 // not null, when nothing matched.
 func queryResponse(keys []string) QueryResponse {
@@ -724,17 +596,6 @@ func queryResponse(keys []string) QueryResponse {
 	}
 	sort.Strings(keys)
 	return QueryResponse{Matches: keys, Count: len(keys)}
-}
-
-// readBody reads a bounded request body whole, writing a 400 error response
-// and returning false when it cannot.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := readAll(w, r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return nil, false
-	}
-	return body, true
 }
 
 // readAll reads a bounded request body whole; a failed read returns the
@@ -756,37 +617,6 @@ func readAll(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// decodeQuery reads either form of a request of shape o into the same
-// Query: the JSON form with no signatures, the framed form with one
-// signature per row (none for a delete). On a refusal it has written the 400
-// and returns false.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, o Op, framed bool) (Query, []lshensemble.Signature, bool) {
-	if !framed {
-		q, ok := readQueryStream(w, r, o)
-		return q, nil, ok
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return Query{}, nil, false
-	}
-	q, sigs, err := s.decodeFramed(body, o)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return Query{}, nil, false
-	}
-	return q, sigs, true
-}
-
-// decodeFramed parses the framed form of shape o, a pre-sketched query or a
-// write record, for this shard's family. A query counts as sketched.
-func (s *Server) decodeFramed(body []byte, o Op) (Query, []lshensemble.Signature, error) {
-	if o >= numOps {
-		return decodeWrite(body, o, s.seed, s.idx.Options().NumHash)
-	}
-	s.sketched[o].Inc()
-	return decodeSketched(body, o, s.seed, s.idx.Options().NumHash)
-}
-
 // rowSig is row i's pre-sketched signature, nil in the JSON form.
 func rowSig(sigs []lshensemble.Signature, i int) lshensemble.Signature {
 	if sigs == nil {
@@ -796,14 +626,12 @@ func rowSig(sigs []lshensemble.Signature, i int) lshensemble.Signature {
 }
 
 // checkRow refuses a row that has neither values nor a signature, a negative
-// size in either form, or a pre-sketched row that still carries values or
-// lacks the size only its sender could count.
+// size in either form, or a pre-sketched row that lacks the size only its
+// sender could count.
 func checkRow(values, size int, sig lshensemble.Signature) error {
 	switch {
 	case sig == nil && values == 0:
 		return errors.New("values must be non-empty")
-	case sig != nil && values > 0:
-		return errors.New("values and a signature are mutually exclusive")
 	case size < 0:
 		return fmt.Errorf("size %d must not be negative", size)
 	case sig != nil && size == 0:
@@ -830,9 +658,10 @@ func sketchRow(h *lshensemble.Hasher, hashes []uint64, size int, sig lshensemble
 // Resolve validates one query row and turns it into what the index is asked.
 // With a nil sig it is the JSON form and the row's hashes are sketched with
 // h; a non-nil sig is the row's pre-sketched signature. The router resolves a
-// client's query with the fleet's family and sends the result on framed, the
-// shard resolves that frame again: one function on both sides, so one set of
-// refusals and one (signature, size, threshold) whichever side sketched.
+// client's query with the fleet's family and sends the result as a record,
+// the shard resolves that record again: one function on both sides, so one
+// set of refusals and one (signature, size, threshold) whichever side
+// sketched.
 func (q *QueryRow) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.BatchQuery, error) {
 	if err := checkRow(len(q.Hashes), q.Size, sig); err != nil {
 		return lshensemble.BatchQuery{}, err
@@ -841,7 +670,7 @@ func (q *QueryRow) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) (ls
 	if t == 0 {
 		t = 0.5
 	}
-	if t < 0 || t > 1 {
+	if !(t > 0 && t <= 1) { // NaN too
 		return lshensemble.BatchQuery{}, fmt.Errorf("threshold %v out of range (0, 1]", t)
 	}
 	sig, size := sketchRow(h, q.Hashes, q.Size, sig)
@@ -903,20 +732,19 @@ func (q *Query) ResolveAdd(h *lshensemble.Hasher, sig lshensemble.Signature) (ls
 	return lshensemble.DomainRecord{Key: q.Key, Size: size, Sig: sig}, nil
 }
 
-// handleOp serves the HTTP form of shape o, in either request form.
+// handleOp serves the JSON form of shape o over HTTP.
 func (s *Server) handleOp(o Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		framed := r.Header.Get("Content-Type") == SketchedContentType
-		req, sigs, ok := s.decodeQuery(w, r, o, framed)
+		req, ok := readQueryStream(w, r, o)
 		if !ok {
 			return
 		}
-		resp, err := ops[o](s, r.Context(), &req, sigs)
+		resp, err := ops[o](s, r.Context(), &req, nil)
 		switch {
 		case err != nil:
 			WriteError(w, http.StatusBadRequest, err)
 		case resp != nil:
-			writeAnswer(w, framed, resp)
+			WriteJSON(w, http.StatusOK, resp)
 		}
 		// Neither: the request context ended the index call, the client is
 		// gone and nobody will read a body. Returning without writing lets
@@ -1073,7 +901,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		NumHash:   o.NumHash,
 		RMax:      o.RMax,
 		Seed:      s.seed,
-		Sketched:  true,
 		Records:   true,
 	})
 }

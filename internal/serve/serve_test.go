@@ -403,7 +403,7 @@ func TestBatchWorkersBounded(t *testing.T) {
 	for _, c := range []struct{ asked, want int }{
 		{100000, procs}, {procs + 1, procs}, {procs, procs}, {1, 1}, {0, 0}, {-7, -7},
 	} {
-		req, err := readQuery(fmt.Appendf(nil, `{"queries":[{"values":["a","b"]}],"workers":%d}`, c.asked), OpBatch, false)
+		req, err := readQuery(fmt.Appendf(nil, `{"queries":[{"values":["a","b"]}],"workers":%d}`, c.asked), OpBatch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -59,42 +61,24 @@ func send(t *testing.T, url, contentType string, body []byte) (int, []byte) {
 	return resp.StatusCode, b
 }
 
-func frame(t testing.TB, doc any, sigs ...lshensemble.Signature) []byte {
-	t.Helper()
-	b, err := AppendSketched(nil, doc, sigs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestSketchedEqualsRaw: on every query endpoint a request pre-sketched with
+// TestSketchedEqualsRaw: on every query shape a record pre-sketched with
 // SketchStrings gets an answer frame that decodes to exactly the rows and
 // scores of the JSON answer the raw-values request gets — with and without a
 // size override, with the threshold left to its default, and for a batch of
 // mixed sizes.
 func TestSketchedEqualsRaw(t *testing.T) {
-	_, ts := testServer(t, "")
+	s, ts := testServer(t, "")
+	t.Cleanup(s.CloseRecords)
 	seedWindows(t, ts.URL)
 	h := lshensemble.NewHasher(fixtureNumHash, fixtureSeed)
+	conn, br := dialRecords(t, ts.URL)
 
-	same := func(name, path string, raw any, framed []byte) {
+	same := func(name string, o Op, raw any, record []byte) {
 		t.Helper()
-		rawCode, rawBody := send(t, ts.URL+path, "application/json", mustMarshal(t, raw))
-		resp, err := http.Post(ts.URL+path, SketchedContentType, bytes.NewReader(framed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rawCode != http.StatusOK || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: raw HTTP %d (%s), sketched HTTP %d (%s)", name, rawCode, rawBody, resp.StatusCode, body)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != SketchedContentType {
-			t.Fatalf("%s: framed request answered as %q: %s", name, ct, body)
+		rawCode, rawBody := send(t, ts.URL+o.Path(), "application/json", mustMarshal(t, raw))
+		code, body := exchange(t, conn, br, o, "", time.Minute, record)
+		if rawCode != http.StatusOK || code != http.StatusOK {
+			t.Fatalf("%s: raw HTTP %d (%s), record %d (%s)", name, rawCode, rawBody, code, body)
 		}
 		if !bytes.Contains(rawBody, []byte(`"w0`)) {
 			t.Fatalf("%s: answer matches nothing, the comparison proves nothing: %s", name, rawBody)
@@ -113,14 +97,12 @@ func TestSketchedEqualsRaw(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: framed answer decodes to\n%+v\nJSON answer\n%+v", name, got, want)
+			t.Fatalf("%s: record answer decodes to\n%+v\nJSON answer\n%+v", name, got, want)
 		}
 	}
 
 	var batchRaw BatchRequest
-	var batchDoc SketchedBatch
-	batchDoc.Seed = fixtureSeed
-	var batchSigs []lshensemble.Signature
+	var batch []lshensemble.BatchQuery
 	for _, c := range []struct {
 		start, n     int
 		threshold    float64
@@ -140,22 +122,22 @@ func TestSketchedEqualsRaw(t *testing.T) {
 		if c.sizeOverride > 0 {
 			size = c.sizeOverride
 		}
-		same(name+" /query", "/query",
+		q := lshensemble.BatchQuery{Sig: rec.Sig, Size: size, Threshold: c.threshold}
+		same(name+" /query", OpQuery,
 			QueryRequest{Values: values, Threshold: c.threshold, Size: c.sizeOverride},
-			frame(t, &SketchedQuery{Seed: fixtureSeed, QueryRequest: QueryRequest{Threshold: c.threshold, Size: size}}, rec.Sig))
-		same(name+" /query/topk", "/query/topk",
+			AppendQueryRecord(nil, fixtureSeed, q))
+		same(name+" /query/topk", OpTopK,
 			TopKRequest{Values: values, K: 5, Size: c.sizeOverride},
-			frame(t, &SketchedTopK{Seed: fixtureSeed, TopKRequest: TopKRequest{K: 5, Size: size}}, rec.Sig))
+			AppendTopKRecord(nil, fixtureSeed, 5, size, rec.Sig))
 		batchRaw.Queries = append(batchRaw.Queries, QueryRequest{Values: values, Threshold: c.threshold, Size: c.sizeOverride})
-		batchDoc.Queries = append(batchDoc.Queries, QueryRequest{Threshold: c.threshold, Size: size})
-		batchSigs = append(batchSigs, rec.Sig)
+		batch = append(batch, q)
 	}
-	batchRaw.Workers, batchDoc.Workers = 2, 2
-	same("/query/batch", "/query/batch", batchRaw, frame(t, &batchDoc, batchSigs...))
+	batchRaw.Workers = 2
+	same("/query/batch", OpBatch, batchRaw, AppendBatchRecord(nil, fixtureSeed, 2, batch))
 	// k left at 0 is the default of 10 in both forms.
 	rec := lshensemble.SketchStrings(h, "query", windowValues(0, 40))
-	same("topk default k", "/query/topk", TopKRequest{Values: windowValues(0, 40)},
-		frame(t, &SketchedTopK{Seed: fixtureSeed, TopKRequest: TopKRequest{Size: rec.Size}}, rec.Sig))
+	same("topk default k", OpTopK, TopKRequest{Values: windowValues(0, 40)},
+		AppendTopKRecord(nil, fixtureSeed, 0, rec.Size, rec.Sig))
 }
 
 func mustMarshal(t testing.TB, v any) []byte {
@@ -167,107 +149,108 @@ func mustMarshal(t testing.TB, v any) []byte {
 	return b
 }
 
-// rawFrame assembles a frame by hand: any document bytes, any declared
-// length, any trailer.
-func rawFrame(declared uint32, doc string, trailer []byte) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, declared)
-	b = append(b, doc...)
-	return append(b, trailer...)
-}
-
-func sigBytes(sig lshensemble.Signature) []byte {
-	var b []byte
-	for _, v := range sig {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	return b
-}
-
-// sketchedRefusals is every way a framed request is malformed, per endpoint
-// index into fuzzSketchedEndpoints; the 400 test walks it and the fuzz
-// target starts from it.
+// sketchedRefusals is every way a query record's body is malformed, per
+// query Op; the 400 test walks it and the fuzz target starts from it.
 func sketchedRefusals(numHash int, seed uint64) []struct {
 	name string
-	ep   int
+	op   Op
 	body []byte
 } {
 	sig := lshensemble.SketchStrings(lshensemble.NewHasher(numHash, seed), "q", []string{"a", "b", "c"}).Sig
-	good := sigBytes(sig)
 	beyond := append(lshensemble.Signature(nil), sig...)
 	beyond[numHash/2] = minhash.MersennePrime + 1
-	qdoc := func(s uint64, rest string) string { return fmt.Sprintf(`{"seed":%d%s}`, s, rest) }
-	framed := func(doc string, trailer []byte) []byte { return rawFrame(uint32(len(doc)), doc, trailer) }
-	twoRows := qdoc(seed, `,"queries":[{"size":3},{"size":3}]`)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	w := func(v int64) []byte { return appendWord(nil, uint64(v)) }
+	f64 := func(x float64) []byte { return appendWord(nil, math.Float64bits(x)) }
+	four := []byte{4, 0, 0, 0, 1, 0, 0, 0} // a field of four bytes where a word goes
+	good := appendSig(nil, sig)
+	s := appendWord(nil, seed)
+	head := cat(s, f64(0.5), w(3)) // a /query record up to its signature
+	batchHead := cat(s, w(2))
+	row := cat(f64(0.5), w(3), good)
 	return []struct {
 		name string
-		ep   int
+		op   Op
 		body []byte
 	}{
-		{"empty body", 0, nil},
-		{"prefix only", 0, []byte{9, 0}},
-		{"truncated document length", 0, rawFrame(4096, qdoc(seed, `,"size":3`), good)},
-		{"document is not JSON", 0, framed(`{"seed":`, good)},
-		{"two documents", 0, framed(qdoc(seed, `,"size":3`)+`{}`, good)},
-		{"unknown field", 0, framed(qdoc(seed, `,"size":3,"signature":"AAAA"`), good)},
-		{"seed mismatch", 0, framed(qdoc(seed+1, `,"size":3`), good)},
-		{"seed absent", 0, framed(`{"size":3}`, good)},
-		{"short signature", 0, framed(qdoc(seed, `,"size":3`), good[:len(good)-8])},
-		{"long signature", 0, framed(qdoc(seed, `,"size":3`), append(append([]byte(nil), good...), 0, 0, 0, 0, 0, 0, 0, 0))},
-		{"ragged signature", 0, framed(qdoc(seed, `,"size":3`), good[:len(good)-3])},
-		{"no signature", 0, framed(qdoc(seed, `,"size":3`), nil)},
-		{"slot beyond 2^61-1", 0, framed(qdoc(seed, `,"size":3`), sigBytes(beyond))},
-		{"size zero", 0, framed(qdoc(seed, ``), good)},
-		{"size negative", 0, framed(qdoc(seed, `,"size":-4`), good)},
-		{"values and a signature", 0, framed(qdoc(seed, `,"size":3,"values":["a","b","c"]`), good)},
-		{"threshold out of range", 0, framed(qdoc(seed, `,"size":3,"threshold":2`), good)},
-		{"topk size zero", 1, framed(qdoc(seed, `,"k":3`), good)},
-		{"topk negative k", 1, framed(qdoc(seed, `,"k":-1,"size":3`), good)},
-		{"topk values and a signature", 1, framed(qdoc(seed, `,"size":3,"values":["a"]`), good)},
-		{"topk two signatures", 1, framed(qdoc(seed, `,"size":3`), append(append([]byte(nil), good...), good...))},
-		{"batch without rows", 2, framed(qdoc(seed, `,"queries":[]`), nil)},
-		{"batch trailer not divisible over rows", 2, framed(twoRows, append(append([]byte(nil), good...), good[:len(good)/2]...))},
-		{"batch one signature for two rows", 2, framed(twoRows, good)},
-		{"batch three signatures for two rows", 2, framed(twoRows, bytes.Repeat(good, 3))},
-		{"batch row without size", 2, framed(qdoc(seed, `,"queries":[{"size":3},{}]`), bytes.Repeat(good, 2))},
-		{"batch row with values", 2, framed(qdoc(seed, `,"queries":[{"size":3,"values":["a"]}]`), good)},
-		{"batch seed mismatch", 2, framed(qdoc(seed+7, `,"queries":[{"size":3}]`), good)},
-		{"query document on batch", 2, framed(qdoc(seed, `,"size":3`), good)},
-		{"document then a stray ]", 0, framed(qdoc(seed, `,"size":3`)+`]`, good)},
-		{"document then a stray }", 1, framed(qdoc(seed, `,"size":3`)+" }", good)},
-		{"document then a word", 2, framed(qdoc(seed, `,"queries":[{"size":3}]`)+"nonsense", good)},
+		{"empty body", OpQuery, nil},
+		{"a length cut short", OpQuery, []byte{9, 0}},
+		{"seed field past the body", OpQuery, cat(binary.LittleEndian.AppendUint32(nil, 4096), s[4:], good)},
+		{"seed of four bytes", OpQuery, cat(four, f64(0.5), w(3), good)},
+		{"seed mismatch", OpQuery, cat(appendWord(nil, seed+1), f64(0.5), w(3), good)},
+		{"seed absent", OpQuery, cat(f64(0.5), w(3), good)},
+		{"short signature", OpQuery, cat(head, appendSig(nil, sig[:numHash-1]))},
+		{"long signature", OpQuery, cat(head, appendSig(nil, append(sig[:numHash:numHash], 0)))},
+		{"ragged signature", OpQuery, cat(head, binary.LittleEndian.AppendUint32(nil, uint32(len(good)-7)), good[4:len(good)-3])},
+		{"no signature", OpQuery, head},
+		{"empty signature", OpQuery, cat(head, appendSig(nil, nil))},
+		{"slot beyond 2^61-1", OpQuery, cat(head, appendSig(nil, beyond))},
+		{"size zero", OpQuery, cat(s, f64(0.5), w(0), good)},
+		{"size negative", OpQuery, cat(s, f64(0.5), w(-4), good)},
+		{"threshold out of range", OpQuery, cat(s, f64(2), w(3), good)},
+		{"threshold negative", OpQuery, cat(s, f64(-0.25), w(3), good)},
+		{"threshold NaN", OpQuery, cat(s, f64(math.NaN()), w(3), good)},
+		{"threshold +Inf", OpQuery, cat(s, f64(math.Inf(1)), w(3), good)},
+		{"threshold of four bytes", OpQuery, cat(s, four, w(3), good)},
+		{"a byte after the record", OpQuery, cat(head, good, []byte{0})},
+		{"a field after the record", OpQuery, cat(head, good, w(1))},
+		{"topk size zero", OpTopK, cat(s, w(3), w(0), good)},
+		{"topk negative k", OpTopK, cat(s, w(-1), w(3), good)},
+		{"topk two signatures", OpTopK, cat(s, w(3), w(3), good, good)},
+		{"topk seed mismatch", OpTopK, cat(appendWord(nil, seed+3), w(3), w(3), good)},
+		{"batch without rows", OpBatch, batchHead},
+		{"batch row without its signature", OpBatch, cat(batchHead, row, f64(0.5), w(3))},
+		{"batch row without size", OpBatch, cat(batchHead, row, f64(0.5), w(0), good)},
+		{"batch row threshold NaN", OpBatch, cat(batchHead, row, f64(math.NaN()), w(3), good)},
+		{"batch row threshold +Inf", OpBatch, cat(batchHead, f64(math.Inf(1)), w(3), good)},
+		{"batch row short signature", OpBatch, cat(batchHead, row, f64(0.5), w(3), appendSig(nil, sig[:1]))},
+		{"batch seed mismatch", OpBatch, cat(appendWord(nil, seed+7), w(2), row)},
+		{"batch then a stray byte", OpBatch, cat(batchHead, row, []byte{']'})},
+		{"batch workers of four bytes", OpBatch, cat(s, four, row)},
+		{"query record on batch", OpBatch, cat(head, good)},
+		{"batch record on query", OpQuery, cat(batchHead, row)},
+		{"delete record on query", OpQuery, AppendDeleteRecord(nil, "q")},
 	}
 }
 
-var fuzzSketchedEndpoints = []string{"/query", "/query/topk", "/query/batch"}
-
-// TestSketchedRefusals: every malformed frame is a 400 with an error
-// envelope — no panic, no partially decoded request answered — and leaves the
-// endpoint serving a well-formed one.
+// TestSketchedRefusals: every malformed query record is a 400 error record
+// with an error envelope — no panic, no partially decoded request answered —
+// a threshold that is NaN or infinite, alone or in a batch row, is refused
+// in the range's words, and the connection goes on to serve a well-formed
+// record.
 func TestSketchedRefusals(t *testing.T) {
-	_, ts := testServer(t, "")
+	s, ts := testServer(t, "")
+	t.Cleanup(s.CloseRecords)
 	seedWindows(t, ts.URL)
+	conn, br := dialRecords(t, ts.URL)
 	for _, c := range sketchedRefusals(fixtureNumHash, fixtureSeed) {
-		code, body := send(t, ts.URL+fuzzSketchedEndpoints[c.ep], SketchedContentType, c.body)
+		code, body := exchange(t, conn, br, c.op, "", time.Minute, c.body)
 		if code != http.StatusBadRequest || !bytes.Contains(body, []byte(`"error"`)) {
-			t.Errorf("%s: HTTP %d %s, want a 400 error envelope", c.name, code, body)
+			t.Errorf("%s: %d %s, want a 400 error envelope", c.name, code, body)
+		}
+		if strings.Contains(c.name, "threshold NaN") || strings.Contains(c.name, "threshold +Inf") {
+			if !bytes.Contains(body, []byte("out of range (0, 1]")) {
+				t.Errorf("%s: %s, want the threshold's range named", c.name, body)
+			}
 		}
 	}
 	// The batch row error names its row.
-	doc := fmt.Sprintf(`{"seed":%d,"queries":[{"size":3},{}]}`, fixtureSeed)
-	sig := sigBytes(lshensemble.SketchStrings(lshensemble.NewHasher(fixtureNumHash, fixtureSeed), "q", []string{"a"}).Sig)
-	if _, body := send(t, ts.URL+"/query/batch", SketchedContentType, rawFrame(uint32(len(doc)), doc, bytes.Repeat(sig, 2))); !bytes.Contains(body, []byte("query 1:")) {
+	sig := lshensemble.SketchStrings(lshensemble.NewHasher(fixtureNumHash, fixtureSeed), "q", []string{"a"}).Sig
+	rows := []lshensemble.BatchQuery{{Sig: sig, Size: 3}, {Sig: sig}}
+	if _, body := exchange(t, conn, br, OpBatch, "", time.Minute, AppendBatchRecord(nil, fixtureSeed, 0, rows)); !bytes.Contains(body, []byte("query 1:")) {
 		t.Errorf("batch refusal does not name row 1: %s", body)
 	}
 	rec := lshensemble.SketchStrings(lshensemble.NewHasher(fixtureNumHash, fixtureSeed), "q", windowValues(0, 20))
-	if code, body := send(t, ts.URL+"/query", SketchedContentType,
-		frame(t, &SketchedQuery{Seed: fixtureSeed, QueryRequest: QueryRequest{Size: rec.Size}}, rec.Sig)); code != http.StatusOK {
-		t.Fatalf("well-formed frame after the refusals: HTTP %d %s", code, body)
+	if code, body := exchange(t, conn, br, OpQuery, "", time.Minute,
+		AppendQueryRecord(nil, fixtureSeed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size})); code != http.StatusOK {
+		t.Fatalf("well-formed record after the refusals: %d %s", code, body)
 	}
 }
 
-// FuzzWireSketched drives the framed decoder, through the handlers of the
-// three endpoints that share it, with hostile bodies: it never panics and
-// never answers 5xx, and the index answers /stats afterwards.
+// FuzzWireSketched drives the record decoder, through serveRecord for the
+// three query shapes that share it, with hostile bodies: it never panics,
+// answers each with a 200 or a 400 answer record, and the index answers
+// /stats afterwards.
 func FuzzWireSketched(f *testing.F) {
 	const numHash, seed = 32, 1
 	opts := lshensemble.LiveOptions{
@@ -288,58 +271,56 @@ func FuzzWireSketched(f *testing.F) {
 	}
 
 	for _, c := range sketchedRefusals(numHash, seed) {
-		f.Add(c.ep, c.body)
+		f.Add(int(c.op), c.body)
 	}
 	rec := lshensemble.SketchStrings(h, "q", windowValues(2, 6))
-	f.Add(0, frame(f, &SketchedQuery{Seed: seed, QueryRequest: QueryRequest{Size: rec.Size, Threshold: 0.5}}, rec.Sig))
-	f.Add(1, frame(f, &SketchedTopK{Seed: seed, TopKRequest: TopKRequest{Size: rec.Size, K: 3}}, rec.Sig))
-	f.Add(2, frame(f, &SketchedBatch{Seed: seed, BatchRequest: BatchRequest{
-		Queries: []QueryRequest{{Size: rec.Size}, {Size: 2, Threshold: 1}}}}, rec.Sig, rec.Sig))
+	q := lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size, Threshold: 0.5}
+	f.Add(int(OpQuery), AppendQueryRecord(nil, seed, q))
+	f.Add(int(OpTopK), AppendTopKRecord(nil, seed, 3, rec.Size, rec.Sig))
+	f.Add(int(OpBatch), AppendBatchRecord(nil, seed, 0, []lshensemble.BatchQuery{q, {Sig: rec.Sig, Size: 2, Threshold: 1}}))
 
 	f.Fuzz(func(t *testing.T, which int, body []byte) {
-		n := len(fuzzSketchedEndpoints)
-		ep := fuzzSketchedEndpoints[((which%n)+n)%n]
-		req := httptest.NewRequest(http.MethodPost, ep, bytes.NewReader(body))
-		req.Header.Set("Content-Type", SketchedContentType)
-		rr := httptest.NewRecorder()
-		s.ServeHTTP(rr, req)
-		if c := rr.Code; c != http.StatusOK && c != http.StatusBadRequest {
-			t.Fatalf("%s answered %d for frame %q", ep, c, body)
+		o := Op((which%int(numOps) + int(numOps)) % int(numOps))
+		out := s.serveRecord(&record{op: o, timeout: time.Minute, body: body}, time.Now().Add(time.Minute), nil)
+		status, answer, err := ReadAnswerRecord(bufio.NewReader(bytes.NewReader(out)), nil)
+		if err != nil || status != http.StatusOK && status != http.StatusBadRequest {
+			t.Fatalf("%s answered %d %q (%v) for record %q", o, status, answer, err, body)
 		}
 		srr := httptest.NewRecorder()
 		s.ServeHTTP(srr, httptest.NewRequest(http.MethodGet, "/stats", nil))
 		if srr.Code != http.StatusOK {
-			t.Fatalf("/stats broken after %s %q: %d", ep, body, srr.Code)
+			t.Fatalf("/stats broken after %s %q: %d", o, body, srr.Code)
 		}
 	})
 }
 
-// TestSketchedObservability: framed requests are counted per entry point,
+// TestSketchedObservability: query records are counted per entry point,
 // /stats says the shard takes them, a repeated ranked query moves the
 // result-cache hit counter, and its slow-query line says it was a hit.
 func TestSketchedObservability(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	_, ts := testServerWith(t, Options{Logger: logger, SlowQuery: time.Nanosecond})
+	s, ts := testServerWith(t, Options{Logger: logger, SlowQuery: time.Nanosecond})
+	t.Cleanup(s.CloseRecords)
 	seedWindows(t, ts.URL)
+	conn, br := dialRecords(t, ts.URL)
 	h := lshensemble.NewHasher(fixtureNumHash, fixtureSeed)
 	rec := lshensemble.SketchStrings(h, "query", windowValues(0, 20))
 
 	var st StatsResponse
 	get(t, ts.URL+"/stats", &st)
-	if !st.Sketched || st.Seed != fixtureSeed || st.NumHash != fixtureNumHash {
-		t.Fatalf("/stats does not advertise the framed form and its family: sketched=%v seed=%d num_hash=%d", st.Sketched, st.Seed, st.NumHash)
+	if !st.Records || st.Seed != fixtureSeed || st.NumHash != fixtureNumHash {
+		t.Fatalf("/stats does not advertise records and its family: records=%v seed=%d num_hash=%d", st.Records, st.Seed, st.NumHash)
 	}
 	hits0 := st.Planner.ResultHits
 
-	topk := frame(t, &SketchedTopK{Seed: fixtureSeed, TopKRequest: TopKRequest{K: 3, Size: rec.Size}}, rec.Sig)
+	topk := AppendTopKRecord(nil, fixtureSeed, 3, rec.Size, rec.Sig)
 	for i := 0; i < 2; i++ {
-		if code, body := send(t, ts.URL+"/query/topk", SketchedContentType, topk); code != http.StatusOK {
-			t.Fatalf("topk %d: HTTP %d %s", i, code, body)
+		if code, body := exchange(t, conn, br, OpTopK, "", time.Minute, topk); code != http.StatusOK {
+			t.Fatalf("topk %d: %d %s", i, code, body)
 		}
 	}
-	send(t, ts.URL+"/query", SketchedContentType,
-		frame(t, &SketchedQuery{Seed: fixtureSeed, QueryRequest: QueryRequest{Size: rec.Size}}, rec.Sig))
+	exchange(t, conn, br, OpQuery, "", time.Minute, AppendQueryRecord(nil, fixtureSeed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size}))
 	post(t, ts.URL+"/query", QueryRequest{Values: windowValues(0, 20)}, http.StatusOK, nil) // JSON form: not counted
 
 	get(t, ts.URL+"/stats", &st)
