@@ -431,11 +431,8 @@ func TestFamilyLearnedOnceOnDemand(t *testing.T) {
 }
 
 // TestRouterBoundsEncodedFrame: a record's length is known from its shape
-// and row count before any row is sketched — serve.RecordLen equals the
-// length of the record encoded, for one row and for many — and a batch one
-// row past what fits the shards' request limit is refused with a 400 asking
-// to split it. No leg goes out, so no shard refuses one: the fleet keeps its
-// hash family and no shard is counted as failing.
+// and row count before any row is sketched: serve.RecordLen equals the
+// length of the record encoded, for one row and for many.
 func TestRouterBoundsEncodedFrame(t *testing.T) {
 	h := lshensemble.NewHasher(testNumHash, testSeed)
 	q := lshensemble.BatchQuery{Sig: lshensemble.SketchStrings(h, "q", []string{"a"}).Sig, Size: math.MaxInt, Threshold: 1.0000000000000002e-6}
@@ -453,7 +450,13 @@ func TestRouterBoundsEncodedFrame(t *testing.T) {
 			t.Errorf("%s of %d rows: RecordLen %d, the record is %d bytes", c.o, c.rows, got, len(c.record))
 		}
 	}
+}
 
+// TestRouterBoundsSketchedBatch: a batch one row past what fits the shards'
+// request limit is refused with a 400 asking to split it, before any row is
+// sketched. No leg goes out, so no shard refuses one: the fleet keeps its
+// hash family and no shard is counted as failing.
+func TestRouterBoundsSketchedBatch(t *testing.T) {
 	urls, _ := startShards(t, 2)
 	router, rts := startRouter(t, urls, Options{})
 	router.CheckHealth()
