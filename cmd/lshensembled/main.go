@@ -80,183 +80,9 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
-	"fmt"
-	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"syscall"
-	"time"
 
-	"lshensemble"
-	"lshensemble/internal/obs"
 	"lshensemble/internal/serve"
 )
 
-func main() {
-	// All real work happens in run so its defers — most importantly
-	// idx.Close, which unmaps segment files and stops the compactor — run on
-	// every exit path. log.Fatalf here would skip them (os.Exit runs no
-	// defers), which is exactly how the old daemon leaked mmap'd segments
-	// when saving the shutdown snapshot failed.
-	if err := run(); err != nil {
-		log.Print(err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
-	addr := flag.String("addr", ":7447", "listen address")
-	hashes := flag.Int("hashes", 256, "MinHash signature length")
-	rMax := flag.Int("rmax", 8, "LSH forest tree depth")
-	partitions := flag.Int("partitions", 16, "cardinality partitions per sealed segment")
-	seed := flag.Uint64("seed", 42, "hash family seed (must match across restarts and clients)")
-	sketch := flag.String("sketch", "minwise64", "signature store backend: minwise64, minwise32, minwise16, minwise8 (b-bit stores trade estimate variance for 1/2–1/8th the signature bytes)")
-	seal := flag.Int("seal", 4096, "buffered adds that trigger a background seal")
-	maxSegments := flag.Int("max-segments", 8, "sealed segments above which the compactor merges")
-	snapshot := flag.String("snapshot", "", "snapshot file: loaded at boot if present, saved on shutdown and POST /save (defaults to <data-dir>/MANIFEST when -data-dir is set)")
-	dataDir := flag.String("data-dir", "", "directory for out-of-core segment files; snapshots become small manifests referencing them")
-	mmap := flag.Bool("mmap", false, "serve sealed segments from memory-mapped files (requires -data-dir; lazy boot)")
-	resultCache := flag.Int("result-cache", 1024, "result-cache capacity in entries (0 disables)")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time limit for reading request headers (slowloris guard)")
-	readTimeout := flag.Duration("read-timeout", time.Minute, "time limit for reading an entire request, body included")
-	writeTimeout := flag.Duration("write-timeout", 2*time.Minute, "time limit for writing a response")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection limit")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error (debug includes per-request access logs)")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of logfmt text")
-	slowQuery := flag.Duration("slow-query", time.Second, "log queries slower than this at Warn with the planner breakdown (0 disables)")
-	debugAddr := flag.String("debug-addr", "", "separate debug listener with /debug/pprof/ and a /metrics mirror (empty disables; keep off public interfaces)")
-	flag.Parse()
-
-	logger, err := obs.NewLogger(*logLevel, *logJSON)
-	if err != nil {
-		return err
-	}
-	if *mmap && *dataDir == "" {
-		return errors.New("-mmap requires -data-dir")
-	}
-	sketchBackend, err := lshensemble.ParseSketchBackend(*sketch)
-	if err != nil {
-		return err
-	}
-	if *snapshot == "" && *dataDir != "" {
-		*snapshot = filepath.Join(*dataDir, "MANIFEST")
-	}
-
-	resultCacheSize := *resultCache
-	if resultCacheSize <= 0 {
-		resultCacheSize = -1 // LiveOptions uses 0 for "default"; the flag uses 0 for "off"
-	}
-	opts := lshensemble.LiveOptions{
-		Options: lshensemble.Options{
-			NumHash:       *hashes,
-			RMax:          *rMax,
-			NumPartitions: *partitions,
-			Sketch:        sketchBackend,
-		},
-		SealThreshold:   *seal,
-		MaxSegments:     *maxSegments,
-		ResultCacheSize: resultCacheSize,
-		DataDir:         *dataDir,
-		Mmap:            *mmap,
-	}
-
-	var idx *lshensemble.LiveIndex
-	if *snapshot != "" {
-		if _, err := os.Stat(*snapshot); err == nil {
-			loaded, err := serve.LoadSnapshot(*snapshot, *seed, opts)
-			if err != nil {
-				return fmt.Errorf("loading snapshot %s: %w", *snapshot, err)
-			}
-			idx = loaded
-			logger.Info("warm start", "domains", idx.Len(), "snapshot", *snapshot)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("checking snapshot %s: %w", *snapshot, err)
-		}
-	}
-	if idx == nil {
-		fresh, err := lshensemble.BuildLive(nil, opts)
-		if err != nil {
-			return fmt.Errorf("initializing index: %w", err)
-		}
-		idx = fresh
-		logger.Info("cold start: empty index")
-	}
-	defer idx.Close()
-
-	// The effective signature length: -hashes 0 means the default, and a
-	// loaded snapshot brings its own.
-	o := idx.Options()
-	hasher := lshensemble.NewHasher(o.NumHash, *seed)
-	srv := serve.NewWith(idx, hasher, *seed, *snapshot, serve.Options{
-		Logger:    logger,
-		SlowQuery: *slowQuery,
-	})
-	stopDebug, err := obs.StartDebugServer(*debugAddr, srv.Registry(), logger)
-	if err != nil {
-		return err
-	}
-	defer stopDebug()
-	httpSrv := &http.Server{
-		Addr:    *addr,
-		Handler: srv,
-		// Without these limits a slowloris client — one that trickles header
-		// or body bytes forever — pins a connection (and its goroutine) for
-		// the life of the process.
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("serving", "addr", *addr, "hashes", o.NumHash, "rmax", o.RMax,
-			"partitions", o.NumPartitions, "sketch", sketchBackend.String(), "seal", *seal)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case sig := <-stop:
-		logger.Info("shutting down", "signal", sig.String())
-	case err := <-errc:
-		return fmt.Errorf("serving: %w", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		logger.Warn("shutdown", "error", err)
-	}
-	// Shutdown does not see the routers' upgraded record connections; their
-	// queries must stop before the snapshot is saved and the index closed.
-	srv.CloseRecords()
-	if *snapshot != "" {
-		n, err := srv.SaveSnapshot()
-		if err != nil {
-			// Returning (instead of the old log.Fatalf) lets idx.Close run —
-			// segment mappings are released and the compactor drains — while
-			// the process still exits non-zero on the path where durability
-			// just failed.
-			return fmt.Errorf("saving snapshot: %w", err)
-		}
-		logger.Info("saved snapshot", "path", *snapshot, "size", byteCount(n), "domains", idx.Len())
-	}
-	return nil
-}
-
-func byteCount(n int) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
+func main() { os.Exit(serve.Main(context.Background(), os.Args, os.Stderr)) }

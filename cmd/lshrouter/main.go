@@ -64,111 +64,9 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
-	"fmt"
-	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
 	"lshensemble/internal/cluster"
-	"lshensemble/internal/obs"
 )
 
-func main() {
-	if err := run(); err != nil {
-		log.Print(err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
-	addr := flag.String("addr", ":7446", "listen address")
-	shards := flag.String("shards", "", "comma-separated shard base URLs (required)")
-	replication := flag.Int("replication", 1, "distinct shards owning each key")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
-	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load cap: max keyspace share per shard as a multiple of 1/N (≥ 1)")
-	shardTimeout := flag.Duration("shard-timeout", 2*time.Second, "per-shard deadline on forwarded writes, scattered queries and health probes")
-	healthInterval := flag.Duration("health-interval", 2*time.Second, "how often to probe shard /healthz")
-	healthFail := flag.Int("health-fail", 2, "consecutive probe failures that demote a shard from the ring")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time limit for reading request headers (slowloris guard)")
-	readTimeout := flag.Duration("read-timeout", time.Minute, "time limit for reading an entire request, body included")
-	writeTimeout := flag.Duration("write-timeout", 2*time.Minute, "time limit for writing a response")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection limit")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error (debug includes per-request access logs)")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of logfmt text")
-	debugAddr := flag.String("debug-addr", "", "separate debug listener with /debug/pprof/ and a /metrics mirror (empty disables; keep off public interfaces)")
-	flag.Parse()
-
-	logger, err := obs.NewLogger(*logLevel, *logJSON)
-	if err != nil {
-		return err
-	}
-	if *shards == "" {
-		return errors.New("-shards is required (comma-separated base URLs)")
-	}
-	var urls []string
-	for _, u := range strings.Split(*shards, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-
-	router, err := cluster.NewRouter(urls, cluster.Options{
-		Ring: cluster.RingOptions{
-			Vnodes:      *vnodes,
-			LoadFactor:  *loadFactor,
-			Replication: *replication,
-		},
-		ShardTimeout:   *shardTimeout,
-		HealthInterval: *healthInterval,
-		HealthFailures: *healthFail,
-		Logger:         logger,
-	})
-	if err != nil {
-		return err
-	}
-	router.Start()
-	defer router.Close()
-
-	stopDebug, err := obs.StartDebugServer(*debugAddr, router.Registry(), logger)
-	if err != nil {
-		return err
-	}
-	defer stopDebug()
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           router,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("routing", "shards", len(urls), "addr", *addr,
-			"replication", *replication, "vnodes", *vnodes, "load_factor", *loadFactor)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case sig := <-stop:
-		logger.Info("shutting down", "signal", sig.String())
-	case err := <-errc:
-		return fmt.Errorf("serving: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		logger.Warn("shutdown", "error", err)
-	}
-	return nil
-}
+func main() { os.Exit(cluster.Main(context.Background(), os.Args, os.Stderr)) }

@@ -7,9 +7,11 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,13 +155,22 @@ type Router struct {
 // NewRouter builds a router over the given shard base URLs. All shards
 // start out live, outside the ring until they report the fleet's family
 // (the checker demotes unreachable ones after HealthFailures probes); call
-// Start to begin probing.
+// Start to begin probing. A base URL must be http://host[:port], a trailing
+// slash aside: record connections are plain TCP, so there is no https, and
+// a shard's endpoints hang off its root, so there is no path.
 func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	opts.defaults()
 	if len(shardURLs) == 0 {
 		return nil, errors.New("cluster: at least one shard URL required")
 	}
-	names := append([]string(nil), shardURLs...)
+	names := make([]string, len(shardURLs))
+	for i, raw := range shardURLs {
+		names[i] = strings.TrimSuffix(raw, "/")
+		u, err := url.Parse(names[i])
+		if err != nil || u.Hostname() == "" || (&url.URL{Scheme: "http", Host: u.Host}).String() != names[i] {
+			return nil, fmt.Errorf("cluster: shard URL %q is not http://host[:port]", raw)
+		}
+	}
 	sort.Strings(names)
 	r := &Router{opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
 	r.logger = opts.Logger
@@ -175,8 +186,8 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	r.scatterSketched = r.reg.Counter("lshrouter_scatter_total",
 		"Scattered queries by leg form: every leg is sketched once, at the router.", obs.L("form", "sketched"))
 	for i, name := range names {
-		if name == "" || (i > 0 && name == names[i-1]) {
-			return nil, fmt.Errorf("cluster: empty or duplicate shard URL %q", name)
+		if i > 0 && name == names[i-1] {
+			return nil, fmt.Errorf("cluster: duplicate shard URL %q", name)
 		}
 		s := &shard{name: name, client: NewClient(name, opts.ShardTimeout)}
 		s.alive.Store(true)

@@ -717,3 +717,31 @@ func TestRouterStatsAndRing(t *testing.T) {
 		t.Fatalf("ring shares sum to %v, want 1", share)
 	}
 }
+
+// TestNewRouterRefusesUnusableURLs: a shard URL the router could not send a
+// record to is refused when the router is built, instead of answering 503
+// for ever; a trailing slash is trimmed, so it cannot name a shard twice.
+func TestNewRouterRefusesUnusableURLs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		urls []string
+		want string
+	}{
+		{"no scheme", []string{"localhost:7447"}, `shard URL "localhost:7447" is not http://host[:port]`},
+		{"https", []string{"https://h:7447"}, `shard URL "https://h:7447" is not http://host[:port]`},
+		{"path", []string{"http://h:7447/shard"}, `shard URL "http://h:7447/shard" is not http://host[:port]`},
+		{"slash twin", []string{"http://h:7447", "http://h:7447/"}, `duplicate shard URL "http://h:7447"`},
+	} {
+		if _, err := NewRouter(c.urls, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: NewRouter(%q) = %v, want an error naming %s", c.name, c.urls, err, c.want)
+		}
+	}
+	r, err := NewRouter([]string{"http://h:7447/"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if name := r.shards[0].name; name != "http://h:7447" {
+		t.Fatalf("shard named %q, want the trailing slash trimmed", name)
+	}
+}

@@ -1,8 +1,9 @@
 // Package obs is the dependency-free observability core shared by every
 // serving layer: a metrics registry of atomic counters, gauges and
-// fixed-bucket latency histograms, a Prometheus-text-format exporter, and
+// fixed-bucket latency histograms, a Prometheus-text-format exporter,
 // (http.go) the HTTP middleware + request-tracing helpers both binaries
-// mount their endpoints behind.
+// mount their endpoints behind, and (debug.go) Listener, their shared
+// command line and listener lifecycle.
 //
 // The design constraint is the hot path: recording — Counter.Add,
 // Gauge.Set, Histogram.Observe — is a handful of atomic operations and

@@ -207,7 +207,7 @@ func (s *Server) registerIndexMetrics() {
 			"Live index query latency by entry point (batch = whole batch).",
 			nil, obs.L("op", o.String()))
 		s.sketched[o] = s.reg.Counter("lshensembled_sketched_requests_total",
-			"Query requests that arrived pre-sketched (framed form), by entry point.",
+			"Query requests that arrived pre-sketched as query records, by entry point.",
 			obs.L("op", o.String()))
 	}
 
