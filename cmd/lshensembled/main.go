@@ -56,7 +56,7 @@
 // Usage:
 //
 //	lshensembled [-addr :7447] [-hashes 256] [-rmax 8] [-partitions 16]
-//	             [-sketch minwise64] [-seed 42] [-seal 4096] [-max-segments 8]
+//	             [-sketch minwise32] [-seed 42] [-seal 4096] [-max-segments 8]
 //	             [-snapshot /var/lib/lshensembled/index.snap]
 //	             [-data-dir /var/lib/lshensembled] [-mmap]
 //	             [-result-cache 1024]

@@ -219,7 +219,9 @@
 // the fleet answer like one index. Topology: any number of identical
 // routers (they share no state) in front of a static -shards list; every
 // shard must run the same -seed and -hashes, since MinHash signatures from
-// different families are incomparable.
+// different families are incomparable. A rolling upgrade leaves each shard on
+// its snapshot's backend; a mixed minwise64/minwise32 fleet merges the same
+// answers, its top-k scores within 2^-32 of a minwise64 fleet's.
 //
 // Writes (/add, /delete) route by consistent hashing — a vnode ring over
 // the live shards with a deterministic bounded-load pass (no shard owns
@@ -373,14 +375,17 @@
 // same 64-bit minwise hasher; the backend decides how many bits of each
 // minimum are stored and how containment is estimated:
 //
-//   - Minwise64 (default): full 64-bit minima. Wire-compatible with every
-//     artifact this package has ever written; v1–v3 snapshots and segment
-//     files load as Minwise64 automatically.
-//   - Minwise32 / Minwise16 / Minwise8: b-bit minwise. Stores only the low
-//     b bits of each minimum and corrects the match estimate for chance
-//     collisions (Li & König). Truncation is a superset property — any
-//     pair the full signature matches, the truncated one matches too — so
-//     recall never drops; precision pays the 2^-b collision floor.
+//   - Minwise64: full 64-bit minima, the paper's configuration and the old
+//     default. Wire-compatible with every artifact this package has ever
+//     written; v1–v3 snapshots and LSEG v1 segment files carry it implicitly.
+//   - Minwise32 (the default) / Minwise16 / Minwise8: b-bit minwise. Stores
+//     only the low b bits of each minimum and corrects the match estimate
+//     for chance collisions (Li & König). Truncation is a superset property
+//     — any pair the full signature matches, the truncated one matches too
+//     — so recall never drops; precision pays the 2^-b collision floor.
+//
+// Left unset (no -sketch), the backend is Minwise32 for a new index, and a
+// loaded snapshot or manifest keeps its own: old files boot unchanged.
 //
 // Measured accuracy-vs-bytes frontier (Fig. 4 corpus scale, t* = 0.5,
 // m = 256 hash functions; reproduce with "experiments -run frontier", which

@@ -22,6 +22,7 @@ func Build(records []core.Record, numHash, rMax int) (*Index, error) {
 		NumHash:       numHash,
 		RMax:          rMax,
 		NumPartitions: 1,
+		Sketch:        core.Minwise64, // the paper's full-width minima
 	})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -51,6 +53,9 @@ func TestMain(m *testing.M) {
 // listening is the start-up line of either binary: Run logs the address it
 // bound right after the message.
 var listening = regexp.MustCompile(`msg=(?:serving|routing) addr=(\S+)`)
+
+// servingSketch is the backend a daemon's start-up line names.
+var servingSketch = regexp.MustCompile(`msg=serving .*\bsketch=(\S+)`)
 
 // proc is one child process and its stderr.
 type proc struct {
@@ -238,6 +243,8 @@ func TestTopologyDaemon(t *testing.T) {
 	if getJSON(t, d.url+"/stats", &raw); raw["planner"] == nil {
 		t.Fatalf("stats without planner counters: %v", raw)
 	}
+	// A new index with no -sketch stores 32-bit minima.
+	requireBackend(t, d, "minwise32")
 	var batch serve.BatchResponse
 	postJSON(t, d.url+"/query/batch", serve.BatchRequest{Queries: []serve.QueryRequest{
 		{Values: sub, Threshold: 1}, {Values: far, Threshold: 0.9},
@@ -358,9 +365,22 @@ func addKey(t *testing.T, base, key string, values []string) {
 	}
 }
 
+// requireBackend requires a daemon to report backend on /stats and to have
+// named it on its serving line.
+func requireBackend(t *testing.T, d *proc, backend string) {
+	t.Helper()
+	var stats serve.StatsResponse
+	if getJSON(t, d.url+"/stats", &stats); stats.Sketch != backend {
+		t.Fatalf("/stats reports sketch %q, want %q", stats.Sketch, backend)
+	}
+	if m := servingSketch.FindStringSubmatch(d.logText()); m == nil || m[1] != backend {
+		t.Fatalf("serving line names sketch %v, want %s", m, backend)
+	}
+}
+
 // TestTopologySketchBackends: each -sketch backend serves, reports itself on
-// /stats and round-trips its snapshot, and a daemon of another backend
-// refuses to boot on that snapshot.
+// /stats and its serving line and round-trips its snapshot, and a daemon of
+// any other backend refuses to boot on that snapshot.
 func TestTopologySketchBackends(t *testing.T) {
 	for _, backend := range []string{"minwise64", "minwise32", "minwise16", "minwise8"} {
 		t.Run(backend, func(t *testing.T) {
@@ -379,28 +399,147 @@ func TestTopologySketchBackends(t *testing.T) {
 			if !containsKey(q.Matches, "cols:b") {
 				t.Fatalf("query: %v, want cols:b", q.Matches)
 			}
-			var stats serve.StatsResponse
-			if getJSON(t, d.url+"/stats", &stats); stats.Sketch != backend {
-				t.Fatalf("/stats reports sketch %q", stats.Sketch)
-			}
+			requireBackend(t, d, backend)
 			d.term(t)
 			snapshotSaved(t, snap)
 
 			d = serving(t, "lshensembled", "-sketch", backend, "-snapshot", snap)
+			var stats serve.StatsResponse
 			if getJSON(t, d.url+"/stats", &stats); stats.Domains != 2 {
 				t.Fatalf("reboot serves %d domains, want 2", stats.Domains)
 			}
 			d.term(t)
-			// minwise64 is the zero backend, which takes a snapshot's own, so
-			// the refusal is asked of a b-bit one.
-			other := "minwise32"
-			if backend == other {
-				other = "minwise16"
-			}
-			if code := start(t, "lshensembled", "-addr", "127.0.0.1:0", "-sketch", other, "-snapshot", snap).exit(t); code != 1 {
-				t.Fatalf("-sketch %s booted on a %s snapshot: exit status %d, want 1", other, backend, code)
+			for _, other := range []string{"minwise64", "minwise32", "minwise16", "minwise8"} {
+				if other == backend {
+					continue
+				}
+				if code := start(t, "lshensembled", "-addr", "127.0.0.1:0", "-sketch", other, "-snapshot", snap).exit(t); code != 1 {
+					t.Fatalf("-sketch %s booted on a %s snapshot: exit status %d, want 1", other, backend, code)
+				}
 			}
 		})
+	}
+}
+
+// TestTopologyUpgradeKeepsBackend: a daemon started with no -sketch on a
+// file written under the old minwise64 default — an inline snapshot, or a
+// -data-dir -mmap manifest of LSEG v1 segment files — serves it as
+// minwise64, answers as the daemon that wrote it did, and seals new adds
+// into minwise64, so that its re-saved file boots under -sketch minwise64.
+func TestTopologyUpgradeKeepsBackend(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args func(dir string) []string
+	}{
+		{"snapshot", func(dir string) []string { return []string{"-snapshot", filepath.Join(dir, "index.snap")} }},
+		{"data-dir-mmap", func(dir string) []string { return []string{"-data-dir", dir, "-mmap"} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			args := append(c.args(dir), "-seal", "4")
+			d := serving(t, "lshensembled", append(args, "-sketch", "minwise64")...)
+			addAndCompact(t, d.url, 0, 9)
+			before := answers(t, d.url)
+			d.term(t)
+
+			d = serving(t, "lshensembled", args...)
+			requireBackend(t, d, "minwise64")
+			if got := answers(t, d.url); got != before {
+				t.Fatalf("with no -sketch the daemon answers\n%s\nwhere the minwise64 daemon answered\n%s", got, before)
+			}
+			addAndCompact(t, d.url, 9, 18)
+			d.term(t)
+			segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+			for _, seg := range segs {
+				// LSEG v1 is the minwise64 layout; other backends write v2.
+				if b, err := os.ReadFile(seg); err != nil || len(b) < 8 || b[4] != 1 {
+					t.Fatalf("segment %s is not LSEG v1 (%v)", seg, err)
+				}
+			}
+			if c.name == "data-dir-mmap" && len(segs) == 0 {
+				t.Fatal("no segment files in the data directory")
+			}
+
+			d = serving(t, "lshensembled", append(args, "-sketch", "minwise64")...)
+			var stats serve.StatsResponse
+			if getJSON(t, d.url+"/stats", &stats); stats.Domains != 18 {
+				t.Fatalf("the re-saved file serves %d domains, want 18", stats.Domains)
+			}
+		})
+	}
+}
+
+// addAndCompact adds domains [lo, hi) and compacts, sealing them all.
+func addAndCompact(t *testing.T, base string, lo, hi int) {
+	t.Helper()
+	for i := lo; i < hi; i++ {
+		addKey(t, base, domainKey(i), windowValues(3*i))
+	}
+	if code := postJSON(t, base+"/compact", nil, nil); code != http.StatusOK {
+		t.Fatalf("compact: HTTP %d", code)
+	}
+}
+
+// answers renders a daemon's threshold and top-k answers to a fixed set of
+// queries over the domains addAndCompact(0, 9) adds.
+func answers(t *testing.T, base string) string {
+	t.Helper()
+	var b strings.Builder
+	for i := 0; i < 27; i += 2 {
+		vals := windowValues(i)[:12]
+		for _, th := range []float64{0.3, 0.7, 1} {
+			var q serve.QueryResponse
+			postJSON(t, base+"/query", serve.QueryRequest{Values: vals, Threshold: th}, &q)
+			fmt.Fprintln(&b, i, th, q.Matches)
+		}
+		var top serve.TopKResponse
+		postJSON(t, base+"/query/topk", serve.TopKRequest{Values: vals, K: 4}, &top)
+		fmt.Fprintln(&b, i, top.Matches)
+	}
+	return b.String()
+}
+
+// TestTopologyMixedBackendFleet: a rolling upgrade leaves each shard on its
+// snapshot's backend, so minwise64 and minwise32 shards serve side by side.
+// Their router merges the threshold answers of a minwise64 fleet, and top-k
+// scores that differ only by minwise32's 2⁻³² chance-collision correction.
+func TestTopologyMixedBackendFleet(t *testing.T) {
+	t.Parallel()
+	fleet := func(backend string, second ...string) string {
+		a := serving(t, "lshensembled", "-sketch", "minwise64")
+		b := serving(t, "lshensembled", second...)
+		r := serving(t, "lshrouter", "-shards", a.url+","+b.url)
+		addVia(t, r.url, 24)
+		requireBackend(t, b, backend)
+		var stats serve.StatsResponse
+		if getJSON(t, b.url+"/stats", &stats); stats.Domains == 0 {
+			t.Fatalf("the %s shard owns no domain of 24", backend)
+		}
+		return r.url
+	}
+	full, mixed := fleet("minwise64", "-sketch", "minwise64"), fleet("minwise32")
+	for i := 0; i < 24; i += 3 { // each query is domain i, so no answer is empty
+		for _, th := range []float64{0.3, 0.7, 1} {
+			var a, b RouterQueryResponse
+			postJSON(t, full+"/query", serve.QueryRequest{Values: windowValues(i), Threshold: th}, &a)
+			postJSON(t, mixed+"/query", serve.QueryRequest{Values: windowValues(i), Threshold: th}, &b)
+			if a.Partial || b.Partial || len(a.Matches) == 0 || !sameStrings(a.Matches, b.Matches) {
+				t.Fatalf("query %d at t*=%v: the mixed fleet answers %+v, the minwise64 fleet %+v", i, th, b, a)
+			}
+		}
+		var a, b RouterTopKResponse
+		postJSON(t, full+"/query/topk", serve.TopKRequest{Values: windowValues(i), K: 24}, &a)
+		postJSON(t, mixed+"/query/topk", serve.TopKRequest{Values: windowValues(i), K: 24}, &b)
+		score := make(map[string]float64)
+		for _, m := range a.Matches {
+			score[m.Key] = m.EstContainment
+		}
+		for _, m := range b.Matches {
+			if s, ok := score[m.Key]; !ok || len(b.Matches) != len(a.Matches) || math.Abs(s-m.EstContainment) > 1e-9 {
+				t.Fatalf("topk %d: the mixed fleet ranks %+v, the minwise64 fleet %+v", i, b.Matches, a.Matches)
+			}
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ type PartitionerFunc func(sizes []int, n int) []partition.Partition
 
 // Options configures Build. Zero values select the defaults used in the
 // paper's experiments (m = 256 hash functions, trees of depth 8,
-// 16 partitions, equi-depth partitioning).
+// 16 partitions, equi-depth partitioning) over a Minwise32 store.
 type Options struct {
 	// NumHash is the MinHash signature length m. Default 256.
 	NumHash int
@@ -55,12 +55,15 @@ type Options struct {
 	// partition.EquiDepth (optimal for power-law distributions).
 	Partitioner PartitionerFunc
 	// Sketch selects the stored signature representation (see SketchBackend).
-	// The zero value is Minwise64, the paper's full-width configuration; the
-	// b-bit backends trade estimation accuracy for a 8x/4x/2x smaller store.
+	// Default Minwise32; Minwise64 is the paper's full-width configuration,
+	// and the b-bit backends trade estimation accuracy for a smaller store.
 	Sketch SketchBackend
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with zero fields replaced by the defaults (the same
+// normalization Build applies). Layered indexes (internal/live) use it so
+// every segment build sees identical effective options.
+func (o Options) WithDefaults() Options {
 	if o.NumHash == 0 {
 		o.NumHash = 256
 	}
@@ -73,22 +76,18 @@ func (o Options) withDefaults() Options {
 	if o.Partitioner == nil {
 		o.Partitioner = partition.EquiDepth
 	}
+	if o.Sketch == SketchUnset {
+		o.Sketch = Minwise32
+	}
 	return o
 }
-
-// WithDefaults returns o with zero fields replaced by the paper's defaults
-// (the same normalization Build applies). Layered indexes (internal/live)
-// use it so every segment build sees identical effective options.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
-
-// Validate reports whether the (already defaulted) options are usable.
-func (o Options) Validate() error { return o.validate() }
 
 // table returns the process-wide (b, r) table of the options' banding grid
 // (b ≤ NumHash/RMax trees, r ≤ RMax depth). The options must be valid.
 func (o Options) table() *tune.Table { return tune.ForGrid(o.NumHash/o.RMax, o.RMax) }
 
-func (o Options) validate() error {
+// Validate reports whether the (already defaulted) options are usable.
+func (o Options) Validate() error {
 	if o.NumHash < 1 {
 		return fmt.Errorf("core: NumHash %d < 1", o.NumHash)
 	}
@@ -197,8 +196,8 @@ func (o Options) CheckQuerySig(sig minhash.Signature) error {
 // Build constructs the ensemble over the records. Every record signature
 // must be at least opts.NumHash long and record sizes must be positive.
 func Build(records []Record, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts = opts.WithDefaults()
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if len(records) == 0 {
@@ -529,8 +528,8 @@ func Decode(buf []byte) (*Index, []byte, error) {
 	nParts := int(binary.LittleEndian.Uint32(buf[8:]))
 	nKeys := int(binary.LittleEndian.Uint32(buf[12:]))
 	buf = buf[16:]
-	opts := Options{NumHash: numHash, RMax: rMax, NumPartitions: nParts, Sketch: sketch}.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts := Options{NumHash: numHash, RMax: rMax, NumPartitions: nParts, Sketch: sketch}.WithDefaults()
+	if err := opts.Validate(); err != nil {
 		return nil, buf, ErrCorrupt
 	}
 	x := &Index{opts: opts}

@@ -32,6 +32,7 @@ func fuzzSeedIndex(f *testing.F, sb SketchBackend) []byte {
 // queryable, and their canonical re-encoding must be a decode fixed point.
 func FuzzDecode(f *testing.F) {
 	f.Add(fuzzSeedIndex(f, Minwise64))
+	f.Add(fuzzSeedIndex(f, Minwise32))
 	f.Add(fuzzSeedIndex(f, Minwise16))
 	f.Add(fuzzSeedIndex(f, Minwise8))
 	f.Add([]byte{})

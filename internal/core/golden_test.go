@@ -57,7 +57,7 @@ func goldenEnsemble(t *testing.T) *Index {
 		}
 		recs = append(recs, Record{Key: fmt.Sprintf("d%d", i), Size: len(vals), Sig: h.SketchStrings(vals)})
 	}
-	x, err := Build(recs, Options{NumHash: 16, RMax: 4, NumPartitions: 3})
+	x, err := Build(recs, Options{NumHash: 16, RMax: 4, NumPartitions: 3, Sketch: Minwise64})
 	if err != nil {
 		t.Fatal(err)
 	}

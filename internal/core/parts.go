@@ -38,8 +38,8 @@ func (x *Index) EachPart(fn func(pi int, pv PartView)) {
 // the stores, and slicing faults no data pages), so a lazily mapped segment
 // stays on disk until the first probe.
 func FromParts(opts Options, keys []string, sizes []int, views []PartView) (*Index, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts = opts.WithDefaults()
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if len(keys) == 0 {

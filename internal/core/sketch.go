@@ -9,8 +9,8 @@ import "fmt"
 // agreement counts convert back into Jaccard/containment estimates.
 //
 //   - Minwise64 stores the full 61-bit hash values in 8 bytes per slot — the
-//     paper's configuration and the default. Bit-identical to the
-//     pre-backend behavior, including on the wire.
+//     paper's configuration. Bit-identical to the pre-backend behavior,
+//     including on the wire.
 //   - Minwise8/16/32 are b-bit minwise backends (Li & König, WWW 2010): each
 //     slot keeps only its low b ∈ {8, 16, 32} bits, shrinking the store to
 //     b/64 of the full size. Truncated slots collide by chance with
@@ -22,12 +22,15 @@ import "fmt"
 //
 // Every backend can back an Index store; the k-minimum-values sketch that
 // internal/expt scores by brute force (minhash.KMV) supports no banding and
-// is not one.
+// is not one. The zero value, SketchUnset, is Minwise32 for a new index and
+// the backend the file carries on a load.
 type SketchBackend uint8
 
 const (
-	// Minwise64 is the default full-width minwise backend.
-	Minwise64 SketchBackend = iota
+	// SketchUnset names no backend; Options.WithDefaults or a file sets one.
+	SketchUnset SketchBackend = iota
+	// Minwise64 is the full-width minwise backend.
+	Minwise64
 	// Minwise8 stores the low 8 bits of each minhash slot.
 	Minwise8
 	// Minwise16 stores the low 16 bits of each minhash slot.
@@ -40,24 +43,19 @@ const (
 
 // sketchNames is indexed by SketchBackend; these are the -sketch flag values
 // and the names reported by /stats and the experiment tables.
-var sketchNames = [numSketchBackends]string{"minwise64", "minwise8", "minwise16", "minwise32"}
+var sketchNames = [numSketchBackends]string{"unset", "minwise64", "minwise8", "minwise16", "minwise32"}
 
-// Valid reports whether sb is a defined backend.
-func (sb SketchBackend) Valid() bool { return sb < numSketchBackends }
+// Valid reports whether sb is a defined backend (SketchUnset is not one).
+func (sb SketchBackend) Valid() bool { return sb != SketchUnset && sb < numSketchBackends }
 
 // WidthBytes returns the stored bytes per signature slot: the lshforest
 // store element width the backend builds on.
 func (sb SketchBackend) WidthBytes() int {
 	switch sb {
-	case Minwise8:
-		return 1
-	case Minwise16:
-		return 2
-	case Minwise32:
-		return 4
-	default:
-		return 8
+	case Minwise8, Minwise16, Minwise32: // consecutive: 1, 2 and 4 bytes
+		return 1 << (sb - Minwise8)
 	}
+	return 8
 }
 
 // Bits returns the stored bits per slot, b in the b-bit minwise papers.
@@ -65,16 +63,11 @@ func (sb SketchBackend) Bits() int { return 8 * sb.WidthBytes() }
 
 // Mask returns the bitmask a stored slot value is truncated with. Query-side
 // comparisons against a truncated store must mask their values identically.
-func (sb SketchBackend) Mask() uint64 {
-	if w := sb.WidthBytes(); w < 8 {
-		return (uint64(1) << (8 * w)) - 1
-	}
-	return ^uint64(0)
-}
+func (sb SketchBackend) Mask() uint64 { return ^uint64(0) >> (64 - sb.Bits()) }
 
 // String returns the canonical backend name (also the -sketch flag value).
 func (sb SketchBackend) String() string {
-	if !sb.Valid() {
+	if sb >= numSketchBackends {
 		return fmt.Sprintf("sketch(%d)", uint8(sb))
 	}
 	return sketchNames[sb]
@@ -83,25 +76,24 @@ func (sb SketchBackend) String() string {
 // ParseSketchBackend resolves a backend name as accepted by the -sketch
 // flag: minwise64, minwise8, minwise16 or minwise32.
 func ParseSketchBackend(s string) (SketchBackend, error) {
-	for i, n := range sketchNames {
-		if s == n {
-			return SketchBackend(i), nil
+	for sb := Minwise64; sb < numSketchBackends; sb++ {
+		if s == sketchNames[sb] {
+			return sb, nil
 		}
 	}
 	return 0, fmt.Errorf("core: unknown sketch backend %q (want one of minwise64, minwise8, minwise16, minwise32)", s)
 }
 
 // SketchBackendFromTag maps a wire-format backend tag (snapshot manifest v4,
-// LSEG v2, LSE2 index encodings) back to a backend. The tag is the enum
-// value itself; unknown tags are rejected so newer formats fail loudly on
-// older binaries.
+// LSEG v2, LSE2 index encodings) back to a backend: tags 0–3 are Minwise64,
+// 8, 16 and 32, their enum values before SketchUnset. Unknown tags are
+// rejected so newer formats fail loudly on older binaries.
 func SketchBackendFromTag(tag uint32) (SketchBackend, bool) {
-	sb := SketchBackend(tag)
-	return sb, uint32(uint8(tag)) == tag && sb.Valid()
+	return SketchBackend(tag + 1), tag < uint32(numSketchBackends-1)
 }
 
-// Tag returns the backend's wire-format tag.
-func (sb SketchBackend) Tag() uint32 { return uint32(sb) }
+// Tag returns the backend's wire-format tag; the backend must be Valid.
+func (sb SketchBackend) Tag() uint32 { return uint32(sb) - 1 }
 
 // JaccardFromMatch converts an agreement count over m compared slots into a
 // Jaccard estimate. For Minwise64 the agreement fraction is the estimate

@@ -9,8 +9,10 @@ import (
 )
 
 // TestSketchBackendProperties pins the enum's static surface: widths, masks,
-// names and the wire-tag round trip; "kmv" and tag 4 — once an enum member
-// no index could be built on — are refused like any unknown name or tag.
+// names and the wire-tag round trip (tags 0–3, as before the zero value became
+// SketchUnset); "kmv" and tag 4 — once an enum member no index could be built
+// on — are refused like any unknown name or tag, and so is the unset value,
+// which only Options.WithDefaults (Minwise32) or a loaded file resolves.
 func TestSketchBackendProperties(t *testing.T) {
 	cases := []struct {
 		sb    SketchBackend
@@ -46,7 +48,13 @@ func TestSketchBackendProperties(t *testing.T) {
 			t.Errorf("%s: tag round trip gave %v, %v", tc.name, rt, ok)
 		}
 	}
-	for _, name := range []string{"minwise128", "kmv", ""} {
+	if SketchUnset.Valid() || SketchUnset.String() != "unset" {
+		t.Errorf("SketchUnset: Valid = %v, String = %q, want false, \"unset\"", SketchUnset.Valid(), SketchUnset)
+	}
+	if sb := (Options{}).WithDefaults().Sketch; sb != Minwise32 {
+		t.Errorf("the zero Options resolve to %s, want minwise32", sb)
+	}
+	for _, name := range []string{"minwise128", "kmv", "", "unset"} {
 		if sb, err := ParseSketchBackend(name); err == nil {
 			t.Errorf("ParseSketchBackend(%q) = %v, want an error", name, sb)
 		}
@@ -55,8 +63,8 @@ func TestSketchBackendProperties(t *testing.T) {
 		if sb, ok := SketchBackendFromTag(tag); ok {
 			t.Errorf("SketchBackendFromTag(%d) = %v, want it refused", tag, sb)
 		}
-		if tag < 256 && SketchBackend(tag).Valid() {
-			t.Errorf("SketchBackend(%d) is valid", tag)
+		if tag < 255 && SketchBackend(tag+1).Valid() {
+			t.Errorf("SketchBackend(%d) is valid", tag+1)
 		}
 	}
 }
@@ -98,7 +106,7 @@ func TestJaccardFromMatchCorrection(t *testing.T) {
 	}
 }
 
-// TestContainmentFromMatchMinwise64Identity: under the default backend the
+// TestContainmentFromMatchMinwise64Identity: under the full-width backend the
 // match-count path must be float-identical to minhash.Signature.Containment
 // — the invariant that keeps planned results byte-stable across the
 // refactor that introduced the backends.
@@ -174,10 +182,10 @@ func TestBBitTruncationEstimate(t *testing.T) {
 }
 
 // TestOptionsRejectNonIndexableSketch: nothing but the four backends can back
-// an Index store — not the value KMV (4) once had.
+// an Index store — not the value after Minwise32, which KMV once had.
 func TestOptionsRejectNonIndexableSketch(t *testing.T) {
 	recs := []Record{{Key: "a", Size: 3, Sig: make(minhash.Signature, 256)}}
-	for _, sb := range []SketchBackend{4, 42} {
+	for _, sb := range []SketchBackend{Minwise32 + 1, 42} {
 		if _, err := Build(recs, Options{Sketch: sb}); err == nil {
 			t.Errorf("Build accepted the undefined backend %d", sb)
 		}

@@ -43,7 +43,7 @@ type AccuracyConfig struct {
 	Thresholds []float64 // default DefaultThresholds()
 	Seed       uint64
 	// Sketches adds b-bit ensemble variants (at the largest partition
-	// count) beyond the default full-width store — "LSH Ensemble (32,
+	// count) beyond the paper's full-width store — "LSH Ensemble (32,
 	// minwise16)" style systems. Empty keeps the paper's system set.
 	Sketches []core.SketchBackend
 }
@@ -125,7 +125,7 @@ func buildSystems(recs []core.Record, cfg AccuracyConfig) ([]system, error) {
 	systems = append(systems, system{"Asym", a})
 	for _, n := range cfg.Partitions {
 		e, err := core.Build(recs, core.Options{
-			NumHash: cfg.NumHash, RMax: cfg.RMax, NumPartitions: n,
+			NumHash: cfg.NumHash, RMax: cfg.RMax, NumPartitions: n, Sketch: core.Minwise64,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ensemble(%d): %w", n, err)
@@ -351,7 +351,7 @@ func RunFig8(cfg Fig8Config) ([]MorphRow, error) {
 			return partition.Morph(sizes, n, lambda)
 		}
 		idx, err := core.Build(recs, core.Options{
-			NumHash: acc.NumHash, RMax: acc.RMax,
+			NumHash: acc.NumHash, RMax: acc.RMax, Sketch: core.Minwise64,
 			NumPartitions: cfg.NumPartitions, Partitioner: pf,
 		})
 		if err != nil {

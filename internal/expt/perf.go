@@ -22,8 +22,8 @@ type PerfConfig struct {
 	Partitions []int // default {8, 16, 32}
 	Shards     int   // Table 4 cluster width; default 5 (paper: 5 nodes)
 	Seed       uint64
-	// Sketch selects the signature store backend (zero = full-width
-	// minwise64); b-bit backends shrink the store and its scan traffic.
+	// Sketch selects the signature store backend (zero = the library's
+	// default, minwise32); b-bit backends shrink the store and its scans.
 	Sketch core.SketchBackend
 }
 

@@ -23,11 +23,11 @@ func encodeV3(f testing.TB, x *Index) []byte {
 	return binary.LittleEndian.AppendUint64(v3, crc64.Checksum(v3, crcTable))
 }
 
-// fuzzLoadSeedIndex is a miniature goldenIndex: one sealed segment,
-// buffered entries, and tombstones, at NumHash 16 so the seed manifests
-// stay a few KB — the fuzzer minimizes every coverage-expanding mutation,
-// and that cost scales with seed size.
-func fuzzLoadSeedIndex(f testing.TB) *Index {
+// fuzzLoadSeedIndex is a miniature goldenIndex under the given backend: one
+// sealed segment, buffered entries, and tombstones, at NumHash 16 so the seed
+// manifests stay a few KB — the fuzzer minimizes every coverage-expanding
+// mutation, and that cost scales with seed size.
+func fuzzLoadSeedIndex(f testing.TB, sb core.SketchBackend) *Index {
 	f.Helper()
 	h := minhash.NewHasher(16, 5)
 	recs := make([]core.Record, 20)
@@ -39,7 +39,7 @@ func fuzzLoadSeedIndex(f testing.TB) *Index {
 		recs[i] = core.Record{Key: string(rune('a' + i)), Size: 10 + i, Sig: sig}
 	}
 	x, err := Build(recs[:12], Options{
-		Options:          core.Options{NumHash: 16, RMax: 4, NumPartitions: 3},
+		Options:          core.Options{NumHash: 16, RMax: 4, NumPartitions: 3, Sketch: sb},
 		SealThreshold:    8,
 		ManualCompaction: true,
 	})
@@ -68,9 +68,12 @@ func fuzzLoadSeedIndex(f testing.TB) *Index {
 // and any accepted index must be queryable and re-save into a manifest
 // that loads back to the same logical state.
 func FuzzLoad(f *testing.F) {
-	x := fuzzLoadSeedIndex(f)
+	x := fuzzLoadSeedIndex(f, core.Minwise64)
 	defer x.Close()
+	narrow := fuzzLoadSeedIndex(f, core.Minwise32) // what a zero Options writes
+	defer narrow.Close()
 	f.Add(x.AppendBinary(nil)) // current v4
+	f.Add(narrow.AppendBinary(nil))
 	f.Add(encodeLegacy(f, x, liveVersionV1))
 	f.Add(encodeLegacy(f, x, liveVersionV2))
 	f.Add(encodeV3(f, x))
@@ -140,11 +143,12 @@ func fuzzSegSeed(f *testing.F, sb core.SketchBackend) []byte {
 // structurally sound and queryable.
 func FuzzSegmentImage(f *testing.F) {
 	f.Add(fuzzSegSeed(f, core.Minwise64))
+	f.Add(fuzzSegSeed(f, core.Minwise32))
 	f.Add(fuzzSegSeed(f, core.Minwise16))
 	f.Add([]byte{})
 	f.Add([]byte("LSG1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, sb := range []core.SketchBackend{core.Minwise64, core.Minwise16} {
+		for _, sb := range []core.SketchBackend{core.Minwise64, core.Minwise32, core.Minwise16} {
 			seg, err := openSegmentImage(segfile.FromBytes(data), 16, 4, sb, true)
 			if err != nil {
 				continue

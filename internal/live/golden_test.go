@@ -60,7 +60,9 @@ func encodeLegacy(t testing.TB, x *Index, version uint32) []byte {
 func goldenIndex(t testing.TB) *Index {
 	t.Helper()
 	recs := fixture(t, 120, 17)
-	x, err := Build(recs[:80], liveOpts())
+	opts := liveOpts()
+	opts.Sketch = core.Minwise64 // the only backend v1–v3 can carry
+	x, err := Build(recs[:80], opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1221,7 +1221,7 @@ type Stats struct {
 	Seals  uint64 `json:"seals"`
 	Merges uint64 `json:"merges"`
 	// Sketch names the signature backend sealed segments store with
-	// (core.SketchBackend): "minwise64" unless configured otherwise.
+	// (core.SketchBackend): "minwise32" unless configured or loaded otherwise.
 	Sketch string `json:"sketch"`
 	// SignatureBytes is the total stored signature footprint: the sealed
 	// segments' truncated stores plus the unsealed buffer's full-width

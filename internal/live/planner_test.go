@@ -384,7 +384,9 @@ func TestTombstonesDropOnIncrementalMerge(t *testing.T) {
 // answers queries identically to the v2 round-trip.
 func TestLoadV1SnapshotRebuildsMetadata(t *testing.T) {
 	recs := fixture(t, 300, 11)
-	x, err := New(plannerOpts())
+	opts := plannerOpts()
+	opts.Sketch = core.Minwise64 // the only backend v1 can carry
+	x, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,12 +170,11 @@ func (x *Index) Save(w io.Writer) error {
 
 // Load reconstructs a live index from a snapshot previously written with
 // Save, using opts for the runtime knobs (thresholds, compactor). Non-zero
-// opts.NumHash/opts.RMax must match the saved shape, and a non-default
-// opts.Sketch must match the saved backend — a mismatched hash family or
-// sketch width would silently return garbage, so both are rejected here
-// (an opts.Sketch left at the Minwise64 zero value adopts whatever the
-// snapshot carries, like a zero NumHash). The background compactor starts
-// unless opts.ManualCompaction is set.
+// opts.NumHash/opts.RMax must match the saved shape and a set opts.Sketch the
+// saved backend: a mismatched hash family or sketch width would silently
+// return garbage. An unset opts.Sketch adopts the snapshot's (Minwise64 for
+// v1–v3), like a zero NumHash. The background compactor starts unless
+// opts.ManualCompaction is set.
 func Load(r io.Reader, opts Options) (*Index, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -229,7 +228,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	if opts.RMax != 0 && opts.RMax != rMax {
 		return nil, fmt.Errorf("live: snapshot RMax %d != configured %d", rMax, opts.RMax)
 	}
-	if opts.Sketch != core.Minwise64 && opts.Sketch != sketch {
+	if opts.Sketch != core.SketchUnset && opts.Sketch != sketch {
 		return nil, fmt.Errorf("live: snapshot sketch backend %s != configured %s", sketch, opts.Sketch)
 	}
 	opts.NumHash, opts.RMax, opts.Sketch = numHash, rMax, sketch

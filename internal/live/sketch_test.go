@@ -147,6 +147,81 @@ func TestSketchBackendSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsTheFileBackend pins the unset-backend rule: a new index with
+// no Sketch stores Minwise32, while Load with no Sketch keeps the backend the
+// file carries — the implicit Minwise64 of a v1–v3 snapshot included — and
+// seals later adds into it. An explicit backend, Minwise64 too, must match.
+func TestLoadKeepsTheFileBackend(t *testing.T) {
+	recs := fixture(t, 100, 12)
+	load := func(b []byte, sb core.SketchBackend) (*Index, error) {
+		o := liveOpts()
+		o.Sketch = sb
+		return Load(bytes.NewReader(b), o)
+	}
+	fresh, err := Build(recs[:60], liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if got := fresh.Options().Sketch; got != core.Minwise32 {
+		t.Fatalf("a new index with no backend stores %s, want minwise32", got)
+	}
+	if _, err := load(fresh.AppendBinary(nil), core.Minwise64); err == nil {
+		t.Fatal("an explicit minwise64 loaded a minwise32 snapshot")
+	}
+
+	old, err := Build(recs[:60], sketchOpts(core.Minwise64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if _, err := load(old.AppendBinary(nil), core.Minwise32); err == nil {
+		t.Fatal("an explicit minwise32 loaded a minwise64 snapshot")
+	}
+	for _, c := range []struct {
+		name  string
+		file  []byte
+		saved *Index
+	}{
+		{"v1", encodeLegacy(t, old, liveVersionV1), old},
+		{"v2", encodeLegacy(t, old, liveVersionV2), old},
+		{"v3", encodeV3(t, old), old},
+		{"v4 minwise64", old.AppendBinary(nil), old},
+		{"v4 minwise32", fresh.AppendBinary(nil), fresh},
+	} {
+		sb := c.saved.Options().Sketch
+		y, err := load(c.file, core.SketchUnset)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		defer y.Close()
+		if got := y.Options().Sketch; got != sb {
+			t.Fatalf("%s: loaded as %s, want %s", c.name, got, sb)
+		}
+		for _, r := range recs[:30] {
+			if got, want := y.Query(r.Sig, r.Size, 0.8), c.saved.Query(r.Sig, r.Size, 0.8); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: answered %v, the saved index %v", c.name, got, want)
+			}
+		}
+		for _, r := range recs[60:] {
+			if _, err := y.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		y.Flush()
+		for _, seg := range y.snap.Load().segs {
+			if seg.idx.Sketch() != sb {
+				t.Fatalf("%s: a new add sealed into a %s segment", c.name, seg.idx.Sketch())
+			}
+		}
+		if z, err := load(y.AppendBinary(nil), sb); err != nil {
+			t.Fatalf("%s: the re-save does not load as %s: %v", c.name, sb, err)
+		} else {
+			z.Close()
+		}
+	}
+}
+
 // TestSketchBackendOutOfCore runs the heap/spill/mmap trio under each narrow
 // backend: the LSEG v2 width-scaled sections must be invisible to queries.
 func TestSketchBackendOutOfCore(t *testing.T) {

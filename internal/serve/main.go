@@ -38,7 +38,7 @@ func (d *daemon) flags(fs *flag.FlagSet) {
 	fs.IntVar(&d.opts.RMax, "rmax", 8, "LSH forest tree depth")
 	fs.IntVar(&d.opts.NumPartitions, "partitions", 16, "cardinality partitions per sealed segment")
 	fs.Uint64Var(&d.seed, "seed", 42, "hash family seed (must match across restarts and clients)")
-	fs.StringVar(&d.sketch, "sketch", "minwise64", "signature store backend: minwise64, minwise32, minwise16, minwise8 (b-bit stores trade estimate variance for 1/2–1/8th the signature bytes)")
+	fs.StringVar(&d.sketch, "sketch", "", "signature store backend: minwise64, minwise32, minwise16, minwise8 (b-bit stores trade estimate variance for 1/2–1/8th the signature bytes); unset: minwise32 for a new index; a loaded snapshot keeps its own")
 	fs.IntVar(&d.opts.SealThreshold, "seal", 4096, "buffered adds that trigger a background seal")
 	fs.IntVar(&d.opts.MaxSegments, "max-segments", 8, "sealed segments above which the compactor merges")
 	fs.StringVar(&d.snapshot, "snapshot", "", "snapshot file: loaded at boot if present, saved on shutdown and POST /save (defaults to <data-dir>/MANIFEST when -data-dir is set)")
@@ -56,8 +56,10 @@ func (d *daemon) run(ctx context.Context, logger *slog.Logger) error {
 		return errors.New("-mmap requires -data-dir")
 	}
 	var err error
-	if d.opts.Sketch, err = lshensemble.ParseSketchBackend(d.sketch); err != nil {
-		return err
+	if d.sketch != "" {
+		if d.opts.Sketch, err = lshensemble.ParseSketchBackend(d.sketch); err != nil {
+			return err
+		}
 	}
 	if d.snapshot == "" && d.opts.DataDir != "" {
 		d.snapshot = filepath.Join(d.opts.DataDir, "MANIFEST")
@@ -93,7 +95,7 @@ func (d *daemon) run(ctx context.Context, logger *slog.Logger) error {
 		SlowQuery: d.slowQuery,
 	})
 	if err := d.listen.Run(ctx, srv, srv.Registry(), logger, "serving", "hashes", o.NumHash, "rmax", o.RMax,
-		"partitions", o.NumPartitions, "sketch", d.opts.Sketch.String(), "seal", d.opts.SealThreshold); err != nil {
+		"partitions", o.NumPartitions, "sketch", o.Sketch.String(), "seal", d.opts.SealThreshold); err != nil {
 		return err
 	}
 	// Shutdown does not see the routers' upgraded record connections; their

@@ -35,9 +35,10 @@ type Options = core.Options
 
 // SketchBackend selects how the flat signature store represents each of the
 // NumHash minwise values — the accuracy-vs-bytes knob. Minwise64 is the
-// default full-width representation; Minwise8/16/32 store b-bit truncations
+// paper's full-width representation; Minwise8/16/32 store b-bit truncations
 // (Li & König) at 1/8th–1/2 the bytes, correcting containment estimates for
-// the 2⁻ᵇ chance-collision floor.
+// the 2⁻ᵇ chance-collision floor. The zero value is Minwise32 for a new
+// index, and the file's own backend on a load.
 type SketchBackend = core.SketchBackend
 
 // Sketch backends for Options.Sketch.
