@@ -128,9 +128,10 @@
 //     tombstones immediately; both serialize on a writer mutex that the
 //     read path never touches.
 //   - A background compactor seals the buffer into a segment past
-//     LiveOptions.SealThreshold and merges the two smallest segments past
-//     LiveOptions.MaxSegments, using the parallel construction path; dead
-//     entries are dropped as segments rebuild.
+//     LiveOptions.SealThreshold and merges three segments of a size tier
+//     into one (past LiveOptions.MaxSegments, a cap, the two smallest),
+//     using the parallel construction path; dead entries are dropped as
+//     segments rebuild. A loaded snapshot keeps its shape until its next seal.
 //   - Compaction is equivalence-preserving: full Compact leaves a single
 //     segment that is bit-identical to a fresh BuildLive over the surviving
 //     records in mutation order (and therefore answers every query

@@ -193,6 +193,7 @@ func TestTopologyExitStatuses(t *testing.T) {
 		{"lshensembled", []string{"-mmap"}, 1},
 		{"lshensembled", []string{"-sketch", "kmv"}, 1},
 		{"lshensembled", []string{"-seal", "-5"}, 1},
+		{"lshensembled", []string{"-max-segments", "-1"}, 1},
 		{"lshrouter", []string{"-shards", "localhost:7447"}, 1},
 	} {
 		args := append([]string{"-addr", "127.0.0.1:0"}, c.args...)

@@ -270,15 +270,15 @@ func (x *Index) Size(id uint32) int { return x.sizes[id] }
 // Sketch returns the backend the index stores signatures with.
 func (x *Index) Sketch() SketchBackend { return x.opts.Sketch }
 
-// Signature returns the stored signature of the domain with the given id as
-// a freshly allocated full-width slice: the original hash values under
-// Minwise64, the stored truncations (zero-extended) under a b-bit backend —
-// truncation is idempotent, so building from the returned slice under the
+// AppendSignature appends the stored signature of the domain with the given
+// id to dst, widened to NumHash full-width slots: the original hash values
+// under Minwise64, the stored truncations (zero-extended) under a b-bit
+// backend — truncation is idempotent, so building from the result under the
 // same backend is lossless. Layered indexes (internal/live) use it to carry
-// records into a merged segment without re-sketching.
-func (x *Index) Signature(id uint32) minhash.Signature {
+// records into a merged segment without re-sketching, all into one arena.
+func (x *Index) AppendSignature(dst []uint64, id uint32) minhash.Signature {
 	l := x.locs[id]
-	return x.parts[l.part].forest.AppendSigWidened(make([]uint64, 0, x.opts.NumHash), int(l.slot))
+	return x.parts[l.part].forest.AppendSigWidened(dst, int(l.slot))
 }
 
 // SigMatches returns the number of signature slots where the stored domain

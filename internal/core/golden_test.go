@@ -116,7 +116,7 @@ func TestEnsembleGoldenDecode(t *testing.T) {
 	// Query equivalence across thresholds, using each indexed domain as the
 	// query.
 	for id := 0; id < live.Len(); id++ {
-		sig := live.Signature(uint32(id))
+		sig := live.AppendSignature(nil, uint32(id))
 		size := live.Size(uint32(id))
 		for _, tStar := range []float64{0.1, 0.5, 0.9} {
 			want := mustQueryIDs(t, live, BatchQuery{Sig: sig, Size: size, Threshold: tStar})

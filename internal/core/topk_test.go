@@ -83,7 +83,7 @@ func TestQueryTopKRanksBySizeOnNestedPrefixes(t *testing.T) {
 func TestQueryTopKSelfFirst(t *testing.T) {
 	idx, _, _ := topKFixture(t, 256)
 	// Query with domain 19 (largest): only supersets of it are itself.
-	sig := idx.Signature(19)
+	sig := idx.AppendSignature(nil, 19)
 	top := mustTopK(t, idx, sig, idx.Size(19), 3)
 	if len(top) == 0 || top[0].Key != key(19) {
 		t.Fatalf("self not ranked first: %+v", top)
@@ -103,7 +103,7 @@ func TestQueryTopKEdgeCases(t *testing.T) {
 		t.Fatal("querySize=0 should return nil")
 	}
 	// k larger than corpus: returns at most corpus size, no panic.
-	full := mustTopK(t, idx, idx.Signature(0), idx.Size(0), 1000)
+	full := mustTopK(t, idx, idx.AppendSignature(nil, 0), idx.Size(0), 1000)
 	if len(full) > idx.Len() {
 		t.Fatalf("returned %d > corpus %d", len(full), idx.Len())
 	}
@@ -116,8 +116,8 @@ func TestQueryTopKSurvivesSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := mustTopK(t, idx, idx.Signature(3), idx.Size(3), 4)
-	b := mustTopK(t, loaded, loaded.Signature(3), loaded.Size(3), 4)
+	a := mustTopK(t, idx, idx.AppendSignature(nil, 3), idx.Size(3), 4)
+	b := mustTopK(t, loaded, loaded.AppendSignature(nil, 3), loaded.Size(3), 4)
 	if len(a) != len(b) {
 		t.Fatalf("topk differs after decode: %d vs %d", len(a), len(b))
 	}

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"lshensemble/internal/bloom"
@@ -167,24 +169,41 @@ func (x *Index) seal(min int) bool {
 	return true
 }
 
-// mergeIfCrowded merges the two smallest segments when more than
-// MaxSegments have accumulated. The caller must hold compactMu.
+const tierFanIn = 3 // segments of one size tier that merge into one of the next
+
+// mergeIfCrowded runs the merge mergeVictims picks, if any. The caller must
+// hold compactMu.
 func (x *Index) mergeIfCrowded() bool {
-	sn := x.snap.Load()
-	if len(sn.segs) <= x.opts.MaxSegments {
-		return false
+	victims := mergeVictims(x.snap.Load().segs, x.opts.SealThreshold, x.opts.MaxSegments)
+	if victims != nil {
+		x.mergeSegments(victims)
 	}
-	a, b := 0, 1
-	for i, seg := range sn.segs {
-		n := seg.idx.Len()
-		if n < sn.segs[a].idx.Len() {
-			a, b = i, a
-		} else if i != a && n < sn.segs[b].idx.Len() {
-			b = i
+	return victims != nil
+}
+
+// mergeVictims picks the segments the next merge rewrites, or nil. A segment
+// of n entries is in size tier k when seal·3^k/2 ≤ n < seal·3^(k+1)/2 (tier 0
+// takes anything smaller), so a merge that dropped dead entries still moves
+// up a tier. The lowest tier holding tierFanIn segments merges its smallest
+// tierFanIn; failing that, more than max segments merge their two smallest.
+func mergeVictims(segs []*segment, seal, max int) []*segment {
+	bySize := append([]*segment(nil), segs...)
+	sort.SliceStable(bySize, func(i, j int) bool { return bySize[i].idx.Len() < bySize[j].idx.Len() })
+	tier := func(seg *segment) (k int) {
+		for m := 2 * seg.idx.Len() / seal; m >= tierFanIn; m /= tierFanIn {
+			k++
+		}
+		return k
+	}
+	for i := 0; i+tierFanIn <= len(bySize); i++ {
+		if tier(bySize[i]) == tier(bySize[i+tierFanIn-1]) {
+			return bySize[i : i+tierFanIn]
 		}
 	}
-	x.mergeSegments([]*segment{sn.segs[a], sn.segs[b]})
-	return true
+	if len(bySize) > max {
+		return bySize[:2]
+	}
+	return nil
 }
 
 // mergeSegments rebuilds the given segments (identified by pointer in the
@@ -195,47 +214,36 @@ func (x *Index) mergeIfCrowded() bool {
 // full compaction does. The caller must hold compactMu.
 func (x *Index) mergeSegments(victims []*segment) {
 	sn := x.snap.Load()
-	// Gather survivors in ascending seq order: collect per segment (each is
-	// already ascending), then merge-sort the runs.
-	type run struct {
-		recs []core.Record
-		seqs []uint64
+	// Gather the survivors, then sort them by seq: each victim is ascending,
+	// but the victims' seq ranges can interleave.
+	type survivor struct {
+		rec core.Record
+		seq uint64
 	}
-	runs := make([]run, 0, len(victims))
-	total := 0
+	entries := 0
 	for _, seg := range victims {
-		var r run
+		entries += seg.idx.Len()
+	}
+	all := make([]survivor, 0, entries)
+	// One arena of widened signatures, which core.Build copies out of.
+	arena := make([]uint64, 0, entries*x.opts.NumHash)
+	for _, seg := range victims {
 		for id := 0; id < seg.idx.Len(); id++ {
 			key := seg.idx.Key(uint32(id))
 			if !sn.alive(key, seg.seqs[id]) {
 				continue
 			}
-			r.recs = append(r.recs, core.Record{
-				Key:  key,
-				Size: seg.idx.Size(uint32(id)),
-				Sig:  seg.idx.Signature(uint32(id)),
-			})
-			r.seqs = append(r.seqs, seg.seqs[id])
+			off := len(arena)
+			arena = seg.idx.AppendSignature(arena, uint32(id))
+			rec := core.Record{Key: key, Size: seg.idx.Size(uint32(id)), Sig: arena[off:len(arena):len(arena)]}
+			all = append(all, survivor{rec, seg.seqs[id]})
 		}
-		runs = append(runs, r)
-		total += len(r.recs)
 	}
-	recs := make([]core.Record, 0, total)
-	seqs := make([]uint64, 0, total)
-	cursors := make([]int, len(runs))
-	for len(recs) < total {
-		best := -1
-		for i := range runs {
-			if cursors[i] >= len(runs[i].seqs) {
-				continue
-			}
-			if best < 0 || runs[i].seqs[cursors[i]] < runs[best].seqs[cursors[best]] {
-				best = i
-			}
-		}
-		recs = append(recs, runs[best].recs[cursors[best]])
-		seqs = append(seqs, runs[best].seqs[cursors[best]])
-		cursors[best]++
+	slices.SortFunc(all, func(a, b survivor) int { return cmp.Compare(a.seq, b.seq) })
+	recs := make([]core.Record, len(all))
+	seqs := make([]uint64, len(all))
+	for i, s := range all {
+		recs[i], seqs[i] = s.rec, s.seq
 	}
 
 	var merged *segment

@@ -29,12 +29,14 @@
 // copies stay small).
 //
 // A background compactor seals the buffer into a new segment once it
-// crosses Options.SealThreshold, and merges the two smallest segments
-// whenever more than Options.MaxSegments have accumulated — dead entries
-// are dropped during both. Each result is published with a single pointer
-// swap. Compact runs the whole pipeline to one segment and is
-// equivalence-preserving: the result answers queries exactly like a fresh
-// core.Build over the surviving records (asserted by the package tests).
+// crosses Options.SealThreshold and merges by size tier: three segments of
+// about SealThreshold·3^k entries become one of the next tier, and past
+// Options.MaxSegments, a hard cap, the two smallest merge. Dead entries are
+// dropped during both; each result is published with one pointer swap. Load
+// starts no merge (a mapped boot faults nothing in), so an older snapshot
+// keeps its shape until its next seal. Compact runs the whole pipeline to one
+// segment and is equivalence-preserving: it answers queries exactly like a
+// fresh core.Build over the surviving records (asserted by the package tests).
 //
 // # Query planning
 //
@@ -164,8 +166,9 @@ type Options struct {
 	// the scan cost per query.
 	SealThreshold int
 
-	// MaxSegments is the sealed-segment count above which the compactor
-	// merges the two smallest segments. Default 8.
+	// MaxSegments caps the sealed segments: below it three segments of a
+	// size tier merge, above it the two smallest. Default 8; a negative
+	// value is refused.
 	MaxSegments int
 
 	// ManualCompaction disables the background compactor; sealing and
@@ -527,6 +530,9 @@ func newIndex(opts Options, keys int) (*Index, error) {
 		// A seal sizes the next buffer by it, and make panics on a negative
 		// capacity — in the compactor goroutine, taking the process with it.
 		return nil, fmt.Errorf("live: Options.SealThreshold %d is negative", opts.SealThreshold)
+	}
+	if opts.MaxSegments < 0 { // the cap would merge one segment with none
+		return nil, fmt.Errorf("live: Options.MaxSegments %d is negative", opts.MaxSegments)
 	}
 	if opts.Mmap && opts.DataDir == "" {
 		return nil, fmt.Errorf("live: Options.Mmap requires Options.DataDir")

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
@@ -416,6 +417,77 @@ func TestBackgroundCompactorSealsAndMerges(t *testing.T) {
 	}
 }
 
+// TestTieredCompactionShape: with automatic compaction and the compactor
+// settled after every seal, three segments of one size tier merge into one
+// segment of the next, so the sealed sizes follow the base-3 digits of the
+// seal count (lowest tier last, the segments being in time order), and
+// MaxSegments still caps the count below that shape.
+func TestTieredCompactionShape(t *testing.T) {
+	const s = 16
+	for _, tc := range []struct {
+		name    string
+		seals   int
+		max     int // MaxSegments; 0 is the default
+		deletes int // keys of the first seal deleted once the second settles
+		want    []int
+		merges  uint64
+	}{
+		{name: "2 seals", seals: 2, want: []int{s, s}},
+		{name: "3 seals", seals: 3, want: []int{3 * s}, merges: 1},
+		{name: "5 seals", seals: 5, want: []int{3 * s, s, s}, merges: 1},
+		{name: "9 seals", seals: 9, want: []int{9 * s}, merges: 4},
+		{name: "10 seals", seals: 10, want: []int{9 * s, s}, merges: 4},
+		// 2.5s is below tier 1's 3s but above its lower bound 1.5s, so the
+		// shrunken merge joins the next two tier-1 segments.
+		{name: "dead entries keep the tier", seals: 9, deletes: s / 2, want: []int{9*s - s/2}, merges: 4},
+		// Tiering leaves [3s s s]; the cap merges the two smallest.
+		{name: "cap below the tier shape", seals: 5, max: 2, want: []int{3 * s, 2 * s}, merges: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := liveOpts()
+			opts.ManualCompaction = false
+			opts.SealThreshold = s
+			opts.MaxSegments = tc.max
+			x, err := Build(nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer x.Close()
+			recs := fixture(t, tc.seals*s, 51)
+			for i, r := range recs {
+				if _, err := x.Add(r); err != nil {
+					t.Fatal(err)
+				}
+				if (i+1)%s != 0 {
+					continue
+				}
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+					sn := x.snap.Load()
+					if len(sn.buf) < s && mergeVictims(sn.segs, s, x.opts.MaxSegments) == nil {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("compactor not settled after seal %d: %+v", (i+1)/s, x.Stats())
+					}
+				}
+				if i+1 == 2*s {
+					for _, d := range recs[:tc.deletes] {
+						x.Delete(d.Key)
+					}
+				}
+			}
+			st := x.Stats()
+			if !reflect.DeepEqual(st.Segments, tc.want) || st.Seals != uint64(tc.seals) || st.Merges != tc.merges {
+				t.Fatalf("segments %v after %d seals and %d merges, want %v after %d and %d",
+					st.Segments, st.Seals, st.Merges, tc.want, tc.seals, tc.merges)
+			}
+			if st.Domains != tc.seals*s-tc.deletes {
+				t.Fatalf("Domains = %d, want %d", st.Domains, tc.seals*s-tc.deletes)
+			}
+		})
+	}
+}
+
 func TestQueryBatchMatchesSingle(t *testing.T) {
 	recs := fixture(t, 220, 8)
 	x, err := Build(recs[:180], liveOpts())
@@ -685,6 +757,21 @@ func TestTopKHugeK(t *testing.T) {
 // sizing the next buffer (makeslice: cap out of range) — from the compactor
 // goroutine, so `lshensembled -seal -5` died on its first /add.
 func TestNegativeSealThresholdRefused(t *testing.T) {
+	refusedByEveryConstructor(t, "SealThreshold", func(o *Options) { o.SealThreshold = -5 })
+}
+
+// TestNegativeMaxSegmentsRefused: a negative MaxSegments is an error from
+// every constructor. It used to be accepted, and the first seal left one
+// segment, "more than -1", whose merge with a second one panicked (index out
+// of range) in the compactor goroutine: `lshensembled -max-segments -1` died
+// at its first seal.
+func TestNegativeMaxSegmentsRefused(t *testing.T) {
+	refusedByEveryConstructor(t, "MaxSegments", func(o *Options) { o.MaxSegments = -1 })
+}
+
+// refusedByEveryConstructor checks that New, Build and Load all refuse the
+// options set names an error for, with an error naming the option.
+func refusedByEveryConstructor(t *testing.T, option string, set func(*Options)) {
 	recs := fixture(t, 8, 41)
 	good, err := Build(recs, liveOpts())
 	if err != nil {
@@ -694,7 +781,7 @@ func TestNegativeSealThresholdRefused(t *testing.T) {
 	snap := good.AppendBinary(nil)
 
 	opts := liveOpts()
-	opts.SealThreshold = -5
+	set(&opts)
 	for name, construct := range map[string]func() (*Index, error){
 		"New":   func() (*Index, error) { return New(opts) },
 		"Build": func() (*Index, error) { return Build(recs, opts) },
@@ -703,8 +790,8 @@ func TestNegativeSealThresholdRefused(t *testing.T) {
 		x, err := construct()
 		if err == nil {
 			x.Close()
-			t.Errorf("%s accepted SealThreshold -5", name)
-		} else if !strings.Contains(err.Error(), "SealThreshold") {
+			t.Errorf("%s accepted a negative %s", name, option)
+		} else if !strings.Contains(err.Error(), option) {
 			t.Errorf("%s: error %q does not name the option", name, err)
 		}
 	}

@@ -40,7 +40,7 @@ func (d *daemon) flags(fs *flag.FlagSet) {
 	fs.Uint64Var(&d.seed, "seed", 42, "hash family seed (must match across restarts and clients)")
 	fs.StringVar(&d.sketch, "sketch", "", "signature store backend: minwise64, minwise32, minwise16, minwise8 (b-bit stores trade estimate variance for 1/2–1/8th the signature bytes); unset: minwise32 for a new index; a loaded snapshot keeps its own")
 	fs.IntVar(&d.opts.SealThreshold, "seal", 4096, "buffered adds that trigger a background seal")
-	fs.IntVar(&d.opts.MaxSegments, "max-segments", 8, "sealed segments above which the compactor merges")
+	fs.IntVar(&d.opts.MaxSegments, "max-segments", 8, "cap on sealed segments; below it, three segments of a size tier merge")
 	fs.StringVar(&d.snapshot, "snapshot", "", "snapshot file: loaded at boot if present, saved on shutdown and POST /save (defaults to <data-dir>/MANIFEST when -data-dir is set)")
 	fs.StringVar(&d.opts.DataDir, "data-dir", "", "directory for out-of-core segment files; snapshots become small manifests referencing them")
 	fs.BoolVar(&d.opts.Mmap, "mmap", false, "serve sealed segments from memory-mapped files (requires -data-dir; lazy boot)")

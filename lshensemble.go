@@ -112,7 +112,7 @@ type BatchResults = core.BatchResults
 type LiveIndex = live.Index
 
 // LiveOptions configures BuildLive: the embedded Options shape every sealed
-// segment, SealThreshold/MaxSegments tune the compactor.
+// segment, SealThreshold sizes seals and size tiers, MaxSegments caps them.
 type LiveOptions = live.Options
 
 // LiveStats is the point-in-time shape summary returned by LiveIndex.Stats.
