@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment id (fig1..fig10, tab3, tab4) or 'all'")
+	run := flag.String("run", "all", "comma-separated experiment ids (fig1..fig10, tab3, tab4, frontier) or 'all'")
 	n := flag.Int("n", 0, "number of domains for accuracy experiments (default 4000)")
 	perfN := flag.Int("perfn", 0, "number of domains for performance experiments (default 100000)")
 	queries := flag.Int("queries", 0, "number of queries (default 100 accuracy / 50 performance)")

@@ -415,5 +415,8 @@
 // workloads and BENCHMARK.json names every end-to-end and per-layer metric.
 //
 // See examples/ for runnable programs and cmd/experiments for the
-// reproduction of every table and figure in the paper's evaluation.
+// reproduction of every table and figure in the paper's evaluation. The
+// figures run on the live index that ships — each system is a LiveIndex
+// sealed into one segment — and a test holds their answers to the
+// build-once reference index, key set for key set.
 package lshensemble

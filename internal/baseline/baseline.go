@@ -7,22 +7,30 @@ package baseline
 
 import (
 	"lshensemble/internal/core"
+	"lshensemble/internal/live"
 	"lshensemble/internal/minhash"
 )
 
-// Index is a single-partition MinHash LSH containment index.
+// Index is a single-partition MinHash LSH containment index: a live index
+// sealed into one segment of one partition.
 type Index struct {
-	inner *core.Index
+	inner *live.Index
 }
 
 // Build constructs the baseline over the records with m = numHash hash
 // functions and forest depth rMax (defaults 256 and 8 when zero).
 func Build(records []core.Record, numHash, rMax int) (*Index, error) {
-	inner, err := core.Build(records, core.Options{
-		NumHash:       numHash,
-		RMax:          rMax,
-		NumPartitions: 1,
-		Sketch:        core.Minwise64, // the paper's full-width minima
+	if len(records) == 0 {
+		return nil, core.ErrEmpty
+	}
+	inner, err := live.Build(records, live.Options{
+		Options: core.Options{
+			NumHash:       numHash,
+			RMax:          rMax,
+			NumPartitions: 1,
+			Sketch:        core.Minwise64, // the paper's full-width minima
+		},
+		ManualCompaction: true,
 	})
 	if err != nil {
 		return nil, err
@@ -33,20 +41,12 @@ func Build(records []core.Record, numHash, rMax int) (*Index, error) {
 // Query returns the keys of candidate domains for the query signature at
 // containment threshold tStar (none for a signature shorter than numHash).
 func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) []string {
-	ids, _ := x.inner.QueryIDsAppend(nil, sig, querySize, tStar)
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = x.inner.Key(id)
-	}
-	return keys
+	return x.inner.Query(sig, querySize, tStar)
 }
 
 // Len returns the number of indexed domains.
 func (x *Index) Len() int { return x.inner.Len() }
 
 // UpperBound returns the global size upper bound used for threshold
-// conversion.
-func (x *Index) UpperBound() int {
-	b := x.inner.PartitionBounds()
-	return b[len(b)-1].Upper
-}
+// conversion: the bound of the one segment's one partition.
+func (x *Index) UpperBound() int { return x.inner.Stats().SegmentDetail[0].MaxBound }

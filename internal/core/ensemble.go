@@ -1,6 +1,10 @@
 // Package core implements the LSH Ensemble index — the paper's primary
 // contribution (Section 5).
 //
+// An Index has two constructors: Build from records, and FromParts from
+// persisted parts (Decode parses bytes into them; internal/live maps them
+// from segment files). FromParts is the one validator of persisted input.
+//
 // Build partitions the domain records by cardinality (equi-depth by
 // default, per Theorem 2), builds one LSH Forest (lshforest) per
 // partition, and answers containment queries by converting the containment
@@ -329,6 +333,11 @@ func (x *Index) PartitionBounds() []partition.Partition {
 // tStar is the containment threshold t*. It returns ErrSignatureLength if
 // sig is shorter than NumHash. Reusing dst across queries makes the
 // steady-state query path allocation-free.
+//
+// Deprecated: no product path calls it — internal/live probes through
+// PlanPartitions and QueryIDsMaskedAppend. It remains as the reference the
+// experiments' tests check the live index against and for the benchmark
+// ladder's static-index rung, and goes with that rung.
 func (x *Index) QueryIDsAppend(dst []uint32, sig minhash.Signature, querySize int, tStar float64) ([]uint32, error) {
 	if err := x.opts.CheckQuerySig(sig); err != nil {
 		return dst, err
@@ -498,7 +507,8 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 }
 
 // Decode reconstructs an index from buf (produced by AppendBinary) and
-// returns any trailing bytes.
+// returns any trailing bytes. It only parses; FromParts validates what it
+// parsed. Every refusal wraps ErrCorrupt.
 func Decode(buf []byte) (*Index, []byte, error) {
 	if len(buf) < 4 {
 		return nil, buf, ErrCorrupt
@@ -523,16 +533,16 @@ func Decode(buf []byte) (*Index, []byte, error) {
 	if len(buf) < 16 {
 		return nil, buf, ErrCorrupt
 	}
-	numHash := int(binary.LittleEndian.Uint32(buf))
-	rMax := int(binary.LittleEndian.Uint32(buf[4:]))
-	nParts := int(binary.LittleEndian.Uint32(buf[8:]))
+	opts := Options{
+		NumHash:       int(binary.LittleEndian.Uint32(buf)),
+		RMax:          int(binary.LittleEndian.Uint32(buf[4:])),
+		NumPartitions: int(binary.LittleEndian.Uint32(buf[8:])),
+		Sketch:        sketch,
+	}
 	nKeys := int(binary.LittleEndian.Uint32(buf[12:]))
 	buf = buf[16:]
-	opts := Options{NumHash: numHash, RMax: rMax, NumPartitions: nParts, Sketch: sketch}.WithDefaults()
-	if err := opts.Validate(); err != nil {
-		return nil, buf, ErrCorrupt
-	}
-	x := &Index{opts: opts}
+	var keys []string
+	var sizes []int
 	for i := 0; i < nKeys; i++ {
 		if len(buf) < 4 {
 			return nil, buf, ErrCorrupt
@@ -542,68 +552,43 @@ func Decode(buf []byte) (*Index, []byte, error) {
 		if len(buf) < kl+8 {
 			return nil, buf, ErrCorrupt
 		}
-		x.keys = append(x.keys, string(buf[:kl]))
-		buf = buf[kl:]
-		// Build rejects non-positive sizes, so no encoder emits them; a
-		// decoded one would poison downstream consumers (the live planner's
-		// metadata requires minSize ≥ 1).
-		sz := int(binary.LittleEndian.Uint64(buf))
-		if sz <= 0 {
-			return nil, buf, ErrCorrupt
-		}
-		x.sizes = append(x.sizes, sz)
-		buf = buf[8:]
+		keys = append(keys, string(buf[:kl]))
+		sizes = append(sizes, int(binary.LittleEndian.Uint64(buf[kl:])))
+		buf = buf[kl+8:]
 	}
 	if len(buf) < 4 {
 		return nil, buf, ErrCorrupt
 	}
 	np := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
+	var views []PartView
 	for i := 0; i < np; i++ {
 		if len(buf) < 16 {
 			return nil, buf, ErrCorrupt
 		}
-		lower := int(binary.LittleEndian.Uint64(buf))
-		upper := int(binary.LittleEndian.Uint64(buf[8:]))
-		buf = buf[16:]
-		f, rest, err := lshforest.DecodeForest(buf)
+		v := PartView{
+			Lower: int(binary.LittleEndian.Uint64(buf)),
+			Upper: int(binary.LittleEndian.Uint64(buf[8:])),
+		}
+		f, rest, err := lshforest.DecodeForest(buf[16:])
 		if err != nil {
-			return nil, rest, err
+			return nil, rest, fmt.Errorf("core: partition %d: %v: %w", i, err, ErrCorrupt)
 		}
-		if f.NumHash() != opts.NumHash || f.RMax() != opts.RMax {
-			// A forest disagreeing with the index header would panic at
-			// query time (tuned (b, r) out of its range) and yield
-			// wrong-length signatures; reject it as corruption here.
-			return nil, rest, fmt.Errorf("core: partition forest shape (%d, %d) != index header (%d, %d): %w",
-				f.NumHash(), f.RMax(), opts.NumHash, opts.RMax, ErrCorrupt)
-		}
-		if f.Width() != opts.Sketch.WidthBytes() {
-			return nil, rest, fmt.Errorf("core: partition forest width %d != sketch backend %s width %d: %w",
-				f.Width(), opts.Sketch, opts.Sketch.WidthBytes(), ErrCorrupt)
-		}
-		buf = rest
-		x.parts = append(x.parts, part{lower: lower, upper: upper, forest: f})
+		v.Forest, buf = f, rest
+		views = append(views, v)
 	}
-	// Rebuild the id → (partition, slot) table from the forests (each id
-	// lives in exactly one partition). Ids must stay within [0, len(keys)):
-	// the query path indexes its visited array by id, so out-of-range ids in
-	// a decoded forest are corruption, not something to skip silently.
-	if err := x.rebuildLocs(); err != nil {
+	x, err := FromParts(opts, keys, sizes, views)
+	if err != nil {
 		return nil, buf, err
 	}
-	if err := x.checkBounds(); err != nil {
-		return nil, buf, err
-	}
-	// Last, so that a rejected encoding never registers its header's grid.
-	x.opt = opts.table()
 	return x, buf, nil
 }
 
-// checkBounds holds partitions read from bytes to what Build guarantees
+// checkBounds holds persisted partitions to what Build guarantees
 // (partition.Validate): bounds ordered and non-overlapping, every record's
 // size inside its partition's. The query planner and downstream consumers
-// (the live planner's maxBound metadata) rely on it, so Decode and FromParts
-// both refuse an index that breaks it. It needs the locs table.
+// (the live planner's maxBound metadata) rely on it, so FromParts refuses an
+// index that breaks it. It needs the locs table.
 func (x *Index) checkBounds() error {
 	for i := range x.parts {
 		p := &x.parts[i]

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -334,16 +336,25 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	if _, _, err := Decode([]byte("nope")); err == nil {
-		t.Fatal("garbage accepted")
+	if _, _, err := Decode([]byte("nope")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("garbage: err %v, want ErrCorrupt", err)
 	}
 	c := makeCorpus(t, 20, 64, 13)
 	x, _ := Build(c.records, Options{NumHash: 64, RMax: 4, NumPartitions: 2})
 	buf := x.AppendBinary(nil)
 	for _, cut := range []int{5, 21, len(buf) / 2, len(buf) - 3} {
-		if _, _, err := Decode(buf[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if _, _, err := Decode(buf[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation at %d: err %v, want ErrCorrupt", cut, err)
 		}
+	}
+	// A well-framed 24-byte header of zero keys and zero partitions: the
+	// shape Build refuses with ErrEmpty is no index either when read back.
+	empty := append([]byte("LSHE"), make([]byte, 20)...)
+	binary.LittleEndian.PutUint32(empty[4:], 64) // numHash
+	binary.LittleEndian.PutUint32(empty[8:], 4)  // rMax
+	binary.LittleEndian.PutUint32(empty[12:], 2) // numPartitions
+	if idx, _, err := Decode(empty); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("empty index: decoded %v, err %v, want ErrCorrupt", idx, err)
 	}
 }
 

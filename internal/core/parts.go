@@ -28,32 +28,29 @@ func (x *Index) EachPart(fn func(pi int, pv PartView)) {
 	}
 }
 
-// FromParts reassembles an Index from previously built partitions. keys and
-// sizes are indexed by record id; every id in [0, len(keys)) must appear in
-// exactly one forest, each forest must have the matching signature shape,
-// sizes must be positive, and the bounds must hold as Decode requires them
-// (ordered, non-overlapping, every size inside its partition's). The forests
-// may be read-only views over mapped segment files: nothing here reads
-// signature store contents (the per-id signature views are built by slicing
-// the stores, and slicing faults no data pages), so a lazily mapped segment
-// stays on disk until the first probe.
+// FromParts is the index's constructor from persisted parts, and their one
+// validator: Decode hands it what it parsed from bytes, internal/live what it
+// views in a segment file. keys and sizes are indexed by record id. It
+// refuses invalid options, an empty index, a size that is not positive, a
+// forest of another shape or width than the options, an id out of range,
+// repeated or missing, and bounds Build could not have produced; every
+// refusal wraps ErrCorrupt. The forests may be read-only views over mapped
+// segment files: nothing here reads signature store contents, so a lazily
+// mapped segment stays on disk until the first probe.
 func FromParts(opts Options, keys []string, sizes []int, views []PartView) (*Index, error) {
 	opts = opts.WithDefaults()
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 	}
-	if len(keys) == 0 {
-		return nil, ErrEmpty
+	if len(keys) == 0 || len(views) == 0 {
+		return nil, fmt.Errorf("core: %d keys in %d partitions: %w", len(keys), len(views), ErrCorrupt)
 	}
 	if len(sizes) != len(keys) {
-		return nil, fmt.Errorf("core: %d sizes for %d keys", len(sizes), len(keys))
-	}
-	if len(views) == 0 {
-		return nil, fmt.Errorf("core: no partitions")
+		return nil, fmt.Errorf("core: %d sizes for %d keys: %w", len(sizes), len(keys), ErrCorrupt)
 	}
 	for i, sz := range sizes {
 		if sz <= 0 {
-			return nil, fmt.Errorf("core: record %q has non-positive size %d", keys[i], sz)
+			return nil, fmt.Errorf("core: record %q has non-positive size %d: %w", keys[i], sz, ErrCorrupt)
 		}
 	}
 	x := &Index{
@@ -62,32 +59,32 @@ func FromParts(opts Options, keys []string, sizes []int, views []PartView) (*Ind
 		sizes: sizes,
 		parts: make([]part, len(views)),
 	}
-	total := 0
 	for i, v := range views {
 		f := v.Forest
 		if f == nil {
-			return nil, fmt.Errorf("core: partition %d has no forest", i)
+			return nil, fmt.Errorf("core: partition %d has no forest: %w", i, ErrCorrupt)
 		}
 		if f.NumHash() != opts.NumHash || f.RMax() != opts.RMax {
-			return nil, fmt.Errorf("core: partition %d forest shape (%d,%d) != options (%d,%d)",
-				i, f.NumHash(), f.RMax(), opts.NumHash, opts.RMax)
+			// A forest disagreeing with the options would panic at query
+			// time (tuned (b, r) out of its range) and yield wrong-length
+			// signatures.
+			return nil, fmt.Errorf("core: partition %d forest shape (%d, %d) != options (%d, %d): %w",
+				i, f.NumHash(), f.RMax(), opts.NumHash, opts.RMax, ErrCorrupt)
 		}
 		if f.Width() != opts.Sketch.WidthBytes() {
-			return nil, fmt.Errorf("core: partition %d forest width %d != sketch backend %s width %d",
-				i, f.Width(), opts.Sketch, opts.Sketch.WidthBytes())
+			return nil, fmt.Errorf("core: partition %d forest width %d != sketch backend %s width %d: %w",
+				i, f.Width(), opts.Sketch, opts.Sketch.WidthBytes(), ErrCorrupt)
 		}
 		x.parts[i] = part{lower: v.Lower, upper: v.Upper, forest: f}
-		total += f.Len()
 	}
-	if total != len(keys) {
-		return nil, fmt.Errorf("core: partitions hold %d entries for %d keys", total, len(keys))
-	}
+	// The query path indexes its visited array by id, so every id in
+	// [0, len(keys)) must live in exactly one partition.
 	if err := x.rebuildLocs(); err != nil {
-		return nil, fmt.Errorf("core: partition entry ids exceed the key space, repeat or are missing: %w", err)
+		return nil, err
 	}
 	if err := x.checkBounds(); err != nil {
 		return nil, err
 	}
-	x.opt = opts.table() // last, like Decode: rejected input registers no grid
+	x.opt = opts.table() // last: rejected input registers no grid
 	return x, nil
 }

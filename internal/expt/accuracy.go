@@ -3,7 +3,10 @@
 // runs the systems under test (Baseline = single-partition MinHash LSH,
 // Asym = Asymmetric Minwise Hashing, LSH Ensemble with 8/16/32 partitions),
 // and returns typed rows that cmd/experiments renders and bench_test.go
-// wraps. Scales default far below the paper's (so the suite runs on a
+// wraps. Every LSH Ensemble, the Baseline included, is the live index that
+// ships (internal/live), built over the records into one sealed segment and
+// queried through live.Index.Query; the tests hold its answers to
+// core.Build's. Scales default far below the paper's (so the suite runs on a
 // laptop in minutes) and are flag-controlled up to paper scale; the
 // comparative shape of the results is what the reproduction targets.
 package expt
@@ -18,6 +21,7 @@ import (
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/eval"
 	"lshensemble/internal/exact"
+	"lshensemble/internal/live"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/partition"
 	"lshensemble/internal/stats"
@@ -91,17 +95,11 @@ type querier interface {
 	Query(sig minhash.Signature, querySize int, tStar float64) []string
 }
 
-// ensembleSystem adapts *core.Index to querier: the candidate ids, as keys.
-// The only error, a signature shorter than NumHash, cannot occur here.
-type ensembleSystem struct{ *core.Index }
-
-func (e ensembleSystem) Query(sig minhash.Signature, querySize int, tStar float64) []string {
-	ids, _ := e.QueryIDsAppend(nil, sig, querySize, tStar)
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = e.Key(id)
-	}
-	return keys
+// buildEnsemble builds an LSH Ensemble the way the product does: a live
+// index over the records, sealed into one segment, with no background
+// compactor.
+func buildEnsemble(recs []core.Record, opts core.Options) (*live.Index, error) {
+	return live.Build(recs, live.Options{Options: opts, ManualCompaction: true})
 }
 
 // system is a named index under test.
@@ -124,13 +122,13 @@ func buildSystems(recs []core.Record, cfg AccuracyConfig) ([]system, error) {
 	}
 	systems = append(systems, system{"Asym", a})
 	for _, n := range cfg.Partitions {
-		e, err := core.Build(recs, core.Options{
+		e, err := buildEnsemble(recs, core.Options{
 			NumHash: cfg.NumHash, RMax: cfg.RMax, NumPartitions: n, Sketch: core.Minwise64,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ensemble(%d): %w", n, err)
 		}
-		systems = append(systems, system{fmt.Sprintf("LSH Ensemble (%d)", n), ensembleSystem{e}})
+		systems = append(systems, system{fmt.Sprintf("LSH Ensemble (%d)", n), e})
 	}
 	// b-bit variants ride on the largest partition count: the sweep varies
 	// signature bytes against a fixed (best) partitioning.
@@ -139,13 +137,13 @@ func buildSystems(recs []core.Record, cfg AccuracyConfig) ([]system, error) {
 		if sb == core.Minwise64 {
 			continue // already present as the plain ensemble systems
 		}
-		e, err := core.Build(recs, core.Options{
+		e, err := buildEnsemble(recs, core.Options{
 			NumHash: cfg.NumHash, RMax: cfg.RMax, NumPartitions: parts, Sketch: sb,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ensemble(%d, %s): %w", parts, sb, err)
 		}
-		systems = append(systems, system{fmt.Sprintf("LSH Ensemble (%d, %s)", parts, sb), ensembleSystem{e}})
+		systems = append(systems, system{fmt.Sprintf("LSH Ensemble (%d, %s)", parts, sb), e})
 	}
 	return systems, nil
 }
@@ -350,16 +348,18 @@ func RunFig8(cfg Fig8Config) ([]MorphRow, error) {
 		pf := func(sizes []int, n int) []partition.Partition {
 			return partition.Morph(sizes, n, lambda)
 		}
-		idx, err := core.Build(recs, core.Options{
+		idx, err := buildEnsemble(recs, core.Options{
 			NumHash: acc.NumHash, RMax: acc.RMax, Sketch: core.Minwise64,
 			NumPartitions: cfg.NumPartitions, Partitioner: pf,
 		})
 		if err != nil {
 			return nil, err
 		}
-		sd := partition.CountStdDev(idx.PartitionBounds())
+		// The partitioning the index was built with: the partitioner is a
+		// pure function of the record sizes, the domain sizes in order.
+		sd := partition.CountStdDev(pf(corpus.Sizes(), cfg.NumPartitions))
 		accRows := runAccuracy(corpus, recs, queries,
-			[]system{{"morph", ensembleSystem{idx}}}, []float64{cfg.Threshold})
+			[]system{{"morph", idx}}, []float64{cfg.Threshold})
 		ar := accRows[0]
 		rows = append(rows, MorphRow{
 			Lambda:    lambda,

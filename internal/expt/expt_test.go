@@ -1,8 +1,14 @@
 package expt
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"lshensemble/internal/core"
+	"lshensemble/internal/datagen"
+	"lshensemble/internal/minhash"
 )
 
 // smallAcc is a fast accuracy config for CI.
@@ -26,6 +32,71 @@ func rowsBySystem(rows []AccuracyRow, tStar float64) map[string]AccuracyRow {
 		}
 	}
 	return out
+}
+
+// TestSystemsAnswerLikeCoreBuild holds the figures to their reference path:
+// every ensemble system buildSystems returns — the Baseline, each partition
+// count, each sketch backend — answers every (query, threshold) with exactly
+// the key set core.Build + QueryIDsAppend gives under the same options.
+func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
+	cfg := AccuracyConfig{
+		NumDomains: 600, NumQueries: 20, NumHash: 64, RMax: 4,
+		Partitions: []int{1, 8, 16},
+		Sketches:   []core.SketchBackend{core.Minwise32, core.Minwise16, core.Minwise8},
+		Seed:       3,
+	}.withDefaults()
+	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: cfg.NumDomains, Seed: cfg.Seed})
+	recs := datagen.Records(corpus, minhash.NewHasher(cfg.NumHash, cfg.Seed^0x5eed))
+	queries := datagen.SampleQueries(corpus, cfg.NumQueries, cfg.Seed)
+	systems, err := buildSystems(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]core.Options{"Baseline": {NumPartitions: 1, Sketch: core.Minwise64}}
+	for _, n := range cfg.Partitions {
+		want[fmt.Sprintf("LSH Ensemble (%d)", n)] = core.Options{NumPartitions: n, Sketch: core.Minwise64}
+	}
+	parts := cfg.Partitions[len(cfg.Partitions)-1]
+	for _, sb := range cfg.Sketches {
+		want[fmt.Sprintf("LSH Ensemble (%d, %s)", parts, sb)] = core.Options{NumPartitions: parts, Sketch: sb}
+	}
+	checked := 0
+	for _, sys := range systems {
+		opts, ok := want[sys.name]
+		if !ok {
+			continue // Asym is no ensemble
+		}
+		opts.NumHash, opts.RMax = cfg.NumHash, cfg.RMax
+		ref, err := core.Build(recs, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		for _, qi := range queries {
+			r := recs[qi]
+			for _, tStar := range cfg.Thresholds {
+				ids, err := ref.QueryIDsAppend(nil, r.Sig, r.Size, tStar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantKeys := make([]string, len(ids))
+				for i, id := range ids {
+					wantKeys[i] = ref.Key(id)
+				}
+				got := slices.Clone(sys.idx.Query(r.Sig, r.Size, tStar))
+				slices.Sort(wantKeys)
+				slices.Sort(got)
+				if !slices.Equal(got, wantKeys) {
+					t.Fatalf("%s, query %s at t*=%.2f: %d keys, core.Build gives %d",
+						sys.name, r.Key, tStar, len(got), len(wantKeys))
+				}
+			}
+		}
+		checked++
+	}
+	if checked != len(want) {
+		t.Fatalf("checked %d systems, want %d", checked, len(want))
+	}
 }
 
 func TestFig4Shape(t *testing.T) {

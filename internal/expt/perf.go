@@ -7,6 +7,7 @@ import (
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
+	"lshensemble/internal/live"
 	"lshensemble/internal/minhash"
 )
 
@@ -81,7 +82,7 @@ func RunFig9(cfg PerfConfig) ([]PerfRow, error) {
 		for _, parts := range cfg.Partitions {
 			start := time.Now()
 			recs := datagen.Records(corpus, minhash.NewHasher(cfg.NumHash, cfg.Seed^0x5eed))
-			idx, err := core.Build(recs, core.Options{
+			idx, err := buildEnsemble(recs, core.Options{
 				NumHash: cfg.NumHash, RMax: cfg.RMax, NumPartitions: parts, Sketch: cfg.Sketch,
 			})
 			if err != nil {
@@ -93,11 +94,7 @@ func RunFig9(cfg PerfConfig) ([]PerfRow, error) {
 			totalResults := 0
 			qStart := time.Now()
 			for _, qi := range queries {
-				ids, err := idx.QueryIDsAppend(nil, recs[qi].Sig, recs[qi].Size, tStar)
-				if err != nil {
-					return nil, err
-				}
-				totalResults += len(ids)
+				totalResults += len(idx.Query(recs[qi].Sig, recs[qi].Size, tStar))
 			}
 			queryTime := time.Since(qStart)
 			rows = append(rows, PerfRow{
@@ -130,7 +127,7 @@ func (r Tab4Row) String() string {
 // into equal chunks, one ensemble per chunk, queries fan out to all shards
 // concurrently and results are unioned.
 type shardedIndex struct {
-	shards []*core.Index
+	shards []*live.Index
 }
 
 func (s *shardedIndex) query(sig minhash.Signature, querySize int, tStar float64) []string {
@@ -138,9 +135,9 @@ func (s *shardedIndex) query(sig minhash.Signature, querySize int, tStar float64
 	var wg sync.WaitGroup
 	for i, sh := range s.shards {
 		wg.Add(1)
-		go func(i int, sh *core.Index) {
+		go func(i int, sh *live.Index) {
 			defer wg.Done()
-			results[i] = ensembleSystem{sh}.Query(sig, querySize, tStar)
+			results[i] = sh.Query(sig, querySize, tStar)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -177,7 +174,7 @@ func RunTab4(cfg PerfConfig) ([]Tab4Row, error) {
 			if hi > len(recs) {
 				hi = len(recs)
 			}
-			idx, err := core.Build(recs[lo:hi], core.Options{
+			idx, err := buildEnsemble(recs[lo:hi], core.Options{
 				NumHash: cfg.NumHash, RMax: cfg.RMax, NumPartitions: parts, Sketch: cfg.Sketch,
 			})
 			if err != nil {

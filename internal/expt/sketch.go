@@ -76,7 +76,7 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 
 	var systems []frontierSystem
 	for _, sb := range []core.SketchBackend{core.Minwise64, core.Minwise32, core.Minwise16, core.Minwise8} {
-		idx, err := core.Build(recs, core.Options{
+		idx, err := buildEnsemble(recs, core.Options{
 			NumHash: cfg.NumHash, RMax: cfg.RMax,
 			NumPartitions: cfg.NumPartitions, Sketch: sb,
 		})
@@ -85,9 +85,9 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 		}
 		systems = append(systems, frontierSystem{
 			name:  sb.String(),
-			bytes: float64(idx.SignatureBytes()) / float64(len(recs)),
+			bytes: float64(idx.Stats().SignatureBytes) / float64(len(recs)),
 			query: func(qi int, tStar float64) []string {
-				return ensembleSystem{idx}.Query(recs[qi].Sig, recs[qi].Size, tStar)
+				return idx.Query(recs[qi].Sig, recs[qi].Size, tStar)
 			},
 		})
 	}

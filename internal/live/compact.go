@@ -89,6 +89,20 @@ func (x *Index) Compact() {
 	x.mergeSegments(sn.segs)
 }
 
+// newSegment is the one place a segment is built from records: the core
+// index over recs (seqs aligned with them, ascending), its planner metadata
+// and resident estimate, spilled to a segment file when the index has a data
+// directory. Build, seal and merge all call it outside the writer lock.
+func (x *Index) newSegment(recs []core.Record, seqs []uint64) (*segment, error) {
+	idx, err := core.Build(recs, x.opts.Options)
+	if err != nil {
+		return nil, err
+	}
+	seg := &segment{idx: idx, seqs: seqs, meta: buildSegMeta(idx)}
+	seg.resident = heapSegmentResident(idx, seg.meta)
+	return x.persistSegment(seg), nil
+}
+
 // sealIfFull seals when the buffer has crossed the threshold.
 func (x *Index) sealIfFull() bool {
 	return x.seal(x.opts.SealThreshold)
@@ -122,19 +136,14 @@ func (x *Index) seal(min int) bool {
 	}
 	var seg *segment
 	if len(recs) > 0 {
-		idx, err := core.Build(recs, x.opts.Options)
-		if err != nil {
+		// Built, and spilled, outside the writer lock: only the pointer swap
+		// below blocks writers.
+		var err error
+		if seg, err = x.newSegment(recs, seqs); err != nil {
 			// Unreachable: every record was validated at Add time. Leaving
 			// the buffer as-is keeps the index correct (just unsealed).
 			return false
 		}
-		// The planner metadata is derived outside the writer lock, like the
-		// build itself: only the pointer swap below blocks writers.
-		seg = &segment{idx: idx, seqs: seqs, meta: buildSegMeta(idx)}
-		seg.resident = heapSegmentResident(idx, seg.meta)
-		// Spill to a segment file before publishing (file IO stays outside
-		// the writer lock, like the build).
-		seg = x.persistSegment(seg)
 	}
 
 	x.mu.Lock()
@@ -248,16 +257,13 @@ func (x *Index) mergeSegments(victims []*segment) {
 
 	var merged *segment
 	if len(recs) > 0 {
-		// core.Build copies every signature into the new segment's own
-		// store, so the merged segment holds no views into the victims —
-		// they can unmap once their last reader drains.
-		idx, err := core.Build(recs, x.opts.Options)
-		if err != nil {
+		// The build copies every signature into the new segment's own store,
+		// so the merged segment holds no views into the victims — they can
+		// unmap once their last reader drains.
+		var err error
+		if merged, err = x.newSegment(recs, seqs); err != nil {
 			return // unreachable: inputs came from validated segments
 		}
-		merged = &segment{idx: idx, seqs: seqs, meta: buildSegMeta(idx)}
-		merged.resident = heapSegmentResident(idx, merged.meta)
-		merged = x.persistSegment(merged)
 	}
 
 	x.mu.Lock()

@@ -595,13 +595,11 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 			seqs = append(seqs, seq)
 			x.keySeq[r.Key] = seq
 		}
-		idx, err := core.Build(recs, opts.Options)
+		seg, err := x.newSegment(recs, seqs)
 		if err != nil {
 			return nil, err
 		}
-		seg := &segment{idx: idx, seqs: seqs, meta: buildSegMeta(idx)}
-		seg.resident = heapSegmentResident(idx, seg.meta)
-		sn.segs = []*segment{x.persistSegment(seg)}
+		sn.segs = []*segment{seg}
 		x.seq = uint64(len(records))
 		x.domains.Store(int64(len(recs)))
 	}

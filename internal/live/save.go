@@ -281,9 +281,6 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			if idx.Len() != n {
 				return nil, fmt.Errorf("live: segment %d holds %d entries, %d seqs: %w", i, idx.Len(), n, ErrCorrupt)
 			}
-			if n == 0 {
-				return nil, fmt.Errorf("live: segment %d is empty: %w", i, ErrCorrupt)
-			}
 			if o := idx.Options(); o.NumHash != numHash || o.RMax != rMax {
 				return nil, fmt.Errorf("live: segment %d shape (%d, %d) != header (%d, %d): %w",
 					i, o.NumHash, o.RMax, numHash, rMax, ErrCorrupt)
