@@ -56,8 +56,9 @@
 // log into each shard's. GET /metrics exposes request counters/latency
 // histograms per endpoint plus the fleet view: lshrouter_shards_live,
 // lshrouter_shard_demotions_total / _promotions_total / _errors_total
-// (labelled by shard), lshrouter_partial_responses_total and
-// lshrouter_scatter_total{form="sketched"}, the scattered queries. Demotions and promotions also log at Warn/Info. -debug-addr starts a separate listener
+// (labelled by shard) and lshrouter_partial_responses_total; the scattered
+// queries are counted where they land, by each shard's
+// lshensembled_sketched_requests_total{op}. Demotions and promotions also log at Warn/Info. -debug-addr starts a separate listener
 // with net/http/pprof under /debug/pprof/ and a /metrics mirror — keep it
 // off public interfaces.
 package main

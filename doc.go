@@ -344,11 +344,11 @@
 // lshrouter_ prefix plus fleet health: lshrouter_shards_live,
 // lshrouter_shard_demotions_total / _promotions_total / _errors_total /
 // _dials_total {shard} (the last counts record connections dialed: pool
-// churn or a flapping shard), lshrouter_partial_responses_total, and the
-// scattered queries, lshrouter_scatter_total{form="sketched"}, whose
-// shard-side counterpart is lshensembled_sketched_requests_total{op}; a
-// routed write moves the shard's lshensembled_http_requests_total{endpoint=
-// "add"|"delete"} as a JSON write does.
+// churn or a flapping shard) and lshrouter_partial_responses_total. Each
+// scattered query reaches every shard in the ring as one record, counted by
+// the shard's lshensembled_sketched_requests_total{op}; a routed write moves
+// the shard's lshensembled_http_requests_total{endpoint="add"|"delete"} as a
+// JSON write does.
 //
 // Request tracing: every request is stamped with a trace ID — an inbound
 // X-Request-Id is honored (sanitized), otherwise one is generated — echoed

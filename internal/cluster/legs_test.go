@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"lshensemble"
 	"lshensemble/internal/datagen"
@@ -206,6 +208,64 @@ func TestChunkedBodiesReadSmall(t *testing.T) {
 		var out serve.BatchResponse
 		if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &out) != nil || len(out.Rows) != len(batch.Queries) {
 			t.Fatalf("%s: chunked batch of %d bytes: HTTP %d, %d rows", c.name, len(big), rr.Code, len(out.Rows))
+		}
+	}
+}
+
+// TestRouterForwardsBatchWorkers: the router sends a batch's workers as the
+// client asked them, GOMAXPROCS+5 here. The shard caps them at its own
+// GOMAXPROCS; a router on fewer cores must not cap a larger shard's.
+func TestRouterForwardsBatchWorkers(t *testing.T) {
+	front, surl := newRecordFront(t, newShardServer(t, testSeed))
+	router, rts := startRouter(t, []string{surl}, Options{})
+	router.CheckHealth()
+	asked := runtime.GOMAXPROCS(0) + 5
+	body := fmt.Sprintf(`{"queries":[{"values":["a","b"]},{"values":["c"]}],"workers":%d}`, asked)
+	if code, answer := postRaw(t, rts.URL+"/query/batch", body); code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d %s", code, answer)
+	}
+	legs := front.recorded()
+	if len(legs) != 1 {
+		t.Fatalf("the shard read %d record legs, want 1", len(legs))
+	}
+	// A batch record opens with the seed, then the workers: each 8 bytes
+	// behind a uint32 length.
+	if len(legs[0]) < 24 {
+		t.Fatalf("a batch record of %d bytes", len(legs[0]))
+	}
+	if got := int64(binary.LittleEndian.Uint64(legs[0][16:])); got != int64(asked) {
+		t.Fatalf("the batch record carries workers %d, want the client's %d", got, asked)
+	}
+}
+
+// TestRouterRefusesFailedReadAsDecoding: a router whose body read fails part
+// way refuses it as a shard does (TestShardRefusesFailedReadAsDecoding in
+// internal/serve): in encoding/json's words for the bytes that came and then
+// the failed read, after "decoding request:".
+func TestRouterRefusesFailedReadAsDecoding(t *testing.T) {
+	urls, _ := startShards(t, 1)
+	router, _ := startRouter(t, urls, Options{})
+	router.CheckHealth()
+	tooLarge := &http.MaxBytesError{Limit: serve.MaxRequestBody}
+	for _, c := range []struct {
+		came string
+		err  error
+		want string
+	}{
+		{`{"values":["a","b`, tooLarge, "decoding request: http: request body too large"},
+		{`{"values":["a"],"threshold"`, io.ErrUnexpectedEOF, "decoding request: unexpected EOF"},
+		{`{"values":["a"],"bogus":1}`, tooLarge, `decoding request: json: unknown field "bogus"`},
+		{`{"values":x`, tooLarge, "decoding request: invalid character 'x' looking for beginning of value"},
+		{`{"values":["a"]}`, tooLarge, "decoding request: data after the JSON value"},
+	} {
+		for _, path := range []string{"/query", "/query/topk"} {
+			req := httptest.NewRequest(http.MethodPost, path, io.MultiReader(strings.NewReader(c.came), iotest.ErrReader(c.err)))
+			rr := httptest.NewRecorder()
+			router.ServeHTTP(rr, req)
+			var got serve.ErrorResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &got); rr.Code != http.StatusBadRequest || err != nil || got.Error != c.want {
+				t.Errorf("%s %q then %v: HTTP %d %s, want 400 %q", path, c.came, c.err, rr.Code, rr.Body, c.want)
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,13 +107,13 @@ type shard struct {
 // and every round asks the shards outside again. While no family is known a
 // request is a 503 with Retry-After.
 //
-// Every query and add is sketched here, once: the router validates it as a
-// shard would, sketches the values with the fleet's family and encodes the
-// query or add record (internal/serve) once for every leg or owner. A delete
-// record carries the key alone. A shard that refuses a record (it restarted
-// under another seed) fails that leg — a query answer goes partial, its
-// candidates never merged — and is held out of the ring until it reports the
-// fleet's family again.
+// The data routes are the shard's own JSON front end (serve.Handler) over
+// the ring: a body is checked as a shard checks it, before the family is
+// asked for, then sketched once with the fleet's family, and its record
+// (internal/serve) encoded once for a write's owners or every query leg. A
+// shard that refuses a record (it restarted under another seed) fails that
+// leg — a query answer goes partial, its candidates never merged — and is
+// held out of the ring until it reports the fleet's family again.
 //
 // Legs and writes do not go through net/http: each is one write and one read
 // on a pooled record connection to the shard (the package comment has their
@@ -139,12 +138,11 @@ type Router struct {
 	memMu     sync.Mutex
 	learnOnce sync.Once
 
-	logger          *slog.Logger
-	reg             *obs.Registry
-	httpm           *obs.HTTPMetrics
-	shardsLive      *obs.Gauge
-	partials        *obs.Counter
-	scatterSketched *obs.Counter // scattered queries
+	logger     *slog.Logger
+	reg        *obs.Registry
+	httpm      *obs.HTTPMetrics
+	shardsLive *obs.Gauge
+	partials   *obs.Counter
 
 	stopOnce sync.Once
 	started  atomic.Bool
@@ -183,8 +181,6 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	r.reg.Gauge("lshrouter_shards_total", "Shards configured at startup.").Set(int64(len(shardURLs)))
 	r.partials = r.reg.Counter("lshrouter_partial_responses_total",
 		"Merged responses missing at least one shard's contribution.")
-	r.scatterSketched = r.reg.Counter("lshrouter_scatter_total",
-		"Scattered queries by leg form: every leg is sketched once, at the router.", obs.L("form", "sketched"))
 	for i, name := range names {
 		if i > 0 && name == names[i-1] {
 			return nil, fmt.Errorf("cluster: duplicate shard URL %q", name)
@@ -204,16 +200,14 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	r.rebuild(nil)
 
 	r.mux = http.NewServeMux()
-	r.handle("POST /add", "add", r.handleAdd)
-	r.handle("POST /delete", "delete", r.handleDelete)
-	r.handle("POST /query", "query", r.handleQuery)
-	r.handle("POST /query/topk", "query_topk", r.handleTopK)
-	r.handle("POST /query/batch", "query_batch", r.handleBatch)
-	r.handle("GET /stats", "stats", r.handleStats)
+	for _, o := range [...]serve.Op{serve.OpAdd, serve.OpDelete, serve.OpQuery, serve.OpTopK, serve.OpBatch} {
+		r.handle("POST "+o.Path(), o.Endpoint(), serve.Handler(o, r.family, r.answer))
+	}
+	r.handle("GET /stats", "stats", fleetAdmin(r, (*Client).Stats))
 	r.handle("GET /ring", "ring", r.handleRing)
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.handle("POST /compact", "compact", r.handleCompact)
-	r.handle("POST /save", "save", r.handleSave)
+	r.handle("POST /compact", "compact", fleetAdmin(r, (*Client).Compact))
+	r.handle("POST /save", "save", fleetAdmin(r, (*Client).Save))
 	r.mux.Handle("GET /metrics", r.reg.Handler())
 	return r, nil
 }
@@ -425,18 +419,17 @@ func member(s *shard, sk *sketcher) bool {
 // fleet returns the fleet's sketcher. The first request to find none runs the
 // learning round the first health tick would have (every shard starts out
 // live, so no promotion is coming to trigger it); requests racing it wait for
-// that one round. With still no family it answers 503 and returns nil.
-func (r *Router) fleet(w http.ResponseWriter) *sketcher {
+// that one round. With still no family it is a 503 with Retry-After.
+func (r *Router) fleet() (*sketcher, error) {
 	if sk := r.sketch.Load(); sk != nil {
-		return sk
+		return sk, nil
 	}
 	r.learnOnce.Do(r.learnFamilies)
 	if sk := r.sketch.Load(); sk != nil {
-		return sk
+		return sk, nil
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(r.opts.HealthInterval.Seconds()))))
-	serve.WriteError(w, http.StatusServiceUnavailable, errors.New("no shard has reported its hash family yet"))
-	return nil
+	return nil, &serve.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no shard has reported its hash family yet"),
+		RetryAfter: int(math.Ceil(r.opts.HealthInterval.Seconds()))}
 }
 
 // holdOut takes out of the ring every shard that answered a record the
@@ -595,7 +588,7 @@ func fanOut[T any](ctx context.Context, shards []*shard, call func(context.Conte
 // decoded by call. The legs start together, so they share one ShardTimeout
 // deadline: a slow shard costs a partial answer, not latency. A shard that
 // answers with a 4xx is held out of the ring.
-func legs[T any](r *Router, ctx context.Context, shards []*shard, call func(context.Context, *shard) (T, error)) (oks []T, failed []string, refusal *StatusError) {
+func legs[T any](r *Router, ctx context.Context, shards []*shard, call func(context.Context, *shard) (T, error)) (oks []T, failed []string, refusal *serve.Refusal) {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
 	defer cancel()
 	shards, resps, errs := fanOut(ctx, shards, call)
@@ -608,7 +601,7 @@ func legs[T any](r *Router, ctx context.Context, shards []*shard, call func(cont
 // refused: not one answer, and every shard returned the same 4xx with the
 // same message. That is the request's fault, not the shards', so nothing is
 // counted and the refusal comes back for the caller to relay.
-func gather[T any](live []*shard, resps []T, errs []error) (oks []T, failed []string, refusal *StatusError) {
+func gather[T any](live []*shard, resps []T, errs []error) (oks []T, failed []string, refusal *serve.Refusal) {
 	for i, err := range errs {
 		if err == nil {
 			oks = append(oks, resps[i])
@@ -629,9 +622,9 @@ func gather[T any](live []*shard, resps []T, errs []error) (oks []T, failed []st
 	return oks, failed, nil
 }
 
-// sameRefusal returns the one 4xx every leg answered, nil unless all did and
-// alike.
-func sameRefusal(errs []error) *StatusError {
+// sameRefusal returns the one 4xx every leg answered, in the shards' status
+// and words; nil unless all did and alike.
+func sameRefusal(errs []error) *serve.Refusal {
 	var first *StatusError
 	for _, err := range errs {
 		var se *StatusError
@@ -644,17 +637,90 @@ func sameRefusal(errs []error) *StatusError {
 			return nil
 		}
 	}
-	return first
+	if first == nil {
+		return nil
+	}
+	return &serve.Refusal{Status: first.Status, Err: errors.New(first.Message)}
 }
 
-// --- write path: route by ring ---
+// --- the ring: the front end's sink ---
+
+// family is the front end's hash family at the router: the fleet's. A batch
+// whose record would be over the shards' request limit is refused here, once
+// the family says how long a signature is and before any row is sketched: a
+// signature is a fixed 8·num_hash bytes however few values it stands for, so
+// a batch of very many small queries is larger as a record than raw.
+func (r *Router) family(o serve.Op, rows int) (*lshensemble.Hasher, error) {
+	sk, err := r.fleet()
+	if err != nil {
+		return nil, err
+	}
+	if n := serve.RecordLen(o, rows, sk.NumHash); o == serve.OpBatch && n > serve.MaxRequestBody {
+		return nil, fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, n, serve.MaxRequestBody)
+	}
+	return sk.hasher, nil
+}
+
+// answer is the ring's sink. A write is one record to its key's owners; a
+// query is one record, encoded once, scattered to every shard in the ring,
+// and the answers merged. A batch's workers go out as the client asked them:
+// each shard caps them at its own GOMAXPROCS.
+func (r *Router) answer(ctx context.Context, req *serve.Request) (any, error) {
+	sk := r.sketch.Load() // family let the request through, so it is adopted
+	switch req.Op {
+	case serve.OpAdd:
+		rec := lshensemble.DomainRecord{Key: req.Key, Size: req.Rows[0].Size, Sig: req.Rows[0].Sig}
+		acked, failed, replaced, err := r.write(ctx, req.Key, req.Op, serve.AppendAddRecord(nil, sk.Seed, rec))
+		if err != nil {
+			return nil, err
+		}
+		add := serve.AddResponse{Replaced: replaced, Size: rec.Size}
+		return &RouterAddResponse{AddResponse: add, Shards: acked, Failed: failed, Partial: len(failed) > 0}, nil
+	case serve.OpDelete:
+		acked, failed, deleted, err := r.write(ctx, req.Key, req.Op, serve.AppendDeleteRecord(nil, req.Key))
+		if err != nil {
+			return nil, err
+		}
+		del := serve.DeleteResponse{Deleted: deleted}
+		return &RouterDeleteResponse{DeleteResponse: del, Shards: acked, Failed: failed, Partial: len(failed) > 0}, nil
+	}
+	body := make([]byte, 0, serve.RecordLen(req.Op, len(req.Rows), sk.NumHash))
+	switch req.Op {
+	case serve.OpQuery:
+		oks, failed, err := scatter[serve.QueryResponse](r, ctx, req, serve.AppendQueryRecord(body, sk.Seed, req.Rows[0]))
+		if err != nil {
+			return nil, err
+		}
+		lists := make([][]string, len(oks))
+		for i := range oks {
+			lists[i] = oks[i].Matches
+		}
+		merged := mergeSorted(lists)
+		resp := serve.QueryResponse{Matches: merged, Count: len(merged)}
+		return &RouterQueryResponse{QueryResponse: resp, Partial: len(failed) > 0, Failed: failed}, nil
+	case serve.OpTopK:
+		oks, failed, err := scatter[serve.TopKResponse](r, ctx, req, serve.AppendTopKRecord(body, sk.Seed, req.K, req.Rows[0].Size, req.Rows[0].Sig))
+		if err != nil {
+			return nil, err
+		}
+		merged := mergeTopK(oks, req.K)
+		resp := serve.TopKResponse{Matches: merged, Count: len(merged)}
+		return &RouterTopKResponse{TopKResponse: resp, Partial: len(failed) > 0, Failed: failed}, nil
+	}
+	oks, failed, err := scatter[serve.BatchResponse](r, ctx, req, serve.AppendBatchRecord(body, sk.Seed, req.Workers, req.Rows))
+	if err != nil {
+		return nil, err
+	}
+	resp := serve.BatchResponse{Rows: mergeBatch(oks, len(req.Rows))}
+	return &RouterBatchResponse{BatchResponse: resp, Partial: len(failed) > 0, Failed: failed}, nil
+}
 
 // write sends one write record of op o to key's ring owners. It returns the
 // owners that acknowledged and those that failed, each sorted, and whether
 // any that acknowledged replaced or deleted the key. With no owner in the
-// ring, or none that acknowledged, it has answered the client and returns
-// false: a refusal every owner gave alike is relayed, anything else is a 502.
-func (r *Router) write(w http.ResponseWriter, ctx context.Context, key string, o serve.Op, body []byte) (acked, failed []string, flag, ok bool) {
+// ring, or none that acknowledged, it returns the refusal to answer with
+// instead: one every owner gave alike is relayed, anything else is a 502.
+func (r *Router) write(ctx context.Context, key string, o serve.Op, body []byte) (acked, failed []string, flag bool, err error) {
 	var owners []*shard
 	for _, name := range r.ring.Load().Owners(key) {
 		if s := r.shardByName(name); s != nil {
@@ -662,8 +728,7 @@ func (r *Router) write(w http.ResponseWriter, ctx context.Context, key string, o
 		}
 	}
 	if len(owners) == 0 {
-		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("no live shards"))
-		return nil, nil, false, false
+		return nil, nil, false, &serve.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no live shards")}
 	}
 	var flagged atomic.Bool
 	acked, failed, refusal := legs(r, ctx, owners, func(ctx context.Context, s *shard) (string, error) {
@@ -678,207 +743,43 @@ func (r *Router) write(w http.ResponseWriter, ctx context.Context, key string, o
 	switch {
 	case len(acked) > 0:
 		r.notePartial(failed)
-		return acked, failed, flagged.Load(), true
+		return acked, failed, flagged.Load(), nil
 	case refusal != nil:
-		serve.WriteJSON(w, refusal.Status, serve.ErrorResponse{Error: refusal.Message})
-	default:
-		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("no owner acknowledged %s of %q (failed: %v)", o, key, failed))
+		return nil, nil, false, refusal
 	}
-	return nil, nil, false, false
+	return nil, nil, false, &serve.Refusal{Status: http.StatusBadGateway,
+		Err: fmt.Errorf("no owner acknowledged %s of %q (failed: %v)", o, key, failed)}
 }
 
-func (r *Router) handleAdd(w http.ResponseWriter, req *http.Request) {
-	body, ok := serve.ReadQuery(w, req, serve.OpAdd)
-	if !ok {
-		return
-	}
-	sk := r.fleet(w)
-	if sk == nil {
-		return
-	}
-	rec, err := body.ResolveAdd(sk.hasher, nil)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if acked, failed, replaced, ok := r.write(w, req.Context(), rec.Key, serve.OpAdd, serve.AppendAddRecord(nil, sk.Seed, rec)); ok {
-		serve.WriteJSON(w, http.StatusOK, RouterAddResponse{
-			AddResponse: serve.AddResponse{Replaced: replaced, Size: rec.Size},
-			Shards:      acked, Failed: failed, Partial: len(failed) > 0,
-		})
-	}
-}
-
-func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
-	body, ok := serve.ReadQuery(w, req, serve.OpDelete)
-	if !ok {
-		return
-	}
-	if body.Key == "" {
-		serve.WriteError(w, http.StatusBadRequest, errors.New("key is required"))
-		return
-	}
-	if r.fleet(w) == nil {
-		return
-	}
-	if acked, failed, deleted, ok := r.write(w, req.Context(), body.Key, serve.OpDelete, serve.AppendDeleteRecord(nil, body.Key)); ok {
-		serve.WriteJSON(w, http.StatusOK, RouterDeleteResponse{
-			DeleteResponse: serve.DeleteResponse{Deleted: deleted},
-			Shards:         acked, Failed: failed, Partial: len(failed) > 0,
-		})
-	}
-}
-
-// --- read path: scatter to the ring, gather, merge ---
-
-// legBody is what every leg of one scattered query is sent: one record of op
-// op, shared by the legs and only ever read, and the query's row count, which
-// the answer frame must match.
-type legBody struct {
-	op    serve.Op
-	bytes []byte
-	rows  int
-}
-
-// queryLegs resolves the client's request through sketch — the shard's own
-// validation and the one MinHash pass of the request — with the fleet's
-// family and appends its record to dst; a request sketch refuses is answered
-// 400 here, before any leg.
-func (r *Router) queryLegs(w http.ResponseWriter, o serve.Op, rows int, sketch func(sk *sketcher, dst []byte) ([]byte, error)) (legBody, bool) {
-	sk := r.fleet(w)
-	if sk == nil {
-		return legBody{}, false
-	}
-	// A signature is a fixed 8·num_hash bytes however few values it stands
-	// for, so a batch of very many small queries is larger as a record than
-	// raw: the shard's body limit becomes a limit on rows, checked before any
-	// row is sketched.
-	n := serve.RecordLen(o, rows, sk.NumHash)
-	if n > serve.MaxRequestBody {
-		serve.WriteError(w, http.StatusBadRequest,
-			fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, n, serve.MaxRequestBody))
-		return legBody{}, false
-	}
-	body, err := sketch(sk, make([]byte, 0, n))
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err)
-		return legBody{}, false
-	}
-	r.scatterSketched.Inc()
-	return legBody{op: o, bytes: body, rows: rows}, true
-}
-
-// scatter sends one query to every shard in the ring and gathers the
-// answers.
-func scatter[T any](r *Router, ctx context.Context, leg legBody) (oks []T, failed []string, refusal *StatusError) {
-	return legs(r, ctx, r.liveShards(), func(ctx context.Context, s *shard) (T, error) {
+// scatter sends one query's record, body, to every shard in the ring and
+// gathers the answers, each decoded as the answer to the request's rows. A
+// scatter that got none returns gatewayCheck's refusal.
+func scatter[T any](r *Router, ctx context.Context, req *serve.Request, body []byte) ([]T, []string, error) {
+	oks, failed, refusal := legs(r, ctx, r.liveShards(), func(ctx context.Context, s *shard) (T, error) {
 		var out T
-		return out, s.client.leg(ctx, leg.op, leg.bytes, leg.rows, &out)
+		return out, s.client.leg(ctx, req.Op, body, len(req.Rows), &out)
 	})
+	if err := gatewayCheck(len(oks), failed, refusal); err != nil {
+		return nil, nil, err
+	}
+	r.notePartial(failed)
+	return oks, failed, nil
 }
 
-// gatewayCheck writes the scatter-wide errors: an empty ring, a request every
-// shard refused alike (relayed with the shards' status and message), and a
-// total blackout. One reachable shard among many means a partial answer,
-// never a 5xx.
-func (r *Router) gatewayCheck(w http.ResponseWriter, got int, failed []string, refusal *StatusError) bool {
+// gatewayCheck returns the scatter-wide refusals: an empty ring, a request
+// every shard refused alike (relayed with the shards' status and message),
+// and a total blackout. One reachable shard among many means a partial
+// answer, never a 5xx.
+func gatewayCheck(got int, failed []string, refusal *serve.Refusal) error {
 	switch {
 	case got > 0:
-		return true
+		return nil
 	case refusal != nil:
-		serve.WriteJSON(w, refusal.Status, serve.ErrorResponse{Error: refusal.Message})
+		return refusal
 	case len(failed) == 0:
-		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("no live shards"))
-	default:
-		serve.WriteError(w, http.StatusBadGateway,
-			fmt.Errorf("all %d live shards failed", len(failed)))
+		return &serve.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no live shards")}
 	}
-	return false
-}
-
-func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	body, ok := serve.ReadQuery(w, req, serve.OpQuery)
-	if !ok {
-		return
-	}
-	leg, ok := r.queryLegs(w, serve.OpQuery, 1, func(sk *sketcher, dst []byte) ([]byte, error) {
-		q, err := body.Rows[0].Resolve(sk.hasher, nil)
-		return serve.AppendQueryRecord(dst, sk.Seed, q), err
-	})
-	if !ok {
-		return
-	}
-	oks, failed, refusal := scatter[serve.QueryResponse](r, req.Context(), leg)
-	if !r.gatewayCheck(w, len(oks), failed, refusal) {
-		return
-	}
-	lists := make([][]string, len(oks))
-	for i := range oks {
-		lists[i] = oks[i].Matches
-	}
-	merged := mergeSorted(lists)
-	r.notePartial(failed)
-	serve.WriteJSON(w, http.StatusOK, RouterQueryResponse{
-		QueryResponse: serve.QueryResponse{Matches: merged, Count: len(merged)},
-		Partial:       len(failed) > 0,
-		Failed:        failed,
-	})
-}
-
-func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
-	body, ok := serve.ReadQuery(w, req, serve.OpTopK)
-	if !ok {
-		return
-	}
-	var k int // the k the shards rank, which the merge keeps
-	leg, ok := r.queryLegs(w, serve.OpTopK, 1, func(sk *sketcher, dst []byte) ([]byte, error) {
-		sig, size, rank, err := body.Rows[0].ResolveTopK(sk.hasher, nil)
-		k = rank
-		return serve.AppendTopKRecord(dst, sk.Seed, k, size, sig), err
-	})
-	if !ok {
-		return
-	}
-	oks, failed, refusal := scatter[serve.TopKResponse](r, req.Context(), leg)
-	if !r.gatewayCheck(w, len(oks), failed, refusal) {
-		return
-	}
-	merged := mergeTopK(oks, k)
-	r.notePartial(failed)
-	serve.WriteJSON(w, http.StatusOK, RouterTopKResponse{
-		TopKResponse: serve.TopKResponse{Matches: merged, Count: len(merged)},
-		Partial:      len(failed) > 0,
-		Failed:       failed,
-	})
-}
-
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	body, ok := serve.ReadQuery(w, req, serve.OpBatch)
-	if !ok {
-		return
-	}
-	if len(body.Rows) == 0 {
-		serve.WriteError(w, http.StatusBadRequest, errors.New("queries must be non-empty"))
-		return
-	}
-	leg, ok := r.queryLegs(w, serve.OpBatch, len(body.Rows), func(sk *sketcher, dst []byte) ([]byte, error) {
-		queries, err := body.ResolveBatch(sk.hasher, nil) // caps body.Workers
-		return serve.AppendBatchRecord(dst, sk.Seed, body.Workers, queries), err
-	})
-	if !ok {
-		return
-	}
-	oks, failed, refusal := scatter[serve.BatchResponse](r, req.Context(), leg)
-	if !r.gatewayCheck(w, len(oks), failed, refusal) {
-		return
-	}
-	rows := mergeBatch(oks, len(body.Rows))
-	r.notePartial(failed)
-	serve.WriteJSON(w, http.StatusOK, RouterBatchResponse{
-		BatchResponse: serve.BatchResponse{Rows: rows},
-		Partial:       len(failed) > 0,
-		Failed:        failed,
-	})
+	return &serve.Refusal{Status: http.StatusBadGateway, Err: fmt.Errorf("all %d live shards failed", len(failed))}
 }
 
 // --- merges ---
@@ -963,43 +864,35 @@ func mergeBatch(responses []serve.BatchResponse, numRows int) []serve.QueryRespo
 
 // --- fleet admin ---
 
-// fleetAdmin fans one admin call out to every shard in the ring and answers with
-// the per-shard responses. The legs run under the inbound request's context
-// only: a snapshot or a full compaction legitimately outlasts the query
-// ShardTimeout, and cutting it off there would report a shard that is still
-// working as failed.
-func fleetAdmin[T any](r *Router, w http.ResponseWriter, req *http.Request, call func(*Client, context.Context) (T, error)) {
-	if r.fleet(w) == nil {
-		return
-	}
+// fleetAdmin serves one admin call fanned out to every shard in the ring,
+// answered with the per-shard responses. The legs run under the inbound
+// request's context only: a snapshot or a full compaction legitimately
+// outlasts the query ShardTimeout, and cutting it off there would report a
+// shard that is still working as failed.
+func fleetAdmin[T any](r *Router, call func(*Client, context.Context) (T, error)) http.HandlerFunc {
 	type named struct {
 		name string
 		resp T
 	}
-	oks, failed, refusal := gather(fanOut(req.Context(), r.liveShards(), func(ctx context.Context, s *shard) (named, error) {
-		resp, err := call(s.client, ctx)
-		return named{name: s.name, resp: resp}, err
-	}))
-	if !r.gatewayCheck(w, len(oks), failed, refusal) {
-		return
+	return func(w http.ResponseWriter, req *http.Request) {
+		if _, err := r.fleet(); err != nil {
+			serve.WriteRefusal(w, err)
+			return
+		}
+		oks, failed, refusal := gather(fanOut(req.Context(), r.liveShards(), func(ctx context.Context, s *shard) (named, error) {
+			resp, err := call(s.client, ctx)
+			return named{name: s.name, resp: resp}, err
+		}))
+		if err := gatewayCheck(len(oks), failed, refusal); err != nil {
+			serve.WriteRefusal(w, err)
+			return
+		}
+		out := RouterFleetResponse[T]{Shards: make(map[string]T, len(oks)), Failed: failed, Partial: len(failed) > 0}
+		for _, n := range oks {
+			out.Shards[n.name] = n.resp
+		}
+		serve.WriteJSON(w, http.StatusOK, out)
 	}
-	out := RouterFleetResponse[T]{Shards: make(map[string]T, len(oks)), Failed: failed, Partial: len(failed) > 0}
-	for _, n := range oks {
-		out.Shards[n.name] = n.resp
-	}
-	serve.WriteJSON(w, http.StatusOK, out)
-}
-
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	fleetAdmin(r, w, req, (*Client).Stats)
-}
-
-func (r *Router) handleSave(w http.ResponseWriter, req *http.Request) {
-	fleetAdmin(r, w, req, (*Client).Save)
-}
-
-func (r *Router) handleCompact(w http.ResponseWriter, req *http.Request) {
-	fleetAdmin(r, w, req, (*Client).Compact)
 }
 
 func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {

@@ -183,8 +183,10 @@ func TestRouterMergeMatchesSingleNode(t *testing.T) {
 		router, rts := startRouter(t, urls, Options{})
 		router.CheckHealth() // the first health tick learns the families
 		checkMergeMatchesSingleNode(t, urls, shards, router, rts)
-		if text := scrapeText(t, rts.URL); strings.Contains(text, `lshrouter_scatter_total{form="sketched"} 0`) {
-			t.Fatalf("no query went out sketched:\n%s", text)
+		for _, u := range urls {
+			if metric(t, scrapeText(t, u), `lshensembled_sketched_requests_total{op="query"}`) == 0 {
+				t.Fatalf("no query went out sketched to %s", u)
+			}
 		}
 	})
 }

@@ -372,8 +372,10 @@ func TestFamilyLearnedOnceOnDemand(t *testing.T) {
 			t.Errorf("shard %d served /stats %d times for 8 racing first queries, want 1", i, n)
 		}
 	}
-	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_scatter_total{form="sketched"} 8`) {
-		t.Errorf("first-wave queries did not all go out sketched:\n%s", text)
+	for _, u := range urls {
+		if text := scrapeText(t, u); !strings.Contains(text, `lshensembled_sketched_requests_total{op="query"} 8`) {
+			t.Errorf("first-wave queries did not all reach shard %s sketched:\n%s", u, text)
+		}
 	}
 	var ring RingResponse
 	getJSON(t, rts.URL+"/ring", &ring)
@@ -475,9 +477,12 @@ func TestRouterBoundsSketchedBatch(t *testing.T) {
 		t.Fatal("no family after the refusal")
 	}
 	text := scrapeText(t, rts.URL)
-	want := []string{`lshrouter_scatter_total{form="sketched"} 0`, "lshrouter_shards_live 2"}
+	want := []string{"lshrouter_shards_live 2"}
 	for _, u := range urls {
 		want = append(want, `lshrouter_shard_errors_total{shard="`+u+`"} 0`)
+		if shardText := scrapeText(t, u); !strings.Contains(shardText, `lshensembled_sketched_requests_total{op="batch"} 0`) {
+			t.Errorf("shard %s was sent a batch record:\n%s", u, shardText)
+		}
 	}
 	for _, w := range want {
 		if !strings.Contains(text, w) {
@@ -612,4 +617,47 @@ func mustMarshal(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestBodyCheckedBeforeFamily: a body no shard would accept is a 400 in the
+// shard's words even while the router knows no hash family, and it does not
+// send the router asking the shards for one; a body a shard would accept
+// then gets the 503 with Retry-After.
+func TestBodyCheckedBeforeFamily(t *testing.T) {
+	urls, _ := startShards(t, 1)
+	mute := &swapHandler{next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "no", http.StatusInternalServerError)
+	})}
+	mts := httptest.NewServer(mute)
+	t.Cleanup(mts.Close)
+	_, rts := startRouter(t, []string{mts.URL}, Options{})
+	for _, c := range []struct{ path, body, wantInError string }{
+		{"/query", `{"values":["a"],"threshold":2}`, "threshold 2 out of range"},
+		{"/query", `{"threshold":0.5}`, "values must be non-empty"},
+		{"/query/topk", `{"values":["a"],"k":-1}`, "k -1 must be positive"},
+		{"/query/batch", `{"queries":[{"values":["a"]},{"values":["b"],"size":-1}]}`, "query 1: size -1 must not be negative"},
+		{"/add", `{"key":"","values":["a"]}`, "key is required"},
+		{"/add", `{"key":"k"}`, "values must be non-empty"},
+		{"/delete", `{"key":""}`, "key is required"},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, rts.URL+c.path, strings.NewReader(c.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		shardCode, shardBody := postRaw(t, urls[0]+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.wantInError) ||
+			shardCode != resp.StatusCode || shardBody != string(body) || resp.Header.Get("Retry-After") != "" {
+			t.Errorf("%s %s with no family known: HTTP %d Retry-After %q %s, want the shard's 400 %s naming %q",
+				c.path, c.body, resp.StatusCode, resp.Header.Get("Retry-After"), body, shardBody, c.wantInError)
+		}
+	}
+	if n := mute.stats.Load(); n != 0 {
+		t.Errorf("refused bodies asked the shard for its family %d times, want 0", n)
+	}
+	if code, body := postRaw(t, rts.URL+"/query", `{"values":["a"],"threshold":1}`); code != http.StatusServiceUnavailable {
+		t.Errorf("a well-formed query with no family known: HTTP %d %s, want 503", code, body)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"lshensemble"
 	"lshensemble/internal/minhash"
 )
 
@@ -20,58 +21,44 @@ import (
 // escape or invalid UTF-8 in it, once unquote has decoded it into a scratch
 // buffer the reader keeps.
 
-// Query is a body of any shape as read: one row for /query, /query/topk and
+// query is a body of any shape as read: one row for /query, /query/topk and
 // the writes, one per query of a batch, plus a batch's workers and a write's
-// key.
-type Query struct {
-	Rows    []QueryRow
+// key. A record (records.go) reads to one too.
+type query struct {
+	Rows    []queryRow
 	Workers int
 	Key     string
 }
 
-// QueryRow is one query of a body, or the domain of an add: the base hash of
-// each of its values, in order and with repeats, beside the row's other
-// fields (Threshold on /query and in a batch, K on /query/topk, Size in an
-// add record).
-type QueryRow struct {
+// queryRow is one query of a body, or the domain of an add: the base hash of
+// each of its values, in order and with repeats, or a record's signature,
+// beside the row's other fields (Threshold on /query and in a batch, K on
+// /query/topk, Size).
+type queryRow struct {
 	Hashes    []uint64
+	Sig       lshensemble.Signature // a record's; nil in the JSON form
 	Threshold float64
 	K         int
 	Size      int
 }
 
-// ReadQuery reads the JSON form of a body of shape o from r. On a refusal it
-// has written the 400 and returns false.
-func ReadQuery(w http.ResponseWriter, r *http.Request, o Op) (Query, bool) {
+// readRequest reads the JSON form of a body of shape o from r and checks it.
+// A body it cannot read whole (one past MaxRequestBody, or a client gone) is
+// refused in decoding's words: the failed read is handed to encoding/json
+// after the bytes that came before it, as when the body was decoded from the
+// stream.
+func readRequest(w http.ResponseWriter, r *http.Request, o Op) (query, error) {
 	body, err := readAll(w, r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return Query{}, false
-	}
-	q, err := readQuery(body, o)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return Query{}, false
-	}
-	return q, true
-}
-
-// readQueryStream is ReadQuery at a shard, which has always refused a body
-// it cannot read in decoding's words: a failed read is handed to encoding/json
-// after the bytes that came before it, as when the shard decoded the stream.
-func readQueryStream(w http.ResponseWriter, r *http.Request, o Op) (Query, bool) {
-	body, err := readAll(w, r)
-	var q Query
+	var q query
 	if err == nil {
 		q, err = readQuery(body, o)
 	} else {
 		_, err = decodeQueryJSON(io.MultiReader(bytes.NewReader(body), failedRead{err}), o)
 	}
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return Query{}, false
+		return query{}, fmt.Errorf("decoding request: %w", err)
 	}
-	return q, true
+	return q, q.check(o)
 }
 
 // failedRead is a reader that fails with err.
@@ -80,7 +67,7 @@ type failedRead struct{ err error }
 func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
 // readQuery reads body as the JSON form of shape o.
-func readQuery(body []byte, o Op) (Query, error) {
+func readQuery(body []byte, o Op) (query, error) {
 	// A value takes a few bytes of the body at least, so this is one
 	// allocation for values of five bytes or more, a few for shorter ones.
 	d := queryReader{b: body, hashes: make([]uint64, 0, len(body)/8)}
@@ -92,7 +79,7 @@ func readQuery(body []byte, o Op) (Query, error) {
 
 // decodeQueryJSON is the reader's fallback: decodeOne decodes body into the
 // shape's wire type, and the values are hashed as the reader hashes them.
-func decodeQueryJSON(body io.Reader, o Op) (Query, error) {
+func decodeQueryJSON(body io.Reader, o Op) (query, error) {
 	var (
 		qr  QueryRequest
 		tk  TopKRequest
@@ -101,27 +88,27 @@ func decodeQueryJSON(body io.Reader, o Op) (Query, error) {
 		del DeleteRequest
 	)
 	if err := decodeOne(body, [numRecordOps]any{&qr, &tk, &br, &add, &del}[o]); err != nil {
-		return Query{}, err
+		return query{}, err
 	}
 	switch o {
 	case OpQuery:
-		return Query{Rows: []QueryRow{qr.row()}}, nil
+		return query{Rows: []queryRow{qr.row()}}, nil
 	case OpTopK:
-		return Query{Rows: []QueryRow{{Hashes: hashStrings(tk.Values), K: tk.K, Size: tk.Size}}}, nil
+		return query{Rows: []queryRow{{Hashes: hashStrings(tk.Values), K: tk.K, Size: tk.Size}}}, nil
 	case OpAdd:
-		return Query{Rows: []QueryRow{{Hashes: hashStrings(add.Values)}}, Key: add.Key}, nil
+		return query{Rows: []queryRow{{Hashes: hashStrings(add.Values)}}, Key: add.Key}, nil
 	case OpDelete:
-		return Query{Rows: []QueryRow{{}}, Key: del.Key}, nil
+		return query{Rows: []queryRow{{}}, Key: del.Key}, nil
 	}
-	q := Query{Rows: make([]QueryRow, len(br.Queries)), Workers: br.Workers}
+	q := query{Rows: make([]queryRow, len(br.Queries)), Workers: br.Workers}
 	for i := range br.Queries {
 		q.Rows[i] = br.Queries[i].row()
 	}
 	return q, nil
 }
 
-func (q *QueryRequest) row() QueryRow {
-	return QueryRow{Hashes: hashStrings(q.Values), Threshold: q.Threshold, Size: q.Size}
+func (q *QueryRequest) row() queryRow {
+	return queryRow{Hashes: hashStrings(q.Values), Threshold: q.Threshold, Size: q.Size}
 }
 
 func hashStrings(values []string) []uint64 {
@@ -168,22 +155,22 @@ type queryReader struct {
 	scratch []byte   // the last string unquote decoded
 }
 
-func (d *queryReader) query(o Op) (Query, bool) {
-	var q Query
-	var row QueryRow
+func (d *queryReader) query(o Op) (query, bool) {
+	var q query
+	var row queryRow
 	ok := d.object(shapeKeys[o], func(key uint8) bool { return d.member(key, &q, &row) })
 	d.space()
 	if !ok || d.off != len(d.b) {
-		return Query{}, false
+		return query{}, false
 	}
 	if o != OpBatch {
-		q.Rows = []QueryRow{row}
+		q.Rows = []queryRow{row}
 	}
 	return q, true
 }
 
 // member reads the value of key into q, or into row for a row's own keys.
-func (d *queryReader) member(key uint8, q *Query, row *QueryRow) bool {
+func (d *queryReader) member(key uint8, q *query, row *queryRow) bool {
 	switch key {
 	case keyValues:
 		start := len(d.hashes)
@@ -202,7 +189,7 @@ func (d *queryReader) member(key uint8, q *Query, row *QueryRow) bool {
 		return ok
 	case keyQueries:
 		return d.list('[', ']', func() bool {
-			q.Rows = append(q.Rows, QueryRow{})
+			q.Rows = append(q.Rows, queryRow{})
 			r := &q.Rows[len(q.Rows)-1] // a row's keys append no row
 			return d.object(shapeKeys[OpQuery], func(key uint8) bool { return d.member(key, q, r) })
 		})

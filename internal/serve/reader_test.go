@@ -19,7 +19,7 @@ import (
 // jsonQuery reads a body with encoding/json alone: decodeOne into the shape's
 // wire type, then HashString of every value. It is the reference the reader
 // is held to.
-func jsonQuery(body []byte, o Op) (Query, error) {
+func jsonQuery(body []byte, o Op) (query, error) {
 	hash := func(values []string) []uint64 {
 		var hvs []uint64
 		for _, v := range values {
@@ -27,42 +27,42 @@ func jsonQuery(body []byte, o Op) (Query, error) {
 		}
 		return hvs
 	}
-	var q Query
+	var q query
 	var err error
 	switch o {
 	case OpQuery:
 		var doc QueryRequest
 		err = decodeOne(bytes.NewReader(body), &doc)
-		q = Query{Rows: []QueryRow{{Hashes: hash(doc.Values), Threshold: doc.Threshold, Size: doc.Size}}}
+		q = query{Rows: []queryRow{{Hashes: hash(doc.Values), Threshold: doc.Threshold, Size: doc.Size}}}
 	case OpTopK:
 		var doc TopKRequest
 		err = decodeOne(bytes.NewReader(body), &doc)
-		q = Query{Rows: []QueryRow{{Hashes: hash(doc.Values), K: doc.K, Size: doc.Size}}}
+		q = query{Rows: []queryRow{{Hashes: hash(doc.Values), K: doc.K, Size: doc.Size}}}
 	case OpBatch:
 		var doc BatchRequest
 		err = decodeOne(bytes.NewReader(body), &doc)
-		q = Query{Workers: doc.Workers}
+		q = query{Workers: doc.Workers}
 		for _, r := range doc.Queries {
-			q.Rows = append(q.Rows, QueryRow{Hashes: hash(r.Values), Threshold: r.Threshold, Size: r.Size})
+			q.Rows = append(q.Rows, queryRow{Hashes: hash(r.Values), Threshold: r.Threshold, Size: r.Size})
 		}
 	case OpAdd:
 		var doc AddRequest
 		err = decodeOne(bytes.NewReader(body), &doc)
-		q = Query{Key: doc.Key, Rows: []QueryRow{{Hashes: hash(doc.Values)}}}
+		q = query{Key: doc.Key, Rows: []queryRow{{Hashes: hash(doc.Values)}}}
 	case OpDelete:
 		var doc DeleteRequest
 		err = decodeOne(bytes.NewReader(body), &doc)
-		q = Query{Key: doc.Key, Rows: []QueryRow{{}}}
+		q = query{Key: doc.Key, Rows: []queryRow{{}}}
 	}
 	if err != nil {
-		return Query{}, err
+		return query{}, err
 	}
 	return q, nil
 }
 
 // sameQuery reports whether two reads agree on every field, thresholds to
 // the bit (a -0 stays a -0).
-func sameQuery(a, b Query) bool {
+func sameQuery(a, b query) bool {
 	if a.Workers != b.Workers || a.Key != b.Key || len(a.Rows) != len(b.Rows) {
 		return false
 	}
@@ -247,9 +247,10 @@ func TestReadQueryAllocsFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := q.Rows[0].Resolve(h, nil); err != nil {
+			if err := q.check(OpQuery); err != nil {
 				t.Fatal(err)
 			}
+			q.sketch(OpQuery, h)
 		})
 	}
 	small, large := allocs(10), allocs(1000)
@@ -276,7 +277,7 @@ func BenchmarkReadQuery(b *testing.B) {
 		body := mustMarshal(b, QueryRequest{Values: c.values, Threshold: 0.5})
 		for _, r := range []struct {
 			name string
-			read func([]byte, Op) (Query, error)
+			read func([]byte, Op) (query, error)
 		}{{"reader", readQuery}, {"encoding-json", jsonQuery}} {
 			b.Run(c.name+"/"+r.name, func(b *testing.B) {
 				b.ReportAllocs()

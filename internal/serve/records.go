@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -131,12 +132,12 @@ type record struct {
 	body    []byte
 }
 
-// refusal is a request record's header the connection answers with an error
+// badHeader is a request record's header the connection answers with an error
 // record before it closes.
-type refusal struct{ error }
+type badHeader struct{ error }
 
 // readRecord reads one request record, its body into body's storage. A
-// header it refuses is a refusal; any other error is the connection's own
+// header it refuses is a badHeader; any other error is the connection's own
 // (io.EOF: it closed between records).
 func readRecord(br *bufio.Reader, body []byte) (record, error) {
 	var h [2]byte
@@ -144,7 +145,7 @@ func readRecord(br *bufio.Reader, body []byte) (record, error) {
 		return record{body: body}, err
 	}
 	if Op(h[0]) >= numRecordOps {
-		return record{body: body}, refusal{fmt.Errorf("unknown record op %d", h[0])}
+		return record{body: body}, badHeader{fmt.Errorf("unknown record op %d", h[0])}
 	}
 	var rest [255 + 8 + 4]byte
 	tail := rest[:int(h[1])+8+4]
@@ -156,7 +157,7 @@ func readRecord(br *bufio.Reader, body []byte) (record, error) {
 	rec.timeout = time.Duration(binary.LittleEndian.Uint64(tail))
 	n := binary.LittleEndian.Uint32(tail[8:])
 	if n > MaxRequestBody {
-		return record{body: body}, refusal{fmt.Errorf("reading request: record body of %d bytes, over the %d-byte limit", n, MaxRequestBody)}
+		return record{body: body}, badHeader{fmt.Errorf("reading request: record body of %d bytes, over the %d-byte limit", n, MaxRequestBody)}
 	}
 	var err error
 	rec.body, err = readN(br, body, int(n))
@@ -169,7 +170,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	if !strings.EqualFold(r.Header.Get("Upgrade"), RecordProtocol) ||
 		!strings.Contains(strings.ToLower(r.Header.Get("Connection")), "upgrade") {
 		w.Header().Set("Upgrade", RecordProtocol)
-		WriteError(w, http.StatusUpgradeRequired, fmt.Errorf("GET %s upgrades to %s", RecordPath, RecordProtocol))
+		writeError(w, http.StatusUpgradeRequired, fmt.Errorf("GET %s upgrades to %s", RecordPath, RecordProtocol))
 		return
 	}
 	s.recMu.Lock()
@@ -179,14 +180,14 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recMu.Unlock()
 	if !open {
-		WriteError(w, http.StatusServiceUnavailable, errors.New("record connections are closed"))
+		writeError(w, http.StatusServiceUnavailable, errors.New("record connections are closed"))
 		return
 	}
 	defer s.records.Done()
 	// Hijacking clears the deadlines the server set for the request.
 	conn, brw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, fmt.Errorf("upgrading to %s: %w", RecordProtocol, err))
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("upgrading to %s: %w", RecordProtocol, err))
 		return
 	}
 	defer conn.Close()
@@ -206,7 +207,7 @@ func (s *Server) serveRecords(conn net.Conn, br *bufio.Reader) {
 		conn.SetReadDeadline(time.Now().Add(RecordIdle))
 		rec, err := readRecord(br, body)
 		body = rec.body
-		var ref refusal
+		var ref badHeader
 		if errors.As(err, &ref) {
 			conn.SetWriteDeadline(time.Now().Add(RecordIdle))
 			conn.Write(appendErrorRecord(out[:0], http.StatusBadRequest, ref.error))
@@ -246,9 +247,10 @@ func (s *Server) serveRecord(rec *record, deadline time.Time, out []byte) []byte
 		s.sketched[rec.op].Inc()
 	}
 	var resp any
-	q, sigs, err := decodeRecord(rec.body, rec.op, s.seed, s.idx.Options().NumHash)
+	q, err := decodeRecord(rec.body, rec.op, s.seed, s.idx.Options().NumHash)
 	if err == nil {
-		resp, err = ops[rec.op](s, ctx, &q, sigs)
+		req := q.sketch(rec.op, s.hasher)
+		resp, err = s.answer(ctx, &req)
 	}
 	status := http.StatusOK
 	switch {
@@ -266,7 +268,7 @@ func (s *Server) serveRecord(rec *record, deadline time.Time, out []byte) []byte
 }
 
 // appendErrorRecord appends an answer record of status carrying err in the
-// JSON error envelope, the bytes WriteError writes.
+// JSON error envelope, the bytes writeError writes.
 func appendErrorRecord(out []byte, status int, err error) []byte {
 	b, _ := json.Marshal(ErrorResponse{Error: err.Error()})
 	out = append(append(append(out, make([]byte, answerHeader)...), b...), '\n')
@@ -340,24 +342,23 @@ func RecordLen(o Op, rows, numHash int) int {
 }
 
 // decodeRecord parses the body of a request record of op o for a shard
-// whose family is (seed, numHash) into what the JSON form reads to, and one
-// signature per row (none for a delete). It is all or nothing: a field that
-// overruns the body, bytes after the last one, another seed, a signature of
-// another length, a word no hash of the family can produce or a batch of no
-// rows is an error, never a shorter request. What the key, sizes, k and
-// thresholds must be is for the checks the JSON form goes through.
-func decodeRecord(body []byte, o Op, seed uint64, numHash int) (Query, []lshensemble.Signature, error) {
+// whose family is (seed, numHash) into what the JSON form reads to, each row
+// with its signature, and checks it as the JSON form is checked. It is all or
+// nothing: a field that overruns the body, bytes after the last one, another
+// seed, a signature of another length or a word no hash of the family can
+// produce is an error, never a shorter request.
+func decodeRecord(body []byte, o Op, seed uint64, numHash int) (query, error) {
 	f := fields{b: body, kind: "query"}
 	if o >= numOps {
 		f.kind = "write"
 	}
-	q := Query{Rows: make([]QueryRow, 1)}
+	q := query{Rows: make([]queryRow, 1)}
 	if o == OpDelete {
 		q.Key = string(f.next())
-		return q, nil, f.end()
+		return q, cmp.Or(f.end(), q.check(o))
 	}
 	if s := f.word(); f.err == nil && s != seed {
-		return Query{}, nil, fmt.Errorf("sketched with hash seed %d, this shard's is %d (signatures would be incomparable)", s, seed)
+		return query{}, fmt.Errorf("sketched with hash seed %d, this shard's is %d (signatures would be incomparable)", s, seed)
 	}
 	switch o {
 	case OpQuery:
@@ -369,27 +370,23 @@ func decodeRecord(body []byte, o Op, seed uint64, numHash int) (Query, []lshense
 	case OpAdd:
 		q.Rows[0].Size, q.Key = f.int(), string(f.next())
 	}
-	var sigs []lshensemble.Signature
-	row := func(r *QueryRow) {
+	row := func(r *queryRow) {
 		if o != OpAdd {
 			r.Size = f.int()
 		}
-		sigs = append(sigs, f.sig(numHash))
+		r.Sig = f.sig(numHash)
 	}
 	if o != OpBatch {
 		row(&q.Rows[0])
 	}
 	for o == OpBatch && f.err == nil && len(f.b) > 0 {
-		q.Rows = append(q.Rows, QueryRow{Threshold: f.float()})
+		q.Rows = append(q.Rows, queryRow{Threshold: f.float()})
 		row(&q.Rows[len(q.Rows)-1])
 	}
 	if err := f.end(); err != nil {
-		return Query{}, nil, err
+		return query{}, err
 	}
-	if len(q.Rows) == 0 {
-		return Query{}, nil, errors.New("queries must be non-empty")
-	}
-	return q, sigs, nil
+	return q, q.check(o)
 }
 
 // fields reads a record body's fields, each behind its uint32 length. The

@@ -18,7 +18,7 @@
 // answer, and an add record is stored exactly as the JSON /add of the same
 // values would be.
 //
-// JSON bodies are read in one pass (ReadQuery), each value hashed as it is
+// JSON bodies are read in one pass (readRequest), each value hashed as it is
 // read, so neither the router nor a shard builds a query's strings. The
 // reader takes the subset of JSON that encoders write — encoding/json, and
 // those that escape every non-ASCII rune as \u, Python's json.dumps by
@@ -36,18 +36,25 @@
 // Anything else — a key in another case, null, a repeated key, a malformed
 // body — falls back to encoding/json, whose strings are then hashed. So a
 // body is accepted or refused exactly as encoding/json accepts or refuses it,
-// in its words, and reads to the same rows; a shard still refuses a body it
-// cannot read whole (one past MaxRequestBody) as "decoding request: …", the
-// router as "reading request: …". The admin endpoints take no body.
+// in its words, and reads to the same rows; a body that cannot be read whole
+// (one past MaxRequestBody, or a client gone) is refused as "decoding
+// request: …", at a shard and at the router alike. The admin endpoints take
+// no body.
+//
+// One front end (Handler) serves the JSON form of every shape for both
+// binaries and hands the resolved Request to a sink: the index here, the
+// ring at the router (internal/cluster), which sends it on as a record. So a
+// body a shard would refuse is refused at the router in the same words.
 //
 // A JSON request gets a JSON answer. A query record gets the answer frame:
 // the sorted keys behind length prefixes (under "wire types"), which the
 // router merges without running a JSON scanner over them; a write record
 // gets one flag byte. A refusal is the JSON error envelope on either
-// transport. One function per shape answers both, so a record meets the JSON
-// form's checks in the same words, moves the same series and writes the same
-// access-log and slow-query lines (keyed by the record's trace ID) as the
-// JSON request over HTTP, and gets the same rows and scores.
+// transport. A record goes through the same check, sketch (a no-op: it is
+// sketched) and index sink as the JSON form, so it is refused in the same
+// words, moves the same series and writes the same access-log and
+// slow-query lines (keyed by the record's trace ID) as the JSON request over
+// HTTP, and gets the same rows and scores.
 //
 // Every query threads its context into the index (QueryAppendContext /
 // QueryTopKContext / QueryBatchContext), so a client that disconnects — or a
@@ -61,6 +68,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -73,6 +81,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -118,7 +127,7 @@ type Server struct {
 }
 
 // Op is one of the shapes of body a shard serves: the three query shapes and
-// the two writes, the shape ReadQuery reads a body as and the op of a record.
+// the two writes, the shape readRequest reads a body as and the op of a record.
 // Its String is the shape's name wherever one is printed: the op label of the
 // per-shape metrics and the op field of the slow-query line.
 type Op uint8
@@ -139,8 +148,10 @@ var opNames = [numRecordOps][3]string{
 	{"add", "add", "/add"}, {"delete", "delete", "/delete"},
 }
 
-func (o Op) String() string   { return opNames[o][0] }
-func (o Op) endpoint() string { return opNames[o][1] }
+func (o Op) String() string { return opNames[o][0] }
+
+// Endpoint is the shape's label in the HTTP series.
+func (o Op) Endpoint() string { return opNames[o][1] }
 
 // Path is the shape's route.
 func (o Op) Path() string { return opNames[o][2] }
@@ -170,8 +181,8 @@ func NewWith(idx *lshensemble.LiveIndex, hasher *lshensemble.Hasher, seed uint64
 	s.httpm = obs.NewHTTPMetrics(s.reg, "lshensembled", s.logger)
 	s.registerIndexMetrics()
 	for _, o := range [...]Op{OpAdd, OpDelete, OpQuery, OpTopK, OpBatch} { // the series' order
-		s.endpoints[o] = s.httpm.Endpoint(o.endpoint())
-		s.mux.Handle("POST "+o.Path(), s.endpoints[o].Wrap(s.handleOp(o)))
+		s.endpoints[o] = s.httpm.Endpoint(o.Endpoint())
+		s.mux.Handle("POST "+o.Path(), s.endpoints[o].Wrap(Handler(o, s.family, s.answer)))
 	}
 	s.mux.HandleFunc("GET "+RecordPath, s.handleRecords)
 	s.handle("GET /stats", "stats", s.handleStats)
@@ -365,7 +376,7 @@ type TopKResponse struct {
 type BatchRequest struct {
 	Queries []QueryRequest `json:"queries"`
 	// Workers bounds the fan-out of the batch dispatch: 0 (or less) means
-	// GOMAXPROCS, and Resolve caps anything above that.
+	// GOMAXPROCS, and the shard caps anything above its own.
 	Workers int `json:"workers"`
 }
 
@@ -583,8 +594,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// WriteError writes err in the JSON error envelope with the given status.
-func WriteError(w http.ResponseWriter, status int, err error) {
+// writeError writes err in the JSON error envelope with the given status.
+func writeError(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
@@ -617,214 +628,188 @@ func readAll(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// rowSig is row i's pre-sketched signature, nil in the JSON form.
-func rowSig(sigs []lshensemble.Signature, i int) lshensemble.Signature {
-	if sigs == nil {
-		return nil
-	}
-	return sigs[i]
+// --- the JSON front end ---
+
+// Request is a checked and sketched request of any shape, what its record
+// (records.go) carries: one row for /query, /query/topk and /add, one per
+// query of a batch, none for /delete; K is a ranked query's, Workers a
+// batch's, Key a write's. The threshold of a row that is not a threshold
+// query's is unused.
+type Request struct {
+	Op      Op
+	Key     string
+	Rows    []lshensemble.BatchQuery
+	K       int
+	Workers int
 }
 
-// checkRow refuses a row that has neither values nor a signature, a negative
-// size in either form, or a pre-sketched row that lacks the size only its
-// sender could count.
-func checkRow(values, size int, sig lshensemble.Signature) error {
+// Refusal is an answer that is not a 200: Status, with Err in the JSON error
+// envelope and, when RetryAfter is positive, a Retry-After of that many
+// seconds.
+type Refusal struct {
+	Status     int
+	Err        error
+	RetryAfter int
+}
+
+func (r *Refusal) Error() string { return r.Err.Error() }
+
+// WriteRefusal answers err: a *Refusal as it says, any other error as a 400.
+func WriteRefusal(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var ref *Refusal
+	if errors.As(err, &ref) {
+		status = ref.Status
+		if ref.RetryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(ref.RetryAfter))
+		}
+	}
+	writeError(w, status, err)
+}
+
+// Handler is the JSON front end of shape o, the daemon's and the router's
+// alike. It reads and checks the body once, asks family for the hash family
+// to sketch it with (family may refuse, given the shape and the row count),
+// sketches it once and hands the Request to answer, the sink: the index, or
+// the ring. What answer returns is the 200's JSON body and a refusal at any
+// step is answered by WriteRefusal. Neither means the request context ended
+// the call: nobody will read a body, so the server tears the connection down.
+func Handler(o Op, family func(o Op, rows int) (*lshensemble.Hasher, error), answer func(context.Context, *Request) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, err := readRequest(w, r, o)
+		var h *lshensemble.Hasher
+		if err == nil {
+			h, err = family(o, len(q.Rows))
+		}
+		var resp any
+		if err == nil {
+			req := q.sketch(o, h)
+			resp, err = answer(r.Context(), &req)
+		}
+		switch {
+		case err != nil:
+			WriteRefusal(w, err)
+		case resp != nil:
+			WriteJSON(w, http.StatusOK, resp)
+		}
+	}
+}
+
+// check refuses a body of shape o that no shard would accept, in the words
+// both transports answer with: a write without its key, a batch without
+// rows, a row with neither values nor a signature, a negative size, a
+// signature without the size only its sender could count, a negative k or a
+// threshold outside (0, 1]. A batch row's refusal names its row.
+func (q *query) check(o Op) error {
 	switch {
-	case sig == nil && values == 0:
-		return errors.New("values must be non-empty")
-	case size < 0:
-		return fmt.Errorf("size %d must not be negative", size)
-	case sig != nil && size == 0:
-		return errors.New("size must be positive with a signature")
+	case (o == OpAdd || o == OpDelete) && q.Key == "":
+		return errors.New("key is required")
+	case o == OpDelete:
+		return nil
+	case len(q.Rows) == 0:
+		return errors.New("queries must be non-empty")
+	}
+	for i := range q.Rows {
+		err := q.Rows[i].check(o)
+		if err != nil && o == OpBatch {
+			err = fmt.Errorf("query %d: %w", i, err)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// sketchRow is a checked row's signature and |Q|: the pre-sketched signature
-// under the size it came with, or the values' hashes sketched with h — the
-// dedup and sketch of lshensemble.SketchStrings — whose distinct count a
-// positive size overrides. It compacts hashes in place.
-func sketchRow(h *lshensemble.Hasher, hashes []uint64, size int, sig lshensemble.Signature) (lshensemble.Signature, int) {
-	if sig != nil {
-		return sig, size
+func (r *queryRow) check(o Op) error {
+	switch {
+	case r.Sig == nil && len(r.Hashes) == 0:
+		return errors.New("values must be non-empty")
+	case r.Size < 0:
+		return fmt.Errorf("size %d must not be negative", r.Size)
+	case r.Sig != nil && r.Size == 0:
+		return errors.New("size must be positive with a signature")
+	case o == OpTopK && r.K < 0:
+		return fmt.Errorf("k %d must be positive", r.K)
+	case (o == OpQuery || o == OpBatch) && !(r.Threshold >= 0 && r.Threshold <= 1): // NaN too; 0 is the default
+		return fmt.Errorf("threshold %v out of range (0, 1]", r.Threshold)
 	}
-	sig, distinct := minhash.SketchDistinct(h, hashes)
-	if size == 0 {
-		size = distinct
-	}
-	return sig, size
+	return nil
 }
 
-// Resolve validates one query row and turns it into what the index is asked.
-// With a nil sig it is the JSON form and the row's hashes are sketched with
-// h; a non-nil sig is the row's pre-sketched signature. The router resolves a
-// client's query with the fleet's family and sends the result as a record,
-// the shard resolves that record again: one function on both sides, so one
-// set of refusals and one (signature, size, threshold) whichever side
-// sketched.
-func (q *QueryRow) Resolve(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.BatchQuery, error) {
-	if err := checkRow(len(q.Hashes), q.Size, sig); err != nil {
-		return lshensemble.BatchQuery{}, err
+// sketch turns a checked body of shape o into its Request. A row's values
+// are sketched with h — the dedup and sketch of lshensemble.SketchStrings,
+// compacting the hashes in place — under their distinct count unless a
+// positive size overrides it; a record's row keeps its signature and size.
+// A threshold or k of 0 becomes its default.
+func (q *query) sketch(o Op, h *lshensemble.Hasher) Request {
+	req := Request{Op: o, Key: q.Key, Workers: q.Workers}
+	if o == OpDelete {
+		return req
 	}
-	t := q.Threshold
-	if t == 0 {
-		t = 0.5
+	req.Rows = make([]lshensemble.BatchQuery, len(q.Rows))
+	for i, r := range q.Rows {
+		sig, size := r.Sig, r.Size
+		if sig == nil {
+			var distinct int
+			sig, distinct = minhash.SketchDistinct(h, r.Hashes)
+			if size == 0 {
+				size = distinct
+			}
+		}
+		req.Rows[i] = lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: cmp.Or(r.Threshold, 0.5)}
 	}
-	if !(t > 0 && t <= 1) { // NaN too
-		return lshensemble.BatchQuery{}, fmt.Errorf("threshold %v out of range (0, 1]", t)
-	}
-	sig, size := sketchRow(h, q.Hashes, q.Size, sig)
-	return lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: t}, nil
+	req.K = cmp.Or(q.Rows[0].K, 10)
+	return req
 }
 
-// ResolveTopK is Resolve for a ranked query: the signature, |Q| and the k to
-// rank (0 means 10).
-func (q *QueryRow) ResolveTopK(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.Signature, int, int, error) {
-	if err := checkRow(len(q.Hashes), q.Size, sig); err != nil {
-		return nil, 0, 0, err
-	}
-	if q.K < 0 {
-		return nil, 0, 0, fmt.Errorf("k %d must be positive", q.K)
-	}
-	k := q.K
-	if k == 0 {
-		k = 10
-	}
-	sig, size := sketchRow(h, q.Hashes, q.Size, sig)
-	return sig, size, k, nil
-}
+// family is the front end's hash family at a shard: its own.
+func (s *Server) family(Op, int) (*lshensemble.Hasher, error) { return s.hasher, nil }
 
-// ResolveBatch resolves every row of a batch (see QueryRow.Resolve); sigs is
-// nil in the JSON form, else one signature per row. An error names its row.
-// It also brings Workers, which comes from outside like the rows do, down to
-// this process's GOMAXPROCS: more goroutines than that only cost, and the
-// field would otherwise start as many as the batch has rows.
-func (q *Query) ResolveBatch(h *lshensemble.Hasher, sigs []lshensemble.Signature) ([]lshensemble.BatchQuery, error) {
-	if len(q.Rows) == 0 {
-		return nil, errors.New("queries must be non-empty")
-	}
-	q.Workers = min(q.Workers, runtime.GOMAXPROCS(0))
-	queries := make([]lshensemble.BatchQuery, len(q.Rows))
-	for i := range q.Rows {
-		bq, err := q.Rows[i].Resolve(h, rowSig(sigs, i))
+// answer is the index's sink, whichever transport brought the request: a
+// *QueryResponse, *TopKResponse, *BatchResponse, *AddResponse or
+// *DeleteResponse; or a refusal; or neither, when ctx ended the index call.
+func (s *Server) answer(ctx context.Context, req *Request) (any, error) {
+	switch req.Op {
+	case OpAdd:
+		rec := lshensemble.DomainRecord{Key: req.Key, Size: req.Rows[0].Size, Sig: req.Rows[0].Sig}
+		replaced, err := s.idx.Add(rec)
 		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
+			return nil, err
 		}
-		queries[i] = bq
+		return &AddResponse{Replaced: replaced, Size: rec.Size}, nil
+	case OpDelete:
+		return &DeleteResponse{Deleted: s.idx.Delete(req.Key)}, nil
 	}
-	return queries, nil
-}
-
-// ResolveAdd validates an add and turns it into the record the index stores:
-// the JSON form's hashes sketched with h (a nil sig), or an add record's
-// signature and size. The router resolves a client's add with the fleet's
-// family and sends the result, the shard resolves that record again: one set
-// of refusals, one stored record.
-func (q *Query) ResolveAdd(h *lshensemble.Hasher, sig lshensemble.Signature) (lshensemble.DomainRecord, error) {
-	if q.Key == "" {
-		return lshensemble.DomainRecord{}, errors.New("key is required")
-	}
-	row := &q.Rows[0]
-	if err := checkRow(len(row.Hashes), row.Size, sig); err != nil {
-		return lshensemble.DomainRecord{}, err
-	}
-	sig, size := sketchRow(h, row.Hashes, row.Size, sig)
-	return lshensemble.DomainRecord{Key: q.Key, Size: size, Sig: sig}, nil
-}
-
-// handleOp serves the JSON form of shape o over HTTP.
-func (s *Server) handleOp(o Op) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		req, ok := readQueryStream(w, r, o)
-		if !ok {
-			return
+	q := req.Rows[0]
+	var (
+		matches []string
+		ranked  []lshensemble.TopKResult
+		rows    [][]string
+	)
+	if !s.timed(ctx, req.Op, func(ctx context.Context) (err error) {
+		switch req.Op {
+		case OpQuery:
+			matches, err = s.idx.QueryAppendContext(ctx, nil, q.Sig, q.Size, q.Threshold)
+		case OpTopK:
+			ranked, err = s.idx.QueryTopKContext(ctx, q.Sig, q.Size, req.K)
+		default:
+			rows, err = s.idx.QueryBatchContext(ctx, req.Rows, batchWorkers(req.Workers))
 		}
-		resp, err := ops[o](s, r.Context(), &req, nil)
-		switch {
-		case err != nil:
-			WriteError(w, http.StatusBadRequest, err)
-		case resp != nil:
-			WriteJSON(w, http.StatusOK, resp)
-		}
-		// Neither: the request context ended the index call, the client is
-		// gone and nobody will read a body. Returning without writing lets
-		// the server tear the connection down.
-	}
-}
-
-// ops answers a decoded body of each shape, whichever transport brought it:
-// a *QueryResponse, *TopKResponse, *BatchResponse, *AddResponse or
-// *DeleteResponse; or a refusal, answered 400; or neither, when ctx ended the
-// index call.
-var ops = [numRecordOps]func(*Server, context.Context, *Query, []lshensemble.Signature) (any, error){
-	(*Server).query, (*Server).topK, (*Server).batch, (*Server).add, (*Server).delete,
-}
-
-func (s *Server) add(_ context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
-	rec, err := req.ResolveAdd(s.hasher, rowSig(sigs, 0))
-	if err != nil {
-		return nil, err
-	}
-	replaced, err := s.idx.Add(rec)
-	if err != nil {
-		return nil, err
-	}
-	return &AddResponse{Replaced: replaced, Size: rec.Size}, nil
-}
-
-func (s *Server) delete(_ context.Context, req *Query, _ []lshensemble.Signature) (any, error) {
-	if req.Key == "" {
-		return nil, errors.New("key is required")
-	}
-	return &DeleteResponse{Deleted: s.idx.Delete(req.Key)}, nil
-}
-
-func (s *Server) query(ctx context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
-	q, err := req.Rows[0].Resolve(s.hasher, rowSig(sigs, 0))
-	if err != nil {
-		return nil, err
-	}
-	var matches []string
-	if !s.timed(ctx, OpQuery, func(ctx context.Context) (err error) {
-		matches, err = s.idx.QueryAppendContext(ctx, nil, q.Sig, q.Size, q.Threshold)
 		return err
 	}) {
 		return nil, nil
 	}
-	resp := queryResponse(matches)
-	return &resp, nil
-}
-
-func (s *Server) topK(ctx context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
-	sig, size, k, err := req.Rows[0].ResolveTopK(s.hasher, rowSig(sigs, 0))
-	if err != nil {
-		return nil, err
-	}
-	var ranked []lshensemble.TopKResult
-	if !s.timed(ctx, OpTopK, func(ctx context.Context) (err error) {
-		ranked, err = s.idx.QueryTopKContext(ctx, sig, size, k)
-		return err
-	}) {
-		return nil, nil
-	}
-	resp := TopKResponse{Matches: make([]TopKMatch, len(ranked)), Count: len(ranked)}
-	for i, m := range ranked {
-		resp.Matches[i] = TopKMatch{Key: m.Key, EstContainment: m.EstContainment}
-	}
-	return &resp, nil
-}
-
-func (s *Server) batch(ctx context.Context, req *Query, sigs []lshensemble.Signature) (any, error) {
-	queries, err := req.ResolveBatch(s.hasher, sigs)
-	if err != nil {
-		return nil, err
-	}
-	var rows [][]string
-	if !s.timed(ctx, OpBatch, func(ctx context.Context) (err error) {
-		rows, err = s.idx.QueryBatchContext(ctx, queries, req.Workers)
-		return err
-	}) {
-		return nil, nil
+	switch req.Op {
+	case OpQuery:
+		resp := queryResponse(matches)
+		return &resp, nil
+	case OpTopK:
+		resp := TopKResponse{Matches: make([]TopKMatch, len(ranked)), Count: len(ranked)}
+		for i, m := range ranked {
+			resp.Matches[i] = TopKMatch{Key: m.Key, EstContainment: m.EstContainment}
+		}
+		return &resp, nil
 	}
 	resp := BatchResponse{Rows: make([]QueryResponse, len(rows))}
 	for i, row := range rows {
@@ -832,6 +817,13 @@ func (s *Server) batch(ctx context.Context, req *Query, sigs []lshensemble.Signa
 	}
 	return &resp, nil
 }
+
+// batchWorkers brings a batch's workers, which come from outside like its
+// rows do, down to this process's GOMAXPROCS: more goroutines than that only
+// cost, and the field would otherwise start as many as the batch has rows.
+// The router forwards what its client asked, so each shard caps it at its
+// own.
+func batchWorkers(workers int) int { return min(workers, runtime.GOMAXPROCS(0)) }
 
 // timed takes a query's one measurement: call, the index call, runs under
 // ctx — with a fresh planner trace in it when the slow-query log is on — and
@@ -912,12 +904,12 @@ func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSave(w http.ResponseWriter, _ *http.Request) {
 	if s.snapshotPath == "" {
-		WriteError(w, http.StatusNotFound, errors.New("no -snapshot path configured"))
+		writeError(w, http.StatusNotFound, errors.New("no -snapshot path configured"))
 		return
 	}
 	n, err := s.SaveSnapshot()
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, SaveResponse{Path: s.snapshotPath, Bytes: n})

@@ -394,7 +394,7 @@ func TestTrailingDataRefused(t *testing.T) {
 }
 
 // TestBatchWorkersBounded: "workers" arrives from outside with the rows, so
-// resolving a batch caps it at GOMAXPROCS (a request for 100 000 workers used
+// the index's sink caps it at GOMAXPROCS (a request for 100 000 workers used
 // to start that many goroutines per sealed segment, on every shard the router
 // forwarded it to); zero and negative values keep meaning "the default".
 func TestBatchWorkersBounded(t *testing.T) {
@@ -407,11 +407,11 @@ func TestBatchWorkersBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := req.ResolveBatch(h, nil); err != nil {
+		if err := req.check(OpBatch); err != nil {
 			t.Fatal(err)
 		}
-		if req.Workers != c.want {
-			t.Errorf("workers %d resolved to %d, want %d", c.asked, req.Workers, c.want)
+		if used := batchWorkers(req.sketch(OpBatch, h).Workers); used != c.want {
+			t.Errorf("workers %d resolved to %d, want %d", c.asked, used, c.want)
 		}
 	}
 }
