@@ -204,6 +204,8 @@ func TestRefusals(t *testing.T) {
 	}{
 		{"index -hashes 0", cmdIndex, []string{"-data", dir, "-out", filepath.Join(tmp, "h0.bin"), "-hashes", "0"}, "-hashes 0"},
 		{"search -hashes 0", cmdSearch, []string{"-data", dir, "-file", queryFile, "-column", "q", "-hashes", "0"}, "-hashes 0"},
+		{"index -hashes 65537", cmdIndex, []string{"-data", dir, "-out", filepath.Join(tmp, "h65537.bin"), "-hashes", "65537"}, "-hashes 65537"},
+		{"search -hashes 65537", cmdSearch, []string{"-data", dir, "-file", queryFile, "-column", "q", "-hashes", "65537"}, "-hashes 65537"},
 		{"query -t 2", cmdQuery, []string{"-index", index, "-file", queryFile, "-column", "q", "-t", "2"}, "threshold 2 out of range (0, 1]"},
 		{"query -t -1", cmdQuery, []string{"-index", index, "-file", queryFile, "-batch", "-t", "-1"}, "threshold -1 out of range (0, 1]"},
 		{"search -t 2", cmdSearch, []string{"-data", dir, "-file", queryFile, "-column", "q", "-t", "2"}, "threshold 2 out of range (0, 1]"},

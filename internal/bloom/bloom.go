@@ -1,6 +1,6 @@
 // Package bloom implements the small, dependency-free Bloom filter the live
-// index attaches to every sealed segment (internal/live's query planner).
-// Two membership questions drive the design:
+// index attaches to every sealed segment and to its unsealed buffer
+// (internal/live's query planner). Two membership questions drive the design:
 //
 //   - "can this segment contain any LSH collision for this query?" — asked
 //     with raw 61-bit MinHash values (the leading value of each forest
@@ -20,13 +20,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Filter is a standard Bloom filter using Kirsch–Mitzenmacher double
 // hashing: the i-th probe position is h1 + i·h2 over a power-of-two bit
 // array. The zero Filter is not usable; construct with New or Decode.
-// Add calls must not race with each other; MayContain calls on a filter
-// that is no longer being mutated are safe for concurrent use.
+//
+// MayContain calls are safe for concurrent use with each other and with
+// AddHashShared calls, which may come from any number of goroutines: a
+// reader sees every add that happens before it, and may or may not see a
+// concurrent one. AddHash and AddString are plain stores for a filter built
+// before it is published: they must not race with any other call.
 type Filter struct {
 	k     int      // probes per element
 	mask  uint64   // len(words)*64 - 1; bit count is a power of two
@@ -71,10 +76,10 @@ func (f *Filter) Bits() int { return len(f.words) * 64 }
 // SizeBytes returns the memory footprint of the bit array.
 func (f *Filter) SizeBytes() int { return len(f.words) * 8 }
 
-// mix is the splitmix64 finalizer — one round is enough to decorrelate the
+// Mix is the splitmix64 finalizer — one round is enough to decorrelate the
 // probe sequence from structured inputs (sequential FNV outputs, biased
-// MinHash values).
-func mix(h uint64) uint64 {
+// MinHash values). Exported for the live index's other hashed tables.
+func Mix(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -86,18 +91,36 @@ func mix(h uint64) uint64 {
 // probes derives the double-hashing pair for an element. h2 is forced odd
 // so the probe sequence walks the full power-of-two array without cycling.
 func probes(h uint64) (h1, h2 uint64) {
-	h1 = mix(h)
-	h2 = mix(h1) | 1
+	h1 = Mix(h)
+	h2 = Mix(h1) | 1
 	return h1, h2
 }
 
 // AddHash inserts an element identified by a 64-bit hash (for MinHash
-// values, the value itself).
+// values, the value itself) into a filter no other goroutine can reach yet.
 func (f *Filter) AddHash(h uint64) {
 	h1, h2 := probes(h)
 	for i := 0; i < f.k; i++ {
 		pos := h1 & f.mask
 		f.words[pos>>6] |= 1 << (pos & 63)
+		h1 += h2
+	}
+}
+
+// AddHashShared inserts like AddHash into a filter that is read while it
+// grows. It sets the same bits with a compare-and-swap loop (not an atomic
+// Or, which Go 1.22 predates).
+func (f *Filter) AddHashShared(h uint64) {
+	h1, h2 := probes(h)
+	for i := 0; i < f.k; i++ {
+		pos := h1 & f.mask
+		w, bit := &f.words[pos>>6], uint64(1)<<(pos&63)
+		for {
+			old := atomic.LoadUint64(w)
+			if old&bit != 0 || atomic.CompareAndSwapUint64(w, old, old|bit) {
+				break
+			}
+		}
 		h1 += h2
 	}
 }
@@ -108,7 +131,7 @@ func (f *Filter) MayContainHash(h uint64) bool {
 	h1, h2 := probes(h)
 	for i := 0; i < f.k; i++ {
 		pos := h1 & f.mask
-		if f.words[pos>>6]&(1<<(pos&63)) == 0 {
+		if atomic.LoadUint64(&f.words[pos>>6])&(1<<(pos&63)) == 0 {
 			return false
 		}
 		h1 += h2

@@ -2,6 +2,8 @@ package bloom
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lshensemble/internal/xrand"
@@ -116,5 +118,53 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 	if !bytes.Equal(build().AppendBinary(nil), build().AppendBinary(nil)) {
 		t.Fatal("same insert sequence produced different encodings")
+	}
+}
+
+// TestAddHashSharedUnderReaders: one writer inserts with AddHashShared while
+// readers probe (run under -race). Every value added before a reader starts,
+// and every value the writer has published as added since, is reported; and
+// the shared insert sets exactly the bits AddHash sets.
+func TestAddHashSharedUnderReaders(t *testing.T) {
+	rng := xrand.New(4)
+	vals := make([]uint64, 4096)
+	for i := range vals {
+		vals[i] = rng.Uint64() >> 3
+	}
+	f := New(len(vals), 14, 10)
+	half := len(vals) / 2
+	for _, v := range vals[:half] {
+		f.AddHashShared(v)
+	}
+	var added atomic.Int64 // a prefix of vals every reader must find
+	added.Store(int64(half))
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 8; pass++ {
+				n := int(added.Load())
+				for i, v := range vals[:n] {
+					if !f.MayContainHash(v) {
+						t.Errorf("value %d of %d added not reported", i, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i, v := range vals[half:] {
+		f.AddHashShared(v)
+		added.Store(int64(half + i + 1))
+	}
+	wg.Wait()
+
+	plain := New(len(vals), 14, 10)
+	for _, v := range vals {
+		plain.AddHash(v)
+	}
+	if !bytes.Equal(f.AppendBinary(nil), plain.AppendBinary(nil)) {
+		t.Fatal("AddHashShared and AddHash of the same values set different bits")
 	}
 }

@@ -319,10 +319,6 @@ type HashFamily struct {
 	NumHash int    `json:"num_hash"`
 }
 
-// maxNumHash bounds the signature length the router will build a hasher for
-// on a shard's say-so.
-const maxNumHash = 1 << 16
-
 // sketcher is the fleet's hash family, ready to sketch.
 type sketcher struct {
 	HashFamily
@@ -353,7 +349,7 @@ func (r *Router) learnFamilies() {
 			case err != nil:
 				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard hash family not learned",
 					slog.String("shard", s.name), slog.String("error", err.Error()))
-			case !st.Records || st.NumHash <= 0 || st.NumHash > maxNumHash:
+			case !st.Records || st.NumHash <= 0 || st.NumHash > core.MaxNumHash:
 				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard takes no record legs",
 					slog.String("shard", s.name), slog.Int("num_hash", st.NumHash))
 				s.family.Store(nil)

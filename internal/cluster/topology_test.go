@@ -194,6 +194,7 @@ func TestTopologyExitStatuses(t *testing.T) {
 		{"lshensembled", []string{"-sketch", "kmv"}, 1},
 		{"lshensembled", []string{"-seal", "-5"}, 1},
 		{"lshensembled", []string{"-max-segments", "-1"}, 1},
+		{"lshensembled", []string{"-hashes", "65537"}, 1},
 		{"lshrouter", []string{"-shards", "localhost:7447"}, 1},
 	} {
 		args := append([]string{"-addr", "127.0.0.1:0"}, c.args...)

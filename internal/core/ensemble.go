@@ -42,6 +42,11 @@ type Record struct {
 // is the multiset of record cardinalities in arbitrary order.
 type PartitionerFunc func(sizes []int, n int) []partition.Partition
 
+// MaxNumHash bounds the signature length m. A hasher holds 16 bytes per hash
+// function, and m can come from a flag, a snapshot header or a shard's
+// /stats, so no larger m may reach one.
+const MaxNumHash = 1 << 16
+
 // Options configures Build. Zero values select the defaults used in the
 // paper's experiments (m = 256 hash functions, trees of depth 8,
 // 16 partitions, equi-depth partitioning) over a Minwise32 store.
@@ -92,8 +97,8 @@ func (o Options) table() *tune.Table { return tune.ForGrid(o.NumHash/o.RMax, o.R
 
 // Validate reports whether the (already defaulted) options are usable.
 func (o Options) Validate() error {
-	if o.NumHash < 1 {
-		return fmt.Errorf("core: NumHash %d < 1", o.NumHash)
+	if o.NumHash < 1 || o.NumHash > MaxNumHash {
+		return fmt.Errorf("core: NumHash %d out of range [1, %d]", o.NumHash, MaxNumHash)
 	}
 	if o.RMax < 1 || o.RMax > o.NumHash {
 		return fmt.Errorf("core: RMax %d out of range [1, %d]", o.RMax, o.NumHash)

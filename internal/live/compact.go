@@ -152,7 +152,7 @@ func (x *Index) seal(min int) bool {
 	// a fresh backing array lets the sealed prefix's array be collected once
 	// the old snapshots die. The buffer Bloom filter is rebuilt over the
 	// carried-over entries so it stops answering "maybe" for everything the
-	// seal just removed.
+	// seal just removed; Add reaches it through the snapshot published here.
 	rest := cur.buf[len(buf):]
 	back := make([]entry, len(rest), len(rest)+x.opts.SealThreshold)
 	copy(back, rest)
@@ -165,7 +165,6 @@ func (x *Index) seal(min int) bool {
 		}
 		addBufLeads(bb, back[i].rec.Sig, x.opts.RMax, x.opts.Sketch.Mask())
 	}
-	x.bufBloom = bb
 	segs := cur.segs
 	if seg != nil {
 		segs = append(append(make([]*segment, 0, len(cur.segs)+1), cur.segs...), seg)

@@ -98,14 +98,15 @@
 // snapshot it was computed against. Tombstone-only changes bump gen, so
 // result-cache coherence holds even though the segment set is unchanged.
 //
-// The unsealed buffer has a planner of its own: an atomic Bloom filter over
-// the leading signature value of every buffered entry's trees, asked the
-// same per-tree question. A band of a buffered entry can only match when the
-// query's leading value of that band occurs in the buffer, so the scan
-// compares only the bands in the set (one or two cache lines of each 2 KB
-// buffered signature instead of up to NumHash/RMax) and an empty set skips
-// the scan entirely. The filter is rebuilt whenever a seal relocates the
-// buffer.
+// The unsealed buffer has a planner of its own: a bloom.Filter like a sealed
+// segment's, over the leading signature value of every buffered entry's
+// trees, asked the same per-tree question. A band of a buffered entry can
+// only match when the query's leading value of that band occurs in the
+// buffer, so the scan compares only the bands in the set (one or two cache
+// lines of each 2 KB buffered signature instead of up to NumHash/RMax) and an
+// empty set skips the scan entirely. The filter travels in the snapshot: Add
+// takes it from the current one and fills it with AddHashShared while queries
+// read it, and a seal, which relocates the buffer, publishes a rebuilt one.
 //
 // # Out-of-core segments
 //
@@ -225,7 +226,7 @@ func (o Options) withDefaults() Options {
 // leading values (SealThreshold entries, one value per tree each), at the
 // same operating point as the sealed segments' leads filter. Nil when
 // pruning is disabled.
-func (x *Index) newBufBloom() *bloom.Atomic {
+func (x *Index) newBufBloom() *bloom.Filter {
 	if x.opts.DisablePruning {
 		return nil
 	}
@@ -238,7 +239,7 @@ func (x *Index) newBufBloom() *bloom.Atomic {
 	if entries > maxBufBloomEntries || entries/x.opts.SealThreshold != numLeads {
 		entries = maxBufBloomEntries
 	}
-	return bloom.NewAtomic(entries, leadsBloomBits, leadsBloomK)
+	return bloom.New(entries, leadsBloomBits, leadsBloomK)
 }
 
 // addBufLeads inserts a signature's per-tree leading values (the same
@@ -246,12 +247,12 @@ func (x *Index) newBufBloom() *bloom.Atomic {
 // sealed stores truncate to the sketch backend's width, so leading values
 // are masked before insertion — the query side masks identically, keeping
 // the filter's zero-false-negative guarantee across the seal boundary.
-func addBufLeads(f *bloom.Atomic, sig minhash.Signature, rMax int, mask uint64) {
+func addBufLeads(f *bloom.Filter, sig minhash.Signature, rMax int, mask uint64) {
 	if f == nil {
 		return
 	}
 	for off := 0; off < len(sig); off += rMax {
-		f.AddHash(sig[off] & mask)
+		f.AddHashShared(sig[off] & mask)
 	}
 }
 
@@ -321,12 +322,12 @@ type snapshot struct {
 
 	// bufBloom filters the leading signature values of this snapshot's
 	// buffered entries: a query whose leading values all miss cannot band-
-	// collide with any buffered entry, so the linear scan is skipped. The
-	// filter is shared with the writer (Adds insert concurrently — extra
-	// bits relative to this snapshot's buf prefix only cost false
-	// positives) and replaced when a seal relocates the buffer. Nil when
-	// pruning is disabled.
-	bufBloom *bloom.Atomic
+	// collide with any buffered entry, so the linear scan is skipped. Add
+	// publishes the filter of the snapshot it replaces, inserting into it
+	// while older snapshots' readers probe it (extra bits relative to their
+	// buf prefix only cost false positives); a seal publishes a new one when
+	// it relocates the buffer. Nil when pruning is disabled.
+	bufBloom *bloom.Filter
 
 	// refs and dead manage the snapshot's lifetime (segio.go): the current
 	// pointer holds one reference, each in-flight reader one more, and the
@@ -369,10 +370,6 @@ type Index struct {
 	seq     uint64            // last assigned mutation sequence number
 	keySeq  map[string]uint64 // live key → seq of its current entry
 	bufBack []entry           // buffer backing; published snapshots view prefixes of it
-
-	// bufBloom is the writer-side handle of the current buffer filter
-	// (snapshots carry the same pointer); guarded by mu, swapped at seal.
-	bufBloom *bloom.Atomic
 
 	// compactMu serializes compaction work (the background goroutine, Flush,
 	// Compact): at most one segment build is in flight at a time.
@@ -569,8 +566,7 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 		return nil, err
 	}
 	x.bands = tune.ForGrid(opts.NumHash/opts.RMax, opts.RMax)
-	x.bufBloom = x.newBufBloom()
-	sn := &snapshot{bufBloom: x.bufBloom}
+	sn := &snapshot{bufBloom: x.newBufBloom()}
 	if len(records) > 0 {
 		for _, r := range records {
 			if err := x.validateRecord(r); err != nil {
@@ -664,12 +660,12 @@ func (x *Index) Add(r core.Record) (replaced bool, err error) {
 	x.bufBack = append(x.bufBack, entry{rec: r, seq: seq})
 	// The filter insert precedes the snapshot store, so any reader that can
 	// see this entry also sees its filter bits.
-	addBufLeads(x.bufBloom, r.Sig, x.opts.RMax, x.opts.Sketch.Mask())
+	addBufLeads(cur.bufBloom, r.Sig, x.opts.RMax, x.opts.Sketch.Mask())
 	bufMax := cur.bufMax
 	if r.Size > bufMax {
 		bufMax = r.Size
 	}
-	next := &snapshot{segs: cur.segs, buf: x.bufBack, tombs: tombs, bufMax: bufMax, bufBloom: x.bufBloom}
+	next := &snapshot{segs: cur.segs, buf: x.bufBack, tombs: tombs, bufMax: bufMax, bufBloom: cur.bufBloom}
 	old := x.publishLocked(next, cur, false)
 	full := len(next.buf) >= x.opts.SealThreshold
 	x.mu.Unlock()
@@ -696,7 +692,7 @@ func (x *Index) Delete(key string) bool {
 	delete(x.keySeq, key)
 	x.domains.Add(-1)
 	cur := x.snap.Load()
-	next := &snapshot{segs: cur.segs, buf: cur.buf, tombs: cloneTombs(cur.tombs, key, seq), bufMax: cur.bufMax, bufBloom: x.bufBloom}
+	next := &snapshot{segs: cur.segs, buf: cur.buf, tombs: cloneTombs(cur.tombs, key, seq), bufMax: cur.bufMax, bufBloom: cur.bufBloom}
 	old := x.publishLocked(next, cur, false)
 	x.mu.Unlock()
 	x.releaseSnap(old)

@@ -2,7 +2,10 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc64"
 	"math"
 	"reflect"
 	"sort"
@@ -624,6 +627,30 @@ func TestLoadRejectsGarbageAndMismatch(t *testing.T) {
 	bad.NumHash = 256
 	if _, err := Load(bytes.NewReader(buf), bad); err == nil {
 		t.Fatal("NumHash mismatch accepted")
+	}
+}
+
+// TestLoadRefusesHugeNumHash: a well-formed 48-byte v4 snapshot of no
+// segments whose header claims 2^30 hash functions is corrupt, not an index
+// whose caller then builds a 16 GiB hasher.
+func TestLoadRefusesHugeNumHash(t *testing.T) {
+	buf := append([]byte(nil), liveMagic[:]...)
+	for _, v := range []uint32{liveVersion, 1 << 30, 8, core.Minwise32.Tag()} {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // seq
+	buf = append(buf, make([]byte, 12)...)         // no segments, buffered entries or tombstones
+	buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
+	if len(buf) != 48 {
+		t.Fatalf("fixture is %d bytes, want 48", len(buf))
+	}
+	x, err := Load(bytes.NewReader(buf), Options{ManualCompaction: true})
+	if err == nil {
+		x.Close()
+		t.Fatal("NumHash 2^30 accepted")
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("error %v, want ErrCorrupt", err)
 	}
 }
 

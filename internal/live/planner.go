@@ -36,8 +36,9 @@ import (
 //     one tree set per partition: the probe enters only those columns — about
 //     a fifth of what the tree set alone lets through — and no partition whose
 //     set is empty. Neither filter has false negatives. The unsealed buffer
-//     asks its own Bloom the first question and compares only the bands in
-//     the set (appendBufferMatches);
+//     asks the first question of a bloom.Filter of its own, which Adds fill
+//     while queries read it, and compares only the bands in the set
+//     (appendBufferMatches);
 //   - top-k early termination: the containment estimate is capped by the
 //     candidate's size, so once k results beat the cap of every remaining
 //     (size-descending) segment, those segments cannot contribute.
@@ -123,7 +124,7 @@ func leadCount(idx *core.Index) int { return idx.Len() * (idx.Options().NumHash 
 func partSlots(leads int) int       { return 1 << bits.Len(uint(max(leads, 1)-1)) }
 
 func (f partFilter) slots(v uint64) (uint64, uint64) {
-	h, m := mixHash(v), uint64(len(f)-1)
+	h, m := bloom.Mix(v), uint64(len(f)-1)
 	return h & m, bits.RotateLeft64(h, 32) & m
 }
 
@@ -201,10 +202,6 @@ func (m *segMeta) bloomBytes(idx *core.Index) int {
 	return m.keys.SizeBytes() + m.leads.SizeBytes() + 2*partSlots(leadCount(idx))
 }
 
-// leadFilter is the one question the planner asks of a leading-value Bloom
-// filter — the sealed segments' *bloom.Filter and the buffer's *bloom.Atomic.
-type leadFilter interface{ MayContainHash(h uint64) bool }
-
 // leadTrees clears set and inserts every tree t whose leading query value
 // sig[t·rMax] the filter may contain, returning how many it inserted. Sound
 // with zero false negatives: a probe of tree t at any depth r ≥ 1 — by a
@@ -216,7 +213,7 @@ type leadFilter interface{ MayContainHash(h uint64) bool }
 // sketch backend's width — so the query side masks identically (identity
 // mask under Minwise64). sig is clamped to NumHash; set has
 // lshforest.TreeSetWords(NumHash/rMax) words.
-func leadTrees(set lshforest.TreeSet, f leadFilter, sig minhash.Signature, rMax int, mask uint64) int {
+func leadTrees(set lshforest.TreeSet, f *bloom.Filter, sig minhash.Signature, rMax int, mask uint64) int {
 	clear(set)
 	n := 0
 	for t, off := 0, 0; off+rMax <= len(sig); t, off = t+1, off+rMax {
@@ -333,20 +330,10 @@ func newResultCache(entries int) ([]atomic.Pointer[resultEntry], uint64) {
 	return make([]atomic.Pointer[resultEntry], sets*rcWays), uint64(sets - 1)
 }
 
-// mixHash is the splitmix64 finalizer (same as the Bloom filter's mixer):
-// one round decorrelates the set index from structured FNV output.
-func mixHash(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // queryHash fingerprints a query for the result cache: FNV-1a over the
-// signature words, the size and the threshold bits, finalized with one mix
-// round.
+// signature words, the size and the threshold bits, finalized with one
+// bloom.Mix round, which decorrelates the set index from structured FNV
+// output.
 func queryHash(sig minhash.Signature, querySize int, tBits uint64) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
@@ -355,7 +342,7 @@ func queryHash(sig minhash.Signature, querySize int, tBits uint64) uint64 {
 	}
 	h = (h ^ uint64(querySize)) * prime64
 	h = (h ^ tBits) * prime64
-	return mixHash(h)
+	return bloom.Mix(h)
 }
 
 // cached probes the query's set of the result cache for a fresh exact match

@@ -218,8 +218,9 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	buf = buf[24:]
 	// Save never emits a degenerate shape (Build validates it), and zeros
 	// must not fall through to withDefaults below: the raw rMax strides
-	// loops (addBufLeads), where 0 would never advance.
-	if numHash < 1 || rMax < 1 || rMax > numHash {
+	// loops (addBufLeads), where 0 would never advance. Past core.MaxNumHash,
+	// numHash would size the caller's hasher.
+	if numHash < 1 || numHash > core.MaxNumHash || rMax < 1 || rMax > numHash {
 		return nil, fmt.Errorf("live: snapshot header shape (%d, %d): %w", numHash, rMax, ErrCorrupt)
 	}
 	if opts.NumHash != 0 && opts.NumHash != numHash {
@@ -372,11 +373,10 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		}
 	}
 	sn.buf = x.bufBack
-	x.bufBloom = x.newBufBloom()
+	sn.bufBloom = x.newBufBloom()
 	for i := range sn.buf {
-		addBufLeads(x.bufBloom, sn.buf[i].rec.Sig, rMax, opts.Sketch.Mask())
+		addBufLeads(sn.bufBloom, sn.buf[i].rec.Sig, rMax, opts.Sketch.Mask())
 	}
-	sn.bufBloom = x.bufBloom
 	ntombs, buf, err := readCount(buf)
 	if err != nil {
 		return nil, err

@@ -83,13 +83,6 @@ type segFileInfo struct {
 
 func alignPage(n int) int { return (n + segPage - 1) &^ (segPage - 1) }
 
-func putU32s(dst []byte, vals []uint32) int {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[i*4:], v)
-	}
-	return len(vals) * 4
-}
-
 // appendSegMeta appends the planner metadata block exactly as the snapshot
 // format encodes it (decodeSegMeta reads it back).
 func appendSegMeta(buf []byte, m *segMeta) []byte {
@@ -145,12 +138,12 @@ func segmentImage(seg *segment) []byte {
 		f := pv.Forest
 		f.WriteStoreLE(img[so : so+f.StoreLenBytes()])
 		so += f.StoreLenBytes()
-		io_ += putU32s(img[io_:], f.IDs())
+		io_ += segfile.Put(img[io_:], f.IDs())
 		if f.Len() == 0 {
 			continue
 		}
 		for t := 0; t < bMax; t++ {
-			to += putU32s(img[to:], f.Tree(t))
+			to += segfile.Put(img[to:], f.Tree(t))
 			f.WriteTreeKeysLE(t, img[co:co+f.Len()*w])
 			co += f.Len() * w
 		}
@@ -292,8 +285,8 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	// here, no element is read. STORE and KEYSCOL stay byte regions until
 	// FromViewBytes casts them at the backend's element width.
 	storeB := img[off[1] : off[1]+ln[1]]
-	ids := segfile.Uint32s(img[off[2] : off[2]+ln[2]])
-	treesAll := segfile.Uint32s(img[off[3] : off[3]+ln[3]])
+	ids := segfile.View[uint32](img[off[2] : off[2]+ln[2]])
+	treesAll := segfile.View[uint32](img[off[3] : off[3]+ln[3]])
 	colsB := img[off[4] : off[4]+ln[4]]
 	views := make([]core.PartView, nParts)
 	so, io_, to, co := 0, 0, 0, 0

@@ -9,11 +9,6 @@ import (
 	"lshensemble/internal/segfile"
 )
 
-// viewLE casts a little-endian byte region to a typed value slice —
-// zero-copy on little-endian hosts (segfile.View), a decoding copy
-// elsewhere.
-func viewLE[E elem](b []byte) []E { return segfile.View[E](b) }
-
 // This file is the element-width generalization of the forest's flat
 // storage: the contiguous signature store and the per-tree sorted
 // leading-value columns are held at a configurable element width (1, 2, 4 or
@@ -376,32 +371,22 @@ func (ts *tstore[E]) appendEntryLE(buf []byte, slot int) []byte {
 // into dst (len(dst) must be exactly valueCount()*width — the segment-file
 // writer pre-sizes its image).
 func (ts *tstore[E]) writeStoreLE(dst []byte) {
-	writeLE(dst, ts.store)
+	segfile.Put(dst, ts.store)
 }
 
 // writeTreeKeysLE serializes tree t's leading-value column like
 // writeStoreLE.
 func (ts *tstore[E]) writeTreeKeysLE(t int, dst []byte) {
-	writeLE(dst, ts.treeKeys[t])
-}
-
-func writeLE[E elem](dst []byte, vals []E) {
-	w := int(unsafe.Sizeof(E(0)))
-	for i, v := range vals {
-		u := uint64(v)
-		for k := 0; k < w; k++ {
-			dst[i*w+k] = byte(u >> (8 * k))
-		}
-	}
+	segfile.Put(dst, ts.treeKeys[t])
 }
 
 // viewFrom points the store and columns at externally owned little-endian
 // byte regions (zero-copy on little-endian hosts via segfile.View). Length
 // validation happened in FromViewBytes; here the bytes only need casting.
 func (ts *tstore[E]) viewFrom(store []byte, keys [][]byte) {
-	ts.store = viewLE[E](store)
+	ts.store = segfile.View[E](store)
 	ts.treeKeys = make([][]E, len(keys))
 	for t, kb := range keys {
-		ts.treeKeys[t] = viewLE[E](kb)
+		ts.treeKeys[t] = segfile.View[E](kb)
 	}
 }

@@ -8,6 +8,3 @@ package segfile
 
 // View decodes b, a little-endian array of E, into a fresh []E.
 func View[E Elem](b []byte) []E { return decodeView[E](b) }
-
-// Uint32s decodes b, a little-endian u32 array, into a fresh []uint32.
-func Uint32s(b []byte) []uint32 { return decodeUint32s(b) }

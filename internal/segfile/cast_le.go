@@ -12,9 +12,8 @@ import "unsafe"
 // semantically identical, just not zero-copy.
 
 // View views b, a little-endian array of E whose length is a multiple of
-// E's size, as []E — the width-generic form of Uint32s serving the pluggable
-// sketch widths. The result aliases b when zero-copy applies;
-// callers must treat it as read-only and must not outlive b's backing.
+// E's size, as []E. The result aliases b when zero-copy applies; callers
+// must treat it as read-only and must not outlive b's backing.
 func View[E Elem](b []byte) []E {
 	if len(b) == 0 {
 		return nil
@@ -24,16 +23,4 @@ func View[E Elem](b []byte) []E {
 		return decodeView[E](b)
 	}
 	return unsafe.Slice((*E)(unsafe.Pointer(&b[0])), uintptr(len(b))/w)
-}
-
-// Uint32s views b, a little-endian u32 array whose length is a multiple of
-// 4, as []uint32, under the same aliasing rules as View.
-func Uint32s(b []byte) []uint32 {
-	if len(b) == 0 {
-		return nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
-		return decodeUint32s(b)
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
 }

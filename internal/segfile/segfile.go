@@ -98,13 +98,17 @@ func decodeView[E Elem](b []byte) []E {
 	return out
 }
 
-// decodeUint32s is the portable fallback of Uint32s.
-func decodeUint32s(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = uint32(b[i*4]) | uint32(b[i*4+1])<<8 | uint32(b[i*4+2])<<16 | uint32(b[i*4+3])<<24
+// Put writes vals into dst as the little-endian array View reads back and
+// returns the bytes written; dst must hold them.
+func Put[E Elem](dst []byte, vals []E) int {
+	w := int(unsafe.Sizeof(E(0)))
+	for i, v := range vals {
+		u := uint64(v)
+		for k := 0; k < w; k++ {
+			dst[i*w+k] = byte(u >> (8 * k))
+		}
 	}
-	return out
+	return len(vals) * w
 }
 
 // WriteAtomic durably replaces path with data: a same-directory temp file

@@ -141,15 +141,15 @@ func TestCastsMatchPortableDecode(t *testing.T) {
 			}
 		}
 		b32 := raw[off : off+4*16]
-		want32 := decodeUint32s(b32)
-		got32 := Uint32s(b32)
+		want32 := decodeView[uint32](b32)
+		got32 := View[uint32](b32)
 		for i := range want32 {
 			if got32[i] != want32[i] {
-				t.Fatalf("off %d: Uint32s[%d] = %#x, want %#x", off, i, got32[i], want32[i])
+				t.Fatalf("off %d: View[uint32][%d] = %#x, want %#x", off, i, got32[i], want32[i])
 			}
 		}
 	}
-	if View[uint64](nil) != nil || Uint32s(nil) != nil {
+	if View[uint64](nil) != nil || View[uint32](nil) != nil {
 		t.Fatal("casts of empty input must be nil")
 	}
 }
