@@ -90,11 +90,6 @@ func (r AccuracyRow) String() string {
 		r.System, r.Threshold, r.Precision, r.Recall, r.F1, r.F05, r.EmptyFraction)
 }
 
-// querier is the common query interface of all systems under test.
-type querier interface {
-	Query(sig minhash.Signature, querySize int, tStar float64) []string
-}
-
 // buildEnsemble builds an LSH Ensemble the way the product does: a live
 // index over the records, sealed into one segment, with no background
 // compactor.
@@ -102,10 +97,21 @@ func buildEnsemble(recs []core.Record, opts core.Options) (*live.Index, error) {
 	return live.Build(recs, live.Options{Options: opts, ManualCompaction: true})
 }
 
-// system is a named index under test.
+// system is a named system under test: its answer to query qi (an index
+// into the corpus) at threshold t*.
 type system struct {
-	name string
-	idx  querier
+	name  string
+	query func(qi int, tStar float64) []string
+}
+
+// indexed makes an index that answers Query(sig, size, t*) a system over
+// recs: Baseline, Asym, every ensemble and Fig. 8's morph.
+func indexed(name string, idx interface {
+	Query(sig minhash.Signature, querySize int, tStar float64) []string
+}, recs []core.Record) system {
+	return system{name, func(qi int, tStar float64) []string {
+		return idx.Query(recs[qi].Sig, recs[qi].Size, tStar)
+	}}
 }
 
 // buildSystems constructs Baseline, Asym, and the ensemble variants.
@@ -115,12 +121,12 @@ func buildSystems(recs []core.Record, cfg AccuracyConfig) ([]system, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	systems = append(systems, system{"Baseline", b})
+	systems = append(systems, indexed("Baseline", b, recs))
 	a, err := asym.Build(recs, cfg.NumHash, cfg.RMax)
 	if err != nil {
 		return nil, fmt.Errorf("asym: %w", err)
 	}
-	systems = append(systems, system{"Asym", a})
+	systems = append(systems, indexed("Asym", a, recs))
 	for _, n := range cfg.Partitions {
 		e, err := buildEnsemble(recs, core.Options{
 			NumHash: cfg.NumHash, RMax: cfg.RMax, NumPartitions: n, Sketch: core.Minwise64,
@@ -128,7 +134,7 @@ func buildSystems(recs []core.Record, cfg AccuracyConfig) ([]system, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ensemble(%d): %w", n, err)
 		}
-		systems = append(systems, system{fmt.Sprintf("LSH Ensemble (%d)", n), e})
+		systems = append(systems, indexed(fmt.Sprintf("LSH Ensemble (%d)", n), e, recs))
 	}
 	// b-bit variants ride on the largest partition count: the sweep varies
 	// signature bytes against a fixed (best) partitioning.
@@ -143,7 +149,7 @@ func buildSystems(recs []core.Record, cfg AccuracyConfig) ([]system, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ensemble(%d, %s): %w", parts, sb, err)
 		}
-		systems = append(systems, system{fmt.Sprintf("LSH Ensemble (%d, %s)", parts, sb), e})
+		systems = append(systems, indexed(fmt.Sprintf("LSH Ensemble (%d, %s)", parts, sb), e, recs))
 	}
 	return systems, nil
 }
@@ -151,8 +157,8 @@ func buildSystems(recs []core.Record, cfg AccuracyConfig) ([]system, error) {
 // runAccuracy evaluates the systems over the query set across thresholds.
 // Ground-truth containment scores are computed once per query and reused
 // for every threshold.
-func runAccuracy(corpus *datagen.Corpus, recs []core.Record, queries []int,
-	systems []system, thresholds []float64) []AccuracyRow {
+func runAccuracy(corpus *datagen.Corpus, queries []int, systems []system,
+	thresholds []float64) []AccuracyRow {
 	engine := exact.Build(datagen.ExactDomains(corpus))
 	queryValues := make([][]uint64, len(queries))
 	for i, qi := range queries {
@@ -174,8 +180,7 @@ func runAccuracy(corpus *datagen.Corpus, recs []core.Record, queries []int,
 		for _, sys := range systems {
 			var avg eval.Averager
 			for i, qi := range queries {
-				res := sys.idx.Query(recs[qi].Sig, recs[qi].Size, tStar)
-				p, r, empty := eval.PR(res, truths[i])
+				p, r, empty := eval.PR(sys.query(qi, tStar), truths[i])
 				avg.Add(p, r, empty)
 			}
 			rows = append(rows, AccuracyRow{
@@ -203,7 +208,7 @@ func RunFig4(cfg AccuracyConfig) ([]AccuracyRow, error) {
 		return nil, err
 	}
 	queries := datagen.SampleQueries(corpus, cfg.NumQueries, cfg.Seed)
-	return runAccuracy(corpus, recs, queries, systems, cfg.Thresholds), nil
+	return runAccuracy(corpus, queries, systems, cfg.Thresholds), nil
 }
 
 // RunFig6 reproduces Fig. 6: accuracy for queries from the largest size
@@ -226,7 +231,7 @@ func runDecile(cfg AccuracyConfig, decile int) ([]AccuracyRow, error) {
 		return nil, err
 	}
 	queries := datagen.QueriesBySizeDecile(corpus, decile, cfg.NumQueries, cfg.Seed)
-	return runAccuracy(corpus, recs, queries, systems, cfg.Thresholds), nil
+	return runAccuracy(corpus, queries, systems, cfg.Thresholds), nil
 }
 
 // SkewRow is one (subset, system) cell of Fig. 5.
@@ -284,7 +289,7 @@ func RunFig5(cfg Fig5Config) ([]SkewRow, error) {
 			nq = len(subset)
 		}
 		queries := datagen.SampleQueries(subCorpus, nq, acc.Seed)
-		accRows := runAccuracy(subCorpus, subRecs, queries, systems, []float64{cfg.Threshold})
+		accRows := runAccuracy(subCorpus, queries, systems, []float64{cfg.Threshold})
 		for _, ar := range accRows {
 			rows = append(rows, SkewRow{
 				Skewness:   skew,
@@ -358,8 +363,8 @@ func RunFig8(cfg Fig8Config) ([]MorphRow, error) {
 		// The partitioning the index was built with: the partitioner is a
 		// pure function of the record sizes, the domain sizes in order.
 		sd := partition.CountStdDev(pf(corpus.Sizes(), cfg.NumPartitions))
-		accRows := runAccuracy(corpus, recs, queries,
-			[]system{{"morph", idx}}, []float64{cfg.Threshold})
+		accRows := runAccuracy(corpus, queries,
+			[]system{indexed("morph", idx, recs)}, []float64{cfg.Threshold})
 		ar := accRows[0]
 		rows = append(rows, MorphRow{
 			Lambda:    lambda,

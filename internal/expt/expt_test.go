@@ -83,7 +83,7 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 				for i, id := range ids {
 					wantKeys[i] = ref.Key(id)
 				}
-				got := slices.Clone(sys.idx.Query(r.Sig, r.Size, tStar))
+				got := slices.Clone(sys.query(qi, tStar))
 				slices.Sort(wantKeys)
 				slices.Sort(got)
 				if !slices.Equal(got, wantKeys) {
@@ -273,6 +273,18 @@ func TestTab4Sharded(t *testing.T) {
 	// selective as the number of partitions increases").
 	if rows[1].MeanResults > rows[0].MeanResults {
 		t.Fatalf("ensemble candidates %v > baseline %v", rows[1].MeanResults, rows[0].MeanResults)
+	}
+}
+
+// TestPerfRefusesTooFewDomains: Fig. 9 cannot make Steps corpus sizes from
+// fewer domains (its smallest corpus would be empty, which datagen reads as
+// its default size), nor Table 4 Shards shards.
+func TestPerfRefusesTooFewDomains(t *testing.T) {
+	if rows, err := RunFig9(PerfConfig{NumDomains: 3, Steps: 5}); err == nil {
+		t.Errorf("RunFig9 with 3 domains in 5 steps returned %d rows", len(rows))
+	}
+	if rows, err := RunTab4(PerfConfig{NumDomains: 3, Shards: 5}); err == nil {
+		t.Errorf("RunTab4 with 3 domains on 5 shards returned %d rows", len(rows))
 	}
 }
 

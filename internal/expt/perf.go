@@ -74,6 +74,11 @@ func (r PerfRow) String() string {
 // construction over raw domains).
 func RunFig9(cfg PerfConfig) ([]PerfRow, error) {
 	cfg = cfg.withDefaults()
+	if cfg.NumDomains < cfg.Steps {
+		// The smallest corpus would have no domains, which datagen reads
+		// as its own default size.
+		return nil, fmt.Errorf("NumDomains %d is fewer than Steps %d", cfg.NumDomains, cfg.Steps)
+	}
 	var rows []PerfRow
 	for step := 1; step <= cfg.Steps; step++ {
 		n := cfg.NumDomains * step / cfg.Steps
@@ -124,8 +129,8 @@ func (r Tab4Row) String() string {
 }
 
 // shardedIndex mirrors the paper's 5-node deployment: the corpus is split
-// into equal chunks, one ensemble per chunk, queries fan out to all shards
-// concurrently and results are unioned.
+// into Shards chunks whose sizes differ by at most one, one ensemble per
+// chunk, queries fan out to all shards concurrently and results are unioned.
 type shardedIndex struct {
 	shards []*live.Index
 }
@@ -155,6 +160,9 @@ func (s *shardedIndex) query(sig minhash.Signature, querySize int, tStar float64
 // concurrently as in the paper's cluster.
 func RunTab4(cfg PerfConfig) ([]Tab4Row, error) {
 	cfg = cfg.withDefaults()
+	if cfg.NumDomains < cfg.Shards {
+		return nil, fmt.Errorf("NumDomains %d is fewer than Shards %d", cfg.NumDomains, cfg.Shards)
+	}
 	corpus := datagen.WebTable(datagen.WebTableConfig{NumDomains: cfg.NumDomains, Seed: cfg.Seed})
 	recs := datagen.Records(corpus, minhash.NewHasher(cfg.NumHash, cfg.Seed^0x5eed))
 	queries := datagen.SampleQueries(corpus, cfg.NumQueries, cfg.Seed)
@@ -168,12 +176,8 @@ func RunTab4(cfg PerfConfig) ([]Tab4Row, error) {
 		}
 		start := time.Now()
 		sharded := &shardedIndex{}
-		chunk := (len(recs) + cfg.Shards - 1) / cfg.Shards
-		for lo := 0; lo < len(recs); lo += chunk {
-			hi := lo + chunk
-			if hi > len(recs) {
-				hi = len(recs)
-			}
+		for i := 0; i < cfg.Shards; i++ {
+			lo, hi := i*len(recs)/cfg.Shards, (i+1)*len(recs)/cfg.Shards
 			idx, err := buildEnsemble(recs[lo:hi], core.Options{
 				NumHash: cfg.NumHash, RMax: cfg.RMax, NumPartitions: parts, Sketch: cfg.Sketch,
 			})

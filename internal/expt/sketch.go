@@ -6,8 +6,6 @@ import (
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
-	"lshensemble/internal/eval"
-	"lshensemble/internal/exact"
 	"lshensemble/internal/minhash"
 )
 
@@ -54,14 +52,6 @@ func (r FrontierRow) String() string {
 		r.System, r.BytesPerDomain, r.Threshold, r.Precision, r.Recall, r.F1)
 }
 
-// frontierSystem is one point under test: a name, its per-domain signature
-// footprint, and a query function over the shared query set.
-type frontierSystem struct {
-	name  string
-	bytes float64
-	query func(qi int, tStar float64) []string
-}
-
 // RunSketchFrontier runs the Fig. 4 accuracy workload under every sketch
 // backend — the four minwise widths indexed by the same ensemble shape, plus
 // the KMV comparator brute-force scoring with cardinality-aware containment
@@ -74,7 +64,8 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 	recs := datagen.Records(corpus, minhash.NewHasher(cfg.NumHash, cfg.Seed^0x5eed))
 	queries := datagen.SampleQueries(corpus, cfg.NumQueries, cfg.Seed)
 
-	var systems []frontierSystem
+	var systems []system
+	bytes := map[string]float64{}
 	for _, sb := range []core.SketchBackend{core.Minwise64, core.Minwise32, core.Minwise16, core.Minwise8} {
 		idx, err := buildEnsemble(recs, core.Options{
 			NumHash: cfg.NumHash, RMax: cfg.RMax,
@@ -83,13 +74,8 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ensemble(%s): %w", sb, err)
 		}
-		systems = append(systems, frontierSystem{
-			name:  sb.String(),
-			bytes: float64(idx.Stats().SignatureBytes) / float64(len(recs)),
-			query: func(qi int, tStar float64) []string {
-				return idx.Query(recs[qi].Sig, recs[qi].Size, tStar)
-			},
-		})
+		systems = append(systems, indexed(sb.String(), idx, recs))
+		bytes[sb.String()] = float64(idx.Stats().SignatureBytes) / float64(len(recs))
 	}
 
 	// KMV is not indexable, so it enters the frontier the way the paper's
@@ -105,61 +91,27 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 		domainKMV[i] = s
 		kmvBytes += s.SizeBytes()
 	}
-	queryKMV := make(map[int]*minhash.KMV, len(queries))
-	for _, qi := range queries {
-		queryKMV[qi] = domainKMV[qi]
-	}
-	systems = append(systems, frontierSystem{
-		name:  "kmv",
-		bytes: float64(kmvBytes) / float64(len(corpus.Domains)),
-		query: func(qi int, tStar float64) []string {
-			q := queryKMV[qi]
-			var out []string
-			for i, x := range domainKMV {
-				if q.Containment(x) >= tStar {
-					out = append(out, corpus.Domains[i].Key)
-				}
+	systems = append(systems, system{"kmv", func(qi int, tStar float64) []string {
+		var out []string
+		for i, x := range domainKMV {
+			if domainKMV[qi].Containment(x) >= tStar {
+				out = append(out, corpus.Domains[i].Key)
 			}
-			return out
-		},
-	})
-
-	// Ground truth once per query, reused across thresholds and systems —
-	// same scaffolding as runAccuracy, over frontier systems.
-	engine := exact.Build(datagen.ExactDomains(corpus))
-	queryValues := make([][]uint64, len(queries))
-	for i, qi := range queries {
-		queryValues[i] = corpus.Domains[qi].Values
-	}
-	scores := engine.ScoresBatch(queryValues, 0)
+		}
+		return out
+	}})
+	bytes["kmv"] = float64(kmvBytes) / float64(len(corpus.Domains))
 
 	var rows []FrontierRow
-	for _, tStar := range cfg.Thresholds {
-		truths := make([]map[string]bool, len(queries))
-		for i := range queries {
-			truth := make(map[string]bool)
-			for id, s := range scores[i] {
-				if s >= tStar {
-					truth[engine.Key(id)] = true
-				}
-			}
-			truths[i] = truth
-		}
-		for _, sys := range systems {
-			var avg eval.Averager
-			for i, qi := range queries {
-				p, r, empty := eval.PR(sys.query(qi, tStar), truths[i])
-				avg.Add(p, r, empty)
-			}
-			rows = append(rows, FrontierRow{
-				System:         sys.name,
-				BytesPerDomain: sys.bytes,
-				Threshold:      tStar,
-				Precision:      avg.Precision(),
-				Recall:         avg.Recall(),
-				F1:             avg.F1(),
-			})
-		}
+	for _, r := range runAccuracy(corpus, queries, systems, cfg.Thresholds) {
+		rows = append(rows, FrontierRow{
+			System:         r.System,
+			BytesPerDomain: bytes[r.System],
+			Threshold:      r.Threshold,
+			Precision:      r.Precision,
+			Recall:         r.Recall,
+			F1:             r.F1,
+		})
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].Threshold != rows[j].Threshold {
