@@ -21,6 +21,8 @@ import (
 	"errors"
 	"math/bits"
 	"sync/atomic"
+
+	"lshensemble/internal/segfile"
 )
 
 // Filter is a standard Bloom filter using Kirsch–Mitzenmacher double
@@ -180,23 +182,17 @@ func (f *Filter) AppendBinary(buf []byte) []byte {
 // Decode reconstructs a filter from the front of buf and returns the
 // remaining bytes.
 func Decode(buf []byte) (*Filter, []byte, error) {
-	if len(buf) < 8 {
-		return nil, buf, ErrCorrupt
+	r := segfile.Reader{B: buf}
+	k := int(r.U32())
+	words := make([]uint64, r.Count(8))
+	for i := range words {
+		words[i] = r.U64()
 	}
-	k := int(binary.LittleEndian.Uint32(buf))
-	n := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	if k < 1 || n < 1 || n > len(buf)/8 {
-		return nil, buf, ErrCorrupt
+	// The bit count must be a power of two or the probe mask is wrong, and
+	// every query runs all k probes (internal/live's filters use 7 or 10).
+	n := len(words)
+	if r.Short || k < 1 || k > 32 || n < 1 || n&(n-1) != 0 {
+		return nil, r.B, ErrCorrupt
 	}
-	// The bit count must be a power of two or the probe mask is wrong.
-	if n&(n-1) != 0 {
-		return nil, buf, ErrCorrupt
-	}
-	f := &Filter{k: k, mask: uint64(n)*64 - 1, words: make([]uint64, n)}
-	for i := range f.words {
-		f.words[i] = binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
-	}
-	return f, buf, nil
+	return &Filter{k: k, mask: uint64(n)*64 - 1, words: words}, r.B, nil
 }

@@ -2,6 +2,8 @@ package bloom
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,6 +107,22 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 		if _, _, err := Decode(b); err == nil {
 			t.Fatalf("%s: decoded without error", name)
 		}
+	}
+}
+
+// TestDecodeRefusesHugeK: every query runs all k probes of a filter, so a
+// stored k past 32 is refused, not served. A snapshot whose leads filter
+// claimed 2^30 probes used to load and then spend seconds on every query.
+func TestDecodeRefusesHugeK(t *testing.T) {
+	enc := New(10, 10, 7).AppendBinary(nil)
+	withK := func(k uint32) []byte { return binary.LittleEndian.AppendUint32(nil, k) }
+	for _, k := range []uint32{33, 1 << 30} {
+		if _, _, err := Decode(append(withK(k), enc[4:]...)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("k = %d: err = %v, want ErrCorrupt", k, err)
+		}
+	}
+	if f, _, err := Decode(append(withK(32), enc[4:]...)); err != nil || f.K() != 32 {
+		t.Fatalf("k = 32 refused: %v", err)
 	}
 }
 

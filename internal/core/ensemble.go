@@ -27,6 +27,7 @@ import (
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/par"
 	"lshensemble/internal/partition"
+	"lshensemble/internal/segfile"
 	"lshensemble/internal/tune"
 )
 
@@ -515,78 +516,45 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 // returns any trailing bytes. It only parses; FromParts validates what it
 // parsed. Every refusal wraps ErrCorrupt.
 func Decode(buf []byte) (*Index, []byte, error) {
-	if len(buf) < 4 {
-		return nil, buf, ErrCorrupt
-	}
+	r := segfile.Reader{B: buf}
 	sketch := Minwise64
-	switch [4]byte(buf[:4]) {
-	case indexMagic:
-		buf = buf[4:]
-	case indexMagicV2:
-		if len(buf) < 8 {
-			return nil, buf, ErrCorrupt
-		}
-		sb, ok := SketchBackendFromTag(binary.LittleEndian.Uint32(buf[4:]))
+	switch string(r.Bytes(4)) {
+	case string(indexMagic[:]):
+	case string(indexMagicV2[:]):
+		sb, ok := SketchBackendFromTag(r.U32())
 		if !ok {
-			return nil, buf, ErrCorrupt
+			return nil, r.B, ErrCorrupt
 		}
 		sketch = sb
-		buf = buf[8:]
 	default:
-		return nil, buf, ErrCorrupt
+		return nil, r.B, ErrCorrupt
 	}
-	if len(buf) < 16 {
-		return nil, buf, ErrCorrupt
+	opts := Options{NumHash: int(r.U32()), RMax: int(r.U32()), NumPartitions: int(r.U32()), Sketch: sketch}
+	keys := make([]string, r.Count(4+8))
+	sizes := make([]int, len(keys))
+	for i := range keys {
+		keys[i], sizes[i] = r.String(), int(r.U64())
 	}
-	opts := Options{
-		NumHash:       int(binary.LittleEndian.Uint32(buf)),
-		RMax:          int(binary.LittleEndian.Uint32(buf[4:])),
-		NumPartitions: int(binary.LittleEndian.Uint32(buf[8:])),
-		Sketch:        sketch,
-	}
-	nKeys := int(binary.LittleEndian.Uint32(buf[12:]))
-	buf = buf[16:]
-	var keys []string
-	var sizes []int
-	for i := 0; i < nKeys; i++ {
-		if len(buf) < 4 {
-			return nil, buf, ErrCorrupt
+	views := make([]PartView, r.Count(16))
+	for i := range views {
+		views[i].Lower, views[i].Upper = int(r.U64()), int(r.U64())
+		if r.Short {
+			break
 		}
-		kl := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if len(buf) < kl+8 {
-			return nil, buf, ErrCorrupt
-		}
-		keys = append(keys, string(buf[:kl]))
-		sizes = append(sizes, int(binary.LittleEndian.Uint64(buf[kl:])))
-		buf = buf[kl+8:]
-	}
-	if len(buf) < 4 {
-		return nil, buf, ErrCorrupt
-	}
-	np := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	var views []PartView
-	for i := 0; i < np; i++ {
-		if len(buf) < 16 {
-			return nil, buf, ErrCorrupt
-		}
-		v := PartView{
-			Lower: int(binary.LittleEndian.Uint64(buf)),
-			Upper: int(binary.LittleEndian.Uint64(buf[8:])),
-		}
-		f, rest, err := lshforest.DecodeForest(buf[16:])
+		f, rest, err := lshforest.DecodeForest(r.B)
 		if err != nil {
 			return nil, rest, fmt.Errorf("core: partition %d: %v: %w", i, err, ErrCorrupt)
 		}
-		v.Forest, buf = f, rest
-		views = append(views, v)
+		views[i].Forest, r.B = f, rest
+	}
+	if r.Short {
+		return nil, r.B, ErrCorrupt
 	}
 	x, err := FromParts(opts, keys, sizes, views)
 	if err != nil {
-		return nil, buf, err
+		return nil, r.B, err
 	}
-	return x, buf, nil
+	return x, r.B, nil
 }
 
 // checkBounds holds persisted partitions to what Build guarantees

@@ -654,6 +654,45 @@ func TestLoadRefusesHugeNumHash(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesBufferedSeqsOutOfOrder: Add buffers entries in seq order,
+// and a seal keeps that order as the segment's seqs, which Load refuses out
+// of order. A snapshot whose buffered seqs do not ascend is refused as well;
+// it used to load into an index that, once flushed, saved a snapshot it
+// then refused.
+func TestLoadRefusesBufferedSeqsOutOfOrder(t *testing.T) {
+	x, err := New(liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	recs := fixture(t, 2, 14)
+	for _, r := range recs {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := x.AppendBinary(nil)
+	// v4 header (28 bytes), no segments, two buffered entries, each
+	// seq u64 | keylen u32 | key | size u64 | sig [NumHash]u64.
+	first := 28 + 4 + 4
+	second := first + 8 + 4 + len(recs[0].Key) + 8 + 8*liveOpts().NumHash
+	le := binary.LittleEndian
+	if s1, s2 := le.Uint64(snap[first:]), le.Uint64(snap[second:]); s1 != 1 || s2 != 2 {
+		t.Fatalf("fixture's buffered seqs are %d, %d, want 1, 2", s1, s2)
+	}
+	le.PutUint64(snap[first:], 2)
+	le.PutUint64(snap[second:], 1)
+	le.PutUint64(snap[len(snap)-8:], crc64.Checksum(snap[:len(snap)-8], crcTable))
+	y, err := Load(bytes.NewReader(snap), liveOpts())
+	if err == nil {
+		y.Close()
+		t.Fatal("buffered seqs 2, 1 accepted")
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("error %v, want ErrCorrupt", err)
+	}
+}
+
 func TestValidation(t *testing.T) {
 	recs := fixture(t, 10, 11)
 	x, err := Build(recs, liveOpts())

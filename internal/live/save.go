@@ -12,6 +12,7 @@ import (
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/segfile"
 	"lshensemble/internal/tune"
 )
 
@@ -19,15 +20,15 @@ import (
 //
 //	magic "LIVE" | version u32
 //	numHash u32 | rMax u32 | sketch u32 (v4+) | seq u64
-//	nsegs u32, per segment (v3 leads each with a kind byte):
+//	nsegs u32, per segment (v3+ leads each with a kind byte):
 //	    kind 0 (inline): n u32, seqs [n]u64, core index bytes (self-framed),
 //	        and from version 2 the planner metadata:
 //	        minSize u64 | maxSize u64 | maxBound u64 | keys bloom | leads bloom
-//	    kind 1 (segment-file reference, v3 only):
+//	    kind 1 (segment-file reference, v3+):
 //	        namelen u32 | name | fileSize u64 | headerCRC u64
 //	nbuf u32, per entry: seq u64, keylen u32, key, size u64, sig [numHash]u64
 //	ntombs u32, per tombstone: keylen u32, key, seq u64
-//	crc u64 (v3 only: crc64-ECMA over every preceding byte of the encoding)
+//	crc u64 (v3+: crc64-ECMA over every preceding byte of the encoding)
 //
 // Version history: v1 predates the query planner and carries no segment
 // metadata; v2 appends it per segment so a load does not pay to re-derive
@@ -199,23 +200,21 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		}
 		buf = buf[:len(buf)-8]
 	}
-	numHash := int(binary.LittleEndian.Uint32(buf[8:]))
-	rMax := int(binary.LittleEndian.Uint32(buf[12:]))
+	rd := &segfile.Reader{B: buf[8:]}
+	numHash, rMax := int(rd.U32()), int(rd.U32())
 	sketch := core.Minwise64
 	if version >= 4 {
-		if len(buf) < 28 {
-			return nil, ErrCorrupt
-		}
-		sb, ok := core.SketchBackendFromTag(binary.LittleEndian.Uint32(buf[16:]))
+		tag := rd.U32()
+		sb, ok := core.SketchBackendFromTag(tag)
 		if !ok {
-			return nil, fmt.Errorf("live: snapshot carries unknown sketch backend tag %d: %w",
-				binary.LittleEndian.Uint32(buf[16:]), ErrCorrupt)
+			return nil, fmt.Errorf("live: snapshot carries unknown sketch backend tag %d: %w", tag, ErrCorrupt)
 		}
 		sketch = sb
-		buf = buf[4:]
 	}
-	seq := binary.LittleEndian.Uint64(buf[16:])
-	buf = buf[24:]
+	seq := rd.U64()
+	if rd.Short {
+		return nil, ErrCorrupt
+	}
 	// Save never emits a degenerate shape (Build validates it), and zeros
 	// must not fall through to withDefaults below: the raw rMax strides
 	// loops (addBufLeads), where 0 would never advance. Past core.MaxNumHash,
@@ -244,43 +243,35 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 
 	sn := &snapshot{}
 	referenced := make(map[string]bool)
-	nsegs, buf, err := readCount(buf)
-	if err != nil {
-		return nil, err
-	}
+	nsegs := rd.Count(1)
 	for i := 0; i < nsegs; i++ {
 		kind := byte(segKindInline)
-		if version >= 3 {
-			if len(buf) < 1 {
+		if version >= liveVersionV3 {
+			b := rd.Bytes(1)
+			if rd.Short {
 				return nil, ErrCorrupt
 			}
-			kind, buf = buf[0], buf[1:]
+			kind = b[0]
 		}
 		switch kind {
 		case segKindInline:
-			var n int
-			n, buf, err = readCount(buf)
-			if err != nil {
-				return nil, err
-			}
-			if len(buf) < 8*n {
-				return nil, ErrCorrupt
-			}
-			seqs := make([]uint64, n)
+			seqs := make([]uint64, rd.Count(8))
 			for j := range seqs {
-				seqs[j] = binary.LittleEndian.Uint64(buf)
-				buf = buf[8:]
+				seqs[j] = rd.U64()
 				if j > 0 && seqs[j] <= seqs[j-1] {
 					return nil, fmt.Errorf("live: segment %d seqs not ascending: %w", i, ErrCorrupt)
 				}
 			}
-			idx, rest, err := core.Decode(buf)
+			if rd.Short {
+				return nil, ErrCorrupt
+			}
+			idx, rest, err := core.Decode(rd.B)
 			if err != nil {
 				return nil, err
 			}
-			buf = rest
-			if idx.Len() != n {
-				return nil, fmt.Errorf("live: segment %d holds %d entries, %d seqs: %w", i, idx.Len(), n, ErrCorrupt)
+			rd.B = rest
+			if idx.Len() != len(seqs) {
+				return nil, fmt.Errorf("live: segment %d holds %d entries, %d seqs: %w", i, idx.Len(), len(seqs), ErrCorrupt)
 			}
 			if o := idx.Options(); o.NumHash != numHash || o.RMax != rMax {
 				return nil, fmt.Errorf("live: segment %d shape (%d, %d) != header (%d, %d): %w",
@@ -291,9 +282,8 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 					i, s, sketch, ErrCorrupt)
 			}
 			var meta *segMeta
-			if version >= 2 {
-				meta, buf, err = decodeSegMeta(buf, idx)
-				if err != nil {
+			if version >= liveVersionV2 {
+				if meta, err = decodeSegMeta(rd, idx); err != nil {
 					return nil, fmt.Errorf("live: segment %d metadata: %w", i, err)
 				}
 				meta.fillLeads(idx, nil)
@@ -308,18 +298,10 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			if opts.DataDir == "" {
 				return nil, fmt.Errorf("live: snapshot references segment files but Options.DataDir is empty")
 			}
-			if len(buf) < 4 {
+			name, fileSize, headerCRC := rd.String(), int64(rd.U64()), rd.U64()
+			if rd.Short {
 				return nil, ErrCorrupt
 			}
-			nameLen := int(binary.LittleEndian.Uint32(buf))
-			buf = buf[4:]
-			if nameLen < 0 || nameLen > len(buf) || len(buf) < nameLen+16 {
-				return nil, ErrCorrupt
-			}
-			name := string(buf[:nameLen])
-			fileSize := int64(binary.LittleEndian.Uint64(buf[nameLen:]))
-			headerCRC := binary.LittleEndian.Uint64(buf[nameLen+8:])
-			buf = buf[nameLen+16:]
 			if !validSegFileName(name) {
 				return nil, fmt.Errorf("live: segment %d references invalid file name %q: %w", i, name, ErrCorrupt)
 			}
@@ -338,30 +320,21 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			return nil, fmt.Errorf("live: segment %d has unknown kind %d: %w", i, kind, ErrCorrupt)
 		}
 	}
-	nbuf, buf, err := readCount(buf)
-	if err != nil {
-		return nil, err
-	}
+	// A buffered entry is at least its seq, key length, size and signature.
+	nbuf := rd.Count(20 + 8*numHash)
 	for i := 0; i < nbuf; i++ {
-		if len(buf) < 12 {
-			return nil, ErrCorrupt
-		}
-		eseq := binary.LittleEndian.Uint64(buf)
-		kl := int(binary.LittleEndian.Uint32(buf[8:]))
-		buf = buf[12:]
-		if len(buf) < kl+8 {
-			return nil, ErrCorrupt
-		}
-		key := string(buf[:kl])
-		size := int(binary.LittleEndian.Uint64(buf[kl:]))
-		buf = buf[kl+8:]
-		if len(buf) < 8*numHash {
-			return nil, ErrCorrupt
-		}
+		eseq, key, size := rd.U64(), rd.String(), int(rd.U64())
 		sig := make(minhash.Signature, numHash)
 		for j := range sig {
-			sig[j] = binary.LittleEndian.Uint64(buf)
-			buf = buf[8:]
+			sig[j] = rd.U64()
+		}
+		if rd.Short {
+			return nil, ErrCorrupt
+		}
+		// Add appends in seq order, and a seal keeps that order as the
+		// segment's seqs, which Load refuses out of order.
+		if i > 0 && eseq <= x.bufBack[i-1].seq {
+			return nil, fmt.Errorf("live: buffered seqs not ascending at entry %d: %w", i, ErrCorrupt)
 		}
 		rec := core.Record{Key: key, Size: size, Sig: sig}
 		if err := x.validateRecord(rec); err != nil {
@@ -377,27 +350,17 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	for i := range sn.buf {
 		addBufLeads(sn.bufBloom, sn.buf[i].rec.Sig, rMax, opts.Sketch.Mask())
 	}
-	ntombs, buf, err := readCount(buf)
-	if err != nil {
-		return nil, err
-	}
-	if ntombs > 0 {
+	if ntombs := rd.Count(4 + 8); ntombs > 0 {
 		sn.tombs = make(map[string]uint64, ntombs)
 		for i := 0; i < ntombs; i++ {
-			if len(buf) < 4 {
-				return nil, ErrCorrupt
-			}
-			kl := int(binary.LittleEndian.Uint32(buf))
-			buf = buf[4:]
-			if len(buf) < kl+8 {
-				return nil, ErrCorrupt
-			}
-			sn.tombs[string(buf[:kl])] = binary.LittleEndian.Uint64(buf[kl:])
-			buf = buf[kl+8:]
+			sn.tombs[rd.String()] = rd.U64()
 		}
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("live: %d trailing bytes after snapshot: %w", len(buf), ErrCorrupt)
+	switch {
+	case rd.Short:
+		return nil, ErrCorrupt
+	case len(rd.B) != 0:
+		return nil, fmt.Errorf("live: %d trailing bytes after snapshot: %w", len(rd.B), ErrCorrupt)
 	}
 
 	// Rebuild the writer-side view: the live entry of each key is the one
@@ -455,45 +418,29 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 }
 
 // decodeSegMeta reads one segment's planner metadata block (the v2+ inline
-// block, or a segment file's) from the front of buf, for the non-empty index
-// idx it describes. The three size words are derived from idx, and a block
-// whose stored words disagree is corrupt: a maxBound below the truth would
+// block, or a segment file's) from r, for the non-empty index idx it
+// describes. The three size words are derived from idx, and a block whose
+// stored words disagree is corrupt: a maxBound below the truth would
 // range-prune the segment from queries it answers. The Bloom filters are
 // taken as stored, under the checksums that cover them: checking leads would
 // read every leading column, faulting in a mapped segment's pages at boot.
-func decodeSegMeta(buf []byte, idx *core.Index) (*segMeta, []byte, error) {
-	if len(buf) < 24 {
-		return nil, buf, ErrCorrupt
-	}
+func decodeSegMeta(r *segfile.Reader, idx *core.Index) (*segMeta, error) {
 	m := &segMeta{}
 	m.setSizes(idx)
-	if binary.LittleEndian.Uint64(buf) != uint64(m.minSize) ||
-		binary.LittleEndian.Uint64(buf[8:]) != uint64(m.maxSize) ||
-		binary.LittleEndian.Uint64(buf[16:]) != uint64(m.maxBound) {
-		return nil, buf, fmt.Errorf("stored size words disagree with the segment's (%d, %d, %d): %w",
+	minSize, maxSize, maxBound := r.U64(), r.U64(), r.U64()
+	if r.Short {
+		return nil, ErrCorrupt
+	}
+	if minSize != uint64(m.minSize) || maxSize != uint64(m.maxSize) || maxBound != uint64(m.maxBound) {
+		return nil, fmt.Errorf("stored size words disagree with the segment's (%d, %d, %d): %w",
 			m.minSize, m.maxSize, m.maxBound, ErrCorrupt)
 	}
-	buf = buf[24:]
 	var err error
-	if m.keys, buf, err = bloom.Decode(buf); err != nil {
-		return nil, buf, err
+	if m.keys, r.B, err = bloom.Decode(r.B); err != nil {
+		return nil, err
 	}
-	if m.leads, buf, err = bloom.Decode(buf); err != nil {
-		return nil, buf, err
+	if m.leads, r.B, err = bloom.Decode(r.B); err != nil {
+		return nil, err
 	}
-	return m, buf, nil
-}
-
-// readCount reads a u32 count, bounded by the remaining buffer so a hostile
-// header cannot drive huge allocations.
-func readCount(buf []byte) (int, []byte, error) {
-	if len(buf) < 4 {
-		return 0, buf, ErrCorrupt
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if n < 0 || n > len(buf) {
-		return 0, buf, ErrCorrupt
-	}
-	return n, buf, nil
+	return m, nil
 }

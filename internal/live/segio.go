@@ -241,17 +241,15 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	// into private heap values — Stats and tombstone sweeps must not depend
 	// on the mapping), then the planner metadata, read once the index is
 	// assembled.
-	if len(meta) < nParts*24 {
+	rd := &segfile.Reader{B: meta}
+	if nParts > len(meta)/24 {
 		return nil, errSegFile("META truncated")
 	}
-	lowers := make([]int, nParts)
-	uppers := make([]int, nParts)
+	views := make([]core.PartView, nParts)
 	counts := make([]int, nParts)
 	total := 0
-	for i := 0; i < nParts; i++ {
-		lowers[i] = int(binary.LittleEndian.Uint64(meta[i*24:]))
-		uppers[i] = int(binary.LittleEndian.Uint64(meta[i*24+8:]))
-		counts[i] = int(binary.LittleEndian.Uint64(meta[i*24+16:]))
+	for i := range views {
+		views[i].Lower, views[i].Upper, counts[i] = int(rd.U64()), int(rd.U64()), int(rd.U64())
 		if counts[i] < 0 || counts[i] > n-total {
 			return nil, errSegFile("partition %d count %d overruns %d records", i, counts[i], n)
 		}
@@ -260,24 +258,15 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	if total != n {
 		return nil, errSegFile("partitions hold %d of %d records", total, n)
 	}
-	meta = meta[nParts*24:]
 	keys := make([]string, n)
 	sizes := make([]int, n)
 	seqs := make([]uint64, n)
-	for id := 0; id < n; id++ {
-		if len(meta) < 20 {
+	for id := range keys {
+		seqs[id], sizes[id], keys[id] = rd.U64(), int(rd.U64()), rd.String()
+		switch {
+		case rd.Short:
 			return nil, errSegFile("record catalog truncated")
-		}
-		seqs[id] = binary.LittleEndian.Uint64(meta)
-		sizes[id] = int(binary.LittleEndian.Uint64(meta[8:]))
-		kl := int(binary.LittleEndian.Uint32(meta[16:]))
-		meta = meta[20:]
-		if kl < 0 || kl > len(meta) {
-			return nil, errSegFile("record %d key overruns META", id)
-		}
-		keys[id] = string(meta[:kl])
-		meta = meta[kl:]
-		if id > 0 && seqs[id] <= seqs[id-1] {
+		case id > 0 && seqs[id] <= seqs[id-1]:
 			return nil, errSegFile("seqs not ascending at record %d", id)
 		}
 	}
@@ -288,7 +277,6 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	ids := segfile.View[uint32](img[off[2] : off[2]+ln[2]])
 	treesAll := segfile.View[uint32](img[off[3] : off[3]+ln[3]])
 	colsB := img[off[4] : off[4]+ln[4]]
-	views := make([]core.PartView, nParts)
 	so, io_, to, co := 0, 0, 0, 0
 	for i := 0; i < nParts; i++ {
 		cnt := counts[i]
@@ -307,7 +295,7 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 		if err != nil {
 			return nil, errSegFile("partition %d: %v", i, err)
 		}
-		views[i] = core.PartView{Lower: lowers[i], Upper: uppers[i], Forest: f}
+		views[i].Forest = f
 		so += cnt * numHash * w
 		io_ += cnt
 		to += cnt * bMax
@@ -318,12 +306,12 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	if err != nil {
 		return nil, errSegFile("%v", err)
 	}
-	sm, meta, err := decodeSegMeta(meta, idx)
+	sm, err := decodeSegMeta(rd, idx)
 	if err != nil {
 		return nil, errSegFile("planner metadata: %v", err)
 	}
-	if len(meta) != 0 {
-		return nil, errSegFile("%d trailing META bytes", len(meta))
+	if len(rd.B) != 0 {
+		return nil, errSegFile("%d trailing META bytes", len(rd.B))
 	}
 	seg := &segment{idx: idx, seqs: seqs, meta: sm, back: back}
 	// Resident estimate: the decoded META copies plus, for heap backings,

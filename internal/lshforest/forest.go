@@ -34,6 +34,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"lshensemble/internal/segfile"
 )
 
 // Forest is an immutable dynamic-(b,r) MinHash LSH index over integer
@@ -299,60 +301,43 @@ func (f *Forest) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeForest decodes a forest from the front of buf, builds it (Build),
-// and returns the remaining bytes. Header fields are validated against the
-// actual buffer length in 64-bit arithmetic before any allocation, so a
-// hostile header cannot trigger integer overflow or an over-allocation:
-// with n >= 1 every allocation is bounded by a multiple of len(buf), and an
-// empty forest allocates nothing regardless of its declared numHash.
+// and returns the remaining bytes. The entry count is held against the bytes
+// left before anything is allocated (segfile.Reader.Count), so a hostile
+// header cannot trigger an over-allocation: every allocation is bounded by a
+// multiple of len(buf), and an empty forest allocates nothing regardless of
+// its declared numHash.
 func DecodeForest(buf []byte) (*Forest, []byte, error) {
-	if len(buf) < 4 {
-		return nil, buf, ErrCorrupt
-	}
+	r := segfile.Reader{B: buf}
 	width := 8
-	switch [4]byte(buf[:4]) {
-	case forestMagic:
-		buf = buf[4:]
-	case forestMagicV2:
-		if len(buf) < 8 {
-			return nil, buf, ErrCorrupt
-		}
-		width = int(binary.LittleEndian.Uint32(buf[4:]))
-		buf = buf[8:]
-		if width != 1 && width != 2 && width != 4 && width != 8 {
-			return nil, buf, ErrCorrupt
-		}
+	switch string(r.Bytes(4)) {
+	case string(forestMagic[:]):
+	case string(forestMagicV2[:]):
+		width = int(r.U32())
 	default:
-		return nil, buf, ErrCorrupt
+		return nil, r.B, ErrCorrupt
 	}
-	if len(buf) < 12 {
-		return nil, buf, ErrCorrupt
+	numHash, rMax := int(r.U32()), int(r.U32())
+	if width != 1 && width != 2 && width != 4 && width != 8 || numHash <= 0 || rMax <= 0 || rMax > numHash {
+		return nil, r.B, ErrCorrupt
 	}
-	numHash := int(binary.LittleEndian.Uint32(buf))
-	rMax := int(binary.LittleEndian.Uint32(buf[4:]))
-	n := int(binary.LittleEndian.Uint32(buf[8:]))
-	buf = buf[12:]
-	if numHash <= 0 || rMax <= 0 || rMax > numHash || n < 0 {
-		return nil, buf, ErrCorrupt
+	// Each entry is its id and numHash values of width bytes: with width
+	// checked, under 2^36 bytes, so the product cannot overflow.
+	stride := 4 + width*numHash
+	n := r.Count(stride)
+	body := r.Bytes(n * stride)
+	if r.Short {
+		return nil, r.B, ErrCorrupt
 	}
-	// Each entry occupies 4 + width*numHash bytes. Both factors come from
-	// attacker-controlled uint32 header fields, so the product can exceed
-	// 63 bits; dividing the known-good buffer length instead of multiplying
-	// keeps the check overflow-free.
-	perEntry := 4 + uint64(width)*uint64(uint32(numHash))
-	if uint64(n) > uint64(len(buf))/perEntry {
-		return nil, buf, ErrCorrupt
-	}
-	stride := int(perEntry) // n ≥ 1 bounds it by len(buf); n == 0 never uses it
 	ids := make([]uint32, n)
 	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint32(buf[i*stride:])
+		ids[i] = binary.LittleEndian.Uint32(body[i*stride:])
 	}
 	var vals []uint64
 	if n > 0 {
 		vals = make([]uint64, numHash)
 	}
 	f := Build(numHash, rMax, width, ids, func(i int) []uint64 {
-		e := buf[i*stride+4:]
+		e := body[i*stride+4:]
 		for k := range vals {
 			switch width {
 			case 1:
@@ -367,5 +352,5 @@ func DecodeForest(buf []byte) (*Forest, []byte, error) {
 		}
 		return vals
 	})
-	return f, buf[n*stride:], nil
+	return f, r.B, nil
 }

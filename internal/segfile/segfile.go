@@ -1,8 +1,9 @@
-// Package segfile provides the byte-level plumbing of out-of-core sealed
-// segments (internal/live): a read-only Backing abstracting "the contents of
-// one segment file" over either a private heap copy or a memory-mapped view,
-// zero-copy typed views of little-endian on-disk arrays, and crash-safe
-// atomic file writes.
+// Package segfile provides the byte-level plumbing of the index's persisted
+// formats: a read-only Backing over a heap copy or a memory-mapped view of
+// one segment file, zero-copy typed views of little-endian on-disk arrays,
+// crash-safe atomic file writes, and Reader, the bounded reader through which
+// every decoder (snapshot, segment META, index, forest, Bloom, answer frame)
+// reads untrusted bytes.
 //
 // The flat storage layout of internal/lshforest (one contiguous []uint64
 // signature store, flat per-tree order and leading-value columns) was chosen

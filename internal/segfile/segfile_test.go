@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -167,5 +168,58 @@ func TestCastsSeeWrittenValues(t *testing.T) {
 		if got[i] != v {
 			t.Fatalf("View[uint64][%d] = %#x, want %#x", i, got[i], v)
 		}
+	}
+}
+
+// TestReader walks the Reader's contract: reads in order, a short read that
+// is sticky and leaves every later read at its zero value, counts held
+// against the bytes left, and strings that do not alias the input.
+func TestReader(t *testing.T) {
+	le := binary.LittleEndian
+	frame := le.AppendUint32(nil, 7)
+	frame = le.AppendUint64(frame, 1<<40)
+	frame = le.AppendUint32(frame, 3)
+	frame = append(frame, "abc"...)
+	sixteen := make([]byte, 16)
+	for _, tc := range []struct {
+		name  string
+		in    []byte
+		read  func(r *Reader) any
+		want  any
+		short bool
+		left  int
+	}{
+		{"u32", frame, func(r *Reader) any { return r.U32() }, uint32(7), false, len(frame) - 4},
+		{"u32 then u64", frame, func(r *Reader) any { r.U32(); return r.U64() }, uint64(1 << 40), false, 7},
+		{"string", frame[12:], func(r *Reader) any { return r.String() }, "abc", false, 0},
+		{"u64 past the end", frame[:7], func(r *Reader) any { return r.U64() }, uint64(0), true, 0},
+		{"short is sticky", frame[:6], func(r *Reader) any { r.U64(); return r.U32() }, uint32(0), true, 0},
+		{"bytes after short", frame[:6], func(r *Reader) any { r.U64(); return r.Bytes(0) }, []byte(nil), true, 0},
+		{"string past the end", frame[12:14], func(r *Reader) any { return r.String() }, "", true, 0},
+		{"count of 2 over 16 bytes", append(le.AppendUint32(nil, 2), sixteen...),
+			func(r *Reader) any { return r.Count(8) }, 2, false, 16},
+		{"count of 2^32-1 over 16 bytes", append(le.AppendUint32(nil, 0xFFFFFFFF), sixteen...),
+			func(r *Reader) any { return r.Count(8) }, 0, true, 0},
+		{"count of 3 over 16 bytes", append(le.AppendUint32(nil, 3), sixteen...),
+			func(r *Reader) any { return r.Count(8) }, 0, true, 0},
+		{"negative length", frame, func(r *Reader) any { return r.Bytes(-1) }, []byte(nil), true, 0},
+		{"length past the end", frame, func(r *Reader) any { return r.Bytes(len(frame) + 1) }, []byte(nil), true, 0},
+		{"whole input", frame, func(r *Reader) any { return len(r.Bytes(len(frame))) }, len(frame), false, 0},
+	} {
+		r := &Reader{B: tc.in}
+		if got := tc.read(r); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: read %v (%T), want %v (%T)", tc.name, got, got, tc.want, tc.want)
+		}
+		if r.Short != tc.short || len(r.B) != tc.left {
+			t.Errorf("%s: Short %v with %d bytes left, want %v with %d", tc.name, r.Short, len(r.B), tc.short, tc.left)
+		}
+	}
+
+	buf := []byte{1, 0, 0, 0, 'x'}
+	r := &Reader{B: buf}
+	s := r.String()
+	buf[4] = 'y'
+	if s != "x" {
+		t.Fatalf("String aliases its input: %q after the input changed", s)
 	}
 }

@@ -453,14 +453,12 @@ func appendKey(dst []byte, key string) []byte {
 // order or repeats a key, when a score is not a finite number, or when bytes
 // are left over.
 func DecodeAnswer(body []byte, rows int, resp any) error {
-	d := answerReader{b: body, s: string(body)}
-	n, err := d.count(4)
-	if err != nil {
-		return err
-	}
-	if _, batch := resp.(*BatchResponse); n != rows || !batch && n != 1 {
+	d := answerReader{Reader: segfile.Reader{B: body}, s: string(body)}
+	n := d.Count(4)
+	if _, batch := resp.(*BatchResponse); !d.Short && (n != rows || !batch && n != 1) {
 		return fmt.Errorf("answer frame of %d rows to a request of %d", n, rows)
 	}
+	var err error
 	switch a := resp.(type) {
 	case *QueryResponse:
 		*a, err = d.row()
@@ -474,86 +472,58 @@ func DecodeAnswer(body []byte, rows int, resp any) error {
 	default:
 		return fmt.Errorf("no answer frame for %T", resp)
 	}
-	if err == nil && d.off != len(d.b) {
-		err = fmt.Errorf("%d bytes after the answer frame", len(d.b)-d.off)
+	switch {
+	case d.Short:
+		return errors.New("answer frame truncated")
+	case err == nil && len(d.B) != 0:
+		return fmt.Errorf("%d bytes after the answer frame", len(d.B))
 	}
 	return err
 }
 
-// answerReader walks an answer frame: integers are read from b, keys are
-// sliced from s, the one string copy of b.
+// answerReader walks an answer frame; keys are substrings of s, the one
+// string copy of the frame. row and rankedRow advance a copy of the Reader
+// on their own stack and store it back once: advancing it through d would
+// cost a write barrier per read while the collector runs.
 type answerReader struct {
-	b   []byte
-	s   string
-	off int
-}
-
-// count reads a uint32 count of items that take at least size bytes each,
-// refusing a count that the bytes left cannot hold.
-func (d *answerReader) count(size int) (int, error) {
-	if len(d.b)-d.off < 4 {
-		return 0, fmt.Errorf("answer frame truncated at byte %d", d.off)
-	}
-	n := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	if uint64(n)*uint64(size) > uint64(len(d.b)-d.off) {
-		return 0, fmt.Errorf("count %d at byte %d overruns the %d bytes left", n, d.off-4, len(d.b)-d.off)
-	}
-	return int(n), nil
-}
-
-func (d *answerReader) key() (string, error) {
-	n, err := d.count(1)
-	if err != nil {
-		return "", err
-	}
-	d.off += n
-	return d.s[d.off-n : d.off], nil
+	segfile.Reader
+	s string
 }
 
 // row reads one threshold row, whose keys must ascend strictly.
 func (d *answerReader) row() (QueryResponse, error) {
-	n, err := d.count(4)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	keys := make([]string, n)
+	r := d.Reader
+	keys := make([]string, r.Count(4))
 	for i := range keys {
-		if keys[i], err = d.key(); err != nil {
-			return QueryResponse{}, err
-		}
-		if i > 0 && keys[i] <= keys[i-1] {
+		n := len(r.Bytes(int(r.U32())))
+		end := len(d.s) - len(r.B)
+		keys[i] = d.s[end-n : end]
+		if i > 0 && keys[i] <= keys[i-1] && !r.Short {
 			return QueryResponse{}, fmt.Errorf("answer row out of order at key %d", i)
 		}
 	}
-	return QueryResponse{Matches: keys, Count: n}, nil
+	d.Reader = r
+	return QueryResponse{Matches: keys, Count: len(keys)}, nil
 }
 
 // rankedRow reads one top-k row, whose matches must be in strict rank order.
 func (d *answerReader) rankedRow() (TopKResponse, error) {
-	n, err := d.count(4 + 8)
-	if err != nil {
-		return TopKResponse{}, err
-	}
-	ms := make([]TopKMatch, n)
+	r := d.Reader
+	ms := make([]TopKMatch, r.Count(4+8))
 	for i := range ms {
-		if ms[i].Key, err = d.key(); err != nil {
-			return TopKResponse{}, err
-		}
-		if len(d.b)-d.off < 8 {
-			return TopKResponse{}, fmt.Errorf("answer frame truncated at byte %d", d.off)
-		}
-		est := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-		d.off += 8
-		if math.IsNaN(est) || math.IsInf(est, 0) {
+		n := len(r.Bytes(int(r.U32())))
+		end := len(d.s) - len(r.B)
+		ms[i].Key = d.s[end-n : end]
+		ms[i].EstContainment = math.Float64frombits(r.U64())
+		if est := ms[i].EstContainment; math.IsNaN(est) || math.IsInf(est, 0) {
 			return TopKResponse{}, fmt.Errorf("answer score %d is %v", i, est)
 		}
-		ms[i].EstContainment = est
-		if i > 0 && core.CompareTopK(core.TopKResult(ms[i-1]), core.TopKResult(ms[i])) >= 0 {
+		if i > 0 && !r.Short && core.CompareTopK(core.TopKResult(ms[i-1]), core.TopKResult(ms[i])) >= 0 {
 			return TopKResponse{}, fmt.Errorf("answer row out of rank order at match %d", i)
 		}
 	}
-	return TopKResponse{Matches: ms, Count: n}, nil
+	d.Reader = r
+	return TopKResponse{Matches: ms, Count: len(ms)}, nil
 }
 
 // SaveResponse reports a persisted snapshot.
