@@ -153,23 +153,27 @@ func (x *Index) seal(min int) bool {
 	// the old snapshots die. The buffer Bloom filter is rebuilt over the
 	// carried-over entries so it stops answering "maybe" for everything the
 	// seal just removed; Add reaches it through the snapshot published here.
+	// The lead columns are rebuilt for the carried-over entries alike.
 	rest := cur.buf[len(buf):]
 	back := make([]entry, len(rest), len(rest)+x.opts.SealThreshold)
 	copy(back, rest)
 	x.bufBack = back
 	bufMax := 0
 	bb := x.newBufBloom()
+	var leads leadCols
+	mask := x.opts.Sketch.Mask()
 	for i := range back {
 		if s := back[i].rec.Size; s > bufMax {
 			bufMax = s
 		}
-		addBufLeads(bb, back[i].rec.Sig, x.opts.RMax, x.opts.Sketch.Mask())
+		addBufLeads(bb, back[i].rec.Sig, x.opts.RMax, mask)
+		leads = leads.with(i, back[i].rec.Sig, x.opts.RMax, mask)
 	}
 	segs := cur.segs
 	if seg != nil {
 		segs = append(append(make([]*segment, 0, len(cur.segs)+1), cur.segs...), seg)
 	}
-	next := &snapshot{segs: segs, buf: back, tombs: gcTombs(cur.tombs, segs, back), bufMax: bufMax, bufBloom: bb}
+	next := &snapshot{segs: segs, buf: back, leads: leads, tombs: gcTombs(cur.tombs, segs, back), bufMax: bufMax, bufBloom: bb}
 	old := x.publishLocked(next, cur, true)
 	x.mu.Unlock()
 	x.releaseSnap(old)
@@ -282,7 +286,7 @@ func (x *Index) mergeSegments(victims []*segment) {
 		sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq() < segs[j].minSeq() })
 	}
 	tombs := exactGCTombs(cur.tombs, segs, cur.buf)
-	next := &snapshot{segs: segs, buf: cur.buf, tombs: tombs, bufMax: cur.bufMax, bufBloom: cur.bufBloom}
+	next := &snapshot{segs: segs, buf: cur.buf, leads: cur.leads, tombs: tombs, bufMax: cur.bufMax, bufBloom: cur.bufBloom}
 	old := x.publishLocked(next, cur, true)
 	x.mu.Unlock()
 	x.releaseSnap(old)

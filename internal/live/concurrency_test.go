@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lshensemble/internal/core"
@@ -189,16 +190,71 @@ func TestQuerySnapshotStability(t *testing.T) {
 	}
 }
 
+// TestBufferColumnsGrowUnderQueries: the buffer's lead columns regrow (at 64,
+// 128 and 256 entries here) while readers query older snapshots of them. A
+// writer buffers 300 records while two readers query records already added,
+// each of which must find itself at t* = 1. Run with -race: the column writes
+// and copies must reach a reader only through the snapshot swap.
+func TestBufferColumnsGrowUnderQueries(t *testing.T) {
+	recs := fixture(t, 300, 24)
+	opts := liveOpts()
+	opts.SealThreshold = 1 << 20 // everything stays buffered
+	opts.ResultCacheSize = -1
+	x, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	var added atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += 2 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := int(added.Load())
+				if n == 0 {
+					continue
+				}
+				if r := recs[i%n]; !contains(x.Query(r.Sig, r.Size, 1), r.Key) {
+					t.Errorf("buffered record %d of %d did not find itself", i%n, n)
+					return
+				}
+			}
+		}(g)
+	}
+	for _, r := range recs {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+		added.Add(1)
+	}
+}
+
 // TestSteadyStateQueryAllocs proves the live fan-out keeps the PR 1/PR 2
 // allocation discipline: steady-state QueryAppend with a reused destination
 // against a multi-segment snapshot (with buffered entries and tombstones in
-// play) allocates nothing.
+// play) allocates nothing. The result cache is off, so that every measured
+// query runs the fan-out and the buffer scan (the trace asserts the scan);
+// TestInstrumentedQueryZeroAllocs covers the cache's hit path.
 func TestSteadyStateQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates and randomizes sync.Pool reuse")
 	}
 	recs := fixture(t, 600, 23)
-	x, err := Build(recs[:200], liveOpts())
+	opts := liveOpts()
+	opts.ResultCacheSize = -1
+	x, err := Build(recs[:200], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +294,16 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 	}
 	warm() // fill the scratch pool and the tuning cache
 	warm()
+	var tr QueryTrace
+	ctx := WithQueryTrace(context.Background(), &tr)
 	allocs := testing.AllocsPerRun(50, func() {
 		r := recs[37]
-		dst = x.QueryAppend(dst[:0], r.Sig, r.Size, 0.5)
+		dst, _ = x.QueryAppendContext(ctx, dst[:0], r.Sig, r.Size, 0.5)
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state QueryAppend allocates %.1f per query, want 0", allocs)
+	}
+	if !tr.BufferScanned {
+		t.Fatalf("the measured query did not scan the buffer, so the gate does not cover the scan: %+v", tr)
 	}
 }

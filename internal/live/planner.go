@@ -37,8 +37,8 @@ import (
 //     a fifth of what the tree set alone lets through — and no partition whose
 //     set is empty. Neither filter has false negatives. The unsealed buffer
 //     asks the first question of a bloom.Filter of its own, which Adds fill
-//     while queries read it, and compares only the bands in the set
-//     (appendBufferMatches);
+//     while queries read it, and reads the band-major lead columns of only
+//     the bands in the set (appendBufferMatches);
 //   - top-k early termination: the containment estimate is capped by the
 //     candidate's size, so once k results beat the cap of every remaining
 //     (size-descending) segment, those segments cannot contribute.

@@ -347,8 +347,10 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	}
 	sn.buf = x.bufBack
 	sn.bufBloom = x.newBufBloom()
+	mask := opts.Sketch.Mask()
 	for i := range sn.buf {
-		addBufLeads(sn.bufBloom, sn.buf[i].rec.Sig, rMax, opts.Sketch.Mask())
+		addBufLeads(sn.bufBloom, sn.buf[i].rec.Sig, rMax, mask)
+		sn.leads = sn.leads.with(i, sn.buf[i].rec.Sig, rMax, mask)
 	}
 	if ntombs := rd.Count(4 + 8); ntombs > 0 {
 		sn.tombs = make(map[string]uint64, ntombs)

@@ -2,10 +2,13 @@ package live
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/xrand"
 )
 
 // topkCacheFixture is a live index with two sealed segments and a buffer, so
@@ -180,5 +183,40 @@ func TestTopKTraceReportsCacheHit(t *testing.T) {
 	}
 	if !hit.ResultCacheHit {
 		t.Errorf("repeat top-k trace %+v, want a result-cache hit", hit)
+	}
+}
+
+// TestKeepEqualsSortTruncate: ranking candidates one by one through keeps and
+// keep, then sorting the heap, leaves exactly what sorting them all by
+// core.CompareTopK and truncating to k leaves, for every k from 1 to n + 1,
+// on lists where most scores tie (an estimate of 0 is the common case when
+// the whole buffer is ranked) and ties break by key.
+func TestKeepEqualsSortTruncate(t *testing.T) {
+	rng := xrand.New(46)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		cands := make([]core.TopKResult, n)
+		for i := range cands {
+			est := 0.0
+			if rng.Intn(3) == 0 {
+				est = float64(rng.Intn(4)) / 4
+			}
+			cands[i] = core.TopKResult{Key: fmt.Sprintf("k%03d", rng.Intn(1000)*100+i), EstContainment: est}
+		}
+		for k := 1; k <= n+1; k++ {
+			want := slices.Clone(cands)
+			slices.SortFunc(want, core.CompareTopK)
+			want = want[:min(k, n)]
+			got := make([]core.TopKResult, 0, k)
+			for _, r := range cands {
+				if keeps(got, k, r) {
+					got = keep(got, k, r)
+				}
+			}
+			slices.SortFunc(got, core.CompareTopK)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d, n=%d, k=%d:\n got %v\nwant %v", trial, n, k, got, want)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,26 +26,83 @@ func halfRedrawn(sig minhash.Signature, rMax int, salt uint64) minhash.Signature
 	return out
 }
 
+// bandsCollide reports whether any of the bands starting at the given
+// signature offsets, compared at depth r, agree between the two signatures
+// under mask: the LSH forest's collision condition for one entry, read
+// straight from the full signatures.
+func bandsCollide(a, b minhash.Signature, bands []int, r int, mask uint64) bool {
+	for _, off := range bands {
+		match := true
+		for k := off; k < off+r; k++ {
+			if a[k]&mask != b[k]&mask {
+				match = false
+				break
+			}
+		}
+		if match {
+			return true
+		}
+	}
+	return false
+}
+
+// referenceBufferScan answers a query on x's buffer-only snapshot entry by
+// entry: bandsCollide over every band the buffer's (b, r) probes, for every
+// live buffered entry, in entry order. It shares no code with the lead
+// columns, the scan over them or the buffer's filter.
+func referenceBufferScan(x *Index, sig minhash.Signature, querySize int, tStar float64) []string {
+	sn := x.acquireSnap()
+	defer x.releaseSnap(sn)
+	if len(sn.buf) == 0 || rangePruned(sn.bufMax, querySize, tStar) {
+		return nil
+	}
+	p := x.bands.Optimize(float64(sn.bufMax), float64(querySize), tStar)
+	var offs []int
+	for b := 0; b < p.B; b++ {
+		offs = append(offs, b*x.opts.RMax)
+	}
+	var keys []string
+	for _, e := range sn.buf {
+		if sn.alive(e.rec.Key, e.seq) && bandsCollide(sig, e.rec.Sig, offs, p.R, x.opts.Sketch.Mask()) {
+			keys = append(keys, e.rec.Key)
+		}
+	}
+	return keys
+}
+
 // TestBufferScanMaskedEqualsUnmasked: the buffer scan restricted to the bands
-// the buffer's leading-value filter lets through must return what the scan
-// over every band returns, key for key and in order, for every sketch
-// backend. Under minwise64 the set is a proper subset for a half-redrawn
-// query; under minwise8 nearly every 8-bit leading value occurs somewhere in
-// the buffer, the set degenerates to (almost) full, and the answers still
-// agree.
+// the buffer's leading-value filter lets through, and the scan over every
+// band, must both return what the entry-by-entry reference returns, key for
+// key and in order, for every sketch backend: on a buffer of more than 200
+// entries (past the lead columns' first allocation and a doubling) with
+// upserts and deletes in it, and again after a Save/Load round trip. Under
+// minwise64 the filter's set is a proper subset for a half-redrawn query;
+// under minwise8 nearly every 8-bit leading value occurs somewhere in the
+// buffer, the set degenerates to (almost) full, and the answers still agree.
 func TestBufferScanMaskedEqualsUnmasked(t *testing.T) {
 	recs := fixture(t, 200, 21)
 	for _, sb := range append([]core.SketchBackend{core.Minwise64}, narrowBackends...) {
 		t.Run(sb.String(), func(t *testing.T) {
-			build := func(o Options) *Index {
+			withSketch := func(o Options) Options {
 				o.Sketch = sb
 				o.SealThreshold = 1 << 20 // everything stays buffered
 				o.ResultCacheSize = -1
-				x, err := New(o)
+				return o
+			}
+			build := func(o Options) *Index {
+				x, err := New(withSketch(o))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, r := range recs {
+					if _, err := x.Add(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Upserts: every seventh key takes another record's signature.
+				for i := 3; i < len(recs); i += 7 {
+					r := recs[(i+50)%len(recs)]
+					r.Key = recs[i].Key
 					if _, err := x.Add(r); err != nil {
 						t.Fatal(err)
 					}
@@ -54,33 +112,62 @@ func TestBufferScanMaskedEqualsUnmasked(t *testing.T) {
 				}
 				return x
 			}
+			reload := func(x *Index, o Options) *Index {
+				var b bytes.Buffer
+				if err := x.Save(&b); err != nil {
+					t.Fatal(err)
+				}
+				y, err := Load(&b, withSketch(o))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return y
+			}
 			masked, plain := build(plannerOpts()), build(unprunedOpts())
 			defer masked.Close()
 			defer plain.Close()
 			sn := masked.acquireSnap()
 			defer masked.releaseSnap(sn)
-			if sn.bufBloom == nil || len(sn.segs) != 0 {
-				t.Fatalf("fixture: want a buffer-only snapshot with a filter, got %d segments, filter %v", len(sn.segs), sn.bufBloom != nil)
+			if sn.bufBloom == nil || len(sn.segs) != 0 || len(sn.buf) <= 2*firstLeadStride {
+				t.Fatalf("fixture: want a buffer-only snapshot of over %d entries with a filter, got %d segments, %d entries, filter %v",
+					2*firstLeadStride, len(sn.segs), len(sn.buf), sn.bufBloom != nil)
 			}
 			rMax, numTrees := masked.opts.RMax, masked.numTrees()
 			set := make(lshforest.TreeSet, lshforest.TreeSetWords(numTrees))
-			answers, sumTrees := 0, 0
+			sumTrees := 0
 			for i, r := range recs[:80] {
-				for _, sig := range []minhash.Signature{r.Sig, halfRedrawn(r.Sig, rMax, uint64(i))} {
-					sumTrees += leadTrees(set, sn.bufBloom, sig[:masked.opts.NumHash], rMax, sb.Mask())
-					for _, tStar := range []float64{0, 0.5, 1} {
-						want := plain.Query(sig, r.Size, tStar)
-						got := masked.Query(sig, r.Size, tStar)
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s query %d t*=%.1f: masked scan %v, full scan %v", sb, i, tStar, got, want)
+				sumTrees += leadTrees(set, sn.bufBloom, r.Sig[:masked.opts.NumHash], rMax, sb.Mask())
+				sumTrees += leadTrees(set, sn.bufBloom, halfRedrawn(r.Sig, rMax, uint64(i))[:masked.opts.NumHash], rMax, sb.Mask())
+			}
+			check := func(stage string, masked, plain *Index) {
+				t.Helper()
+				answers := 0
+				for i, r := range recs[:80] {
+					for _, sig := range []minhash.Signature{r.Sig, halfRedrawn(r.Sig, rMax, uint64(i))} {
+						for _, tStar := range []float64{0, 0.5, 1} {
+							want := referenceBufferScan(plain, sig, r.Size, tStar)
+							if got := plain.Query(sig, r.Size, tStar); !slices.Equal(got, want) {
+								t.Fatalf("%s: %s query %d t*=%.1f: full scan %v, reference %v", stage, sb, i, tStar, got, want)
+							}
+							if got := masked.Query(sig, r.Size, tStar); !slices.Equal(got, want) {
+								t.Fatalf("%s: %s query %d t*=%.1f: masked scan %v, reference %v", stage, sb, i, tStar, got, want)
+							}
+							answers += len(want)
 						}
-						answers += len(want)
 					}
 				}
+				if answers == 0 {
+					t.Fatalf("%s: no query matched anything: the comparison shows nothing", stage)
+				}
+				if st := masked.Stats().Planner; st.BufferScans == 0 {
+					t.Fatalf("%s: masked index never scanned its buffer: %+v", stage, st)
+				}
 			}
-			if answers == 0 {
-				t.Fatal("no query matched anything: the comparison shows nothing")
-			}
+			check("built", masked, plain)
+			lm, lp := reload(masked, plannerOpts()), reload(plain, unprunedOpts())
+			defer lm.Close()
+			defer lp.Close()
+			check("loaded", lm, lp)
 			// 160 sets: whole queries keep every tree, half-redrawn ones at
 			// most half under a full-width store.
 			if max := 80*numTrees + 80*numTrees/2; sb == core.Minwise64 && sumTrees > max {
@@ -88,9 +175,6 @@ func TestBufferScanMaskedEqualsUnmasked(t *testing.T) {
 			}
 			if sb == core.Minwise8 && sumTrees < 160*numTrees*9/10 {
 				t.Fatalf("minwise8: filter let only %d of %d trees through, expected a near-full set", sumTrees, 160*numTrees)
-			}
-			if st := masked.Stats().Planner; st.BufferScans == 0 {
-				t.Fatalf("masked index never scanned its buffer: %+v", st)
 			}
 		})
 	}

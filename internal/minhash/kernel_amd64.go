@@ -1,16 +1,16 @@
 package minhash
 
-// haveAVX512 reports whether this CPU and OS run AVX-512F code: CPUID leaf 7
-// lists AVX512F, and XGETBV (usable once CPUID shows OSXSAVE) reads an XCR0
-// in which the OS saves the XMM, YMM, opmask and both halves of the ZMM
-// state (mask 0xE6).
+// haveAVX512 reports whether this CPU and OS run the AVX-512F kernels: CPUID
+// leaf 7 lists AVX512F, leaf 1 lists POPCNT (which matchMasked8 counts with),
+// and XGETBV (usable once CPUID shows OSXSAVE) reads an XCR0 in which the OS
+// saves the XMM, YMM, opmask and both halves of the ZMM state (mask 0xE6).
 var haveAVX512 = detectAVX512()
 
 func detectAVX512() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 { // OSXSAVE
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 || ecx&(1<<23) == 0 { // OSXSAVE, POPCNT
 		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&0xE6 != 0xE6 {
@@ -38,6 +38,23 @@ func pushVector(sig, a, b, hvs []uint64) int {
 //
 //go:noescape
 func mulAddMin8(sig, a, b *uint64, groups int, hvs []uint64)
+
+// matchVector counts the slots of a's leading full groups of eight that agree
+// with b under mask, with the AVX-512 kernel, and returns the count and how
+// many slots it covered: none when the CPU lacks AVX-512F. len(b) ≥ len(a).
+func matchVector(a, b []uint64, mask uint64) (eq, n int) {
+	n = len(a) &^ 7
+	if !haveAVX512 || n == 0 {
+		return 0, 0
+	}
+	return matchMasked8(&a[0], &b[0], n/8, mask), n
+}
+
+// matchMasked8 counts the i < 8·groups with (a[i] XOR b[i]) AND mask = 0.
+// Implemented in kernel_amd64.s.
+//
+//go:noescape
+func matchMasked8(a, b *uint64, groups int, mask uint64) int
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

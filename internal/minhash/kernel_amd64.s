@@ -75,6 +75,32 @@ value:
 done:
 	RET
 
+// func matchMasked8(a, b *uint64, groups int, mask uint64) int
+//
+// Per group of eight slots: VPTESTNMQ sets bit i of K1 where
+// (a[i] XOR b[i]) AND mask is zero, and POPCNT adds those bits to the count.
+TEXT ·matchMasked8(SB), NOSPLIT, $0-40
+	MOVQ         a+0(FP), SI
+	MOVQ         b+8(FP), DI
+	MOVQ         groups+16(FP), CX
+	VPBROADCASTQ mask+24(FP), Z2
+	XORQ         BX, BX
+
+match:
+	VMOVDQU64 (SI), Z0
+	VPXORQ    (DI), Z0, Z0
+	VPTESTNMQ Z2, Z0, K1
+	KMOVW     K1, AX
+	POPCNTL   AX, AX
+	ADDQ      AX, BX
+	ADDQ      $64, SI
+	ADDQ      $64, DI
+	DECQ      CX
+	JNZ       match
+	VZEROUPPER
+	MOVQ      BX, ret+32(FP)
+	RET
+
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

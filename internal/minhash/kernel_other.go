@@ -6,3 +6,5 @@ package minhash
 const haveAVX512 = false
 
 func pushVector(sig, a, b, hvs []uint64) int { return 0 }
+
+func matchVector(a, b []uint64, mask uint64) (eq, n int) { return 0, 0 }

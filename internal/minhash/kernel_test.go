@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"testing"
 
 	"lshensemble/internal/xrand"
@@ -202,6 +203,50 @@ func FuzzPushHashedBlock(f *testing.F) {
 				t.Fatalf("m=%d n=%d slot %d (a=%#x b=%#x): vector %#x, scalar %#x",
 					len(h.a), len(hvs), k, h.a[k], h.b[k], got[k], want[k])
 			}
+		}
+	})
+}
+
+// FuzzMatchesMasked: for any length (the empty one and every tail of fewer
+// than eight slots included), each sketch backend's truncation mask and any
+// pattern of agreeing slots, MatchesMasked equals the scalar count.
+func FuzzMatchesMasked(f *testing.F) {
+	if !logKernel(f) {
+		f.Skip("no AVX-512F: MatchesMasked is the scalar loop")
+	}
+	masks := []uint64{1<<64 - 1, 1<<32 - 1, 1<<16 - 1, 1<<8 - 1} // minwise64, 32, 16, 8
+	f.Add(uint16(0), uint8(0), uint64(1), []byte{})
+	f.Add(uint16(256), uint8(1), uint64(2), []byte{0, 1, 2, 3})
+	f.Add(uint16(13), uint8(3), uint64(3), []byte{1})
+	f.Add(uint16(71), uint8(2), uint64(4), []byte{2, 2, 0, 3, 1})
+	f.Fuzz(func(t *testing.T, n uint16, m uint8, seed uint64, pattern []byte) {
+		mask := masks[int(m)%len(masks)]
+		rng := xrand.New(seed)
+		a := make([]uint64, int(n)%300)
+		b := make([]uint64, len(a))
+		for i := range a {
+			a[i] = rng.Uint64()
+			b[i] = a[i]
+			if len(pattern) == 0 {
+				continue
+			}
+			switch r := rng.Uint64(); pattern[i%len(pattern)] % 4 {
+			case 1: // differs only in bits the mask drops: still agrees
+				b[i] ^= r &^ mask
+			case 2: // differs in one bit the mask keeps
+				b[i] ^= 1 << (r % uint64(bits.Len64(mask)))
+			case 3:
+				b[i] = r
+			}
+		}
+		want := 0
+		for i := range a {
+			if a[i]&mask == b[i]&mask {
+				want++
+			}
+		}
+		if got := MatchesMasked(a, b, mask); got != want {
+			t.Fatalf("len %d mask %#x: MatchesMasked %d, scalar %d", len(a), mask, got, want)
 		}
 	})
 }

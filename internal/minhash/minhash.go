@@ -216,6 +216,21 @@ func pushScalar(sig, ha, hb, hvs []uint64) {
 	}
 }
 
+// MatchesMasked counts the slots i < len(a) at which a[i] and b[i] agree
+// under mask, as a store truncated to mask's width would compare them: eight
+// slots per instruction with AVX-512F, the scalar loop elsewhere and for the
+// tail. len(b) must be at least len(a).
+func MatchesMasked(a, b []uint64, mask uint64) int {
+	b = b[:len(a)]
+	eq, i := matchVector(a, b, mask)
+	for ; i < len(a); i++ {
+		if (a[i]^b[i])&mask == 0 {
+			eq++
+		}
+	}
+	return eq
+}
+
 // PushString folds a string value into the signature.
 func (h *Hasher) PushString(sig Signature, s string) {
 	h.PushHashed(sig, HashString(s))
