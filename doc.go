@@ -50,11 +50,12 @@
 // The storage and query hot paths are laid out for cache locality and zero
 // steady-state allocation:
 //
-//   - Every LSH forest keeps all signatures in one contiguous []uint64
-//     backing store (stride NumHash) instead of per-entry slices, plus a
-//     flat per-tree column of leading hash values. Probes binary-search the
-//     contiguous column and only touch the backing store to resolve deeper
-//     prefixes, so a probe no longer chases a pointer per comparison.
+//   - Every LSH forest keeps all signatures in one contiguous backing store
+//     (stride NumHash), plus a flat per-tree column of leading hash values
+//     and an in-memory fence over it (its first value per 64 bytes). A probe
+//     searches the L2-resident fence, then one line of the column, gallops
+//     to the end of a matching run, and reads the store only for deeper
+//     prefixes.
 //   - Trees are sorted, once per build, with an LSD radix sort on the leading
 //     hash value (near-uniform in [0, 2^61)), falling back to comparison
 //     sorting only inside runs of equal leading values — ~3x faster than a
@@ -75,8 +76,9 @@
 //   - Queries deduplicate candidates with generation-stamped visited arrays
 //     and reusable scratch recycled through a sync.Pool — no maps, no
 //     goroutine spawned per partition. LiveIndex.QueryAppend with a reused
-//     destination is allocation-free in steady state, and Query allocates
-//     only its result slice.
+//     destination allocates nothing on a result-cache hit or with
+//     LiveOptions.ResultCacheSize −1; with the cache on (the default) a miss
+//     makes three allocations to store its answer.
 //
 // # Parallelism model
 //

@@ -321,6 +321,16 @@ func (x *Index) SignatureBytes() int {
 	return n
 }
 
+// FenceBytes returns the byte size of every partition forest's in-memory
+// column fences (lshforest.Forest.FenceBytes), for resident-size estimates.
+func (x *Index) FenceBytes() int {
+	n := 0
+	for i := range x.parts {
+		n += x.parts[i].forest.FenceBytes()
+	}
+	return n
+}
+
 // PartitionBounds returns the (lower, upper, count) of each partition, for
 // inspection and experiments.
 func (x *Index) PartitionBounds() []partition.Partition {

@@ -173,7 +173,8 @@ func (x *Index) seal(min int) bool {
 	if seg != nil {
 		segs = append(append(make([]*segment, 0, len(cur.segs)+1), cur.segs...), seg)
 	}
-	next := &snapshot{segs: segs, buf: back, leads: leads, tombs: gcTombs(cur.tombs, segs, back), bufMax: bufMax, bufBloom: bb}
+	tombs := gcTombs(cur.tombs, segs, back)
+	next := &snapshot{segs: segs, buf: back, leads: leads, tombs: tombs, shadow: shadows(segs, tombs), bufMax: bufMax, bufBloom: bb}
 	old := x.publishLocked(next, cur, true)
 	x.mu.Unlock()
 	x.releaseSnap(old)
@@ -286,7 +287,7 @@ func (x *Index) mergeSegments(victims []*segment) {
 		sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq() < segs[j].minSeq() })
 	}
 	tombs := exactGCTombs(cur.tombs, segs, cur.buf)
-	next := &snapshot{segs: segs, buf: cur.buf, leads: cur.leads, tombs: tombs, bufMax: cur.bufMax, bufBloom: cur.bufBloom}
+	next := &snapshot{segs: segs, buf: cur.buf, leads: cur.leads, tombs: tombs, shadow: shadows(segs, tombs), bufMax: cur.bufMax, bufBloom: cur.bufBloom}
 	old := x.publishLocked(next, cur, true)
 	x.mu.Unlock()
 	x.releaseSnap(old)
@@ -358,7 +359,7 @@ func exactGCTombs(tombs map[string]uint64, segs []*segment, buf []entry) map[str
 		}
 	}
 	for _, seg := range segs {
-		if seg.meta != nil && seg.meta.keys != nil && !mayShadowAny(seg.meta.keys, tombs) {
+		if !mayShadowAny(seg.meta.keys, tombs) {
 			continue
 		}
 		for id := 0; id < seg.idx.Len(); id++ {
@@ -375,9 +376,37 @@ func exactGCTombs(tombs map[string]uint64, segs []*segment, buf []entry) map[str
 // whose key Bloom filter is f.
 func mayShadowAny(f *bloom.Filter, tombs map[string]uint64) bool {
 	for k := range tombs {
-		if f.MayContainString(k) {
+		if mayHold(f, k) {
 			return true
 		}
 	}
 	return false
+}
+
+// mayHold reports whether a segment whose key Bloom filter is f (nil: none,
+// as in an empty segment) may hold an entry of key.
+func mayHold(f *bloom.Filter, key string) bool { return f == nil || f.MayContainString(key) }
+
+// shadows returns the shadow bits of segs under tombs (snapshot.shadow).
+func shadows(segs []*segment, tombs map[string]uint64) []bool {
+	bits := make([]bool, len(segs))
+	for i, seg := range segs {
+		bits[i] = mayShadowAny(seg.meta.keys, tombs)
+	}
+	return bits
+}
+
+// shadowKey returns shadow with the bits of the segments that may hold key
+// set, copied before its first change: published snapshots share it.
+func shadowKey(shadow []bool, segs []*segment, key string) []bool {
+	copied := false
+	for i, seg := range segs {
+		if !shadow[i] && mayHold(seg.meta.keys, key) {
+			if !copied {
+				shadow, copied = slices.Clone(shadow), true
+			}
+			shadow[i] = true
+		}
+	}
+	return shadow
 }

@@ -15,7 +15,8 @@
 //     with the same (b, r) banding test the forest would apply;
 //   - a tombstone map: key → sequence number of the Delete (or replacing
 //     Add) that cleared it. An entry is live iff no tombstone with a higher
-//     sequence number names its key.
+//     sequence number names its key; only the candidates of a segment
+//     that a tombstone may reach (its shadow bit) ask the map.
 //
 // Readers load the snapshot pointer once and touch only immutable data, so
 // a query never takes a lock a writer holds: Add, Delete and the compactor
@@ -345,6 +346,12 @@ type snapshot struct {
 	leads leadCols          // buf's masked leading values, band-major
 	tombs map[string]uint64 // key → seq of the clearing Delete/replacing Add
 
+	// shadow, aligned with segs, is false for a segment no tombstone names
+	// an entry of, whose candidates then skip the tombstone lookup. Deletes
+	// and upserts set bits (shadowKey), seals and merges recompute them
+	// (shadows), Load derives them exactly; snapshots share the slice.
+	shadow []bool
+
 	// bufMax is the largest size among buffered entries — the buffer's
 	// partition upper bound for threshold conversion. It may exceed the
 	// largest *live* buffered size when the max entry is tombstoned; a too
@@ -636,7 +643,7 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		sn.segs = []*segment{seg}
+		sn.segs, sn.shadow = []*segment{seg}, []bool{false}
 		x.seq = uint64(len(records))
 		x.domains.Store(int64(len(recs)))
 	}
@@ -684,12 +691,13 @@ func (x *Index) Add(r core.Record) (replaced bool, err error) {
 	x.seq++
 	seq := x.seq
 	cur := x.snap.Load()
-	tombs := cur.tombs
+	tombs, shadow := cur.tombs, cur.shadow
 	_, replaced = x.keySeq[r.Key]
 	if replaced {
 		// The replacing Add tombstones every older entry of the key (their
 		// seqs are < seq) while leaving the new entry (seq == seq) alive.
 		tombs = cloneTombs(tombs, r.Key, seq)
+		shadow = shadowKey(shadow, cur.segs, r.Key)
 	} else {
 		x.domains.Add(1)
 	}
@@ -708,7 +716,7 @@ func (x *Index) Add(r core.Record) (replaced bool, err error) {
 	if r.Size > bufMax {
 		bufMax = r.Size
 	}
-	next := &snapshot{segs: cur.segs, buf: x.bufBack, leads: leads, tombs: tombs, bufMax: bufMax, bufBloom: cur.bufBloom}
+	next := &snapshot{segs: cur.segs, buf: x.bufBack, leads: leads, tombs: tombs, shadow: shadow, bufMax: bufMax, bufBloom: cur.bufBloom}
 	old := x.publishLocked(next, cur, false)
 	full := len(next.buf) >= x.opts.SealThreshold
 	x.mu.Unlock()
@@ -735,7 +743,8 @@ func (x *Index) Delete(key string) bool {
 	delete(x.keySeq, key)
 	x.domains.Add(-1)
 	cur := x.snap.Load()
-	next := &snapshot{segs: cur.segs, buf: cur.buf, leads: cur.leads, tombs: cloneTombs(cur.tombs, key, seq), bufMax: cur.bufMax, bufBloom: cur.bufBloom}
+	next := &snapshot{segs: cur.segs, buf: cur.buf, leads: cur.leads, tombs: cloneTombs(cur.tombs, key, seq),
+		shadow: shadowKey(cur.shadow, cur.segs, key), bufMax: cur.bufMax, bufBloom: cur.bufBloom}
 	old := x.publishLocked(next, cur, false)
 	x.mu.Unlock()
 	x.releaseSnap(old)
@@ -824,10 +833,11 @@ func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) []str
 }
 
 // QueryAppend is Query appending into dst (which may be nil). A serving
-// loop reusing dst runs allocation-free in steady state, matching the
-// immutable index's QueryIDsAppend path: both the result-cache hit path and
-// the planned fan-out append without allocating, whatever mix of query sizes
-// and thresholds arrives (the package's allocation tests assert it).
+// loop reusing dst allocates nothing on a result-cache hit, nor on any query
+// with the cache off (ResultCacheSize −1), whatever mix of query sizes and
+// thresholds arrives (the package's allocation tests assert both). With the
+// cache on, the default, a miss stores its answer in three allocations: the
+// entry and its copies of the signature and the keys.
 func (x *Index) QueryAppend(dst []string, sig minhash.Signature, querySize int, tStar float64) []string {
 	dst, _ = x.QueryAppendContext(context.Background(), dst, sig, querySize, tStar)
 	return dst
@@ -925,13 +935,14 @@ func (x *Index) probeSegment(dst []string, s *queryScratch, t *tally, sn *snapsh
 	// No error can come back: sig was length-checked by the caller and the
 	// plan was made on this segment.
 	s.ids, _ = seg.idx.QueryIDsMaskedAppend(s.ids[:0], sig, s.plan, trees)
-	return appendLiveKeys(dst, sn, seg, s.ids)
+	return appendLiveKeys(dst, sn, si, s.ids)
 }
 
-// appendLiveKeys appends the keys of the candidate ids that survive the
-// snapshot's tombstones.
-func appendLiveKeys(dst []string, sn *snapshot, seg *segment, ids []uint32) []string {
-	if len(sn.tombs) == 0 {
+// appendLiveKeys appends the keys of segment si's candidate ids that survive
+// the snapshot's tombstones, asked only under the segment's shadow bit.
+func appendLiveKeys(dst []string, sn *snapshot, si int, ids []uint32) []string {
+	seg := sn.segs[si]
+	if !sn.shadow[si] {
 		for _, id := range ids {
 			dst = append(dst, seg.idx.Key(id))
 		}
@@ -1204,7 +1215,7 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 		s.ids, _ = seg.idx.QueryTopKIDsMasked(s.ids[:0], sig, querySize, need, trees)
 		for _, id := range s.ids {
 			r := core.TopKResult{Key: seg.idx.Key(id), EstContainment: seg.idx.EstContainment(id, sig, querySize)}
-			if keeps(results, k, r) && sn.alive(r.Key, seg.seqs[id]) {
+			if keeps(results, k, r) && (!sn.shadow[si] || sn.alive(r.Key, seg.seqs[id])) {
 				results = keep(results, k, r)
 			}
 		}
@@ -1321,8 +1332,9 @@ type SegmentStats struct {
 	// FileBytes is the segment's on-disk file size; 0 until spilled.
 	FileBytes int64 `json:"file_bytes"`
 	// ResidentBytes estimates the heap-resident footprint. For mapped
-	// segments only the decoded metadata and the planner filters count — the
-	// signature store and tree columns page in and out on demand.
+	// segments only the decoded metadata, the planner filters and the column
+	// fences count — the signature store and tree columns page in and out on
+	// demand.
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 

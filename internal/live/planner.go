@@ -31,7 +31,9 @@ import (
 //     asks two questions before a probe: which trees, then which partitions.
 //     A Bloom filter over every leading column answers the first, tree by
 //     tree (leadTrees): the empty set rules the segment out, and a negative
-//     costs ~1.3 cache lines. The partition-sliced filter (partFilter) answers
+//     costs ~1.3 cache lines. A positive costs all k = 10: 10 % of lib_query's
+//     CPU, whose queries hit every tree; a blocked layout waits for the next
+//     format bump (ROADMAP item 10). The partition-sliced filter (partFilter) answers
 //     the second for each tree left, and partTrees scatters the answers into
 //     one tree set per partition: the probe enters only those columns — about
 //     a fifth of what the tree set alone lets through — and no partition whose

@@ -367,11 +367,12 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 
 	// Rebuild the writer-side view: the live entry of each key is the one
 	// not shadowed by a tombstone; at most one per key exists in a
-	// well-formed snapshot, so the highest seq wins defensively.
+	// well-formed snapshot, so the highest seq wins defensively. A segment
+	// holding a dead entry gets its shadow bit.
 	live := 0
-	note := func(key string, s uint64) {
+	note := func(key string, s uint64) (alive bool) {
 		if sn.tombs[key] > s {
-			return
+			return false
 		}
 		if old, ok := x.keySeq[key]; !ok {
 			x.keySeq[key] = s
@@ -379,10 +380,14 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		} else if s > old {
 			x.keySeq[key] = s
 		}
+		return true
 	}
-	for _, seg := range sn.segs {
+	sn.shadow = make([]bool, len(sn.segs))
+	for i, seg := range sn.segs {
 		for id := 0; id < seg.idx.Len(); id++ {
-			note(seg.idx.Key(uint32(id)), seg.seqs[id])
+			if !note(seg.idx.Key(uint32(id)), seg.seqs[id]) {
+				sn.shadow[i] = true
+			}
 		}
 	}
 	for i := range sn.buf {

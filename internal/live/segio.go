@@ -314,14 +314,14 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 		return nil, errSegFile("%d trailing META bytes", len(rd.B))
 	}
 	seg := &segment{idx: idx, seqs: seqs, meta: sm, back: back}
-	// Resident estimate: the decoded META copies plus, for heap backings,
-	// the whole image; a mapped backing keeps only its eagerly read pages
-	// (header + META) resident.
+	// Resident estimate: the decoded META copies, filters and fences plus,
+	// for heap backings, the whole image; a mapped backing keeps only its
+	// eagerly read pages (header + META) resident.
 	metaHeap := int64(0)
 	for _, k := range keys {
 		metaHeap += int64(len(k))
 	}
-	metaHeap += int64(n)*24 + int64(sm.bloomBytes(idx))
+	metaHeap += int64(n)*24 + int64(sm.bloomBytes(idx)) + int64(idx.FenceBytes())
 	if back.Mapped() {
 		seg.resident = int64(alignPage(off[0]+ln[0])) + metaHeap
 	} else {
@@ -346,7 +346,7 @@ func heapSegmentResident(idx *core.Index, meta *segMeta) int64 {
 		b += int64(len(idx.Key(uint32(id))))
 	}
 	b += int64(n) * 16 // sizes + seqs
-	b += int64(meta.bloomBytes(idx))
+	b += int64(meta.bloomBytes(idx)) + int64(idx.FenceBytes())
 	return b
 }
 

@@ -1,0 +1,127 @@
+package lshforest
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"lshensemble/internal/xrand"
+)
+
+// runsColumn returns n ascending leading values made of runs of equal values:
+// a run of length l at each start of runs (a [start, l] pair), and filler runs
+// of fill entries elsewhere, cut short where an explicit run begins. Adjacent
+// runs' values are two apart, so v±1 of a stored value is never stored.
+func runsColumn(n, fill int, runs [][2]int) []uint64 {
+	col := make([]uint64, 0, n)
+	v := uint64(2)
+	for i := 0; i < n; v += 2 {
+		l := fill
+		for _, r := range runs {
+			if r[0] == i {
+				l = r[1]
+			} else if r[0] > i && r[0] < i+l {
+				l = r[0] - i
+			}
+		}
+		for ; l > 0 && i < n; l, i = l-1, i+1 {
+			col = append(col, v)
+		}
+	}
+	return col
+}
+
+// linearProbe is the reference the fenced probe is held to: it walks tree t's
+// slot order end to end and reports every entry whose first r stored values of
+// the tree equal the query's, truncated to the store's width.
+func linearProbe(f *Forest, q []uint64, t, r int) []uint32 {
+	mask := ^uint64(0)
+	if f.Width() < 8 {
+		mask = 1<<(8*uint(f.Width())) - 1
+	}
+	var out []uint32
+	var sig []uint64
+	for _, slot := range f.Tree(t) {
+		sig = f.AppendSigWidened(sig[:0], int(slot))
+		off := t * f.RMax()
+		match := true
+		for k := off; k < off+r; k++ {
+			match = match && sig[k] == q[k]&mask
+		}
+		if match {
+			out = append(out, f.IDs()[slot])
+		}
+	}
+	return out
+}
+
+// TestFencedProbeMatchesLinearScan holds the probe (fence search, one
+// stretch, galloping to the run's end, depth-r refine) against a linear scan
+// of the store for every width and depth, on columns built to hit the fence's
+// edges: runs that cross or start on a fence boundary, runs at the first and
+// last entry, an all-equal column, one entry, fewer entries than one stretch
+// and exactly one stretch, and queries below, between and above every stored
+// value. The built forest and a view of it (whose fences are built on its
+// first probe) must both agree with the scan, report for report.
+func TestFencedProbeMatchesLinearScan(t *testing.T) {
+	const rMax = 3
+	for _, width := range []int{1, 2, 4, 8} {
+		s := fenceLine / width
+		fill := max(1, 4/width) // narrow widths: fewer distinct values, all below 2^8
+		cases := []struct {
+			name string
+			n    int
+			runs [][2]int
+		}{
+			{"run across a fence", 3*s + 5, [][2]int{{s - 2, 4}, {2*s - 1, 2}}},
+			{"run starting on a fence", 2*s + 2, [][2]int{{s, 3}}},
+			{"runs at 0 and n-1", 2*s + 3, [][2]int{{0, 3}, {2 * s, 3}}},
+			{"all equal", 3*s + 1, [][2]int{{0, 3*s + 1}}},
+			{"one entry", 1, nil},
+			{"below one stride", s - 1, [][2]int{{1, 2}}},
+			{"one stride", s, [][2]int{{s - 2, 2}}},
+			{"long run", 4 * s, [][2]int{{s/2 + 1, 2*s + 1}}},
+		}
+		for ci, c := range cases {
+			t.Run(fmt.Sprintf("w%d/%s", width, c.name), func(t *testing.T) {
+				col := runsColumn(c.n, fill, c.runs)
+				rng := xrand.New(uint64(100*width + ci))
+				// Entries in shuffled slot order; the two deeper values of each
+				// draw from {0, 1} so that a run splits on refinement.
+				ids := make([]uint32, c.n)
+				sigs := make([][]uint64, c.n)
+				for i, p := range rng.Perm(c.n) {
+					ids[i] = uint32(7 * i)
+					sigs[i] = []uint64{col[p], uint64(rng.Intn(2)), uint64(rng.Intn(2))}
+				}
+				f := build(rMax, rMax, width, ids, sigs)
+				v, err := viewOf(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				top := uint64(1)<<(8*uint(width)) - 1
+				if width == 8 {
+					top = ^uint64(0) >> 3
+				}
+				leads := []uint64{0, 1, top}
+				for _, x := range slices.Compact(slices.Clone(col)) {
+					// x|2^40 truncates to x below width 8 and is absent at 8.
+					leads = append(leads, x-1, x, x+1, x|1<<40)
+				}
+				for _, q0 := range leads {
+					for d := 0; d < 9; d++ {
+						q := []uint64{q0, uint64(d % 3), uint64(d / 3)}
+						for r := 1; r <= rMax; r++ {
+							want := linearProbe(f, q, 0, r)
+							for name, g := range map[string]*Forest{"built": f, "view": v} {
+								if got := collectQuery(g, q, 1, r, nil); !slices.Equal(got, want) {
+									t.Fatalf("%s: q=%v r=%d: probe %v, linear scan %v", name, q, r, got, want)
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -3,6 +3,7 @@ package lshforest
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"unsafe"
 
 	"lshensemble/internal/par"
@@ -48,11 +49,34 @@ type sigstore interface {
 }
 
 // tstore is the width-typed half of a Forest: the contiguous signature store
-// (stride numHash) and the per-tree sorted leading-value columns.
+// (stride numHash), the per-tree sorted leading-value columns and their
+// fences.
 type tstore[E elem] struct {
 	numHash, rMax int
 	store         []E
 	treeKeys      [][]E
+
+	// fences holds, per tree, the first value of each fenceLine bytes of its
+	// leading column. Derived, never persisted: the tree sort fills them, a
+	// view its first probe, so opening a mapped segment reads no column.
+	fences    [][]E
+	fenceOnce sync.Once
+}
+
+// fenceLine is the column stretch, in bytes, one fence value stands for.
+const fenceLine = 64
+
+// fillFences derives every tree's fence from its column (once: fenceOnce).
+func (ts *tstore[E]) fillFences() {
+	s := fenceLine / ts.width()
+	ts.fences = make([][]E, len(ts.treeKeys))
+	for t, col := range ts.treeKeys {
+		f := make([]E, (len(col)+s-1)/s)
+		for j := range f {
+			f[j] = col[j*s]
+		}
+		ts.fences[t] = f
+	}
 }
 
 func newStore(widthBytes, numHash, rMax int) sigstore {
@@ -100,8 +124,8 @@ type sortScratch struct {
 
 // sortTrees sorts each of the bMax trees of the n-entry store, fanned out
 // over up to GOMAXPROCS workers with one sort scratch each, and returns their
-// slot orders; it fills treeKeys with the sorted leading-value columns. The
-// per-tree sorts are deterministic, so the worker count changes nothing.
+// slot orders; it fills treeKeys with the sorted leading-value columns, and
+// their fences. The sorts are deterministic: the worker count changes nothing.
 func (ts *tstore[E]) sortTrees(n, bMax int) [][]uint32 {
 	trees := make([][]uint32, bMax)
 	ts.treeKeys = make([][]E, bMax)
@@ -127,6 +151,7 @@ func (ts *tstore[E]) sortTrees(n, bMax int) [][]uint32 {
 		}
 		trees[t], ts.treeKeys[t] = order, col
 	})
+	ts.fenceOnce.Do(ts.fillFences)
 	return trees
 }
 
@@ -219,6 +244,7 @@ func (ts *tstore[E]) compareSuffix(base, r int, q []uint64) int {
 // from its column (the kernel is bound by cache misses, not compares, so the
 // skipped memory is the saving).
 func (ts *tstore[E]) query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, set TreeSet, fn func(id uint32) bool) {
+	ts.fenceOnce.Do(ts.fillFences)
 	if set == nil {
 		for t := 0; t < b; t++ {
 			if !ts.queryTree(ids, trees[t], sig, t, r, fn) {
@@ -244,39 +270,46 @@ func (ts *tstore[E]) query(ids []uint32, trees [][]uint32, sig []uint64, b, r in
 	}
 }
 
-// queryTree probes tree t: binary-search the equal range of the query's
-// (truncated) leading value on the contiguous key column, then refine by the
-// remaining r-1 prefix values. It reports false once fn asked to stop.
+// search returns the first i in [lo, hi) with s[i] ≥ q (s[i] > q when
+// after), or hi; s is sorted.
+func search[E elem](s []E, lo, hi int, q E, after bool) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < q || after && s[mid] == q {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// queryTree probes tree t: find the run of the query's (truncated) leading
+// value in the tree's sorted column, then refine it by the remaining r-1
+// prefix values. It searches the fence, which stays in L2 where the columns
+// do not, then the one stretch the fence names, so a probe reads one line of
+// its column instead of missing cache on the bottom levels of a search over
+// all of it. The end of a run (usually a few entries) is found by galloping
+// from its start. It reports false once fn asked to stop.
 func (ts *tstore[E]) queryTree(ids, order []uint32, sig []uint64, t, r int, fn func(id uint32) bool) bool {
 	stride := ts.numHash
 	off := t * ts.rMax
 	q0 := E(sig[off])
-	col := ts.treeKeys[t]
-	n := len(ids)
-	// Equal range of the leading value on the contiguous key column.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if col[mid] < q0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	left := lo
-	hi = n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if col[mid] <= q0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	right := lo
-	if left == right {
+	col, n := ts.treeKeys[t], len(ids)
+	// fence[j-1] < q0 ≤ fence[j]: the first entry ≥ q0 lies in
+	// (s·(j-1), s·j], or at n when there is none.
+	s := fenceLine / ts.width()
+	j := search(ts.fences[t], 0, len(ts.fences[t]), q0, false)
+	left := search(col, max(j*s-s+1, 0), min(j*s, n), q0, false)
+	if left == n || col[left] != q0 {
 		return true
 	}
+	// Gallop past the run (col[lo-1] == q0 holds), probing left+1, +2, +4, ….
+	lo, hi := left+1, left+1
+	for step := 1; hi < n && col[hi] == q0; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	right := search(col, lo, min(hi, n), q0, true)
 	if r == 1 {
 		for i := left; i < right; i++ {
 			if !fn(ids[order[i]]) {

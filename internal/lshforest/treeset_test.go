@@ -7,9 +7,9 @@ import (
 	"lshensemble/internal/xrand"
 )
 
-// poisonTree drops tree t's leading column, so any probe that touches the
-// tree indexes a nil slice and panics.
-func (ts *tstore[E]) poisonTree(t int) { ts.treeKeys[t] = nil }
+// poisonTree drops tree t's leading column and its fence, so any probe that
+// touches the tree indexes a nil slice and panics.
+func (ts *tstore[E]) poisonTree(t int) { ts.treeKeys[t], ts.fences[t] = nil, nil }
 
 // collectQuery returns the id sequence Query reports, occurrences and order
 // included.

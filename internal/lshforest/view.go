@@ -20,6 +20,13 @@ func (f *Forest) IDs() []uint32 { return f.ids[:len(f.ids):len(f.ids)] }
 // backends shrink.
 func (f *Forest) StoreLenBytes() int { return f.st.valueCount() * f.width }
 
+// FenceBytes returns the byte size of the tree columns' in-memory fences,
+// sized from the shape: a view reports it before its first probe builds them.
+func (f *Forest) FenceBytes() int {
+	s := fenceLine / f.width
+	return f.bMax * ((len(f.ids) + s - 1) / s) * f.width
+}
+
 // WriteStoreLE serializes the whole signature store, little-endian at
 // native width, into dst; len(dst) must be exactly StoreLenBytes(). For an
 // 8-byte store the bytes are identical to the pre-width-generalization
