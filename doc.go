@@ -138,7 +138,9 @@
 //     appears at most once per result.
 //   - Add is an upsert (replacing any previous entry of the key), Delete
 //     tombstones immediately; both serialize on a writer mutex that the
-//     read path never touches.
+//     read path never touches. The snapshot is the index's whole state:
+//     every change, the compactor's too, publishes an edited copy of it, so
+//     queries, Save, Stats and Len read only the snapshot they load.
 //   - A background compactor seals the buffer into a segment past
 //     LiveOptions.SealThreshold and merges three segments of a size tier
 //     into one (past LiveOptions.MaxSegments, a cap, the two smallest),
@@ -167,10 +169,10 @@
 // only those bands. The probe is bound by cache
 // misses, not compares, so the untouched columns are the saving (lib_query
 // sat_qps ×2.87 per tree, then ×1.63 per partition; CHANGES.md PR 16, 20).
-// QueryTopK visits segments in largest-bound-first order with early
-// termination, and its threshold ladder reuses the segment's tree sets on
-// every rung and skips a partition whose (b, r) did not change since the
-// ladder last probed it. None of this changes an answer — a probe at any
+// QueryTopK sorts the segments largest-bound-first when it runs and visits
+// them in that order with early termination, and its threshold ladder reuses
+// the segment's tree sets on every rung and skips a partition whose (b, r)
+// did not change since the ladder last probed it. None of this changes an answer — a probe at any
 // depth needs an exact match on the tree's leading value, so planned
 // results are byte-identical to a full scan (LiveOptions.DisablePruning,
 // the reference path of the equivalence tests). A segment that is probed

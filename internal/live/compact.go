@@ -148,34 +148,21 @@ func (x *Index) seal(min int) bool {
 
 	x.mu.Lock()
 	cur := x.snap.Load()
-	// Entries appended while the build ran stay buffered; relocating them to
-	// a fresh backing array lets the sealed prefix's array be collected once
-	// the old snapshots die. The buffer Bloom filter is rebuilt over the
-	// carried-over entries so it stops answering "maybe" for everything the
-	// seal just removed; Add reaches it through the snapshot published here.
-	// The lead columns are rebuilt for the carried-over entries alike.
-	rest := cur.buf[len(buf):]
-	back := make([]entry, len(rest), len(rest)+x.opts.SealThreshold)
-	copy(back, rest)
-	x.bufBack = back
-	bufMax := 0
-	bb := x.newBufBloom()
-	var leads leadCols
-	mask := x.opts.Sketch.Mask()
-	for i := range back {
-		if s := back[i].rec.Size; s > bufMax {
-			bufMax = s
-		}
-		addBufLeads(bb, back[i].rec.Sig, x.opts.RMax, mask)
-		leads = leads.with(i, back[i].rec.Sig, x.opts.RMax, mask)
+	st := cur.state
+	// Entries appended while the build ran stay buffered, carried over into
+	// a fresh buffer: the sealed prefix's arrays can be collected once the old
+	// snapshots die, and the fresh filter stops answering "maybe" for
+	// everything the seal just removed.
+	st.buffer = x.newBuffer()
+	for _, e := range cur.buf[len(buf):] {
+		st.buffer = st.with(e, x.opts.RMax, x.opts.Sketch.Mask())
 	}
-	segs := cur.segs
 	if seg != nil {
-		segs = append(append(make([]*segment, 0, len(cur.segs)+1), cur.segs...), seg)
+		st.segs = append(slices.Clip(cur.segs), seg)
 	}
-	tombs := gcTombs(cur.tombs, segs, back)
-	next := &snapshot{segs: segs, buf: back, leads: leads, tombs: tombs, shadow: shadows(segs, tombs), bufMax: bufMax, bufBloom: bb}
-	old := x.publishLocked(next, cur, true)
+	st.tombs = gcTombs(cur.tombs, st.segs, st.buf)
+	st.shadow = shadows(st.segs, st.tombs)
+	old := x.publishLocked(st)
 	x.mu.Unlock()
 	x.releaseSnap(old)
 	x.seals.Add(1)
@@ -286,9 +273,11 @@ func (x *Index) mergeSegments(victims []*segment) {
 		segs = append(segs, merged)
 		sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq() < segs[j].minSeq() })
 	}
-	tombs := exactGCTombs(cur.tombs, segs, cur.buf)
-	next := &snapshot{segs: segs, buf: cur.buf, leads: cur.leads, tombs: tombs, shadow: shadows(segs, tombs), bufMax: cur.bufMax, bufBloom: cur.bufBloom}
-	old := x.publishLocked(next, cur, true)
+	st := cur.state
+	st.segs = segs
+	st.tombs = exactGCTombs(cur.tombs, segs, cur.buf)
+	st.shadow = shadows(segs, st.tombs)
+	old := x.publishLocked(st)
 	x.mu.Unlock()
 	x.releaseSnap(old)
 	x.merges.Add(1)
@@ -387,7 +376,7 @@ func mayShadowAny(f *bloom.Filter, tombs map[string]uint64) bool {
 // as in an empty segment) may hold an entry of key.
 func mayHold(f *bloom.Filter, key string) bool { return f == nil || f.MayContainString(key) }
 
-// shadows returns the shadow bits of segs under tombs (snapshot.shadow).
+// shadows returns the shadow bits of segs under tombs (state.shadow).
 func shadows(segs []*segment, tombs map[string]uint64) []bool {
 	bits := make([]bool, len(segs))
 	for i, seg := range segs {

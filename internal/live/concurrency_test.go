@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -187,6 +188,73 @@ func TestQuerySnapshotStability(t *testing.T) {
 	}
 	if contains(x.Query(recs[0].Sig, recs[0].Size, 1.0), recs[0].Key) {
 		t.Fatal("deleted key visible in the current snapshot")
+	}
+}
+
+// TestReadersSeeOneState: Stats, Len and Save read nothing but the snapshot
+// they pin, so while a writer and the compactor run, what each reports agrees
+// with the Seq it reports: the live count is a scripted writer's after Seq
+// mutations, Seq never goes back, and a saved snapshot loads to that state.
+// Run with -race.
+func TestReadersSeeOneState(t *testing.T) {
+	recs := fixture(t, 240, 23)
+	opts := liveOpts()
+	opts.SealThreshold = 16
+	opts.ManualCompaction = false
+	x, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	// The script adds every record and deletes the one before each third;
+	// live[s] is the live count after its first s mutations.
+	live := []int{0}
+	for i := range recs {
+		live = append(live, live[len(live)-1]+1)
+		if i%3 == 2 {
+			live = append(live, live[len(live)-1]-1)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, r := range recs {
+			if _, err := x.Add(r); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%3 == 2 && !x.Delete(recs[i-1].Key) {
+				t.Errorf("Delete(%s) = false", recs[i-1].Key)
+				return
+			}
+		}
+	}()
+	defer func() { <-done }() // before x.Close, also when a check fails
+	var last uint64
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		st := x.Stats()
+		if st.Seq < last || st.Domains != live[st.Seq] {
+			t.Fatalf("Stats: Seq %d (last %d), %d domains, want %d", st.Seq, last, st.Domains, live[st.Seq])
+		}
+		last = st.Seq
+		y, err := Load(bytes.NewReader(x.AppendBinary(nil)), liveOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, n := y.Stats().Seq, y.Len()
+		y.Close()
+		if seq < last || n != live[seq] {
+			t.Fatalf("saved snapshot: Seq %d (last %d), Len %d, want %d", seq, last, n, live[seq])
+		}
+		last = seq
+	}
+	if n := len(live) - 1; last != uint64(n) {
+		t.Fatalf("last Seq %d, want %d", last, n)
 	}
 }
 

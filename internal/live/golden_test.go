@@ -23,7 +23,7 @@ func encodeLegacy(t testing.TB, x *Index, version uint32) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, version)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.opts.NumHash))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.opts.RMax))
-	buf = binary.LittleEndian.AppendUint64(buf, x.seq)
+	buf = binary.LittleEndian.AppendUint64(buf, sn.seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sn.segs)))
 	for _, seg := range sn.segs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seg.seqs)))

@@ -24,12 +24,16 @@
 // flight keep the old snapshot — every query sees a consistent
 // point-in-time view of the corpus.
 //
-// Writers (Add/Delete) serialize on a mutex, append to a buffer backing
-// array and to the buffer's band-major lead columns, neither of whose
-// published prefix is ever rewritten (a full column array regrows by doubling
-// into a fresh one, and older snapshots keep reading theirs), and copy the
-// tombstone map on write (it holds only the deletes not yet compacted away,
-// so the copies stay small).
+// A snapshot's state — segments, buffer, tombstones, the last mutation it
+// applies and its live domain count — is the index's whole state: every
+// change (Add, Delete, seal, merge) copies the current state, edits the copy
+// and publishes it, and a reader (a query, Save, Stats, Len) needs nothing
+// from the writer but the snapshot it pins. Writers serialize on a mutex. An
+// Add appends to the buffer's entries and band-major lead columns at the
+// published length, so no published prefix is ever rewritten (a full array
+// regrows into a fresh one, and older snapshots keep reading theirs); a Delete
+// or an upsert copies the tombstone map (it holds only the deletes not yet
+// compacted away, so the copies stay small).
 //
 // A background compactor seals the buffer into a new segment once it
 // crosses Options.SealThreshold and merges by size tier: three segments of
@@ -110,9 +114,10 @@
 // masked leading values, band-major, the layout of a sealed forest's tree
 // columns. A buffered signature is read only on a lead hit, for the band's
 // other r − 1 values, and the tombstones are asked only about entries that
-// collide. The filter and the columns travel in the snapshot: Add takes both
-// from the current one and writes its entry into them while queries read
-// them, and a seal, which relocates the buffer, publishes rebuilt ones.
+// collide. The filter and the columns are part of the buffer value
+// (buffer.with grows them with the entries): Add writes its entry into the
+// current ones while queries read them, and a seal, which relocates the
+// buffer, starts fresh ones for the entries it carries over.
 // Top-k scores every buffered entry with one vector match count
 // (minhash.MatchesMasked) and heaps only the best k. Together these cut the
 // buffer's share of lib_query's query CPU, for 1.4 % of its entries, from
@@ -233,13 +238,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// newBufBloom sizes a fresh buffer filter for one seal cycle's worth of
-// leading values (SealThreshold entries, one value per tree each), at the
-// same operating point as the sealed segments' leads filter. Nil when
-// pruning is disabled.
-func (x *Index) newBufBloom() *bloom.Filter {
+// newBuffer returns an empty buffer whose filter is sized for one seal
+// cycle's worth of leading values (SealThreshold entries, one value per tree
+// each), at the same operating point as the sealed segments' leads filter.
+// The filter is nil when pruning is disabled.
+func (x *Index) newBuffer() buffer {
 	if x.opts.DisablePruning {
-		return nil
+		return buffer{}
 	}
 	numLeads := (x.opts.NumHash + x.opts.RMax - 1) / x.opts.RMax
 	entries := x.opts.SealThreshold * numLeads
@@ -250,21 +255,7 @@ func (x *Index) newBufBloom() *bloom.Filter {
 	if entries > maxBufBloomEntries || entries/x.opts.SealThreshold != numLeads {
 		entries = maxBufBloomEntries
 	}
-	return bloom.New(entries, leadsBloomBits, leadsBloomK)
-}
-
-// addBufLeads inserts a signature's per-tree leading values (the same
-// stride leadTrees probes). Buffered signatures are full-width while the
-// sealed stores truncate to the sketch backend's width, so leading values
-// are masked before insertion — the query side masks identically, keeping
-// the filter's zero-false-negative guarantee across the seal boundary.
-func addBufLeads(f *bloom.Filter, sig minhash.Signature, rMax int, mask uint64) {
-	if f == nil {
-		return
-	}
-	for off := 0; off < len(sig); off += rMax {
-		f.AddHashShared(sig[off] & mask)
-	}
+	return buffer{bufBloom: bloom.New(entries, leadsBloomBits, leadsBloomK)}
 }
 
 // entry is one buffered Add: the record and its mutation sequence number.
@@ -304,6 +295,44 @@ func (c leadCols) with(n int, sig minhash.Signature, rMax int, mask uint64) lead
 	return c
 }
 
+// buffer is the unsealed buffer as one value: its entries and what a query
+// reads beside them. with grows it; nothing else writes it.
+type buffer struct {
+	buf   []entry  // unsealed adds, ascending seq
+	leads leadCols // buf's masked leading values, band-major
+
+	// bufBloom filters the leading signature values of the buffered entries:
+	// a query whose leading values all miss cannot band-collide with any of
+	// them, so the scan is skipped. with inserts into it while older
+	// snapshots' readers probe it (extra bits relative to their prefix only
+	// cost false positives). Nil when pruning is disabled.
+	bufBloom *bloom.Filter
+
+	// bufMax is the largest size among buffered entries — the buffer's
+	// partition upper bound for threshold conversion. It may exceed the
+	// largest *live* buffered size when the max entry is tombstoned; a too
+	// large bound is merely conservative (Eq. 7 never loses candidates).
+	bufMax int
+}
+
+// with returns the buffer with e appended. It writes only past the published
+// length of the entries and the lead columns (or into fresh arrays once they
+// are full), and inserts into the filter before the caller publishes, so a
+// reader that can see e also sees its filter bits and leads. The filter takes
+// the leading value of every tree (the stride leadTrees probes), masked:
+// buffered signatures are full-width while the sealed stores truncate to the
+// sketch backend's width, and the query side masks identically, keeping the
+// filter's zero-false-negative guarantee across the seal boundary.
+func (b buffer) with(e entry, rMax int, mask uint64) buffer {
+	for off := 0; b.bufBloom != nil && off < len(e.rec.Sig); off += rMax {
+		b.bufBloom.AddHashShared(e.rec.Sig[off] & mask)
+	}
+	b.leads = b.leads.with(len(b.buf), e.rec.Sig, rMax, mask)
+	b.buf = append(b.buf, e)
+	b.bufMax = max(b.bufMax, e.rec.Size)
+	return b
+}
+
 // segment is one sealed, immutable slice of the corpus: a frozen core.Index
 // plus the per-entry sequence numbers (aligned with the core ids, which
 // core.Build assigns in record order) and the planner metadata derived from
@@ -337,65 +366,39 @@ type segment struct {
 
 func (s *segment) minSeq() uint64 { return s.seqs[0] }
 
-// snapshot is one published, immutable state of the index. Everything
-// reachable from a snapshot is frozen: writers and the compactor publish
-// changes as new snapshots.
-type snapshot struct {
-	segs  []*segment        // ordered by minSeq
-	buf   []entry           // unsealed adds, ascending seq; prefix of the writer's backing array
-	leads leadCols          // buf's masked leading values, band-major
-	tombs map[string]uint64 // key → seq of the clearing Delete/replacing Add
+// state is everything a snapshot says about the corpus. It is a value:
+// every change copies the current snapshot's state, edits the copy and
+// publishes it (publishLocked), sharing whatever it did not edit, so
+// everything reachable from a published state stays frozen.
+type state struct {
+	segs   []*segment        // ordered by minSeq
+	buffer                   // the unsealed adds
+	tombs  map[string]uint64 // key → seq of the clearing Delete/replacing Add
 
 	// shadow, aligned with segs, is false for a segment no tombstone names
 	// an entry of, whose candidates then skip the tombstone lookup. Deletes
-	// and upserts set bits (shadowKey), seals and merges recompute them
-	// (shadows), Load derives them exactly; snapshots share the slice.
+	// and upserts set bits (tombstone), seals and merges recompute them
+	// (shadows), Load derives them exactly; states share the slice.
 	shadow []bool
 
-	// bufMax is the largest size among buffered entries — the buffer's
-	// partition upper bound for threshold conversion. It may exceed the
-	// largest *live* buffered size when the max entry is tombstoned; a too
-	// large bound is merely conservative (Eq. 7 never loses candidates).
-	bufMax int
+	seq     uint64 // the last mutation the state applies
+	domains int    // live domains (tombstoned entries excluded)
+}
+
+// snapshot is one published state of the index and its lifetime.
+type snapshot struct {
+	state
 
 	// gen increments on EVERY publish (Add, Delete, seal, merge): it keys
 	// the result cache, so a cached result is served only against the exact
 	// state it was computed on.
 	gen uint64
 
-	// topkOrder holds segment indices sorted by meta.maxBound descending —
-	// the visit order QueryTopK uses for early termination. Recomputed only
-	// when the segment set changes; Add/Delete publishes share the previous
-	// slice.
-	topkOrder []int
-
-	// bufBloom filters the leading signature values of this snapshot's
-	// buffered entries: a query whose leading values all miss cannot band-
-	// collide with any buffered entry, so the linear scan is skipped. Add
-	// publishes the filter of the snapshot it replaces, inserting into it
-	// while older snapshots' readers probe it (extra bits relative to their
-	// buf prefix only cost false positives); a seal publishes a new one when
-	// it relocates the buffer. Nil when pruning is disabled.
-	bufBloom *bloom.Filter
-
 	// refs and dead manage the snapshot's lifetime (segio.go): the current
 	// pointer holds one reference, each in-flight reader one more, and the
 	// exactly-once teardown releases the segments.
 	refs atomic.Int64
 	dead atomic.Bool
-}
-
-// successor stamps next as the publication following cur: the generation
-// advances and the top-k visit order is recomputed when the segment set
-// changed, inherited otherwise. Callers must hold x.mu so generations are
-// strictly monotonic.
-func successor(next, cur *snapshot, segsChanged bool) *snapshot {
-	next.gen = cur.gen + 1
-	next.topkOrder = cur.topkOrder
-	if segsChanged {
-		next.topkOrder = topkSegOrder(next.segs)
-	}
-	return next
 }
 
 // alive reports whether an entry of the given key and sequence number is
@@ -414,19 +417,17 @@ type Index struct {
 	snap atomic.Pointer[snapshot]
 
 	// mu serializes writers: Add, Delete, and every snapshot publish.
-	// Readers never take it.
-	mu      sync.Mutex
-	seq     uint64            // last assigned mutation sequence number
-	keySeq  map[string]uint64 // live key → seq of its current entry
-	bufBack []entry           // buffer backing; published snapshots view prefixes of it
+	// Readers never take it. keySeq, the writer's index of the current state,
+	// maps each live key to the seq of its entry.
+	mu     sync.Mutex
+	keySeq map[string]uint64
 
 	// compactMu serializes compaction work (the background goroutine, Flush,
 	// Compact): at most one segment build is in flight at a time.
 	compactMu sync.Mutex
 
-	domains atomic.Int64  // live domain count (= len(keySeq), readable lock-free)
-	seals   atomic.Uint64 // completed seal operations
-	merges  atomic.Uint64 // completed merge operations
+	seals  atomic.Uint64 // completed seal operations
+	merges atomic.Uint64 // completed merge operations
 
 	// Out-of-core state (segio.go). saveMu serializes Save's spill+encode
 	// pass; retMu guards retired, the manifest-referenced files awaiting
@@ -488,6 +489,7 @@ type queryScratch struct {
 	sets     []lshforest.TreeSet
 	setWords []uint64
 	plan     []tune.Params
+	order    []int // top-k's segment visit order
 	tally    tally
 }
 
@@ -568,12 +570,11 @@ func New(opts Options) (*Index, error) {
 // newIndex is the one constructor behind Build and Load: it refuses the
 // runtime options neither could serve with and returns an index with its
 // result cache and data directory set up, and as yet no corpus, no band table
-// (Load registers a grid only once the snapshot is accepted) and no compactor.
+// (start registers the grid once the corpus is accepted) and no compactor.
 // opts has its defaults applied and its core.Options validated.
 func newIndex(opts Options, keys int) (*Index, error) {
 	if opts.SealThreshold < 0 {
-		// A seal sizes the next buffer by it, and make panics on a negative
-		// capacity — in the compactor goroutine, taking the process with it.
+		// A buffer length below zero means nothing: every Add would seal.
 		return nil, fmt.Errorf("live: Options.SealThreshold %d is negative", opts.SealThreshold)
 	}
 	if opts.MaxSegments < 0 { // the cap would merge one segment with none
@@ -613,8 +614,7 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	x.bands = tune.ForGrid(opts.NumHash/opts.RMax, opts.RMax)
-	sn := &snapshot{bufBloom: x.newBufBloom()}
+	st := state{buffer: x.newBuffer()}
 	if len(records) > 0 {
 		for _, r := range records {
 			if err := x.validateRecord(r); err != nil {
@@ -643,17 +643,28 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		sn.segs, sn.shadow = []*segment{seg}, []bool{false}
-		x.seq = uint64(len(records))
-		x.domains.Store(int64(len(recs)))
+		st.segs, st.shadow = []*segment{seg}, []bool{false}
+		st.seq, st.domains = uint64(len(records)), len(recs)
 	}
-	x.publishInitial(sn)
-	if !opts.ManualCompaction {
-		go x.compactor()
-	} else {
-		close(x.done)
-	}
+	x.start(st)
 	return x, nil
+}
+
+// start is the last step of Build and Load: it registers the band grid the
+// buffer scan plans with, publishes st as generation 1 and starts the
+// compactor, nudged at once when st's buffer is already due a seal. The index
+// is not yet shared, so it takes no lock.
+func (x *Index) start(st state) {
+	x.bands = tune.ForGrid(x.numTrees(), x.opts.RMax)
+	x.publishLocked(st)
+	if x.opts.ManualCompaction {
+		close(x.done)
+		return
+	}
+	go x.compactor()
+	if len(st.buf) >= x.opts.SealThreshold {
+		x.kick()
+	}
 }
 
 func (x *Index) validateRecord(r core.Record) error {
@@ -670,8 +681,9 @@ func (x *Index) validateRecord(r core.Record) error {
 // Options returns the effective options.
 func (x *Index) Options() Options { return x.opts }
 
-// Len returns the number of live domains (tombstoned entries excluded).
-func (x *Index) Len() int { return int(x.domains.Load()) }
+// Len returns the number of live domains (tombstoned entries excluded) in
+// the current snapshot.
+func (x *Index) Len() int { return x.snap.Load().domains }
 
 // Add inserts or replaces a domain. A record whose key is already indexed
 // supersedes the old entry (upsert): readers see either the old or the new
@@ -688,37 +700,20 @@ func (x *Index) Add(r core.Record) (replaced bool, err error) {
 	r.Sig = append(minhash.Signature(nil), r.Sig[:x.opts.NumHash]...)
 
 	x.mu.Lock()
-	x.seq++
-	seq := x.seq
-	cur := x.snap.Load()
-	tombs, shadow := cur.tombs, cur.shadow
+	st := x.snap.Load().state
+	st.seq++
 	_, replaced = x.keySeq[r.Key]
 	if replaced {
 		// The replacing Add tombstones every older entry of the key (their
-		// seqs are < seq) while leaving the new entry (seq == seq) alive.
-		tombs = cloneTombs(tombs, r.Key, seq)
-		shadow = shadowKey(shadow, cur.segs, r.Key)
+		// seqs are < st.seq) while leaving the new entry alive.
+		st.tombstone(r.Key)
 	} else {
-		x.domains.Add(1)
+		st.domains++
 	}
-	x.keySeq[r.Key] = seq
-	// The published prefix of bufBack is immutable: this append writes only
-	// at the index just past every published snapshot's view (or relocates
-	// to a fresh array), and the longer prefix becomes visible only through
-	// the snapshot swap below.
-	x.bufBack = append(x.bufBack, entry{rec: r, seq: seq})
-	// The filter insert and the column writes precede the snapshot store, so
-	// any reader that can see this entry also sees its filter bits and leads.
-	mask := x.opts.Sketch.Mask()
-	addBufLeads(cur.bufBloom, r.Sig, x.opts.RMax, mask)
-	leads := cur.leads.with(len(cur.buf), r.Sig, x.opts.RMax, mask)
-	bufMax := cur.bufMax
-	if r.Size > bufMax {
-		bufMax = r.Size
-	}
-	next := &snapshot{segs: cur.segs, buf: x.bufBack, leads: leads, tombs: tombs, shadow: shadow, bufMax: bufMax, bufBloom: cur.bufBloom}
-	old := x.publishLocked(next, cur, false)
-	full := len(next.buf) >= x.opts.SealThreshold
+	x.keySeq[r.Key] = st.seq
+	st.buffer = st.with(entry{rec: r, seq: st.seq}, x.opts.RMax, x.opts.Sketch.Mask())
+	old := x.publishLocked(st)
+	full := len(st.buf) >= x.opts.SealThreshold
 	x.mu.Unlock()
 	x.releaseSnap(old)
 
@@ -738,28 +733,29 @@ func (x *Index) Delete(key string) bool {
 		x.mu.Unlock()
 		return false
 	}
-	x.seq++
-	seq := x.seq
 	delete(x.keySeq, key)
-	x.domains.Add(-1)
-	cur := x.snap.Load()
-	next := &snapshot{segs: cur.segs, buf: cur.buf, leads: cur.leads, tombs: cloneTombs(cur.tombs, key, seq),
-		shadow: shadowKey(cur.shadow, cur.segs, key), bufMax: cur.bufMax, bufBloom: cur.bufBloom}
-	old := x.publishLocked(next, cur, false)
+	st := x.snap.Load().state
+	st.seq++
+	st.domains--
+	st.tombstone(key)
+	old := x.publishLocked(st)
 	x.mu.Unlock()
 	x.releaseSnap(old)
 	return true
 }
 
-// cloneTombs returns a copy of tombs with key → seq added. The published
-// map is never mutated in place — readers hold it lock-free.
-func cloneTombs(tombs map[string]uint64, key string, seq uint64) map[string]uint64 {
-	next := make(map[string]uint64, len(tombs)+1)
-	for k, v := range tombs {
-		next[k] = v
+// tombstone records that mutation st.seq clears every older entry of key,
+// and sets the shadow bits of the segments that may hold one. The published
+// map and bits are copied, never edited in place: readers hold them
+// lock-free.
+func (st *state) tombstone(key string) {
+	tombs := make(map[string]uint64, len(st.tombs)+1)
+	for k, v := range st.tombs {
+		tombs[k] = v
 	}
-	next[key] = seq
-	return next
+	tombs[key] = st.seq
+	st.tombs = tombs
+	st.shadow = shadowKey(st.shadow, st.segs, key)
 }
 
 func (x *Index) acquireScratch() *queryScratch {
@@ -1189,7 +1185,8 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 	kth := func() float64 { return results[0].EstContainment }
 	s := x.acquireScratch()
 	defer x.releaseScratch(s)
-	for _, si := range sn.topkOrder {
+	s.order = topkSegOrder(s.order[:0], sn.segs)
+	for _, si := range s.order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -1287,7 +1284,8 @@ type Stats struct {
 	// Tombstones is the number of pending tombstones (deletes and
 	// replacements not yet compacted away).
 	Tombstones int `json:"tombstones"`
-	// Seq is the highest mutation sequence number visible to readers.
+	// Seq is the last mutation the snapshot applies. Seals, merges and
+	// reloads keep it, so it never goes back.
 	Seq uint64 `json:"seq"`
 	// Seals and Merges count completed compactor operations.
 	Seals  uint64 `json:"seals"`
@@ -1380,7 +1378,8 @@ type PlannerStats struct {
 	BufferBloomPruned uint64 `json:"buffer_bloom_pruned"`
 }
 
-// Stats returns a consistent snapshot summary without blocking writers.
+// Stats summarizes the snapshot it pins, with the index's lifetime counters;
+// it never blocks writers.
 func (x *Index) Stats() Stats {
 	sn := x.acquireSnap()
 	defer x.releaseSnap(sn)
@@ -1391,10 +1390,11 @@ func (x *Index) Stats() Stats {
 	treesProbed := x.counters[cTreesProbed].Load()
 	segProbed := x.counters[cSegProbed].Load()
 	st := Stats{
-		Domains:     x.Len(),
+		Domains:     sn.domains,
 		Segments:    make([]int, len(sn.segs)),
 		Buffered:    len(sn.buf),
 		Tombstones:  len(sn.tombs),
+		Seq:         sn.seq,
 		Seals:       x.seals.Load(),
 		Merges:      x.merges.Load(),
 		Sketch:      x.opts.Sketch.String(),
@@ -1444,18 +1444,5 @@ func (x *Index) Stats() Stats {
 	// Buffered entries always hold full-width signatures; they truncate at
 	// seal time.
 	st.SignatureBytes += int64(len(sn.buf)) * int64(x.opts.NumHash) * 8
-	for _, seg := range sn.segs {
-		if n := len(seg.seqs); n > 0 && seg.seqs[n-1] > st.Seq {
-			st.Seq = seg.seqs[n-1]
-		}
-	}
-	if n := len(sn.buf); n > 0 && sn.buf[n-1].seq > st.Seq {
-		st.Seq = sn.buf[n-1].seq
-	}
-	for _, s := range sn.tombs {
-		if s > st.Seq {
-			st.Seq = s
-		}
-	}
 	return st
 }

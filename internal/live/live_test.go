@@ -693,6 +693,126 @@ func TestLoadRefusesBufferedSeqsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesTwoLiveEntriesForOneKey: an upsert leaves two entries of one
+// key and a tombstone that leaves only the newer alive. A snapshot with that
+// tombstone cut out used to load and serve both entries, one key twice in an
+// answer (which the router's answer frame refuses). It is corrupt.
+func TestLoadRefusesTwoLiveEntriesForOneKey(t *testing.T) {
+	x, err := New(liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	r := fixture(t, 1, 15)[0]
+	for i := 0; i < 2; i++ {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := x.AppendBinary(nil)
+	// The snapshot ends ntombs u32 | keylen u32 | key | seq u64 | crc u64.
+	tomb := 4 + len(r.Key) + 8
+	at := len(snap) - 8 - tomb - 4
+	le := binary.LittleEndian
+	if n := le.Uint32(snap[at:]); n != 1 {
+		t.Fatalf("fixture holds %d tombstones, want 1", n)
+	}
+	cut := le.AppendUint32(append([]byte(nil), snap[:at]...), 0)
+	cut = le.AppendUint64(cut, crc64.Checksum(cut, crcTable))
+	y, err := Load(bytes.NewReader(cut), liveOpts())
+	if err == nil {
+		got := y.Query(r.Sig, r.Size, 1)
+		y.Close()
+		t.Fatalf("two live entries of %q accepted: Len %d, Query %q", r.Key, y.Len(), got)
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("error %v, want ErrCorrupt", err)
+	}
+}
+
+// TestStatsSeqNeverGoesBack: Stats.Seq is the last mutation the snapshot
+// applies, so it counts the mutations whatever a seal, merge or reload drops.
+// It used to be derived from the entries and tombstones still held, and fell
+// when a seal or merge collected the newest tombstone.
+func TestStatsSeqNeverGoesBack(t *testing.T) {
+	recs := fixture(t, 8, 16)
+	x, err := New(liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { x.Close() }()
+	mutations := uint64(0)
+	check := func(step string) {
+		t.Helper()
+		if got := x.Stats().Seq; got != mutations {
+			t.Fatalf("after %s: Seq %d, want %d", step, got, mutations)
+		}
+	}
+	add := func(r core.Record) {
+		t.Helper()
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+		mutations++
+		check("Add " + r.Key)
+	}
+	del := func(key string) {
+		t.Helper()
+		if !x.Delete(key) {
+			t.Fatalf("Delete(%s) = false", key)
+		}
+		mutations++
+		check("Delete " + key)
+	}
+	add(recs[0])
+	del(recs[0].Key)
+	x.Flush()
+	check("Flush")
+	for _, r := range recs[1:5] {
+		add(r)
+	}
+	del(recs[4].Key)
+	x.Flush()
+	check("Flush")
+	x.Compact()
+	check("Compact")
+	y, err := Load(bytes.NewReader(x.AppendBinary(nil)), liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Close()
+	x = y
+	check("Save+Load")
+	add(recs[5])
+	del(recs[1].Key)
+	x.Compact()
+	check("Compact after Load")
+}
+
+// TestHugeSealThresholdSeals: a seal used to preallocate the next buffer at
+// SealThreshold entries, so the first Flush under SealThreshold 1<<44
+// panicked (makeslice: cap out of range) and values from about 2^31 asked
+// the runtime for more than 100 GB. The carried-over buffer now grows as Add
+// grows it.
+func TestHugeSealThresholdSeals(t *testing.T) {
+	opts := liveOpts()
+	opts.SealThreshold = 1 << 44
+	x, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for _, r := range fixture(t, 3, 17) {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x.Flush()
+	if st := x.Stats(); len(st.Segments) != 1 || st.Segments[0] != 3 || st.Buffered != 0 {
+		t.Fatalf("after Flush: segments %v, %d buffered, want one segment of 3", st.Segments, st.Buffered)
+	}
+}
+
 func TestValidation(t *testing.T) {
 	recs := fixture(t, 10, 11)
 	x, err := Build(recs, liveOpts())

@@ -1,10 +1,10 @@
 package live
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -274,19 +274,15 @@ func containmentBound(xMax int, q float64) float64 {
 	return b
 }
 
-// topkSegOrder returns segment indices sorted by maxBound descending —
-// the visit order that lets top-k terminate as early as possible. Ties
-// break by index so the order is deterministic.
-func topkSegOrder(segs []*segment) []int {
-	if len(segs) == 0 {
-		return nil
+// topkSegOrder appends to order the indices of segs sorted by maxBound
+// descending — the visit order that lets top-k terminate as early as
+// possible. Ties break by index so the order is deterministic.
+func topkSegOrder(order []int, segs []*segment) []int {
+	for i := range segs {
+		order = append(order, i)
 	}
-	order := make([]int, len(segs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return segs[order[i]].meta.maxBound > segs[order[j]].meta.maxBound
+	slices.SortStableFunc(order, func(i, j int) int {
+		return cmp.Compare(segs[j].meta.maxBound, segs[i].meta.maxBound)
 	})
 	return order
 }

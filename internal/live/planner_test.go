@@ -430,10 +430,8 @@ func TestLoadV1SnapshotRebuildsMetadata(t *testing.T) {
 // appendBinaryV1 re-encodes an index in the legacy version-1 layout (no
 // per-segment metadata), simulating a snapshot written before the planner.
 func appendBinaryV1(x *Index) []byte {
-	x.mu.Lock()
 	sn := x.snap.Load()
-	seq := x.seq
-	x.mu.Unlock()
+	seq := sn.seq
 	buf := append([]byte(nil), liveMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, liveVersionV1)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.opts.NumHash))

@@ -13,7 +13,6 @@ import (
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/segfile"
-	"lshensemble/internal/tune"
 )
 
 // Binary snapshot format (all integers little-endian):
@@ -50,8 +49,8 @@ import (
 // writers and the compactor run (they publish new snapshots; the one being
 // written stays frozen). With DataDir set it first spills any segment that
 // has no file yet, so the manifest it writes is self-contained. Load
-// rebuilds the writer-side state (key → seq map, live count) by replaying
-// the tombstones over the entries.
+// rebuilds the writer's key → seq map and the live count by replaying the
+// tombstones over the entries.
 
 var liveMagic = [4]byte{'L', 'I', 'V', 'E'}
 
@@ -86,15 +85,9 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 		x.spillAll()
 	}
 
-	// seq and the snapshot must agree (seq covers every mutation the
-	// snapshot shows); taking the writer mutex for the two loads is the only
-	// place the save path touches it. The snapshot is pinned so its mapped
+	// One snapshot gives the header's seq and the body; pinned, its mapped
 	// segments cannot retire while being encoded.
-	x.mu.Lock()
-	sn := x.snap.Load()
-	sn.refs.Add(1) // under mu no publish can race: plain acquire
-	seq := x.seq
-	x.mu.Unlock()
+	sn := x.acquireSnap()
 	defer x.releaseSnap(sn)
 
 	start := len(buf)
@@ -103,7 +96,7 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.opts.NumHash))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.opts.RMax))
 	buf = binary.LittleEndian.AppendUint32(buf, x.opts.Sketch.Tag())
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint64(buf, sn.seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sn.segs)))
 	for _, seg := range sn.segs {
 		if fi := seg.finfo.Load(); fi != nil && x.opts.DataDir != "" {
@@ -217,7 +210,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	}
 	// Save never emits a degenerate shape (Build validates it), and zeros
 	// must not fall through to withDefaults below: the raw rMax strides
-	// loops (addBufLeads), where 0 would never advance. Past core.MaxNumHash,
+	// loops (buffer.with), where 0 would never advance. Past core.MaxNumHash,
 	// numHash would size the caller's hasher.
 	if numHash < 1 || numHash > core.MaxNumHash || rMax < 1 || rMax > numHash {
 		return nil, fmt.Errorf("live: snapshot header shape (%d, %d): %w", numHash, rMax, ErrCorrupt)
@@ -241,7 +234,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		return nil, err
 	}
 
-	sn := &snapshot{}
+	var st state
 	referenced := make(map[string]bool)
 	nsegs := rd.Count(1)
 	for i := 0; i < nsegs; i++ {
@@ -292,7 +285,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			}
 			seg := &segment{idx: idx, seqs: seqs, meta: meta}
 			seg.resident = heapSegmentResident(idx, meta)
-			sn.segs = append(sn.segs, seg)
+			st.segs = append(st.segs, seg)
 
 		case segKindFileRef:
 			if opts.DataDir == "" {
@@ -314,7 +307,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			// file, so retirement must route through CollectGarbage.
 			seg.inManifest.Store(true)
 			referenced[name] = true
-			sn.segs = append(sn.segs, seg)
+			st.segs = append(st.segs, seg)
 
 		default:
 			return nil, fmt.Errorf("live: segment %d has unknown kind %d: %w", i, kind, ErrCorrupt)
@@ -322,6 +315,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	}
 	// A buffered entry is at least its seq, key length, size and signature.
 	nbuf := rd.Count(20 + 8*numHash)
+	st.buffer = x.newBuffer()
 	for i := 0; i < nbuf; i++ {
 		eseq, key, size := rd.U64(), rd.String(), int(rd.U64())
 		sig := make(minhash.Signature, numHash)
@@ -333,29 +327,19 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		}
 		// Add appends in seq order, and a seal keeps that order as the
 		// segment's seqs, which Load refuses out of order.
-		if i > 0 && eseq <= x.bufBack[i-1].seq {
+		if i > 0 && eseq <= st.buf[i-1].seq {
 			return nil, fmt.Errorf("live: buffered seqs not ascending at entry %d: %w", i, ErrCorrupt)
 		}
 		rec := core.Record{Key: key, Size: size, Sig: sig}
 		if err := x.validateRecord(rec); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 		}
-		x.bufBack = append(x.bufBack, entry{rec: rec, seq: eseq})
-		if size > sn.bufMax {
-			sn.bufMax = size
-		}
-	}
-	sn.buf = x.bufBack
-	sn.bufBloom = x.newBufBloom()
-	mask := opts.Sketch.Mask()
-	for i := range sn.buf {
-		addBufLeads(sn.bufBloom, sn.buf[i].rec.Sig, rMax, mask)
-		sn.leads = sn.leads.with(i, sn.buf[i].rec.Sig, rMax, mask)
+		st.buffer = st.with(entry{rec: rec, seq: eseq}, rMax, opts.Sketch.Mask())
 	}
 	if ntombs := rd.Count(4 + 8); ntombs > 0 {
-		sn.tombs = make(map[string]uint64, ntombs)
+		st.tombs = make(map[string]uint64, ntombs)
 		for i := 0; i < ntombs; i++ {
-			sn.tombs[rd.String()] = rd.U64()
+			st.tombs[rd.String()] = rd.U64()
 		}
 	}
 	switch {
@@ -365,45 +349,41 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("live: %d trailing bytes after snapshot: %w", len(rd.B), ErrCorrupt)
 	}
 
-	// Rebuild the writer-side view: the live entry of each key is the one
-	// not shadowed by a tombstone; at most one per key exists in a
-	// well-formed snapshot, so the highest seq wins defensively. A segment
-	// holding a dead entry gets its shadow bit.
-	live := 0
+	// Rebuild the writer's key → seq map: the live entry of each key is the
+	// one no tombstone shadows, and a key with two is corrupt (every answer
+	// matching it would name it twice). A segment holding a dead entry gets
+	// its shadow bit.
+	twice := ""
 	note := func(key string, s uint64) (alive bool) {
-		if sn.tombs[key] > s {
+		if st.tombs[key] > s {
 			return false
 		}
-		if old, ok := x.keySeq[key]; !ok {
-			x.keySeq[key] = s
-			live++
-		} else if s > old {
-			x.keySeq[key] = s
+		if _, ok := x.keySeq[key]; ok {
+			twice = key
 		}
+		x.keySeq[key] = s
 		return true
 	}
-	sn.shadow = make([]bool, len(sn.segs))
-	for i, seg := range sn.segs {
+	st.shadow = make([]bool, len(st.segs))
+	for i, seg := range st.segs {
 		for id := 0; id < seg.idx.Len(); id++ {
 			if !note(seg.idx.Key(uint32(id)), seg.seqs[id]) {
-				sn.shadow[i] = true
+				st.shadow[i] = true
 			}
 		}
 	}
-	for i := range sn.buf {
-		note(sn.buf[i].rec.Key, sn.buf[i].seq)
+	for i := range st.buf {
+		note(st.buf[i].rec.Key, st.buf[i].seq)
 	}
-	x.domains.Store(int64(live))
-	x.seq = seq
-	for _, k := range x.keySeq {
-		if k > x.seq {
-			x.seq = k
-		}
+	if twice != "" {
+		return nil, fmt.Errorf("live: key %q has two live entries: %w", twice, ErrCorrupt)
 	}
-	for _, s := range sn.tombs {
-		if s > x.seq {
-			x.seq = s
-		}
+	st.domains, st.seq = len(x.keySeq), seq
+	for _, s := range x.keySeq {
+		st.seq = max(st.seq, s)
+	}
+	for _, s := range st.tombs {
+		st.seq = max(st.seq, s)
 	}
 	if opts.DataDir != "" {
 		// Anything in the data directory the manifest does not reference is a
@@ -411,16 +391,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		x.sweepDataDir(referenced)
 	}
 	// Only now, so that a rejected snapshot never registers its header's grid.
-	x.bands = tune.ForGrid(opts.NumHash/opts.RMax, opts.RMax)
-	x.publishInitial(sn)
-	if !opts.ManualCompaction {
-		go x.compactor()
-		if len(sn.buf) >= opts.SealThreshold {
-			x.kick()
-		}
-	} else {
-		close(x.done)
-	}
+	x.start(st)
 	return x, nil
 }
 

@@ -593,23 +593,20 @@ func (x *Index) releaseSeg(seg *segment) {
 	}
 }
 
-// publishLocked installs next as the current snapshot (stamping generations
-// via successor) and returns the predecessor, whose current-pointer
+// publishLocked installs st as the current snapshot, one generation past
+// the one it replaces, and returns that predecessor, whose current-pointer
 // reference the caller must drop with releaseSnap AFTER x.mu is released —
 // retiring a snapshot can munmap and delete files, too slow for the writer
-// lock.
-func (x *Index) publishLocked(next, cur *snapshot, segsChanged bool) *snapshot {
-	retainSegs(next.segs)
+// lock. Holding x.mu keeps generations strictly monotonic; start publishes
+// generation 1, with no predecessor, before the index is shared.
+func (x *Index) publishLocked(st state) *snapshot {
+	cur := x.snap.Load()
+	next := &snapshot{state: st, gen: 1}
+	if cur != nil {
+		next.gen = cur.gen + 1
+	}
+	retainSegs(st.segs)
 	next.refs.Store(1)
-	x.snap.Store(successor(next, cur, segsChanged))
+	x.snap.Store(next)
 	return cur
-}
-
-// publishInitial installs the very first snapshot (Build/Load).
-func (x *Index) publishInitial(sn *snapshot) {
-	sn.gen = 1
-	sn.topkOrder = topkSegOrder(sn.segs)
-	retainSegs(sn.segs)
-	sn.refs.Store(1)
-	x.snap.Store(sn)
 }
