@@ -55,7 +55,8 @@
 //     and an in-memory fence over it (its first value per 64 bytes). A probe
 //     searches the L2-resident fence, then one line of the column, gallops
 //     to the end of a matching run, and reads the store only for deeper
-//     prefixes.
+//     prefixes. Those are dependent cache misses, so a probe takes up to 64
+//     trees through them stage by stage, the misses of all in flight at once.
 //   - Trees are sorted, once per build, with an LSD radix sort on the leading
 //     hash value (near-uniform in [0, 2^61)), falling back to comparison
 //     sorting only inside runs of equal leading values — ~3x faster than a
@@ -161,14 +162,15 @@
 // tree) column: sealed segments carry seal-time metadata (domain-size range,
 // partition bounds, key and leading-value Bloom filters, and in memory a
 // leading-value filter sliced by partition). The size metadata skips segments
-// none of whose partitions can reach the threshold; the Bloom is asked which
-// trees the query's leading values can occur in — none skips the segment —
-// then the sliced filter which partitions, and the answers travel down to
-// the probe kernel as one tree set per partition. The unsealed buffer's own
-// filter restricts its band scan likewise: the scan reads the lead columns of
-// only those bands. The probe is bound by cache
-// misses, not compares, so the untouched columns are the saving (lib_query
-// sat_qps ×2.87 per tree, then ×1.63 per partition; CHANGES.md PR 16, 20).
+// none of whose partitions can reach the threshold; the Bloom is asked about
+// the query's leading values in tree order up to its first positive — none
+// skips the segment — then the sliced filter which partitions of which trees,
+// and the answers travel down to the probe kernel as one tree set per
+// partition. The unsealed buffer's own filter restricts its band scan
+// likewise: the scan reads the lead columns of only those bands. The probe is
+// bound by cache misses, not compares, so the untouched columns are the
+// saving (lib_query sat_qps ×2.87 per tree, then ×1.63 per partition;
+// CHANGES.md PR 16, 20).
 // QueryTopK sorts the segments largest-bound-first when it runs and visits
 // them in that order with early termination, and its threshold ladder reuses
 // the segment's tree sets on every rung and skips a partition whose (b, r)

@@ -479,13 +479,16 @@ const (
 type tally [numCounters]uint64
 
 // queryScratch is the pooled per-query working memory of the live fan-out:
-// a reusable id buffer for the per-segment candidate lists, the tree set of
-// the segment (or buffer) being served and the per-partition sets it scatters
-// into (views of one word array), the plan of the segment being probed, and
-// a batch worker's tally.
+// a reusable id buffer for the per-segment candidate lists, the buffer's tree
+// set, a segment's per-tree sliced-filter answers and the per-partition sets
+// they scatter into (views of one word array), the plan of the segment being
+// probed, and a batch worker's tally.
 type queryScratch struct {
 	ids      []uint32
 	trees    lshforest.TreeSet
+	answers  []uint16 // per tree: the partitions that may hold its leading value
+	from     int      // the first tree the gate left to the sliced filter
+	treesIn  int      // the trees partTrees found a non-empty answer for
 	sets     []lshforest.TreeSet
 	setWords []uint64
 	plan     []tune.Params
@@ -533,10 +536,11 @@ type QueryTrace struct {
 	SegmentsRangePruned int
 	SegmentsBloomPruned int
 	// TreesProbed / TreesSkipped split the trees of the probed segments'
-	// forests (NumHash/RMax per segment) into those the leading-value Bloom
-	// could not rule out and those it did; ColumnsProbed / ColumnsSkipped
-	// split the (partition, tree) columns their plans probe into those entered
-	// and those either filter ruled out: which partitions were probed.
+	// forests (NumHash/RMax per segment) into those the partition-sliced
+	// leading-value filter named a partition for and the rest, the trees
+	// before the lead Bloom's first positive among them; ColumnsProbed /
+	// ColumnsSkipped split the (partition, tree) columns their plans probe
+	// into those entered and those either filter ruled out.
 	TreesProbed    int
 	TreesSkipped   int
 	ColumnsProbed  int
@@ -761,7 +765,8 @@ func (st *state) tombstone(key string) {
 func (x *Index) acquireScratch() *queryScratch {
 	s, _ := x.scratch.Get().(*queryScratch)
 	if s == nil {
-		s = &queryScratch{trees: make(lshforest.TreeSet, lshforest.TreeSetWords(x.numTrees()))}
+		nt := x.numTrees()
+		s = &queryScratch{trees: make(lshforest.TreeSet, lshforest.TreeSetWords(nt)), answers: make([]uint16, nt)}
 	}
 	return s
 }
@@ -888,28 +893,27 @@ func (x *Index) querySnapshot(ctx context.Context, dst []string, c *call, sig mi
 // probeSegment is the (query, segment) step of every threshold query, single
 // or batch row, and the one place a sealed segment is planned. In this order,
 // cheapest first: skip segment si when its largest partition bound rules out
-// every partition (maxBound/q < t*), ask its lead Bloom which trees can match
-// and skip it when none can, and only then plan its partitions' (b, r), ask
-// the sliced filter which columns of those trees can match (partTrees), probe
-// them, and append the keys of the candidates the snapshot's tombstones leave
-// alive. Planning after the Bloom matters: a plan made for a segment the Bloom
-// then rules out is the whole cost of planning on the spot. Under
-// Options.DisablePruning both filters and the range check are off — the
-// unpruned reference: every segment is planned and every planned column
-// probed. Decisions are counted in t; s lends the tree sets, the plan and the
-// id buffer. tStar must already be clamped.
+// every partition (maxBound/q < t*), ask its lead Bloom whether any tree can
+// match (the gate, trees) and skip it when none can, and only then plan its
+// partitions' (b, r), ask the sliced filter which columns of the trees the
+// gate left can match (partTrees), probe them, and append the keys of the
+// candidates the snapshot's tombstones leave alive. Planning after the Bloom
+// matters: a plan made for a segment the Bloom then rules out is the whole
+// cost of planning on the spot. Under Options.DisablePruning both filters and
+// the range check are off — the unpruned reference: every segment is planned
+// and every planned column probed. Decisions are counted in t; s lends the
+// tree sets, the plan and the id buffer. tStar must already be clamped.
 func (x *Index) probeSegment(dst []string, s *queryScratch, t *tally, sn *snapshot, si int,
 	sig minhash.Signature, querySize int, tStar float64) []string {
 	seg := sn.segs[si]
 	pruned := !x.opts.DisablePruning
 	rMax, mask := x.opts.RMax, x.opts.Sketch.Mask()
-	n := x.numTrees()
 	if pruned {
 		if rangePruned(seg.meta.maxBound, querySize, tStar) {
 			t[cSegRangePruned]++
 			return dst
 		}
-		if n = seg.meta.trees(s, sig, rMax, mask); n == 0 {
+		if seg.meta.trees(s, sig, rMax, mask) == 0 {
 			t[cSegBloomPruned]++
 			return dst
 		}
@@ -920,9 +924,10 @@ func (x *Index) probeSegment(dst []string, s *queryScratch, t *tally, sn *snapsh
 		planned += p.B
 	}
 	var trees []lshforest.TreeSet // nil = every column
-	cols := planned
+	n, cols := x.numTrees(), planned
 	if pruned {
 		trees, cols = seg.meta.partTrees(s, seg.idx, sig, rMax, mask, s.plan)
+		n = s.treesIn
 	}
 	t[cSegProbed]++
 	t[cTreesProbed] += uint64(n)
@@ -1348,8 +1353,9 @@ type PlannerStats struct {
 	SegmentsBloomPruned uint64 `json:"segments_bloom_pruned"`
 	// TreesProbed / TreesSkipped split the trees of every probed segment
 	// (NumHash/RMax each, so the two sum to that × SegmentsProbed) into the
-	// ones the segment's leading-value Bloom could not rule out for the
-	// query and the ones it did.
+	// ones its partition-sliced leading-value filter named a partition for
+	// and the rest, the trees before its lead Bloom's first positive among
+	// them: the Bloom only gates the segment (SegmentsBloomPruned).
 	TreesProbed  uint64 `json:"trees_probed"`
 	TreesSkipped uint64 `json:"trees_skipped"`
 	// ColumnsProbed / ColumnsSkipped split the (partition, tree) columns the

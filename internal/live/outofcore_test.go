@@ -626,3 +626,68 @@ func TestMmapColdBootIsLazy(t *testing.T) {
 		t.Fatalf("boot resident %d of %d file bytes — not lazy", resident, file)
 	}
 }
+
+// TestRefusedLoadClosesSegmentFiles: a manifest refused after its segment
+// files were opened — here for buffered seqs out of order, under a
+// recomputed checksum, as TestLoadRefusesBufferedSeqsOutOfOrder builds it —
+// leaves none of them mapped. Each refused load used to keep one mapping.
+func TestRefusedLoadClosesSegmentFiles(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts mappings in /proc/self/maps")
+	}
+	opts := liveOpts()
+	opts.DataDir = t.TempDir()
+	opts.Mmap = true
+	recs := fixture(t, 42, 16)
+	x, err := Build(recs[:40], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs[40:] {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := x.Stats(); len(st.Segments) != 1 || st.Buffered != 2 || st.SegmentDetail[0].Backing != "mmap" {
+		t.Fatalf("fixture: %d segments, %d buffered", len(st.Segments), st.Buffered)
+	}
+	manifest := x.AppendBinary(nil)
+	x.Close()
+	// A buffered entry is seq u64 | key length u32 | key | ...: swap the two
+	// entries' seqs.
+	le := binary.LittleEndian
+	seqAt := func(key string) int {
+		i := bytes.Index(manifest, append(le.AppendUint32(nil, uint32(len(key))), key...))
+		if i < 8 {
+			t.Fatalf("buffered key %q not in the manifest", key)
+		}
+		return i - 8
+	}
+	a, b := seqAt(recs[40].Key), seqAt(recs[41].Key)
+	sa, sb := le.Uint64(manifest[a:]), le.Uint64(manifest[b:])
+	le.PutUint64(manifest[a:], sb)
+	le.PutUint64(manifest[b:], sa)
+	le.PutUint64(manifest[len(manifest)-8:], crc64.Checksum(manifest[:len(manifest)-8], crcTable))
+
+	mappings := func() int {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(maps, []byte(opts.DataDir))
+	}
+	before := mappings()
+	for i := 0; i < 5; i++ {
+		y, err := Load(bytes.NewReader(manifest), opts)
+		if err == nil {
+			y.Close()
+			t.Fatal("buffered seqs out of order accepted")
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error %v, want ErrCorrupt", err)
+		}
+	}
+	if after := mappings(); after != before {
+		t.Fatalf("five refused loads left %d mappings of the data dir, %d before", after, before)
+	}
+}

@@ -28,19 +28,19 @@ import (
 //   - leading-value pruning, per column: a forest probe of tree t at any
 //     depth r ≥ 1 matches an entry only if the query's leading hash value
 //     sig[t·rMax] occurs exactly in that tree's leading column, so a query
-//     asks two questions before a probe: which trees, then which partitions.
-//     A Bloom filter over every leading column answers the first, tree by
-//     tree (leadTrees): the empty set rules the segment out, and a negative
-//     costs ~1.3 cache lines. A positive costs all k = 10: 10 % of lib_query's
-//     CPU, whose queries hit every tree; a blocked layout waits for the next
-//     format bump (ROADMAP item 10). The partition-sliced filter (partFilter) answers
-//     the second for each tree left, and partTrees scatters the answers into
-//     one tree set per partition: the probe enters only those columns — about
-//     a fifth of what the tree set alone lets through — and no partition whose
-//     set is empty. Neither filter has false negatives. The unsealed buffer
-//     asks the first question of a bloom.Filter of its own, which Adds fill
-//     while queries read it, and reads the band-major lead columns of only
-//     the bands in the set (appendBufferMatches);
+//     asks two questions before a probe: can any tree match, then which
+//     partitions of which trees. A Bloom filter over every leading column
+//     answers the first (trees, the gate), asked in tree order up to the
+//     first positive: a segment pays at most one (k = 10 cache lines; a
+//     negative costs ~1.3), and none rules it out. The partition-sliced filter
+//     (partFilter) answers the second for every tree left, all answers first
+//     so that their misses overlap, and partTrees scatters them into one tree
+//     set per partition: the probe enters only those columns and no partition
+//     whose set is empty. Neither filter has false negatives. The unsealed
+//     buffer asks the first question, band by band (leadTrees), of a
+//     bloom.Filter of its own, which Adds fill while queries read it, and
+//     reads the band-major lead columns of only the bands in the set
+//     (appendBufferMatches);
 //   - top-k early termination: the containment estimate is capped by the
 //     candidate's size, so once k results beat the cap of every remaining
 //     (size-descending) segment, those segments cannot contribute.
@@ -67,8 +67,8 @@ import (
 
 // Bloom operating points (see bloom.New). Keys use ~1% false positives:
 // a false positive merely costs one unnecessary tombstone sweep. Leading
-// values use ~0.1%: the collision pre-test is probed once per tree per
-// query, and a false positive costs that tree's surviving columns a probe.
+// values use ~0.1%: the gate asks up to one value per tree, and a false
+// positive on all of them costs the segment a plan and the sliced filter.
 const (
 	keysBloomBits = 10
 	keysBloomK    = 7
@@ -117,7 +117,7 @@ func rangePruned(bound, querySize int, tStar float64) bool {
 // tree) pair rounded up to a power of two — 64 B per domain at 32 trees —
 // keeps a wrong partition in an answer 1–2 % of the time. The lead Bloom's
 // 0.1 % would take five slots per value and twice the memory, which is why
-// this filter is asked second, and only for the trees the Bloom lets through.
+// this filter is asked second, only of a segment the Bloom lets through.
 type partFilter []uint16
 
 // leadCount is the number of leading values idx holds, one per entry and tree;
@@ -204,17 +204,16 @@ func (m *segMeta) bloomBytes(idx *core.Index) int {
 	return m.keys.SizeBytes() + m.leads.SizeBytes() + 2*partSlots(leadCount(idx))
 }
 
-// leadTrees clears set and inserts every tree t whose leading query value
-// sig[t·rMax] the filter may contain, returning how many it inserted. Sound
-// with zero false negatives: a probe of tree t at any depth r ≥ 1 — by a
-// forest or by the buffer's band compare — requires an exact match on that
-// value, and the filter holds every one of them, so a tree left out cannot
-// match and an empty set rules the whole segment (or buffer) out. A filter
-// false positive only adds a tree that then probes to nothing. The filter
-// stores the values as the sealed forest stores them — truncated to the
-// sketch backend's width — so the query side masks identically (identity
-// mask under Minwise64). sig is clamped to NumHash; set has
-// lshforest.TreeSetWords(NumHash/rMax) words.
+// leadTrees clears set and inserts every band b whose leading query value
+// sig[b·rMax] the filter may contain, returning how many it inserted: the
+// unsealed buffer's first question. Sound with zero false negatives: the
+// buffer's band compare requires an exact match on that value, and the
+// filter holds every one of them, so a band left out cannot match and an
+// empty set skips the scan. A filter false positive only adds a band that
+// then matches nothing. The filter holds the values masked to the sketch
+// backend's width — as a sealed forest stores them — so the query side masks
+// identically (identity mask under Minwise64). sig is clamped to NumHash; set
+// has lshforest.TreeSetWords(NumHash/rMax) words.
 func leadTrees(set lshforest.TreeSet, f *bloom.Filter, sig minhash.Signature, rMax int, mask uint64) int {
 	clear(set)
 	n := 0
@@ -227,35 +226,50 @@ func leadTrees(set lshforest.TreeSet, f *bloom.Filter, sig minhash.Signature, rM
 	return n
 }
 
-// trees asks the segment's lead Bloom the first question: it leaves in
-// s.trees the trees sig can match in and returns how many there are — none,
-// as in an empty segment, which has no filters, rules the segment out.
+// trees is a sealed segment's gate, the first question. It asks the lead Bloom
+// about the masked leading values in tree order and stops at the first it may
+// hold, so a segment pays at most one positive where asking about every tree
+// paid one per tree that can match (all of a lib_query query's). The trees
+// before that one cannot match; s.from hands the rest to partTrees. It returns
+// how many are left — none, as in an empty segment, which has no filters,
+// rules the segment out, exactly when asking about every tree would have.
 func (m *segMeta) trees(s *queryScratch, sig minhash.Signature, rMax int, mask uint64) int {
-	if m.leads == nil {
-		return 0
+	nt := len(sig) / rMax
+	for t := 0; m.leads != nil && t < nt; t++ {
+		if m.leads.MayContainHash(sig[t*rMax] & mask) {
+			s.from = t
+			return nt - t
+		}
 	}
-	return leadTrees(s.trees, m.leads, sig, rMax, mask)
+	return 0
 }
 
-// partTrees asks the sliced filter the second question, for the trees the
-// first left in s.trees: each is scattered into one tree set per partition of
-// idx, tree t entering partition p's set when the filter may hold sig[t·rMax]
-// in p and the plan probes t there (t < pp[p].B; a nil plan is a top-k ladder,
-// whose rungs plan for themselves). Sound like leadTrees: a column left out
-// cannot match. It returns the sets, lent by s, and how many columns they hold.
+// partTrees asks the sliced filter the second question about every tree from
+// s.from on, in two passes — all answers into s.answers, so that their misses
+// overlap, then the scatter into one tree set per partition of idx: tree t
+// enters p's set when the filter may hold sig[t·rMax] in p and the plan probes
+// t there (t < pp[p].B; a nil plan is a top-k ladder, whose rungs plan for
+// themselves). Sound like the gate. It returns the sets, lent by s, and how
+// many columns they hold; s.treesIn counts the trees with a non-empty answer.
 func (m *segMeta) partTrees(s *queryScratch, idx *core.Index, sig minhash.Signature, rMax int, mask uint64, pp []tune.Params) (sets []lshforest.TreeSet, cols int) {
 	m.fillLeads(idx, nil)
+	answers := s.answers[:len(sig)/rMax]
+	for t := s.from; t < len(answers); t++ {
+		answers[t] = m.parts.partitions(sig[t*rMax] & mask)
+	}
 	n := idx.NumPartitions()
 	sets = s.partSets(n)
-	for wi, w := range s.trees {
-		for ; w != 0; w &= w - 1 {
-			t := wi*64 + bits.TrailingZeros64(w)
-			for ps := m.parts.partitions(sig[t*rMax] & mask); ps != 0; ps &= ps - 1 {
-				for p := bits.TrailingZeros16(ps); p < n; p += 16 {
-					if pp == nil || t < pp[p].B {
-						sets[p].Add(t)
-						cols++
-					}
+	s.treesIn = 0
+	for t := s.from; t < len(answers); t++ {
+		ps := answers[t]
+		if ps != 0 {
+			s.treesIn++
+		}
+		for ; ps != 0; ps &= ps - 1 {
+			for p := bits.TrailingZeros16(ps); p < n; p += 16 {
+				if pp == nil || t < pp[p].B {
+					sets[p].Add(t)
+					cols++
 				}
 			}
 		}

@@ -235,6 +235,15 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	}
 
 	var st state
+	// A refusal drops st: nothing else closes the segment files it opened.
+	loaded := false
+	defer func() {
+		for _, seg := range st.segs {
+			if !loaded && seg.back != nil {
+				seg.back.Close()
+			}
+		}
+	}()
 	referenced := make(map[string]bool)
 	nsegs := rd.Count(1)
 	for i := 0; i < nsegs; i++ {
@@ -392,6 +401,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	}
 	// Only now, so that a rejected snapshot never registers its header's grid.
 	x.start(st)
+	loaded = true
 	return x, nil
 }
 

@@ -258,7 +258,7 @@ func TestTreeCountersAccount(t *testing.T) {
 		if tr.TreesProbed+tr.TreesSkipped != numTrees*tr.SegmentsProbed {
 			t.Fatalf("query %d trace: %d probed + %d skipped trees over %d probed segments of %d trees", i, tr.TreesProbed, tr.TreesSkipped, tr.SegmentsProbed, numTrees)
 		}
-		if tr.SegmentsProbed > 0 && tr.TreesSkipped < numTrees/2*tr.SegmentsProbed*9/10 {
+		if tr.SegmentsProbed > 0 && tr.TreesSkipped < numTrees/2*tr.SegmentsProbed/2 {
 			t.Fatalf("query %d: half the trees are redrawn yet only %d of %d were skipped", i, tr.TreesSkipped, numTrees*tr.SegmentsProbed)
 		}
 		if tr.ColumnsProbed > tr.TreesProbed*x.opts.NumPartitions || (tr.SegmentsProbed > 0 && tr.ColumnsSkipped == 0) {

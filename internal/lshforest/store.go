@@ -242,32 +242,94 @@ func (ts *tstore[E]) compareSuffix(base, r int, q []uint64) int {
 // query is the probe kernel: every tree among the first b that is in set is
 // probed at depth r; a tree outside the set is skipped without a single load
 // from its column (the kernel is bound by cache misses, not compares, so the
-// skipped memory is the saving).
+// skipped memory is the saving). The trees go one 64-tree word of the set at
+// a time through probeWord.
 func (ts *tstore[E]) query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, set TreeSet, fn func(id uint32) bool) {
 	ts.fenceOnce.Do(ts.fillFences)
-	if set == nil {
-		for t := 0; t < b; t++ {
-			if !ts.queryTree(ids, trees[t], sig, t, r, fn) {
-				return
-			}
-		}
-		return
-	}
-	for wi, w := range set {
-		base := wi * 64
-		if base >= b {
-			return
+	var buf [64]probe
+	for base := 0; base < b; base += 64 {
+		w := ^uint64(0)
+		if set != nil {
+			w = set[base>>6]
 		}
 		if b-base < 64 {
 			w &= 1<<uint(b-base) - 1
 		}
-		for ; w != 0; w &= w - 1 {
-			t := base + bits.TrailingZeros64(w)
-			if !ts.queryTree(ids, trees[t], sig, t, r, fn) {
-				return
-			}
+		if !ts.probeWord(&buf, ids, trees, sig, base, w, r, fn) {
+			return
 		}
 	}
+}
+
+// probe is tree t's state through probeWord: the column stretch [lo, hi) the
+// fence names, then the run [lo, hi) of the query's leading value (empty: no
+// match); v is what one stage loaded for the next, o the run's first slot.
+type probe struct {
+	lo, hi int
+	v      uint64
+	t      int32
+	o      uint32
+}
+
+// probeWord probes tree base+i for every bit i of w and reports false once fn
+// asked to stop. One tree's probe is a chain of dependent cache misses, so the
+// trees go through it stage by stage, each stage one independent load per tree
+// and all of them in flight at once: (1) the fence search, which names the one
+// stretch (s·(j-1), s·j] of the column that can hold the first entry ≥ the
+// leading value q0 (fence[j-1] < q0 ≤ fence[j]; the fences stay in L2 where
+// the columns do not); (2) the stretch's first value, the column's line; (3)
+// the search of the stretch and the gallop past the run's end (+1, +2, +4, …);
+// (4) the run's first order entry, then its store row (r > 1) or its id
+// (r = 1); (5) the refine and the emit, in tree order (emitRun). Every loaded
+// value is used by the stage after it.
+func (ts *tstore[E]) probeWord(buf *[64]probe, ids []uint32, trees [][]uint32, sig []uint64, base int, w uint64, r int, fn func(id uint32) bool) bool {
+	n, s, k := len(ids), fenceLine/ts.width(), 0
+	for m := w; m != 0; m, k = m&(m-1), k+1 {
+		t := base + bits.TrailingZeros64(m)
+		j := search(ts.fences[t], 0, len(ts.fences[t]), E(sig[t*ts.rMax]), false)
+		buf[k] = probe{lo: max(j*s-s+1, 0), hi: min(j*s, n), t: int32(t)}
+	}
+	ps := buf[:k]
+	for i := range ps {
+		if p := &ps[i]; p.lo < p.hi {
+			p.v = uint64(ts.treeKeys[p.t][p.lo])
+		}
+	}
+	for i := range ps {
+		p := &ps[i]
+		q0, col := E(sig[int(p.t)*ts.rMax]), ts.treeKeys[p.t]
+		left := p.lo
+		if p.lo < p.hi && E(p.v) < q0 {
+			left = search(col, p.lo+1, p.hi, q0, false)
+		}
+		if left == n || col[left] != q0 {
+			p.lo, p.hi = left, left
+			continue
+		}
+		lo, hi := left+1, left+1
+		for step := 1; hi < n && col[hi] == q0; step *= 2 {
+			lo, hi = hi+1, hi+step
+		}
+		p.lo, p.hi = left, search(col, lo, min(hi, n), q0, true)
+	}
+	for i := range ps {
+		if p := &ps[i]; p.lo < p.hi {
+			p.o = trees[p.t][p.lo]
+		}
+	}
+	for i := range ps {
+		if p := &ps[i]; p.lo < p.hi && r == 1 {
+			p.v = uint64(ids[p.o])
+		} else if p.lo < p.hi {
+			p.v = uint64(ts.store[int(p.o)*ts.numHash+int(p.t)*ts.rMax+1])
+		}
+	}
+	for i := range ps {
+		if p := &ps[i]; p.lo < p.hi && !ts.emitRun(ids, trees[p.t], sig, r, p, fn) {
+			return false
+		}
+	}
+	return true
 }
 
 // search returns the first i in [lo, hi) with s[i] ≥ q (s[i] > q when
@@ -284,55 +346,41 @@ func search[E elem](s []E, lo, hi int, q E, after bool) int {
 	return lo
 }
 
-// queryTree probes tree t: find the run of the query's (truncated) leading
-// value in the tree's sorted column, then refine it by the remaining r-1
-// prefix values. It searches the fence, which stays in L2 where the columns
-// do not, then the one stretch the fence names, so a probe reads one line of
-// its column instead of missing cache on the bottom levels of a search over
-// all of it. The end of a run (usually a few entries) is found by galloping
-// from its start. It reports false once fn asked to stop.
-func (ts *tstore[E]) queryTree(ids, order []uint32, sig []uint64, t, r int, fn func(id uint32) bool) bool {
-	stride := ts.numHash
-	off := t * ts.rMax
-	q0 := E(sig[off])
-	col, n := ts.treeKeys[t], len(ids)
-	// fence[j-1] < q0 ≤ fence[j]: the first entry ≥ q0 lies in
-	// (s·(j-1), s·j], or at n when there is none.
-	s := fenceLine / ts.width()
-	j := search(ts.fences[t], 0, len(ts.fences[t]), q0, false)
-	left := search(col, max(j*s-s+1, 0), min(j*s, n), q0, false)
-	if left == n || col[left] != q0 {
-		return true
-	}
-	// Gallop past the run (col[lo-1] == q0 holds), probing left+1, +2, +4, ….
-	lo, hi := left+1, left+1
-	for step := 1; hi < n && col[hi] == q0; step *= 2 {
-		lo, hi = hi+1, hi+step
-	}
-	right := search(col, lo, min(hi, n), q0, true)
+// emitRun refines the non-empty run p by the remaining r-1 prefix values and
+// hands fn the ids that match, in the tree's order, from what stage 4 left in
+// p.v: the run's first id (r = 1), or its first slot's next prefix value. It
+// reports false once fn asked to stop.
+func (ts *tstore[E]) emitRun(ids, order []uint32, sig []uint64, r int, p *probe, fn func(id uint32) bool) bool {
 	if r == 1 {
-		for i := left; i < right; i++ {
+		if !fn(uint32(p.v)) {
+			return false
+		}
+		for i := p.lo + 1; i < p.hi; i++ {
 			if !fn(ids[order[i]]) {
 				return false
 			}
 		}
 		return true
 	}
-	// Refine by the remaining r-1 prefix values within the equal-q0 run.
+	// The run is sorted by the remaining values, so its first slot's say
+	// whether the matches start there, after it, or nowhere.
+	stride, off := ts.numHash, int(p.t)*ts.rMax
 	qs := sig[off+1 : off+r]
-	lo, hi = left, right
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ts.compareSuffix(int(order[mid])*stride+off+1, r-1, qs) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+	if E(p.v) > E(qs[0]) {
+		return true
+	}
+	lo, hi := p.lo, p.hi
+	if E(p.v) < E(qs[0]) || ts.compareSuffix(int(p.o)*stride+off+1, r-1, qs) < 0 {
+		for lo++; lo < hi; {
+			mid := int(uint(lo+hi) >> 1)
+			if ts.compareSuffix(int(order[mid])*stride+off+1, r-1, qs) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
 	}
-	for i := lo; i < right; i++ {
-		if ts.compareSuffix(int(order[i])*stride+off+1, r-1, qs) != 0 {
-			break
-		}
+	for i := lo; i < p.hi && ts.compareSuffix(int(order[i])*stride+off+1, r-1, qs) == 0; i++ {
 		if !fn(ids[order[i]]) {
 			return false
 		}

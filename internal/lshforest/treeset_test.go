@@ -22,11 +22,14 @@ func collectQuery(f *Forest, sig []uint64, b, r int, trees TreeSet) []uint32 {
 	return out
 }
 
-// checkTreeSetQuery builds a random forest from the seed and asserts the
-// TreeSet contract on one random query: restricted to exactly the trees whose
-// leading column holds the query's leading value, Query reports the very
-// sequence the unrestricted probe reports — also with extra trees in the set
-// (what a Bloom false positive adds) — and touches no tree outside the set.
+// checkTreeSetQuery builds a random forest from the seed and asserts, on one
+// random query, that the unrestricted probe reports, report for report, what
+// a linear scan of each of the first b trees reports, tree after tree (so a
+// probe that takes the trees of a word out of order, or drops one, fails),
+// and the TreeSet contract: restricted to exactly the trees whose leading
+// column holds the query's leading value, Query reports the very sequence the
+// unrestricted probe reports — also with extra trees in the set (what a filter
+// false positive adds) — and touches no tree outside the set.
 func checkTreeSetQuery(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel uint8) {
 	shapes := [...][2]int{{32, 4}, {64, 8}, {256, 2}, {24, 5}, {130, 1}}
 	width := [...]int{8, 4, 2, 1}[widthSel%4]
@@ -66,6 +69,13 @@ func checkTreeSetQuery(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel
 	}
 
 	want := collectQuery(f, q, b, r, nil)
+	var scan []uint32
+	for tr := 0; tr < b; tr++ {
+		scan = append(scan, linearProbe(f, q, tr, r)...)
+	}
+	if !slices.Equal(want, scan) {
+		t.Fatalf("width %d shape %dx%d (b=%d r=%d): probe = %v, linear scan of the trees in order = %v", width, numHash, rMax, b, r, want, scan)
+	}
 	if got := collectQuery(f, q, b, r, wider); !slices.Equal(got, want) {
 		t.Fatalf("width %d shape %dx%d (b=%d r=%d): superset-restricted query = %v, unrestricted = %v", width, numHash, rMax, b, r, got, want)
 	}
@@ -84,8 +94,9 @@ func checkTreeSetQuery(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel
 	}
 }
 
-// FuzzQueryTreeSet is the test that fails if the per-tree mask ever drops a
-// candidate. Its seed corpus — every store width × every shape, including the
+// FuzzQueryTreeSet is the test that fails if the probe ever drops, adds or
+// reorders a report against a per-tree linear scan, or the per-tree mask
+// drops a candidate. Its seed corpus — every store width × every shape, including the
 // 128-tree NumHash 256 / RMax 2 forest and a 130-tree one whose set spans
 // three words — runs under plain `go test`.
 func FuzzQueryTreeSet(f *testing.F) {

@@ -234,8 +234,8 @@ func (s *Server) registerIndexMetrics() {
 	segProbed := s.reg.Counter("lshensembled_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "probed"))
 	segRange := s.reg.Counter("lshensembled_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "range_pruned"))
 	segBloom := s.reg.Counter("lshensembled_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "bloom_pruned"))
-	treesProbed := s.reg.Counter("lshensembled_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "probed"))
-	treesSkipped := s.reg.Counter("lshensembled_planner_trees_total", "Trees of probed segments, by what the per-tree leading-value mask decided.", obs.L("decision", "skipped"))
+	treesProbed := s.reg.Counter("lshensembled_planner_trees_total", "Trees of probed segments, by whether the partition-sliced leading-value filter named any partition for the tree.", obs.L("decision", "probed"))
+	treesSkipped := s.reg.Counter("lshensembled_planner_trees_total", "Trees of probed segments, by whether the partition-sliced leading-value filter named any partition for the tree.", obs.L("decision", "skipped"))
 	colsProbed := s.reg.Counter("lshensembled_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "probed"))
 	colsSkipped := s.reg.Counter("lshensembled_planner_columns_total", "Planned (partition, tree) columns of probed segments, by what the leading-value filters decided.", obs.L("decision", "skipped"))
 	resHits := s.reg.Counter("lshensembled_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "hit"))
