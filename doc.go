@@ -55,8 +55,9 @@
 //     and an in-memory fence over it (its first value per 64 bytes). A probe
 //     searches the L2-resident fence, then one line of the column, gallops
 //     to the end of a matching run, and reads the store only for deeper
-//     prefixes. Those are dependent cache misses, so a probe takes up to 64
-//     trees through them stage by stage, the misses of all in flight at once.
+//     prefixes. Those are dependent cache misses, so a segment's probe takes
+//     the trees of all its partitions through them stage by stage, 64 at a
+//     time with all their misses in flight, the fence searches in lockstep.
 //   - Trees are sorted, once per build, with an LSD radix sort on the leading
 //     hash value (near-uniform in [0, 2^61)), falling back to comparison
 //     sorting only inside runs of equal leading values — ~3x faster than a

@@ -149,17 +149,12 @@ type Index struct {
 
 // queryScratch is the per-query working memory recycled through
 // Index.scratch: a generation-stamped visited set for candidate dedup, the
-// per-partition plan, and the probe callback.
-// The callback is allocated once per scratch (not per probe): it reaches the
-// forests through the width-erased store interface, which defeats escape
-// analysis, so a closure built inside probe would heap-allocate on every
-// partition probe.
+// per-partition plan, and the probe's jobs.
 type queryScratch struct {
 	seen dedup.Set
-	plan []tune.Params     // banding decisions of the query being served
-	last []tune.Params     // top-k ladder: the (b, r) each partition was last probed with
-	dst  []uint32          // collector target while a probe is running
-	emit func(uint32) bool // persistent probe callback appending into dst
+	plan []tune.Params   // banding decisions of the query being served
+	last []tune.Params   // top-k ladder: the (b, r) each partition was last probed with
+	jobs []lshforest.Job // the probe's one job per partition it enters
 }
 
 // acquireScratch fetches (or creates) a scratch sized for the current
@@ -167,14 +162,7 @@ type queryScratch struct {
 func (x *Index) acquireScratch() *queryScratch {
 	s, _ := x.scratch.Get().(*queryScratch)
 	if s == nil {
-		sc := &queryScratch{}
-		sc.emit = func(id uint32) bool {
-			if sc.seen.TryMark(id) {
-				sc.dst = append(sc.dst, id)
-			}
-			return true
-		}
-		s = sc
+		s = &queryScratch{}
 	}
 	s.seen.Reset(len(x.keys))
 	return s
@@ -404,11 +392,13 @@ func (x *Index) PlanPartitions(dst []tune.Params, querySize int, tStar float64) 
 // probe probes every partition the plan does not skip with its planned
 // (b, r), partition pi restricted to the trees in trees[pi] (nil = every tree
 // of every partition) and not entered at all when that set is empty, appending
-// candidate ids to dst. Partitions hold disjoint id sets, so the scratch's
-// visited array only ever collapses the multiple trees of one forest reporting
-// the same id. The plan, and a non-nil trees, have one entry per partition.
+// candidate ids to dst: one lshforest.Probe with a job per partition, in
+// partition order, so the cache misses of all partitions' trees overlap.
+// Partitions hold disjoint id sets, so the scratch's visited array only ever
+// collapses the multiple trees of one forest reporting the same id. The
+// plan, and a non-nil trees, have one entry per partition.
 func (x *Index) probe(dst []uint32, s *queryScratch, sig minhash.Signature, plan []tune.Params, trees []lshforest.TreeSet) []uint32 {
-	s.dst = dst
+	s.jobs = s.jobs[:0]
 	for pi, p := range plan {
 		if p.B == 0 {
 			continue
@@ -419,10 +409,14 @@ func (x *Index) probe(dst []uint32, s *queryScratch, sig minhash.Signature, plan
 				continue
 			}
 		}
-		x.parts[pi].forest.Query(sig, p.B, p.R, set, s.emit)
+		s.jobs = append(s.jobs, lshforest.Job{Forest: x.parts[pi].forest, B: p.B, R: p.R, Trees: set})
 	}
-	dst = s.dst
-	s.dst = nil
+	lshforest.Probe(s.jobs, sig, func(id uint32) bool {
+		if s.seen.TryMark(id) {
+			dst = append(dst, id)
+		}
+		return true
+	})
 	return dst
 }
 

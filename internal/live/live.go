@@ -1183,9 +1183,6 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 		return append([]core.TopKResult(nil), hit.ranked...), nil
 	}
 	q := float64(querySize)
-	// Tombstoned candidates are filtered after collection, so ask each
-	// segment for enough ids to survive the worst-case filtering.
-	need := k + len(sn.tombs)
 	results := make([]core.TopKResult, 0, k) // a heap until the end (see keep)
 	kth := func() float64 { return results[0].EstContainment }
 	s := x.acquireScratch()
@@ -1212,6 +1209,13 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 				continue
 			}
 			trees, _ = seg.meta.partTrees(s, seg.idx, sig, rMax, mask, nil)
+		}
+		// Tombstoned candidates are filtered after collection, so a segment a
+		// tombstone may reach (its shadow bit) is asked for enough ids to
+		// survive the worst-case filtering, any other for k.
+		need := k
+		if sn.shadow[si] {
+			need += len(sn.tombs)
 		}
 		// No error can come back: sig was length-checked above.
 		s.ids, _ = seg.idx.QueryTopKIDsMasked(s.ids[:0], sig, querySize, need, trees)

@@ -176,3 +176,45 @@ func TestShadowBitsFollowTheKey(t *testing.T) {
 		t.Fatalf("shadow %v after upserting a key of segment 1, want both set", b)
 	}
 }
+
+// TestTopKIgnoresTombstonesNoSegmentHolds builds two one-segment indexes from
+// the same records; one of them also adds 30 keys to its buffer and deletes
+// them again. No segment can hold those tombstones' keys, so they must not
+// move a top-k answer: the segment is asked for k ids in both indexes, not
+// for k plus the tombstone count in one of them.
+func TestTopKIgnoresTombstonesNoSegmentHolds(t *testing.T) {
+	recs := fixture(t, 530, 41)
+	plain, err := Build(recs[:500], liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	churned, err := Build(recs[:500], liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer churned.Close()
+	for _, r := range recs[500:] {
+		if _, err := churned.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range recs[500:] {
+		churned.Delete(r.Key)
+	}
+	sn := churned.snap.Load()
+	if len(sn.segs) != 1 || len(sn.tombs) != 30 || sn.shadow[0] {
+		t.Fatalf("%d segments, %d tombstones, shadow bits %v: want one unshadowed segment and 30 tombstones", len(sn.segs), len(sn.tombs), sn.shadow)
+	}
+	differ := 0
+	for _, r := range recs[:500] {
+		for _, k := range []int{1, 3, 5, 10} {
+			if !slices.Equal(plain.QueryTopK(r.Sig, r.Size, k), churned.QueryTopK(r.Sig, r.Size, k)) {
+				differ++
+			}
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of 2000 top-k answers differ between the index and its twin with 30 buffered deletes", differ)
+	}
+}

@@ -55,6 +55,38 @@ func linearProbe(f *Forest, q []uint64, t, r int) []uint32 {
 	return out
 }
 
+// runsForest builds a one-tree forest (rMax 3) over the n leading values of
+// runsColumn(n, fill, runs), the entries in shuffled slot order; the two
+// deeper values of each draw from {0, 1} so that a run splits on refinement.
+// Its ids are 7·i + base.
+func runsForest(width, n, fill int, runs [][2]int, seed uint64, base uint32) *Forest {
+	col := runsColumn(n, fill, runs)
+	rng := xrand.New(seed)
+	ids := make([]uint32, n)
+	sigs := make([][]uint64, n)
+	for i, p := range rng.Perm(n) {
+		ids[i] = uint32(7*i) + base
+		sigs[i] = []uint64{col[p], uint64(rng.Intn(2)), uint64(rng.Intn(2))}
+	}
+	return build(3, 3, width, ids, sigs)
+}
+
+// edgeLeads returns the leading values a probe of columns made of vals must
+// be tried with: below, between and above every stored value, the width's
+// extremes, and a value that only truncation makes equal to a stored one.
+func edgeLeads(width int, vals []uint64) []uint64 {
+	top := uint64(1)<<(8*uint(width)) - 1
+	if width == 8 {
+		top = ^uint64(0) >> 3
+	}
+	leads := []uint64{0, 1, top}
+	for _, x := range vals {
+		// x|2^40 truncates to x below width 8 and is absent at 8.
+		leads = append(leads, x-1, x, x+1, x|1<<40)
+	}
+	return leads
+}
+
 // TestFencedProbeMatchesLinearScan holds the probe (fence search, one
 // stretch, galloping to the run's end, depth-r refine) against a linear scan
 // of the store for every width and depth, on columns built to hit the fence's
@@ -62,7 +94,11 @@ func linearProbe(f *Forest, q []uint64, t, r int) []uint32 {
 // last entry, an all-equal column, one entry, fewer entries than one stretch
 // and exactly one stretch, and queries below, between and above every stored
 // value. The built forest and a view of it (whose fences are built on its
-// first probe) must both agree with the scan, report for report.
+// first probe) must both agree with the scan, report for report. Then every
+// column of a width, with columns whose fences hold 0, 1, s−1, s and s+1
+// entries, goes through one Probe per query, built and view forests
+// alternating, so fences of every length share one chunk of the lockstep
+// search: Probe must report each forest's scan in job order.
 func TestFencedProbeMatchesLinearScan(t *testing.T) {
 	const rMax = 3
 	for _, width := range []int{1, 2, 4, 8} {
@@ -82,33 +118,16 @@ func TestFencedProbeMatchesLinearScan(t *testing.T) {
 			{"one stride", s, [][2]int{{s - 2, 2}}},
 			{"long run", 4 * s, [][2]int{{s/2 + 1, 2*s + 1}}},
 		}
+		var forests []*Forest
 		for ci, c := range cases {
+			f := runsForest(width, c.n, fill, c.runs, uint64(100*width+ci), uint32(ci)<<24)
+			forests = append(forests, f)
 			t.Run(fmt.Sprintf("w%d/%s", width, c.name), func(t *testing.T) {
-				col := runsColumn(c.n, fill, c.runs)
-				rng := xrand.New(uint64(100*width + ci))
-				// Entries in shuffled slot order; the two deeper values of each
-				// draw from {0, 1} so that a run splits on refinement.
-				ids := make([]uint32, c.n)
-				sigs := make([][]uint64, c.n)
-				for i, p := range rng.Perm(c.n) {
-					ids[i] = uint32(7 * i)
-					sigs[i] = []uint64{col[p], uint64(rng.Intn(2)), uint64(rng.Intn(2))}
-				}
-				f := build(rMax, rMax, width, ids, sigs)
 				v, err := viewOf(f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				top := uint64(1)<<(8*uint(width)) - 1
-				if width == 8 {
-					top = ^uint64(0) >> 3
-				}
-				leads := []uint64{0, 1, top}
-				for _, x := range slices.Compact(slices.Clone(col)) {
-					// x|2^40 truncates to x below width 8 and is absent at 8.
-					leads = append(leads, x-1, x, x+1, x|1<<40)
-				}
-				for _, q0 := range leads {
+				for _, q0 := range edgeLeads(width, slices.Compact(runsColumn(c.n, fill, c.runs))) {
 					for d := 0; d < 9; d++ {
 						q := []uint64{q0, uint64(d % 3), uint64(d / 3)}
 						for r := 1; r <= rMax; r++ {
@@ -123,5 +142,36 @@ func TestFencedProbeMatchesLinearScan(t *testing.T) {
 				}
 			})
 		}
+		t.Run(fmt.Sprintf("w%d/lockstep", width), func(t *testing.T) {
+			// Fences of 0, 1, s-1, s and s+1 entries; the widest columns
+			// keep their values below 2^8 with longer filler runs.
+			for i, fences := range []int{0, 1, s - 1, s, s + 1} {
+				n := max(0, (fences-1)*s+1+i)
+				forests = append(forests, runsForest(width, n, max(fill, n/100), [][2]int{{s - 1, 2}}, uint64(7*width+i), uint32(len(forests))<<24))
+			}
+			jobs := make([]Job, len(forests))
+			var vals []uint64
+			for i, f := range forests {
+				if i%2 == 1 && f.Len() > 0 {
+					v, err := viewOf(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f = v
+				}
+				jobs[i] = Job{Forest: f, B: 1}
+				vals = append(vals, f.TreeLeadingColumn(0)...)
+			}
+			slices.Sort(vals)
+			for li, q0 := range edgeLeads(width, slices.Compact(vals)) {
+				q := []uint64{q0, uint64(li % 3), uint64(li / 3 % 3)}
+				for i := range jobs {
+					jobs[i].R = 1 + (i+li)%rMax
+				}
+				if got, want := collectProbe(jobs, q, 0), jobScan(jobs, q); !slices.Equal(got, want) {
+					t.Fatalf("q=%v: probe %v, per-forest linear scans %v", q, got, want)
+				}
+			}
+		})
 	}
 }

@@ -207,21 +207,54 @@ func (s TreeSet) Empty() bool {
 // The query signature is full-width, at least BMax()*RMax() values (callers
 // validate; the kernel indexes it unchecked); a narrow store truncates each
 // compared query value to its width on the fly. It panics if (b, r) is out
-// of range or if a non-nil set is too short.
+// of range or if a non-nil set is too short. It is Probe with one job.
 func (f *Forest) Query(sig []uint64, b, r int, trees TreeSet, fn func(id uint32) bool) {
-	if b <= 0 || b > f.bMax {
-		panic(fmt.Sprintf("lshforest: b %d out of range [1, %d]", b, f.bMax))
+	Probe([]Job{{Forest: f, B: b, R: r, Trees: trees}}, sig, fn)
+}
+
+// Job is one forest's share of a Probe: the trees among the forest's first B
+// that are in Trees (nil = all of them), probed at depth R.
+type Job struct {
+	Forest *Forest
+	B, R   int
+	Trees  TreeSet
+}
+
+// Probe reports to fn, job after job, what Query reports for each job, and
+// stops once fn returns false. The jobs' forests share one width, and sig is
+// long enough for each. The trees of all jobs go through the probe's stages
+// together (probeChunk). It panics where Query would, and on mixed widths.
+func Probe(jobs []Job, sig []uint64, fn func(id uint32) bool) {
+	for i := range jobs {
+		j := &jobs[i]
+		f := j.Forest
+		if j.B <= 0 || j.B > f.bMax {
+			panic(fmt.Sprintf("lshforest: b %d out of range [1, %d]", j.B, f.bMax))
+		}
+		if j.R <= 0 || j.R > f.rMax {
+			panic(fmt.Sprintf("lshforest: r %d out of range [1, %d]", j.R, f.rMax))
+		}
+		if j.Trees != nil && len(j.Trees) < TreeSetWords(j.B) {
+			panic(fmt.Sprintf("lshforest: tree set of %d words cannot cover %d trees", len(j.Trees), j.B))
+		}
+		if f.width != jobs[0].Forest.width {
+			panic(fmt.Sprintf("lshforest: a probe of width %d cannot take a forest of width %d", jobs[0].Forest.width, f.width))
+		}
 	}
-	if r <= 0 || r > f.rMax {
-		panic(fmt.Sprintf("lshforest: r %d out of range [1, %d]", r, f.rMax))
+	if len(jobs) == 0 {
+		return
 	}
-	if trees != nil && len(trees) < TreeSetWords(b) {
-		panic(fmt.Sprintf("lshforest: tree set of %d words cannot cover %d trees", len(trees), b))
+	// A type switch: a sigstore method would leak jobs and fn to the heap.
+	switch jobs[0].Forest.st.(type) {
+	case *tstore[uint8]:
+		probe[uint8](jobs, sig, fn)
+	case *tstore[uint16]:
+		probe[uint16](jobs, sig, fn)
+	case *tstore[uint32]:
+		probe[uint32](jobs, sig, fn)
+	case *tstore[uint64]:
+		probe[uint64](jobs, sig, fn)
 	}
-	if len(f.ids) == 0 {
-		return // an empty forest has no trees to probe
-	}
-	f.st.query(f.ids, f.trees, sig, b, r, trees, fn)
 }
 
 // MatchCount returns the number of signature slots where the entry stored

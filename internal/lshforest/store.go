@@ -38,7 +38,6 @@ type sigstore interface {
 	valueCount() int
 	fill(n, need int, sig func(i int) []uint64)
 	sortTrees(n, bMax int) [][]uint32
-	query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, set TreeSet, fn func(id uint32) bool)
 	matchCount(slot int, sig []uint64) int
 	appendWidened(dst []uint64, slot int) []uint64
 	leadingColumn64(t, n int) []uint64
@@ -239,97 +238,143 @@ func (ts *tstore[E]) compareSuffix(base, r int, q []uint64) int {
 	return 0
 }
 
-// query is the probe kernel: every tree among the first b that is in set is
-// probed at depth r; a tree outside the set is skipped without a single load
+// probe is the probe kernel behind Probe; every job's forest is a *tstore[E]
+// (Probe checked the widths). Each tree among a job's first B that is in its
+// set is one column; a tree outside the set is skipped without a single load
 // from its column (the kernel is bound by cache misses, not compares, so the
-// skipped memory is the saving). The trees go one 64-tree word of the set at
-// a time through probeWord.
-func (ts *tstore[E]) query(ids []uint32, trees [][]uint32, sig []uint64, b, r int, set TreeSet, fn func(id uint32) bool) {
-	ts.fenceOnce.Do(ts.fillFences)
-	var buf [64]probe
-	for base := 0; base < b; base += 64 {
-		w := ^uint64(0)
-		if set != nil {
-			w = set[base>>6]
+// skipped memory is the saving). The columns of all jobs, in job order and
+// then tree order, fill a stage buffer of 64 that probeChunk takes a full
+// buffer at a time, so one chunk holds the trees of several forests.
+func probe[E elem](jobs []Job, sig []uint64, fn func(id uint32) bool) {
+	var buf [64]column[E]
+	k := 0
+	for ji := range jobs {
+		j := &jobs[ji]
+		f := j.Forest
+		if len(f.ids) == 0 {
+			continue
 		}
-		if b-base < 64 {
-			w &= 1<<uint(b-base) - 1
-		}
-		if !ts.probeWord(&buf, ids, trees, sig, base, w, r, fn) {
-			return
+		ts := f.st.(*tstore[E])
+		ts.fenceOnce.Do(ts.fillFences)
+		for base := 0; base < j.B; base += 64 {
+			w := ^uint64(0)
+			if j.Trees != nil {
+				w = j.Trees[base>>6]
+			}
+			if j.B-base < 64 {
+				w &= 1<<uint(j.B-base) - 1
+			}
+			for ; w != 0; w &= w - 1 {
+				t := base + bits.TrailingZeros64(w)
+				buf[k] = column[E]{ts: ts, f: f, fence: ts.fences[t], hi: len(ts.fences[t]), q0: E(sig[t*ts.rMax]), t: int32(t), r: int32(j.R)}
+				if k++; k == len(buf) {
+					if !probeChunk(buf[:], sig, fn) {
+						return
+					}
+					k = 0
+				}
+			}
 		}
 	}
+	probeChunk(buf[:k], sig, fn)
 }
 
-// probe is tree t's state through probeWord: the column stretch [lo, hi) the
-// fence names, then the run [lo, hi) of the query's leading value (empty: no
-// match); v is what one stage loaded for the next, o the run's first slot.
-type probe struct {
+// column is one (forest, tree) column's state through probeChunk: during the
+// fence search, lo is the search's base and hi the length left to halve; then
+// the column stretch [lo, hi) the fence names; then the run [lo, hi) of the
+// query's leading value q0 (empty: no match). v is what one stage loaded for
+// the next, o the run's first slot, r the job's depth.
+type column[E elem] struct {
+	ts     *tstore[E]
+	f      *Forest
+	fence  []E
 	lo, hi int
 	v      uint64
-	t      int32
+	q0     E
+	t, r   int32
 	o      uint32
 }
 
-// probeWord probes tree base+i for every bit i of w and reports false once fn
-// asked to stop. One tree's probe is a chain of dependent cache misses, so the
-// trees go through it stage by stage, each stage one independent load per tree
-// and all of them in flight at once: (1) the fence search, which names the one
-// stretch (s·(j-1), s·j] of the column that can hold the first entry ≥ the
-// leading value q0 (fence[j-1] < q0 ≤ fence[j]; the fences stay in L2 where
-// the columns do not); (2) the stretch's first value, the column's line; (3)
-// the search of the stretch and the gallop past the run's end (+1, +2, +4, …);
-// (4) the run's first order entry, then its store row (r > 1) or its id
-// (r = 1); (5) the refine and the emit, in tree order (emitRun). Every loaded
-// value is used by the stage after it.
-func (ts *tstore[E]) probeWord(buf *[64]probe, ids []uint32, trees [][]uint32, sig []uint64, base int, w uint64, r int, fn func(id uint32) bool) bool {
-	n, s, k := len(ids), fenceLine/ts.width(), 0
-	for m := w; m != 0; m, k = m&(m-1), k+1 {
-		t := base + bits.TrailingZeros64(m)
-		j := search(ts.fences[t], 0, len(ts.fences[t]), E(sig[t*ts.rMax]), false)
-		buf[k] = probe{lo: max(j*s-s+1, 0), hi: min(j*s, n), t: int32(t)}
+// probeChunk probes every column of cs and reports false once fn asked to
+// stop. One column's probe is a chain of dependent cache misses, so the
+// columns go through it stage by stage, each stage one independent load per
+// column and all of them in flight at once: (1) the fence search, one level of
+// every column's search per pass, each step branch-free, which names the one
+// stretch (s·(j-1), s·j] of the column that can hold the first entry ≥ q0
+// (fence[j-1] < q0 ≤ fence[j]; the fences stay in L2 where the columns do
+// not); (2) the stretch's first value, which brings in the column's line;
+// (3) a branch-free count of the stretch's values below q0 and the gallop
+// past the run's end (+1, +2, +4, …); (4) the run's first order entry, then
+// its store row (r > 1) or its id (r = 1), which emitRun starts from; (5)
+// the refine and the emit, in column order (emitRun).
+func probeChunk[E elem](cs []column[E], sig []uint64, fn func(id uint32) bool) bool {
+	// Every step halves the length left, so the longest fence sets the number
+	// of passes; a search already down to one entry steps by zero.
+	m := 0
+	for i := range cs {
+		m = max(m, cs[i].hi)
 	}
-	ps := buf[:k]
-	for i := range ps {
-		if p := &ps[i]; p.lo < p.hi {
-			p.v = uint64(ts.treeKeys[p.t][p.lo])
+	for ; m > 1; m -= m >> 1 {
+		for i := range cs {
+			c := &cs[i]
+			lo, half := c.lo, c.hi>>1
+			if c.fence[lo+half] < c.q0 {
+				lo += half
+			}
+			c.lo, c.hi = lo, c.hi-half
 		}
 	}
-	for i := range ps {
-		p := &ps[i]
-		q0, col := E(sig[int(p.t)*ts.rMax]), ts.treeKeys[p.t]
-		left := p.lo
-		if p.lo < p.hi && E(p.v) < q0 {
-			left = search(col, p.lo+1, p.hi, q0, false)
+	s := fenceLine / int(unsafe.Sizeof(E(0)))
+	for i := range cs {
+		c := &cs[i]
+		j := c.lo + below(c.fence[c.lo], c.q0)
+		c.lo, c.hi = max(j*s-s+1, 0), min(j*s, len(c.f.ids))
+		if c.lo < c.hi {
+			c.v = uint64(c.ts.treeKeys[c.t][c.lo])
+		}
+	}
+	for i := range cs {
+		c := &cs[i]
+		q0, col, n := c.q0, c.ts.treeKeys[c.t], len(c.f.ids)
+		left := c.lo
+		for _, x := range col[c.lo:c.hi] {
+			left += below(x, q0)
 		}
 		if left == n || col[left] != q0 {
-			p.lo, p.hi = left, left
+			c.lo, c.hi = left, left
 			continue
 		}
 		lo, hi := left+1, left+1
 		for step := 1; hi < n && col[hi] == q0; step *= 2 {
 			lo, hi = hi+1, hi+step
 		}
-		p.lo, p.hi = left, search(col, lo, min(hi, n), q0, true)
+		c.lo, c.hi = left, search(col, lo, min(hi, n), q0, true)
 	}
-	for i := range ps {
-		if p := &ps[i]; p.lo < p.hi {
-			p.o = trees[p.t][p.lo]
+	for i := range cs {
+		if c := &cs[i]; c.lo < c.hi {
+			c.o = c.f.trees[c.t][c.lo]
 		}
 	}
-	for i := range ps {
-		if p := &ps[i]; p.lo < p.hi && r == 1 {
-			p.v = uint64(ids[p.o])
-		} else if p.lo < p.hi {
-			p.v = uint64(ts.store[int(p.o)*ts.numHash+int(p.t)*ts.rMax+1])
+	for i := range cs {
+		if c := &cs[i]; c.lo < c.hi && c.r == 1 {
+			c.v = uint64(c.f.ids[c.o])
+		} else if c.lo < c.hi {
+			c.v = uint64(c.ts.store[int(c.o)*c.ts.numHash+int(c.t)*c.ts.rMax+1])
 		}
 	}
-	for i := range ps {
-		if p := &ps[i]; p.lo < p.hi && !ts.emitRun(ids, trees[p.t], sig, r, p, fn) {
+	for i := range cs {
+		if c := &cs[i]; c.lo < c.hi && !c.emitRun(sig, fn) {
 			return false
 		}
 	}
 	return true
+}
+
+// below is 1 if a < b and 0 if not, the borrow of a - b: a count, not a
+// branch.
+func below[E elem](a, b E) int {
+	_, borrow := bits.Sub64(uint64(a), uint64(b), 0)
+	return int(borrow)
 }
 
 // search returns the first i in [lo, hi) with s[i] ≥ q (s[i] > q when
@@ -346,16 +391,17 @@ func search[E elem](s []E, lo, hi int, q E, after bool) int {
 	return lo
 }
 
-// emitRun refines the non-empty run p by the remaining r-1 prefix values and
+// emitRun refines the non-empty run c by the remaining r-1 prefix values and
 // hands fn the ids that match, in the tree's order, from what stage 4 left in
-// p.v: the run's first id (r = 1), or its first slot's next prefix value. It
+// c.v: the run's first id (r = 1), or its first slot's next prefix value. It
 // reports false once fn asked to stop.
-func (ts *tstore[E]) emitRun(ids, order []uint32, sig []uint64, r int, p *probe, fn func(id uint32) bool) bool {
-	if r == 1 {
-		if !fn(uint32(p.v)) {
+func (c *column[E]) emitRun(sig []uint64, fn func(id uint32) bool) bool {
+	ids, order := c.f.ids, c.f.trees[c.t]
+	if c.r == 1 {
+		if !fn(uint32(c.v)) {
 			return false
 		}
-		for i := p.lo + 1; i < p.hi; i++ {
+		for i := c.lo + 1; i < c.hi; i++ {
 			if !fn(ids[order[i]]) {
 				return false
 			}
@@ -364,13 +410,14 @@ func (ts *tstore[E]) emitRun(ids, order []uint32, sig []uint64, r int, p *probe,
 	}
 	// The run is sorted by the remaining values, so its first slot's say
 	// whether the matches start there, after it, or nowhere.
-	stride, off := ts.numHash, int(p.t)*ts.rMax
+	ts, r := c.ts, int(c.r)
+	stride, off := ts.numHash, int(c.t)*ts.rMax
 	qs := sig[off+1 : off+r]
-	if E(p.v) > E(qs[0]) {
+	if E(c.v) > E(qs[0]) {
 		return true
 	}
-	lo, hi := p.lo, p.hi
-	if E(p.v) < E(qs[0]) || ts.compareSuffix(int(p.o)*stride+off+1, r-1, qs) < 0 {
+	lo, hi := c.lo, c.hi
+	if E(c.v) < E(qs[0]) || ts.compareSuffix(int(c.o)*stride+off+1, r-1, qs) < 0 {
 		for lo++; lo < hi; {
 			mid := int(uint(lo+hi) >> 1)
 			if ts.compareSuffix(int(order[mid])*stride+off+1, r-1, qs) < 0 {
@@ -380,7 +427,7 @@ func (ts *tstore[E]) emitRun(ids, order []uint32, sig []uint64, r int, p *probe,
 			}
 		}
 	}
-	for i := lo; i < p.hi && ts.compareSuffix(int(order[i])*stride+off+1, r-1, qs) == 0; i++ {
+	for i := lo; i < c.hi && ts.compareSuffix(int(order[i])*stride+off+1, r-1, qs) == 0; i++ {
 		if !fn(ids[order[i]]) {
 			return false
 		}

@@ -94,11 +94,111 @@ func checkTreeSetQuery(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel
 	}
 }
 
+// jobScan is the reference Probe is held to: job after job, a linear scan of
+// each of the job's trees among its first B that is in its set, tree after
+// tree.
+func jobScan(jobs []Job, q []uint64) []uint32 {
+	var out []uint32
+	for _, j := range jobs {
+		for tr := 0; tr < j.B && j.Forest.Len() > 0; tr++ {
+			if j.Trees.Has(tr) {
+				out = append(out, linearProbe(j.Forest, q, tr, j.R)...)
+			}
+		}
+	}
+	return out
+}
+
+// collectProbe returns the id sequence Probe reports, with an fn that asks to
+// stop after the stop-th report (never, for stop ≤ 0).
+func collectProbe(jobs []Job, q []uint64, stop int) []uint32 {
+	var out []uint32
+	Probe(jobs, q, func(id uint32) bool {
+		out = append(out, id)
+		return len(out) != stop
+	})
+	return out
+}
+
+// checkProbeJobs builds several random forests of one width and shape, of
+// different sizes (at times an empty one), and asserts that one Probe over
+// jobs on them reports, report for report, what jobScan reports. The jobs
+// hold more than 64 columns in all, so a stage chunk ends inside some
+// forest's trees; the second job probes fewer than BMax trees and the third
+// has an empty set; the others draw a forest (one may recur), b, r and a set
+// that is nil or random. An fn that stops after the N-th report must see the
+// reference's first N.
+func checkProbeJobs(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel uint8) {
+	shapes := [...][2]int{{32, 4}, {64, 8}, {256, 2}, {24, 5}, {130, 1}}
+	width := [...]int{8, 4, 2, 1}[widthSel%4]
+	numHash, rMax := shapes[int(shapeSel)%len(shapes)][0], shapes[int(shapeSel)%len(shapes)][1]
+	rng := xrand.New(seed ^ 0x9e3779b97f4a7c15)
+	valueRange := [...]uint64{3, 40, 1 << 20}[rng.Intn(3)]
+	forests := make([]*Forest, 2+rng.Intn(3))
+	var pool [][]uint64
+	for i := range forests {
+		n := 1 + rng.Intn(150)
+		if i > 0 && rng.Intn(4) == 0 {
+			n = 0
+		}
+		sigs, ids := randSigs(rng, n, numHash, valueRange)
+		for k := range ids {
+			ids[k] += uint32(i) << 20 // the reports name their forest
+		}
+		forests[i] = build(numHash, rMax, width, ids, sigs)
+		pool = append(pool, sigs...)
+	}
+	q := slices.Clone(pool[rng.Intn(len(pool))])
+	for k := range q {
+		if rng.Intn(3) == 0 {
+			q[k] = rng.Uint64() % valueRange
+		}
+	}
+
+	bMax := forests[0].BMax()
+	var jobs []Job
+	cols := 0
+	for len(jobs) < 3 || cols <= 64 {
+		f := forests[rng.Intn(len(forests))]
+		b, r := 1+rng.Intn(bMax), 1+rng.Intn(rMax)
+		var set TreeSet
+		switch {
+		case len(jobs) == 1:
+			f, b = forests[0], 1+int(bSel)%max(1, bMax-1)
+		case len(jobs) == 2:
+			set = make(TreeSet, TreeSetWords(b))
+		case rng.Intn(3) > 0:
+			set = make(TreeSet, TreeSetWords(b))
+			for tr := 0; tr < b; tr++ {
+				if rng.Intn(4) > 0 {
+					set.Add(tr)
+				}
+			}
+		}
+		for tr := 0; tr < b && f.Len() > 0; tr++ {
+			if set.Has(tr) {
+				cols++
+			}
+		}
+		jobs = append(jobs, Job{Forest: f, B: b, R: r, Trees: set})
+	}
+
+	want := jobScan(jobs, q)
+	if got := collectProbe(jobs, q, 0); !slices.Equal(got, want) {
+		t.Fatalf("width %d shape %dx%d, %d jobs over %d columns: probe = %v, per-job per-tree linear scan = %v", width, numHash, rMax, len(jobs), cols, got, want)
+	}
+	stop := 1 + int(rSel)%(len(want)+1)
+	if got := collectProbe(jobs, q, stop); !slices.Equal(got, want[:min(stop, len(want))]) {
+		t.Fatalf("width %d shape %dx%d, %d jobs, fn stops after report %d: probe = %v, linear scan = %v", width, numHash, rMax, len(jobs), stop, got, want)
+	}
+}
+
 // FuzzQueryTreeSet is the test that fails if the probe ever drops, adds or
 // reorders a report against a per-tree linear scan, or the per-tree mask
-// drops a candidate. Its seed corpus — every store width × every shape, including the
-// 128-tree NumHash 256 / RMax 2 forest and a 130-tree one whose set spans
-// three words — runs under plain `go test`.
+// drops a candidate, and if the multi-forest Probe does against a per-job,
+// per-tree linear scan (checkProbeJobs). Its seed corpus — every store width
+// × every shape, including the 128-tree NumHash 256 / RMax 2 forest and a
+// 130-tree one whose set spans three words — runs under plain `go test`.
 func FuzzQueryTreeSet(f *testing.F) {
 	for widthSel := uint8(0); widthSel < 4; widthSel++ {
 		for shapeSel := uint8(0); shapeSel < 5; shapeSel++ {
@@ -107,7 +207,24 @@ func FuzzQueryTreeSet(f *testing.F) {
 			}
 		}
 	}
-	f.Fuzz(checkTreeSetQuery)
+	f.Fuzz(func(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel uint8) {
+		checkTreeSetQuery(t, seed, widthSel, shapeSel, bSel, rSel)
+		checkProbeJobs(t, seed, widthSel, shapeSel, bSel, rSel)
+	})
+}
+
+func TestProbeRefusesMixedWidths(t *testing.T) {
+	sig := make([]uint64, 8)
+	jobs := []Job{
+		{Forest: build(8, 2, 8, []uint32{0}, [][]uint64{sig}), B: 4, R: 2},
+		{Forest: build(8, 2, 4, []uint32{0}, [][]uint64{sig}), B: 4, R: 2},
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Probe took a width-4 forest after a width-8 one")
+		}
+	}()
+	Probe(jobs, sig, func(uint32) bool { return true })
 }
 
 func TestQueryTreeSetTooShortPanics(t *testing.T) {
