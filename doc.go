@@ -434,7 +434,9 @@
 //
 // See examples/ for runnable programs and cmd/experiments for the
 // reproduction of every table and figure in the paper's evaluation. The
-// figures run on the live index that ships — each system is a LiveIndex
-// sealed into one segment — and a test holds their answers to the
-// build-once reference index, key set for key set.
+// figures run on the live index that ships — each system, the Baseline and
+// Asymmetric Minwise Hashing included, is a LiveIndex sealed into one
+// segment — and a test holds their answers to the build-once reference index
+// (Asym's to a plain LSH Forest over the padded signatures), key set for key
+// set.
 package lshensemble

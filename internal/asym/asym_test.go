@@ -8,6 +8,7 @@ import (
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/tune"
 	"lshensemble/internal/xrand"
 )
 
@@ -27,7 +28,7 @@ func makeRecords(n, numHash int, maxSize int, seed uint64) ([]core.Record, *minh
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if _, err := Build(nil, 64, 4); err != ErrEmpty {
+	if _, err := Build(nil, 64, 4); err != core.ErrEmpty {
 		t.Fatal("empty build accepted")
 	}
 }
@@ -184,21 +185,24 @@ func TestRecallCollapsesUnderSkew(t *testing.T) {
 	}
 }
 
+// TestProbFullContainment checks paper Eq. 32, P(t=1 | M, q, b, r): the
+// candidate probability (Eq. 22) of a domain that fully contains the query
+// once it is padded to size M.
 func TestProbFullContainment(t *testing.T) {
 	// Monotone decreasing in M; equals 1-(1-q/M)^b at r=1.
 	prev := 1.1
 	for _, M := range []float64{10, 100, 1000, 10000} {
-		p := ProbFullContainment(M, 10, 256, 1)
+		p := tune.CandidateProbability(1, M, 10, 256, 1)
 		if p > prev {
 			t.Fatalf("P should decrease with M")
 		}
 		prev = p
 	}
-	if p := ProbFullContainment(10, 10, 256, 1); p < 0.999 {
+	if p := tune.CandidateProbability(1, 10, 10, 256, 1); p < 0.999 {
 		t.Fatalf("M=q should give ~1, got %v", p)
 	}
 	want := 1 - math.Pow(1-0.01, 256)
-	if got := ProbFullContainment(1000, 10, 256, 1); math.Abs(got-want) > 1e-9 {
+	if got := tune.CandidateProbability(1, 1000, 10, 256, 1); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("analytic mismatch: %v vs %v", got, want)
 	}
 }
@@ -217,7 +221,7 @@ func TestMinHashesForRecall(t *testing.T) {
 	}
 	// The chosen m* must actually achieve the target.
 	m := MinHashesForRecall(5000, 3, 0.5)
-	if p := ProbFullContainment(5000, 3, m, 1); p < 0.5 {
+	if p := tune.CandidateProbability(1, 5000, 3, m, 1); p < 0.5 {
 		t.Fatalf("m*=%d gives P=%v < 0.5", m, p)
 	}
 	if MinHashesForRecall(10, 20, 0.5) != 1 {
@@ -234,8 +238,13 @@ func TestQueryEdgeCases(t *testing.T) {
 	if got := x.Query(recs[0].Sig, 0, 0.5); got != nil {
 		t.Fatal("zero query size should return nil")
 	}
-	if x.MaxSize() <= 0 {
-		t.Fatal("MaxSize not set")
+	// Every query is tuned at M, the one partition's upper bound.
+	maxSize := 0
+	for _, r := range recs {
+		maxSize = max(maxSize, r.Size)
+	}
+	if got := x.Stats().SegmentDetail[0].MaxBound; got != maxSize {
+		t.Fatalf("upper bound %d, want M = %d", got, maxSize)
 	}
 }
 
@@ -248,11 +257,19 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build([]core.Record{{Key: "k", Size: 1, Sig: sig[:10]}}, 64, 4); err == nil {
 		t.Fatal("short signature accepted")
 	}
+	// A depth beyond the signature length is refused, not a tuner panic.
+	if _, err := Build([]core.Record{{Key: "k", Size: 1, Sig: sig}}, 64, 128); err == nil {
+		t.Fatal("rMax > numHash accepted")
+	}
+	if _, err := Build([]core.Record{{Key: "k", Size: 1, Sig: sig}}, -1, 4); err == nil {
+		t.Fatal("negative numHash accepted")
+	}
 }
 
-// TestConcurrentPooledQueries hammers the pooled dedup scratch from many
-// goroutines; every result must match the single-threaded reference. Run
-// with -race: the pool must never hand one scratch to two in-flight queries.
+// TestConcurrentPooledQueries hammers the index's pooled query scratch from
+// many goroutines; every result must match the single-threaded reference.
+// Run with -race: the pool must never hand one scratch to two in-flight
+// queries.
 func TestConcurrentPooledQueries(t *testing.T) {
 	recs, _ := makeRecords(400, 64, 500, 9)
 	x, err := Build(recs, 64, 4)
@@ -288,9 +305,11 @@ func TestConcurrentPooledQueries(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministic requires the parallel pad + fill pipeline to
+// TestBuildDeterministic requires the parallel pad + build pipeline to
 // produce the same index as a fresh build: padding streams are derived from
-// the record key, so worker scheduling must not leak into the result.
+// the record key, so worker scheduling must not leak into the result. The
+// indexes are compared by their snapshot encodings, which hold the segment's
+// signatures and forest.
 func TestBuildDeterministic(t *testing.T) {
 	recs, _ := makeRecords(300, 64, 2000, 11)
 	a, err := Build(recs, 64, 4)
@@ -301,14 +320,14 @@ func TestBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab := a.forest.AppendBinary(nil)
-	bb := b.forest.AppendBinary(nil)
+	ab := a.AppendBinary(nil)
+	bb := b.AppendBinary(nil)
 	if len(ab) != len(bb) {
-		t.Fatalf("forest encodings differ in length: %d vs %d", len(ab), len(bb))
+		t.Fatalf("snapshot encodings differ in length: %d vs %d", len(ab), len(bb))
 	}
 	for i := range ab {
 		if ab[i] != bb[i] {
-			t.Fatalf("forest encodings differ at byte %d", i)
+			t.Fatalf("snapshot encodings differ at byte %d", i)
 		}
 	}
 }

@@ -72,8 +72,9 @@ func TestUpperBoundIsGlobalMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.UpperBound(); got != max {
-		t.Fatalf("UpperBound = %d, want %d", got, max)
+	// The one segment's one partition bounds the global maximum size.
+	if got := x.Stats().SegmentDetail[0].MaxBound; got != max {
+		t.Fatalf("upper bound = %d, want %d", got, max)
 	}
 }
 

@@ -3,12 +3,14 @@
 // runs the systems under test (Baseline = single-partition MinHash LSH,
 // Asym = Asymmetric Minwise Hashing, LSH Ensemble with 8/16/32 partitions),
 // and returns typed rows that cmd/experiments renders and bench_test.go
-// wraps. Every LSH Ensemble, the Baseline included, is the live index that
-// ships (internal/live), built over the records into one sealed segment and
-// queried through live.Index.Query; the tests hold its answers to
-// core.Build's. Scales default far below the paper's (so the suite runs on a
-// laptop in minutes) and are flag-controlled up to paper scale; the
-// comparative shape of the results is what the reproduction targets.
+// wraps. Every system but the KMV scan, Baseline and Asym included, is the
+// live index that ships (internal/live), built over the records (Asym's
+// padded) into one sealed segment and queried through live.Index.Query; the
+// tests hold the ensembles' answers to core.Build's and Asym's to a plain LSH
+// Forest over the padded signatures. Scales default far below the paper's (so
+// the suite runs on a laptop in minutes) and are flag-controlled up to paper
+// scale; the comparative shape of the results is what the reproduction
+// targets.
 package expt
 
 import (
@@ -104,11 +106,9 @@ type system struct {
 	query func(qi int, tStar float64) []string
 }
 
-// indexed makes an index that answers Query(sig, size, t*) a system over
-// recs: Baseline, Asym, every ensemble and Fig. 8's morph.
-func indexed(name string, idx interface {
-	Query(sig minhash.Signature, querySize int, tStar float64) []string
-}, recs []core.Record) system {
+// indexed makes a live index a system over recs: Baseline, Asym, every
+// ensemble and Fig. 8's morph.
+func indexed(name string, idx *live.Index, recs []core.Record) system {
 	return system{name, func(qi int, tStar float64) []string {
 		return idx.Query(recs[qi].Sig, recs[qi].Size, tStar)
 	}}

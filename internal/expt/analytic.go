@@ -123,7 +123,7 @@ func RunFig10() []Fig10Row {
 	for m := 250; m <= 8000; m += 250 {
 		rows = append(rows, Fig10Row{
 			M:         m,
-			PFullCont: asym.ProbFullContainment(float64(m), q, 256, 1),
+			PFullCont: tune.CandidateProbability(1, float64(m), q, 256, 1),
 			MStar:     asym.MinHashesForRecall(float64(m), q, 0.5),
 		})
 	}

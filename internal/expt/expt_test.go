@@ -6,9 +6,12 @@ import (
 	"slices"
 	"testing"
 
+	"lshensemble/internal/asym"
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/tune"
 )
 
 // smallAcc is a fast accuracy config for CI.
@@ -34,10 +37,11 @@ func rowsBySystem(rows []AccuracyRow, tStar float64) map[string]AccuracyRow {
 	return out
 }
 
-// TestSystemsAnswerLikeCoreBuild holds the figures to their reference path:
+// TestSystemsAnswerLikeCoreBuild holds the figures to their reference paths:
 // every ensemble system buildSystems returns — the Baseline, each partition
 // count, each sketch backend — answers every (query, threshold) with exactly
-// the key set core.Build + QueryIDsAppend gives under the same options.
+// the key set core.Build + QueryIDsAppend gives under the same options, and
+// Asym with exactly the key set of asymReference.
 func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 	cfg := AccuracyConfig{
 		NumDomains: 600, NumQueries: 20, NumHash: 64, RMax: 4,
@@ -53,49 +57,121 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := map[string]core.Options{"Baseline": {NumPartitions: 1, Sketch: core.Minwise64}}
+	opts := map[string]core.Options{"Baseline": {NumPartitions: 1, Sketch: core.Minwise64}}
 	for _, n := range cfg.Partitions {
-		want[fmt.Sprintf("LSH Ensemble (%d)", n)] = core.Options{NumPartitions: n, Sketch: core.Minwise64}
+		opts[fmt.Sprintf("LSH Ensemble (%d)", n)] = core.Options{NumPartitions: n, Sketch: core.Minwise64}
 	}
 	parts := cfg.Partitions[len(cfg.Partitions)-1]
 	for _, sb := range cfg.Sketches {
-		want[fmt.Sprintf("LSH Ensemble (%d, %s)", parts, sb)] = core.Options{NumPartitions: parts, Sketch: sb}
+		opts[fmt.Sprintf("LSH Ensemble (%d, %s)", parts, sb)] = core.Options{NumPartitions: parts, Sketch: sb}
 	}
-	checked := 0
-	for _, sys := range systems {
-		opts, ok := want[sys.name]
-		if !ok {
-			continue // Asym is no ensemble
-		}
-		opts.NumHash, opts.RMax = cfg.NumHash, cfg.RMax
-		ref, err := core.Build(recs, opts)
+	want := map[string]func(r core.Record, tStar float64) []string{
+		"Asym": asymReference(recs, cfg.NumHash, cfg.RMax),
+	}
+	for name, o := range opts {
+		o.NumHash, o.RMax = cfg.NumHash, cfg.RMax
+		ref, err := core.Build(recs, o)
 		if err != nil {
-			t.Fatalf("%s: %v", sys.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
+		want[name] = func(r core.Record, tStar float64) []string {
+			ids, err := ref.QueryIDsAppend(nil, r.Sig, r.Size, tStar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, len(ids))
+			for i, id := range ids {
+				keys[i] = ref.Key(id)
+			}
+			return keys
+		}
+	}
+	// check holds got to want on every (query, threshold), as key sets.
+	check := func(name string, got func(qi int, tStar float64) []string,
+		want func(r core.Record, tStar float64) []string, recs []core.Record, queries []int) {
+		t.Helper()
 		for _, qi := range queries {
 			r := recs[qi]
 			for _, tStar := range cfg.Thresholds {
-				ids, err := ref.QueryIDsAppend(nil, r.Sig, r.Size, tStar)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantKeys := make([]string, len(ids))
-				for i, id := range ids {
-					wantKeys[i] = ref.Key(id)
-				}
-				got := slices.Clone(sys.query(qi, tStar))
+				wantKeys := want(r, tStar)
+				gotKeys := slices.Clone(got(qi, tStar))
 				slices.Sort(wantKeys)
-				slices.Sort(got)
-				if !slices.Equal(got, wantKeys) {
-					t.Fatalf("%s, query %s at t*=%.2f: %d keys, core.Build gives %d",
-						sys.name, r.Key, tStar, len(got), len(wantKeys))
+				slices.Sort(gotKeys)
+				if !slices.Equal(gotKeys, wantKeys) {
+					t.Fatalf("%s, query %s at t*=%.2f: %d keys, the reference gives %d",
+						name, r.Key, tStar, len(gotKeys), len(wantKeys))
 				}
 			}
 		}
+	}
+	checked := 0
+	for _, sys := range systems {
+		ref, ok := want[sys.name]
+		if !ok {
+			t.Fatalf("%s: no reference", sys.name)
+		}
+		check(sys.name, sys.query, ref, recs, queries)
 		checked++
 	}
 	if checked != len(want) {
 		t.Fatalf("checked %d systems, want %d", checked, len(want))
+	}
+
+	// On the whole corpus M is so large that Asym finds little beyond the
+	// query itself (the collapse of Fig. 10), so it is checked again on the
+	// corpus's small domains, where M is near the query sizes and it answers.
+	var small []core.Record
+	at := map[int]int{} // corpus index → index in small
+	for i, r := range recs {
+		if r.Size <= 64 {
+			at[i] = len(small)
+			small = append(small, r)
+		}
+	}
+	var smallQueries []int
+	for _, qi := range queries {
+		if j, ok := at[qi]; ok {
+			smallQueries = append(smallQueries, j)
+		}
+	}
+	a, err := asym.Build(small, cfg.NumHash, cfg.RMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Asym over the small domains", indexed("Asym", a, small).query,
+		asymReference(small, cfg.NumHash, cfg.RMax), small, smallQueries)
+}
+
+// asymReference is Asymmetric Minwise Hashing built by hand: one LSH Forest
+// over the records' signatures padded to the largest size M (asym.Pad), every
+// query tuned at x = M on the (numHash/rMax, rMax) grid, and each candidate
+// reported at its first occurrence across the trees.
+func asymReference(recs []core.Record, numHash, rMax int) func(r core.Record, tStar float64) []string {
+	maxSize := 0
+	for _, r := range recs {
+		maxSize = max(maxSize, r.Size)
+	}
+	ids := make([]uint32, len(recs))
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	forest := lshforest.Build(numHash, rMax, 8, ids, func(i int) []uint64 {
+		r := recs[i]
+		return asym.Pad(r.Sig[:numHash], r.Key, maxSize-r.Size)
+	})
+	grid := tune.ForGrid(numHash/rMax, rMax)
+	return func(r core.Record, tStar float64) []string {
+		p := grid.Optimize(float64(maxSize), float64(r.Size), tStar)
+		seen := map[uint32]bool{}
+		var keys []string
+		forest.Query(r.Sig, p.B, p.R, nil, func(id uint32) bool {
+			if !seen[id] {
+				seen[id] = true
+				keys = append(keys, recs[id].Key)
+			}
+			return true
+		})
+		return keys
 	}
 }
 

@@ -61,9 +61,10 @@
 //     depth ≥ 1 can only match when the query's leading value of that tree
 //     occurs in the tree's leading column, so a query asks two questions
 //     before a probe: which trees, then which partitions. The leading-value
-//     Bloom answers the first, once per tree, and an empty answer skips the
-//     segment; an in-memory-only filter sliced by partition (partFilter)
-//     answers the second for each tree left. The answers form one tree set
+//     Bloom answers the first, asked in tree order up to the first tree it
+//     may hold (the trees before it cannot match), and a segment with no such
+//     tree is skipped; an in-memory-only filter sliced by partition
+//     (partFilter) answers the second for each tree left. The answers form one tree set
 //     (lshforest.TreeSet) per partition, handed down through core to the
 //     probe kernel: only the (partition, tree) columns in them are loaded —
 //     which is where the time goes, the kernel is cache-miss bound — and a
@@ -825,10 +826,15 @@ func (c *call) done() {
 }
 
 // Query returns the keys of all candidate domains for the query signature
-// at containment threshold tStar (see core.Index.QueryIDsAppend for parameter
-// semantics). It is lock-free against Add, Delete and the compactor, and
-// answers from a consistent point-in-time snapshot. Each live key appears
-// at most once.
+// at containment threshold tStar: those whose signature collides with the
+// query under each partition's tuned (b, r). querySize is |Q|, the exact size
+// when known or minhash.Signature.Cardinality's estimate (Algorithm 1's
+// approx(|Q|)); a querySize ≤ 0 has no candidates. tStar is clamped to
+// [0, 1]. A signature shorter than NumHash has no candidates here
+// (QueryAppendContext returns core.ErrSignatureLength for it); only its first
+// NumHash values are read. It is lock-free against Add, Delete and the
+// compactor, and answers from a consistent point-in-time snapshot. Each live
+// key appears at most once.
 func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) []string {
 	return x.QueryAppend(nil, sig, querySize, tStar)
 }
