@@ -16,6 +16,7 @@ import (
 	"lshensemble/internal/asym"
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/exact"
 	"lshensemble/internal/expt"
 	"lshensemble/internal/minhash"
@@ -27,7 +28,7 @@ import (
 // fixture caches a sketched corpus so repeated benches share setup cost.
 type fixture struct {
 	corpus  *datagen.Corpus
-	records []core.Record
+	records []domain.Record
 	queries []int
 }
 

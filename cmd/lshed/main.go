@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"lshensemble"
-	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/par"
 	"lshensemble/internal/serve"
 	"lshensemble/internal/tabular"
@@ -87,8 +87,8 @@ func sketchColumns(h *lshensemble.Hasher, cols []tabular.Column) []lshensemble.D
 // buildIndex sketches every column under dir and seals them into a live index
 // of one segment. Nothing compacts it in the background: lshed only reads it.
 func buildIndex(dir string, minSize, numHash, partitions int) (*lshensemble.LiveIndex, *lshensemble.Hasher, error) {
-	if numHash < 1 || numHash > core.MaxNumHash {
-		return nil, nil, fmt.Errorf("-hashes %d out of range [1, %d]", numHash, core.MaxNumHash)
+	if numHash < 1 || numHash > domain.MaxNumHash {
+		return nil, nil, fmt.Errorf("-hashes %d out of range [1, %d]", numHash, domain.MaxNumHash)
 	}
 	cols, err := tabular.FromDir(dir, tabular.Options{MinSize: minSize})
 	if err != nil {

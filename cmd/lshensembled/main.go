@@ -1,9 +1,9 @@
 // Command lshensembled serves an LSH Ensemble over HTTP as a live system:
 // domains stream in and out while queries keep flowing — ingest never
 // blocks a query (the index publishes atomically-swapped snapshots; see
-// internal/live). The handler set lives in internal/serve; cmd/lshrouter
-// shards this daemon horizontally by running N of them behind a
-// consistent-hash scatter-gather router speaking the same wire protocol.
+// internal/live). The daemon is internal/serve, whose requests are
+// internal/wire's; cmd/lshrouter shards it horizontally by running N of them
+// behind a consistent-hash scatter-gather router speaking the same wire.
 //
 // Endpoints (JSON bodies unless noted):
 //
@@ -46,7 +46,7 @@
 // a router whose per-shard deadline expires) stops the in-flight query or
 // batch instead of running it to completion. A router sends its pre-sketched
 // queries and writes as records on record connections instead (GET /records
-// upgrades one; internal/serve lays the records out), each carrying the
+// upgrades one; internal/wire lays the records out), each carrying the
 // deadline its router waits for. The listener itself is
 // hardened against slow clients — header reads, body reads and idle
 // keep-alives all time out (-read-header-timeout, -read-timeout,

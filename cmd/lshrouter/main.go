@@ -22,10 +22,11 @@
 // hash family (seed, num_hash) off its /stats — on the first health tick, on
 // every promotion, once on demand if a request comes first — adopts the one
 // most shards report and keeps it for its life, and sends every leg or owner
-// the same record (internal/serve: the seed, the shape's words and the
-// signature, each behind a uint32 length) on a pooled record connection. A shard of another family, or one without record connections,
-// is held out of the ring; a request before any family is known is a 503
-// with Retry-After. GET /ring reports the family's seed and num_hash.
+// the same record (internal/wire: the seed, the shape's words and the
+// signature, each behind a uint32 length) on a pooled record connection. A
+// shard of another family, or one without record connections, is held out
+// of the ring; a request before any family is known is a 503 with
+// Retry-After. GET /ring reports the family's seed and num_hash.
 //
 // A background checker probes every shard's /healthz; -health-fail
 // consecutive misses demote a shard from the ring (one success promotes it

@@ -214,16 +214,15 @@
 // mmap support the option degrades to a heap read with identical results.
 //
 // cmd/lshensembled serves a LiveIndex over HTTP (/add, /delete, /query,
-// /query/topk, /query/batch, /stats, /compact,
-// /save) with snapshot load at boot and save on shutdown, and runs
-// out-of-core with -data-dir DIR -mmap (the snapshot then defaults to
-// DIR/MANIFEST; /stats reports each segment's backing, file bytes and
-// resident estimate); examples/dynamic walks the churn-and-compact
-// lifecycle and prints what the planner pruned. Query handlers thread the
-// request context into the index, so a disconnected client stops its
-// in-flight query or batch instead of running it to completion
-// (QueryAppendContext / QueryTopKContext / QueryBatchContext on LiveIndex
-// expose the same to library callers).
+// /query/topk, /query/batch, /stats, /compact, /save) with snapshot load at
+// boot and save on shutdown, and runs out-of-core with -data-dir DIR -mmap
+// (the snapshot then defaults to DIR/MANIFEST; /stats reports each segment's
+// backing, file bytes and resident estimate); examples/dynamic walks the
+// churn-and-compact lifecycle and prints what the planner pruned. Query
+// handlers thread the request context into the index, so a disconnected
+// client stops its in-flight query or batch instead of running it to
+// completion (QueryAppendContext / QueryTopKContext / QueryBatchContext on
+// LiveIndex expose the same to library callers).
 // Every endpoint takes JSON with the domain's raw values, which the daemon
 // sketches with its own -seed. The router's pre-sketched requests come as
 // records on an upgraded connection instead (see Distributed serving); both
@@ -241,6 +240,14 @@
 // different families are incomparable. A rolling upgrade leaves each shard on
 // its snapshot's backend; a mixed minwise64/minwise32 fleet merges the same
 // answers, its top-k scores within 2^-32 of a minwise64 fleet's.
+//
+// Both binaries speak one wire (internal/wire: the JSON types and front
+// end, the records, the answer frame) and hand each checked, sketched request
+// to a sink: the daemon's (internal/serve) answers from the index, the
+// router's (internal/cluster) scatters to the ring. The nouns both share live
+// below the index (internal/domain), so the router links neither the index
+// nor the daemon, and relays each shard's /stats, /compact and /save body as
+// it came; a test of cmd/lshrouter keeps its closure so.
 //
 // Writes (/add, /delete) route by consistent hashing — a vnode ring over
 // the live shards with a deterministic bounded-load pass (no shard owns
@@ -268,7 +275,7 @@
 // owner the same add record; a delete record carries the key alone. A record
 // is fields behind uint32 lengths: the seed, the shape's words (threshold as
 // float64 bits, k, workers, size) and each row's signature words
-// (internal/serve documents the layout). A 20 000-value query or domain moves
+// (internal/wire documents the layout). A 20 000-value query or domain moves
 // 8·num_hash bytes per shard, and a shard decodes no string and computes no
 // hash: it stores exactly the record the JSON /add of the same values would.
 // A shard that refuses a record — it restarted under another seed — fails
@@ -277,20 +284,13 @@
 // while reading or sketching, or every shard refuses alike, is the client's
 // 4xx in the shard's words, not a 502, and counts against no shard.
 //
-// A JSON body is read in one pass, at the router and at a shard alike:
-// each value is hashed as it is read, where it lies in the body, or, if it
-// has an escape (encoding/json writes & and < as \u escapes, Python's
-// json.dumps every non-ASCII rune), once decoded into a reused buffer. The
-// reader takes keys spelled exactly, each once; any string encoding/json
-// accepts; JSON numbers that fit the field's type; nothing but whitespace
-// after the value. Anything else (keys in another case, null, repeated keys,
-// malformed input) goes to encoding/json and its strings are hashed after,
-// so every body is accepted or refused exactly as encoding/json would have
-// it, in the same words.
+// A JSON body is read in one pass, at the router and at a shard alike, each
+// value hashed where it lies, and accepted or refused exactly as
+// encoding/json would have it, in the same words (internal/wire has the rules).
 //
 // A shard answers a query record with an answer frame: its sorted keys
 // behind length prefixes (ranked keys with their scores as float64 bits for
-// top-k; the layout is in internal/serve's wire types), which the router
+// top-k; the layout is in internal/wire's wire types), which the router
 // merges without running a JSON scanner over them. What it answers its
 // client is byte for byte what it answered when the shards answered in JSON.
 // A frame that is malformed, out of order or of another row count than the
@@ -408,7 +408,7 @@
 //
 // Measured accuracy-vs-bytes frontier (Fig. 4 corpus scale, t* = 0.5,
 // m = 256 hash functions; reproduce with "experiments -run frontier", which
-// also scores a k-minimum-values sketch, internal/minhash.KMV, by brute
+// also scores a k-minimum-values sketch, internal/expt.KMV, by brute
 // force — a comparator of the evaluation, not a backend: it has no
 // fixed-slot structure to band, so no index can be built on it):
 //

@@ -31,6 +31,7 @@ import (
 
 	"lshensemble/internal/baseline"
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/live"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/par"
@@ -42,7 +43,7 @@ import (
 // upper bound is M, so every query is tuned at x = M, the size every padded
 // domain represents. numHash and rMax default to 256 and 8 when zero. It
 // returns core.ErrEmpty when no records are given.
-func Build(records []core.Record, numHash, rMax int) (*live.Index, error) {
+func Build(records []domain.Record, numHash, rMax int) (*live.Index, error) {
 	if len(records) == 0 {
 		return nil, core.ErrEmpty
 	}
@@ -64,12 +65,12 @@ func Build(records []core.Record, numHash, rMax int) (*live.Index, error) {
 	}
 	// Padding simulation is the expensive phase (one inverse-CDF sample per
 	// slot per record), and every record pads independently — fan it out.
-	padded := make([]core.Record, len(records))
+	padded := make([]domain.Record, len(records))
 	par.Chunked(len(records), 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := records[i]
 			sig := Pad(r.Sig[:opts.NumHash], r.Key, maxSize-r.Size)
-			padded[i] = core.Record{Key: r.Key, Size: maxSize, Sig: sig}
+			padded[i] = domain.Record{Key: r.Key, Size: maxSize, Sig: sig}
 		}
 	})
 	return baseline.Build(padded, opts.NumHash, opts.RMax)

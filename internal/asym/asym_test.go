@@ -7,22 +7,23 @@ import (
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
 	"lshensemble/internal/xrand"
 )
 
-func makeRecords(n, numHash int, maxSize int, seed uint64) ([]core.Record, *minhash.Hasher) {
+func makeRecords(n, numHash int, maxSize int, seed uint64) ([]domain.Record, *minhash.Hasher) {
 	rng := xrand.New(seed)
 	h := minhash.NewHasher(numHash, 7)
-	recs := make([]core.Record, n)
+	recs := make([]domain.Record, n)
 	for i := range recs {
 		size := rng.Pareto(2.0, 10, maxSize)
 		hashed := make([]uint64, size)
 		for j := 0; j < size; j++ {
 			hashed[j] = minhash.HashUint64(uint64(j))
 		}
-		recs[i] = core.Record{Key: fmt.Sprintf("a%03d", i), Size: size, Sig: h.Sketch(hashed)}
+		recs[i] = domain.Record{Key: fmt.Sprintf("a%03d", i), Size: size, Sig: h.Sketch(hashed)}
 	}
 	return recs, h
 }
@@ -114,14 +115,14 @@ func TestSelfRetrievalLowSkew(t *testing.T) {
 	// With low skew (sizes near M), asym works: self-queries are found.
 	rng := xrand.New(9)
 	h := minhash.NewHasher(256, 7)
-	var recs []core.Record
+	var recs []domain.Record
 	for i := 0; i < 100; i++ {
 		size := 900 + rng.Intn(100) // all domains nearly the same size
 		hashed := make([]uint64, size)
 		for j := range hashed {
 			hashed[j] = minhash.HashUint64(uint64(i*10000 + j))
 		}
-		recs = append(recs, core.Record{Key: fmt.Sprintf("a%03d", i), Size: size, Sig: h.Sketch(hashed)})
+		recs = append(recs, domain.Record{Key: fmt.Sprintf("a%03d", i), Size: size, Sig: h.Sketch(hashed)})
 	}
 	x, err := Build(recs, 256, 8)
 	if err != nil {
@@ -158,15 +159,15 @@ func TestRecallCollapsesUnderSkew(t *testing.T) {
 		}
 		return h.Sketch(hashed), hi - lo
 	}
-	var recs []core.Record
+	var recs []domain.Record
 	// 50 small domains of size 20, each containing values [0,20).
 	for i := 0; i < 50; i++ {
 		sig, size := sketchRange(0, 20)
-		recs = append(recs, core.Record{Key: fmt.Sprintf("small%d", i), Size: size, Sig: sig})
+		recs = append(recs, domain.Record{Key: fmt.Sprintf("small%d", i), Size: size, Sig: sig})
 	}
 	// One huge domain forcing M = 100000.
 	bigSig, bigSize := sketchRange(1000000, 1100000)
-	recs = append(recs, core.Record{Key: "huge", Size: bigSize, Sig: bigSig})
+	recs = append(recs, domain.Record{Key: "huge", Size: bigSize, Sig: bigSig})
 
 	x, err := Build(recs, 256, 8)
 	if err != nil {
@@ -251,17 +252,17 @@ func TestQueryEdgeCases(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	h := minhash.NewHasher(64, 1)
 	sig := h.SketchStrings([]string{"a"})
-	if _, err := Build([]core.Record{{Key: "k", Size: 0, Sig: sig}}, 64, 4); err == nil {
+	if _, err := Build([]domain.Record{{Key: "k", Size: 0, Sig: sig}}, 64, 4); err == nil {
 		t.Fatal("zero size accepted")
 	}
-	if _, err := Build([]core.Record{{Key: "k", Size: 1, Sig: sig[:10]}}, 64, 4); err == nil {
+	if _, err := Build([]domain.Record{{Key: "k", Size: 1, Sig: sig[:10]}}, 64, 4); err == nil {
 		t.Fatal("short signature accepted")
 	}
 	// A depth beyond the signature length is refused, not a tuner panic.
-	if _, err := Build([]core.Record{{Key: "k", Size: 1, Sig: sig}}, 64, 128); err == nil {
+	if _, err := Build([]domain.Record{{Key: "k", Size: 1, Sig: sig}}, 64, 128); err == nil {
 		t.Fatal("rMax > numHash accepted")
 	}
-	if _, err := Build([]core.Record{{Key: "k", Size: 1, Sig: sig}}, -1, 4); err == nil {
+	if _, err := Build([]domain.Record{{Key: "k", Size: 1, Sig: sig}}, -1, 4); err == nil {
 		t.Fatal("negative numHash accepted")
 	}
 }

@@ -9,6 +9,7 @@ package baseline
 
 import (
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/live"
 )
 
@@ -16,7 +17,7 @@ import (
 // functions and forest depth rMax (defaults 256 and 8 when zero): a live
 // index whose one segment's one partition has the largest record size as
 // its upper bound. It returns core.ErrEmpty when no records are given.
-func Build(records []core.Record, numHash, rMax int) (*live.Index, error) {
+func Build(records []domain.Record, numHash, rMax int) (*live.Index, error) {
 	if len(records) == 0 {
 		return nil, core.ErrEmpty
 	}

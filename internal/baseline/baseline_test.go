@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"testing"
 
-	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/xrand"
 )
 
-func makeRecords(n int, h *minhash.Hasher, seed uint64) ([]core.Record, [][]uint64) {
+func makeRecords(n int, h *minhash.Hasher, seed uint64) ([]domain.Record, [][]uint64) {
 	rng := xrand.New(seed)
-	recs := make([]core.Record, n)
+	recs := make([]domain.Record, n)
 	vals := make([][]uint64, n)
 	for i := range recs {
 		size := rng.Pareto(2.0, 10, 2000)
@@ -24,7 +24,7 @@ func makeRecords(n int, h *minhash.Hasher, seed uint64) ([]core.Record, [][]uint
 		for j := range v {
 			hashed[j] = minhash.HashUint64(v[j])
 		}
-		recs[i] = core.Record{Key: fmt.Sprintf("b%03d", i), Size: size, Sig: h.Sketch(hashed)}
+		recs[i] = domain.Record{Key: fmt.Sprintf("b%03d", i), Size: size, Sig: h.Sketch(hashed)}
 	}
 	return recs, vals
 }

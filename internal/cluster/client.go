@@ -17,10 +17,10 @@ import (
 	"time"
 
 	"lshensemble/internal/obs"
-	"lshensemble/internal/serve"
+	"lshensemble/internal/wire"
 )
 
-// Client speaks the shard wire protocol (internal/serve's types) to one
+// Client speaks the shard wire protocol (internal/wire's types) to one
 // lshensembled instance: the router's pre-sketched queries and writes as
 // records on a pool of record connections, everything else over HTTP. Every
 // call takes a context, and the context is the only bound on how long an
@@ -53,8 +53,8 @@ type Client struct {
 const maxIdle = 32
 
 // maxIdleAge is how long a record connection may wait in the pool: well
-// inside serve.RecordIdle, after which the shard has closed it.
-const maxIdleAge = serve.RecordIdle * 2 / 3
+// inside wire.RecordIdle, after which the shard has closed it.
+const maxIdleAge = wire.RecordIdle * 2 / 3
 
 // NewClient builds a client for one shard base URL ("http://host:port").
 // timeout bounds connection establishment; per-request deadlines come from
@@ -112,7 +112,7 @@ func (e *StatusError) Error() string {
 // statusError is the *StatusError of a non-2xx answer whose body is body. A
 // body that is not the envelope leaves the message empty.
 func (c *Client) statusError(method, path string, status int, body io.Reader) *StatusError {
-	var e serve.ErrorResponse
+	var e wire.ErrorResponse
 	_ = json.NewDecoder(io.LimitReader(body, 4096)).Decode(&e)
 	return &StatusError{Shard: c.base, Method: method, Path: path, Status: status, Message: e.Error}
 }
@@ -154,23 +154,23 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, serve.MaxRequestBody)).Decode(out); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, wire.MaxRequestBody)).Decode(out); err != nil {
 		return fmt.Errorf("shard %s: decoding %s response: %w", c.base, path, err)
 	}
 	return nil
 }
 
 // leg sends one pre-sketched query of shape o — body, its record, of rows
-// rows — and decodes the answer frame into out, as serve.DecodeAnswer does.
-func (c *Client) leg(ctx context.Context, o serve.Op, body []byte, rows int, out any) error {
-	return c.record(ctx, o, body, func(answer []byte) error { return serve.DecodeAnswer(answer, rows, out) })
+// rows — and decodes the answer frame into out, as wire.DecodeAnswer does.
+func (c *Client) leg(ctx context.Context, o wire.Op, body []byte, rows int, out any) error {
+	return c.record(ctx, o, body, func(answer []byte) error { return wire.DecodeAnswer(answer, rows, out) })
 }
 
-// write sends one write record of op o (serve.OpAdd or serve.OpDelete) and
+// write sends one write record of op o (wire.OpAdd or wire.OpDelete) and
 // reports whether the shard replaced or deleted the key.
-func (c *Client) write(ctx context.Context, o serve.Op, body []byte) (flag bool, err error) {
+func (c *Client) write(ctx context.Context, o wire.Op, body []byte) (flag bool, err error) {
 	err = c.record(ctx, o, body, func(answer []byte) (err error) {
-		flag, err = serve.DecodeFlag(answer)
+		flag, err = wire.DecodeFlag(answer)
 		return err
 	})
 	return flag, err
@@ -182,7 +182,7 @@ func (c *Client) write(ctx context.Context, o serve.Op, body []byte) (flag bool,
 // answer; any error closes it. A reused connection that fails before the
 // answer's first byte is retried once on a fresh one, as the type's comment
 // says, after the pool is emptied.
-func (c *Client) record(ctx context.Context, o serve.Op, body []byte, decode func(answer []byte) error) error {
+func (c *Client) record(ctx context.Context, o wire.Op, body []byte, decode func(answer []byte) error) error {
 	rc := c.idleConn()
 	for {
 		reused := rc != nil
@@ -284,7 +284,7 @@ func (c *Client) dial(ctx context.Context) (*recordConn, error) {
 	}
 	if err := rc.upgrade(ctx, deadline, c.host); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("shard %s: upgrading to %s: %w", c.base, serve.RecordProtocol, err)
+		return nil, fmt.Errorf("shard %s: upgrading to %s: %w", c.base, wire.RecordProtocol, err)
 	}
 	return rc, nil
 }
@@ -314,8 +314,8 @@ func (rc *recordConn) guard(ctx context.Context, deadline time.Time) (stop func(
 // upgrade asks the shard to turn the connection into a record connection.
 func (rc *recordConn) upgrade(ctx context.Context, deadline time.Time, host string) error {
 	defer rc.guard(ctx, deadline)()
-	req := "GET " + serve.RecordPath + " HTTP/1.1\r\nHost: " + host +
-		"\r\nConnection: Upgrade\r\nUpgrade: " + serve.RecordProtocol + "\r\n\r\n"
+	req := "GET " + wire.RecordPath + " HTTP/1.1\r\nHost: " + host +
+		"\r\nConnection: Upgrade\r\nUpgrade: " + wire.RecordProtocol + "\r\n\r\n"
 	if _, err := io.WriteString(rc.Conn, req); err != nil {
 		return err
 	}
@@ -331,7 +331,7 @@ func (rc *recordConn) upgrade(ctx context.Context, deadline time.Time, host stri
 
 // exchange writes one request record in one write and reads its answer
 // record, under ctx. The answer's body is valid until the next exchange.
-func (rc *recordConn) exchange(ctx context.Context, o serve.Op, body []byte) (int, []byte, error) {
+func (rc *recordConn) exchange(ctx context.Context, o wire.Op, body []byte) (int, []byte, error) {
 	deadline, ok := ctx.Deadline()
 	var timeout time.Duration
 	if ok {
@@ -340,7 +340,7 @@ func (rc *recordConn) exchange(ctx context.Context, o serve.Op, body []byte) (in
 		}
 	}
 	defer rc.guard(ctx, deadline)()
-	rc.hdr = serve.AppendRecordHeader(rc.hdr[:0], o, obs.TraceID(ctx), timeout, len(body))
+	rc.hdr = wire.AppendRecordHeader(rc.hdr[:0], o, obs.TraceID(ctx), timeout, len(body))
 	bufs := net.Buffers{rc.hdr, body}
 	if _, err := bufs.WriteTo(rc.Conn); err != nil {
 		return 0, nil, staleConn{err}
@@ -348,7 +348,7 @@ func (rc *recordConn) exchange(ctx context.Context, o serve.Op, body []byte) (in
 	if _, err := rc.br.Peek(1); err != nil {
 		return 0, nil, staleConn{err}
 	}
-	status, answer, err := serve.ReadAnswerRecord(rc.br, rc.buf)
+	status, answer, err := wire.ReadAnswerRecord(rc.br, rc.buf)
 	rc.buf = answer
 	return status, answer, err
 }
@@ -357,8 +357,8 @@ func (rc *recordConn) exchange(ctx context.Context, o serve.Op, body []byte) (in
 // the values. The router sends its writes as add records instead; this is the
 // typed call of a client talking to one shard (the benchmark's ladder times
 // a shard's /add round trip with it).
-func (c *Client) Add(ctx context.Context, req *serve.AddRequest) (serve.AddResponse, error) {
-	var out serve.AddResponse
+func (c *Client) Add(ctx context.Context, req *wire.AddRequest) (wire.AddResponse, error) {
+	var out wire.AddResponse
 	err := c.do(ctx, http.MethodPost, "/add", req, &out)
 	return out, err
 }
@@ -367,30 +367,9 @@ func (c *Client) Add(ctx context.Context, req *serve.AddRequest) (serve.AddRespo
 // router's own legs go out encoded once for all shards; this is the typed
 // call of a client talking to one shard (the benchmark's ladder replays
 // raw-value requests at a shard with it).
-func (c *Client) Query(ctx context.Context, req *serve.QueryRequest) (serve.QueryResponse, error) {
-	var out serve.QueryResponse
+func (c *Client) Query(ctx context.Context, req *wire.QueryRequest) (wire.QueryResponse, error) {
+	var out wire.QueryResponse
 	err := c.do(ctx, http.MethodPost, "/query", req, &out)
-	return out, err
-}
-
-// Stats fetches the shard's index shape.
-func (c *Client) Stats(ctx context.Context) (serve.StatsResponse, error) {
-	var out serve.StatsResponse
-	err := c.do(ctx, http.MethodGet, "/stats", nil, &out)
-	return out, err
-}
-
-// Compact triggers a full compaction on the shard.
-func (c *Client) Compact(ctx context.Context) (serve.StatsResponse, error) {
-	var out serve.StatsResponse
-	err := c.do(ctx, http.MethodPost, "/compact", nil, &out)
-	return out, err
-}
-
-// Save asks the shard to persist a snapshot.
-func (c *Client) Save(ctx context.Context) (serve.SaveResponse, error) {
-	var out serve.SaveResponse
-	err := c.do(ctx, http.MethodPost, "/save", nil, &out)
 	return out, err
 }
 

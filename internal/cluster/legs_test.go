@@ -18,6 +18,7 @@ import (
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/serve"
+	"lshensemble/internal/wire"
 )
 
 // jsonLeg is the record a client's body must be sent on as, worked out from
@@ -55,28 +56,28 @@ func jsonLeg(t *testing.T, path string, body []byte, h *lshensemble.Hasher, seed
 	}
 	switch path {
 	case "/query":
-		var q serve.QueryRequest
+		var q wire.QueryRequest
 		decode(&q)
 		sig, size := sketch(q.Values, q.Size)
-		return serve.AppendQueryRecord(nil, seed, lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: threshold(q.Threshold)})
+		return wire.AppendQueryRecord(nil, seed, lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: threshold(q.Threshold)})
 	case "/query/topk":
-		var q serve.TopKRequest
+		var q wire.TopKRequest
 		decode(&q)
 		sig, size := sketch(q.Values, q.Size)
 		k := q.K
 		if k == 0 {
 			k = 10
 		}
-		return serve.AppendTopKRecord(nil, seed, k, size, sig)
+		return wire.AppendTopKRecord(nil, seed, k, size, sig)
 	}
-	var b serve.BatchRequest
+	var b wire.BatchRequest
 	decode(&b)
 	var queries []lshensemble.BatchQuery
 	for _, q := range b.Queries {
 		sig, size := sketch(q.Values, q.Size)
 		queries = append(queries, lshensemble.BatchQuery{Sig: sig, Size: size, Threshold: threshold(q.Threshold)})
 	}
-	return serve.AppendBatchRecord(nil, seed, min(b.Workers, runtime.GOMAXPROCS(0)), queries)
+	return wire.AppendBatchRecord(nil, seed, min(b.Workers, runtime.GOMAXPROCS(0)), queries)
 }
 
 // TestRouterLegsMatchJSONPath: over bodies of all three shapes drawn from a
@@ -105,11 +106,11 @@ func TestRouterLegsMatchJSONPath(t *testing.T) {
 		if i%5 == 4 {
 			size = 3 * len(lake.Domains[i].Values)
 		}
-		add("/query", serve.QueryRequest{Values: values(i), Threshold: thresholds[i%5], Size: size})
-		add("/query/topk", serve.TopKRequest{Values: values(70 + i), K: i % 12, Size: size})
-		batch := serve.BatchRequest{Workers: i%3 - 1}
+		add("/query", wire.QueryRequest{Values: values(i), Threshold: thresholds[i%5], Size: size})
+		add("/query/topk", wire.TopKRequest{Values: values(70 + i), K: i % 12, Size: size})
+		batch := wire.BatchRequest{Workers: i%3 - 1}
 		for r := 0; r <= i%8; r++ {
-			batch.Queries = append(batch.Queries, serve.QueryRequest{Values: values(140 + (i+r)%100), Threshold: thresholds[(i+r)%5]})
+			batch.Queries = append(batch.Queries, wire.QueryRequest{Values: values(140 + (i+r)%100), Threshold: thresholds[(i+r)%5]})
 		}
 		add("/query/batch", batch)
 	}
@@ -191,13 +192,13 @@ func TestChunkedBodiesReadSmall(t *testing.T) {
 		t.Logf("%s: %d bytes allocated per chunked /query", c.name, perCall)
 	}
 
-	var batch serve.BatchRequest
+	var batch wire.BatchRequest
 	for r := 0; r < 100; r++ {
 		vals := make([]string, 2500)
 		for j := range vals {
 			vals[j] = fmt.Sprintf("v%07d", r*1000+j)
 		}
-		batch.Queries = append(batch.Queries, serve.QueryRequest{Values: vals})
+		batch.Queries = append(batch.Queries, wire.QueryRequest{Values: vals})
 	}
 	big := string(mustMarshal(t, batch))
 	for _, c := range []struct {
@@ -205,7 +206,7 @@ func TestChunkedBodiesReadSmall(t *testing.T) {
 		h    http.Handler
 	}{{"shard", shards[0].srv}, {"router", router}} {
 		rr := post(c.h, "/query/batch", big)
-		var out serve.BatchResponse
+		var out wire.BatchResponse
 		if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &out) != nil || len(out.Rows) != len(batch.Queries) {
 			t.Fatalf("%s: chunked batch of %d bytes: HTTP %d, %d rows", c.name, len(big), rr.Code, len(out.Rows))
 		}
@@ -246,7 +247,7 @@ func TestRouterRefusesFailedReadAsDecoding(t *testing.T) {
 	urls, _ := startShards(t, 1)
 	router, _ := startRouter(t, urls, Options{})
 	router.CheckHealth()
-	tooLarge := &http.MaxBytesError{Limit: serve.MaxRequestBody}
+	tooLarge := &http.MaxBytesError{Limit: wire.MaxRequestBody}
 	for _, c := range []struct {
 		came string
 		err  error
@@ -262,7 +263,7 @@ func TestRouterRefusesFailedReadAsDecoding(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPost, path, io.MultiReader(strings.NewReader(c.came), iotest.ErrReader(c.err)))
 			rr := httptest.NewRecorder()
 			router.ServeHTTP(rr, req)
-			var got serve.ErrorResponse
+			var got wire.ErrorResponse
 			if err := json.Unmarshal(rr.Body.Bytes(), &got); rr.Code != http.StatusBadRequest || err != nil || got.Error != c.want {
 				t.Errorf("%s %q then %v: HTTP %d %s, want 400 %q", path, c.came, c.err, rr.Code, rr.Body, c.want)
 			}

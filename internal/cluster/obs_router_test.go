@@ -15,6 +15,7 @@ import (
 
 	"lshensemble"
 	"lshensemble/internal/serve"
+	"lshensemble/internal/wire"
 )
 
 // lockedBuf is a concurrency-safe sink for slog output from live servers.
@@ -166,7 +167,7 @@ func TestPartialResponseCounter(t *testing.T) {
 
 	shards[0].kill()
 	var out RouterQueryResponse
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(0)}, &out); code != http.StatusOK {
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(0)}, &out); code != http.StatusOK {
 		t.Fatalf("query status %d", code)
 	}
 	if !out.Partial {
@@ -193,9 +194,9 @@ func TestMetricsSeriesSet(t *testing.T) {
 	_, rts := startRouter(t, urls, Options{})
 	addVia(t, rts.URL, 8)
 	for path, body := range map[string]any{
-		"/query":       serve.QueryRequest{Values: windowValues(0)},
-		"/query/topk":  serve.TopKRequest{Values: windowValues(0)},
-		"/query/batch": serve.BatchRequest{Queries: []serve.QueryRequest{{Values: windowValues(0)}}},
+		"/query":       wire.QueryRequest{Values: windowValues(0)},
+		"/query/topk":  wire.TopKRequest{Values: windowValues(0)},
+		"/query/batch": wire.BatchRequest{Queries: []wire.QueryRequest{{Values: windowValues(0)}}},
 	} {
 		if code := postJSON(t, rts.URL+path, body, nil); code != http.StatusOK {
 			t.Fatalf("%s status %d", path, code)

@@ -24,10 +24,11 @@ import (
 	"lshensemble"
 	"lshensemble/internal/obs"
 	"lshensemble/internal/serve"
+	"lshensemble/internal/wire"
 )
 
 // readLeg reads one request record: its op, trace ID and body.
-func readLeg(br *bufio.Reader) (serve.Op, string, []byte, error) {
+func readLeg(br *bufio.Reader) (wire.Op, string, []byte, error) {
 	var h [2]byte
 	if _, err := io.ReadFull(br, h[:]); err != nil {
 		return 0, "", nil, err
@@ -38,7 +39,7 @@ func readLeg(br *bufio.Reader) (serve.Op, string, []byte, error) {
 	}
 	body := make([]byte, binary.LittleEndian.Uint32(rest[len(rest)-4:]))
 	_, err := io.ReadFull(br, body)
-	return serve.Op(h[0]), string(rest[:h[1]]), body, err
+	return wire.Op(h[0]), string(rest[:h[1]]), body, err
 }
 
 // answerRecord is the answer record of status and body.
@@ -54,7 +55,7 @@ func upgrade(t *testing.T, w http.ResponseWriter) (net.Conn, *bufio.Reader) {
 		t.Error(err)
 		return nil, nil
 	}
-	io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+serve.RecordProtocol+"\r\n\r\n")
+	io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+wire.RecordProtocol+"\r\n\r\n")
 	return conn, brw.Reader
 }
 
@@ -90,7 +91,7 @@ func newRecordFront(t *testing.T, shard http.Handler) (*recordFront, string) {
 }
 
 func (f *recordFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != serve.RecordPath {
+	if r.URL.Path != wire.RecordPath {
 		f.shard.ServeHTTP(w, r)
 		return
 	}
@@ -167,7 +168,7 @@ func TestRestartedShardCostsADial(t *testing.T) {
 	addVia(t, rts.URL, 30)
 	for round := 1; round <= 3; round++ {
 		var got RouterQueryResponse
-		if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(4), Threshold: 0.5}, &got); code != http.StatusOK || got.Partial {
+		if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(4), Threshold: 0.5}, &got); code != http.StatusOK || got.Partial {
 			t.Fatalf("round %d: HTTP %d partial=%v failed=%v", round, code, got.Partial, got.Failed)
 		}
 		if !containsKey(got.Matches, domainKey(4)) {
@@ -201,7 +202,7 @@ func TestHeldRecordIsCutOffAndDropped(t *testing.T) {
 	router, rts := startRouter(t, append(urls, furl), Options{ShardTimeout: shardTimeout})
 	router.CheckHealth()
 	addVia(t, rts.URL, 20)
-	query := serve.QueryRequest{Values: windowValues(3), Threshold: 0.5}
+	query := wire.QueryRequest{Values: windowValues(3), Threshold: 0.5}
 
 	front.hold.Store(true)
 	start := time.Now()
@@ -272,7 +273,7 @@ func TestOddShardsNeverJoinTheRing(t *testing.T) {
 	old := newShardServer(t, testSeed)
 	ots := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case serve.RecordPath:
+		case wire.RecordPath:
 			http.NotFound(w, r)
 		case "/stats":
 			rr := httptest.NewRecorder()
@@ -282,7 +283,7 @@ func TestOddShardsNeverJoinTheRing(t *testing.T) {
 				t.Error(err)
 			}
 			delete(st, "records")
-			serve.WriteJSON(w, rr.Code, st)
+			wire.WriteJSON(w, rr.Code, st)
 		default:
 			old.ServeHTTP(w, r)
 		}
@@ -351,7 +352,7 @@ func TestRouterCloseReleasesConnections(t *testing.T) {
 	router.CheckHealth()
 	addVia(t, rts.URL, 10)
 	for i := 0; i < 4; i++ {
-		postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(i)}, nil)
+		postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(i)}, nil)
 	}
 	rts.Close()
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
@@ -416,10 +417,10 @@ func TestRecordLegObservedAsHTTP(t *testing.T) {
 		}
 		return d
 	}
-	for o, body := range map[serve.Op]string{
-		serve.OpQuery: `{"values":["w0003","w0004","w0005"],"threshold":0.4}`,
-		serve.OpTopK:  `{"values":["w0003","w0004","w0005"],"k":4}`,
-		serve.OpBatch: `{"queries":[{"values":["w0003"]},{"values":["w0010","w0011"]}]}`,
+	for o, body := range map[wire.Op]string{
+		wire.OpQuery: `{"values":["w0003","w0004","w0005"],"threshold":0.4}`,
+		wire.OpTopK:  `{"values":["w0003","w0004","w0005"],"k":4}`,
+		wire.OpBatch: `{"queries":[{"values":["w0003"]},{"values":["w0010","w0011"]}]}`,
 	} {
 		path := o.Path()
 		id := "leg-trace-" + strings.ReplaceAll(path[1:], "/", "-")
@@ -472,9 +473,9 @@ func TestRoutedAddStoresDirectAdd(t *testing.T) {
 		key := domainKey(i % 35)
 		if i%6 == 5 {
 			var routed RouterDeleteResponse
-			var direct serve.DeleteResponse
-			postJSON(t, rts.URL+"/delete", serve.DeleteRequest{Key: key}, &routed)
-			postJSON(t, urls[1]+"/delete", serve.DeleteRequest{Key: key}, &direct)
+			var direct wire.DeleteResponse
+			postJSON(t, rts.URL+"/delete", wire.DeleteRequest{Key: key}, &routed)
+			postJSON(t, urls[1]+"/delete", wire.DeleteRequest{Key: key}, &direct)
 			if routed.DeleteResponse != direct || routed.Partial {
 				t.Fatalf("delete %s: routed %+v, direct %+v", key, routed, direct)
 			}
@@ -482,9 +483,9 @@ func TestRoutedAddStoresDirectAdd(t *testing.T) {
 		}
 		values := append(windowValues(i), windowValues(i+3)...) // repeats, which the size must not count
 		var routed RouterAddResponse
-		var direct serve.AddResponse
-		postJSON(t, rts.URL+"/add", serve.AddRequest{Key: key, Values: values}, &routed)
-		postJSON(t, urls[1]+"/add", serve.AddRequest{Key: key, Values: values}, &direct)
+		var direct wire.AddResponse
+		postJSON(t, rts.URL+"/add", wire.AddRequest{Key: key, Values: values}, &routed)
+		postJSON(t, urls[1]+"/add", wire.AddRequest{Key: key, Values: values}, &direct)
 		if routed.AddResponse != direct || routed.Partial || !sameStrings(routed.Shards, urls[:1]) {
 			t.Fatalf("add %s: routed %+v, direct %+v", key, routed, direct)
 		}
@@ -511,7 +512,7 @@ func TestRoutedAddStoresDirectAdd(t *testing.T) {
 func TestRestartedShardRetriesWrite(t *testing.T) {
 	urls, fronts, servers := startSwappable(t, 1)
 	_, rts := startRouter(t, urls, Options{})
-	add := serve.AddRequest{Key: "k", Values: windowValues(3)}
+	add := wire.AddRequest{Key: "k", Values: windowValues(3)}
 	for round, want := range []bool{false, true} {
 		var got RouterAddResponse
 		if code := postJSON(t, rts.URL+"/add", add, &got); code != http.StatusOK || got.Partial || got.Replaced != want {
@@ -520,7 +521,7 @@ func TestRestartedShardRetriesWrite(t *testing.T) {
 		fronts[0].swap(servers[0])
 	}
 	var del RouterDeleteResponse
-	if code := postJSON(t, rts.URL+"/delete", serve.DeleteRequest{Key: "k"}, &del); code != http.StatusOK || del.Partial || !del.Deleted {
+	if code := postJSON(t, rts.URL+"/delete", wire.DeleteRequest{Key: "k"}, &del); code != http.StatusOK || del.Partial || !del.Deleted {
 		t.Fatalf("delete after a restart: HTTP %d %+v", code, del)
 	}
 	text := scrapeText(t, rts.URL)
@@ -559,7 +560,7 @@ func TestStaleFailureEmptiesPool(t *testing.T) {
 	c := fillPool(t, router, 4)
 	fronts[0].swap(servers[0])
 	var got RouterQueryResponse
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(1)}, &got); code != http.StatusOK || got.Partial {
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(1)}, &got); code != http.StatusOK || got.Partial {
 		t.Fatalf("query after a restart: HTTP %d partial=%v", code, got.Partial)
 	}
 	c.mu.Lock()
@@ -586,7 +587,7 @@ func TestIdlePoolAgesOut(t *testing.T) {
 		rc.idleSince = time.Now().Add(-maxIdleAge - time.Second)
 	}
 	c.mu.Unlock()
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(1)}, nil); code != http.StatusOK {
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(1)}, nil); code != http.StatusOK {
 		t.Fatalf("query: HTTP %d", code)
 	}
 	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_shard_dials_total{shard="`+urls[0]+`"} 3`) {

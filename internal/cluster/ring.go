@@ -5,8 +5,8 @@
 // as a partial result instead of an error.
 //
 // The package splits into three pieces: Ring (this file) places keys,
-// Client speaks the shard wire protocol from internal/serve, and Router
-// glues them into an http.Handler with health-checked membership.
+// Client speaks the wire (internal/wire) to one shard, and Router glues them
+// into an http.Handler with health-checked membership. It links no index.
 //
 // A Client talks to its shard on two transports. A pre-sketched query leg,
 // an add and a delete are each one record, one write and one read, on a

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -15,10 +16,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lshensemble"
-	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
+	"lshensemble/internal/minhash"
 	"lshensemble/internal/obs"
-	"lshensemble/internal/serve"
+	"lshensemble/internal/wire"
 )
 
 // Options configure a Router.
@@ -84,7 +85,7 @@ type shard struct {
 //	POST /add, /delete    sent to the key's ring owners
 //	POST /query, /query/topk, /query/batch
 //	                      scattered to every shard in the ring, merged
-//	GET  /stats           per-shard stats, gathered
+//	GET  /stats           each shard's /stats body, as it came
 //	GET  /ring            membership, liveness, keyspace shares, the family
 //	GET  /healthz         200 while at least one shard is in the ring
 //	POST /compact, /save  fanned to every shard in the ring
@@ -107,10 +108,10 @@ type shard struct {
 // and every round asks the shards outside again. While no family is known a
 // request is a 503 with Retry-After.
 //
-// The data routes are the shard's own JSON front end (serve.Handler) over
-// the ring: a body is checked as a shard checks it, before the family is
-// asked for, then sketched once with the fleet's family, and its record
-// (internal/serve) encoded once for a write's owners or every query leg. A
+// The data routes are the shard's own JSON front end (wire.Handler) over
+// the ring, the sink: a body is checked as a shard checks it, before the
+// family is asked for, then sketched once with the fleet's family, and its
+// record (internal/wire) encoded once for a write's owners or every leg. A
 // shard that refuses a record (it restarted under another seed) fails that
 // leg — a query answer goes partial, its candidates never merged — and is
 // held out of the ring until it reports the fleet's family again.
@@ -200,14 +201,14 @@ func NewRouter(shardURLs []string, opts Options) (*Router, error) {
 	r.rebuild(nil)
 
 	r.mux = http.NewServeMux()
-	for _, o := range [...]serve.Op{serve.OpAdd, serve.OpDelete, serve.OpQuery, serve.OpTopK, serve.OpBatch} {
-		r.handle("POST "+o.Path(), o.Endpoint(), serve.Handler(o, r.family, r.answer))
+	for _, o := range [...]wire.Op{wire.OpAdd, wire.OpDelete, wire.OpQuery, wire.OpTopK, wire.OpBatch} {
+		r.handle("POST "+o.Path(), o.Endpoint(), wire.Handler(o, r.family, r.answer))
 	}
-	r.handle("GET /stats", "stats", fleetAdmin(r, (*Client).Stats))
+	r.handle("GET /stats", "stats", fleetAdmin(r, http.MethodGet, "/stats"))
 	r.handle("GET /ring", "ring", r.handleRing)
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.handle("POST /compact", "compact", fleetAdmin(r, (*Client).Compact))
-	r.handle("POST /save", "save", fleetAdmin(r, (*Client).Save))
+	r.handle("POST /compact", "compact", fleetAdmin(r, http.MethodPost, "/compact"))
+	r.handle("POST /save", "save", fleetAdmin(r, http.MethodPost, "/save"))
 	r.mux.Handle("GET /metrics", r.reg.Handler())
 	return r, nil
 }
@@ -322,7 +323,7 @@ type HashFamily struct {
 // sketcher is the fleet's hash family, ready to sketch.
 type sketcher struct {
 	HashFamily
-	hasher *lshensemble.Hasher
+	hasher *minhash.Hasher
 }
 
 // learnFamilies is a learning round: it asks every live shard outside the
@@ -344,17 +345,21 @@ func (r *Router) learnFamilies() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), r.opts.ShardTimeout)
 			defer cancel()
-			st, err := s.client.Stats(ctx)
+			var st struct { // of the shard's /stats, only what names its family
+				HashFamily
+				Records bool `json:"records"`
+			}
+			err := s.client.do(ctx, http.MethodGet, "/stats", nil, &st)
 			switch {
 			case err != nil:
 				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard hash family not learned",
 					slog.String("shard", s.name), slog.String("error", err.Error()))
-			case !st.Records || st.NumHash <= 0 || st.NumHash > core.MaxNumHash:
+			case !st.Records || st.NumHash <= 0 || st.NumHash > domain.MaxNumHash:
 				r.logger.LogAttrs(ctx, slog.LevelDebug, "shard takes no record legs",
 					slog.String("shard", s.name), slog.Int("num_hash", st.NumHash))
 				s.family.Store(nil)
 			default:
-				reported[i] = &HashFamily{Seed: st.Seed, NumHash: st.NumHash}
+				reported[i] = &st.HashFamily
 			}
 		}(i, s)
 	}
@@ -402,7 +407,7 @@ func adoptFamily(reported []*HashFamily) *sketcher {
 	if best == nil {
 		return nil
 	}
-	return &sketcher{HashFamily: *best, hasher: lshensemble.NewHasher(best.NumHash, best.Seed)}
+	return &sketcher{HashFamily: *best, hasher: minhash.NewHasher(best.NumHash, best.Seed)}
 }
 
 // member reports whether s belongs in the ring of family sk: live, and of
@@ -424,7 +429,7 @@ func (r *Router) fleet() (*sketcher, error) {
 	if sk := r.sketch.Load(); sk != nil {
 		return sk, nil
 	}
-	return nil, &serve.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no shard has reported its hash family yet"),
+	return nil, &wire.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no shard has reported its hash family yet"),
 		RetryAfter: int(math.Ceil(r.opts.HealthInterval.Seconds()))}
 }
 
@@ -490,7 +495,7 @@ func (r *Router) shardByName(name string) *shard {
 // that applied it; Partial means some owner did not (the write is durable
 // on the listed shards only). Replaced is true if any owner held the key.
 type RouterAddResponse struct {
-	serve.AddResponse
+	wire.AddResponse
 	Shards  []string `json:"shards"`
 	Failed  []string `json:"failed,omitempty"`
 	Partial bool     `json:"partial"`
@@ -499,7 +504,7 @@ type RouterAddResponse struct {
 // RouterDeleteResponse acknowledges a routed delete; Deleted is true if any
 // owner held the key.
 type RouterDeleteResponse struct {
-	serve.DeleteResponse
+	wire.DeleteResponse
 	Shards  []string `json:"shards"`
 	Failed  []string `json:"failed,omitempty"`
 	Partial bool     `json:"partial"`
@@ -507,14 +512,14 @@ type RouterDeleteResponse struct {
 
 // RouterQueryResponse is a merged containment answer.
 type RouterQueryResponse struct {
-	serve.QueryResponse
+	wire.QueryResponse
 	Partial bool     `json:"partial"`
 	Failed  []string `json:"failed,omitempty"`
 }
 
 // RouterTopKResponse is a merged ranked answer.
 type RouterTopKResponse struct {
-	serve.TopKResponse
+	wire.TopKResponse
 	Partial bool     `json:"partial"`
 	Failed  []string `json:"failed,omitempty"`
 }
@@ -522,14 +527,14 @@ type RouterTopKResponse struct {
 // RouterBatchResponse is a merged batch answer, row-aligned with the
 // request.
 type RouterBatchResponse struct {
-	serve.BatchResponse
+	wire.BatchResponse
 	Partial bool     `json:"partial"`
 	Failed  []string `json:"failed,omitempty"`
 }
 
 // RouterFleetResponse gathers every live shard's answer to a fleet admin
-// call, keyed by shard name: serve.StatsResponse for /stats and /compact,
-// serve.SaveResponse for /save.
+// call, keyed by shard name: its JSON body as it came (T is json.RawMessage),
+// which the router relays without linking the daemon's types.
 type RouterFleetResponse[T any] struct {
 	Shards  map[string]T `json:"shards"`
 	Partial bool         `json:"partial"`
@@ -584,7 +589,7 @@ func fanOut[T any](ctx context.Context, shards []*shard, call func(context.Conte
 // decoded by call. The legs start together, so they share one ShardTimeout
 // deadline: a slow shard costs a partial answer, not latency. A shard that
 // answers with a 4xx is held out of the ring.
-func legs[T any](r *Router, ctx context.Context, shards []*shard, call func(context.Context, *shard) (T, error)) (oks []T, failed []string, refusal *serve.Refusal) {
+func legs[T any](r *Router, ctx context.Context, shards []*shard, call func(context.Context, *shard) (T, error)) (oks []T, failed []string, refusal *wire.Refusal) {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
 	defer cancel()
 	shards, resps, errs := fanOut(ctx, shards, call)
@@ -597,7 +602,7 @@ func legs[T any](r *Router, ctx context.Context, shards []*shard, call func(cont
 // refused: not one answer, and every shard returned the same 4xx with the
 // same message. That is the request's fault, not the shards', so nothing is
 // counted and the refusal comes back for the caller to relay.
-func gather[T any](live []*shard, resps []T, errs []error) (oks []T, failed []string, refusal *serve.Refusal) {
+func gather[T any](live []*shard, resps []T, errs []error) (oks []T, failed []string, refusal *wire.Refusal) {
 	for i, err := range errs {
 		if err == nil {
 			oks = append(oks, resps[i])
@@ -620,7 +625,7 @@ func gather[T any](live []*shard, resps []T, errs []error) (oks []T, failed []st
 
 // sameRefusal returns the one 4xx every leg answered, in the shards' status
 // and words; nil unless all did and alike.
-func sameRefusal(errs []error) *serve.Refusal {
+func sameRefusal(errs []error) *wire.Refusal {
 	var first *StatusError
 	for _, err := range errs {
 		var se *StatusError
@@ -636,7 +641,7 @@ func sameRefusal(errs []error) *serve.Refusal {
 	if first == nil {
 		return nil
 	}
-	return &serve.Refusal{Status: first.Status, Err: errors.New(first.Message)}
+	return &wire.Refusal{Status: first.Status, Err: errors.New(first.Message)}
 }
 
 // --- the ring: the front end's sink ---
@@ -646,13 +651,13 @@ func sameRefusal(errs []error) *serve.Refusal {
 // the family says how long a signature is and before any row is sketched: a
 // signature is a fixed 8·num_hash bytes however few values it stands for, so
 // a batch of very many small queries is larger as a record than raw.
-func (r *Router) family(o serve.Op, rows int) (*lshensemble.Hasher, error) {
+func (r *Router) family(o wire.Op, rows int) (*minhash.Hasher, error) {
 	sk, err := r.fleet()
 	if err != nil {
 		return nil, err
 	}
-	if n := serve.RecordLen(o, rows, sk.NumHash); o == serve.OpBatch && n > serve.MaxRequestBody {
-		return nil, fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, n, serve.MaxRequestBody)
+	if n := wire.RecordLen(o, rows, sk.NumHash); o == wire.OpBatch && n > wire.MaxRequestBody {
+		return nil, fmt.Errorf("%d queries sketch to %d bytes, over the %d-byte request limit: split the batch", rows, n, wire.MaxRequestBody)
 	}
 	return sk.hasher, nil
 }
@@ -661,29 +666,29 @@ func (r *Router) family(o serve.Op, rows int) (*lshensemble.Hasher, error) {
 // query is one record, encoded once, scattered to every shard in the ring,
 // and the answers merged. A batch's workers go out as the client asked them:
 // each shard caps them at its own GOMAXPROCS.
-func (r *Router) answer(ctx context.Context, req *serve.Request) (any, error) {
+func (r *Router) answer(ctx context.Context, req *wire.Request) (any, error) {
 	sk := r.sketch.Load() // family let the request through, so it is adopted
 	switch req.Op {
-	case serve.OpAdd:
-		rec := lshensemble.DomainRecord{Key: req.Key, Size: req.Rows[0].Size, Sig: req.Rows[0].Sig}
-		acked, failed, replaced, err := r.write(ctx, req.Key, req.Op, serve.AppendAddRecord(nil, sk.Seed, rec))
+	case wire.OpAdd:
+		rec := domain.Record{Key: req.Key, Size: req.Rows[0].Size, Sig: req.Rows[0].Sig}
+		acked, failed, replaced, err := r.write(ctx, req.Key, req.Op, wire.AppendAddRecord(nil, sk.Seed, rec))
 		if err != nil {
 			return nil, err
 		}
-		add := serve.AddResponse{Replaced: replaced, Size: rec.Size}
+		add := wire.AddResponse{Replaced: replaced, Size: rec.Size}
 		return &RouterAddResponse{AddResponse: add, Shards: acked, Failed: failed, Partial: len(failed) > 0}, nil
-	case serve.OpDelete:
-		acked, failed, deleted, err := r.write(ctx, req.Key, req.Op, serve.AppendDeleteRecord(nil, req.Key))
+	case wire.OpDelete:
+		acked, failed, deleted, err := r.write(ctx, req.Key, req.Op, wire.AppendDeleteRecord(nil, req.Key))
 		if err != nil {
 			return nil, err
 		}
-		del := serve.DeleteResponse{Deleted: deleted}
+		del := wire.DeleteResponse{Deleted: deleted}
 		return &RouterDeleteResponse{DeleteResponse: del, Shards: acked, Failed: failed, Partial: len(failed) > 0}, nil
 	}
-	body := make([]byte, 0, serve.RecordLen(req.Op, len(req.Rows), sk.NumHash))
+	body := make([]byte, 0, wire.RecordLen(req.Op, len(req.Rows), sk.NumHash))
 	switch req.Op {
-	case serve.OpQuery:
-		oks, failed, err := scatter[serve.QueryResponse](r, ctx, req, serve.AppendQueryRecord(body, sk.Seed, req.Rows[0]))
+	case wire.OpQuery:
+		oks, failed, err := scatter[wire.QueryResponse](r, ctx, req, wire.AppendQueryRecord(body, sk.Seed, req.Rows[0]))
 		if err != nil {
 			return nil, err
 		}
@@ -692,22 +697,22 @@ func (r *Router) answer(ctx context.Context, req *serve.Request) (any, error) {
 			lists[i] = oks[i].Matches
 		}
 		merged := mergeSorted(lists)
-		resp := serve.QueryResponse{Matches: merged, Count: len(merged)}
+		resp := wire.QueryResponse{Matches: merged, Count: len(merged)}
 		return &RouterQueryResponse{QueryResponse: resp, Partial: len(failed) > 0, Failed: failed}, nil
-	case serve.OpTopK:
-		oks, failed, err := scatter[serve.TopKResponse](r, ctx, req, serve.AppendTopKRecord(body, sk.Seed, req.K, req.Rows[0].Size, req.Rows[0].Sig))
+	case wire.OpTopK:
+		oks, failed, err := scatter[wire.TopKResponse](r, ctx, req, wire.AppendTopKRecord(body, sk.Seed, req.K, req.Rows[0].Size, req.Rows[0].Sig))
 		if err != nil {
 			return nil, err
 		}
 		merged := mergeTopK(oks, req.K)
-		resp := serve.TopKResponse{Matches: merged, Count: len(merged)}
+		resp := wire.TopKResponse{Matches: merged, Count: len(merged)}
 		return &RouterTopKResponse{TopKResponse: resp, Partial: len(failed) > 0, Failed: failed}, nil
 	}
-	oks, failed, err := scatter[serve.BatchResponse](r, ctx, req, serve.AppendBatchRecord(body, sk.Seed, req.Workers, req.Rows))
+	oks, failed, err := scatter[wire.BatchResponse](r, ctx, req, wire.AppendBatchRecord(body, sk.Seed, req.Workers, req.Rows))
 	if err != nil {
 		return nil, err
 	}
-	resp := serve.BatchResponse{Rows: mergeBatch(oks, len(req.Rows))}
+	resp := wire.BatchResponse{Rows: mergeBatch(oks, len(req.Rows))}
 	return &RouterBatchResponse{BatchResponse: resp, Partial: len(failed) > 0, Failed: failed}, nil
 }
 
@@ -716,7 +721,7 @@ func (r *Router) answer(ctx context.Context, req *serve.Request) (any, error) {
 // any that acknowledged replaced or deleted the key. With no owner in the
 // ring, or none that acknowledged, it returns the refusal to answer with
 // instead: one every owner gave alike is relayed, anything else is a 502.
-func (r *Router) write(ctx context.Context, key string, o serve.Op, body []byte) (acked, failed []string, flag bool, err error) {
+func (r *Router) write(ctx context.Context, key string, o wire.Op, body []byte) (acked, failed []string, flag bool, err error) {
 	var owners []*shard
 	for _, name := range r.ring.Load().Owners(key) {
 		if s := r.shardByName(name); s != nil {
@@ -724,7 +729,7 @@ func (r *Router) write(ctx context.Context, key string, o serve.Op, body []byte)
 		}
 	}
 	if len(owners) == 0 {
-		return nil, nil, false, &serve.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no live shards")}
+		return nil, nil, false, &wire.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no live shards")}
 	}
 	var flagged atomic.Bool
 	acked, failed, refusal := legs(r, ctx, owners, func(ctx context.Context, s *shard) (string, error) {
@@ -743,14 +748,14 @@ func (r *Router) write(ctx context.Context, key string, o serve.Op, body []byte)
 	case refusal != nil:
 		return nil, nil, false, refusal
 	}
-	return nil, nil, false, &serve.Refusal{Status: http.StatusBadGateway,
+	return nil, nil, false, &wire.Refusal{Status: http.StatusBadGateway,
 		Err: fmt.Errorf("no owner acknowledged %s of %q (failed: %v)", o, key, failed)}
 }
 
 // scatter sends one query's record, body, to every shard in the ring and
 // gathers the answers, each decoded as the answer to the request's rows. A
 // scatter that got none returns gatewayCheck's refusal.
-func scatter[T any](r *Router, ctx context.Context, req *serve.Request, body []byte) ([]T, []string, error) {
+func scatter[T any](r *Router, ctx context.Context, req *wire.Request, body []byte) ([]T, []string, error) {
 	oks, failed, refusal := legs(r, ctx, r.liveShards(), func(ctx context.Context, s *shard) (T, error) {
 		var out T
 		return out, s.client.leg(ctx, req.Op, body, len(req.Rows), &out)
@@ -766,16 +771,16 @@ func scatter[T any](r *Router, ctx context.Context, req *serve.Request, body []b
 // every shard refused alike (relayed with the shards' status and message),
 // and a total blackout. One reachable shard among many means a partial
 // answer, never a 5xx.
-func gatewayCheck(got int, failed []string, refusal *serve.Refusal) error {
+func gatewayCheck(got int, failed []string, refusal *wire.Refusal) error {
 	switch {
 	case got > 0:
 		return nil
 	case refusal != nil:
 		return refusal
 	case len(failed) == 0:
-		return &serve.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no live shards")}
+		return &wire.Refusal{Status: http.StatusServiceUnavailable, Err: errors.New("no live shards")}
 	}
-	return &serve.Refusal{Status: http.StatusBadGateway, Err: fmt.Errorf("all %d live shards failed", len(failed))}
+	return &wire.Refusal{Status: http.StatusBadGateway, Err: fmt.Errorf("all %d live shards failed", len(failed))}
 }
 
 // --- merges ---
@@ -817,7 +822,7 @@ func mergeSorted(lists [][]string) []string {
 // (score desc, key asc), and truncates to k. Each shard returned its local
 // top k, and any key in the global top k is in its owner's local top k, so
 // the merge is exact.
-func mergeTopK(responses []serve.TopKResponse, k int) []serve.TopKMatch {
+func mergeTopK(responses []wire.TopKResponse, k int) []wire.TopKMatch {
 	best := make(map[string]float64, 64)
 	for _, resp := range responses {
 		for _, m := range resp.Matches {
@@ -826,13 +831,13 @@ func mergeTopK(responses []serve.TopKResponse, k int) []serve.TopKMatch {
 			}
 		}
 	}
-	merged := make([]serve.TopKMatch, 0, len(best))
+	merged := make([]wire.TopKMatch, 0, len(best))
 	for key, est := range best {
-		merged = append(merged, serve.TopKMatch{Key: key, EstContainment: est})
+		merged = append(merged, wire.TopKMatch{Key: key, EstContainment: est})
 	}
-	// TopKMatch is core.TopKResult plus JSON tags, so the conversion is free.
-	slices.SortFunc(merged, func(a, b serve.TopKMatch) int {
-		return core.CompareTopK(core.TopKResult(a), core.TopKResult(b))
+	// TopKMatch is domain.TopKResult plus JSON tags, so the conversion is free.
+	slices.SortFunc(merged, func(a, b wire.TopKMatch) int {
+		return domain.CompareTopK(domain.TopKResult(a), domain.TopKResult(b))
 	})
 	if len(merged) > k {
 		merged = merged[:k]
@@ -842,8 +847,8 @@ func mergeTopK(responses []serve.TopKResponse, k int) []serve.TopKMatch {
 
 // mergeBatch merges row by row: every shard answered the same batch, so row
 // i of the merge is mergeSorted over every shard's row i.
-func mergeBatch(responses []serve.BatchResponse, numRows int) []serve.QueryResponse {
-	rows := make([]serve.QueryResponse, numRows)
+func mergeBatch(responses []wire.BatchResponse, numRows int) []wire.QueryResponse {
+	rows := make([]wire.QueryResponse, numRows)
 	lists := make([][]string, 0, len(responses))
 	for i := range rows {
 		lists = lists[:0]
@@ -853,7 +858,7 @@ func mergeBatch(responses []serve.BatchResponse, numRows int) []serve.QueryRespo
 			}
 		}
 		merged := mergeSorted(lists)
-		rows[i] = serve.QueryResponse{Matches: merged, Count: len(merged)}
+		rows[i] = wire.QueryResponse{Matches: merged, Count: len(merged)}
 	}
 	return rows
 }
@@ -861,33 +866,34 @@ func mergeBatch(responses []serve.BatchResponse, numRows int) []serve.QueryRespo
 // --- fleet admin ---
 
 // fleetAdmin serves one admin call fanned out to every shard in the ring,
-// answered with the per-shard responses. The legs run under the inbound
-// request's context only: a snapshot or a full compaction legitimately
-// outlasts the query ShardTimeout, and cutting it off there would report a
-// shard that is still working as failed.
-func fleetAdmin[T any](r *Router, call func(*Client, context.Context) (T, error)) http.HandlerFunc {
+// answered with each shard's JSON body as it came. The legs run under the
+// inbound request's context only: a snapshot or a full compaction
+// legitimately outlasts the query ShardTimeout, and cutting it off there
+// would report a shard that is still working as failed.
+func fleetAdmin(r *Router, method, path string) http.HandlerFunc {
 	type named struct {
 		name string
-		resp T
+		resp json.RawMessage
 	}
 	return func(w http.ResponseWriter, req *http.Request) {
 		if _, err := r.fleet(); err != nil {
-			serve.WriteRefusal(w, err)
+			wire.WriteRefusal(w, err)
 			return
 		}
 		oks, failed, refusal := gather(fanOut(req.Context(), r.liveShards(), func(ctx context.Context, s *shard) (named, error) {
-			resp, err := call(s.client, ctx)
+			var resp json.RawMessage // the shard's body as it came
+			err := s.client.do(ctx, method, path, nil, &resp)
 			return named{name: s.name, resp: resp}, err
 		}))
 		if err := gatewayCheck(len(oks), failed, refusal); err != nil {
-			serve.WriteRefusal(w, err)
+			wire.WriteRefusal(w, err)
 			return
 		}
-		out := RouterFleetResponse[T]{Shards: make(map[string]T, len(oks)), Failed: failed, Partial: len(failed) > 0}
+		out := RouterFleetResponse[json.RawMessage]{Shards: make(map[string]json.RawMessage, len(oks)), Failed: failed, Partial: len(failed) > 0}
 		for _, n := range oks {
 			out.Shards[n.name] = n.resp
 		}
-		serve.WriteJSON(w, http.StatusOK, out)
+		wire.WriteJSON(w, http.StatusOK, out)
 	}
 }
 
@@ -910,7 +916,7 @@ func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {
 	if sk := r.sketch.Load(); sk != nil {
 		out.Family = &sk.HashFamily
 	}
-	serve.WriteJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -919,5 +925,5 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if live == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	serve.WriteJSON(w, status, map[string]int{"live": live, "shards": len(r.shards)})
+	wire.WriteJSON(w, status, map[string]int{"live": live, "shards": len(r.shards)})
 }

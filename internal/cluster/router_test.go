@@ -14,6 +14,7 @@ import (
 
 	"lshensemble"
 	"lshensemble/internal/serve"
+	"lshensemble/internal/wire"
 )
 
 // The e2e fixtures use a uniform domain cardinality on purpose: the
@@ -152,7 +153,7 @@ func addVia(t *testing.T, routerURL string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		var resp RouterAddResponse
-		if code := postJSON(t, routerURL+"/add", serve.AddRequest{Key: domainKey(i), Values: windowValues(i)}, &resp); code != http.StatusOK {
+		if code := postJSON(t, routerURL+"/add", wire.AddRequest{Key: domainKey(i), Values: windowValues(i)}, &resp); code != http.StatusOK {
 			t.Fatalf("add %d: HTTP %d", i, code)
 		}
 		if resp.Partial || len(resp.Failed) > 0 {
@@ -241,7 +242,7 @@ func checkMergeMatchesSingleNode(t *testing.T, urls []string, shards []*testShar
 			want := single.Query(rec.Sig, rec.Size, threshold)
 			sort.Strings(want)
 			var got RouterQueryResponse
-			if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: threshold}, &got); code != http.StatusOK {
+			if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: values, Threshold: threshold}, &got); code != http.StatusOK {
 				t.Fatalf("query probe %d: HTTP %d", probe, code)
 			}
 			if got.Partial {
@@ -256,7 +257,7 @@ func checkMergeMatchesSingleNode(t *testing.T, urls []string, shards []*testShar
 		// line up (score-descending, key-ascending on ties at every rank).
 		wantTop := single.QueryTopK(rec.Sig, rec.Size, 50)
 		var gotTop RouterTopKResponse
-		if code := postJSON(t, rts.URL+"/query/topk", serve.TopKRequest{Values: values, K: 50}, &gotTop); code != http.StatusOK {
+		if code := postJSON(t, rts.URL+"/query/topk", wire.TopKRequest{Values: values, K: 50}, &gotTop); code != http.StatusOK {
 			t.Fatalf("topk probe %d: HTTP %d", probe, code)
 		}
 		if len(gotTop.Matches) != len(wantTop) {
@@ -277,9 +278,9 @@ func checkMergeMatchesSingleNode(t *testing.T, urls []string, shards []*testShar
 	}
 
 	// Batch: one request, every row equal to the single-node row.
-	var batchReq serve.BatchRequest
+	var batchReq wire.BatchRequest
 	for probe := 0; probe < n; probe += 11 {
-		batchReq.Queries = append(batchReq.Queries, serve.QueryRequest{Values: windowValues(probe), Threshold: 0.5})
+		batchReq.Queries = append(batchReq.Queries, wire.QueryRequest{Values: windowValues(probe), Threshold: 0.5})
 	}
 	var queries []lshensemble.BatchQuery
 	for probe := 0; probe < n; probe += 11 {
@@ -347,11 +348,11 @@ func TestRouterPartialOnShardDeath(t *testing.T) {
 		var body any
 		switch path {
 		case "/query":
-			body = serve.QueryRequest{Values: values, Threshold: 0.5}
+			body = wire.QueryRequest{Values: values, Threshold: 0.5}
 		case "/query/topk":
-			body = serve.TopKRequest{Values: values, K: 10}
+			body = wire.TopKRequest{Values: values, K: 10}
 		case "/query/batch":
-			body = serve.BatchRequest{Queries: []serve.QueryRequest{{Values: values, Threshold: 0.5}}}
+			body = wire.BatchRequest{Queries: []wire.QueryRequest{{Values: values, Threshold: 0.5}}}
 		}
 		var meta struct {
 			Partial bool     `json:"partial"`
@@ -367,7 +368,7 @@ func TestRouterPartialOnShardDeath(t *testing.T) {
 
 	// The partial answer is exactly the survivors' union, not garbage.
 	var got RouterQueryResponse
-	postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.5}, &got)
+	postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: values, Threshold: 0.5}, &got)
 	if !sameStrings(got.Matches, want) {
 		t.Fatalf("partial matches %v != survivors' union %v", got.Matches, want)
 	}
@@ -384,7 +385,7 @@ func TestRouterPartialOnShardDeath(t *testing.T) {
 		}
 	}
 	got = RouterQueryResponse{}
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.5}, &got); code != http.StatusOK {
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: values, Threshold: 0.5}, &got); code != http.StatusOK {
 		t.Fatalf("post-demotion query: HTTP %d", code)
 	}
 	if got.Partial || !sameStrings(got.Matches, want) {
@@ -393,7 +394,7 @@ func TestRouterPartialOnShardDeath(t *testing.T) {
 
 	// New writes route around the hole.
 	var add RouterAddResponse
-	if code := postJSON(t, rts.URL+"/add", serve.AddRequest{Key: "fresh", Values: windowValues(500)}, &add); code != http.StatusOK {
+	if code := postJSON(t, rts.URL+"/add", wire.AddRequest{Key: "fresh", Values: windowValues(500)}, &add); code != http.StatusOK {
 		t.Fatalf("post-demotion add: HTTP %d", code)
 	}
 	if add.Partial || containsKey(add.Shards, urls[1]) {
@@ -422,7 +423,7 @@ func TestRouterReplicationAndDelete(t *testing.T) {
 	// Each key answers exactly once despite two copies.
 	for i := 0; i < n; i += 13 {
 		var got RouterQueryResponse
-		postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(i), Threshold: 1.0}, &got)
+		postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(i), Threshold: 1.0}, &got)
 		hits := 0
 		for _, k := range got.Matches {
 			if k == domainKey(i) {
@@ -436,7 +437,7 @@ func TestRouterReplicationAndDelete(t *testing.T) {
 
 	// Routed delete removes both copies.
 	var del RouterDeleteResponse
-	if code := postJSON(t, rts.URL+"/delete", serve.DeleteRequest{Key: domainKey(7)}, &del); code != http.StatusOK {
+	if code := postJSON(t, rts.URL+"/delete", wire.DeleteRequest{Key: domainKey(7)}, &del); code != http.StatusOK {
 		t.Fatalf("delete: HTTP %d", code)
 	}
 	if !del.Deleted || del.Partial || len(del.Shards) != 2 {
@@ -449,7 +450,7 @@ func TestRouterReplicationAndDelete(t *testing.T) {
 		}
 	}
 	var got RouterQueryResponse
-	postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(7), Threshold: 1.0}, &got)
+	postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(7), Threshold: 1.0}, &got)
 	if containsKey(got.Matches, domainKey(7)) {
 		t.Fatal("deleted key still answered by the fleet")
 	}
@@ -521,12 +522,12 @@ func TestRouterConcurrentTraffic(t *testing.T) {
 				// Writer windows start past the fixtures' values, so no
 				// fixture query's answer depends on them.
 				key := fmt.Sprintf("w%d:col%d", w, i)
-				if err := send("/add", serve.AddRequest{Key: key, Values: windowValues(1000 + w*100 + i)}, nil); err != nil {
+				if err := send("/add", wire.AddRequest{Key: key, Values: windowValues(1000 + w*100 + i)}, nil); err != nil {
 					done <- err
 					return
 				}
 				if i%5 == 0 {
-					if err := send("/delete", serve.DeleteRequest{Key: key}, nil); err != nil {
+					if err := send("/delete", wire.DeleteRequest{Key: key}, nil); err != nil {
 						done <- err
 						return
 					}
@@ -544,13 +545,13 @@ func TestRouterConcurrentTraffic(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					var q RouterQueryResponse
-					if err = send("/query", serve.QueryRequest{Values: values, Threshold: 1.0}, &q); err == nil && !containsKey(q.Matches, domainKey(f)) {
+					if err = send("/query", wire.QueryRequest{Values: values, Threshold: 1.0}, &q); err == nil && !containsKey(q.Matches, domainKey(f)) {
 						err = fmt.Errorf("/query lost fixture %s mid-traffic: %v", domainKey(f), q.Matches)
 					}
 				case 1:
-					err = send("/query/topk", serve.TopKRequest{Values: values, K: 5}, nil)
+					err = send("/query/topk", wire.TopKRequest{Values: values, K: 5}, nil)
 				case 2:
-					err = send("/query/batch", serve.BatchRequest{Queries: []serve.QueryRequest{
+					err = send("/query/batch", wire.BatchRequest{Queries: []wire.QueryRequest{
 						{Values: values, Threshold: 1.0},
 						{Values: windowValues(1000 + r*100 + i), Threshold: 0.5},
 					}}, nil)
@@ -594,7 +595,7 @@ func TestRouterSlowShardDeadline(t *testing.T) {
 	_, rts := startRouter(t, append(urls, hangURL), Options{ShardTimeout: 200 * time.Millisecond})
 	start := time.Now()
 	var got RouterQueryResponse
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(0), Threshold: 0.5}, &got); code != http.StatusOK {
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(0), Threshold: 0.5}, &got); code != http.StatusOK {
 		t.Fatalf("query with hung shard: HTTP %d", code)
 	}
 	if !got.Partial || !sameStrings(got.Failed, []string{hangURL}) {
@@ -625,7 +626,7 @@ func TestRouterSlowSaveIsNotCutOff(t *testing.T) {
 				return
 			case <-time.After(delay):
 			}
-			serve.WriteJSON(w, http.StatusOK, serve.SaveResponse{Path: "stub.snap", Bytes: 42})
+			wire.WriteJSON(w, http.StatusOK, serve.SaveResponse{Path: "stub.snap", Bytes: 42})
 		}))
 		front.hold.Store(slow)
 		return url
@@ -642,7 +643,7 @@ func TestRouterSlowSaveIsNotCutOff(t *testing.T) {
 	}
 
 	var got RouterQueryResponse
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(0), Threshold: 0.5}, &got); code != http.StatusOK {
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(0), Threshold: 0.5}, &got); code != http.StatusOK {
 		t.Fatalf("query: HTTP %d", code)
 	}
 	if !got.Partial || !sameStrings(got.Failed, []string{slow}) {
@@ -660,18 +661,18 @@ func TestRouterBlackout(t *testing.T) {
 		sh.kill()
 	}
 
-	var errResp serve.ErrorResponse
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(0)}, &errResp); code != http.StatusBadGateway {
+	var errResp wire.ErrorResponse
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(0)}, &errResp); code != http.StatusBadGateway {
 		t.Fatalf("total blackout query: HTTP %d, want 502", code)
 	}
 	router.CheckHealth()
 	if code := getJSON(t, rts.URL+"/healthz", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after fleet death: HTTP %d, want 503", code)
 	}
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(0)}, &errResp); code != http.StatusServiceUnavailable {
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(0)}, &errResp); code != http.StatusServiceUnavailable {
 		t.Fatalf("empty-ring query: HTTP %d, want 503", code)
 	}
-	if code := postJSON(t, rts.URL+"/add", serve.AddRequest{Key: "k", Values: windowValues(0)}, &errResp); code != http.StatusServiceUnavailable {
+	if code := postJSON(t, rts.URL+"/add", wire.AddRequest{Key: "k", Values: windowValues(0)}, &errResp); code != http.StatusServiceUnavailable {
 		t.Fatalf("empty-ring add: HTTP %d, want 503", code)
 	}
 }
@@ -717,6 +718,56 @@ func TestRouterStatsAndRing(t *testing.T) {
 	}
 	if share < 0.999 || share > 1.001 {
 		t.Fatalf("ring shares sum to %v, want 1", share)
+	}
+}
+
+// TestRouterRelaysShardAdminBodies: each shard's entry in the router's
+// /stats and /compact answers is that shard's own body, fields the router
+// has no type for included: the router relays what the daemon says about
+// itself without linking the daemon's types.
+func TestRouterRelaysShardAdminBodies(t *testing.T) {
+	bodies := map[string]map[string]string{} // shard URL → path → its body
+	var urls []string
+	for i := 0; i < 2; i++ {
+		byPath := map[string]string{
+			"/stats": fmt.Sprintf(`{"domains":%d,"num_hash":%d,"seed":%d,"records":true,"shard_only":{"n":[%d,1.5e300]}}`,
+				i, testNumHash, testSeed, i),
+			"/compact": fmt.Sprintf(`{"domains":%d,"num_hash":%d,"seed":%d,"records":true,"compacted_by":"shard %d"}`,
+				i, testNumHash, testSeed, i),
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, ok := byPath[r.URL.Path]
+			if !ok { // /healthz
+				body = `{"status":"ok"}`
+			}
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, body+"\n")
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+		bodies[ts.URL] = byPath
+	}
+	_, rts := startRouter(t, urls, Options{})
+	for _, c := range []struct{ method, path string }{{http.MethodGet, "/stats"}, {http.MethodPost, "/compact"}} {
+		req, err := http.NewRequest(c.method, rts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got RouterFleetResponse[json.RawMessage]
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || got.Partial || len(got.Shards) != len(urls) {
+			t.Fatalf("%s %s: HTTP %d, %+v (%v)", c.method, c.path, resp.StatusCode, got, err)
+		}
+		for _, u := range urls {
+			if string(got.Shards[u]) != bodies[u][c.path] {
+				t.Errorf("%s %s: shard %s relayed as %s, its body is %s", c.method, c.path, u, got.Shards[u], bodies[u][c.path])
+			}
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"lshensemble"
 	"lshensemble/internal/serve"
+	"lshensemble/internal/wire"
 )
 
 // postRaw posts a literal JSON body and returns the status and the answer's
@@ -106,7 +107,7 @@ func TestRouterRefusesMalformedQuery(t *testing.T) {
 		}
 		// A well-formed query still goes through.
 		var ok RouterQueryResponse
-		if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: windowValues(3)}, &ok); code != http.StatusOK || ok.Partial {
+		if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: windowValues(3)}, &ok); code != http.StatusOK || ok.Partial {
 			t.Fatalf("well-formed query after the refusals: HTTP %d partial=%v", code, ok.Partial)
 		}
 	})
@@ -116,7 +117,7 @@ func TestRouterRefusesMalformedQuery(t *testing.T) {
 // status and msg in the error envelope.
 func refusingShard(t *testing.T, status int, msg string) string {
 	front, url := newRecordFront(t, newShardServer(t, testSeed))
-	envelope := append(mustMarshal(t, serve.ErrorResponse{Error: msg}), '\n')
+	envelope := append(mustMarshal(t, wire.ErrorResponse{Error: msg}), '\n')
 	front.edit = func(int, []byte) (int, []byte) { return status, envelope }
 	return url
 }
@@ -221,7 +222,7 @@ func (h *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	next := h.next
 	h.mu.Unlock()
-	if r.URL.Path == serve.RecordPath {
+	if r.URL.Path == wire.RecordPath {
 		w = hijackTracker{w, h}
 	}
 	next.ServeHTTP(w, r)
@@ -287,7 +288,7 @@ func TestShardRestartedWithAnotherSeed(t *testing.T) {
 	fronts[1].swap(other)
 
 	var got RouterQueryResponse
-	if code := postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.3}, &got); code != http.StatusOK {
+	if code := postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: values, Threshold: 0.3}, &got); code != http.StatusOK {
 		t.Fatalf("query with a re-seeded shard: HTTP %d", code)
 	}
 	if !got.Partial || !sameStrings(got.Failed, []string{urls[1]}) {
@@ -307,14 +308,14 @@ func TestShardRestartedWithAnotherSeed(t *testing.T) {
 	// The next rounds hear the other family: one demotion, logged.
 	for round := 0; round < 2; round++ {
 		got = RouterQueryResponse{}
-		postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.3}, &got)
+		postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: values, Threshold: 0.3}, &got)
 		if got.Partial || !sameStrings(got.Matches, want) {
 			t.Fatalf("round %d with the re-seeded shard held out: partial=%v matches=%v", round, got.Partial, got.Matches)
 		}
 		router.CheckHealth()
 	}
 	var add RouterAddResponse
-	if code := postJSON(t, rts.URL+"/add", serve.AddRequest{Key: "fresh", Values: windowValues(700)}, &add); code != http.StatusOK || add.Partial || !sameStrings(add.Shards, []string{urls[0]}) {
+	if code := postJSON(t, rts.URL+"/add", wire.AddRequest{Key: "fresh", Values: windowValues(700)}, &add); code != http.StatusOK || add.Partial || !sameStrings(add.Shards, []string{urls[0]}) {
 		t.Fatalf("add with the re-seeded shard held out: HTTP %d %+v", code, add)
 	}
 	if text := scrapeText(t, rts.URL); !strings.Contains(text, `lshrouter_shard_demotions_total{shard="`+urls[1]+`"} 1`) {
@@ -339,7 +340,7 @@ func TestShardRestartedWithAnotherSeed(t *testing.T) {
 		t.Fatalf("promotion fetched the shard's /stats %d times, want once", n)
 	}
 	got = RouterQueryResponse{}
-	postJSON(t, rts.URL+"/query", serve.QueryRequest{Values: values, Threshold: 0.3}, &got)
+	postJSON(t, rts.URL+"/query", wire.QueryRequest{Values: values, Threshold: 0.3}, &got)
 	if got.Partial || containsKey(got.Matches, "alien-"+domainKey(5)) || !containsKey(got.Matches, domainKey(5)) {
 		t.Fatalf("repaired fleet: partial=%v matches=%v", got.Partial, got.Matches)
 	}
@@ -433,22 +434,22 @@ func TestFamilyLearnedOnceOnDemand(t *testing.T) {
 }
 
 // TestRouterBoundsEncodedFrame: a record's length is known from its shape
-// and row count before any row is sketched: serve.RecordLen equals the
+// and row count before any row is sketched: wire.RecordLen equals the
 // length of the record encoded, for one row and for many.
 func TestRouterBoundsEncodedFrame(t *testing.T) {
 	h := lshensemble.NewHasher(testNumHash, testSeed)
 	q := lshensemble.BatchQuery{Sig: lshensemble.SketchStrings(h, "q", []string{"a"}).Sig, Size: math.MaxInt, Threshold: 1.0000000000000002e-6}
 	for _, c := range []struct {
-		o      serve.Op
+		o      wire.Op
 		rows   int
 		record []byte
 	}{
-		{serve.OpQuery, 1, serve.AppendQueryRecord(nil, testSeed, q)},
-		{serve.OpTopK, 1, serve.AppendTopKRecord(nil, testSeed, math.MaxInt, q.Size, q.Sig)},
-		{serve.OpBatch, 1, serve.AppendBatchRecord(nil, testSeed, -1, []lshensemble.BatchQuery{q})},
-		{serve.OpBatch, 7, serve.AppendBatchRecord(nil, testSeed, -1, []lshensemble.BatchQuery{q, q, q, q, q, q, q})},
+		{wire.OpQuery, 1, wire.AppendQueryRecord(nil, testSeed, q)},
+		{wire.OpTopK, 1, wire.AppendTopKRecord(nil, testSeed, math.MaxInt, q.Size, q.Sig)},
+		{wire.OpBatch, 1, wire.AppendBatchRecord(nil, testSeed, -1, []lshensemble.BatchQuery{q})},
+		{wire.OpBatch, 7, wire.AppendBatchRecord(nil, testSeed, -1, []lshensemble.BatchQuery{q, q, q, q, q, q, q})},
 	} {
-		if got := serve.RecordLen(c.o, c.rows, testNumHash); got != len(c.record) {
+		if got := wire.RecordLen(c.o, c.rows, testNumHash); got != len(c.record) {
 			t.Errorf("%s of %d rows: RecordLen %d, the record is %d bytes", c.o, c.rows, got, len(c.record))
 		}
 	}
@@ -462,9 +463,9 @@ func TestRouterBoundsSketchedBatch(t *testing.T) {
 	urls, _ := startShards(t, 2)
 	router, rts := startRouter(t, urls, Options{})
 	router.CheckHealth()
-	perRow := serve.RecordLen(serve.OpBatch, 1, testNumHash) - serve.RecordLen(serve.OpBatch, 0, testNumHash)
-	rows := (serve.MaxRequestBody-serve.RecordLen(serve.OpBatch, 0, testNumHash))/perRow + 1
-	if serve.RecordLen(serve.OpBatch, rows-1, testNumHash) > serve.MaxRequestBody || serve.RecordLen(serve.OpBatch, rows, testNumHash) <= serve.MaxRequestBody {
+	perRow := wire.RecordLen(wire.OpBatch, 1, testNumHash) - wire.RecordLen(wire.OpBatch, 0, testNumHash)
+	rows := (wire.MaxRequestBody-wire.RecordLen(wire.OpBatch, 0, testNumHash))/perRow + 1
+	if wire.RecordLen(wire.OpBatch, rows-1, testNumHash) > wire.MaxRequestBody || wire.RecordLen(wire.OpBatch, rows, testNumHash) <= wire.MaxRequestBody {
 		t.Fatalf("%d rows are not one past the limit", rows)
 	}
 	const row = `{"values":["a"]}`
@@ -538,16 +539,16 @@ func TestRouterFailsMalformedFrame(t *testing.T) {
 		}
 		return b
 	}
-	ranked := func(ms ...serve.TopKMatch) []byte {
+	ranked := func(ms ...wire.TopKMatch) []byte {
 		b := u32(1, uint32(len(ms)))
 		for _, m := range ms {
 			b = le.AppendUint64(key(b, m.Key), math.Float64bits(m.EstContainment))
 		}
 		return b
 	}
-	query := serve.QueryRequest{Values: windowValues(5), Threshold: 0.3}
-	topk := serve.TopKRequest{Values: windowValues(5), K: 5}
-	batch := serve.BatchRequest{Queries: []serve.QueryRequest{query, {Values: windowValues(9)}}}
+	query := wire.QueryRequest{Values: windowValues(5), Threshold: 0.3}
+	topk := wire.TopKRequest{Values: windowValues(5), K: 5}
+	batch := wire.BatchRequest{Queries: []wire.QueryRequest{query, {Values: windowValues(9)}}}
 	cases := []struct {
 		name, path string
 		req        any
@@ -560,8 +561,8 @@ func TestRouterFailsMalformedFrame(t *testing.T) {
 		{"a key count past the bytes", "/query", query, u32(1, 0xffffffff)},
 		{"a truncated key", "/query", query, append(u32(1, 1, 11), "zz-inj"...)},
 		{"a byte left over", "/query/batch", batch, append(rows([]string{"zz-injected"}, nil), 0)},
-		{"scores out of rank order", "/query/topk", topk, ranked(serve.TopKMatch{Key: "aa-injected", EstContainment: 0.1}, serve.TopKMatch{Key: "zz-injected", EstContainment: 0.9})},
-		{"a score that is not a number", "/query/topk", topk, ranked(serve.TopKMatch{Key: "zz-injected", EstContainment: math.NaN()})},
+		{"scores out of rank order", "/query/topk", topk, ranked(wire.TopKMatch{Key: "aa-injected", EstContainment: 0.1}, wire.TopKMatch{Key: "zz-injected", EstContainment: 0.9})},
+		{"a score that is not a number", "/query/topk", topk, ranked(wire.TopKMatch{Key: "zz-injected", EstContainment: math.NaN()})},
 	}
 
 	urls, shards := startShards(t, 1)

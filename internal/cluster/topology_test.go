@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"lshensemble/internal/serve"
+	"lshensemble/internal/wire"
 )
 
 // The deployed topologies — one daemon, a -data-dir -mmap cold boot, each
@@ -220,19 +221,19 @@ func TestTopologyDaemon(t *testing.T) {
 		key    string
 		values []string
 	}{{"sub", sub}, {"super", super}, {"far", far}} {
-		var add serve.AddResponse
-		if code := postJSON(t, d.url+"/add", serve.AddRequest{Key: c.key, Values: c.values}, &add); code != http.StatusOK || add.Size != len(c.values) || add.Replaced {
+		var add wire.AddResponse
+		if code := postJSON(t, d.url+"/add", wire.AddRequest{Key: c.key, Values: c.values}, &add); code != http.StatusOK || add.Size != len(c.values) || add.Replaced {
 			t.Fatalf("add %s: HTTP %d %+v", c.key, code, add)
 		}
 	}
 
-	var q serve.QueryResponse
-	postJSON(t, d.url+"/query", serve.QueryRequest{Values: sub, Threshold: 1}, &q)
+	var q wire.QueryResponse
+	postJSON(t, d.url+"/query", wire.QueryRequest{Values: sub, Threshold: 1}, &q)
 	if !containsKey(q.Matches, "sub") || !containsKey(q.Matches, "super") || containsKey(q.Matches, "far") {
 		t.Fatalf("query: %v, want sub and super and not far", q.Matches)
 	}
-	var top serve.TopKResponse
-	postJSON(t, d.url+"/query/topk", serve.TopKRequest{Values: sub, K: 2}, &top)
+	var top wire.TopKResponse
+	postJSON(t, d.url+"/query/topk", wire.TopKRequest{Values: sub, K: 2}, &top)
 	if len(top.Matches) == 0 || top.Matches[0].EstContainment <= 0 {
 		t.Fatalf("topk: %+v, want ranked matches with an estimated containment", top.Matches)
 	}
@@ -247,19 +248,19 @@ func TestTopologyDaemon(t *testing.T) {
 	}
 	// A new index with no -sketch stores 32-bit minima.
 	requireBackend(t, d, "minwise32")
-	var batch serve.BatchResponse
-	postJSON(t, d.url+"/query/batch", serve.BatchRequest{Queries: []serve.QueryRequest{
+	var batch wire.BatchResponse
+	postJSON(t, d.url+"/query/batch", wire.BatchRequest{Queries: []wire.QueryRequest{
 		{Values: sub, Threshold: 1}, {Values: far, Threshold: 0.9},
 	}}, &batch)
 	if len(batch.Rows) != 2 || !containsKey(batch.Rows[0].Matches, "sub") || !containsKey(batch.Rows[1].Matches, "far") {
 		t.Fatalf("batch: %+v", batch.Rows)
 	}
 
-	var del serve.DeleteResponse
-	if postJSON(t, d.url+"/delete", serve.DeleteRequest{Key: "super"}, &del); !del.Deleted {
+	var del wire.DeleteResponse
+	if postJSON(t, d.url+"/delete", wire.DeleteRequest{Key: "super"}, &del); !del.Deleted {
 		t.Fatal("delete of a stored key reported false")
 	}
-	postJSON(t, d.url+"/query", serve.QueryRequest{Values: sub, Threshold: 1}, &q)
+	postJSON(t, d.url+"/query", wire.QueryRequest{Values: sub, Threshold: 1}, &q)
 	if containsKey(q.Matches, "super") {
 		t.Fatalf("deleted key still matches: %v", q.Matches)
 	}
@@ -300,7 +301,7 @@ func TestTopologyDaemon(t *testing.T) {
 	if getJSON(t, d.url+"/stats", &stats); stats.Domains != 2 {
 		t.Fatalf("reboot serves %d domains, want 2", stats.Domains)
 	}
-	postJSON(t, d.url+"/query", serve.QueryRequest{Values: sub, Threshold: 1}, &q)
+	postJSON(t, d.url+"/query", wire.QueryRequest{Values: sub, Threshold: 1}, &q)
 	if !containsKey(q.Matches, "sub") {
 		t.Fatalf("reboot query: %v, want sub", q.Matches)
 	}
@@ -347,8 +348,8 @@ func TestTopologyDataDirMmap(t *testing.T) {
 
 	d = serving(t, "lshensembled", "-data-dir", dir, "-mmap")
 	mapped("cold boot")
-	var q serve.QueryResponse
-	postJSON(t, d.url+"/query", serve.QueryRequest{Values: windowValues(300)[:4], Threshold: 1}, &q)
+	var q wire.QueryResponse
+	postJSON(t, d.url+"/query", wire.QueryRequest{Values: windowValues(300)[:4], Threshold: 1}, &q)
 	if !containsKey(q.Matches, "col:3") {
 		t.Fatalf("cold-boot query: %v, want col:3", q.Matches)
 	}
@@ -362,7 +363,7 @@ func TestTopologyDataDirMmap(t *testing.T) {
 // addKey adds one domain and requires a 200.
 func addKey(t *testing.T, base, key string, values []string) {
 	t.Helper()
-	if code := postJSON(t, base+"/add", serve.AddRequest{Key: key, Values: values}, nil); code != http.StatusOK {
+	if code := postJSON(t, base+"/add", wire.AddRequest{Key: key, Values: values}, nil); code != http.StatusOK {
 		t.Fatalf("add %s: HTTP %d", key, code)
 	}
 }
@@ -390,14 +391,14 @@ func TestTopologySketchBackends(t *testing.T) {
 			snap := filepath.Join(t.TempDir(), "index.snap")
 			d := serving(t, "lshensembled", "-sketch", backend, "-snapshot", snap)
 			sub, super := windowValues(0)[:4], windowValues(0)[:6]
-			var add serve.AddResponse
-			if postJSON(t, d.url+"/add", serve.AddRequest{Key: "cols:a", Values: sub}, &add); add.Size != 4 {
+			var add wire.AddResponse
+			if postJSON(t, d.url+"/add", wire.AddRequest{Key: "cols:a", Values: sub}, &add); add.Size != 4 {
 				t.Fatalf("add: %+v", add)
 			}
 			addKey(t, d.url, "cols:b", super)
 			// Truncated signatures keep recall: the superset matches at t* = 1.
-			var q serve.QueryResponse
-			postJSON(t, d.url+"/query", serve.QueryRequest{Values: sub, Threshold: 1}, &q)
+			var q wire.QueryResponse
+			postJSON(t, d.url+"/query", wire.QueryRequest{Values: sub, Threshold: 1}, &q)
 			if !containsKey(q.Matches, "cols:b") {
 				t.Fatalf("query: %v, want cols:b", q.Matches)
 			}
@@ -491,12 +492,12 @@ func answers(t *testing.T, base string) string {
 	for i := 0; i < 27; i += 2 {
 		vals := windowValues(i)[:12]
 		for _, th := range []float64{0.3, 0.7, 1} {
-			var q serve.QueryResponse
-			postJSON(t, base+"/query", serve.QueryRequest{Values: vals, Threshold: th}, &q)
+			var q wire.QueryResponse
+			postJSON(t, base+"/query", wire.QueryRequest{Values: vals, Threshold: th}, &q)
 			fmt.Fprintln(&b, i, th, q.Matches)
 		}
-		var top serve.TopKResponse
-		postJSON(t, base+"/query/topk", serve.TopKRequest{Values: vals, K: 4}, &top)
+		var top wire.TopKResponse
+		postJSON(t, base+"/query/topk", wire.TopKRequest{Values: vals, K: 4}, &top)
 		fmt.Fprintln(&b, i, top.Matches)
 	}
 	return b.String()
@@ -524,15 +525,15 @@ func TestTopologyMixedBackendFleet(t *testing.T) {
 	for i := 0; i < 24; i += 3 { // each query is domain i, so no answer is empty
 		for _, th := range []float64{0.3, 0.7, 1} {
 			var a, b RouterQueryResponse
-			postJSON(t, full+"/query", serve.QueryRequest{Values: windowValues(i), Threshold: th}, &a)
-			postJSON(t, mixed+"/query", serve.QueryRequest{Values: windowValues(i), Threshold: th}, &b)
+			postJSON(t, full+"/query", wire.QueryRequest{Values: windowValues(i), Threshold: th}, &a)
+			postJSON(t, mixed+"/query", wire.QueryRequest{Values: windowValues(i), Threshold: th}, &b)
 			if a.Partial || b.Partial || len(a.Matches) == 0 || !sameStrings(a.Matches, b.Matches) {
 				t.Fatalf("query %d at t*=%v: the mixed fleet answers %+v, the minwise64 fleet %+v", i, th, b, a)
 			}
 		}
 		var a, b RouterTopKResponse
-		postJSON(t, full+"/query/topk", serve.TopKRequest{Values: windowValues(i), K: 24}, &a)
-		postJSON(t, mixed+"/query/topk", serve.TopKRequest{Values: windowValues(i), K: 24}, &b)
+		postJSON(t, full+"/query/topk", wire.TopKRequest{Values: windowValues(i), K: 24}, &a)
+		postJSON(t, mixed+"/query/topk", wire.TopKRequest{Values: windowValues(i), K: 24}, &b)
 		score := make(map[string]float64)
 		for _, m := range a.Matches {
 			score[m.Key] = m.EstContainment
@@ -566,25 +567,25 @@ func TestTopologyRouterTwoShards(t *testing.T) {
 	}
 
 	var q RouterQueryResponse
-	postJSON(t, r.url+"/query", serve.QueryRequest{Values: windowValues(7), Threshold: 1}, &q)
+	postJSON(t, r.url+"/query", wire.QueryRequest{Values: windowValues(7), Threshold: 1}, &q)
 	if !containsKey(q.Matches, domainKey(7)) {
 		t.Fatalf("query: %v, want %s", q.Matches, domainKey(7))
 	}
 	var top RouterTopKResponse
-	postJSON(t, r.url+"/query/topk", serve.TopKRequest{Values: windowValues(7), K: 3}, &top)
+	postJSON(t, r.url+"/query/topk", wire.TopKRequest{Values: windowValues(7), K: 3}, &top)
 	if len(top.Matches) == 0 || top.Matches[0].Key != domainKey(7) || top.Matches[0].EstContainment <= 0 {
 		t.Fatalf("topk: %+v, want %s ranked first", top.Matches, domainKey(7))
 	}
 	var batch RouterBatchResponse
-	postJSON(t, r.url+"/query/batch", serve.BatchRequest{Queries: []serve.QueryRequest{{Values: windowValues(2), Threshold: 1}}}, &batch)
+	postJSON(t, r.url+"/query/batch", wire.BatchRequest{Queries: []wire.QueryRequest{{Values: windowValues(2), Threshold: 1}}}, &batch)
 	if len(batch.Rows) != 1 || !containsKey(batch.Rows[0].Matches, domainKey(2)) {
 		t.Fatalf("batch: %+v, want %s", batch.Rows, domainKey(2))
 	}
 	var del RouterDeleteResponse
-	if postJSON(t, r.url+"/delete", serve.DeleteRequest{Key: domainKey(7)}, &del); !del.Deleted {
+	if postJSON(t, r.url+"/delete", wire.DeleteRequest{Key: domainKey(7)}, &del); !del.Deleted {
 		t.Fatalf("routed delete: %+v", del)
 	}
-	postJSON(t, r.url+"/query", serve.QueryRequest{Values: windowValues(7), Threshold: 1}, &q)
+	postJSON(t, r.url+"/query", wire.QueryRequest{Values: windowValues(7), Threshold: 1}, &q)
 	if containsKey(q.Matches, domainKey(7)) {
 		t.Fatalf("deleted key still matches: %v", q.Matches)
 	}
@@ -601,7 +602,7 @@ func TestTopologyRouterTwoShards(t *testing.T) {
 	dead.cmd.Process.Kill()
 	dead.exit(t)
 	q = RouterQueryResponse{}
-	if code := postJSON(t, r.url+"/query", serve.QueryRequest{Values: windowValues(2), Threshold: 1}, &q); code != http.StatusOK || !q.Partial {
+	if code := postJSON(t, r.url+"/query", wire.QueryRequest{Values: windowValues(2), Threshold: 1}, &q); code != http.StatusOK || !q.Partial {
 		t.Fatalf("query with a dead shard: HTTP %d partial=%v, want a partial 200", code, q.Partial)
 	}
 	// The health checker demotes it; answers are clean over the survivor.
@@ -615,7 +616,7 @@ func TestTopologyRouterTwoShards(t *testing.T) {
 		}
 	}
 	q = RouterQueryResponse{}
-	if code := postJSON(t, r.url+"/query", serve.QueryRequest{Values: windowValues(2), Threshold: 0.5}, &q); code != http.StatusOK || q.Partial {
+	if code := postJSON(t, r.url+"/query", wire.QueryRequest{Values: windowValues(2), Threshold: 0.5}, &q); code != http.StatusOK || q.Partial {
 		t.Fatalf("query after the demotion: HTTP %d partial=%v, want a clean 200", code, q.Partial)
 	}
 	page := scrapeText(t, r.url)

@@ -1,15 +1,6 @@
 package core
 
-import "lshensemble/internal/minhash"
-
-// BatchQuery is one containment query of a batch: the query signature, the
-// (exact or estimated) query cardinality |Q|, and the containment threshold
-// t*.
-type BatchQuery struct {
-	Sig       minhash.Signature
-	Size      int
-	Threshold float64
-}
+import "lshensemble/internal/domain"
 
 // BatchResults receives the candidate ids of a query batch. Row i holds the
 // ids matching queries[i]. All rows are views into one reusable arena: they
@@ -41,7 +32,7 @@ func (r *BatchResults) Row(i int) []uint32 {
 // signature shorter than NumHash gets an empty row. workers is ignored: the
 // batch engine that serves is the live index's, and this one remains only for
 // the benchmark ladder's static-index rung.
-func (x *Index) QueryBatchInto(res *BatchResults, queries []BatchQuery, workers int) error {
+func (x *Index) QueryBatchInto(res *BatchResults, queries []domain.BatchQuery, workers int) error {
 	res.ids = res.ids[:0]
 	res.offs = append(res.offs[:0], 0)
 	s := x.acquireScratch()

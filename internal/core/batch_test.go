@@ -1,9 +1,13 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"lshensemble/internal/domain"
+)
 
 // mustQueryIDs is the test shorthand for QueryIDsAppend on a clean index.
-func mustQueryIDs(t testing.TB, x *Index, q BatchQuery) []uint32 {
+func mustQueryIDs(t testing.TB, x *Index, q domain.BatchQuery) []uint32 {
 	t.Helper()
 	ids, err := x.QueryIDsAppend(nil, q.Sig, q.Size, q.Threshold)
 	if err != nil {
@@ -26,7 +30,7 @@ func equalIDs(a, b []uint32) bool {
 
 // batchRows answers queries through one QueryBatchInto and copies the rows
 // out of the arena.
-func batchRows(t testing.TB, x *Index, queries []BatchQuery) [][]uint32 {
+func batchRows(t testing.TB, x *Index, queries []domain.BatchQuery) [][]uint32 {
 	t.Helper()
 	var res BatchResults
 	if err := x.QueryBatchInto(&res, queries, 0); err != nil {
@@ -50,9 +54,9 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var queries []BatchQuery
+	var queries []domain.BatchQuery
 	for i := 0; i < len(c.records); i += 7 {
-		queries = append(queries, BatchQuery{
+		queries = append(queries, domain.BatchQuery{
 			Sig:       c.records[i].Sig,
 			Size:      c.records[i].Size,
 			Threshold: []float64{0.25, 0.5, 0.75}[i%3],
@@ -76,10 +80,10 @@ func TestQueryBatchIntoReuse(t *testing.T) {
 	}
 	var res BatchResults
 	for _, n := range []int{17, 50, 3, 50, 1} {
-		queries := make([]BatchQuery, n)
+		queries := make([]domain.BatchQuery, n)
 		for i := range queries {
 			r := c.records[(i*13)%len(c.records)]
-			queries[i] = BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.5}
+			queries[i] = domain.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.5}
 		}
 		if err := idx.QueryBatchInto(&res, queries, 4); err != nil {
 			t.Fatal(err)
@@ -107,7 +111,7 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 		t.Fatalf("empty batch returned %d rows", len(rows))
 	}
 	r := c.records[0]
-	rows := batchRows(t, idx, []BatchQuery{
+	rows := batchRows(t, idx, []domain.BatchQuery{
 		{Sig: r.Sig, Size: 0, Threshold: 0.5},     // invalid size → empty row
 		{Sig: r.Sig, Size: r.Size, Threshold: -3}, // clamped to 0
 		{Sig: r.Sig, Size: r.Size, Threshold: 5},  // clamped to 1
@@ -115,10 +119,10 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 	if len(rows[0]) != 0 {
 		t.Fatalf("zero-size query returned %d ids", len(rows[0]))
 	}
-	if want := mustQueryIDs(t, idx, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0}); !equalIDs(rows[1], want) {
+	if want := mustQueryIDs(t, idx, domain.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0}); !equalIDs(rows[1], want) {
 		t.Fatalf("t*<0 row mismatch: %d vs %d", len(rows[1]), len(want))
 	}
-	if want := mustQueryIDs(t, idx, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 1}); !equalIDs(rows[2], want) {
+	if want := mustQueryIDs(t, idx, domain.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 1}); !equalIDs(rows[2], want) {
 		t.Fatalf("t*>1 row mismatch: %d vs %d", len(rows[2]), len(want))
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"lshensemble/internal/dedup"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/par"
@@ -31,22 +32,9 @@ import (
 	"lshensemble/internal/tune"
 )
 
-// Record is one indexable domain: a caller-chosen key, the exact domain
-// cardinality, and the MinHash signature of the domain's values.
-type Record struct {
-	Key  string
-	Size int
-	Sig  minhash.Signature
-}
-
 // PartitionerFunc produces size intervals for the ensemble. The sizes slice
 // is the multiset of record cardinalities in arbitrary order.
 type PartitionerFunc func(sizes []int, n int) []partition.Partition
-
-// MaxNumHash bounds the signature length m. A hasher holds 16 bytes per hash
-// function, and m can come from a flag, a snapshot header or a shard's
-// /stats, so no larger m may reach one.
-const MaxNumHash = 1 << 16
 
 // Options configures Build. Zero values select the defaults used in the
 // paper's experiments (m = 256 hash functions, trees of depth 8,
@@ -98,8 +86,8 @@ func (o Options) table() *tune.Table { return tune.ForGrid(o.NumHash/o.RMax, o.R
 
 // Validate reports whether the (already defaulted) options are usable.
 func (o Options) Validate() error {
-	if o.NumHash < 1 || o.NumHash > MaxNumHash {
-		return fmt.Errorf("core: NumHash %d out of range [1, %d]", o.NumHash, MaxNumHash)
+	if o.NumHash < 1 || o.NumHash > domain.MaxNumHash {
+		return fmt.Errorf("core: NumHash %d out of range [1, %d]", o.NumHash, domain.MaxNumHash)
 	}
 	if o.RMax < 1 || o.RMax > o.NumHash {
 		return fmt.Errorf("core: RMax %d out of range [1, %d]", o.RMax, o.NumHash)
@@ -193,7 +181,7 @@ func (o Options) CheckQuerySig(sig minhash.Signature) error {
 
 // Build constructs the ensemble over the records. Every record signature
 // must be at least opts.NumHash long and record sizes must be positive.
-func Build(records []Record, opts Options) (*Index, error) {
+func Build(records []domain.Record, opts Options) (*Index, error) {
 	opts = opts.WithDefaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err

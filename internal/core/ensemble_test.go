@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/partition"
 	"lshensemble/internal/xrand"
@@ -17,7 +18,7 @@ import (
 // containment scores against prefix queries.
 type testCorpus struct {
 	hasher  *minhash.Hasher
-	records []Record
+	records []domain.Record
 	values  [][]uint64
 }
 
@@ -43,7 +44,7 @@ func makeCorpus(t testing.TB, n, numHash int, seed uint64) *testCorpus {
 			hashed[j] = minhash.HashUint64(v)
 		}
 		c.values = append(c.values, vals)
-		c.records = append(c.records, Record{
+		c.records = append(c.records, domain.Record{
 			Key:  fmt.Sprintf("d%04d", i),
 			Size: size,
 			Sig:  h.Sketch(hashed),
@@ -88,20 +89,20 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(nil, Options{}); err != ErrEmpty {
 		t.Fatalf("empty build: %v", err)
 	}
-	if _, err := Build([]Record{{Key: "k", Size: 0, Sig: sig}}, Options{NumHash: 16}); err == nil {
+	if _, err := Build([]domain.Record{{Key: "k", Size: 0, Sig: sig}}, Options{NumHash: 16}); err == nil {
 		t.Fatal("zero size accepted")
 	}
-	if _, err := Build([]Record{{Key: "k", Size: 1, Sig: sig[:8]}}, Options{NumHash: 16}); err == nil {
+	if _, err := Build([]domain.Record{{Key: "k", Size: 1, Sig: sig[:8]}}, Options{NumHash: 16}); err == nil {
 		t.Fatal("short signature accepted")
 	}
-	if _, err := Build([]Record{{Key: "k", Size: 1, Sig: sig}}, Options{NumHash: 16, RMax: 32}); err == nil {
+	if _, err := Build([]domain.Record{{Key: "k", Size: 1, Sig: sig}}, Options{NumHash: 16, RMax: 32}); err == nil {
 		t.Fatal("RMax > NumHash accepted")
 	}
 }
 
 func TestDefaults(t *testing.T) {
 	h := minhash.NewHasher(256, 1)
-	recs := []Record{{Key: "k", Size: 5, Sig: h.SketchStrings([]string{"a", "b", "c", "d", "e"})}}
+	recs := []domain.Record{{Key: "k", Size: 5, Sig: h.SketchStrings([]string{"a", "b", "c", "d", "e"})}}
 	x, err := Build(recs, Options{})
 	if err != nil {
 		t.Fatal(err)

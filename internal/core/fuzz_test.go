@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 )
 
@@ -12,13 +13,13 @@ import (
 func fuzzSeedIndex(f *testing.F, sb SketchBackend) []byte {
 	f.Helper()
 	h := minhash.NewHasher(16, 1)
-	recs := make([]Record, 12)
+	recs := make([]domain.Record, 12)
 	for i := range recs {
 		sig := h.NewSignature()
 		for j := uint64(0); j < uint64(8+i); j++ {
 			h.PushHashed(sig, minhash.HashUint64(uint64(i)*100+j))
 		}
-		recs[i] = Record{Key: string(rune('a' + i)), Size: 8 + i, Sig: sig}
+		recs[i] = domain.Record{Key: string(rune('a' + i)), Size: 8 + i, Sig: sig}
 	}
 	idx, err := Build(recs, Options{NumHash: 16, RMax: 4, NumPartitions: 3, Sketch: sb})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"lshensemble/internal/domain"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 )
@@ -49,13 +50,13 @@ const ensembleGoldenHex = "4c534845100000000400000003000000080000000200000064300
 func goldenEnsemble(t *testing.T) *Index {
 	t.Helper()
 	h := minhash.NewHasher(16, 5)
-	var recs []Record
+	var recs []domain.Record
 	for i := 0; i < 8; i++ {
 		vals := make([]string, (i+1)*4)
 		for j := range vals {
 			vals[j] = fmt.Sprintf("v%d", j)
 		}
-		recs = append(recs, Record{Key: fmt.Sprintf("d%d", i), Size: len(vals), Sig: h.SketchStrings(vals)})
+		recs = append(recs, domain.Record{Key: fmt.Sprintf("d%d", i), Size: len(vals), Sig: h.SketchStrings(vals)})
 	}
 	x, err := Build(recs, Options{NumHash: 16, RMax: 4, NumPartitions: 3, Sketch: Minwise64})
 	if err != nil {
@@ -119,8 +120,8 @@ func TestEnsembleGoldenDecode(t *testing.T) {
 		sig := live.AppendSignature(nil, uint32(id))
 		size := live.Size(uint32(id))
 		for _, tStar := range []float64{0.1, 0.5, 0.9} {
-			want := mustQueryIDs(t, live, BatchQuery{Sig: sig, Size: size, Threshold: tStar})
-			got := mustQueryIDs(t, x, BatchQuery{Sig: sig, Size: size, Threshold: tStar})
+			want := mustQueryIDs(t, live, domain.BatchQuery{Sig: sig, Size: size, Threshold: tStar})
+			got := mustQueryIDs(t, x, domain.BatchQuery{Sig: sig, Size: size, Threshold: tStar})
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			if len(want) != len(got) {

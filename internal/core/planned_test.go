@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"lshensemble/internal/domain"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
@@ -13,10 +14,10 @@ import (
 
 // plannedTestIndex builds a small index with a size spread wide enough that
 // different (querySize, tStar) pairs skip different partitions.
-func plannedTestIndex(t *testing.T, n int) (*Index, []Record) {
+func plannedTestIndex(t *testing.T, n int) (*Index, []domain.Record) {
 	t.Helper()
 	rng := xrand.New(42)
-	recs := make([]Record, n)
+	recs := make([]domain.Record, n)
 	for i := range recs {
 		size := 4 + int(rng.Uint64()%512)
 		sig := make(minhash.Signature, 128)
@@ -24,7 +25,7 @@ func plannedTestIndex(t *testing.T, n int) (*Index, []Record) {
 			// Overlapping value pools so queries actually collide.
 			sig[j] = rng.Uint64() % 4096 << 3
 		}
-		recs[i] = Record{Key: keyOf(i), Size: size, Sig: sig}
+		recs[i] = domain.Record{Key: keyOf(i), Size: size, Sig: sig}
 	}
 	x, err := Build(recs, Options{NumHash: 128, RMax: 8, NumPartitions: 4})
 	if err != nil {
@@ -130,7 +131,7 @@ func TestQueryTopKIDsMatchesQueryTopK(t *testing.T) {
 			if !got[r.Key] {
 				t.Fatalf("ranked key %q missing from QueryTopKIDs candidates", r.Key)
 			}
-			if i > 0 && CompareTopK(full[i-1], r) > 0 {
+			if i > 0 && domain.CompareTopK(full[i-1], r) > 0 {
 				t.Fatalf("query %d: ranking out of order at %d", qi, i)
 			}
 		}
@@ -196,7 +197,7 @@ func TestAnswersIndependentOfQueryOrder(t *testing.T) {
 	const n = 1000
 	query := func(x *Index, i int) []uint32 {
 		r := c.records[i*37%len(c.records)]
-		return mustQueryIDs(t, x, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.5})
+		return mustQueryIDs(t, x, domain.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.5})
 	}
 	got := make([][]uint32, n)
 	for i := 0; i < n; i++ {
@@ -338,7 +339,7 @@ func TestShortQuerySignatureRejected(t *testing.T) {
 			t.Errorf("%s(short signature) = %v, want ErrSignatureLength", name, err)
 		}
 	}
-	rows := batchRows(t, x, []BatchQuery{
+	rows := batchRows(t, x, []domain.BatchQuery{
 		{Sig: short, Size: recs[0].Size, Threshold: 0},
 		{Sig: recs[0].Sig, Size: recs[0].Size, Threshold: 0},
 	})

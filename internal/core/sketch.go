@@ -21,7 +21,7 @@ import "fmt"
 //     relative to Minwise64 — they admit more false candidates instead).
 //
 // Every backend can back an Index store; the k-minimum-values sketch that
-// internal/expt scores by brute force (minhash.KMV) supports no banding and
+// internal/expt scores by brute force (expt.KMV) supports no banding and
 // is not one. The zero value, SketchUnset, is Minwise32 for a new index and
 // the backend the file carries on a load.
 type SketchBackend uint8

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/xrand"
 )
@@ -184,7 +185,7 @@ func TestBBitTruncationEstimate(t *testing.T) {
 // TestOptionsRejectNonIndexableSketch: nothing but the four backends can back
 // an Index store — not the value after Minwise32, which KMV once had.
 func TestOptionsRejectNonIndexableSketch(t *testing.T) {
-	recs := []Record{{Key: "a", Size: 3, Sig: make(minhash.Signature, 256)}}
+	recs := []domain.Record{{Key: "a", Size: 3, Sig: make(minhash.Signature, 256)}}
 	for _, sb := range []SketchBackend{Minwise32 + 1, 42} {
 		if _, err := Build(recs, Options{Sketch: sb}); err == nil {
 			t.Errorf("Build accepted the undefined backend %d", sb)

@@ -1,35 +1,12 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"strings"
 
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
 )
-
-// TopKResult is one ranked answer of a top-k query.
-type TopKResult struct {
-	Key string
-	// EstContainment is the containment score estimated from the MinHash
-	// signatures (paper Eq. 6 applied to the Jaccard estimate). It ranks
-	// candidates; callers needing exact scores should verify against the
-	// raw domains.
-	EstContainment float64
-}
-
-// CompareTopK is THE ranking order of top-k answers, for slices.SortFunc:
-// best estimated containment first, ties broken by key ascending. core, the
-// live index's cross-segment merge and the router's cross-shard merge all
-// rank with it, so a key's position never depends on which layer ranked last.
-func CompareTopK(a, b TopKResult) int {
-	if c := cmp.Compare(b.EstContainment, a.EstContainment); c != 0 {
-		return c
-	}
-	return strings.Compare(a.Key, b.Key)
-}
 
 // topKThresholds is the descending threshold ladder a top-k query walks —
 // the top-k formulation the paper's Section 2 describes as complementary to
@@ -84,7 +61,7 @@ func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, qu
 // QueryTopKIDs appends the candidate ids a top-k query ranks — the
 // ladder-walk collection, unscored and unsorted — to dst. Layered callers
 // (internal/live) use it to gather at least k candidates per segment, then
-// score them with EstContainment and merge across segments with CompareTopK.
+// score them with EstContainment and merge across segments with domain.CompareTopK.
 // It returns ErrSignatureLength if sig is shorter than NumHash.
 func (x *Index) QueryTopKIDs(dst []uint32, sig minhash.Signature, querySize, k int) ([]uint32, error) {
 	return x.QueryTopKIDsMasked(dst, sig, querySize, k, nil)

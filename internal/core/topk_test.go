@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 )
 
@@ -13,7 +14,7 @@ import (
 func topKFixture(t testing.TB, numHash int) (*Index, *minhash.Hasher, [][]uint64) {
 	t.Helper()
 	h := minhash.NewHasher(numHash, 5)
-	var recs []Record
+	var recs []domain.Record
 	var vals [][]uint64
 	for i := 0; i < 20; i++ {
 		n := 20 * (i + 1)
@@ -24,7 +25,7 @@ func topKFixture(t testing.TB, numHash int) (*Index, *minhash.Hasher, [][]uint64
 			hv[j] = minhash.HashUint64(uint64(j))
 		}
 		vals = append(vals, v)
-		recs = append(recs, Record{Key: key(i), Size: n, Sig: h.Sketch(hv)})
+		recs = append(recs, domain.Record{Key: key(i), Size: n, Sig: h.Sketch(hv)})
 	}
 	idx, err := Build(recs, Options{NumHash: numHash, RMax: 8, NumPartitions: 4})
 	if err != nil {
@@ -36,9 +37,9 @@ func topKFixture(t testing.TB, numHash int) (*Index, *minhash.Hasher, [][]uint64
 func key(i int) string { return string(rune('a' + i)) }
 
 // mustTopK ranks the ladder's collection the way the live index ranks a
-// segment's: each candidate scored by EstContainment, sorted by CompareTopK,
+// segment's: each candidate scored by EstContainment, sorted by domain.CompareTopK,
 // the best k kept.
-func mustTopK(t testing.TB, x *Index, sig minhash.Signature, querySize, k int) []TopKResult {
+func mustTopK(t testing.TB, x *Index, sig minhash.Signature, querySize, k int) []domain.TopKResult {
 	t.Helper()
 	ids, err := x.QueryTopKIDs(nil, sig, querySize, k)
 	if err != nil {
@@ -47,11 +48,11 @@ func mustTopK(t testing.TB, x *Index, sig minhash.Signature, querySize, k int) [
 	if len(ids) == 0 {
 		return nil
 	}
-	top := make([]TopKResult, len(ids))
+	top := make([]domain.TopKResult, len(ids))
 	for i, id := range ids {
-		top[i] = TopKResult{Key: x.Key(id), EstContainment: x.EstContainment(id, sig, querySize)}
+		top[i] = domain.TopKResult{Key: x.Key(id), EstContainment: x.EstContainment(id, sig, querySize)}
 	}
-	slices.SortFunc(top, CompareTopK)
+	slices.SortFunc(top, domain.CompareTopK)
 	return top[:min(k, len(top))]
 }
 

@@ -21,7 +21,7 @@ import (
 	"math"
 	"sort"
 
-	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/exact"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/par"
@@ -309,11 +309,11 @@ func WebTable(cfg WebTableConfig) *Corpus {
 // Records hashes and sketches every domain with the hasher, in parallel,
 // returning index-ready records aligned with c.Domains. Jobs drain from a
 // shared counter so a few huge power-law domains don't straggle one chunk.
-func Records(c *Corpus, h *minhash.Hasher) []core.Record {
-	recs := make([]core.Record, len(c.Domains))
+func Records(c *Corpus, h *minhash.Hasher) []domain.Record {
+	recs := make([]domain.Record, len(c.Domains))
 	par.Drain(len(c.Domains), 0, func(_, i int) {
 		d := c.Domains[i]
-		recs[i] = core.Record{Key: d.Key, Size: len(d.Values), Sig: h.SketchUint64s(d.Values)}
+		recs[i] = domain.Record{Key: d.Key, Size: len(d.Values), Sig: h.SketchUint64s(d.Values)}
 	})
 	return recs
 }

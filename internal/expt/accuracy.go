@@ -21,6 +21,7 @@ import (
 	"lshensemble/internal/baseline"
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/eval"
 	"lshensemble/internal/exact"
 	"lshensemble/internal/live"
@@ -95,7 +96,7 @@ func (r AccuracyRow) String() string {
 // buildEnsemble builds an LSH Ensemble the way the product does: a live
 // index over the records, sealed into one segment, with no background
 // compactor.
-func buildEnsemble(recs []core.Record, opts core.Options) (*live.Index, error) {
+func buildEnsemble(recs []domain.Record, opts core.Options) (*live.Index, error) {
 	return live.Build(recs, live.Options{Options: opts, ManualCompaction: true})
 }
 
@@ -103,19 +104,20 @@ func buildEnsemble(recs []core.Record, opts core.Options) (*live.Index, error) {
 // into the corpus) at threshold t*.
 type system struct {
 	name  string
+	idx   *live.Index // nil for the KMV scan
 	query func(qi int, tStar float64) []string
 }
 
 // indexed makes a live index a system over recs: Baseline, Asym, every
 // ensemble and Fig. 8's morph.
-func indexed(name string, idx *live.Index, recs []core.Record) system {
-	return system{name, func(qi int, tStar float64) []string {
+func indexed(name string, idx *live.Index, recs []domain.Record) system {
+	return system{name, idx, func(qi int, tStar float64) []string {
 		return idx.Query(recs[qi].Sig, recs[qi].Size, tStar)
 	}}
 }
 
 // buildSystems constructs Baseline, Asym, and the ensemble variants.
-func buildSystems(recs []core.Record, cfg AccuracyConfig) ([]system, error) {
+func buildSystems(recs []domain.Record, cfg AccuracyConfig) ([]system, error) {
 	var systems []system
 	b, err := baseline.Build(recs, cfg.NumHash, cfg.RMax)
 	if err != nil {
@@ -274,7 +276,7 @@ func RunFig5(cfg Fig5Config) ([]SkewRow, error) {
 	var rows []SkewRow
 	for _, subset := range subsets {
 		subCorpus := &datagen.Corpus{}
-		subRecs := make([]core.Record, 0, len(subset))
+		subRecs := make([]domain.Record, 0, len(subset))
 		for _, i := range subset {
 			subCorpus.Domains = append(subCorpus.Domains, corpus.Domains[i])
 			subRecs = append(subRecs, recs[i])

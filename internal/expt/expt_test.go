@@ -9,6 +9,7 @@ import (
 	"lshensemble/internal/asym"
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
@@ -65,7 +66,7 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 	for _, sb := range cfg.Sketches {
 		opts[fmt.Sprintf("LSH Ensemble (%d, %s)", parts, sb)] = core.Options{NumPartitions: parts, Sketch: sb}
 	}
-	want := map[string]func(r core.Record, tStar float64) []string{
+	want := map[string]func(r domain.Record, tStar float64) []string{
 		"Asym": asymReference(recs, cfg.NumHash, cfg.RMax),
 	}
 	for name, o := range opts {
@@ -74,7 +75,7 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want[name] = func(r core.Record, tStar float64) []string {
+		want[name] = func(r domain.Record, tStar float64) []string {
 			ids, err := ref.QueryIDsAppend(nil, r.Sig, r.Size, tStar)
 			if err != nil {
 				t.Fatal(err)
@@ -88,7 +89,7 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 	}
 	// check holds got to want on every (query, threshold), as key sets.
 	check := func(name string, got func(qi int, tStar float64) []string,
-		want func(r core.Record, tStar float64) []string, recs []core.Record, queries []int) {
+		want func(r domain.Record, tStar float64) []string, recs []domain.Record, queries []int) {
 		t.Helper()
 		for _, qi := range queries {
 			r := recs[qi]
@@ -120,7 +121,7 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 	// On the whole corpus M is so large that Asym finds little beyond the
 	// query itself (the collapse of Fig. 10), so it is checked again on the
 	// corpus's small domains, where M is near the query sizes and it answers.
-	var small []core.Record
+	var small []domain.Record
 	at := map[int]int{} // corpus index → index in small
 	for i, r := range recs {
 		if r.Size <= 64 {
@@ -146,7 +147,7 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 // over the records' signatures padded to the largest size M (asym.Pad), every
 // query tuned at x = M on the (numHash/rMax, rMax) grid, and each candidate
 // reported at its first occurrence across the trees.
-func asymReference(recs []core.Record, numHash, rMax int) func(r core.Record, tStar float64) []string {
+func asymReference(recs []domain.Record, numHash, rMax int) func(r domain.Record, tStar float64) []string {
 	maxSize := 0
 	for _, r := range recs {
 		maxSize = max(maxSize, r.Size)
@@ -160,7 +161,7 @@ func asymReference(recs []core.Record, numHash, rMax int) func(r core.Record, tS
 		return asym.Pad(r.Sig[:numHash], r.Key, maxSize-r.Size)
 	})
 	grid := tune.ForGrid(numHash/rMax, rMax)
-	return func(r core.Record, tStar float64) []string {
+	return func(r domain.Record, tStar float64) []string {
 		p := grid.Optimize(float64(maxSize), float64(r.Size), tStar)
 		seen := map[uint32]bool{}
 		var keys []string

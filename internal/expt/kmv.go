@@ -1,6 +1,10 @@
-package minhash
+package expt
 
-import "sort"
+import (
+	"sort"
+
+	"lshensemble/internal/minhash"
+)
 
 // KMV is a k-minimum-values sketch (Beyer et al., SIGMOD 2007): the k
 // smallest distinct base-hash values of a domain. Where a MinHash signature
@@ -11,9 +15,8 @@ import "sort"
 // through the Jaccard-only identity.
 //
 // KMV supports no banding (its values carry no per-permutation alignment),
-// so it cannot back an LSH index — core rejects it as an index store. It
-// serves the exact/asymmetric evaluation path (internal/expt) as a
-// brute-force scorer on the accuracy-vs-bytes frontier.
+// so it cannot back an LSH index. The sketch frontier (sketch.go) scores it
+// by brute force as a comparator on the accuracy-vs-bytes frontier.
 //
 // A sketch that has seen fewer than k distinct hashes holds its domain's
 // complete hash set, and every estimate degenerates to the exact count.
@@ -29,13 +32,13 @@ type KMV struct {
 // k must be positive.
 func NewKMV(k int) *KMV {
 	if k <= 0 {
-		panic("minhash: NewKMV requires k > 0")
+		panic("expt: NewKMV requires k > 0")
 	}
 	return &KMV{k: k, set: make(map[uint64]struct{}, k)}
 }
 
-// PushHashed folds one base-hashed value (HashBytes/HashString/HashUint64 —
-// the same hash space the MinHash permutations consume) into the sketch.
+// PushHashed folds one base-hashed value (minhash.HashBytes and its kin: the
+// hash space the MinHash permutations consume) into the sketch.
 func (s *KMV) PushHashed(hv uint64) {
 	if _, dup := s.set[hv]; dup {
 		return
@@ -56,7 +59,7 @@ func (s *KMV) PushHashed(hv uint64) {
 }
 
 // PushUint64 folds an integer-valued domain element into the sketch.
-func (s *KMV) PushUint64(v uint64) { s.PushHashed(HashUint64(v)) }
+func (s *KMV) PushUint64(v uint64) { s.PushHashed(minhash.HashUint64(v)) }
 
 func (s *KMV) siftUp(i int) {
 	for i > 0 {
@@ -106,7 +109,7 @@ func (s *KMV) Cardinality() float64 {
 	if !s.full() {
 		return float64(len(s.heap))
 	}
-	u := float64(s.heap[0]+1) / float64(MersennePrime)
+	u := float64(s.heap[0]+1) / float64(minhash.MersennePrime)
 	return float64(s.k-1) / u
 }
 
@@ -178,7 +181,7 @@ func (s *KMV) Intersection(o *KMV) float64 {
 		// Fewer than k′ distinct values exist overall: counts are exact.
 		return float64(inter)
 	}
-	u := float64(kth+1) / float64(MersennePrime)
+	u := float64(kth+1) / float64(minhash.MersennePrime)
 	unionEst := float64(kk-1) / u
 	return float64(inter) / float64(kk) * unionEst
 }

@@ -1,8 +1,10 @@
-package minhash
+package expt
 
 import (
 	"math"
 	"testing"
+
+	"lshensemble/internal/minhash"
 )
 
 // kmvOver sketches the integers [lo, hi) — the ground-truth sets the
@@ -40,7 +42,7 @@ func TestKMVDuplicatesIgnored(t *testing.T) {
 	s := NewKMV(64)
 	for i := 0; i < 10; i++ {
 		s.PushUint64(7)
-		s.PushHashed(HashString("x"))
+		s.PushHashed(minhash.HashString("x"))
 	}
 	if n := len(s.Values()); n != 2 {
 		t.Fatalf("%d values kept after duplicate pushes, want 2", n)

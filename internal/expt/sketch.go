@@ -81,17 +81,17 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 	// KMV is not indexable, so it enters the frontier the way the paper's
 	// exact comparator does: a linear scan scoring every domain, here with
 	// KMV's cardinality-aware containment estimate instead of exact sets.
-	domainKMV := make([]*minhash.KMV, len(corpus.Domains))
+	domainKMV := make([]*KMV, len(corpus.Domains))
 	kmvBytes := 0
 	for i, d := range corpus.Domains {
-		s := minhash.NewKMV(cfg.KMVK)
+		s := NewKMV(cfg.KMVK)
 		for _, v := range d.Values {
 			s.PushUint64(v)
 		}
 		domainKMV[i] = s
 		kmvBytes += s.SizeBytes()
 	}
-	systems = append(systems, system{"kmv", func(qi int, tStar float64) []string {
+	systems = append(systems, system{"kmv", nil, func(qi int, tStar float64) []string {
 		var out []string
 		for i, x := range domainKMV {
 			if domainKMV[qi].Containment(x) >= tStar {

@@ -1,9 +1,12 @@
 package expt
 
 import (
+	"fmt"
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/datagen"
+	"lshensemble/internal/minhash"
 )
 
 // frontierCfg is the deterministic reduced-scale Fig. 4 workload behind the
@@ -106,6 +109,61 @@ func TestFig4SketchVariants(t *testing.T) {
 				t.Errorf("%s recall %.3f < full-width %.3f at t=%v", name, v.Recall, full.Recall, tStar)
 			}
 		}
+	}
+}
+
+// TestSystemsReportTheirSketch pins the width each figure system is built
+// at, which no answer of the fixtures tells apart: 32-bit minima collide by
+// chance nowhere among their domains. The Baseline, Asym and every ensemble
+// runAccuracy scores report minwise64, a b-bit variant its own backend, and
+// each frontier system the signature bytes of its own width.
+func TestSystemsReportTheirSketch(t *testing.T) {
+	cfg := AccuracyConfig{
+		NumDomains: 300, NumQueries: 5, NumHash: 64, RMax: 4, Partitions: []int{1, 8},
+		Sketches:   []core.SketchBackend{core.Minwise32, core.Minwise16, core.Minwise8},
+		Thresholds: []float64{0.5}, Seed: 3,
+	}.withDefaults()
+	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: cfg.NumDomains, Seed: cfg.Seed})
+	recs := datagen.Records(corpus, minhash.NewHasher(cfg.NumHash, cfg.Seed^0x5eed))
+	systems, err := buildSystems(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"Baseline": "minwise64", "Asym": "minwise64"}
+	for _, n := range cfg.Partitions {
+		want[fmt.Sprintf("LSH Ensemble (%d)", n)] = "minwise64"
+	}
+	for _, sb := range cfg.Sketches {
+		want[fmt.Sprintf("LSH Ensemble (8, %s)", sb)] = sb.String()
+	}
+	if len(systems) != len(want) {
+		t.Fatalf("%d systems, want %d", len(systems), len(want))
+	}
+	for _, sys := range systems {
+		if got := sys.idx.Stats().Sketch; got != want[sys.name] {
+			t.Errorf("%s is built at %s, want %s", sys.name, got, want[sys.name])
+		}
+	}
+
+	rows, err := RunSketchFrontier(SketchConfig{AccuracyConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := map[string]int{"minwise64": 64, "minwise32": 32, "minwise16": 16, "minwise8": 8}
+	seen := 0
+	for _, r := range rows {
+		w, ok := widths[r.System]
+		if !ok {
+			continue // the KMV scan
+		}
+		seen++
+		if want := float64(cfg.NumHash * w / 8); r.BytesPerDomain != want {
+			t.Errorf("frontier system %s stores %v signature bytes per domain, %v at its own width",
+				r.System, r.BytesPerDomain, want)
+		}
+	}
+	if seen != len(widths) {
+		t.Fatalf("%d frontier rows of the minwise widths, want %d", seen, len(widths))
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"testing"
 
-	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 )
 
 // cancelFixture builds a live index with several sealed segments plus a
 // non-empty buffer, so the Context variants have real segment loops and a
 // buffer scan to bail out of.
-func cancelFixture(t *testing.T) (*Index, []core.Record) {
+func cancelFixture(t *testing.T) (*Index, []domain.Record) {
 	t.Helper()
 	recs := fixture(t, 200, 9)
 	x, err := Build(recs[:120], liveOpts())
@@ -49,7 +49,7 @@ func TestQueryContextCanceled(t *testing.T) {
 	if got, err := x.QueryTopKContext(ctx, r.Sig, r.Size, 5); !errors.Is(err, context.Canceled) || got != nil {
 		t.Fatalf("QueryTopKContext = (%v, %v), want (nil, Canceled)", got, err)
 	}
-	queries := []core.BatchQuery{{Sig: r.Sig, Size: r.Size, Threshold: 0.5}}
+	queries := []domain.BatchQuery{{Sig: r.Sig, Size: r.Size, Threshold: 0.5}}
 	if rows, err := x.QueryBatchContext(ctx, queries, 2); !errors.Is(err, context.Canceled) || rows != nil {
 		t.Fatalf("QueryBatchContext = (%v, %v), want (nil, Canceled)", rows, err)
 	}
@@ -92,9 +92,9 @@ func TestQueryContextUncanceledMatchesPlain(t *testing.T) {
 			}
 		}
 	}
-	var queries []core.BatchQuery
+	var queries []domain.BatchQuery
 	for i := 0; i < len(recs); i += 11 {
-		queries = append(queries, core.BatchQuery{Sig: recs[i].Sig, Size: recs[i].Size, Threshold: 0.5})
+		queries = append(queries, domain.BatchQuery{Sig: recs[i].Sig, Size: recs[i].Size, Threshold: 0.5})
 	}
 	want := x.QueryBatch(queries, 2)
 	got, err := x.QueryBatchContext(ctx, queries, 2)

@@ -7,6 +7,7 @@ import (
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 )
 
 // This file is the write-behind half of the live index: sealing the
@@ -93,7 +94,7 @@ func (x *Index) Compact() {
 // index over recs (seqs aligned with them, ascending), its planner metadata
 // and resident estimate, spilled to a segment file when the index has a data
 // directory. Build, seal and merge all call it outside the writer lock.
-func (x *Index) newSegment(recs []core.Record, seqs []uint64) (*segment, error) {
+func (x *Index) newSegment(recs []domain.Record, seqs []uint64) (*segment, error) {
 	idx, err := core.Build(recs, x.opts.Options)
 	if err != nil {
 		return nil, err
@@ -124,7 +125,7 @@ func (x *Index) seal(min int) bool {
 	if len(buf) < min {
 		return false
 	}
-	recs := make([]core.Record, 0, len(buf))
+	recs := make([]domain.Record, 0, len(buf))
 	seqs := make([]uint64, 0, len(buf))
 	for i := range buf {
 		e := &buf[i]
@@ -217,7 +218,7 @@ func (x *Index) mergeSegments(victims []*segment) {
 	// Gather the survivors, then sort them by seq: each victim is ascending,
 	// but the victims' seq ranges can interleave.
 	type survivor struct {
-		rec core.Record
+		rec domain.Record
 		seq uint64
 	}
 	entries := 0
@@ -235,12 +236,12 @@ func (x *Index) mergeSegments(victims []*segment) {
 			}
 			off := len(arena)
 			arena = seg.idx.AppendSignature(arena, uint32(id))
-			rec := core.Record{Key: key, Size: seg.idx.Size(uint32(id)), Sig: arena[off:len(arena):len(arena)]}
+			rec := domain.Record{Key: key, Size: seg.idx.Size(uint32(id)), Sig: arena[off:len(arena):len(arena)]}
 			all = append(all, survivor{rec, seg.seqs[id]})
 		}
 	}
 	slices.SortFunc(all, func(a, b survivor) int { return cmp.Compare(a.seq, b.seq) })
-	recs := make([]core.Record, len(all))
+	recs := make([]domain.Record, len(all))
 	seqs := make([]uint64, len(all))
 	for i, s := range all {
 		recs[i], seqs[i] = s.rec, s.seq

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 )
 
 // TestConcurrentHammer races queriers, adders, a deleter and the background
@@ -85,7 +85,7 @@ func TestConcurrentHammer(t *testing.T) {
 				r := recs[(w*131+rep*17)%len(recs)]
 				var results [][]string
 				if rep%4 == 0 {
-					results = x.QueryBatch([]core.BatchQuery{
+					results = x.QueryBatch([]domain.BatchQuery{
 						{Sig: r.Sig, Size: r.Size, Threshold: 0.5},
 						{Sig: r.Sig, Size: r.Size, Threshold: 1.0},
 					}, 2)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/segfile"
 )
@@ -30,13 +31,13 @@ func encodeV3(f testing.TB, x *Index) []byte {
 func fuzzLoadSeedIndex(f testing.TB, sb core.SketchBackend) *Index {
 	f.Helper()
 	h := minhash.NewHasher(16, 5)
-	recs := make([]core.Record, 20)
+	recs := make([]domain.Record, 20)
 	for i := range recs {
 		sig := h.NewSignature()
 		for j := 0; j < 10+i; j++ {
 			h.PushHashed(sig, minhash.HashUint64(uint64(i*64+j)))
 		}
-		recs[i] = core.Record{Key: string(rune('a' + i)), Size: 10 + i, Sig: sig}
+		recs[i] = domain.Record{Key: string(rune('a' + i)), Size: 10 + i, Sig: sig}
 	}
 	x, err := Build(recs[:12], Options{
 		Options:          core.Options{NumHash: 16, RMax: 4, NumPartitions: 3, Sketch: sb},
@@ -114,13 +115,13 @@ func FuzzLoad(f *testing.F) {
 func fuzzSegSeed(f *testing.F, sb core.SketchBackend) []byte {
 	f.Helper()
 	h := minhash.NewHasher(16, 9)
-	recs := make([]core.Record, 10)
+	recs := make([]domain.Record, 10)
 	for i := range recs {
 		sig := h.NewSignature()
 		for j := 0; j < 12+i; j++ {
 			h.PushHashed(sig, minhash.HashUint64(uint64(i*50+j)))
 		}
-		recs[i] = core.Record{Key: string(rune('a' + i)), Size: 12 + i, Sig: sig}
+		recs[i] = domain.Record{Key: string(rune('a' + i)), Size: 12 + i, Sig: sig}
 	}
 	x, err := Build(recs, Options{
 		Options:          core.Options{NumHash: 16, RMax: 4, NumPartitions: 3, Sketch: sb},

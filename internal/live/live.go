@@ -166,6 +166,7 @@ import (
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/par"
@@ -261,7 +262,7 @@ func (x *Index) newBuffer() buffer {
 
 // entry is one buffered Add: the record and its mutation sequence number.
 type entry struct {
-	rec core.Record
+	rec domain.Record
 	seq uint64
 }
 
@@ -610,7 +611,7 @@ func newIndex(opts Options, keys int) (*Index, error) {
 // sealed into a single segment (records sharing a key collapse to the last
 // occurrence, matching Add-upsert semantics). Unless opts.ManualCompaction
 // is set the background compactor is started; Close releases it.
-func Build(records []core.Record, opts Options) (*Index, error) {
+func Build(records []domain.Record, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
 	if err := opts.Options.Validate(); err != nil {
 		return nil, err
@@ -633,7 +634,7 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 		for i, r := range records {
 			last[r.Key] = i
 		}
-		recs := make([]core.Record, 0, len(last))
+		recs := make([]domain.Record, 0, len(last))
 		seqs := make([]uint64, 0, len(last))
 		for i, r := range records {
 			if last[r.Key] != i {
@@ -672,7 +673,7 @@ func (x *Index) start(st state) {
 	}
 }
 
-func (x *Index) validateRecord(r core.Record) error {
+func (x *Index) validateRecord(r domain.Record) error {
 	if r.Size <= 0 {
 		return fmt.Errorf("live: record %q has non-positive size %d", r.Key, r.Size)
 	}
@@ -695,7 +696,7 @@ func (x *Index) Len() int { return x.snap.Load().domains }
 // version, never both. The signature is copied, so the caller keeps
 // ownership of r.Sig. Add never blocks queries; concurrent Adds serialize
 // on an internal mutex. It reports whether an existing entry was replaced.
-func (x *Index) Add(r core.Record) (replaced bool, err error) {
+func (x *Index) Add(r domain.Record) (replaced bool, err error) {
 	if err := x.validateRecord(r); err != nil {
 		return false, err
 	}
@@ -1064,7 +1065,7 @@ func sketchContainment(sb core.SketchBackend, a, b minhash.Signature, q, x float
 // segment 0, then for segment 1, …, then for the buffer — because
 // a segment's leading columns stay cache-resident only while rows visit it
 // together (row-major cost the ledger 5 % of lib_query's sat_qps).
-func (x *Index) QueryBatch(queries []core.BatchQuery, workers int) [][]string {
+func (x *Index) QueryBatch(queries []domain.BatchQuery, workers int) [][]string {
 	rows, _ := x.QueryBatchContext(context.Background(), queries, workers)
 	return rows
 }
@@ -1072,7 +1073,7 @@ func (x *Index) QueryBatch(queries []core.BatchQuery, workers int) [][]string {
 // batchRow is a batch row the result cache did not answer: the normalized
 // query, where its answer goes and its cache key.
 type batchRow struct {
-	core.BatchQuery
+	domain.BatchQuery
 	row        int
 	bits, hash uint64
 }
@@ -1083,7 +1084,7 @@ type batchRow struct {
 // worker instead of burning CPU to completion. On cancellation it returns
 // (nil, ctx.Err()); partial rows are discarded, never cached. A trace in ctx
 // receives the decisions of all rows added up.
-func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery, workers int) ([][]string, error) {
+func (x *Index) QueryBatchContext(ctx context.Context, queries []domain.BatchQuery, workers int) ([][]string, error) {
 	c := x.begin(ctx)
 	defer c.done()
 	sn := c.sn
@@ -1154,7 +1155,7 @@ func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery
 // top k. Like Query it is lock-free against writers and the compactor, and
 // like Query it answers a repeat of (signature, size, k) on an unchanged
 // index from the result cache: the caller owns the returned slice either way.
-func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKResult {
+func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []domain.TopKResult {
 	results, _ := x.QueryTopKContext(context.Background(), sig, querySize, k)
 	return results
 }
@@ -1163,7 +1164,7 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKRe
 // segment visit, so a canceled request stops ranking instead of walking the
 // remaining segments. On cancellation it returns (nil, ctx.Err()), and the
 // partial ranking is never cached.
-func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
+func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]domain.TopKResult, error) {
 	c := x.begin(ctx)
 	defer c.done()
 	if err := x.opts.CheckQuerySig(sig); err != nil {
@@ -1186,10 +1187,10 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 	kBits := topKBits(k)
 	hit, h := c.cached(sig, querySize, kBits)
 	if hit != nil {
-		return append([]core.TopKResult(nil), hit.ranked...), nil
+		return append([]domain.TopKResult(nil), hit.ranked...), nil
 	}
 	q := float64(querySize)
-	results := make([]core.TopKResult, 0, k) // a heap until the end (see keep)
+	results := make([]domain.TopKResult, 0, k) // a heap until the end (see keep)
 	kth := func() float64 { return results[0].EstContainment }
 	s := x.acquireScratch()
 	defer x.releaseScratch(s)
@@ -1226,7 +1227,7 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 		// No error can come back: sig was length-checked above.
 		s.ids, _ = seg.idx.QueryTopKIDsMasked(s.ids[:0], sig, querySize, need, trees)
 		for _, id := range s.ids {
-			r := core.TopKResult{Key: seg.idx.Key(id), EstContainment: seg.idx.EstContainment(id, sig, querySize)}
+			r := domain.TopKResult{Key: seg.idx.Key(id), EstContainment: seg.idx.EstContainment(id, sig, querySize)}
 			if keeps(results, k, r) && (!sn.shadow[si] || sn.alive(r.Key, seg.seqs[id])) {
 				results = keep(results, k, r)
 			}
@@ -1238,34 +1239,34 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 		} else {
 			for i := range sn.buf {
 				e := &sn.buf[i]
-				r := core.TopKResult{Key: e.rec.Key, EstContainment: sketchContainment(x.opts.Sketch, sig, e.rec.Sig, q, float64(e.rec.Size))}
+				r := domain.TopKResult{Key: e.rec.Key, EstContainment: sketchContainment(x.opts.Sketch, sig, e.rec.Sig, q, float64(e.rec.Size))}
 				if keeps(results, k, r) && sn.alive(r.Key, e.seq) {
 					results = keep(results, k, r)
 				}
 			}
 		}
 	}
-	slices.SortFunc(results, core.CompareTopK)
+	slices.SortFunc(results, domain.CompareTopK)
 	c.store(sig, querySize, kBits, h, nil, results)
 	return results, nil
 }
 
 // keeps reports whether keep would add r to ranked: ranked holds fewer than
 // k results, or r ranks before the worst of them, the heap's root.
-func keeps(ranked []core.TopKResult, k int, r core.TopKResult) bool {
-	return len(ranked) < k || core.CompareTopK(r, ranked[0]) < 0
+func keeps(ranked []domain.TopKResult, k int, r domain.TopKResult) bool {
+	return len(ranked) < k || domain.CompareTopK(r, ranked[0]) < 0
 }
 
 // keep adds r to ranked, the best k results so far as a binary heap whose
-// root ranked[0] ranks last of them under core.CompareTopK: below k, r is
+// root ranked[0] ranks last of them under domain.CompareTopK: below k, r is
 // appended and sifted up; at k, r replaces the root and sifts down. So a
 // candidate costs one compare with the root (keeps) and a kept one O(log k),
 // where a sorted insertion shifts up to k results (0.30 s against sorting's
 // 0.01 s at k = n = 40 000 on a Xeon). CompareTopK is a total order over
 // distinct keys, so the heap sorted by it equals every candidate sorted and
 // truncated to k. keeps(ranked, k, r) must hold.
-func keep(ranked []core.TopKResult, k int, r core.TopKResult) []core.TopKResult {
-	worse := func(i, j int) bool { return core.CompareTopK(ranked[i], ranked[j]) > 0 }
+func keep(ranked []domain.TopKResult, k int, r domain.TopKResult) []domain.TopKResult {
+	worse := func(i, j int) bool { return domain.CompareTopK(ranked[i], ranked[j]) > 0 }
 	if len(ranked) < k {
 		ranked = append(ranked, r)
 		for i := len(ranked) - 1; i > 0 && worse(i, (i-1)/2); i = (i - 1) / 2 {

@@ -15,6 +15,7 @@ import (
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 )
 
@@ -31,7 +32,7 @@ func liveOpts() Options {
 }
 
 // fixture builds n records with unique keys over the open-data generator.
-func fixture(t testing.TB, n int, seed uint64) []core.Record {
+func fixture(t testing.TB, n int, seed uint64) []domain.Record {
 	t.Helper()
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: n, Seed: seed})
 	h := minhash.NewHasher(128, seed)
@@ -130,7 +131,7 @@ func TestUpsertReplaces(t *testing.T) {
 	// query for record 0's old values must not (unless they genuinely
 	// collide with the new signature).
 	old, repl := recs[0], recs[1]
-	if replaced, err := x.Add(core.Record{Key: old.Key, Size: repl.Size, Sig: repl.Sig}); err != nil || !replaced {
+	if replaced, err := x.Add(domain.Record{Key: old.Key, Size: repl.Size, Sig: repl.Sig}); err != nil || !replaced {
 		t.Fatalf("upsert: replaced=%v err=%v", replaced, err)
 	}
 	if x.Len() != 80 {
@@ -148,7 +149,7 @@ func TestUpsertReplaces(t *testing.T) {
 	}
 	// Upserting the same key again while the old version sits in a sealed
 	// segment and the new one in the buffer must still yield one entry.
-	if _, err := x.Add(core.Record{Key: old.Key, Size: repl.Size, Sig: repl.Sig}); err != nil {
+	if _, err := x.Add(domain.Record{Key: old.Key, Size: repl.Size, Sig: repl.Sig}); err != nil {
 		t.Fatal(err)
 	}
 	x.Flush()
@@ -178,7 +179,7 @@ func TestDeleteHidesImmediately(t *testing.T) {
 	}
 	// Delete one sealed entry and one buffered entry.
 	sealed, buffered := recs[10], recs[90]
-	for _, r := range []core.Record{sealed, buffered} {
+	for _, r := range []domain.Record{sealed, buffered} {
 		if !x.Delete(r.Key) {
 			t.Fatalf("Delete(%s) = false", r.Key)
 		}
@@ -218,9 +219,9 @@ func TestCompactedEquivalentToFreshBuild(t *testing.T) {
 	defer x.Close()
 	// A churny history: adds in waves with interleaved deletes, replacements
 	// and seals, ending with several segments plus a non-empty buffer.
-	survivors := make(map[string]core.Record, len(recs))
+	survivors := make(map[string]domain.Record, len(recs))
 	order := []string{}
-	note := func(r core.Record) {
+	note := func(r domain.Record) {
 		if _, ok := survivors[r.Key]; !ok {
 			order = append(order, r.Key)
 		} else {
@@ -266,7 +267,7 @@ func TestCompactedEquivalentToFreshBuild(t *testing.T) {
 			if _, ok := survivors[r.Key]; !ok {
 				continue
 			}
-			r2 := core.Record{Key: r.Key, Size: recs[i+1].Size, Sig: recs[i+1].Sig}
+			r2 := domain.Record{Key: r.Key, Size: recs[i+1].Size, Sig: recs[i+1].Sig}
 			if _, err := x.Add(r2); err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +287,7 @@ func TestCompactedEquivalentToFreshBuild(t *testing.T) {
 		t.Fatalf("after Compact: %+v", st)
 	}
 
-	want := make([]core.Record, 0, len(order))
+	want := make([]domain.Record, 0, len(order))
 	for _, k := range order {
 		r := survivors[k]
 		// Match Add's signature clamp so the reference build sees identical
@@ -506,9 +507,9 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 	for i := 0; i < 220; i += 11 {
 		x.Delete(recs[i].Key)
 	}
-	var queries []core.BatchQuery
+	var queries []domain.BatchQuery
 	for i := 0; i < 220; i += 5 {
-		queries = append(queries, core.BatchQuery{
+		queries = append(queries, domain.BatchQuery{
 			Sig: recs[i].Sig, Size: recs[i].Size,
 			Threshold: []float64{0.3, 0.7, 1.0}[i%3],
 		})
@@ -530,7 +531,7 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 	}
 	// Invalid query sizes yield empty rows — including from the buffer scan,
 	// matching core's batch contract.
-	rows := x.QueryBatch([]core.BatchQuery{
+	rows := x.QueryBatch([]domain.BatchQuery{
 		{Sig: recs[1].Sig, Size: 0, Threshold: 0.5},
 		{Sig: recs[1].Sig, Size: -3, Threshold: 0.5},
 	}, 2)
@@ -748,7 +749,7 @@ func TestStatsSeqNeverGoesBack(t *testing.T) {
 			t.Fatalf("after %s: Seq %d, want %d", step, got, mutations)
 		}
 	}
-	add := func(r core.Record) {
+	add := func(r domain.Record) {
 		t.Helper()
 		if _, err := x.Add(r); err != nil {
 			t.Fatal(err)
@@ -820,13 +821,13 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	if _, err := x.Add(core.Record{Key: "bad", Size: 0, Sig: recs[0].Sig}); err == nil {
+	if _, err := x.Add(domain.Record{Key: "bad", Size: 0, Sig: recs[0].Sig}); err == nil {
 		t.Fatal("zero size accepted")
 	}
-	if _, err := x.Add(core.Record{Key: "bad", Size: 5, Sig: recs[0].Sig[:8]}); err == nil {
+	if _, err := x.Add(domain.Record{Key: "bad", Size: 5, Sig: recs[0].Sig[:8]}); err == nil {
 		t.Fatal("short signature accepted")
 	}
-	if _, err := Build([]core.Record{{Key: "bad", Size: 0, Sig: recs[0].Sig}}, liveOpts()); err == nil {
+	if _, err := Build([]domain.Record{{Key: "bad", Size: 0, Sig: recs[0].Sig}}, liveOpts()); err == nil {
 		t.Fatal("Build accepted invalid record")
 	}
 	// Empty index answers queries and accepts its first Add.
@@ -848,7 +849,7 @@ func TestValidation(t *testing.T) {
 
 func TestBuildUpsertsDuplicateKeys(t *testing.T) {
 	recs := fixture(t, 20, 12)
-	dup := append(append([]core.Record{}, recs...), core.Record{
+	dup := append(append([]domain.Record{}, recs...), domain.Record{
 		Key: recs[3].Key, Size: recs[4].Size, Sig: recs[4].Sig,
 	})
 	x, err := Build(dup, liveOpts())

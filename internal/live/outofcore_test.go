@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/segfile"
 )
@@ -24,7 +25,7 @@ import (
 // spill-to-disk with heap reads, and spill-to-disk with mmap reads. Every
 // behavioral test drives them through identical operations and demands
 // identical answers — the out-of-core representation must be invisible.
-func trio(t *testing.T, recs []core.Record) (heap, spill, mapped *Index) {
+func trio(t *testing.T, recs []domain.Record) (heap, spill, mapped *Index) {
 	t.Helper()
 	mk := func(dataDir string, mmap bool) *Index {
 		opts := liveOpts()
@@ -42,7 +43,7 @@ func trio(t *testing.T, recs []core.Record) (heap, spill, mapped *Index) {
 	return heap, spill, mapped
 }
 
-func requireSameAnswers(t *testing.T, label string, heap, spill, mapped *Index, recs []core.Record) {
+func requireSameAnswers(t *testing.T, label string, heap, spill, mapped *Index, recs []domain.Record) {
 	t.Helper()
 	for i, r := range recs {
 		for _, tStar := range []float64{0.5, 0.9, 1.0} {
@@ -61,9 +62,9 @@ func requireSameAnswers(t *testing.T, label string, heap, spill, mapped *Index, 
 			}
 		}
 	}
-	batch := make([]core.BatchQuery, 0, len(recs))
+	batch := make([]domain.BatchQuery, 0, len(recs))
 	for _, r := range recs {
-		batch = append(batch, core.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.8})
+		batch = append(batch, domain.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.8})
 	}
 	want := heap.QueryBatch(batch, 2)
 	for name, x := range map[string]*Index{"spill": spill, "mmap": mapped} {
@@ -86,7 +87,7 @@ func TestOutOfCoreChurnEquivalence(t *testing.T) {
 		}
 	}()
 
-	probe := append(append([]core.Record(nil), recs[:30]...), recs[120:150]...)
+	probe := append(append([]domain.Record(nil), recs[:30]...), recs[120:150]...)
 	requireSameAnswers(t, "initial", heap, spill, mapped, probe[:20])
 
 	// Churn: interleaved adds, deletes, upserts, seals, and a merge.
@@ -546,7 +547,7 @@ func TestOutOfCoreRetirementHammer(t *testing.T) {
 				case 1:
 					x.QueryTopK(r.Sig, r.Size, 3)
 				case 2:
-					x.QueryBatch([]core.BatchQuery{{Sig: r.Sig, Size: r.Size, Threshold: 0.6}}, 0)
+					x.QueryBatch([]domain.BatchQuery{{Sig: r.Sig, Size: r.Size, Threshold: 0.6}}, 0)
 				}
 				i += 3
 			}

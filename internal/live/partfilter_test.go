@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/xrand"
 )
 
@@ -80,7 +81,7 @@ func TestPartFilterSpuriousRate(t *testing.T) {
 
 // partFilterIndex builds a planned index of four heap segments and a buffer
 // at the given geometry, as a test fixture.
-func partFilterIndex(t *testing.T, recs []core.Record, parts int, sb core.SketchBackend) *Index {
+func partFilterIndex(t *testing.T, recs []domain.Record, parts int, sb core.SketchBackend) *Index {
 	t.Helper()
 	o := plannerOpts()
 	o.MaxSegments, o.NumPartitions, o.Sketch = 64, parts, sb
@@ -197,7 +198,7 @@ func TestMmapFirstProbeBuildsFilterOnce(t *testing.T) {
 		}
 	}
 	const racers = 8
-	queries := make([]core.Record, 24)
+	queries := make([]domain.Record, 24)
 	for i := range queries {
 		queries[i] = recs[i*11]
 	}

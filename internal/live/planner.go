@@ -10,6 +10,7 @@ import (
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
@@ -307,13 +308,13 @@ func topkSegOrder(order []int, segs []*segment) []int {
 // immutable after the entry is published except stamp, the approximate-LRU
 // clock tick of its last use.
 type resultEntry struct {
-	gen    uint64            // snapshot generation the result was computed on
-	hash   uint64            // queryHash of (sig, size, tBits)
-	size   int               // exact query size
-	tBits  uint64            // raw bits of the clamped threshold, or topKBits(k)
-	sig    minhash.Signature // private copy of the query signature
-	keys   []string          // a threshold query's result, in fan-out order
-	ranked []core.TopKResult // a top-k query's result, best first
+	gen    uint64              // snapshot generation the result was computed on
+	hash   uint64              // queryHash of (sig, size, tBits)
+	size   int                 // exact query size
+	tBits  uint64              // raw bits of the clamped threshold, or topKBits(k)
+	sig    minhash.Signature   // private copy of the query signature
+	keys   []string            // a threshold query's result, in fan-out order
+	ranked []domain.TopKResult // a top-k query's result, best first
 
 	stamp atomic.Uint64
 }
@@ -391,7 +392,7 @@ func (c *call) cached(sig minhash.Signature, querySize int, tBits uint64) (*resu
 // insert just misses next time. A canceled fan-out collected only a prefix of
 // its answer: callers must not store it, or the truncation would be served to
 // later, uncanceled queries.
-func (c *call) store(sig minhash.Signature, querySize int, tBits, h uint64, keys []string, ranked []core.TopKResult) {
+func (c *call) store(sig minhash.Signature, querySize int, tBits, h uint64, keys []string, ranked []domain.TopKResult) {
 	x, sn := c.x, c.sn
 	if x.rc == nil {
 		return
@@ -416,7 +417,7 @@ func (c *call) store(sig minhash.Signature, querySize int, tBits, h uint64, keys
 		tBits:  tBits,
 		sig:    append(minhash.Signature(nil), sig...),
 		keys:   append([]string(nil), keys...),
-		ranked: append([]core.TopKResult(nil), ranked...),
+		ranked: append([]domain.TopKResult(nil), ranked...),
 	}
 	e.stamp.Store(x.rcClock.Add(1))
 	x.rc[base+victim].Store(e)

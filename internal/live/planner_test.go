@@ -12,6 +12,7 @@ import (
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
 	"lshensemble/internal/xrand"
@@ -37,7 +38,7 @@ func unprunedOpts() Options {
 
 // churn applies the same randomized add/delete/seal/merge schedule to every
 // given index so their logical contents stay identical.
-func churn(t *testing.T, recs []core.Record, idxs ...*Index) {
+func churn(t *testing.T, recs []domain.Record, idxs ...*Index) {
 	t.Helper()
 	apply := func(f func(x *Index)) {
 		for _, x := range idxs {
@@ -83,7 +84,7 @@ func churn(t *testing.T, recs []core.Record, idxs ...*Index) {
 // set), 16 (one bit each) and 40 (partitions fold onto shared bits; the other
 // tests run at 4) — and per sketch backend: under minwise8 both leading-value
 // filters saturate and rule nothing out, and the answers must still agree.
-func eachGeometry(t *testing.T, seed uint64, f func(t *testing.T, recs []core.Record, planned, plain *Index)) {
+func eachGeometry(t *testing.T, seed uint64, f func(t *testing.T, recs []domain.Record, planned, plain *Index)) {
 	recs := fixture(t, 300, seed)
 	for _, parts := range []int{1, 16, 40} {
 		for _, sb := range append([]core.SketchBackend{core.Minwise64}, narrowBackends...) {
@@ -124,7 +125,7 @@ func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
 	eachGeometry(t, 7, plannedEquivalentUnderChurn)
 }
 
-func plannedEquivalentUnderChurn(t *testing.T, recs []core.Record, planned, plain *Index) {
+func plannedEquivalentUnderChurn(t *testing.T, recs []domain.Record, planned, plain *Index) {
 	thresholds := []float64{0.0, 0.25, 0.5, 0.75, 0.9, 1.0}
 	check := func(round int) {
 		for qi := 0; qi < len(recs); qi += 3 {
@@ -184,7 +185,7 @@ func wantSegmentDecisions(t *testing.T, p PlannerStats, want [3]uint64) {
 // boundary maxBound/t*, the one compare against maxBound says "pruned" exactly
 // when a plan of the segment skips every partition.
 func TestRangeCheckIsThePlansSkip(t *testing.T) {
-	eachGeometry(t, 18, func(t *testing.T, _ []core.Record, planned, _ *Index) {
+	eachGeometry(t, 18, func(t *testing.T, _ []domain.Record, planned, _ *Index) {
 		var plan []tune.Params
 		pruned, kept := 0, 0
 		for si, seg := range planned.snap.Load().segs {
@@ -223,13 +224,13 @@ func TestBatchPlannedEquivalentToUnpruned(t *testing.T) {
 	eachGeometry(t, 8, batchPlannedEquivalent)
 }
 
-func batchPlannedEquivalent(t *testing.T, recs []core.Record, planned, plain *Index) {
-	queries := make([]core.BatchQuery, 0, 120)
+func batchPlannedEquivalent(t *testing.T, recs []domain.Record, planned, plain *Index) {
+	queries := make([]domain.BatchQuery, 0, 120)
 	for qi := 0; qi < 340; qi += 3 {
 		r := recs[qi%len(recs)]
-		queries = append(queries, core.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: float64(qi%5) * 0.2})
+		queries = append(queries, domain.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: float64(qi%5) * 0.2})
 	}
-	queries = append(queries, core.BatchQuery{Sig: recs[0].Sig, Size: 0, Threshold: 0.5}) // invalid → nil row
+	queries = append(queries, domain.BatchQuery{Sig: recs[0].Sig, Size: 0, Threshold: 0.5}) // invalid → nil row
 	for round := 0; round < 3; round++ {
 		want := plain.QueryBatch(queries, 4)
 		got := planned.QueryBatch(queries, 4)
@@ -251,7 +252,7 @@ func TestPruningActuallyFires(t *testing.T) {
 	}
 	// Four segments over disjoint hash-value pools: self-queries from one
 	// pool cannot collide in the other three.
-	var probes [][]core.Record
+	var probes [][]domain.Record
 	for seg := 0; seg < 4; seg++ {
 		recs := synthRecords(60, uint64(seg+1), fmt.Sprintf("p%d", seg), 50, 500)
 		for _, r := range recs {
@@ -284,7 +285,7 @@ func TestTopKPlannedEquivalentToUnpruned(t *testing.T) {
 	eachGeometry(t, 9, topKPlannedEquivalent)
 }
 
-func topKPlannedEquivalent(t *testing.T, recs []core.Record, planned, plain *Index) {
+func topKPlannedEquivalent(t *testing.T, recs []domain.Record, planned, plain *Index) {
 	for qi := 0; qi < len(recs); qi += 7 {
 		r := recs[qi]
 		for _, k := range []int{1, 3, 10, 50} {
@@ -515,9 +516,9 @@ func TestResultCacheCoherence(t *testing.T) {
 // hash-value pool tagged by pool's low byte: records of different pools
 // share no values, like corpora whose domains have nothing in common.
 // Sizes spread uniformly over [minSize, maxSize].
-func synthRecords(n int, pool uint64, prefix string, minSize, maxSize int) []core.Record {
+func synthRecords(n int, pool uint64, prefix string, minSize, maxSize int) []domain.Record {
 	rng := xrand.New(pool*0x9E3779B9 + 1)
-	recs := make([]core.Record, n)
+	recs := make([]domain.Record, n)
 	for i := range recs {
 		sig := make(minhash.Signature, 128)
 		for j := range sig {
@@ -527,7 +528,7 @@ func synthRecords(n int, pool uint64, prefix string, minSize, maxSize int) []cor
 		if maxSize > minSize {
 			size += int(rng.Uint64() % uint64(maxSize-minSize+1))
 		}
-		recs[i] = core.Record{Key: fmt.Sprintf("%s-%04d", prefix, i), Size: size, Sig: sig}
+		recs[i] = domain.Record{Key: fmt.Sprintf("%s-%04d", prefix, i), Size: size, Sig: sig}
 	}
 	return recs
 }

@@ -11,6 +11,7 @@ import (
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/segfile"
 )
@@ -210,9 +211,9 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	}
 	// Save never emits a degenerate shape (Build validates it), and zeros
 	// must not fall through to withDefaults below: the raw rMax strides
-	// loops (buffer.with), where 0 would never advance. Past core.MaxNumHash,
+	// loops (buffer.with), where 0 would never advance. Past domain.MaxNumHash,
 	// numHash would size the caller's hasher.
-	if numHash < 1 || numHash > core.MaxNumHash || rMax < 1 || rMax > numHash {
+	if numHash < 1 || numHash > domain.MaxNumHash || rMax < 1 || rMax > numHash {
 		return nil, fmt.Errorf("live: snapshot header shape (%d, %d): %w", numHash, rMax, ErrCorrupt)
 	}
 	if opts.NumHash != 0 && opts.NumHash != numHash {
@@ -339,7 +340,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		if i > 0 && eseq <= st.buf[i-1].seq {
 			return nil, fmt.Errorf("live: buffered seqs not ascending at entry %d: %w", i, ErrCorrupt)
 		}
-		rec := core.Record{Key: key, Size: size, Sig: sig}
+		rec := domain.Record{Key: key, Size: size, Sig: sig}
 		if err := x.validateRecord(rec); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 		}

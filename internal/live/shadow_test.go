@@ -6,7 +6,7 @@ import (
 	"slices"
 	"testing"
 
-	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/xrand"
 )
 
@@ -123,7 +123,7 @@ func TestShadowBitsFollowTheKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	add := func(rs []core.Record) {
+	add := func(rs []domain.Record) {
 		for _, r := range rs {
 			if _, err := x.Add(r); err != nil {
 				t.Fatal(err)
@@ -144,7 +144,7 @@ func TestShadowBitsFollowTheKey(t *testing.T) {
 
 	// Buffered keys that neither segment's key Bloom may hold: a Delete and an
 	// upsert of them reach no segment.
-	var buffered []core.Record
+	var buffered []domain.Record
 	for _, r := range recs[96:] {
 		if !mayHold(segs[0].meta.keys, r.Key) && !mayHold(segs[1].meta.keys, r.Key) {
 			buffered = append(buffered, r)
@@ -156,7 +156,7 @@ func TestShadowBitsFollowTheKey(t *testing.T) {
 	x.Delete(buffered[0].Key)
 	up := buffered[1]
 	up.Sig = recs[0].Sig
-	add([]core.Record{up})
+	add([]domain.Record{up})
 	if b := bits(); slices.Contains(b, true) {
 		t.Fatalf("shadow %v after tombstoning buffered keys, want all clear", b)
 	}
@@ -171,7 +171,7 @@ func TestShadowBitsFollowTheKey(t *testing.T) {
 	}
 	up = recs[70] // sealed in segment 1
 	up.Sig = recs[71].Sig
-	add([]core.Record{up})
+	add([]domain.Record{up})
 	if b := bits(); !b[0] || !b[1] {
 		t.Fatalf("shadow %v after upserting a key of segment 1, want both set", b)
 	}

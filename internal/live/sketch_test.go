@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 )
 
 // sketchOpts is liveOpts with a non-default sketch backend.
@@ -303,7 +304,7 @@ func TestSketchBackendCompactEquivalence(t *testing.T) {
 			}
 			x.Delete(recs[3].Key)
 			x.Compact()
-			survivors := append(append([]core.Record(nil), recs[:3]...), recs[4:]...)
+			survivors := append(append([]domain.Record(nil), recs[:3]...), recs[4:]...)
 			fresh, err := Build(survivors, sketchOpts(sb))
 			if err != nil {
 				t.Fatal(err)

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/xrand"
 )
 
 // topkCacheFixture is a live index with two sealed segments and a buffer, so
 // a top-k miss walks the segment ladder and scores the buffer.
-func topkCacheFixture(t *testing.T, opts Options) (*Index, []core.Record) {
+func topkCacheFixture(t *testing.T, opts Options) (*Index, []domain.Record) {
 	t.Helper()
 	recs := fixture(t, 200, 21)
 	x, err := Build(recs[:100], opts)
@@ -88,7 +89,7 @@ func TestTopKResultCacheInvalidation(t *testing.T) {
 	q := recs[0]
 	// expectMiss runs the query twice around a mutation that must have
 	// invalidated it: the first run recomputes, the second hits again.
-	expectMiss := func(what string) []core.TopKResult {
+	expectMiss := func(what string) []domain.TopKResult {
 		t.Helper()
 		h0, m0 := resultCounters(x)
 		got := x.QueryTopK(q.Sig, q.Size, 5)
@@ -149,9 +150,9 @@ func TestTopKResultCacheCopiesAndCancel(t *testing.T) {
 	}
 
 	hit := x.QueryTopK(q.Sig, q.Size, 5)
-	pristine := append([]core.TopKResult(nil), hit...)
+	pristine := append([]domain.TopKResult(nil), hit...)
 	for i := range hit {
-		hit[i] = core.TopKResult{Key: "scribbled", EstContainment: -1}
+		hit[i] = domain.TopKResult{Key: "scribbled", EstContainment: -1}
 	}
 	if got := x.QueryTopK(q.Sig, q.Size, 5); !reflect.DeepEqual(got, pristine) {
 		t.Fatalf("mutating a returned ranking changed the next hit: %v, want %v", got, pristine)
@@ -188,32 +189,32 @@ func TestTopKTraceReportsCacheHit(t *testing.T) {
 
 // TestKeepEqualsSortTruncate: ranking candidates one by one through keeps and
 // keep, then sorting the heap, leaves exactly what sorting them all by
-// core.CompareTopK and truncating to k leaves, for every k from 1 to n + 1,
+// domain.CompareTopK and truncating to k leaves, for every k from 1 to n + 1,
 // on lists where most scores tie (an estimate of 0 is the common case when
 // the whole buffer is ranked) and ties break by key.
 func TestKeepEqualsSortTruncate(t *testing.T) {
 	rng := xrand.New(46)
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
-		cands := make([]core.TopKResult, n)
+		cands := make([]domain.TopKResult, n)
 		for i := range cands {
 			est := 0.0
 			if rng.Intn(3) == 0 {
 				est = float64(rng.Intn(4)) / 4
 			}
-			cands[i] = core.TopKResult{Key: fmt.Sprintf("k%03d", rng.Intn(1000)*100+i), EstContainment: est}
+			cands[i] = domain.TopKResult{Key: fmt.Sprintf("k%03d", rng.Intn(1000)*100+i), EstContainment: est}
 		}
 		for k := 1; k <= n+1; k++ {
 			want := slices.Clone(cands)
-			slices.SortFunc(want, core.CompareTopK)
+			slices.SortFunc(want, domain.CompareTopK)
 			want = want[:min(k, n)]
-			got := make([]core.TopKResult, 0, k)
+			got := make([]domain.TopKResult, 0, k)
 			for _, r := range cands {
 				if keeps(got, k, r) {
 					got = keep(got, k, r)
 				}
 			}
-			slices.SortFunc(got, core.CompareTopK)
+			slices.SortFunc(got, domain.CompareTopK)
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d, n=%d, k=%d:\n got %v\nwant %v", trial, n, k, got, want)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 )
@@ -212,7 +213,7 @@ func TestShortQuerySignature(t *testing.T) {
 	if got := x.QueryTopK(short, q.Size, 5); len(got) != 0 {
 		t.Errorf("QueryTopK(short) = %v, want empty", got)
 	}
-	rows, err := x.QueryBatchContext(ctx, []core.BatchQuery{
+	rows, err := x.QueryBatchContext(ctx, []domain.BatchQuery{
 		{Sig: short, Size: q.Size, Threshold: 0.5},
 		{Sig: q.Sig, Size: q.Size, Threshold: 0.5},
 	}, 1)
@@ -304,7 +305,7 @@ func TestQueryShapesAgree(t *testing.T) {
 	}
 }
 
-func queryShapesAgree(t *testing.T, recs []core.Record, mmap bool, parts int, sb core.SketchBackend) {
+func queryShapesAgree(t *testing.T, recs []domain.Record, mmap bool, parts int, sb core.SketchBackend) {
 	build := func(o Options) *Index {
 		o.MaxSegments = 64
 		o.ResultCacheSize = -1
@@ -342,14 +343,14 @@ func queryShapesAgree(t *testing.T, recs []core.Record, mmap bool, parts int, sb
 		t.Fatalf("fixture: %d partitions in a segment, none folds onto another's filter bit", n)
 	}
 
-	var batch []core.BatchQuery
+	var batch []domain.BatchQuery
 	for i := 0; i < 64; i++ {
 		r := recs[i*4]
 		sig := r.Sig
 		if i%2 == 1 {
 			sig = halfRedrawn(sig, x.opts.RMax, uint64(i))
 		}
-		batch = append(batch, core.BatchQuery{Sig: sig, Size: r.Size, Threshold: []float64{0, 0.5, 1, 1.7}[i%4]})
+		batch = append(batch, domain.BatchQuery{Sig: sig, Size: r.Size, Threshold: []float64{0, 0.5, 1, 1.7}[i%4]})
 	}
 	batch[10].Size = 0                  // no query serves these two:
 	batch[11].Sig = batch[11].Sig[:100] // their rows stay empty

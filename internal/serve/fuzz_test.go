@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"lshensemble"
+	"lshensemble/internal/wire"
 )
 
 // fuzzEndpoints are the POST routes that decode untrusted JSON bodies.
@@ -71,18 +72,18 @@ func FuzzWireJSON(f *testing.F) {
 // decoding are each other's inverse.
 func FuzzDecodeAnswer(f *testing.F) {
 	for _, resp := range []any{
-		&QueryResponse{Matches: []string{}},
-		&QueryResponse{Matches: []string{"a", "b:c", "w012"}, Count: 3},
-		&TopKResponse{Matches: []TopKMatch{{"x", 1}, {"a", 0.5}, {"b", 0.5}, {"", 0}}, Count: 4},
-		&BatchResponse{Rows: []QueryResponse{{Matches: []string{"k1"}, Count: 1}, {Matches: []string{}}, {Matches: []string{"a", "z"}, Count: 2}}},
+		&wire.QueryResponse{Matches: []string{}},
+		&wire.QueryResponse{Matches: []string{"a", "b:c", "w012"}, Count: 3},
+		&wire.TopKResponse{Matches: []wire.TopKMatch{{Key: "x", EstContainment: 1}, {Key: "a", EstContainment: 0.5}, {Key: "b", EstContainment: 0.5}, {Key: "", EstContainment: 0}}, Count: 4},
+		&wire.BatchResponse{Rows: []wire.QueryResponse{{Matches: []string{"k1"}, Count: 1}, {Matches: []string{}}, {Matches: []string{"a", "z"}, Count: 2}}},
 	} {
-		frame := appendAnswer(nil, resp)
+		frame := answerFrame(resp)
 		rows := 1
-		if b, ok := resp.(*BatchResponse); ok {
+		if b, ok := resp.(*wire.BatchResponse); ok {
 			rows = len(b.Rows)
 		}
 		back := reflect.New(reflect.TypeOf(resp).Elem()).Interface()
-		if err := DecodeAnswer(frame, rows, back); err != nil || !reflect.DeepEqual(back, resp) {
+		if err := wire.DecodeAnswer(frame, rows, back); err != nil || !reflect.DeepEqual(back, resp) {
 			f.Fatalf("%+v decodes back to %+v (%v)", resp, back, err)
 		}
 		f.Add(frame)
@@ -98,10 +99,10 @@ func FuzzDecodeAnswer(f *testing.F) {
 		if len(body) >= 4 {
 			rows = int(binary.LittleEndian.Uint32(body))
 		}
-		for _, resp := range []any{new(QueryResponse), new(TopKResponse), new(BatchResponse)} {
+		for _, resp := range []any{new(wire.QueryResponse), new(wire.TopKResponse), new(wire.BatchResponse)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := DecodeAnswer(body, rows, resp)
+			err := wire.DecodeAnswer(body, rows, resp)
 			runtime.ReadMemStats(&after)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(body))+64<<10 {
 				t.Fatalf("decoding %d bytes as %T allocated %d bytes", len(body), resp, grew)
@@ -109,9 +110,15 @@ func FuzzDecodeAnswer(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if again := appendAnswer(nil, resp); !bytes.Equal(again, body) {
+			if again := answerFrame(resp); !bytes.Equal(again, body) {
 				t.Fatalf("%q decoded as %T to %+v, which encodes to %q", body, resp, resp, again)
 			}
 		}
 	})
+}
+
+// answerFrame is the answer frame of resp, as a shard's answer record
+// carries it.
+func answerFrame(resp any) []byte {
+	return wire.AppendAnswerRecord(nil, resp, nil)[wire.AnswerHeader:]
 }

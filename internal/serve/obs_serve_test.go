@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"lshensemble"
+	"lshensemble/internal/wire"
 )
 
 func testServerWith(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -63,15 +64,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts := testServer(t, "")
 	base := ts.URL
 	seedCorpus(t, base)
-	var qr QueryResponse
-	post(t, base+"/query", QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 0.9}, http.StatusOK, &qr)
-	var tr TopKResponse
-	post(t, base+"/query/topk", TopKRequest{Values: []string{"Ontario", "Quebec"}, K: 2}, http.StatusOK, &tr)
-	var br BatchResponse
-	post(t, base+"/query/batch", BatchRequest{Queries: []QueryRequest{
+	var qr wire.QueryResponse
+	post(t, base+"/query", wire.QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 0.9}, http.StatusOK, &qr)
+	var tr wire.TopKResponse
+	post(t, base+"/query/topk", wire.TopKRequest{Values: []string{"Ontario", "Quebec"}, K: 2}, http.StatusOK, &tr)
+	var br wire.BatchResponse
+	post(t, base+"/query/batch", wire.BatchRequest{Queries: []wire.QueryRequest{
 		{Values: []string{"Ontario"}}, {Values: []string{"Toronto", "Montreal"}},
 	}}, http.StatusOK, &br)
-	post(t, base+"/query", QueryRequest{}, http.StatusBadRequest, nil)
+	post(t, base+"/query", wire.QueryRequest{}, http.StatusBadRequest, nil)
 
 	text := scrape(t, base)
 	for _, want := range []string{
@@ -98,8 +99,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Counters move: a second scrape after more traffic shows more requests.
-	post(t, base+"/query", QueryRequest{Values: []string{"Ontario"}}, http.StatusOK, &qr)
-	post(t, base+"/query", QueryRequest{Values: []string{"Ontario"}}, http.StatusOK, &qr)
+	post(t, base+"/query", wire.QueryRequest{Values: []string{"Ontario"}}, http.StatusOK, &qr)
+	post(t, base+"/query", wire.QueryRequest{Values: []string{"Ontario"}}, http.StatusOK, &qr)
 	text2 := scrape(t, base)
 	if !strings.Contains(text2, `lshensembled_live_query_seconds_count{op="query"} 3`) {
 		t.Error("query latency count did not advance across scrapes")
@@ -161,8 +162,8 @@ func TestSlowQueryLog(t *testing.T) {
 	buf.Reset()
 	_, ts2 := testServerWith(t, Options{Logger: logger, SlowQuery: time.Hour})
 	seedCorpus(t, ts2.URL)
-	var qr QueryResponse
-	post(t, ts2.URL+"/query", QueryRequest{Values: []string{"Ontario"}}, http.StatusOK, &qr)
+	var qr wire.QueryResponse
+	post(t, ts2.URL+"/query", wire.QueryRequest{Values: []string{"Ontario"}}, http.StatusOK, &qr)
 	if s := buf.String(); strings.Contains(s, "slow query") {
 		t.Errorf("sub-threshold query logged as slow:\n%s", s)
 	}
@@ -188,9 +189,9 @@ func TestSlowBatchLogsPlannerBreakdown(t *testing.T) {
 	t.Cleanup(ts.Close)
 	seedWindows(t, ts.URL)
 
-	var batch BatchRequest
+	var batch wire.BatchRequest
 	for i := 0; i < 6; i++ {
-		q := QueryRequest{Values: windowValues(i*30, 20+10*i), Threshold: []float64{0.3, 0.9}[i%2]}
+		q := wire.QueryRequest{Values: windowValues(i*30, 20+10*i), Threshold: []float64{0.3, 0.9}[i%2]}
 		batch.Queries = append(batch.Queries, q)
 		post(t, ts.URL+"/query", q, http.StatusOK, nil)
 	}
@@ -236,11 +237,11 @@ func seriesSet(page string) string {
 var eachShape = []struct {
 	path string
 	body any
-	op   Op
+	op   wire.Op
 }{
-	{"/query", QueryRequest{Values: []string{"Ontario", "Quebec"}}, OpQuery},
-	{"/query/topk", TopKRequest{Values: []string{"Ontario", "Quebec"}, K: 2}, OpTopK},
-	{"/query/batch", BatchRequest{Queries: []QueryRequest{{Values: []string{"Ontario"}}, {Values: []string{"Toronto"}}}}, OpBatch},
+	{"/query", wire.QueryRequest{Values: []string{"Ontario", "Quebec"}}, wire.OpQuery},
+	{"/query/topk", wire.TopKRequest{Values: []string{"Ontario", "Quebec"}, K: 2}, wire.OpTopK},
+	{"/query/batch", wire.BatchRequest{Queries: []wire.QueryRequest{{Values: []string{"Ontario"}}, {Values: []string{"Toronto"}}}}, wire.OpBatch},
 }
 
 // TestMetricsSeriesSet pins the daemon's /metrics page — names, labels, HELP
@@ -289,9 +290,9 @@ func TestQueryLatencyCountsEveryIndexCall(t *testing.T) {
 		}
 	}
 	before := counts()
-	post(t, ts.URL+"/query", QueryRequest{Values: []string{"Ontario"}, Threshold: 2}, http.StatusBadRequest, nil)
-	post(t, ts.URL+"/query/topk", TopKRequest{Values: []string{"Ontario"}, K: -1}, http.StatusBadRequest, nil)
-	post(t, ts.URL+"/query/batch", BatchRequest{}, http.StatusBadRequest, nil)
+	post(t, ts.URL+"/query", wire.QueryRequest{Values: []string{"Ontario"}, Threshold: 2}, http.StatusBadRequest, nil)
+	post(t, ts.URL+"/query/topk", wire.TopKRequest{Values: []string{"Ontario"}, K: -1}, http.StatusBadRequest, nil)
+	post(t, ts.URL+"/query/batch", wire.BatchRequest{}, http.StatusBadRequest, nil)
 	if got := counts(); got != before {
 		t.Errorf("refused requests moved the latency counts %v → %v", before, got)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"lshensemble"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/wire"
 )
 
 // dialRecords opens a record connection to the server at base.
@@ -28,22 +29,22 @@ func dialRecords(t *testing.T, base string) (net.Conn, *bufio.Reader) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", RecordPath, RecordProtocol)
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", wire.RecordPath, wire.RecordProtocol)
 	br := bufio.NewReader(conn)
 	resp, err := http.ReadResponse(br, nil)
-	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != RecordProtocol {
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != wire.RecordProtocol {
 		t.Fatalf("upgrade: %v %+v", err, resp)
 	}
 	return conn, br
 }
 
 // exchange sends one request record and reads its answer record.
-func exchange(t *testing.T, conn net.Conn, br *bufio.Reader, o Op, trace string, timeout time.Duration, body []byte) (int, []byte) {
+func exchange(t *testing.T, conn net.Conn, br *bufio.Reader, o wire.Op, trace string, timeout time.Duration, body []byte) (int, []byte) {
 	t.Helper()
-	if _, err := conn.Write(append(AppendRecordHeader(nil, o, trace, timeout, len(body)), body...)); err != nil {
+	if _, err := conn.Write(append(wire.AppendRecordHeader(nil, o, trace, timeout, len(body)), body...)); err != nil {
 		t.Fatal(err)
 	}
-	status, answer, err := ReadAnswerRecord(br, nil)
+	status, answer, err := wire.ReadAnswerRecord(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,13 @@ func TestRecordRefusalsCloseTheConnection(t *testing.T) {
 		header     []byte
 	}{
 		{"unknown op", "unknown record op 9", []byte{9, 0}},
-		{"body over the limit", "over the 67108864-byte limit", AppendRecordHeader(nil, OpBatch, "t", time.Second, MaxRequestBody+1)},
+		{"body over the limit", "over the 67108864-byte limit", wire.AppendRecordHeader(nil, wire.OpBatch, "t", time.Second, wire.MaxRequestBody+1)},
 	} {
 		conn, br := dialRecords(t, ts.URL)
 		if _, err := conn.Write(c.header); err != nil {
 			t.Fatal(err)
 		}
-		status, answer, err := ReadAnswerRecord(br, nil)
+		status, answer, err := wire.ReadAnswerRecord(br, nil)
 		if err != nil || status != http.StatusBadRequest || !strings.Contains(string(answer), c.want) {
 			t.Fatalf("%s: %d %q %v, want a 400 naming %q", c.name, status, answer, err, c.want)
 		}
@@ -76,16 +77,16 @@ func TestRecordRefusalsCloseTheConnection(t *testing.T) {
 			t.Fatalf("%s: after the error record the connection gave %d bytes, %v; want it closed", c.name, n, err)
 		}
 	}
-	if code, body := send(t, ts.URL+RecordPath, "", nil); code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST %s: HTTP %d %s", RecordPath, code, body)
+	if code, body := send(t, ts.URL+wire.RecordPath, "", nil); code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST %s: HTTP %d %s", wire.RecordPath, code, body)
 	}
-	resp, err := http.Get(ts.URL + RecordPath)
+	resp, err := http.Get(ts.URL + wire.RecordPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUpgradeRequired {
-		t.Fatalf("GET %s without Upgrade: HTTP %d, want 426", RecordPath, resp.StatusCode)
+		t.Fatalf("GET %s without Upgrade: HTTP %d, want 426", wire.RecordPath, resp.StatusCode)
 	}
 }
 
@@ -99,9 +100,9 @@ func TestCloseRecords(t *testing.T) {
 	if _, err := br.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("record connection after CloseRecords: %v, want closed", err)
 	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+RecordPath, nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+wire.RecordPath, nil)
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", RecordProtocol)
+	req.Header.Set("Upgrade", wire.RecordProtocol)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +139,7 @@ func expectedAnswers(stream []byte, seed uint64, numHash int) (n int, cut []int,
 		if len(stream) < 2 {
 			return n, cut, writes
 		}
-		if Op(stream[0]) >= numRecordOps {
+		if wire.Op(stream[0]) >= numRecordOps {
 			return n + 1, cut, writes
 		}
 		head := 2 + int(stream[1]) + 8 + 4
@@ -147,15 +148,15 @@ func expectedAnswers(stream []byte, seed uint64, numHash int) (n int, cut []int,
 		}
 		timeout := int64(binary.LittleEndian.Uint64(stream[head-12:]))
 		size := binary.LittleEndian.Uint32(stream[head-4:])
-		if size > MaxRequestBody {
+		if size > wire.MaxRequestBody {
 			return n + 1, cut, writes
 		}
 		if uint64(len(stream)-head) < uint64(size) {
 			return n, cut, writes
 		}
-		switch body := stream[head : head+int(size)]; Op(stream[0]) {
-		case OpAdd, OpDelete:
-			writes[n] = wellFormedWrite(Op(stream[0]), body, seed, numHash)
+		switch body := stream[head : head+int(size)]; wire.Op(stream[0]) {
+		case wire.OpAdd, wire.OpDelete:
+			writes[n] = wellFormedWrite(wire.Op(stream[0]), body, seed, numHash)
 		default:
 			if timeout > 0 && timeout < int64(time.Minute) {
 				cut = append(cut, n)
@@ -170,7 +171,7 @@ func expectedAnswers(stream []byte, seed uint64, numHash int) (n int, cut []int,
 // the layout, each behind its length and nothing after them, a key, and for
 // an add this seed, a positive size and numHash words in the hash range. It
 // returns the key of a well-formed record, "" for any other.
-func wellFormedWrite(o Op, body []byte, seed uint64, numHash int) string {
+func wellFormedWrite(o wire.Op, body []byte, seed uint64, numHash int) string {
 	var fields [][]byte
 	for len(body) >= 4 {
 		n := binary.LittleEndian.Uint32(body)
@@ -182,7 +183,7 @@ func wellFormedWrite(o Op, body []byte, seed uint64, numHash int) string {
 	switch {
 	case len(body) > 0:
 		return ""
-	case o == OpDelete:
+	case o == wire.OpDelete:
 		if len(fields) != 1 {
 			return ""
 		}
@@ -226,23 +227,23 @@ func FuzzFrameRecord(f *testing.F) {
 		}
 	}
 	rec := lshensemble.SketchStrings(h, "q", windowValues(2, 6))
-	good := AppendQueryRecord(nil, seed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size, Threshold: 0.5})
-	record := func(o Op, body []byte) []byte {
-		return append(AppendRecordHeader(nil, o, "fuzz", time.Minute, len(body)), body...)
+	good := wire.AppendQueryRecord(nil, seed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size, Threshold: 0.5})
+	record := func(o wire.Op, body []byte) []byte {
+		return append(wire.AppendRecordHeader(nil, o, "fuzz", time.Minute, len(body)), body...)
 	}
-	add := AppendAddRecord(nil, seed, rec)
-	f.Add(record(OpQuery, good))
-	f.Add(append(record(OpQuery, good), record(OpTopK, AppendTopKRecord(nil, seed, 3, rec.Size, rec.Sig))...))
-	f.Add(record(OpBatch, nil))                                                  // a zero length
-	f.Add(AppendRecordHeader(nil, OpQuery, "", 0, MaxRequestBody+1))             // past the limit
-	f.Add(AppendRecordHeader(nil, OpQuery, "", 0, 1<<32-1))                      // far past it
-	f.Add(AppendRecordHeader(nil, OpBatch, "t", time.Second, 40<<20))            // within it, never sent
-	f.Add(record(OpQuery, good)[:20])                                            // truncated in the body
-	f.Add([]byte{0, 200, 'x'})                                                   // truncated in the trace ID
-	f.Add(append(record(OpQuery, good), 9, 0))                                   // then an unknown op
-	f.Add(append(record(OpQuery, good), 0))                                      // then one stray byte
-	f.Add(append(record(OpQuery, good[:len(good)-8]), record(OpQuery, good)...)) // a refusal, then a good one
-	f.Add(append(record(OpAdd, add), record(OpDelete, AppendDeleteRecord(nil, "q"))...))
+	add := wire.AppendAddRecord(nil, seed, rec)
+	f.Add(record(wire.OpQuery, good))
+	f.Add(append(record(wire.OpQuery, good), record(wire.OpTopK, wire.AppendTopKRecord(nil, seed, 3, rec.Size, rec.Sig))...))
+	f.Add(record(wire.OpBatch, nil))                                                       // a zero length
+	f.Add(wire.AppendRecordHeader(nil, wire.OpQuery, "", 0, wire.MaxRequestBody+1))        // past the limit
+	f.Add(wire.AppendRecordHeader(nil, wire.OpQuery, "", 0, 1<<32-1))                      // far past it
+	f.Add(wire.AppendRecordHeader(nil, wire.OpBatch, "t", time.Second, 40<<20))            // within it, never sent
+	f.Add(record(wire.OpQuery, good)[:20])                                                 // truncated in the body
+	f.Add([]byte{0, 200, 'x'})                                                             // truncated in the trace ID
+	f.Add(append(record(wire.OpQuery, good), 9, 0))                                        // then an unknown op
+	f.Add(append(record(wire.OpQuery, good), 0))                                           // then one stray byte
+	f.Add(append(record(wire.OpQuery, good[:len(good)-8]), record(wire.OpQuery, good)...)) // a refusal, then a good one
+	f.Add(append(record(wire.OpAdd, add), record(wire.OpDelete, wire.AppendDeleteRecord(nil, "q"))...))
 	for _, bad := range []lshensemble.DomainRecord{
 		{Key: "q", Size: rec.Size, Sig: rec.Sig[:numHash-1]},                          // a word short
 		{Key: "q", Size: 0, Sig: rec.Sig},                                             // no size
@@ -250,13 +251,13 @@ func FuzzFrameRecord(f *testing.F) {
 		{Key: "", Size: rec.Size, Sig: rec.Sig},                                       // no key
 		{Key: "q", Size: rec.Size, Sig: append(rec.Sig[:numHash-1:numHash-1], 1<<63)}, // a word past the range
 	} {
-		f.Add(record(OpAdd, AppendAddRecord(nil, seed, bad)))
+		f.Add(record(wire.OpAdd, wire.AppendAddRecord(nil, seed, bad)))
 	}
-	f.Add(record(OpAdd, AppendAddRecord(nil, seed+1, rec)))           // another family
-	f.Add(record(OpAdd, append(add, 0)))                              // a byte after the fields
-	f.Add(record(OpAdd, add[:len(add)-3]))                            // the signature cut short
-	f.Add(record(OpDelete, AppendDeleteRecord(nil, "")))              // no key to delete
-	f.Add(record(OpDelete, binary.LittleEndian.AppendUint32(nil, 9))) // a key length past the body
+	f.Add(record(wire.OpAdd, wire.AppendAddRecord(nil, seed+1, rec)))      // another family
+	f.Add(record(wire.OpAdd, append(add, 0)))                              // a byte after the fields
+	f.Add(record(wire.OpAdd, add[:len(add)-3]))                            // the signature cut short
+	f.Add(record(wire.OpDelete, wire.AppendDeleteRecord(nil, "")))         // no key to delete
+	f.Add(record(wire.OpDelete, binary.LittleEndian.AppendUint32(nil, 9))) // a key length past the body
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		conn := &streamConn{in: bytes.NewReader(stream)}
 		var before, after runtime.MemStats
@@ -270,14 +271,14 @@ func FuzzFrameRecord(f *testing.F) {
 		out := bufio.NewReader(&conn.out)
 		got := 0
 		for ; ; got++ {
-			status, body, err := ReadAnswerRecord(out, nil)
+			status, body, err := wire.ReadAnswerRecord(out, nil)
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				t.Fatalf("answer %d is not a whole record: %v", got, err)
 			}
-			var e ErrorResponse
+			var e wire.ErrorResponse
 			switch {
 			case status == http.StatusOK:
 			case status == http.StatusBadRequest && json.Unmarshal(body, &e) == nil && e.Error != "":
@@ -325,19 +326,19 @@ func TestWriteRecordsStoreWhatJSONStores(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("d%02d", i%25)
 		if i%5 == 4 {
-			var want DeleteResponse
-			post(t, jsonURL+"/delete", DeleteRequest{Key: key}, http.StatusOK, &want)
-			code, got := exchange(t, conn, br, OpDelete, "", time.Minute, AppendDeleteRecord(nil, key))
-			if flag, err := DecodeFlag(got); code != http.StatusOK || err != nil || flag != want.Deleted {
+			var want wire.DeleteResponse
+			post(t, jsonURL+"/delete", wire.DeleteRequest{Key: key}, http.StatusOK, &want)
+			code, got := exchange(t, conn, br, wire.OpDelete, "", time.Minute, wire.AppendDeleteRecord(nil, key))
+			if flag, err := wire.DecodeFlag(got); code != http.StatusOK || err != nil || flag != want.Deleted {
 				t.Fatalf("delete %s: record %d %q, JSON deleted=%v", key, code, got, want.Deleted)
 			}
 			continue
 		}
 		values := append(windowValues(i*3, 5+i%7), fmt.Sprintf("v%05d", i*3)) // one value twice
-		var want AddResponse
-		post(t, jsonURL+"/add", AddRequest{Key: key, Values: values}, http.StatusOK, &want)
-		code, got := exchange(t, conn, br, OpAdd, "", time.Minute, AppendAddRecord(nil, fixtureSeed, lshensemble.SketchStrings(h, key, values)))
-		if flag, err := DecodeFlag(got); code != http.StatusOK || err != nil || flag != want.Replaced {
+		var want wire.AddResponse
+		post(t, jsonURL+"/add", wire.AddRequest{Key: key, Values: values}, http.StatusOK, &want)
+		code, got := exchange(t, conn, br, wire.OpAdd, "", time.Minute, wire.AppendAddRecord(nil, fixtureSeed, lshensemble.SketchStrings(h, key, values)))
+		if flag, err := wire.DecodeFlag(got); code != http.StatusOK || err != nil || flag != want.Replaced {
 			t.Fatalf("add %s: record %d %q, JSON replaced=%v", key, code, got, want.Replaced)
 		}
 	}
@@ -364,19 +365,19 @@ func TestWriteRecordsStoreWhatJSONStores(t *testing.T) {
 	_, keyRequired := send(t, jsonURL+"/add", "application/json", []byte(`{"key":"","values":["a"]}`))
 	for _, c := range []struct {
 		name, want string
-		op         Op
+		op         wire.Op
 		body       []byte
 	}{
-		{"no key", string(keyRequired), OpAdd, AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Size: rec.Size, Sig: rec.Sig})},
-		{"no key to delete", string(keyRequired), OpDelete, AppendDeleteRecord(nil, "")},
-		{"another seed", "sketched with hash seed 2, this shard's is 1", OpAdd, AppendAddRecord(nil, fixtureSeed+1, rec)},
-		{"a word short", "signature of 2040 bytes, want 256 words", OpAdd, AppendAddRecord(nil, fixtureSeed, withSig(rec.Sig[:fixtureNumHash-1]))},
-		{"a word past the range", "signature word 255 is 9223372036854775808, beyond the hash range", OpAdd,
-			AppendAddRecord(nil, fixtureSeed, withSig(append(rec.Sig[:fixtureNumHash-1:fixtureNumHash-1], 1<<63)))},
-		{"no size", "size must be positive with a signature", OpAdd, AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Key: "k", Sig: rec.Sig})},
-		{"a negative size", "size -2 must not be negative", OpAdd, AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Key: "k", Size: -2, Sig: rec.Sig})},
-		{"a byte after the fields", "1 bytes after the write record", OpAdd, append(AppendAddRecord(nil, fixtureSeed, rec), 0)},
-		{"a field past the body", "overruns", OpDelete, binary.LittleEndian.AppendUint32(nil, 5)},
+		{"no key", string(keyRequired), wire.OpAdd, wire.AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Size: rec.Size, Sig: rec.Sig})},
+		{"no key to delete", string(keyRequired), wire.OpDelete, wire.AppendDeleteRecord(nil, "")},
+		{"another seed", "sketched with hash seed 2, this shard's is 1", wire.OpAdd, wire.AppendAddRecord(nil, fixtureSeed+1, rec)},
+		{"a word short", "signature of 2040 bytes, want 256 words", wire.OpAdd, wire.AppendAddRecord(nil, fixtureSeed, withSig(rec.Sig[:fixtureNumHash-1]))},
+		{"a word past the range", "signature word 255 is 9223372036854775808, beyond the hash range", wire.OpAdd,
+			wire.AppendAddRecord(nil, fixtureSeed, withSig(append(rec.Sig[:fixtureNumHash-1:fixtureNumHash-1], 1<<63)))},
+		{"no size", "size must be positive with a signature", wire.OpAdd, wire.AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Key: "k", Sig: rec.Sig})},
+		{"a negative size", "size -2 must not be negative", wire.OpAdd, wire.AppendAddRecord(nil, fixtureSeed, lshensemble.DomainRecord{Key: "k", Size: -2, Sig: rec.Sig})},
+		{"a byte after the fields", "1 bytes after the write record", wire.OpAdd, append(wire.AppendAddRecord(nil, fixtureSeed, rec), 0)},
+		{"a field past the body", "overruns", wire.OpDelete, binary.LittleEndian.AppendUint32(nil, 5)},
 	} {
 		code, got := exchange(t, conn, br, c.op, "", time.Minute, c.body)
 		if code != http.StatusBadRequest || !strings.Contains(string(got), strings.TrimSpace(c.want)) {

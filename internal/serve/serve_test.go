@@ -2,15 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"lshensemble"
+	"lshensemble/internal/wire"
 )
 
 func testServer(t *testing.T, snapshotPath string) (*Server, *httptest.Server) {
@@ -48,7 +51,7 @@ func post(t *testing.T, url string, body any, wantStatus int, out any) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != wantStatus {
-		var e ErrorResponse
+		var e wire.ErrorResponse
 		json.NewDecoder(resp.Body).Decode(&e)
 		t.Fatalf("POST %s: status %d (want %d): %s", url, resp.StatusCode, wantStatus, e.Error)
 	}
@@ -93,8 +96,8 @@ func seedCorpus(t *testing.T, base string) {
 		"geo:location":    locations,
 		"grants:partner":  partners,
 	} {
-		var resp AddResponse
-		post(t, base+"/add", AddRequest{Key: key, Values: vals}, http.StatusOK, &resp)
+		var resp wire.AddResponse
+		post(t, base+"/add", wire.AddRequest{Key: key, Values: vals}, http.StatusOK, &resp)
 		if resp.Replaced || resp.Size != len(vals) {
 			t.Fatalf("add %s: %+v", key, resp)
 		}
@@ -109,8 +112,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// Containment query: provinces ⊂ locations, so both columns match at
 	// t* = 1.0 and partners does not.
-	var q QueryResponse
-	post(t, base+"/query", QueryRequest{
+	var q wire.QueryResponse
+	post(t, base+"/query", wire.QueryRequest{
 		Values: []string{"Ontario", "Quebec", "British Columbia", "Alberta",
 			"Manitoba", "Saskatchewan", "Nova Scotia", "New Brunswick",
 			"Newfoundland and Labrador", "Prince Edward Island"},
@@ -124,30 +127,30 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Upsert: re-adding a key reports replaced.
-	var add AddResponse
-	post(t, base+"/add", AddRequest{Key: "grants:partner", Values: []string{"Acme Mining", "Maple Software"}}, http.StatusOK, &add)
+	var add wire.AddResponse
+	post(t, base+"/add", wire.AddRequest{Key: "grants:partner", Values: []string{"Acme Mining", "Maple Software"}}, http.StatusOK, &add)
 	if !add.Replaced {
 		t.Fatalf("re-add not reported as replacement: %+v", add)
 	}
 
 	// Delete hides the key from subsequent queries.
-	var del DeleteResponse
-	post(t, base+"/delete", DeleteRequest{Key: "geo:location"}, http.StatusOK, &del)
+	var del wire.DeleteResponse
+	post(t, base+"/delete", wire.DeleteRequest{Key: "geo:location"}, http.StatusOK, &del)
 	if !del.Deleted {
 		t.Fatal("delete of existing key reported false")
 	}
-	post(t, base+"/query", QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 1.0}, http.StatusOK, &q)
+	post(t, base+"/query", wire.QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 1.0}, http.StatusOK, &q)
 	if containsKey(q.Matches, "geo:location") {
 		t.Fatalf("deleted key still matching: %v", q.Matches)
 	}
-	post(t, base+"/delete", DeleteRequest{Key: "geo:location"}, http.StatusOK, &del)
+	post(t, base+"/delete", wire.DeleteRequest{Key: "geo:location"}, http.StatusOK, &del)
 	if del.Deleted {
 		t.Fatal("double delete reported true")
 	}
 
 	// Batch: rows in query order, same answers as single queries.
-	var batch BatchResponse
-	post(t, base+"/query/batch", BatchRequest{Queries: []QueryRequest{
+	var batch wire.BatchResponse
+	post(t, base+"/query/batch", wire.BatchRequest{Queries: []wire.QueryRequest{
 		{Values: []string{"Ontario", "Quebec"}, Threshold: 1.0},
 		{Values: []string{"Acme Mining", "Maple Software"}, Threshold: 0.9},
 	}}, http.StatusOK, &batch)
@@ -173,10 +176,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Input validation.
-	post(t, base+"/add", AddRequest{Key: "", Values: []string{"x"}}, http.StatusBadRequest, nil)
-	post(t, base+"/add", AddRequest{Key: "k", Values: nil}, http.StatusBadRequest, nil)
-	post(t, base+"/query", QueryRequest{Values: []string{"x"}, Threshold: 3}, http.StatusBadRequest, nil)
-	post(t, base+"/query/batch", BatchRequest{}, http.StatusBadRequest, nil)
+	post(t, base+"/add", wire.AddRequest{Key: "", Values: []string{"x"}}, http.StatusBadRequest, nil)
+	post(t, base+"/add", wire.AddRequest{Key: "k", Values: nil}, http.StatusBadRequest, nil)
+	post(t, base+"/query", wire.QueryRequest{Values: []string{"x"}, Threshold: 3}, http.StatusBadRequest, nil)
+	post(t, base+"/query/batch", wire.BatchRequest{}, http.StatusBadRequest, nil)
 	post(t, base+"/save", nil, http.StatusNotFound, nil) // no -snapshot configured
 }
 
@@ -184,7 +187,7 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "index.snap")
 	s, ts := testServer(t, path)
 	seedCorpus(t, ts.URL)
-	post(t, ts.URL+"/delete", DeleteRequest{Key: "grants:partner"}, http.StatusOK, nil)
+	post(t, ts.URL+"/delete", wire.DeleteRequest{Key: "grants:partner"}, http.StatusOK, nil)
 
 	var saved SaveResponse
 	post(t, ts.URL+"/save", nil, http.StatusOK, &saved)
@@ -205,8 +208,8 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(NewWith(loaded, s.Hasher(), s.Seed(), "", Options{}))
 	defer ts2.Close()
-	var q QueryResponse
-	post(t, ts2.URL+"/query", QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 1.0}, http.StatusOK, &q)
+	var q wire.QueryResponse
+	post(t, ts2.URL+"/query", wire.QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 1.0}, http.StatusOK, &q)
 	if !containsKey(q.Matches, "grants:province") || containsKey(q.Matches, "grants:partner") {
 		t.Fatalf("reloaded daemon answers wrong: %v", q.Matches)
 	}
@@ -229,7 +232,7 @@ func TestDaemonConcurrentTraffic(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				key := fmt.Sprintf("w%d:col%d", w, i)
 				vals := []string{fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1), fmt.Sprintf("v%d", w)}
-				b, _ := json.Marshal(AddRequest{Key: key, Values: vals})
+				b, _ := json.Marshal(wire.AddRequest{Key: key, Values: vals})
 				resp, err := http.Post(base+"/add", "application/json", bytes.NewReader(b))
 				if err != nil {
 					done <- err
@@ -237,7 +240,7 @@ func TestDaemonConcurrentTraffic(t *testing.T) {
 				}
 				resp.Body.Close()
 				if i%5 == 0 {
-					b, _ := json.Marshal(DeleteRequest{Key: key})
+					b, _ := json.Marshal(wire.DeleteRequest{Key: key})
 					resp, err := http.Post(base+"/delete", "application/json", bytes.NewReader(b))
 					if err != nil {
 						done <- err
@@ -252,13 +255,13 @@ func TestDaemonConcurrentTraffic(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		go func() {
 			for i := 0; i < 25; i++ {
-				b, _ := json.Marshal(QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 1.0})
+				b, _ := json.Marshal(wire.QueryRequest{Values: []string{"Ontario", "Quebec"}, Threshold: 1.0})
 				resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(b))
 				if err != nil {
 					done <- err
 					return
 				}
-				var q QueryResponse
+				var q wire.QueryResponse
 				err = json.NewDecoder(resp.Body).Decode(&q)
 				resp.Body.Close()
 				if err != nil {
@@ -297,8 +300,8 @@ func TestDaemonTopKAndPlannerStats(t *testing.T) {
 	provinces := []string{"Ontario", "Quebec", "British Columbia", "Alberta",
 		"Manitoba", "Saskatchewan", "Nova Scotia", "New Brunswick",
 		"Newfoundland and Labrador", "Prince Edward Island"}
-	var tk TopKResponse
-	post(t, base+"/query/topk", TopKRequest{Values: provinces, K: 2}, http.StatusOK, &tk)
+	var tk wire.TopKResponse
+	post(t, base+"/query/topk", wire.TopKRequest{Values: provinces, K: 2}, http.StatusOK, &tk)
 	if tk.Count != 2 || len(tk.Matches) != 2 {
 		t.Fatalf("topk: %+v", tk)
 	}
@@ -313,7 +316,7 @@ func TestDaemonTopKAndPlannerStats(t *testing.T) {
 		t.Fatalf("topk not ranked: %+v", tk.Matches)
 	}
 	// Default k kicks in when omitted; the corpus only has 3 columns.
-	post(t, base+"/query/topk", TopKRequest{Values: provinces}, http.StatusOK, &tk)
+	post(t, base+"/query/topk", wire.TopKRequest{Values: provinces}, http.StatusOK, &tk)
 	if tk.Count > 3 {
 		t.Fatalf("default-k topk returned %d matches", tk.Count)
 	}
@@ -329,9 +332,9 @@ func TestDaemonTopKAndPlannerStats(t *testing.T) {
 	if d.Entries == 0 || d.MinSize <= 0 || d.MaxSize < d.MinSize || d.MaxBound < d.MaxSize || d.BloomBytes == 0 {
 		t.Fatalf("implausible segment detail: %+v", d)
 	}
-	var q QueryResponse
-	post(t, base+"/query", QueryRequest{Values: provinces, Threshold: 1.0}, http.StatusOK, &q)
-	post(t, base+"/query", QueryRequest{Values: provinces, Threshold: 1.0}, http.StatusOK, &q) // second hit caches
+	var q wire.QueryResponse
+	post(t, base+"/query", wire.QueryRequest{Values: provinces, Threshold: 1.0}, http.StatusOK, &q)
+	post(t, base+"/query", wire.QueryRequest{Values: provinces, Threshold: 1.0}, http.StatusOK, &q) // second hit caches
 	get(t, base+"/stats", &st)
 	p := st.Planner
 	if p.SegmentsProbed+p.SegmentsRangePruned+p.SegmentsBloomPruned == 0 {
@@ -342,12 +345,12 @@ func TestDaemonTopKAndPlannerStats(t *testing.T) {
 	}
 
 	// Input validation.
-	post(t, base+"/query/topk", TopKRequest{Values: nil}, http.StatusBadRequest, nil)
-	post(t, base+"/query/topk", TopKRequest{Values: []string{"x"}, K: -1}, http.StatusBadRequest, nil)
+	post(t, base+"/query/topk", wire.TopKRequest{Values: nil}, http.StatusBadRequest, nil)
+	post(t, base+"/query/topk", wire.TopKRequest{Values: []string{"x"}, K: -1}, http.StatusBadRequest, nil)
 	// A negative |Q| is refused, not replaced by the distinct count.
-	post(t, base+"/query", QueryRequest{Values: provinces, Size: -5}, http.StatusBadRequest, nil)
-	post(t, base+"/query/topk", TopKRequest{Values: provinces, Size: -5}, http.StatusBadRequest, nil)
-	post(t, base+"/query/batch", BatchRequest{Queries: []QueryRequest{{Values: provinces}, {Values: provinces, Size: -1}}}, http.StatusBadRequest, nil)
+	post(t, base+"/query", wire.QueryRequest{Values: provinces, Size: -5}, http.StatusBadRequest, nil)
+	post(t, base+"/query/topk", wire.TopKRequest{Values: provinces, Size: -5}, http.StatusBadRequest, nil)
+	post(t, base+"/query/batch", wire.BatchRequest{Queries: []wire.QueryRequest{{Values: provinces}, {Values: provinces, Size: -1}}}, http.StatusBadRequest, nil)
 }
 
 func containsKey(keys []string, k string) bool {
@@ -403,14 +406,19 @@ func TestBatchWorkersBounded(t *testing.T) {
 	for _, c := range []struct{ asked, want int }{
 		{100000, procs}, {procs + 1, procs}, {procs, procs}, {1, 1}, {0, 0}, {-7, -7},
 	} {
-		req, err := readQuery(fmt.Appendf(nil, `{"queries":[{"values":["a","b"]}],"workers":%d}`, c.asked), OpBatch)
-		if err != nil {
-			t.Fatal(err)
+		used, answered := 0, false
+		handler := wire.Handler(wire.OpBatch, func(wire.Op, int) (*lshensemble.Hasher, error) { return h, nil },
+			func(_ context.Context, req *wire.Request) (any, error) {
+				used, answered = batchWorkers(req.Workers), true
+				return &wire.BatchResponse{}, nil
+			})
+		body := fmt.Sprintf(`{"queries":[{"values":["a","b"]}],"workers":%d}`, c.asked)
+		rr := httptest.NewRecorder()
+		handler(rr, httptest.NewRequest(http.MethodPost, "/query/batch", strings.NewReader(body)))
+		if !answered {
+			t.Fatalf("workers %d: HTTP %d %s", c.asked, rr.Code, rr.Body)
 		}
-		if err := req.check(OpBatch); err != nil {
-			t.Fatal(err)
-		}
-		if used := batchWorkers(req.sketch(OpBatch, h).Workers); used != c.want {
+		if used != c.want {
 			t.Errorf("workers %d resolved to %d, want %d", c.asked, used, c.want)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 
 	"lshensemble"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/wire"
 )
 
 // sketchedFixture is the family of testServer and a corpus with enough
@@ -39,7 +40,7 @@ func windowValues(start, n int) []string {
 func seedWindows(t *testing.T, base string) {
 	t.Helper()
 	for i := 0; i < 60; i++ {
-		post(t, base+"/add", AddRequest{Key: fmt.Sprintf("w%03d", i), Values: windowValues(i*4, 20+20*(i%3))}, http.StatusOK, nil)
+		post(t, base+"/add", wire.AddRequest{Key: fmt.Sprintf("w%03d", i), Values: windowValues(i*4, 20+20*(i%3))}, http.StatusOK, nil)
 	}
 	// Settle the compactor, so two requests compared byte for byte meet the
 	// same segments.
@@ -73,7 +74,7 @@ func TestSketchedEqualsRaw(t *testing.T) {
 	h := lshensemble.NewHasher(fixtureNumHash, fixtureSeed)
 	conn, br := dialRecords(t, ts.URL)
 
-	same := func(name string, o Op, raw any, record []byte) {
+	same := func(name string, o wire.Op, raw any, record []byte) {
 		t.Helper()
 		rawCode, rawBody := send(t, ts.URL+o.Path(), "application/json", mustMarshal(t, raw))
 		code, body := exchange(t, conn, br, o, "", time.Minute, record)
@@ -83,17 +84,17 @@ func TestSketchedEqualsRaw(t *testing.T) {
 		if !bytes.Contains(rawBody, []byte(`"w0`)) {
 			t.Fatalf("%s: answer matches nothing, the comparison proves nothing: %s", name, rawBody)
 		}
-		rows, want, got := 1, any(new(QueryResponse)), any(new(QueryResponse))
+		rows, want, got := 1, any(new(wire.QueryResponse)), any(new(wire.QueryResponse))
 		switch r := raw.(type) {
 		case TopKRequest:
-			want, got = new(TopKResponse), new(TopKResponse)
+			want, got = new(wire.TopKResponse), new(wire.TopKResponse)
 		case BatchRequest:
-			rows, want, got = len(r.Queries), new(BatchResponse), new(BatchResponse)
+			rows, want, got = len(r.Queries), new(wire.BatchResponse), new(wire.BatchResponse)
 		}
 		if err := json.Unmarshal(rawBody, want); err != nil {
 			t.Fatal(err)
 		}
-		if err := DecodeAnswer(body, rows, got); err != nil {
+		if err := wire.DecodeAnswer(body, rows, got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -101,7 +102,7 @@ func TestSketchedEqualsRaw(t *testing.T) {
 		}
 	}
 
-	var batchRaw BatchRequest
+	var batchRaw wire.BatchRequest
 	var batch []lshensemble.BatchQuery
 	for _, c := range []struct {
 		start, n     int
@@ -123,21 +124,21 @@ func TestSketchedEqualsRaw(t *testing.T) {
 			size = c.sizeOverride
 		}
 		q := lshensemble.BatchQuery{Sig: rec.Sig, Size: size, Threshold: c.threshold}
-		same(name+" /query", OpQuery,
-			QueryRequest{Values: values, Threshold: c.threshold, Size: c.sizeOverride},
-			AppendQueryRecord(nil, fixtureSeed, q))
-		same(name+" /query/topk", OpTopK,
-			TopKRequest{Values: values, K: 5, Size: c.sizeOverride},
-			AppendTopKRecord(nil, fixtureSeed, 5, size, rec.Sig))
-		batchRaw.Queries = append(batchRaw.Queries, QueryRequest{Values: values, Threshold: c.threshold, Size: c.sizeOverride})
+		same(name+" /query", wire.OpQuery,
+			wire.QueryRequest{Values: values, Threshold: c.threshold, Size: c.sizeOverride},
+			wire.AppendQueryRecord(nil, fixtureSeed, q))
+		same(name+" /query/topk", wire.OpTopK,
+			wire.TopKRequest{Values: values, K: 5, Size: c.sizeOverride},
+			wire.AppendTopKRecord(nil, fixtureSeed, 5, size, rec.Sig))
+		batchRaw.Queries = append(batchRaw.Queries, wire.QueryRequest{Values: values, Threshold: c.threshold, Size: c.sizeOverride})
 		batch = append(batch, q)
 	}
 	batchRaw.Workers = 2
-	same("/query/batch", OpBatch, batchRaw, AppendBatchRecord(nil, fixtureSeed, 2, batch))
+	same("/query/batch", wire.OpBatch, batchRaw, wire.AppendBatchRecord(nil, fixtureSeed, 2, batch))
 	// k left at 0 is the default of 10 in both forms.
 	rec := lshensemble.SketchStrings(h, "query", windowValues(0, 40))
-	same("topk default k", OpTopK, TopKRequest{Values: windowValues(0, 40)},
-		AppendTopKRecord(nil, fixtureSeed, 0, rec.Size, rec.Sig))
+	same("topk default k", wire.OpTopK, wire.TopKRequest{Values: windowValues(0, 40)},
+		wire.AppendTopKRecord(nil, fixtureSeed, 0, rec.Size, rec.Sig))
 }
 
 func mustMarshal(t testing.TB, v any) []byte {
@@ -149,11 +150,25 @@ func mustMarshal(t testing.TB, v any) []byte {
 	return b
 }
 
+// appendWord and appendSig append one field of a record body behind its
+// length: a word, or a signature.
+func appendWord(dst []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(dst, 8), v)
+}
+
+func appendSig(dst []byte, sig lshensemble.Signature) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(8*len(sig)))
+	for _, v := range sig {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
+}
+
 // sketchedRefusals is every way a query record's body is malformed, per
 // query Op; the 400 test walks it and the fuzz target starts from it.
 func sketchedRefusals(numHash int, seed uint64) []struct {
 	name string
-	op   Op
+	op   wire.Op
 	body []byte
 } {
 	sig := lshensemble.SketchStrings(lshensemble.NewHasher(numHash, seed), "q", []string{"a", "b", "c"}).Sig
@@ -170,46 +185,46 @@ func sketchedRefusals(numHash int, seed uint64) []struct {
 	row := cat(f64(0.5), w(3), good)
 	return []struct {
 		name string
-		op   Op
+		op   wire.Op
 		body []byte
 	}{
-		{"empty body", OpQuery, nil},
-		{"a length cut short", OpQuery, []byte{9, 0}},
-		{"seed field past the body", OpQuery, cat(binary.LittleEndian.AppendUint32(nil, 4096), s[4:], good)},
-		{"seed of four bytes", OpQuery, cat(four, f64(0.5), w(3), good)},
-		{"seed mismatch", OpQuery, cat(appendWord(nil, seed+1), f64(0.5), w(3), good)},
-		{"seed absent", OpQuery, cat(f64(0.5), w(3), good)},
-		{"short signature", OpQuery, cat(head, appendSig(nil, sig[:numHash-1]))},
-		{"long signature", OpQuery, cat(head, appendSig(nil, append(sig[:numHash:numHash], 0)))},
-		{"ragged signature", OpQuery, cat(head, binary.LittleEndian.AppendUint32(nil, uint32(len(good)-7)), good[4:len(good)-3])},
-		{"no signature", OpQuery, head},
-		{"empty signature", OpQuery, cat(head, appendSig(nil, nil))},
-		{"slot beyond 2^61-1", OpQuery, cat(head, appendSig(nil, beyond))},
-		{"size zero", OpQuery, cat(s, f64(0.5), w(0), good)},
-		{"size negative", OpQuery, cat(s, f64(0.5), w(-4), good)},
-		{"threshold out of range", OpQuery, cat(s, f64(2), w(3), good)},
-		{"threshold negative", OpQuery, cat(s, f64(-0.25), w(3), good)},
-		{"threshold NaN", OpQuery, cat(s, f64(math.NaN()), w(3), good)},
-		{"threshold +Inf", OpQuery, cat(s, f64(math.Inf(1)), w(3), good)},
-		{"threshold of four bytes", OpQuery, cat(s, four, w(3), good)},
-		{"a byte after the record", OpQuery, cat(head, good, []byte{0})},
-		{"a field after the record", OpQuery, cat(head, good, w(1))},
-		{"topk size zero", OpTopK, cat(s, w(3), w(0), good)},
-		{"topk negative k", OpTopK, cat(s, w(-1), w(3), good)},
-		{"topk two signatures", OpTopK, cat(s, w(3), w(3), good, good)},
-		{"topk seed mismatch", OpTopK, cat(appendWord(nil, seed+3), w(3), w(3), good)},
-		{"batch without rows", OpBatch, batchHead},
-		{"batch row without its signature", OpBatch, cat(batchHead, row, f64(0.5), w(3))},
-		{"batch row without size", OpBatch, cat(batchHead, row, f64(0.5), w(0), good)},
-		{"batch row threshold NaN", OpBatch, cat(batchHead, row, f64(math.NaN()), w(3), good)},
-		{"batch row threshold +Inf", OpBatch, cat(batchHead, f64(math.Inf(1)), w(3), good)},
-		{"batch row short signature", OpBatch, cat(batchHead, row, f64(0.5), w(3), appendSig(nil, sig[:1]))},
-		{"batch seed mismatch", OpBatch, cat(appendWord(nil, seed+7), w(2), row)},
-		{"batch then a stray byte", OpBatch, cat(batchHead, row, []byte{']'})},
-		{"batch workers of four bytes", OpBatch, cat(s, four, row)},
-		{"query record on batch", OpBatch, cat(head, good)},
-		{"batch record on query", OpQuery, cat(batchHead, row)},
-		{"delete record on query", OpQuery, AppendDeleteRecord(nil, "q")},
+		{"empty body", wire.OpQuery, nil},
+		{"a length cut short", wire.OpQuery, []byte{9, 0}},
+		{"seed field past the body", wire.OpQuery, cat(binary.LittleEndian.AppendUint32(nil, 4096), s[4:], good)},
+		{"seed of four bytes", wire.OpQuery, cat(four, f64(0.5), w(3), good)},
+		{"seed mismatch", wire.OpQuery, cat(appendWord(nil, seed+1), f64(0.5), w(3), good)},
+		{"seed absent", wire.OpQuery, cat(f64(0.5), w(3), good)},
+		{"short signature", wire.OpQuery, cat(head, appendSig(nil, sig[:numHash-1]))},
+		{"long signature", wire.OpQuery, cat(head, appendSig(nil, append(sig[:numHash:numHash], 0)))},
+		{"ragged signature", wire.OpQuery, cat(head, binary.LittleEndian.AppendUint32(nil, uint32(len(good)-7)), good[4:len(good)-3])},
+		{"no signature", wire.OpQuery, head},
+		{"empty signature", wire.OpQuery, cat(head, appendSig(nil, nil))},
+		{"slot beyond 2^61-1", wire.OpQuery, cat(head, appendSig(nil, beyond))},
+		{"size zero", wire.OpQuery, cat(s, f64(0.5), w(0), good)},
+		{"size negative", wire.OpQuery, cat(s, f64(0.5), w(-4), good)},
+		{"threshold out of range", wire.OpQuery, cat(s, f64(2), w(3), good)},
+		{"threshold negative", wire.OpQuery, cat(s, f64(-0.25), w(3), good)},
+		{"threshold NaN", wire.OpQuery, cat(s, f64(math.NaN()), w(3), good)},
+		{"threshold +Inf", wire.OpQuery, cat(s, f64(math.Inf(1)), w(3), good)},
+		{"threshold of four bytes", wire.OpQuery, cat(s, four, w(3), good)},
+		{"a byte after the record", wire.OpQuery, cat(head, good, []byte{0})},
+		{"a field after the record", wire.OpQuery, cat(head, good, w(1))},
+		{"topk size zero", wire.OpTopK, cat(s, w(3), w(0), good)},
+		{"topk negative k", wire.OpTopK, cat(s, w(-1), w(3), good)},
+		{"topk two signatures", wire.OpTopK, cat(s, w(3), w(3), good, good)},
+		{"topk seed mismatch", wire.OpTopK, cat(appendWord(nil, seed+3), w(3), w(3), good)},
+		{"batch without rows", wire.OpBatch, batchHead},
+		{"batch row without its signature", wire.OpBatch, cat(batchHead, row, f64(0.5), w(3))},
+		{"batch row without size", wire.OpBatch, cat(batchHead, row, f64(0.5), w(0), good)},
+		{"batch row threshold NaN", wire.OpBatch, cat(batchHead, row, f64(math.NaN()), w(3), good)},
+		{"batch row threshold +Inf", wire.OpBatch, cat(batchHead, f64(math.Inf(1)), w(3), good)},
+		{"batch row short signature", wire.OpBatch, cat(batchHead, row, f64(0.5), w(3), appendSig(nil, sig[:1]))},
+		{"batch seed mismatch", wire.OpBatch, cat(appendWord(nil, seed+7), w(2), row)},
+		{"batch then a stray byte", wire.OpBatch, cat(batchHead, row, []byte{']'})},
+		{"batch workers of four bytes", wire.OpBatch, cat(s, four, row)},
+		{"query record on batch", wire.OpBatch, cat(head, good)},
+		{"batch record on query", wire.OpQuery, cat(batchHead, row)},
+		{"delete record on query", wire.OpQuery, wire.AppendDeleteRecord(nil, "q")},
 	}
 }
 
@@ -237,12 +252,12 @@ func TestSketchedRefusals(t *testing.T) {
 	// The batch row error names its row.
 	sig := lshensemble.SketchStrings(lshensemble.NewHasher(fixtureNumHash, fixtureSeed), "q", []string{"a"}).Sig
 	rows := []lshensemble.BatchQuery{{Sig: sig, Size: 3}, {Sig: sig}}
-	if _, body := exchange(t, conn, br, OpBatch, "", time.Minute, AppendBatchRecord(nil, fixtureSeed, 0, rows)); !bytes.Contains(body, []byte("query 1:")) {
+	if _, body := exchange(t, conn, br, wire.OpBatch, "", time.Minute, wire.AppendBatchRecord(nil, fixtureSeed, 0, rows)); !bytes.Contains(body, []byte("query 1:")) {
 		t.Errorf("batch refusal does not name row 1: %s", body)
 	}
 	rec := lshensemble.SketchStrings(lshensemble.NewHasher(fixtureNumHash, fixtureSeed), "q", windowValues(0, 20))
-	if code, body := exchange(t, conn, br, OpQuery, "", time.Minute,
-		AppendQueryRecord(nil, fixtureSeed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size})); code != http.StatusOK {
+	if code, body := exchange(t, conn, br, wire.OpQuery, "", time.Minute,
+		wire.AppendQueryRecord(nil, fixtureSeed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size})); code != http.StatusOK {
 		t.Fatalf("well-formed record after the refusals: %d %s", code, body)
 	}
 }
@@ -275,14 +290,14 @@ func FuzzWireSketched(f *testing.F) {
 	}
 	rec := lshensemble.SketchStrings(h, "q", windowValues(2, 6))
 	q := lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size, Threshold: 0.5}
-	f.Add(int(OpQuery), AppendQueryRecord(nil, seed, q))
-	f.Add(int(OpTopK), AppendTopKRecord(nil, seed, 3, rec.Size, rec.Sig))
-	f.Add(int(OpBatch), AppendBatchRecord(nil, seed, 0, []lshensemble.BatchQuery{q, {Sig: rec.Sig, Size: 2, Threshold: 1}}))
+	f.Add(int(wire.OpQuery), wire.AppendQueryRecord(nil, seed, q))
+	f.Add(int(wire.OpTopK), wire.AppendTopKRecord(nil, seed, 3, rec.Size, rec.Sig))
+	f.Add(int(wire.OpBatch), wire.AppendBatchRecord(nil, seed, 0, []lshensemble.BatchQuery{q, {Sig: rec.Sig, Size: 2, Threshold: 1}}))
 
 	f.Fuzz(func(t *testing.T, which int, body []byte) {
-		o := Op((which%int(numOps) + int(numOps)) % int(numOps))
-		out := s.serveRecord(&record{op: o, timeout: time.Minute, body: body}, time.Now().Add(time.Minute), nil)
-		status, answer, err := ReadAnswerRecord(bufio.NewReader(bytes.NewReader(out)), nil)
+		o := wire.Op((which%int(numOps) + int(numOps)) % int(numOps))
+		out := s.serveRecord(&wire.Record{Op: o, Timeout: time.Minute, Body: body}, time.Now().Add(time.Minute), nil)
+		status, answer, err := wire.ReadAnswerRecord(bufio.NewReader(bytes.NewReader(out)), nil)
 		if err != nil || status != http.StatusOK && status != http.StatusBadRequest {
 			t.Fatalf("%s answered %d %q (%v) for record %q", o, status, answer, err, body)
 		}
@@ -314,14 +329,14 @@ func TestSketchedObservability(t *testing.T) {
 	}
 	hits0 := st.Planner.ResultHits
 
-	topk := AppendTopKRecord(nil, fixtureSeed, 3, rec.Size, rec.Sig)
+	topk := wire.AppendTopKRecord(nil, fixtureSeed, 3, rec.Size, rec.Sig)
 	for i := 0; i < 2; i++ {
-		if code, body := exchange(t, conn, br, OpTopK, "", time.Minute, topk); code != http.StatusOK {
+		if code, body := exchange(t, conn, br, wire.OpTopK, "", time.Minute, topk); code != http.StatusOK {
 			t.Fatalf("topk %d: %d %s", i, code, body)
 		}
 	}
-	exchange(t, conn, br, OpQuery, "", time.Minute, AppendQueryRecord(nil, fixtureSeed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size}))
-	post(t, ts.URL+"/query", QueryRequest{Values: windowValues(0, 20)}, http.StatusOK, nil) // JSON form: not counted
+	exchange(t, conn, br, wire.OpQuery, "", time.Minute, wire.AppendQueryRecord(nil, fixtureSeed, lshensemble.BatchQuery{Sig: rec.Sig, Size: rec.Size}))
+	post(t, ts.URL+"/query", wire.QueryRequest{Values: windowValues(0, 20)}, http.StatusOK, nil) // JSON form: not counted
 
 	get(t, ts.URL+"/stats", &st)
 	// The second top-k and the raw repeat of the sketched /query both hit.

@@ -1,4 +1,4 @@
-package serve
+package wire
 
 import (
 	"bytes"
@@ -9,7 +9,6 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
-	"lshensemble"
 	"lshensemble/internal/minhash"
 )
 
@@ -36,7 +35,7 @@ type query struct {
 // /query/topk, Size).
 type queryRow struct {
 	Hashes    []uint64
-	Sig       lshensemble.Signature // a record's; nil in the JSON form
+	Sig       minhash.Signature // a record's; nil in the JSON form
 	Threshold float64
 	K         int
 	Size      int

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/domain"
 	"lshensemble/internal/live"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/partition"
@@ -26,7 +27,7 @@ func NewHasher(numHash int, seed uint64) *Hasher {
 
 // DomainRecord is one indexable domain: a caller-chosen key, the exact
 // cardinality of the domain, and its MinHash signature.
-type DomainRecord = core.Record
+type DomainRecord = domain.Record
 
 // Options shapes every sealed segment of a LiveIndex (LiveOptions.Options);
 // zero values select the paper's defaults (NumHash 256, RMax 8,
@@ -89,10 +90,10 @@ func SketchStrings(h *Hasher, key string, values []string) DomainRecord {
 
 // TopKResult is one ranked answer of LiveIndex.QueryTopK, the top-k search
 // formulation complementary to threshold search (paper Section 2).
-type TopKResult = core.TopKResult
+type TopKResult = domain.TopKResult
 
 // BatchQuery is one containment query of a LiveIndex.QueryBatch batch.
-type BatchQuery = core.BatchQuery
+type BatchQuery = domain.BatchQuery
 
 // BatchResults is the destination of the static index's QueryBatchInto.
 //
