@@ -70,11 +70,16 @@
 //     layout: one column per band, band-major, that Add appends to. A
 //     threshold query reads only the columns of the bands the buffer's lead
 //     filter lets through and a buffered signature only on a lead hit; top-k
-//     scores a buffered entry with one vector match count
-//     (minhash.MatchesMasked, eight slots per instruction on AVX-512F) and
 //     heaps only the best k instead of sorting every candidate.
 //     The buffer holds 1.4 % of lib_query's entries; its share of the query
 //     CPU fell from 30 % to 11 %, and lib_query sat_qps rose ×1.16–1.30.
+//   - Buffered signatures are kept at the sketch backend's width in one
+//     append-only arena, as the segment they seal into stores them, and
+//     snapshots save them so (manifest v5): half the buffer's bytes under the
+//     default minwise32. Top-k scores the buffer in one pass over the arena,
+//     and every containment score, buffered or sealed, is one vector match
+//     per store width (minhash.Matches: eight slots per instruction on
+//     AVX-512F, the stored values widened as they load).
 //   - Queries deduplicate candidates with generation-stamped visited arrays
 //     and reusable scratch recycled through a sync.Pool — no maps, no
 //     goroutine spawned per partition. LiveIndex.QueryAppend with a reused
@@ -154,10 +159,10 @@
 //     identically), with every tombstone purged.
 //   - SaveLive/LoadLive persist a point-in-time snapshot for warm restarts;
 //     Save is safe while writers run. The snapshot wire format is
-//     versioned and checksummed: current files (v4) are either
+//     versioned and checksummed: current files (v5) are either
 //     self-contained or — with LiveOptions.DataDir — small manifests
-//     referencing segment files; older v1–v3 files still load (missing
-//     planner metadata is rebuilt).
+//     referencing segment files; older v1–v4 files still load (missing
+//     planner metadata is rebuilt, full-width buffered signatures narrowed).
 //
 // Queries are planned per segment and, inside a segment, per (partition,
 // tree) column: sealed segments carry seal-time metadata (domain-size range,
@@ -425,7 +430,7 @@
 // I/O dominates; minwise8 only makes sense when a downstream verifier
 // re-checks candidates, because the 2^-8 chance-collision floor floods
 // precision at corpus scale. The backend is recorded in every
-// wire format (index, forest, snapshot manifest v4, segment files) and in
+// wire format (index, forest, snapshot manifest v4+, segment files) and in
 // /stats as "sketch" and "signature_bytes"; a daemon booted with a
 // mismatched -sketch refuses the snapshot rather than misinterpret it.
 //

@@ -182,6 +182,22 @@ func (o Options) CheckQuerySig(sig minhash.Signature) error {
 // Build constructs the ensemble over the records. Every record signature
 // must be at least opts.NumHash long and record sizes must be positive.
 func Build(records []domain.Record, opts Options) (*Index, error) {
+	nh := opts.WithDefaults().NumHash
+	for _, r := range records {
+		if len(r.Sig) < nh {
+			return nil, fmt.Errorf("core: record %q signature length %d < NumHash %d", r.Key, len(r.Sig), nh)
+		}
+	}
+	return BuildFrom(records, func(_ []uint64, i int) []uint64 { return records[i].Sig }, opts)
+}
+
+// BuildFrom is Build with record i's signature read as sig(dst, i), which
+// must hold at least NumHash values, instead of from its Sig field, which it
+// ignores. sig may append the values to dst, empty with room for NumHash: a
+// buffer of the partition build asking, reused for its next record. Layered
+// indexes (internal/live) build from signatures held narrower than 64 bits
+// with it, widening one record at a time.
+func BuildFrom(records []domain.Record, sig func(dst []uint64, i int) []uint64, opts Options) (*Index, error) {
 	opts = opts.WithDefaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -193,10 +209,6 @@ func Build(records []domain.Record, opts Options) (*Index, error) {
 	for i, r := range records {
 		if r.Size <= 0 {
 			return nil, fmt.Errorf("core: record %q has non-positive size %d", r.Key, r.Size)
-		}
-		if len(r.Sig) < opts.NumHash {
-			return nil, fmt.Errorf("core: record %q signature length %d < NumHash %d",
-				r.Key, len(r.Sig), opts.NumHash)
 		}
 		sizes[i] = r.Size
 	}
@@ -226,12 +238,12 @@ func Build(records []domain.Record, opts Options) (*Index, error) {
 		members[pi] = append(members[pi], uint32(id))
 	}
 	par.Drain(len(parts), 0, func(_, pi int) {
-		ids := members[pi]
+		ids, buf := members[pi], make([]uint64, 0, opts.NumHash)
 		idx.parts[pi] = part{
 			lower: parts[pi].Lower,
 			upper: parts[pi].Upper,
 			forest: lshforest.Build(opts.NumHash, opts.RMax, opts.Sketch.WidthBytes(), ids,
-				func(i int) []uint64 { return records[ids[i]].Sig }),
+				func(i int) []uint64 { return sig(buf, int(ids[i])) }),
 		}
 	})
 	return idx, nil
@@ -267,22 +279,15 @@ func (x *Index) AppendSignature(dst []uint64, id uint32) minhash.Signature {
 	return x.parts[l.part].forest.AppendSigWidened(dst, int(l.slot))
 }
 
-// SigMatches returns the number of signature slots where the stored domain
-// agrees with the query signature under the backend's truncation — the
-// allocation-free agreement count EstContainment converts into a score. sig
-// must be at least NumHash long (extra slots are ignored).
-func (x *Index) SigMatches(id uint32, sig minhash.Signature) int {
-	l := x.locs[id]
-	return x.parts[l.part].forest.MatchCount(int(l.slot), sig)
-}
-
 // EstContainment estimates the containment of the query domain (signature
-// sig, cardinality querySize) in the stored domain id, through the backend's
-// bias-corrected Jaccard estimate and the paper's Eq. 6 conversion. Under
-// Minwise64 the result is float-identical to
-// sig.Containment(storedSig, querySize, Size(id)).
+// sig, at least NumHash values) in the stored domain id, through the
+// backend's bias-corrected Jaccard estimate and the paper's Eq. 6 conversion,
+// from the slots at which the stored domain agrees with the query under the
+// backend's truncation (lshforest.Forest.MatchCount). Under Minwise64 the
+// result is float-identical to sig.Containment(storedSig, querySize, Size(id)).
 func (x *Index) EstContainment(id uint32, sig minhash.Signature, querySize int) float64 {
-	eq := x.SigMatches(id, sig)
+	l := x.locs[id]
+	eq := x.parts[l.part].forest.MatchCount(int(l.slot), sig)
 	return x.opts.Sketch.ContainmentFromMatch(eq, x.opts.NumHash, float64(querySize), float64(x.sizes[id]))
 }
 

@@ -8,6 +8,7 @@ import (
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
 	"lshensemble/internal/domain"
+	"lshensemble/internal/minhash"
 )
 
 // This file is the write-behind half of the live index: sealing the
@@ -91,11 +92,12 @@ func (x *Index) Compact() {
 }
 
 // newSegment is the one place a segment is built from records: the core
-// index over recs (seqs aligned with them, ascending), its planner metadata
-// and resident estimate, spilled to a segment file when the index has a data
-// directory. Build, seal and merge all call it outside the writer lock.
-func (x *Index) newSegment(recs []domain.Record, seqs []uint64) (*segment, error) {
-	idx, err := core.Build(recs, x.opts.Options)
+// index over recs, whose signatures sig gives (core.BuildFrom; seqs aligned
+// with them, ascending), its planner metadata and resident estimate, spilled
+// to a segment file when the index has a data directory. Build, seal and
+// merge all call it outside the writer lock.
+func (x *Index) newSegment(recs []domain.Record, seqs []uint64, sig func(dst []uint64, i int) []uint64) (*segment, error) {
+	idx, err := core.BuildFrom(recs, sig, x.opts.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -127,20 +129,23 @@ func (x *Index) seal(min int) bool {
 	}
 	recs := make([]domain.Record, 0, len(buf))
 	seqs := make([]uint64, 0, len(buf))
+	rows := make([]int, 0, len(buf)) // each record's buffer entry
 	for i := range buf {
 		e := &buf[i]
-		if !sn.alive(e.rec.Key, e.seq) {
+		if !sn.alive(e.key, e.seq) {
 			continue
 		}
-		recs = append(recs, e.rec)
+		recs = append(recs, domain.Record{Key: e.key, Size: e.size})
 		seqs = append(seqs, e.seq)
+		rows = append(rows, i)
 	}
 	var seg *segment
 	if len(recs) > 0 {
 		// Built, and spilled, outside the writer lock: only the pointer swap
-		// below blocks writers.
+		// below blocks writers. The build widens each signature out of the
+		// arena as it stores it, one record at a time.
 		var err error
-		if seg, err = x.newSegment(recs, seqs); err != nil {
+		if seg, err = x.newSegment(recs, seqs, func(dst []uint64, i int) []uint64 { return sn.sigs.widen(dst, rows[i]) }); err != nil {
 			// Unreachable: every record was validated at Add time. Leaving
 			// the buffer as-is keeps the index correct (just unsealed).
 			return false
@@ -155,8 +160,10 @@ func (x *Index) seal(min int) bool {
 	// snapshots die, and the fresh filter stops answering "maybe" for
 	// everything the seal just removed.
 	st.buffer = x.newBuffer()
-	for _, e := range cur.buf[len(buf):] {
-		st.buffer = st.with(e, x.opts.RMax, x.opts.Sketch.Mask())
+	var sig minhash.Signature
+	for i := len(buf); i < len(cur.buf); i++ {
+		sig = cur.sigs.widen(sig[:0], i)
+		st.buffer = st.with(cur.buf[i], sig, x.opts.RMax, x.opts.Sketch.Mask())
 	}
 	if seg != nil {
 		st.segs = append(slices.Clip(cur.segs), seg)
@@ -218,42 +225,35 @@ func (x *Index) mergeSegments(victims []*segment) {
 	// Gather the survivors, then sort them by seq: each victim is ascending,
 	// but the victims' seq ranges can interleave.
 	type survivor struct {
-		rec domain.Record
-		seq uint64
+		seg *segment
+		id  uint32
 	}
-	entries := 0
-	for _, seg := range victims {
-		entries += seg.idx.Len()
-	}
-	all := make([]survivor, 0, entries)
-	// One arena of widened signatures, which core.Build copies out of.
-	arena := make([]uint64, 0, entries*x.opts.NumHash)
+	var all []survivor
 	for _, seg := range victims {
 		for id := 0; id < seg.idx.Len(); id++ {
-			key := seg.idx.Key(uint32(id))
-			if !sn.alive(key, seg.seqs[id]) {
-				continue
+			if sn.alive(seg.idx.Key(uint32(id)), seg.seqs[id]) {
+				all = append(all, survivor{seg, uint32(id)})
 			}
-			off := len(arena)
-			arena = seg.idx.AppendSignature(arena, uint32(id))
-			rec := domain.Record{Key: key, Size: seg.idx.Size(uint32(id)), Sig: arena[off:len(arena):len(arena)]}
-			all = append(all, survivor{rec, seg.seqs[id]})
 		}
 	}
-	slices.SortFunc(all, func(a, b survivor) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(all, func(a, b survivor) int { return cmp.Compare(a.seg.seqs[a.id], b.seg.seqs[b.id]) })
 	recs := make([]domain.Record, len(all))
 	seqs := make([]uint64, len(all))
 	for i, s := range all {
-		recs[i], seqs[i] = s.rec, s.seq
+		recs[i] = domain.Record{Key: s.seg.idx.Key(s.id), Size: s.seg.idx.Size(s.id)}
+		seqs[i] = s.seg.seqs[s.id]
 	}
 
 	var merged *segment
 	if len(recs) > 0 {
-		// The build copies every signature into the new segment's own store,
-		// so the merged segment holds no views into the victims — they can
-		// unmap once their last reader drains.
+		// The build reads each signature out of its victim's store, widened
+		// one record at a time, into the new segment's own store: the merged
+		// segment holds no views into the victims, which can unmap once their
+		// last reader drains. Only this compactor retires them, so they stay
+		// open until the swap below.
 		var err error
-		if merged, err = x.newSegment(recs, seqs); err != nil {
+		sig := func(dst []uint64, i int) []uint64 { return all[i].seg.idx.AppendSignature(dst, all[i].id) }
+		if merged, err = x.newSegment(recs, seqs, sig); err != nil {
 			return // unreachable: inputs came from validated segments
 		}
 	}
@@ -357,7 +357,7 @@ func exactGCTombs(tombs map[string]uint64, segs []*segment, buf []entry) map[str
 		}
 	}
 	for i := range buf {
-		keep(buf[i].rec.Key, buf[i].seq)
+		keep(buf[i].key, buf[i].seq)
 	}
 	return next
 }

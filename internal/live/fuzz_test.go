@@ -12,9 +12,10 @@ import (
 	"lshensemble/internal/segfile"
 )
 
-// encodeV3 rewrites a current (v4) Minwise64 manifest into the v3 wire
-// form: same layout minus the sketch-tag word, checksum recomputed. This is
-// what v3 deployments have on disk.
+// encodeV3 rewrites a current Minwise64 manifest into the v3 wire form: same
+// layout minus the sketch-tag word (its buffered values are full-width at
+// that backend's width), checksum recomputed. This is what v3 deployments
+// have on disk.
 func encodeV3(f testing.TB, x *Index) []byte {
 	f.Helper()
 	b := x.AppendBinary(nil)
@@ -64,7 +65,8 @@ func fuzzLoadSeedIndex(f testing.TB, sb core.SketchBackend) *Index {
 }
 
 // FuzzLoad feeds the snapshot loader hostile manifests across every wire
-// version (v1/v2 legacy, v3 checksummed, v4 sketch-tagged). The loader's
+// version (v1/v2 legacy, v3 checksummed, v4 sketch-tagged, v5 with the
+// buffer at the sketch width). The loader's
 // contract: never panic, bound every allocation by the remaining bytes,
 // and any accepted index must be queryable and re-save into a manifest
 // that loads back to the same logical state.
@@ -73,10 +75,10 @@ func FuzzLoad(f *testing.F) {
 	defer x.Close()
 	narrow := fuzzLoadSeedIndex(f, core.Minwise32) // what a zero Options writes
 	defer narrow.Close()
-	f.Add(x.AppendBinary(nil)) // current v4
+	f.Add(x.AppendBinary(nil)) // current v5
 	f.Add(narrow.AppendBinary(nil))
-	f.Add(encodeLegacy(f, x, liveVersionV1))
-	f.Add(encodeLegacy(f, x, liveVersionV2))
+	f.Add(encodeLegacy(f, x, liveVersionV1, nil))
+	f.Add(encodeLegacy(f, x, liveVersionV2, nil))
 	f.Add(encodeV3(f, x))
 	f.Add([]byte{})
 	f.Add([]byte("LIVE"))

@@ -5,27 +5,39 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash/crc64"
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/minhash"
 )
 
-// encodeLegacy serializes the index's current snapshot in the historical
-// wire format (v1: no per-segment planner metadata; v2: inline metadata,
-// no kind bytes, map-ordered tombstones, no trailing checksum). These are
-// the bytes old deployments have on disk — the golden fixtures the
-// compatibility promise is tested against.
-func encodeLegacy(t testing.TB, x *Index, version uint32) []byte {
+// encodeLegacy serializes the index's current snapshot in a historical wire
+// format (v1: no per-segment planner metadata; v2: inline metadata, no kind
+// bytes, map-ordered tombstones, no trailing checksum; v3: kind bytes and
+// the checksum; v4: v3 with the sketch tag), every buffered signature
+// full-width. full gives each buffered key's full-width signature; nil
+// widens the arena's values, which are the full ones under Minwise64, the
+// only backend v1–v3 carry. These are the bytes old deployments have on
+// disk — the golden fixtures the compatibility promise is tested against.
+func encodeLegacy(t testing.TB, x *Index, version uint32, full map[string]minhash.Signature) []byte {
 	t.Helper()
 	sn := x.snap.Load()
 	buf := append([]byte(nil), liveMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, version)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.opts.NumHash))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.opts.RMax))
+	if version >= liveVersionV4 {
+		buf = binary.LittleEndian.AppendUint32(buf, x.opts.Sketch.Tag())
+	}
 	buf = binary.LittleEndian.AppendUint64(buf, sn.seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sn.segs)))
 	for _, seg := range sn.segs {
+		if version >= liveVersionV3 {
+			buf = append(buf, segKindInline)
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seg.seqs)))
 		for _, s := range seg.seqs {
 			buf = binary.LittleEndian.AppendUint64(buf, s)
@@ -39,10 +51,14 @@ func encodeLegacy(t testing.TB, x *Index, version uint32) []byte {
 	for i := range sn.buf {
 		e := &sn.buf[i]
 		buf = binary.LittleEndian.AppendUint64(buf, e.seq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.rec.Key)))
-		buf = append(buf, e.rec.Key...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.rec.Size))
-		for _, v := range e.rec.Sig {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.key)))
+		buf = append(buf, e.key...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.size))
+		sig := sn.sigs.widen(nil, i)
+		if full != nil {
+			sig = full[e.key][:x.opts.NumHash]
+		}
+		for _, v := range sig {
 			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
 	}
@@ -51,6 +67,9 @@ func encodeLegacy(t testing.TB, x *Index, version uint32) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
 		buf = append(buf, k...)
 		buf = binary.LittleEndian.AppendUint64(buf, s)
+	}
+	if version >= liveVersionV3 {
+		buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
 	}
 	return buf
 }
@@ -93,7 +112,7 @@ func TestLegacyFormatsLoadAndResaveDeterministically(t *testing.T) {
 
 	var resaves [][]byte
 	for _, version := range []uint32{liveVersionV1, liveVersionV2} {
-		golden := encodeLegacy(t, x, version)
+		golden := encodeLegacy(t, x, version, nil)
 		loaded, err := Load(bytes.NewReader(golden), liveOpts())
 		if err != nil {
 			t.Fatalf("v%d golden rejected: %v", version, err)
@@ -167,7 +186,7 @@ func TestSegmentImageGolden(t *testing.T) {
 func TestLegacySnapshotKeepsWorking(t *testing.T) {
 	x := goldenIndex(t)
 	defer x.Close()
-	golden := encodeLegacy(t, x, liveVersionV2)
+	golden := encodeLegacy(t, x, liveVersionV2, nil)
 	loaded, err := Load(bytes.NewReader(golden), liveOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -189,6 +208,79 @@ func TestLegacySnapshotKeepsWorking(t *testing.T) {
 		want := x.Query(r.Sig, r.Size, 0.8)
 		if got := loaded.Query(r.Sig, r.Size, 0.8); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("post-upgrade churn diverged: %v vs %v", got, want)
+		}
+	}
+}
+
+// TestV4SnapshotNarrowsItsBuffer: a v4 snapshot holds its buffered
+// signatures full-width. Under every narrow backend it loads, answers as the
+// index it came from and re-saves as that index's own v5 bytes, the buffer at
+// the sketch width, byte-stably. A v5 snapshot whose buffer section is one
+// value short is corrupt.
+func TestV4SnapshotNarrowsItsBuffer(t *testing.T) {
+	recs := fixture(t, 120, 29)
+	full := make(map[string]minhash.Signature)
+	for _, r := range recs {
+		full[r.Key] = r.Sig
+	}
+	for _, sb := range narrowBackends {
+		x, err := Build(recs[:80], sketchOpts(sb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer x.Close()
+		for _, r := range recs[80:] {
+			if _, err := x.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x.Delete(recs[3].Key)
+		x.Delete(recs[90].Key)
+		y, err := Load(bytes.NewReader(encodeLegacy(t, x, liveVersionV4, full)), liveOpts())
+		if err != nil {
+			t.Fatalf("%s: v4 snapshot rejected: %v", sb, err)
+		}
+		defer y.Close()
+		for _, r := range recs[:60] {
+			if got, want := y.Query(r.Sig, r.Size, 0.6), x.Query(r.Sig, r.Size, 0.6); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: v4 load answered %v, want %v", sb, got, want)
+			}
+			if got, want := y.QueryTopK(r.Sig, r.Size, 5), x.QueryTopK(r.Sig, r.Size, 5); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: v4 load ranked %v, want %v", sb, got, want)
+			}
+		}
+		v5 := y.AppendBinary(nil)
+		if v := binary.LittleEndian.Uint32(v5[4:]); v != liveVersion || liveVersion != 5 {
+			t.Fatalf("%s: re-save is version %d, want 5", sb, v)
+		}
+		if !bytes.Equal(v5, x.AppendBinary(nil)) {
+			t.Fatalf("%s: the v4 load re-saves other bytes than the index it came from", sb)
+		}
+		if again := y.AppendBinary(nil); !bytes.Equal(v5, again) {
+			t.Fatalf("%s: a second save differs", sb)
+		}
+		if got, want := y.Stats().SignatureBytes, x.Stats().SignatureBytes; got != want {
+			t.Fatalf("%s: v4 load holds %d signature bytes, want %d", sb, got, want)
+		}
+
+		// No tombstones: the buffer section ends before the count word 0 and
+		// the checksum. Cut its last value out.
+		z, err := New(sketchOpts(sb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer z.Close()
+		for _, r := range recs[:3] {
+			if _, err := z.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		enc := z.AppendBinary(nil)
+		end := len(enc) - 8 - 4
+		short := append(append([]byte(nil), enc[:end-sb.WidthBytes()]...), enc[end:len(enc)-8]...)
+		short = binary.LittleEndian.AppendUint64(short, crc64.Checksum(short, crcTable))
+		if _, err := Load(bytes.NewReader(short), liveOpts()); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: a buffer one value short loaded (error %v), want ErrCorrupt", sb, err)
 		}
 	}
 }

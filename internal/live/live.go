@@ -29,10 +29,10 @@
 // change (Add, Delete, seal, merge) copies the current state, edits the copy
 // and publishes it, and a reader (a query, Save, Stats, Len) needs nothing
 // from the writer but the snapshot it pins. Writers serialize on a mutex. An
-// Add appends to the buffer's entries and band-major lead columns at the
-// published length, so no published prefix is ever rewritten (a full array
-// regrows into a fresh one, and older snapshots keep reading theirs); a Delete
-// or an upsert copies the tombstone map (it holds only the deletes not yet
+// Add appends to the buffer's entries and signature arena at the published
+// length, so no published prefix is ever rewritten (a full array regrows into
+// a fresh one, and older snapshots keep reading theirs); a Delete or an
+// upsert copies the tombstone map (it holds only the deletes not yet
 // compacted away, so the copies stay small).
 //
 // A background compactor seals the buffer into a new segment once it
@@ -112,17 +112,25 @@
 // only match when the query's leading value of that band occurs in the
 // buffer, so an empty set skips the scan entirely, and the scan reads only
 // the set's bands from the buffer's lead columns: every buffered entry's
-// masked leading values, band-major, the layout of a sealed forest's tree
-// columns. A buffered signature is read only on a lead hit, for the band's
-// other r − 1 values, and the tombstones are asked only about entries that
-// collide. The filter and the columns are part of the buffer value
+// leading values, band-major, the layout of a sealed forest's tree columns.
+// A buffered signature is read only on a lead hit, for the band's other
+// r − 1 values, and the tombstones are asked only about entries that
+// collide. Together these cut the buffer's share of lib_query's query CPU,
+// for 1.4 % of its entries, from 30 % to 11 % in a seed-5 profile (sat_qps
+// ×1.16–1.30, 2-vCPU Xeon).
+//
+// The buffered signatures and lead columns are kept at the sketch backend's
+// width, as the segment they seal into stores them, in one arena (sigArena)
+// that Add narrows into: every reader of a buffered value already compared at
+// that width, so answers are unchanged while the buffer holds, and a snapshot
+// saves, half the bytes under the default minwise32. Top-k scores the buffer
+// in one sequential pass over the arena, each entry with the width's vector
+// match count (minhash.Matches) that scores a sealed candidate too, and heaps
+// only the best k; a seal hands core.BuildFrom the arena's entries widened
+// one at a time. The filter and the arena are part of the buffer value
 // (buffer.with grows them with the entries): Add writes its entry into the
 // current ones while queries read them, and a seal, which relocates the
 // buffer, starts fresh ones for the entries it carries over.
-// Top-k scores every buffered entry with one vector match count
-// (minhash.MatchesMasked) and heaps only the best k. Together these cut the
-// buffer's share of lib_query's query CPU, for 1.4 % of its entries, from
-// 30 % to 11 % in a seed-5 profile (sat_qps ×1.16–1.30, 2-vCPU Xeon).
 //
 // # Out-of-core segments
 //
@@ -148,11 +156,12 @@
 // does not reference. Every crash ordering therefore leaves a loadable
 // manifest whose files all exist.
 //
-// Snapshot persistence is versioned: the current format (v4) references
+// Snapshot persistence is versioned: the current format (v5) references
 // spilled segment files from a checksummed manifest (inlining any segment
-// without a file) and names the sketch backend in its header; v3 is the same
-// manifest without the backend tag, v2 carried the planner metadata inline
-// and v1 predates the planner — all three still load (see save.go).
+// without a file), names the sketch backend in its header and writes the
+// buffered signatures at its width; v4 wrote them full-width, v3 is v4
+// without the backend tag, v2 carried the planner metadata inline and v1
+// predates the planner — all four still load (see save.go).
 package live
 
 import (
@@ -163,6 +172,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
@@ -245,8 +255,9 @@ func (o Options) withDefaults() Options {
 // each), at the same operating point as the sealed segments' leads filter.
 // The filter is nil when pruning is disabled.
 func (x *Index) newBuffer() buffer {
+	sigs := newArena(x.opts.Sketch, x.opts.NumHash, x.opts.RMax)
 	if x.opts.DisablePruning {
-		return buffer{}
+		return buffer{sigs: sigs}
 	}
 	numLeads := (x.opts.NumHash + x.opts.RMax - 1) / x.opts.RMax
 	entries := x.opts.SealThreshold * numLeads
@@ -257,51 +268,131 @@ func (x *Index) newBuffer() buffer {
 	if entries > maxBufBloomEntries || entries/x.opts.SealThreshold != numLeads {
 		entries = maxBufBloomEntries
 	}
-	return buffer{bufBloom: bloom.New(entries, leadsBloomBits, leadsBloomK)}
+	return buffer{sigs: sigs, bufBloom: bloom.New(entries, leadsBloomBits, leadsBloomK)}
 }
 
-// entry is one buffered Add: the record and its mutation sequence number.
+// entry is one buffered Add: the record's key and size and its mutation
+// sequence number. Its signature is in the buffer's arena, at the entry's
+// position.
 type entry struct {
-	rec domain.Record
-	seq uint64
+	key  string
+	size int
+	seq  uint64
 }
 
-// firstLeadStride is the entry capacity of a buffer's first lead columns.
-const firstLeadStride = 64
+// firstArenaCap is the entry capacity of a buffer's first arena.
+const firstArenaCap = 64
 
-// leadCols holds the unsealed buffer's masked leading values band-major, the
-// sealed forest's layout: band b of buffered entry i at v[b·stride + i]. A
-// snapshot reads entries below its buffer length; the writer appends at the
-// length, so a published prefix is never rewritten.
-type leadCols struct {
-	v      []uint64
-	stride int
+// scanBlock is how many buffered entries a threshold scan takes at a time,
+// checking its context between blocks; blockHits has a bit for each. The
+// hits go to the arena and back by value, so that they stay on the stack.
+const scanBlock = 1024
+
+type blockHits [scanBlock / 64]uint64
+
+// sigArena holds the buffered signatures at the sketch backend's width, one
+// entry's NumHash values after another in one array, and beside them every
+// entry's leading value of each band in the sealed forest's layout: one
+// column per band, band-major. Top-k scores the buffer in one sequential pass
+// over the signatures, a threshold scan reads the columns of the bands it
+// asks about and a signature only on a lead hit; signatures and columns alike
+// take a half (minwise32) to an eighth (minwise8) of the full-width bytes.
+// Every reader of a buffered value compares at that width anyway (the store
+// it seals into truncates identically), so answers do not change. A snapshot
+// reads entries below its buffer length; the writer appends at the length,
+// and a full arena regrows into a fresh one of twice the entries: no
+// published prefix is rewritten, and older snapshots keep theirs.
+type sigArena interface {
+	// with writes sig, cut to the width, as entry n and returns the arena.
+	with(n int, sig []uint64) sigArena
+	// band returns hits with bit i set for each entry lo+i < hi whose band
+	// of r values at off agrees with q at the width.
+	band(hits blockHits, lo, hi, off, r int, q []uint64) blockHits
+	// matches counts the slots of entry i that agree with q at the width.
+	matches(i int, q []uint64) int
+	// widen appends entry i's values, zero-extended, to dst.
+	widen(dst []uint64, i int) []uint64
+	// width is the bytes a value takes.
+	width() int
 }
 
-// with writes the leading values of sig, buffered entry n, and returns the
-// columns. At capacity it first copies the n entries into a fresh array of
-// twice the stride: older snapshots keep reading their prefix of the old one.
-func (c leadCols) with(n int, sig minhash.Signature, rMax int, mask uint64) leadCols {
-	bands := len(sig) / rMax
-	if n == c.stride {
-		stride := max(firstLeadStride, 2*n)
-		next := leadCols{v: make([]uint64, bands*stride), stride: stride}
+// arena is the sigArena of one width: entry i's signature at
+// sigs[i·nh : (i+1)·nh], its leading value of band b at leads[b·cap + i].
+type arena[E segfile.Elem] struct {
+	sigs, leads   []E
+	nh, rMax, cap int
+}
+
+// newArena returns an empty arena at sb's width for signatures of numHash
+// values in bands of rMax.
+func newArena(sb core.SketchBackend, numHash, rMax int) sigArena {
+	switch sb.WidthBytes() {
+	case 1:
+		return &arena[uint8]{nh: numHash, rMax: rMax}
+	case 2:
+		return &arena[uint16]{nh: numHash, rMax: rMax}
+	case 4:
+		return &arena[uint32]{nh: numHash, rMax: rMax}
+	}
+	return &arena[uint64]{nh: numHash, rMax: rMax}
+}
+
+func (a *arena[E]) with(n int, sig []uint64) sigArena {
+	bands := a.nh / a.rMax
+	if n == a.cap {
+		c := max(firstArenaCap, 2*n)
+		next := &arena[E]{sigs: make([]E, c*a.nh), leads: make([]E, bands*c), nh: a.nh, rMax: a.rMax, cap: c}
+		copy(next.sigs, a.sigs[:n*a.nh])
 		for b := 0; b < bands; b++ {
-			copy(next.v[b*stride:b*stride+n], c.v[b*c.stride:])
+			copy(next.leads[b*c:b*c+n], a.leads[b*n:])
 		}
-		c = next
+		a = next
+	}
+	row := a.row(n)
+	for k := range row {
+		row[k] = E(sig[k])
 	}
 	for b := 0; b < bands; b++ {
-		c.v[b*c.stride+n] = sig[b*rMax] & mask
+		a.leads[b*a.cap+n] = row[b*a.rMax]
 	}
-	return c
+	return a
 }
+
+func (a *arena[E]) row(i int) []E { return a.sigs[i*a.nh : (i+1)*a.nh] }
+
+func (a *arena[E]) band(hits blockHits, lo, hi, off, r int, q []uint64) blockHits {
+	lead, col := E(q[off]), a.leads[off/a.rMax*a.cap:]
+	for i, v := range col[lo:hi] {
+		if v != lead {
+			continue
+		}
+		k, row := 1, a.row(lo + i)[off:]
+		for k < r && row[k] == E(q[off+k]) {
+			k++
+		}
+		if k == r {
+			hits[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return hits
+}
+
+func (a *arena[E]) matches(i int, q []uint64) int { return minhash.Matches(a.row(i), q) }
+
+func (a *arena[E]) widen(dst []uint64, i int) []uint64 {
+	for _, v := range a.row(i) {
+		dst = append(dst, uint64(v))
+	}
+	return dst
+}
+
+func (a *arena[E]) width() int { return int(unsafe.Sizeof(E(0))) }
 
 // buffer is the unsealed buffer as one value: its entries and what a query
 // reads beside them. with grows it; nothing else writes it.
 type buffer struct {
-	buf   []entry  // unsealed adds, ascending seq
-	leads leadCols // buf's masked leading values, band-major
+	buf  []entry  // unsealed adds, ascending seq
+	sigs sigArena // buf's signatures and band leads at the sketch width
 
 	// bufBloom filters the leading signature values of the buffered entries:
 	// a query whose leading values all miss cannot band-collide with any of
@@ -317,21 +408,22 @@ type buffer struct {
 	bufMax int
 }
 
-// with returns the buffer with e appended. It writes only past the published
-// length of the entries and the lead columns (or into fresh arrays once they
-// are full), and inserts into the filter before the caller publishes, so a
-// reader that can see e also sees its filter bits and leads. The filter takes
-// the leading value of every tree (the stride leadTrees probes), masked:
-// buffered signatures are full-width while the sealed stores truncate to the
-// sketch backend's width, and the query side masks identically, keeping the
-// filter's zero-false-negative guarantee across the seal boundary.
-func (b buffer) with(e entry, rMax int, mask uint64) buffer {
-	for off := 0; b.bufBloom != nil && off < len(e.rec.Sig); off += rMax {
-		b.bufBloom.AddHashShared(e.rec.Sig[off] & mask)
+// with returns the buffer with e, of signature sig (NumHash values, at any
+// width at least the sketch's), appended. It writes only past the published
+// length of the entries and the arena (or into fresh arrays once they are
+// full), and inserts into the filter before the caller publishes, so a reader
+// that can see e also sees its signature, leads and filter bits. The filter
+// takes the leading value of every tree (the stride leadTrees probes) masked
+// to the sketch backend's width, as the sealed stores and the query side cut
+// it, keeping the filter's zero-false-negative guarantee across the seal
+// boundary.
+func (b buffer) with(e entry, sig minhash.Signature, rMax int, mask uint64) buffer {
+	for off := 0; b.bufBloom != nil && off < len(sig); off += rMax {
+		b.bufBloom.AddHashShared(sig[off] & mask)
 	}
-	b.leads = b.leads.with(len(b.buf), e.rec.Sig, rMax, mask)
+	b.sigs = b.sigs.with(len(b.buf), sig)
 	b.buf = append(b.buf, e)
-	b.bufMax = max(b.bufMax, e.rec.Size)
+	b.bufMax = max(b.bufMax, e.size)
 	return b
 }
 
@@ -645,7 +737,7 @@ func Build(records []domain.Record, opts Options) (*Index, error) {
 			seqs = append(seqs, seq)
 			x.keySeq[r.Key] = seq
 		}
-		seg, err := x.newSegment(recs, seqs)
+		seg, err := x.newSegment(recs, seqs, func(_ []uint64, i int) []uint64 { return recs[i].Sig })
 		if err != nil {
 			return nil, err
 		}
@@ -700,10 +792,6 @@ func (x *Index) Add(r domain.Record) (replaced bool, err error) {
 	if err := x.validateRecord(r); err != nil {
 		return false, err
 	}
-	// Decouple from the caller's backing array (and clamp to NumHash, the
-	// prefix every probe uses): buffered signatures are read lock-free by
-	// queries, so later caller mutation must not be observable.
-	r.Sig = append(minhash.Signature(nil), r.Sig[:x.opts.NumHash]...)
 
 	x.mu.Lock()
 	st := x.snap.Load().state
@@ -717,7 +805,9 @@ func (x *Index) Add(r domain.Record) (replaced bool, err error) {
 		st.domains++
 	}
 	x.keySeq[r.Key] = st.seq
-	st.buffer = st.with(entry{rec: r, seq: st.seq}, x.opts.RMax, x.opts.Sketch.Mask())
+	// The arena keeps NumHash values, the prefix every probe uses, cut to the
+	// sketch width: a later change to the caller's array is not observable.
+	st.buffer = st.with(entry{key: r.Key, size: r.Size, seq: st.seq}, r.Sig[:x.opts.NumHash], x.opts.RMax, x.opts.Sketch.Mask())
 	old := x.publishLocked(st)
 	full := len(st.buf) >= x.opts.SealThreshold
 	x.mu.Unlock()
@@ -976,7 +1066,7 @@ func appendLiveKeys(dst []string, sn *snapshot, si int, ids []uint32) []string {
 // (checking ctx between blocks), compares a band's other r − 1 values on a
 // lead hit only, and appends the colliding entries' keys in entry order,
 // asking the tombstones only about them. The scan is bound by memory: read
-// entry by entry, every band head cost a cache line of its own 2 KB
+// entry by entry, every band head cost a cache line of its entry's
 // signature (the package comment has the measured share). tStar must already
 // be clamped; s lends the tree set, and the scan-or-skip decision is counted
 // in t.
@@ -989,10 +1079,9 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryS
 		return dst, nil
 	}
 	rMax := x.opts.RMax
-	mask := x.opts.Sketch.Mask()
 	var trees lshforest.TreeSet // nil = every band: the unpruned reference scan
 	if sn.bufBloom != nil {
-		if leadTrees(s.trees, sn.bufBloom, sig, rMax, mask) == 0 {
+		if leadTrees(s.trees, sn.bufBloom, sig, rMax, x.opts.Sketch.Mask()) == 0 {
 			t[cBufBloomSkips]++
 			return dst, nil
 		}
@@ -1000,56 +1089,30 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryS
 	}
 	t[cBufScans]++
 	params := x.bands.Optimize(float64(sn.bufMax), float64(querySize), tStar)
-	const block = 1024
-	for lo := 0; lo < n; lo += block {
+	for lo := 0; lo < n; lo += scanBlock {
 		// The buffer is bounded by SealThreshold in steady state but not when
 		// the compactor is disabled or behind, so a long scan still honors
 		// cancellation.
 		if err := ctx.Err(); err != nil {
 			return dst, err
 		}
-		hi := min(lo+block, n)
-		var hits [block / 64]uint64
+		hi := min(lo+scanBlock, n)
+		var hits blockHits
 		for b := 0; b < params.B; b++ {
-			if !trees.Has(b) {
-				continue
-			}
-			off, end := b*rMax, b*rMax+params.R
-			lead := sig[off] & mask
-			for i, v := range sn.leads.v[b*sn.leads.stride+lo : b*sn.leads.stride+hi] {
-				if v != lead {
-					continue
-				}
-				k, esig := off+1, sn.buf[lo+i].rec.Sig
-				for k < end && (sig[k]^esig[k])&mask == 0 {
-					k++
-				}
-				if k == end {
-					hits[i>>6] |= 1 << (i & 63)
-				}
+			if trees.Has(b) {
+				hits = sn.sigs.band(hits, lo, hi, b*rMax, params.R, sig)
 			}
 		}
 		for w, word := range hits {
 			for ; word != 0; word &= word - 1 {
 				e := &sn.buf[lo+w*64+bits.TrailingZeros64(word)]
-				if sn.alive(e.rec.Key, e.seq) {
-					dst = append(dst, e.rec.Key)
+				if sn.alive(e.key, e.seq) {
+					dst = append(dst, e.key)
 				}
 			}
 		}
 	}
 	return dst, nil
-}
-
-// sketchContainment scores a full-width buffered signature against the query
-// the way the sealed store would: slot agreement is counted under the
-// backend's truncation mask (minhash.MatchesMasked, eight slots per
-// instruction where the CPU has AVX-512F) and converted through its
-// bias-corrected estimator. Under Minwise64 the result is float-identical to
-// a.Containment(b, q, x), so buffer and segment scores merge consistently
-// for every backend.
-func sketchContainment(sb core.SketchBackend, a, b minhash.Signature, q, x float64) float64 {
-	return sb.ContainmentFromMatch(minhash.MatchesMasked(a, b, sb.Mask()), len(a), q, x)
 }
 
 // QueryBatch answers every query of the batch (the daemon's high-throughput
@@ -1237,9 +1300,13 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 		if !x.opts.DisablePruning && len(results) >= k && kth() > containmentBound(sn.bufMax, q) {
 			c.tally[cTopKEarlyExits] = 1
 		} else {
+			// One pass over the arena, each entry scored as a sealed
+			// candidate is (core.Index.EstContainment): the width's
+			// vector match, through the backend's estimator.
 			for i := range sn.buf {
 				e := &sn.buf[i]
-				r := domain.TopKResult{Key: e.rec.Key, EstContainment: sketchContainment(x.opts.Sketch, sig, e.rec.Sig, q, float64(e.rec.Size))}
+				eq := sn.sigs.matches(i, sig)
+				r := domain.TopKResult{Key: e.key, EstContainment: x.opts.Sketch.ContainmentFromMatch(eq, len(sig), q, float64(e.size))}
 				if keeps(results, k, r) && sn.alive(r.Key, e.seq) {
 					results = keep(results, k, r)
 				}
@@ -1310,8 +1377,8 @@ type Stats struct {
 	// (core.SketchBackend): "minwise32" unless configured or loaded otherwise.
 	Sketch string `json:"sketch"`
 	// SignatureBytes is the total stored signature footprint: the sealed
-	// segments' truncated stores plus the unsealed buffer's full-width
-	// signatures. The compact sketch backends shrink the sealed share.
+	// segments' stores and the unsealed buffer's arena, every value at the
+	// sketch backend's width, which the compact backends shrink.
 	SignatureBytes int64 `json:"signature_bytes"`
 	// SpillErrors counts segment spills that failed; the affected segments
 	// keep serving from the heap.
@@ -1458,8 +1525,6 @@ func (x *Index) Stats() Stats {
 			ResidentBytes:  seg.resident,
 		}
 	}
-	// Buffered entries always hold full-width signatures; they truncate at
-	// seal time.
-	st.SignatureBytes += int64(len(sn.buf)) * int64(x.opts.NumHash) * 8
+	st.SignatureBytes += int64(len(sn.buf)) * int64(x.opts.NumHash) * int64(sn.sigs.width())
 	return st
 }

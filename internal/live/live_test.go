@@ -631,7 +631,7 @@ func TestLoadRejectsGarbageAndMismatch(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesHugeNumHash: a well-formed 48-byte v4 snapshot of no
+// TestLoadRefusesHugeNumHash: a well-formed 48-byte current snapshot of no
 // segments whose header claims 2^30 hash functions is corrupt, not an index
 // whose caller then builds a 16 GiB hasher.
 func TestLoadRefusesHugeNumHash(t *testing.T) {
@@ -673,10 +673,10 @@ func TestLoadRefusesBufferedSeqsOutOfOrder(t *testing.T) {
 		}
 	}
 	snap := x.AppendBinary(nil)
-	// v4 header (28 bytes), no segments, two buffered entries, each
-	// seq u64 | keylen u32 | key | size u64 | sig [NumHash]u64.
+	// v5 header (28 bytes), no segments, two buffered entries, each
+	// seq u64 | keylen u32 | key | size u64 | sig [NumHash] at the width.
 	first := 28 + 4 + 4
-	second := first + 8 + 4 + len(recs[0].Key) + 8 + 8*liveOpts().NumHash
+	second := first + 8 + 4 + len(recs[0].Key) + 8 + x.opts.Sketch.WidthBytes()*x.opts.NumHash
 	le := binary.LittleEndian
 	if s1, s2 := le.Uint64(snap[first:]), le.Uint64(snap[second:]); s1 != 1 || s2 != 2 {
 		t.Fatalf("fixture's buffered seqs are %d, %d, want 1, 2", s1, s2)

@@ -348,7 +348,7 @@ func TestStoredPlannerMetadataMustMatchIndex(t *testing.T) {
 	}
 
 	snap := x.AppendBinary(nil)
-	// v4 header (28 bytes), segment count, kind byte, entry count, seqs, then
+	// v4+ header (28 bytes), segment count, kind byte, entry count, seqs, then
 	// the core index and the planner block.
 	at = 28 + 4 + 1 + 4 + 8*seg.idx.Len() + len(seg.idx.AppendBinary(nil))
 	putWords(snap, at, 1, 1, 1)

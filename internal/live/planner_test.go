@@ -450,10 +450,10 @@ func appendBinaryV1(x *Index) []byte {
 	for i := range sn.buf {
 		e := &sn.buf[i]
 		buf = binary.LittleEndian.AppendUint64(buf, e.seq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.rec.Key)))
-		buf = append(buf, e.rec.Key...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.rec.Size))
-		for _, v := range e.rec.Sig {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.key)))
+		buf = append(buf, e.key...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.size))
+		for _, v := range sn.sigs.widen(nil, i) {
 			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
 	}

@@ -26,7 +26,8 @@ import (
 //	        minSize u64 | maxSize u64 | maxBound u64 | keys bloom | leads bloom
 //	    kind 1 (segment-file reference, v3+):
 //	        namelen u32 | name | fileSize u64 | headerCRC u64
-//	nbuf u32, per entry: seq u64, keylen u32, key, size u64, sig [numHash]u64
+//	nbuf u32, per entry: seq u64, keylen u32, key, size u64,
+//	    sig [numHash] values at the sketch width (v5+; [numHash]u64 before)
 //	ntombs u32, per tombstone: keylen u32, key, seq u64
 //	crc u64 (v3+: crc64-ECMA over every preceding byte of the encoding)
 //
@@ -41,10 +42,13 @@ import (
 // falls back to the v2-style inline block per segment, so Save can always
 // encode. v4 adds the sketch-backend tag (core.SketchBackend) to the header;
 // v1–v3 snapshots predate the pluggable backends and always load as
-// Minwise64. Load accepts all four versions — a v1 snapshot rebuilds its
-// metadata from the decoded segments (buildSegMeta is a pure function of
-// the core index, so the rebuilt planner state is identical to what seal
-// time would have produced). Save always writes the current version.
+// Minwise64. v5 writes buffered signatures at the backend's width, as the
+// buffer holds them (half of v4's bytes per value under minwise32); v1–v4
+// buffers are full-width and narrow as they load. Load accepts all five
+// versions — a v1 snapshot rebuilds its metadata from the decoded segments
+// (buildSegMeta is a pure function of the core index, so the rebuilt planner
+// state is identical to what seal time would have produced). Save always
+// writes the current version.
 //
 // Save serializes a point-in-time snapshot: it is safe to call while
 // writers and the compactor run (they publish new snapshots; the one being
@@ -56,10 +60,11 @@ import (
 var liveMagic = [4]byte{'L', 'I', 'V', 'E'}
 
 const (
-	liveVersion   = 4
+	liveVersion   = 5
 	liveVersionV1 = 1 // pre-planner: no per-segment metadata block
 	liveVersionV2 = 2 // inline planner metadata, no manifest
 	liveVersionV3 = 3 // manifest + checksum, implicit Minwise64 backend
+	liveVersionV4 = 4 // sketch-backend tag, full-width buffered signatures
 )
 
 // Segment kind bytes of the v3 encoding.
@@ -71,7 +76,7 @@ const (
 // ErrCorrupt reports a malformed live-snapshot encoding.
 var ErrCorrupt = errors.New("live: corrupt snapshot encoding")
 
-// AppendBinary appends the index's snapshot encoding (a v4 manifest) to
+// AppendBinary appends the index's snapshot encoding (a v5 manifest) to
 // buf. With DataDir set it first writes a segment file for every segment
 // that lacks one, so the manifest references files instead of embedding
 // megabytes of segment bytes; the files it references are protected from
@@ -123,14 +128,17 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 		buf = appendSegMeta(buf, seg.meta)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sn.buf)))
+	var sig minhash.Signature
 	for i := range sn.buf {
 		e := &sn.buf[i]
 		buf = binary.LittleEndian.AppendUint64(buf, e.seq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.rec.Key)))
-		buf = append(buf, e.rec.Key...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.rec.Size))
-		for _, v := range e.rec.Sig {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.key)))
+		buf = append(buf, e.key...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.size))
+		sig = sn.sigs.widen(sig[:0], i)
+		for _, v := range sig { // little-endian: the width's bytes come first
 			buf = binary.LittleEndian.AppendUint64(buf, v)
+			buf = buf[:len(buf)-8+x.opts.Sketch.WidthBytes()]
 		}
 	}
 	// Tombstones in sorted key order: map iteration is randomized, and v3
@@ -197,7 +205,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	rd := &segfile.Reader{B: buf[8:]}
 	numHash, rMax := int(rd.U32()), int(rd.U32())
 	sketch := core.Minwise64
-	if version >= 4 {
+	if version >= liveVersionV4 {
 		tag := rd.U32()
 		sb, ok := core.SketchBackendFromTag(tag)
 		if !ok {
@@ -323,28 +331,36 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			return nil, fmt.Errorf("live: segment %d has unknown kind %d: %w", i, kind, ErrCorrupt)
 		}
 	}
-	// A buffered entry is at least its seq, key length, size and signature.
-	nbuf := rd.Count(20 + 8*numHash)
+	// A buffered entry is at least its seq, key length, size and signature,
+	// whose values v5 writes at the sketch width and v1–v4 at 8 bytes.
+	w := 8
+	if version > liveVersionV4 {
+		w = sketch.WidthBytes()
+	}
+	nbuf := rd.Count(20 + w*numHash)
 	st.buffer = x.newBuffer()
+	sig := make(minhash.Signature, numHash)
 	for i := 0; i < nbuf; i++ {
 		eseq, key, size := rd.U64(), rd.String(), int(rd.U64())
-		sig := make(minhash.Signature, numHash)
-		for j := range sig {
-			sig[j] = rd.U64()
-		}
+		b := rd.Bytes(w * numHash)
 		if rd.Short {
 			return nil, ErrCorrupt
+		}
+		for j := range sig {
+			sig[j] = 0
+			for k := w - 1; k >= 0; k-- {
+				sig[j] = sig[j]<<8 | uint64(b[j*w+k])
+			}
 		}
 		// Add appends in seq order, and a seal keeps that order as the
 		// segment's seqs, which Load refuses out of order.
 		if i > 0 && eseq <= st.buf[i-1].seq {
 			return nil, fmt.Errorf("live: buffered seqs not ascending at entry %d: %w", i, ErrCorrupt)
 		}
-		rec := domain.Record{Key: key, Size: size, Sig: sig}
-		if err := x.validateRecord(rec); err != nil {
+		if err := x.validateRecord(domain.Record{Key: key, Size: size, Sig: sig}); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 		}
-		st.buffer = st.with(entry{rec: rec, seq: eseq}, rMax, opts.Sketch.Mask())
+		st.buffer = st.with(entry{key: key, size: size, seq: eseq}, sig, rMax, opts.Sketch.Mask())
 	}
 	if ntombs := rd.Count(4 + 8); ntombs > 0 {
 		st.tombs = make(map[string]uint64, ntombs)
@@ -383,7 +399,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		}
 	}
 	for i := range st.buf {
-		note(st.buf[i].rec.Key, st.buf[i].seq)
+		note(st.buf[i].key, st.buf[i].seq)
 	}
 	if twice != "" {
 		return nil, fmt.Errorf("live: key %q has two live entries: %w", twice, ErrCorrupt)

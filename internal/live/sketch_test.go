@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"lshensemble/internal/core"
@@ -83,7 +84,7 @@ func TestSketchBackendSupersetOfMinwise64(t *testing.T) {
 }
 
 // TestSketchBackendSaveLoadRoundTrip saves and reloads a narrow-backend
-// index (v4 manifest) and demands identical answers and shape; it also
+// index (current manifest) and demands identical answers and shape; it also
 // exercises the seed-style mismatch rejection when the configured backend
 // disagrees with the manifest.
 func TestSketchBackendSaveLoadRoundTrip(t *testing.T) {
@@ -184,11 +185,11 @@ func TestLoadKeepsTheFileBackend(t *testing.T) {
 		file  []byte
 		saved *Index
 	}{
-		{"v1", encodeLegacy(t, old, liveVersionV1), old},
-		{"v2", encodeLegacy(t, old, liveVersionV2), old},
+		{"v1", encodeLegacy(t, old, liveVersionV1, nil), old},
+		{"v2", encodeLegacy(t, old, liveVersionV2, nil), old},
 		{"v3", encodeV3(t, old), old},
-		{"v4 minwise64", old.AppendBinary(nil), old},
-		{"v4 minwise32", fresh.AppendBinary(nil), fresh},
+		{"v5 minwise64", old.AppendBinary(nil), old},
+		{"v5 minwise32", fresh.AppendBinary(nil), fresh},
 	} {
 		sb := c.saved.Options().Sketch
 		y, err := load(c.file, core.SketchUnset)
@@ -315,6 +316,115 @@ func TestSketchBackendCompactEquivalence(t *testing.T) {
 				want := sortedKeys(fresh.Query(r.Sig, r.Size, 0.7))
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("%s: compacted answer %d diverges from fresh build: %v vs %v", sb, i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestBufferAtSketchWidth pins the buffer to the sketch backend's width, for
+// every backend: before a Flush the buffer's threshold rows, batch rows and
+// top-k ranking equal a reference computed here from the callers' full-width
+// signatures under the backend's mask, and after it the sealed segment
+// answers as one built from those signatures directly. Either way Stats
+// counts every signature at the width. A buffer kept wider miscounts; one
+// narrower than the width collides where the reference does not.
+func TestBufferAtSketchWidth(t *testing.T) {
+	recs := fixture(t, 150, 19)
+	for _, sb := range append([]core.SketchBackend{core.Minwise64}, narrowBackends...) {
+		t.Run(sb.String(), func(t *testing.T) {
+			x, err := New(sketchOpts(sb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer x.Close()
+			direct, err := Build(recs, sketchOpts(sb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer direct.Close()
+			bufMax, byKey := 0, make(map[string]domain.Record)
+			for _, r := range recs {
+				byKey[r.Key] = r
+				if _, err := x.Add(r); err != nil {
+					t.Fatal(err)
+				}
+				bufMax = max(bufMax, r.Size)
+			}
+			nh, mask := x.opts.NumHash, sb.Mask()
+			score := func(q, r domain.Record) float64 {
+				eq := 0
+				for k := 0; k < nh; k++ {
+					if (q.Sig[k]^r.Sig[k])&mask == 0 {
+						eq++
+					}
+				}
+				return sb.ContainmentFromMatch(eq, nh, float64(q.Size), float64(r.Size))
+			}
+			// The buffer is one partition whose bound is its largest size.
+			rows := func(q domain.Record, tStar float64) []string {
+				if rangePruned(bufMax, q.Size, tStar) {
+					return nil
+				}
+				p := x.bands.Optimize(float64(bufMax), float64(q.Size), tStar)
+				var offs []int
+				for b := 0; b < p.B; b++ {
+					offs = append(offs, b*x.opts.RMax)
+				}
+				var keys []string
+				for _, r := range recs {
+					if bandsCollide(q.Sig, r.Sig, offs, p.R, mask) {
+						keys = append(keys, r.Key)
+					}
+				}
+				return keys
+			}
+			ranked := func(q domain.Record, k int) []domain.TopKResult {
+				all := make([]domain.TopKResult, len(recs))
+				for i, r := range recs {
+					all[i] = domain.TopKResult{Key: r.Key, EstContainment: score(q, r)}
+				}
+				slices.SortFunc(all, domain.CompareTopK)
+				return all[:k]
+			}
+			queries := recs[:40]
+			for _, stage := range []string{"buffered", "flushed"} {
+				if stage == "flushed" {
+					x.Flush()
+				}
+				if got, want := x.Stats().SignatureBytes, int64(len(recs)*nh*sb.WidthBytes()); got != want {
+					t.Fatalf("%s: SignatureBytes %d, want %d at %d bytes a value", stage, got, want, sb.WidthBytes())
+				}
+				var batch []domain.BatchQuery
+				var want [][]string
+				for _, q := range queries {
+					for _, tStar := range []float64{0.3, 0.7} {
+						w := rows(q, tStar)
+						if stage == "flushed" {
+							w = direct.Query(q.Sig, q.Size, tStar)
+						}
+						if got := x.Query(q.Sig, q.Size, tStar); fmt.Sprint(got) != fmt.Sprint(w) {
+							t.Fatalf("%s %s t=%v: rows %v, want %v", stage, q.Key, tStar, got, w)
+						}
+						batch = append(batch, domain.BatchQuery{Sig: q.Sig, Size: q.Size, Threshold: tStar})
+						want = append(want, w)
+					}
+					w := ranked(q, 10)
+					if stage == "flushed" {
+						w = direct.QueryTopK(q.Sig, q.Size, 10)
+					}
+					got := x.QueryTopK(q.Sig, q.Size, 10)
+					if fmt.Sprint(got) != fmt.Sprint(w) {
+						t.Fatalf("%s %s: top-k %v, want %v", stage, q.Key, got, w)
+					}
+					for _, r := range got {
+						if s := score(q, byKey[r.Key]); r.EstContainment != s {
+							t.Fatalf("%s %s: %s scored %v, want %v", stage, q.Key, r.Key, r.EstContainment, s)
+						}
+					}
+				}
+				if got := x.QueryBatch(batch, 2); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: batch rows differ from the single queries' reference", stage)
 				}
 			}
 		})

@@ -63,9 +63,9 @@ func referenceBufferScan(x *Index, sig minhash.Signature, querySize int, tStar f
 		offs = append(offs, b*x.opts.RMax)
 	}
 	var keys []string
-	for _, e := range sn.buf {
-		if sn.alive(e.rec.Key, e.seq) && bandsCollide(sig, e.rec.Sig, offs, p.R, x.opts.Sketch.Mask()) {
-			keys = append(keys, e.rec.Key)
+	for i, e := range sn.buf {
+		if sn.alive(e.key, e.seq) && bandsCollide(sig, sn.sigs.widen(nil, i), offs, p.R, x.opts.Sketch.Mask()) {
+			keys = append(keys, e.key)
 		}
 	}
 	return keys
@@ -129,9 +129,9 @@ func TestBufferScanMaskedEqualsUnmasked(t *testing.T) {
 			defer plain.Close()
 			sn := masked.acquireSnap()
 			defer masked.releaseSnap(sn)
-			if sn.bufBloom == nil || len(sn.segs) != 0 || len(sn.buf) <= 2*firstLeadStride {
+			if sn.bufBloom == nil || len(sn.segs) != 0 || len(sn.buf) <= 2*firstArenaCap {
 				t.Fatalf("fixture: want a buffer-only snapshot of over %d entries with a filter, got %d segments, %d entries, filter %v",
-					2*firstLeadStride, len(sn.segs), len(sn.buf), sn.bufBloom != nil)
+					2*firstArenaCap, len(sn.segs), len(sn.buf), sn.bufBloom != nil)
 			}
 			rMax, numTrees := masked.opts.RMax, masked.numTrees()
 			set := make(lshforest.TreeSet, lshforest.TreeSetWords(numTrees))

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"lshensemble/internal/minhash"
 	"lshensemble/internal/par"
 	"lshensemble/internal/segfile"
 )
@@ -26,11 +27,6 @@ import (
 // narrow store can be re-added to another narrow store — the merge path of
 // internal/live relies on this.
 
-// elem is the set of storable hash-value widths.
-type elem interface {
-	~uint8 | ~uint16 | ~uint32 | ~uint64
-}
-
 // sigstore is the width-erased interface the Forest wrapper dispatches
 // through — one virtual call per operation, with the loops inside
 // monomorphized per width.
@@ -50,7 +46,7 @@ type sigstore interface {
 // tstore is the width-typed half of a Forest: the contiguous signature store
 // (stride numHash), the per-tree sorted leading-value columns and their
 // fences.
-type tstore[E elem] struct {
+type tstore[E segfile.Elem] struct {
 	numHash, rMax int
 	store         []E
 	treeKeys      [][]E
@@ -212,7 +208,7 @@ func (ts *tstore[E]) insertionSortSuffix(order []uint32, off, r int) {
 
 // lexLess reports whether a < b lexicographically; the slices have equal
 // length.
-func lexLess[E elem](a, b []E) bool {
+func lexLess[E segfile.Elem](a, b []E) bool {
 	for k := range a {
 		if a[k] != b[k] {
 			return a[k] < b[k]
@@ -245,7 +241,7 @@ func (ts *tstore[E]) compareSuffix(base, r int, q []uint64) int {
 // skipped memory is the saving). The columns of all jobs, in job order and
 // then tree order, fill a stage buffer of 64 that probeChunk takes a full
 // buffer at a time, so one chunk holds the trees of several forests.
-func probe[E elem](jobs []Job, sig []uint64, fn func(id uint32) bool) {
+func probe[E segfile.Elem](jobs []Job, sig []uint64, fn func(id uint32) bool) {
 	var buf [64]column[E]
 	k := 0
 	for ji := range jobs {
@@ -284,7 +280,7 @@ func probe[E elem](jobs []Job, sig []uint64, fn func(id uint32) bool) {
 // the column stretch [lo, hi) the fence names; then the run [lo, hi) of the
 // query's leading value q0 (empty: no match). v is what one stage loaded for
 // the next, o the run's first slot, r the job's depth.
-type column[E elem] struct {
+type column[E segfile.Elem] struct {
 	ts     *tstore[E]
 	f      *Forest
 	fence  []E
@@ -307,7 +303,7 @@ type column[E elem] struct {
 // past the run's end (+1, +2, +4, …); (4) the run's first order entry, then
 // its store row (r > 1) or its id (r = 1), which emitRun starts from; (5)
 // the refine and the emit, in column order (emitRun).
-func probeChunk[E elem](cs []column[E], sig []uint64, fn func(id uint32) bool) bool {
+func probeChunk[E segfile.Elem](cs []column[E], sig []uint64, fn func(id uint32) bool) bool {
 	// Every step halves the length left, so the longest fence sets the number
 	// of passes; a search already down to one entry steps by zero.
 	m := 0
@@ -372,14 +368,14 @@ func probeChunk[E elem](cs []column[E], sig []uint64, fn func(id uint32) bool) b
 
 // below is 1 if a < b and 0 if not, the borrow of a - b: a count, not a
 // branch.
-func below[E elem](a, b E) int {
+func below[E segfile.Elem](a, b E) int {
 	_, borrow := bits.Sub64(uint64(a), uint64(b), 0)
 	return int(borrow)
 }
 
 // search returns the first i in [lo, hi) with s[i] ≥ q (s[i] > q when
 // after), or hi; s is sorted.
-func search[E elem](s []E, lo, hi int, q E, after bool) int {
+func search[E segfile.Elem](s []E, lo, hi int, q E, after bool) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if s[mid] < q || after && s[mid] == q {
@@ -437,21 +433,11 @@ func (c *column[E]) emitRun(sig []uint64, fn func(id uint32) bool) bool {
 
 // matchCount returns the number of slots where the stored signature in the
 // given slot agrees with the (truncated) query signature — the collision
-// count b-bit and plain minwise containment estimation both start from.
+// count b-bit and plain minwise containment estimation both start from — with
+// the store width's vector match (minhash.Matches).
 func (ts *tstore[E]) matchCount(slot int, sig []uint64) int {
 	base := slot * ts.numHash
-	m := ts.numHash
-	if len(sig) < m {
-		m = len(sig)
-	}
-	s := ts.store[base : base+m]
-	eq := 0
-	for k := 0; k < m; k++ {
-		if s[k] == E(sig[k]) {
-			eq++
-		}
-	}
-	return eq
+	return minhash.Matches(ts.store[base:base+min(ts.numHash, len(sig))], sig)
 }
 
 // appendWidened appends the stored signature of slot, widened to uint64, to

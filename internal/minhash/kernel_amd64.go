@@ -1,7 +1,13 @@
 package minhash
 
+import (
+	"unsafe"
+
+	"lshensemble/internal/segfile"
+)
+
 // haveAVX512 reports whether this CPU and OS run the AVX-512F kernels: CPUID
-// leaf 7 lists AVX512F, leaf 1 lists POPCNT (which matchMasked8 counts with),
+// leaf 7 lists AVX512F, leaf 1 lists POPCNT (which matchWidth8 counts with),
 // and XGETBV (usable once CPUID shows OSXSAVE) reads an XCR0 in which the OS
 // saves the XMM, YMM, opmask and both halves of the ZMM state (mask 0xE6).
 var haveAVX512 = detectAVX512()
@@ -39,22 +45,25 @@ func pushVector(sig, a, b, hvs []uint64) int {
 //go:noescape
 func mulAddMin8(sig, a, b *uint64, groups int, hvs []uint64)
 
-// matchVector counts the slots of a's leading full groups of eight that agree
-// with b under mask, with the AVX-512 kernel, and returns the count and how
-// many slots it covered: none when the CPU lacks AVX-512F. len(b) ≥ len(a).
-func matchVector(a, b []uint64, mask uint64) (eq, n int) {
-	n = len(a) &^ 7
+// matchVector counts the slots of s's leading full groups of eight that
+// agree with q at s's width, with the AVX-512 kernel, and returns the count
+// and how many slots it covered: none when the CPU lacks AVX-512F.
+// len(q) ≥ len(s).
+func matchVector[E segfile.Elem](s []E, q []uint64) (eq, n int) {
+	n = len(s) &^ 7
 	if !haveAVX512 || n == 0 {
 		return 0, 0
 	}
-	return matchMasked8(&a[0], &b[0], n/8, mask), n
+	w := int(unsafe.Sizeof(E(0)))
+	return matchWidth8(unsafe.Pointer(&s[0]), &q[0], n/8, w, ^uint64(0)>>(64-8*w)), n
 }
 
-// matchMasked8 counts the i < 8·groups with (a[i] XOR b[i]) AND mask = 0.
-// Implemented in kernel_amd64.s.
+// matchWidth8 counts the i < 8·groups at which the w-byte value at s + w·i,
+// zero-extended, agrees with q[i] under mask, the low 8·w bits. Implemented
+// in kernel_amd64.s.
 //
 //go:noescape
-func matchMasked8(a, b *uint64, groups int, mask uint64) int
+func matchWidth8(s unsafe.Pointer, q *uint64, groups, w int, mask uint64) int
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

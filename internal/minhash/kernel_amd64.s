@@ -75,30 +75,57 @@ value:
 done:
 	RET
 
-// func matchMasked8(a, b *uint64, groups int, mask uint64) int
+// func matchWidth8(s unsafe.Pointer, q *uint64, groups, w int, mask uint64) int
 //
-// Per group of eight slots: VPTESTNMQ sets bit i of K1 where
-// (a[i] XOR b[i]) AND mask is zero, and POPCNT adds those bits to the count.
-TEXT ·matchMasked8(SB), NOSPLIT, $0-40
-	MOVQ         a+0(FP), SI
-	MOVQ         b+8(FP), DI
-	MOVQ         groups+16(FP), CX
-	VPBROADCASTQ mask+24(FP), Z2
-	XORQ         BX, BX
+// Per group of eight slots: the eight stored values load zero-extended to
+// quadwords (VPMOVZX by width, a plain load at 8 bytes), VPTESTNMQ sets bit
+// i of K1 where (s[i] XOR q[i]) AND mask is zero, and POPCNT adds those bits
+// to the count. The width picks the loop once.
+#define COUNT(STRIDE, LOOP) \
+	VPXORQ    (DI), Z0, Z0 \
+	VPTESTNMQ Z2, Z0, K1   \
+	KMOVW     K1, AX       \
+	POPCNTL   AX, AX       \
+	ADDQ      AX, BX       \
+	ADDQ      $STRIDE, SI  \
+	ADDQ      $64, DI      \
+	DECQ      CX           \
+	JNZ       LOOP         \
+	JMP       matched
 
-match:
+TEXT ·matchWidth8(SB), NOSPLIT, $0-48
+	MOVQ         s+0(FP), SI
+	MOVQ         q+8(FP), DI
+	MOVQ         groups+16(FP), CX
+	MOVQ         w+24(FP), DX
+	VPBROADCASTQ mask+32(FP), Z2
+	XORQ         BX, BX
+	CMPQ         DX, $1
+	JEQ          w1
+	CMPQ         DX, $2
+	JEQ          w2
+	CMPQ         DX, $4
+	JEQ          w4
+
+w8:
 	VMOVDQU64 (SI), Z0
-	VPXORQ    (DI), Z0, Z0
-	VPTESTNMQ Z2, Z0, K1
-	KMOVW     K1, AX
-	POPCNTL   AX, AX
-	ADDQ      AX, BX
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	DECQ      CX
-	JNZ       match
+	COUNT(64, w8)
+
+w4:
+	VPMOVZXDQ (SI), Z0
+	COUNT(32, w4)
+
+w2:
+	VPMOVZXWQ (SI), Z0
+	COUNT(16, w2)
+
+w1:
+	VPMOVZXBQ (SI), Z0
+	COUNT(8, w1)
+
+matched:
 	VZEROUPPER
-	MOVQ      BX, ret+32(FP)
+	MOVQ BX, ret+40(FP)
 	RET
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/big"
-	"math/bits"
 	"testing"
 
 	"lshensemble/internal/xrand"
@@ -208,19 +207,18 @@ func FuzzPushHashedBlock(f *testing.F) {
 }
 
 // FuzzMatchesMasked: for any length (the empty one and every tail of fewer
-// than eight slots included), each sketch backend's truncation mask and any
-// pattern of agreeing slots, MatchesMasked equals the scalar count.
+// than eight slots included) and any pattern of agreeing slots, Matches
+// equals the scalar count at every store width: the stored values are a's
+// cut to the width, the query b full-width.
 func FuzzMatchesMasked(f *testing.F) {
 	if !logKernel(f) {
-		f.Skip("no AVX-512F: MatchesMasked is the scalar loop")
+		f.Skip("no AVX-512F: Matches is the scalar loop")
 	}
-	masks := []uint64{1<<64 - 1, 1<<32 - 1, 1<<16 - 1, 1<<8 - 1} // minwise64, 32, 16, 8
-	f.Add(uint16(0), uint8(0), uint64(1), []byte{})
-	f.Add(uint16(256), uint8(1), uint64(2), []byte{0, 1, 2, 3})
-	f.Add(uint16(13), uint8(3), uint64(3), []byte{1})
-	f.Add(uint16(71), uint8(2), uint64(4), []byte{2, 2, 0, 3, 1})
-	f.Fuzz(func(t *testing.T, n uint16, m uint8, seed uint64, pattern []byte) {
-		mask := masks[int(m)%len(masks)]
+	f.Add(uint16(0), uint64(1), []byte{})
+	f.Add(uint16(256), uint64(2), []byte{0, 1, 2, 3})
+	f.Add(uint16(13), uint64(3), []byte{1})
+	f.Add(uint16(71), uint64(4), []byte{2, 2, 0, 3, 1})
+	f.Fuzz(func(t *testing.T, n uint16, seed uint64, pattern []byte) {
 		rng := xrand.New(seed)
 		a := make([]uint64, int(n)%300)
 		b := make([]uint64, len(a))
@@ -231,24 +229,37 @@ func FuzzMatchesMasked(f *testing.F) {
 				continue
 			}
 			switch r := rng.Uint64(); pattern[i%len(pattern)] % 4 {
-			case 1: // differs only in bits the mask drops: still agrees
-				b[i] ^= r &^ mask
-			case 2: // differs in one bit the mask keeps
-				b[i] ^= 1 << (r % uint64(bits.Len64(mask)))
+			case 1: // differs only above the low byte: agrees at width 1
+				b[i] ^= r &^ 0xff
+			case 2: // differs in one bit
+				b[i] ^= 1 << (r % 64)
 			case 3:
 				b[i] = r
 			}
 		}
-		want := 0
-		for i := range a {
-			if a[i]&mask == b[i]&mask {
-				want++
-			}
-		}
-		if got := MatchesMasked(a, b, mask); got != want {
-			t.Fatalf("len %d mask %#x: MatchesMasked %d, scalar %d", len(a), mask, got, want)
-		}
+		matchesAt[uint8](t, a, b)
+		matchesAt[uint16](t, a, b)
+		matchesAt[uint32](t, a, b)
+		matchesAt[uint64](t, a, b)
 	})
+}
+
+// matchesAt stores a at E's width and fails t unless Matches against the
+// full-width b equals the scalar count under E's mask.
+func matchesAt[E uint8 | uint16 | uint32 | uint64](t *testing.T, a, b []uint64) {
+	t.Helper()
+	s := make([]E, len(a))
+	mask := uint64(^E(0))
+	want := 0
+	for i := range a {
+		s[i] = E(a[i])
+		if (a[i]^b[i])&mask == 0 {
+			want++
+		}
+	}
+	if got := Matches(s, b); got != want {
+		t.Fatalf("len %d mask %#x: Matches %d, scalar %d", len(a), mask, got, want)
+	}
 }
 
 // BenchmarkKernel reports the cost per (value, slot) of the kernel

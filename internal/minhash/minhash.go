@@ -29,8 +29,10 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"lshensemble/internal/par"
+	"lshensemble/internal/segfile"
 	"lshensemble/internal/xrand"
 )
 
@@ -216,15 +218,18 @@ func pushScalar(sig, ha, hb, hvs []uint64) {
 	}
 }
 
-// MatchesMasked counts the slots i < len(a) at which a[i] and b[i] agree
-// under mask, as a store truncated to mask's width would compare them: eight
-// slots per instruction with AVX-512F, the scalar loop elsewhere and for the
-// tail. len(b) must be at least len(a).
-func MatchesMasked(a, b []uint64, mask uint64) int {
-	b = b[:len(a)]
-	eq, i := matchVector(a, b, mask)
-	for ; i < len(a); i++ {
-		if (a[i]^b[i])&mask == 0 {
+// Matches counts the slots i < len(s) at which the stored value s[i] equals
+// q[i] cut to E's width: the agreement count of a store truncated to that
+// width (b-bit minwise, Li & König) against a full-width query, which every
+// containment score starts from. With AVX-512F each full group of eight
+// slots is one instruction on the stored values widened as they load, the
+// scalar loop runs the tail and every slot elsewhere. len(q) must be at
+// least len(s).
+func Matches[E segfile.Elem](s []E, q []uint64) int {
+	q = q[:len(s)]
+	eq, i := matchVector(s, q)
+	for ; i < len(s); i++ {
+		if s[i] == E(q[i]) {
 			eq++
 		}
 	}
@@ -274,10 +279,21 @@ func (h *Hasher) SketchParallel(hashedValues []uint64, workers int) Signature {
 	return out
 }
 
+// sortDedupMax is the most values SketchDistinct dedups by sorting in place;
+// past it a map is cheaper (on a 2-vCPU Xeon the two cross near 1 250
+// values: 76 values 3.7 → 1.1 µs by sorting, 1 000 values 36 → 17 µs, 10 000
+// values 388 → 894 µs).
+const sortDedupMax = 1024
+
 // SketchDistinct sketches the distinct values among hvs, base hashes below
-// 2^61, with SketchParallel and says how many there were. It compacts hvs in
-// place, the first of each distinct value kept in order at the front.
+// 2^61, with SketchParallel and says how many there were. It reorders hvs
+// in place, the distinct values at the front.
 func SketchDistinct(h *Hasher, hvs []uint64) (Signature, int) {
+	if len(hvs) <= sortDedupMax {
+		slices.Sort(hvs)
+		n := len(slices.Compact(hvs))
+		return h.SketchParallel(hvs[:n], 0), n
+	}
 	seen := make(map[uint64]struct{}, len(hvs))
 	n := 0
 	for _, hv := range hvs {

@@ -3,6 +3,7 @@ package minhash
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -377,6 +378,43 @@ func TestSketchParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("n=%d workers=%d: slot %d differs", n, workers, k)
 				}
 			}
+		}
+	}
+}
+
+// TestSketchDistinctMatchesMapDedup: on both sides of sortDedupMax, with
+// duplicates, SketchDistinct gives the signature and the distinct count of
+// a map dedup in first-seen order, and leaves the distinct values at the
+// front of its input.
+func TestSketchDistinctMatchesMapDedup(t *testing.T) {
+	h := NewHasher(64, 3)
+	rng := xrand.New(9)
+	for _, n := range []int{0, 1, 2, 76, sortDedupMax - 1, sortDedupMax, sortDedupMax + 1, 3 * sortDedupMax} {
+		hvs := make([]uint64, n)
+		for i := range hvs {
+			hvs[i] = HashUint64(rng.Uint64() % uint64(n/2+1))
+		}
+		seen := make(map[uint64]bool)
+		var distinct []uint64
+		for _, hv := range hvs {
+			if !seen[hv] {
+				seen[hv] = true
+				distinct = append(distinct, hv)
+			}
+		}
+		want := h.Sketch(distinct)
+		got, size := SketchDistinct(h, hvs)
+		if size != len(distinct) {
+			t.Fatalf("n=%d: %d distinct, want %d", n, size, len(distinct))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: signature differs from the map dedup's", n)
+		}
+		front := slices.Clone(hvs[:size])
+		slices.Sort(front)
+		slices.Sort(distinct)
+		if !slices.Equal(front, distinct) {
+			t.Fatalf("n=%d: the front of the input is not the distinct values", n)
 		}
 	}
 }
