@@ -13,15 +13,15 @@ import (
 	"time"
 
 	"lshensemble"
-	"lshensemble/internal/asym"
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/domain"
 	"lshensemble/internal/exact"
 	"lshensemble/internal/expt"
+	"lshensemble/internal/expt/asym"
+	"lshensemble/internal/expt/stats"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/partition"
-	"lshensemble/internal/stats"
 	"lshensemble/internal/xrand"
 )
 

@@ -8,7 +8,8 @@ import (
 
 // TestRouterLinksNoIndex: the router sketches, scatters records and merges
 // keys; it links the wire, never the index it scatters to nor the daemon
-// that fronts one. go list -deps of this command names none of them.
+// that fronts one, nor the paper's experiments (internal/expt and the
+// comparators below it). go list -deps of this command names none of them.
 func TestRouterLinksNoIndex(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", "lshensemble/cmd/lshrouter").CombinedOutput()
 	if err != nil {
@@ -20,7 +21,7 @@ func TestRouterLinksNoIndex(t *testing.T) {
 	}
 	var ours []string
 	for _, pkg := range strings.Fields(string(out)) {
-		if forbidden[pkg] {
+		if forbidden[pkg] || strings.HasPrefix(pkg+"/", "lshensemble/internal/expt/") {
 			t.Errorf("cmd/lshrouter links %s", pkg)
 		}
 		if strings.HasPrefix(pkg, "lshensemble") {

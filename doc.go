@@ -108,17 +108,17 @@
 //     for one segment before any row moves to the next, because a segment's
 //     leading columns stay cache-resident only while rows visit it together
 //     (row-parallel batches cost lib_query 5 % of its sat_qps).
-//   - Corpus sketching: Hasher.SketchParallel shards one large pre-hashed
-//     value slice across workers (exact — shard minima merge slot-wise);
-//     cmd/lshed sketches whole columns in parallel and serves multi-column
-//     query files through one QueryBatch dispatch (-batch -workers). Within
-//     a worker the permutation kernel is data-parallel: on amd64 CPUs with
-//     AVX-512F (detected once at start-up from CPUID and XGETBV; there is no
-//     switch) an assembly loop computes (a·v + b) mod (2^61 − 1) for eight
-//     permutations per instruction from 32×32-bit partial products, and the
-//     scalar Go loop takes the m mod 8 leftover slots, other CPUs and other
-//     architectures. Both reduce exactly, so they produce the same words and
-//     signatures, snapshots and answers do not depend on the CPU.
+//   - Corpus sketching: one domain is sketched on one goroutine, and callers
+//     parallelise across domains: cmd/lshed sketches whole columns in parallel
+//     and serves multi-column query files through one QueryBatch dispatch
+//     (-batch -workers). Within a worker the permutation kernel is
+//     data-parallel: on amd64 CPUs with AVX-512F (detected once at start-up
+//     from CPUID and XGETBV; there is no switch) an assembly loop computes
+//     (a·v + b) mod (2^61 − 1) for eight permutations per instruction from
+//     32×32-bit partial products, and the scalar Go loop takes the m mod 8
+//     leftover slots, other CPUs and other architectures. Both reduce exactly,
+//     so they produce the same words and signatures, snapshots and answers do
+//     not depend on the CPU.
 //
 // Concurrency contract: a LiveIndex needs no external synchronization. Any
 // number of goroutines may query it (Query*, QueryTopK*, QueryBatch*) while

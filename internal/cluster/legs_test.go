@@ -46,7 +46,7 @@ func jsonLeg(t *testing.T, path string, body []byte, h *lshensemble.Hasher, seed
 		if size == 0 {
 			size = len(hvs)
 		}
-		return h.SketchParallel(hvs, 0), size
+		return h.Sketch(hvs), size
 	}
 	threshold := func(t float64) float64 {
 		if t == 0 {

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"lshensemble/internal/exact"
+	"lshensemble/internal/expt/stats"
 	"lshensemble/internal/minhash"
-	"lshensemble/internal/stats"
 )
 
 func TestOpenDataShape(t *testing.T) {

@@ -17,17 +17,17 @@ import (
 	"fmt"
 	"sort"
 
-	"lshensemble/internal/asym"
-	"lshensemble/internal/baseline"
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/domain"
 	"lshensemble/internal/eval"
 	"lshensemble/internal/exact"
+	"lshensemble/internal/expt/asym"
+	"lshensemble/internal/expt/baseline"
+	"lshensemble/internal/expt/stats"
 	"lshensemble/internal/live"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/partition"
-	"lshensemble/internal/stats"
 )
 
 // DefaultThresholds is the paper's sweep: 0.05 to 1.00 in steps of 0.05.

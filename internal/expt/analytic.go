@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"lshensemble/internal/asym"
 	"lshensemble/internal/datagen"
-	"lshensemble/internal/stats"
+	"lshensemble/internal/expt/asym"
+	"lshensemble/internal/expt/stats"
 	"lshensemble/internal/tune"
 )
 

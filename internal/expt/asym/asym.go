@@ -29,9 +29,9 @@ import (
 	"fmt"
 	"math"
 
-	"lshensemble/internal/baseline"
 	"lshensemble/internal/core"
 	"lshensemble/internal/domain"
+	"lshensemble/internal/expt/baseline"
 	"lshensemble/internal/live"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/par"

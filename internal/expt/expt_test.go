@@ -6,10 +6,10 @@ import (
 	"slices"
 	"testing"
 
-	"lshensemble/internal/asym"
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/domain"
+	"lshensemble/internal/expt/asym"
 	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/tune"
@@ -165,7 +165,7 @@ func asymReference(recs []domain.Record, numHash, rMax int) func(r domain.Record
 		p := grid.Optimize(float64(maxSize), float64(r.Size), tStar)
 		seen := map[uint32]bool{}
 		var keys []string
-		forest.Query(r.Sig, p.B, p.R, nil, func(id uint32) bool {
+		lshforest.Probe([]lshforest.Job{{Forest: forest, B: p.B, R: p.R}}, r.Sig, func(id uint32) bool {
 			if !seen[id] {
 				seen[id] = true
 				keys = append(keys, recs[id].Key)

@@ -115,10 +115,12 @@ func rangePruned(bound, querySize int, tStar float64) bool {
 // there, each value hashed to two slots whose AND answers "which partitions
 // may hold this value" with no false negatives (partitions beyond 16 fold onto
 // the same bits, which only adds partitions to an answer). A slot per (entry,
-// tree) pair rounded up to a power of two — 64 B per domain at 32 trees —
-// keeps a wrong partition in an answer 1–2 % of the time. The lead Bloom's
-// 0.1 % would take five slots per value and twice the memory, which is why
-// this filter is asked second, only of a segment the Bloom lets through.
+// tree) pair rounded up to a power of two — 64–128 B per domain at 32 trees;
+// lib_query's settled 36 864-entry segment holds 2²¹ slots for 1 179 648
+// leads, 114 B per domain — keeps a wrong partition in an answer 1–2 % of
+// the time. The lead Bloom's 0.1 % would take five slots per value and twice
+// the memory, which is why this filter is asked second, only of a segment
+// the Bloom lets through.
 type partFilter []uint16
 
 // leadCount is the number of leading values idx holds, one per entry and tree;

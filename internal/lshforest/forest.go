@@ -167,8 +167,8 @@ func radixSortPairs(keys []uint64, vals []uint32, tmpKeys []uint64, tmpVals []ui
 
 // TreeSet is a set of tree indices: bit t%64 of word t/64 is set iff tree t
 // is a member. The nil TreeSet is the full set — every tree — so callers
-// with nothing to rule out pass nil. A non-nil set handed to Query must have
-// TreeSetWords(b) words at least.
+// with nothing to rule out pass nil. A non-nil set in a Job must have
+// TreeSetWords(B) words at least.
 //
 // A probe of tree t at any depth r ≥ 1 matches an entry only if the query's
 // (truncated) leading value sig[t·RMax] occurs in the tree's leading column,
@@ -197,21 +197,6 @@ func (s TreeSet) Empty() bool {
 	return s != nil
 }
 
-// Query probes, at depth r, those of the first b trees that are in the set
-// (nil = all of them) and invokes fn once per *occurrence* of a matching
-// entry (the same id may be reported from multiple trees; callers wanting set
-// semantics dedup). Trees outside the set are not touched at all. Restricted
-// to a set that holds every tree whose leading column contains the query's
-// leading value, Query reports exactly what the unrestricted probe reports,
-// in the same order (see TreeSet). fn returning false stops the scan early.
-// The query signature is full-width, at least BMax()*RMax() values (callers
-// validate; the kernel indexes it unchecked); a narrow store truncates each
-// compared query value to its width on the fly. It panics if (b, r) is out
-// of range or if a non-nil set is too short. It is Probe with one job.
-func (f *Forest) Query(sig []uint64, b, r int, trees TreeSet, fn func(id uint32) bool) {
-	Probe([]Job{{Forest: f, B: b, R: r, Trees: trees}}, sig, fn)
-}
-
 // Job is one forest's share of a Probe: the trees among the forest's first B
 // that are in Trees (nil = all of them), probed at depth R.
 type Job struct {
@@ -220,10 +205,15 @@ type Job struct {
 	Trees  TreeSet
 }
 
-// Probe reports to fn, job after job, what Query reports for each job, and
-// stops once fn returns false. The jobs' forests share one width, and sig is
-// long enough for each. The trees of all jobs go through the probe's stages
-// together (probeChunk). It panics where Query would, and on mixed widths.
+// Probe reports to fn, job after job, every occurrence of an entry that
+// matches sig at depth R in one of the job's trees, tree after tree (an id
+// in several trees is reported once per tree; callers wanting a set dedup),
+// and stops once fn returns false. Trees outside a job's set are not touched
+// (see TreeSet). sig is full-width, at least BMax()*RMax() values for every
+// job (callers validate; the kernel indexes it unchecked). The jobs' forests
+// share one width, and their trees go through the probe's stages together
+// (probeChunk). It panics on a (B, R) out of range, a set too short for B
+// trees, or mixed widths.
 func Probe(jobs []Job, sig []uint64, fn func(id uint32) bool) {
 	for i := range jobs {
 		j := &jobs[i]

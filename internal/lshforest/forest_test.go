@@ -78,7 +78,7 @@ func TestForestMatchesBruteForce(t *testing.T) {
 			for r := 1; r <= rMax; r++ {
 				want := bruteCandidates(sigs, ids, q, b, r, rMax)
 				got := map[uint32]bool{}
-				f.Query(q, b, r, nil, func(id uint32) bool {
+				Probe([]Job{{Forest: f, B: b, R: r}}, q, func(id uint32) bool {
 					got[id] = true
 					return true
 				})
@@ -108,7 +108,7 @@ func TestForestMatchesBruteForceProperty(t *testing.T) {
 		q := sigs[rng.Intn(n)] // query with an indexed signature
 		want := bruteCandidates(sigs, ids, q, b, r, rMax)
 		got := map[uint32]bool{}
-		fr.Query(q, b, r, nil, func(id uint32) bool {
+		Probe([]Job{{Forest: fr, B: b, R: r}}, q, func(id uint32) bool {
 			got[id] = true
 			return true
 		})
@@ -137,7 +137,7 @@ func TestSelfQueryAlwaysFound(t *testing.T) {
 		for _, b := range []int{1, 2, 4} {
 			for _, r := range []int{1, 4, 8} {
 				found := false
-				f.Query(sigs[i], b, r, nil, func(id uint32) bool {
+				Probe([]Job{{Forest: f, B: b, R: r}}, sigs[i], func(id uint32) bool {
 					if id == ids[i] {
 						found = true
 						return false
@@ -157,7 +157,7 @@ func TestQueryEarlyStop(t *testing.T) {
 	ids, sigs := repeated(10, sig)
 	f := build(4, 2, 8, ids, sigs)
 	calls := 0
-	f.Query(sig, 2, 2, nil, func(id uint32) bool {
+	Probe([]Job{{Forest: f, B: 2, R: 2}}, sig, func(id uint32) bool {
 		calls++
 		return calls < 3
 	})
@@ -169,9 +169,9 @@ func TestQueryEarlyStop(t *testing.T) {
 func TestQueryReportsEveryOccurrence(t *testing.T) {
 	sig := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	f := build(8, 2, 8, []uint32{99}, [][]uint64{sig}) // 4 trees
-	// Query does not dedup: the id is found in all 4 trees.
+	// A probe does not dedup: the id is found in all 4 trees.
 	count := 0
-	f.Query(sig, 4, 2, nil, func(id uint32) bool {
+	Probe([]Job{{Forest: f, B: 4, R: 2}}, sig, func(id uint32) bool {
 		count++
 		return true
 	})
@@ -182,7 +182,7 @@ func TestQueryReportsEveryOccurrence(t *testing.T) {
 
 func TestEmptyForest(t *testing.T) {
 	f := build(8, 2, 8, nil, nil)
-	f.Query(make([]uint64, 8), 1, 1, nil, func(id uint32) bool {
+	Probe([]Job{{Forest: f, B: 1, R: 1}}, make([]uint64, 8), func(id uint32) bool {
 		t.Fatal("empty forest produced a candidate")
 		return false
 	})
@@ -196,10 +196,10 @@ func TestPanics(t *testing.T) {
 		"bad width":    func() { build(8, 2, 3, nil, nil) },
 		"short sig":    func() { build(8, 2, 8, []uint32{0}, [][]uint64{make([]uint64, 7)}) },
 		"b out of range": func() {
-			build(8, 2, 8, nil, nil).Query(make([]uint64, 8), 5, 1, nil, func(uint32) bool { return true })
+			Probe([]Job{{Forest: build(8, 2, 8, nil, nil), B: 5, R: 1}}, make([]uint64, 8), func(uint32) bool { return true })
 		},
 		"r out of range": func() {
-			build(8, 2, 8, nil, nil).Query(make([]uint64, 8), 1, 3, nil, func(uint32) bool { return true })
+			Probe([]Job{{Forest: build(8, 2, 8, nil, nil), B: 1, R: 3}}, make([]uint64, 8), func(uint32) bool { return true })
 		},
 	}
 	for name, fn := range cases {
@@ -233,12 +233,12 @@ func TestRealSignatures(t *testing.T) {
 
 	q := h.SketchStrings(base)
 	got := map[uint32]bool{}
-	f.Query(q, 16, 1, nil, func(id uint32) bool { got[id] = true; return true })
+	Probe([]Job{{Forest: f, B: 16, R: 1}}, q, func(id uint32) bool { got[id] = true; return true })
 	if !got[0] || !got[1] {
 		t.Fatalf("similar sets not retrieved at permissive setting: %v", got)
 	}
 	got = map[uint32]bool{}
-	f.Query(q, 1, 4, nil, func(id uint32) bool { got[id] = true; return true })
+	Probe([]Job{{Forest: f, B: 1, R: 4}}, q, func(id uint32) bool { got[id] = true; return true })
 	if got[2] {
 		t.Fatal("dissimilar set retrieved at strict setting")
 	}
@@ -260,12 +260,12 @@ func TestForestRoundTrip(t *testing.T) {
 	if g.Len() != f.Len() || g.NumHash() != f.NumHash() || g.RMax() != f.RMax() {
 		t.Fatal("shape mismatch after round trip")
 	}
-	// Query equivalence on a few probes.
+	// Probe equivalence on a few queries.
 	for trial := 0; trial < 10; trial++ {
 		q := sigs[rng.Intn(len(sigs))]
 		want, got := []uint32{}, []uint32{}
-		f.Query(q, 4, 2, nil, func(id uint32) bool { want = append(want, id); return true })
-		g.Query(q, 4, 2, nil, func(id uint32) bool { got = append(got, id); return true })
+		Probe([]Job{{Forest: f, B: 4, R: 2}}, q, func(id uint32) bool { want = append(want, id); return true })
+		Probe([]Job{{Forest: g, B: 4, R: 2}}, q, func(id uint32) bool { got = append(got, id); return true })
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		if len(want) != len(got) {
@@ -330,7 +330,7 @@ func BenchmarkForestQuery(b *testing.B) {
 				if masked {
 					trees = exact[i%len(queries)]
 				}
-				f.Query(queries[i%len(queries)], bMax, 4, trees, func(uint32) bool { n++; return true })
+				Probe([]Job{{Forest: f, B: bMax, R: 4, Trees: trees}}, queries[i%len(queries)], func(uint32) bool { n++; return true })
 			}
 		})
 	}

@@ -76,13 +76,13 @@ func TestForestGoldenDecode(t *testing.T) {
 		}
 	}
 
-	// Query equivalence between the decoded and the freshly built forest.
+	// Probe equivalence between the decoded and the freshly built forest.
 	for qi := range sigs {
 		for _, br := range [][2]int{{1, 1}, {2, 2}, {4, 1}, {4, 2}} {
 			want := map[uint32]int{}
 			got := map[uint32]int{}
-			live.Query(sigs[qi], br[0], br[1], nil, func(id uint32) bool { want[id]++; return true })
-			f.Query(sigs[qi], br[0], br[1], nil, func(id uint32) bool { got[id]++; return true })
+			Probe([]Job{{Forest: live, B: br[0], R: br[1]}}, sigs[qi], func(id uint32) bool { want[id]++; return true })
+			Probe([]Job{{Forest: f, B: br[0], R: br[1]}}, sigs[qi], func(id uint32) bool { got[id]++; return true })
 			if len(want) != len(got) {
 				t.Fatalf("q=%d b=%d r=%d: %v vs %v", qi, br[0], br[1], got, want)
 			}
@@ -141,7 +141,7 @@ func TestDecodeHostileHeader(t *testing.T) {
 	if f.Len() != 0 {
 		t.Fatalf("decoded %d entries, want 0", f.Len())
 	}
-	f.Query(make([]uint64, 1), 1, 1, nil, func(uint32) bool {
+	Probe([]Job{{Forest: f, B: 1, R: 1}}, make([]uint64, 1), func(uint32) bool {
 		t.Fatal("empty forest produced a candidate")
 		return false
 	})
@@ -156,6 +156,6 @@ func BenchmarkForestQueryAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Query(q, 32, 4, nil, func(id uint32) bool { return true })
+		Probe([]Job{{Forest: f, B: 32, R: 4}}, q, func(id uint32) bool { return true })
 	}
 }

@@ -39,7 +39,7 @@ func TestIndexParallelEmpty(t *testing.T) {
 	if f.trees != nil || f.Tree(0) != nil {
 		t.Fatal("empty forest allocated trees")
 	}
-	f.Query(make([]uint64, 8), 1, 1, nil, func(id uint32) bool {
+	Probe([]Job{{Forest: f, B: 1, R: 1}}, make([]uint64, 8), func(id uint32) bool {
 		t.Fatalf("empty forest reported id %d", id)
 		return false
 	})

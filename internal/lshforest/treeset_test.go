@@ -11,11 +11,11 @@ import (
 // touches the tree indexes a nil slice and panics.
 func (ts *tstore[E]) poisonTree(t int) { ts.treeKeys[t], ts.fences[t] = nil, nil }
 
-// collectQuery returns the id sequence Query reports, occurrences and order
-// included.
+// collectQuery returns the id sequence a one-job Probe reports, occurrences
+// and order included.
 func collectQuery(f *Forest, sig []uint64, b, r int, trees TreeSet) []uint32 {
 	var out []uint32
-	f.Query(sig, b, r, trees, func(id uint32) bool {
+	Probe([]Job{{Forest: f, B: b, R: r, Trees: trees}}, sig, func(id uint32) bool {
 		out = append(out, id)
 		return true
 	})
@@ -27,7 +27,7 @@ func collectQuery(f *Forest, sig []uint64, b, r int, trees TreeSet) []uint32 {
 // a linear scan of each of the first b trees reports, tree after tree (so a
 // probe that takes the trees of a word out of order, or drops one, fails),
 // and the TreeSet contract: restricted to exactly the trees whose leading
-// column holds the query's leading value, Query reports the very sequence the
+// column holds the query's leading value, Probe reports the very sequence the
 // unrestricted probe reports — also with extra trees in the set (what a filter
 // false positive adds) — and touches no tree outside the set.
 func checkTreeSetQuery(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel uint8) {
@@ -231,8 +231,8 @@ func TestQueryTreeSetTooShortPanics(t *testing.T) {
 	f := build(130, 1, 8, []uint32{0}, [][]uint64{make([]uint64, 130)})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Query accepted a 1-word set for 130 trees")
+			t.Fatal("Probe accepted a 1-word set for 130 trees")
 		}
 	}()
-	f.Query(make([]uint64, 130), 130, 1, make(TreeSet, 1), func(uint32) bool { return true })
+	Probe([]Job{{Forest: f, B: 130, R: 1, Trees: make(TreeSet, 1)}}, make([]uint64, 130), func(uint32) bool { return true })
 }

@@ -54,7 +54,7 @@ func TestFromViewQueryEquivalence(t *testing.T) {
 
 	collect := func(fr *Forest, sig []uint64, b, r int) map[uint32]bool {
 		got := map[uint32]bool{}
-		fr.Query(sig, b, r, nil, func(id uint32) bool {
+		Probe([]Job{{Forest: fr, B: b, R: r}}, sig, func(id uint32) bool {
 			got[id] = true
 			return true
 		})
@@ -86,7 +86,7 @@ func TestFromViewEmpty(t *testing.T) {
 	if v.Len() != 0 {
 		t.Fatalf("empty view Len=%d", v.Len())
 	}
-	v.Query(make([]uint64, 16), 4, 4, nil, func(uint32) bool {
+	Probe([]Job{{Forest: v, B: 4, R: 4}}, make([]uint64, 16), func(uint32) bool {
 		t.Fatal("empty view yielded a match")
 		return false
 	})

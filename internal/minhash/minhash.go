@@ -24,14 +24,10 @@
 package minhash
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 
-	"lshensemble/internal/par"
 	"lshensemble/internal/segfile"
 	"lshensemble/internal/xrand"
 )
@@ -248,37 +244,6 @@ func (h *Hasher) Sketch(hashedValues []uint64) Signature {
 	return sig
 }
 
-// parallelSketchMinShard is the smallest per-worker shard worth a goroutine:
-// below ~4 blocks per worker the fan-out/merge overhead exceeds the win.
-const parallelSketchMinShard = 4 * sketchBlockSize
-
-// SketchParallel builds a signature over a slice of already base-hashed
-// values with up to `workers` goroutines (0 means GOMAXPROCS). Each worker
-// folds a contiguous shard through PushHashedBlock into its own signature
-// and the shard signatures are merged slot-wise at the end — exact, because
-// the minimum over a union of shards is the minimum of the shard minima.
-// Small inputs fall back to the serial path.
-func (h *Hasher) SketchParallel(hashedValues []uint64, workers int) Signature {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := len(hashedValues) / parallelSketchMinShard; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		return h.Sketch(hashedValues)
-	}
-	sigs := make([]Signature, workers)
-	shards := par.Chunked(len(hashedValues), workers, func(w, lo, hi int) {
-		sigs[w] = h.Sketch(hashedValues[lo:hi])
-	})
-	out := sigs[0]
-	for _, s := range sigs[1:shards] {
-		out.Merge(s)
-	}
-	return out
-}
-
 // sortDedupMax is the most values SketchDistinct dedups by sorting in place;
 // past it a map is cheaper (on a 2-vCPU Xeon the two cross near 1 250
 // values: 76 values 3.7 → 1.1 µs by sorting, 1 000 values 36 → 17 µs, 10 000
@@ -286,13 +251,13 @@ func (h *Hasher) SketchParallel(hashedValues []uint64, workers int) Signature {
 const sortDedupMax = 1024
 
 // SketchDistinct sketches the distinct values among hvs, base hashes below
-// 2^61, with SketchParallel and says how many there were. It reorders hvs
-// in place, the distinct values at the front.
+// 2^61, with Sketch and says how many there were. It reorders hvs in place,
+// the distinct values at the front.
 func SketchDistinct(h *Hasher, hvs []uint64) (Signature, int) {
 	if len(hvs) <= sortDedupMax {
 		slices.Sort(hvs)
 		n := len(slices.Compact(hvs))
-		return h.SketchParallel(hvs[:n], 0), n
+		return h.Sketch(hvs[:n]), n
 	}
 	seen := make(map[uint64]struct{}, len(hvs))
 	n := 0
@@ -303,7 +268,7 @@ func SketchDistinct(h *Hasher, hvs []uint64) (Signature, int) {
 			n++
 		}
 	}
-	return h.SketchParallel(hvs[:n], 0), n
+	return h.Sketch(hvs[:n]), n
 }
 
 // SketchStrings builds a signature over a slice of string values.
@@ -431,36 +396,4 @@ func (s Signature) Cardinality() float64 {
 		est = 1
 	}
 	return est
-}
-
-// AppendBinary appends the signature's binary encoding (little-endian
-// uint64 count followed by the slots) to buf and returns the result.
-func (s Signature) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
-	for _, v := range s {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
-	return buf
-}
-
-// ErrCorrupt is returned when decoding malformed signature bytes.
-var ErrCorrupt = errors.New("minhash: corrupt signature encoding")
-
-// DecodeSignature decodes a signature produced by AppendBinary from the
-// front of buf, returning the signature and the remaining bytes.
-func DecodeSignature(buf []byte) (Signature, []byte, error) {
-	if len(buf) < 8 {
-		return nil, buf, ErrCorrupt
-	}
-	n := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	if n > uint64(len(buf))/8 {
-		return nil, buf, ErrCorrupt
-	}
-	s := make(Signature, n)
-	for i := range s {
-		s[i] = binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
-	}
-	return s, buf, nil
 }

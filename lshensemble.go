@@ -75,10 +75,9 @@ var (
 // SketchStrings is a convenience that builds a record from raw string
 // values (deduplicated by the hasher's value identity). Hashing and dedup
 // run first so the permutation folding can take the batched
-// permutation-major path; large domains additionally shard across
-// GOMAXPROCS workers (Hasher.SketchParallel — exact, small domains stay on
-// the serial path). A query the daemon reads off the wire takes the same
-// dedup and sketch from the hashes of its values.
+// permutation-major path. One domain is sketched on one goroutine: callers
+// with many domains parallelise across them. A query the daemon reads off
+// the wire takes the same dedup and sketch from the hashes of its values.
 func SketchStrings(h *Hasher, key string, values []string) DomainRecord {
 	hvs := make([]uint64, len(values))
 	for i, v := range values {
