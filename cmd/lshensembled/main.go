@@ -27,13 +27,14 @@
 // With -snapshot the daemon loads the file at boot when it exists (warm
 // restart) and saves on SIGINT/SIGTERM, so a rolling restart keeps the
 // corpus without replaying ingest. Snapshots of every format an older daemon
-// wrote (v1–v4) still load; the daemon always saves the current one (v4).
+// wrote (v1–v4) still load, unless they hold the retired 8-bit sketch; the
+// daemon always saves the current one (v5).
 // The index file `lshed index` writes is such a snapshot: boot it with
 // -snapshot index.bin -seed 0x15e4e5e3b1e.
 //
 // With -data-dir the index runs out-of-core: sealed segments spill to
 // page-aligned files under the directory and the snapshot becomes a small
-// manifest referencing them (v4, like any snapshot), written atomically on
+// manifest referencing them (v5, like any snapshot), written atomically on
 // every save.
 // When -snapshot is not given, the manifest defaults to
 // <data-dir>/MANIFEST. Adding -mmap serves sealed segments directly from

@@ -402,7 +402,7 @@
 //   - Minwise64: full 64-bit minima, the paper's configuration and the old
 //     default. Wire-compatible with every artifact this package has ever
 //     written; v1–v3 snapshots and LSEG v1 segment files carry it implicitly.
-//   - Minwise32 (the default) / Minwise16 / Minwise8: b-bit minwise. Stores
+//   - Minwise32 (the default) / Minwise16: b-bit minwise. Stores
 //     only the low b bits of each minimum and corrects the match estimate
 //     for chance collisions (Li & König). Truncation is a superset property
 //     — any pair the full signature matches, the truncated one matches too
@@ -422,14 +422,15 @@
 //	minwise32      1024.0      0.658     0.912
 //	minwise16       512.0      0.596     0.912
 //	kmv (k=128)     286.9      0.937     0.979   (comparator)
-//	minwise8        256.0      0.034     0.912
+//
+// An 8-bit store, minwise8, measured 256.0 bytes/domain at precision 0.034
+// (recall 0.912): its 2^-8 chance-collision floor floods precision at corpus
+// scale, so it was removed, and a file carrying its tag (1) is refused.
 //
 // Rules of thumb: minwise32 is a free halving (at m = 256 the top 32 bits
 // essentially never disambiguate a minimum); minwise16 halves again for a
 // few points of precision and is the sweet spot when memory or segment
-// I/O dominates; minwise8 only makes sense when a downstream verifier
-// re-checks candidates, because the 2^-8 chance-collision floor floods
-// precision at corpus scale. The backend is recorded in every
+// I/O dominates. The backend is recorded in every
 // wire format (index, forest, snapshot manifest v4+, segment files) and in
 // /stats as "sketch" and "signature_bytes"; a daemon booted with a
 // mismatched -sketch refuses the snapshot rather than misinterpret it.

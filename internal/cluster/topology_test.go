@@ -193,6 +193,7 @@ func TestTopologyExitStatuses(t *testing.T) {
 		{"lshrouter", []string{"-no-metrics"}, 2},
 		{"lshensembled", []string{"-mmap"}, 1},
 		{"lshensembled", []string{"-sketch", "kmv"}, 1},
+		{"lshensembled", []string{"-sketch", "minwise8"}, 1},
 		{"lshensembled", []string{"-seal", "-5"}, 1},
 		{"lshensembled", []string{"-max-segments", "-1"}, 1},
 		{"lshensembled", []string{"-hashes", "65537"}, 1},
@@ -385,7 +386,7 @@ func requireBackend(t *testing.T, d *proc, backend string) {
 // /stats and its serving line and round-trips its snapshot, and a daemon of
 // any other backend refuses to boot on that snapshot.
 func TestTopologySketchBackends(t *testing.T) {
-	for _, backend := range []string{"minwise64", "minwise32", "minwise16", "minwise8"} {
+	for _, backend := range []string{"minwise64", "minwise32", "minwise16"} {
 		t.Run(backend, func(t *testing.T) {
 			t.Parallel()
 			snap := filepath.Join(t.TempDir(), "index.snap")
@@ -412,7 +413,7 @@ func TestTopologySketchBackends(t *testing.T) {
 				t.Fatalf("reboot serves %d domains, want 2", stats.Domains)
 			}
 			d.term(t)
-			for _, other := range []string{"minwise64", "minwise32", "minwise16", "minwise8"} {
+			for _, other := range []string{"minwise64", "minwise32", "minwise16"} {
 				if other == backend {
 					continue
 				}

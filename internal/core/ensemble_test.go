@@ -348,6 +348,9 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Fatalf("truncation at %d: err %v, want ErrCorrupt", cut, err)
 		}
 	}
+	if _, _, err := Decode(retired8Bit(buf)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("tag 1: err %v, want ErrCorrupt", err)
+	}
 	// A well-framed 24-byte header of zero keys and zero partitions: the
 	// shape Build refuses with ErrEmpty is no index either when read back.
 	empty := append([]byte("LSHE"), make([]byte, 20)...)

@@ -11,8 +11,8 @@ import "fmt"
 //   - Minwise64 stores the full 61-bit hash values in 8 bytes per slot — the
 //     paper's configuration. Bit-identical to the pre-backend behavior,
 //     including on the wire.
-//   - Minwise8/16/32 are b-bit minwise backends (Li & König, WWW 2010): each
-//     slot keeps only its low b ∈ {8, 16, 32} bits, shrinking the store to
+//   - Minwise16/32 are b-bit minwise backends (Li & König, WWW 2010): each
+//     slot keeps only its low b ∈ {16, 32} bits, shrinking the store to
 //     b/64 of the full size. Truncated slots collide by chance with
 //     probability 2⁻ᵇ even across unrelated domains, so the Jaccard
 //     estimator unbiases the raw agreement fraction:
@@ -31,8 +31,7 @@ const (
 	SketchUnset SketchBackend = iota
 	// Minwise64 is the full-width minwise backend.
 	Minwise64
-	// Minwise8 stores the low 8 bits of each minhash slot.
-	Minwise8
+	_ // tag 1, 8-bit slots: retired as unusable (doc.go), its files are refused
 	// Minwise16 stores the low 16 bits of each minhash slot.
 	Minwise16
 	// Minwise32 stores the low 32 bits of each minhash slot.
@@ -43,17 +42,17 @@ const (
 
 // sketchNames is indexed by SketchBackend; these are the -sketch flag values
 // and the names reported by /stats and the experiment tables.
-var sketchNames = [numSketchBackends]string{"unset", "minwise64", "minwise8", "minwise16", "minwise32"}
+var sketchNames = [numSketchBackends]string{"unset", "minwise64", "", "minwise16", "minwise32"}
 
 // Valid reports whether sb is a defined backend (SketchUnset is not one).
-func (sb SketchBackend) Valid() bool { return sb != SketchUnset && sb < numSketchBackends }
+func (sb SketchBackend) Valid() bool { return sb == Minwise64 || sb == Minwise16 || sb == Minwise32 }
 
 // WidthBytes returns the stored bytes per signature slot: the lshforest
 // store element width the backend builds on.
 func (sb SketchBackend) WidthBytes() int {
 	switch sb {
-	case Minwise8, Minwise16, Minwise32: // consecutive: 1, 2 and 4 bytes
-		return 1 << (sb - Minwise8)
+	case Minwise16, Minwise32: // consecutive: 2 and 4 bytes
+		return 2 << (sb - Minwise16)
 	}
 	return 8
 }
@@ -67,29 +66,31 @@ func (sb SketchBackend) Mask() uint64 { return ^uint64(0) >> (64 - sb.Bits()) }
 
 // String returns the canonical backend name (also the -sketch flag value).
 func (sb SketchBackend) String() string {
-	if sb >= numSketchBackends {
+	if sb >= numSketchBackends || sketchNames[sb] == "" {
 		return fmt.Sprintf("sketch(%d)", uint8(sb))
 	}
 	return sketchNames[sb]
 }
 
 // ParseSketchBackend resolves a backend name as accepted by the -sketch
-// flag: minwise64, minwise8, minwise16 or minwise32.
+// flag: minwise64, minwise16 or minwise32.
 func ParseSketchBackend(s string) (SketchBackend, error) {
 	for sb := Minwise64; sb < numSketchBackends; sb++ {
-		if s == sketchNames[sb] {
+		if sb.Valid() && s == sketchNames[sb] {
 			return sb, nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown sketch backend %q (want one of minwise64, minwise8, minwise16, minwise32)", s)
+	return 0, fmt.Errorf("core: unknown sketch backend %q (want one of minwise64, minwise16, minwise32)", s)
 }
 
 // SketchBackendFromTag maps a wire-format backend tag (snapshot manifest v4,
-// LSEG v2, LSE2 index encodings) back to a backend: tags 0–3 are Minwise64,
-// 8, 16 and 32, their enum values before SketchUnset. Unknown tags are
-// rejected so newer formats fail loudly on older binaries.
+// LSEG v2, LSE2 index encodings) back to a backend: tags 0, 2 and 3 are
+// Minwise64, 16 and 32, their enum values before SketchUnset. Unknown tags
+// are rejected so newer formats fail loudly on older binaries, and so is the
+// retired tag 1, whose 8-bit store cannot be widened back.
 func SketchBackendFromTag(tag uint32) (SketchBackend, bool) {
-	return SketchBackend(tag + 1), tag < uint32(numSketchBackends-1)
+	sb := SketchBackend(tag + 1)
+	return sb, tag < uint32(numSketchBackends-1) && sb.Valid()
 }
 
 // Tag returns the backend's wire-format tag; the backend must be Valid.

@@ -10,10 +10,11 @@ import (
 )
 
 // TestSketchBackendProperties pins the enum's static surface: widths, masks,
-// names and the wire-tag round trip (tags 0–3, as before the zero value became
-// SketchUnset); "kmv" and tag 4 — once an enum member no index could be built
-// on — are refused like any unknown name or tag, and so is the unset value,
-// which only Options.WithDefaults (Minwise32) or a loaded file resolves.
+// names and the wire-tag round trip (tags 0, 2 and 3, as before the zero value
+// became SketchUnset); "kmv" and tag 4 — once an enum member no index could be
+// built on — and the name and tag (1) of the retired 8-bit backend are refused
+// like any unknown name or tag, and so is the unset value, which only
+// Options.WithDefaults (Minwise32) or a loaded file resolves.
 func TestSketchBackendProperties(t *testing.T) {
 	cases := []struct {
 		sb    SketchBackend
@@ -23,7 +24,6 @@ func TestSketchBackendProperties(t *testing.T) {
 		tag   uint32
 	}{
 		{Minwise64, "minwise64", 8, ^uint64(0), 0},
-		{Minwise8, "minwise8", 1, 0xff, 1},
 		{Minwise16, "minwise16", 2, 0xffff, 2},
 		{Minwise32, "minwise32", 4, 0xffffffff, 3},
 	}
@@ -55,12 +55,12 @@ func TestSketchBackendProperties(t *testing.T) {
 	if sb := (Options{}).WithDefaults().Sketch; sb != Minwise32 {
 		t.Errorf("the zero Options resolve to %s, want minwise32", sb)
 	}
-	for _, name := range []string{"minwise128", "kmv", "", "unset"} {
+	for _, name := range []string{"minwise128", "kmv", "minwise8", "", "unset"} {
 		if sb, err := ParseSketchBackend(name); err == nil {
 			t.Errorf("ParseSketchBackend(%q) = %v, want an error", name, sb)
 		}
 	}
-	for _, tag := range []uint32{4, 5, 99, 256, 1 << 16} {
+	for _, tag := range []uint32{1, 4, 5, 99, 256, 1 << 16} {
 		if sb, ok := SketchBackendFromTag(tag); ok {
 			t.Errorf("SketchBackendFromTag(%d) = %v, want it refused", tag, sb)
 		}
@@ -75,7 +75,7 @@ func TestSketchBackendProperties(t *testing.T) {
 // feeding the expected agreement p = J + (1−J)·2⁻ᵇ back through the
 // estimator must recover J exactly (up to float rounding).
 func TestJaccardFromMatchCorrection(t *testing.T) {
-	for _, sb := range []SketchBackend{Minwise8, Minwise16, Minwise32} {
+	for _, sb := range []SketchBackend{Minwise16, Minwise32} {
 		r := 1 / float64(uint64(1)<<sb.Bits())
 		for _, j := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
 			const m = 1 << 20 // large m so eq = round(p·m) loses little precision
@@ -165,7 +165,7 @@ func TestBBitTruncationEstimate(t *testing.T) {
 	a := mk(0, 4000)
 	b := mk(2000, 6000) // true J = 2000/6000 = 1/3
 	full := a.Jaccard(b)
-	for _, sb := range []SketchBackend{Minwise8, Minwise16, Minwise32} {
+	for _, sb := range []SketchBackend{Minwise16, Minwise32} {
 		mask := sb.Mask()
 		eq := 0
 		for i := range a {
@@ -182,11 +182,12 @@ func TestBBitTruncationEstimate(t *testing.T) {
 	}
 }
 
-// TestOptionsRejectNonIndexableSketch: nothing but the four backends can back
-// an Index store — not the value after Minwise32, which KMV once had.
+// TestOptionsRejectNonIndexableSketch: nothing but the three backends can
+// back an Index store — not the value after Minwise64, the retired 8-bit
+// backend's, nor the one after Minwise32, which KMV once had.
 func TestOptionsRejectNonIndexableSketch(t *testing.T) {
 	recs := []domain.Record{{Key: "a", Size: 3, Sig: make(minhash.Signature, 256)}}
-	for _, sb := range []SketchBackend{Minwise32 + 1, 42} {
+	for _, sb := range []SketchBackend{Minwise64 + 1, Minwise32 + 1, 42} {
 		if _, err := Build(recs, Options{Sketch: sb}); err == nil {
 			t.Errorf("Build accepted the undefined backend %d", sb)
 		}

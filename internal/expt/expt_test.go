@@ -40,14 +40,17 @@ func rowsBySystem(rows []AccuracyRow, tStar float64) map[string]AccuracyRow {
 
 // TestSystemsAnswerLikeCoreBuild holds the figures to their reference paths:
 // every ensemble system buildSystems returns — the Baseline, each partition
-// count, each sketch backend — answers every (query, threshold) with exactly
-// the key set core.Build + QueryIDsAppend gives under the same options, and
-// Asym with exactly the key set of asymReference.
+// count, each sketch backend — is built at its reference's width and answers
+// every (query, threshold) with exactly the key set core.Build +
+// QueryIDsAppend gives under the same options, and Asym, at asymReference's
+// full width, with exactly its key set. The widths are held apart from the
+// answers: on these fixtures truncated minima collide nowhere, so a system
+// built at the wrong width still answers alike.
 func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 	cfg := AccuracyConfig{
 		NumDomains: 600, NumQueries: 20, NumHash: 64, RMax: 4,
 		Partitions: []int{1, 8, 16},
-		Sketches:   []core.SketchBackend{core.Minwise32, core.Minwise16, core.Minwise8},
+		Sketches:   []core.SketchBackend{core.Minwise32, core.Minwise16},
 		Seed:       3,
 	}.withDefaults()
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: cfg.NumDomains, Seed: cfg.Seed})
@@ -69,7 +72,9 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 	want := map[string]func(r domain.Record, tStar float64) []string{
 		"Asym": asymReference(recs, cfg.NumHash, cfg.RMax),
 	}
+	width := map[string]core.SketchBackend{"Asym": core.Minwise64}
 	for name, o := range opts {
+		width[name] = o.Sketch
 		o.NumHash, o.RMax = cfg.NumHash, cfg.RMax
 		ref, err := core.Build(recs, o)
 		if err != nil {
@@ -110,6 +115,9 @@ func TestSystemsAnswerLikeCoreBuild(t *testing.T) {
 		ref, ok := want[sys.name]
 		if !ok {
 			t.Fatalf("%s: no reference", sys.name)
+		}
+		if got := sys.idx.Options().Sketch; got != width[sys.name] {
+			t.Fatalf("%s is built at %s, its reference at %s", sys.name, got, width[sys.name])
 		}
 		check(sys.name, sys.query, ref, recs, queries)
 		checked++

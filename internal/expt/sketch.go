@@ -53,7 +53,7 @@ func (r FrontierRow) String() string {
 }
 
 // RunSketchFrontier runs the Fig. 4 accuracy workload under every sketch
-// backend — the four minwise widths indexed by the same ensemble shape, plus
+// backend — the three minwise widths indexed by the same ensemble shape, plus
 // the KMV comparator brute-force scoring with cardinality-aware containment
 // — and reports accuracy next to per-domain signature bytes. Rows are
 // ordered by descending footprint, so reading down the list walks the
@@ -66,7 +66,7 @@ func RunSketchFrontier(cfg SketchConfig) ([]FrontierRow, error) {
 
 	var systems []system
 	bytes := map[string]float64{}
-	for _, sb := range []core.SketchBackend{core.Minwise64, core.Minwise32, core.Minwise16, core.Minwise8} {
+	for _, sb := range []core.SketchBackend{core.Minwise64, core.Minwise32, core.Minwise16} {
 		idx, err := buildEnsemble(recs, core.Options{
 			NumHash: cfg.NumHash, RMax: cfg.RMax,
 			NumPartitions: cfg.NumPartitions, Sketch: sb,

@@ -29,23 +29,22 @@ func frontierCfg() SketchConfig {
 // TestSketchFrontierAccuracyFloors is the accuracy-regression gate: each
 // backend's Fig. 4 precision/recall at t*=0.5 must clear its floor. The
 // floors encode the frontier's shape — wide minwise stores keep the
-// full-width operating point, minwise8 trades precision (never recall,
-// by the superset property) for 1/8th the bytes, and KMV's
-// cardinality-aware scoring is the sharpest per byte. Any estimator or
-// masking regression shows up here as a floor breach.
+// full-width operating point at a half and a quarter of the bytes (never
+// losing recall, by the superset property), and KMV's cardinality-aware
+// scoring is the sharpest per byte. Any estimator or masking regression
+// shows up here as a floor breach.
 func TestSketchFrontierAccuracyFloors(t *testing.T) {
 	rows, err := RunSketchFrontier(frontierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference run (seed 1): minwise64/32/16 P=0.797 R=0.918,
-	// minwise8 P=0.175 R=0.918, kmv P=0.994 R=0.961. Floors sit well below
-	// to absorb platform float jitter but far above any broken estimator.
+	// Reference run (seed 1): minwise64/32/16 P=0.797 R=0.918, kmv P=0.994
+	// R=0.961. Floors sit well below to absorb platform float jitter but far
+	// above any broken estimator.
 	floors := map[string]struct{ p, r float64 }{
 		"minwise64": {0.70, 0.85},
 		"minwise32": {0.70, 0.85},
 		"minwise16": {0.70, 0.85},
-		"minwise8":  {0.10, 0.85},
 		"kmv":       {0.90, 0.90},
 	}
 	seen := map[string]FrontierRow{}
@@ -66,7 +65,7 @@ func TestSketchFrontierAccuracyFloors(t *testing.T) {
 		t.Fatalf("frontier covered %d systems, want %d", len(seen), len(floors))
 	}
 	// The superset property in aggregate: truncation must not lose recall.
-	for _, narrow := range []string{"minwise8", "minwise16", "minwise32"} {
+	for _, narrow := range []string{"minwise16", "minwise32"} {
 		if seen[narrow].Recall < seen["minwise64"].Recall-1e-9 {
 			t.Errorf("%s recall %.3f below minwise64 %.3f — truncation lost candidates",
 				narrow, seen[narrow].Recall, seen["minwise64"].Recall)
@@ -75,7 +74,7 @@ func TestSketchFrontierAccuracyFloors(t *testing.T) {
 	// The bytes axis: each narrowing must report exactly width/8 of the
 	// full store, the acceptance ratio of the PR (b=16 ⇒ ≤ 0.5×).
 	full := seen["minwise64"].BytesPerDomain
-	for name, frac := range map[string]float64{"minwise32": 0.5, "minwise16": 0.25, "minwise8": 0.125} {
+	for name, frac := range map[string]float64{"minwise32": 0.5, "minwise16": 0.25} {
 		if got := seen[name].BytesPerDomain; got != full*frac {
 			t.Errorf("%s bytes/domain %.1f, want %.1f", name, got, full*frac)
 		}
@@ -88,7 +87,7 @@ func TestSketchFrontierAccuracyFloors(t *testing.T) {
 // ensemble's.
 func TestFig4SketchVariants(t *testing.T) {
 	cfg := smallAcc()
-	cfg.Sketches = []core.SketchBackend{core.Minwise16, core.Minwise8}
+	cfg.Sketches = []core.SketchBackend{core.Minwise32, core.Minwise16}
 	rows, err := RunFig4(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +99,7 @@ func TestFig4SketchVariants(t *testing.T) {
 	for _, tStar := range cfg.Thresholds {
 		at := rowsBySystem(rows, tStar)
 		full := at["LSH Ensemble (32)"]
-		for _, name := range []string{"LSH Ensemble (32, minwise16)", "LSH Ensemble (32, minwise8)"} {
+		for _, name := range []string{"LSH Ensemble (32, minwise32)", "LSH Ensemble (32, minwise16)"} {
 			v, ok := at[name]
 			if !ok {
 				t.Fatalf("missing system %q at t=%v", name, tStar)
@@ -120,7 +119,7 @@ func TestFig4SketchVariants(t *testing.T) {
 func TestSystemsReportTheirSketch(t *testing.T) {
 	cfg := AccuracyConfig{
 		NumDomains: 300, NumQueries: 5, NumHash: 64, RMax: 4, Partitions: []int{1, 8},
-		Sketches:   []core.SketchBackend{core.Minwise32, core.Minwise16, core.Minwise8},
+		Sketches:   []core.SketchBackend{core.Minwise32, core.Minwise16},
 		Thresholds: []float64{0.5}, Seed: 3,
 	}.withDefaults()
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: cfg.NumDomains, Seed: cfg.Seed})
@@ -149,7 +148,7 @@ func TestSystemsReportTheirSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	widths := map[string]int{"minwise64": 64, "minwise32": 32, "minwise16": 16, "minwise8": 8}
+	widths := map[string]int{"minwise64": 64, "minwise32": 32, "minwise16": 16}
 	seen := 0
 	for _, r := range rows {
 		w, ok := widths[r.System]

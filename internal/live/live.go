@@ -296,7 +296,7 @@ type blockHits [scanBlock / 64]uint64
 // column per band, band-major. Top-k scores the buffer in one sequential pass
 // over the signatures, a threshold scan reads the columns of the bands it
 // asks about and a signature only on a lead hit; signatures and columns alike
-// take a half (minwise32) to an eighth (minwise8) of the full-width bytes.
+// take a half (minwise32) or a quarter (minwise16) of the full-width bytes.
 // Every reader of a buffered value compares at that width anyway (the store
 // it seals into truncates identically), so answers do not change. A snapshot
 // reads entries below its buffer length; the writer appends at the length,
@@ -327,8 +327,6 @@ type arena[E segfile.Elem] struct {
 // values in bands of rMax.
 func newArena(sb core.SketchBackend, numHash, rMax int) sigArena {
 	switch sb.WidthBytes() {
-	case 1:
-		return &arena[uint8]{nh: numHash, rMax: rMax}
 	case 2:
 		return &arena[uint16]{nh: numHash, rMax: rMax}
 	case 4:

@@ -59,7 +59,7 @@ func FuzzPartFilter(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint16(512), uint8(61))
 	f.Add(uint64(2), uint8(40), uint16(100), uint8(61)) // folds
 	f.Add(uint64(3), uint8(1), uint16(1), uint8(61))    // one slot
-	f.Add(uint64(4), uint8(16), uint16(300), uint8(8))  // minwise8: saturated
+	f.Add(uint64(4), uint8(16), uint16(300), uint8(8))  // 8-bit values: saturated
 	f.Add(uint64(5), uint8(255), uint16(0), uint8(1))   // empty
 	f.Fuzz(func(t *testing.T, seed uint64, nParts uint8, perPart uint16, valueBits uint8) {
 		checkPartFilter(t, seed, int(nParts), int(perPart)%2048, 1+int(valueBits)%63)
@@ -109,7 +109,7 @@ func partFilterIndex(t *testing.T, recs []domain.Record, parts int, sb core.Sket
 func TestSegmentFiltersHoldEveryColumn(t *testing.T) {
 	recs := fixture(t, 260, 31)
 	for _, parts := range []int{1, 16, 40} {
-		for _, sb := range []core.SketchBackend{core.Minwise64, core.Minwise16, core.Minwise8} {
+		for _, sb := range []core.SketchBackend{core.Minwise64, core.Minwise32, core.Minwise16} {
 			x := partFilterIndex(t, recs, parts, sb)
 			sn := x.acquireSnap()
 			s := x.acquireScratch()

@@ -2,7 +2,10 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc64"
 	"slices"
 	"testing"
 
@@ -18,7 +21,7 @@ func sketchOpts(sb core.SketchBackend) Options {
 }
 
 // narrowBackends are the b-bit minwise backends every matrix test runs over.
-var narrowBackends = []core.SketchBackend{core.Minwise8, core.Minwise16, core.Minwise32}
+var narrowBackends = []core.SketchBackend{core.Minwise16, core.Minwise32}
 
 // TestSketchBackendSelfRetrieval: a b-bit store only raises band collision
 // probability relative to Minwise64, so self-retrieval at threshold 1.0 must
@@ -138,9 +141,9 @@ func TestSketchBackendSaveLoadRoundTrip(t *testing.T) {
 				z.Close()
 			}
 			// A conflicting non-default backend is rejected, like NumHash.
-			wrong := core.Minwise8
-			if sb == core.Minwise8 {
-				wrong = core.Minwise16
+			wrong := core.Minwise16
+			if sb == core.Minwise16 {
+				wrong = core.Minwise32
 			}
 			if _, err := Load(bytes.NewReader(buf.Bytes()), sketchOpts(wrong)); err == nil {
 				t.Fatalf("mismatched backend %s accepted against %s manifest", wrong, sb)
@@ -153,6 +156,8 @@ func TestSketchBackendSaveLoadRoundTrip(t *testing.T) {
 // no Sketch stores Minwise32, while Load with no Sketch keeps the backend the
 // file carries — the implicit Minwise64 of a v1–v3 snapshot included — and
 // seals later adds into it. An explicit backend, Minwise64 too, must match.
+// A snapshot tagged 1, the retired 8-bit backend, is refused like any unknown
+// tag, under a valid checksum too.
 func TestLoadKeepsTheFileBackend(t *testing.T) {
 	recs := fixture(t, 100, 12)
 	load := func(b []byte, sb core.SketchBackend) (*Index, error) {
@@ -221,6 +226,12 @@ func TestLoadKeepsTheFileBackend(t *testing.T) {
 		} else {
 			z.Close()
 		}
+	}
+	tagged1 := fresh.AppendBinary(nil)
+	binary.LittleEndian.PutUint32(tagged1[16:], 1) // after magic, version, numHash, rMax
+	binary.LittleEndian.PutUint64(tagged1[len(tagged1)-8:], crc64.Checksum(tagged1[:len(tagged1)-8], crcTable))
+	if _, err := load(tagged1, core.SketchUnset); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a snapshot tagged 1 loaded: %v", err)
 	}
 }
 

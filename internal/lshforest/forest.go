@@ -24,7 +24,7 @@
 // are near-uniform, so ties needing the deeper comparison sort are rare.
 //
 // The store's element width is a Build argument: 8 bytes holds the
-// full 61-bit minhash values, narrower widths (1, 2, 4 bytes) hold b-bit
+// full 61-bit minhash values, narrower widths (2, 4 bytes) hold b-bit
 // truncations — the b-bit minwise backends of internal/core. Query
 // signatures stay full-width []uint64 regardless; every compare site
 // truncates the query value to the store's width on the fly (see store.go).
@@ -45,7 +45,7 @@ type Forest struct {
 	numHash int
 	rMax    int
 	bMax    int
-	width   int // bytes per stored hash value: 1, 2, 4 or 8
+	width   int // bytes per stored hash value: 2, 4 or 8
 
 	ids   []uint32   // caller-assigned id per entry, in slot order
 	trees [][]uint32 // per tree: slot indices sorted by that tree's hash vector
@@ -55,7 +55,7 @@ type Forest struct {
 
 // newForest returns an empty forest of the given shape: numHash values per
 // signature, trees of depth rMax in [1, numHash] (numHash/rMax of them,
-// integer division), width bytes (1, 2, 4 or 8) per stored value.
+// integer division), width bytes (2, 4 or 8) per stored value.
 func newForest(numHash, rMax, width int) *Forest {
 	if numHash <= 0 {
 		panic("lshforest: numHash must be positive")
@@ -65,7 +65,7 @@ func newForest(numHash, rMax, width int) *Forest {
 	}
 	st := newStore(width, numHash, rMax)
 	if st == nil {
-		panic(fmt.Sprintf("lshforest: width %d not one of 1, 2, 4, 8", width))
+		panic(fmt.Sprintf("lshforest: width %d not one of 2, 4, 8", width))
 	}
 	return &Forest{
 		numHash: numHash,
@@ -107,7 +107,7 @@ func (f *Forest) RMax() int { return f.rMax }
 func (f *Forest) BMax() int { return f.bMax }
 
 // Width returns the store's element width in bytes (8 for full minwise,
-// 1/2/4 for the b-bit truncated backends).
+// 2/4 for the b-bit truncated backends).
 func (f *Forest) Width() int { return f.width }
 
 // Len returns the number of entries.
@@ -236,8 +236,6 @@ func Probe(jobs []Job, sig []uint64, fn func(id uint32) bool) {
 	}
 	// A type switch: a sigstore method would leak jobs and fn to the heap.
 	switch jobs[0].Forest.st.(type) {
-	case *tstore[uint8]:
-		probe[uint8](jobs, sig, fn)
 	case *tstore[uint16]:
 		probe[uint16](jobs, sig, fn)
 	case *tstore[uint32]:
@@ -340,7 +338,7 @@ func DecodeForest(buf []byte) (*Forest, []byte, error) {
 		return nil, r.B, ErrCorrupt
 	}
 	numHash, rMax := int(r.U32()), int(r.U32())
-	if width != 1 && width != 2 && width != 4 && width != 8 || numHash <= 0 || rMax <= 0 || rMax > numHash {
+	if width != 2 && width != 4 && width != 8 || numHash <= 0 || rMax <= 0 || rMax > numHash {
 		return nil, r.B, ErrCorrupt
 	}
 	// Each entry is its id and numHash values of width bytes: with width
@@ -363,8 +361,6 @@ func DecodeForest(buf []byte) (*Forest, []byte, error) {
 		e := body[i*stride+4:]
 		for k := range vals {
 			switch width {
-			case 1:
-				vals[k] = uint64(e[k])
 			case 2:
 				vals[k] = uint64(binary.LittleEndian.Uint16(e[2*k:]))
 			case 4:

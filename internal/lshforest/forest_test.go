@@ -194,6 +194,7 @@ func TestPanics(t *testing.T) {
 		"rMax zero":    func() { build(8, 0, 8, nil, nil) },
 		"rMax too big": func() { build(8, 9, 8, nil, nil) },
 		"bad width":    func() { build(8, 2, 3, nil, nil) },
+		"width 1":      func() { build(8, 2, 1, nil, nil) },
 		"short sig":    func() { build(8, 2, 8, []uint32{0}, [][]uint64{make([]uint64, 7)}) },
 		"b out of range": func() {
 			Probe([]Job{{Forest: build(8, 2, 8, nil, nil), B: 5, R: 1}}, make([]uint64, 8), func(uint32) bool { return true })

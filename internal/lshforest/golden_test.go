@@ -105,8 +105,9 @@ func TestForestGoldenDecode(t *testing.T) {
 }
 
 // TestDecodeHostileHeader feeds headers whose n * (4 + 8*numHash) product
-// overflows 63 bits; the decoder must reject them without allocating or
-// panicking.
+// overflows 63 bits, or that are otherwise out of shape (a v2 header of the
+// retired width 1 among them); the decoder must reject them without
+// allocating or panicking.
 func TestDecodeHostileHeader(t *testing.T) {
 	mk := func(numHash, rMax, n uint32) []byte {
 		buf := []byte{'L', 'S', 'H', 'F'}
@@ -125,6 +126,7 @@ func TestDecodeHostileHeader(t *testing.T) {
 		"rMax above numHash":  mk(4, 8, 1),
 		"high-bit n":          mk(8, 2, 0x80000000),
 		"max everything":      mk(0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF),
+		"width 1":             append([]byte("LSF2\x01\x00\x00\x00"), mk(8, 2, 1)[4:]...),
 	}
 	for name, buf := range cases {
 		if _, _, err := DecodeForest(buf); err == nil {

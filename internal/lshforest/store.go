@@ -13,8 +13,8 @@ import (
 
 // This file is the element-width generalization of the forest's flat
 // storage: the contiguous signature store and the per-tree sorted
-// leading-value columns are held at a configurable element width (1, 2, 4 or
-// 8 bytes per hash value) behind the sigstore interface, with one
+// leading-value columns are held at a configurable element width (2, 4 or 8
+// bytes per hash value) behind the sigstore interface, with one
 // monomorphized implementation per width (tstore[E]). Narrow widths are the
 // b-bit minwise backends (Li & König): a stored value is the low 8·width
 // bits of the 64-bit minhash value, and a query-side value is truncated to
@@ -76,8 +76,6 @@ func (ts *tstore[E]) fillFences() {
 
 func newStore(widthBytes, numHash, rMax int) sigstore {
 	switch widthBytes {
-	case 1:
-		return &tstore[uint8]{numHash: numHash, rMax: rMax}
 	case 2:
 		return &tstore[uint16]{numHash: numHash, rMax: rMax}
 	case 4:

@@ -63,7 +63,7 @@ func (f *Forest) Tree(t int) []uint32 {
 
 // FromViewBytes reassembles a built forest over externally owned storage:
 // the signature store and the per-tree leading-value columns arrive as
-// little-endian byte regions at the element width (1, 2, 4 or 8 bytes) —
+// little-endian byte regions at the element width (2, 4 or 8 bytes) —
 // usually sections of a mapped segment file — and are cast to typed views
 // without copying on little-endian hosts. They must satisfy what Build would
 // have established: one order and one column per tree, each of len(ids)

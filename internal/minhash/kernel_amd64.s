@@ -100,8 +100,6 @@ TEXT ·matchWidth8(SB), NOSPLIT, $0-48
 	MOVQ         w+24(FP), DX
 	VPBROADCASTQ mask+32(FP), Z2
 	XORQ         BX, BX
-	CMPQ         DX, $1
-	JEQ          w1
 	CMPQ         DX, $2
 	JEQ          w2
 	CMPQ         DX, $4
@@ -118,10 +116,6 @@ w4:
 w2:
 	VPMOVZXWQ (SI), Z0
 	COUNT(16, w2)
-
-w1:
-	VPMOVZXBQ (SI), Z0
-	COUNT(8, w1)
 
 matched:
 	VZEROUPPER

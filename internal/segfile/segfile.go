@@ -77,10 +77,10 @@ func (b *Backing) Close() error {
 }
 
 // Elem constrains the element types of typed on-disk array views: the hash
-// value widths of the pluggable sketch backends (b-bit minwise stores 1, 2
-// or 4 bytes per value, the default minwise stores 8).
+// value widths of the pluggable sketch backends (b-bit minwise stores 2 or
+// 4 bytes per value, full-width minwise 8).
 type Elem interface {
-	~uint8 | ~uint16 | ~uint32 | ~uint64
+	~uint16 | ~uint32 | ~uint64
 }
 
 // decodeView is the portable fallback of View: an explicit little-endian

@@ -36,8 +36,8 @@ type Options = core.Options
 
 // SketchBackend selects how the flat signature store represents each of the
 // NumHash minwise values — the accuracy-vs-bytes knob. Minwise64 is the
-// paper's full-width representation; Minwise8/16/32 store b-bit truncations
-// (Li & König) at 1/8th–1/2 the bytes, correcting containment estimates for
+// paper's full-width representation; Minwise16/32 store b-bit truncations
+// (Li & König) at 1/4–1/2 the bytes, correcting containment estimates for
 // the 2⁻ᵇ chance-collision floor. The zero value is Minwise32 for a new
 // index, and the file's own backend on a load.
 type SketchBackend = core.SketchBackend
@@ -45,13 +45,12 @@ type SketchBackend = core.SketchBackend
 // Sketch backends for Options.Sketch.
 const (
 	Minwise64 = core.Minwise64
-	Minwise8  = core.Minwise8
 	Minwise16 = core.Minwise16
 	Minwise32 = core.Minwise32
 )
 
-// ParseSketchBackend resolves a backend name ("minwise64", "minwise8",
-// "minwise16", "minwise32") — the vocabulary of the daemon's -sketch flag.
+// ParseSketchBackend resolves a backend name ("minwise64", "minwise16",
+// "minwise32") — the vocabulary of the daemon's -sketch flag.
 func ParseSketchBackend(name string) (SketchBackend, error) {
 	return core.ParseSketchBackend(name)
 }
