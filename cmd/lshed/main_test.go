@@ -166,7 +166,7 @@ func TestIndexQuerySearchStats(t *testing.T) {
 	}
 
 	stats := run(t, cmdStats, "-index", index)
-	for _, line := range []string{fmt.Sprintf("domains:    %d\n", ref.Len()), "segments:   1\n", "sketch:     minwise32"} {
+	for _, line := range []string{fmt.Sprintf("domains:    %d\n", ref.Len()), "segments:   1\n", "sketch:     minwise16"} {
 		if !strings.Contains(stats, line) {
 			t.Fatalf("stats lacks %q:\n%s", line, stats)
 		}

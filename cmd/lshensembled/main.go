@@ -27,8 +27,11 @@
 // With -snapshot the daemon loads the file at boot when it exists (warm
 // restart) and saves on SIGINT/SIGTERM, so a rolling restart keeps the
 // corpus without replaying ingest. Snapshots of every format an older daemon
-// wrote (v1–v4) still load, unless they hold the retired 8-bit sketch; the
-// daemon always saves the current one (v5).
+// wrote (v1–v4) still load, unless they hold a retired sketch: the 8-bit one
+// (tag 1) or the minwise16 whose band leads were 16 bits (tag 2), whose
+// indexes must be rebuilt from their records. The daemon always saves the
+// current format (v5). With no -sketch a new index stores minwise16 (16-bit
+// minima, each band lead at 32 bits) and a loaded file keeps its own backend.
 // The index file `lshed index` writes is such a snapshot: boot it with
 // -snapshot index.bin -seed 0x15e4e5e3b1e.
 //
@@ -57,7 +60,7 @@
 // Usage:
 //
 //	lshensembled [-addr :7447] [-hashes 256] [-rmax 8] [-partitions 16]
-//	             [-sketch minwise32] [-seed 42] [-seal 4096] [-max-segments 8]
+//	             [-sketch minwise16] [-seed 42] [-seal 4096] [-max-segments 8]
 //	             [-snapshot /var/lib/lshensembled/index.snap]
 //	             [-data-dir /var/lib/lshensembled] [-mmap]
 //	             [-result-cache 1024]

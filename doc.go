@@ -75,8 +75,8 @@
 //     CPU fell from 30 % to 11 %, and lib_query sat_qps rose ×1.16–1.30.
 //   - Buffered signatures are kept at the sketch backend's width in one
 //     append-only arena, as the segment they seal into stores them, and
-//     snapshots save them so (manifest v5): half the buffer's bytes under the
-//     default minwise32. Top-k scores the buffer in one pass over the arena,
+//     snapshots save them so (manifest v5): 576 of a full-width entry's
+//     2 048 bytes under the default minwise16. Top-k scores the buffer in one pass over the arena,
 //     and every containment score, buffered or sealed, is one vector match
 //     per store width (minhash.Matches: eight slots per instruction on
 //     AVX-512F, the stored values widened as they load).
@@ -244,7 +244,8 @@
 // shard must run the same -seed and -hashes, since MinHash signatures from
 // different families are incomparable. A rolling upgrade leaves each shard on
 // its snapshot's backend; a mixed minwise64/minwise32 fleet merges the same
-// answers, its top-k scores within 2^-32 of a minwise64 fleet's.
+// answers, its top-k scores within 2^-32 of a minwise64 fleet's (a minwise16
+// shard's within 2^-16).
 //
 // Both binaries speak one wire (internal/wire: the JSON types and front
 // end, the records, the answer frame) and hand each checked, sketched request
@@ -402,14 +403,25 @@
 //   - Minwise64: full 64-bit minima, the paper's configuration and the old
 //     default. Wire-compatible with every artifact this package has ever
 //     written; v1–v3 snapshots and LSEG v1 segment files carry it implicitly.
-//   - Minwise32 (the default) / Minwise16: b-bit minwise. Stores
+//   - Minwise16 (the default) / Minwise32: b-bit minwise. Stores
 //     only the low b bits of each minimum and corrects the match estimate
 //     for chance collisions (Li & König). Truncation is a superset property
 //     — any pair the full signature matches, the truncated one matches too
 //     — so recall never drops; precision pays the 2^-b collision floor.
+//   - Every band's leading value, the one a probe looks up and the lead
+//     filters hold, keeps at least 32 bits: Minwise16 stores each lead's
+//     bits 16–31 beside its 16-bit slots, 2 bytes a band, 576 bytes a domain
+//     at m = 256. A 16-bit lead let an unrelated domain into an r = 1 band
+//     with probability 2^-16 and cost precision at corpus scale (0.596 in
+//     the table below, 0.288 against lib_query's 0.46 floor); at 2^-32
+//     Minwise16 returns Minwise32's candidates. The slots after a lead only
+//     refine a lead hit, and the match count scores them at 16 bits.
 //
-// Left unset (no -sketch), the backend is Minwise32 for a new index, and a
-// loaded snapshot or manifest keeps its own: old files boot unchanged.
+// Left unset (no -sketch), the backend is Minwise16 for a new index, and a
+// loaded snapshot or manifest keeps its own: minwise64 and minwise32 files
+// boot unchanged. A file tagged 2, the earlier minwise16 whose leads were 16
+// bits, is refused like an unknown tag and must be rebuilt from its records:
+// its leads cannot be widened back.
 //
 // Measured accuracy-vs-bytes frontier (Fig. 4 corpus scale, t* = 0.5,
 // m = 256 hash functions; reproduce with "experiments -run frontier", which
@@ -420,17 +432,21 @@
 //	backend    bytes/domain  precision  recall
 //	minwise64      2048.0      0.658     0.912
 //	minwise32      1024.0      0.658     0.912
-//	minwise16       512.0      0.596     0.912
+//	minwise16       576.0      0.658     0.912
 //	kmv (k=128)     286.9      0.937     0.979   (comparator)
+//
+// With 16-bit leads, minwise16 measured 512.0 bytes/domain at precision
+// 0.596 (recall 0.912).
 //
 // An 8-bit store, minwise8, measured 256.0 bytes/domain at precision 0.034
 // (recall 0.912): its 2^-8 chance-collision floor floods precision at corpus
 // scale, so it was removed, and a file carrying its tag (1) is refused.
 //
 // Rules of thumb: minwise32 is a free halving (at m = 256 the top 32 bits
-// essentially never disambiguate a minimum); minwise16 halves again for a
-// few points of precision and is the sweet spot when memory or segment
-// I/O dominates. The backend is recorded in every
+// essentially never disambiguate a minimum); minwise16 cuts 44 % more at the
+// same candidates, since only the band lead needs 32 bits, and its top-k
+// scores differ from minwise32's only by the 2^-16 chance-collision
+// correction of the match count. The backend is recorded in every
 // wire format (index, forest, snapshot manifest v4+, segment files) and in
 // /stats as "sketch" and "signature_bytes"; a daemon booted with a
 // mismatched -sketch refuses the snapshot rather than misinterpret it.

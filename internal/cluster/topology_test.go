@@ -247,8 +247,8 @@ func TestTopologyDaemon(t *testing.T) {
 	if getJSON(t, d.url+"/stats", &raw); raw["planner"] == nil {
 		t.Fatalf("stats without planner counters: %v", raw)
 	}
-	// A new index with no -sketch stores 32-bit minima.
-	requireBackend(t, d, "minwise32")
+	// A new index with no -sketch stores 16-bit minima with 32-bit band leads.
+	requireBackend(t, d, "minwise16")
 	var batch wire.BatchResponse
 	postJSON(t, d.url+"/query/batch", wire.BatchRequest{Queries: []wire.QueryRequest{
 		{Values: sub, Threshold: 1}, {Values: far, Threshold: 0.9},
@@ -522,7 +522,7 @@ func TestTopologyMixedBackendFleet(t *testing.T) {
 		}
 		return r.url
 	}
-	full, mixed := fleet("minwise64", "-sketch", "minwise64"), fleet("minwise32")
+	full, mixed := fleet("minwise64", "-sketch", "minwise64"), fleet("minwise32", "-sketch", "minwise32")
 	for i := 0; i < 24; i += 3 { // each query is domain i, so no answer is empty
 		for _, th := range []float64{0.3, 0.7, 1} {
 			var a, b RouterQueryResponse

@@ -38,7 +38,7 @@ type PartitionerFunc func(sizes []int, n int) []partition.Partition
 
 // Options configures Build. Zero values select the defaults used in the
 // paper's experiments (m = 256 hash functions, trees of depth 8,
-// 16 partitions, equi-depth partitioning) over a Minwise32 store.
+// 16 partitions, equi-depth partitioning) over a Minwise16 store.
 type Options struct {
 	// NumHash is the MinHash signature length m. Default 256.
 	NumHash int
@@ -53,7 +53,7 @@ type Options struct {
 	// partition.EquiDepth (optimal for power-law distributions).
 	Partitioner PartitionerFunc
 	// Sketch selects the stored signature representation (see SketchBackend).
-	// Default Minwise32; Minwise64 is the paper's full-width configuration,
+	// Default Minwise16; Minwise64 is the paper's full-width configuration,
 	// and the b-bit backends trade estimation accuracy for a smaller store.
 	Sketch SketchBackend
 }
@@ -75,7 +75,7 @@ func (o Options) WithDefaults() Options {
 		o.Partitioner = partition.EquiDepth
 	}
 	if o.Sketch == SketchUnset {
-		o.Sketch = Minwise32
+		o.Sketch = Minwise16
 	}
 	return o
 }
@@ -292,7 +292,8 @@ func (x *Index) EstContainment(id uint32, sig minhash.Signature, querySize int) 
 }
 
 // SignatureBytes returns the total byte size of the stored signature data —
-// Len() × NumHash × the backend's per-slot width. This is the quantity the
+// Len() × the backend's per-slot width × (NumHash, plus under Minwise16 one
+// lead high half per band: lshforest.RowLen). This is the quantity the
 // compact sketch backends shrink, reported by /stats and the experiments.
 func (x *Index) SignatureBytes() int {
 	n := 0

@@ -348,8 +348,10 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Fatalf("truncation at %d: err %v, want ErrCorrupt", cut, err)
 		}
 	}
-	if _, _, err := Decode(retired8Bit(buf)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("tag 1: err %v, want ErrCorrupt", err)
+	for _, tag := range []uint32{1, 2} {
+		if _, _, err := Decode(retagged(buf, tag)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("tag %d: err %v, want ErrCorrupt", tag, err)
+		}
 	}
 	// A well-framed 24-byte header of zero keys and zero partitions: the
 	// shape Build refuses with ErrEmpty is no index either when read back.

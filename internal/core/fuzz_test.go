@@ -29,11 +29,12 @@ func fuzzSeedIndex(f *testing.F, sb SketchBackend) []byte {
 	return idx.AppendBinary(nil)
 }
 
-// retired8Bit returns a copy of an "LSE2" encoding tagged 1, the retired
-// 8-bit backend, which Decode refuses.
-func retired8Bit(enc []byte) []byte {
+// retagged returns a copy of an "LSE2" encoding tagged tag: 1 is the retired
+// 8-bit backend and 2 the retired 16-bit one with 16-bit band leads, which
+// Decode refuses.
+func retagged(enc []byte, tag uint32) []byte {
 	b := bytes.Clone(enc)
-	binary.LittleEndian.PutUint32(b[4:], 1)
+	binary.LittleEndian.PutUint32(b[4:], tag)
 	return b
 }
 
@@ -44,7 +45,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(fuzzSeedIndex(f, Minwise64))
 	f.Add(fuzzSeedIndex(f, Minwise32))
 	f.Add(fuzzSeedIndex(f, Minwise16))
-	f.Add(retired8Bit(fuzzSeedIndex(f, Minwise16)))
+	f.Add(retagged(fuzzSeedIndex(f, Minwise16), 1))
 	f.Add([]byte{})
 	f.Add([]byte("LSHE"))
 	f.Add([]byte("LSE2"))

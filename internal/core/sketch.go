@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"lshensemble/internal/lshforest"
+)
 
 // SketchBackend selects the signature representation the ensemble stores and
 // scores with. All backends consume the same full-width minhash.Signature at
@@ -16,13 +20,19 @@ import "fmt"
 //     b/64 of the full size. Truncated slots collide by chance with
 //     probability 2⁻ᵇ even across unrelated domains, so the Jaccard
 //     estimator unbiases the raw agreement fraction:
-//     Ĵ = (p̂ − 2⁻ᵇ) / (1 − 2⁻ᵇ). LSH probing is unchanged (band collision
-//     probability only rises, so partition probes lose no true positives
-//     relative to Minwise64 — they admit more false candidates instead).
+//     Ĵ = (p̂ − 2⁻ᵇ) / (1 − 2⁻ᵇ).
+//   - The leading value of every band (the slot a probe looks up first, and
+//     the value the lead filters hold) keeps at least 32 bits: Minwise16
+//     stores each band lead's bits 16–31 beside its 16-bit slots, 2 bytes
+//     per band (576 B per domain at m = 256, 32 bands, against minwise32's
+//     1 024). A 16-bit lead would admit an unrelated domain into an r = 1
+//     band with probability 2⁻¹⁶; at 2⁻³² Minwise16 returns minwise32's
+//     candidates. Only the lead needs the width: the other slots of a band
+//     refine a lead hit, and the match count scores at the store width.
 //
 // Every backend can back an Index store; the k-minimum-values sketch that
 // internal/expt scores by brute force (expt.KMV) supports no banding and
-// is not one. The zero value, SketchUnset, is Minwise32 for a new index and
+// is not one. The zero value, SketchUnset, is Minwise16 for a new index and
 // the backend the file carries on a load.
 type SketchBackend uint8
 
@@ -32,17 +42,19 @@ const (
 	// Minwise64 is the full-width minwise backend.
 	Minwise64
 	_ // tag 1, 8-bit slots: retired as unusable (doc.go), its files are refused
-	// Minwise16 stores the low 16 bits of each minhash slot.
-	Minwise16
+	_ // tag 2, 16-bit slots with 16-bit band leads: retired for Minwise16, its files are refused
 	// Minwise32 stores the low 32 bits of each minhash slot.
 	Minwise32
+	// Minwise16 stores the low 16 bits of each minhash slot, and the low 32
+	// of each band's leading slot.
+	Minwise16
 
 	numSketchBackends
 )
 
 // sketchNames is indexed by SketchBackend; these are the -sketch flag values
 // and the names reported by /stats and the experiment tables.
-var sketchNames = [numSketchBackends]string{"unset", "minwise64", "", "minwise16", "minwise32"}
+var sketchNames = [numSketchBackends]string{"unset", "minwise64", "", "", "minwise32", "minwise16"}
 
 // Valid reports whether sb is a defined backend (SketchUnset is not one).
 func (sb SketchBackend) Valid() bool { return sb == Minwise64 || sb == Minwise16 || sb == Minwise32 }
@@ -51,8 +63,10 @@ func (sb SketchBackend) Valid() bool { return sb == Minwise64 || sb == Minwise16
 // store element width the backend builds on.
 func (sb SketchBackend) WidthBytes() int {
 	switch sb {
-	case Minwise16, Minwise32: // consecutive: 2 and 4 bytes
-		return 2 << (sb - Minwise16)
+	case Minwise16:
+		return 2
+	case Minwise32:
+		return 4
 	}
 	return 8
 }
@@ -63,6 +77,16 @@ func (sb SketchBackend) Bits() int { return 8 * sb.WidthBytes() }
 // Mask returns the bitmask a stored slot value is truncated with. Query-side
 // comparisons against a truncated store must mask their values identically.
 func (sb SketchBackend) Mask() uint64 { return ^uint64(0) >> (64 - sb.Bits()) }
+
+// LeadBytes returns the bytes a band's leading value keeps: the store width,
+// and never fewer than 4 (lshforest.LeadWidth). The sorted lead columns, their
+// fences, the lead filters and the buffer's lead columns hold values this wide.
+func (sb SketchBackend) LeadBytes() int { return lshforest.LeadWidth(sb.WidthBytes()) }
+
+// LeadMask returns the bitmask a band's leading value is truncated with. Every
+// lead filter holds its values masked so, and the query side masks its own
+// leading values identically before it asks one.
+func (sb SketchBackend) LeadMask() uint64 { return ^uint64(0) >> (64 - 8*sb.LeadBytes()) }
 
 // String returns the canonical backend name (also the -sketch flag value).
 func (sb SketchBackend) String() string {
@@ -84,10 +108,11 @@ func ParseSketchBackend(s string) (SketchBackend, error) {
 }
 
 // SketchBackendFromTag maps a wire-format backend tag (snapshot manifest v4,
-// LSEG v2, LSE2 index encodings) back to a backend: tags 0, 2 and 3 are
-// Minwise64, 16 and 32, their enum values before SketchUnset. Unknown tags
-// are rejected so newer formats fail loudly on older binaries, and so is the
-// retired tag 1, whose 8-bit store cannot be widened back.
+// LSEG v2, LSE2 index encodings) back to a backend: tags 0, 3 and 4 are
+// Minwise64, 32 and 16, their enum values before SketchUnset. Unknown tags
+// are rejected so newer formats fail loudly on older binaries, and so are
+// the retired tags 1 (8-bit slots) and 2 (16-bit slots with 16-bit band
+// leads), whose truncated values cannot be widened back.
 func SketchBackendFromTag(tag uint32) (SketchBackend, bool) {
 	sb := SketchBackend(tag + 1)
 	return sb, tag < uint32(numSketchBackends-1) && sb.Valid()

@@ -10,22 +10,26 @@ import (
 )
 
 // TestSketchBackendProperties pins the enum's static surface: widths, masks,
-// names and the wire-tag round trip (tags 0, 2 and 3, as before the zero value
-// became SketchUnset); "kmv" and tag 4 — once an enum member no index could be
-// built on — and the name and tag (1) of the retired 8-bit backend are refused
-// like any unknown name or tag, and so is the unset value, which only
-// Options.WithDefaults (Minwise32) or a loaded file resolves.
+// lead widths and masks, names and the wire-tag round trip (tags 0, 3 and 4,
+// as before the zero value became SketchUnset; minwise16's 32-bit band leads
+// took KMV's old tag 4, which no file carried); "kmv", the name and tag (1)
+// of the retired 8-bit backend and tag 2, the 16-bit backend whose band leads
+// were 16 bits too, are refused like any unknown name or tag, and so is the
+// unset value, which only Options.WithDefaults (Minwise16) or a loaded file
+// resolves.
 func TestSketchBackendProperties(t *testing.T) {
 	cases := []struct {
-		sb    SketchBackend
-		name  string
-		width int
-		mask  uint64
-		tag   uint32
+		sb       SketchBackend
+		name     string
+		width    int
+		mask     uint64
+		lead     int
+		leadMask uint64
+		tag      uint32
 	}{
-		{Minwise64, "minwise64", 8, ^uint64(0), 0},
-		{Minwise16, "minwise16", 2, 0xffff, 2},
-		{Minwise32, "minwise32", 4, 0xffffffff, 3},
+		{Minwise64, "minwise64", 8, ^uint64(0), 8, ^uint64(0), 0},
+		{Minwise16, "minwise16", 2, 0xffff, 4, 0xffffffff, 4},
+		{Minwise32, "minwise32", 4, 0xffffffff, 4, 0xffffffff, 3},
 	}
 	for _, tc := range cases {
 		if tc.sb.String() != tc.name {
@@ -36,6 +40,9 @@ func TestSketchBackendProperties(t *testing.T) {
 		}
 		if tc.sb.Mask() != tc.mask {
 			t.Errorf("%s: Mask = %#x, want %#x", tc.name, tc.sb.Mask(), tc.mask)
+		}
+		if tc.sb.LeadBytes() != tc.lead || tc.sb.LeadMask() != tc.leadMask {
+			t.Errorf("%s: LeadBytes, LeadMask = %d, %#x, want %d, %#x", tc.name, tc.sb.LeadBytes(), tc.sb.LeadMask(), tc.lead, tc.leadMask)
 		}
 		if !tc.sb.Valid() || tc.sb.Tag() != tc.tag {
 			t.Errorf("%s: Valid = %v, Tag = %d, want true, %d", tc.name, tc.sb.Valid(), tc.sb.Tag(), tc.tag)
@@ -52,15 +59,15 @@ func TestSketchBackendProperties(t *testing.T) {
 	if SketchUnset.Valid() || SketchUnset.String() != "unset" {
 		t.Errorf("SketchUnset: Valid = %v, String = %q, want false, \"unset\"", SketchUnset.Valid(), SketchUnset)
 	}
-	if sb := (Options{}).WithDefaults().Sketch; sb != Minwise32 {
-		t.Errorf("the zero Options resolve to %s, want minwise32", sb)
+	if sb := (Options{}).WithDefaults().Sketch; sb != Minwise16 {
+		t.Errorf("the zero Options resolve to %s, want minwise16", sb)
 	}
 	for _, name := range []string{"minwise128", "kmv", "minwise8", "", "unset"} {
 		if sb, err := ParseSketchBackend(name); err == nil {
 			t.Errorf("ParseSketchBackend(%q) = %v, want an error", name, sb)
 		}
 	}
-	for _, tag := range []uint32{1, 4, 5, 99, 256, 1 << 16} {
+	for _, tag := range []uint32{1, 2, 5, 99, 256, 1 << 16} {
 		if sb, ok := SketchBackendFromTag(tag); ok {
 			t.Errorf("SketchBackendFromTag(%d) = %v, want it refused", tag, sb)
 		}
@@ -183,11 +190,12 @@ func TestBBitTruncationEstimate(t *testing.T) {
 }
 
 // TestOptionsRejectNonIndexableSketch: nothing but the three backends can
-// back an Index store — not the value after Minwise64, the retired 8-bit
-// backend's, nor the one after Minwise32, which KMV once had.
+// back an Index store — not the two values after Minwise64, the retired 8-bit
+// backend's and the retired 16-bit one's with 16-bit band leads, nor the one
+// after Minwise16.
 func TestOptionsRejectNonIndexableSketch(t *testing.T) {
 	recs := []domain.Record{{Key: "a", Size: 3, Sig: make(minhash.Signature, 256)}}
-	for _, sb := range []SketchBackend{Minwise64 + 1, Minwise32 + 1, 42} {
+	for _, sb := range []SketchBackend{Minwise64 + 1, Minwise64 + 2, Minwise16 + 1, 42} {
 		if _, err := Build(recs, Options{Sketch: sb}); err == nil {
 			t.Errorf("Build accepted the undefined backend %d", sb)
 		}

@@ -24,7 +24,7 @@ type PerfConfig struct {
 	Shards     int   // Table 4 cluster width; default 5 (paper: 5 nodes)
 	Seed       uint64
 	// Sketch selects the signature store backend (zero = the library's
-	// default, minwise32); b-bit backends shrink the store and its scans.
+	// default, minwise16); b-bit backends shrink the store and its scans.
 	Sketch core.SketchBackend
 }
 

@@ -21,7 +21,7 @@ type SketchConfig struct {
 	// Default 16.
 	NumPartitions int
 	// KMVK is the k parameter of the KMV comparator; default NumHash/2 so
-	// its footprint lands between minwise16 and minwise32 on the frontier.
+	// its footprint lands below minwise16's on the frontier.
 	KMVK int
 }
 

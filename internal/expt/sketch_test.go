@@ -6,6 +6,7 @@ import (
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 )
 
@@ -29,10 +30,12 @@ func frontierCfg() SketchConfig {
 // TestSketchFrontierAccuracyFloors is the accuracy-regression gate: each
 // backend's Fig. 4 precision/recall at t*=0.5 must clear its floor. The
 // floors encode the frontier's shape — wide minwise stores keep the
-// full-width operating point at a half and a quarter of the bytes (never
+// full-width operating point at a half and at 576/2 048 of the bytes (never
 // losing recall, by the superset property), and KMV's cardinality-aware
-// scoring is the sharpest per byte. Any estimator or masking regression
-// shows up here as a floor breach.
+// scoring is the sharpest per byte. Minwise16's floor is minwise32's measured
+// point itself: with its band leads at 32 bits it returns minwise32's
+// candidates, so it may not fall below minwise32 on either axis. Any
+// estimator or masking regression shows up here as a floor breach.
 func TestSketchFrontierAccuracyFloors(t *testing.T) {
 	rows, err := RunSketchFrontier(frontierCfg())
 	if err != nil {
@@ -71,10 +74,14 @@ func TestSketchFrontierAccuracyFloors(t *testing.T) {
 				narrow, seen[narrow].Recall, seen["minwise64"].Recall)
 		}
 	}
+	if m16, m32 := seen["minwise16"], seen["minwise32"]; m16.Precision < m32.Precision-1e-9 || m16.Recall < m32.Recall-1e-9 {
+		t.Errorf("minwise16 P=%.3f R=%.3f below minwise32's P=%.3f R=%.3f", m16.Precision, m16.Recall, m32.Precision, m32.Recall)
+	}
 	// The bytes axis: each narrowing must report exactly width/8 of the
-	// full store, the acceptance ratio of the PR (b=16 ⇒ ≤ 0.5×).
+	// full store, and minwise16 its lead high halves besides (576 of 2 048
+	// bytes at m = 256, ≤ 0.5×).
 	full := seen["minwise64"].BytesPerDomain
-	for name, frac := range map[string]float64{"minwise32": 0.5, "minwise16": 0.25} {
+	for name, frac := range map[string]float64{"minwise32": 0.5, "minwise16": 0.25 * 288 / 256} {
 		if got := seen[name].BytesPerDomain; got != full*frac {
 			t.Errorf("%s bytes/domain %.1f, want %.1f", name, got, full*frac)
 		}
@@ -115,7 +122,8 @@ func TestFig4SketchVariants(t *testing.T) {
 // at, which no answer of the fixtures tells apart: 32-bit minima collide by
 // chance nowhere among their domains. The Baseline, Asym and every ensemble
 // runAccuracy scores report minwise64, a b-bit variant its own backend, and
-// each frontier system the signature bytes of its own width.
+// each frontier system the signature bytes of its own width (minwise16's lead
+// high halves included).
 func TestSystemsReportTheirSketch(t *testing.T) {
 	cfg := AccuracyConfig{
 		NumDomains: 300, NumQueries: 5, NumHash: 64, RMax: 4, Partitions: []int{1, 8},
@@ -156,7 +164,7 @@ func TestSystemsReportTheirSketch(t *testing.T) {
 			continue // the KMV scan
 		}
 		seen++
-		if want := float64(cfg.NumHash * w / 8); r.BytesPerDomain != want {
+		if want := float64(lshforest.RowLen(cfg.NumHash, cfg.RMax, w/8) * w / 8); r.BytesPerDomain != want {
 			t.Errorf("frontier system %s stores %v signature bytes per domain, %v at its own width",
 				r.System, r.BytesPerDomain, want)
 		}

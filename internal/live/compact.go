@@ -163,7 +163,7 @@ func (x *Index) seal(min int) bool {
 	var sig minhash.Signature
 	for i := len(buf); i < len(cur.buf); i++ {
 		sig = cur.sigs.widen(sig[:0], i)
-		st.buffer = st.with(cur.buf[i], sig, x.opts.RMax, x.opts.Sketch.Mask())
+		st.buffer = st.with(cur.buf[i], sig, x.opts.RMax, x.opts.Sketch.LeadMask())
 	}
 	if seg != nil {
 		st.segs = append(slices.Clip(cur.segs), seg)

@@ -161,7 +161,7 @@ func TestSegmentImageGolden(t *testing.T) {
 	want := map[core.SketchBackend]string{
 		core.Minwise64: "945eb9ba4ef625ed1b0787b7fcc4c0b44e76ebbffed9e4d17b683cfa3386c82a",
 		core.Minwise32: "e5bf87a74534f22e152e7dab6124630064f766b105e5a4ad25756074fc412500",
-		core.Minwise16: "b27fffaec2c305a07242ca9086322f029e49eddb62b7b81251c015f83b6f45fb",
+		core.Minwise16: "0aa3999c3a3de05c23c819795bb9358140d1a9e05ed8de41627ce5ff232cf004",
 	}
 	recs := fixture(t, 300, 23)
 	for sb, digest := range want {

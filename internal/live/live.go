@@ -119,12 +119,13 @@
 // for 1.4 % of its entries, from 30 % to 11 % in a seed-5 profile (sat_qps
 // ×1.16–1.30, 2-vCPU Xeon).
 //
-// The buffered signatures and lead columns are kept at the sketch backend's
-// width, as the segment they seal into stores them, in one arena (sigArena)
-// that Add narrows into: every reader of a buffered value already compared at
-// that width, so answers are unchanged while the buffer holds, and a snapshot
-// saves, half the bytes under the default minwise32. Top-k scores the buffer
-// in one sequential pass over the arena, each entry with the width's vector
+// The buffered signatures are kept at the sketch backend's width and the lead
+// columns at its lead width, as the segment they seal into stores them, in
+// one arena (sigArena) that Add narrows into: every reader of a buffered
+// value already compared at those widths, so answers are unchanged while the
+// buffer holds, and a snapshot saves 576 of the 2 048 full-width bytes an
+// entry at m = 256 under the default minwise16. Top-k scores the buffer in
+// one sequential pass over the arena, each entry with the width's vector
 // match count (minhash.Matches) that scores a sealed candidate too, and heaps
 // only the best k; a seal hands core.BuildFrom the arena's entries widened
 // one at a time. The filter and the arena are part of the buffer value
@@ -292,16 +293,18 @@ type blockHits [scanBlock / 64]uint64
 
 // sigArena holds the buffered signatures at the sketch backend's width, one
 // entry's NumHash values after another in one array, and beside them every
-// entry's leading value of each band in the sealed forest's layout: one
-// column per band, band-major. Top-k scores the buffer in one sequential pass
-// over the signatures, a threshold scan reads the columns of the bands it
-// asks about and a signature only on a lead hit; signatures and columns alike
-// take a half (minwise32) or a quarter (minwise16) of the full-width bytes.
-// Every reader of a buffered value compares at that width anyway (the store
-// it seals into truncates identically), so answers do not change. A snapshot
-// reads entries below its buffer length; the writer appends at the length,
-// and a full arena regrows into a fresh one of twice the entries: no
-// published prefix is rewritten, and older snapshots keep theirs.
+// entry's leading value of each band at the backend's lead width
+// (core.SketchBackend.LeadBytes), in the sealed forest's layout: one column
+// per band, band-major. Top-k scores the buffer in one sequential pass over
+// the signatures, a threshold scan reads the columns of the bands it asks
+// about and a signature only on a lead hit; the signatures take a half
+// (minwise32) or a quarter (minwise16) of the full-width bytes, the columns
+// never less than 4 bytes a lead. Every reader of a buffered value compares
+// at those widths anyway (the store it seals into truncates identically), so
+// answers do not change. A snapshot reads entries below its buffer length;
+// the writer appends at the length, and a full arena regrows into a fresh one
+// of twice the entries: no published prefix is rewritten, and older
+// snapshots keep theirs.
 type sigArena interface {
 	// with writes sig, cut to the width, as entry n and returns the arena.
 	with(n int, sig []uint64) sigArena
@@ -310,36 +313,38 @@ type sigArena interface {
 	band(hits blockHits, lo, hi, off, r int, q []uint64) blockHits
 	// matches counts the slots of entry i that agree with q at the width.
 	matches(i int, q []uint64) int
-	// widen appends entry i's values, zero-extended, to dst.
+	// widen appends entry i's values, zero-extended, to dst: its stored
+	// values, each band's lead from its column at the lead width.
 	widen(dst []uint64, i int) []uint64
 	// width is the bytes a value takes.
 	width() int
 }
 
-// arena is the sigArena of one width: entry i's signature at
-// sigs[i·nh : (i+1)·nh], its leading value of band b at leads[b·cap + i].
-type arena[E segfile.Elem] struct {
-	sigs, leads   []E
+// arena is the sigArena of one width E and lead width L: entry i's signature
+// at sigs[i·nh : (i+1)·nh], its leading value of band b at leads[b·cap + i].
+type arena[E, L segfile.Elem] struct {
+	sigs          []E
+	leads         []L
 	nh, rMax, cap int
 }
 
-// newArena returns an empty arena at sb's width for signatures of numHash
+// newArena returns an empty arena at sb's widths for signatures of numHash
 // values in bands of rMax.
 func newArena(sb core.SketchBackend, numHash, rMax int) sigArena {
 	switch sb.WidthBytes() {
 	case 2:
-		return &arena[uint16]{nh: numHash, rMax: rMax}
+		return &arena[uint16, uint32]{nh: numHash, rMax: rMax}
 	case 4:
-		return &arena[uint32]{nh: numHash, rMax: rMax}
+		return &arena[uint32, uint32]{nh: numHash, rMax: rMax}
 	}
-	return &arena[uint64]{nh: numHash, rMax: rMax}
+	return &arena[uint64, uint64]{nh: numHash, rMax: rMax}
 }
 
-func (a *arena[E]) with(n int, sig []uint64) sigArena {
+func (a *arena[E, L]) with(n int, sig []uint64) sigArena {
 	bands := a.nh / a.rMax
 	if n == a.cap {
 		c := max(firstArenaCap, 2*n)
-		next := &arena[E]{sigs: make([]E, c*a.nh), leads: make([]E, bands*c), nh: a.nh, rMax: a.rMax, cap: c}
+		next := &arena[E, L]{sigs: make([]E, c*a.nh), leads: make([]L, bands*c), nh: a.nh, rMax: a.rMax, cap: c}
 		copy(next.sigs, a.sigs[:n*a.nh])
 		for b := 0; b < bands; b++ {
 			copy(next.leads[b*c:b*c+n], a.leads[b*n:])
@@ -351,15 +356,15 @@ func (a *arena[E]) with(n int, sig []uint64) sigArena {
 		row[k] = E(sig[k])
 	}
 	for b := 0; b < bands; b++ {
-		a.leads[b*a.cap+n] = row[b*a.rMax]
+		a.leads[b*a.cap+n] = L(sig[b*a.rMax])
 	}
 	return a
 }
 
-func (a *arena[E]) row(i int) []E { return a.sigs[i*a.nh : (i+1)*a.nh] }
+func (a *arena[E, L]) row(i int) []E { return a.sigs[i*a.nh : (i+1)*a.nh] }
 
-func (a *arena[E]) band(hits blockHits, lo, hi, off, r int, q []uint64) blockHits {
-	lead, col := E(q[off]), a.leads[off/a.rMax*a.cap:]
+func (a *arena[E, L]) band(hits blockHits, lo, hi, off, r int, q []uint64) blockHits {
+	lead, col := L(q[off]), a.leads[off/a.rMax*a.cap:]
 	for i, v := range col[lo:hi] {
 		if v != lead {
 			continue
@@ -375,16 +380,20 @@ func (a *arena[E]) band(hits blockHits, lo, hi, off, r int, q []uint64) blockHit
 	return hits
 }
 
-func (a *arena[E]) matches(i int, q []uint64) int { return minhash.Matches(a.row(i), q) }
+func (a *arena[E, L]) matches(i int, q []uint64) int { return minhash.Matches(a.row(i), q) }
 
-func (a *arena[E]) widen(dst []uint64, i int) []uint64 {
+func (a *arena[E, L]) widen(dst []uint64, i int) []uint64 {
+	start := len(dst)
 	for _, v := range a.row(i) {
 		dst = append(dst, uint64(v))
+	}
+	for b := 0; b < a.nh/a.rMax; b++ {
+		dst[start+b*a.rMax] = uint64(a.leads[b*a.cap+i])
 	}
 	return dst
 }
 
-func (a *arena[E]) width() int { return int(unsafe.Sizeof(E(0))) }
+func (a *arena[E, L]) width() int { return int(unsafe.Sizeof(E(0))) }
 
 // buffer is the unsealed buffer as one value: its entries and what a query
 // reads beside them. with grows it; nothing else writes it.
@@ -412,12 +421,12 @@ type buffer struct {
 // full), and inserts into the filter before the caller publishes, so a reader
 // that can see e also sees its signature, leads and filter bits. The filter
 // takes the leading value of every tree (the stride leadTrees probes) masked
-// to the sketch backend's width, as the sealed stores and the query side cut
-// it, keeping the filter's zero-false-negative guarantee across the seal
-// boundary.
-func (b buffer) with(e entry, sig minhash.Signature, rMax int, mask uint64) buffer {
+// to the sketch backend's lead width (leadMask), as the sealed lead columns
+// and the query side cut it, keeping the filter's zero-false-negative
+// guarantee across the seal boundary.
+func (b buffer) with(e entry, sig minhash.Signature, rMax int, leadMask uint64) buffer {
 	for off := 0; b.bufBloom != nil && off < len(sig); off += rMax {
-		b.bufBloom.AddHashShared(sig[off] & mask)
+		b.bufBloom.AddHashShared(sig[off] & leadMask)
 	}
 	b.sigs = b.sigs.with(len(b.buf), sig)
 	b.buf = append(b.buf, e)
@@ -805,7 +814,7 @@ func (x *Index) Add(r domain.Record) (replaced bool, err error) {
 	x.keySeq[r.Key] = st.seq
 	// The arena keeps NumHash values, the prefix every probe uses, cut to the
 	// sketch width: a later change to the caller's array is not observable.
-	st.buffer = st.with(entry{key: r.Key, size: r.Size, seq: st.seq}, r.Sig[:x.opts.NumHash], x.opts.RMax, x.opts.Sketch.Mask())
+	st.buffer = st.with(entry{key: r.Key, size: r.Size, seq: st.seq}, r.Sig[:x.opts.NumHash], x.opts.RMax, x.opts.Sketch.LeadMask())
 	old := x.publishLocked(st)
 	full := len(st.buf) >= x.opts.SealThreshold
 	x.mu.Unlock()
@@ -1002,13 +1011,13 @@ func (x *Index) probeSegment(dst []string, s *queryScratch, t *tally, sn *snapsh
 	sig minhash.Signature, querySize int, tStar float64) []string {
 	seg := sn.segs[si]
 	pruned := !x.opts.DisablePruning
-	rMax, mask := x.opts.RMax, x.opts.Sketch.Mask()
+	rMax, leadMask := x.opts.RMax, x.opts.Sketch.LeadMask()
 	if pruned {
 		if rangePruned(seg.meta.maxBound, querySize, tStar) {
 			t[cSegRangePruned]++
 			return dst
 		}
-		if seg.meta.trees(s, sig, rMax, mask) == 0 {
+		if seg.meta.trees(s, sig, rMax, leadMask) == 0 {
 			t[cSegBloomPruned]++
 			return dst
 		}
@@ -1021,7 +1030,7 @@ func (x *Index) probeSegment(dst []string, s *queryScratch, t *tally, sn *snapsh
 	var trees []lshforest.TreeSet // nil = every column
 	n, cols := x.numTrees(), planned
 	if pruned {
-		trees, cols = seg.meta.partTrees(s, seg.idx, sig, rMax, mask, s.plan)
+		trees, cols = seg.meta.partTrees(s, seg.idx, sig, rMax, leadMask, s.plan)
 		n = s.treesIn
 	}
 	t[cSegProbed]++
@@ -1079,7 +1088,7 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryS
 	rMax := x.opts.RMax
 	var trees lshforest.TreeSet // nil = every band: the unpruned reference scan
 	if sn.bufBloom != nil {
-		if leadTrees(s.trees, sn.bufBloom, sig, rMax, x.opts.Sketch.Mask()) == 0 {
+		if leadTrees(s.trees, sn.bufBloom, sig, rMax, x.opts.Sketch.LeadMask()) == 0 {
 			t[cBufBloomSkips]++
 			return dst, nil
 		}
@@ -1272,11 +1281,11 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 		// means no rung can collect a candidate here.
 		var trees []lshforest.TreeSet
 		if !x.opts.DisablePruning {
-			rMax, mask := x.opts.RMax, x.opts.Sketch.Mask()
-			if seg.meta.trees(s, sig, rMax, mask) == 0 {
+			rMax, leadMask := x.opts.RMax, x.opts.Sketch.LeadMask()
+			if seg.meta.trees(s, sig, rMax, leadMask) == 0 {
 				continue
 			}
-			trees, _ = seg.meta.partTrees(s, seg.idx, sig, rMax, mask, nil)
+			trees, _ = seg.meta.partTrees(s, seg.idx, sig, rMax, leadMask, nil)
 		}
 		// Tombstoned candidates are filtered after collection, so a segment a
 		// tombstone may reach (its shadow bit) is asked for enough ids to
@@ -1372,11 +1381,13 @@ type Stats struct {
 	Seals  uint64 `json:"seals"`
 	Merges uint64 `json:"merges"`
 	// Sketch names the signature backend sealed segments store with
-	// (core.SketchBackend): "minwise32" unless configured or loaded otherwise.
+	// (core.SketchBackend): "minwise16" unless configured or loaded otherwise.
 	Sketch string `json:"sketch"`
 	// SignatureBytes is the total stored signature footprint: the sealed
-	// segments' stores and the unsealed buffer's arena, every value at the
-	// sketch backend's width, which the compact backends shrink.
+	// segments' stores and the unsealed buffer's signatures, each counted as
+	// a segment stores it — every value at the sketch backend's width, and
+	// under minwise16 each band lead's high half beside them — which the
+	// compact backends shrink.
 	SignatureBytes int64 `json:"signature_bytes"`
 	// SpillErrors counts segment spills that failed; the affected segments
 	// keep serving from the heap.
@@ -1403,7 +1414,9 @@ type SegmentStats struct {
 	// saved Bloom filters and the in-memory partition-sliced one.
 	BloomBytes int `json:"bloom_bytes"`
 	// SignatureBytes is the byte size of the segment's signature store at
-	// the sketch backend's width (entries × NumHash × width).
+	// the sketch backend's width (entries × width × (NumHash, plus one lead
+	// high half per band under minwise16): 576 bytes an entry at m = 256
+	// under minwise16, 1 024 under minwise32).
 	SignatureBytes int `json:"signature_bytes"`
 	// Backing reports where the segment's probe data lives: "heap" or
 	// "mmap" (a memory-mapped segment file).
@@ -1523,6 +1536,7 @@ func (x *Index) Stats() Stats {
 			ResidentBytes:  seg.resident,
 		}
 	}
-	st.SignatureBytes += int64(len(sn.buf)) * int64(x.opts.NumHash) * int64(sn.sigs.width())
+	w := sn.sigs.width()
+	st.SignatureBytes += int64(len(sn.buf)) * int64(w*lshforest.RowLen(x.opts.NumHash, x.opts.RMax, w))
 	return st
 }

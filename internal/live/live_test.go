@@ -16,6 +16,7 @@ import (
 	"lshensemble/internal/core"
 	"lshensemble/internal/datagen"
 	"lshensemble/internal/domain"
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 )
 
@@ -674,9 +675,10 @@ func TestLoadRefusesBufferedSeqsOutOfOrder(t *testing.T) {
 	}
 	snap := x.AppendBinary(nil)
 	// v5 header (28 bytes), no segments, two buffered entries, each
-	// seq u64 | keylen u32 | key | size u64 | sig [NumHash] at the width.
+	// seq u64 | keylen u32 | key | size u64 | sig row at the width.
+	w := x.opts.Sketch.WidthBytes()
 	first := 28 + 4 + 4
-	second := first + 8 + 4 + len(recs[0].Key) + 8 + x.opts.Sketch.WidthBytes()*x.opts.NumHash
+	second := first + 8 + 4 + len(recs[0].Key) + 8 + w*lshforest.RowLen(x.opts.NumHash, x.opts.RMax, w)
 	le := binary.LittleEndian
 	if s1, s2 := le.Uint64(snap[first:]), le.Uint64(snap[second:]); s1 != 1 || s2 != 2 {
 		t.Fatalf("fixture's buffered seqs are %d, %d, want 1, 2", s1, s2)

@@ -214,14 +214,15 @@ func (m *segMeta) bloomBytes(idx *core.Index) int {
 // filter holds every one of them, so a band left out cannot match and an
 // empty set skips the scan. A filter false positive only adds a band that
 // then matches nothing. The filter holds the values masked to the sketch
-// backend's width — as a sealed forest stores them — so the query side masks
-// identically (identity mask under Minwise64). sig is clamped to NumHash; set
-// has lshforest.TreeSetWords(NumHash/rMax) words.
-func leadTrees(set lshforest.TreeSet, f *bloom.Filter, sig minhash.Signature, rMax int, mask uint64) int {
+// backend's lead width — as a sealed forest's lead columns hold them — so the
+// query side masks identically with leadMask (the identity under Minwise64).
+// sig is clamped to NumHash; set has lshforest.TreeSetWords(NumHash/rMax)
+// words.
+func leadTrees(set lshforest.TreeSet, f *bloom.Filter, sig minhash.Signature, rMax int, leadMask uint64) int {
 	clear(set)
 	n := 0
 	for t, off := 0, 0; off+rMax <= len(sig); t, off = t+1, off+rMax {
-		if f.MayContainHash(sig[off] & mask) {
+		if f.MayContainHash(sig[off] & leadMask) {
 			set.Add(t)
 			n++
 		}
@@ -236,10 +237,10 @@ func leadTrees(set lshforest.TreeSet, f *bloom.Filter, sig minhash.Signature, rM
 // before that one cannot match; s.from hands the rest to partTrees. It returns
 // how many are left — none, as in an empty segment, which has no filters,
 // rules the segment out, exactly when asking about every tree would have.
-func (m *segMeta) trees(s *queryScratch, sig minhash.Signature, rMax int, mask uint64) int {
+func (m *segMeta) trees(s *queryScratch, sig minhash.Signature, rMax int, leadMask uint64) int {
 	nt := len(sig) / rMax
 	for t := 0; m.leads != nil && t < nt; t++ {
-		if m.leads.MayContainHash(sig[t*rMax] & mask) {
+		if m.leads.MayContainHash(sig[t*rMax] & leadMask) {
 			s.from = t
 			return nt - t
 		}
@@ -254,11 +255,11 @@ func (m *segMeta) trees(s *queryScratch, sig minhash.Signature, rMax int, mask u
 // t there (t < pp[p].B; a nil plan is a top-k ladder, whose rungs plan for
 // themselves). Sound like the gate. It returns the sets, lent by s, and how
 // many columns they hold; s.treesIn counts the trees with a non-empty answer.
-func (m *segMeta) partTrees(s *queryScratch, idx *core.Index, sig minhash.Signature, rMax int, mask uint64, pp []tune.Params) (sets []lshforest.TreeSet, cols int) {
+func (m *segMeta) partTrees(s *queryScratch, idx *core.Index, sig minhash.Signature, rMax int, leadMask uint64, pp []tune.Params) (sets []lshforest.TreeSet, cols int) {
 	m.fillLeads(idx, nil)
 	answers := s.answers[:len(sig)/rMax]
 	for t := s.from; t < len(answers); t++ {
-		answers[t] = m.parts.partitions(sig[t*rMax] & mask)
+		answers[t] = m.parts.partitions(sig[t*rMax] & leadMask)
 	}
 	n := idx.NumPartitions()
 	sets = s.partSets(n)

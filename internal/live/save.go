@@ -12,6 +12,7 @@ import (
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
 	"lshensemble/internal/domain"
+	"lshensemble/internal/lshforest"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/segfile"
 )
@@ -27,7 +28,9 @@ import (
 //	    kind 1 (segment-file reference, v3+):
 //	        namelen u32 | name | fileSize u64 | headerCRC u64
 //	nbuf u32, per entry: seq u64, keylen u32, key, size u64,
-//	    sig [numHash] values at the sketch width (v5+; [numHash]u64 before)
+//	    sig as a forest row at the sketch width (v5+, lshforest.AppendRow:
+//	    numHash values, then under minwise16 each band lead's high half;
+//	    [numHash]u64 before)
 //	ntombs u32, per tombstone: keylen u32, key, seq u64
 //	crc u64 (v3+: crc64-ECMA over every preceding byte of the encoding)
 //
@@ -42,9 +45,10 @@ import (
 // falls back to the v2-style inline block per segment, so Save can always
 // encode. v4 adds the sketch-backend tag (core.SketchBackend) to the header;
 // v1–v3 snapshots predate the pluggable backends and always load as
-// Minwise64. v5 writes buffered signatures at the backend's width, as the
-// buffer holds them (half of v4's bytes per value under minwise32); v1–v4
-// buffers are full-width and narrow as they load. Load accepts all five
+// Minwise64. v5 writes buffered signatures at the backend's width, as a
+// sealed forest stores them (half of v4's bytes per value under minwise32;
+// under minwise16 a quarter, plus each band lead's high half); v1–v4 buffers
+// are full-width and narrow as they load. Load accepts all five
 // versions — a v1 snapshot rebuilds its metadata from the decoded segments
 // (buildSegMeta is a pure function of the core index, so the rebuilt planner
 // state is identical to what seal time would have produced). Save always
@@ -136,10 +140,7 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 		buf = append(buf, e.key...)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.size))
 		sig = sn.sigs.widen(sig[:0], i)
-		for _, v := range sig { // little-endian: the width's bytes come first
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-			buf = buf[:len(buf)-8+x.opts.Sketch.WidthBytes()]
-		}
+		buf = lshforest.AppendRow(buf, sig, x.opts.RMax, x.opts.Sketch.WidthBytes())
 	}
 	// Tombstones in sorted key order: map iteration is randomized, and v3
 	// promises byte-deterministic encodings of equal states.
@@ -332,26 +333,23 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		}
 	}
 	// A buffered entry is at least its seq, key length, size and signature,
-	// whose values v5 writes at the sketch width and v1–v4 at 8 bytes.
+	// which v5 writes as a row at the sketch width and v1–v4 as numHash
+	// values of 8 bytes.
 	w := 8
 	if version > liveVersionV4 {
 		w = sketch.WidthBytes()
 	}
-	nbuf := rd.Count(20 + w*numHash)
+	row := w * lshforest.RowLen(numHash, rMax, w)
+	nbuf := rd.Count(20 + row)
 	st.buffer = x.newBuffer()
 	sig := make(minhash.Signature, numHash)
 	for i := 0; i < nbuf; i++ {
 		eseq, key, size := rd.U64(), rd.String(), int(rd.U64())
-		b := rd.Bytes(w * numHash)
+		b := rd.Bytes(row)
 		if rd.Short {
 			return nil, ErrCorrupt
 		}
-		for j := range sig {
-			sig[j] = 0
-			for k := w - 1; k >= 0; k-- {
-				sig[j] = sig[j]<<8 | uint64(b[j*w+k])
-			}
-		}
+		lshforest.ReadRow(sig, b, rMax, w)
 		// Add appends in seq order, and a seal keeps that order as the
 		// segment's seqs, which Load refuses out of order.
 		if i > 0 && eseq <= st.buf[i-1].seq {
@@ -360,7 +358,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		if err := x.validateRecord(domain.Record{Key: key, Size: size, Sig: sig}); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 		}
-		st.buffer = st.with(entry{key: key, size: size, seq: eseq}, sig, rMax, opts.Sketch.Mask())
+		st.buffer = st.with(entry{key: key, size: size, seq: eseq}, sig, rMax, opts.Sketch.LeadMask())
 	}
 	if ntombs := rd.Count(4 + 8); ntombs > 0 {
 		st.tombs = make(map[string]uint64, ntombs)

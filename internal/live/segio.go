@@ -39,11 +39,12 @@ import (
 //	    planner metadata, as in the snapshot format:
 //	        minSize u64 | maxSize u64 | maxBound u64 | keys bloom | leads bloom
 //	STORE (lazy): per partition, its contiguous signature store,
-//	    count·numHash values at the sketch backend's width
+//	    count rows (lshforest.RowLen values: numHash, and under minwise16
+//	    each tree lead's high half) at the sketch backend's width
 //	IDS   (lazy): per partition, its entry ids [count]u32
 //	TREES (lazy): per partition per tree, the sorted slot order [count]u32
 //	KEYSCOL (lazy): per partition per tree, the leading-value column,
-//	    count values at the sketch backend's width
+//	    count values at the sketch backend's lead width
 //
 // The sketch field occupies what version 1 wrote as a zero "reserved" u32,
 // so a v1 file is exactly a v2 file carrying the Minwise64 tag (0). Writers
@@ -99,7 +100,7 @@ func appendSegMeta(buf []byte, m *segMeta) []byte {
 func segmentImage(seg *segment) []byte {
 	idx, o := seg.idx, seg.idx.Options()
 	n, bMax := idx.Len(), o.NumHash/o.RMax
-	w := o.Sketch.WidthBytes()
+	w, lw := o.Sketch.WidthBytes(), o.Sketch.LeadBytes()
 
 	// META is variable-length: assemble it first, then place the fixed-size
 	// lazy sections on page boundaries after it.
@@ -122,13 +123,13 @@ func segmentImage(seg *segment) []byte {
 
 	metaOff := segPage
 	storeOff := alignPage(metaOff + len(meta))
-	storeLen := n * o.NumHash * w
+	storeLen := n * lshforest.RowLen(o.NumHash, o.RMax, w) * w
 	idsOff := alignPage(storeOff + storeLen)
 	idsLen := n * 4
 	treesOff := alignPage(idsOff + idsLen)
 	treesLen := n * bMax * 4
 	colsOff := alignPage(treesOff + treesLen)
-	colsLen := n * bMax * w
+	colsLen := n * bMax * lw
 	total := colsOff + colsLen
 
 	img := make([]byte, total)
@@ -144,8 +145,8 @@ func segmentImage(seg *segment) []byte {
 		}
 		for t := 0; t < bMax; t++ {
 			to += segfile.Put(img[to:], f.Tree(t))
-			f.WriteTreeKeysLE(t, img[co:co+f.Len()*w])
-			co += f.Len() * w
+			f.WriteTreeKeysLE(t, img[co:co+f.Len()*lw])
+			co += f.Len() * lw
 		}
 	}
 
@@ -209,12 +210,12 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	if sb != sketch {
 		return nil, errSegFile("sketch backend %s != snapshot %s", sb, sketch)
 	}
-	w := sketch.WidthBytes()
+	w, lw := sketch.WidthBytes(), sketch.LeadBytes()
 	n := int(binary.LittleEndian.Uint64(img[24:]))
 	if nParts < 1 || n < 1 || n > len(img) {
 		return nil, errSegFile("%d partitions, %d records", nParts, n)
 	}
-	bMax := numHash / rMax
+	bMax, row := numHash/rMax, lshforest.RowLen(numHash, rMax, w)
 	var off, ln [5]int
 	prevEnd := segPage
 	for i := 0; i < 5; i++ {
@@ -226,7 +227,7 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 		off[i], ln[i] = int(o), int(l)
 		prevEnd = int(o) + int(l)
 	}
-	if ln[1] != n*numHash*w || ln[2] != n*4 || ln[3] != n*bMax*4 || ln[4] != n*bMax*w {
+	if ln[1] != n*row*w || ln[2] != n*4 || ln[3] != n*bMax*4 || ln[4] != n*bMax*lw {
 		return nil, errSegFile("section lengths disagree with %d records", n)
 	}
 	meta := img[off[0] : off[0]+ln[0]]
@@ -272,7 +273,7 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	}
 	// Lazy sections become per-partition typed views; only slicing happens
 	// here, no element is read. STORE and KEYSCOL stay byte regions until
-	// FromViewBytes casts them at the backend's element width.
+	// FromViewBytes casts them at the backend's element and lead widths.
 	storeB := img[off[1] : off[1]+ln[1]]
 	ids := segfile.View[uint32](img[off[2] : off[2]+ln[2]])
 	treesAll := segfile.View[uint32](img[off[3] : off[3]+ln[3]])
@@ -287,19 +288,19 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 			cols = make([][]byte, bMax)
 			for t := 0; t < bMax; t++ {
 				trees[t] = treesAll[to+t*cnt : to+(t+1)*cnt]
-				cols[t] = colsB[co+t*cnt*w : co+(t+1)*cnt*w]
+				cols[t] = colsB[co+t*cnt*lw : co+(t+1)*cnt*lw]
 			}
 		}
 		f, err := lshforest.FromViewBytes(numHash, rMax, w,
-			ids[io_:io_+cnt], storeB[so:so+cnt*numHash*w], trees, cols)
+			ids[io_:io_+cnt], storeB[so:so+cnt*row*w], trees, cols)
 		if err != nil {
 			return nil, errSegFile("partition %d: %v", i, err)
 		}
 		views[i].Forest = f
-		so += cnt * numHash * w
+		so += cnt * row * w
 		io_ += cnt
 		to += cnt * bMax
-		co += cnt * bMax * w
+		co += cnt * bMax * lw
 	}
 	opts := core.Options{NumHash: numHash, RMax: rMax, NumPartitions: nParts, Sketch: sketch}
 	idx, err := core.FromParts(opts, keys, sizes, views)
@@ -338,10 +339,10 @@ func heapSegmentResident(idx *core.Index, meta *segMeta) int64 {
 	n := idx.Len()
 	o := idx.Options()
 	bMax := o.NumHash / o.RMax
-	w := int64(o.Sketch.WidthBytes())
-	b := int64(n) * int64(o.NumHash) * w  // signature store
-	b += int64(n) * 4                     // entry ids
-	b += int64(n) * int64(bMax) * (4 + w) // tree orders + leading columns
+	lw := int64(o.Sketch.LeadBytes())
+	b := int64(idx.SignatureBytes())       // signature store
+	b += int64(n) * 4                      // entry ids
+	b += int64(n) * int64(bMax) * (4 + lw) // tree orders + leading columns
 	for id := 0; id < n; id++ {
 		b += int64(len(idx.Key(uint32(id))))
 	}

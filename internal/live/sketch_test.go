@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"lshensemble/internal/core"
+	"lshensemble/internal/datagen"
 	"lshensemble/internal/domain"
+	"lshensemble/internal/lshforest"
+	"lshensemble/internal/minhash"
 )
 
 // sketchOpts is liveOpts with a non-default sketch backend.
@@ -153,10 +156,11 @@ func TestSketchBackendSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadKeepsTheFileBackend pins the unset-backend rule: a new index with
-// no Sketch stores Minwise32, while Load with no Sketch keeps the backend the
-// file carries — the implicit Minwise64 of a v1–v3 snapshot included — and
-// seals later adds into it. An explicit backend, Minwise64 too, must match.
-// A snapshot tagged 1, the retired 8-bit backend, is refused like any unknown
+// no Sketch stores Minwise16, while Load with no Sketch keeps the backend the
+// file carries — the implicit Minwise64 of a v1–v3 snapshot and a Minwise32
+// one included — and seals later adds into it. An explicit backend, Minwise64
+// too, must match. Snapshots tagged 1 and 2, the retired 8-bit backend and the
+// 16-bit one whose band leads were 16 bits too, are refused like any unknown
 // tag, under a valid checksum too.
 func TestLoadKeepsTheFileBackend(t *testing.T) {
 	recs := fixture(t, 100, 12)
@@ -170,12 +174,17 @@ func TestLoadKeepsTheFileBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if got := fresh.Options().Sketch; got != core.Minwise32 {
-		t.Fatalf("a new index with no backend stores %s, want minwise32", got)
+	if got := fresh.Options().Sketch; got != core.Minwise16 {
+		t.Fatalf("a new index with no backend stores %s, want minwise16", got)
 	}
 	if _, err := load(fresh.AppendBinary(nil), core.Minwise64); err == nil {
-		t.Fatal("an explicit minwise64 loaded a minwise32 snapshot")
+		t.Fatal("an explicit minwise64 loaded a minwise16 snapshot")
 	}
+	m32, err := Build(recs[:60], sketchOpts(core.Minwise32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m32.Close()
 
 	old, err := Build(recs[:60], sketchOpts(core.Minwise64))
 	if err != nil {
@@ -194,7 +203,8 @@ func TestLoadKeepsTheFileBackend(t *testing.T) {
 		{"v2", encodeLegacy(t, old, liveVersionV2, nil), old},
 		{"v3", encodeV3(t, old), old},
 		{"v5 minwise64", old.AppendBinary(nil), old},
-		{"v5 minwise32", fresh.AppendBinary(nil), fresh},
+		{"v5 minwise32", m32.AppendBinary(nil), m32},
+		{"v5 minwise16", fresh.AppendBinary(nil), fresh},
 	} {
 		sb := c.saved.Options().Sketch
 		y, err := load(c.file, core.SketchUnset)
@@ -227,11 +237,13 @@ func TestLoadKeepsTheFileBackend(t *testing.T) {
 			z.Close()
 		}
 	}
-	tagged1 := fresh.AppendBinary(nil)
-	binary.LittleEndian.PutUint32(tagged1[16:], 1) // after magic, version, numHash, rMax
-	binary.LittleEndian.PutUint64(tagged1[len(tagged1)-8:], crc64.Checksum(tagged1[:len(tagged1)-8], crcTable))
-	if _, err := load(tagged1, core.SketchUnset); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("a snapshot tagged 1 loaded: %v", err)
+	for _, tag := range []uint32{1, 2} {
+		retagged := fresh.AppendBinary(nil)
+		binary.LittleEndian.PutUint32(retagged[16:], tag) // after magic, version, numHash, rMax
+		binary.LittleEndian.PutUint64(retagged[len(retagged)-8:], crc64.Checksum(retagged[:len(retagged)-8], crcTable))
+		if _, err := load(retagged, core.SketchUnset); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a snapshot tagged %d loaded: %v", tag, err)
+		}
 	}
 }
 
@@ -263,7 +275,8 @@ func TestSketchBackendOutOfCore(t *testing.T) {
 }
 
 // TestSketchBackendSignatureBytes pins the acceptance ratio: the b-bit
-// stores must shrink the sealed signature footprint by exactly width/8, so
+// stores must shrink the sealed signature footprint by exactly width/8, plus
+// minwise16's one lead high half per band (576 of 2 048 bytes at m = 256), so
 // Minwise16 reports ≤ 0.5× the Minwise64 bytes.
 func TestSketchBackendSignatureBytes(t *testing.T) {
 	recs := fixture(t, 200, 9)
@@ -283,11 +296,13 @@ func TestSketchBackendSignatureBytes(t *testing.T) {
 		return st.SignatureBytes
 	}
 	full := bytesFor(core.Minwise64)
+	o := sketchOpts(core.Minwise64).Options.WithDefaults()
 	for _, sb := range narrowBackends {
 		got := bytesFor(sb)
-		want := full * int64(sb.WidthBytes()) / 8
+		row := lshforest.RowLen(o.NumHash, o.RMax, sb.WidthBytes())
+		want := full * int64(sb.WidthBytes()*row) / int64(8*o.NumHash)
 		if got != want {
-			t.Fatalf("%s signature bytes %d, want %d (%d × %d/8)", sb, got, want, full, sb.WidthBytes())
+			t.Fatalf("%s signature bytes %d, want %d (%d × %d/8 × %d/%d)", sb, got, want, full, sb.WidthBytes(), row, o.NumHash)
 		}
 	}
 	if b16 := bytesFor(core.Minwise16); 2*b16 > full {
@@ -336,10 +351,11 @@ func TestSketchBackendCompactEquivalence(t *testing.T) {
 // TestBufferAtSketchWidth pins the buffer to the sketch backend's width, for
 // every backend: before a Flush the buffer's threshold rows, batch rows and
 // top-k ranking equal a reference computed here from the callers' full-width
-// signatures under the backend's mask, and after it the sealed segment
+// signatures under the backend's masks, and after it the sealed segment
 // answers as one built from those signatures directly. Either way Stats
-// counts every signature at the width. A buffer kept wider miscounts; one
-// narrower than the width collides where the reference does not.
+// counts every signature at the width, with minwise16's lead high halves. A
+// buffer kept wider miscounts; one narrower than the width collides where
+// the reference does not.
 func TestBufferAtSketchWidth(t *testing.T) {
 	recs := fixture(t, 150, 19)
 	for _, sb := range append([]core.SketchBackend{core.Minwise64}, narrowBackends...) {
@@ -384,7 +400,7 @@ func TestBufferAtSketchWidth(t *testing.T) {
 				}
 				var keys []string
 				for _, r := range recs {
-					if bandsCollide(q.Sig, r.Sig, offs, p.R, mask) {
+					if bandsCollide(q.Sig, r.Sig, offs, p.R, sb) {
 						keys = append(keys, r.Key)
 					}
 				}
@@ -403,8 +419,9 @@ func TestBufferAtSketchWidth(t *testing.T) {
 				if stage == "flushed" {
 					x.Flush()
 				}
-				if got, want := x.Stats().SignatureBytes, int64(len(recs)*nh*sb.WidthBytes()); got != want {
-					t.Fatalf("%s: SignatureBytes %d, want %d at %d bytes a value", stage, got, want, sb.WidthBytes())
+				w := sb.WidthBytes()
+				if got, want := x.Stats().SignatureBytes, int64(len(recs)*lshforest.RowLen(nh, x.opts.RMax, w)*w); got != want {
+					t.Fatalf("%s: SignatureBytes %d, want %d at %d bytes a value", stage, got, want, w)
 				}
 				var batch []domain.BatchQuery
 				var want [][]string
@@ -439,5 +456,81 @@ func TestBufferAtSketchWidth(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMinwise16AnswersAsMinwise32 holds minwise16, whose band leads keep 32
+// bits, to minwise32's candidates on an OpenData corpus of 4 000 domains at
+// the default shape (m = 256, trees of 8), 300 of them as queries at t* 0.2,
+// 0.5 and 0.8: over 1 and 16 partitions, sealed into one segment and held in
+// the buffer, every threshold answer and batch row of minwise16 holds
+// minwise32's, and the keys it adds total at most 0.1 % of minwise32's. Only
+// a band's other slots compare at 16 bits, and they only refine a 32-bit lead
+// hit; with 16-bit leads, an r = 1 band admits an unrelated domain with
+// probability 2⁻¹⁶, +0.76 % keys at 16 partitions.
+func TestMinwise16AnswersAsMinwise32(t *testing.T) {
+	const seed = 58
+	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 4000, Seed: seed})
+	recs := datagen.Records(corpus, minhash.NewHasher(256, seed))
+	var batch []domain.BatchQuery
+	for _, qi := range datagen.SampleQueries(corpus, 300, seed) {
+		for _, tStar := range []float64{0.2, 0.5, 0.8} {
+			batch = append(batch, domain.BatchQuery{Sig: recs[qi].Sig, Size: recs[qi].Size, Threshold: tStar})
+		}
+	}
+	for _, parts := range []int{1, 16} {
+		for _, sealed := range []bool{true, false} {
+			answers := func(sb core.SketchBackend) (singles, rows [][]string) {
+				opts := Options{Options: core.Options{NumPartitions: parts, Sketch: sb}, ManualCompaction: true}
+				var x *Index
+				var err error
+				if sealed {
+					x, err = Build(recs, opts)
+				} else {
+					opts.SealThreshold = 2 * len(recs)
+					if x, err = New(opts); err == nil {
+						for _, r := range recs {
+							if _, err = x.Add(r); err != nil {
+								break
+							}
+						}
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer x.Close()
+				if st := x.Stats(); (st.Buffered == 0) != sealed || (len(st.Segments) == 1) != sealed {
+					t.Fatalf("fixture: %d buffered, segments %v, want it sealed %v", st.Buffered, st.Segments, sealed)
+				}
+				for _, q := range batch {
+					singles = append(singles, x.Query(q.Sig, q.Size, q.Threshold))
+				}
+				return singles, x.QueryBatch(batch, 2)
+			}
+			s32, b32 := answers(core.Minwise32)
+			s16, b16 := answers(core.Minwise16)
+			for shape, got := range map[string][2][][]string{"threshold": {s32, s16}, "batch": {b32, b16}} {
+				total, extra := 0, 0
+				for i, want := range got[0] {
+					has := make(map[string]bool, len(got[1][i]))
+					for _, k := range got[1][i] {
+						has[k] = true
+					}
+					for _, k := range want {
+						if !has[k] {
+							t.Fatalf("parts=%d sealed=%v %s %d (t*=%.1f): minwise16 answers %v, missing minwise32's %q",
+								parts, sealed, shape, i, batch[i].Threshold, got[1][i], k)
+						}
+					}
+					total, extra = total+len(want), extra+len(got[1][i])-len(want)
+				}
+				if total == 0 || 1000*extra > total {
+					t.Errorf("parts=%d sealed=%v %s: minwise16 adds %d keys to minwise32's %d, want at most 0.1 %%",
+						parts, sealed, shape, extra, total)
+				}
+				t.Logf("parts=%d sealed=%v %s: minwise32 %d keys, minwise16 +%d", parts, sealed, shape, total, extra)
+			}
+		}
 	}
 }

@@ -29,12 +29,17 @@ func halfRedrawn(sig minhash.Signature, rMax int, salt uint64) minhash.Signature
 
 // bandsCollide reports whether any of the bands starting at the given
 // signature offsets, compared at depth r, agree between the two signatures
-// under mask: the LSH forest's collision condition for one entry, read
-// straight from the full signatures.
-func bandsCollide(a, b minhash.Signature, bands []int, r int, mask uint64) bool {
+// under sb's truncation — the band's lead under its lead mask, the rest under
+// its mask: the LSH forest's collision condition for one entry, read straight
+// from the full signatures.
+func bandsCollide(a, b minhash.Signature, bands []int, r int, sb core.SketchBackend) bool {
 	for _, off := range bands {
 		match := true
 		for k := off; k < off+r; k++ {
+			mask := sb.Mask()
+			if k == off {
+				mask = sb.LeadMask()
+			}
 			if a[k]&mask != b[k]&mask {
 				match = false
 				break
@@ -64,7 +69,7 @@ func referenceBufferScan(x *Index, sig minhash.Signature, querySize int, tStar f
 	}
 	var keys []string
 	for i, e := range sn.buf {
-		if sn.alive(e.key, e.seq) && bandsCollide(sig, sn.sigs.widen(nil, i), offs, p.R, x.opts.Sketch.Mask()) {
+		if sn.alive(e.key, e.seq) && bandsCollide(sig, sn.sigs.widen(nil, i), offs, p.R, x.opts.Sketch) {
 			keys = append(keys, e.key)
 		}
 	}
@@ -137,8 +142,8 @@ func TestBufferScanMaskedEqualsUnmasked(t *testing.T) {
 			set := make(lshforest.TreeSet, lshforest.TreeSetWords(numTrees))
 			sumTrees := 0
 			for i, r := range recs[:80] {
-				sumTrees += leadTrees(set, sn.bufBloom, r.Sig[:masked.opts.NumHash], rMax, sb.Mask())
-				sumTrees += leadTrees(set, sn.bufBloom, halfRedrawn(r.Sig, rMax, uint64(i))[:masked.opts.NumHash], rMax, sb.Mask())
+				sumTrees += leadTrees(set, sn.bufBloom, r.Sig[:masked.opts.NumHash], rMax, sb.LeadMask())
+				sumTrees += leadTrees(set, sn.bufBloom, halfRedrawn(r.Sig, rMax, uint64(i))[:masked.opts.NumHash], rMax, sb.LeadMask())
 			}
 			check := func(stage string, masked, plain *Index) {
 				t.Helper()
@@ -396,9 +401,10 @@ func queryShapesAgree(t *testing.T, recs []domain.Record, mmap bool, parts int, 
 	// The 62 × 4 segment decisions, as recorded before the range check and the
 	// Bloom moved ahead of planning (see plannedEquivalentUnderChurn, whose
 	// fixture range-prunes too): the reorder moved none to another counter.
+	// Minwise16's 32-bit leads decide as minwise32's.
 	wantSegmentDecisions(t, bySingles, map[core.SketchBackend][3]uint64{
 		core.Minwise64: {94, 0, 154}, core.Minwise32: {94, 0, 154},
-		core.Minwise16: {164, 0, 84},
+		core.Minwise16: {94, 0, 154},
 	}[sb])
 	// Full-width leading values let both filters bite: whole segments and
 	// trees fall to the Bloom and, where there is more than one partition,

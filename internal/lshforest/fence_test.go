@@ -31,14 +31,18 @@ func runsColumn(n, fill int, runs [][2]int) []uint64 {
 	return col
 }
 
+// widthMask is the mask that truncates a value to bytes bytes.
+func widthMask(bytes int) uint64 { return ^uint64(0) >> (64 - 8*uint(bytes)) }
+
+// leadBytes is the width a probe must compare a tree's lead at in a store of
+// width bytes: the width, and 4 bytes under a 2-byte store.
+func leadBytes(width int) int { return max(width, 4) }
+
 // linearProbe is the reference the fenced probe is held to: it walks tree t's
 // slot order end to end and reports every entry whose first r stored values of
-// the tree equal the query's, truncated to the store's width.
+// the tree equal the query's, the lead truncated to the lead width and the
+// others to the store's width.
 func linearProbe(f *Forest, q []uint64, t, r int) []uint32 {
-	mask := ^uint64(0)
-	if f.Width() < 8 {
-		mask = 1<<(8*uint(f.Width())) - 1
-	}
 	var out []uint32
 	var sig []uint64
 	for _, slot := range f.Tree(t) {
@@ -46,6 +50,10 @@ func linearProbe(f *Forest, q []uint64, t, r int) []uint32 {
 		off := t * f.RMax()
 		match := true
 		for k := off; k < off+r; k++ {
+			mask := widthMask(f.Width())
+			if k == off {
+				mask = widthMask(leadBytes(f.Width()))
+			}
 			match = match && sig[k] == q[k]&mask
 		}
 		if match {
@@ -72,24 +80,27 @@ func runsForest(width, n, fill int, runs [][2]int, seed uint64, base uint32) *Fo
 }
 
 // edgeLeads returns the leading values a probe of columns made of vals must
-// be tried with: below, between and above every stored value, the width's
-// extremes, and a value that only truncation makes equal to a stored one.
+// be tried with: below, between and above every stored value, the lead
+// width's extremes, a value that only truncation makes equal to a stored one,
+// and one that only a lead narrower than 32 bits would.
 func edgeLeads(width int, vals []uint64) []uint64 {
-	top := uint64(1)<<(8*uint(width)) - 1
+	top := widthMask(LeadWidth(width))
 	if width == 8 {
 		top = ^uint64(0) >> 3
 	}
 	leads := []uint64{0, 1, top}
 	for _, x := range vals {
-		// x|2^40 truncates to x below width 8 and is absent at 8.
-		leads = append(leads, x-1, x, x+1, x|1<<40)
+		// x|2^40 truncates to x below width 8 and is absent at 8; x|2^16 is
+		// absent at every width, the 2-byte store's 4-byte leads included.
+		leads = append(leads, x-1, x, x+1, x|1<<40, x|1<<16)
 	}
 	return leads
 }
 
 // TestFencedProbeMatchesLinearScan holds the probe (fence search, one
 // stretch, galloping to the run's end, depth-r refine) against a linear scan
-// of the store for every width and depth, on columns built to hit the fence's
+// of the store for every width and depth — the 2-byte store's columns and
+// fences at its 4-byte lead width — on columns built to hit the fence's
 // edges: runs that cross or start on a fence boundary, runs at the first and
 // last entry, an all-equal column, one entry, fewer entries than one stretch
 // and exactly one stretch, and queries below, between and above every stored
@@ -102,7 +113,7 @@ func edgeLeads(width int, vals []uint64) []uint64 {
 func TestFencedProbeMatchesLinearScan(t *testing.T) {
 	const rMax = 3
 	for _, width := range []int{2, 4, 8} {
-		s := fenceLine / width
+		s := fenceLine / LeadWidth(width)
 		fill := max(1, 4/width) // narrow widths: fewer distinct values, all below 2^8
 		cases := []struct {
 			name string

@@ -25,9 +25,12 @@
 //
 // The store's element width is a Build argument: 8 bytes holds the
 // full 61-bit minhash values, narrower widths (2, 4 bytes) hold b-bit
-// truncations — the b-bit minwise backends of internal/core. Query
-// signatures stay full-width []uint64 regardless; every compare site
-// truncates the query value to the store's width on the fly (see store.go).
+// truncations — the b-bit minwise backends of internal/core. The leading
+// columns hold their values at LeadWidth (4 bytes under width 2): the store
+// keeps each tree's lead high half beside a 2-byte row. Query signatures stay
+// full-width []uint64 regardless; every compare site truncates the query value
+// to the store's width, or a lead to the lead width, on the fly (see
+// store.go).
 package lshforest
 
 import (
@@ -45,12 +48,12 @@ type Forest struct {
 	numHash int
 	rMax    int
 	bMax    int
-	width   int // bytes per stored hash value: 2, 4 or 8
+	width   int // bytes per stored hash value: 2, 4 or 8 (leads: LeadWidth)
 
 	ids   []uint32   // caller-assigned id per entry, in slot order
 	trees [][]uint32 // per tree: slot indices sorted by that tree's hash vector
 
-	st sigstore // width-typed signature store + per-tree leading-value columns
+	st sigstore // shape-typed signature store + per-tree leading-value columns
 }
 
 // newForest returns an empty forest of the given shape: numHash values per
@@ -81,7 +84,8 @@ func newForest(numHash, rMax, width int) *Forest {
 // (numHash/rMax)·rMax values long. The store is sized once; each signature
 // is copied into it cut to numHash values (zero-padded when shorter), with
 // every value truncated to the low 8·width bits — the b-bit minwise
-// truncation; query values are truncated to match at probe time. sig(i) is
+// truncation — and every tree's lead to the low 8·LeadWidth(width); query
+// values are truncated to match at probe time. sig(i) is
 // copied before sig(i+1) is asked for, so it may reuse one buffer. Every
 // tree is then sorted, the trees fanned out over GOMAXPROCS workers.
 func Build(numHash, rMax, width int, ids []uint32, sig func(i int) []uint64) *Forest {
@@ -109,6 +113,10 @@ func (f *Forest) BMax() int { return f.bMax }
 // Width returns the store's element width in bytes (8 for full minwise,
 // 2/4 for the b-bit truncated backends).
 func (f *Forest) Width() int { return f.width }
+
+// LeadWidth returns the bytes per value of the leading columns:
+// LeadWidth(Width()).
+func (f *Forest) LeadWidth() int { return LeadWidth(f.width) }
 
 // Len returns the number of entries.
 func (f *Forest) Len() int { return len(f.ids) }
@@ -236,12 +244,12 @@ func Probe(jobs []Job, sig []uint64, fn func(id uint32) bool) {
 	}
 	// A type switch: a sigstore method would leak jobs and fn to the heap.
 	switch jobs[0].Forest.st.(type) {
-	case *tstore[uint16]:
-		probe[uint16](jobs, sig, fn)
-	case *tstore[uint32]:
-		probe[uint32](jobs, sig, fn)
-	case *tstore[uint64]:
-		probe[uint64](jobs, sig, fn)
+	case *tstore[uint16, uint32]:
+		probe[uint16, uint32](jobs, sig, fn)
+	case *tstore[uint32, uint32]:
+		probe[uint32, uint32](jobs, sig, fn)
+	case *tstore[uint64, uint64]:
+		probe[uint64, uint64](jobs, sig, fn)
 	}
 }
 
@@ -257,17 +265,19 @@ func (f *Forest) MatchCount(slot int, sig []uint64) int {
 
 // AppendSigWidened appends the stored signature of the given slot, widened
 // to uint64 values, to dst. For a full-width store the values are the
-// original hash values; for a narrow store they are the stored truncations
-// (truncation is idempotent, so building an equally narrow store from them
-// is lossless).
+// original hash values; for a narrow store they are the stored truncations,
+// every tree's lead at the lead width (truncation is idempotent, so building
+// an equally narrow store from them is lossless).
 func (f *Forest) AppendSigWidened(dst []uint64, slot int) []uint64 {
 	return f.st.appendWidened(dst, slot)
 }
 
 // TreeLeadingColumn returns tree t's sorted column of leading hash values
-// (the value at offset t*RMax of every stored signature) widened to uint64.
+// (the value at offset t*RMax of every stored signature, at the lead width)
+// widened to uint64.
 // Any probe of tree t at any depth r ≥ 1 matches an entry only if the
-// query's (truncated) leading value occurs in this column, which is what
+// query's leading value, truncated to the lead width, occurs in this column,
+// which is what
 // makes the column the cheap export segment-level planners (internal/live)
 // build their collision filters from. For the 8-byte width
 // the returned slice is a view into the forest's index (callers must not
@@ -289,7 +299,8 @@ func (f *Forest) TreeLeadingColumn(t int) []uint64 {
 //	  magic "LSHF" | numHash | rMax | n | per entry: id, sig[numHash] as u64
 //	v2 (any width):
 //	  magic "LSF2" | width | numHash | rMax | n | per entry: id,
-//	  sig[numHash] at native width, little-endian
+//	  its row at native width, little-endian (AppendRow: sig[numHash], then
+//	  under width 2 the high half of each of the numHash/rMax tree leads)
 //
 // Trees are rebuilt on load (sorting is cheaper than storing permutations).
 // AppendBinary emits v1 for 8-byte stores so existing fixtures stay
@@ -341,9 +352,10 @@ func DecodeForest(buf []byte) (*Forest, []byte, error) {
 	if width != 2 && width != 4 && width != 8 || numHash <= 0 || rMax <= 0 || rMax > numHash {
 		return nil, r.B, ErrCorrupt
 	}
-	// Each entry is its id and numHash values of width bytes: with width
-	// checked, under 2^36 bytes, so the product cannot overflow.
-	stride := 4 + width*numHash
+	// Each entry is its id and a row of width bytes per value: with width
+	// checked, under 2^37 bytes, so the product cannot overflow.
+	row := RowLen(numHash, rMax, width)
+	stride := 4 + width*row
 	n := r.Count(stride)
 	body := r.Bytes(n * stride)
 	if r.Short {
@@ -358,17 +370,7 @@ func DecodeForest(buf []byte) (*Forest, []byte, error) {
 		vals = make([]uint64, numHash)
 	}
 	f := Build(numHash, rMax, width, ids, func(i int) []uint64 {
-		e := body[i*stride+4:]
-		for k := range vals {
-			switch width {
-			case 2:
-				vals[k] = uint64(binary.LittleEndian.Uint16(e[2*k:]))
-			case 4:
-				vals[k] = uint64(binary.LittleEndian.Uint32(e[4*k:]))
-			default:
-				vals[k] = binary.LittleEndian.Uint64(e[8*k:])
-			}
-		}
+		ReadRow(vals, body[i*stride+4:], rMax, width)
 		return vals
 	})
 	return f, r.B, nil

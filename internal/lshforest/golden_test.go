@@ -106,8 +106,9 @@ func TestForestGoldenDecode(t *testing.T) {
 
 // TestDecodeHostileHeader feeds headers whose n * (4 + 8*numHash) product
 // overflows 63 bits, or that are otherwise out of shape (a v2 header of the
-// retired width 1 among them); the decoder must reject them without
-// allocating or panicking.
+// retired width 1 among them, and a width-2 entry in the retired layout of
+// 2-byte leads, which lacks its lead high halves); the decoder must reject
+// them without allocating or panicking.
 func TestDecodeHostileHeader(t *testing.T) {
 	mk := func(numHash, rMax, n uint32) []byte {
 		buf := []byte{'L', 'S', 'H', 'F'}
@@ -127,6 +128,9 @@ func TestDecodeHostileHeader(t *testing.T) {
 		"high-bit n":          mk(8, 2, 0x80000000),
 		"max everything":      mk(0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF),
 		"width 1":             append([]byte("LSF2\x01\x00\x00\x00"), mk(8, 2, 1)[4:]...),
+		// One id and eight 2-byte values, the row before band leads kept
+		// 4 bytes: 8 bytes short of the current row's four lead halves.
+		"width 2, 2-byte leads": append([]byte("LSF2\x02\x00\x00\x00"), mk(8, 2, 1)[4:16+4+8*2]...),
 	}
 	for name, buf := range cases {
 		if _, _, err := DecodeForest(buf); err == nil {

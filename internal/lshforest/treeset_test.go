@@ -9,7 +9,28 @@ import (
 
 // poisonTree drops tree t's leading column and its fence, so any probe that
 // touches the tree indexes a nil slice and panics.
-func (ts *tstore[E]) poisonTree(t int) { ts.treeKeys[t], ts.fences[t] = nil, nil }
+func (ts *tstore[E, L]) poisonTree(t int) { ts.treeKeys[t], ts.fences[t] = nil, nil }
+
+// spreader returns a function that sets bits 16 and 33 of a value at random,
+// from its own stream so that the draws of the caller's stay as they were:
+// values then agree in their low 16 bits but not at 32, and at 32 but not in
+// all 64, so a probe that truncates a lead or a slot to the wrong width
+// reports what the scan does not.
+func spreader(seed uint64) func(v uint64) uint64 {
+	rng := xrand.New(seed ^ 0x5bd1e995)
+	return func(v uint64) uint64 {
+		return v | uint64(rng.Intn(2))<<16 | uint64(rng.Intn(2))<<33
+	}
+}
+
+// spread applies sp to every value of sigs.
+func spread(sp func(uint64) uint64, sigs [][]uint64) {
+	for _, s := range sigs {
+		for k := range s {
+			s[k] = sp(s[k])
+		}
+	}
+}
 
 // collectQuery returns the id sequence a one-job Probe reports, occurrences
 // and order included.
@@ -40,6 +61,8 @@ func checkTreeSetQuery(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel
 	valueRange := [...]uint64{3, 40, 1 << 20}[rng.Intn(3)]
 	n := 1 + rng.Intn(200)
 	sigs, ids := randSigs(rng, n, numHash, valueRange)
+	sp := spreader(seed)
+	spread(sp, sigs)
 	f := build(numHash, rMax, width, ids, sigs)
 	bMax := f.BMax()
 	b, r := 1+int(bSel)%bMax, 1+int(rSel)%rMax
@@ -49,14 +72,11 @@ func checkTreeSetQuery(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel
 	q := slices.Clone(sigs[rng.Intn(n)])
 	for k := range q {
 		if rng.Intn(3) == 0 {
-			q[k] = rng.Uint64() % valueRange
+			q[k] = sp(rng.Uint64() % valueRange)
 		}
 	}
 
-	mask := ^uint64(0)
-	if width < 8 {
-		mask = 1<<(8*uint(width)) - 1
-	}
+	mask := widthMask(leadBytes(width))
 	exact := make(TreeSet, TreeSetWords(bMax))
 	wider := make(TreeSet, TreeSetWords(bMax))
 	for tr := 0; tr < bMax; tr++ {
@@ -135,6 +155,7 @@ func checkProbeJobs(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel ui
 	rng := xrand.New(seed ^ 0x9e3779b97f4a7c15)
 	valueRange := [...]uint64{3, 40, 1 << 20}[rng.Intn(3)]
 	forests := make([]*Forest, 2+rng.Intn(3))
+	sp := spreader(seed)
 	var pool [][]uint64
 	for i := range forests {
 		n := 1 + rng.Intn(150)
@@ -145,13 +166,14 @@ func checkProbeJobs(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel ui
 		for k := range ids {
 			ids[k] += uint32(i) << 20 // the reports name their forest
 		}
+		spread(sp, sigs)
 		forests[i] = build(numHash, rMax, width, ids, sigs)
 		pool = append(pool, sigs...)
 	}
 	q := slices.Clone(pool[rng.Intn(len(pool))])
 	for k := range q {
 		if rng.Intn(3) == 0 {
-			q[k] = rng.Uint64() % valueRange
+			q[k] = sp(rng.Uint64() % valueRange)
 		}
 	}
 
@@ -200,6 +222,8 @@ func checkProbeJobs(t *testing.T, seed uint64, widthSel, shapeSel, bSel, rSel ui
 // × every shape, including the 128-tree NumHash 256 / RMax 2 forest and a
 // 130-tree one whose set spans three words — runs under plain `go test`;
 // widthSel 3 wraps to width 8, which it covers a second time on other seeds.
+// Width 2 is the 2-byte store with 4-byte leads; the values' random bits 16
+// and 33 (spreader) tell its leads from 2-byte ones and from full-width ones.
 func FuzzQueryTreeSet(f *testing.F) {
 	for widthSel := uint8(0); widthSel < 4; widthSel++ {
 		for shapeSel := uint8(0); shapeSel < 5; shapeSel++ {

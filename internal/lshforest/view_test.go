@@ -31,7 +31,7 @@ func viewOf(f *Forest) (*Forest, error) {
 	cols := make([][]byte, f.BMax())
 	for tr := range trees {
 		trees[tr] = f.Tree(tr)
-		cols[tr] = make([]byte, f.Len()*f.Width())
+		cols[tr] = make([]byte, f.Len()*f.LeadWidth())
 		f.WriteTreeKeysLE(tr, cols[tr])
 	}
 	return FromViewBytes(f.NumHash(), f.RMax(), f.Width(), f.IDs(), store, trees, cols)

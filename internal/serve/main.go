@@ -38,7 +38,7 @@ func (d *daemon) flags(fs *flag.FlagSet) {
 	fs.IntVar(&d.opts.RMax, "rmax", 8, "LSH forest tree depth")
 	fs.IntVar(&d.opts.NumPartitions, "partitions", 16, "cardinality partitions per sealed segment")
 	fs.Uint64Var(&d.seed, "seed", 42, "hash family seed (must match across restarts and clients)")
-	fs.StringVar(&d.sketch, "sketch", "", "signature store backend: minwise64, minwise32, minwise16 (b-bit stores trade estimate variance for 1/2–1/4 the signature bytes); unset: minwise32 for a new index; a loaded snapshot keeps its own")
+	fs.StringVar(&d.sketch, "sketch", "", "signature store backend: minwise64, minwise32, minwise16 (b-bit stores trade estimate variance for 1/2–1/4 the signature bytes; minwise16 keeps band leads at 32 bits); unset: minwise16 for a new index; a loaded snapshot keeps its own")
 	fs.IntVar(&d.opts.SealThreshold, "seal", 4096, "buffered adds that trigger a background seal")
 	fs.IntVar(&d.opts.MaxSegments, "max-segments", 8, "cap on sealed segments; below it, three segments of a size tier merge")
 	fs.StringVar(&d.snapshot, "snapshot", "", "snapshot file: loaded at boot if present, saved on shutdown and POST /save (defaults to <data-dir>/MANIFEST when -data-dir is set)")

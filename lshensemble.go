@@ -38,8 +38,10 @@ type Options = core.Options
 // NumHash minwise values — the accuracy-vs-bytes knob. Minwise64 is the
 // paper's full-width representation; Minwise16/32 store b-bit truncations
 // (Li & König) at 1/4–1/2 the bytes, correcting containment estimates for
-// the 2⁻ᵇ chance-collision floor. The zero value is Minwise32 for a new
-// index, and the file's own backend on a load.
+// the 2⁻ᵇ chance-collision floor. Every band's leading value keeps at least
+// 32 bits, so Minwise16 stores each lead's high half besides (576 bytes a
+// domain at m = 256) and returns Minwise32's candidates. The zero value is
+// Minwise16 for a new index, and the file's own backend on a load.
 type SketchBackend = core.SketchBackend
 
 // Sketch backends for Options.Sketch.
