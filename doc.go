@@ -151,12 +151,17 @@
 //   - A background compactor seals the buffer into a segment past
 //     LiveOptions.SealThreshold and merges three segments of a size tier
 //     into one (past LiveOptions.MaxSegments, a cap, the two smallest),
-//     using the parallel construction path; dead entries are dropped as
-//     segments rebuild. A loaded snapshot keeps its shape until its next seal.
-//   - Compaction is equivalence-preserving: full Compact leaves a single
-//     segment that is bit-identical to a fresh BuildLive over the surviving
-//     records in mutation order (and therefore answers every query
-//     identically), with every tombstone purged.
+//     using the parallel construction path. Seal, merge, Flush and Compact
+//     are one rewrite: the live entries of the segments it replaces, and of
+//     the buffer when it seals, build one new segment, so dead entries drop
+//     as segments rebuild. Each rewrite drops every tombstone that no longer
+//     shadows an entry, worked out before the writer lock, which covers only
+//     the swap. A loaded snapshot keeps its shape until its next seal.
+//   - Compaction is equivalence-preserving: full Compact builds the buffer
+//     and every segment into a single segment, once, that is bit-identical
+//     to a fresh BuildLive over the surviving records in mutation order (and
+//     therefore answers every query identically), with every tombstone
+//     purged.
 //   - SaveLive/LoadLive persist a point-in-time snapshot for warm restarts;
 //     Save is safe while writers run. The snapshot wire format is
 //     versioned and checksummed: current files (v5) are either

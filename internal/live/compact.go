@@ -2,6 +2,7 @@ package live
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sort"
 
@@ -11,18 +12,19 @@ import (
 	"lshensemble/internal/minhash"
 )
 
-// This file is the write-behind half of the live index: sealing the
-// unsealed buffer into a frozen segment, merging small segments into larger
-// ones, and the background goroutine that drives both. All heavy work
-// (core.Build over the surviving records, using the parallel construction
-// path) happens OUTSIDE any lock the write or read paths touch; only the
-// final pointer swap takes the writer mutex, and readers never take a lock
-// at all — a query in flight keeps the snapshot it loaded.
+// This file is the write-behind half of the live index: one rewrite that
+// seals the unsealed buffer, merges segments, or both at once, and the
+// background goroutine that drives it. All heavy work — gathering the
+// survivors, core.Build over them (the parallel construction path) and the
+// sweep for tombstones that shadow nothing any more — happens OUTSIDE any
+// lock the write or read paths touch; the writer mutex covers only the
+// pointer swap, and readers never take a lock at all — a query in flight
+// keeps the snapshot it loaded.
 //
 // Sequence numbers make this sound under concurrent writes: a segment keeps
 // each entry's seq, so tombstones recorded *while* a build is running still
 // apply to the freshly built segment at query time (the tombstone's seq
-// exceeds the sealed entries' seqs). Compaction filters with the tombstones
+// exceeds the sealed entries' seqs). A rewrite filters with the tombstones
 // visible when it starts and never loses a later delete.
 
 // compactor is the background loop. It wakes on a nudge (sent by Add when
@@ -37,7 +39,7 @@ func (x *Index) compactor() {
 		case <-x.nudge:
 		}
 		x.compactMu.Lock()
-		for x.sealIfFull() || x.mergeIfCrowded() {
+		for x.rewrite(nil, x.opts.SealThreshold) || x.mergeIfCrowded() {
 			select {
 			case <-x.stop:
 				x.compactMu.Unlock()
@@ -69,33 +71,32 @@ func (x *Index) Close() {
 // Flush synchronously seals the current buffer into a segment (a no-op when
 // the buffer is empty). Callers that need the buffer drained — e.g. before
 // measuring pure-segment query cost — use it; normal ingest relies on the
-// background seal instead.
+// background seal instead. Like every seal it drops each tombstone that no
+// longer shadows an entry.
 func (x *Index) Flush() {
 	x.compactMu.Lock()
-	x.seal(1)
+	x.rewrite(nil, 1)
 	x.compactMu.Unlock()
 }
 
-// Compact synchronously runs full compaction: the buffer is sealed and all
-// segments merge into (at most) one, dropping every dead entry and every
-// tombstone that no longer shadows anything. The result answers queries
-// exactly like a fresh core.Build over the surviving records.
+// Compact synchronously runs full compaction: one rewrite builds the buffer
+// and every segment into (at most) one segment, dropping every dead entry and
+// every tombstone. The result answers queries exactly like a fresh core.Build
+// over the surviving records.
 func (x *Index) Compact() {
 	x.compactMu.Lock()
 	defer x.compactMu.Unlock()
-	x.seal(1)
 	sn := x.snap.Load()
-	if len(sn.segs) == 0 || (len(sn.segs) == 1 && len(sn.tombs) == 0) {
-		return
+	if len(sn.buf) > 0 || len(sn.segs) > 1 || len(sn.segs) == 1 && len(sn.tombs) > 0 {
+		x.rewrite(sn.segs, 1)
 	}
-	x.mergeSegments(sn.segs)
 }
 
 // newSegment is the one place a segment is built from records: the core
 // index over recs, whose signatures sig gives (core.BuildFrom; seqs aligned
 // with them, ascending), its planner metadata and resident estimate, spilled
-// to a segment file when the index has a data directory. Build, seal and
-// merge all call it outside the writer lock.
+// to a segment file when the index has a data directory. Build and rewrite
+// call it outside the writer lock.
 func (x *Index) newSegment(recs []domain.Record, seqs []uint64, sig func(dst []uint64, i int) []uint64) (*segment, error) {
 	idx, err := core.BuildFrom(recs, sig, x.opts.Options)
 	if err != nil {
@@ -106,74 +107,115 @@ func (x *Index) newSegment(recs []domain.Record, seqs []uint64, sig func(dst []u
 	return x.persistSegment(seg), nil
 }
 
-// sealIfFull seals when the buffer has crossed the threshold.
-func (x *Index) sealIfFull() bool {
-	return x.seal(x.opts.SealThreshold)
-}
-
-// seal freezes the first len(buf) buffered entries (as of the snapshot it
-// loads) into a new segment, provided at least min are buffered. Dead
-// entries are dropped during the build. It reports whether anything was
-// sealed (including a pure trim, when every buffered entry was dead).
+// rewrite is the one way the segment set changes after Build or Load: it
+// builds the live entries of victims (segments of the current snapshot), plus
+// those of the whole buffer when at least sealMin ≥ 1 are buffered, into one
+// new segment that replaces the victims, and publishes the swap. It reports
+// whether it published; a seal whose entries were all dead still trims the
+// buffer. A rewrite that sealed counts a seal, one with victims a merge.
 //
-// The caller must hold compactMu. Writers keep appending while the segment
-// builds; the publish step moves only the sealed prefix out of the buffer.
-func (x *Index) seal(min int) bool {
+// The caller must hold compactMu, which keeps the loaded snapshot's segments
+// the current ones until the swap. Writers keep appending and deleting while
+// the segment builds; under the writer lock the rewrite only swaps the
+// segments, carries the entries appended since over into a fresh buffer if it
+// sealed, drops the tombstones its sweep found inert and publishes.
+func (x *Index) rewrite(victims []*segment, sealMin int) bool {
 	sn := x.snap.Load()
-	buf := sn.buf
-	if min < 1 {
-		min = 1
-	}
-	if len(buf) < min {
+	seal := sealMin > 0 && len(sn.buf) >= sealMin
+	if !seal && len(victims) == 0 {
 		return false
 	}
-	recs := make([]domain.Record, 0, len(buf))
-	seqs := make([]uint64, 0, len(buf))
-	rows := make([]int, 0, len(buf)) // each record's buffer entry
-	for i := range buf {
-		e := &buf[i]
-		if !sn.alive(e.key, e.seq) {
-			continue
-		}
-		recs = append(recs, domain.Record{Key: e.key, Size: e.size})
-		seqs = append(seqs, e.seq)
-		rows = append(rows, i)
+	// Gather the survivors, then sort them by seq: each victim is ascending,
+	// but the victims' seq ranges can interleave.
+	type survivor struct {
+		rec domain.Record
+		seq uint64
+		seg *segment // nil: entry id of the buffer
+		id  int
 	}
-	var seg *segment
-	if len(recs) > 0 {
-		// Built, and spilled, outside the writer lock: only the pointer swap
-		// below blocks writers. The build widens each signature out of the
-		// arena as it stores it, one record at a time.
-		var err error
-		if seg, err = x.newSegment(recs, seqs, func(dst []uint64, i int) []uint64 { return sn.sigs.widen(dst, rows[i]) }); err != nil {
-			// Unreachable: every record was validated at Add time. Leaving
-			// the buffer as-is keeps the index correct (just unsealed).
-			return false
+	var all []survivor
+	for _, seg := range victims {
+		for id, seq := range seg.seqs {
+			if key := seg.idx.Key(uint32(id)); sn.alive(key, seq) {
+				all = append(all, survivor{domain.Record{Key: key, Size: seg.idx.Size(uint32(id))}, seq, seg, id})
+			}
 		}
+	}
+	for i := 0; seal && i < len(sn.buf); i++ {
+		if e := &sn.buf[i]; sn.alive(e.key, e.seq) {
+			all = append(all, survivor{domain.Record{Key: e.key, Size: e.size}, e.seq, nil, i})
+		}
+	}
+	slices.SortFunc(all, func(a, b survivor) int { return cmp.Compare(a.seq, b.seq) })
+
+	segs := make([]*segment, 0, len(sn.segs)+1)
+	for _, seg := range sn.segs {
+		if !slices.Contains(victims, seg) {
+			segs = append(segs, seg)
+		}
+	}
+	var rest []entry // what stays buffered of sn's entries
+	if !seal {
+		rest = sn.buf
+	}
+	swept := sweep(sn.tombs, segs, rest)
+
+	if len(all) > 0 {
+		recs := make([]domain.Record, len(all))
+		seqs := make([]uint64, len(all))
+		for i, s := range all {
+			recs[i], seqs[i] = s.rec, s.seq
+		}
+		// The build reads each signature, widened one record at a time, out of
+		// its victim's store or the buffer's arena into the new segment's own
+		// store: it holds no views into the victims, which can unmap once their
+		// last reader drains. Only this compactor retires them, so they stay
+		// open until the swap below.
+		seg, err := x.newSegment(recs, seqs, func(dst []uint64, i int) []uint64 {
+			s := all[i]
+			if s.seg == nil {
+				return sn.sigs.widen(dst, s.id)
+			}
+			return s.seg.idx.AppendSignature(dst, uint32(s.id))
+		})
+		if err != nil {
+			return false // unreachable: every record was validated at Add time
+		}
+		segs = append(segs, seg)
+		slices.SortFunc(segs, func(a, b *segment) int { return cmp.Compare(a.minSeq(), b.minSeq()) })
 	}
 
+	var fresh buffer // allocated, its filter cleared, before the lock
+	if seal {
+		fresh = x.newBuffer()
+	}
 	x.mu.Lock()
 	cur := x.snap.Load()
 	st := cur.state
-	// Entries appended while the build ran stay buffered, carried over into
-	// a fresh buffer: the sealed prefix's arrays can be collected once the old
-	// snapshots die, and the fresh filter stops answering "maybe" for
-	// everything the seal just removed.
-	st.buffer = x.newBuffer()
-	var sig minhash.Signature
-	for i := len(buf); i < len(cur.buf); i++ {
-		sig = cur.sigs.widen(sig[:0], i)
-		st.buffer = st.with(cur.buf[i], sig, x.opts.RMax, x.opts.Sketch.LeadMask())
+	if seal {
+		// Entries appended while the build ran stay buffered, carried over
+		// into a fresh buffer: the sealed prefix's arrays can be collected once
+		// the old snapshots die, and the fresh filter stops answering "maybe"
+		// for everything the seal just removed.
+		st.buffer = fresh
+		var sig minhash.Signature
+		for i := len(sn.buf); i < len(cur.buf); i++ {
+			sig = cur.sigs.widen(sig[:0], i)
+			st.buffer = st.with(cur.buf[i], sig, x.opts.RMax, x.opts.Sketch.LeadMask())
+		}
 	}
-	if seg != nil {
-		st.segs = append(slices.Clip(cur.segs), seg)
-	}
-	st.tombs = gcTombs(cur.tombs, st.segs, st.buf)
-	st.shadow = shadows(st.segs, st.tombs)
+	st.segs = segs
+	st.tombs = unswept(cur.tombs, swept)
+	st.shadow = shadows(segs, st.tombs)
 	old := x.publishLocked(st)
 	x.mu.Unlock()
 	x.releaseSnap(old)
-	x.seals.Add(1)
+	if seal {
+		x.seals.Add(1)
+	}
+	if len(victims) > 0 {
+		x.merges.Add(1)
+	}
 	return true
 }
 
@@ -183,10 +225,7 @@ const tierFanIn = 3 // segments of one size tier that merge into one of the next
 // hold compactMu.
 func (x *Index) mergeIfCrowded() bool {
 	victims := mergeVictims(x.snap.Load().segs, x.opts.SealThreshold, x.opts.MaxSegments)
-	if victims != nil {
-		x.mergeSegments(victims)
-	}
-	return victims != nil
+	return victims != nil && x.rewrite(victims, 0)
 }
 
 // mergeVictims picks the segments the next merge rewrites, or nil. A segment
@@ -214,151 +253,43 @@ func mergeVictims(segs []*segment, seal, max int) []*segment {
 	return nil
 }
 
-// mergeSegments rebuilds the given segments (identified by pointer in the
-// current snapshot) into at most one new segment holding their surviving
-// entries, and publishes the swap. Every merge runs the exact per-key
-// tombstone sweep (the segment key Blooms make it cheap — see
-// exactGCTombs), so incremental merges retire tombstones as precisely as
-// full compaction does. The caller must hold compactMu.
-func (x *Index) mergeSegments(victims []*segment) {
-	sn := x.snap.Load()
-	// Gather the survivors, then sort them by seq: each victim is ascending,
-	// but the victims' seq ranges can interleave.
-	type survivor struct {
-		seg *segment
-		id  uint32
-	}
-	var all []survivor
-	for _, seg := range victims {
-		for id := 0; id < seg.idx.Len(); id++ {
-			if sn.alive(seg.idx.Key(uint32(id)), seg.seqs[id]) {
-				all = append(all, survivor{seg, uint32(id)})
-			}
-		}
-	}
-	slices.SortFunc(all, func(a, b survivor) int { return cmp.Compare(a.seg.seqs[a.id], b.seg.seqs[b.id]) })
-	recs := make([]domain.Record, len(all))
-	seqs := make([]uint64, len(all))
-	for i, s := range all {
-		recs[i] = domain.Record{Key: s.seg.idx.Key(s.id), Size: s.seg.idx.Size(s.id)}
-		seqs[i] = s.seg.seqs[s.id]
-	}
-
-	var merged *segment
-	if len(recs) > 0 {
-		// The build reads each signature out of its victim's store, widened
-		// one record at a time, into the new segment's own store: the merged
-		// segment holds no views into the victims, which can unmap once their
-		// last reader drains. Only this compactor retires them, so they stay
-		// open until the swap below.
-		var err error
-		sig := func(dst []uint64, i int) []uint64 { return all[i].seg.idx.AppendSignature(dst, all[i].id) }
-		if merged, err = x.newSegment(recs, seqs, sig); err != nil {
-			return // unreachable: inputs came from validated segments
-		}
-	}
-
-	x.mu.Lock()
-	cur := x.snap.Load()
-	victimSet := make(map[*segment]bool, len(victims))
-	for _, v := range victims {
-		victimSet[v] = true
-	}
-	segs := make([]*segment, 0, len(cur.segs))
-	for _, seg := range cur.segs {
-		if !victimSet[seg] {
-			segs = append(segs, seg)
-		}
-	}
-	if merged != nil {
-		segs = append(segs, merged)
-		sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq() < segs[j].minSeq() })
-	}
-	st := cur.state
-	st.segs = segs
-	st.tombs = exactGCTombs(cur.tombs, segs, cur.buf)
-	st.shadow = shadows(segs, st.tombs)
-	old := x.publishLocked(st)
-	x.mu.Unlock()
-	x.releaseSnap(old)
-	x.merges.Add(1)
-}
-
-// gcTombs drops the tombstones that can no longer shadow anything: a
-// tombstone with sequence number s kills only entries with seq < s, so once
-// every remaining entry's seq is >= s it is inert. This is the cheap
-// O(tombstones) global-minimum bound used on every incremental publish;
-// full Compact pays for the per-key sweep (exactGCTombs) instead, which is
-// what lets it reach the empty-tombstone state.
-func gcTombs(tombs map[string]uint64, segs []*segment, buf []entry) map[string]uint64 {
-	if len(tombs) == 0 {
-		return tombs
-	}
-	var minSeq uint64
-	found := false
-	for _, seg := range segs {
-		if s := seg.minSeq(); !found || s < minSeq {
-			minSeq, found = s, true
-		}
-	}
-	if len(buf) > 0 {
-		if s := buf[0].seq; !found || s < minSeq {
-			minSeq, found = s, true
-		}
-	}
-	if !found {
-		return nil // no entries anywhere: nothing to shadow
-	}
-	drop := 0
-	for _, s := range tombs {
-		if s <= minSeq {
-			drop++
-		}
-	}
-	if drop == 0 {
-		return tombs
-	}
-	next := make(map[string]uint64, len(tombs)-drop)
-	for k, s := range tombs {
-		if s > minSeq {
-			next[k] = s
-		}
-	}
-	return next
-}
-
-// exactGCTombs keeps only the tombstones that still shadow a physically
-// present entry: (key, s) survives iff some remaining entry of that key has
-// seq < s. It runs on every merge; the per-segment key Bloom filters keep
-// the sweep cheap by skipping segments that definitely hold none of the
-// tombstoned keys (a false positive only costs one segment scan, never a
-// wrongly dropped tombstone). Writes racing the merge stay correctly
-// shadowed: their tombstones name entries that still exist, so they are
-// kept.
-func exactGCTombs(tombs map[string]uint64, segs []*segment, buf []entry) map[string]uint64 {
-	if len(tombs) == 0 {
-		return tombs
-	}
-	var next map[string]uint64
-	keep := func(key string, seq uint64) {
-		if s, ok := tombs[key]; ok && seq < s {
-			if next == nil {
-				next = make(map[string]uint64)
-			}
-			next[key] = s
+// sweep returns the tombstones that shadow no entry of segs or buf, the
+// entries a rewrite leaves in place: (key, s) shadows an entry of key whose
+// seq is below s. The segments' key Bloom filters skip those that hold none
+// of the keys still in question (a false positive only costs one segment
+// scan, never a wrongly dropped tombstone). Entries the rewrite builds are
+// alive under tombs, and entries added after them are newer than every one
+// of them, so neither can be shadowed.
+func sweep(tombs map[string]uint64, segs []*segment, buf []entry) map[string]uint64 {
+	swept := maps.Clone(tombs)
+	shadowed := func(key string, seq uint64) {
+		if s, ok := swept[key]; ok && seq < s {
+			delete(swept, key)
 		}
 	}
 	for _, seg := range segs {
-		if !mayShadowAny(seg.meta.keys, tombs) {
+		if !mayShadowAny(seg.meta.keys, swept) {
 			continue
 		}
-		for id := 0; id < seg.idx.Len(); id++ {
-			keep(seg.idx.Key(uint32(id)), seg.seqs[id])
+		for id, seq := range seg.seqs {
+			shadowed(seg.idx.Key(uint32(id)), seq)
 		}
 	}
 	for i := range buf {
-		keep(buf[i].key, buf[i].seq)
+		shadowed(buf[i].key, buf[i].seq)
 	}
+	return swept
+}
+
+// unswept returns tombs without each swept tombstone whose seq is still the
+// one the sweep saw; a key deleted or replaced again since keeps its newer
+// tombstone. tombs is shared, never edited: readers hold it lock-free.
+func unswept(tombs, swept map[string]uint64) map[string]uint64 {
+	if len(swept) == 0 {
+		return tombs
+	}
+	next := maps.Clone(tombs)
+	maps.DeleteFunc(next, func(key string, seq uint64) bool { return swept[key] == seq })
 	return next
 }
 

@@ -71,6 +71,40 @@ func TestConcurrentHammer(t *testing.T) {
 		}
 	}()
 
+	// One churner deletes and re-adds keys the deleter leaves alone, racing
+	// the seals and merges that sweep their tombstones; the last round
+	// leaves every other key deleted.
+	var churned []domain.Record
+	for i := 1; i < 300; i += 6 {
+		churned = append(churned, recs[i])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := 0; round < 6; round++ {
+			for j, r := range churned {
+				present := round%2 == 1
+				if !present {
+					x.Delete(r.Key)
+				} else if _, err := x.Add(r); err != nil {
+					errs <- err
+					return
+				}
+				if round == 5 && j%2 == 0 {
+					x.Delete(r.Key)
+					present = false
+				}
+				modelMu.Lock()
+				if present {
+					model[r.Key] = true
+				} else {
+					delete(model, r.Key)
+				}
+				modelMu.Unlock()
+			}
+		}
+	}()
+
 	// Queriers: single and batch paths, checking per-result invariants.
 	known := make(map[string]bool, len(recs))
 	for _, r := range recs {
@@ -116,9 +150,22 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// No churned key the model holds deleted may come back, before or after
+	// compaction.
+	checkChurned := func(when string) {
+		t.Helper()
+		for _, r := range churned {
+			if got := contains(x.Query(r.Sig, r.Size, 1.0), r.Key); got != model[r.Key] {
+				t.Fatalf("%s: churned key %q present=%v, model says %v", when, r.Key, got, model[r.Key])
+			}
+		}
+	}
+	checkChurned("before Compact")
+
 	// Quiesce and verify the final state against the model: compaction must
 	// leave exactly the surviving records, all self-retrievable.
 	x.Compact()
+	checkChurned("after Compact")
 	if x.Len() != len(model) {
 		t.Fatalf("final Len %d, model %d", x.Len(), len(model))
 	}

@@ -113,7 +113,7 @@ func TestSegmentFiltersHoldEveryColumn(t *testing.T) {
 			x := partFilterIndex(t, recs, parts, sb)
 			sn := x.acquireSnap()
 			s := x.acquireScratch()
-			narrowed := 0
+			narrowed, gated := 0, 0
 			for si, seg := range sn.segs {
 				seg.idx.EachTreeLeading(func(p, tr int, col []uint64) {
 					for _, v := range col {
@@ -128,11 +128,12 @@ func TestSegmentFiltersHoldEveryColumn(t *testing.T) {
 					if i%2 == 1 {
 						sig = halfRedrawn(sig, x.opts.RMax, uint64(i))
 					}
-					n := seg.meta.trees(s, sig, x.opts.RMax, sb.Mask())
+					n := seg.meta.trees(s, sig, x.opts.RMax, sb.LeadMask())
 					if n == 0 {
 						continue
 					}
-					sets, cols := seg.meta.partTrees(s, seg.idx, sig, x.opts.RMax, sb.Mask(), nil)
+					gated++
+					sets, cols := seg.meta.partTrees(s, seg.idx, sig, x.opts.RMax, sb.LeadMask(), nil)
 					if cols < n*seg.idx.NumPartitions() {
 						narrowed++
 					}
@@ -147,6 +148,9 @@ func TestSegmentFiltersHoldEveryColumn(t *testing.T) {
 			}
 			x.releaseScratch(s)
 			x.releaseSnap(sn)
+			if gated == 0 {
+				t.Fatalf("parts=%d %s: no query passed the lead gate, so the ladder was never checked", parts, sb)
+			}
 			if parts > 1 && sb == core.Minwise64 && narrowed == 0 {
 				t.Fatalf("parts=%d %s: the sliced filter never ruled a partition out", parts, sb)
 			}

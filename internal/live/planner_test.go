@@ -335,10 +335,10 @@ func TestTopKEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestTombstonesDropOnIncrementalMerge (satellite): the exact per-key GC
-// now runs on incremental merges, so tombstones whose entries are merged
-// away disappear without a full Compact — even when older segments pin the
-// global minimum sequence number (the old heuristic's blind spot).
+// TestTombstonesDropOnIncrementalMerge (satellite): the exact per-key sweep
+// runs on incremental merges, so tombstones whose entries are merged away
+// disappear without a full Compact — even when older segments pin the global
+// minimum sequence number, which a bound on that minimum could not see past.
 func TestTombstonesDropOnIncrementalMerge(t *testing.T) {
 	opts := plannerOpts()
 	x, err := New(opts)
@@ -655,9 +655,10 @@ func TestResultCacheHitIsExact(t *testing.T) {
 
 // TestAnswersSurviveSealMergeAndQueryOrder pins the banding of a query to the
 // query alone: the same 1 000 queries return the same keys from an index
-// before a seal + merge rebuilds its segment, after it, and from a fresh
-// Build over the same records — each asked in a different order, so a tuner
-// whose answer depended on which query reached a bucket first would differ.
+// before a merge rebuilds its sealed segments into one, after it, and from a
+// fresh Build over the same records — each asked in a different order, so a
+// tuner whose answer depended on which query reached a bucket first would
+// differ.
 func TestAnswersSurviveSealMergeAndQueryOrder(t *testing.T) {
 	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 4000, Seed: 13})
 	recs := datagen.Records(corpus, minhash.NewHasher(256, 13))
@@ -673,17 +674,17 @@ func TestAnswersSurviveSealMergeAndQueryOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	// A dead buffered entry and its tombstone: invisible to queries, but
-	// enough to make Flush trim the buffer and Compact rebuild the segment.
+	// A sealed entry and the tombstone that shadows it: invisible to
+	// queries, but enough to make Compact rebuild the segments into one.
 	if _, err := x.Add(recs[0]); err != nil {
 		t.Fatal(err)
 	}
+	x.Flush()
 	x.Delete(recs[0].Key)
 	before := make([][]string, n)
 	for i := 0; i < n; i++ {
 		before[i] = query(x, i)
 	}
-	x.Flush()
 	x.Compact()
 	if st := x.Stats(); st.Merges != 1 || st.Tombstones != 0 {
 		t.Fatalf("compaction did not rebuild the segment: %+v", st)
@@ -691,7 +692,7 @@ func TestAnswersSurviveSealMergeAndQueryOrder(t *testing.T) {
 	for k := 0; k < n; k++ {
 		i := k * 7 % n // a permutation of [0, n): 7 and 1000 are coprime
 		if got := query(x, i); !reflect.DeepEqual(got, before[i]) {
-			t.Fatalf("query %d: %d keys after Flush+Compact, %d before", i, len(got), len(before[i]))
+			t.Fatalf("query %d: %d keys after Compact, %d before", i, len(got), len(before[i]))
 		}
 	}
 

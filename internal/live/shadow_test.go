@@ -81,7 +81,7 @@ func TestShadowBitsNeverHideADeadEntry(t *testing.T) {
 					op = "merge"
 					x.compactMu.Lock()
 					if segs := x.snap.Load().segs; len(segs) >= 2 {
-						x.mergeSegments(segs[:2])
+						x.rewrite(segs[:2], 0)
 					}
 					x.compactMu.Unlock()
 				case k < 19:
